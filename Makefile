@@ -8,7 +8,7 @@ BENCHTIME ?= 1x
 BENCHLABEL ?=
 BENCH_DATE := $(shell date -u +%F)
 
-.PHONY: all build test test-race vet fmt lint bench bench-smoke bench-compare fuzz-smoke cover verify
+.PHONY: all build test test-race vet fmt lint bench bench-smoke bench-compare bench-harness fuzz-smoke cover verify
 
 all: build
 
@@ -90,6 +90,15 @@ bench-compare:
 	  [ -n "$$old" ] || old=$$2; \
 	fi; \
 	$(GO) run ./internal/tools/benchcompare -old "$$old" -new "$$new" $(BENCHCOMPARE_FLAGS)
+
+# The repo benchmark (BENCHMARK.json, benchmark/) is a Go module of its own,
+# so `go build ./...` and `go test ./...` at the root never compile it and an
+# API change in the packages it drives can break it silently. This target
+# vets and self-tests the harness, then smoke-runs all seven workloads in
+# both trace modes at toy sizes (run.sh builds into .bench_build/).
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	bash benchmark/run.sh --seed 1 --quick
 
 # Fuzz knobs: `make fuzz-smoke` runs each wire-format and spec-grammar fuzz
 # target briefly (CI does this per push); raise FUZZTIME for a longer local

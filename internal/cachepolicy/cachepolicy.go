@@ -32,8 +32,6 @@
 package cachepolicy
 
 import (
-	"slices"
-
 	"repro/internal/access"
 	"repro/internal/hwspec"
 )
@@ -164,25 +162,27 @@ func (a *Assignment) place(w int, k int32, c int8, size int64, pos int32) {
 	}
 	a.CachedBytes[w] += size
 	cand := packHolder(c, int32(w), pos)
-	// beats compares (class, position) lexicographically on the packed
-	// fields: an empty slot (zero word, class bits 0) always loses.
-	beats := func(e uint64) bool {
-		ec, cc := e&0xff, cand&0xff
-		if ec == 0 {
-			return true
-		}
-		if cc != ec {
-			return cc < ec
-		}
-		return posField(cand) < posField(e)
-	}
 	switch {
-	case beats(a.best1[k]):
+	case holderBeats(cand, a.best1[k]):
 		a.best2[k] = a.best1[k]
 		a.best1[k] = cand
-	case beats(a.best2[k]):
+	case holderBeats(cand, a.best2[k]):
 		a.best2[k] = cand
 	}
+}
+
+// holderBeats reports whether holder word cand outranks slot word e,
+// comparing (class, position) lexicographically on the packed fields: an
+// empty slot (zero word, class bits 0) always loses.
+func holderBeats(cand, e uint64) bool {
+	ec, cc := e&0xff, cand&0xff
+	if ec == 0 {
+		return true
+	}
+	if cc != ec {
+		return cc < ec
+	}
+	return posField(cand) < posField(e)
 }
 
 // Local returns the class caching sample k on worker w, or -1. Worker w's
@@ -347,17 +347,19 @@ func classCaps(node hwspec.Node) []int64 {
 // placement is the holder's first access (the copy exists once the holder
 // has pulled the sample for its own consumption).
 //
-// Peak memory is O(E*F) for the materialised streams plus O(F) scratch,
-// independent of N, so plans with many workers stay tractable.
+// This builder and the four *FromStreams / *Lean ones below each rank and
+// then fill (see RankStreams and Rank.Fill); callers evaluating several node
+// specs on one plan rank once and fill per spec instead, as
+// plancache.Artifacts.Placement does.
 func BuildNoPFS(plan *access.Plan, ds Sizer, node hwspec.Node) *Assignment {
 	streams := plan.AllWorkerStreams()
 	return BuildNoPFSFromStreams(plan, streams, ds, node)
 }
 
 // BuildNoPFSFromStreams is BuildNoPFS for callers that already materialised
-// the worker streams (the simulator reuses them).
+// the worker streams.
 func BuildNoPFSFromStreams(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node) *Assignment {
-	return buildFromStreams(plan, streams, ds, node, false, false)
+	return RankStreams(plan, streams, true).Fill(ds, node, false)
 }
 
 // BuildNoPFSLean is BuildNoPFSFromStreams recording local tables for worker
@@ -365,7 +367,7 @@ func BuildNoPFSFromStreams(plan *access.Plan, streams [][]access.SampleID, ds Si
 // still reflects every worker's placement, so Source decisions are identical
 // to the full build while memory stays O(F) at any N.
 func BuildNoPFSLean(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node) *Assignment {
-	return buildFromStreams(plan, streams, ds, node, false, true)
+	return RankStreams(plan, streams, true).Fill(ds, node, true)
 }
 
 // BuildRandomFromStreams is the placement ablation: identical machinery to
@@ -373,100 +375,12 @@ func BuildNoPFSLean(plan *access.Plan, streams [][]access.SampleID, ds Sizer, no
 // (first-access) order instead of by access frequency. Comparing it against
 // BuildNoPFS isolates the contribution of the Sec. 3.1 frequency analysis.
 func BuildRandomFromStreams(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node) *Assignment {
-	return buildFromStreams(plan, streams, ds, node, true, false)
+	return RankStreams(plan, streams, false).Fill(ds, node, false)
 }
 
 // BuildRandomLean is BuildRandomFromStreams tracking worker 0 only.
 func BuildRandomLean(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node) *Assignment {
-	return buildFromStreams(plan, streams, ds, node, true, true)
-}
-
-func buildFromStreams(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node, ignoreFreq, lean bool) *Assignment {
-	a := newAssignment(plan.N, plan.F, len(node.Classes), lean)
-	caps := classCaps(node)
-
-	// Reusable per-worker scratch; reset only the touched entries.
-	freq := make([]int32, plan.F)
-	firstPos := make([]int32, plan.F)
-	for k := range firstPos {
-		firstPos[k] = -1
-	}
-
-	for w := 0; w < plan.N; w++ {
-		stream := streams[w]
-		for pos, k := range stream {
-			if firstPos[k] < 0 {
-				firstPos[k] = int32(pos)
-			}
-			freq[k]++
-		}
-		// Candidates: distinct samples this worker accesses, most frequent
-		// first; among equals, the one needed soonest.
-		cand := make([]int32, 0, len(stream))
-		for _, k := range stream {
-			if freq[k] > 0 {
-				cand = append(cand, k)
-				freq[k] = -freq[k] // mark visited, preserve magnitude
-			}
-		}
-		for _, k := range cand {
-			freq[k] = -freq[k]
-		}
-		// Direct int32 comparators (no reflection): candidates are distinct
-		// samples, so firstPos breaks every tie and the order is total —
-		// identical output to the previous sort.Slice regardless of sort
-		// algorithm. Both comparator branches subtract int32 values promoted
-		// to int, which cannot overflow.
-		if ignoreFreq {
-			slices.SortFunc(cand, func(a, b int32) int {
-				return int(firstPos[a]) - int(firstPos[b])
-			})
-		} else {
-			slices.SortFunc(cand, func(a, b int32) int {
-				if freq[a] != freq[b] {
-					return int(freq[b]) - int(freq[a]) // most frequent first
-				}
-				return int(firstPos[a]) - int(firstPos[b])
-			})
-		}
-		fillGreedy(a, w, cand, ds, caps, firstPos)
-		sortFillOrders(a, w, firstPos)
-		// Reset scratch for the next worker.
-		for _, k := range stream {
-			freq[k] = 0
-			firstPos[k] = -1
-		}
-	}
-	return a
-}
-
-// fillGreedy assigns candidates to worker w's classes fastest-first until
-// capacity runs out. A sample too large for the remaining space of one class
-// falls through to the next.
-func fillGreedy(a *Assignment, w int, cand []int32, ds Sizer, caps []int64, firstPos []int32) {
-	remaining := append([]int64(nil), caps...)
-	for _, k := range cand {
-		sz := ds.Size(int(k))
-		for c := range remaining {
-			if remaining[c] >= sz {
-				remaining[c] -= sz
-				a.place(w, k, int8(c), sz, firstPos[k])
-				break
-			}
-		}
-	}
-}
-
-// sortFillOrders orders each class's fill list by first access so the
-// prefetchers load soonest-needed samples first (Rule 1). Untracked workers
-// of lean assignments have no fill lists.
-func sortFillOrders(a *Assignment, w int, firstPos []int32) {
-	for c := range a.FillOrder[w] {
-		list := a.FillOrder[w][c]
-		slices.SortFunc(list, func(x, y int32) int {
-			return int(firstPos[x]) - int(firstPos[y])
-		})
-	}
+	return RankStreams(plan, streams, false).Fill(ds, node, true)
 }
 
 // BuildFirstTouch computes the first-touch placement used by the LBANN data

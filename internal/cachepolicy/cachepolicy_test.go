@@ -296,3 +296,15 @@ func BenchmarkBuildNoPFS(b *testing.B) {
 		BuildNoPFS(plan, ds, node)
 	}
 }
+
+// BenchmarkRankStreams measures the plan-only half of the placement on
+// BenchmarkBuildNoPFS's plan, streams already materialised.
+func BenchmarkRankStreams(b *testing.B) {
+	plan := &access.Plan{Seed: 1, F: 100000, N: 8, E: 10, BatchPerWorker: 16}
+	streams := plan.AllWorkerStreams()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RankStreams(plan, streams, true)
+	}
+}

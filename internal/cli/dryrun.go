@@ -95,9 +95,7 @@ func explainConfig(w io.Writer, id, label string, cfg isim.Config) error {
 	// Clairvoyant NoPFS placement, via the shared plan cache (the identical
 	// artifacts a real run would consume).
 	node := cfg.Sys.Node
-	assign := art.AssignmentLean(plancache.FamilyNoPFS, cfg.DS, node, func() *cachepolicy.Assignment {
-		return cachepolicy.BuildNoPFSLean(plan, art.Streams, cfg.DS, node)
-	})
+	assign := art.Placement(plancache.FamilyNoPFS, cfg.DS, node, true)
 	fmt.Fprintln(w, "placement (NoPFS policy, worker 0):")
 	cachedSamples := 0
 	for c, class := range node.Classes {

@@ -2,7 +2,8 @@
 // layer of the system re-derives from an access.Plan: per-epoch orders
 // (uniform shuffles or any access.Pattern), per-worker access streams,
 // elastic epoch-end offsets, first-access positions, access-frequency
-// tables, and the cachepolicy.Assignment placements computed from them.
+// tables, candidate rankings, and the cachepolicy.Assignment placements
+// computed from them.
 // The plan's canonical access spec is part of the cache key, so two plans
 // differing only in pattern never share artifacts.
 //
@@ -16,8 +17,8 @@
 // (singleflight), and every consumer shares the immutable result.
 //
 // Memory bound and eviction rule: the cache tracks an approximate byte size
-// per entry (orders + streams + lazily-computed frequency tables +
-// assignments) and evicts least-recently-used entries whenever the total
+// per entry (orders + streams + lazily-computed frequency tables, rankings
+// and assignments) and evicts least-recently-used entries whenever the total
 // exceeds MaxBytes. Eviction only drops the cache's reference — artifacts
 // already handed out remain valid (they are immutable), so a concurrent
 // holder is never invalidated.
@@ -220,6 +221,12 @@ type Artifacts struct {
 	freqOnce sync.Once
 	freqs    [][]int32
 
+	// ranks[0] is the first-access ranking, ranks[1] the by-frequency one.
+	ranks [2]struct {
+		once sync.Once
+		rank *cachepolicy.Rank
+	}
+
 	// cache/self back-link for byte accounting of lazily added artifacts;
 	// nil in naive mode.
 	cache *Cache
@@ -290,6 +297,24 @@ func (a *Artifacts) Frequencies() [][]int32 {
 	return a.freqs
 }
 
+// Rank returns the plan's candidate ranking (see cachepolicy.RankStreams) —
+// by access frequency for the NoPFS placement, by first access for the
+// random-placement ablation — computed once from the cached streams and
+// shared by every node spec placed on the plan.
+func (a *Artifacts) Rank(byFreq bool) *cachepolicy.Rank {
+	r := &a.ranks[0]
+	if byFreq {
+		r = &a.ranks[1]
+	}
+	r.once.Do(func() {
+		r.rank = cachepolicy.RankStreams(&a.Plan, a.Streams, byFreq)
+		if a.cache != nil {
+			a.cache.addBytes(a.self, r.rank.ApproxBytes())
+		}
+	})
+	return r.rank
+}
+
 // assignKey identifies one derived placement: the policy family plus
 // digests of the inputs the build consumes beyond the plan itself (sample
 // sizes and node storage-class capacities), and whether the build is lean
@@ -333,6 +358,15 @@ func (a *Artifacts) Assignment(family string, ds cachepolicy.Sizer, node hwspec.
 // family are cached independently.
 func (a *Artifacts) AssignmentLean(family string, ds cachepolicy.Sizer, node hwspec.Node, build func() *cachepolicy.Assignment) *cachepolicy.Assignment {
 	return a.assignment(family, ds, node, true, build)
+}
+
+// Placement returns the compute-once clairvoyant placement of family
+// FamilyNoPFS or FamilyRandom: the plan is ranked once (see Rank) and each
+// (dataset, node, layout) fills from that shared ranking.
+func (a *Artifacts) Placement(family string, ds cachepolicy.Sizer, node hwspec.Node, lean bool) *cachepolicy.Assignment {
+	return a.assignment(family, ds, node, lean, func() *cachepolicy.Assignment {
+		return a.Rank(family == FamilyNoPFS).Fill(ds, node, lean)
+	})
 }
 
 func (a *Artifacts) assignment(family string, ds cachepolicy.Sizer, node hwspec.Node, lean bool, build func() *cachepolicy.Assignment) *cachepolicy.Assignment {

@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -189,6 +190,101 @@ func TestAssignmentEquivalence(t *testing.T) {
 		}) == got {
 			t.Fatalf("%s: distinct node shared an assignment", family)
 		}
+	}
+}
+
+// TestPlacementRanksOncePerFamily: Placement is the rank-once form of the
+// NoPFS and random-placement builds — word-identical to the direct builders,
+// memoised under the same key Assignment uses, and ranking the plan once per
+// family however many node specs and layouts fill from it.
+func TestPlacementRanksOncePerFamily(t *testing.T) {
+	p := access.Plan{Seed: 9, F: 300, N: 4, E: 4, BatchPerWorker: 8, DropLast: true}
+	ds := testDataset(t, p.F)
+	art := New(0, 0).Artifacts(p)
+	direct := map[string]func(*access.Plan, [][]access.SampleID, cachepolicy.Sizer, hwspec.Node) *cachepolicy.Assignment{
+		FamilyNoPFS:  cachepolicy.BuildNoPFSFromStreams,
+		FamilyRandom: cachepolicy.BuildRandomFromStreams,
+	}
+	nodes := []hwspec.Node{testNode(0.3, 0.5), testNode(0.1, 0), testNode(0.2, 0.2)}
+	want := map[string][]*cachepolicy.Assignment{}
+	for family, build := range direct {
+		for _, node := range nodes {
+			want[family] = append(want[family], build(&p, art.Streams, ds, node))
+		}
+	}
+	before := cachepolicy.RankCount()
+	for family := range direct {
+		for i, node := range nodes {
+			got := art.Placement(family, ds, node, false)
+			if art.Placement(family, ds, node, true) == got {
+				t.Fatalf("%s: lean and full layouts share an entry", family)
+			}
+			if again := art.Assignment(family, ds, node, func() *cachepolicy.Assignment {
+				t.Fatalf("%s: Placement and Assignment keys differ", family)
+				return nil
+			}); again != got {
+				t.Fatalf("%s: placement not memoised", family)
+			}
+			for w := 0; w < p.N; w++ {
+				if !slices.Equal(got.LocalWords(w), want[family][i].LocalWords(w)) {
+					t.Fatalf("%s: worker %d local words differ from the direct build", family, w)
+				}
+			}
+			g1, g2 := got.HolderWords()
+			w1, w2 := want[family][i].HolderWords()
+			if !slices.Equal(g1, w1) || !slices.Equal(g2, w2) {
+				t.Fatalf("%s: holder words differ from the direct build", family)
+			}
+		}
+	}
+	if n := cachepolicy.RankCount() - before; n != int64(len(direct)) {
+		t.Fatalf("%d placements ranked %d times, want once per family (%d)", 2*len(direct)*len(nodes), n, len(direct))
+	}
+}
+
+// TestRankAccounting: a ranking's bytes are charged to its entry when it is
+// built (once), leave the cache with the entry, and are not charged when a
+// live holder of an evicted entry builds one; in naive mode nothing is
+// memoised or charged and every request re-ranks.
+func TestRankAccounting(t *testing.T) {
+	p1 := access.Plan{Seed: 1, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
+	p2 := access.Plan{Seed: 2, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
+	// Base artifacts are ~144 KB per plan and a ranking ~30 KB: the bound
+	// admits one plan with its ranking, not two plans.
+	c := New(200<<10, 0)
+	a1 := c.Artifacts(p1)
+	base := c.Stats().Bytes
+	rank := a1.Rank(true)
+	if rank.ApproxBytes() <= 0 {
+		t.Fatalf("ranking reports %d bytes", rank.ApproxBytes())
+	}
+	if got := c.Stats().Bytes - base; got != rank.ApproxBytes() {
+		t.Fatalf("ranking charged %d bytes, want %d", got, rank.ApproxBytes())
+	}
+	if a1.Rank(true) != rank || c.Stats().Bytes != base+rank.ApproxBytes() {
+		t.Fatal("second request re-ranked or re-charged")
+	}
+
+	a2 := c.Artifacts(p2) // evicts p1 together with its ranking
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != a2.baseBytes() {
+		t.Fatalf("after eviction: %+v, want 1 entry of %d bytes", st, a2.baseBytes())
+	}
+	a1.Rank(false) // lazy artifact on the evicted entry
+	if got := c.Stats().Bytes; got != a2.baseBytes() {
+		t.Fatalf("evicted entry's ranking charged the cache: %d -> %d bytes", a2.baseBytes(), got)
+	}
+
+	defer SetNaive(SetNaive(true))
+	ds, node := testDataset(t, p2.F), testNode(1, 0)
+	before := cachepolicy.RankCount()
+	for i := 0; i < 2; i++ {
+		c.Artifacts(p2).Placement(FamilyNoPFS, ds, node, true)
+	}
+	if n := cachepolicy.RankCount() - before; n != 2 {
+		t.Fatalf("naive mode ranked %d times for 2 requests", n)
+	}
+	if got := c.Stats().Bytes; got != a2.baseBytes() {
+		t.Fatalf("naive mode charged the cache: %d -> %d bytes", a2.baseBytes(), got)
 	}
 }
 

@@ -256,7 +256,9 @@ func (e *Env) EpochOrder(epoch int) []access.SampleID {
 // the plan-artifact cache, computed once per (plan, dataset, node,
 // policy-family): DeepIO and the dynamic LBANN data store share the
 // first-touch placement, ParallelStaging and LocalityAware share the static
-// shard, and NoPFS variants share the frequency-based assignment.
+// shard, and NoPFS variants share the frequency-based assignment — whose
+// candidate ranking is a plan artifact of its own, so the node specs of an
+// environment study on one plan rank once and only fill per spec.
 //
 // All simulator placements are lean builds — local tables for worker 0 only
 // (the simulated symmetric observer), global best-holder state for all
@@ -266,17 +268,13 @@ func (e *Env) EpochOrder(epoch int) []access.SampleID {
 
 // AssignNoPFS returns the shared Sec. 5.1 frequency-based placement.
 func (e *Env) AssignNoPFS() *cachepolicy.Assignment {
-	return e.Art.AssignmentLean(plancache.FamilyNoPFS, e.Cfg.DS, e.Cfg.Sys.Node, func() *cachepolicy.Assignment {
-		return cachepolicy.BuildNoPFSLean(e.Plan, e.Streams, e.Cfg.DS, e.Cfg.Sys.Node)
-	})
+	return e.Art.Placement(plancache.FamilyNoPFS, e.Cfg.DS, e.Cfg.Sys.Node, true)
 }
 
 // AssignRandomPlacement returns the shared placement ablation (first-access
 // fill order instead of frequency order).
 func (e *Env) AssignRandomPlacement() *cachepolicy.Assignment {
-	return e.Art.AssignmentLean(plancache.FamilyRandom, e.Cfg.DS, e.Cfg.Sys.Node, func() *cachepolicy.Assignment {
-		return cachepolicy.BuildRandomLean(e.Plan, e.Streams, e.Cfg.DS, e.Cfg.Sys.Node)
-	})
+	return e.Art.Placement(plancache.FamilyRandom, e.Cfg.DS, e.Cfg.Sys.Node, true)
 }
 
 // AssignFirstTouch returns the shared epoch-0 first-touch placement (DeepIO,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/cachepolicy"
 	"repro/internal/prng"
 	isim "repro/internal/sim"
 )
@@ -527,5 +528,37 @@ func TestWarmGridCellsDoZeroShuffleWork(t *testing.T) {
 	}
 	if !bytes.Equal(coldBuf.Bytes(), warmBuf.Bytes()) {
 		t.Fatal("warm grid report differs from cold grid report")
+	}
+}
+
+// TestGridRanksOncePerPlanAndFamily drives the cachepolicy.RankCount probe
+// at the engine level. The Fig. 9 study evaluates 29 storage hierarchies on
+// one plan: the candidate ranking depends on the seed alone, so the whole
+// grid ranks once, however many node specs fill from it. The ablation grid
+// adds the random-placement family on its one plan: two rankings. A warm
+// re-run finds every placement in the plan cache and ranks nothing.
+func TestGridRanksOncePerPlanAndFamily(t *testing.T) {
+	for _, tc := range []struct {
+		grid *Grid
+		want int64
+	}{
+		{Fig9FullGrid(0.001, 0xf199, 1), 1},
+		{AblationGrid(0.002, 0xab1a, 1), 2},
+	} {
+		runner := &Runner{Parallel: 4}
+		before := cachepolicy.RankCount()
+		if _, err := runner.Run(bg, tc.grid); err != nil {
+			t.Fatal(err)
+		}
+		if n := cachepolicy.RankCount() - before; n != tc.want {
+			t.Errorf("%s: cold grid of %d cells ranked %d times, want %d", tc.grid.Name, len(tc.grid.Scenarios)*len(tc.grid.Policies), n, tc.want)
+		}
+		before = cachepolicy.RankCount()
+		if _, err := runner.Run(bg, tc.grid); err != nil {
+			t.Fatal(err)
+		}
+		if n := cachepolicy.RankCount() - before; n != 0 {
+			t.Errorf("%s: warm grid ranked %d times, want 0", tc.grid.Name, n)
+		}
 	}
 }

@@ -128,9 +128,7 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 	// reconstruct the clairvoyant schedule once, not once per rank. The
 	// shared stream and assignment are immutable; the job only reads them.
 	art := plancache.Shared().Artifacts(*plan)
-	assign := art.Assignment(plancache.FamilyNoPFS, ds, node, func() *cachepolicy.Assignment {
-		return cachepolicy.BuildNoPFSFromStreams(plan, art.Streams, ds, node)
-	})
+	assign := art.Placement(plancache.FamilyNoPFS, ds, node, false)
 	// Crash re-planning happens before the struct is wired: under a crash
 	// profile every rank reshapes its delivery stream with the shared
 	// redistribution rule (chaos.RedistributeStream — the same pure
