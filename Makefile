@@ -21,8 +21,11 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+# The TCP fabric's connection pool races are scheduling-dependent (who parks,
+# who pops, who closes), so the transport package gets five more passes.
 test-race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=5 ./internal/transport/
 
 vet:
 	$(GO) vet ./...

@@ -281,3 +281,90 @@ func BenchmarkTCPFetch(b *testing.B) {
 		}
 	}
 }
+
+// payloadHandler answers every fetch with the same n-byte sample, so the
+// benchmarks below time the fabric and not the handler.
+func payloadHandler(n int) Handler {
+	data := make([]byte, n)
+	return func(context.Context, int, Request) Response {
+		return Response{OK: true, Data: data}
+	}
+}
+
+// benchTCPFetch8K times fetches of an 8 KiB sample — the repo benchmark's
+// sample size — over loopback TCP; run drives the calls.
+func benchTCPFetch8K(b *testing.B, run func(call func() error)) {
+	eps, err := NewTCPNetwork(2, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eps[0].SetHandler(payloadHandler(8 << 10))
+	eps[1].SetHandler(payloadHandler(8 << 10))
+	defer eps[0].Close()
+	defer eps[1].Close()
+	b.SetBytes(8 << 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(func() error {
+		resp, err := eps[0].Call(bg, 1, Request{Kind: KindFetch, Sample: 2})
+		if err == nil && len(resp.Data) != 8<<10 {
+			err = fmt.Errorf("fetched %d bytes, want %d", len(resp.Data), 8<<10)
+		}
+		return err
+	})
+}
+
+func BenchmarkTCPFetch8K(b *testing.B) {
+	benchTCPFetch8K(b, func(call func() error) {
+		for i := 0; i < b.N; i++ {
+			if err := call(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkTCPFetch8KParallel is the same fetch from GOMAXPROCS callers at
+// once, each on its own pooled connection: staging and class threads of one
+// rank share an endpoint exactly like this.
+func BenchmarkTCPFetch8KParallel(b *testing.B) {
+	benchTCPFetch8K(b, func(call func() error) {
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := call(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
+}
+
+// codecSink keeps BenchmarkWireCodec's results live.
+var codecSink uint64
+
+// BenchmarkWireCodec times what the codec adds to one exchange: request
+// encode and decode, response header encode and decode. No sockets.
+func BenchmarkWireCodec(b *testing.B) {
+	data := make([]byte, 8<<10)
+	var (
+		reqBuf [reqSize]byte
+		head   [respHeadSize]byte
+	)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		encodeRequest(&reqBuf, 1, Request{Kind: KindFetch, Sample: int32(i)})
+		from, req, err := decodeRequest(reqBuf[:])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := encodeResponseHeader(&head, Response{OK: true, Value: uint64(req.Sample), Data: data}); err != nil {
+			b.Fatal(err)
+		}
+		resp, n, err := decodeResponseHeader(head[:])
+		if err != nil {
+			b.Fatal(err)
+		}
+		codecSink += uint64(from) + resp.Value + uint64(n)
+	}
+}

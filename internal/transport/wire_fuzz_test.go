@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -17,7 +18,9 @@ import (
 // wire prefix it came from.
 func FuzzDecodeMessage(f *testing.F) {
 	// Valid requests of both kinds, a truncated message, an unknown kind,
-	// and all-ones padding.
+	// and all-ones padding. Sender ranks no fabric has (-1 here, MaxInt32 in
+	// testdata's from-out-of-range) decode fine: rejecting them is serve's
+	// job, which knows the fabric's size.
 	var buf [reqSize]byte
 	encodeRequest(&buf, 3, Request{Kind: KindFetch, Sample: 12345})
 	f.Add(buf[:])
@@ -38,6 +41,11 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		if len(data) < reqSize {
 			t.Fatalf("short message (%d bytes) decoded", len(data))
+		}
+		// The sender rank is a signed 32-bit field: whatever the wire says,
+		// serve's [0, Size) check sees it without wrap-around.
+		if from < math.MinInt32 || from > math.MaxInt32 {
+			t.Fatalf("sender rank %d outside the wire field's range", from)
 		}
 		// Round trip: decode → encode reproduces the wire prefix bit for
 		// bit (the codec carries every field).
