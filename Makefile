@@ -22,10 +22,13 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # The TCP fabric's connection pool races are scheduling-dependent (who parks,
-# who pops, who closes), so the transport package gets five more passes.
+# who pops, who closes), so the transport package gets five more passes; so
+# do the in-flight read table and the PFS read-bound law, whose regressions
+# are a matter of which prefetcher reaches the filesystem first.
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
+	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound' ./nopfs/ ./internal/invariant/
 
 vet:
 	$(GO) vet ./...

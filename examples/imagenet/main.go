@@ -59,13 +59,15 @@ func main() {
 	nopfsTime := time.Since(start)
 
 	fmt.Printf("\nNoPFS run: %.2fs wall\n", nopfsTime.Seconds())
-	fmt.Println("rank  local  remote   pfs  falsePos   stall")
+	fmt.Println("rank  local  remote   pfs  pfsReads  falsePos   stall")
 	var pfsReads int64
 	for _, s := range stats {
-		pfsReads += s.Fetches[nopfs.SourcePFS]
-		fmt.Printf("%4d  %5d  %6d  %4d  %8d  %5.2fs\n",
+		// PFSReads is the rank's whole filesystem load; Fetches[SourcePFS]
+		// leaves out what the class prefetchers read.
+		pfsReads += s.PFSReads
+		fmt.Printf("%4d  %5d  %6d  %4d  %8d  %8d  %5.2fs\n",
 			s.Rank, s.Fetches[nopfs.SourceLocal], s.Fetches[nopfs.SourceRemote],
-			s.Fetches[nopfs.SourcePFS], s.RemoteFalsePositives, s.StallSeconds)
+			s.Fetches[nopfs.SourcePFS], s.PFSReads, s.RemoteFalsePositives, s.StallSeconds)
 	}
 
 	// The naive comparison: every sample of every epoch straight from the
@@ -81,7 +83,7 @@ func main() {
 
 	var naivePFS int64
 	for _, s := range nstats {
-		naivePFS += s.Fetches[nopfs.SourcePFS]
+		naivePFS += s.PFSReads
 	}
 	fmt.Printf("\nPFS-only loader: %.2fs wall, %d PFS reads (NoPFS needed %d)\n",
 		naiveTime.Seconds(), naivePFS, pfsReads)

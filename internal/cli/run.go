@@ -133,12 +133,14 @@ func RunLive(prog string, args []string, stdout, stderr io.Writer) int {
 			return err
 		}
 
-		fmt.Fprintln(stdout, "rank  delivered  local  remote  pfs   stall     cached")
+		// local/remote/pfs are staged fetches by source; pfs-reads is every
+		// filesystem read the rank issued, class fills included.
+		fmt.Fprintln(stdout, "rank  delivered  local  remote  pfs   pfs-reads  stall     cached")
 		for _, s := range stats {
-			fmt.Fprintf(stdout, "%4d  %9d  %5d  %6d  %4d  %6.2fs  %6.1f MiB\n",
+			fmt.Fprintf(stdout, "%4d  %9d  %5d  %6d  %4d  %9d  %6.2fs  %6.1f MiB\n",
 				s.Rank, s.Delivered,
 				s.Fetches[nopfs.SourceLocal], s.Fetches[nopfs.SourceRemote], s.Fetches[nopfs.SourcePFS],
-				s.StallSeconds, float64(s.CachedBytes)/(1<<20))
+				s.PFSReads, s.StallSeconds, float64(s.CachedBytes)/(1<<20))
 		}
 		return dumpMetrics(stdout, reg, o.MetricsOut)
 	})

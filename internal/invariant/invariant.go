@@ -44,6 +44,10 @@
 //   - Live stall bound (CheckLiveStallBound): a live cluster's measured
 //     stall stays inside an order-of-magnitude envelope of the simulator's
 //     prediction for the same plan and fault profile.
+//   - Filesystem read bound (CheckPFSReadBound): a live rank reads a sample
+//     it is assigned to cache from the shared filesystem at most once in
+//     the run, and any other sample only to stage it; the ranks' read
+//     counts account for every read the dataset served.
 package invariant
 
 import (
@@ -193,6 +197,58 @@ func CheckLiveStallBound(liveSeconds, simSeconds, slack, floorSeconds float64) e
 	if liveSeconds > bound {
 		return fmt.Errorf("invariant: live stall %gs exceeds sim-predicted bound %gs (sim %gs × %g + %gs floor)",
 			liveSeconds, bound, simSeconds, slack, floorSeconds)
+	}
+	return nil
+}
+
+// CheckPFSReadBound verifies the live engine's filesystem-read law. reads[r]
+// is every PFS read rank r issued (nopfs.Stats.PFSReads: staged fetches and
+// class fills), staged[r] the samples it delivered with a PFS source,
+// assigned(r, k) whether the placement has r cache sample k (of f samples),
+// and datasetReads what the dataset itself counted. A rank has no reason to
+// read an assigned sample twice — the first read caches it, and its class
+// and staging prefetchers share one read — and reads an unassigned one only
+// to stage it, so
+//
+//	reads[r] <= |{k : assigned(r, k)}| + |{k in staged[r] : !assigned(r, k)}|
+//
+// on every schedule, not just on average (staged[r] is a subset of the
+// rank's stream, so "one per assigned sample plus one per unassigned stream
+// position" follows). No assigned sample is staged from the PFS twice, and
+// the per-rank counts sum to datasetReads, so no read escapes the
+// accounting the bound is stated in.
+func CheckPFSReadBound(reads []int64, datasetReads int64, staged [][]access.SampleID, f int,
+	assigned func(rank int, k access.SampleID) bool) error {
+	if len(reads) != len(staged) {
+		return fmt.Errorf("invariant: %d read counts for %d ranks", len(reads), len(staged))
+	}
+	var total int64
+	for r, ids := range staged {
+		var bound int64
+		for k := 0; k < f; k++ {
+			if assigned(r, access.SampleID(k)) {
+				bound++
+			}
+		}
+		seen := make(map[access.SampleID]bool)
+		for _, k := range ids {
+			switch {
+			case !assigned(r, k):
+				bound++
+			case seen[k]:
+				return fmt.Errorf("invariant: rank %d staged sample %d, which it is assigned to cache, from the PFS twice", r, k)
+			default:
+				seen[k] = true
+			}
+		}
+		if reads[r] > bound {
+			return fmt.Errorf("invariant: rank %d issued %d PFS reads, bound is %d (one per assigned sample + one per unassigned sample staged from the PFS)",
+				r, reads[r], bound)
+		}
+		total += reads[r]
+	}
+	if total != datasetReads {
+		return fmt.Errorf("invariant: ranks account for %d PFS reads, the dataset served %d", total, datasetReads)
 	}
 	return nil
 }

@@ -256,3 +256,35 @@ func TestDeterminismAcrossPoolWidths(t *testing.T) {
 		t.Error("report missing the profile column")
 	}
 }
+
+// TestCheckPFSReadBound pins the filesystem-read law on hand-built cases:
+// per rank, one read per assigned sample plus one per unassigned sample
+// staged from the PFS, and the ranks must account for every dataset read.
+// (nopfs.TestPFSReadBound drives it against a live throttled cluster.)
+func TestCheckPFSReadBound(t *testing.T) {
+	// Two ranks, six samples; rank 0 caches {0, 1}, rank 1 caches {2}.
+	assigned := func(rank int, k int32) bool {
+		return (rank == 0 && k < 2) || (rank == 1 && k == 2)
+	}
+	// Rank 0 staged 0 itself and 3, 4, 3 uncached: bound 2 + 3. Rank 1
+	// staged 5 twice (its class prefetcher read 2): bound 1 + 2.
+	staged := [][]int32{{0, 3, 4, 3}, {5, 5}}
+	if err := CheckPFSReadBound([]int64{5, 3}, 8, staged, 6, assigned); err != nil {
+		t.Fatalf("reads at the bound rejected: %v", err)
+	}
+	if err := CheckPFSReadBound([]int64{4, 2}, 6, staged, 6, assigned); err != nil {
+		t.Fatalf("reads under the bound rejected: %v", err)
+	}
+	if err := CheckPFSReadBound([]int64{6, 3}, 9, staged, 6, assigned); err == nil {
+		t.Error("rank 0 reading an assigned sample twice accepted")
+	}
+	if err := CheckPFSReadBound([]int64{5, 3}, 9, staged, 6, assigned); err == nil {
+		t.Error("a dataset read no rank accounts for accepted")
+	}
+	if err := CheckPFSReadBound([]int64{5, 3}, 8, [][]int32{{0, 3, 0}, {5, 5}}, 6, assigned); err == nil {
+		t.Error("an assigned sample staged from the PFS twice accepted")
+	}
+	if err := CheckPFSReadBound([]int64{5}, 5, staged, 6, assigned); err == nil {
+		t.Error("mismatched rank counts accepted")
+	}
+}

@@ -128,10 +128,13 @@ func RunCluster(ctx context.Context, ds Dataset, workers int, opts Options, fn R
 	}
 	wg.Wait()
 
+	// Close joins the rank's prefetchers, so the snapshot that follows it
+	// is final: a class prefetcher still mid-read when the trainer finished
+	// is counted in Stats exactly as it is in the metric series.
 	stats := make([]Stats, workers)
 	for rank, j := range jobs {
-		stats[rank] = j.Stats()
 		j.Close()
+		stats[rank] = j.Stats()
 	}
 	var failures []error
 	for rank, err := range errs {

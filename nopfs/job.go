@@ -83,6 +83,13 @@ type Job struct {
 	delivered   atomic.Int64
 	stallNanos  atomic.Int64
 
+	// inflight coalesces this rank's concurrent PFS reads of one sample
+	// (see readPFS); pfsReads counts every read issued, staged or class
+	// fill, and pfsCoalesced the fetches another prefetcher's read served.
+	inflight     flights
+	pfsReads     atomic.Int64
+	pfsCoalesced atomic.Int64
+
 	// met is the rank's resolved metric series (nil when observability is
 	// off; every method is nil-safe).
 	met *jobMetrics
@@ -92,10 +99,11 @@ type Job struct {
 	fatalMu sync.Mutex
 	fatal   error
 
-	// sources records the fetch source per staged position so Get can
-	// report it alongside the sample.
-	sourceMu sync.Mutex
-	sources  map[int]Source
+	// sources records the fetch source per stream position so Get can
+	// report it alongside the sample. No lock: position p is written before
+	// staging.Push(p) and read after staging.Pop returns p, and the staging
+	// buffer's own mutex orders the two.
+	sources []uint8
 
 	wg        sync.WaitGroup
 	closed    chan struct{}
@@ -156,6 +164,7 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 		rank: rank, opts: opts, ds: ds, plan: plan, digest: plan.Hash(),
 		assign:        assign,
 		stream:        stream,
+		sources:       make([]uint8, len(stream)),
 		perEpoch:      plan.SamplesPerEpoch(rank),
 		epochEnds:     ends,
 		crashEpoch:    crashEpoch,
@@ -368,9 +377,13 @@ func (j *Job) chaosTierWait(ctx context.Context, ci, epoch int, n int64) error {
 }
 
 // prefetchLookahead is how far (in stream positions) a class prefetcher may
-// run ahead of the staging position. Running just ahead means the staging
-// path finds the sample locally — one PFS read per sample — instead of the
-// class and staging prefetchers racing each other to the filesystem.
+// run ahead of the staging position. Pacing keeps the class fill just ahead
+// of the trainer, so the staging path usually finds the sample locally; it
+// only narrows the window in which both miss the backend, it does not close
+// it — under a throttled PFS the first read sits in the limiter for
+// milliseconds and the other prefetcher arrives meanwhile (one read in ten
+// on a 64 MB/s filesystem was such a duplicate). What makes "one PFS read
+// per assigned sample per rank" true is the in-flight table in readPFS.
 const prefetchLookahead = 512
 
 // classPrefetcher fills one storage class with its assigned samples, in
@@ -406,14 +419,13 @@ func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.In
 			// the sample itself or will re-fetch on the next epoch.
 			continue
 		}
-		data, _, err := j.fetchFrom(k, int(j.progress.Load()), false)
-		if err != nil {
-			if !j.benign(err) {
-				j.fail(err)
-			}
-			return
+		data, src, err := j.fetchFrom(k, int(j.progress.Load()), false)
+		if err == nil && src == SourceRemote {
+			// A peer's bytes are the only ones not in the class yet: a PFS
+			// read was stored by its flight (readPFS), a local hit was here.
+			_, err = backend.Put(j.ctx, k, data)
 		}
-		if _, err := backend.Put(j.ctx, k, data); err != nil {
+		if err != nil {
 			if !j.benign(err) {
 				j.fail(err)
 			}
@@ -456,12 +468,7 @@ func (j *Job) stagingPrefetcher() {
 		if j.met != nil {
 			j.met.stagedFetch(pos, k, j.epochOf(pos), src, len(data), time.Since(fetchStart).Seconds())
 		}
-		j.sourceMu.Lock()
-		if j.sources == nil {
-			j.sources = map[int]Source{}
-		}
-		j.sources[pos] = src
-		j.sourceMu.Unlock()
+		j.sources[pos] = uint8(src)
 		if err := j.staging.Push(j.ctx, pos, k, data); err != nil {
 			if !j.benign(err) {
 				j.fail(err)
@@ -469,7 +476,16 @@ func (j *Job) stagingPrefetcher() {
 			return
 		}
 		j.met.stagingBytes(j.staging.Used())
-		j.progress.Store(int64(pos))
+		storeMax(&j.progress, int64(pos)) // threads finish out of order
+	}
+}
+
+// storeMax raises a to v unless it is already there or past it.
+func storeMax(a *atomic.Int64, v int64) {
+	for cur := a.Load(); v > cur; cur = a.Load() {
+		if a.CompareAndSwap(cur, v) {
+			return
+		}
 	}
 }
 
@@ -530,13 +546,13 @@ func (j *Job) chaosSleep(d time.Duration) {
 // applying the straggler fault pacing: on a straggler rank, every fetch is
 // stretched to Factor× its measured duration, slowing the whole prefetch
 // pipeline the way a slow node's I/O path would.
-func (j *Job) fetchFrom(k access.SampleID, pos int, selfHeal bool) ([]byte, Source, error) {
+func (j *Job) fetchFrom(k access.SampleID, pos int, staged bool) ([]byte, Source, error) {
 	if j.chaosSched == nil {
-		return j.fetchSource(k, pos, selfHeal)
+		return j.fetchSource(k, pos, staged)
 	}
 	epoch := j.epochOf(pos)
 	start := time.Now()
-	data, src, err := j.fetchSource(k, pos, selfHeal)
+	data, src, err := j.fetchSource(k, pos, staged)
 	if err == nil {
 		if factor := j.chaosSched.Slowdown(j.rank, epoch, j.plan.N); factor > 1 {
 			j.chaosSleep(time.Duration(float64(time.Since(start)) * (factor - 1)))
@@ -547,10 +563,9 @@ func (j *Job) fetchFrom(k access.SampleID, pos int, selfHeal bool) ([]byte, Sour
 
 // fetchSource retrieves sample k for stream position pos using the argmin
 // source rule: local class if cached, else the best peer estimated to hold
-// it (symmetric-progress heuristic), else the PFS. selfHeal additionally
-// caches PFS fetches into the sample's assigned local class so a lagging
-// class prefetcher is repaired opportunistically (paper Sec. 5.2.2).
-func (j *Job) fetchSource(k access.SampleID, pos int, selfHeal bool) ([]byte, Source, error) {
+// it (symmetric-progress heuristic), else the PFS (readPFS). staged tells
+// the staging path's fetches from the class prefetchers' in the read counts.
+func (j *Job) fetchSource(k access.SampleID, pos int, staged bool) ([]byte, Source, error) {
 	if j.isClosed() {
 		return nil, SourcePFS, errJobClosed
 	}
@@ -610,21 +625,7 @@ func (j *Job) fetchSource(k access.SampleID, pos int, selfHeal bool) ([]byte, So
 	if j.isClosed() {
 		return nil, SourcePFS, errJobClosed
 	}
-	data, err := j.pfs.read(j.ctx, k)
-	if err != nil {
-		if j.ctx.Err() != nil {
-			return nil, SourcePFS, errJobClosed
-		}
-		return nil, SourcePFS, fmt.Errorf("nopfs: pfs read of %d: %w", k, err)
-	}
-	if selfHeal {
-		if c := j.assign.Local(j.rank, k); c >= 0 {
-			if _, err := j.backends[c].Put(j.ctx, k, data); err != nil {
-				return nil, SourcePFS, err
-			}
-		}
-	}
-	return data, SourcePFS, nil
+	return j.readPFS(k, staged)
 }
 
 // remoteFetch performs one peer fetch under the resilience policy. With
@@ -694,11 +695,6 @@ func (j *Job) Get(ctx context.Context) (Sample, bool, error) {
 		}
 		return Sample{}, false, nil // clean end of stream (or Close)
 	}
-	j.sourceMu.Lock()
-	src := j.sources[e.Pos]
-	delete(j.sources, e.Pos)
-	j.sourceMu.Unlock()
-
 	j.delivered.Add(1)
 	j.met.deliver()
 	j.met.stagingBytes(j.staging.Used())
@@ -714,7 +710,7 @@ func (j *Job) Get(ctx context.Context) (Sample, bool, error) {
 		Data:      e.Data,
 		Epoch:     epoch,
 		Iteration: iter,
-		Source:    src,
+		Source:    Source(j.sources[e.Pos]),
 	}
 	if e.Pos == len(j.stream)-1 {
 		j.staging.Close()
@@ -812,6 +808,8 @@ func (j *Job) Stats() Stats {
 		StallSeconds:         float64(j.stallNanos.Load()) / 1e9,
 		Delivered:            j.delivered.Load(),
 		CachedBytes:          cached,
+		PFSReads:             j.pfsReads.Load(),
+		PFSCoalesced:         j.pfsCoalesced.Load(),
 		Retries:              j.retries.Load(),
 		RedistributedRounds:  j.redistributed,
 	}

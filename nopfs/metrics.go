@@ -24,6 +24,8 @@ import (
 //	nopfs_tier_hits_total{rank,tier}            local-class lookup hits
 //	nopfs_tier_misses_total{rank,tier}          local-class lookup misses
 //	nopfs_remote_false_positives_total{rank}    predicted remote hits that missed
+//	nopfs_pfs_reads_total{rank,issuer}          filesystem reads issued (issuer = staging | class)
+//	nopfs_pfs_coalesced_total{rank}             fetches served by another prefetcher's read
 //	nopfs_stall_seconds_total{rank}             time Get waited on staging
 //	nopfs_delivered_total{rank}                 samples handed to the trainer
 //	nopfs_staging_bytes{rank}                   staging-buffer occupancy gauge
@@ -54,6 +56,9 @@ type jobMetrics struct {
 	tierHits   []*metrics.Counter // indexed by class
 	tierMiss   []*metrics.Counter
 	falsePos   *metrics.Counter
+	readsStage *metrics.Counter // PFS reads by issuer: staging path,
+	readsClass *metrics.Counter // class prefetchers
+	coalescedC *metrics.Counter
 	stallSec   *metrics.Counter
 	delivered  *metrics.Counter
 	staging    *metrics.Gauge
@@ -97,6 +102,13 @@ func newJobMetrics(reg *metrics.Registry, rank int, classes []Class, trace io.Wr
 	}
 	m.falsePos = reg.Counter("nopfs_remote_false_positives_total",
 		"Remote fetches the progress heuristic predicted would hit but missed.", r)
+	pfsReads := func(issuer string) *metrics.Counter {
+		return reg.Counter("nopfs_pfs_reads_total",
+			"Filesystem reads issued, by the prefetcher that issued them.", r, metrics.L("issuer", issuer))
+	}
+	m.readsStage, m.readsClass = pfsReads("staging"), pfsReads("class")
+	m.coalescedC = reg.Counter("nopfs_pfs_coalesced_total",
+		"Fetches served by another prefetcher's in-flight filesystem read.", r)
 	m.stallSec = reg.Counter("nopfs_stall_seconds_total",
 		"Total time Get waited on the staging buffer.", r)
 	m.delivered = reg.Counter("nopfs_delivered_total",
@@ -180,6 +192,27 @@ func (m *jobMetrics) falsePositive() {
 		return
 	}
 	m.falsePos.Inc()
+}
+
+// pfsRead counts one filesystem read issued by the staging path (staged)
+// or a class prefetcher.
+func (m *jobMetrics) pfsRead(staged bool) {
+	if m == nil {
+		return
+	}
+	if staged {
+		m.readsStage.Inc()
+	} else {
+		m.readsClass.Inc()
+	}
+}
+
+// coalesced counts one fetch served by another prefetcher's read.
+func (m *jobMetrics) coalesced() {
+	if m == nil {
+		return
+	}
+	m.coalescedC.Inc()
 }
 
 // stall accumulates consumer wait time.

@@ -139,6 +139,22 @@ func TestMetricsConsistentWithStats(t *testing.T) {
 		if got, want := vals[fkey], float64(s.RemoteFalsePositives); got != want {
 			t.Errorf("%s = %v, want %v", fkey, got, want)
 		}
+		// Filesystem reads: the two issuers add up to Stats.PFSReads, and
+		// the staging issuer's share is what Fetches[SourcePFS] counts.
+		staging := vals[series("nopfs_pfs_reads_total", "rank", rank, "issuer", "staging")]
+		class := vals[series("nopfs_pfs_reads_total", "rank", rank, "issuer", "class")]
+		if staging+class != float64(s.PFSReads) || s.PFSReads == 0 {
+			t.Errorf("nopfs_pfs_reads_total{rank=%s} = %v staging + %v class, want Stats.PFSReads = %d (> 0)",
+				rank, staging, class, s.PFSReads)
+		}
+		if staging != float64(s.Fetches[SourcePFS]) {
+			t.Errorf("nopfs_pfs_reads_total{rank=%s,issuer=staging} = %v, want Fetches[SourcePFS] = %d",
+				rank, staging, s.Fetches[SourcePFS])
+		}
+		ckey := series("nopfs_pfs_coalesced_total", "rank", rank)
+		if got, want := vals[ckey], float64(s.PFSCoalesced); got != want {
+			t.Errorf("%s = %v, want %v (Stats)", ckey, got, want)
+		}
 	}
 
 	// The acceptance signals: a live limited-PFS run must export non-zero

@@ -35,7 +35,6 @@
 package nopfs
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -43,7 +42,6 @@ import (
 	"repro/internal/access"
 	"repro/internal/chaos"
 	"repro/internal/resilience"
-	"repro/internal/storage"
 )
 
 // ChaosProfile declares a deterministic fault/degradation scenario for a
@@ -301,8 +299,17 @@ func (s Source) String() string {
 // Stats summarises one worker's run.
 type Stats struct {
 	Rank int
-	// Fetches counts staging-buffer fetches by source.
+	// Fetches counts staging-buffer fetches by source. Fetches[SourcePFS]
+	// is not the rank's filesystem load: class-fill reads are not staged
+	// fetches (see PFSReads).
 	Fetches map[Source]int64
+	// PFSReads counts every filesystem read this rank issued: staged
+	// fetches and class-prefetcher fills alike.
+	PFSReads int64
+	// PFSCoalesced counts fetches that reached the filesystem leg but were
+	// served by another prefetcher's read of the same sample (delivered as
+	// SourceLocal).
+	PFSCoalesced int64
 	// RemoteFalsePositives counts remote fetches the progress heuristic
 	// predicted would hit but missed (each fell back to the PFS).
 	RemoteFalsePositives int64
@@ -318,24 +325,4 @@ type Stats struct {
 	// RedistributedRounds is how many plan rounds this rank absorbed from
 	// crashed peers (0 without a crash profile).
 	RedistributedRounds int64
-}
-
-// pfs wraps the Dataset with the shared-bandwidth limiter: the live
-// system's parallel filesystem.
-type pfs struct {
-	ds      Dataset
-	limiter *storage.Limiter
-}
-
-// read performs one PFS sample read under the bandwidth model. Canceling
-// ctx interrupts the bandwidth wait.
-func (p *pfs) read(ctx context.Context, id int32) ([]byte, error) {
-	data, err := p.ds.ReadSample(int(id))
-	if err != nil {
-		return nil, err
-	}
-	if err := p.limiter.Wait(ctx, int64(len(data))); err != nil {
-		return nil, err
-	}
-	return data, nil
 }
