@@ -24,11 +24,14 @@ test:
 # The TCP fabric's connection pool races are scheduling-dependent (who parks,
 # who pops, who closes), so the transport package gets five more passes; so
 # do the in-flight read table and the PFS read-bound law, whose regressions
-# are a matter of which prefetcher reaches the filesystem first.
+# are a matter of which prefetcher reaches the filesystem first, and the
+# simulator's tag-stream cache and kernel gate (who builds a placement's
+# tags, and whether a late build is charged, is a race between cells).
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
 	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound' ./nopfs/ ./internal/invariant/
+	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal' ./internal/sim/ ./internal/plancache/
 
 vet:
 	$(GO) vet ./...

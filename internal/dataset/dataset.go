@@ -108,13 +108,14 @@ type Synthetic struct {
 	spec    Spec
 	sizes   []int64
 	sizesMB []float64
+	meanMB  float64
 	total   int64
 	digest  uint64
 }
 
 // New builds a Synthetic dataset from spec, materialising the per-sample
-// size table, its MB-unit view (shared by every simulator run over this
-// dataset), and the size digest consumers use as a cache key.
+// size table, its MB-unit view and mean (shared by every simulator run over
+// this dataset), and the size digest consumers use as a cache key.
 func New(spec Spec) (*Synthetic, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -123,6 +124,7 @@ func New(spec Spec) (*Synthetic, error) {
 	sizes := make([]int64, spec.F)
 	sizesMB := make([]float64, spec.F)
 	var total int64
+	var sumMB float64
 	digest := uint64(1469598103934665603) // FNV offset basis
 	digest ^= uint64(spec.F)
 	digest *= 1099511628211
@@ -136,16 +138,23 @@ func New(spec Spec) (*Synthetic, error) {
 		}
 		sizes[i] = sz
 		sizesMB[i] = float64(sz) / MB
+		sumMB += sizesMB[i]
 		total += sz
 		digest ^= uint64(sz)
 		digest *= 1099511628211
 	}
-	return &Synthetic{spec: spec, sizes: sizes, sizesMB: sizesMB, total: total, digest: digest}, nil
+	return &Synthetic{
+		spec: spec, sizes: sizes, sizesMB: sizesMB, meanMB: sumMB / float64(spec.F), // Validate: F ≥ 1
+		total: total, digest: digest,
+	}, nil
 }
 
 // SizesMB returns the shared per-sample size table in MB. The slice is
 // immutable; callers must not modify it.
 func (d *Synthetic) SizesMB() []float64 { return d.sizesMB }
+
+// MeanSizeMB returns the mean of SizesMB, summed in table order.
+func (d *Synthetic) MeanSizeMB() float64 { return d.meanMB }
 
 // SizeDigest returns an FNV-1a digest of (F, every sample size) — the same
 // formula plancache.SizerDigest computes generically — so digest-keyed

@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/access"
@@ -124,5 +125,91 @@ func TestEvictionIsLRUUnderMixedSizes(t *testing.T) {
 	c.Artifacts(small2)
 	if c.Stats().Misses != before.Misses+1 {
 		t.Error("LRU small2 survived while the cache was over budget")
+	}
+}
+
+// TestTagStreamAccounting: a placement's tag stream is built once however
+// many goroutines ask, its bytes are part of Stats().Bytes (what the cache
+// reports must account for what the process holds), they leave with the plan
+// entry, and a build that finishes after the entry was evicted is not
+// charged; in naive mode every request builds and nothing is charged.
+func TestTagStreamAccounting(t *testing.T) {
+	p1 := access.Plan{Seed: 1, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
+	p2 := access.Plan{Seed: 2, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
+	// Base artifacts are ~144 KB per plan: the bound admits one plan with its
+	// tag streams, not two plans.
+	c := New(200<<10, 0)
+	ds, node := testDataset(t, p1.F), testNode(1, 0)
+	a1 := c.Artifacts(p1)
+	var builds atomic.Int64
+	build := func(a *Artifacts, own bool) func() *TagStream {
+		return func() *TagStream {
+			builds.Add(1)
+			ts := &TagStream{Stream: a.Streams[0], Tags: make([]byte, len(a.Streams[0]))}
+			if own {
+				ts.Stream, ts.OwnStream = append([]access.SampleID(nil), ts.Stream...), true
+			}
+			return ts
+		}
+	}
+
+	base := c.Stats().Bytes
+	var wg sync.WaitGroup
+	got := make([]*TagStream, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = a1.TagStream(FamilyNoPFS, ds, node, "plan", build(a1, false))
+		}(i)
+	}
+	wg.Wait()
+	for _, ts := range got {
+		if ts != got[0] {
+			t.Fatal("racing requests got different tag streams")
+		}
+	}
+	if builds.Load() != 1 {
+		t.Fatalf("%d racing requests built %d tag streams, want 1", len(got), builds.Load())
+	}
+	shared := got[0].approxBytes()
+	if want := int64(len(a1.Streams[0])); shared < want || shared > want+64 {
+		t.Fatalf("a tag stream over the plan's own stream reports %d bytes, want about one per position (%d)", shared, want)
+	}
+	if charged := c.Stats().Bytes - base; charged != shared {
+		t.Fatalf("tag stream charged %d bytes, want %d", charged, shared)
+	}
+	// A reordered stream is the tag stream's own memory; another kind, family
+	// or node is another entry.
+	own := a1.TagStream(FamilyNoPFS, ds, node, "reordered", build(a1, true))
+	if charged := c.Stats().Bytes - base - shared; charged != own.approxBytes() || charged < 5*int64(len(own.Stream)) {
+		t.Fatalf("tag stream with its own stream charged %d bytes, reports %d, want at least 5 per position", charged, own.approxBytes())
+	}
+	a1.TagStream(FamilyShard, ds, node, "plan", build(a1, false))
+	a1.TagStream(FamilyNoPFS, ds, testNode(2, 0), "plan", build(a1, false))
+	if builds.Load() != 4 {
+		t.Fatalf("distinct (family, node, kind) keys built %d tag streams, want 4", builds.Load())
+	}
+
+	a2 := c.Artifacts(p2) // evicts p1 together with its tag streams
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != a2.baseBytes() {
+		t.Fatalf("after eviction: %+v, want 1 entry of %d bytes", st, a2.baseBytes())
+	}
+	a1.TagStream(FamilyFirstTouch, ds, node, "plan", build(a1, true)) // late build on the evicted entry
+	if got := c.Stats().Bytes; got != a2.baseBytes() {
+		t.Fatalf("evicted entry's tag stream charged the cache: %d -> %d bytes", a2.baseBytes(), got)
+	}
+
+	defer SetNaive(SetNaive(true))
+	builds.Store(0)
+	for i := 0; i < 2; i++ {
+		an := c.Artifacts(p2)
+		an.TagStream(FamilyNoPFS, ds, node, "plan", build(an, false))
+	}
+	if builds.Load() != 2 {
+		t.Fatalf("naive mode built %d tag streams for 2 requests", builds.Load())
+	}
+	if got := c.Stats().Bytes; got != a2.baseBytes() {
+		t.Fatalf("naive mode charged the cache: %d -> %d bytes", a2.baseBytes(), got)
 	}
 }

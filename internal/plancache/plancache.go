@@ -331,6 +331,39 @@ type assignKey struct {
 type assignEntry struct {
 	once   sync.Once
 	assign *cachepolicy.Assignment
+	// tagged holds the placement's tag streams by stream kind (under
+	// Artifacts.amu); see TagStream.
+	tagged map[string]*tagEntry
+}
+
+type tagEntry struct {
+	once sync.Once
+	ts   *TagStream
+}
+
+// TagStream is the simulator kernel's per-position input for one access
+// stream consumed under one placement: what can serve each fetch, decoded
+// once instead of once per fetch per cell. Immutable once built.
+type TagStream struct {
+	// Stream is the simulated worker's access stream: the plan's own
+	// (Artifacts.Streams[0]) or, with OwnStream, one a policy derived from
+	// the placement.
+	Stream    []access.SampleID
+	OwnStream bool
+	// Tags[f] is the source tag of Stream[f] (see cachepolicy.Tags); nil
+	// when no placement backs the stream.
+	Tags []byte
+	// TotalMB is the stream's byte total, summed in stream order.
+	TotalMB float64
+}
+
+// approxBytes is the memory the tag stream holds beyond the plan's streams.
+func (t *TagStream) approxBytes() int64 {
+	n := int64(len(t.Tags)) + 8
+	if t.OwnStream {
+		n += int64(len(t.Stream)) * 4
+	}
+	return n
 }
 
 // Assignment families used by the simulator and the live middleware.
@@ -373,19 +406,56 @@ func (a *Artifacts) assignment(family string, ds cachepolicy.Sizer, node hwspec.
 	if a.cache == nil {
 		return build()
 	}
-	key := assignKey{family: family, dataset: SizerDigest(ds), node: NodeDigest(node), lean: lean}
 	a.amu.Lock()
-	e, ok := a.assigns[key]
-	if !ok {
-		e = &assignEntry{}
-		a.assigns[key] = e
-	}
+	e := a.placementEntry(family, ds, node, lean)
 	a.amu.Unlock()
 	e.once.Do(func() {
 		e.assign = build()
 		a.cache.addBytes(a.self, e.assign.ApproxBytes())
 	})
 	return e.assign
+}
+
+// placementEntry returns the (possibly still empty) entry of one placement.
+// Callers hold a.amu.
+func (a *Artifacts) placementEntry(family string, ds cachepolicy.Sizer, node hwspec.Node, lean bool) *assignEntry {
+	key := assignKey{family: family, dataset: SizerDigest(ds), node: NodeDigest(node), lean: lean}
+	e, ok := a.assigns[key]
+	if !ok {
+		e = &assignEntry{}
+		a.assigns[key] = e
+	}
+	return e
+}
+
+// TagStream returns the compute-once tag stream of one stream kind under the
+// lean placement (family, ds, node), building it with build on first use. It
+// lives on the placement's entry — cells that share a placement and consume
+// the same stream share it, whatever else differs between them — is charged
+// to the plan's cache entry like the placement itself, and leaves the cache
+// with it. The empty family keys the streams of policies that consult no
+// placement, the empty kind the plan's own stream. In naive mode build runs
+// on every call.
+func (a *Artifacts) TagStream(family string, ds cachepolicy.Sizer, node hwspec.Node, kind string, build func() *TagStream) *TagStream {
+	if a.cache == nil {
+		return build()
+	}
+	a.amu.Lock()
+	e := a.placementEntry(family, ds, node, true)
+	t, ok := e.tagged[kind]
+	if !ok {
+		if e.tagged == nil {
+			e.tagged = map[string]*tagEntry{}
+		}
+		t = &tagEntry{}
+		e.tagged[kind] = t
+	}
+	a.amu.Unlock()
+	t.once.Do(func() {
+		t.ts = build()
+		a.cache.addBytes(a.self, t.ts.approxBytes())
+	})
+	return t.ts
 }
 
 // SizeDigester is implemented by datasets that precompute their size

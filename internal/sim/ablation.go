@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"repro/internal/access"
-	"repro/internal/cachepolicy"
-	"repro/internal/perfmodel"
-)
+import "repro/internal/plancache"
 
 // NoPFSVariant configures ablations of the NoPFS policy, isolating the
 // contribution of each design choice (DESIGN.md Sec. 5).
@@ -37,7 +33,7 @@ func (v NoPFSVariant) Name() string {
 // nopfsAblated is NoPFS with parts switched off.
 type nopfsAblated struct {
 	v      NoPFSVariant
-	assign *cachepolicy.Assignment
+	assign placement
 }
 
 // NewNoPFSVariant builds an ablated NoPFS policy.
@@ -46,44 +42,24 @@ func NewNoPFSVariant(v NoPFSVariant) Policy { return &nopfsAblated{v: v} }
 func (n *nopfsAblated) Name() string { return n.v.Name() }
 
 func (n *nopfsAblated) Prepare(env *Env) (float64, error) {
+	family := plancache.FamilyNoPFS
 	if n.v.RandomPlacement {
-		n.assign = env.AssignRandomPlacement()
-	} else {
-		n.assign = env.AssignNoPFS()
+		family = plancache.FamilyRandom
 	}
+	n.assign = env.place(family)
 	return 0, nil
 }
 
-func (n *nopfsAblated) Stream(env *Env) []access.SampleID { return env.Streams[0] }
-func (n *nopfsAblated) Coverage(*Env) float64             { return 1 }
-func (n *nopfsAblated) Synchronous() bool                 { return false }
-func (n *nopfsAblated) PrefetchThreads(env *Env) int      { return nodeThreads(env) }
+func (n *nopfsAblated) rule() sourceRule {
+	return sourceRule{place: n.assign, argmin: true, noRemote: n.v.NoRemote}
+}
+func (n *nopfsAblated) Coverage(*Env) float64        { return 1 }
+func (n *nopfsAblated) Synchronous() bool            { return false }
+func (n *nopfsAblated) PrefetchThreads(env *Env) int { return nodeThreads(env) }
 
 func (n *nopfsAblated) StagingMB(env *Env) float64 {
 	if n.v.TinyStaging {
-		var meanMB float64
-		if len(env.SizesMB) > 0 {
-			var sum float64
-			for _, s := range env.SizesMB {
-				sum += s
-			}
-			meanMB = sum / float64(len(env.SizesMB))
-		}
-		return float64(env.Cfg.Work.BatchPerWorker) * meanMB
+		return float64(env.Cfg.Work.BatchPerWorker) * env.MeanMB
 	}
 	return nodeStagingMB(env)
-}
-
-func (n *nopfsAblated) Source(env *Env, f int, k access.SampleID) perfmodel.Choice {
-	sz := env.SizesMB[k]
-	localClass := n.assign.LocalAvail(0, k, int32(f))
-	remoteClass, holder := -1, -1
-	if !n.v.NoRemote {
-		remoteClass, holder = n.assign.RemoteAvail(0, k, int32(f))
-	}
-	ch := env.Rate.Best(sz, localClass, remoteClass, env.Gamma())
-	if ch.Loc == perfmodel.LocRemote {
-		ch.Holder = int32(holder)
-	}
-	return ch
 }

@@ -22,10 +22,16 @@ var patternSpecs = []string{
 	"elastic:join=1@1,leave=2@2",
 }
 
-// patternConfig builds a test-scale panel config with the given access spec.
+// patternConfig builds a test-scale fig8a config with the given access spec.
 func patternConfig(t *testing.T, spec string, seed uint64) Config {
 	t.Helper()
-	s, err := ScenarioByID("fig8a")
+	return patternConfigOn(t, "fig8a", spec, seed)
+}
+
+// patternConfigOn is patternConfig on any Fig. 8 panel.
+func patternConfigOn(t *testing.T, panel, spec string, seed uint64) Config {
+	t.Helper()
+	s, err := ScenarioByID(panel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,43 +45,6 @@ func patternConfig(t *testing.T, spec string, seed uint64) Config {
 	}
 	cfg.Access = canon
 	return cfg
-}
-
-// genericWrap hides the concrete policy type from kernelFor's type switch,
-// forcing the exact per-sample generic kernel while forwarding every policy
-// decision unchanged.
-type genericWrap struct{ Policy }
-
-// TestPatternKernelsMatchGeneric is the kernel-equivalence gate across the
-// access-pattern axis: for every pattern and every policy, the specialized
-// span kernels must stay bit-identical to the generic per-sample loop.
-// Content patterns reorder and reweight the stream but never change the
-// per-fetch cost structure the kernels exploit; elastic plans dispatch to
-// the generic kernel outright, so the comparison is trivially exact there.
-func TestPatternKernelsMatchGeneric(t *testing.T) {
-	for _, spec := range patternSpecs {
-		name := spec
-		if name == "" {
-			name = "uniform"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := patternConfig(t, spec, 91)
-			for _, pol := range AllPolicies() {
-				fast, err := Run(cfg, pol)
-				if err != nil {
-					t.Fatalf("%s: %v", pol.Name(), err)
-				}
-				slow, err := Run(cfg, genericWrap{pol})
-				if err != nil {
-					t.Fatalf("%s generic: %v", pol.Name(), err)
-				}
-				if !reflect.DeepEqual(fast, slow) {
-					t.Errorf("%s under %q: specialized kernel differs from generic loop:\n got %+v\nwant %+v",
-						pol.Name(), spec, fast, slow)
-				}
-			}
-		})
-	}
 }
 
 // TestPatternCachedMatchesNaive extends the cached-vs-naive artifact
@@ -110,20 +79,6 @@ func TestPatternCachedMatchesNaive(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestElasticForcesGenericKernel pins the dispatch rule: an elastic plan
-// breaks the uniform-epoch-span precondition of every specialized kernel,
-// exactly like a chaos schedule does.
-func TestElasticForcesGenericKernel(t *testing.T) {
-	for _, pol := range AllPolicies() {
-		if k := kernelFor(pol, nil, true); k.kind != kernelGeneric {
-			t.Errorf("%s: elastic plan got kernel kind %d, want generic", pol.Name(), k.kind)
-		}
-	}
-	if k := kernelFor(NewNoPFS(), nil, false); k.kind == kernelGeneric {
-		t.Error("static plan lost its specialized kernel")
 	}
 }
 

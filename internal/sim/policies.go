@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/cachepolicy"
-	"repro/internal/perfmodel"
+	"repro/internal/plancache"
 )
 
 // Policy names match the paper's Fig. 8 legend.
@@ -107,6 +107,21 @@ func cycleStream(list []access.SampleID, n int) []access.SampleID {
 	return out
 }
 
+// Stream kinds of the policies that reorder the plan's stream, and their
+// builders: each is a pure function of the plan's artifacts and the policy's
+// placement, so Env.kernelInput caches the result on the placement.
+const (
+	streamOpportunistic = "opportunistic"
+	streamShardCycle    = "shard-cycle"
+	streamLocality      = "locality"
+)
+
+var streamBuilders = map[string]func(*Env, *cachepolicy.Assignment) []access.SampleID{
+	streamOpportunistic: opportunisticStream,
+	streamShardCycle:    shardCycleStream,
+	streamLocality:      localityStream,
+}
+
 // ---------------------------------------------------------------------------
 // LowerBound ("Perfect"): no fetch cost at all; only compute and the staging
 // write remain, which never stall the trainer. Matches the paper's
@@ -117,41 +132,31 @@ type lowerBound struct{}
 // NewLowerBound returns the Perfect policy.
 func NewLowerBound() Policy { return lowerBound{} }
 
-func (lowerBound) Name() string                      { return NameLowerBound }
-func (lowerBound) Prepare(*Env) (float64, error)     { return 0, nil }
-func (lowerBound) Stream(env *Env) []access.SampleID { return env.Streams[0] }
-func (lowerBound) Coverage(*Env) float64             { return 1 }
-func (lowerBound) Synchronous() bool                 { return false }
-func (lowerBound) PrefetchThreads(env *Env) int      { return nodeThreads(env) }
-func (lowerBound) StagingMB(env *Env) float64        { return nodeStagingMB(env) }
-
-func (lowerBound) Source(env *Env, f int, k access.SampleID) perfmodel.Choice {
-	return perfmodel.Choice{Loc: perfmodel.LocLocal, Class: -1, Seconds: 0}
-}
+func (lowerBound) Name() string                  { return NameLowerBound }
+func (lowerBound) Prepare(*Env) (float64, error) { return 0, nil }
+func (lowerBound) rule() sourceRule              { return sourceRule{free: true} }
+func (lowerBound) Coverage(*Env) float64         { return 1 }
+func (lowerBound) Synchronous() bool             { return false }
+func (lowerBound) PrefetchThreads(env *Env) int  { return nodeThreads(env) }
+func (lowerBound) StagingMB(env *Env) float64    { return nodeStagingMB(env) }
 
 // ---------------------------------------------------------------------------
 // Naive: synchronous reads from the PFS, no prefetching, no caching. Every
-// worker hammers the PFS all the time (γ = N).
+// worker hammers the PFS all the time (γ = N: with nothing cached anywhere
+// every fetch is a PFS hit and the γ estimate never leaves 1).
 
 type naive struct{}
 
 // NewNaive returns the Naive policy.
 func NewNaive() Policy { return naive{} }
 
-func (naive) Name() string                      { return NameNaive }
-func (naive) Prepare(*Env) (float64, error)     { return 0, nil }
-func (naive) Stream(env *Env) []access.SampleID { return env.Streams[0] }
-func (naive) Coverage(*Env) float64             { return 1 }
-func (naive) Synchronous() bool                 { return true }
-func (naive) PrefetchThreads(*Env) int          { return 1 }
-func (naive) StagingMB(env *Env) float64        { return doubleBufferMB(env) }
-
-func (naive) Source(env *Env, f int, k access.SampleID) perfmodel.Choice {
-	return perfmodel.Choice{
-		Loc: perfmodel.LocPFS, Class: -1,
-		Seconds: env.Rate.FetchPFS(env.SizesMB[k], env.Plan.N),
-	}
-}
+func (naive) Name() string                  { return NameNaive }
+func (naive) Prepare(*Env) (float64, error) { return 0, nil }
+func (naive) rule() sourceRule              { return sourceRule{} }
+func (naive) Coverage(*Env) float64         { return 1 }
+func (naive) Synchronous() bool             { return true }
+func (naive) PrefetchThreads(*Env) int      { return 1 }
+func (naive) StagingMB(env *Env) float64    { return doubleBufferMB(env) }
 
 // ---------------------------------------------------------------------------
 // StagingBuffer: the double-buffering/tf.data model — prefetch in access
@@ -162,20 +167,13 @@ type stagingBuffer struct{}
 // NewStagingBuffer returns the StagingBuffer policy.
 func NewStagingBuffer() Policy { return stagingBuffer{} }
 
-func (stagingBuffer) Name() string                      { return NameStagingBuffer }
-func (stagingBuffer) Prepare(*Env) (float64, error)     { return 0, nil }
-func (stagingBuffer) Stream(env *Env) []access.SampleID { return env.Streams[0] }
-func (stagingBuffer) Coverage(*Env) float64             { return 1 }
-func (stagingBuffer) Synchronous() bool                 { return false }
-func (stagingBuffer) PrefetchThreads(*Env) int          { return 1 }
-func (stagingBuffer) StagingMB(env *Env) float64        { return doubleBufferMB(env) }
-
-func (stagingBuffer) Source(env *Env, f int, k access.SampleID) perfmodel.Choice {
-	return perfmodel.Choice{
-		Loc: perfmodel.LocPFS, Class: -1,
-		Seconds: env.Rate.FetchPFS(env.SizesMB[k], env.Plan.N),
-	}
-}
+func (stagingBuffer) Name() string                  { return NameStagingBuffer }
+func (stagingBuffer) Prepare(*Env) (float64, error) { return 0, nil }
+func (stagingBuffer) rule() sourceRule              { return sourceRule{} }
+func (stagingBuffer) Coverage(*Env) float64         { return 1 }
+func (stagingBuffer) Synchronous() bool             { return false }
+func (stagingBuffer) PrefetchThreads(*Env) int      { return 1 }
+func (stagingBuffer) StagingMB(env *Env) float64    { return doubleBufferMB(env) }
 
 // ---------------------------------------------------------------------------
 // DeepIO (Zhu et al.): workers cache samples in RAM first-touch during
@@ -187,7 +185,7 @@ func (stagingBuffer) Source(env *Env, f int, k access.SampleID) perfmodel.Choice
 
 type deepIO struct {
 	opportunistic bool
-	assign        *cachepolicy.Assignment
+	assign        placement
 }
 
 // NewDeepIO returns the DeepIO policy in ordered or opportunistic mode.
@@ -201,22 +199,27 @@ func (d *deepIO) Name() string {
 }
 
 func (d *deepIO) Prepare(env *Env) (float64, error) {
-	d.assign = env.AssignFirstTouch()
+	d.assign = env.place(plancache.FamilyFirstTouch)
 	return 0, nil
 }
 
-func (d *deepIO) Stream(env *Env) []access.SampleID {
-	base := env.Streams[0]
-	if !d.opportunistic {
-		return base
+func (d *deepIO) rule() sourceRule {
+	r := sourceRule{place: d.assign}
+	if d.opportunistic {
+		r.stream = streamOpportunistic
 	}
+	return r
+}
+
+// opportunisticStream is DeepIO's relaxed order: epoch 0 fills the caches in
+// true order; later epochs cycle local content only.
+func opportunisticStream(env *Env, a *cachepolicy.Assignment) []access.SampleID {
+	base := env.Streams[0]
 	perEpoch := env.Plan.SamplesPerEpoch(0)
-	cached := cachedList(d.assign)
+	cached := cachedList(a)
 	if len(cached) == 0 {
 		return base
 	}
-	// Epoch 0 fills the caches in true order; later epochs cycle local
-	// content only.
 	out := make([]access.SampleID, 0, len(base))
 	out = append(out, base[:min(perEpoch, len(base))]...)
 	for e := 1; e < env.Plan.E; e++ {
@@ -244,17 +247,6 @@ func (d *deepIO) Synchronous() bool          { return false }
 func (d *deepIO) PrefetchThreads(*Env) int   { return 1 }
 func (d *deepIO) StagingMB(env *Env) float64 { return nodeStagingMB(env) }
 
-func (d *deepIO) Source(env *Env, f int, k access.SampleID) perfmodel.Choice {
-	sz := env.SizesMB[k]
-	if c := d.assign.LocalAvail(0, k, int32(f)); c >= 0 {
-		return perfmodel.Choice{Loc: perfmodel.LocLocal, Class: c, Seconds: env.Rate.FetchLocal(sz, c)}
-	}
-	if c, w := d.assign.RemoteAvail(0, k, int32(f)); c >= 0 {
-		return perfmodel.Choice{Loc: perfmodel.LocRemote, Class: c, Seconds: env.Rate.FetchRemote(sz, c), Holder: int32(w)}
-	}
-	return perfmodel.Choice{Loc: perfmodel.LocPFS, Class: -1, Seconds: env.Rate.FetchPFS(sz, env.Gamma())}
-}
-
 // ---------------------------------------------------------------------------
 // ParallelStaging: classic data sharding. Before training, every worker
 // copies its shard (capped by local capacity) from the PFS; afterwards it
@@ -263,7 +255,7 @@ func (d *deepIO) Source(env *Env, f int, k access.SampleID) perfmodel.Choice {
 // read.
 
 type parallelStaging struct {
-	assign *cachepolicy.Assignment
+	assign placement
 }
 
 // NewParallelStaging returns the data-sharding policy.
@@ -272,13 +264,20 @@ func NewParallelStaging() Policy { return &parallelStaging{} }
 func (p *parallelStaging) Name() string { return NameParallelStaging }
 
 func (p *parallelStaging) Prepare(env *Env) (float64, error) {
-	p.assign = env.AssignShard()
+	p.assign = env.place(plancache.FamilyShard)
 	return stagePrestageSeconds(env, p.assign.CachedBytes[0]), nil
 }
 
-func (p *parallelStaging) Stream(env *Env) []access.SampleID {
-	cached := cachedList(p.assign)
-	out := cycleStream(cached, len(env.Streams[0]))
+// rule: local shard only; the PFS is only reachable when the worker has no
+// local storage at all.
+func (p *parallelStaging) rule() sourceRule {
+	return sourceRule{place: p.assign, stream: streamShardCycle, noRemote: true}
+}
+
+// shardCycleStream is ParallelStaging's order: the worker's own shard, over
+// and over.
+func shardCycleStream(env *Env, a *cachepolicy.Assignment) []access.SampleID {
+	out := cycleStream(cachedList(a), len(env.Streams[0]))
 	if out == nil {
 		return env.Streams[0]
 	}
@@ -293,15 +292,6 @@ func (p *parallelStaging) Synchronous() bool          { return false }
 func (p *parallelStaging) PrefetchThreads(*Env) int   { return 1 }
 func (p *parallelStaging) StagingMB(env *Env) float64 { return nodeStagingMB(env) }
 
-func (p *parallelStaging) Source(env *Env, f int, k access.SampleID) perfmodel.Choice {
-	sz := env.SizesMB[k]
-	if c := p.assign.Local(0, k); c >= 0 {
-		return perfmodel.Choice{Loc: perfmodel.LocLocal, Class: c, Seconds: env.Rate.FetchLocal(sz, c)}
-	}
-	// Only reachable when the worker has no local storage at all.
-	return perfmodel.Choice{Loc: perfmodel.LocPFS, Class: -1, Seconds: env.Rate.FetchPFS(sz, env.Gamma())}
-}
-
 // ---------------------------------------------------------------------------
 // LBANN data store (Jacobs et al.): an in-memory distributed cache. Dynamic
 // mode caches first-touch during epoch 0; preloading mode stages shards into
@@ -310,7 +300,7 @@ func (p *parallelStaging) Source(env *Env, f int, k access.SampleID) perfmodel.C
 
 type lbann struct {
 	preloading bool
-	assign     *cachepolicy.Assignment
+	assign     placement
 }
 
 // NewLBANN returns the LBANN data-store policy in dynamic or preloading mode.
@@ -335,29 +325,18 @@ func (l *lbann) Prepare(env *Env) (float64, error) {
 			env.Cfg.DS.TotalSize(), aggregate)
 	}
 	if l.preloading {
-		l.assign = env.AssignPreload()
+		l.assign = env.place(plancache.FamilyPreload)
 		return stagePrestageSeconds(env, l.assign.CachedBytes[0]), nil
 	}
-	l.assign = env.AssignFirstTouch()
+	l.assign = env.place(plancache.FamilyFirstTouch)
 	return 0, nil
 }
 
-func (l *lbann) Stream(env *Env) []access.SampleID { return env.Streams[0] }
-func (l *lbann) Coverage(*Env) float64             { return 1 }
-func (l *lbann) Synchronous() bool                 { return false }
-func (l *lbann) PrefetchThreads(*Env) int          { return 1 }
-func (l *lbann) StagingMB(env *Env) float64        { return nodeStagingMB(env) }
-
-func (l *lbann) Source(env *Env, f int, k access.SampleID) perfmodel.Choice {
-	sz := env.SizesMB[k]
-	if c := l.assign.LocalAvail(0, k, int32(f)); c >= 0 {
-		return perfmodel.Choice{Loc: perfmodel.LocLocal, Class: c, Seconds: env.Rate.FetchLocal(sz, c)}
-	}
-	if c, w := l.assign.RemoteAvail(0, k, int32(f)); c >= 0 {
-		return perfmodel.Choice{Loc: perfmodel.LocRemote, Class: c, Seconds: env.Rate.FetchRemote(sz, c), Holder: int32(w)}
-	}
-	return perfmodel.Choice{Loc: perfmodel.LocPFS, Class: -1, Seconds: env.Rate.FetchPFS(sz, env.Gamma())}
-}
+func (l *lbann) rule() sourceRule           { return sourceRule{place: l.assign} }
+func (l *lbann) Coverage(*Env) float64      { return 1 }
+func (l *lbann) Synchronous() bool          { return false }
+func (l *lbann) PrefetchThreads(*Env) int   { return 1 }
+func (l *lbann) StagingMB(env *Env) float64 { return nodeStagingMB(env) }
 
 // ---------------------------------------------------------------------------
 // LocalityAware (Yang & Cong): the dataset is sharded across node-local
@@ -367,7 +346,7 @@ func (l *lbann) Source(env *Env, f int, k access.SampleID) perfmodel.Choice {
 // randomization is preserved globally.
 
 type localityAware struct {
-	assign *cachepolicy.Assignment
+	assign placement
 }
 
 // NewLocalityAware returns the locality-aware loading policy.
@@ -376,14 +355,18 @@ func NewLocalityAware() Policy { return &localityAware{} }
 func (l *localityAware) Name() string { return NameLocalityAware }
 
 func (l *localityAware) Prepare(env *Env) (float64, error) {
-	l.assign = env.AssignShard()
+	l.assign = env.place(plancache.FamilyShard)
 	return stagePrestageSeconds(env, l.assign.CachedBytes[0]), nil
 }
 
-// Stream reorders each global batch so worker 0 preferentially receives the
-// samples it stores locally; the remainder of its per-batch quota is filled
-// from the batch's leftover samples.
-func (l *localityAware) Stream(env *Env) []access.SampleID {
+func (l *localityAware) rule() sourceRule {
+	return sourceRule{place: l.assign, stream: streamLocality}
+}
+
+// localityStream reorders each global batch so worker 0 preferentially
+// receives the samples it stores locally; the remainder of its per-batch
+// quota is filled from the batch's leftover samples.
+func localityStream(env *Env, a *cachepolicy.Assignment) []access.SampleID {
 	plan := env.Plan
 	b := plan.BatchPerWorker
 	B := plan.GlobalBatch()
@@ -401,7 +384,7 @@ func (l *localityAware) Stream(env *Env) []access.SampleID {
 			}
 			mine, other = mine[:0], other[:0]
 			for _, k := range order[start:end] {
-				if l.assign.Local(0, k) >= 0 && len(mine) < b {
+				if a.Local(0, k) >= 0 && len(mine) < b {
 					mine = append(mine, k)
 				} else {
 					other = append(other, k)
@@ -425,24 +408,13 @@ func (l *localityAware) Synchronous() bool          { return false }
 func (l *localityAware) PrefetchThreads(*Env) int   { return 1 }
 func (l *localityAware) StagingMB(env *Env) float64 { return nodeStagingMB(env) }
 
-func (l *localityAware) Source(env *Env, f int, k access.SampleID) perfmodel.Choice {
-	sz := env.SizesMB[k]
-	if c := l.assign.Local(0, k); c >= 0 {
-		return perfmodel.Choice{Loc: perfmodel.LocLocal, Class: c, Seconds: env.Rate.FetchLocal(sz, c)}
-	}
-	if c, w := l.assign.RemoteBest(0, k); c >= 0 {
-		return perfmodel.Choice{Loc: perfmodel.LocRemote, Class: c, Seconds: env.Rate.FetchRemote(sz, c), Holder: int32(w)}
-	}
-	return perfmodel.Choice{Loc: perfmodel.LocPFS, Class: -1, Seconds: env.Rate.FetchPFS(sz, env.Gamma())}
-}
-
 // ---------------------------------------------------------------------------
 // NoPFS: frequency-based hierarchical placement (Sec. 5.1) + clairvoyant
 // prefetching with the argmin fetch rule and the symmetric-progress
 // remote-availability heuristic (Sec. 5.2.2).
 
 type nopfs struct {
-	assign *cachepolicy.Assignment
+	assign placement
 }
 
 // NewNoPFS returns the NoPFS policy.
@@ -451,26 +423,17 @@ func NewNoPFS() Policy { return &nopfs{} }
 func (n *nopfs) Name() string { return NameNoPFS }
 
 func (n *nopfs) Prepare(env *Env) (float64, error) {
-	n.assign = env.AssignNoPFS()
+	n.assign = env.place(plancache.FamilyNoPFS)
 	return 0, nil
 }
 
-func (n *nopfs) Stream(env *Env) []access.SampleID { return env.Streams[0] }
-func (n *nopfs) Coverage(*Env) float64             { return 1 }
-func (n *nopfs) Synchronous() bool                 { return false }
-func (n *nopfs) PrefetchThreads(env *Env) int      { return nodeThreads(env) }
-func (n *nopfs) StagingMB(env *Env) float64        { return nodeStagingMB(env) }
-
-func (n *nopfs) Source(env *Env, f int, k access.SampleID) perfmodel.Choice {
-	sz := env.SizesMB[k]
-	localClass := n.assign.LocalAvail(0, k, int32(f))
-	remoteClass, holder := n.assign.RemoteAvail(0, k, int32(f))
-	ch := env.Rate.Best(sz, localClass, remoteClass, env.Gamma())
-	if ch.Loc == perfmodel.LocRemote {
-		ch.Holder = int32(holder)
-	}
-	return ch
+func (n *nopfs) rule() sourceRule {
+	return sourceRule{place: n.assign, argmin: true}
 }
+func (n *nopfs) Coverage(*Env) float64        { return 1 }
+func (n *nopfs) Synchronous() bool            { return false }
+func (n *nopfs) PrefetchThreads(env *Env) int { return nodeThreads(env) }
+func (n *nopfs) StagingMB(env *Env) float64   { return nodeStagingMB(env) }
 
 // nodeThreads returns the node's configured staging thread count p0.
 func nodeThreads(env *Env) int { return env.Cfg.Sys.Node.Staging.Threads }
@@ -481,15 +444,7 @@ func nodeStagingMB(env *Env) float64 { return env.Cfg.Sys.Node.Staging.CapacityM
 // doubleBufferMB returns a two-mini-batch lookahead window (classic
 // double-buffered loader), never larger than the node's staging buffer.
 func doubleBufferMB(env *Env) float64 {
-	var meanMB float64
-	if n := len(env.SizesMB); n > 0 {
-		var sum float64
-		for _, s := range env.SizesMB {
-			sum += s
-		}
-		meanMB = sum / float64(n)
-	}
-	mb := 2 * float64(env.Cfg.Work.BatchPerWorker) * meanMB
+	mb := 2 * float64(env.Cfg.Work.BatchPerWorker) * env.MeanMB
 	if limit := nodeStagingMB(env); mb > limit {
 		mb = limit
 	}

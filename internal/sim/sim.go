@@ -8,12 +8,18 @@
 //     prefetch threads in access order (Rule 1);
 //   - the consumption recurrence t_{i,f} = max(avail_i(f), t_{i,f-1} +
 //     s_{R_{f-1}}/c);
-//   - source selection per policy, with per-location time accounting;
+//   - source selection per policy, with per-location time accounting: which
+//     copies of a sample exist at each stream position is decoded once per
+//     (placement, stream) into a cached source-tag stream, and each policy
+//     states as data how a tag becomes a fetch (sourceRule);
 //   - PFS contention through t(γ), with γ adapting to the fraction of
 //     recent fetches that actually hit the PFS;
 //   - optional log-normal jitter on PFS fetches, reproducing the tail
 //     events ("catastrophically slow reads") the paper observes on shared
 //     filesystems.
+//
+// One loop (simulate) runs every policy, access pattern, elastic membership
+// schedule and chaos profile; there is no second kernel.
 //
 // The simulator is not meant to predict absolute runtimes of a particular
 // machine; like the paper's, it captures the relative behaviour of I/O
@@ -21,6 +27,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -86,6 +93,9 @@ func (c *Config) Validate() error {
 	}
 	if err := c.Plan().Validate(); err != nil {
 		return err
+	}
+	if n := len(c.Sys.Node.Classes); n > cachepolicy.MaxTagClasses {
+		return fmt.Errorf("sim: node has %d storage classes, at most %d are supported", n, cachepolicy.MaxTagClasses)
 	}
 	// Crash redistribution (chaos.RedistributeStream) slices peer streams
 	// assuming every epoch contributes the same uniform per-worker count —
@@ -190,6 +200,8 @@ type Env struct {
 	Rate    *perfmodel.Rates
 	Plan    *access.Plan
 	SizesMB []float64
+	// MeanMB is the mean of SizesMB (0 for an empty table).
+	MeanMB float64
 	// Streams are the materialised per-worker access streams, shared through
 	// the plan-artifact cache. They are immutable: policies that reorder
 	// build fresh slices.
@@ -220,11 +232,11 @@ func newEnv(cfg *Config) (*Env, error) {
 		return nil, err
 	}
 	plan := cfg.Plan()
-	sizes := sizesMB(cfg.DS)
+	sizes, mean := sizeTable(cfg.DS)
 	art := plancache.Shared().Artifacts(*plan)
 	return &Env{
 		Cfg: cfg, Model: model, Rate: model.Compile(plan.N), Plan: plan,
-		SizesMB: sizes, Streams: art.Streams, FirstPos0: art.FirstPos0,
+		SizesMB: sizes, MeanMB: mean, Streams: art.Streams, FirstPos0: art.FirstPos0,
 		Art:   art,
 		Chaos: cfg.Chaos.Compile(cfg.Seed),
 		rng:   prng.New(cfg.Seed).Derive(0x51),
@@ -232,19 +244,27 @@ func newEnv(cfg *Config) (*Env, error) {
 	}, nil
 }
 
-// sizesMB returns the dataset's per-sample sizes in MB. Synthetic datasets
-// carry a precomputed shared table (one per dataset object — sweep cells
-// share objects through dataset.Cached); other implementations get a fresh
-// one. The returned slice is read-only.
-func sizesMB(ds dataset.Dataset) []float64 {
-	if d, ok := ds.(interface{ SizesMB() []float64 }); ok {
-		return d.SizesMB()
+// sizeTable returns the dataset's per-sample sizes in MB and their mean.
+// Synthetic datasets carry both precomputed (one table per dataset object —
+// sweep cells share objects through dataset.Cached); other implementations
+// get a fresh table. The returned slice is read-only.
+func sizeTable(ds dataset.Dataset) (sizes []float64, mean float64) {
+	if d, ok := ds.(interface {
+		SizesMB() []float64
+		MeanSizeMB() float64
+	}); ok {
+		return d.SizesMB(), d.MeanSizeMB()
 	}
-	s := make([]float64, ds.Len())
-	for k := range s {
-		s[k] = float64(ds.Size(k)) / (1 << 20)
+	sizes = make([]float64, ds.Len())
+	var sum float64
+	for k := range sizes {
+		sizes[k] = float64(ds.Size(k)) / (1 << 20)
+		sum += sizes[k]
 	}
-	return s
+	if len(sizes) > 0 {
+		mean = sum / float64(len(sizes))
+	}
+	return sizes, mean
 }
 
 // EpochOrder returns epoch e's cached global shuffle order (immutable).
@@ -252,77 +272,81 @@ func (e *Env) EpochOrder(epoch int) []access.SampleID {
 	return e.Art.EpochOrders[epoch]
 }
 
-// The Assign* helpers return shared, immutable placement assignments from
-// the plan-artifact cache, computed once per (plan, dataset, node,
-// policy-family): DeepIO and the dynamic LBANN data store share the
+// placement is a shared, immutable placement from the plan-artifact cache,
+// with the family that keys it there (and keys its tag streams).
+type placement struct {
+	family string
+	*cachepolicy.Assignment
+}
+
+// place returns the family's placement, computed once per (plan, dataset,
+// node, family): DeepIO and the dynamic LBANN data store share the
 // first-touch placement, ParallelStaging and LocalityAware share the static
-// shard, and NoPFS variants share the frequency-based assignment — whose
-// candidate ranking is a plan artifact of its own, so the node specs of an
-// environment study on one plan rank once and only fill per spec.
+// shard, and NoPFS variants share the frequency-based assignment (or its
+// first-access-order ablation) — whose candidate ranking is a plan artifact
+// of its own, so the node specs of an environment study on one plan rank
+// once and only fill per spec.
 //
 // All simulator placements are lean builds — local tables for worker 0 only
 // (the simulated symmetric observer), global best-holder state for all
 // workers — so placement memory is O(F) regardless of the cluster size. The
 // live middleware (package nopfs) builds full per-rank assignments through
 // its own plancache entries; the two layouts are keyed separately.
-
-// AssignNoPFS returns the shared Sec. 5.1 frequency-based placement.
-func (e *Env) AssignNoPFS() *cachepolicy.Assignment {
-	return e.Art.Placement(plancache.FamilyNoPFS, e.Cfg.DS, e.Cfg.Sys.Node, true)
-}
-
-// AssignRandomPlacement returns the shared placement ablation (first-access
-// fill order instead of frequency order).
-func (e *Env) AssignRandomPlacement() *cachepolicy.Assignment {
-	return e.Art.Placement(plancache.FamilyRandom, e.Cfg.DS, e.Cfg.Sys.Node, true)
-}
-
-// AssignFirstTouch returns the shared epoch-0 first-touch placement (DeepIO,
-// LBANN dynamic).
-func (e *Env) AssignFirstTouch() *cachepolicy.Assignment {
-	return e.Art.AssignmentLean(plancache.FamilyFirstTouch, e.Cfg.DS, e.Cfg.Sys.Node, func() *cachepolicy.Assignment {
-		return cachepolicy.BuildFirstTouchLean(e.Plan, e.Art.EpochOrders[0], e.Cfg.DS, e.Cfg.Sys.Node)
-	})
-}
-
-// AssignShard returns the shared static round-robin shard (ParallelStaging,
-// LocalityAware).
-func (e *Env) AssignShard() *cachepolicy.Assignment {
-	return e.Art.AssignmentLean(plancache.FamilyShard, e.Cfg.DS, e.Cfg.Sys.Node, func() *cachepolicy.Assignment {
-		return cachepolicy.BuildShardLean(e.Plan.F, e.Plan.N, e.Cfg.DS, e.Cfg.Sys.Node)
-	})
-}
-
-// AssignPreload returns the shared RAM-only preloading shard (LBANN
-// preloading).
-func (e *Env) AssignPreload() *cachepolicy.Assignment {
-	return e.Art.AssignmentLean(plancache.FamilyPreload, e.Cfg.DS, e.Cfg.Sys.Node, func() *cachepolicy.Assignment {
-		return cachepolicy.BuildPreloadLean(e.Plan.F, e.Plan.N, e.Cfg.DS, e.Cfg.Sys.Node)
-	})
+func (e *Env) place(family string) placement {
+	ds, node := e.Cfg.DS, e.Cfg.Sys.Node
+	var build func() *cachepolicy.Assignment
+	switch family {
+	case plancache.FamilyNoPFS, plancache.FamilyRandom:
+		return placement{family, e.Art.Placement(family, ds, node, true)}
+	case plancache.FamilyFirstTouch:
+		build = func() *cachepolicy.Assignment {
+			return cachepolicy.BuildFirstTouchLean(e.Plan, e.Art.EpochOrders[0], ds, node)
+		}
+	case plancache.FamilyShard:
+		build = func() *cachepolicy.Assignment { return cachepolicy.BuildShardLean(e.Plan.F, e.Plan.N, ds, node) }
+	case plancache.FamilyPreload:
+		build = func() *cachepolicy.Assignment { return cachepolicy.BuildPreloadLean(e.Plan.F, e.Plan.N, ds, node) }
+	}
+	return placement{family, e.Art.AssignmentLean(family, ds, node, build)}
 }
 
 // Gamma estimates γ, the number of workers concurrently reading from the
 // PFS, from the recent PFS hit fraction: workers are symmetric, so the
 // cluster-wide reader count is N times the local fraction.
-func (e *Env) Gamma() int {
-	g := int(math.Round(e.ewma * float64(e.Plan.N)))
+func (e *Env) Gamma() int { return gammaFor(e.ewma, float64(e.Plan.N)) }
+
+func gammaFor(ewma, workers float64) int {
+	g := int(math.Round(ewma * workers))
 	if g < 1 {
 		g = 1
 	}
 	return g
 }
 
-// ewmaAlpha is the γ-estimate smoothing factor; the span kernels inline the
-// same recurrence, so it is shared rather than local to notePFS.
-const ewmaAlpha = 0.02
+const (
+	// ewmaAlpha is the γ-estimate smoothing factor.
+	ewmaAlpha = 0.02
+	// ewmaFlush is where a decaying γ estimate is flushed to exactly 0. Left
+	// alone it shrinks by 0.98 per fetch that misses the PFS, goes subnormal
+	// after ≈ 35 000 of them in a row (every cache-served policy gets there)
+	// and then sits at the smallest subnormal, where each further update is a
+	// microcoded floating-point assist. Nothing can observe the flush: below
+	// any threshold in (2⁻¹⁰²², 2⁻⁶⁰) round(ewma·N) is 0, so γ clamps to 1;
+	// ewma·p₀ > 1 is false; a PFS hit gives e + α·(1 − e) == α bit for bit,
+	// as it does from 0; and a miss stays below the threshold.
+	ewmaFlush = 0x1p-100
+)
 
-// notePFS folds one fetch outcome into the γ estimate.
-func (e *Env) notePFS(hitPFS bool) {
-	v := 0.0
-	if hitPFS {
-		v = 1
+// gammaHit and gammaMiss fold one fetch outcome — served by the PFS or not —
+// into the γ estimate.
+func gammaHit(ewma float64) float64 { return ewma + ewmaAlpha*(1-ewma) }
+
+func gammaMiss(ewma float64) float64 {
+	ewma += ewmaAlpha * (0 - ewma)
+	if ewma < ewmaFlush {
+		return 0
 	}
-	e.ewma += ewmaAlpha * (v - e.ewma)
+	return ewma
 }
 
 // pfsJitter returns a mean-one log-normal multiplier.
@@ -342,11 +366,9 @@ type Policy interface {
 	// (0 when the policy needs none) or an error when the policy cannot
 	// run the scenario at all.
 	Prepare(env *Env) (setupSeconds float64, err error)
-	// Stream returns the simulated worker's (possibly reordered) access
-	// stream; most policies return env.Streams[0] unchanged.
-	Stream(env *Env) []access.SampleID
-	// Source decides where stream entry f (sample k) is fetched from.
-	Source(env *Env, f int, k access.SampleID) perfmodel.Choice
+	// rule states, after Prepare, which stream the policy consumes and
+	// where its fetches may come from.
+	rule() sourceRule
 	// Coverage is the fraction of dataset bytes the policy ever accesses.
 	Coverage(env *Env) float64
 	// Synchronous reports whether reads block the trainer (no prefetch
@@ -372,9 +394,13 @@ func Run(cfg Config, pol Policy) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return env.run(pol), nil
+}
+
+func (env *Env) run(pol Policy) *Result {
 	res := &Result{
 		Policy:     pol.Name(),
-		System:     cfg.Sys.Name,
+		System:     env.Cfg.Sys.Name,
 		LocSeconds: map[perfmodel.Location]float64{},
 		LocCount:   map[perfmodel.Location]int64{},
 	}
@@ -382,15 +408,22 @@ func Run(cfg Config, pol Policy) (*Result, error) {
 	if err != nil {
 		res.Failed = true
 		res.FailReason = err.Error()
-		return res, nil
+		return res
 	}
 	res.SetupSeconds = setup
 	res.Coverage = pol.Coverage(env)
-	stream := pol.Stream(env)
+	rule := pol.rule()
+	in := env.kernelInput(rule)
 	// Node crashes redistribute the crashed workers' plan across the
 	// survivors: the simulated worker's stream grows and epoch boundaries
-	// shift (nil epochEnds means the fault-free uniform boundaries).
-	stream, epochEnds := chaosStream(env, stream)
+	// shift (nil epochEnds means the fault-free uniform boundaries). The
+	// reshaped stream belongs to this schedule alone, so it is tagged here
+	// and not cached.
+	stream, epochEnds := chaosStream(env, in.Stream)
+	if epochEnds != nil {
+		in = &plancache.TagStream{Stream: stream}
+		env.tag(rule, in)
+	}
 	// An elastic membership schedule makes epochs unequal too: use the
 	// plan's per-worker cumulative ends when the policy kept the stream's
 	// length (policies that rebuild a different-length stream fall back to
@@ -399,8 +432,8 @@ func Run(cfg Config, pol Policy) (*Result, error) {
 		len(env.Art.EpochEnds) > 0 && len(stream) == len(env.Art.Streams[0]) {
 		epochEnds = env.Art.EpochEnds[0]
 	}
-	simulate(env, pol, stream, setup, res, epochEnds)
-	return res, nil
+	simulate(env, pol, rule, in, setup, res, epochEnds)
+	return res
 }
 
 // stagingCompactMin is the staging-window compaction threshold: once at
@@ -503,453 +536,148 @@ func (t *threadPool) schedule(roomTime, readDur float64) float64 {
 	}
 }
 
-// simState is the hot-loop state of one simulate() call, shared between the
-// event-driven segment driver and the per-policy inner kernels. All fields
-// that float arithmetic flows through are updated in exactly the operation
-// order of the original per-sample loop, so every kernel is bit-identical to
-// the generic path by construction.
-type simState struct {
-	env    *Env
-	pol    Policy
-	res    *Result
-	stream []access.SampleID
-	sizes  []float64
-
-	c     float64 // compute rate (MB/s)
-	p0    int
-	bufMB float64
-	sync  bool
-	setup float64
-
-	threads threadPool
-
-	// Staging window (SoA, pooled). noEvict elides it entirely: when the
-	// whole stream's bytes fit the staging buffer, the admission loop can
-	// never trigger and the window contents are unobservable.
-	winSize, winConsume []float64
-	head                int
-	inBufMB             float64
-	noEvict             bool
-
-	// Accumulators folded into res after the loop; scalar accumulation
-	// performs the identical sequence of float adds the per-sample
-	// res-field updates did.
-	locSec       [numLocations]float64
-	locCnt       [numLocations]int64
-	stall        float64
-	stagingWrite float64
-
-	prevComputeDone float64
-
-	// Segment-constant factors.
-	batchJitter   float64
-	barrier, self float64
-	sched         *chaos.Schedule
-	epoch         int
-}
-
-// step advances the staging pipeline for one sample: admission (buffer
-// room), prefetch-thread scheduling, the consumption recurrence, and window
-// bookkeeping. readDur already includes the staging write and any
-// self-slowdown.
-func (s *simState) step(sz, readDur float64) {
-	var avail float64
-	if s.sync {
-		// Naive: the trainer itself issues the read after finishing the
-		// previous sample.
-		avail = s.prevComputeDone + readDur
-	} else {
-		// Admission: wait for buffer room.
-		roomTime := s.setup
-		if !s.noEvict {
-			for s.inBufMB+sz > s.bufMB && s.head < len(s.winSize) {
-				s.inBufMB -= s.winSize[s.head]
-				if c := s.winConsume[s.head]; c > roomTime {
-					roomTime = c
-				}
-				s.head++
-			}
-		}
-		// Least-loaded prefetch thread picks up the fetch; the scan variant
-		// is inlined here (identical to threadPool.schedule's scan branch)
-		// to save a call per sample at realistic p₀.
-		if !s.threads.heap {
-			free := s.threads.free
-			ti := 0
-			for i := 1; i < len(free); i++ {
-				if free[i] < free[ti] {
-					ti = i
-				}
-			}
-			start := free[ti]
-			if roomTime > start {
-				start = roomTime
-			}
-			avail = start + readDur
-			free[ti] = avail
-		} else {
-			avail = s.threads.schedule(roomTime, readDur)
-		}
-	}
-
-	// Consumption recurrence (paper Sec. 4). barrier > 1 paces every
-	// iteration at the slowest surviving peer's rate (allreduce).
-	consume := s.prevComputeDone
-	if avail > consume {
-		s.stall += avail - consume
-		consume = avail
-	}
-	computeDone := consume + sz/s.c*s.barrier
-
-	if !s.sync && !s.noEvict {
-		s.winSize = append(s.winSize, sz)
-		s.winConsume = append(s.winConsume, consume)
-		s.inBufMB += sz
-		// Periodically compact the window slices.
-		if s.head > stagingCompactMin && s.head*2 > len(s.winSize) {
-			s.winSize = append(s.winSize[:0], s.winSize[s.head:]...)
-			s.winConsume = append(s.winConsume[:0], s.winConsume[s.head:]...)
-			s.head = 0
-		}
-	}
-
-	s.prevComputeDone = computeDone
-}
-
-// runGeneric is the exact per-sample path: policy dispatch through the
-// interface, chaos adjustment, and the full pipeline. It handles every
-// policy and every chaos schedule; the specialized kernels below are
-// shortcuts for the fault-free runs of policies whose source decision is
-// known in closed form.
-func (s *simState) runGeneric(f0, stop int) {
-	env := s.env
-	for f := f0; f < stop; f++ {
-		k := s.stream[f]
-		sz := s.sizes[k]
-		choice := s.pol.Source(env, f, k)
-		// γ estimation folds the policy's decision, not the chaos-perturbed
-		// outcome: faults stretch durations without feeding back into the
-		// contention heuristic, which keeps the fault-free run bit-identical
-		// and makes fault injection monotone (see internal/invariant).
-		env.notePFS(choice.Loc == perfmodel.LocPFS)
-		if choice.Loc == perfmodel.LocPFS {
-			// t(γ)/γ is the node's total PFS share: concurrent prefetch
-			// threads divide it rather than multiplying it. The expected
-			// number of this worker's threads at the PFS is the recent PFS
-			// fraction times p0.
-			conc := env.ewma * float64(s.p0)
-			if conc > 1 {
-				choice.Seconds *= conc
-			}
-			choice.Seconds *= s.batchJitter
-		}
-		if s.sched != nil {
-			chaosAdjust(env, s.sched, s.epoch, f, sz, &choice, s.res)
-		}
-		write := env.Rate.WriteTime(sz)
-		s.locSec[choice.Loc] += choice.Seconds
-		s.locCnt[choice.Loc]++
-		s.stagingWrite += write
-		readDur := choice.Seconds + write
-		if s.self != 1 {
-			// Straggler self-slowdown: every prefetch thread of this worker
-			// runs factor× slower.
-			readDur *= s.self
-		}
-		s.step(sz, readDur)
-	}
-}
-
-// runPFSConst is the span kernel for policies that always fetch from the PFS
-// at the constant all-readers rate (Naive, StagingBuffer; both have p0 = 1):
-// every fetch is sz/rate, γ feedback pins ewma at 1 (each outcome is a PFS
-// hit), and the p0=1 concurrency factor never exceeds 1.
-func (s *simState) runPFSConst(f0, stop int, rate float64) {
-	env := s.env
-	// ewma == 1 makes the γ update a no-op (1 + α·(1-1) == 1 exactly), and
-	// PFS-only policies can never lower it, so the recurrence is hoisted.
-	if env.ewma != 1 {
-		for f := f0; f < stop; f++ {
-			env.ewma += ewmaAlpha * (1 - env.ewma)
-		}
-	}
-	wr := env.Rate.WriteRate()
-	for f := f0; f < stop; f++ {
-		sz := s.sizes[s.stream[f]]
-		sec := (sz / rate) * s.batchJitter
-		s.locSec[perfmodel.LocPFS] += sec
-		write := sz / wr
-		s.stagingWrite += write
-		s.step(sz, sec+write)
-	}
-	s.locCnt[perfmodel.LocPFS] += int64(stop - f0)
-}
-
-// runLowerBound is the span kernel for the Perfect policy: fetches cost
-// exactly 0 seconds from LocLocal, so only the staging write and compute
-// recurrence remain. The γ estimate still decays per sample (every outcome
-// is a PFS miss), preserving the recurrence bit for bit.
-func (s *simState) runLowerBound(f0, stop int) {
-	env := s.env
-	wr := env.Rate.WriteRate()
-	for f := f0; f < stop; f++ {
-		sz := s.sizes[s.stream[f]]
-		env.ewma += ewmaAlpha * (0 - env.ewma)
-		write := sz / wr
-		s.stagingWrite += write
-		// choice.Seconds == 0: locSec[LocLocal] accumulates +0.0 (identity)
-		// and readDur = 0 + write == write bitwise.
-		s.step(sz, write)
-	}
-	s.locCnt[perfmodel.LocLocal] += int64(stop - f0)
-}
-
-// runNoPFS is the devirtualized kernel for the NoPFS policy (and its
-// ablations) on fault-free runs: packed-word availability lookups, compiled
-// rate tables, and inline γ tracking — the same operations Source + the
-// generic loop perform, with the interface dispatch and repeated
-// slice-header loads removed. noRemote reproduces the NoRemote ablation
-// (peer fetches disabled).
-func (s *simState) runNoPFS(f0, stop int, a *cachepolicy.Assignment, noRemote bool) {
-	env := s.env
-	rate := env.Rate
-	nWorkers := float64(env.Plan.N)
-	p0f := float64(s.p0)
-	wr := rate.WriteRate()
-	local := a.LocalWords(0)
-	b1, b2 := a.HolderWords()
-	for f := f0; f < stop; f++ {
-		k := s.stream[f]
-		sz := s.sizes[k]
-		// Packed-word availability, decoded inline (same logic as
-		// LocalAvail / RemoteAvail; see cachepolicy.AvailClass/HolderFor).
-		localClass := cachepolicy.AvailClass(local[k], int32(f))
-		remoteClass := -1
-		if !noRemote {
-			remoteClass = cachepolicy.HolderFor(b1[k], 0, int32(f))
-			if remoteClass < 0 {
-				remoteClass = cachepolicy.HolderFor(b2[k], 0, int32(f))
-			}
-		}
-		g := int(math.Round(env.ewma * nWorkers))
-		if g < 1 {
-			g = 1
-		}
-		choice := rate.Best(sz, localClass, remoteClass, g)
-		if choice.Loc == perfmodel.LocPFS {
-			env.ewma += ewmaAlpha * (1 - env.ewma)
-			conc := env.ewma * p0f
-			if conc > 1 {
-				choice.Seconds *= conc
-			}
-			choice.Seconds *= s.batchJitter
-		} else {
-			env.ewma += ewmaAlpha * (0 - env.ewma)
-		}
-		write := sz / wr
-		s.locSec[choice.Loc] += choice.Seconds
-		s.locCnt[choice.Loc]++
-		s.stagingWrite += write
-		s.step(sz, choice.Seconds+write)
-	}
-}
-
-// runTiered is the devirtualized kernel for the tiered-cache baselines on
-// fault-free runs. Their Source methods share one shape — local hit, else
-// (optionally) best remote holder, else PFS at the γ estimate:
+// sourceRule is a policy's answer to "where may a fetch come from", stated
+// once as data. Together with a placement and a stream it determines one
+// source tag per stream position (see cachepolicy.Tags); the kernel turns a
+// tag into a fetch by this rule and carries only the float recurrence.
 //
-//   - DeepIO / LBANN check progress-gated availability (byAvail=true,
-//     useRemote=true);
-//   - ParallelStaging consults only its static local shard (byAvail=false,
-//     useRemote=false);
-//   - LocalityAware adds the ungated best remote holder (byAvail=false,
-//     useRemote=true).
-func (s *simState) runTiered(f0, stop int, a *cachepolicy.Assignment, byAvail, useRemote bool) {
-	env := s.env
-	rate := env.Rate
-	p0f := float64(s.p0)
-	wr := rate.WriteRate()
-	local := a.LocalWords(0)
-	b1, b2 := a.HolderWords()
-	for f := f0; f < stop; f++ {
-		k := s.stream[f]
-		sz := s.sizes[k]
-		var lc int
-		if byAvail {
-			lc = cachepolicy.AvailClass(local[k], int32(f))
-		} else {
-			lc, _ = cachepolicy.UnpackLocal(local[k])
+// Availability needs no flag: it is always the placement's own — gated on
+// the holder's progress for copies made during training (Sec. 5.2.2),
+// unconditional for prestaged shards — and a policy with no placement finds
+// nothing cached anywhere. Nor does the PFS reader count: a policy that only
+// ever reads the PFS keeps the γ estimate at exactly 1, i.e. γ = N.
+type sourceRule struct {
+	// place is the placement consulted (zero: none).
+	place placement
+	// stream names the stream the policy consumes: one of the reorderings
+	// in streamBuilders, or "" for the plan's own.
+	stream string
+	// noRemote forbids peer fetches (ParallelStaging, the NoRemote ablation).
+	noRemote bool
+	// argmin picks the fastest of PFS, remote and local by the Sec. 5.2 rule;
+	// otherwise the first of local, remote, PFS that has the sample serves.
+	argmin bool
+	// free makes every fetch cost nothing (LowerBound).
+	free bool
+}
+
+// kernelInput returns the stream the policy consumes with its source tags
+// and byte total, shared through the placement's plan-cache entry: a warm
+// cell decodes no availability word and rebuilds no stream.
+func (e *Env) kernelInput(rule sourceRule) *plancache.TagStream {
+	return e.Art.TagStream(rule.place.family, e.Cfg.DS, e.Cfg.Sys.Node, rule.stream, func() *plancache.TagStream {
+		ts := &plancache.TagStream{Stream: e.Streams[0]}
+		if build := streamBuilders[rule.stream]; build != nil {
+			policyStreamBuilds.Add(1)
+			ts.Stream, ts.OwnStream = build(e, rule.place.Assignment), true
 		}
-		var choice perfmodel.Choice
-		if lc >= 0 {
-			choice = perfmodel.Choice{Loc: perfmodel.LocLocal, Class: lc, Seconds: rate.FetchLocal(sz, lc)}
-		} else {
-			rc := -1
-			if useRemote {
-				if byAvail {
-					rc = cachepolicy.HolderFor(b1[k], 0, int32(f))
-					if rc < 0 {
-						rc = cachepolicy.HolderFor(b2[k], 0, int32(f))
-					}
-				} else {
-					rc = cachepolicy.HolderAny(b1[k], 0)
-					if rc < 0 {
-						rc = cachepolicy.HolderAny(b2[k], 0)
-					}
-				}
-			}
-			if rc >= 0 {
-				choice = perfmodel.Choice{Loc: perfmodel.LocRemote, Class: rc, Seconds: rate.FetchRemote(sz, rc)}
-			} else {
-				choice = perfmodel.Choice{Loc: perfmodel.LocPFS, Class: -1, Seconds: rate.FetchPFS(sz, env.Gamma())}
-			}
-		}
-		env.notePFS(choice.Loc == perfmodel.LocPFS)
-		if choice.Loc == perfmodel.LocPFS {
-			conc := env.ewma * p0f
-			if conc > 1 {
-				choice.Seconds *= conc
-			}
-			choice.Seconds *= s.batchJitter
-		}
-		write := sz / wr
-		s.locSec[choice.Loc] += choice.Seconds
-		s.locCnt[choice.Loc]++
-		s.stagingWrite += write
-		s.step(sz, choice.Seconds+write)
+		e.tag(rule, ts)
+		return ts
+	})
+}
+
+// tag fills in ts's tags and byte total for ts.Stream.
+func (e *Env) tag(rule sourceRule, ts *plancache.TagStream) {
+	if a := rule.place.Assignment; a != nil {
+		ts.Tags = a.Tags(0, ts.Stream)
+	}
+	for _, k := range ts.Stream {
+		ts.TotalMB += e.SizesMB[k]
 	}
 }
 
-// kernelKind selects a specialized inner kernel for the fault-free runs of
-// closed-form policies; kernelGeneric is the exact fallback.
-type kernelKind int
+// policyStreamBuilds counts reordered streams built by kernelInput — a test
+// probe like cachepolicy.TagBuildCount.
+var policyStreamBuilds atomic.Int64
 
-const (
-	kernelGeneric kernelKind = iota
-	kernelPFSConst
-	kernelLowerBound
-	kernelNoPFS
-	kernelTiered
-)
-
-// kernel is the resolved inner-loop strategy for one simulate() call.
-type kernel struct {
-	kind               kernelKind
-	assign             *cachepolicy.Assignment
-	byAvail, useRemote bool // kernelTiered shape
-	noRemote           bool // kernelNoPFS ablation
-}
-
-// kernelFor picks the span kernel for the policy. Chaos schedules force the
-// generic path: per-fetch fault adjustment depends on the stream index, the
-// resolved epoch factors, and the holder rank, which only the generic loop
-// threads through. Elastic membership schedules force it for the same
-// precondition-break reason: the specialized kernels assume uniform epoch
-// spans. Content patterns (zipf, boost, curriculum, mix) keep the
-// specialized kernels — they change which samples appear where, not the
-// per-fetch cost structure. Every kernel is bit-identical to runGeneric for
-// its policy — the equivalence tests compare them directly, including under
-// non-uniform patterns.
-func kernelFor(pol Policy, sched *chaos.Schedule, elastic bool) kernel {
-	if sched != nil || elastic {
-		return kernel{kind: kernelGeneric}
-	}
-	switch p := pol.(type) {
-	case naive, stagingBuffer:
-		return kernel{kind: kernelPFSConst}
-	case lowerBound:
-		return kernel{kind: kernelLowerBound}
-	case *nopfs:
-		return kernel{kind: kernelNoPFS, assign: p.assign}
-	case *nopfsAblated:
-		return kernel{kind: kernelNoPFS, assign: p.assign, noRemote: p.v.NoRemote}
-	case *deepIO:
-		return kernel{kind: kernelTiered, assign: p.assign, byAvail: true, useRemote: true}
-	case *lbann:
-		return kernel{kind: kernelTiered, assign: p.assign, byAvail: true, useRemote: true}
-	case *parallelStaging:
-		return kernel{kind: kernelTiered, assign: p.assign}
-	case *localityAware:
-		return kernel{kind: kernelTiered, assign: p.assign, useRemote: true}
-	}
-	return kernel{kind: kernelGeneric}
-}
-
-// simulate runs the staging-pipeline model over the stream.
+// simulate runs the staging-pipeline model over the tagged stream. It is the
+// simulator's only fetch loop: every policy, elastic plan and chaos schedule
+// runs through it, and what differs between them is data — the tags, the
+// rule, the boundaries, the schedule.
 //
 // The loop is event-driven: the stream is cut into segments bounded by the
-// next batch edge and the next epoch boundary — the only places where
-// jitter is redrawn, series are recorded, or chaos factors re-resolve — and
-// each segment runs under a per-policy inner kernel with all boundary checks
-// hoisted out. Outputs are bit-identical to the historical per-sample loop:
-// the kernels perform the same float operations in the same order and the
-// specialized ones exist only where the source decision is constant or
-// closed-form (see internal/sim equivalence tests).
+// next batch edge and the next epoch boundary — the only places where jitter
+// is redrawn, series are recorded, or chaos factors re-resolve — so the inner
+// loop carries no boundary checks, and all of its state lives in locals.
+// Every Result is bit-identical to the per-fetch reference loop in
+// kernel_test.go, which asks the Assignment accessors about every fetch: the
+// same float operations run in the same order.
 //
 // epochEnds, when non-nil, carries the cumulative stream position at which
-// each epoch ends (chaos crash redistribution makes epochs unequal); nil
-// means the plan's uniform per-epoch boundaries.
-func simulate(env *Env, pol Policy, stream []access.SampleID, setup float64, res *Result, epochEnds []int) {
+// each epoch ends (crash redistribution and elastic membership make epochs
+// unequal); nil means the plan's uniform per-epoch boundaries.
+func simulate(env *Env, pol Policy, rule sourceRule, in *plancache.TagStream, setup float64, res *Result, epochEnds []int) {
 	simulateCount.Add(1)
+	var (
+		stream, sizes = in.Stream, env.SizesMB
+		n             = len(stream)
+		batch         = env.Cfg.Work.BatchPerWorker
+		rate          = env.Rate
+		sched         = env.Chaos
+		nWorkers      = float64(env.Plan.N)
+		c             = env.Cfg.Work.ComputeMBps
+		wr            = rate.WriteRate()
+		bufMB         = pol.StagingMB(env)
+		syncRead      = pol.Synchronous() // Naive: the trainer issues its own reads
+	)
 	p0 := pol.PrefetchThreads(env)
 	if p0 < 1 {
 		p0 = 1
 	}
-	s := &simState{
-		env: env, pol: pol, res: res, stream: stream, sizes: env.SizesMB,
-		c:     env.Cfg.Work.ComputeMBps,
-		p0:    p0,
-		bufMB: pol.StagingMB(env),
-		sync:  pol.Synchronous(),
-		setup: setup,
+	p0f := float64(p0)
+	threads := newThreadPool(p0, setup)
 
-		threads:         newThreadPool(p0, setup),
-		prevComputeDone: setup,
-		barrier:         1, self: 1,
-		sched: env.Chaos,
+	// Tags: a policy without a placement has the same tag at every position,
+	// so one batch-long run of it stands in for the stream's.
+	tags, mask := in.Tags, byte(0xff)
+	if rule.noRemote {
+		mask = 0x0f
+	}
+	segSizes := make([]float64, batch)
+	var constTags []byte
+	if tags == nil {
+		tag := byte(0)
+		if rule.free {
+			tag = cachepolicy.TagFree
+		}
+		constTags = bytes.Repeat([]byte{tag}, batch)
 	}
 
-	if !s.sync {
-		// Window elision: inBufMB is the running prefix sum of staged sizes
-		// minus evictions; with no evictions the admission check compares
-		// exactly the next prefix sum against bufMB, so "total stream bytes
-		// fit" (the same ordered sum) proves the loop can never trigger and
-		// the window bookkeeping is unobservable. Common at paper operating
-		// points where the staging buffer exceeds the epoch working set.
-		var total float64
-		for _, k := range stream {
-			total += env.SizesMB[k]
-		}
-		s.noEvict = total <= s.bufMB
-		if !s.noEvict {
-			wa := windowPool.Get().(*windowArena)
-			s.winSize, s.winConsume = wa.size[:0], wa.consume[:0]
-			defer func() {
-				wa.size, wa.consume = s.winSize[:0], s.winConsume[:0]
-				windowPool.Put(wa)
-			}()
-		}
+	// Staging window (SoA, pooled), elided when the whole stream fits the
+	// staging buffer: inBufMB is the running prefix sum of staged sizes minus
+	// evictions; with no evictions the admission check compares exactly the
+	// next prefix sum against bufMB, so "total stream bytes fit" (the same
+	// ordered sum, kept beside the tags) proves the admission loop can never
+	// trigger and the window contents are unobservable. Common at paper
+	// operating points where the staging buffer exceeds the epoch working set.
+	window := !syncRead && in.TotalMB > bufMB
+	var (
+		wa                  *windowArena
+		winSize, winConsume []float64
+		head                int
+		inBufMB             float64
+	)
+	if window {
+		wa = windowPool.Get().(*windowArena)
+		winSize, winConsume = wa.size[:0], wa.consume[:0]
 	}
 
 	perEpoch := env.Plan.SamplesPerEpoch(0)
-	batch := env.Cfg.Work.BatchPerWorker
-	if len(stream) > 0 {
-		res.BatchSeconds = make([]float64, 0, (len(stream)+batch-1)/batch+1)
-		// Size the epoch series from the actual boundary list when chaos
-		// supplies one (crash redistribution makes epochs unequal, so the
-		// uniform estimate under-allocates); +1 covers the trailing fold.
-		epochCap := len(stream)/perEpoch + 1
+	if n > 0 {
+		res.BatchSeconds = make([]float64, 0, (n+batch-1)/batch+1)
+		// Size the epoch series from the actual boundary list when there is
+		// one (unequal epochs make the uniform estimate under-allocate); +1
+		// covers the trailing fold.
+		epochCap := n/perEpoch + 1
 		if len(epochEnds) > 0 {
 			epochCap = len(epochEnds) + 1
 		}
 		res.EpochSeconds = make([]float64, 0, epochCap)
 	}
 
-	lastBatchEnd, lastEpochEnd := setup, setup
-
-	// Epoch tracking: boundaries come from epochEnds when chaos reshaped the
-	// stream, otherwise every perEpoch samples (the legacy rule).
-	nextEpochEnd := perEpoch
+	// Epoch tracking: boundaries come from epochEnds when the stream was
+	// reshaped, otherwise every perEpoch samples.
+	epoch, nextEpochEnd := 0, perEpoch
 	if len(epochEnds) > 0 {
 		nextEpochEnd = epochEnds[0]
 	}
@@ -957,9 +685,9 @@ func simulate(env *Env, pol Policy, stream []access.SampleID, setup float64, res
 	// Chaos multipliers are epoch-constant: resolve them at boundaries, not
 	// per sample. barrier paces the allreduce when a peer straggles; self
 	// slows this worker's own prefetch threads.
-	if s.sched != nil {
-		n := env.Plan.N
-		s.barrier, s.self = s.sched.BarrierFactor(0, n), s.sched.Slowdown(0, 0, n)
+	barrier, self := 1.0, 1.0
+	if sched != nil {
+		barrier, self = sched.BarrierFactor(0, env.Plan.N), sched.Slowdown(0, 0, env.Plan.N)
 	}
 
 	// PFS slowness is bursty system noise, not i.i.d. per sample: one slow
@@ -968,37 +696,39 @@ func simulate(env *Env, pol Policy, stream []access.SampleID, setup float64, res
 	// paper's order-of-magnitude batch-time tail events for PFS-bound
 	// loaders while averaging out for cache-served ones. The draw happens
 	// at every batch edge — segment starts aligned to one.
-	s.batchJitter = env.pfsJitter()
+	batchJitter := env.pfsJitter()
 
 	// Elastic membership can leave the worker inactive in leading epochs
 	// (cumulative ends still at position 0): fire those boundaries before
 	// any samples run so epoch accounting and chaos factors stay aligned.
-	for len(epochEnds) > 0 && s.epoch < len(epochEnds) && epochEnds[s.epoch] == 0 {
+	for len(epochEnds) > 0 && epoch < len(epochEnds) && epochEnds[epoch] == 0 {
 		res.EpochSeconds = append(res.EpochSeconds, 0)
-		s.epoch++
-		if s.epoch < len(epochEnds) {
-			nextEpochEnd = epochEnds[s.epoch]
+		epoch++
+		if epoch < len(epochEnds) {
+			nextEpochEnd = epochEnds[epoch]
 		}
-		if s.sched != nil {
-			nw := env.Plan.N
-			s.barrier, s.self = s.sched.BarrierFactor(s.epoch, nw), s.sched.Slowdown(0, s.epoch, nw)
+		if sched != nil {
+			barrier, self = sched.BarrierFactor(epoch, env.Plan.N), sched.Slowdown(0, epoch, env.Plan.N)
 		}
 	}
 
-	ker := kernelFor(pol, s.sched, env.Plan.Elastic())
-	var pfsRate float64
-	if ker.kind == kernelPFSConst {
-		pfsRate = env.Rate.PFSRate(env.Plan.N)
-	}
+	// Accumulators folded into res after the loop; scalar accumulation
+	// performs the identical sequence of float adds per-fetch updates of the
+	// res fields would.
+	var (
+		locSec              [numLocations]float64
+		locCnt              [numLocations]int64
+		stall, stagingWrite float64
+	)
+	ewma := env.ewma
+	prevComputeDone, lastBatchEnd, lastEpochEnd := setup, setup, setup
 
-	n := len(stream)
 	for f := 0; f < n; {
 		if f%batch == 0 {
-			s.batchJitter = env.pfsJitter()
+			batchJitter = env.pfsJitter()
 		}
 		// Segment: up to the next batch edge, capped by the next epoch
-		// boundary (a stale boundary at or before f never fires again,
-		// matching the per-sample f+1 == nextEpochEnd check).
+		// boundary (a stale boundary at or before f never fires again).
 		stop := f - f%batch + batch
 		if nextEpochEnd > f && nextEpochEnd < stop {
 			stop = nextEpochEnd
@@ -1006,60 +736,193 @@ func simulate(env *Env, pol Policy, stream []access.SampleID, setup float64, res
 		if stop > n {
 			stop = n
 		}
+		ks := stream[f:stop]
+		seg := constTags
+		if tags != nil {
+			seg = tags[f:stop]
+		}
+		seg = seg[:len(ks)]
+		// Gather the segment's sizes first: the table is indexed at random,
+		// and here the misses overlap instead of stalling the recurrence one
+		// at a time.
+		szs := segSizes[:len(ks)]
+		for i, k := range ks {
+			szs[i] = sizes[k]
+		}
 
-		switch ker.kind {
-		case kernelPFSConst:
-			s.runPFSConst(f, stop, pfsRate)
-		case kernelLowerBound:
-			s.runLowerBound(f, stop)
-		case kernelNoPFS:
-			s.runNoPFS(f, stop, ker.assign, ker.noRemote)
-		case kernelTiered:
-			s.runTiered(f, stop, ker.assign, ker.byAvail, ker.useRemote)
-		default:
-			s.runGeneric(f, stop)
+		for i, sz := range szs {
+
+			// Source: decode the tag by the policy's rule. Fetch times are the
+			// divisions Rates.Best / FetchLocal / FetchRemote / FetchPFS make,
+			// compared in Best's order, so ties break the same way.
+			tag := seg[i] & mask
+			lc, rc := int(tag&0x0f), int(tag>>4) // class + 1; 0: no copy
+			loc, cls, sec := perfmodel.LocPFS, -1, 0.0
+			switch {
+			case tag == cachepolicy.TagFree:
+				loc = perfmodel.LocLocal
+			case rule.argmin:
+				sec = sz / rate.PFSRate(gammaFor(ewma, nWorkers))
+				if rc != 0 {
+					if t := sz / rate.RemoteRate(rc-1); t < sec {
+						loc, cls, sec = perfmodel.LocRemote, rc-1, t
+					}
+				}
+				if lc != 0 {
+					if t := sz / rate.LocalRate(lc-1); t < sec {
+						loc, cls, sec = perfmodel.LocLocal, lc-1, t
+					}
+				}
+			case lc != 0:
+				loc, cls, sec = perfmodel.LocLocal, lc-1, sz/rate.LocalRate(lc-1)
+			case rc != 0:
+				loc, cls, sec = perfmodel.LocRemote, rc-1, sz/rate.RemoteRate(rc-1)
+			default:
+				sec = sz / rate.PFSRate(gammaFor(ewma, nWorkers))
+			}
+
+			// γ estimation folds the policy's decision, not the
+			// chaos-perturbed outcome: faults stretch durations without
+			// feeding back into the contention heuristic, which keeps the
+			// fault-free run bit-identical and makes fault injection monotone
+			// (see internal/invariant).
+			if loc == perfmodel.LocPFS {
+				ewma = gammaHit(ewma)
+				// t(γ)/γ is the node's total PFS share: concurrent prefetch
+				// threads divide it rather than multiplying it. The expected
+				// number of this worker's threads at the PFS is the recent PFS
+				// fraction times p0.
+				if conc := ewma * p0f; conc > 1 {
+					sec *= conc
+				}
+				sec *= batchJitter
+			} else {
+				ewma = gammaMiss(ewma)
+			}
+			if sched != nil {
+				choice := perfmodel.Choice{Loc: loc, Class: cls, Seconds: sec}
+				if loc == perfmodel.LocRemote {
+					// Only a fault schedule asks who the holder is.
+					_, w := rule.place.RemoteAvail(0, ks[i], int32(f+i))
+					choice.Holder = int32(w)
+				}
+				env.ewma = ewma
+				chaosAdjust(env, sched, epoch, f+i, sz, &choice, res)
+				loc, sec = choice.Loc, choice.Seconds
+			}
+			write := sz / wr
+			locSec[loc] += sec
+			locCnt[loc]++
+			stagingWrite += write
+			readDur := sec + write
+			if self != 1 {
+				// Straggler self-slowdown: every prefetch thread of this
+				// worker runs factor× slower.
+				readDur *= self
+			}
+
+			// Staging pipeline: admission (buffer room), then the least-loaded
+			// prefetch thread picks the fetch up.
+			var avail float64
+			if syncRead {
+				avail = prevComputeDone + readDur
+			} else {
+				roomTime := setup
+				if window {
+					for inBufMB+sz > bufMB && head < len(winSize) {
+						inBufMB -= winSize[head]
+						if done := winConsume[head]; done > roomTime {
+							roomTime = done
+						}
+						head++
+					}
+				}
+				if !threads.heap {
+					// threadPool.schedule's scan branch, inline.
+					free := threads.free
+					ti := 0
+					for j := 1; j < len(free); j++ {
+						if free[j] < free[ti] {
+							ti = j
+						}
+					}
+					start := free[ti]
+					if roomTime > start {
+						start = roomTime
+					}
+					avail = start + readDur
+					free[ti] = avail
+				} else {
+					avail = threads.schedule(roomTime, readDur)
+				}
+			}
+
+			// Consumption recurrence (paper Sec. 4). barrier > 1 paces every
+			// iteration at the slowest surviving peer's rate (allreduce).
+			consume := prevComputeDone
+			if avail > consume {
+				stall += avail - consume
+				consume = avail
+			}
+			prevComputeDone = consume + sz/c*barrier
+
+			if window {
+				winSize = append(winSize, sz)
+				winConsume = append(winConsume, consume)
+				inBufMB += sz
+				// Periodically compact the window slices.
+				if head > stagingCompactMin && head*2 > len(winSize) {
+					winSize = append(winSize[:0], winSize[head:]...)
+					winConsume = append(winConsume[:0], winConsume[head:]...)
+					head = 0
+				}
+			}
 		}
 		f = stop
 
 		if f%batch == 0 || f == n {
-			res.BatchSeconds = append(res.BatchSeconds, s.prevComputeDone-lastBatchEnd)
-			lastBatchEnd = s.prevComputeDone
+			res.BatchSeconds = append(res.BatchSeconds, prevComputeDone-lastBatchEnd)
+			lastBatchEnd = prevComputeDone
 		}
 		// A loop rather than a single check: elastic membership can leave
 		// the worker with zero samples in an epoch (consecutive equal
 		// ends), so several boundaries may fire at one stream position.
 		// With uniform boundaries the advance is always strictly past f,
-		// so the loop body runs at most once — identical to the old check.
-		for f == nextEpochEnd && (len(epochEnds) == 0 || s.epoch < len(epochEnds)) {
-			res.EpochSeconds = append(res.EpochSeconds, s.prevComputeDone-lastEpochEnd)
-			lastEpochEnd = s.prevComputeDone
-			s.epoch++
+		// so the loop body runs at most once.
+		for f == nextEpochEnd && (len(epochEnds) == 0 || epoch < len(epochEnds)) {
+			res.EpochSeconds = append(res.EpochSeconds, prevComputeDone-lastEpochEnd)
+			lastEpochEnd = prevComputeDone
+			epoch++
 			if len(epochEnds) > 0 {
-				if s.epoch < len(epochEnds) {
-					nextEpochEnd = epochEnds[s.epoch]
+				if epoch < len(epochEnds) {
+					nextEpochEnd = epochEnds[epoch]
 				}
 			} else {
 				nextEpochEnd += perEpoch
 			}
-			if s.sched != nil {
-				nw := env.Plan.N
-				s.barrier, s.self = s.sched.BarrierFactor(s.epoch, nw), s.sched.Slowdown(0, s.epoch, nw)
+			if sched != nil {
+				barrier, self = sched.BarrierFactor(epoch, env.Plan.N), sched.Slowdown(0, epoch, env.Plan.N)
 			}
 		}
 	}
+	env.ewma = ewma
+	if wa != nil {
+		wa.size, wa.consume = winSize[:0], winConsume[:0]
+		windowPool.Put(wa)
+	}
 
-	res.StallSeconds = s.stall
-	res.StagingWriteSeconds = s.stagingWrite
+	res.StallSeconds = stall
+	res.StagingWriteSeconds = stagingWrite
 	for l := 0; l < numLocations; l++ {
-		// Fold only locations that saw a fetch, matching the key set the
-		// per-sample map writes used to produce.
-		if s.locCnt[l] > 0 {
-			res.LocSeconds[perfmodel.Location(l)] += s.locSec[l]
-			res.LocCount[perfmodel.Location(l)] += s.locCnt[l]
+		// Fold only locations that saw a fetch, matching the key set
+		// per-fetch map writes would produce.
+		if locCnt[l] > 0 {
+			res.LocSeconds[perfmodel.Location(l)] += locSec[l]
+			res.LocCount[perfmodel.Location(l)] += locCnt[l]
 		}
 	}
-	res.ExecSeconds = s.prevComputeDone
-	if len(res.EpochSeconds) < env.Plan.E && len(stream) > 0 && s.prevComputeDone > lastEpochEnd {
-		res.EpochSeconds = append(res.EpochSeconds, s.prevComputeDone-lastEpochEnd)
+	res.ExecSeconds = prevComputeDone
+	if len(res.EpochSeconds) < env.Plan.E && n > 0 && prevComputeDone > lastEpochEnd {
+		res.EpochSeconds = append(res.EpochSeconds, prevComputeDone-lastEpochEnd)
 	}
 }

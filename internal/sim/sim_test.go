@@ -2,8 +2,10 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/cachepolicy"
 	"repro/internal/dataset"
 	"repro/internal/hwspec"
 	"repro/internal/perfmodel"
@@ -326,13 +328,13 @@ func TestGammaAdapts(t *testing.T) {
 		t.Errorf("initial gamma = %d, want N=4 (all-PFS start)", env.Gamma())
 	}
 	for i := 0; i < 500; i++ {
-		env.notePFS(false)
+		env.ewma = gammaMiss(env.ewma)
 	}
 	if env.Gamma() != 1 {
 		t.Errorf("gamma after all-cache phase = %d, want 1", env.Gamma())
 	}
 	for i := 0; i < 500; i++ {
-		env.notePFS(true)
+		env.ewma = gammaHit(env.ewma)
 	}
 	if env.Gamma() != 4 {
 		t.Errorf("gamma after all-PFS phase = %d, want 4", env.Gamma())
@@ -367,6 +369,20 @@ func TestConfigValidate(t *testing.T) {
 	// Global batch 128 > F=10.
 	if err := cfg.Validate(); err == nil {
 		t.Error("config with batch > dataset accepted")
+	}
+	// A source tag has one nibble per side: hierarchies deeper than
+	// cachepolicy.MaxTagClasses are rejected, not mis-tagged.
+	cfg.DS = dataset.MustNew(dataset.Spec{Name: "v", F: 1000, MeanSize: 1024, Classes: 1, Seed: 1})
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	deep := cfg.Sys.Node.Classes[0]
+	cfg.Sys.Node.Classes = nil
+	for len(cfg.Sys.Node.Classes) <= cachepolicy.MaxTagClasses {
+		cfg.Sys.Node.Classes = append(cfg.Sys.Node.Classes, deep)
+	}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "storage classes") {
+		t.Errorf("config with %d storage classes: got %v, want a storage-class error", len(cfg.Sys.Node.Classes), err)
 	}
 }
 
