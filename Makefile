@@ -8,7 +8,7 @@ BENCHTIME ?= 1x
 BENCHLABEL ?=
 BENCH_DATE := $(shell date -u +%F)
 
-.PHONY: all build test test-race vet fmt lint bench bench-smoke bench-compare bench-harness fuzz-smoke cover verify
+.PHONY: all build test test-race vet fmt lint bench bench-smoke bench-compare bench-harness fuzz-smoke cover loc verify
 
 all: build
 
@@ -130,6 +130,11 @@ cover:
 	echo "total internal/... coverage: $$total% (gate: $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 < min+0) ? 1 : 0 }' || \
 	{ echo "coverage below gate"; exit 1; }
+
+# ROADMAP item 7's yardstick: lines of non-test, non-testdata Go in the root
+# module (benchmark/ is a module of its own and is not counted).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 # Tier-1 verification (ROADMAP).
 verify: build test

@@ -64,21 +64,22 @@ func fig8(b *testing.B, id string) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		results, err := sim.RunScenario(bg, s, benchScale, 42)
+		rep, err := new(sim.Runner).Run(bg, sim.ScenarioGrid(s, benchScale, 42, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
 		var lb, nopfsT, worst float64
-		for _, r := range results {
+		for _, c := range rep.Cells {
+			exec := c.Outcome.Values[sim.MetricExec]
 			switch {
-			case r.Failed:
-			case r.Policy == "LowerBound":
-				lb = r.ExecSeconds
-			case r.Policy == "NoPFS":
-				nopfsT = r.ExecSeconds
+			case c.Outcome.Failed:
+			case c.Policy == "LowerBound":
+				lb = exec
+			case c.Policy == "NoPFS":
+				nopfsT = exec
 			default:
-				if r.ExecSeconds > worst {
-					worst = r.ExecSeconds
+				if exec > worst {
+					worst = exec
 				}
 			}
 		}
@@ -109,13 +110,14 @@ func BenchmarkFig8fCosmoFlow512(b *testing.B) { fig8(b, "fig8f") }
 // the given pool width and reports the best/worst configuration spread.
 func fig9Sweep(b *testing.B, parallel int) {
 	for i := 0; i < b.N; i++ {
-		points, err := sim.Fig9SweepParallel(bg, 0.002, 11, parallel)
+		rep, err := (&sim.Runner{Parallel: parallel}).Run(bg, sim.Fig9Grid(0.002, 11, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		best, worst := points[0].Result.ExecSeconds, points[0].Result.ExecSeconds
-		for _, p := range points {
-			if v := p.Result.ExecSeconds; v < best {
+		best := rep.Cells[0].Outcome.Values[sim.MetricExec]
+		worst := best
+		for _, c := range rep.Cells {
+			if v := c.Outcome.Values[sim.MetricExec]; v < best {
 				best = v
 			} else if v > worst {
 				worst = v

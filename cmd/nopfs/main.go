@@ -14,10 +14,6 @@
 //	nopfs access -f 1281167            # paper-scale Fig. 3 analysis
 //	nopfs run -workers 4 -metrics-out - # live cluster + Prometheus dump
 //	nopfs help                         # the full subcommand list
-//
-// The former standalone binaries (nopfs-sim, nopfs-train, nopfs-access)
-// remain as deprecated shims over the same implementation and print
-// byte-identical output.
 package main
 
 import (

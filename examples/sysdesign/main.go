@@ -21,34 +21,32 @@ import (
 func main() {
 	const scale = 0.005 // ImageNet-22k at 0.5% size; regimes preserved
 
-	// Step 1: is the staging buffer a limiting factor? (Paper: no.)
-	ctx := context.Background()
-	staging, err := sim.Fig9StagingCheck(ctx, scale, 7)
+	// One grid holds both steps: the staging preliminary and the RAM x SSD
+	// environment study, NoPFS on every row.
+	rep, err := new(sim.Runner).Run(context.Background(), sim.Fig9FullGrid(scale, 7, 1))
 	if err != nil {
 		log.Fatal(err)
 	}
+	exec := map[string]float64{}
+	for _, c := range rep.Cells {
+		exec[c.Scenario] = c.Outcome.Values[sim.MetricExec]
+	}
+
+	// Step 1: is the staging buffer a limiting factor? (Paper: no.)
 	fmt.Println("step 1: staging buffer sweep (RAM=32 GB, no SSD):")
-	for _, gb := range []int{1, 2, 4, 5} {
-		fmt.Printf("  staging %d GB -> %.1fs\n", gb, staging[gb].ExecSeconds)
+	for _, gb := range sim.Fig9StagingSizes() {
+		fmt.Printf("  staging %d GB -> %.1fs\n", gb, exec[sim.Fig9StagingID(gb)])
 	}
 	fmt.Println("  => staging size is irrelevant here; fix it at 5 GB")
 
 	// Step 2: the RAM x SSD grid.
-	points, err := sim.Fig9Sweep(ctx, scale, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("\nstep 2: RAM x SSD sweep (NoPFS, ImageNet-22k, 5x compute):")
-	sim.PrintSweep(os.Stdout, points)
+	sim.PrintFig9Matrix(os.Stdout, rep)
 
 	// Step 3: read off the design guidance the paper highlights.
-	byCfg := map[[2]int]float64{}
-	for _, p := range points {
-		byCfg[[2]int{p.RAMGB, p.SSDGB}] = p.Result.ExecSeconds
-	}
 	fmt.Println("\ndesign observations (paper Sec. 6.2):")
-	fmt.Printf("  max RAM, no SSD:    %.1fs\n", byCfg[[2]int{512, 0}])
-	fmt.Printf("  max RAM, max SSD:   %.1fs  (SSD barely matters once RAM is large)\n", byCfg[[2]int{512, 1024}])
-	fmt.Printf("  min RAM, no SSD:    %.1fs\n", byCfg[[2]int{32, 0}])
-	fmt.Printf("  min RAM, max SSD:   %.1fs  (cheap SSD compensates for scarce RAM)\n", byCfg[[2]int{32, 1024}])
+	fmt.Printf("  max RAM, no SSD:    %.1fs\n", exec[sim.Fig9CellID(512, 0)])
+	fmt.Printf("  max RAM, max SSD:   %.1fs  (SSD barely matters once RAM is large)\n", exec[sim.Fig9CellID(512, 1024)])
+	fmt.Printf("  min RAM, no SSD:    %.1fs\n", exec[sim.Fig9CellID(32, 0)])
+	fmt.Printf("  min RAM, max SSD:   %.1fs  (cheap SSD compensates for scarce RAM)\n", exec[sim.Fig9CellID(32, 1024)])
 }

@@ -1,9 +1,6 @@
-// Package cli is the shared implementation behind the `nopfs` subcommand
-// binary (cmd/nopfs) and the deprecated standalone shims (cmd/nopfs-sim,
-// cmd/nopfs-train, cmd/nopfs-access). Every command body is a pure function
-// of (program name, args, stdout, stderr) returning an exit code, so the
-// shims and the subcommands share one implementation byte for byte — only
-// the program name in error messages differs.
+// Package cli is the implementation behind the `nopfs` subcommand binary
+// (cmd/nopfs). Every command body is a pure function of (program name, args,
+// stdout, stderr) returning an exit code, so tests drive it in process.
 //
 // One exit-code contract across every command:
 //
@@ -40,7 +37,7 @@ type Command struct {
 	// Summary is the one-line usage description.
 	Summary string
 	// Run executes the command. prog is the program name used in error
-	// messages ("nopfs sim" or the deprecated shim's "nopfs-sim").
+	// messages ("nopfs sim").
 	Run func(prog string, args []string, stdout, stderr io.Writer) int
 	// Flags returns the command's full flag set (for usage rendering and
 	// the cross-command drift test); it must register exactly the flags Run

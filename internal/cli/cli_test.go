@@ -19,9 +19,7 @@ func runMain(args ...string) (code int, stdout, stderr string) {
 }
 
 // TestExitCodes pins the one exit-code contract across every command: 0
-// success, 1 runtime error, 2 usage error (with usage on stderr), covering
-// the legacy inconsistencies this package fixed (nopfs-sim exited 1 on an
-// unknown scenario but 2 on a missing mode).
+// success, 1 runtime error, 2 usage error (with usage on stderr).
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -39,6 +37,12 @@ func TestExitCodes(t *testing.T) {
 		{"sim bad flag", []string{"sim", "-no-such-flag"}, ExitUsage},
 		{"sim table1", []string{"sim", "-table1"}, ExitOK},
 		{"sim runtime error", []string{"sim", "-scenario", "fig8a", "-scale", "0.002"}, ExitError},
+		// A failing cell exits 1 on the streamed structured formats too, with
+		// the truncated document left on stdout.
+		{"sim runtime error json", []string{"sim", "-scenario", "fig8a", "-scale", "0.002", "-format", "json"}, ExitError},
+		// The encoders always stream; there is no knob to ask for it.
+		{"sim stream flag", []string{"sim", "-all", "-stream"}, ExitUsage},
+		{"train stream flag", []string{"train", "-fig", "10", "-stream"}, ExitUsage},
 		{"train unknown fig", []string{"train", "-fig", "99"}, ExitUsage},
 		{"train bad gpus", []string{"train", "-gpus", "x"}, ExitUsage},
 		{"train gpus match nothing", []string{"train", "-fig", "10", "-gpus", "7"}, ExitUsage},
@@ -65,56 +69,6 @@ func TestExitCodes(t *testing.T) {
 			}
 			if tc.want == ExitUsage && !strings.Contains(stderr, "usage") && !strings.Contains(stderr, "Usage") {
 				t.Errorf("Main(%q): usage exit without usage text on stderr:\n%s", tc.args, stderr)
-			}
-		})
-	}
-}
-
-// TestShimMatchesSubcommand proves the deprecated standalone entry points and
-// the subcommand dispatch share one implementation byte for byte: same exit
-// code, same stdout.
-func TestShimMatchesSubcommand(t *testing.T) {
-	cases := []struct {
-		name string
-		shim func(prog string, args []string, stdout, stderr *bytes.Buffer) int
-		sub  string
-		args []string
-	}{
-		{
-			name: "sim table1",
-			shim: func(prog string, args []string, stdout, stderr *bytes.Buffer) int {
-				return RunSim(prog, args, stdout, stderr)
-			},
-			sub:  "sim",
-			args: []string{"-table1"},
-		},
-		{
-			name: "sim scenario",
-			shim: func(prog string, args []string, stdout, stderr *bytes.Buffer) int {
-				return RunSim(prog, args, stdout, stderr)
-			},
-			sub:  "sim",
-			args: []string{"-scenario", "fig8a", "-scale", "0.01", "-seed", "7"},
-		},
-		{
-			name: "access",
-			shim: func(prog string, args []string, stdout, stderr *bytes.Buffer) int {
-				return RunAccess(prog, args, stdout, stderr)
-			},
-			sub:  "access",
-			args: []string{"-f", "2000", "-n", "4", "-e", "3"},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var shimOut, shimErr, subOut, subErr bytes.Buffer
-			shimCode := tc.shim("nopfs-"+tc.sub, tc.args, &shimOut, &shimErr)
-			subCode := Main(append([]string{tc.sub}, tc.args...), &subOut, &subErr)
-			if shimCode != subCode {
-				t.Fatalf("exit codes differ: shim %d, subcommand %d", shimCode, subCode)
-			}
-			if !bytes.Equal(shimOut.Bytes(), subOut.Bytes()) {
-				t.Fatalf("stdout differs:\nshim:\n%s\nsubcommand:\n%s", shimOut.String(), subOut.String())
 			}
 		})
 	}
@@ -162,8 +116,8 @@ func TestFlagGroupsConsistent(t *testing.T) {
 		})
 	}
 	// The groups must actually be shared: every engine flag appears on both
-	// grid commands (train historically lacked -stream).
-	for _, name := range []string{"parallel", "replicas", "format", "chaos", "access", "stream", "config"} {
+	// grid commands.
+	for _, name := range []string{"parallel", "replicas", "format", "chaos", "access", "config"} {
 		for _, cmd := range Commands() {
 			if cmd.Name != "sim" && cmd.Name != "train" {
 				continue
@@ -214,6 +168,15 @@ func TestConfigFile(t *testing.T) {
 		}
 		if err := applyConfigFile(fs, path); err == nil || !isUsage(err) {
 			t.Fatalf("unknown config flag: err = %v, want usage error", err)
+		}
+	})
+
+	t.Run("removed stream flag", func(t *testing.T) {
+		path := write("stream.conf", "stream = true\n")
+		for _, cmd := range []string{"sim", "train"} {
+			if code, _, _ := runMain(cmd, "-config", path); code != ExitUsage {
+				t.Errorf("%s with stream = true in -config: exit %d, want %d", cmd, code, ExitUsage)
+			}
 		}
 	})
 
@@ -287,23 +250,5 @@ func TestDryRunExecutesNoCells(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestStreamMatchesBuffered pins the train command's new -stream flag: the
-// streamed generic encoders must produce the same bytes as the buffered
-// ones for structured formats.
-func TestStreamMatchesBuffered(t *testing.T) {
-	base := []string{"train", "-fig", "10", "-scale", "0.02", "-gpus", "32", "-format", "csv"}
-	code, buffered, stderr := runMain(base...)
-	if code != ExitOK {
-		t.Fatalf("buffered run: exit %d (stderr: %s)", code, stderr)
-	}
-	code, streamed, stderr := runMain(append(base, "-stream")...)
-	if code != ExitOK {
-		t.Fatalf("streamed run: exit %d (stderr: %s)", code, stderr)
-	}
-	if buffered != streamed {
-		t.Fatalf("-stream csv differs from buffered csv:\nbuffered:\n%s\nstreamed:\n%s", buffered, streamed)
 	}
 }

@@ -11,12 +11,10 @@ import (
 	"repro/internal/sweep"
 )
 
-// This file defines the shared flag groups. The three legacy binaries grew
-// their flag sets by copy-paste and drifted (differing -chaos grammar
-// wording, differing -replicas help, -stream missing from train); every
-// command now registers the same groups, and TestFlagGroupsConsistent pins
-// that shared flags stay identical. Deliberate per-command differences are
-// confined to the registration parameters below:
+// This file defines the shared flag groups: every command registers the same
+// groups, and TestFlagGroupsConsistent pins that shared flags stay identical.
+// Deliberate per-command differences are confined to the registration
+// parameters below:
 //
 //   - -scale defaults: sim 0.02 vs train 0.1 (intentional, see
 //     EXPERIMENTS.md — the trainer figures stay faithful at a coarser
@@ -25,7 +23,7 @@ import (
 //     everywhere else it is the training PRNG seed (default 42).
 
 // chaosHelp is the single -chaos grammar description shared by the grid
-// commands (the sim/train wording drift, reconciled).
+// commands.
 func chaosHelp() string {
 	return "fault profile: a preset (" + strings.Join(chaos.PresetNames(), ", ") +
 		") or a spec like \"straggler:1x2@1,tier:0x4,drop:0.05\"; adds a clean-vs-faulted" +
@@ -48,7 +46,6 @@ const (
 	formatHelp   = "output format: text, json, or csv"
 	parallelHelp = "sweep-engine goroutine pool width (0 = GOMAXPROCS)"
 	replicasHelp = "replica seeds per grid cell"
-	streamHelp   = "stream output incrementally as cells finish (same bytes as the buffered encoders; bespoke text tables fall back to the generic table)"
 	configHelp   = "read flag defaults from FILE (name=value lines, # comments; command-line flags win)"
 	dryRunHelp   = "print the plan analysis (grid shape, per-tier placement, predicted fetch mix and stall) without running any simulation"
 )
@@ -67,14 +64,13 @@ func (f *ScaleFlags) Register(fs *flag.FlagSet, scaleDefault float64, seedDefaul
 }
 
 // EngineFlags is the sweep-engine group: pool width, replica axis, output
-// format, fault-profile axis, access-pattern axis, and streaming encoders.
+// format, fault-profile axis, and access-pattern axis.
 type EngineFlags struct {
 	Parallel int
 	Replicas int
 	Format   string
 	Chaos    string
 	Access   string
-	Stream   bool
 }
 
 // Register adds the group.
@@ -84,7 +80,6 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Format, "format", "text", formatHelp)
 	fs.StringVar(&f.Chaos, "chaos", "", chaosHelp())
 	fs.StringVar(&f.Access, "access", "", accessFlagHelp())
-	fs.BoolVar(&f.Stream, "stream", false, streamHelp)
 }
 
 // CheckFormat validates -format.

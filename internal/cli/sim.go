@@ -76,12 +76,14 @@ func RunSim(prog string, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		runner := &sim.Runner{Parallel: o.Parallel}
-		if o.Sweep {
-			if err := runSweep(ctx, stdout, runner, grid, o.Format, profiles, patterns, o.Stream); err != nil {
-				return err
-			}
-		} else if err := emit(ctx, stdout, runner, grid, o.Format, o.Stream); err != nil {
+		// The Fig. 9 study's text mode is the RAM × SSD matrix; with a
+		// fault-profile or access-pattern axis it is the generic table (the
+		// matrix has one cell per scenario).
+		var text func(*sim.Report)
+		if o.Sweep && len(profiles) == 0 && len(patterns) == 0 {
+			text = func(rep *sim.Report) { printFig9(stdout, rep) }
+		}
+		if err := o.Emit(ctx, stdout, grid, text); err != nil {
 			return err
 		}
 		return stopProf()
@@ -89,8 +91,7 @@ func RunSim(prog string, args []string, stdout, stderr io.Writer) int {
 }
 
 // simGrid selects the mode's grid (nil for -table1). Unknown scenarios and a
-// missing mode are usage errors — exit 2 with usage, where the legacy binary
-// inconsistently exited 1 for a bad -scenario.
+// missing mode are usage errors — exit 2 with usage.
 func simGrid(o *simOptions, profiles []sweep.ProfileSpec, patterns []sweep.AccessSpec) (*sim.Grid, error) {
 	var grid *sim.Grid
 	switch {
@@ -116,89 +117,24 @@ func simGrid(o *simOptions, profiles []sweep.ProfileSpec, patterns []sweep.Acces
 	return grid, nil
 }
 
-// emit runs the grid and writes it in the requested format. With -stream the
-// grid flows through the incremental encoders — identical bytes, but only a
-// bounded window of results resident at once.
-func emit(ctx context.Context, w io.Writer, runner *sim.Runner, grid *sim.Grid, format string, stream bool) error {
-	if stream {
-		return runner.RunStream(ctx, grid, aggregatorFor(w, format))
-	}
-	rep, err := runner.Run(ctx, grid)
-	if err != nil {
-		return err
-	}
-	return write(w, rep, format)
-}
-
-// aggregatorFor picks the streaming encoder for a format.
-func aggregatorFor(w io.Writer, format string) sim.Aggregator {
-	switch format {
-	case "json":
-		return sim.NewJSONAggregator(w)
-	case "csv":
-		return sim.NewCSVAggregator(w)
-	default:
-		return sim.NewTextAggregator(w)
-	}
-}
-
-// write encodes one report.
-func write(w io.Writer, rep *sim.Report, format string) error {
-	switch format {
-	case "json":
-		return sim.WriteJSON(w, rep)
-	case "csv":
-		return sim.WriteCSV(w, rep)
-	default:
-		return sim.WriteText(w, rep)
-	}
-}
-
-// runSweep renders the Fig. 9 study: environment grid plus staging
-// preliminary as one engine run, so json/csv emit a single document and
-// every format honours -replicas. Text mode keeps the legacy RAM × SSD
-// matrix, with means when the grid ran multiple seeds per cell; with a
-// fault-profile or access-pattern axis — or under -stream, which cannot
-// buffer the whole grid — it falls back to the generic per-profile table
-// (the matrix has one cell per scenario).
-func runSweep(ctx context.Context, w io.Writer, runner *sim.Runner, grid *sim.Grid, format string, profiles []sweep.ProfileSpec, patterns []sweep.AccessSpec, stream bool) error {
-	if stream {
-		return runner.RunStream(ctx, grid, aggregatorFor(w, format))
-	}
-	rep, err := runner.Run(ctx, grid)
-	if err != nil {
-		return err
-	}
-	if format != "text" || len(profiles) > 0 || len(patterns) > 0 {
-		return write(w, rep, format)
-	}
-	byID := map[string]sim.Summary{}
-	for _, s := range rep.Aggregate() {
-		byID[s.Scenario] = s
-	}
+// printFig9 renders the Fig. 9 study — environment grid plus staging
+// preliminary, one engine run — as the RAM × SSD matrix, with means when the
+// grid ran multiple seeds per cell.
+func printFig9(w io.Writer, rep *sim.Report) {
 	title := "Fig. 9: ImageNet-22k, NoPFS, 5x compute, 5 GB staging buffer"
 	if rep.Replicas > 1 {
 		title += fmt.Sprintf(" (mean of %d seeds)", rep.Replicas)
 	}
 	fmt.Fprintln(w, title)
-	rams, ssds := sim.Fig9Axes()
-	fmt.Fprintf(w, "exec seconds by RAM (rows) x SSD (cols), GB:\n%8s", "")
-	for _, ssd := range ssds {
-		fmt.Fprintf(w, "%10d", ssd)
-	}
-	fmt.Fprintln(w)
-	for _, ram := range rams {
-		fmt.Fprintf(w, "%8d", ram)
-		for _, ssd := range ssds {
-			fmt.Fprintf(w, "%10.1f", byID[sim.Fig9CellID(ram, ssd)].Metric(sim.MetricExec).Mean)
-		}
-		fmt.Fprintln(w)
+	sim.PrintFig9Matrix(w, rep)
+	byID := map[string]sim.Summary{}
+	for _, s := range rep.Aggregate() {
+		byID[s.Scenario] = s
 	}
 	fmt.Fprintln(w, "\nstaging-buffer preliminary (runtime vs staging GB, RAM=32, no SSD):")
 	for _, gb := range sim.Fig9StagingSizes() {
 		fmt.Fprintf(w, "  %d GB: %.1fs\n", gb, byID[sim.Fig9StagingID(gb)].Metric(sim.MetricExec).Mean)
 	}
-	return nil
 }
 
 // printTable1 reproduces Table 1: the qualitative capabilities of each

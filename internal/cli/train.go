@@ -21,9 +21,8 @@ type trainOptions struct {
 	CommonFlags
 }
 
-// trainFlags builds the train command's flag set. The group registrations
-// give train the same -stream the sim command always had (the flag-drift
-// fix); -scale and -seed keep their figure-preset defaults.
+// trainFlags builds the train command's flag set; -scale and -seed keep their
+// figure-preset defaults.
 func trainFlags(prog string) (*flag.FlagSet, *trainOptions) {
 	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	o := &trainOptions{}
@@ -63,14 +62,11 @@ func RunTrain(prog string, args []string, stdout, stderr io.Writer) int {
 		c := trainRun{
 			ctx:      ctx,
 			out:      stdout,
-			runner:   &sweep.Runner{Parallel: o.Parallel},
-			replicas: o.Replicas,
-			format:   o.Format,
+			engine:   &o.EngineFlags,
 			seed:     o.Seed,
 			keepGPUs: keep,
 			profiles: profiles,
 			patterns: patterns,
-			stream:   o.Stream,
 			dryRun:   o.DryRun,
 		}
 		if o.DryRun {
@@ -94,16 +90,13 @@ func RunTrain(prog string, args []string, stdout, stderr io.Writer) int {
 type trainRun struct {
 	ctx      context.Context
 	out      io.Writer
-	runner   *sweep.Runner
-	replicas int
-	format   string
+	engine   *EngineFlags
 	seed     uint64
 	keepGPUs []int
 	// profiles is the -chaos fault-profile axis (clean + faulted), empty
 	// without the flag; patterns is the -access uniform-vs-pattern axis.
 	profiles []sweep.ProfileSpec
 	patterns []sweep.AccessSpec
-	stream   bool
 	dryRun   bool
 }
 
@@ -186,28 +179,14 @@ func (c trainRun) trim(exps []trainer.Experiment) ([]trainer.Experiment, error) 
 	return out, nil
 }
 
-// run executes one grid through the engine, attaching the -chaos
-// clean-vs-faulted profile axis and the -access uniform-vs-pattern axis
-// (no-ops without the flags).
-func (c trainRun) run(grid *sweep.Grid) (*sweep.Report, error) {
+// emit attaches the -chaos clean-vs-faulted profile axis and the -access
+// uniform-vs-pattern axis (no-ops without the flags) and runs the grid
+// through the engine to stdout; text is the figure's bespoke text table, nil
+// for the generic one.
+func (c trainRun) emit(grid *sweep.Grid, text func(*sweep.Report)) error {
 	grid.Profiles = c.profiles
 	grid.Patterns = c.patterns
-	return c.runner.Run(c.ctx, grid)
-}
-
-// runStream executes one grid through the streaming encoders: identical
-// bytes to the buffered generic table, bounded residency.
-func (c trainRun) runStream(grid *sweep.Grid) error {
-	grid.Profiles = c.profiles
-	grid.Patterns = c.patterns
-	switch c.format {
-	case "json":
-		return c.runner.RunStream(c.ctx, grid, sweep.NewJSONAggregator(c.out))
-	case "csv":
-		return c.runner.RunStream(c.ctx, grid, sweep.NewCSVAggregator(c.out))
-	default:
-		return c.runner.RunStream(c.ctx, grid, sweep.NewTextAggregator(c.out))
-	}
+	return c.engine.Emit(c.ctx, c.out, grid, text)
 }
 
 // explain is the --dry-run path: print the grid's shape and the plan
@@ -239,53 +218,19 @@ func (c trainRun) explain(grid *sweep.Grid, exps []trainer.Experiment) error {
 var rowLabel = sweep.RowLabel
 
 // emitExperiment runs one experiment's grid and writes it in the requested
-// format (generic text table, JSON, or CSV).
+// format (generic text table under its title, JSON, or CSV).
 func (c trainRun) emitExperiment(title string, exp trainer.Experiment) error {
 	exp, err := c.prep(exp)
 	if err != nil {
 		return err
 	}
 	if c.dryRun {
-		return c.explain(exp.Grid(c.replicas), []trainer.Experiment{exp})
+		return c.explain(exp.Grid(c.engine.Replicas), []trainer.Experiment{exp})
 	}
-	return c.emitGrid(title, exp.Grid(c.replicas))
-}
-
-// emitGrid runs and renders a prepared grid.
-func (c trainRun) emitGrid(title string, grid *sweep.Grid) error {
-	if c.stream {
-		if c.format == "text" {
-			fmt.Fprintln(c.out, title)
-		}
-		return c.runStream(grid)
-	}
-	rep, err := c.run(grid)
-	if err != nil {
-		return err
-	}
-	if c.format == "text" {
+	if c.engine.Format == "text" {
 		fmt.Fprintln(c.out, title)
-		return sweep.WriteText(c.out, rep)
 	}
-	return writeReport(c.out, rep, c.format)
-}
-
-// emitBespoke renders a grid whose text mode has a bespoke table. Under
-// -stream — which cannot buffer the whole grid — text falls back to the
-// generic streaming table, as documented on the flag.
-func (c trainRun) emitBespoke(grid *sweep.Grid, text func(rep *sweep.Report)) error {
-	if c.stream {
-		return c.runStream(grid)
-	}
-	rep, err := c.run(grid)
-	if err != nil {
-		return err
-	}
-	if c.format != "text" {
-		return writeReport(c.out, rep, c.format)
-	}
-	text(rep)
-	return nil
+	return c.emit(exp.Grid(c.engine.Replicas), nil)
 }
 
 // emitFig11 renders the epoch-0 batch-time table (cold caches) from the
@@ -296,9 +241,9 @@ func (c trainRun) emitFig11(exp trainer.Experiment) error {
 		return err
 	}
 	if c.dryRun {
-		return c.explain(exp.Grid(c.replicas), []trainer.Experiment{exp})
+		return c.explain(exp.Grid(c.engine.Replicas), []trainer.Experiment{exp})
 	}
-	return c.emitBespoke(exp.Grid(c.replicas), func(rep *sweep.Report) {
+	return c.emit(exp.Grid(c.engine.Replicas), func(rep *sweep.Report) {
 		fmt.Fprintln(c.out, "Fig. 11: epoch-0 batch times on Piz Daint")
 		fmt.Fprintf(c.out, "%-24s %-14s %12s %12s %12s\n", "scenario", "loader", "median", "p95", "max")
 		for _, s := range rep.Aggregate() {
@@ -322,9 +267,9 @@ func (c trainRun) emitFig12(exp trainer.Experiment) error {
 		return err
 	}
 	if c.dryRun {
-		return c.explain(exp.Grid(c.replicas), []trainer.Experiment{exp})
+		return c.explain(exp.Grid(c.engine.Replicas), []trainer.Experiment{exp})
 	}
-	return c.emitBespoke(exp.Grid(c.replicas), func(rep *sweep.Report) {
+	return c.emit(exp.Grid(c.engine.Replicas), func(rep *sweep.Report) {
 		fmt.Fprintln(c.out, "Fig. 12: NoPFS cache stats on Piz Daint (ImageNet-1k)")
 		fmt.Fprintf(c.out, "%-24s %12s %8s %8s %8s\n", "scenario", "stall", "pfs%", "remote%", "local%")
 		for _, s := range rep.Aggregate() {
@@ -349,14 +294,14 @@ func (c trainRun) emitFig13(scale float64) error {
 	if err != nil {
 		return err
 	}
-	grid, err := trainer.MultiGrid("fig13", exps, c.replicas)
+	grid, err := trainer.MultiGrid("fig13", exps, c.engine.Replicas)
 	if err != nil {
 		return err
 	}
 	if c.dryRun {
 		return c.explain(grid, exps)
 	}
-	return c.emitBespoke(grid, func(rep *sweep.Report) {
+	return c.emit(grid, func(rep *sweep.Report) {
 		fmt.Fprintln(c.out, "Fig. 13: batch-size sweep, ImageNet-1k, 128 Lassen GPUs")
 		fmt.Fprintf(c.out, "%-20s %-14s %12s %12s %12s\n", "scenario", "loader", "median", "p95", "max")
 		for _, s := range rep.Aggregate() {
@@ -384,11 +329,11 @@ func (c trainRun) emitFig16(scale float64) error {
 	if err != nil {
 		return err
 	}
-	grid := trainer.Fig16GridFrom(exp, c.replicas)
+	grid := trainer.Fig16GridFrom(exp, c.engine.Replicas)
 	if c.dryRun {
 		return c.explain(grid, []trainer.Experiment{exp})
 	}
-	return c.emitBespoke(grid, func(rep *sweep.Report) {
+	return c.emit(grid, func(rep *sweep.Report) {
 		fmt.Fprintln(c.out, "Fig. 16: end-to-end ResNet-50/ImageNet-1k, 256 Lassen GPUs, 90 epochs")
 		for _, cell := range rep.Cells {
 			if cell.Replica != 0 {
@@ -408,16 +353,4 @@ func (c trainRun) emitFig16(scale float64) error {
 			}
 		}
 	})
-}
-
-// writeReport encodes one report.
-func writeReport(w io.Writer, rep *sweep.Report, format string) error {
-	switch format {
-	case "json":
-		return sweep.WriteJSON(w, rep)
-	case "csv":
-		return sweep.WriteCSV(w, rep)
-	default:
-		return sweep.WriteText(w, rep)
-	}
 }

@@ -38,9 +38,7 @@ func (s Summary) Metric(name string) stats.Summary {
 }
 
 // summarizeGroup folds the replicas of one (scenario, policy, profile,
-// pattern) group into a Summary. It is the single aggregation kernel, shared
-// by the whole-report Aggregate and the streaming summary path, so both
-// produce identical summaries by construction.
+// pattern) group into a Summary.
 func summarizeGroup(metrics []Metric, scenario, policy, profile, pattern string, cells []CellResult) Summary {
 	s := Summary{
 		Scenario: scenario, Policy: policy, Profile: profile, Pattern: pattern,
@@ -84,24 +82,17 @@ func summarizeGroup(metrics []Metric, scenario, policy, profile, pattern string,
 	return s
 }
 
-// Aggregate groups the report's cells by (scenario, policy, profile,
-// pattern) in grid order and summarises each group's replicas metric by
-// metric.
+// Aggregate summarises the report's cells group by group in grid order — the
+// same contiguous-run fold the encoders stream through.
 func (rep *Report) Aggregate() []Summary {
-	type key struct{ scenario, policy, profile, pattern string }
-	order := []key{}
-	groups := map[key][]CellResult{}
+	out := make([]Summary, 0)
+	sum := newSummaryStream(rep.Metrics, func(s Summary) error {
+		out = append(out, s)
+		return nil
+	})
 	for _, c := range rep.Cells {
-		k := key{c.Scenario, c.Policy, c.Profile, c.Pattern}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], c)
+		sum.add(c) // the emit above never fails
 	}
-
-	out := make([]Summary, 0, len(order))
-	for _, k := range order {
-		out = append(out, summarizeGroup(rep.Metrics, k.scenario, k.policy, k.profile, k.pattern, groups[k]))
-	}
+	sum.flush()
 	return out
 }

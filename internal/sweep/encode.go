@@ -1,30 +1,40 @@
 package sweep
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 )
 
-// jsonReport is the stable on-wire shape: the raw cells plus the aggregated
-// summaries, so consumers get both without re-deriving either.
-type jsonReport struct {
-	*Report
-	Summaries []Summary `json:"summaries"`
+// One encoder per format: the Aggregators in streamenc.go. WriteJSON, WriteCSV
+// and WriteText replay a collected Report through them; the row and header
+// formatting the aggregators share lives below.
+
+// replay feeds a collected report to an aggregator exactly as RunStream fed
+// the collector that built it.
+func (rep *Report) replay(a Aggregator) error {
+	err := a.Begin(Meta{
+		Grid: rep.Grid, Replicas: rep.Replicas, BaseSeed: rep.BaseSeed,
+		Profiles: rep.Profiles, Patterns: rep.Patterns, Metrics: rep.Metrics,
+		Labels: rep.Labels, Size: len(rep.Cells),
+	})
+	if err != nil {
+		return err
+	}
+	for _, c := range rep.Cells {
+		if err := a.Cell(c); err != nil {
+			return err
+		}
+	}
+	return a.End()
 }
 
 // WriteJSON emits the full report (cells + aggregated summaries) as
 // indented JSON. Encoding is deterministic: struct fields are emitted in
 // declaration order and map keys sorted, so equal grids produce equal bytes
 // at any parallelism.
-func WriteJSON(w io.Writer, rep *Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jsonReport{Report: rep, Summaries: rep.Aggregate()})
-}
+func WriteJSON(w io.Writer, rep *Report) error { return rep.replay(NewJSONAggregator(w)) }
 
 // csvHeader builds the summary-CSV header row for the schema.
 func csvHeader(hasProfiles, hasPatterns bool, metrics []Metric) []string {
@@ -66,21 +76,7 @@ func csvRow(grid string, hasProfiles, hasPatterns bool, metrics []Metric, s Summ
 // summary, with four columns (mean, median, 95% CI bounds) per schema
 // metric. The profile and pattern columns appear only when the grid declares
 // the corresponding axis, keeping axis-less reports byte-identical.
-func WriteCSV(w io.Writer, rep *Report) error {
-	cw := csv.NewWriter(w)
-	hasProfiles := len(rep.Profiles) > 0
-	hasPatterns := len(rep.Patterns) > 0
-	if err := cw.Write(csvHeader(hasProfiles, hasPatterns, rep.Metrics)); err != nil {
-		return err
-	}
-	for _, s := range rep.Aggregate() {
-		if err := cw.Write(csvRow(rep.Grid, hasProfiles, hasPatterns, rep.Metrics, s)); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
+func WriteCSV(w io.Writer, rep *Report) error { return rep.replay(NewCSVAggregator(w)) }
 
 // textColWidth is the text-report column width for metric values.
 const textColWidth = 13
@@ -166,34 +162,4 @@ func textRow(w io.Writer, s Summary, visible []Metric, multi bool) error {
 // WriteText renders the report in the repo's bar-chart style: one block per
 // scenario, one row per policy, one column per visible schema metric, with a
 // ±CI column on the first metric when the grid ran more than one replica.
-func WriteText(w io.Writer, rep *Report) error {
-	summaries := rep.Aggregate()
-	multi := rep.Replicas > 1
-	visible := visibleMetrics(rep.Metrics)
-
-	var scenarios []string
-	seen := map[string]bool{}
-	for _, s := range summaries {
-		if !seen[s.Scenario] {
-			seen[s.Scenario] = true
-			scenarios = append(scenarios, s.Scenario)
-		}
-	}
-	for _, sc := range scenarios {
-		if err := textBlockHeader(w, sc, rep.Labels[sc], visible, multi); err != nil {
-			return err
-		}
-		for _, s := range summaries {
-			if s.Scenario != sc {
-				continue
-			}
-			if err := textRow(w, s, visible, multi); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func WriteText(w io.Writer, rep *Report) error { return rep.replay(NewTextAggregator(w)) }

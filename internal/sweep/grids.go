@@ -9,10 +9,9 @@ import (
 )
 
 // This file holds the simulator's cell binding — the engine default — and
-// the repo's standard simulator grid definitions: every orchestration path
-// that used to be a bespoke serial loop (RunScenario, Fig9Sweep,
-// Fig9StagingCheck, the ablation) is a Grid value plus a thin legacy-shaped
-// wrapper.
+// the repo's standard simulator grid definitions: the Fig. 8 panels, the
+// Fig. 9 environment study and staging preliminary, and the ablation are each
+// a Grid value.
 
 // Simulator metric names (the default schema's Outcome.Values keys).
 const (
@@ -266,60 +265,4 @@ func AblationGrid(scale float64, baseSeed uint64, replicas int) *Grid {
 		Name: "ablation", Scenarios: []ScenarioSpec{row}, Policies: cols,
 		Replicas: replicas, BaseSeed: baseSeed,
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Legacy-shaped wrappers. These preserve the signatures of the former serial
-// drivers while routing through the engine, so the façade, CLI, examples and
-// benchmarks all exercise the parallel path.
-
-// RunScenario simulates every policy on the scenario and returns results in
-// Fig. 8 bar order, exactly as the old serial driver did. parallel <= 0
-// means GOMAXPROCS.
-func RunScenario(ctx context.Context, s isim.Scenario, scale float64, seed uint64, parallel int) ([]*isim.Result, error) {
-	rep, err := (&Runner{Parallel: parallel}).Run(ctx, ScenarioGrid(s, scale, seed, 1))
-	if err != nil {
-		return nil, err
-	}
-	return rep.Results(), nil
-}
-
-// SweepPoint is one configuration of the Fig. 9 environment study.
-type SweepPoint struct {
-	RAMGB, SSDGB int
-	StagingGB    int
-	Result       *isim.Result
-}
-
-// Fig9Sweep runs the Fig. 9 environment evaluation through the engine and
-// returns points in the legacy RAM-major order.
-func Fig9Sweep(ctx context.Context, scale float64, seed uint64, parallel int) ([]SweepPoint, error) {
-	rep, err := (&Runner{Parallel: parallel}).Run(ctx, Fig9Grid(scale, seed, 1))
-	if err != nil {
-		return nil, err
-	}
-	// One policy, one replica: cell i is scenario i, enumerated RAM-major.
-	results := rep.Results()
-	points := make([]SweepPoint, len(results))
-	for i, r := range results {
-		points[i] = SweepPoint{
-			RAMGB: fig9RAMs[i/len(fig9SSDs)], SSDGB: fig9SSDs[i%len(fig9SSDs)],
-			StagingGB: 5, Result: r,
-		}
-	}
-	return points, nil
-}
-
-// Fig9StagingCheck runs the staging-buffer preliminary through the engine,
-// keyed by staging-buffer GB.
-func Fig9StagingCheck(ctx context.Context, scale float64, seed uint64, parallel int) (map[int]*isim.Result, error) {
-	rep, err := (&Runner{Parallel: parallel}).Run(ctx, Fig9StagingGrid(scale, seed))
-	if err != nil {
-		return nil, err
-	}
-	out := map[int]*isim.Result{}
-	for i, r := range rep.Results() {
-		out[fig9StagingGBs[i]] = r
-	}
-	return out, nil
 }

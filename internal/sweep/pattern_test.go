@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	isim "repro/internal/sim"
@@ -64,9 +65,8 @@ func TestGoldenPatternEncoders(t *testing.T) {
 	}
 }
 
-// TestPatternStreamingByteIdentity: on grids carrying a pattern axis — the
-// synthetic golden grid and a real simulator grid — the streaming JSON, CSV
-// and text aggregators must stay byte-identical to the buffered writers.
+// TestPatternStreamingByteIdentity: grids carrying a pattern axis — the
+// synthetic golden grid and a real simulator grid — satisfy checkEncoders.
 func TestPatternStreamingByteIdentity(t *testing.T) {
 	axis, err := AccessAxis("zipf:s=1.1,drift=0.05")
 	if err != nil {
@@ -74,20 +74,8 @@ func TestPatternStreamingByteIdentity(t *testing.T) {
 	}
 	simGrid := testGrid(t)
 	simGrid.Patterns = axis
-	grids := []*Grid{patternGoldenGrid(), simGrid}
-	for _, g := range grids {
-		r := &Runner{Parallel: 4}
-		wantJ, wantC, wantX := encodeInMemory(t, r, g)
-		gotJ, gotC, gotX := encodeStreaming(t, r, g)
-		if !bytes.Equal(wantJ, gotJ) {
-			t.Errorf("grid %s: streaming JSON differs from WriteJSON", g.Name)
-		}
-		if !bytes.Equal(wantC, gotC) {
-			t.Errorf("grid %s: streaming CSV differs from WriteCSV", g.Name)
-		}
-		if !bytes.Equal(wantX, gotX) {
-			t.Errorf("grid %s: streaming text differs from WriteText", g.Name)
-		}
+	for _, g := range []*Grid{patternGoldenGrid(), simGrid} {
+		checkEncoders(t, g)
 	}
 }
 
@@ -122,8 +110,8 @@ func TestAccessAxis(t *testing.T) {
 	}
 }
 
-// TestGridValidatePatterns: the grid validator rejects unnamed pattern
-// columns, unparseable specs, and elastic × structural-chaos crossings
+// TestGridValidatePatterns: the grid validator rejects unnamed and duplicate
+// pattern columns, unparseable specs, and elastic × structural-chaos crossings
 // before any cell runs.
 func TestGridValidatePatterns(t *testing.T) {
 	base := func() *Grid {
@@ -139,6 +127,12 @@ func TestGridValidatePatterns(t *testing.T) {
 	g.Patterns[1].Name = ""
 	if err := g.Validate(); err == nil {
 		t.Error("unnamed pattern column accepted")
+	}
+
+	g = base()
+	g.Patterns[1].Name = "uniform"
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), `duplicate pattern name "uniform"`) {
+		t.Errorf("duplicate pattern name: err = %v", err)
 	}
 
 	g = base()

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-
-	isim "repro/internal/sim"
 )
 
 // Runner executes a Grid's cells on a bounded goroutine pool. The zero value
@@ -73,8 +71,9 @@ type Report struct {
 // running cells, and returns ctx's error.
 //
 // Run is the in-memory special case of RunStream: a collecting aggregator
-// retains every cell. Grids too large to hold their results should use
-// RunStream with streaming encoders instead.
+// retains every cell, for presenters that need payloads or random access.
+// Grids too large to hold their results should use RunStream with the
+// encoders instead.
 func (r *Runner) Run(ctx context.Context, g *Grid) (*Report, error) {
 	col := &reportCollector{parallel: r.Parallel}
 	if err := r.RunStream(ctx, g, col); err != nil {
@@ -98,17 +97,4 @@ func runCell(ctx context.Context, r *Runner, g *Grid, c Cell) (*Outcome, error) 
 		return nil, fmt.Errorf("cell returned neither outcome nor error")
 	}
 	return out, nil
-}
-
-// Results returns the report's per-cell simulator results in cell order —
-// the shape the legacy serial paths produced for 1-replica simulator grids.
-// Cells whose payload is not a simulator result yield nil entries.
-func (rep *Report) Results() []*isim.Result {
-	out := make([]*isim.Result, len(rep.Cells))
-	for i, c := range rep.Cells {
-		if r, ok := c.Outcome.Payload.(*isim.Result); ok {
-			out[i] = r
-		}
-	}
-	return out
 }

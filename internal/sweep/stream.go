@@ -32,12 +32,13 @@ type Meta struct {
 // deterministic enumeration order regardless of execution parallelism; End
 // is called once after the last cell. None of the methods are called
 // concurrently. When the run aborts (context cancellation or a cell error),
-// End is not called and partial output should be discarded.
+// End is not called: what an encoder has already written stays written, a
+// truncated document behind the run's error.
 //
 // Aggregators exist so giant grids never need every Result in memory at
 // once: the engine retains only the bounded in-flight window, and each
-// aggregator decides what to keep (the streaming encoders keep O(replicas)
-// for the open summary group; the in-memory Report keeps everything).
+// aggregator decides what to keep (the encoders keep O(replicas) for the
+// open summary group; the in-memory Report keeps everything).
 type Aggregator interface {
 	Begin(meta Meta) error
 	Cell(c CellResult) error
@@ -213,9 +214,8 @@ func cellError(g *Grid, c Cell, err error) error {
 	return fmt.Errorf("sweep: grid %q cell %s replica %d: %w", g.Name, label, c.Replica, err)
 }
 
-// reportCollector is the in-memory Aggregator: it retains every cell and
-// reassembles the legacy Report. Run is built on it, which keeps the two
-// paths behaviourally identical by construction.
+// reportCollector is the in-memory Aggregator behind Run: it retains every
+// cell as a Report.
 type reportCollector struct {
 	parallel int
 	rep      *Report
@@ -239,9 +239,10 @@ func (c *reportCollector) Cell(cr CellResult) error {
 func (c *reportCollector) End() error { return nil }
 
 // summaryStream folds an ordered cell stream into per-group summaries. The
-// grid enumerates replicas innermost, so each (scenario, policy, profile,
-// pattern) group is contiguous: the streamer buffers only the open group —
-// O(replicas) cells — and emits its Summary the moment the group closes.
+// grid enumerates replicas innermost and Grid.Validate rejects duplicate axis
+// labels, so each (scenario, policy, profile, pattern) group is one contiguous
+// run: the streamer buffers only the open group — O(replicas) cells — and
+// emits its Summary the moment the group closes.
 type summaryStream struct {
 	metrics                            []Metric
 	scenario, policy, profile, pattern string

@@ -3,9 +3,11 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -16,43 +18,118 @@ import (
 	isim "repro/internal/sim"
 )
 
-// encodeInMemory runs the grid through Run and the whole-report writers.
-func encodeInMemory(t *testing.T, r *Runner, g *Grid) (jsonB, csvB, textB []byte) {
+// encoded holds one grid execution's three encodings.
+type encoded struct{ json, csv, text []byte }
+
+// encodeStreaming runs the grid through RunStream with all three encoders at
+// once, plus the collector Run uses, and returns the bytes and the collected
+// Report.
+func encodeStreaming(t *testing.T, r *Runner, g *Grid) (encoded, *Report) {
 	t.Helper()
-	rep, err := r.Run(bg, g)
+	var j, c, x bytes.Buffer
+	col := &reportCollector{parallel: r.Parallel}
+	err := r.RunStream(bg, g,
+		NewJSONAggregator(&j), NewCSVAggregator(&c), NewTextAggregator(&x), col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var j, c, x bytes.Buffer
-	if err := WriteJSON(&j, rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCSV(&c, rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteText(&x, rep); err != nil {
-		t.Fatal(err)
-	}
-	return j.Bytes(), c.Bytes(), x.Bytes()
+	return encoded{j.Bytes(), c.Bytes(), x.Bytes()}, col.rep
 }
 
-// encodeStreaming runs the grid through RunStream and the streaming
-// aggregators, all three at once.
-func encodeStreaming(t *testing.T, r *Runner, g *Grid) (jsonB, csvB, textB []byte) {
+// encodeReplay encodes a collected Report through WriteJSON/CSV/Text.
+func encodeReplay(t *testing.T, rep *Report) encoded {
 	t.Helper()
 	var j, c, x bytes.Buffer
-	err := r.RunStream(bg, g,
-		NewJSONAggregator(&j), NewCSVAggregator(&c), NewTextAggregator(&x))
-	if err != nil {
-		t.Fatal(err)
+	for _, err := range []error{WriteJSON(&j, rep), WriteCSV(&c, rep), WriteText(&x, rep)} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	return j.Bytes(), c.Bytes(), x.Bytes()
+	return encoded{j.Bytes(), c.Bytes(), x.Bytes()}
+}
+
+// encodedView returns the part of a report its JSON document carries: the
+// json:"-" fields zeroed and empty collections nil (omitempty drops them).
+func encodedView(rep Report) Report {
+	rep.Parallel = 0
+	rep.Metrics = append([]Metric(nil), rep.Metrics...)
+	for i := range rep.Metrics {
+		rep.Metrics[i].Hide = false
+	}
+	if len(rep.Labels) == 0 {
+		rep.Labels = nil
+	}
+	cells := rep.Cells
+	rep.Cells = nil
+	for _, c := range cells {
+		o := *c.Outcome
+		o.Payload = nil
+		if len(o.Values) == 0 {
+			o.Values = nil
+		}
+		c.ScenarioIdx, c.PolicyIdx, c.ProfileIdx, c.PatternIdx = 0, 0, 0, 0
+		c.Outcome = &o
+		rep.Cells = append(rep.Cells, c)
+	}
+	return rep
+}
+
+// checkJSONDecodes pins the JSON encoder's hand-spliced header / cells /
+// summaries framing without a second encoder: the document must decode, with
+// no unknown field and nothing trailing, to exactly the collected cells and
+// the summaries Aggregate returns.
+func checkJSONDecodes(t *testing.T, doc []byte, rep *Report) {
+	t.Helper()
+	var got struct {
+		Report
+		Summaries []Summary `json:"summaries"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&got); err != nil {
+		t.Fatalf("grid %s: JSON does not decode: %v\n%s", rep.Grid, err, doc)
+	}
+	if dec.More() {
+		t.Errorf("grid %s: trailing data after the JSON document", rep.Grid)
+	}
+	if want, have := encodedView(*rep), encodedView(got.Report); !reflect.DeepEqual(want, have) {
+		t.Errorf("grid %s: decoded report differs from the collected one\nwant %+v\ngot  %+v", rep.Grid, want, have)
+	}
+	if want := rep.Aggregate(); !reflect.DeepEqual(want, got.Summaries) {
+		t.Errorf("grid %s: decoded summaries differ from Aggregate()\nwant %+v\ngot  %+v", rep.Grid, want, got.Summaries)
+	}
+}
+
+// checkEncoders is the encoder property every grid must satisfy: all three
+// formats are byte-identical at pool widths 1 and 8 and when a collected
+// Report is replayed through Write*, and the JSON decodes to the report.
+func checkEncoders(t *testing.T, g *Grid) {
+	t.Helper()
+	serial, rep := encodeStreaming(t, &Runner{Parallel: 1}, g)
+	wide, _ := encodeStreaming(t, &Runner{Parallel: 8}, g)
+	replay := encodeReplay(t, rep)
+	for _, f := range []struct {
+		name                 string
+		serial, wide, replay []byte
+	}{
+		{"JSON", serial.json, wide.json, replay.json},
+		{"CSV", serial.csv, wide.csv, replay.csv},
+		{"text", serial.text, wide.text, replay.text},
+	} {
+		if !bytes.Equal(f.serial, f.wide) {
+			t.Errorf("grid %s: %s differs between Parallel 1 and 8\n-- 1 --\n%s\n-- 8 --\n%s", g.Name, f.name, f.serial, f.wide)
+		}
+		if !bytes.Equal(f.serial, f.replay) {
+			t.Errorf("grid %s: %s differs between RunStream and Write* replay\n-- streamed --\n%s\n-- replayed --\n%s", g.Name, f.name, f.serial, f.replay)
+		}
+	}
+	checkJSONDecodes(t, serial.json, rep)
 }
 
 // randomFuncGrid builds a randomized pure-function grid: random axis sizes,
-// optionally a fault-profile axis, random metric schema with a hidden
-// column, and cells that are deterministic hashes of their coordinates with
-// occasional failures and notes sprinkled in.
+// optionally a fault-profile axis and an access-pattern axis, a metric schema
+// with a hidden column, and cells that are deterministic hashes of their
+// coordinates with occasional failures and notes sprinkled in.
 func randomFuncGrid(rng *rand.Rand) *Grid {
 	nScen := 1 + rng.Intn(3)
 	nPol := 1 + rng.Intn(3)
@@ -80,12 +157,16 @@ func randomFuncGrid(rng *rand.Rand) *Grid {
 		}
 		profs = ChaosProfiles(chaos.Profile{Name: "clean"}, p)
 	}
+	var pats []AccessSpec
+	if rng.Intn(2) == 0 {
+		pats = []AccessSpec{{Name: "uniform"}, {Name: "zipf", Spec: "zipf:s=1.1"}}
+	}
 	failScen := rng.Intn(nScen + 2) // may select no scenario at all
 	failPol := rng.Intn(nPol + 2)
 
 	return &Grid{
 		Name:      fmt.Sprintf("rand-%d", rng.Intn(1000)),
-		Scenarios: scens, Policies: pols, Profiles: profs,
+		Scenarios: scens, Policies: pols, Profiles: profs, Patterns: pats,
 		Replicas: replicas, BaseSeed: rng.Uint64(),
 		Metrics: []Metric{
 			{Name: "score", Label: "score", Unit: "s"},
@@ -96,7 +177,7 @@ func randomFuncGrid(rng *rand.Rand) *Grid {
 				if si == failScen && pi == failPol {
 					return &Outcome{Failed: true, FailReason: "cannot run"}, nil
 				}
-				h := prng.NewSplitMix64(seed ^ uint64(si*1009+pi*31+fi)).Next()
+				h := prng.NewSplitMix64(seed ^ uint64(si*1009+pi*31+fi*7+ai)).Next()
 				o := &Outcome{Values: map[string]float64{
 					"score": float64(h%100000) / 1000,
 					"aux":   float64(h % 17),
@@ -110,35 +191,26 @@ func randomFuncGrid(rng *rand.Rand) *Grid {
 	}
 }
 
-// TestStreamEncodersMatchWritersRandomized is the streaming property test:
-// on randomized grids — axis sizes, chaos profile axis, replicas, failures,
-// notes, and pool widths all drawn per trial — the streaming JSON, CSV and
-// text aggregators must produce byte-identical output to the in-memory
-// Report writers.
+// TestStreamEncodersMatchWritersRandomized is the encoder property test: on
+// randomized grids — axis sizes, chaos and pattern axes, 1 to 3 replicas,
+// failed cells and notes all drawn per trial — checkEncoders must hold. The
+// last case is the grid-less one: a Report with no cells replays to a
+// document whose cell and summary arrays are the inline "[]".
 func TestStreamEncodersMatchWritersRandomized(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) * 7919))
-		g := randomFuncGrid(rng)
-		r := &Runner{Parallel: []int{1, 4, 8}[rng.Intn(3)]}
-		wantJ, wantC, wantX := encodeInMemory(t, r, g)
-		gotJ, gotC, gotX := encodeStreaming(t, r, g)
-		if !bytes.Equal(wantJ, gotJ) {
-			t.Fatalf("trial %d (grid %s, parallel %d): streaming JSON differs\nwant:\n%s\ngot:\n%s",
-				trial, g.Name, r.Parallel, wantJ, gotJ)
-		}
-		if !bytes.Equal(wantC, gotC) {
-			t.Fatalf("trial %d: streaming CSV differs\nwant:\n%s\ngot:\n%s", trial, wantC, gotC)
-		}
-		if !bytes.Equal(wantX, gotX) {
-			t.Fatalf("trial %d: streaming text differs\nwant:\n%s\ngot:\n%s", trial, wantX, gotX)
-		}
+		checkEncoders(t, randomFuncGrid(rand.New(rand.NewSource(int64(trial)*7919))))
 	}
+	empty := &Report{Grid: "empty", Replicas: 1, Metrics: SimMetrics()}
+	doc := encodeReplay(t, empty).json
+	if !bytes.Contains(doc, []byte(`"cells": [],`)) || !bytes.Contains(doc, []byte(`"summaries": []`)) {
+		t.Errorf("empty report does not encode inline arrays:\n%s", doc)
+	}
+	checkJSONDecodes(t, doc, empty)
 }
 
-// TestStreamEncodersMatchWritersSimulator repeats the byte-identity check on
-// a real simulator grid with a chaos axis: the default cell binding, failed
-// cells (LBANN on fig8d), and fault profiles all flow through the streaming
-// path.
+// TestStreamEncodersMatchWritersSimulator repeats the property on a real
+// simulator grid with a chaos axis: the default cell binding, failed cells
+// (LBANN on fig8d), and fault profiles all flow through the encoders.
 func TestStreamEncodersMatchWritersSimulator(t *testing.T) {
 	axis, err := ChaosAxis("straggler:0x2@1")
 	if err != nil {
@@ -146,18 +218,7 @@ func TestStreamEncodersMatchWritersSimulator(t *testing.T) {
 	}
 	g := testGrid(t)
 	g.Profiles = axis
-	r := &Runner{Parallel: 4}
-	wantJ, wantC, wantX := encodeInMemory(t, r, g)
-	gotJ, gotC, gotX := encodeStreaming(t, r, g)
-	if !bytes.Equal(wantJ, gotJ) {
-		t.Error("streaming JSON differs from WriteJSON on simulator grid")
-	}
-	if !bytes.Equal(wantC, gotC) {
-		t.Error("streaming CSV differs from WriteCSV on simulator grid")
-	}
-	if !bytes.Equal(wantX, gotX) {
-		t.Error("streaming text differs from WriteText on simulator grid")
-	}
+	checkEncoders(t, g)
 }
 
 // TestRunStreamDeliversInOrder pins the ordering contract directly: cells

@@ -7,14 +7,14 @@ import (
 	"io"
 )
 
-// Streaming encoders: Aggregator implementations that emit the exact bytes
-// of WriteJSON / WriteCSV / WriteText while holding only the open summary
-// group (O(replicas) cells) — never the whole result set. The property tests
-// assert byte identity against the in-memory writers on randomized grids.
+// The report encoders, one per format: Aggregator implementations that hold
+// only the open summary group (O(replicas) cells) — never the whole result
+// set. The goldens pin their bytes; the property tests decode the JSON back to
+// the collected report on randomized grids.
 
 // jsonHeader mirrors Report's encoded prefix — every field that precedes
-// "cells" in declaration order — so the streaming encoder can emit it with
-// the standard library and splice the cell array in behind it.
+// "cells" in declaration order — so the encoder can emit it with the standard
+// library and splice the cell array in behind it.
 type jsonHeader struct {
 	Grid     string            `json:"grid"`
 	Replicas int               `json:"replicas"`
@@ -25,10 +25,11 @@ type jsonHeader struct {
 	Labels   map[string]string `json:"labels,omitempty"`
 }
 
-// jsonAggregator streams the WriteJSON document: header fields, then cells
-// one by one as they are delivered, then the aggregated summaries. Only the
-// summaries — O(groups), no payloads — are buffered to the end, because the
-// document places them after the cell array.
+// jsonAggregator streams the JSON document — the raw cells plus the
+// aggregated summaries, so consumers get both without re-deriving either:
+// header fields, then cells one by one as they are delivered, then the
+// summaries. Only the summaries — O(groups), no payloads — are buffered to the
+// end, because the document places them after the cell array.
 type jsonAggregator struct {
 	w         io.Writer
 	sum       *summaryStream
@@ -36,8 +37,8 @@ type jsonAggregator struct {
 	cells     int
 }
 
-// NewJSONAggregator returns an Aggregator that streams the report as the
-// same indented JSON document WriteJSON produces, byte for byte.
+// NewJSONAggregator returns an Aggregator that streams the report as one
+// indented JSON document.
 func NewJSONAggregator(w io.Writer) Aggregator {
 	return &jsonAggregator{w: w}
 }
@@ -106,7 +107,7 @@ func (a *jsonAggregator) End() error {
 	return err
 }
 
-// csvAggregator streams the WriteCSV table: the header row up front, one
+// csvAggregator streams the summary table: the header row up front, one
 // summary row the moment each (scenario, policy, profile, pattern) group
 // closes.
 type csvAggregator struct {
@@ -117,8 +118,7 @@ type csvAggregator struct {
 	sum  *summaryStream
 }
 
-// NewCSVAggregator returns an Aggregator that streams the same summary CSV
-// WriteCSV produces, byte for byte.
+// NewCSVAggregator returns an Aggregator that streams the summary CSV.
 func NewCSVAggregator(w io.Writer) Aggregator {
 	return &csvAggregator{cw: csv.NewWriter(w)}
 }
@@ -143,8 +143,9 @@ func (a *csvAggregator) End() error {
 	return a.cw.Error()
 }
 
-// textAggregator streams the WriteText bar-chart report: a scenario block
-// header whenever the stream enters a new scenario, one row per closed
+// textAggregator streams the bar-chart report: a scenario block header
+// whenever the stream enters a new scenario (Grid.Validate guarantees scenario
+// IDs are unique, so each scenario is one contiguous run), one row per closed
 // summary group.
 type textAggregator struct {
 	w        io.Writer
@@ -156,9 +157,7 @@ type textAggregator struct {
 	blocks   int
 }
 
-// NewTextAggregator returns an Aggregator that streams the same text report
-// WriteText produces, byte for byte (for grids with unique scenario IDs, the
-// only kind the constructors build).
+// NewTextAggregator returns an Aggregator that streams the text report.
 func NewTextAggregator(w io.Writer) Aggregator {
 	return &textAggregator{w: w}
 }

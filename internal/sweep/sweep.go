@@ -371,6 +371,19 @@ func (g *Grid) cellFunc(si, pi, fi, ai int, memo *ResultMemo) (CellFunc, error) 
 	return simCellFunc(g.Scenarios[si], g.Policies[pi], g.profiles()[fi], g.patterns()[ai], memo), nil
 }
 
+// uniqueLabels reports the first label that repeats on one grid axis.
+func uniqueLabels[T any](grid, axis string, specs []T, label func(T) string) error {
+	seen := make(map[string]bool, len(specs))
+	for _, s := range specs {
+		l := label(s)
+		if seen[l] {
+			return fmt.Errorf("sweep: grid %q has duplicate %s %q", grid, axis, l)
+		}
+		seen[l] = true
+	}
+	return nil
+}
+
 // Validate reports whether the grid is runnable.
 func (g *Grid) Validate() error {
 	if len(g.Scenarios) == 0 {
@@ -378,6 +391,18 @@ func (g *Grid) Validate() error {
 	}
 	if len(g.Policies) == 0 {
 		return fmt.Errorf("sweep: grid %q has no policies", g.Name)
+	}
+	// Summaries, text blocks and presenters' by-ID maps all take a label for
+	// its group: a repeated label on any axis would merge or split groups.
+	for _, err := range []error{
+		uniqueLabels(g.Name, "scenario ID", g.Scenarios, func(s ScenarioSpec) string { return s.ID }),
+		uniqueLabels(g.Name, "policy name", g.Policies, func(p PolicySpec) string { return p.Name }),
+		uniqueLabels(g.Name, "profile name", g.Profiles, func(p ProfileSpec) string { return p.Name }),
+		uniqueLabels(g.Name, "pattern name", g.Patterns, func(p AccessSpec) string { return p.Name }),
+	} {
+		if err != nil {
+			return err
+		}
 	}
 	for _, prof := range g.Profiles {
 		// An explicit axis needs distinguishable column labels (the empty

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -103,6 +104,26 @@ func TestGridValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("policy without constructor accepted")
 	}
+	// A repeated label on any axis is rejected by name: summaries, text
+	// blocks and by-ID presenters all assume one contiguous group per label.
+	clean, err := ChaosAxis("straggler:0x2@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		want string
+		dup  func(g *Grid)
+	}{
+		{`duplicate scenario ID "fig8a"`, func(g *Grid) { g.Scenarios = append(g.Scenarios, g.Scenarios[0]) }},
+		{`duplicate policy name "Naive"`, func(g *Grid) { g.Policies = append(g.Policies, g.Policies[0]) }},
+		{`duplicate profile name "clean"`, func(g *Grid) { g.Profiles = append(clean, clean[0]) }},
+	} {
+		g := testGrid(t)
+		tc.dup(g)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("want an error naming %s, got %v", tc.want, err)
+		}
+	}
 }
 
 // TestDeterminismAcrossParallelism is the engine's core invariant: the same
@@ -146,7 +167,7 @@ func TestEngineMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunScenario(bg, s, testScale, 42, 4)
+	rep, err := (&Runner{Parallel: 4}).Run(bg, ScenarioGrid(s, testScale, 42, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,21 +176,27 @@ func TestEngineMatchesDirectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	pols := isim.AllPolicies()
-	if len(got) != len(pols) {
-		t.Fatalf("got %d results, want %d", len(got), len(pols))
+	if len(rep.Cells) != len(pols) {
+		t.Fatalf("got %d cells, want %d", len(rep.Cells), len(pols))
 	}
 	for i, pol := range pols {
 		want, err := isim.Run(cfg, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i].Policy != want.Policy {
-			t.Errorf("result %d is %q, want %q (bar order)", i, got[i].Policy, want.Policy)
+		got := rep.Cells[i]
+		if got.Policy != want.Policy {
+			t.Errorf("cell %d is %q, want %q (bar order)", i, got.Policy, want.Policy)
 		}
-		if got[i].ExecSeconds != want.ExecSeconds || got[i].StallSeconds != want.StallSeconds {
+		if got.Outcome.Failed != want.Failed {
+			t.Errorf("%s: engine failed=%v, direct failed=%v", want.Policy, got.Outcome.Failed, want.Failed)
+		}
+		if want.Failed {
+			continue
+		}
+		if exec, stall := got.Outcome.Values[MetricExec], got.Outcome.Values[MetricStall]; exec != want.ExecSeconds || stall != want.StallSeconds {
 			t.Errorf("%s: engine exec/stall %.6f/%.6f != direct %.6f/%.6f",
-				want.Policy, got[i].ExecSeconds, got[i].StallSeconds,
-				want.ExecSeconds, want.StallSeconds)
+				want.Policy, exec, stall, want.ExecSeconds, want.StallSeconds)
 		}
 	}
 }
@@ -269,27 +296,35 @@ func TestAggregateReplicas(t *testing.T) {
 	}
 }
 
-// TestFig9SweepMonotonicity migrates the legacy serial-path test onto the
-// engine: more RAM at fixed SSD must never hurt, and vice versa (Fig. 9's
-// central observation).
-func TestFig9SweepMonotonicity(t *testing.T) {
-	points, err := Fig9Sweep(bg, 0.002, 11, 0)
+// execByScenario runs a one-policy, one-replica grid and returns each row's
+// execution seconds keyed by scenario ID.
+func execByScenario(t *testing.T, g *Grid, parallel int) map[string]float64 {
+	t.Helper()
+	rep, err := (&Runner{Parallel: parallel}).Run(bg, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 25 {
-		t.Fatalf("got %d sweep points, want 25", len(points))
-	}
-	byCfg := map[[2]int]float64{}
-	for _, p := range points {
-		if p.Result.Failed {
-			t.Fatalf("sweep point ram=%d ssd=%d failed: %s", p.RAMGB, p.SSDGB, p.Result.FailReason)
+	out := map[string]float64{}
+	for _, c := range rep.Cells {
+		if c.Outcome.Failed {
+			t.Fatalf("cell %s failed: %s", c.Scenario, c.Outcome.FailReason)
 		}
-		byCfg[[2]int{p.RAMGB, p.SSDGB}] = p.Result.ExecSeconds
+		out[c.Scenario] = c.Outcome.Values[MetricExec]
 	}
+	return out
+}
+
+// TestFig9SweepMonotonicity: more RAM at fixed SSD must never hurt, and vice
+// versa (Fig. 9's central observation).
+func TestFig9SweepMonotonicity(t *testing.T) {
+	exec := execByScenario(t, Fig9Grid(0.002, 11, 1), 0)
+	if len(exec) != 25 {
+		t.Fatalf("got %d sweep points, want 25", len(exec))
+	}
+	at := func(ram, ssd int) float64 { return exec[Fig9CellID(ram, ssd)] }
 	for _, ssd := range fig9SSDs {
 		for i := 1; i < len(fig9RAMs); i++ {
-			lo, hi := byCfg[[2]int{fig9RAMs[i-1], ssd}], byCfg[[2]int{fig9RAMs[i], ssd}]
+			lo, hi := at(fig9RAMs[i-1], ssd), at(fig9RAMs[i], ssd)
 			if hi > lo*1.001 {
 				t.Errorf("ssd=%d: exec rose from %.2f to %.2f when RAM grew %d->%d GB",
 					ssd, lo, hi, fig9RAMs[i-1], fig9RAMs[i])
@@ -298,7 +333,7 @@ func TestFig9SweepMonotonicity(t *testing.T) {
 	}
 	for _, ram := range fig9RAMs {
 		for i := 1; i < len(fig9SSDs); i++ {
-			lo, hi := byCfg[[2]int{ram, fig9SSDs[i-1]}], byCfg[[2]int{ram, fig9SSDs[i]}]
+			lo, hi := at(ram, fig9SSDs[i-1]), at(ram, fig9SSDs[i])
 			if hi > lo*1.001 {
 				t.Errorf("ram=%d: exec rose from %.2f to %.2f when SSD grew %d->%d GB",
 					ram, lo, hi, fig9SSDs[i-1], fig9SSDs[i])
@@ -307,22 +342,19 @@ func TestFig9SweepMonotonicity(t *testing.T) {
 	}
 	// SSD must matter when memory is small ("if memory is expensive, it can
 	// be compensated for with additional SSD storage").
-	if byCfg[[2]int{32, 1024}] >= byCfg[[2]int{32, 0}] {
+	if at(32, 1024) >= at(32, 0) {
 		t.Error("adding SSD at 32 GB RAM did not help")
 	}
 }
 
-// TestFig9StagingCheck migrates the staging-buffer preliminary: 1-5 GB
-// staging windows all produce the same runtime.
+// TestFig9StagingCheck: the staging-buffer preliminary's 1-5 GB staging
+// windows all produce the same runtime.
 func TestFig9StagingCheck(t *testing.T) {
-	res, err := Fig9StagingCheck(bg, 0.002, 11, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := res[1].ExecSeconds
-	for gb, r := range res {
-		if math.Abs(r.ExecSeconds-base) > 0.02*base {
-			t.Errorf("staging %d GB exec %.2f differs from 1 GB exec %.2f", gb, r.ExecSeconds, base)
+	exec := execByScenario(t, Fig9StagingGrid(0.002, 11), 0)
+	base := exec[Fig9StagingID(1)]
+	for _, gb := range fig9StagingGBs {
+		if v := exec[Fig9StagingID(gb)]; math.Abs(v-base) > 0.02*base {
+			t.Errorf("staging %d GB exec %.2f differs from 1 GB exec %.2f", gb, v, base)
 		}
 	}
 }
@@ -335,9 +367,7 @@ func TestParallelSpeedup(t *testing.T) {
 	}
 	run := func(parallel int) time.Duration {
 		start := time.Now()
-		if _, err := Fig9Sweep(bg, 0.002, 11, parallel); err != nil {
-			t.Fatal(err)
-		}
+		execByScenario(t, Fig9Grid(0.002, 11, 1), parallel)
 		return time.Since(start)
 	}
 	run(1) // warm caches

@@ -50,7 +50,7 @@ func TestGridMatchesSerialCells(t *testing.T) {
 }
 
 // TestTrainerGridDeterministicAcrossParallelism is the acceptance invariant
-// behind `nopfs-train -parallel`: serialised trainer reports are
+// behind `nopfs train -parallel`: serialised trainer reports are
 // byte-identical at any pool width.
 func TestTrainerGridDeterministicAcrossParallelism(t *testing.T) {
 	encode := func(parallel int) (jsonB, csvB, textB []byte) {

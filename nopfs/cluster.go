@@ -28,9 +28,10 @@ type RankFunc func(ctx context.Context, job *Job) error
 // runs fn concurrently for each worker (the per-rank training loop), and
 // returns per-worker stats.
 //
-// Canceling ctx tears the whole cluster down in bounded time: prefetchers,
-// bandwidth waits, fabric calls, and blocked consumers all unwind, every
-// goroutine exits, and the context error is reported.
+// Canceling ctx (which must be non-nil) tears the whole cluster down in
+// bounded time: prefetchers, bandwidth waits, fabric calls, and blocked
+// consumers all unwind, every goroutine exits, and the context error is
+// reported.
 //
 // Failures are aggregated: if several ranks fail, the returned error joins
 // all of them (errors.Join), each wrapped with its rank.
@@ -39,10 +40,6 @@ type RankFunc func(ctx context.Context, job *Job) error
 // bandwidth is Options.PFSAggregateMBps, matching the paper's MLPerf-HPC
 // starting condition.
 func RunCluster(ctx context.Context, ds Dataset, workers int, opts Options, fn RankFunc) ([]Stats, error) {
-	if ctx == nil {
-		//lint:ignore ctxfirst documented nil-ctx fallback: v1 callers passing nil get uncancellable Background semantics
-		ctx = context.Background()
-	}
 	opts = opts.withDefaults()
 	if err := opts.Validate(ds, workers); err != nil {
 		return nil, err

@@ -245,13 +245,10 @@ func nodeFromClasses(classes []Class) hwspec.Node {
 
 // Start verifies plan agreement with all peers (allgather of plan digests)
 // and launches the prefetchers. It must be called once before consuming
-// samples. The job's lifetime is bound to ctx: canceling it stops the
-// prefetchers and unblocks any waiting consumer in bounded time.
+// samples. The job's lifetime is bound to ctx, which must be non-nil:
+// canceling it stops the prefetchers and unblocks any waiting consumer in
+// bounded time.
 func (j *Job) Start(ctx context.Context) error {
-	if ctx == nil {
-		//lint:ignore ctxfirst documented nil-ctx fallback: v1 callers passing nil get uncancellable Background semantics
-		ctx = context.Background()
-	}
 	j.ctx, j.cancel = context.WithCancel(ctx)
 	// Tie context cancellation to the legacy shutdown signal so every
 	// pre-context wait (the class prefetchers' pacing loop, the staging
@@ -674,13 +671,9 @@ func (j *Job) crashNow() {
 
 // Get returns the next sample of this worker's schedule. It blocks until
 // the sample is staged and returns false when the run is complete. A fatal
-// prefetch error surfaces as err; canceling ctx unblocks the call with
-// ctx's error.
+// prefetch error surfaces as err; canceling ctx (which must be non-nil)
+// unblocks the call with ctx's error.
 func (j *Job) Get(ctx context.Context) (Sample, bool, error) {
-	if ctx == nil {
-		//lint:ignore ctxfirst documented nil-ctx fallback: v1 callers passing nil get uncancellable Background semantics
-		ctx = context.Background()
-	}
 	start := time.Now()
 	e, err := j.staging.Pop(ctx)
 	stalled := time.Since(start)

@@ -178,16 +178,8 @@ type Options struct {
 	Resilience ResiliencePolicy
 
 	// Fabric selects the cluster fabric by registry name (FabricChan,
-	// FabricTCP, or a custom RegisterFabric name). Empty means FabricChan,
-	// unless the deprecated UseTCP flag is set.
+	// FabricTCP, or a custom RegisterFabric name). Empty means FabricChan.
 	Fabric string
-	// UseTCP runs the cluster fabric over loopback TCP sockets instead of
-	// in-process channels.
-	//
-	// Deprecated: set Fabric (or use WithFabric) instead. UseTCP is kept as
-	// a compatibility shim — it is honoured only when Fabric is empty — and
-	// will be removed in v2.
-	UseTCP bool
 }
 
 // withDefaults fills unset options.

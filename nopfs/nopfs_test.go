@@ -126,7 +126,7 @@ func TestClusterPayloadIntegrity(t *testing.T) {
 func TestClusterOverTCP(t *testing.T) {
 	ds := testDataset(t, 48)
 	opts := baseOptions()
-	opts.UseTCP = true
+	opts.Fabric = FabricTCP
 	opts.Epochs = 2
 	delivered, stats := runAndCollect(t, ds, 3, opts)
 	for w, ids := range delivered {

@@ -97,8 +97,7 @@ func WithVerifySamples(verify bool) Option {
 }
 
 // WithFabric selects the cluster fabric by registry name (FabricChan,
-// FabricTCP, or a custom RegisterFabric name). It supersedes the deprecated
-// Options.UseTCP switch.
+// FabricTCP, or a custom RegisterFabric name).
 func WithFabric(name string) Option {
 	return func(o *Options) { o.Fabric = name }
 }
@@ -169,21 +168,11 @@ func WithFetchTrace(w io.Writer) Option {
 	return func(o *Options) { o.TraceFetches = w }
 }
 
-// fabricName resolves the effective fabric name: an explicit Fabric wins;
-// the deprecated UseTCP flag maps to FabricTCP; the default is FabricChan.
-func (o Options) fabricName() string {
-	switch {
-	case o.Fabric != "":
-		return o.Fabric
-	case o.UseTCP:
-		return FabricTCP
-	default:
-		return FabricChan
-	}
-}
-
-// fabric resolves the run's Fabric from the registry, applying the UseTCP
-// compatibility shim.
+// fabric resolves the run's Fabric from the registry; the empty name is
+// FabricChan.
 func (o Options) fabric() (Fabric, error) {
-	return FabricByName(o.fabricName())
+	if o.Fabric == "" {
+		return FabricByName(FabricChan)
+	}
+	return FabricByName(o.Fabric)
 }

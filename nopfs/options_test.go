@@ -48,40 +48,6 @@ func TestFunctionalOptionsCompose(t *testing.T) {
 	}
 }
 
-// TestUseTCPFabricShim pins the deprecation satellite: the legacy UseTCP
-// switch still selects the TCP fabric, but only while the new Fabric field
-// is unset.
-func TestUseTCPFabricShim(t *testing.T) {
-	cases := []struct {
-		name string
-		opts Options
-		want string
-	}{
-		{"default", Options{}, FabricChan},
-		{"legacy UseTCP", Options{UseTCP: true}, FabricTCP},
-		{"explicit fabric wins over UseTCP", Options{UseTCP: true, Fabric: FabricChan}, FabricChan},
-		{"WithFabric", NewOptions(WithFabric(FabricTCP)), FabricTCP},
-		{"WithFabric over legacy", NewOptions(WithOptions(Options{UseTCP: true}), WithFabric(FabricChan)), FabricChan},
-	}
-	for _, tc := range cases {
-		if got := tc.opts.fabricName(); got != tc.want {
-			t.Errorf("%s: fabricName() = %q, want %q", tc.name, got, tc.want)
-		}
-		f, err := tc.opts.fabric()
-		if err != nil || f.Name() != tc.want {
-			t.Errorf("%s: fabric() = %v, %v", tc.name, f, err)
-		}
-	}
-	// And end to end: a UseTCP cluster still runs over real sockets.
-	ds := testDataset(t, 32)
-	opts := baseOptions()
-	opts.UseTCP = true
-	opts.Epochs = 1
-	if _, err := RunCluster(context.Background(), ds, 2, opts, DrainAll(nil)); err != nil {
-		t.Fatalf("legacy UseTCP cluster failed: %v", err)
-	}
-}
-
 func TestFabricRegistry(t *testing.T) {
 	names := FabricNames()
 	if len(names) < 2 || names[0] != FabricChan {

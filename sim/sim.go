@@ -6,12 +6,9 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sort"
 
-	"repro/internal/perfmodel"
 	isim "repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -26,8 +23,6 @@ type (
 	Policy = isim.Policy
 	// Scenario is a Fig. 8 panel preset.
 	Scenario = isim.Scenario
-	// SweepPoint is one Fig. 9 configuration.
-	SweepPoint = sweep.SweepPoint
 )
 
 // Re-exported sweep-engine types: a Grid of (scenario × policy × replica)
@@ -136,95 +131,40 @@ var (
 	// AccessAxis builds the uniform-vs-pattern axis from an -access spec.
 	AccessPatterns = sweep.AccessPatterns
 	AccessAxis     = sweep.AccessAxis
-	// WriteJSON / WriteCSV / WriteText encode a Report.
-	WriteJSON = sweep.WriteJSON
-	WriteCSV  = sweep.WriteCSV
-	WriteText = sweep.WriteText
-	// NewJSONAggregator / NewCSVAggregator / NewTextAggregator stream the
-	// same bytes as the Report encoders above through Runner.RunStream,
-	// holding only the open summary group in memory.
+	// NewJSONAggregator / NewCSVAggregator / NewTextAggregator are the
+	// report encoders: passed to Runner.RunStream they hold only the open
+	// summary group in memory.
 	NewJSONAggregator = sweep.NewJSONAggregator
 	NewCSVAggregator  = sweep.NewCSVAggregator
 	NewTextAggregator = sweep.NewTextAggregator
+	// WriteJSON / WriteCSV / WriteText replay a collected Report through
+	// the same encoders.
+	WriteJSON = sweep.WriteJSON
+	WriteCSV  = sweep.WriteCSV
+	WriteText = sweep.WriteText
 	// NewResultMemo builds a size-bounded cell-outcome cache for
 	// incremental re-simulation.
 	NewResultMemo = sweep.NewResultMemo
 )
 
-// RunScenario simulates every policy on one panel through the sweep engine
-// (GOMAXPROCS-wide pool) and returns results in Fig. 8 bar order. Canceling
-// ctx aborts the grid with ctx's error.
-func RunScenario(ctx context.Context, s Scenario, scale float64, seed uint64) ([]*Result, error) {
-	return sweep.RunScenario(ctx, s, scale, seed, 0)
-}
-
-// Fig9Sweep runs the environment study through the sweep engine.
-func Fig9Sweep(ctx context.Context, scale float64, seed uint64) ([]SweepPoint, error) {
-	return sweep.Fig9Sweep(ctx, scale, seed, 0)
-}
-
-// Fig9SweepParallel is Fig9Sweep with an explicit pool width (0 =
-// GOMAXPROCS, 1 = serial).
-func Fig9SweepParallel(ctx context.Context, scale float64, seed uint64, parallel int) ([]SweepPoint, error) {
-	return sweep.Fig9Sweep(ctx, scale, seed, parallel)
-}
-
-// Fig9StagingCheck runs the staging-buffer-size preliminary through the
-// sweep engine.
-func Fig9StagingCheck(ctx context.Context, scale float64, seed uint64) (map[int]*Result, error) {
-	return sweep.Fig9StagingCheck(ctx, scale, seed, 0)
-}
-
-// PrintScenario renders one panel's results as the paper's bar chart, in
-// text: execution time per policy with the per-location time breakdown and
-// coverage flags.
-func PrintScenario(w io.Writer, s Scenario, results []*Result) {
-	fmt.Fprintf(w, "== %s: %s ==\n", s.ID, s.Label)
-	fmt.Fprintf(w, "%-20s %12s %10s %28s %s\n", "policy", "exec", "stall", "fetch time pfs/remote/local", "notes")
-	for _, r := range results {
-		if r.Failed {
-			fmt.Fprintf(w, "%-20s %12s %10s %28s %s\n", r.Policy, "-", "-", "-", r.FailReason)
-			continue
-		}
-		notes := ""
-		if r.Coverage < 0.999 {
-			notes = fmt.Sprintf("does not access entire dataset (%.0f%%)", 100*r.Coverage)
-		}
-		fmt.Fprintf(w, "%-20s %11.2fs %9.2fs %8.1f/%8.1f/%8.1fs  %s\n",
-			r.Policy, r.ExecSeconds, r.StallSeconds,
-			r.LocSeconds[perfmodel.LocPFS], r.LocSeconds[perfmodel.LocRemote],
-			r.LocSeconds[perfmodel.LocLocal], notes)
+// PrintFig9Matrix renders the Fig. 9 environment study from a report of
+// Fig9Grid or Fig9FullGrid: mean execution seconds by RAM (rows) and SSD
+// (columns).
+func PrintFig9Matrix(w io.Writer, rep *Report) {
+	exec := map[string]float64{}
+	for _, s := range rep.Aggregate() {
+		exec[s.Scenario] = s.Metric(MetricExec).Mean
 	}
-}
-
-// PrintSweep renders the Fig. 9 grid: execution time by (RAM, SSD).
-func PrintSweep(w io.Writer, points []SweepPoint) {
-	ssds := map[int]bool{}
-	rams := map[int]bool{}
-	byCfg := map[[2]int]float64{}
-	for _, p := range points {
-		ssds[p.SSDGB] = true
-		rams[p.RAMGB] = true
-		byCfg[[2]int{p.RAMGB, p.SSDGB}] = p.Result.ExecSeconds
-	}
-	var ssdList, ramList []int
-	for v := range ssds {
-		ssdList = append(ssdList, v)
-	}
-	for v := range rams {
-		ramList = append(ramList, v)
-	}
-	sort.Ints(ssdList)
-	sort.Ints(ramList)
+	rams, ssds := Fig9Axes()
 	fmt.Fprintf(w, "exec seconds by RAM (rows) x SSD (cols), GB:\n%8s", "")
-	for _, s := range ssdList {
-		fmt.Fprintf(w, "%10d", s)
+	for _, ssd := range ssds {
+		fmt.Fprintf(w, "%10d", ssd)
 	}
 	fmt.Fprintln(w)
-	for _, r := range ramList {
-		fmt.Fprintf(w, "%8d", r)
-		for _, s := range ssdList {
-			fmt.Fprintf(w, "%10.1f", byCfg[[2]int{r, s}])
+	for _, ram := range rams {
+		fmt.Fprintf(w, "%8d", ram)
+		for _, ssd := range ssds {
+			fmt.Fprintf(w, "%10.1f", exec[Fig9CellID(ram, ssd)])
 		}
 		fmt.Fprintln(w)
 	}

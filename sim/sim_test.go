@@ -27,12 +27,10 @@ func TestFacadeRunAndPrint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunScenario(context.Background(), s, 0.02, 1)
-	if err != nil {
+	var buf strings.Builder
+	if err := new(Runner).RunStream(context.Background(), ScenarioGrid(s, 0.02, 1, 1), NewTextAggregator(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	PrintScenario(&buf, s, results)
 	out := buf.String()
 	for _, want := range []string{"NoPFS", "LowerBound", "Naive", "fig8a"} {
 		if !strings.Contains(out, want) {
@@ -42,19 +40,23 @@ func TestFacadeRunAndPrint(t *testing.T) {
 }
 
 func TestFacadeSweepAndPrint(t *testing.T) {
-	points, err := Fig9Sweep(context.Background(), 0.002, 1)
+	rep, err := new(Runner).Run(context.Background(), Fig9Grid(0.002, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	PrintSweep(&buf, points)
+	PrintFig9Matrix(&buf, rep)
 	out := buf.String()
 	if !strings.Contains(out, "512") || !strings.Contains(out, "1024") {
 		t.Errorf("sweep grid missing row/column headers:\n%s", out)
 	}
-	// 5 RAM rows + header.
-	if lines := strings.Count(out, "\n"); lines < 6 {
-		t.Errorf("sweep grid too short: %d lines", lines)
+	// Header line, SSD column heads, 5 RAM rows; every cell is a simulated
+	// runtime, never the zero a missing row would print.
+	if lines := strings.Count(out, "\n"); lines != 7 {
+		t.Errorf("sweep grid has %d lines, want 7:\n%s", lines, out)
+	}
+	if strings.Contains(out, " 0.0") {
+		t.Errorf("sweep grid has an empty cell:\n%s", out)
 	}
 }
 

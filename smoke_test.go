@@ -90,37 +90,10 @@ func runBinary(t *testing.T, name string, args ...string) string {
 // builds and yields an executable.
 func TestSmokeBuildAllMainPackages(t *testing.T) {
 	for _, name := range []string{
-		"nopfs", "nopfs-access", "nopfs-sim", "nopfs-train",
+		"nopfs",
 		"chaos", "cosmoflow", "imagenet", "quickstart", "sysdesign",
 	} {
 		binary(t, name)
-	}
-}
-
-// TestSmokeNopfsSubcommandMatchesLegacy diffs the consolidated binary's
-// subcommands against the deprecated standalone shims byte for byte — the
-// consolidation contract, observed through real process invocations.
-func TestSmokeNopfsSubcommandMatchesLegacy(t *testing.T) {
-	cases := []struct {
-		legacy string
-		sub    string
-		args   []string
-	}{
-		{"nopfs-sim", "sim", []string{"-scenario", "fig8a", "-scale", "0.005"}},
-		{"nopfs-sim", "sim", []string{"-table1"}},
-		{"nopfs-sim", "sim", []string{"-scenario", "fig8b", "-scale", "0.005", "-format", "csv", "-replicas", "2"}},
-		{"nopfs-train", "train", []string{"-fig", "10", "-scale", "0.05", "-gpus", "32"}},
-		{"nopfs-access", "access", []string{"-f", "2000", "-n", "4", "-e", "6"}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.sub+" "+strings.Join(tc.args, " "), func(t *testing.T) {
-			legacy := runBinary(t, tc.legacy, tc.args...)
-			sub := runBinary(t, "nopfs", append([]string{tc.sub}, tc.args...)...)
-			if legacy != sub {
-				t.Errorf("%s and nopfs %s outputs differ:\n-- legacy --\n%s\n-- subcommand --\n%s",
-					tc.legacy, tc.sub, legacy, sub)
-			}
-		})
 	}
 }
 
@@ -163,30 +136,30 @@ func TestSmokeNopfsRunMetrics(t *testing.T) {
 
 // TestSmokeAccessCLI runs the access-pattern analysis at tiny scale.
 func TestSmokeAccessCLI(t *testing.T) {
-	out := runBinary(t, "nopfs-access", "-f", "2000", "-n", "4", "-e", "6")
+	out := runBinary(t, "nopfs", "access", "-f", "2000", "-n", "4", "-e", "6")
 	if len(out) == 0 {
-		t.Fatal("nopfs-access produced no output")
+		t.Fatal("nopfs access produced no output")
 	}
 	for _, want := range []string{"heavy hitters", "every sample accessed exactly once per epoch"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("nopfs-access output missing %q:\n%s", want, out)
+			t.Errorf("nopfs access output missing %q:\n%s", want, out)
 		}
 	}
 }
 
 // TestSmokeSimCLI runs one Fig. 8 panel at tiny scale in every format.
 func TestSmokeSimCLI(t *testing.T) {
-	text := runBinary(t, "nopfs-sim", "-scenario", "fig8a", "-scale", "0.005")
+	text := runBinary(t, "nopfs", "sim", "-scenario", "fig8a", "-scale", "0.005")
 	if !strings.Contains(text, "NoPFS") || !strings.Contains(text, "fig8a") {
-		t.Errorf("nopfs-sim text output unexpected:\n%s", text)
+		t.Errorf("nopfs sim text output unexpected:\n%s", text)
 	}
-	jsonOut := runBinary(t, "nopfs-sim", "-scenario", "fig8a", "-scale", "0.005", "-format", "json")
+	jsonOut := runBinary(t, "nopfs", "sim", "-scenario", "fig8a", "-scale", "0.005", "-format", "json")
 	if !strings.Contains(jsonOut, `"grid": "fig8a"`) {
-		t.Errorf("nopfs-sim json output unexpected:\n%.400s", jsonOut)
+		t.Errorf("nopfs sim json output unexpected:\n%.400s", jsonOut)
 	}
-	csvOut := runBinary(t, "nopfs-sim", "-scenario", "fig8a", "-scale", "0.005", "-format", "csv")
+	csvOut := runBinary(t, "nopfs", "sim", "-scenario", "fig8a", "-scale", "0.005", "-format", "csv")
 	if !strings.HasPrefix(csvOut, "grid,scenario,policy") {
-		t.Errorf("nopfs-sim csv output unexpected:\n%.200s", csvOut)
+		t.Errorf("nopfs sim csv output unexpected:\n%.200s", csvOut)
 	}
 }
 
@@ -195,11 +168,11 @@ func TestSmokeSimCLI(t *testing.T) {
 // faulted reports must stay bit-identical across parallelism, and the
 // profile column must appear in the encoding.
 func TestSmokeSimCLIChaosDeterministic(t *testing.T) {
-	args := []string{"-scenario", "fig8a", "-scale", "0.005", "-chaos", "meltdown", "-replicas", "2", "-format", "json"}
-	serial := runBinary(t, "nopfs-sim", append(args, "-parallel", "1")...)
-	wide := runBinary(t, "nopfs-sim", append(args, "-parallel", "8")...)
+	args := []string{"sim", "-scenario", "fig8a", "-scale", "0.005", "-chaos", "meltdown", "-replicas", "2", "-format", "json"}
+	serial := runBinary(t, "nopfs", append(args, "-parallel", "1")...)
+	wide := runBinary(t, "nopfs", append(args, "-parallel", "8")...)
 	if serial != wide {
-		t.Error("chaos-injected nopfs-sim output differs between -parallel 1 and -parallel 8")
+		t.Error("chaos-injected nopfs sim output differs between -parallel 1 and -parallel 8")
 	}
 	for _, want := range []string{`"profile": "meltdown"`, `"profile": "clean"`} {
 		if !strings.Contains(serial, want) {
@@ -212,16 +185,16 @@ func TestSmokeSimCLIChaosDeterministic(t *testing.T) {
 // through the real CLI at pool widths 1 and 8 and requires byte-identical
 // output — the engine's determinism contract, observed end to end.
 func TestSmokeTrainCLIDeterministicAcrossParallelism(t *testing.T) {
-	args := []string{"-fig", "10", "-scale", "0.05", "-gpus", "32,64"}
-	serial := runBinary(t, "nopfs-train", append(args, "-parallel", "1")...)
-	wide := runBinary(t, "nopfs-train", append(args, "-parallel", "8")...)
+	args := []string{"train", "-fig", "10", "-scale", "0.05", "-gpus", "32,64"}
+	serial := runBinary(t, "nopfs", append(args, "-parallel", "1")...)
+	wide := runBinary(t, "nopfs", append(args, "-parallel", "8")...)
 	if len(serial) == 0 {
-		t.Fatal("nopfs-train produced no output")
+		t.Fatal("nopfs train produced no output")
 	}
 	if serial != wide {
-		t.Errorf("nopfs-train output differs between -parallel 1 and -parallel 8:\n-- serial --\n%s\n-- wide --\n%s", serial, wide)
+		t.Errorf("nopfs train output differs between -parallel 1 and -parallel 8:\n-- serial --\n%s\n-- wide --\n%s", serial, wide)
 	}
 	if !strings.Contains(serial, "Piz Daint") || !strings.Contains(serial, "NoPFS") {
-		t.Errorf("nopfs-train output unexpected:\n%s", serial)
+		t.Errorf("nopfs train output unexpected:\n%s", serial)
 	}
 }
