@@ -26,11 +26,13 @@ test:
 # do the in-flight read table and the PFS read-bound law, whose regressions
 # are a matter of which prefetcher reaches the filesystem first, and the
 # simulator's tag-stream cache and kernel gate (who builds a placement's
-# tags, and whether a late build is charged, is a race between cells).
+# tags, and whether a late build is charged, is a race between cells), and
+# the fetch path's two decorators (who observes a breaker transition first
+# is scheduling-dependent).
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
-	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound' ./nopfs/ ./internal/invariant/
+	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound|ResilientEndpoint|ThrottledBackend|AbortedProbe' ./nopfs/ ./internal/invariant/ ./internal/resilience/
 	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal' ./internal/sim/ ./internal/plancache/
 
 vet:

@@ -19,7 +19,7 @@
 // therefore reproducible from the seed while the exact interleaving of
 // retries remains a property of wall-clock scheduling; live runs measure
 // effects, not schedules. The zero Policy disables everything: Empty
-// reports true and callers take their exact pre-resilience code path.
+// reports true and the live engine installs no resilience decorator at all.
 package resilience
 
 import (
@@ -35,8 +35,8 @@ import (
 )
 
 // Policy bounds the retry/backoff, deadline, and circuit-breaker behaviour
-// of one run. The zero value disables resilience entirely (today's code
-// path); Default returns the tuned preset.
+// of one run. The zero value disables resilience entirely; Default returns
+// the tuned preset.
 type Policy struct {
 	// MaxAttempts is the total number of attempts per call, first try
 	// included (<= 1 means no retries).
@@ -84,8 +84,7 @@ func Default() Policy {
 	}
 }
 
-// Empty reports whether the policy disables resilience entirely; callers
-// take their exact pre-resilience code path when it does.
+// Empty reports whether the policy disables resilience entirely.
 func (p Policy) Empty() bool { return p == Policy{} }
 
 // Validate reports whether the policy is well-formed.
@@ -172,9 +171,6 @@ const (
 	// Aborted means the caller's own context ended: the operation must
 	// unwind, never be retried or masked as a miss.
 	Aborted
-	// Permanent failures (errors wrapped by MarkPermanent) are
-	// application-level: retrying cannot help and the peer is healthy.
-	Permanent
 )
 
 // String returns the class's metrics/log label.
@@ -186,26 +182,9 @@ func (c Class) String() string {
 		return "peer-down"
 	case Aborted:
 		return "aborted"
-	case Permanent:
-		return "permanent"
 	default:
 		return "class(" + strconv.Itoa(int(c)) + ")"
 	}
-}
-
-// permanentError marks an application-level failure (see MarkPermanent).
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// MarkPermanent wraps err so Classify reports Permanent: the failure is not
-// the fabric's fault and retrying cannot help.
-func MarkPermanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
 }
 
 // ErrCircuitOpen is returned by Do when the peer's circuit is open and not
@@ -218,14 +197,11 @@ var ErrCircuitOpen = errors.New("resilience: circuit open")
 // per-attempt deadline while the parent is alive, and everything else, is
 // transient.
 func Classify(parent context.Context, err error) Class {
-	var pe *permanentError
 	switch {
 	case parent != nil && parent.Err() != nil:
 		return Aborted
 	case errors.Is(err, context.Canceled):
 		return Aborted
-	case errors.As(err, &pe):
-		return Permanent
 	case errors.Is(err, ErrCircuitOpen),
 		errors.Is(err, transport.ErrClosed),
 		errors.Is(err, transport.ErrUnreachable):
@@ -262,15 +238,18 @@ func sleep(ctx context.Context, d time.Duration) error {
 // Do runs fn under the policy: each attempt gets a per-call deadline
 // (CallTimeout), failures are classified, transient ones are retried up to
 // MaxAttempts with deterministic backoff (key, see Key/Backoff), and the
-// optional breaker gates and records every outcome. Peer-down, permanent,
-// and aborted failures return immediately. This is the repo's single
-// sanctioned retry loop around fabric calls (`retrybound` analyzer).
+// optional breaker gates the call and records its outcome. Peer-down and
+// aborted failures return immediately; an abort says nothing about the
+// peer, so it is kept from the breaker unless this call is the half-open
+// probe — every admitted probe is resolved, or the circuit would sit
+// half-open and refuse that peer for the rest of the run. This is the
+// repo's single sanctioned retry loop around fabric calls (`retrybound`
+// analyzer).
 func Do[T any](ctx context.Context, p Policy, br *Breaker, key uint64, h Hooks, fn func(context.Context) (T, error)) (T, error) {
 	var zero T
-	if br != nil {
-		if ok, _ := br.Allow(); !ok {
-			return zero, ErrCircuitOpen
-		}
+	ok, probe := br.Allow()
+	if !ok {
+		return zero, ErrCircuitOpen
 	}
 	doSleep := h.Sleep
 	if doSleep == nil {
@@ -291,8 +270,9 @@ func Do[T any](ctx context.Context, p Policy, br *Breaker, key uint64, h Hooks, 
 		}
 		switch Classify(ctx, err) {
 		case Aborted:
-			return zero, err
-		case Permanent:
+			if probe {
+				br.Failure() // re-open: the next cooldown admits a new probe
+			}
 			return zero, err
 		case PeerDown:
 			br.Failure()

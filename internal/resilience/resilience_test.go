@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -115,7 +116,6 @@ func TestClassify(t *testing.T) {
 		{"closed endpoint", bg, transport.ErrClosed, PeerDown},
 		{"unreachable peer", bg, transport.ErrUnreachable, PeerDown},
 		{"circuit open", bg, ErrCircuitOpen, PeerDown},
-		{"permanent marker", bg, MarkPermanent(errors.New("bad proto")), Permanent},
 		{"attempt deadline, parent alive", bg, context.DeadlineExceeded, Transient},
 		{"unknown", bg, errors.New("eof"), Transient},
 	}
@@ -123,9 +123,6 @@ func TestClassify(t *testing.T) {
 		if got := Classify(c.ctx, c.err); got != c.want {
 			t.Errorf("%s: Classify = %v, want %v", c.name, got, c.want)
 		}
-	}
-	if MarkPermanent(nil) != nil {
-		t.Error("MarkPermanent(nil) should be nil")
 	}
 }
 
@@ -258,14 +255,13 @@ func TestDoExhaustsAttempts(t *testing.T) {
 	}
 }
 
-func TestDoFailsFastOnPeerDownAndPermanentAndAbort(t *testing.T) {
+func TestDoFailsFastOnPeerDownAndAbort(t *testing.T) {
 	p := Policy{MaxAttempts: 5}
 	for _, c := range []struct {
 		name string
 		err  error
 	}{
 		{"peer down", transport.ErrUnreachable},
-		{"permanent", MarkPermanent(errors.New("bad"))},
 		{"aborted", context.Canceled},
 	} {
 		calls := 0
@@ -343,6 +339,47 @@ func TestDoBreakerRecoversViaProbe(t *testing.T) {
 	}
 }
 
+// TestDoResolvesAbortedProbe: a half-open probe that ends in an abort (an
+// error chain carrying context.Canceled while the caller's own context is
+// alive) must not leave the breaker half-open — nothing would ever resolve
+// it and the peer would be refused for the rest of the run. The probe
+// re-opens the circuit and the next cooldown admits a new one.
+func TestDoResolvesAbortedProbe(t *testing.T) {
+	p := Policy{MaxAttempts: 3, BreakerThreshold: 1, BreakerCooldown: time.Millisecond}
+	clock := &fakeClock{t: time.Unix(0, 0)}
+	b := NewBreaker(p, nil)
+	b.now = clock.now
+	_, _ = Do(context.Background(), p, b, 0, Hooks{},
+		func(context.Context) (int, error) { return 0, transport.ErrUnreachable })
+	if b.State() != Open {
+		t.Fatal("breaker should be open after the threshold failure")
+	}
+	clock.t = clock.t.Add(time.Minute)
+	aborted := fmt.Errorf("peer hung up: %w", context.Canceled)
+	if _, err := Do(context.Background(), p, b, 0, Hooks{},
+		func(context.Context) (int, error) { return 0, aborted }); !errors.Is(err, aborted) {
+		t.Fatalf("aborted probe: err = %v, want the abort", err)
+	}
+	if got := b.State(); got != Open {
+		t.Fatalf("state after an aborted probe = %v, want open", got)
+	}
+	if ok, _ := b.Allow(); ok {
+		t.Fatal("re-opened circuit admitted a call inside its cooldown")
+	}
+	clock.t = clock.t.Add(time.Minute)
+	v, err := Do(context.Background(), p, b, 0, Hooks{},
+		func(context.Context) (int, error) { return 7, nil })
+	if err != nil || v != 7 || b.State() != Closed {
+		t.Fatalf("second probe = (%d, %v), state %v; want (7, nil) and closed", v, err, b.State())
+	}
+	// While closed, an abort is no evidence against the peer.
+	_, _ = Do(context.Background(), p, b, 0, Hooks{},
+		func(context.Context) (int, error) { return 0, aborted })
+	if b.State() != Closed {
+		t.Fatal("an abort on a closed circuit was counted as a peer failure")
+	}
+}
+
 func TestDoSleepInterruptedByCancel(t *testing.T) {
 	p := Policy{MaxAttempts: 3, BaseBackoff: time.Hour}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -372,7 +409,7 @@ func TestDoSleepInterruptedByCancel(t *testing.T) {
 
 func TestStringLabels(t *testing.T) {
 	if Transient.String() != "transient" || PeerDown.String() != "peer-down" ||
-		Aborted.String() != "aborted" || Permanent.String() != "permanent" {
+		Aborted.String() != "aborted" {
 		t.Error("class labels changed")
 	}
 	if Closed.String() != "closed" || Open.String() != "open" || HalfOpen.String() != "half-open" {

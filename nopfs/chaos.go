@@ -3,6 +3,7 @@ package nopfs
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,21 +14,24 @@ import (
 )
 
 // This file is the live middleware's half of the fault-injection contract
-// (internal/chaos):
+// (internal/chaos). Each fault that acts on one call is a decorator on the
+// seam that call already crosses; the Job's fetch path knows none of them:
 //
 //   - chaosFabric decorates the run's Fabric, adding deterministic-rate
 //     latency/jitter and transient fetch failures to every remote call;
-//   - tierThrottle paces reads from a degraded storage class through a
-//     storage.Limiter whose rate follows the schedule epoch by epoch;
-//   - the Job paces straggler ranks by stretching each fetch to Factor×
-//     its measured duration;
-//   - node crashes are enacted: the crashed rank delivers only its
-//     pre-crash prefix and then closes its fabric endpoint, while
-//     survivors absorb its orphaned plan rounds via the shared
-//     chaos.RedistributeStream rule (see Job's crash handling in job.go).
+//   - throttledBackend decorates a degraded class's StorageBackend, pacing
+//     its reads through a storage.Limiter whose rate follows the schedule
+//     epoch by epoch.
 //
-// The empty profile installs none of this: the run takes exactly the
-// fault-free code path.
+// The two faults that act on a rank's whole pipeline stay in the Job: it
+// paces straggler ranks by stretching each fetch to Factor× its measured
+// duration, and it enacts node crashes — the crashed rank delivers only
+// its pre-crash prefix and then closes its fabric endpoint, while survivors
+// absorb its orphaned plan rounds via the shared chaos.RedistributeStream
+// rule (see Job's crash handling in job.go).
+//
+// The empty profile installs none of this: no schedule is compiled and no
+// decorator is built (TestChaosEmptyProfileInstallsNothing).
 
 // errChaosDrop is the injected transient fabric failure. Jobs classify it
 // as transient: with a resilience policy it is retried with backoff, and
@@ -89,41 +93,71 @@ func (e *chaosEndpoint) Call(ctx context.Context, to int, req transport.Request)
 	return e.Network.Call(ctx, to, req)
 }
 
-// tierThrottle paces reads from one degraded storage class: a
-// storage.Limiter at base/factor MB/s, whose factor follows the schedule as
-// the run advances through epochs. A class with no configured bandwidth is
-// throttled against chaos.DefaultLiveTierMBps.
-type tierThrottle struct {
-	baseMBps float64
-	lim      *storage.Limiter
+// throttledBackend paces reads from one degraded storage class: hits wait
+// on a storage.Limiter at base/factor MB/s, so the rank's own reads and the
+// reads it serves to peers pay the degradation in one place — the class's
+// bandwidth is degraded, not just the owner's view of it. A class with no
+// configured bandwidth is throttled against chaos.DefaultLiveTierMBps.
+//
+// The backend has no stream position, so a read pays the schedule's factor
+// at the epoch of the rank's staging progress (progressEpoch). A staged
+// fetch that runs ahead of that progress across an epoch boundary therefore
+// pays the ending epoch's factor: at most StagingThreads fetches per
+// boundary, in runs whose chaos timing is wall-clock and asserted only as
+// envelopes.
+type throttledBackend struct {
+	StorageBackend
+	sched         *chaos.Schedule
+	class         int
+	progressEpoch func() int
+	baseMBps      float64
+	lim           *storage.Limiter
 	// mu couples the factor check with the rate update: concurrent fetches
 	// straddling an epoch boundary must not leave the limiter's rate
 	// disagreeing with the recorded factor.
-	mu     sync.Mutex
-	factor float64
+	mu  sync.Mutex
+	cur float64
 }
 
-// newTierThrottle builds the throttle for one class at its base rate.
-func newTierThrottle(class Class) *tierThrottle {
+// throttleDegraded wraps class ci's backend in the schedule's degradation;
+// a class the schedule never degrades (or a nil schedule) gets b itself
+// back.
+func throttleDegraded(b StorageBackend, sched *chaos.Schedule, ci int, class Class,
+	progressEpoch func() int, reg *MetricsRegistry) StorageBackend {
+	if !slices.Contains(sched.DegradedClasses(), ci) {
+		return b
+	}
 	base := class.ReadMBps
 	if base <= 0 {
 		base = chaos.DefaultLiveTierMBps
 	}
-	return &tierThrottle{baseMBps: base, lim: storage.NewLimiter(base)}
+	t := &throttledBackend{StorageBackend: b, sched: sched, class: ci, progressEpoch: progressEpoch,
+		baseMBps: base, lim: storage.NewLimiter(base)}
+	observeLimiter(reg, t.lim, "tier:"+class.Name)
+	return t
 }
 
-// wait paces n bytes at the epoch's degraded rate. factor <= 1 passes
-// unthrottled (the limiter at base rate would still pace runs whose class
-// declared no bandwidth at all, changing fault-free behaviour).
-func (t *tierThrottle) wait(ctx context.Context, factor float64, n int64) error {
+// Get reads through to the class and paces a hit at the current degraded
+// rate. factor <= 1 passes unthrottled (the limiter at base rate would
+// still pace runs whose class declared no bandwidth at all, changing
+// fault-free behaviour).
+func (t *throttledBackend) Get(ctx context.Context, id int32) ([]byte, bool, error) {
+	data, ok, err := t.StorageBackend.Get(ctx, id)
+	if err != nil || !ok {
+		return data, ok, err
+	}
+	factor := t.sched.TierFactor(t.class, t.progressEpoch())
 	if factor <= 1 {
-		return nil
+		return data, true, nil
 	}
 	t.mu.Lock()
-	if factor != t.factor {
-		t.factor = factor
+	if factor != t.cur {
+		t.cur = factor
 		t.lim.SetRate(t.baseMBps / factor)
 	}
 	t.mu.Unlock()
-	return t.lim.Wait(ctx, n)
+	if err := t.lim.Wait(ctx, int64(len(data))); err != nil {
+		return nil, false, err
+	}
+	return data, true, nil
 }

@@ -56,11 +56,14 @@ func RunCluster(ctx context.Context, ds Dataset, workers int, opts Options, fn R
 	shared := &pfs{ds: ds, limiter: storage.NewLimiter(opts.PFSAggregateMBps)}
 	if sched := opts.Chaos.Compile(opts.Seed); sched != nil {
 		// Fault injection: wrap the fabric in the latency/failure decorator
-		// and throttle a degraded PFS. The PFS degradation is cluster-wide
-		// state, so it applies from startup (per-epoch ramping of a shared
-		// tier would need a global epoch clock the live system does not
-		// have; the simulator models the ramp exactly).
-		fab = chaosFabric{inner: fab, sched: sched}
+		// (when the profile has fabric faults to inject) and throttle a
+		// degraded PFS. The PFS degradation is cluster-wide state, so it
+		// applies from startup (per-epoch ramping of a shared tier would
+		// need a global epoch clock the live system does not have; the
+		// simulator models the ramp exactly).
+		if opts.Chaos.Fabric != (chaos.FabricFault{}) {
+			fab = chaosFabric{inner: fab, sched: sched}
+		}
 		if factor := sched.MaxTierFactor(chaos.PFSTier); factor > 1 {
 			base := opts.PFSAggregateMBps
 			if base <= 0 {

@@ -43,10 +43,8 @@ type Job struct {
 	net      Endpoint
 	pfs      *pfs
 
-	// chaosSched is the compiled fault schedule (nil for fault-free runs);
-	// chaosTiers throttle this rank's degraded storage classes.
+	// chaosSched is the compiled fault schedule (nil for fault-free runs).
 	chaosSched *chaos.Schedule
-	chaosTiers map[int]*tierThrottle
 
 	// Crash recovery (all zero/nil without a crash profile): epochEnds
 	// carries the redistributed stream's unequal cumulative epoch
@@ -58,14 +56,9 @@ type Job struct {
 	redistributed int64
 	crashOnce     sync.Once
 
-	// res is the fetch path's resilience policy (empty = the legacy
-	// single-attempt path); breakers holds one per-peer circuit breaker
-	// when the policy sets a threshold (nil entries for self); retrySeq
-	// feeds each retry loop's deterministic backoff key.
-	res      resilience.Policy
-	breakers []*resilience.Breaker
-	retrySeq atomic.Uint64
-	retries  atomic.Int64
+	// retries counts the remote-fetch attempts the resilience policy
+	// retried (see withResilience).
+	retries atomic.Int64
 
 	// ctx is the job's lifetime context: derived in Start from the caller's
 	// context, canceled by Close. Prefetchers block under it, so cancellation
@@ -170,57 +163,32 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 		crashEpoch:    crashEpoch,
 		redistributed: int64(chaos.RedistributedRounds(art.Streams[rank], stream, ends)),
 		staging:       storage.NewStaging(opts.StagingBytes),
-		net:           net,
 		pfs:           shared,
-		res:           opts.Resilience,
+		chaosSched:    sched,
 		//lint:ignore ctxfirst placeholder lifetime before Start(ctx) installs the caller's context; never waited on
 		ctx:    context.Background(),
 		closed: make(chan struct{}),
 		met:    newJobMetrics(opts.Metrics, rank, opts.Classes, opts.TraceFetches),
 	}
 	j.met.redistributedRounds(int(j.redistributed))
-	if j.res.BreakerThreshold > 0 {
-		// One circuit breaker per peer: consecutive fabric failures open
-		// it (the peer is marked down and fetches demote to the PFS);
-		// after the cooldown a half-open probe re-admits a recovered peer.
-		j.breakers = make([]*resilience.Breaker, workers)
-		for p := 0; p < workers; p++ {
-			if p == rank {
-				continue
-			}
-			peer := p
-			j.breakers[p] = resilience.NewBreaker(j.res, func(from, to resilience.BreakerState) {
-				j.met.circuitTransition(peer, from.String(), to.String())
-				switch {
-				case to == resilience.Open && from == resilience.Closed:
-					j.met.peersDown(1)
-				case to == resilience.Closed:
-					j.met.peersDown(-1)
-				}
-			})
-		}
-	}
-	for _, c := range opts.Classes {
+	// The policies that act on one call decorate the seam it crosses and
+	// are absent when unset: resilience on the endpoint, a degraded class's
+	// throttle on its backend. The fetch path below knows neither.
+	j.net = withResilience(net, opts.Resilience, opts.Seed, resilience.Hooks{
+		OnRetry: func(int, error) {
+			j.retries.Add(1)
+			j.met.retry()
+		},
+	}, j.met.circuitTransition)
+	progressEpoch := func() int { return j.epochOf(int(j.progress.Load())) }
+	for ci, c := range opts.Classes {
 		b, err := newClassBackend(ctx, rank, c)
 		if err != nil {
 			return nil, err
 		}
-		j.backends = append(j.backends, b)
+		j.backends = append(j.backends, throttleDegraded(b, sched, ci, c, progressEpoch, opts.Metrics))
 	}
-	if sched != nil {
-		j.chaosSched = sched
-		for _, class := range sched.DegradedClasses() {
-			if class < len(opts.Classes) {
-				if j.chaosTiers == nil {
-					j.chaosTiers = map[int]*tierThrottle{}
-				}
-				t := newTierThrottle(opts.Classes[class])
-				observeLimiter(opts.Metrics, t.lim, "tier:"+opts.Classes[class].Name)
-				j.chaosTiers[class] = t
-			}
-		}
-	}
-	net.SetHandler(j.handle)
+	j.net.SetHandler(j.handle)
 	return j, nil
 }
 
@@ -340,37 +308,20 @@ func (j *Job) fatalErr() error {
 }
 
 // handle serves peer requests: sample fetches from local caches and plan
-// digest exchanges. ctx is the fabric endpoint's lifetime. Serving a peer
-// from a degraded tier pays the same chaos throttle as a local read — the
-// class's bandwidth is degraded, not just the owner's view of it.
+// digest exchanges. ctx is the fabric endpoint's lifetime.
 func (j *Job) handle(ctx context.Context, from int, req transport.Request) transport.Response {
 	switch req.Kind {
 	case transport.KindValue:
 		return transport.Response{OK: true, Value: j.digest}
 	case transport.KindFetch:
-		for ci, b := range j.backends {
+		for _, b := range j.backends {
 			if data, ok, err := b.Get(ctx, req.Sample); err == nil && ok {
-				if err := j.chaosTierWait(ctx, ci, j.epochOf(int(j.progress.Load())), int64(len(data))); err != nil {
-					return transport.Response{OK: false}
-				}
 				return transport.Response{OK: true, Data: data}
 			}
 		}
 		return transport.Response{OK: false}
 	}
 	return transport.Response{}
-}
-
-// chaosTierWait pays the degraded-tier throttle for one read of n bytes
-// from class ci at the given epoch (no-op for undegraded classes or
-// fault-free runs). Requester-side reads derive the epoch from the stream
-// position; peer serves use the serving rank's own progress.
-func (j *Job) chaosTierWait(ctx context.Context, ci, epoch int, n int64) error {
-	t := j.chaosTiers[ci]
-	if t == nil {
-		return nil
-	}
-	return t.wait(ctx, j.chaosSched.TierFactor(ci, epoch), n)
 }
 
 // prefetchLookahead is how far (in stream positions) a class prefetcher may
@@ -558,9 +509,10 @@ func (j *Job) fetchFrom(k access.SampleID, pos int, staged bool) ([]byte, Source
 	return data, src, err
 }
 
-// fetchSource retrieves sample k for stream position pos using the argmin
-// source rule: local class if cached, else the best peer estimated to hold
-// it (symmetric-progress heuristic), else the PFS (readPFS). staged tells
+// fetchSource retrieves sample k for stream position pos by the paper's
+// source rule (Sec. 5.2): a local class if cached, else the best peer
+// estimated to hold it (symmetric-progress heuristic), else the PFS
+// (readPFS) — which also takes every remote miss (Sec. 5.2.2). staged tells
 // the staging path's fetches from the class prefetchers' in the read counts.
 func (j *Job) fetchSource(k access.SampleID, pos int, staged bool) ([]byte, Source, error) {
 	if j.isClosed() {
@@ -572,10 +524,6 @@ func (j *Job) fetchSource(k access.SampleID, pos int, staged bool) ([]byte, Sour
 			return nil, SourceLocal, err
 		} else if ok {
 			j.met.tierLookup(ci, true)
-			// A degraded tier pays its bandwidth throttle on every read.
-			if err := j.chaosTierWait(j.ctx, ci, j.epochOf(pos), int64(len(data))); err != nil {
-				return nil, SourceLocal, err
-			}
 			return data, SourceLocal, nil
 		}
 		j.met.tierLookup(ci, false)
@@ -586,35 +534,20 @@ func (j *Job) fetchSource(k access.SampleID, pos int, staged bool) ([]byte, Sour
 	// reroute (sim.chaosAdjust), which never counts a false positive.
 	if _, holder := j.assign.RemoteAvail(j.rank, k, int32(pos)); holder >= 0 &&
 		!j.chaosSched.CrashedAt(holder, j.epochOf(pos), j.plan.N) {
-		resp, err := j.remoteFetch(holder, k)
+		resp, err := j.net.Call(j.ctx, holder, transport.Request{Kind: transport.KindFetch, Sample: k})
 		switch {
 		case err == nil && resp.OK:
 			return resp.Data, SourceRemote, nil
-		case err != nil:
-			switch resilience.Classify(j.ctx, err) {
-			case resilience.Aborted:
-				// Our own context ended: abort the fetch, never mask the
-				// cancellation as a miss (it would double-count a PFS
-				// fallback and stall against a tearing-down run).
-				return nil, SourceRemote, errJobClosed
-			case resilience.PeerDown:
-				// The peer is unreachable (dead endpoint or open
-				// circuit): demote to the PFS. An open circuit never
-				// reached the fabric, so only a real failed call counts
-				// as a heuristic false positive.
-				if !errors.Is(err, resilience.ErrCircuitOpen) {
-					j.falsePos.Add(1)
-					j.met.falsePositive()
-				}
-			default:
-				// Transient failure (injected chaos drop, expired
-				// per-attempt deadline) with the retry budget exhausted:
-				// the PFS always remains available.
-				j.falsePos.Add(1)
-				j.met.falsePositive()
-			}
-		default:
-			// Heuristic false positive: the holder has not cached it yet.
+		case err != nil && j.ctx.Err() != nil:
+			// Our own context ended: abort the fetch, never mask the
+			// cancellation as a miss (it would double-count a PFS fallback
+			// and stall against a tearing-down run).
+			return nil, SourceRemote, errJobClosed
+		case !errors.Is(err, resilience.ErrCircuitOpen):
+			// Heuristic false positive: the holder has not cached it yet, or
+			// the call to it failed (peer gone, injected drop, expired
+			// deadline, retries spent). An open circuit never reached the
+			// fabric, so it demotes to the PFS uncounted.
 			j.falsePos.Add(1)
 			j.met.falsePositive()
 		}
@@ -623,34 +556,6 @@ func (j *Job) fetchSource(k access.SampleID, pos int, staged bool) ([]byte, Sour
 		return nil, SourcePFS, errJobClosed
 	}
 	return j.readPFS(k, staged)
-}
-
-// remoteFetch performs one peer fetch under the resilience policy. With
-// the zero policy it is the legacy single attempt on the job's context;
-// otherwise resilience.Do applies the per-attempt deadline, bounded
-// deterministic backoff (keyed on seed/rank/peer/sequence, see
-// resilience.Key), and the peer's circuit breaker — the repo's one
-// sanctioned retry loop around fabric calls lives inside Do (`retrybound`
-// analyzer). A response with OK=false is a heuristic miss, not a fault,
-// and is never retried.
-func (j *Job) remoteFetch(holder int, k access.SampleID) (transport.Response, error) {
-	req := transport.Request{Kind: transport.KindFetch, Sample: k}
-	if j.res.Empty() {
-		return j.net.Call(j.ctx, holder, req)
-	}
-	var br *resilience.Breaker
-	if j.breakers != nil {
-		br = j.breakers[holder]
-	}
-	key := resilience.Key(j.opts.Seed, uint64(j.rank), uint64(holder), j.retrySeq.Add(1))
-	return resilience.Do(j.ctx, j.res, br, key, resilience.Hooks{
-		OnRetry: func(int, error) {
-			j.retries.Add(1)
-			j.met.retry()
-		},
-	}, func(ctx context.Context) (transport.Response, error) {
-		return j.net.Call(ctx, holder, req)
-	})
 }
 
 // crashNow enacts this rank's scheduled node crash: the job flips into

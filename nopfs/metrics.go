@@ -7,15 +7,19 @@ import (
 	"sync"
 
 	"repro/internal/metrics"
+	"repro/internal/resilience"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
 // This file threads the optional observability layer (internal/metrics)
-// through the live path. Everything here is inert when Options.Metrics is
-// nil: newJobMetrics returns nil, every jobMetrics method is nil-safe, and
-// the hot paths guard their time.Now calls behind the nil check, so an
-// uninstrumented run executes the exact pre-metrics code path.
+// through the live path. Outbound fabric calls are counted by an Endpoint
+// decorator (instrumentFabric) that a nil Options.Metrics never installs.
+// The rank's own counters are inline calls on jobMetrics — a counting
+// backend decorator would also count the reads served to peers — and cost
+// a nil check when metrics are off: newJobMetrics returns nil, every
+// jobMetrics method is nil-safe, and the hot paths guard their time.Now
+// calls behind the same check.
 //
 // Exported series (all prefixed nopfs_):
 //
@@ -133,15 +137,6 @@ func (m *jobMetrics) retry() {
 	m.retriesC.Inc()
 }
 
-// peersDown moves the circuit-open peer gauge by delta (+1 on open, -1 on
-// recovery).
-func (m *jobMetrics) peersDown(delta float64) {
-	if m == nil || m.peersDownG == nil {
-		return
-	}
-	m.peersDownG.Add(delta)
-}
-
 // redistributedRounds records the plan rounds grafted onto this rank's
 // stream at setup.
 func (m *jobMetrics) redistributedRounds(n int) {
@@ -151,17 +146,25 @@ func (m *jobMetrics) redistributedRounds(n int) {
 	m.redistC.Add(float64(n))
 }
 
-// circuitTransition records one per-peer breaker state change. This is the
-// cold path (transitions are rare), so the labeled series is resolved
-// through the registry's memoising lookup on each call.
-func (m *jobMetrics) circuitTransition(peer int, from, to string) {
+// circuitTransition records one per-peer breaker state change and keeps
+// the peers-down gauge: a peer is down from the failure that opens its
+// circuit until a probe closes it again. This is the cold path (transitions
+// are rare), so the labeled series is resolved through the registry's
+// memoising lookup on each call.
+func (m *jobMetrics) circuitTransition(peer int, from, to resilience.BreakerState) {
 	if m == nil || m.reg == nil {
 		return
 	}
 	m.reg.Counter("nopfs_circuit_transitions_total",
 		"Per-peer circuit-breaker state transitions.",
 		metrics.L("rank", strconv.Itoa(m.rank)), metrics.L("peer", strconv.Itoa(peer)),
-		metrics.L("from", from), metrics.L("to", to)).Inc()
+		metrics.L("from", from.String()), metrics.L("to", to.String())).Inc()
+	switch {
+	case from == resilience.Closed && to == resilience.Open:
+		m.peersDownG.Add(1)
+	case to == resilience.Closed:
+		m.peersDownG.Add(-1)
+	}
 }
 
 // stagedFetch records one staged fetch: counter, latency, and trace line.

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/dataset"
 )
 
@@ -189,6 +190,64 @@ func TestMetricsConsistentWithStats(t *testing.T) {
 		if rank < 0 || rank >= workers || bytesN <= 0 {
 			t.Fatalf("implausible trace line %q", line)
 		}
+	}
+}
+
+// TestMetricsCountAttemptsUnderRetries pins the endpoint wrappers' stacking
+// order, resilience(instrument(chaos(raw))), on a live cluster under the
+// flaky-fabric preset and the default policy: an injected drop is below the
+// retry loop, so it is retried, and the call metrics are below it too, so
+// they count attempts — every retry follows a call they saw fail. With
+// resilience innermost a drop would surface as a false positive unretried;
+// with the metrics outermost they would count fetches and (three drops in a
+// row aside) never see a failure.
+func TestMetricsCountAttemptsUnderRetries(t *testing.T) {
+	profile, err := chaos.ParseProfile("flaky-fabric")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewMetricsRegistry()
+	opts := NewOptions(
+		// The drop draw is a pure function of (seed, rank, call index): this
+		// seed drops rank 0's call 1 and rank 1's call 6, and each rank makes
+		// dozens (half the dataset is cached on the other rank).
+		WithSeed(13),
+		WithEpochs(3),
+		WithBatchPerWorker(8),
+		WithClasses(Class{Name: "ram", CapacityBytes: 512 << 10, Threads: 2}),
+		WithChaos(profile),
+		WithResilience(DefaultResilience()),
+		WithMetrics(reg),
+	)
+	stats, err := RunCluster(context.Background(), metricsDataset(t), 2, opts, DrainAll(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	vals := parseProm(t, buf.String())
+	var retries int64
+	for _, s := range stats {
+		rank := strconv.Itoa(s.Rank)
+		retries += s.Retries
+		if got := vals[series("nopfs_retries_total", "rank", rank)]; got != float64(s.Retries) {
+			t.Errorf("nopfs_retries_total{rank=%s} = %v, want Stats.Retries = %d", rank, got, s.Retries)
+		}
+		failed := vals[series("nopfs_fabric_calls_total", "rank", rank, "kind", "fetch", "ok", "false")]
+		attempts := failed + vals[series("nopfs_fabric_calls_total", "rank", rank, "kind", "fetch", "ok", "true")]
+		if want := float64(s.Fetches[SourceRemote] + s.Retries); attempts < want {
+			t.Errorf("rank %s: %v fetch calls counted, want attempts >= %d remote fetches + %d retries",
+				rank, attempts, s.Fetches[SourceRemote], s.Retries)
+		}
+		if failed < float64(s.Retries) {
+			t.Errorf("rank %s: %v failed fetch calls counted under %d retries: the metrics sit above the retry loop",
+				rank, failed, s.Retries)
+		}
+	}
+	if retries == 0 {
+		t.Error("no retries: the injected drops never reached the retry loop")
 	}
 }
 

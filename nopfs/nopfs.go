@@ -57,9 +57,9 @@ type ChaosProfile = chaos.Profile
 // seed-jittered retry/backoff for transient fabric failures, per-call
 // deadlines, and a per-peer circuit breaker that demotes an unreachable
 // peer to the PFS and re-probes it after a cooldown (see
-// internal/resilience). The zero policy disables all of it — the run takes
-// exactly the pre-resilience code path. DefaultResilience returns the tuned
-// preset.
+// internal/resilience). The policy is a decorator on each rank's fabric
+// endpoint, and the zero policy installs none: a failed remote fetch falls
+// back to the PFS at once. DefaultResilience returns the tuned preset.
 type ResiliencePolicy = resilience.Policy
 
 // DefaultResilience returns the tuned resilience preset (the "default"
@@ -173,8 +173,8 @@ type Options struct {
 	// Resilience bounds the fetch path's handling of fabric failures:
 	// retry/backoff, per-call deadlines, and per-peer circuit breaking
 	// (see ResiliencePolicy). The zero value disables resilience — every
-	// fabric error falls back to the PFS exactly as before, except that
-	// context cancellation always aborts rather than masking as a miss.
+	// fabric error falls back to the PFS at once; under any policy the
+	// job's own cancellation aborts rather than masking as a miss.
 	Resilience ResiliencePolicy
 
 	// Fabric selects the cluster fabric by registry name (FabricChan,
