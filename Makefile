@@ -28,12 +28,14 @@ test:
 # simulator's tag-stream cache and kernel gate (who builds a placement's
 # tags, and whether a late build is charged, is a race between cells), and
 # the fetch path's two decorators (who observes a breaker transition first
-# is scheduling-dependent).
+# is scheduling-dependent), and the placement's two word widths with the tag
+# and first-touch builders over them (shared, read concurrently by cells).
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
 	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound|ResilientEndpoint|ThrottledBackend|AbortedProbe' ./nopfs/ ./internal/invariant/ ./internal/resilience/
 	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal' ./internal/sim/ ./internal/plancache/
+	$(GO) test -race -count=5 -run 'Width|Tags|FirstTouch' ./internal/cachepolicy/
 
 vet:
 	$(GO) vet ./...

@@ -206,6 +206,49 @@ func TestLargeSampleFallsThroughToNextClass(t *testing.T) {
 	}
 }
 
+// TestFirstTouchPlacesStreamPositions: a first-touch placement names the
+// holder's own stream position of the touch — Streams[w][LocalPos(w, k)] is
+// k for every placed sample — under the static partition and under an
+// elastic schedule whose epoch 0 runs on a subset of the ranks (the preset's
+// rank 1 joins at epoch 1), where the holder of position p is the p-th
+// active rank, not rank p mod N.
+func TestFirstTouchPlacesStreamPositions(t *testing.T) {
+	elastic, ok := access.PresetByName("elastic")
+	if !ok {
+		t.Fatal("no elastic preset")
+	}
+	for _, spec := range []string{"", elastic.Spec()} {
+		plan := testPlan(256, 4, 3)
+		plan.Access = spec
+		if err := plan.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		ds := fixedSizer{n: plan.F, size: 1 << 20}
+		streams := plan.AllWorkerStreams()
+		a := BuildFirstTouch(plan, ds, nodeWithMB(1000, 0))
+		placed := 0
+		for w, stream := range streams {
+			for k := int32(0); int(k) < plan.F; k++ {
+				if a.Local(w, k) < 0 {
+					continue
+				}
+				placed++
+				if pos := a.LocalPos(w, k); int(pos) >= len(stream) || stream[pos] != k {
+					t.Fatalf("%q: worker %d holds sample %d from position %d, where its stream does not read it", spec, w, k, pos)
+				}
+			}
+		}
+		if placed != plan.F {
+			t.Errorf("%q: %d of %d samples placed", spec, placed, plan.F)
+		}
+		for k := int32(0); int(k) < plan.F; k++ {
+			if h := holderPair(a, k)[0]; streams[h.worker][h.pos] != k {
+				t.Fatalf("%q: best holder of %d is worker %d at %d, which reads %d there", spec, k, h.worker, h.pos, streams[h.worker][h.pos])
+			}
+		}
+	}
+}
+
 func TestBuildShard(t *testing.T) {
 	ds := fixedSizer{n: 100, size: 1 << 20}
 	a := BuildShard(100, 4, ds, nodeWithMB(1000, 0))
@@ -253,7 +296,7 @@ func TestBuildPreloadRAMOnly(t *testing.T) {
 
 func TestCoverageEmptyAssignment(t *testing.T) {
 	ds := fixedSizer{n: 10, size: 1}
-	a := newAssignment(2, 10, 1, false)
+	a := newAssignment(2, 10, 1, 0, false, false)
 	if cov := a.Coverage(ds); cov != 0 {
 		t.Errorf("empty assignment coverage = %v", cov)
 	}

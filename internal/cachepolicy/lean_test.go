@@ -1,15 +1,12 @@
 package cachepolicy
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // TestLeanMatchesFullBuilders: every Lean builder must produce exactly the
-// tracked subset of its full counterpart — identical worker-0 local words
-// and fill orders, identical global best-holder pairs, identical per-worker
-// cached-byte totals — across every builder family. The simulator observes
-// worker 0 through these views, so this equality is what makes lean
+// tracked subset of its full counterpart — identical worker-0 local
+// placements and fill orders, identical global best-holder pairs, identical
+// per-worker cached-byte totals — across every builder family. The simulator
+// observes worker 0 through these views, so this equality is what makes lean
 // assignments a pure memory optimisation.
 func TestLeanMatchesFullBuilders(t *testing.T) {
 	ds := fixedSizer{n: 300, size: 1 << 20}
@@ -33,56 +30,20 @@ func TestLeanMatchesFullBuilders(t *testing.T) {
 			if p.lean.Lean() == p.full.Lean() {
 				t.Fatalf("Lean() = %v for both builds", p.full.Lean())
 			}
-			fullLocal, leanLocal := p.full.LocalWords(0), p.lean.LocalWords(0)
-			if err := equalWords("local[0]", fullLocal, leanLocal); err != nil {
+			// The lean build is the full one with rows 1..N-1 dropped.
+			tracked := *p.full
+			tracked.FillOrder = append([][][]int32{p.full.FillOrder[0]}, make([][][]int32, p.full.N-1)...)
+			if err := equalAssignments(int32(plan.F), p.lean, &tracked); err != nil {
 				t.Error(err)
-			}
-			fb1, fb2 := p.full.HolderWords()
-			lb1, lb2 := p.lean.HolderWords()
-			if err := equalWords("best1", fb1, lb1); err != nil {
-				t.Error(err)
-			}
-			if err := equalWords("best2", fb2, lb2); err != nil {
-				t.Error(err)
-			}
-			for c := range p.full.FillOrder[0] {
-				ff, lf := p.full.FillOrder[0][c], p.lean.FillOrder[0][c]
-				if len(ff) != len(lf) {
-					t.Fatalf("FillOrder[0][%d]: full %d entries, lean %d", c, len(ff), len(lf))
-				}
-				for i := range ff {
-					if ff[i] != lf[i] {
-						t.Fatalf("FillOrder[0][%d][%d]: full %d, lean %d", c, i, ff[i], lf[i])
-					}
-				}
-			}
-			for w := range p.full.CachedBytes {
-				if p.full.CachedBytes[w] != p.lean.CachedBytes[w] {
-					t.Errorf("CachedBytes[%d]: full %d, lean %d", w, p.full.CachedBytes[w], p.lean.CachedBytes[w])
-				}
 			}
 			// Untracked rows really are untracked: that is the memory saving.
-			for w := 1; w < p.lean.N; w++ {
-				if p.lean.local[w] != nil {
-					t.Errorf("lean build tracks worker %d's local row", w)
-				}
+			// One local row and the holder pair, four bytes a word here.
+			if got, want := p.lean.words.tableBytes(), int64(3*4*plan.F); got != want {
+				t.Errorf("lean build holds %d bytes of words, want %d", got, want)
 			}
 			if p.lean.ApproxBytes() >= p.full.ApproxBytes() {
 				t.Errorf("lean build not smaller: %d vs %d bytes", p.lean.ApproxBytes(), p.full.ApproxBytes())
 			}
 		})
 	}
-}
-
-// equalWords compares two packed word slices.
-func equalWords(label string, a, b []uint64) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("%s: length %d vs %d", label, len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Errorf("%s[%d]: %#x vs %#x", label, i, a[i], b[i])
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package cachepolicy
 
 import (
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -24,6 +25,7 @@ func RankCount() int64 { return rankCount.Load() }
 type Rank struct {
 	f       int
 	streams [][]access.SampleID
+	longest int // length of the longest stream
 	// rows[w] lists, in rank order, the first stream position of each
 	// distinct sample worker w accesses; the sample is streams[w][position].
 	// 4 bytes per (worker, distinct sample), totalled in bytes.
@@ -50,6 +52,7 @@ func RankStreams(plan *access.Plan, streams [][]access.SampleID, byFreq bool) *R
 
 	for w, stream := range r.streams {
 		first = slices.Grow(first[:0], len(stream)) // first positions, ascending
+		r.longest = max(r.longest, len(stream))
 		maxF := int32(0)
 		for p, k := range stream {
 			if freq[k] == 0 {
@@ -96,19 +99,44 @@ func (r *Rank) ApproxBytes() int64 { return r.bytes }
 // sample too large for the remaining space of one class falls through to the
 // next. Lean fills record local tables for worker 0 only.
 func (r *Rank) Fill(ds Sizer, node hwspec.Node, lean bool) *Assignment {
-	a := newAssignment(len(r.rows), r.f, len(node.Classes), lean)
-	caps := classCaps(node)
+	return r.fill(ds, node, lean, false)
+}
+
+func (r *Rank) fill(ds Sizer, node hwspec.Node, lean, wide bool) *Assignment {
+	a := newAssignment(len(r.rows), r.f, len(node.Classes), r.longest-1, lean, wide)
+	a.words.fill(r, ds, classCaps(node))
+	return a
+}
+
+func (t *packed[W]) fill(r *Rank, ds Sizer, caps []int64) {
+	// No class with less room than the smallest sample can take another
+	// candidate: once none has more, the rest of the worker's row is moot.
+	minSize := int64(math.MaxInt64)
+	for k := 0; k < r.f; k++ {
+		minSize = min(minSize, ds.Size(k))
+	}
 	remaining := make([]int64, len(caps))
 	for w, row := range r.rows {
-		copy(remaining, caps)
-		stream := r.streams[w]
+		stream, open := r.streams[w], 0
+		for c, room := range caps {
+			remaining[c] = room
+			if room >= minSize {
+				open++
+			}
+		}
 		for _, p := range row {
+			if open == 0 {
+				break
+			}
 			k := stream[p]
 			sz := ds.Size(int(k))
 			for c := range remaining {
 				if remaining[c] >= sz {
 					remaining[c] -= sz
-					a.place(w, k, int8(c), sz, p)
+					if remaining[c] < minSize {
+						open--
+					}
+					t.place(w, k, int8(c), sz, p)
 					break
 				}
 			}
@@ -117,19 +145,18 @@ func (r *Rank) Fill(ds Sizer, node hwspec.Node, lean bool) *Assignment {
 		// soonest-needed samples first (Rule 1). A placed sample's word
 		// carries its first position, so one pass over the stream rewrites
 		// each list, in place, in first-access order.
-		local := a.local[w]
+		local := t.rows[w]
 		if local == nil {
 			continue
 		}
-		fill := a.FillOrder[w]
+		fill := t.a.FillOrder[w]
 		for c := range fill {
 			fill[c] = fill[c][:0]
 		}
 		for p, k := range stream {
-			if v := local[k]; v != 0 && unpackPos(v) == int32(p) {
-				fill[unpackClass(v)] = append(fill[unpackClass(v)], k)
+			if v := local[k]; v != 0 && t.pos(v) == int32(p) {
+				fill[t.class(v)] = append(fill[t.class(v)], k)
 			}
 		}
 	}
-	return a
 }

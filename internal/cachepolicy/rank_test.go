@@ -2,7 +2,9 @@ package cachepolicy
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/access"
@@ -16,7 +18,7 @@ import (
 // (freq desc, firstPos asc) — or firstPos alone when ignoreFreq — filled
 // greedily, then every fill list sorted by first access.
 func referenceBuild(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node, ignoreFreq, lean bool) *Assignment {
-	a := newAssignment(plan.N, plan.F, len(node.Classes), lean)
+	a := newAssignment(plan.N, plan.F, len(node.Classes), plan.E*plan.F, lean, false)
 	for w := 0; w < plan.N; w++ {
 		freq := map[int32]int{}
 		firstPos := map[int32]int32{}
@@ -41,7 +43,7 @@ func referenceBuild(plan *access.Plan, streams [][]access.SampleID, ds Sizer, no
 			for c := range remaining {
 				if remaining[c] >= sz {
 					remaining[c] -= sz
-					a.place(w, k, int8(c), sz, firstPos[k])
+					a.words.place(w, k, int8(c), sz, firstPos[k])
 					break
 				}
 			}
@@ -53,19 +55,42 @@ func referenceBuild(plan *access.Plan, streams [][]access.SampleID, ds Sizer, no
 	return a
 }
 
-// equalAssignments compares everything a consumer can observe: local words,
-// holder words, fill orders and cached bytes.
-func equalAssignments(got, want *Assignment) error {
-	if got.N != want.N {
-		return fmt.Errorf("N: %d vs %d", got.N, want.N)
+// holder is one decoded best-holder slot.
+type holder struct {
+	class, worker int
+	pos           int32
+}
+
+// holderPair recovers sample k's best-two holder slots through the
+// accessors alone: RemoteBest names slot 1 (asked by nobody) and slot 2
+// (asked by slot 1's worker), and a slot's availability position is one
+// below the first asker position at which RemoteAvail admits it.
+func holderPair(a *Assignment, k int32) (pair [2]holder) {
+	asker := -1
+	for i := range pair {
+		c, w := a.RemoteBest(asker, k)
+		pair[i] = holder{class: c, worker: w}
+		if c < 0 {
+			pair[1] = pair[i]
+			break
+		}
+		pair[i].pos = int32(sort.Search(math.MaxInt32, func(pos int) bool {
+			gc, gw := a.RemoteAvail(asker, k, int32(pos))
+			return gc == c && gw == w
+		})) - 1
+		asker = w
+	}
+	return pair
+}
+
+// equalAssignments compares everything a consumer can observe: which rows
+// are tracked, the local placements and holder slots of samples [0, f), fill
+// orders and cached bytes.
+func equalAssignments(f int32, got, want *Assignment) error {
+	if got.N != want.N || got.Lean() != want.Lean() {
+		return fmt.Errorf("N, Lean: %d %v vs %d %v", got.N, got.Lean(), want.N, want.Lean())
 	}
 	for w := 0; w < want.N; w++ {
-		if (got.local[w] == nil) != (want.local[w] == nil) {
-			return fmt.Errorf("worker %d: tracked %v vs %v", w, got.local[w] != nil, want.local[w] != nil)
-		}
-		if err := equalWords(fmt.Sprintf("local[%d]", w), got.local[w], want.local[w]); err != nil {
-			return err
-		}
 		if len(got.FillOrder[w]) != len(want.FillOrder[w]) {
 			return fmt.Errorf("FillOrder[%d]: %d classes vs %d", w, len(got.FillOrder[w]), len(want.FillOrder[w]))
 		}
@@ -74,12 +99,19 @@ func equalAssignments(got, want *Assignment) error {
 				return fmt.Errorf("FillOrder[%d][%d]: %v vs %v", w, c, got.FillOrder[w][c], want.FillOrder[w][c])
 			}
 		}
+		if want.FillOrder[w] == nil {
+			continue // untracked
+		}
+		for k := int32(0); k < f; k++ {
+			if gc, wc := got.Local(w, k), want.Local(w, k); gc != wc || wc >= 0 && got.LocalPos(w, k) != want.LocalPos(w, k) {
+				return fmt.Errorf("local[%d][%d]: class %d pos %d vs class %d pos %d", w, k, gc, got.LocalPos(w, k), wc, want.LocalPos(w, k))
+			}
+		}
 	}
-	if err := equalWords("best1", got.best1, want.best1); err != nil {
-		return err
-	}
-	if err := equalWords("best2", got.best2, want.best2); err != nil {
-		return err
+	for k := int32(0); k < f; k++ {
+		if g, w := holderPair(got, k), holderPair(want, k); g != w {
+			return fmt.Errorf("holders of %d: %+v vs %+v", k, g, w)
+		}
 	}
 	if !slices.Equal(got.CachedBytes, want.CachedBytes) {
 		return fmt.Errorf("CachedBytes: %v vs %v", got.CachedBytes, want.CachedBytes)
@@ -128,7 +160,7 @@ func TestRankThenFillMatchesReferenceSort(t *testing.T) {
 				for ni, node := range nodes {
 					for _, lean := range []bool{true, false} {
 						want := referenceBuild(&plan, streams, ds, node, !byFreq, lean)
-						if err := equalAssignments(rank.Fill(ds, node, lean), want); err != nil {
+						if err := equalAssignments(int32(f), rank.Fill(ds, node, lean), want); err != nil {
 							t.Fatalf("trial %d plan %+v node %d byFreq=%v lean=%v: %v", trial, plan, ni, byFreq, lean, err)
 						}
 					}
@@ -137,6 +169,51 @@ func TestRankThenFillMatchesReferenceSort(t *testing.T) {
 		}
 	}
 }
+
+// TestFillStopsWhenFullIsExact: Fill leaves a worker's candidates once no
+// class has room for the dataset's smallest sample; the unabridged loop of
+// referenceBuild, which tries every candidate, places the same samples —
+// with many samples exactly the minimum size, a few far larger, and
+// capacities from nothing to more than the dataset.
+func TestFillStopsWhenFullIsExact(t *testing.T) {
+	g := prng.New(6)
+	for trial := 0; trial < 40; trial++ {
+		f := 40 + g.Intn(200)
+		plan := access.Plan{Seed: g.Uint64(), F: f, N: 1 + g.Intn(5), E: 1 + g.Intn(4), BatchPerWorker: 1 + g.Intn(4)}
+		sizes := make(sizeTable, f)
+		for k := range sizes {
+			switch g.Intn(4) {
+			case 0, 1:
+				sizes[k] = 100 // the minimum
+			case 2:
+				sizes[k] = 100 + int64(g.Intn(50))
+			default:
+				sizes[k] = 1000 + int64(g.Intn(4000))
+			}
+		}
+		var total int64
+		for _, sz := range sizes {
+			total += sz
+		}
+		capOf := func() float64 {
+			return float64([]int64{0, 99, 100, 250, total / int64(4*plan.N), total / int64(plan.N), 2 * total}[g.Intn(7)]) / bytesPerMB
+		}
+		node := nodeWithMB(capOf(), capOf())
+		streams := plan.AllWorkerStreams()
+		for _, byFreq := range []bool{true, false} {
+			got := RankStreams(&plan, streams, byFreq).Fill(sizes, node, false)
+			if err := equalAssignments(int32(f), got, referenceBuild(&plan, streams, sizes, node, !byFreq, false)); err != nil {
+				t.Fatalf("trial %d plan %+v node %+v byFreq=%v: %v", trial, plan, node.Classes, byFreq, err)
+			}
+		}
+	}
+}
+
+// sizeTable is a Sizer over explicit sample sizes.
+type sizeTable []int64
+
+func (s sizeTable) Len() int         { return len(s) }
+func (s sizeTable) Size(k int) int64 { return s[k] }
 
 // TestBuildWrappersRankThenFill: the exported builders are exactly
 // rank-then-fill, one ranking per call.
@@ -161,7 +238,7 @@ func TestBuildWrappersRankThenFill(t *testing.T) {
 		if n := RankCount() - before; n != 1 {
 			t.Errorf("%s ranked %d times, want 1", b.name, n)
 		}
-		if err := equalAssignments(got, referenceBuild(plan, streams, ds, node, !b.byFreq, b.lean)); err != nil {
+		if err := equalAssignments(int32(plan.F), got, referenceBuild(plan, streams, ds, node, !b.byFreq, b.lean)); err != nil {
 			t.Errorf("%s: %v", b.name, err)
 		}
 	}

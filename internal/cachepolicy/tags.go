@@ -35,14 +35,23 @@ func TagBuildCount() int64 { return tagBuildCount.Load() }
 // available at every position, so static shards need no rule of their own.
 func (a *Assignment) Tags(w int, stream []access.SampleID) []byte {
 	tagBuildCount.Add(1)
-	local := a.local[w]
+	return a.words.tags(w, stream)
+}
+
+func (t *packed[W]) tags(w int, stream []access.SampleID) []byte {
+	local := t.rows[w]
 	tags := make([]byte, len(stream))
 	for f, k := range stream {
-		rc := HolderFor(a.best1[k], int32(w), int32(f))
-		if rc < 0 {
-			rc = HolderFor(a.best2[k], int32(w), int32(f))
+		pos := int32(f)
+		lc := -1
+		if v := local[k]; v != 0 && t.existsBy(v, pos) {
+			lc = t.class(v)
 		}
-		tags[f] = byte(AvailClass(local[k], int32(f))+1) | byte(rc+1)<<4
+		rc, _ := t.holder(t.best1[k], w, pos)
+		if rc < 0 {
+			rc, _ = t.holder(t.best2[k], w, pos)
+		}
+		tags[f] = byte(lc+1) | byte(rc+1)<<4
 	}
 	return tags
 }

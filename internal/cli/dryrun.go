@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 
-	"repro/internal/cachepolicy"
 	"repro/internal/perfmodel"
 	"repro/internal/plancache"
 	isim "repro/internal/sim"
@@ -123,17 +122,12 @@ func explainConfig(w io.Writer, id, label string, cfg isim.Config) error {
 	if err != nil {
 		return err
 	}
-	localWords := assign.LocalWords(0)
-	best1, best2 := assign.HolderWords()
 	srcOf := func(k int32) (source int, class int) {
-		if c, _ := cachepolicy.UnpackLocal(localWords[k]); c >= 0 {
+		if c := assign.Local(0, k); c >= 0 {
 			return 2, c // local
 		}
-		if c := cachepolicy.HolderAny(best1[k], 0); c >= 0 {
+		if c, _ := assign.RemoteBest(0, k); c >= 0 {
 			return 1, c // remote
-		}
-		if c := cachepolicy.HolderAny(best2[k], 0); c >= 0 {
-			return 1, c
 		}
 		return 0, -1 // pfs
 	}

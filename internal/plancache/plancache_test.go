@@ -2,7 +2,6 @@ package plancache
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"testing"
 
@@ -193,8 +192,31 @@ func TestAssignmentEquivalence(t *testing.T) {
 	}
 }
 
+// samePlacement compares two full placements through the accessors: where
+// every sample sits on every worker, the best remote holder each worker
+// would be pointed at, and what is available at every stream position.
+func samePlacement(f int, streams [][]access.SampleID, got, want *cachepolicy.Assignment) error {
+	for w, stream := range streams {
+		for k := int32(0); int(k) < f; k++ {
+			gc, gw := got.RemoteBest(w, k)
+			wc, ww := want.RemoteBest(w, k)
+			if got.Local(w, k) != want.Local(w, k) || got.LocalPos(w, k) != want.LocalPos(w, k) || gc != wc || gw != ww {
+				return fmt.Errorf("worker %d sample %d: placed or held differently", w, k)
+			}
+		}
+		for pos, k := range stream {
+			gc, gw := got.RemoteAvail(w, k, int32(pos))
+			wc, ww := want.RemoteAvail(w, k, int32(pos))
+			if got.LocalAvail(w, k, int32(pos)) != want.LocalAvail(w, k, int32(pos)) || gc != wc || gw != ww {
+				return fmt.Errorf("worker %d position %d: availability differs", w, pos)
+			}
+		}
+	}
+	return nil
+}
+
 // TestPlacementRanksOncePerFamily: Placement is the rank-once form of the
-// NoPFS and random-placement builds — word-identical to the direct builders,
+// NoPFS and random-placement builds — identical to the direct builders,
 // memoised under the same key Assignment uses, and ranking the plan once per
 // family however many node specs and layouts fill from it.
 func TestPlacementRanksOncePerFamily(t *testing.T) {
@@ -225,15 +247,8 @@ func TestPlacementRanksOncePerFamily(t *testing.T) {
 			}); again != got {
 				t.Fatalf("%s: placement not memoised", family)
 			}
-			for w := 0; w < p.N; w++ {
-				if !slices.Equal(got.LocalWords(w), want[family][i].LocalWords(w)) {
-					t.Fatalf("%s: worker %d local words differ from the direct build", family, w)
-				}
-			}
-			g1, g2 := got.HolderWords()
-			w1, w2 := want[family][i].HolderWords()
-			if !slices.Equal(g1, w1) || !slices.Equal(g2, w2) {
-				t.Fatalf("%s: holder words differ from the direct build", family)
+			if err := samePlacement(p.F, art.Streams, got, want[family][i]); err != nil {
+				t.Fatalf("%s: differs from the direct build: %v", family, err)
 			}
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/hwspec"
 	"repro/internal/perfmodel"
+	"repro/internal/plancache"
 )
 
 // This file holds the simulator's per-fetch reference: the loop the tagged
@@ -480,6 +481,49 @@ func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 		wg.Wait()
 	}); tags != 1 {
 		t.Errorf("two racing NoPFS cells built %d tag streams, want 1", tags)
+	}
+}
+
+// TestTagStreamTotalSummedOncePerDataset: every cell's TotalMB is, bit for
+// bit, the in-order sum over the stream it consumes, and the plan's own
+// stream is summed once per (plan, dataset) — a second node spec on the plan
+// finds the total already there.
+func TestTagStreamTotalSummedOncePerDataset(t *testing.T) {
+	s, err := ScenarioByID("fig8b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.Config(testScale, 1800+tagTestSeeds.Add(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	smaller := cfg
+	smaller.Sys.Node.Classes = append([]hwspec.StorageClass(nil), cfg.Sys.Node.Classes...)
+	smaller.Sys.Node.Classes[0].CapacityMB /= 2
+	for i, cfg := range []Config{cfg, smaller} {
+		for _, pol := range AllPolicies() {
+			env, err := newEnv(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 {
+				env.Art.TagStream("", cfg.DS, hwspec.Node{}, streamTotal, func() *plancache.TagStream {
+					t.Fatalf("%s on a second node: plan stream total not shared", pol.Name())
+					return nil
+				})
+			}
+			if _, err := pol.Prepare(env); err != nil {
+				continue // LBANN (Preloading) cannot run every configuration
+			}
+			in := env.kernelInput(pol.rule())
+			var want float64
+			for _, k := range in.Stream {
+				want += env.SizesMB[k]
+			}
+			if in.TotalMB != want {
+				t.Errorf("%s: TotalMB %v, per-entry sum %v", pol.Name(), in.TotalMB, want)
+			}
+		}
 	}
 }
 

@@ -421,8 +421,7 @@ func (env *Env) run(pol Policy) *Result {
 	// and not cached.
 	stream, epochEnds := chaosStream(env, in.Stream)
 	if epochEnds != nil {
-		in = &plancache.TagStream{Stream: stream}
-		env.tag(rule, in)
+		in = &plancache.TagStream{Stream: stream, Tags: rule.tags(stream), TotalMB: env.sumMB(stream)}
 	}
 	// An elastic membership schedule makes epochs unequal too: use the
 	// plan's per-worker cumulative ends when the policy kept the stream's
@@ -570,20 +569,38 @@ func (e *Env) kernelInput(rule sourceRule) *plancache.TagStream {
 		if build := streamBuilders[rule.stream]; build != nil {
 			policyStreamBuilds.Add(1)
 			ts.Stream, ts.OwnStream = build(e, rule.place.Assignment), true
+			ts.TotalMB = e.sumMB(ts.Stream)
+		} else {
+			// The plan's own stream has one total under every placement and
+			// node: summed once per dataset, in an entry under the zero node.
+			ts.TotalMB = e.Art.TagStream("", e.Cfg.DS, hwspec.Node{}, streamTotal, func() *plancache.TagStream {
+				return &plancache.TagStream{Stream: ts.Stream, TotalMB: e.sumMB(ts.Stream)}
+			}).TotalMB
 		}
-		e.tag(rule, ts)
+		ts.Tags = rule.tags(ts.Stream)
 		return ts
 	})
 }
 
-// tag fills in ts's tags and byte total for ts.Stream.
-func (e *Env) tag(rule sourceRule, ts *plancache.TagStream) {
-	if a := rule.place.Assignment; a != nil {
-		ts.Tags = a.Tags(0, ts.Stream)
+// streamTotal is the stream kind kernelInput keeps the plan's own byte total
+// under; no policy consumes it.
+const streamTotal = "total"
+
+// tags returns the source tags of stream under the rule's placement, nil
+// when it has none.
+func (r sourceRule) tags(stream []access.SampleID) []byte {
+	if a := r.place.Assignment; a != nil {
+		return a.Tags(0, stream)
 	}
-	for _, k := range ts.Stream {
-		ts.TotalMB += e.SizesMB[k]
+	return nil
+}
+
+// sumMB returns stream's byte total, summed in stream order.
+func (e *Env) sumMB(stream []access.SampleID) (mb float64) {
+	for _, k := range stream {
+		mb += e.SizesMB[k]
 	}
+	return mb
 }
 
 // policyStreamBuilds counts reordered streams built by kernelInput — a test
