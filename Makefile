@@ -34,7 +34,7 @@ test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
 	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound|ResilientEndpoint|ThrottledBackend|AbortedProbe' ./nopfs/ ./internal/invariant/ ./internal/resilience/
-	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal' ./internal/sim/ ./internal/plancache/
+	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal|ThreadPool' ./internal/sim/ ./internal/plancache/
 	$(GO) test -race -count=5 -run 'Width|Tags|FirstTouch' ./internal/cachepolicy/
 
 vet:

@@ -103,10 +103,11 @@ func New(maxBytes int64, workers int) *Cache {
 	}
 }
 
-// shared is the process-wide cache every production path routes through:
-// sim.Run environments, cachepolicy builds, and nopfs.Job setup all share
-// one artifact set, so every policy cell of one (scenario, replica seed)
-// shares a single shuffle pass (a P×R grid does R passes, not P×R).
+// shared is the process-wide cache the simulator routes through: sim.Run
+// environments, cachepolicy builds and the dry-run explainer share one
+// artifact set, so every policy cell of one (scenario, replica seed) shares
+// a single shuffle pass (a P×R grid does R passes, not P×R). A live cluster
+// builds its plan in a cache of its own (nopfs.RunCluster).
 var shared = New(0, 0)
 
 // Shared returns the process-wide cache.

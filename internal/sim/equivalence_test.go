@@ -104,28 +104,3 @@ func TestPolicyPanelSharesOneShufflePass(t *testing.T) {
 		t.Fatalf("cold policy panel performed %d shuffles, want one pass of %d", n, cfg.Work.Epochs)
 	}
 }
-
-// TestThreadPoolHeapMatchesScan drives the wide (heap) and narrow (scan)
-// thread-pool variants through an identical schedule and asserts identical
-// completion times — the property that keeps p₀ > 8 configurations
-// bit-identical to the old linear scan.
-func TestThreadPoolHeapMatchesScan(t *testing.T) {
-	const p0 = 16
-	heap := newThreadPool(p0, 1.0)
-	scan := newThreadPool(p0, 1.0)
-	scan.heap = false
-	if !heap.heap {
-		t.Fatal("p0=16 should use the heap variant")
-	}
-	// Deterministic pseudo-random schedule of (roomTime, readDur) pairs.
-	room, dur := 0.0, 0.0
-	for i := 0; i < 10000; i++ {
-		room = float64((i*2654435761)%1000) / 250
-		dur = 0.01 + float64((i*40503)%97)/100
-		h := heap.schedule(room, dur)
-		s := scan.schedule(room, dur)
-		if h != s {
-			t.Fatalf("step %d: heap %v != scan %v", i, h, s)
-		}
-	}
-}

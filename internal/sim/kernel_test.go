@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,8 +23,37 @@ import (
 // kernel replaced, kept where only tests can reach it. It asks the
 // Assignment accessors where every single fetch comes from, re-derives every
 // stream, re-sums every byte total, checks every boundary per sample, and
-// never flushes the γ estimate. It reads no tag and no sourceRule, so a wrong
-// nibble or a wrong rule flag shows up as a Result that differs from it.
+// never flushes the γ estimate, and hands every fetch to a prefetch thread by
+// its own least-loaded scan. It reads no tag and no sourceRule and shares no
+// pool code with the kernel, so a wrong nibble, a wrong rule flag or a
+// misordered pool shows up as a Result that differs from it.
+
+// naivePool is the reference's prefetch-thread pool: free times in thread
+// order, and a scan for the least-loaded thread on every fetch.
+type naivePool []float64
+
+func newNaivePool(p0 int, setup float64) naivePool {
+	free := make(naivePool, p0)
+	for i := range free {
+		free[i] = setup
+	}
+	return free
+}
+
+func (free naivePool) schedule(roomTime, readDur float64) float64 {
+	ti := 0
+	for i := range free {
+		if free[i] < free[ti] {
+			ti = i
+		}
+	}
+	start := free[ti]
+	if roomTime > start {
+		start = roomTime
+	}
+	free[ti] = start + readDur
+	return free[ti]
+}
 
 // referenceSource decides where stream entry f (sample k) is fetched from,
 // policy by policy.
@@ -142,7 +173,7 @@ func referenceRun(cfg Config, pol Policy) (*Result, error) {
 	if p0 < 1 {
 		p0 = 1
 	}
-	threads := newThreadPool(p0, setup)
+	threads := newNaivePool(p0, setup)
 
 	// The staging window, never elided: window[head:] are the staged samples,
 	// each with the consume time that frees its bytes.
@@ -279,11 +310,17 @@ func kernelPolicies() []Policy {
 // larger than the cluster (where the LBANN policies fail).
 var kernelPanels = []string{"fig8a", "fig8c", "fig8e"}
 
+// kernelThreads are the prefetch-thread counts of the gate: the panel's own p₀
+// (0) under every chaos profile, and on the fault-free cells also one thread,
+// an odd count, and pools wider than any preset's (overriding
+// Sys.Node.Staging.Threads).
+var kernelThreads = []int{0, 1, 3, 16, 64}
+
 // TestPatternKernelsMatchGeneric is the bit-identity gate of the tagged
 // kernel: for every policy and ablation × every access pattern (uniform,
 // one spec per pattern kind, every preset, elastic membership) × no chaos
-// and every chaos preset, Run must equal the generic per-fetch reference
-// loop above, field for field.
+// at every pool width in kernelThreads and every chaos preset, Run must
+// equal the generic per-fetch reference loop above, field for field.
 func TestPatternKernelsMatchGeneric(t *testing.T) {
 	profiles := append([]chaos.Profile{{}}, chaos.Presets()...)
 	specs := append(append([]string{}, patternSpecs...), access.PresetNames()...)
@@ -303,30 +340,83 @@ func TestPatternKernelsMatchGeneric(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, panel := range kernelPanels {
-				for _, prof := range profiles {
-					cfg := patternConfigOn(t, panel, spec, 91)
-					cfg.Chaos = prof
-					if cfg.Validate() != nil {
-						continue // elastic × crash: rejected, see TestElasticRejectsStructuralChaos
+				for pi, prof := range profiles {
+					threads := kernelThreads
+					if pi > 0 {
+						threads = threads[:1]
 					}
-					fast, slow := kernelPolicies(), kernelPolicies()
-					for i := range fast {
-						got, err := Run(cfg, fast[i])
-						if err != nil {
-							t.Fatalf("%s: %v", fast[i].Name(), err)
+					for _, p0 := range threads {
+						cfg := patternConfigOn(t, panel, spec, 91)
+						cfg.Chaos = prof
+						if p0 > 0 {
+							cfg.Sys.Node.Staging.Threads = p0
 						}
-						want, err := referenceRun(cfg, slow[i])
-						if err != nil {
-							t.Fatalf("%s reference: %v", slow[i].Name(), err)
+						if cfg.Validate() != nil {
+							continue // elastic × crash: rejected, see TestElasticRejectsStructuralChaos
 						}
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("%s on %s under %q, chaos %q: kernel differs from the per-fetch reference:\n got %+v\nwant %+v",
-								got.Policy, panel, spec, prof.Name, got, want)
+						fast, slow := kernelPolicies(), kernelPolicies()
+						for i := range fast {
+							got, err := Run(cfg, fast[i])
+							if err != nil {
+								t.Fatalf("%s: %v", fast[i].Name(), err)
+							}
+							want, err := referenceRun(cfg, slow[i])
+							if err != nil {
+								t.Fatalf("%s reference: %v", slow[i].Name(), err)
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Errorf("%s on %s under %q, chaos %q, p0 %d: kernel differs from the per-fetch reference:\n got %+v\nwant %+v",
+									got.Policy, panel, spec, prof.Name, p0, got, want)
+							}
 						}
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestThreadPoolMatchesNaiveScan is the law behind the ordered pool: over
+// random (roomTime, readDur) sequences — durations drawn from a handful of
+// values so completion times tie, all-equal durations, zero durations
+// (LowerBound), and room times beyond every free time — for every p₀ from 1
+// to 64, each fetch completes when the naive least-loaded scan says, and the
+// free times stay the ascending arrangement of the scan's.
+func TestThreadPoolMatchesNaiveScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	durations := []struct {
+		name string
+		draw func() float64
+	}{
+		{"ties", func() float64 { return float64(rng.Intn(4)) * 0.25 }},
+		{"equal", func() float64 { return 0.5 }},
+		{"zero", func() float64 { return 0 }},
+		{"mixed", func() float64 { return rng.Float64() * float64(rng.Intn(3)) }},
+	}
+	for p0 := 1; p0 <= 64; p0++ {
+		for _, dur := range durations {
+			pool, naive := newThreadPool(p0, 1.0), newNaivePool(p0, 1.0)
+			for i := 0; i < 400; i++ {
+				room := 1.0
+				switch rng.Intn(4) {
+				case 0: // beyond every free time
+					room = pool.free[p0-1] + rng.Float64()
+				case 1: // exactly a free time
+					room = pool.free[rng.Intn(p0)]
+				case 2:
+					room = pool.free[0] + rng.Float64()*(pool.free[p0-1]-pool.free[0])
+				}
+				d := dur.draw()
+				if got, want := pool.schedule(room, d), naive.schedule(room, d); got != want {
+					t.Fatalf("p0 %d, %s, fetch %d (room %v, dur %v): completes at %v, the scan says %v", p0, dur.name, i, room, d, got, want)
+				}
+				want := append([]float64(nil), naive...)
+				sort.Float64s(want)
+				if !reflect.DeepEqual(pool.free, want) {
+					t.Fatalf("p0 %d, %s, fetch %d: free times %v, the scan's ascending %v", p0, dur.name, i, pool.free, want)
+				}
+			}
+		}
 	}
 }
 
@@ -530,31 +620,36 @@ func TestTagStreamTotalSummedOncePerDataset(t *testing.T) {
 // BenchmarkSimKernelWarm pins the kernel's per-fetch cost on warm cells —
 // plan, placement and tags all cached: one argmin cell and one LowerBound
 // cell, whose γ estimate underflows within the first epoch (the subnormal
-// regression shows here as a several-fold ns/fetch).
+// regression shows here as a several-fold ns/fetch), each with one prefetch
+// thread, the panel's eight, and a pool wider than any preset's.
 func BenchmarkSimKernelWarm(b *testing.B) {
 	s, _ := ScenarioByID("fig8b")
-	cfg, err := s.Config(0.05, 3)
+	base, err := s.Config(0.05, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, pol := range []Policy{NewNoPFS(), NewLowerBound()} {
-		b.Run(pol.Name(), func(b *testing.B) {
-			warm, err := Run(cfg, pol)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var fetches int64
-			for _, n := range warm.LocCount {
-				fetches += n
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(cfg, pol); err != nil {
+		for _, p0 := range []int{1, 8, 32} {
+			cfg := base
+			cfg.Sys.Node.Staging.Threads = p0
+			b.Run(fmt.Sprintf("%s/p0=%d", pol.Name(), p0), func(b *testing.B) {
+				warm, err := Run(cfg, pol)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(fetches), "ns/fetch")
-		})
+				var fetches int64
+				for _, n := range warm.LocCount {
+					fetches += n
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(cfg, pol); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(fetches), "ns/fetch")
+			})
+		}
 	}
 }

@@ -472,13 +472,10 @@ var simulateCount atomic.Int64
 // SimulateCount returns the number of simulate() executions so far.
 func SimulateCount() int64 { return simulateCount.Load() }
 
-// threadPool tracks the free times of the p₀ prefetch threads and yields
-// the least-loaded one per fetch. For the small p₀ of real nodes (≤ 8) a
-// straight scan is fastest; wider pools use a binary min-heap so the
-// per-sample cost is O(log p₀) instead of O(p₀).
+// threadPool is the free times of the p₀ prefetch threads, kept ascending:
+// the least-loaded thread is free[0].
 type threadPool struct {
 	free []float64
-	heap bool
 }
 
 func newThreadPool(p0 int, setup float64) threadPool {
@@ -486,53 +483,27 @@ func newThreadPool(p0 int, setup float64) threadPool {
 	for i := range free {
 		free[i] = setup
 	}
-	// All entries equal, so the slice is already a valid min-heap.
-	return threadPool{free: free, heap: p0 > 8}
+	return threadPool{free: free}
 }
 
 // schedule assigns one fetch of duration readDur to the least-loaded
 // thread, starting no earlier than roomTime, and returns the fetch's
-// completion time. Only the multiset of free times affects the result, so
-// the heap and scan variants are output-identical.
+// completion time. The completion time takes the place of free[0] and the
+// smaller entries shift down past it; which thread serves a fetch is
+// unobservable, only the multiset of free times is.
 func (t *threadPool) schedule(roomTime, readDur float64) float64 {
-	if !t.heap {
-		ti := 0
-		for i := 1; i < len(t.free); i++ {
-			if t.free[i] < t.free[ti] {
-				ti = i
-			}
-		}
-		start := t.free[ti]
-		if roomTime > start {
-			start = roomTime
-		}
-		avail := start + readDur
-		t.free[ti] = avail
-		return avail
-	}
-	start := t.free[0]
+	free := t.free
+	start := free[0]
 	if roomTime > start {
 		start = roomTime
 	}
 	avail := start + readDur
-	// Replace the root and sift down.
-	t.free[0] = avail
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(t.free) && t.free[l] < t.free[smallest] {
-			smallest = l
-		}
-		if r < len(t.free) && t.free[r] < t.free[smallest] {
-			smallest = r
-		}
-		if smallest == i {
-			return avail
-		}
-		t.free[i], t.free[smallest] = t.free[smallest], t.free[i]
-		i = smallest
+	j := 1
+	for ; j < len(free) && free[j] < avail; j++ {
+		free[j-1] = free[j]
 	}
+	free[j-1] = avail
+	return avail
 }
 
 // sourceRule is a policy's answer to "where may a fetch come from", stated
@@ -854,24 +825,7 @@ func simulate(env *Env, pol Policy, rule sourceRule, in *plancache.TagStream, se
 						head++
 					}
 				}
-				if !threads.heap {
-					// threadPool.schedule's scan branch, inline.
-					free := threads.free
-					ti := 0
-					for j := 1; j < len(free); j++ {
-						if free[j] < free[ti] {
-							ti = j
-						}
-					}
-					start := free[ti]
-					if roomTime > start {
-						start = roomTime
-					}
-					avail = start + readDur
-					free[ti] = avail
-				} else {
-					avail = threads.schedule(roomTime, readDur)
-				}
+				avail = threads.schedule(roomTime, readDur)
 			}
 
 			// Consumption recurrence (paper Sec. 4). barrier > 1 paces every

@@ -11,6 +11,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/chaos"
 	"repro/internal/metrics"
+	"repro/internal/plancache"
 	"repro/internal/storage"
 	"repro/internal/sweep"
 	"repro/internal/transport"
@@ -154,7 +155,7 @@ func TestChaosEmptyProfileInstallsNothing(t *testing.T) {
 			opts.Chaos, opts.Resilience = profile, c.resilience
 			opts = opts.withDefaults()
 			ep := &nullEndpoint{}
-			j, err := newJob(bg, ds, 0, 1, opts, ep, &pfs{ds: ds})
+			j, err := newJob(bg, ds, 0, 1, opts, ep, &pfs{ds: ds}, plancache.New(0, 0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/dataset"
+	"repro/internal/plancache"
 	"repro/internal/storage"
 )
 
@@ -88,9 +89,13 @@ func RunCluster(ctx context.Context, ds Dataset, workers int, opts Options, fn R
 	}
 	nets = instrumentFabric(opts.Metrics, nets)
 
+	// The plan lives as long as the cluster: built once for the N ranks in a
+	// cache of its own, so repeated clusters in one process do not accumulate
+	// plans in plancache.Shared().
+	plans := plancache.New(0, 0)
 	jobs := make([]*Job, workers)
 	for rank := 0; rank < workers; rank++ {
-		j, err := newJob(ctx, ds, rank, workers, perRankOptions(opts, rank), nets[rank], shared)
+		j, err := newJob(ctx, ds, rank, workers, perRankOptions(opts, rank), nets[rank], shared, plans)
 		if err != nil {
 			for r := 0; r < rank; r++ {
 				jobs[r].Close()

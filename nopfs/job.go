@@ -103,11 +103,11 @@ type Job struct {
 	closeOnce sync.Once
 }
 
-// newJob wires one worker. The caller provides the fabric endpoint and the
-// shared PFS; placement is computed clairvoyantly from the options' seed.
-// ctx bounds backend construction only — the job's lifetime context is
-// derived later, in Start.
-func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, net Endpoint, shared *pfs) (*Job, error) {
+// newJob wires one worker. The caller provides the fabric endpoint, the
+// shared PFS and the cluster's plan cache; placement is computed
+// clairvoyantly from the options' seed. ctx bounds backend construction only
+// — the job's lifetime context is derived later, in Start.
+func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, net Endpoint, shared *pfs, plans *plancache.Cache) (*Job, error) {
 	// Canonicalise the access spec before it enters the plan: every rank
 	// (and the simulator) must derive the identical Plan value — and so the
 	// identical digest — from equivalent spellings of the same pattern.
@@ -124,11 +124,11 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 		return nil, err
 	}
 	node := nodeFromClasses(opts.Classes)
-	// Plan artifacts and the placement come from the shared plan cache: the
-	// N ranks of one cluster (and every cluster-grid cell sharing a seed)
-	// reconstruct the clairvoyant schedule once, not once per rank. The
-	// shared stream and assignment are immutable; the job only reads them.
-	art := plancache.Shared().Artifacts(*plan)
+	// Plan artifacts and the placement come from the cluster's plan cache:
+	// the N ranks reconstruct the clairvoyant schedule once, not once per
+	// rank, and it leaves with the cluster. The shared stream and assignment
+	// are immutable; the job only reads them.
+	art := plans.Artifacts(*plan)
 	assign := art.Placement(plancache.FamilyNoPFS, ds, node, false)
 	// Crash re-planning happens before the struct is wired: under a crash
 	// profile every rank reshapes its delivery stream with the shared

@@ -3,10 +3,12 @@ package nopfs
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/access"
 	"repro/internal/dataset"
+	"repro/internal/plancache"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -283,4 +285,39 @@ func BenchmarkClusterEndToEnd(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestRunClusterReleasesItsPlan: a cluster builds its plan in a cache of its
+// own, so the process-wide plan cache does not see it and the plan leaves with
+// the cluster — fresh-seed repetitions in one process hold the heap flat
+// instead of retaining one plan each.
+func TestRunClusterReleasesItsPlan(t *testing.T) {
+	ds := dataset.MustNew(dataset.Spec{Name: "plan-lifetime", F: 1 << 15, MeanSize: 64, Classes: 2, Seed: 5})
+	opts := baseOptions()
+	opts.Epochs, opts.VerifySamples = 2, false
+	// heapAfter runs repetitions [from, to), each on a seed of its own, and
+	// returns the live heap once they are garbage.
+	heapAfter := func(from, to int) float64 {
+		for i := from; i < to; i++ {
+			opts.Seed = uint64(9000 + i)
+			if _, err := RunCluster(bg, ds, 2, opts, DrainAll(nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return float64(m.HeapAlloc)
+	}
+	shared := plancache.Shared().Stats()
+	at2 := heapAfter(0, 2)
+	if got := plancache.Shared().Stats(); got != shared {
+		t.Errorf("RunCluster moved the shared plan cache: %+v, was %+v", got, shared)
+	}
+	at14 := heapAfter(2, 14)
+	if r := at14 / at2; r < 0.97 || r > 1.03 {
+		t.Errorf("live heap %.2f MiB after 2 clusters, %.2f MiB after 14 (×%.3f): want flat within 3 %%", at2/(1<<20), at14/(1<<20), r)
+	}
+	runtime.KeepAlive(ds) // live at both readings
 }
