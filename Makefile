@@ -8,7 +8,7 @@ BENCHTIME ?= 1x
 BENCHLABEL ?=
 BENCH_DATE := $(shell date -u +%F)
 
-.PHONY: all build test test-race vet fmt lint bench bench-smoke bench-compare bench-harness fuzz-smoke cover loc verify
+.PHONY: all build test test-race vet fmt lint bench bench-smoke bench-compare bench-harness fuzz-smoke cover loc loc-gate verify
 
 all: build
 
@@ -135,10 +135,20 @@ cover:
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 < min+0) ? 1 : 0 }' || \
 	{ echo "coverage below gate"; exit 1; }
 
-# ROADMAP item 7's yardstick: lines of non-test, non-testdata Go in the root
+# ROADMAP item 10's yardstick: lines of non-test, non-testdata Go in the root
 # module (benchmark/ is a module of its own and is not counted).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l
+
+# Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
+# LOC_MAX. A PR that needs more lines raises the number here, in its own
+# diff, where a reviewer sees it; a PR that deletes lowers it.
+LOC_MAX ?= 17348
+
+loc-gate:
+	@n=$$($(MAKE) -s loc); \
+	echo "non-test Go lines: $$n (gate: $(LOC_MAX))"; \
+	[ "$$n" -le "$(LOC_MAX)" ] || { echo "line count above gate"; exit 1; }
 
 # Tier-1 verification (ROADMAP).
 verify: build test

@@ -18,10 +18,11 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/dataset"
+	isim "repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/trainer"
 	"repro/nopfs"
-	"repro/sim"
 )
 
 // benchScale keeps full Fig. 8 policy sweeps fast while preserving regimes.
@@ -35,8 +36,8 @@ var bg = context.Background()
 // registry: every policy of Table 1 instantiated and round-tripped by name.
 func BenchmarkTable1Characteristics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, p := range sim.AllPolicies() {
-			if _, err := sim.PolicyByName(p.Name()); err != nil {
+		for _, p := range isim.AllPolicies() {
+			if _, err := isim.PolicyByName(p.Name()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -59,18 +60,18 @@ func BenchmarkFig3AccessFrequency(b *testing.B) {
 // fig8 runs one Fig. 8 panel across all policies and reports NoPFS's
 // distance to the lower bound and its advantage over the worst policy.
 func fig8(b *testing.B, id string) {
-	s, err := sim.ScenarioByID(id)
+	s, err := isim.ScenarioByID(id)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		rep, err := new(sim.Runner).Run(bg, sim.ScenarioGrid(s, benchScale, 42, 1))
+		rep, err := new(sweep.Runner).Run(bg, sweep.ScenarioGrid(s, benchScale, 42, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
 		var lb, nopfsT, worst float64
 		for _, c := range rep.Cells {
-			exec := c.Outcome.Values[sim.MetricExec]
+			exec := c.Outcome.Values[sweep.MetricExec]
 			switch {
 			case c.Outcome.Failed:
 			case c.Policy == "LowerBound":
@@ -110,14 +111,14 @@ func BenchmarkFig8fCosmoFlow512(b *testing.B) { fig8(b, "fig8f") }
 // the given pool width and reports the best/worst configuration spread.
 func fig9Sweep(b *testing.B, parallel int) {
 	for i := 0; i < b.N; i++ {
-		rep, err := (&sim.Runner{Parallel: parallel}).Run(bg, sim.Fig9Grid(0.002, 11, 1))
+		rep, err := (&sweep.Runner{Parallel: parallel}).Run(bg, sweep.Fig9Grid(0.002, 11, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		best := rep.Cells[0].Outcome.Values[sim.MetricExec]
+		best := rep.Cells[0].Outcome.Values[sweep.MetricExec]
 		worst := best
 		for _, c := range rep.Cells {
-			if v := c.Outcome.Values[sim.MetricExec]; v < best {
+			if v := c.Outcome.Values[sweep.MetricExec]; v < best {
 				best = v
 			} else if v > worst {
 				worst = v
@@ -180,7 +181,7 @@ func BenchmarkFig10ImageNet1kScalingLassen(b *testing.B) {
 // simulator grids.
 func benchFig10TrainerGrid(b *testing.B, parallel int) {
 	exp := trainer.Fig10PizDaint(0.05)
-	runner := &sim.Runner{Parallel: parallel}
+	runner := &sweep.Runner{Parallel: parallel}
 	for i := 0; i < b.N; i++ {
 		rep, err := runner.Run(bg, exp.Grid(1))
 		if err != nil {
@@ -239,7 +240,10 @@ func BenchmarkFig12CacheStats(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, p := range trainer.Fig12CacheStats(points) {
+		for _, p := range points {
+			if p.Loader != "NoPFS" || p.Failed {
+				continue
+			}
 			b.ReportMetric(p.LocFraction[2], "local-frac")
 			b.ReportMetric(p.LocFraction[1], "remote-frac")
 			b.ReportMetric(p.LocFraction[0], "pfs-frac")
@@ -287,17 +291,17 @@ func BenchmarkFig15CosmoFlow(b *testing.B) {
 // accuracy (paper: 1.42x).
 func BenchmarkFig16EndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := trainer.Fig16EndToEnd(bg, 0.1)
+		rep, err := new(sweep.Runner).Run(bg, trainer.Fig16GridFrom(trainer.Fig16Experiment(0.1), 1))
 		if err != nil {
 			b.Fatal(err)
 		}
 		var pytorch, nopfsT float64
-		for _, r := range results {
-			switch r.Loader {
+		for _, c := range rep.Cells {
+			switch c.Policy {
 			case "PyTorch":
-				pytorch = r.TotalSeconds
+				pytorch = c.Outcome.Values[trainer.MetricTotalS]
 			case "NoPFS":
-				nopfsT = r.TotalSeconds
+				nopfsT = c.Outcome.Values[trainer.MetricTotalS]
 			}
 		}
 		b.ReportMetric(pytorch/nopfsT, "end-to-end-speedup")
@@ -310,17 +314,17 @@ func BenchmarkFig16EndToEnd(b *testing.B) {
 // depth each become visible. The variant grid runs through the sweep
 // engine.
 func BenchmarkAblations(b *testing.B) {
-	grid := sim.AblationGrid(benchScale, 42, 1)
-	runner := &sim.Runner{}
+	grid := sweep.AblationGrid(benchScale, 42, 1)
+	runner := &sweep.Runner{}
 	for i := 0; i < b.N; i++ {
 		rep, err := runner.Run(bg, grid)
 		if err != nil {
 			b.Fatal(err)
 		}
 		summaries := rep.Aggregate()
-		base := summaries[0].Metric(sim.MetricExec).Mean // full NoPFS is the first column
+		base := summaries[0].Metric(sweep.MetricExec).Mean // full NoPFS is the first column
 		for _, s := range summaries[1:] {
-			b.ReportMetric(s.Metric(sim.MetricExec).Mean/base, s.Policy+"/full")
+			b.ReportMetric(s.Metric(sweep.MetricExec).Mean/base, s.Policy+"/full")
 		}
 	}
 }
@@ -408,7 +412,7 @@ func BenchmarkSimulate10kWorkers(b *testing.B) {
 	if testing.Short() {
 		b.Skip("10k-worker simulation is a scale stress; skipped under -short")
 	}
-	s, err := sim.ScenarioByID("fig8d")
+	s, err := isim.ScenarioByID("fig8d")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -422,7 +426,7 @@ func BenchmarkSimulate10kWorkers(b *testing.B) {
 	cfg.Work.BatchPerWorker = 4
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := sim.Run(cfg, sim.NewNoPFS())
+		r, err := isim.Run(cfg, isim.NewNoPFS())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -438,80 +442,57 @@ func BenchmarkSweep100kCells(b *testing.B) {
 	if testing.Short() {
 		b.Skip("100k-cell sweep is a scale stress; skipped under -short")
 	}
-	var scenarios []sim.GridScenario
+	var scenarios []sweep.ScenarioSpec
 	for i := 0; i < 50; i++ {
-		scenarios = append(scenarios, sim.GridScenario{ID: fmt.Sprintf("row%02d", i)})
+		scenarios = append(scenarios, sweep.ScenarioSpec{ID: fmt.Sprintf("row%02d", i)})
 	}
-	var policies []sim.GridPolicy
+	var policies []sweep.PolicySpec
 	for i := 0; i < 20; i++ {
-		policies = append(policies, sim.GridPolicy{Name: fmt.Sprintf("col%02d", i)})
+		policies = append(policies, sweep.PolicySpec{Name: fmt.Sprintf("col%02d", i)})
 	}
-	grid := &sim.Grid{
+	grid := &sweep.Grid{
 		Name: "bench-100k", Scenarios: scenarios, Policies: policies,
 		Replicas: 100, BaseSeed: 7,
-		Metrics: []sim.Metric{{Name: "score"}},
-		Cell: func(si, pi, _, _ int) sim.CellFunc {
-			return func(_ context.Context, seed uint64) (*sim.Outcome, error) {
+		Metrics: []sweep.Metric{{Name: "score"}},
+		Cell: func(si, pi, _, _ int) sweep.CellFunc {
+			return func(_ context.Context, seed uint64) (*sweep.Outcome, error) {
 				v := float64((seed*2654435761+uint64(si*31+pi))%1000) / 10
-				return &sim.Outcome{Values: map[string]float64{"score": v}}, nil
+				return &sweep.Outcome{Values: map[string]float64{"score": v}}, nil
 			}
 		},
 	}
-	runner := &sim.Runner{Parallel: 8}
+	runner := &sweep.Runner{Parallel: 8}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := runner.RunStream(bg, grid, sim.NewCSVAggregator(io.Discard)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIncrementalResweep measures a fully memoised re-run of the Fig. 8
-// grid: every cell's configuration digest hits the ResultMemo, so the loop
-// costs digesting plus report assembly — no simulation. Compare against
-// BenchmarkFig8* for the cold cost the memo removes.
-func BenchmarkIncrementalResweep(b *testing.B) {
-	runner := &sim.Runner{Parallel: 1, Memo: sim.NewResultMemo(0)}
-	if _, err := runner.Run(bg, sim.Fig8Grid(benchScale, 42, 1)); err != nil {
-		b.Fatal(err) // cold fill
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(bg, sim.Fig8Grid(benchScale, 42, 1)); err != nil {
+		if err := runner.RunStream(bg, grid, sweep.NewCSVAggregator(io.Discard)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkLiveClusterThroughput measures the real middleware end to end —
-// samples delivered by a 4-worker in-process cluster — with the run
-// orchestrated as a one-cell grid through the sweep engine, like every
-// other experiment path.
+// samples delivered by a 4-worker in-process cluster over the chan fabric.
 func BenchmarkLiveClusterThroughput(b *testing.B) {
 	ds := dataset.MustNew(dataset.Spec{
 		Name: "bench-live", F: 512, MeanSize: 8 << 10, Classes: 10, Seed: 3,
 	})
-	grid := nopfs.ClusterGrid("bench-live",
-		[]nopfs.ClusterScenario{{
-			ID: "w4", Workers: 4,
-			Dataset: func() (nopfs.Dataset, error) { return ds, nil },
-			Options: nopfs.Options{
-				Epochs: 2, BatchPerWorker: 8,
-				StagingBytes: 4 << 20, StagingThreads: 4,
-				Classes: []nopfs.Class{{Name: "ram", CapacityBytes: 8 << 20, Threads: 2}},
-			},
-		}},
-		nopfs.ChanFabric(), 1, 9)
-	runner := &sim.Runner{Parallel: 1}
+	opts := nopfs.Options{
+		Seed: 9, Fabric: nopfs.FabricChan,
+		Epochs: 2, BatchPerWorker: 8,
+		StagingBytes: 4 << 20, StagingThreads: 4,
+		Classes: []nopfs.Class{{Name: "ram", CapacityBytes: 8 << 20, Threads: 2}},
+	}
 	b.ReportAllocs()
 	var delivered int64
 	for i := 0; i < b.N; i++ {
-		rep, err := runner.Run(bg, grid)
+		stats, err := nopfs.RunCluster(bg, ds, 4, opts, nopfs.DrainAll(nil))
 		if err != nil {
 			b.Fatal(err)
 		}
-		delivered = int64(rep.Cells[0].Outcome.Values[nopfs.MetricDelivered])
+		delivered = 0
+		for _, s := range stats {
+			delivered += s.Delivered
+		}
 	}
 	// Bytes per iteration: every run delivers the same seed-determined count.
 	b.SetBytes(delivered * 8 << 10)

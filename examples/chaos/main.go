@@ -23,8 +23,9 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/dataset"
+	isim "repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/nopfs"
-	"repro/sim"
 )
 
 // profile is the shared fault scenario: worker 1 runs half speed from epoch
@@ -43,18 +44,18 @@ func main() {
 	ctx := context.Background()
 
 	// --- Simulator: clean vs faulted on the Fig. 8d regime. -------------
-	scenario, err := sim.ScenarioByID("fig8d")
+	scenario, err := isim.ScenarioByID("fig8d")
 	if err != nil {
 		log.Fatal(err)
 	}
-	grid := sim.ScenarioGrid(scenario, 0.01, 42, 1)
-	grid.Profiles = sim.ChaosProfiles(chaos.Profile{Name: "clean"}, profile())
-	rep, err := (&sim.Runner{}).Run(ctx, grid)
+	grid := sweep.ScenarioGrid(scenario, 0.01, 42, 1)
+	grid.Profiles = sweep.ChaosProfiles(chaos.Profile{Name: "clean"}, profile())
+	rep, err := (&sweep.Runner{}).Run(ctx, grid)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("Simulated policy comparison, clean vs faulted (identical access streams):")
-	if err := sim.WriteText(os.Stdout, rep); err != nil {
+	if err := sweep.WriteText(os.Stdout, rep); err != nil {
 		log.Fatal(err)
 	}
 

@@ -15,7 +15,7 @@ import (
 	"log"
 	"os"
 
-	"repro/sim"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -23,30 +23,30 @@ func main() {
 
 	// One grid holds both steps: the staging preliminary and the RAM x SSD
 	// environment study, NoPFS on every row.
-	rep, err := new(sim.Runner).Run(context.Background(), sim.Fig9FullGrid(scale, 7, 1))
+	rep, err := new(sweep.Runner).Run(context.Background(), sweep.Fig9FullGrid(scale, 7, 1))
 	if err != nil {
 		log.Fatal(err)
 	}
 	exec := map[string]float64{}
 	for _, c := range rep.Cells {
-		exec[c.Scenario] = c.Outcome.Values[sim.MetricExec]
+		exec[c.Scenario] = c.Outcome.Values[sweep.MetricExec]
 	}
 
 	// Step 1: is the staging buffer a limiting factor? (Paper: no.)
 	fmt.Println("step 1: staging buffer sweep (RAM=32 GB, no SSD):")
-	for _, gb := range sim.Fig9StagingSizes() {
-		fmt.Printf("  staging %d GB -> %.1fs\n", gb, exec[sim.Fig9StagingID(gb)])
+	for _, gb := range sweep.Fig9StagingSizes() {
+		fmt.Printf("  staging %d GB -> %.1fs\n", gb, exec[sweep.Fig9StagingID(gb)])
 	}
 	fmt.Println("  => staging size is irrelevant here; fix it at 5 GB")
 
 	// Step 2: the RAM x SSD grid.
 	fmt.Println("\nstep 2: RAM x SSD sweep (NoPFS, ImageNet-22k, 5x compute):")
-	sim.PrintFig9Matrix(os.Stdout, rep)
+	sweep.PrintFig9Matrix(os.Stdout, rep)
 
 	// Step 3: read off the design guidance the paper highlights.
 	fmt.Println("\ndesign observations (paper Sec. 6.2):")
-	fmt.Printf("  max RAM, no SSD:    %.1fs\n", exec[sim.Fig9CellID(512, 0)])
-	fmt.Printf("  max RAM, max SSD:   %.1fs  (SSD barely matters once RAM is large)\n", exec[sim.Fig9CellID(512, 1024)])
-	fmt.Printf("  min RAM, no SSD:    %.1fs\n", exec[sim.Fig9CellID(32, 0)])
-	fmt.Printf("  min RAM, max SSD:   %.1fs  (cheap SSD compensates for scarce RAM)\n", exec[sim.Fig9CellID(32, 1024)])
+	fmt.Printf("  max RAM, no SSD:    %.1fs\n", exec[sweep.Fig9CellID(512, 0)])
+	fmt.Printf("  max RAM, max SSD:   %.1fs  (SSD barely matters once RAM is large)\n", exec[sweep.Fig9CellID(512, 1024)])
+	fmt.Printf("  min RAM, no SSD:    %.1fs\n", exec[sweep.Fig9CellID(32, 0)])
+	fmt.Printf("  min RAM, max SSD:   %.1fs  (cheap SSD compensates for scarce RAM)\n", exec[sweep.Fig9CellID(32, 1024)])
 }

@@ -199,19 +199,6 @@ func (p *Plan) EpochOrders(workers int) [][]SampleID {
 	return out
 }
 
-// WorkerEpochFromOrder extracts worker i's per-epoch access sequence from a
-// precomputed EpochOrder, avoiding re-shuffles when iterating workers. It
-// applies the static pos-mod-N partition; for elastic plans use
-// WorkerEpochFromOrderAt, which knows which epoch's membership applies.
-func (p *Plan) WorkerEpochFromOrder(order []SampleID, worker int) []SampleID {
-	limit := p.epochLimit()
-	out := make([]SampleID, 0, limit/p.N+1)
-	for pos := worker; pos < limit; pos += p.N {
-		out = append(out, order[pos])
-	}
-	return out
-}
-
 // WorkerEpochFromOrderAt extracts worker i's sequence for epoch e from a
 // precomputed order, honouring the plan's pattern: under an elastic
 // membership schedule the epoch's positions are partitioned among the

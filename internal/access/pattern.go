@@ -232,8 +232,8 @@ func ParseAccessSpec(spec string) (Pattern, error) {
 // CanonicalSpec parses a spec and returns its canonical rendering, with the
 // uniform baseline normalised to the empty string. Entry points (CLI flags,
 // nopfs options, the sweep axis) canonicalise before stamping a Plan so two
-// spellings of one pattern ("zipf" vs "zipf:s=1.1") share plan digests,
-// cache entries, and memoised results.
+// spellings of one pattern ("zipf" vs "zipf:s=1.1") share plan digests
+// and cache entries.
 func CanonicalSpec(spec string) (string, error) {
 	pat, err := ParseAccessSpec(spec)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/access"
-	"repro/internal/stats"
 )
 
 // accessOptions holds the access command's parsed flags.
@@ -80,7 +79,6 @@ func RunAccess(prog string, args []string, stdout, stderr io.Writer) int {
 			return fmt.Errorf("total-access invariant broken at sample %d", k)
 		}
 		fmt.Fprintf(stdout, "  every sample accessed exactly once per epoch: ok\n")
-		_ = stats.BinomialMean // keep the analytic package linked explicitly
 		return nil
 	})
 }

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	isim "repro/internal/sim"
+	"repro/nopfs"
 )
 
 // runMain invokes Main with captured streams.
@@ -250,5 +252,29 @@ func TestDryRunExecutesNoCells(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunInstallsMetricsOnlyOnRequest: `nopfs run` puts the cluster on the
+// instrumented fetch path only when -metrics-out will print the series; a
+// fetch trace alone needs no registry.
+func TestRunInstallsMetricsOnlyOnRequest(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want bool
+	}{
+		{nil, false},
+		{[]string{"-trace-fetches", "trace.txt"}, false},
+		{[]string{"-metrics-out", "-"}, true},
+		{[]string{"-metrics-out", "m.prom", "-trace-fetches", "trace.txt"}, true},
+	} {
+		fs, o := runFlags("nopfs run")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		opts := o.liveOptions(chaos.Profile{}, nopfs.ResiliencePolicy{})
+		if got := opts.Metrics != nil; got != tc.want {
+			t.Errorf("run %v: metrics registry installed = %v, want %v", tc.args, got, tc.want)
+		}
 	}
 }

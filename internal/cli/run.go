@@ -95,32 +95,9 @@ func RunLive(prog string, args []string, stdout, stderr io.Writer) int {
 			return usageError{err: err}
 		}
 
-		var classes []nopfs.Class
-		if o.RAMMB > 0 {
-			classes = append(classes, nopfs.Class{Name: "ram", CapacityBytes: int64(o.RAMMB) << 20, Threads: 2})
-		}
-		if o.SSDMB > 0 {
-			classes = append(classes, nopfs.Class{Name: "ssd", CapacityBytes: int64(o.SSDMB) << 20, Threads: 1})
-		}
-		reg := nopfs.NewMetricsRegistry()
-		opts := nopfs.NewOptions(
-			nopfs.WithSeed(o.Seed),
-			nopfs.WithEpochs(o.Epochs),
-			nopfs.WithBatchPerWorker(o.Batch),
-			nopfs.WithStagingBuffer(int64(o.StagingMB)<<20),
-			nopfs.WithClasses(classes...),
-			nopfs.WithPFSBandwidth(o.PFSMBps),
-			nopfs.WithInterconnectBandwidth(o.InterconnectMBps),
-			nopfs.WithFabric(o.Fabric),
-			nopfs.WithVerifySamples(o.Verify),
-			nopfs.WithChaos(profile),
-			nopfs.WithAccessPattern(o.Access),
-			nopfs.WithResilience(resilience),
-			nopfs.WithMetrics(reg),
-		)
-		var traceFile *os.File
+		opts := o.liveOptions(profile, resilience)
 		if o.TraceFetches != "" {
-			traceFile, err = os.Create(o.TraceFetches)
+			traceFile, err := os.Create(o.TraceFetches)
 			if err != nil {
 				return err
 			}
@@ -142,8 +119,40 @@ func RunLive(prog string, args []string, stdout, stderr io.Writer) int {
 				s.Fetches[nopfs.SourceLocal], s.Fetches[nopfs.SourceRemote], s.Fetches[nopfs.SourcePFS],
 				s.PFSReads, s.StallSeconds, float64(s.CachedBytes)/(1<<20))
 		}
-		return dumpMetrics(stdout, reg, o.MetricsOut)
+		return dumpMetrics(stdout, opts.Metrics, o.MetricsOut)
 	})
+}
+
+// liveOptions builds the cluster options from the parsed flags. A metrics
+// registry is installed only when -metrics-out asks for the series: with one,
+// every staged fetch takes the instrumented path (a clock read per fetch, a
+// counter per class probe), which a run that discards them should not pay.
+func (o *runOptions) liveOptions(profile chaos.Profile, resilience nopfs.ResiliencePolicy) nopfs.Options {
+	var classes []nopfs.Class
+	if o.RAMMB > 0 {
+		classes = append(classes, nopfs.Class{Name: "ram", CapacityBytes: int64(o.RAMMB) << 20, Threads: 2})
+	}
+	if o.SSDMB > 0 {
+		classes = append(classes, nopfs.Class{Name: "ssd", CapacityBytes: int64(o.SSDMB) << 20, Threads: 1})
+	}
+	opts := nopfs.NewOptions(
+		nopfs.WithSeed(o.Seed),
+		nopfs.WithEpochs(o.Epochs),
+		nopfs.WithBatchPerWorker(o.Batch),
+		nopfs.WithStagingBuffer(int64(o.StagingMB)<<20),
+		nopfs.WithClasses(classes...),
+		nopfs.WithPFSBandwidth(o.PFSMBps),
+		nopfs.WithInterconnectBandwidth(o.InterconnectMBps),
+		nopfs.WithFabric(o.Fabric),
+		nopfs.WithVerifySamples(o.Verify),
+		nopfs.WithChaos(profile),
+		nopfs.WithAccessPattern(o.Access),
+		nopfs.WithResilience(resilience),
+	)
+	if o.MetricsOut != "" {
+		nopfs.WithMetrics(nopfs.NewMetricsRegistry())(&opts)
+	}
+	return opts
 }
 
 // dumpMetrics writes the registry in Prometheus text exposition format to

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 
+	isim "repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/sim"
 )
 
 // simOptions holds the sim command's parsed flags.
@@ -79,9 +79,9 @@ func RunSim(prog string, args []string, stdout, stderr io.Writer) int {
 		// The Fig. 9 study's text mode is the RAM × SSD matrix; with a
 		// fault-profile or access-pattern axis it is the generic table (the
 		// matrix has one cell per scenario).
-		var text func(*sim.Report)
+		var text func(*sweep.Report)
 		if o.Sweep && len(profiles) == 0 && len(patterns) == 0 {
-			text = func(rep *sim.Report) { printFig9(stdout, rep) }
+			text = func(rep *sweep.Report) { printFig9(stdout, rep) }
 		}
 		if err := o.Emit(ctx, stdout, grid, text); err != nil {
 			return err
@@ -92,23 +92,23 @@ func RunSim(prog string, args []string, stdout, stderr io.Writer) int {
 
 // simGrid selects the mode's grid (nil for -table1). Unknown scenarios and a
 // missing mode are usage errors — exit 2 with usage.
-func simGrid(o *simOptions, profiles []sweep.ProfileSpec, patterns []sweep.AccessSpec) (*sim.Grid, error) {
-	var grid *sim.Grid
+func simGrid(o *simOptions, profiles []sweep.ProfileSpec, patterns []sweep.AccessSpec) (*sweep.Grid, error) {
+	var grid *sweep.Grid
 	switch {
 	case o.Table1:
 		return nil, nil
 	case o.Sweep:
-		grid = sim.Fig9FullGrid(o.Scale, o.Seed, o.Replicas)
+		grid = sweep.Fig9FullGrid(o.Scale, o.Seed, o.Replicas)
 	case o.Ablation:
-		grid = sim.AblationGrid(o.Scale, o.Seed, o.Replicas)
+		grid = sweep.AblationGrid(o.Scale, o.Seed, o.Replicas)
 	case o.All:
-		grid = sim.Fig8Grid(o.Scale, o.Seed, o.Replicas)
+		grid = sweep.Fig8Grid(o.Scale, o.Seed, o.Replicas)
 	case o.Scenario != "":
-		s, err := sim.ScenarioByID(o.Scenario)
+		s, err := isim.ScenarioByID(o.Scenario)
 		if err != nil {
 			return nil, usageError{err: err}
 		}
-		grid = sim.ScenarioGrid(s, o.Scale, o.Seed, o.Replicas)
+		grid = sweep.ScenarioGrid(s, o.Scale, o.Seed, o.Replicas)
 	default:
 		return nil, usagef("no mode selected: use -scenario, -all, -sweep, -ablation, or -table1")
 	}
@@ -120,20 +120,20 @@ func simGrid(o *simOptions, profiles []sweep.ProfileSpec, patterns []sweep.Acces
 // printFig9 renders the Fig. 9 study — environment grid plus staging
 // preliminary, one engine run — as the RAM × SSD matrix, with means when the
 // grid ran multiple seeds per cell.
-func printFig9(w io.Writer, rep *sim.Report) {
+func printFig9(w io.Writer, rep *sweep.Report) {
 	title := "Fig. 9: ImageNet-22k, NoPFS, 5x compute, 5 GB staging buffer"
 	if rep.Replicas > 1 {
 		title += fmt.Sprintf(" (mean of %d seeds)", rep.Replicas)
 	}
 	fmt.Fprintln(w, title)
-	sim.PrintFig9Matrix(w, rep)
-	byID := map[string]sim.Summary{}
+	sweep.PrintFig9Matrix(w, rep)
+	byID := map[string]sweep.Summary{}
 	for _, s := range rep.Aggregate() {
 		byID[s.Scenario] = s
 	}
 	fmt.Fprintln(w, "\nstaging-buffer preliminary (runtime vs staging GB, RAM=32, no SSD):")
-	for _, gb := range sim.Fig9StagingSizes() {
-		fmt.Fprintf(w, "  %d GB: %.1fs\n", gb, byID[sim.Fig9StagingID(gb)].Metric(sim.MetricExec).Mean)
+	for _, gb := range sweep.Fig9StagingSizes() {
+		fmt.Fprintf(w, "  %d GB: %.1fs\n", gb, byID[sweep.Fig9StagingID(gb)].Metric(sweep.MetricExec).Mean)
 	}
 }
 

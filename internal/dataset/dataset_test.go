@@ -203,18 +203,6 @@ func TestPaperPresetTotals(t *testing.T) {
 	}
 }
 
-func TestAllPaperSpecsComplete(t *testing.T) {
-	all := AllPaperSpecs()
-	for _, name := range []string{"mnist", "imagenet-1k", "openimages", "imagenet-22k", "cosmoflow", "cosmoflow-512"} {
-		if _, ok := all[name]; !ok {
-			t.Errorf("preset %q missing", name)
-		}
-	}
-	if len(all) != 6 {
-		t.Errorf("expected 6 presets, got %d", len(all))
-	}
-}
-
 func TestMaterializeAndOpenFS(t *testing.T) {
 	dir := t.TempDir()
 	d := MustNew(Spec{Name: "fs", F: 30, MeanSize: 512, StddevSize: 100, Classes: 4, Seed: 2})

@@ -59,16 +59,3 @@ func CosmoFlow512Spec() Spec {
 		Classes: 1, Seed: 0x16,
 	}
 }
-
-// AllPaperSpecs returns every preset used in the paper's evaluation, keyed
-// by name, for CLI lookup.
-func AllPaperSpecs() map[string]Spec {
-	out := map[string]Spec{}
-	for _, s := range []Spec{
-		MNISTSpec(), ImageNet1kSpec(), OpenImagesSpec(),
-		ImageNet22kSpec(), CosmoFlowSpec(), CosmoFlow512Spec(),
-	} {
-		out[s.Name] = s
-	}
-	return out
-}

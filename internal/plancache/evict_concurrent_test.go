@@ -132,7 +132,7 @@ func TestEvictionIsLRUUnderMixedSizes(t *testing.T) {
 // many goroutines ask, its bytes are part of Stats().Bytes (what the cache
 // reports must account for what the process holds), they leave with the plan
 // entry, and a build that finishes after the entry was evicted is not
-// charged; in naive mode every request builds and nothing is charged.
+// charged.
 func TestTagStreamAccounting(t *testing.T) {
 	p1 := access.Plan{Seed: 1, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
 	p2 := access.Plan{Seed: 2, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
@@ -198,18 +198,5 @@ func TestTagStreamAccounting(t *testing.T) {
 	a1.TagStream(FamilyFirstTouch, ds, node, "plan", build(a1, true)) // late build on the evicted entry
 	if got := c.Stats().Bytes; got != a2.baseBytes() {
 		t.Fatalf("evicted entry's tag stream charged the cache: %d -> %d bytes", a2.baseBytes(), got)
-	}
-
-	defer SetNaive(SetNaive(true))
-	builds.Store(0)
-	for i := 0; i < 2; i++ {
-		an := c.Artifacts(p2)
-		an.TagStream(FamilyNoPFS, ds, node, "plan", build(an, false))
-	}
-	if builds.Load() != 2 {
-		t.Fatalf("naive mode built %d tag streams for 2 requests", builds.Load())
-	}
-	if got := c.Stats().Bytes; got != a2.baseBytes() {
-		t.Fatalf("naive mode charged the cache: %d -> %d bytes", a2.baseBytes(), got)
 	}
 }

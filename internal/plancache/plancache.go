@@ -1,9 +1,8 @@
 // Package plancache memoises the clairvoyant plan artifacts that every
 // layer of the system re-derives from an access.Plan: per-epoch orders
 // (uniform shuffles or any access.Pattern), per-worker access streams,
-// elastic epoch-end offsets, first-access positions, access-frequency
-// tables, candidate rankings, and the cachepolicy.Assignment placements
-// computed from them.
+// elastic epoch-end offsets, first-access positions, candidate rankings,
+// and the cachepolicy.Assignment placements computed from them.
 // The plan's canonical access spec is part of the cache key, so two plans
 // differing only in pattern never share artifacts.
 //
@@ -17,8 +16,8 @@
 // (singleflight), and every consumer shares the immutable result.
 //
 // Memory bound and eviction rule: the cache tracks an approximate byte size
-// per entry (orders + streams + lazily-computed frequency tables, rankings
-// and assignments) and evicts least-recently-used entries whenever the total
+// per entry (orders + streams + lazily-computed rankings and assignments)
+// and evicts least-recently-used entries whenever the total
 // exceeds MaxBytes. Eviction only drops the cache's reference — artifacts
 // already handed out remain valid (they are immutable), so a concurrent
 // holder is never invalidated.
@@ -26,9 +25,7 @@
 // Determinism: epoch shuffles are generated in parallel across a bounded
 // goroutine pool. Each epoch's shuffle is driven by an independently derived
 // PRNG stream (access.Plan.epochGen), so parallel generation is
-// bit-identical to the serial loop by construction. The naive single-
-// threaded, uncached path remains reachable via SetNaive for equivalence
-// testing.
+// bit-identical to the serial loop by construction.
 package plancache
 
 import (
@@ -47,17 +44,6 @@ import (
 // ImageNet-22k plans (E=5, F=14.2M) are ~570 MB of orders+streams, so the
 // default admits one paper-scale plan or hundreds of scaled ones.
 const DefaultMaxBytes = 768 << 20
-
-// naiveMode forces the naive single-threaded artifact path: every call
-// recomputes serially, nothing is memoised or shared. It exists so
-// equivalence tests can compare the cached/parallel path against the
-// original per-call derivation. Build-internal: this package is internal to
-// the module, so the flag is unreachable from external importers.
-var naiveMode atomic.Bool
-
-// SetNaive toggles the naive artifact path (see naiveMode). Returns the
-// previous value so tests can restore it.
-func SetNaive(v bool) bool { return naiveMode.Swap(v) }
 
 // Cache is a concurrency-safe, size-bounded memo of plan artifacts, keyed by
 // the full Plan value (collision-free by construction; Plan.Hash is for
@@ -141,12 +127,8 @@ func (c *Cache) effectiveWorkers() int {
 
 // Artifacts returns the compute-once artifact set for the plan. Concurrent
 // calls for the same plan share one computation; calls for different plans
-// proceed independently. In naive mode the artifacts are rebuilt serially on
-// every call and never cached.
+// proceed independently.
 func (c *Cache) Artifacts(p access.Plan) *Artifacts {
-	if naiveMode.Load() {
-		return buildArtifacts(p, 1, nil, nil)
-	}
 	c.mu.Lock()
 	e, ok := c.entries[p]
 	if !ok {
@@ -219,17 +201,13 @@ type Artifacts struct {
 	// Plan.SamplesPerEpoch applies.
 	EpochEnds [][]int
 
-	freqOnce sync.Once
-	freqs    [][]int32
-
 	// ranks[0] is the first-access ranking, ranks[1] the by-frequency one.
 	ranks [2]struct {
 		once sync.Once
 		rank *cachepolicy.Rank
 	}
 
-	// cache/self back-link for byte accounting of lazily added artifacts;
-	// nil in naive mode.
+	// cache/self back-link for byte accounting of lazily added artifacts.
 	cache *Cache
 	self  *entry
 
@@ -277,27 +255,6 @@ func (a *Artifacts) baseBytes() int64 {
 	return n
 }
 
-// Frequencies returns freqs[worker][sample] — each worker's per-sample
-// access counts across all epochs — computed once from the cached streams
-// (no shuffle work) and shared thereafter.
-func (a *Artifacts) Frequencies() [][]int32 {
-	a.freqOnce.Do(func() {
-		freqs := make([][]int32, a.Plan.N)
-		for w := range freqs {
-			f := make([]int32, a.Plan.F)
-			for _, k := range a.Streams[w] {
-				f[k]++
-			}
-			freqs[w] = f
-		}
-		a.freqs = freqs
-		if a.cache != nil {
-			a.cache.addBytes(a.self, int64(a.Plan.N)*int64(a.Plan.F)*4)
-		}
-	})
-	return a.freqs
-}
-
 // Rank returns the plan's candidate ranking (see cachepolicy.RankStreams) —
 // by access frequency for the NoPFS placement, by first access for the
 // random-placement ablation — computed once from the cached streams and
@@ -309,9 +266,7 @@ func (a *Artifacts) Rank(byFreq bool) *cachepolicy.Rank {
 	}
 	r.once.Do(func() {
 		r.rank = cachepolicy.RankStreams(&a.Plan, a.Streams, byFreq)
-		if a.cache != nil {
-			a.cache.addBytes(a.self, r.rank.ApproxBytes())
-		}
+		a.cache.addBytes(a.self, r.rank.ApproxBytes())
 	})
 	return r.rank
 }
@@ -379,7 +334,6 @@ const (
 // Assignment returns the compute-once placement for (plan, dataset, node,
 // family), building it with build on first use. The returned Assignment is
 // shared and must be treated as immutable (all its methods are read-only).
-// In naive mode build runs directly with no memoisation.
 //
 // The build's tracking layout (full vs. lean, see AssignmentLean) is part of
 // the key; builds passed here must be full.
@@ -404,9 +358,6 @@ func (a *Artifacts) Placement(family string, ds cachepolicy.Sizer, node hwspec.N
 }
 
 func (a *Artifacts) assignment(family string, ds cachepolicy.Sizer, node hwspec.Node, lean bool, build func() *cachepolicy.Assignment) *cachepolicy.Assignment {
-	if a.cache == nil {
-		return build()
-	}
 	a.amu.Lock()
 	e := a.placementEntry(family, ds, node, lean)
 	a.amu.Unlock()
@@ -435,12 +386,8 @@ func (a *Artifacts) placementEntry(family string, ds cachepolicy.Sizer, node hws
 // the same stream share it, whatever else differs between them — is charged
 // to the plan's cache entry like the placement itself, and leaves the cache
 // with it. The empty family keys the streams of policies that consult no
-// placement, the empty kind the plan's own stream. In naive mode build runs
-// on every call.
+// placement, the empty kind the plan's own stream.
 func (a *Artifacts) TagStream(family string, ds cachepolicy.Sizer, node hwspec.Node, kind string, build func() *TagStream) *TagStream {
-	if a.cache == nil {
-		return build()
-	}
 	a.amu.Lock()
 	e := a.placementEntry(family, ds, node, true)
 	t, ok := e.tagged[kind]

@@ -66,11 +66,31 @@ func eqStreams(t *testing.T, label string, got, want [][]access.SampleID) {
 	}
 }
 
+// patternPlans is one plan per access preset plus a second elastic schedule
+// (rank 0 leaves, a late joiner), numbered on from testPlans' seeds.
+func patternPlans(t *testing.T) []access.Plan {
+	t.Helper()
+	specs := []string{"elastic:join=3@2,leave=0@1"}
+	for _, pat := range access.Presets() {
+		specs = append(specs, pat.Spec())
+	}
+	var plans []access.Plan
+	for i, spec := range specs {
+		p := access.Plan{Seed: uint64(5 + i), F: 211, N: 4, E: 4, BatchPerWorker: 4, DropLast: i%2 == 0, Access: spec}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	return plans
+}
+
 // TestArtifactsMatchNaivePlanPath asserts byte-identical epoch orders,
-// streams, first positions, and frequency tables between the cached/parallel
-// path and the naive serial access.Plan derivations.
+// streams, elastic epoch ends and first positions between the
+// cached/parallel path and the naive serial access.Plan derivations, under
+// the uniform shuffle and every access pattern.
 func TestArtifactsMatchNaivePlanPath(t *testing.T) {
-	for _, p := range testPlans() {
+	for _, p := range append(testPlans(), patternPlans(t)...) {
 		p := p
 		t.Run(fmt.Sprintf("seed%d", p.Seed), func(t *testing.T) {
 			c := New(0, 4)
@@ -81,17 +101,21 @@ func TestArtifactsMatchNaivePlanPath(t *testing.T) {
 				wantOrders[e] = p.EpochOrder(e)
 			}
 			eqStreams(t, "EpochOrders", art.EpochOrders, wantOrders)
-			eqStreams(t, "Streams", art.Streams, p.AllWorkerStreams())
-
-			wantFreqs := p.Frequencies()
-			gotFreqs := art.Frequencies()
-			if len(gotFreqs) != len(wantFreqs) {
-				t.Fatalf("freqs: %d workers, want %d", len(gotFreqs), len(wantFreqs))
+			wantStreams := make([][]access.SampleID, p.N)
+			for w := range wantStreams {
+				wantStreams[w] = p.WorkerStream(w)
 			}
-			for w := range wantFreqs {
-				for k := range wantFreqs[w] {
-					if gotFreqs[w][k] != wantFreqs[w][k] {
-						t.Fatalf("freqs[%d][%d]: got %d want %d", w, k, gotFreqs[w][k], wantFreqs[w][k])
+			eqStreams(t, "Streams", art.Streams, wantStreams)
+
+			if (art.EpochEnds != nil) != p.Elastic() {
+				t.Fatalf("EpochEnds present = %v on a plan with Elastic() = %v", art.EpochEnds != nil, p.Elastic())
+			}
+			for w, ends := range art.EpochEnds {
+				want := 0
+				for e := 0; e < p.E; e++ {
+					want += len(p.WorkerEpoch(w, e))
+					if ends[e] != want {
+						t.Fatalf("EpochEnds[%d][%d]: got %d want %d", w, e, ends[e], want)
 					}
 				}
 			}
@@ -109,26 +133,6 @@ func TestArtifactsMatchNaivePlanPath(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestNaiveModeMatchesCached asserts the SetNaive path produces identical
-// artifacts to the cached/parallel path (and does not populate the cache).
-func TestNaiveModeMatchesCached(t *testing.T) {
-	p := testPlans()[1]
-	c := New(0, 0)
-	cached := c.Artifacts(p)
-
-	defer SetNaive(SetNaive(true))
-	naive := c.Artifacts(p)
-
-	eqStreams(t, "EpochOrders", naive.EpochOrders, cached.EpochOrders)
-	eqStreams(t, "Streams", naive.Streams, cached.Streams)
-	if naive == cached {
-		t.Fatal("naive mode must rebuild, not serve the memo")
-	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Fatalf("naive mode added entries: %+v", st)
 	}
 }
 
@@ -259,8 +263,7 @@ func TestPlacementRanksOncePerFamily(t *testing.T) {
 
 // TestRankAccounting: a ranking's bytes are charged to its entry when it is
 // built (once), leave the cache with the entry, and are not charged when a
-// live holder of an evicted entry builds one; in naive mode nothing is
-// memoised or charged and every request re-ranks.
+// live holder of an evicted entry builds one.
 func TestRankAccounting(t *testing.T) {
 	p1 := access.Plan{Seed: 1, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
 	p2 := access.Plan{Seed: 2, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
@@ -287,19 +290,6 @@ func TestRankAccounting(t *testing.T) {
 	a1.Rank(false) // lazy artifact on the evicted entry
 	if got := c.Stats().Bytes; got != a2.baseBytes() {
 		t.Fatalf("evicted entry's ranking charged the cache: %d -> %d bytes", a2.baseBytes(), got)
-	}
-
-	defer SetNaive(SetNaive(true))
-	ds, node := testDataset(t, p2.F), testNode(1, 0)
-	before := cachepolicy.RankCount()
-	for i := 0; i < 2; i++ {
-		c.Artifacts(p2).Placement(FamilyNoPFS, ds, node, true)
-	}
-	if n := cachepolicy.RankCount() - before; n != 2 {
-		t.Fatalf("naive mode ranked %d times for 2 requests", n)
-	}
-	if got := c.Stats().Bytes; got != a2.baseBytes() {
-		t.Fatalf("naive mode charged the cache: %d -> %d bytes", a2.baseBytes(), got)
 	}
 }
 
@@ -351,7 +341,7 @@ func TestCacheRace(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				p := plans[(g+i)%len(plans)]
 				art := c.Artifacts(p)
-				_ = art.Frequencies()
+				_ = art.Rank(true)
 				if p.F <= ds.Len() {
 					art.Assignment(FamilyShard, ds, node, func() *cachepolicy.Assignment {
 						return cachepolicy.BuildShard(p.F, p.N, ds, node)
@@ -413,7 +403,7 @@ func TestSizerAndNodeDigests(t *testing.T) {
 
 // TestEvictedEntryDoesNotInflateBytes is the regression guard for lazy
 // artifacts added after eviction: a live holder of an evicted entry that
-// materialises Frequencies must not charge the cache — those bytes could
+// builds a placement must not charge the cache — those bytes could
 // never be reclaimed and would permanently crowd out future entries.
 func TestEvictedEntryDoesNotInflateBytes(t *testing.T) {
 	p1 := access.Plan{Seed: 1, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
@@ -425,7 +415,10 @@ func TestEvictedEntryDoesNotInflateBytes(t *testing.T) {
 	if before.Entries != 1 {
 		t.Fatalf("setup: want 1 entry, got %+v", before)
 	}
-	a1.Frequencies() // lazy artifact on the evicted entry
+	ds, node := testDataset(t, p1.F), testNode(1, 0)
+	a1.Assignment(FamilyShard, ds, node, func() *cachepolicy.Assignment { // lazy artifact on the evicted entry
+		return cachepolicy.BuildShard(p1.F, p1.N, ds, node)
+	})
 	after := c.Stats()
 	if after.Bytes != before.Bytes {
 		t.Fatalf("evicted entry charged the cache: %d -> %d bytes", before.Bytes, after.Bytes)

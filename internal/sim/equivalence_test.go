@@ -2,20 +2,20 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/access"
-	"repro/internal/plancache"
 )
 
-// equivalencePanels are the Fig. 8 panels covered by the cached-vs-naive
+// equivalencePanels are the Fig. 8 panels covered by the cold-vs-warm
 // equivalence table: one per storage regime shape (tiny/partial/oversized
 // dataset), all at test scale.
 var equivalencePanels = []string{"fig8a", "fig8b", "fig8e"}
 
-// runAllPolicies simulates every policy on the panel and returns the
-// results keyed by policy name.
-func runAllPolicies(t *testing.T, id string, seed uint64) map[string]*Result {
+// runAllPolicies simulates every policy on the panel, in Fig. 8 bar order or
+// reversed, and returns the results keyed by policy name.
+func runAllPolicies(t *testing.T, id string, seed uint64, reversed bool) map[string]*Result {
 	t.Helper()
 	s, err := ScenarioByID(id)
 	if err != nil {
@@ -25,8 +25,12 @@ func runAllPolicies(t *testing.T, id string, seed uint64) map[string]*Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pols := AllPolicies()
+	if reversed {
+		slices.Reverse(pols)
+	}
 	out := map[string]*Result{}
-	for _, pol := range AllPolicies() {
+	for _, pol := range pols {
 		r, err := Run(cfg, pol)
 		if err != nil {
 			t.Fatalf("policy %s: %v", pol.Name(), err)
@@ -39,31 +43,23 @@ func runAllPolicies(t *testing.T, id string, seed uint64) map[string]*Result {
 // TestCachedMatchesNaiveArtifactPath is the end-to-end equivalence gate:
 // for every policy on several panels, the full simulator Result (timing
 // series, per-location breakdowns, coverage, failure flags) must be
-// byte-identical between the naive single-threaded artifact path and the
-// cached/parallel path — both cold and warm.
+// byte-identical between the run that builds the plan's shared artifacts and
+// a warm run in the opposite policy order. Each policy's cold result is
+// computed before the policies after it have touched the cache and its warm
+// result after all of them have, so with one seed per order a policy that
+// mutates a shared artifact shows up whichever side of its reader it sits on.
 func TestCachedMatchesNaiveArtifactPath(t *testing.T) {
 	for _, id := range equivalencePanels {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			// Collected in a closure so the deferred restore runs even when
-			// runAllPolicies aborts via t.Fatal (Goexit): global naive mode
-			// must never leak into later tests.
-			naive := func() map[string]*Result {
-				defer plancache.SetNaive(plancache.SetNaive(true))
-				return runAllPolicies(t, id, 42)
-			}()
-
-			cold := runAllPolicies(t, id, 42) // may or may not hit earlier tests' entries
-			warm := runAllPolicies(t, id, 42) // guaranteed warm
-
-			for name, want := range naive {
-				for pass, got := range map[string]*Result{"cold": cold[name], "warm": warm[name]} {
-					if got == nil {
-						t.Fatalf("%s: missing %s result", name, pass)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: %s cached result differs from naive path:\n got %+v\nwant %+v",
-							name, pass, got, want)
+			for i, reversed := range []bool{false, true} {
+				seed := uint64(4200 + i) // fresh to this test: the first pass is cold
+				cold := runAllPolicies(t, id, seed, reversed)
+				warm := runAllPolicies(t, id, seed, !reversed)
+				for name, want := range cold {
+					if got := warm[name]; !reflect.DeepEqual(got, want) {
+						t.Errorf("%s (reversed=%v): warm result differs from cold:\n got %+v\nwant %+v",
+							name, reversed, got, want)
 					}
 				}
 			}
@@ -75,9 +71,9 @@ func TestCachedMatchesNaiveArtifactPath(t *testing.T) {
 // plan artifacts are cached, re-running the full policy panel — the shape of
 // a warm sweep-grid cell — performs zero epoch shuffles.
 func TestWarmCellsDoZeroShuffleWork(t *testing.T) {
-	runAllPolicies(t, "fig8a", 17) // prime the cache for this seed
+	runAllPolicies(t, "fig8a", 17, false) // prime the cache for this seed
 	before := access.ShuffleCount()
-	runAllPolicies(t, "fig8a", 17)
+	runAllPolicies(t, "fig8a", 17, false)
 	if n := access.ShuffleCount() - before; n != 0 {
 		t.Fatalf("warm policy panel performed %d shuffles, want 0", n)
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -45,41 +44,6 @@ func patternConfigOn(t *testing.T, panel, spec string, seed uint64) Config {
 	}
 	cfg.Access = canon
 	return cfg
-}
-
-// TestPatternCachedMatchesNaive extends the cached-vs-naive artifact
-// equivalence to every access pattern: the parallel plan-cache build and the
-// naive single-threaded path must produce byte-identical Results.
-func TestPatternCachedMatchesNaive(t *testing.T) {
-	for _, spec := range patternSpecs {
-		if spec == "" {
-			continue // the uniform case is TestCachedMatchesNaiveArtifactPath
-		}
-		t.Run(spec, func(t *testing.T) {
-			cfg := patternConfig(t, spec, 57)
-			naive := func() map[string]*Result {
-				defer plancache.SetNaive(plancache.SetNaive(true))
-				out := map[string]*Result{}
-				for _, pol := range AllPolicies() {
-					r, err := Run(cfg, pol)
-					if err != nil {
-						t.Fatal(err)
-					}
-					out[r.Policy] = r
-				}
-				return out
-			}()
-			for _, pol := range AllPolicies() {
-				got, err := Run(cfg, pol)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, naive[got.Policy]) {
-					t.Errorf("%s under %q: cached result differs from naive path", got.Policy, spec)
-				}
-			}
-		})
-	}
 }
 
 // TestElasticEpochAccounting checks the simulated worker's epoch series
@@ -151,31 +115,5 @@ func TestElasticRejectsStructuralChaos(t *testing.T) {
 	cfg.Chaos = prof
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("zipf + crash rejected: %v", err)
-	}
-}
-
-// TestDigestCoversAccessPattern: two configs differing only in access spec
-// must produce distinct digests (the memo-soundness precondition), and the
-// digest must be a pure function of the spec string.
-func TestDigestCoversAccessPattern(t *testing.T) {
-	base := patternConfig(t, "", 11)
-	seen := map[uint64]string{}
-	for _, spec := range patternSpecs {
-		cfg := base
-		canon, err := access.CanonicalSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Access = canon
-		d := cfg.Digest()
-		if prev, dup := seen[d]; dup {
-			t.Errorf("digest collision between %q and %q", prev, spec)
-		}
-		seen[d] = spec
-		cfg2 := base
-		cfg2.Access = canon
-		if cfg2.Digest() != d {
-			t.Errorf("digest not deterministic for %q", spec)
-		}
 	}
 }

@@ -141,55 +141,6 @@ type Result struct {
 	RemoteFalsePositives int64
 }
 
-// Speedup returns other.ExecSeconds / r.ExecSeconds.
-func (r *Result) Speedup(other *Result) float64 {
-	if r.ExecSeconds == 0 {
-		return math.Inf(1)
-	}
-	return other.ExecSeconds / r.ExecSeconds
-}
-
-// Digest returns a content hash covering every input the simulation reads:
-// the access plan (seed, shape, drop-last, access-pattern spec), the full
-// system and workload specs including labels and throughput curves, the
-// dataset's size table, the jitter σ, and the chaos profile's canonical spec
-// string. Two configs with equal digests produce bit-identical Results,
-// which is what makes the digest safe as an incremental re-simulation memo
-// key (see sweep.ResultMemo). The digest is in-process only — it is never
-// persisted, so its byte layout may change freely between versions.
-func (c *Config) Digest() uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	mixStr := func(s string) {
-		mix(uint64(len(s)))
-		for i := 0; i < len(s); i++ {
-			mix(uint64(s[i]))
-		}
-	}
-	p := c.Plan()
-	mix(p.Seed)
-	mix(uint64(p.F))
-	mix(uint64(p.N))
-	mix(uint64(p.E))
-	mix(uint64(p.BatchPerWorker))
-	if p.DropLast {
-		mix(1)
-	} else {
-		mix(0)
-	}
-	mixStr(p.Access)
-	mix(c.Sys.Digest())
-	mix(c.Work.Digest())
-	mix(plancache.SizerDigest(c.DS))
-	mix(math.Float64bits(c.PFSJitter))
-	mixStr(c.Chaos.Name)
-	mixStr(c.Chaos.Spec())
-	return h
-}
-
 // Env is the shared state policies consult during a run.
 type Env struct {
 	Cfg   *Config
@@ -465,8 +416,8 @@ var windowPool = sync.Pool{
 }
 
 // simulateCount counts simulate() executions process-wide. It mirrors
-// access.ShuffleCount: tests assert incremental re-simulation (the sweep
-// result memo) by probing how many cells actually simulated.
+// access.ShuffleCount: the dry-run test asserts that explaining a grid
+// simulates no cell by probing it.
 var simulateCount atomic.Int64
 
 // SimulateCount returns the number of simulate() executions so far.

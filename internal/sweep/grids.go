@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"repro/internal/perfmodel"
 	isim "repro/internal/sim"
@@ -67,13 +68,7 @@ func SimOutcome(r *isim.Result) *Outcome {
 // access pattern onto it, build a fresh policy, and simulate. The implicit
 // fault-free profile and uniform pattern are zero values, leaving the
 // configuration untouched.
-//
-// With a memo, the cell first consults it under the configuration's content
-// digest: equal digests imply bit-identical simulator inputs, so a hit
-// replays the cached outcome without simulating (incremental re-simulation).
-// The digest folds the access spec, so two cells differing only in pattern
-// never share a memo entry.
-func simCellFunc(s ScenarioSpec, p PolicySpec, prof ProfileSpec, pat AccessSpec, memo *ResultMemo) CellFunc {
+func simCellFunc(s ScenarioSpec, p PolicySpec, prof ProfileSpec, pat AccessSpec) CellFunc {
 	return func(ctx context.Context, seed uint64) (*Outcome, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -86,13 +81,6 @@ func simCellFunc(s ScenarioSpec, p PolicySpec, prof ProfileSpec, pat AccessSpec,
 		if pat.Spec != "" {
 			cfg.Access = pat.Spec
 		}
-		var key memoKey
-		if memo != nil {
-			key = memoKey{digest: cfg.Digest(), policy: p.Name}
-			if out, ok := memo.get(key); ok {
-				return out, nil
-			}
-		}
 		pol := p.New()
 		if pol == nil {
 			return nil, fmt.Errorf("policy %q constructor returned nil", p.Name)
@@ -101,11 +89,7 @@ func simCellFunc(s ScenarioSpec, p PolicySpec, prof ProfileSpec, pat AccessSpec,
 		if err != nil {
 			return nil, err
 		}
-		out := SimOutcome(r)
-		if memo != nil {
-			memo.put(key, out)
-		}
-		return out, nil
+		return SimOutcome(r), nil
 	}
 }
 
@@ -166,6 +150,29 @@ func Fig9CellID(ramGB, ssdGB int) string {
 // Fig9StagingID names one staging-preliminary grid row.
 func Fig9StagingID(gb int) string {
 	return fmt.Sprintf("staging%d", gb)
+}
+
+// PrintFig9Matrix renders the Fig. 9 environment study from a report of
+// Fig9Grid or Fig9FullGrid: mean execution seconds by RAM (rows) and SSD
+// (columns).
+func PrintFig9Matrix(w io.Writer, rep *Report) {
+	exec := map[string]float64{}
+	for _, s := range rep.Aggregate() {
+		exec[s.Scenario] = s.Metric(MetricExec).Mean
+	}
+	rams, ssds := Fig9Axes()
+	fmt.Fprintf(w, "exec seconds by RAM (rows) x SSD (cols), GB:\n%8s", "")
+	for _, ssd := range ssds {
+		fmt.Fprintf(w, "%10d", ssd)
+	}
+	fmt.Fprintln(w)
+	for _, ram := range rams {
+		fmt.Fprintf(w, "%8d", ram)
+		for _, ssd := range ssds {
+			fmt.Fprintf(w, "%10.1f", exec[Fig9CellID(ram, ssd)])
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // nopfsOnly is the single-policy column set of the Fig. 9 study.

@@ -156,93 +156,24 @@ func TestGridValidatePatterns(t *testing.T) {
 	}
 }
 
-// patternMemoGrid is memoGrid plus a pattern axis whose non-uniform column
-// is the given spec — the access knob the digest-soundness tests turn.
-func patternMemoGrid(t *testing.T, spec string) *Grid {
+// smallSimGrid is a small simulator grid for the pattern-axis tests: one
+// Fig. 8 panel × three policies × two replicas.
+func smallSimGrid(t *testing.T) *Grid {
 	t.Helper()
-	g := memoGrid(t, 1)
-	g.Patterns = []AccessSpec{{Name: "uniform"}, {Name: "pattern", Spec: spec}}
+	s, err := isim.ScenarioByID("fig8a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ScenarioGrid(s, testScale, 5, 2)
+	g.Policies = g.Policies[:3]
 	return g
 }
 
-// TestMemoAccessKnob is the digest-soundness probe for the pattern axis:
-// identical access specs hit the memo, differing specs miss, and the
-// uniform column of a patterned grid reuses results cached by a grid with
-// no pattern axis at all (the empty spec stays out of the digest).
-func TestMemoAccessKnob(t *testing.T) {
-	memo := NewResultMemo(0)
-	r := &Runner{Parallel: 4, Memo: memo}
-
-	// Seed the memo with the pattern-less grid.
-	plain := memoGrid(t, 1)
-	before := isim.SimulateCount()
-	if _, err := r.Run(bg, plain); err != nil {
-		t.Fatal(err)
-	}
-	if n := isim.SimulateCount() - before; n != int64(plain.Size()) {
-		t.Fatalf("cold pattern-less run simulated %d cells, want %d", n, plain.Size())
-	}
-
-	// The patterned grid's uniform column must hit those entries; only the
-	// zipf column simulates.
-	perColumn := plain.Size() // policies × replicas, one scenario
-	before = isim.SimulateCount()
-	if _, err := r.Run(bg, patternMemoGrid(t, "zipf:s=1.1")); err != nil {
-		t.Fatal(err)
-	}
-	if n := isim.SimulateCount() - before; n != int64(perColumn) {
-		t.Fatalf("patterned run simulated %d cells, want %d (the zipf column only)", n, perColumn)
-	}
-
-	// Identical spec: fully memoised, and the report reproduces byte for byte.
-	before = isim.SimulateCount()
-	warmA, err := r.Run(bg, patternMemoGrid(t, "zipf:s=1.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := isim.SimulateCount() - before; n != 0 {
-		t.Fatalf("identical-spec re-run simulated %d cells, want 0", n)
-	}
-	warmB, err := r.Run(bg, patternMemoGrid(t, "zipf:s=1.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := WriteJSON(&a, warmA); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSON(&b, warmB); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("memoised patterned reports differ")
-	}
-
-	// Turning only the access knob must miss: the changed pattern column
-	// re-simulates, the uniform column stays cached.
-	before = isim.SimulateCount()
-	if _, err := r.Run(bg, patternMemoGrid(t, "zipf:s=1.3")); err != nil {
-		t.Fatal(err)
-	}
-	if n := isim.SimulateCount() - before; n != int64(perColumn) {
-		t.Fatalf("access-knob re-run simulated %d cells, want %d (the changed column only)", n, perColumn)
-	}
-
-	// A different pattern kind is a different digest too.
-	before = isim.SimulateCount()
-	if _, err := r.Run(bg, patternMemoGrid(t, "boost:frac=0.1,factor=8")); err != nil {
-		t.Fatal(err)
-	}
-	if n := isim.SimulateCount() - before; n != int64(perColumn) {
-		t.Fatalf("pattern-kind switch simulated %d cells, want %d", n, perColumn)
-	}
-}
-
 // TestPatternCellsDeterministic: a patterned simulator grid reproduces its
-// report byte for byte across runs and pool widths, with no memo involved.
+// report byte for byte across runs and pool widths.
 func TestPatternCellsDeterministic(t *testing.T) {
 	build := func() *Grid {
-		g := memoGrid(t, 1)
+		g := smallSimGrid(t)
 		axis, err := AccessAxis("curriculum:buckets=4")
 		if err != nil {
 			t.Fatal(err)
@@ -271,11 +202,11 @@ func TestPatternCellsDeterministic(t *testing.T) {
 // must not change cell outcomes relative to the axis-free grid — the empty
 // spec is the same simulation. (Headers differ: the axis is present.)
 func TestUniformPatternAxisMatchesNoAxis(t *testing.T) {
-	plain, err := (&Runner{Parallel: 2}).Run(bg, memoGrid(t, 1))
+	plain, err := (&Runner{Parallel: 2}).Run(bg, smallSimGrid(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := memoGrid(t, 1)
+	g := smallSimGrid(t)
 	g.Patterns = []AccessSpec{{Name: "uniform"}}
 	axised, err := (&Runner{Parallel: 2}).Run(bg, g)
 	if err != nil {

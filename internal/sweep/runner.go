@@ -11,11 +11,6 @@ import (
 type Runner struct {
 	// Parallel is the worker count; values below 1 mean GOMAXPROCS.
 	Parallel int
-	// Memo, when non-nil, caches simulator cell outcomes across runs keyed
-	// by the cell's full configuration digest (see ResultMemo). It applies
-	// only to the default simulator binding; grids with a custom Cell
-	// binding always execute. Nil (the default) disables memoisation.
-	Memo *ResultMemo
 }
 
 // workers returns the effective pool width for a grid of n cells.
@@ -82,10 +77,9 @@ func (r *Runner) Run(ctx context.Context, g *Grid) (*Report, error) {
 	return col.rep, nil
 }
 
-// runCell resolves and executes one cell, consulting the runner's memo for
-// simulator cells.
-func runCell(ctx context.Context, r *Runner, g *Grid, c Cell) (*Outcome, error) {
-	fn, err := g.cellFunc(c.ScenarioIdx, c.PolicyIdx, c.ProfileIdx, c.PatternIdx, r.Memo)
+// runCell resolves and executes one cell.
+func runCell(ctx context.Context, g *Grid, c Cell) (*Outcome, error) {
+	fn, err := g.cellFunc(c.ScenarioIdx, c.PolicyIdx, c.ProfileIdx, c.PatternIdx)
 	if err != nil {
 		return nil, err
 	}

@@ -126,7 +126,7 @@ func (r *Runner) RunStream(ctx context.Context, g *Grid, aggs ...Aggregator) err
 					results <- done{i: i, err: err}
 					continue
 				}
-				out, err := runCell(cctx, r, g, cells[i])
+				out, err := runCell(cctx, g, cells[i])
 				results <- done{i: i, out: out, err: err}
 			}
 		}()

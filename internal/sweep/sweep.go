@@ -4,22 +4,19 @@
 //
 // The engine is generic over what a cell *is*. A cell is any function of a
 // derived seed that returns an Outcome — a named bag of scalar metrics plus
-// an optional domain payload. Three cell families flow through it today:
+// an optional domain payload. Two cell families flow through it today:
 //
 //   - simulator runs (the Fig. 8 panels, the Fig. 9 environment study, and
-//     the ablation — the default binding, see grids.go),
+//     the ablation — the default binding, see grids.go), and
 //   - trainer experiment points (internal/trainer builds grids whose cells
-//     simulate one (machine, loader, GPU count) measurement), and
-//   - live cluster jobs (package nopfs builds grids whose cells execute a
-//     real RunCluster over the channel or TCP fabric).
+//     simulate one (machine, loader, GPU count) measurement).
 //
 // Determinism is a hard invariant: each cell's PRNG seed is a pure function
 // of the grid's base seed and the cell's replica index, never of execution
 // order, so the same Grid produces bit-identical Reports at any parallelism
-// level (for cells that are themselves deterministic; live-cluster cells
-// measure wall-clock effects and are deterministic only in their schedule-
-// derived metrics). Policies within one (scenario, replica) share the seed —
-// the paper compares policies on identical training access streams.
+// level (for cells that are themselves deterministic). Policies within one
+// (scenario, replica) share the seed — the paper compares policies on
+// identical training access streams.
 package sweep
 
 import (
@@ -67,16 +64,16 @@ type Outcome struct {
 	// Values holds the cell's scalar metrics, keyed by Metric.Name.
 	Values map[string]float64 `json:"values,omitempty"`
 	// Payload is the cell's domain-specific result (*isim.Result for
-	// simulator cells, trainer.ScalePoint for trainer cells, []nopfs.Stats
-	// for live cells). It is never encoded; presenters that need more than
-	// the scalar metrics read it back out of the report cells.
+	// simulator cells, trainer.ScalePoint for trainer cells). It is never
+	// encoded; presenters that need more than the scalar metrics read it
+	// back out of the report cells.
 	Payload any `json:"-"`
 }
 
 // CellFunc executes one cell of a grid from its deterministically derived
 // seed. It must be safe to call concurrently with other cells' funcs, and
-// should honour ctx cancellation when the cell blocks (live-cluster cells
-// do; pure-compute simulator cells check it on entry).
+// should honour ctx cancellation when the cell blocks (pure-compute
+// simulator cells check it on entry).
 type CellFunc func(ctx context.Context, seed uint64) (*Outcome, error)
 
 // ScenarioSpec is one row of a Grid. For simulator grids, Config
@@ -205,20 +202,6 @@ func AccessAxis(spec string) ([]AccessSpec, error) {
 		return nil, nil
 	}
 	return AccessPatterns(access.Pattern{Name: "uniform"}, p), nil
-}
-
-// PolicySpecByName resolves a single registry column.
-func PolicySpecByName(name string) (PolicySpec, error) {
-	if _, err := isim.PolicyByName(name); err != nil {
-		return PolicySpec{}, err
-	}
-	return PolicySpec{Name: name, New: func() isim.Policy {
-		pol, err := isim.PolicyByName(name)
-		if err != nil {
-			return nil
-		}
-		return pol
-	}}, nil
 }
 
 // Grid is a (scenario × policy × fault-profile × access-pattern × replica)
@@ -357,9 +340,8 @@ func (g *Grid) Cells() []Cell {
 
 // cellFunc resolves the executable cell for (scenario, policy, profile,
 // pattern) indices, applying the simulator default when the grid carries no
-// custom binding. The memo applies only to the simulator default: custom
-// bindings may close over live resources the memo cannot key.
-func (g *Grid) cellFunc(si, pi, fi, ai int, memo *ResultMemo) (CellFunc, error) {
+// custom binding.
+func (g *Grid) cellFunc(si, pi, fi, ai int) (CellFunc, error) {
 	if g.Cell != nil {
 		fn := g.Cell(si, pi, fi, ai)
 		if fn == nil {
@@ -368,7 +350,7 @@ func (g *Grid) cellFunc(si, pi, fi, ai int, memo *ResultMemo) (CellFunc, error) 
 		}
 		return fn, nil
 	}
-	return simCellFunc(g.Scenarios[si], g.Policies[pi], g.profiles()[fi], g.patterns()[ai], memo), nil
+	return simCellFunc(g.Scenarios[si], g.Policies[pi], g.profiles()[fi], g.patterns()[ai]), nil
 }
 
 // uniqueLabels reports the first label that repeats on one grid axis.

@@ -209,24 +209,17 @@ func TestRegistryRoundTrip(t *testing.T) {
 		t.Fatalf("%d policy specs, want %d", len(specs), len(isim.AllPolicies()))
 	}
 	for _, spec := range specs {
-		byName, err := PolicySpecByName(spec.Name)
-		if err != nil {
-			t.Errorf("PolicySpecByName(%q): %v", spec.Name, err)
-			continue
+		if _, err := isim.PolicyByName(spec.Name); err != nil {
+			t.Errorf("spec %q is not a registered policy: %v", spec.Name, err)
 		}
-		a, b := spec.New(), byName.New()
-		if a == nil || b == nil {
+		pol := spec.New()
+		if pol == nil {
 			t.Errorf("%q constructor returned nil", spec.Name)
 			continue
 		}
-		if a.Name() != spec.Name || b.Name() != spec.Name {
-			t.Errorf("round trip %q -> %q / %q", spec.Name, a.Name(), b.Name())
+		if pol.Name() != spec.Name {
+			t.Errorf("round trip %q -> %q", spec.Name, pol.Name())
 		}
-		// Stateful policies (pointer receivers) must come out fresh;
-		// stateless value types may compare equal, which is harmless.
-	}
-	if _, err := PolicySpecByName("bogus"); err == nil {
-		t.Error("bogus policy accepted")
 	}
 	// Scenario registry: the Fig. 8 grid covers every panel preset.
 	g := Fig8Grid(testScale, 1, 1)
@@ -356,6 +349,29 @@ func TestFig9StagingCheck(t *testing.T) {
 		if v := exec[Fig9StagingID(gb)]; math.Abs(v-base) > 0.02*base {
 			t.Errorf("staging %d GB exec %.2f differs from 1 GB exec %.2f", gb, v, base)
 		}
+	}
+}
+
+// TestPrintFig9Matrix: the Fig. 9 text matrix has one row per RAM size and
+// one column per SSD size, every cell a simulated runtime.
+func TestPrintFig9Matrix(t *testing.T) {
+	rep, err := new(Runner).Run(bg, Fig9Grid(0.002, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	PrintFig9Matrix(&buf, rep)
+	out := buf.String()
+	if !strings.Contains(out, "512") || !strings.Contains(out, "1024") {
+		t.Errorf("sweep grid missing row/column headers:\n%s", out)
+	}
+	// Header line, SSD column heads, 5 RAM rows; every cell is a simulated
+	// runtime, never the zero a missing row would print.
+	if lines := strings.Count(out, "\n"); lines != 7 {
+		t.Errorf("sweep grid has %d lines, want 7:\n%s", lines, out)
+	}
+	if strings.Contains(out, " 0.0") {
+		t.Errorf("sweep grid has an empty cell:\n%s", out)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Command benchcompare diffs two BENCH_<date>.json trajectory documents
 // (see internal/tools/benchjson) benchstat-style: one row per benchmark
-// present in both files, with the ns/op delta and a regression marker.
+// present in both files, with the ns/op delta and a regression marker, then
+// one row per benchmark the new file no longer has, marked removed.
 //
 // By default the comparison is advisory — regressions print a warning and
 // the exit status stays 0, so CI can surface drift without turning noisy
@@ -97,8 +98,20 @@ func main() {
 		}
 		fmt.Printf("%-52s %14.0f %14.0f %+8.1f%%%s\n", n.Name, o.NsPerOp, n.NsPerOp, pct, mark)
 	}
-	fmt.Printf("summary: %d regression(s), %d improvement(s) past ±%.0f%%\n",
-		regressions, improvements, *threshold)
+	// A benchmark only the old document has was deleted, not slowed down:
+	// name it, and count it as neither.
+	var removed []string
+	for k := range oldBy {
+		if _, ok := newBy[k]; !ok {
+			removed = append(removed, k)
+		}
+	}
+	sort.Strings(removed)
+	for _, k := range removed {
+		fmt.Printf("%-52s %14.0f %14s   removed\n", oldBy[k].Name, oldBy[k].NsPerOp, "-")
+	}
+	fmt.Printf("summary: %d regression(s), %d improvement(s) past ±%.0f%%, %d removed\n",
+		regressions, improvements, *threshold, len(removed))
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "benchcompare: WARNING: %d benchmark(s) slower than baseline by ≥%.0f%%\n",
 			regressions, *threshold)

@@ -97,18 +97,6 @@ func Fig15Lassen(scale float64) Experiment {
 	}
 }
 
-// Fig12CacheStats extracts the NoPFS stall time and fetch-location mix per
-// scale (paper Fig. 12) from a Fig. 10 run.
-func Fig12CacheStats(points []ScalePoint) []ScalePoint {
-	var out []ScalePoint
-	for _, p := range points {
-		if p.Loader == LoaderNoPFS.String() && !p.Failed {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // EndToEndPoint is one sample of the Fig. 16 accuracy-vs-time curves.
 type EndToEndPoint struct {
 	Epoch       int
@@ -189,14 +177,12 @@ func fig16Cell(exp Experiment, ds *dataset.Synthetic, sys hwspec.System, loader 
 	return res, nil
 }
 
-// Fig16Grid plans the end-to-end comparison as a sweep grid: one row (256
-// GPUs), one column per loader, cells carrying EndToEndResult payloads.
-func Fig16Grid(scale float64, replicas int) *sweep.Grid {
-	return Fig16GridFrom(Fig16Experiment(scale), replicas)
-}
-
-// Fig16GridFrom is Fig16Grid over a caller-prepared experiment (seed
-// overrides, trimmed axes, chaos profiles).
+// Fig16GridFrom plans the end-to-end comparison as a sweep grid over a
+// caller-prepared Fig16Experiment (seed overrides, trimmed axes, chaos
+// profiles): one row (256 GPUs), one column per loader, cells carrying
+// EndToEndResult payloads. NoPFS preserves full-dataset randomization, so
+// accuracy-vs-epoch is loader-independent; the loaders differ only in how
+// fast epochs complete — exactly the paper's framing.
 func Fig16GridFrom(exp Experiment, replicas int) *sweep.Grid {
 	cols := make([]sweep.PolicySpec, len(exp.Loaders))
 	for i, l := range exp.Loaders {
@@ -245,26 +231,4 @@ func Fig16GridFrom(exp Experiment, replicas int) *sweep.Grid {
 		}
 	}
 	return grid
-}
-
-// Fig16EndToEnd reproduces the end-to-end comparison: ResNet-50 on
-// ImageNet-1k, 256 Lassen GPUs, per-GPU batch 32 (global 8192), 90 epochs
-// with the Goyal et al. schedule. NoPFS preserves full-dataset
-// randomization, so accuracy-vs-epoch is loader-independent; the loaders
-// differ only in how fast epochs complete — exactly the paper's framing.
-// The loaders run concurrently through the sweep engine.
-func Fig16EndToEnd(ctx context.Context, scale float64) ([]EndToEndResult, error) {
-	rep, err := (&sweep.Runner{}).Run(ctx, Fig16Grid(scale, 1))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]EndToEndResult, len(rep.Cells))
-	for i, c := range rep.Cells {
-		res, ok := c.Outcome.Payload.(EndToEndResult)
-		if !ok {
-			return nil, fmt.Errorf("trainer: fig16 cell %d carries no end-to-end result", i)
-		}
-		out[i] = res
-	}
-	return out, nil
 }

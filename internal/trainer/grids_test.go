@@ -122,7 +122,7 @@ func TestMultiGridFig13(t *testing.T) {
 // TestFig16GridShape checks the end-to-end grid carries curves in payloads
 // and totals in metrics.
 func TestFig16GridShape(t *testing.T) {
-	rep, err := (&sweep.Runner{}).Run(context.Background(), Fig16Grid(0.05, 1))
+	rep, err := (&sweep.Runner{}).Run(context.Background(), Fig16GridFrom(Fig16Experiment(0.05), 1))
 	if err != nil {
 		t.Fatal(err)
 	}

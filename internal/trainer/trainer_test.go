@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/perfmodel"
+	"repro/internal/sweep"
 )
 
 // Test scales: large enough that 64-rank runs still have full batches.
@@ -161,16 +162,21 @@ func TestEpoch0HighVarianceForAll(t *testing.T) {
 }
 
 func TestFig12FetchMixShiftsWithScale(t *testing.T) {
-	// Paper Fig. 12: as GPU count grows, NoPFS shifts fetches from the PFS
-	// toward remote workers; local+remote dominates everywhere after
-	// epoch 0.
-	exp := Fig10Lassen(scaleLA)
+	// Paper Fig. 12, on the grid `nopfs train -fig 12` runs: as GPU count
+	// grows, NoPFS shifts fetches from the PFS toward remote workers;
+	// local+remote dominates everywhere after epoch 0.
+	exp := Fig10PizDaint(scalePD)
 	exp.GPUCounts = []int{32, 256}
 	points, err := exp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := Fig12CacheStats(points)
+	var cache []ScalePoint
+	for _, p := range points {
+		if p.Loader == LoaderNoPFS.String() && !p.Failed {
+			cache = append(cache, p)
+		}
+	}
 	if len(cache) != 2 {
 		t.Fatalf("expected 2 NoPFS points, got %d", len(cache))
 	}
@@ -260,12 +266,17 @@ func TestResNet50Top1Curve(t *testing.T) {
 }
 
 func TestFig16EndToEnd(t *testing.T) {
-	results, err := Fig16EndToEnd(context.Background(), scaleLA)
+	// The grid `nopfs train -fig 16` runs, read the way its text mode does.
+	rep, err := (&sweep.Runner{}).Run(context.Background(), Fig16GridFrom(Fig16Experiment(scaleLA), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	byLoader := map[string]EndToEndResult{}
-	for _, r := range results {
+	for i, c := range rep.Cells {
+		r, ok := c.Outcome.Payload.(EndToEndResult)
+		if !ok {
+			t.Fatalf("fig16 cell %d carries no end-to-end result", i)
+		}
 		byLoader[r.Loader] = r
 	}
 	pytorch := byLoader[LoaderPyTorch.String()]

@@ -149,3 +149,58 @@ func TestRunClusterAggregatesRankErrors(t *testing.T) {
 		}
 	}
 }
+
+// failingDataset returns read errors once a sample-id threshold of reads
+// has been crossed, exercising the prefetcher failure path.
+type failingDataset struct {
+	Dataset
+	reads     atomic.Int64
+	failAfter int64
+}
+
+var errInjected = errors.New("injected read failure")
+
+func (d *failingDataset) ReadSample(id int) ([]byte, error) {
+	if d.reads.Add(1) > d.failAfter {
+		return nil, errInjected
+	}
+	return d.Dataset.ReadSample(id)
+}
+
+// TestClusterPrefetchErrorSurfaces pins the failure path the race fix
+// hardened: a prefetcher hitting a fatal read error must surface it through
+// Get on every affected rank, concurrently with consumers — not hang, not
+// race.
+func TestClusterPrefetchErrorSurfaces(t *testing.T) {
+	base := testDataset(t, 96)
+	ds := &failingDataset{Dataset: base, failAfter: 40}
+	opts := baseOptions()
+	opts.Epochs = 3
+	_, err := RunCluster(bg, ds, 3, opts, DrainAll(nil))
+	if err == nil {
+		t.Fatal("injected read failure did not surface")
+	}
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("got %v, want the injected failure", err)
+	}
+}
+
+// TestClusterEarlyConsumerStop exercises shutdown while prefetchers are
+// mid-flight: the consumer walks away after a few samples and RunCluster
+// must drain and close every rank cleanly.
+func TestClusterEarlyConsumerStop(t *testing.T) {
+	ds := testDataset(t, 96)
+	opts := baseOptions()
+	opts.Epochs = 3
+	_, err := RunCluster(bg, ds, 3, opts, func(ctx context.Context, j *Job) error {
+		for i := 0; i < 5; i++ {
+			if _, ok, err := j.Get(ctx); err != nil || !ok {
+				return err
+			}
+		}
+		return nil // stop early; Close runs with prefetchers active
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/plancache"
 	"repro/internal/storage"
-	"repro/internal/sweep"
 	"repro/internal/transport"
 )
 
@@ -197,53 +196,6 @@ func (*nullEndpoint) SetHandler(transport.Handler) {}
 func (*nullEndpoint) Close() error                 { return nil }
 func (*nullEndpoint) Call(context.Context, int, transport.Request) (transport.Response, error) {
 	return transport.Response{}, transport.ErrClosed
-}
-
-// TestChaosClusterGridDeterministicDelivery runs a (scenario × fabric-chan ×
-// profile) live grid at two pool widths: schedule-derived metrics must not
-// depend on engine parallelism, chaos or not.
-func TestChaosClusterGridDeterministicDelivery(t *testing.T) {
-	grid := func() *sweep.Grid {
-		return ClusterGrid("chaos-live",
-			[]ClusterScenario{{
-				ID: "c64", Workers: 2,
-				Dataset: func() (Dataset, error) {
-					return testDataset(t, 64), nil
-				},
-				Options: NewOptions(
-					WithEpochs(2),
-					WithBatchPerWorker(4),
-					WithStagingBuffer(64<<10),
-					WithStagingThreads(2),
-					WithClasses(Class{Name: "ram", CapacityBytes: 256 << 10, Threads: 1}),
-				),
-			}},
-			ChanFabric(), 2, 17,
-			sweep.ChaosProfiles(ChaosProfile{Name: "clean"}, chaosProfile())...)
-	}
-	rep2, err := (&sweep.Runner{Parallel: 4}).Run(bg, grid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep1, err := (&sweep.Runner{Parallel: 1}).Run(bg, grid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep2.Cells) != 4 { // 1 scenario × 1 fabric × 2 profiles × 2 replicas
-		t.Fatalf("%d cells, want 4", len(rep2.Cells))
-	}
-	for i := range rep2.Cells {
-		a, b := rep2.Cells[i], rep1.Cells[i]
-		if a.Profile != b.Profile || a.Seed != b.Seed {
-			t.Errorf("cell %d enumeration differs across widths", i)
-		}
-		if a.Outcome.Values[MetricDelivered] != b.Outcome.Values[MetricDelivered] {
-			t.Errorf("cell %d delivered differs across widths", i)
-		}
-		if a.Outcome.Values[MetricDelivered] == 0 {
-			t.Errorf("cell %d delivered nothing", i)
-		}
-	}
 }
 
 // TestChaosCancelTearsDownCleanly verifies the chaos decorators (fabric
