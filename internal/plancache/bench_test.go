@@ -12,8 +12,8 @@ import (
 var benchPlan = access.Plan{Seed: 42, F: 6405, N: 4, E: 5, BatchPerWorker: 32, DropLast: true}
 
 // BenchmarkPlanArtifactsCold measures one full artifact build — parallel
-// epoch shuffles, stream extraction, first positions — with no reuse (a
-// fresh cache per iteration).
+// epoch shuffles, stream extraction — with no reuse (a fresh cache per
+// iteration).
 func BenchmarkPlanArtifactsCold(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

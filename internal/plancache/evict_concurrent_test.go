@@ -96,11 +96,11 @@ func TestConcurrentMixedSizeEviction(t *testing.T) {
 // entries: touching an old entry saves it, and the cold one goes first even
 // when evicting it alone is not enough for the incoming large entry.
 func TestEvictionIsLRUUnderMixedSizes(t *testing.T) {
-	small1 := access.Plan{Seed: 1, F: 2000, N: 2, E: 2, BatchPerWorker: 4} // ~40 KB
+	small1 := access.Plan{Seed: 1, F: 2000, N: 2, E: 2, BatchPerWorker: 4} // ~32 KB
 	small2 := access.Plan{Seed: 2, F: 2000, N: 2, E: 2, BatchPerWorker: 4}
-	large := access.Plan{Seed: 3, F: 8000, N: 2, E: 3, BatchPerWorker: 4} // ~224 KB
+	large := access.Plan{Seed: 3, F: 8000, N: 2, E: 3, BatchPerWorker: 4} // ~192 KB
 
-	c := New(280<<10, 0)
+	c := New(240<<10, 0)
 	c.Artifacts(small1)
 	c.Artifacts(small2)
 	c.Artifacts(small1) // refresh small1: small2 becomes LRU
@@ -136,7 +136,7 @@ func TestEvictionIsLRUUnderMixedSizes(t *testing.T) {
 func TestTagStreamAccounting(t *testing.T) {
 	p1 := access.Plan{Seed: 1, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
 	p2 := access.Plan{Seed: 2, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
-	// Base artifacts are ~144 KB per plan: the bound admits one plan with its
+	// Base artifacts are ~128 KB per plan: the bound admits one plan with its
 	// tag streams, not two plans.
 	c := New(200<<10, 0)
 	ds, node := testDataset(t, p1.F), testNode(1, 0)

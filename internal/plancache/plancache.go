@@ -1,7 +1,7 @@
 // Package plancache memoises the clairvoyant plan artifacts that every
 // layer of the system re-derives from an access.Plan: per-epoch orders
 // (uniform shuffles or any access.Pattern), per-worker access streams,
-// elastic epoch-end offsets, first-access positions, candidate rankings,
+// elastic epoch-end offsets, candidate rankings,
 // and the cachepolicy.Assignment placements computed from them.
 // The plan's canonical access spec is part of the cache key, so two plans
 // differing only in pattern never share artifacts.
@@ -192,9 +192,6 @@ type Artifacts struct {
 	EpochOrders [][]access.SampleID
 	// Streams[w] is worker w's materialised access stream across all epochs.
 	Streams [][]access.SampleID
-	// FirstPos0[k] is worker 0's first stream position accessing sample k
-	// (-1 if never accessed) — the simulator's availability index.
-	FirstPos0 []int32
 	// EpochEnds[w][e] is worker w's cumulative stream length through epoch
 	// e, for plans whose partition varies per epoch (an elastic membership
 	// schedule); nil for static partitions, where epochs are uniform and
@@ -216,25 +213,15 @@ type Artifacts struct {
 }
 
 // buildArtifacts derives the full artifact set: epoch shuffles generated in
-// parallel across the pool, streams extracted per worker in parallel, and
-// first-access positions for the simulated worker. Output is bit-identical
-// to the serial access.Plan methods at any pool width.
+// parallel across the pool and streams extracted per worker in parallel.
+// Output is bit-identical to the serial access.Plan methods at any pool
+// width.
 func buildArtifacts(p access.Plan, workers int, c *Cache, e *entry) *Artifacts {
 	orders := p.EpochOrders(workers)
 	streams, ends := p.AllStreamsFromOrders(orders, workers)
-	firstPos := make([]int32, p.F)
-	for k := range firstPos {
-		firstPos[k] = -1
-	}
-	for pos, k := range streams[0] {
-		if firstPos[k] < 0 {
-			firstPos[k] = int32(pos)
-		}
-	}
 	return &Artifacts{
-		Plan: p, EpochOrders: orders, Streams: streams, FirstPos0: firstPos,
-		EpochEnds: ends,
-		cache:     c, self: e,
+		Plan: p, EpochOrders: orders, Streams: streams, EpochEnds: ends,
+		cache: c, self: e,
 		assigns: map[assignKey]*assignEntry{},
 	}
 }
@@ -248,7 +235,6 @@ func (a *Artifacts) baseBytes() int64 {
 	for _, s := range a.Streams {
 		n += int64(len(s)) * 4
 	}
-	n += int64(len(a.FirstPos0)) * 4
 	for _, e := range a.EpochEnds {
 		n += int64(len(e)) * 8
 	}

@@ -1,6 +1,9 @@
 package sim
 
-import "repro/internal/plancache"
+import (
+	"repro/internal/cachepolicy"
+	"repro/internal/plancache"
+)
 
 // NoPFSVariant configures ablations of the NoPFS policy, isolating the
 // contribution of each design choice (DESIGN.md Sec. 5).
@@ -33,7 +36,7 @@ func (v NoPFSVariant) Name() string {
 // nopfsAblated is NoPFS with parts switched off.
 type nopfsAblated struct {
 	v      NoPFSVariant
-	assign placement
+	assign *cachepolicy.Assignment
 }
 
 // NewNoPFSVariant builds an ablated NoPFS policy.
@@ -42,16 +45,16 @@ func NewNoPFSVariant(v NoPFSVariant) Policy { return &nopfsAblated{v: v} }
 func (n *nopfsAblated) Name() string { return n.v.Name() }
 
 func (n *nopfsAblated) Prepare(env *Env) (float64, error) {
-	family := plancache.FamilyNoPFS
-	if n.v.RandomPlacement {
-		family = plancache.FamilyRandom
-	}
-	n.assign = env.place(family)
+	n.assign = env.place(n.rule().family)
 	return 0, nil
 }
 
 func (n *nopfsAblated) rule() sourceRule {
-	return sourceRule{place: n.assign, argmin: true, noRemote: n.v.NoRemote}
+	family := plancache.FamilyNoPFS
+	if n.v.RandomPlacement {
+		family = plancache.FamilyRandom
+	}
+	return sourceRule{family: family, place: n.assign, argmin: true, noRemote: n.v.NoRemote}
 }
 func (n *nopfsAblated) Coverage(*Env) float64        { return 1 }
 func (n *nopfsAblated) Synchronous() bool            { return false }

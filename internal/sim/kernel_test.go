@@ -97,9 +97,9 @@ func referenceSource(env *Env, pol Policy, f int, k access.SampleID) perfmodel.C
 	case naive, stagingBuffer:
 		return pfs(env.Plan.N)
 	case *deepIO:
-		return gatedFirstHit(p.assign.Assignment)
+		return gatedFirstHit(p.assign)
 	case *lbann:
-		return gatedFirstHit(p.assign.Assignment)
+		return gatedFirstHit(p.assign)
 	case *parallelStaging:
 		if c := p.assign.Local(0, k); c >= 0 {
 			return local(c)
@@ -114,9 +114,9 @@ func referenceSource(env *Env, pol Policy, f int, k access.SampleID) perfmodel.C
 		}
 		return pfs(env.Gamma())
 	case *nopfs:
-		return argmin(p.assign.Assignment, false)
+		return argmin(p.assign, false)
 	case *nopfsAblated:
-		return argmin(p.assign.Assignment, p.v.NoRemote)
+		return argmin(p.assign, p.v.NoRemote)
 	}
 	panic("referenceSource: unknown policy " + pol.Name())
 }
@@ -126,12 +126,12 @@ func referenceStream(env *Env, pol Policy) []access.SampleID {
 	switch p := pol.(type) {
 	case *deepIO:
 		if p.opportunistic {
-			return opportunisticStream(env, p.assign.Assignment)
+			return opportunisticStream(env, p.assign)
 		}
 	case *parallelStaging:
-		return shardCycleStream(env, p.assign.Assignment)
+		return shardCycleStream(env, p.assign)
 	case *localityAware:
-		return localityStream(env, p.assign.Assignment)
+		return localityStream(env, p.assign)
 	}
 	return env.Streams[0]
 }

@@ -185,7 +185,7 @@ func (stagingBuffer) StagingMB(env *Env) float64    { return doubleBufferMB(env)
 
 type deepIO struct {
 	opportunistic bool
-	assign        placement
+	assign        *cachepolicy.Assignment
 }
 
 // NewDeepIO returns the DeepIO policy in ordered or opportunistic mode.
@@ -199,12 +199,12 @@ func (d *deepIO) Name() string {
 }
 
 func (d *deepIO) Prepare(env *Env) (float64, error) {
-	d.assign = env.place(plancache.FamilyFirstTouch)
+	d.assign = env.place(d.rule().family)
 	return 0, nil
 }
 
 func (d *deepIO) rule() sourceRule {
-	r := sourceRule{place: d.assign}
+	r := sourceRule{family: plancache.FamilyFirstTouch, place: d.assign}
 	if d.opportunistic {
 		r.stream = streamOpportunistic
 	}
@@ -255,7 +255,7 @@ func (d *deepIO) StagingMB(env *Env) float64 { return nodeStagingMB(env) }
 // read.
 
 type parallelStaging struct {
-	assign placement
+	assign *cachepolicy.Assignment
 }
 
 // NewParallelStaging returns the data-sharding policy.
@@ -264,14 +264,14 @@ func NewParallelStaging() Policy { return &parallelStaging{} }
 func (p *parallelStaging) Name() string { return NameParallelStaging }
 
 func (p *parallelStaging) Prepare(env *Env) (float64, error) {
-	p.assign = env.place(plancache.FamilyShard)
+	p.assign = env.place(p.rule().family)
 	return stagePrestageSeconds(env, p.assign.CachedBytes[0]), nil
 }
 
 // rule: local shard only; the PFS is only reachable when the worker has no
 // local storage at all.
 func (p *parallelStaging) rule() sourceRule {
-	return sourceRule{place: p.assign, stream: streamShardCycle, noRemote: true}
+	return sourceRule{family: plancache.FamilyShard, place: p.assign, stream: streamShardCycle, noRemote: true}
 }
 
 // shardCycleStream is ParallelStaging's order: the worker's own shard, over
@@ -300,7 +300,7 @@ func (p *parallelStaging) StagingMB(env *Env) float64 { return nodeStagingMB(env
 
 type lbann struct {
 	preloading bool
-	assign     placement
+	assign     *cachepolicy.Assignment
 }
 
 // NewLBANN returns the LBANN data-store policy in dynamic or preloading mode.
@@ -324,15 +324,21 @@ func (l *lbann) Prepare(env *Env) (float64, error) {
 		return 0, fmt.Errorf("lbann: dataset (%d bytes) exceeds aggregate RAM (%d bytes)",
 			env.Cfg.DS.TotalSize(), aggregate)
 	}
+	l.assign = env.place(l.rule().family)
 	if l.preloading {
-		l.assign = env.place(plancache.FamilyPreload)
 		return stagePrestageSeconds(env, l.assign.CachedBytes[0]), nil
 	}
-	l.assign = env.place(plancache.FamilyFirstTouch)
 	return 0, nil
 }
 
-func (l *lbann) rule() sourceRule           { return sourceRule{place: l.assign} }
+func (l *lbann) rule() sourceRule {
+	family := plancache.FamilyFirstTouch
+	if l.preloading {
+		family = plancache.FamilyPreload
+	}
+	return sourceRule{family: family, place: l.assign}
+}
+
 func (l *lbann) Coverage(*Env) float64      { return 1 }
 func (l *lbann) Synchronous() bool          { return false }
 func (l *lbann) PrefetchThreads(*Env) int   { return 1 }
@@ -346,7 +352,7 @@ func (l *lbann) StagingMB(env *Env) float64 { return nodeStagingMB(env) }
 // randomization is preserved globally.
 
 type localityAware struct {
-	assign placement
+	assign *cachepolicy.Assignment
 }
 
 // NewLocalityAware returns the locality-aware loading policy.
@@ -355,12 +361,12 @@ func NewLocalityAware() Policy { return &localityAware{} }
 func (l *localityAware) Name() string { return NameLocalityAware }
 
 func (l *localityAware) Prepare(env *Env) (float64, error) {
-	l.assign = env.place(plancache.FamilyShard)
+	l.assign = env.place(l.rule().family)
 	return stagePrestageSeconds(env, l.assign.CachedBytes[0]), nil
 }
 
 func (l *localityAware) rule() sourceRule {
-	return sourceRule{place: l.assign, stream: streamLocality}
+	return sourceRule{family: plancache.FamilyShard, place: l.assign, stream: streamLocality}
 }
 
 // localityStream reorders each global batch so worker 0 preferentially
@@ -414,7 +420,7 @@ func (l *localityAware) StagingMB(env *Env) float64 { return nodeStagingMB(env) 
 // remote-availability heuristic (Sec. 5.2.2).
 
 type nopfs struct {
-	assign placement
+	assign *cachepolicy.Assignment
 }
 
 // NewNoPFS returns the NoPFS policy.
@@ -423,12 +429,12 @@ func NewNoPFS() Policy { return &nopfs{} }
 func (n *nopfs) Name() string { return NameNoPFS }
 
 func (n *nopfs) Prepare(env *Env) (float64, error) {
-	n.assign = env.place(plancache.FamilyNoPFS)
+	n.assign = env.place(n.rule().family)
 	return 0, nil
 }
 
 func (n *nopfs) rule() sourceRule {
-	return sourceRule{place: n.assign, argmin: true}
+	return sourceRule{family: plancache.FamilyNoPFS, place: n.assign, argmin: true}
 }
 func (n *nopfs) Coverage(*Env) float64        { return 1 }
 func (n *nopfs) Synchronous() bool            { return false }

@@ -157,11 +157,8 @@ type Env struct {
 	// the plan-artifact cache. They are immutable: policies that reorder
 	// build fresh slices.
 	Streams [][]access.SampleID
-	// FirstPos0[k] is the simulated worker's first access position of k
-	// (-1 if never accessed).
-	FirstPos0 []int32
-	// Art is the cached artifact set backing Streams/FirstPos0; policies
-	// use it for epoch orders and shared placement assignments.
+	// Art is the cached artifact set backing Streams; policies use it for
+	// epoch orders and shared placement assignments.
 	Art *plancache.Artifacts
 	// Chaos is the compiled fault schedule (nil for the fault-free run).
 	Chaos *chaos.Schedule
@@ -187,7 +184,7 @@ func newEnv(cfg *Config) (*Env, error) {
 	art := plancache.Shared().Artifacts(*plan)
 	return &Env{
 		Cfg: cfg, Model: model, Rate: model.Compile(plan.N), Plan: plan,
-		SizesMB: sizes, MeanMB: mean, Streams: art.Streams, FirstPos0: art.FirstPos0,
+		SizesMB: sizes, MeanMB: mean, Streams: art.Streams,
 		Art:   art,
 		Chaos: cfg.Chaos.Compile(cfg.Seed),
 		rng:   prng.New(cfg.Seed).Derive(0x51),
@@ -223,32 +220,26 @@ func (e *Env) EpochOrder(epoch int) []access.SampleID {
 	return e.Art.EpochOrders[epoch]
 }
 
-// placement is a shared, immutable placement from the plan-artifact cache,
-// with the family that keys it there (and keys its tag streams).
-type placement struct {
-	family string
-	*cachepolicy.Assignment
-}
-
-// place returns the family's placement, computed once per (plan, dataset,
-// node, family): DeepIO and the dynamic LBANN data store share the
-// first-touch placement, ParallelStaging and LocalityAware share the static
-// shard, and NoPFS variants share the frequency-based assignment (or its
-// first-access-order ablation) — whose candidate ranking is a plan artifact
-// of its own, so the node specs of an environment study on one plan rank
-// once and only fill per spec.
+// place returns the family's shared, immutable placement from the
+// plan-artifact cache, computed once per (plan, dataset, node, family):
+// DeepIO and the dynamic LBANN data store share the first-touch placement,
+// ParallelStaging and LocalityAware share the static shard, and NoPFS
+// variants share the frequency-based assignment (or its first-access-order
+// ablation) — whose candidate ranking is a plan artifact of its own, so the
+// node specs of an environment study on one plan rank once and only fill
+// per spec.
 //
 // All simulator placements are lean builds — local tables for worker 0 only
 // (the simulated symmetric observer), global best-holder state for all
 // workers — so placement memory is O(F) regardless of the cluster size. The
 // live middleware (package nopfs) builds full per-rank assignments through
 // its own plancache entries; the two layouts are keyed separately.
-func (e *Env) place(family string) placement {
+func (e *Env) place(family string) *cachepolicy.Assignment {
 	ds, node := e.Cfg.DS, e.Cfg.Sys.Node
 	var build func() *cachepolicy.Assignment
 	switch family {
 	case plancache.FamilyNoPFS, plancache.FamilyRandom:
-		return placement{family, e.Art.Placement(family, ds, node, true)}
+		return e.Art.Placement(family, ds, node, true)
 	case plancache.FamilyFirstTouch:
 		build = func() *cachepolicy.Assignment {
 			return cachepolicy.BuildFirstTouchLean(e.Plan, e.Art.EpochOrders[0], ds, node)
@@ -258,7 +249,7 @@ func (e *Env) place(family string) placement {
 	case plancache.FamilyPreload:
 		build = func() *cachepolicy.Assignment { return cachepolicy.BuildPreloadLean(e.Plan.F, e.Plan.N, ds, node) }
 	}
-	return placement{family, e.Art.AssignmentLean(family, ds, node, build)}
+	return e.Art.AssignmentLean(family, ds, node, build)
 }
 
 // Gamma estimates γ, the number of workers concurrently reading from the
@@ -317,8 +308,10 @@ type Policy interface {
 	// (0 when the policy needs none) or an error when the policy cannot
 	// run the scenario at all.
 	Prepare(env *Env) (setupSeconds float64, err error)
-	// rule states, after Prepare, which stream the policy consumes and
-	// where its fetches may come from.
+	// rule states which placement family the policy places, which stream it
+	// consumes and where its fetches may come from. All of it but the
+	// placement itself is fixed at construction — Prepare and ColdCost read
+	// the family and the stream kind from it; place is set once Prepare ran.
 	rule() sourceRule
 	// Coverage is the fraction of dataset bytes the policy ever accesses.
 	Coverage(env *Env) float64
@@ -337,6 +330,34 @@ type Policy interface {
 	// which is what exposes slow PFS reads directly as batch-time tail
 	// events instead of smoothing them away.
 	StagingMB(env *Env) float64
+}
+
+// ColdCost estimates the work of running pol under cfg with nothing cached,
+// in stream positions walked: the simulated worker's E·F/N positions times
+// the passes the policy's rule declares — one for the kernel; with a
+// placement, one to tag the stream and one to place it, except that a ranked
+// placement (nopfs, random) ranks and fills over all N workers' streams; one
+// more for a stream the policy builds itself. It orders cells for dispatch
+// (longest first) and is no prediction of seconds: shared artifacts and
+// policies that fail in Prepare are not modelled. A config Run would reject
+// costs 0.
+func ColdCost(cfg *Config, pol Policy) int64 {
+	if cfg.Validate() != nil {
+		return 0
+	}
+	plan, rule := cfg.Plan(), pol.rule()
+	passes := 1
+	switch rule.family {
+	case "":
+	case plancache.FamilyNoPFS, plancache.FamilyRandom:
+		passes += 1 + 2*plan.N
+	default:
+		passes += 2
+	}
+	if rule.stream != "" {
+		passes++
+	}
+	return int64(plan.StreamLen(0)) * int64(passes)
 }
 
 // Run simulates one policy under the config.
@@ -468,8 +489,10 @@ func (t *threadPool) schedule(roomTime, readDur float64) float64 {
 // nothing cached anywhere. Nor does the PFS reader count: a policy that only
 // ever reads the PFS keeps the γ estimate at exactly 1, i.e. γ = N.
 type sourceRule struct {
-	// place is the placement consulted (zero: none).
-	place placement
+	// family keys the placement consulted in the plan cache ("": none);
+	// place is that placement, nil until Prepare has run.
+	family string
+	place  *cachepolicy.Assignment
 	// stream names the stream the policy consumes: one of the reorderings
 	// in streamBuilders, or "" for the plan's own.
 	stream string
@@ -486,11 +509,11 @@ type sourceRule struct {
 // and byte total, shared through the placement's plan-cache entry: a warm
 // cell decodes no availability word and rebuilds no stream.
 func (e *Env) kernelInput(rule sourceRule) *plancache.TagStream {
-	return e.Art.TagStream(rule.place.family, e.Cfg.DS, e.Cfg.Sys.Node, rule.stream, func() *plancache.TagStream {
+	return e.Art.TagStream(rule.family, e.Cfg.DS, e.Cfg.Sys.Node, rule.stream, func() *plancache.TagStream {
 		ts := &plancache.TagStream{Stream: e.Streams[0]}
 		if build := streamBuilders[rule.stream]; build != nil {
 			policyStreamBuilds.Add(1)
-			ts.Stream, ts.OwnStream = build(e, rule.place.Assignment), true
+			ts.Stream, ts.OwnStream = build(e, rule.place), true
 			ts.TotalMB = e.sumMB(ts.Stream)
 		} else {
 			// The plan's own stream has one total under every placement and
@@ -511,8 +534,8 @@ const streamTotal = "total"
 // tags returns the source tags of stream under the rule's placement, nil
 // when it has none.
 func (r sourceRule) tags(stream []access.SampleID) []byte {
-	if a := r.place.Assignment; a != nil {
-		return a.Tags(0, stream)
+	if r.place != nil {
+		return r.place.Tags(0, stream)
 	}
 	return nil
 }

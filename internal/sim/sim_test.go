@@ -474,3 +474,70 @@ func BenchmarkSimulateHotLoop(b *testing.B) {
 		}
 	}
 }
+
+// TestColdCostAndDeclaredFamily is the dispatch estimate's table: on a Fig. 8
+// row ColdCost puts NoPFS first and the policies without a placement last,
+// each pass a rule declares (a placement, a stream of its own) costs more
+// than its absence, and what a rule declares before Prepare is what Prepare
+// does — the placement the policy fetches by is the declared family's entry
+// in the plan cache, and a policy declaring none places nothing.
+func TestColdCostAndDeclaredFamily(t *testing.T) {
+	s, err := ScenarioByID("fig8b") // every policy runs on fig8b
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.Config(testScale, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	positions := int64(cfg.Plan().StreamLen(0))
+	n := int64(cfg.Work.Workers)
+	pols := append(AllPolicies(),
+		NewNoPFSVariant(NoPFSVariant{RandomPlacement: true}), NewNoPFSVariant(NoPFSVariant{NoRemote: true}))
+	wantPasses := map[string]int64{
+		NameNaive: 1, NameStagingBuffer: 1, NameLowerBound: 1,
+		NameDeepIOOrdered: 3, NameLBANNDynamic: 3, NameLBANNPreload: 3,
+		NameDeepIOOpp: 4, NameParallelStaging: 4, NameLocalityAware: 4,
+		NameNoPFS: 2 + 2*n, "NoPFS-randplace": 2 + 2*n, "NoPFS-noremote": 2 + 2*n,
+	}
+	wantFamily := map[string]string{
+		NameDeepIOOrdered: "firsttouch", NameDeepIOOpp: "firsttouch", NameLBANNDynamic: "firsttouch",
+		NameLBANNPreload: "preload", NameParallelStaging: "shard", NameLocalityAware: "shard",
+		NameNoPFS: "nopfs", "NoPFS-randplace": "random", "NoPFS-noremote": "nopfs",
+	}
+	for _, pol := range pols {
+		name := pol.Name()
+		if got, want := ColdCost(&cfg, pol), positions*wantPasses[name]; got != want || want == 0 {
+			t.Errorf("%s: ColdCost = %d, want %d positions x %d passes", name, got, positions, wantPasses[name])
+		}
+		declared := pol.rule()
+		if declared.family != wantFamily[name] || declared.place != nil {
+			t.Errorf("%s: declares family %q (placement %v) before Prepare, want %q and none",
+				name, declared.family, declared.place, wantFamily[name])
+		}
+		env, err := newEnv(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pol.Prepare(env); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		prepared := pol.rule()
+		if prepared.family != declared.family || prepared.stream != declared.stream {
+			t.Errorf("%s: rule changed over Prepare: %+v -> %+v", name, declared, prepared)
+		}
+		switch {
+		case declared.family == "":
+			if prepared.place != nil {
+				t.Errorf("%s: declares no placement but Prepare placed one", name)
+			}
+		case prepared.place != env.place(declared.family):
+			t.Errorf("%s: Prepare's placement is not the %q entry of the plan cache", name, declared.family)
+		}
+	}
+	bad := cfg
+	bad.Work.Workers = 0
+	if got := ColdCost(&bad, NewNoPFS()); got != 0 {
+		t.Errorf("ColdCost of an invalid config = %d, want 0", got)
+	}
+}

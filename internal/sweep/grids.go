@@ -93,6 +93,23 @@ func simCellFunc(s ScenarioSpec, p PolicySpec, prof ProfileSpec, pat AccessSpec)
 	}
 }
 
+// simCellCost is the default binding's dispatch estimate: the cold cost the
+// scenario's configuration and the policy's rule declare (isim.ColdCost).
+// Fault profiles and access patterns are left out — they scale a row's cells
+// alike. A configuration or policy that cannot be built costs 0: the cell
+// reports the error at its own index.
+func simCellCost(s ScenarioSpec, p PolicySpec, seed uint64) int64 {
+	cfg, err := s.Config(seed)
+	if err != nil {
+		return 0
+	}
+	pol := p.New()
+	if pol == nil {
+		return 0
+	}
+	return isim.ColdCost(&cfg, pol)
+}
+
 // scenarioSpec adapts one Fig. 8 scenario preset into a grid row.
 func scenarioSpec(s isim.Scenario, scale float64) ScenarioSpec {
 	return ScenarioSpec{

@@ -69,17 +69,50 @@ func (g *Grid) meta() Meta {
 	}
 }
 
-// streamWindow bounds the number of undelivered cells the engine may hold:
-// in-order delivery means a slow early cell makes later finished cells wait,
-// and the window caps that buffering (and therefore resident Result memory)
-// at a small multiple of the pool width, independent of grid size.
-func streamWindow(workers int) int { return 4 * workers }
+// streamWindow bounds the number of admitted, undelivered cells — queued,
+// running, or finished and waiting behind an earlier one: in-order delivery
+// makes finished cells wait, and the window caps that buffering (and so
+// resident Result memory) at a constant multiple of the pool width,
+// independent of grid size. It is also how far past the delivery point
+// cost-ordered dispatch can see, and that sets the multiple: on the cold
+// Fig. 8 grid (60 cells, rows of 10, 2 workers) the one long cell is the 9th
+// of the 4th row. At 4×workers = 8 it is admitted when its row's first cell
+// is delivered and the grid takes 505–545 ms (in-order dispatch: 535–574);
+// at 16×workers = 32, once the first row is delivered: 456–478 ms; with the
+// whole grid admitted, 452–489 (docs/perf/pr24-cost-ordered-dispatch.md).
+func streamWindow(workers int) int { return 16 * workers }
+
+// queued is one admitted cell waiting for a worker.
+type queued struct {
+	i    int
+	cost int64
+}
+
+// takeCostliest removes the cell a free worker runs next from the queue: the
+// costliest, the lowest index among equals — so a grid of equal costs is
+// dispatched in enumeration order. A scan, not a heap: the queue never holds
+// more than the window.
+func takeCostliest(q *[]queued) int {
+	h, best := *q, 0
+	for j := range h {
+		if h[j].cost > h[best].cost || h[j].cost == h[best].cost && h[j].i < h[best].i {
+			best = j
+		}
+	}
+	i := h[best].i
+	h[best] = h[len(h)-1]
+	*q = h[:len(h)-1]
+	return i
+}
 
 // RunStream executes every cell of the grid and feeds each aggregator the
-// results in deterministic enumeration order. Cells run on the bounded
-// worker pool exactly as Run; completed cells are re-sequenced through a
-// bounded window before delivery, so aggregators observe the same order at
-// any parallelism while the engine holds at most O(window) outcomes.
+// results in deterministic enumeration order. Cells are admitted into a
+// bounded window in enumeration order; a free worker takes the admitted cell
+// with the highest estimated cost (Grid.cellCost), so a long cell starts as
+// soon as the window reaches it instead of last; completed cells are
+// re-sequenced before delivery, so aggregators observe the same order at any
+// parallelism and under any cost estimate, while the engine holds at most
+// O(window) outcomes.
 //
 // The first error — a canceled context, a failing cell (lowest index wins,
 // since delivery is ordered), or an aggregator error — stops the run.
@@ -103,25 +136,52 @@ func (r *Runner) RunStream(ctx context.Context, g *Grid, aggs ...Aggregator) err
 
 	w := r.workers(len(cells))
 	window := streamWindow(w)
-	if window > len(cells) {
-		window = len(cells)
-	}
 
 	type done struct {
 		i   int
 		out *Outcome
 		err error
 	}
-	sem := make(chan struct{}, window)
-	results := make(chan done, window)
-	jobs := make(chan int)
+	var (
+		mu    sync.Mutex
+		queue []queued
+		// ready carries one token per queued cell and results one entry per
+		// admitted, undelivered cell; both are sized to the window, so neither
+		// admission nor a worker's send ever blocks.
+		ready   = make(chan struct{}, window)
+		results = make(chan done, window)
+	)
+	// Admission happens on this goroutine only: the first window of cells
+	// before any worker starts, then one cell per delivery, so queued plus
+	// running plus undelivered cells never exceed the window. A stopped run
+	// admits nothing further.
+	admitted := 0
+	admit := func() {
+		if admitted == len(cells) || cctx.Err() != nil {
+			return
+		}
+		c := queued{i: admitted, cost: g.cellCost(cells[admitted])}
+		admitted++
+		mu.Lock()
+		queue = append(queue, c)
+		mu.Unlock()
+		ready <- struct{}{}
+	}
+	for n := 0; n < window; n++ {
+		admit()
+	}
 
 	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
+	defer wg.Wait()
+	defer close(ready)
+	for n := 0; n < w; n++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
+			for range ready {
+				mu.Lock()
+				i := takeCostliest(&queue)
+				mu.Unlock()
 				if err := cctx.Err(); err != nil {
 					results <- done{i: i, err: err}
 					continue
@@ -131,34 +191,15 @@ func (r *Runner) RunStream(ctx context.Context, g *Grid, aggs ...Aggregator) err
 			}
 		}()
 	}
-	go func() {
-	dispatch:
-		for i := range cells {
-			// Admission into the window precedes dispatch, so in-flight
-			// plus undelivered cells never exceed the window.
-			select {
-			case sem <- struct{}{}:
-			case <-cctx.Done():
-				break dispatch
-			}
-			select {
-			case jobs <- i:
-			case <-cctx.Done():
-				<-sem
-				break dispatch
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
 
 	// In-order delivery: buffer out-of-order completions, release the
-	// window slot only when the cell is handed to the aggregators.
+	// window slot only when the cell is handed to the aggregators. Every
+	// admitted cell reports exactly once, run or not.
 	pending := make(map[int]done, window)
 	next := 0
 	var firstErr error
-	for d := range results {
+	for next < admitted {
+		d := <-results
 		pending[d.i] = d
 		for {
 			d, ok := pending[next]
@@ -166,7 +207,6 @@ func (r *Runner) RunStream(ctx context.Context, g *Grid, aggs ...Aggregator) err
 				break
 			}
 			delete(pending, next)
-			<-sem
 			next++
 			if firstErr != nil {
 				continue // draining after failure
@@ -183,6 +223,7 @@ func (r *Runner) RunStream(ctx context.Context, g *Grid, aggs ...Aggregator) err
 					break
 				}
 			}
+			admit()
 		}
 	}
 

@@ -221,11 +221,35 @@ func TestStreamEncodersMatchWritersSimulator(t *testing.T) {
 	checkEncoders(t, g)
 }
 
+// costVariants are the dispatch orders the engine's contract tests repeat
+// under: a custom binding's own (every cost 0: enumeration order), the
+// reverse of enumeration order, and a seeded shuffle of it.
+type costVariant struct {
+	name string
+	cost func(Cell) int64
+}
+
+var costVariants = []costVariant{
+	{"equal", nil},
+	{"reversed", func(c Cell) int64 { return int64(c.Index) }},
+	{"random", func(c Cell) int64 { return int64(prng.NewSplitMix64(uint64(c.Index)+1).Next() >> 1) }},
+}
+
+// underCostVariants runs test once per dispatch order, as subtests.
+func underCostVariants(t *testing.T, test func(*testing.T, func(Cell) int64)) {
+	for _, v := range costVariants {
+		t.Run(v.name, func(t *testing.T) { test(t, v.cost) })
+	}
+}
+
 // TestRunStreamDeliversInOrder pins the ordering contract directly: cells
-// arrive at the aggregator in enumeration order at any pool width, exactly
-// once each.
-func TestRunStreamDeliversInOrder(t *testing.T) {
+// arrive at the aggregator in enumeration order at any pool width and in any
+// dispatch order, exactly once each.
+func TestRunStreamDeliversInOrder(t *testing.T) { underCostVariants(t, testDeliversInOrder) }
+
+func testDeliversInOrder(t *testing.T, cost func(Cell) int64) {
 	g := funcGrid(8)
+	g.cost = cost
 	for _, parallel := range []int{1, 3, 16} {
 		var got []int
 		agg := &funcAggregator{
@@ -276,8 +300,11 @@ func (a *funcAggregator) End() error {
 // TestRunStreamLowestIndexError: with several failing cells racing on a wide
 // pool, the error surfaced must be the lowest-index one (ordered delivery
 // makes the failure deterministic), and End must not run.
-func TestRunStreamLowestIndexError(t *testing.T) {
+func TestRunStreamLowestIndexError(t *testing.T) { underCostVariants(t, testLowestIndexError) }
+
+func testLowestIndexError(t *testing.T, cost func(Cell) int64) {
 	g := funcGrid(8)
+	g.cost = cost
 	inner := g.Cell
 	g.Cell = func(si, pi, fi, ai int) CellFunc {
 		fn := inner(si, pi, fi, ai)
@@ -307,10 +334,15 @@ func TestRunStreamLowestIndexError(t *testing.T) {
 // verifies every engine goroutine (workers, dispatcher) exits: the goroutine
 // count must settle back to its baseline.
 func TestRunStreamCancelNoGoroutineLeak(t *testing.T) {
+	underCostVariants(t, testCancelNoGoroutineLeak)
+}
+
+func testCancelNoGoroutineLeak(t *testing.T, cost func(Cell) int64) {
 	baseline := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	g := funcGrid(64)
+	g.cost = cost
 	inner := g.Cell
 	started := make(chan struct{}, 1)
 	g.Cell = func(si, pi, fi, ai int) CellFunc {
@@ -356,8 +388,11 @@ func TestRunStreamCancelNoGoroutineLeak(t *testing.T) {
 
 // TestRunStreamAggregatorErrorStops: an aggregator error aborts the run with
 // that error and cancels outstanding work.
-func TestRunStreamAggregatorErrorStops(t *testing.T) {
+func TestRunStreamAggregatorErrorStops(t *testing.T) { underCostVariants(t, testAggregatorErrorStops) }
+
+func testAggregatorErrorStops(t *testing.T, cost func(Cell) int64) {
 	g := funcGrid(16)
+	g.cost = cost
 	wantErr := errors.New("sink full")
 	n := 0
 	agg := &funcAggregator{cell: func(CellResult) error {

@@ -233,6 +233,9 @@ type Grid struct {
 	// Scenarios[si].Config × Policies[pi].New × Profiles[fi] × Patterns[ai]
 	// × isim.Run.
 	Cell func(scenario, policy, profile, pattern int) CellFunc
+
+	// cost, when set, replaces cellCost's estimate (tests only).
+	cost func(Cell) int64
 }
 
 // Cell identifies one run within a grid.
@@ -351,6 +354,20 @@ func (g *Grid) cellFunc(si, pi, fi, ai int) (CellFunc, error) {
 		return fn, nil
 	}
 	return simCellFunc(g.Scenarios[si], g.Policies[pi], g.profiles()[fi], g.patterns()[ai]), nil
+}
+
+// cellCost estimates a cell's running time, in units only comparable within
+// one grid, for RunStream's longest-first dispatch. The simulator binding
+// derives it from what the cell declares (simCellCost); a custom binding's
+// cells all cost 0, which dispatches them in enumeration order.
+func (g *Grid) cellCost(c Cell) int64 {
+	switch {
+	case g.cost != nil:
+		return g.cost(c)
+	case g.Cell != nil:
+		return 0
+	}
+	return simCellCost(g.Scenarios[c.ScenarioIdx], g.Policies[c.PolicyIdx], c.Seed)
 }
 
 // uniqueLabels reports the first label that repeats on one grid axis.

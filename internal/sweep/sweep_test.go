@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/access"
 	"repro/internal/cachepolicy"
@@ -372,26 +371,6 @@ func TestPrintFig9Matrix(t *testing.T) {
 	}
 	if strings.Contains(out, " 0.0") {
 		t.Errorf("sweep grid has an empty cell:\n%s", out)
-	}
-}
-
-// TestParallelSpeedup checks that the pool actually buys wall-clock time on
-// multi-core hosts. Skipped below 4 CPUs, where the comparison is noise.
-func TestParallelSpeedup(t *testing.T) {
-	if runtime.NumCPU() < 4 {
-		t.Skipf("only %d CPUs; speedup is measured by the Fig9EnvironmentSweep benchmarks", runtime.NumCPU())
-	}
-	run := func(parallel int) time.Duration {
-		start := time.Now()
-		execByScenario(t, Fig9Grid(0.002, 11, 1), parallel)
-		return time.Since(start)
-	}
-	run(1) // warm caches
-	serial := run(1)
-	parallel := run(4)
-	t.Logf("fig9 grid: serial %v, 4-wide %v (%.2fx)", serial, parallel, float64(serial)/float64(parallel))
-	if parallel > serial*9/10 {
-		t.Errorf("4-wide pool (%v) not measurably faster than serial (%v)", parallel, serial)
 	}
 }
 

@@ -3,6 +3,7 @@ package nopfs
 import (
 	"context"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -82,14 +83,24 @@ func (c countingBackend) Put(ctx context.Context, id int32, data []byte) (bool, 
 	return c.StorageBackend.Put(ctx, id, data)
 }
 
+// The "test-counting" kind is process-global like every registered kind, and
+// RegisterBackend panics on a duplicate: the test registers it once, however
+// often it runs (-count=N), and reads the Puts it caused as a difference.
+var (
+	countingOnce sync.Once
+	countingPuts atomic.Int64
+)
+
 func TestCustomBackendKind(t *testing.T) {
-	var puts atomic.Int64
-	RegisterBackend("test-counting", func(_ context.Context, _ int, c Class) (StorageBackend, error) {
-		return countingBackend{
-			StorageBackend: storage.NewMemory(c.Name, c.CapacityBytes, nil, nil),
-			puts:           &puts,
-		}, nil
+	countingOnce.Do(func() {
+		RegisterBackend("test-counting", func(_ context.Context, _ int, c Class) (StorageBackend, error) {
+			return countingBackend{
+				StorageBackend: storage.NewMemory(c.Name, c.CapacityBytes, nil, nil),
+				puts:           &countingPuts,
+			}, nil
+		})
 	})
+	before := countingPuts.Load()
 	kinds := BackendKinds()
 	found := false
 	for _, k := range kinds {
@@ -106,7 +117,7 @@ func TestCustomBackendKind(t *testing.T) {
 	if _, err := RunCluster(context.Background(), ds, 2, opts, DrainAll(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if puts.Load() == 0 {
+	if countingPuts.Load() == before {
 		t.Error("custom backend kind never received a Put")
 	}
 	// Unknown kinds fail validation up front.
