@@ -17,9 +17,11 @@ build:
 
 # -shuffle=on randomises test execution order within each package, surfacing
 # inter-test state leaks (shared caches, leaked globals) that a fixed order
-# hides. The shuffle seed is printed on failure for reproduction.
+# hides, and -count=2 runs every test a second time in the same process, so
+# a test that only passes while a process-wide cache is cold fails here. The
+# shuffle seed is printed on failure for reproduction.
 test:
-	$(GO) test -shuffle=on ./...
+	$(GO) test -count=2 -shuffle=on ./...
 
 # The TCP fabric's connection pool races are scheduling-dependent (who parks,
 # who pops, who closes), so the transport package gets five more passes; so
@@ -31,7 +33,10 @@ test:
 # is scheduling-dependent), and the placement's two word widths with the tag
 # and first-touch builders over them (shared, read concurrently by cells),
 # and the sweep engine's dispatcher (which worker takes which admitted cell,
-# and when delivery admits the next, is scheduling-dependent shared state).
+# and when delivery admits the next, is scheduling-dependent shared state),
+# and the delivery contract (the staging free list is shared by the consumer
+# and the staging threads, so a consumer that reads a released buffer races
+# the thread refilling it).
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
@@ -39,6 +44,7 @@ test-race:
 	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal|ThreadPool' ./internal/sim/ ./internal/plancache/
 	$(GO) test -race -count=5 -run 'Width|Tags|FirstTouch' ./internal/cachepolicy/
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/
+	$(GO) test -race -count=5 -run 'Release|Recycle|Batch|Delivery' ./nopfs/
 
 vet:
 	$(GO) vet ./...
@@ -146,7 +152,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 17441
+LOC_MAX ?= 17501
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

@@ -29,8 +29,8 @@ var cacheByteLimit int64 = 1 << 30
 func entryBytes(d *Synthetic) int64 { return int64(d.Len()) * 16 }
 
 // Cached returns the shared immutable dataset for spec, building it once.
-// Callers must treat the dataset as read-only, which every Dataset/Store
-// consumer already does.
+// Callers must treat the dataset as read-only, which every consumer
+// already does.
 func Cached(spec Spec) (*Synthetic, error) {
 	cacheMu.Lock()
 	d, ok := cache[spec]

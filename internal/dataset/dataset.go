@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/prng"
 )
@@ -91,14 +92,6 @@ type Dataset interface {
 	TotalSize() int64
 	// Label returns the class label of sample id.
 	Label(id int) int
-}
-
-// Store extends Dataset with byte access; the live middleware reads through
-// a Store (backed by the simulated PFS), the simulator needs only Dataset.
-type Store interface {
-	Dataset
-	// ReadSample returns the full payload of sample id.
-	ReadSample(id int) ([]byte, error)
 }
 
 // Synthetic is an in-memory-metadata dataset whose payloads are generated
@@ -193,15 +186,18 @@ func (d *Synthetic) MeanSize() float64 {
 	return float64(d.total) / float64(d.spec.F)
 }
 
-// ReadSample implements Store: it synthesises the deterministic payload for
-// sample id. Layout: magic(4) | id(8) | size(8) | body | crc32(4); the body
-// is a SplitMix64 keystream seeded by (dataset seed, id).
-func (d *Synthetic) ReadSample(id int) ([]byte, error) {
+// ReadSample synthesises the deterministic payload of sample id. Layout:
+// magic(4) | id(8) | size(8) | body | crc32(4); the body is a SplitMix64
+// keystream seeded by (dataset seed, id).
+func (d *Synthetic) ReadSample(id int) ([]byte, error) { return d.ReadSampleInto(id, nil) }
+
+// ReadSampleInto is ReadSample into buf when it has the capacity.
+func (d *Synthetic) ReadSampleInto(id int, buf []byte) ([]byte, error) {
 	if id < 0 || id >= d.spec.F {
 		return nil, fmt.Errorf("dataset %s: sample %d out of range [0,%d)", d.spec.Name, id, d.spec.F)
 	}
 	size := d.sizes[id]
-	buf := make([]byte, size)
+	buf = slices.Grow(buf[:0], int(size))[:size]
 	binary.LittleEndian.PutUint32(buf[0:4], payloadMagic)
 	binary.LittleEndian.PutUint64(buf[4:12], uint64(id))
 	binary.LittleEndian.PutUint64(buf[12:20], uint64(size))

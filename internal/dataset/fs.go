@@ -3,8 +3,10 @@ package dataset
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // FSDataset is a dataset materialised as one file per sample in the standard
@@ -103,14 +105,22 @@ func (d *FSDataset) Label(id int) int { return id % d.classes }
 // Path returns the on-disk path of sample id.
 func (d *FSDataset) Path(id int) string { return samplePath(d.root, d.classes, id) }
 
-// ReadSample implements Store by reading the sample's file.
-func (d *FSDataset) ReadSample(id int) ([]byte, error) {
+// ReadSample reads the sample's file.
+func (d *FSDataset) ReadSample(id int) ([]byte, error) { return d.ReadSampleInto(id, nil) }
+
+// ReadSampleInto is ReadSample into buf when it has the capacity.
+func (d *FSDataset) ReadSampleInto(id int, buf []byte) ([]byte, error) {
 	if id < 0 || id >= len(d.sizes) {
 		return nil, fmt.Errorf("dataset %s: sample %d out of range [0,%d)", d.name, id, len(d.sizes))
 	}
-	data, err := os.ReadFile(d.Path(id))
+	f, err := os.Open(d.Path(id))
+	if err == nil {
+		defer f.Close()
+		buf = slices.Grow(buf[:0], int(d.sizes[id]))[:d.sizes[id]]
+		_, err = io.ReadFull(f, buf)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dataset %s: read sample %d: %w", d.name, id, err)
 	}
-	return data, nil
+	return buf, nil
 }

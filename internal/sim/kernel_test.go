@@ -493,9 +493,9 @@ func TestSubnormalNeverReached(t *testing.T) {
 	}
 }
 
-// tagTestSeeds numbers the configs TestTagStreamsBuiltOncePerPlacement has
+// coldSeeds numbers the configs the cold-path tests of this package have
 // used in this process.
-var tagTestSeeds atomic.Uint64
+var coldSeeds atomic.Uint64
 
 // tagProbe reports how many tag streams and reordered policy streams f built.
 func tagProbe(f func()) (tags, streams int64) {
@@ -515,7 +515,7 @@ func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 	// Fresh seeds on every execution: the shared plan cache outlives the test
 	// (-count > 1), and a seed it has seen is not cold.
 	config := func() Config {
-		cfg, err := s.Config(testScale, 1800+tagTestSeeds.Add(1))
+		cfg, err := s.Config(testScale, 1800+coldSeeds.Add(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,7 +583,7 @@ func TestTagStreamTotalSummedOncePerDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := s.Config(testScale, 1800+tagTestSeeds.Add(1))
+	cfg, err := s.Config(testScale, 1800+coldSeeds.Add(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,12 @@ import (
 type Backend interface {
 	// Name identifies the class in stats ("ram", "ssd", ...).
 	Name() string
-	// Put stores sample id. It returns false (without storing) when the
+	// Put stores sample id, taking ownership of data: the caller must not
+	// modify it afterwards. It returns false (without storing) when the
 	// payload would exceed remaining capacity.
 	Put(ctx context.Context, id int32, data []byte) (bool, error)
-	// Get returns the stored payload, or ok=false if absent.
+	// Get returns the stored payload, or ok=false if absent. The bytes may
+	// be shared: callers must not modify them.
 	Get(ctx context.Context, id int32) (data []byte, ok bool, err error)
 	// Has reports whether the sample is stored.
 	Has(id int32) bool
@@ -54,9 +56,9 @@ func NewMemory(name string, capacity int64, read, write *Limiter) *Memory {
 // Name implements Backend.
 func (m *Memory) Name() string { return m.name }
 
-// Put implements Backend. Capacity is claimed (and the sample published)
-// before the bandwidth cost is paid, so rejected puts never charge the
-// shared limiter; a canceled Put rolls the sample back out.
+// Put implements Backend, storing data itself. Capacity is claimed (and the
+// sample published) before the bandwidth cost is paid, so rejected puts
+// never charge the shared limiter; a canceled Put rolls the sample back out.
 func (m *Memory) Put(ctx context.Context, id int32, data []byte) (bool, error) {
 	size := int64(len(data))
 	m.mu.Lock()
@@ -68,9 +70,7 @@ func (m *Memory) Put(ctx context.Context, id int32, data []byte) (bool, error) {
 		m.mu.Unlock()
 		return false, nil
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	m.data[id] = cp
+	m.data[id] = data
 	m.used += size
 	m.mu.Unlock()
 	if err := m.writeLimit.Wait(ctx, size); err != nil {

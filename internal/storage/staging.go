@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"sync"
 )
 
@@ -18,7 +19,7 @@ type Entry struct {
 // access order by the trainer. Producers may complete out of order; Pop
 // always delivers position 0, 1, 2, ... Samples are dropped on Pop (the
 // paper's Rule 2-4 approximation: a consumed sample is the best eviction
-// candidate).
+// candidate). Payload memory circulates too (Buffer, Release).
 type Staging struct {
 	capBytes int64
 
@@ -29,6 +30,10 @@ type Staging struct {
 	used     int64
 	nextPop  int
 	closed   bool
+
+	// free holds released buffers by capacity; freeBytes <= capBytes.
+	free      map[int][][]byte
+	freeBytes int64
 }
 
 // ErrClosed is returned by operations on a closed staging buffer.
@@ -36,7 +41,7 @@ var ErrClosed = errors.New("storage: staging buffer closed")
 
 // NewStaging returns a staging buffer with the given byte budget.
 func NewStaging(capBytes int64) *Staging {
-	s := &Staging{capBytes: capBytes, pending: make(map[int]Entry)}
+	s := &Staging{capBytes: capBytes, pending: make(map[int]Entry), free: make(map[int][][]byte)}
 	s.notFull = sync.NewCond(&s.mu)
 	s.notEmpty = sync.NewCond(&s.mu)
 	return s
@@ -101,7 +106,17 @@ func (s *Staging) Push(ctx context.Context, pos int, id int32, data []byte) erro
 // until it has been staged. It returns ErrClosed after Close once the
 // in-order prefix has drained, and ctx's error if the context is canceled
 // while waiting.
-func (s *Staging) Pop(ctx context.Context) (Entry, error) {
+func (s *Staging) Pop(ctx context.Context) (Entry, error) { return s.pop(ctx, true) }
+
+// TryPop is Pop that never waits: false, removing nothing, when Pop would
+// block or fail.
+func (s *Staging) TryPop(ctx context.Context) (Entry, bool) {
+	e, err := s.pop(ctx, false)
+	return e, err == nil
+}
+
+// pop is Pop; without wait, it fails where Pop would block.
+func (s *Staging) pop(ctx context.Context, wait bool) (Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var stop func() bool
@@ -116,7 +131,7 @@ func (s *Staging) Pop(ctx context.Context) (Entry, error) {
 			s.notFull.Broadcast()
 			return e, nil
 		}
-		if s.closed {
+		if s.closed || !wait {
 			return Entry{}, ErrClosed
 		}
 		if stop == nil {
@@ -125,6 +140,40 @@ func (s *Staging) Pop(ctx context.Context) (Entry, error) {
 		}
 		s.notEmpty.Wait()
 	}
+}
+
+// Buffer returns an n-byte buffer to read a payload into: a released one of
+// n's size class, or a new one of that capacity.
+func (s *Staging) Buffer(n int) []byte {
+	c := sizeClass(n)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l := s.free[c]
+	if len(l) == 0 {
+		return make([]byte, n, c)
+	}
+	s.free[c], s.freeBytes = l[:len(l)-1], s.freeBytes-int64(c)
+	return l[len(l)-1][:n]
+}
+
+// Release returns consumed Buffers, which the caller must not touch again,
+// to the free list; what exceeds the byte budget is left to the GC.
+func (s *Staging) Release(bufs ...[]byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, b := range bufs {
+		if c := cap(b); c == sizeClass(c) && s.freeBytes+int64(c) <= s.capBytes {
+			s.free[c] = append(s.free[c], b)
+			s.freeBytes += int64(c)
+		}
+	}
+}
+
+// sizeClass rounds n up to a buffer capacity: eight classes per power of
+// two, so a buffer is at most an eighth larger than its payload.
+func sizeClass(n int) int {
+	shift := max(bits.Len(uint(n-1))-4, 0)
+	return ((n-1)>>shift + 1) << shift
 }
 
 // Used returns the bytes currently staged.

@@ -56,14 +56,71 @@ func TestMemoryGetMissing(t *testing.T) {
 	}
 }
 
-func TestMemoryCopiesData(t *testing.T) {
+func TestMemoryTakesOwnership(t *testing.T) {
+	// Put keeps the caller's buffer, not a copy, and Get hands that same
+	// buffer out: a fill costs no second allocation, and readers share it.
 	m := NewMemory("ram", 100, nil, nil)
 	src := []byte("abc")
 	m.Put(bg, 1, src)
-	src[0] = 'X'
 	data, _, _ := m.Get(bg, 1)
-	if data[0] != 'a' {
-		t.Error("backend aliases caller's buffer")
+	again, _, _ := m.Get(bg, 1)
+	if &data[0] != &src[0] || &again[0] != &src[0] {
+		t.Error("backend copied the payload it was given")
+	}
+	if string(data) != "abc" || m.Used() != 3 {
+		t.Errorf("stored %q, used %d", data, m.Used())
+	}
+}
+
+func TestSizeClass(t *testing.T) {
+	if c := sizeClass(0); c != 0 {
+		t.Errorf("sizeClass(0) = %d", c)
+	}
+	for n := 1; n <= 1<<20; n++ {
+		c := sizeClass(n)
+		if c < n || c-n > (n-1)/8 || sizeClass(c) != c {
+			t.Fatalf("sizeClass(%d) = %d: short, over an eighth larger, or not a class", n, c)
+		}
+	}
+}
+
+func TestStagingReleaseRecyclesBuffers(t *testing.T) {
+	s := NewStaging(3 << 10)
+	a := s.Buffer(1000)
+	if len(a) != 1000 || cap(a) != sizeClass(1000) {
+		t.Fatalf("Buffer(1000): len %d cap %d", len(a), cap(a))
+	}
+	s.Release(a)
+	// Any size of the class gets the released buffer back; another class
+	// gets a new one.
+	if b := s.Buffer(cap(a)); &b[0] != &a[0] || len(b) != cap(a) {
+		t.Error("a released buffer was not reused for its size class")
+	}
+	if c := s.Buffer(2000); cap(c) != sizeClass(2000) {
+		t.Errorf("Buffer(2000): cap %d", cap(c))
+	}
+	// The free list holds at most the staging budget, and only buffers whose
+	// capacity is a size class.
+	bufs := [][]byte{s.Buffer(1024), s.Buffer(1024), s.Buffer(1024), s.Buffer(1024), make([]byte, 10, 100)}
+	s.Release(bufs...)
+	if s.freeBytes != 3<<10 || len(s.free[100]) != 0 {
+		t.Errorf("free list holds %d bytes (budget %d), %d odd-sized buffers", s.freeBytes, 3<<10, len(s.free[100]))
+	}
+}
+
+func TestStagingTryPop(t *testing.T) {
+	s := NewStaging(100)
+	if _, ok := s.TryPop(bg); ok {
+		t.Fatal("TryPop of an empty buffer succeeded")
+	}
+	s.Push(bg, 0, 7, []byte("x"))
+	canceled, cancel := context.WithCancel(bg)
+	cancel()
+	if _, ok := s.TryPop(canceled); ok {
+		t.Fatal("TryPop under a canceled context succeeded")
+	}
+	if e, ok := s.TryPop(bg); !ok || e.ID != 7 || s.Used() != 0 {
+		t.Fatalf("TryPop: %+v %v, used %d", e, ok, s.Used())
 	}
 }
 

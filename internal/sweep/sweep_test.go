@@ -562,13 +562,19 @@ func TestWarmGridCellsDoZeroShuffleWork(t *testing.T) {
 // grid ranks once, however many node specs fill from it. The ablation grid
 // adds the random-placement family on its one plan: two rankings. A warm
 // re-run finds every placement in the plan cache and ranks nothing.
+// rankTestSeeds numbers the grids TestGridRanksOncePerPlanAndFamily has run
+// in this process: the shared plan cache outlives the test (-count > 1), and
+// a seed it has seen is not cold.
+var rankTestSeeds atomic.Uint64
+
 func TestGridRanksOncePerPlanAndFamily(t *testing.T) {
+	n := rankTestSeeds.Add(1) << 8
 	for _, tc := range []struct {
 		grid *Grid
 		want int64
 	}{
-		{Fig9FullGrid(0.001, 0xf199, 1), 1},
-		{AblationGrid(0.002, 0xab1a, 1), 2},
+		{Fig9FullGrid(0.001, 0xf199+n, 1), 1},
+		{AblationGrid(0.002, 0xab1a+n, 1), 2},
 	} {
 		runner := &Runner{Parallel: 4}
 		before := cachepolicy.RankCount()

@@ -11,9 +11,10 @@ import (
 
 // StorageBackend is the byte store behind one storage class. Implementations
 // must be safe for concurrent use and honour context cancellation on their
-// blocking paths (see the embedded interface's contract). The built-in
-// kinds are in-memory ("mem") and directory-backed ("dir") stores; custom
-// kinds plug in through RegisterBackend and Class.Backend.
+// blocking paths; Put takes ownership of its bytes and Get may return shared
+// ones (see the embedded interface's contract). The built-in kinds are
+// in-memory ("mem") and directory-backed ("dir") stores; custom kinds plug
+// in through RegisterBackend and Class.Backend.
 type StorageBackend = storage.Backend
 
 // BackendFactory builds one rank's backend for a storage class. The class

@@ -154,7 +154,7 @@ func TestChaosEmptyProfileInstallsNothing(t *testing.T) {
 			opts.Chaos, opts.Resilience = profile, c.resilience
 			opts = opts.withDefaults()
 			ep := &nullEndpoint{}
-			j, err := newJob(bg, ds, 0, 1, opts, ep, &pfs{ds: ds}, plancache.New(0, 0))
+			j, err := newJob(bg, ds, 0, 1, opts, ep, nil, plancache.New(0, 0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,15 +7,9 @@ import (
 	"sync"
 
 	"repro/internal/chaos"
-	"repro/internal/dataset"
 	"repro/internal/plancache"
 	"repro/internal/storage"
 )
-
-// verifyPayload checks the integrity envelope of internal/dataset payloads.
-func verifyPayload(id int, data []byte) error {
-	return dataset.VerifySample(id, data)
-}
 
 // RankFunc is one worker's training loop: it consumes the Job's sample
 // stream (Samples / GetBatch / Get) until done. ctx is the cluster's run
@@ -54,7 +48,7 @@ func RunCluster(ctx context.Context, ds Dataset, workers int, opts Options, fn R
 		// interleave even when the caller passes a plain file or buffer.
 		opts.TraceFetches = &syncWriter{w: opts.TraceFetches}
 	}
-	shared := &pfs{ds: ds, limiter: storage.NewLimiter(opts.PFSAggregateMBps)}
+	pfs := storage.NewLimiter(opts.PFSAggregateMBps) // the shared filesystem
 	if sched := opts.Chaos.Compile(opts.Seed); sched != nil {
 		// Fault injection: wrap the fabric in the latency/failure decorator
 		// (when the profile has fabric faults to inject) and throttle a
@@ -70,12 +64,12 @@ func RunCluster(ctx context.Context, ds Dataset, workers int, opts Options, fn R
 			if base <= 0 {
 				base = chaos.DefaultLiveTierMBps
 			}
-			shared.limiter = storage.NewLimiter(base / factor)
+			pfs = storage.NewLimiter(base / factor)
 		}
 	}
 	// Observe after any chaos rebuild so the counter follows the limiter
 	// that actually paces the run.
-	observeLimiter(opts.Metrics, shared.limiter, "pfs")
+	observeLimiter(opts.Metrics, pfs, "pfs")
 
 	nets, err := fab.Build(ctx, workers, opts.InterconnectMBps)
 	if err != nil {
@@ -95,7 +89,7 @@ func RunCluster(ctx context.Context, ds Dataset, workers int, opts Options, fn R
 	plans := plancache.New(0, 0)
 	jobs := make([]*Job, workers)
 	for rank := 0; rank < workers; rank++ {
-		j, err := newJob(ctx, ds, rank, workers, perRankOptions(opts, rank), nets[rank], shared, plans)
+		j, err := newJob(ctx, ds, rank, workers, perRankOptions(opts, rank), nets[rank], pfs, plans)
 		if err != nil {
 			for r := 0; r < rank; r++ {
 				jobs[r].Close()

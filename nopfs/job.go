@@ -13,6 +13,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/cachepolicy"
 	"repro/internal/chaos"
+	"repro/internal/dataset"
 	"repro/internal/hwspec"
 	"repro/internal/plancache"
 	"repro/internal/resilience"
@@ -23,7 +24,7 @@ import (
 // Job is one worker's handle on a distributed training run: the paper's
 // Python `Job` class. It owns the worker's staging buffer, storage-class
 // prefetchers, and fabric endpoint, and delivers samples in exact schedule
-// order through Samples, GetBatch, or Get.
+// order to one consumer goroutine, through Samples, GetBatch, or Get.
 type Job struct {
 	rank int
 	opts Options
@@ -41,7 +42,7 @@ type Job struct {
 	backends []StorageBackend
 	staging  *storage.Staging
 	net      Endpoint
-	pfs      *pfs
+	pfs      *storage.Limiter // the shared filesystem's bandwidth
 
 	// chaosSched is the compiled fault schedule (nil for fault-free runs).
 	chaosSched *chaos.Schedule
@@ -69,12 +70,10 @@ type Job struct {
 	progress atomic.Int64 // staging prefetch position (heuristic input)
 	pos      atomic.Int64 // next stream position to claim
 
-	fetchPFS    atomic.Int64
-	fetchRemote atomic.Int64
-	fetchLocal  atomic.Int64
-	falsePos    atomic.Int64
-	delivered   atomic.Int64
-	stallNanos  atomic.Int64
+	fetches    [3]atomic.Int64 // staged fetches, indexed by Source
+	falsePos   atomic.Int64
+	delivered  atomic.Int64
+	stallNanos atomic.Int64
 
 	// inflight coalesces this rank's concurrent PFS reads of one sample
 	// (see readPFS); pfsReads counts every read issued, staged or class
@@ -98,6 +97,8 @@ type Job struct {
 	// buffer's own mutex orders the two.
 	sources []uint8
 
+	held [][]byte // recycled buffers the consumer's last step delivered
+
 	wg        sync.WaitGroup
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -107,7 +108,7 @@ type Job struct {
 // shared PFS and the cluster's plan cache; placement is computed
 // clairvoyantly from the options' seed. ctx bounds backend construction only
 // — the job's lifetime context is derived later, in Start.
-func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, net Endpoint, shared *pfs, plans *plancache.Cache) (*Job, error) {
+func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, net Endpoint, pfs *storage.Limiter, plans *plancache.Cache) (*Job, error) {
 	// Canonicalise the access spec before it enters the plan: every rank
 	// (and the simulator) must derive the identical Plan value — and so the
 	// identical digest — from equivalent spellings of the same pattern.
@@ -163,7 +164,7 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 		crashEpoch:    crashEpoch,
 		redistributed: int64(chaos.RedistributedRounds(art.Streams[rank], stream, ends)),
 		staging:       storage.NewStaging(opts.StagingBytes),
-		pfs:           shared,
+		pfs:           pfs,
 		chaosSched:    sched,
 		//lint:ignore ctxfirst placeholder lifetime before Start(ctx) installs the caller's context; never waited on
 		ctx:    context.Background(),
@@ -281,14 +282,13 @@ func (j *Job) shutdown() {
 	j.pos.Store(int64(len(j.stream))) // stop claimers
 }
 
-// benign reports whether a prefetch error is part of an orderly teardown
-// rather than a run failure.
-func (j *Job) benign(err error) bool {
-	return err == errJobClosed || err == storage.ErrClosed || j.ctx.Err() != nil
-}
-
-// fail records the first fatal error and unblocks the consumer.
+// fail handles the error that stopped a prefetcher: unless it is part of
+// an orderly teardown, the first one is recorded as fatal and unblocks the
+// consumer.
 func (j *Job) fail(err error) {
+	if err == errJobClosed || err == storage.ErrClosed || j.ctx.Err() != nil {
+		return
+	}
 	j.fatalMu.Lock()
 	first := j.fatal == nil
 	if first {
@@ -374,9 +374,7 @@ func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.In
 			_, err = backend.Put(j.ctx, k, data)
 		}
 		if err != nil {
-			if !j.benign(err) {
-				j.fail(err)
-			}
+			j.fail(err)
 			return
 		}
 	}
@@ -400,30 +398,19 @@ func (j *Job) stagingPrefetcher() {
 		}
 		data, src, err := j.fetchFrom(k, pos, true)
 		if err != nil {
-			if !j.benign(err) {
-				j.fail(err)
-			}
+			j.fail(err)
 			return
 		}
-		switch src {
-		case SourcePFS:
-			j.fetchPFS.Add(1)
-		case SourceRemote:
-			j.fetchRemote.Add(1)
-		case SourceLocal:
-			j.fetchLocal.Add(1)
-		}
+		j.fetches[src].Add(1)
 		if j.met != nil {
 			j.met.stagedFetch(pos, k, j.epochOf(pos), src, len(data), time.Since(fetchStart).Seconds())
 		}
 		j.sources[pos] = uint8(src)
 		if err := j.staging.Push(j.ctx, pos, k, data); err != nil {
-			if !j.benign(err) {
-				j.fail(err)
-			}
+			j.fail(err)
 			return
 		}
-		j.met.stagingBytes(j.staging.Used())
+		j.met.stagingBytes(j.staging)
 		storeMax(&j.progress, int64(pos)) // threads finish out of order
 	}
 }
@@ -577,13 +564,29 @@ func (j *Job) crashNow() {
 // Get returns the next sample of this worker's schedule. It blocks until
 // the sample is staged and returns false when the run is complete. A fatal
 // prefetch error surfaces as err; canceling ctx (which must be non-nil)
-// unblocks the call with ctx's error.
+// unblocks the call with ctx's error. It releases the last step's samples.
 func (j *Job) Get(ctx context.Context) (Sample, bool, error) {
-	start := time.Now()
-	e, err := j.staging.Pop(ctx)
-	stalled := time.Since(start)
-	j.stallNanos.Add(int64(stalled))
-	j.met.stall(stalled.Seconds())
+	j.release()
+	return j.next(ctx)
+}
+
+// release returns the last step's recycled buffers to the free list.
+func (j *Job) release() {
+	j.staging.Release(j.held...)
+	j.held = j.held[:0]
+}
+
+// next is the one delivery body behind Get, GetBatch and Samples.
+func (j *Job) next(ctx context.Context) (Sample, bool, error) {
+	e, ok := j.staging.TryPop(ctx)
+	var err error
+	if !ok { // only a Pop that blocks reads the clock
+		start := time.Now()
+		e, err = j.staging.Pop(ctx)
+		stalled := time.Since(start)
+		j.stallNanos.Add(int64(stalled))
+		j.met.stall(stalled.Seconds())
+	}
 	if err != nil {
 		if fatal := j.fatalErr(); fatal != nil {
 			return Sample{}, false, fatal
@@ -595,9 +598,13 @@ func (j *Job) Get(ctx context.Context) (Sample, bool, error) {
 	}
 	j.delivered.Add(1)
 	j.met.deliver()
-	j.met.stagingBytes(j.staging.Used())
+	j.met.stagingBytes(j.staging)
+	src := Source(j.sources[e.Pos])
+	if src == SourcePFS && j.recycles(e.ID) {
+		j.held = append(j.held, e.Data)
+	}
 	if j.opts.VerifySamples {
-		if err := verifyPayload(int(e.ID), e.Data); err != nil {
+		if err := dataset.VerifySample(int(e.ID), e.Data); err != nil {
 			return Sample{}, false, err
 		}
 	}
@@ -608,7 +615,7 @@ func (j *Job) Get(ctx context.Context) (Sample, bool, error) {
 		Data:      e.Data,
 		Epoch:     epoch,
 		Iteration: iter,
-		Source:    Source(j.sources[e.Pos]),
+		Source:    src,
 	}
 	if e.Pos == len(j.stream)-1 {
 		j.staging.Close()
@@ -631,8 +638,8 @@ func (j *Job) Get(ctx context.Context) (Sample, bool, error) {
 //
 // The sequence ends when the schedule is exhausted; a fatal prefetch error
 // or a context cancellation is yielded once as the final element's err.
-// The iterator is single-use and not safe for concurrent iteration (each
-// worker owns one Job).
+// Each step releases the last one's sample. The iterator is single-use and
+// not safe for concurrent iteration (each worker owns one Job).
 func (j *Job) Samples(ctx context.Context) iter.Seq2[Sample, error] {
 	return func(yield func(Sample, error) bool) {
 		for {
@@ -641,10 +648,7 @@ func (j *Job) Samples(ctx context.Context) iter.Seq2[Sample, error] {
 				yield(Sample{}, err)
 				return
 			}
-			if !ok {
-				return
-			}
-			if !yield(s, nil) {
+			if !ok || !yield(s, nil) {
 				return
 			}
 		}
@@ -655,17 +659,15 @@ func (j *Job) Samples(ctx context.Context) iter.Seq2[Sample, error] {
 // BatchPerWorker) — the per-worker minibatch shape of the paper's training
 // loop. The final batch of a run may be short; a nil, nil return means the
 // schedule is exhausted. On error the samples delivered before the failure
-// are returned alongside it.
+// are returned alongside it. It releases the last step's samples.
 func (j *Job) GetBatch(ctx context.Context, n int) ([]Sample, error) {
 	if n <= 0 {
-		n = j.opts.BatchPerWorker
-		if n <= 0 {
-			n = 1
-		}
+		n = j.opts.BatchPerWorker // at least 1 (Options.withDefaults)
 	}
+	j.release()
 	batch := make([]Sample, 0, n)
 	for len(batch) < n {
-		s, ok, err := j.Get(ctx)
+		s, ok, err := j.next(ctx)
 		if err != nil {
 			return batch, err
 		}
@@ -698,9 +700,9 @@ func (j *Job) Stats() Stats {
 	return Stats{
 		Rank: j.rank,
 		Fetches: map[Source]int64{
-			SourcePFS:    j.fetchPFS.Load(),
-			SourceRemote: j.fetchRemote.Load(),
-			SourceLocal:  j.fetchLocal.Load(),
+			SourcePFS:    j.fetches[SourcePFS].Load(),
+			SourceRemote: j.fetches[SourceRemote].Load(),
+			SourceLocal:  j.fetches[SourceLocal].Load(),
 		},
 		RemoteFalsePositives: j.falsePos.Load(),
 		StallSeconds:         float64(j.stallNanos.Load()) / 1e9,

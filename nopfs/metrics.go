@@ -234,12 +234,12 @@ func (m *jobMetrics) deliver() {
 	m.delivered.Inc()
 }
 
-// stagingBytes updates the occupancy gauge.
-func (m *jobMetrics) stagingBytes(n int64) {
-	if m == nil {
+// stagingBytes updates the occupancy gauge from s.
+func (m *jobMetrics) stagingBytes(s *storage.Staging) {
+	if m == nil || m.staging == nil {
 		return
 	}
-	m.staging.Set(float64(n))
+	m.staging.Set(float64(s.Used()))
 }
 
 // syncWriter makes an arbitrary io.Writer safe for the cluster's concurrent

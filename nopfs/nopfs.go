@@ -253,7 +253,10 @@ type Sample struct {
 	ID int
 	// Label is the dataset-provided class label.
 	Label int
-	// Data is the sample payload. The buffer belongs to the caller.
+	// Data is the sample payload. It is read-only — the bytes may be a
+	// storage class's cached copy, shared with peers — and valid until the
+	// consumer's next Get, GetBatch or Samples step, which may reuse the
+	// buffer for a later sample. Copy it to keep it longer.
 	Data []byte
 	// Epoch and Iteration locate the sample in the training schedule.
 	Epoch, Iteration int

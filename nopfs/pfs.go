@@ -1,31 +1,15 @@
 package nopfs
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/access"
-	"repro/internal/storage"
 )
 
-// pfs wraps the Dataset with the shared-bandwidth limiter: the live
-// system's parallel filesystem.
-type pfs struct {
-	ds      Dataset
-	limiter *storage.Limiter
-}
-
-// read performs one PFS sample read under the bandwidth model. Canceling
-// ctx interrupts the bandwidth wait.
-func (p *pfs) read(ctx context.Context, id int32) ([]byte, error) {
-	data, err := p.ds.ReadSample(int(id))
-	if err != nil {
-		return nil, err
-	}
-	if err := p.limiter.Wait(ctx, int64(len(data))); err != nil {
-		return nil, err
-	}
-	return data, nil
+// readerInto is a Dataset that reads into a caller's buffer. Only its reads
+// are recycled: any other ReadSample may return memory the dataset keeps.
+type readerInto interface {
+	ReadSampleInto(id int, buf []byte) ([]byte, error)
 }
 
 // readPFS is the filesystem leg of fetchSource. A sample this rank is
@@ -37,8 +21,9 @@ func (p *pfs) read(ctx context.Context, id int32) ([]byte, error) {
 // local fetch. A leader re-checks the class first, because an earlier
 // flight may have retired between this caller's backend miss and its table
 // lookup; with that, a rank reads an assigned sample from the filesystem
-// once. Every other sample has the staging path as its only reader and
-// never touches the table.
+// once, and the class keeps the buffer it was read into. Every other sample
+// has the staging path as its only reader and never touches the table; its
+// read goes into a recycled buffer (see recycles).
 func (j *Job) readPFS(k access.SampleID, staged bool) ([]byte, Source, error) {
 	var (
 		data   []byte
@@ -46,13 +31,17 @@ func (j *Job) readPFS(k access.SampleID, staged bool) ([]byte, Source, error) {
 		served bool // by another prefetcher's read
 	)
 	if c := j.assign.Local(j.rank, k); c < 0 {
-		data, err = j.issueRead(k, staged)
+		var buf []byte
+		if j.recycles(k) {
+			buf = j.staging.Buffer(int(j.ds.Size(int(k))))
+		}
+		data, err = j.issueRead(k, staged, buf)
 	} else if f, leader := j.inflight.join(k); !leader {
 		served = true
 		data, err = f.wait(j.ctx)
 	} else {
 		if data, served, err = j.backends[c].Get(j.ctx, k); err == nil && !served {
-			if data, err = j.issueRead(k, staged); err == nil {
+			if data, err = j.issueRead(k, staged, nil); err == nil {
 				_, err = j.backends[c].Put(j.ctx, k, data)
 			}
 		}
@@ -71,12 +60,28 @@ func (j *Job) readPFS(k access.SampleID, staged bool) ([]byte, Source, error) {
 	return data, SourcePFS, nil
 }
 
-// issueRead performs and counts one filesystem read, for the staging path
-// (staged) or a class prefetcher.
-func (j *Job) issueRead(k access.SampleID, staged bool) ([]byte, error) {
+// recycles reports whether k's PFS reads go into the staging free list's
+// buffers: k has one reader, the staging path, so its buffer passes from the
+// read through staging to the consumer alone, whose next step releases it.
+func (j *Job) recycles(k access.SampleID) bool {
+	_, into := j.ds.(readerInto)
+	return into && j.assign.Local(j.rank, k) < 0
+}
+
+// issueRead performs and counts one filesystem read under the shared
+// bandwidth model, for the staging path (staged) or a class prefetcher, into
+// buf (which may be nil) when the dataset is a readerInto.
+func (j *Job) issueRead(k access.SampleID, staged bool, buf []byte) (data []byte, err error) {
 	j.pfsReads.Add(1)
 	j.met.pfsRead(staged)
-	data, err := j.pfs.read(j.ctx, k)
+	if r, ok := j.ds.(readerInto); ok {
+		data, err = r.ReadSampleInto(int(k), buf)
+	} else {
+		data, err = j.ds.ReadSample(int(k))
+	}
+	if err == nil {
+		err = j.pfs.Wait(j.ctx, int64(len(data)))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("nopfs: pfs read of %d: %w", k, err)
 	}
