@@ -1,36 +1,10 @@
-// Package repro_test is the benchmark harness that regenerates every table
-// and figure of "Clairvoyant Prefetching for Distributed Machine Learning
-// I/O" (SC 2021). One benchmark per paper artifact; each runs at a reduced
-// dataset scale that preserves the storage-hierarchy regime (see
-// internal/sim.ScaleSystem), and reports the headline metric of its figure
-// as a custom unit so `go test -bench=.` doubles as a results table.
-//
-// Absolute runtimes are not expected to match the paper (the substrate is a
-// simulator, not Piz Daint/Lassen); EXPERIMENTS.md records paper-vs-measured
-// shapes.
 package repro_test
 
 import (
-	"context"
-	"fmt"
-	"io"
 	"testing"
 
-	"repro/internal/access"
-	"repro/internal/dataset"
 	isim "repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/sweep"
-	"repro/internal/trainer"
-	"repro/nopfs"
 )
-
-// benchScale keeps full Fig. 8 policy sweeps fast while preserving regimes.
-const benchScale = 0.005
-
-// bg is the benchmarks' run context; cancellation behaviour is covered by
-// the nopfs and transport test tiers.
-var bg = context.Background()
 
 // BenchmarkTable1Characteristics exercises the framework-comparison
 // registry: every policy of Table 1 instantiated and round-tripped by name.
@@ -42,364 +16,6 @@ func BenchmarkTable1Characteristics(b *testing.B) {
 			}
 		}
 	}
-}
-
-// BenchmarkFig3AccessFrequency reproduces the access-frequency analysis:
-// Monte-Carlo-free measurement of heavy hitters vs the binomial estimate
-// (N=16, E=90, scaled F).
-func BenchmarkFig3AccessFrequency(b *testing.B) {
-	plan := &access.Plan{Seed: 42, F: 100000, N: 16, E: 90, BatchPerWorker: 4, DropLast: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := access.HeavyHitters(plan, 0, 0.8)
-		ratio := float64(r.Measured) / r.Analytic
-		b.ReportMetric(ratio, "measured/analytic")
-	}
-}
-
-// fig8 runs one Fig. 8 panel across all policies and reports NoPFS's
-// distance to the lower bound and its advantage over the worst policy.
-func fig8(b *testing.B, id string) {
-	s, err := isim.ScenarioByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		rep, err := new(sweep.Runner).Run(bg, sweep.ScenarioGrid(s, benchScale, 42, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var lb, nopfsT, worst float64
-		for _, c := range rep.Cells {
-			exec := c.Outcome.Values[sweep.MetricExec]
-			switch {
-			case c.Outcome.Failed:
-			case c.Policy == "LowerBound":
-				lb = exec
-			case c.Policy == "NoPFS":
-				nopfsT = exec
-			default:
-				if exec > worst {
-					worst = exec
-				}
-			}
-		}
-		b.ReportMetric(nopfsT/lb, "NoPFS/LB")
-		b.ReportMetric(worst/nopfsT, "worst/NoPFS")
-	}
-}
-
-// BenchmarkFig8aMNIST: S < d1 regime.
-func BenchmarkFig8aMNIST(b *testing.B) { fig8(b, "fig8a") }
-
-// BenchmarkFig8bImageNet1k: d1 < S < D regime.
-func BenchmarkFig8bImageNet1k(b *testing.B) { fig8(b, "fig8b") }
-
-// BenchmarkFig8cOpenImages: d1 < S < ND regime.
-func BenchmarkFig8cOpenImages(b *testing.B) { fig8(b, "fig8c") }
-
-// BenchmarkFig8dImageNet22k: D < S < ND regime.
-func BenchmarkFig8dImageNet22k(b *testing.B) { fig8(b, "fig8d") }
-
-// BenchmarkFig8eCosmoFlow: ND < S regime.
-func BenchmarkFig8eCosmoFlow(b *testing.B) { fig8(b, "fig8e") }
-
-// BenchmarkFig8fCosmoFlow512: ND < S, N=8, 1 GB samples.
-func BenchmarkFig8fCosmoFlow512(b *testing.B) { fig8(b, "fig8f") }
-
-// fig9Sweep runs the 25-point RAM x SSD study through the sweep engine at
-// the given pool width and reports the best/worst configuration spread.
-func fig9Sweep(b *testing.B, parallel int) {
-	for i := 0; i < b.N; i++ {
-		rep, err := (&sweep.Runner{Parallel: parallel}).Run(bg, sweep.Fig9Grid(0.002, 11, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		best := rep.Cells[0].Outcome.Values[sweep.MetricExec]
-		worst := best
-		for _, c := range rep.Cells {
-			if v := c.Outcome.Values[sweep.MetricExec]; v < best {
-				best = v
-			} else if v > worst {
-				worst = v
-			}
-		}
-		b.ReportMetric(worst/best, "worst/best-config")
-	}
-}
-
-// BenchmarkFig9EnvironmentSweep is the Fig. 9 study on a GOMAXPROCS-wide
-// pool (the default engine configuration).
-func BenchmarkFig9EnvironmentSweep(b *testing.B) { fig9Sweep(b, 0) }
-
-// BenchmarkFig9EnvironmentSweepSerial pins the engine to one goroutine;
-// comparing against the parallel variants shows the sweep-engine speedup on
-// this host.
-func BenchmarkFig9EnvironmentSweepSerial(b *testing.B) { fig9Sweep(b, 1) }
-
-// BenchmarkFig9EnvironmentSweepParallel8 runs the same grid on an 8-wide
-// pool.
-func BenchmarkFig9EnvironmentSweepParallel8(b *testing.B) { fig9Sweep(b, 8) }
-
-// fig10 runs a scaling experiment and reports the PyTorch-vs-NoPFS epoch
-// ratio at the largest scale point.
-func fig10(b *testing.B, exp trainer.Experiment, gpus int) {
-	exp.GPUCounts = []int{gpus}
-	for i := 0; i < b.N; i++ {
-		points, err := exp.Run(bg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var pytorch, nopfsT float64
-		for _, p := range points {
-			switch p.Loader {
-			case "PyTorch":
-				pytorch = p.MedianEpoch
-			case "NoPFS":
-				nopfsT = p.MedianEpoch
-			}
-		}
-		b.ReportMetric(pytorch/nopfsT, "PyTorch/NoPFS")
-	}
-}
-
-// BenchmarkFig10ImageNet1kScalingPizDaint: paper headline 2.2x at 256 GPUs.
-func BenchmarkFig10ImageNet1kScalingPizDaint(b *testing.B) {
-	fig10(b, trainer.Fig10PizDaint(0.1), 256)
-}
-
-// BenchmarkFig10ImageNet1kScalingLassen: paper headline 5.4x at 1024 GPUs
-// (measured here at 256 ranks under dataset scaling).
-func BenchmarkFig10ImageNet1kScalingLassen(b *testing.B) {
-	fig10(b, trainer.Fig10Lassen(0.1), 256)
-}
-
-// benchFig10TrainerGrid runs the full Fig. 10 Piz Daint grid (4 GPU counts
-// × 4 loaders) through the sweep engine at a fixed pool width. Comparing
-// the Serial and Parallel8 variants shows the engine's wall-clock speedup
-// on trainer grids, mirroring the Fig9EnvironmentSweep pair for the
-// simulator grids.
-func benchFig10TrainerGrid(b *testing.B, parallel int) {
-	exp := trainer.Fig10PizDaint(0.05)
-	runner := &sweep.Runner{Parallel: parallel}
-	for i := 0; i < b.N; i++ {
-		rep, err := runner.Run(bg, exp.Grid(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		points, err := trainer.PointsFromReport(rep)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var pytorch, nopfsT float64
-		for _, p := range points {
-			if p.GPUs != 256 {
-				continue
-			}
-			switch p.Loader {
-			case "PyTorch":
-				pytorch = p.MedianEpoch
-			case "NoPFS":
-				nopfsT = p.MedianEpoch
-			}
-		}
-		b.ReportMetric(pytorch/nopfsT, "PyTorch/NoPFS")
-	}
-}
-
-// BenchmarkFig10TrainerGridSerial pins the trainer grid to one goroutine.
-func BenchmarkFig10TrainerGridSerial(b *testing.B) { benchFig10TrainerGrid(b, 1) }
-
-// BenchmarkFig10TrainerGridParallel8 runs the same grid on an 8-wide pool.
-func BenchmarkFig10TrainerGridParallel8(b *testing.B) { benchFig10TrainerGrid(b, 8) }
-
-// BenchmarkFig11Epoch0 reports the epoch-0 / steady-state batch-time ratio
-// for NoPFS (cold caches make epoch 0 slower).
-func BenchmarkFig11Epoch0(b *testing.B) {
-	exp := trainer.Fig10PizDaint(0.1)
-	exp.GPUCounts = []int{128}
-	for i := 0; i < b.N; i++ {
-		points, err := exp.Run(bg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range points {
-			if p.Loader == "NoPFS" {
-				b.ReportMetric(p.Batch0.Mean/p.Batch.Mean, "epoch0/steady")
-			}
-		}
-	}
-}
-
-// BenchmarkFig12CacheStats reports NoPFS's remote-fetch fraction at scale.
-func BenchmarkFig12CacheStats(b *testing.B) {
-	exp := trainer.Fig10Lassen(0.1)
-	exp.GPUCounts = []int{256}
-	for i := 0; i < b.N; i++ {
-		points, err := exp.Run(bg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range points {
-			if p.Loader != "NoPFS" || p.Failed {
-				continue
-			}
-			b.ReportMetric(p.LocFraction[2], "local-frac")
-			b.ReportMetric(p.LocFraction[1], "remote-frac")
-			b.ReportMetric(p.LocFraction[0], "pfs-frac")
-		}
-	}
-}
-
-// BenchmarkFig13BatchSize reports the NoPFS advantage averaged over the
-// batch-size sweep.
-func BenchmarkFig13BatchSize(b *testing.B) {
-	exps := trainer.Fig13BatchSweep(0.1)
-	for i := 0; i < b.N; i++ {
-		var ratios []float64
-		for _, exp := range exps {
-			points, err := exp.Run(bg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var pytorch, nopfsT float64
-			for _, p := range points {
-				switch p.Loader {
-				case "PyTorch":
-					pytorch = p.Batch.Median
-				case "NoPFS":
-					nopfsT = p.Batch.Median
-				}
-			}
-			ratios = append(ratios, pytorch/nopfsT)
-		}
-		b.ReportMetric(stats.Mean(ratios), "PyTorch/NoPFS-batch")
-	}
-}
-
-// BenchmarkFig14ImageNet22k: paper headline 2.4x at 1024 GPUs.
-func BenchmarkFig14ImageNet22k(b *testing.B) {
-	fig10(b, trainer.Fig14Lassen(0.1), 256)
-}
-
-// BenchmarkFig15CosmoFlow: paper headline 2.1x at 1024 GPUs.
-func BenchmarkFig15CosmoFlow(b *testing.B) {
-	fig10(b, trainer.Fig15Lassen(0.1), 256)
-}
-
-// BenchmarkFig16EndToEnd reports the end-to-end training speedup at equal
-// accuracy (paper: 1.42x).
-func BenchmarkFig16EndToEnd(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := new(sweep.Runner).Run(bg, trainer.Fig16GridFrom(trainer.Fig16Experiment(0.1), 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var pytorch, nopfsT float64
-		for _, c := range rep.Cells {
-			switch c.Policy {
-			case "PyTorch":
-				pytorch = c.Outcome.Values[trainer.MetricTotalS]
-			case "NoPFS":
-				nopfsT = c.Outcome.Values[trainer.MetricTotalS]
-			}
-		}
-		b.ReportMetric(pytorch/nopfsT, "end-to-end-speedup")
-	}
-}
-
-// BenchmarkAblations quantifies each NoPFS design choice on the Fig. 8d
-// regime (D < S < ND) under 5x compute — the operating point where I/O
-// genuinely binds, so placement quality, remote fetching, and prefetch
-// depth each become visible. The variant grid runs through the sweep
-// engine.
-func BenchmarkAblations(b *testing.B) {
-	grid := sweep.AblationGrid(benchScale, 42, 1)
-	runner := &sweep.Runner{}
-	for i := 0; i < b.N; i++ {
-		rep, err := runner.Run(bg, grid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		summaries := rep.Aggregate()
-		base := summaries[0].Metric(sweep.MetricExec).Mean // full NoPFS is the first column
-		for _, s := range summaries[1:] {
-			b.ReportMetric(s.Metric(sweep.MetricExec).Mean/base, s.Policy+"/full")
-		}
-	}
-}
-
-// benchDelivery runs one fixed in-process cluster per iteration, consuming
-// every worker's stream through the given loop. The three delivery-API
-// variants below share identical cluster work, so their deltas isolate the
-// per-sample overhead of Get vs the Samples iterator vs GetBatch.
-func benchDelivery(b *testing.B, fn nopfs.RankFunc) {
-	b.Helper()
-	ds := dataset.MustNew(dataset.Spec{
-		Name: "bench-delivery", F: 512, MeanSize: 2048, Classes: 10, Seed: 3,
-	})
-	opts := nopfs.NewOptions(
-		nopfs.WithSeed(9),
-		nopfs.WithEpochs(2),
-		nopfs.WithBatchPerWorker(8),
-		nopfs.WithStagingBuffer(4<<20),
-		nopfs.WithStagingThreads(4),
-		nopfs.WithClasses(nopfs.Class{Name: "ram", CapacityBytes: 4 << 20, Threads: 2}),
-	)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		stats, err := nopfs.RunCluster(bg, ds, 2, opts, fn)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var n int64
-		for _, s := range stats {
-			n += s.Delivered
-		}
-		b.ReportMetric(float64(n), "samples/op")
-	}
-}
-
-// BenchmarkDeliveryGet consumes through the classic Get loop.
-func BenchmarkDeliveryGet(b *testing.B) {
-	benchDelivery(b, func(ctx context.Context, j *nopfs.Job) error {
-		for {
-			_, ok, err := j.Get(ctx)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-	})
-}
-
-// BenchmarkDeliverySamples consumes through the range-over-func iterator.
-func BenchmarkDeliverySamples(b *testing.B) {
-	benchDelivery(b, func(ctx context.Context, j *nopfs.Job) error {
-		for _, err := range j.Samples(ctx) {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// BenchmarkDeliveryGetBatch consumes through per-worker minibatch pulls.
-func BenchmarkDeliveryGetBatch(b *testing.B) {
-	benchDelivery(b, func(ctx context.Context, j *nopfs.Job) error {
-		for {
-			batch, err := j.GetBatch(ctx, 8)
-			if err != nil {
-				return err
-			}
-			if batch == nil {
-				return nil
-			}
-		}
-	})
 }
 
 // BenchmarkSimulate10kWorkers stresses the struct-of-arrays hot state at a
@@ -432,68 +48,4 @@ func BenchmarkSimulate10kWorkers(b *testing.B) {
 		}
 		b.ReportMetric(r.ExecSeconds, "sim-exec-s")
 	}
-}
-
-// BenchmarkSweep100kCells streams a 100,000-cell grid (50 scenarios × 20
-// policies × 100 replicas) through the CSV aggregator: resident Result
-// memory stays at the engine's bounded delivery window plus the open summary
-// group, independent of grid size. Skipped under -short.
-func BenchmarkSweep100kCells(b *testing.B) {
-	if testing.Short() {
-		b.Skip("100k-cell sweep is a scale stress; skipped under -short")
-	}
-	var scenarios []sweep.ScenarioSpec
-	for i := 0; i < 50; i++ {
-		scenarios = append(scenarios, sweep.ScenarioSpec{ID: fmt.Sprintf("row%02d", i)})
-	}
-	var policies []sweep.PolicySpec
-	for i := 0; i < 20; i++ {
-		policies = append(policies, sweep.PolicySpec{Name: fmt.Sprintf("col%02d", i)})
-	}
-	grid := &sweep.Grid{
-		Name: "bench-100k", Scenarios: scenarios, Policies: policies,
-		Replicas: 100, BaseSeed: 7,
-		Metrics: []sweep.Metric{{Name: "score"}},
-		Cell: func(si, pi, _, _ int) sweep.CellFunc {
-			return func(_ context.Context, seed uint64) (*sweep.Outcome, error) {
-				v := float64((seed*2654435761+uint64(si*31+pi))%1000) / 10
-				return &sweep.Outcome{Values: map[string]float64{"score": v}}, nil
-			}
-		},
-	}
-	runner := &sweep.Runner{Parallel: 8}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := runner.RunStream(bg, grid, sweep.NewCSVAggregator(io.Discard)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLiveClusterThroughput measures the real middleware end to end —
-// samples delivered by a 4-worker in-process cluster over the chan fabric.
-func BenchmarkLiveClusterThroughput(b *testing.B) {
-	ds := dataset.MustNew(dataset.Spec{
-		Name: "bench-live", F: 512, MeanSize: 8 << 10, Classes: 10, Seed: 3,
-	})
-	opts := nopfs.Options{
-		Seed: 9, Fabric: nopfs.FabricChan,
-		Epochs: 2, BatchPerWorker: 8,
-		StagingBytes: 4 << 20, StagingThreads: 4,
-		Classes: []nopfs.Class{{Name: "ram", CapacityBytes: 8 << 20, Threads: 2}},
-	}
-	b.ReportAllocs()
-	var delivered int64
-	for i := 0; i < b.N; i++ {
-		stats, err := nopfs.RunCluster(bg, ds, 4, opts, nopfs.DrainAll(nil))
-		if err != nil {
-			b.Fatal(err)
-		}
-		delivered = 0
-		for _, s := range stats {
-			delivered += s.Delivered
-		}
-	}
-	// Bytes per iteration: every run delivers the same seed-determined count.
-	b.SetBytes(delivered * 8 << 10)
 }

@@ -213,18 +213,6 @@ func TestTotalAccessInvariantDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestLemma1HoldsOnRealPlans(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 99} {
-		p := mkPlan(seed, 512, 4, 16, 4, false)
-		freqs := p.Frequencies()
-		for _, delta := range []float64{0.25, 0.5, 1.0} {
-			if v := Lemma1Violations(freqs, p.E, delta); v != 0 {
-				t.Errorf("seed %d delta %v: %d Lemma 1 violations", seed, delta, v)
-			}
-		}
-	}
-}
-
 func TestLemma1Property(t *testing.T) {
 	// Lemma 1 is a theorem about any frequency matrix where each sample's
 	// total is exactly E; verify over random plans.
@@ -240,38 +228,6 @@ func TestLemma1Property(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHeavyHittersAgreesWithAnalytic(t *testing.T) {
-	// Scaled-down version of the paper's Fig. 3 experiment: measured heavy
-	// hitters should track the binomial estimate closely.
-	p := mkPlan(1234, 100000, 16, 90, 4, true)
-	r := HeavyHitters(p, 0, 0.8)
-	if r.Threshold != 10 {
-		t.Fatalf("threshold = %d, want 10 (paper: 'accessed more than 10 times')", r.Threshold)
-	}
-	if r.Analytic <= 0 {
-		t.Fatal("analytic estimate is zero")
-	}
-	ratio := float64(r.Measured) / r.Analytic
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Errorf("measured %d vs analytic %.0f (ratio %.3f), want within 15%%",
-			r.Measured, r.Analytic, ratio)
-	}
-}
-
-func TestFirstAccessPositions(t *testing.T) {
-	stream := []SampleID{5, 3, 5, 7, 3, 1}
-	first := FirstAccessPositions(stream)
-	want := map[SampleID]int{5: 0, 3: 1, 7: 3, 1: 5}
-	if len(first) != len(want) {
-		t.Fatalf("got %d entries, want %d", len(first), len(want))
-	}
-	for id, pos := range want {
-		if first[id] != pos {
-			t.Errorf("first[%d] = %d, want %d", id, first[id], pos)
-		}
 	}
 }
 

@@ -114,17 +114,3 @@ func TotalAccessInvariant(p *Plan, freqs [][]int32) (sample int, total int32) {
 	}
 	return -1, 0
 }
-
-// FirstAccessPositions returns, for worker i, a map from sample ID to the
-// stream position of the sample's first access. The NoPFS prefetchers fill
-// storage classes in first-access order (Rule 1 of Sec. 3), so this order
-// defines the cache fill schedule.
-func FirstAccessPositions(stream []SampleID) map[SampleID]int {
-	first := make(map[SampleID]int)
-	for pos, id := range stream {
-		if _, seen := first[id]; !seen {
-			first[id] = pos
-		}
-	}
-	return first
-}

@@ -108,15 +108,14 @@ func underPath(path, prefix string) bool {
 }
 
 // mainAdjacent reports whether p is command (not library) code: package main
-// anywhere, the cmd/ and examples/ trees, the CLI implementation, and the
-// internal dev tools. The context, goroutine, and exit-code contracts bind
-// library code only.
+// anywhere, the cmd/ and examples/ trees, and the CLI implementation. The
+// context, goroutine, and exit-code contracts bind library code only.
 func (p *Package) mainAdjacent() bool {
 	if p.Name == "main" {
 		return true
 	}
 	ep := p.EffectivePath()
-	for _, prefix := range []string{"cmd", "examples", "internal/cli", "internal/tools"} {
+	for _, prefix := range []string{"cmd", "examples", "internal/cli"} {
 		if underPath(ep, prefix) {
 			return true
 		}

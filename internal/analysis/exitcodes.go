@@ -14,8 +14,8 @@ func exitcodesAnalyzer() *Analyzer {
 }
 
 func runExitcodes(p *Package) []Diagnostic {
-	// package main is the process boundary by definition (cmd/, examples/,
-	// internal/tools), and internal/cli implements the contract itself.
+	// package main is the process boundary by definition (cmd/, examples/),
+	// and internal/cli implements the contract itself.
 	if p.Name == "main" {
 		return nil
 	}

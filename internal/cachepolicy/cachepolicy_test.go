@@ -139,7 +139,12 @@ func TestFillOrderIsFirstAccessOrder(t *testing.T) {
 	plan := testPlan(128, 2, 3)
 	a := BuildNoPFS(plan, ds, nodeWithMB(1000, 0))
 	for w := 0; w < 2; w++ {
-		first := access.FirstAccessPositions(plan.WorkerStream(w))
+		first := map[access.SampleID]int{}
+		for pos, id := range plan.WorkerStream(w) {
+			if _, seen := first[id]; !seen {
+				first[id] = pos
+			}
+		}
 		for c, list := range a.FillOrder[w] {
 			for i := 1; i < len(list); i++ {
 				if first[list[i-1]] >= first[list[i]] {

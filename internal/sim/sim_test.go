@@ -48,158 +48,6 @@ func TestScenarioByID(t *testing.T) {
 	}
 }
 
-func TestFig8ScenarioRegimes(t *testing.T) {
-	// The six panels must sit in the paper's dataset-vs-storage regimes,
-	// both at paper scale and at test scale.
-	for _, scale := range []float64{1, testScale} {
-		for _, s := range Fig8Scenarios() {
-			spec := s.Spec
-			sys := s.System
-			if scale != 1 {
-				spec = spec.Scale(scale)
-				sys = ScaleSystem(sys, scale)
-			}
-			S := float64(spec.TotalSizeEstimate()) / (1 << 20)
-			d1 := sys.Node.Classes[0].CapacityMB
-			D := sys.Node.TotalLocalMB()
-			ND := float64(s.Workload.Workers) * D
-			switch s.ID {
-			case "fig8a":
-				if !(S < d1) {
-					t.Errorf("scale %g %s: want S < d1, got S=%.0f d1=%.0f", scale, s.ID, S, d1)
-				}
-			case "fig8b", "fig8c":
-				if !(d1 < S && S < D) {
-					t.Errorf("scale %g %s: want d1 < S < D, got d1=%.0f S=%.0f D=%.0f", scale, s.ID, d1, S, D)
-				}
-			case "fig8d":
-				if !(D < S && S < ND) {
-					t.Errorf("scale %g %s: want D < S < ND, got D=%.0f S=%.0f ND=%.0f", scale, s.ID, D, S, ND)
-				}
-			case "fig8e", "fig8f":
-				if !(ND < S) {
-					t.Errorf("scale %g %s: want ND < S, got ND=%.0f S=%.0f", scale, s.ID, ND, S)
-				}
-			}
-		}
-	}
-}
-
-func TestFig8bShape(t *testing.T) {
-	// ImageNet-1k on the small cluster (paper Fig. 8b): NoPFS is the best
-	// policy and near the lower bound; Naive is worst by a wide margin;
-	// StagingBuffer stalls on PFS reads.
-	r := runPanel(t, "fig8b")
-	lb := r[NameLowerBound].ExecSeconds
-	nopfs := r[NameNoPFS].ExecSeconds
-
-	if ratio := nopfs / lb; ratio > 1.10 {
-		t.Errorf("NoPFS/LowerBound = %.3f, want <= 1.10 (paper: 1.05)", ratio)
-	}
-	if ratio := r[NameNaive].ExecSeconds / lb; ratio < 1.4 {
-		t.Errorf("Naive/LowerBound = %.3f, want >= 1.4 (paper: 1.69)", ratio)
-	}
-	if ratio := r[NameStagingBuffer].ExecSeconds / lb; ratio < 1.1 {
-		t.Errorf("StagingBuffer/LowerBound = %.3f, want >= 1.1 (paper: 1.29)", ratio)
-	}
-	// NoPFS is the best non-LowerBound policy.
-	for name, res := range r {
-		if name == NameLowerBound || res.Failed {
-			continue
-		}
-		if res.ExecSeconds < nopfs-1e-9 {
-			t.Errorf("%s (%.2fs) beat NoPFS (%.2fs)", name, res.ExecSeconds, nopfs)
-		}
-	}
-	// Everyone accesses the entire dataset in this regime.
-	for name, res := range r {
-		if !res.Failed && res.Coverage < 0.999 {
-			t.Errorf("%s coverage = %.3f, want 1 in 8b regime", name, res.Coverage)
-		}
-	}
-}
-
-func TestFig8dShape(t *testing.T) {
-	// ImageNet-22k, D < S < ND (paper Fig. 8d): LBANN cannot run; the
-	// order-relaxing policies stop covering the dataset; NoPFS still
-	// covers everything and stays fastest.
-	r := runPanel(t, "fig8d")
-	if !r[NameLBANNDynamic].Failed || !r[NameLBANNPreload].Failed {
-		t.Error("LBANN should fail when the dataset exceeds aggregate RAM")
-	}
-	if cov := r[NameDeepIOOpp].Coverage; cov > 0.9 {
-		t.Errorf("DeepIO (Opp.) coverage = %.2f, want < 0.9 (does not access entire dataset)", cov)
-	}
-	if cov := r[NameNoPFS].Coverage; cov < 0.999 {
-		t.Errorf("NoPFS coverage = %.3f, want full", cov)
-	}
-	lb := r[NameLowerBound].ExecSeconds
-	for _, name := range []string{NameNaive, NameStagingBuffer, NameDeepIOOrdered, NameLocalityAware} {
-		if r[name].ExecSeconds <= r[NameNoPFS].ExecSeconds-1e-9 {
-			t.Errorf("%s (%.2f) beat NoPFS (%.2f) in 8d", name, r[name].ExecSeconds, r[NameNoPFS].ExecSeconds)
-		}
-	}
-	if ratio := r[NameNoPFS].ExecSeconds / lb; ratio > 1.15 {
-		t.Errorf("NoPFS/LB = %.3f in 8d, want near 1 (paper: 1.05)", ratio)
-	}
-}
-
-func TestFig8eShape(t *testing.T) {
-	// CosmoFlow, ND < S: even aggregate cluster storage cannot hold the
-	// dataset. Sharding no longer covers it; NoPFS does, and still wins.
-	r := runPanel(t, "fig8e")
-	if cov := r[NameParallelStaging].Coverage; cov > 0.99 {
-		t.Errorf("ParallelStaging coverage = %.3f, want < 1 when ND < S", cov)
-	}
-	if cov := r[NameDeepIOOpp].Coverage; cov > 0.5 {
-		t.Errorf("DeepIO (Opp.) coverage = %.3f, want small when ND < S", cov)
-	}
-	if cov := r[NameNoPFS].Coverage; cov < 0.999 {
-		t.Errorf("NoPFS coverage = %.3f, want full", cov)
-	}
-	if !r[NameLBANNDynamic].Failed {
-		t.Error("LBANN should fail in the ND < S regime")
-	}
-	best := r[NameNoPFS].ExecSeconds
-	for _, name := range []string{NameNaive, NameStagingBuffer, NameDeepIOOrdered} {
-		if r[name].ExecSeconds <= best-1e-9 {
-			t.Errorf("%s beat NoPFS in 8e", name)
-		}
-	}
-}
-
-func TestFig8aAllPoliciesClose(t *testing.T) {
-	// MNIST fits in the first storage class: the paper reports little
-	// difference between policies except Naive (1.7x).
-	r := runPanel(t, "fig8a")
-	lb := r[NameLowerBound].ExecSeconds
-	for name, res := range r {
-		if res.Failed || name == NameNaive {
-			continue
-		}
-		if ratio := res.ExecSeconds / lb; ratio > 1.35 {
-			t.Errorf("%s/LB = %.2f on MNIST, want close to 1", name, ratio)
-		}
-	}
-	if ratio := r[NameNaive].ExecSeconds / lb; ratio < 1.3 {
-		t.Errorf("Naive/LB = %.2f on MNIST, want >= 1.3 (paper: 1.7)", ratio)
-	}
-}
-
-func TestNaiveStallDominates(t *testing.T) {
-	r := runPanel(t, "fig8b")
-	naive := r[NameNaive]
-	if naive.StallSeconds <= r[NameNoPFS].StallSeconds {
-		t.Error("Naive should stall more than NoPFS")
-	}
-	if naive.LocCount[perfmodel.LocPFS] == 0 {
-		t.Error("Naive never touched the PFS?")
-	}
-	if naive.LocCount[perfmodel.LocLocal] != 0 || naive.LocCount[perfmodel.LocRemote] != 0 {
-		t.Error("Naive must fetch exclusively from the PFS")
-	}
-}
-
 func TestNoPFSFetchMixShiftsOffPFS(t *testing.T) {
 	// After epoch 0, NoPFS serves most fetches from local/remote caches:
 	// its PFS fetch count must be well below the total.

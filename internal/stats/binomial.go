@@ -42,24 +42,6 @@ func BinomialPMF(n int, p float64, k int) float64 {
 	return math.Exp(lp)
 }
 
-// BinomialCDF returns P(X <= k) for X ~ Binomial(n, p).
-func BinomialCDF(n int, p float64, k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	if k >= n {
-		return 1
-	}
-	var s float64
-	for i := 0; i <= k; i++ {
-		s += BinomialPMF(n, p, i)
-	}
-	if s > 1 {
-		s = 1
-	}
-	return s
-}
-
 // BinomialTail returns P(X > k) = 1 - CDF(k), summed from the upper end for
 // accuracy in the regime the paper cares about (rare heavy hitters).
 func BinomialTail(n int, p float64, k int) float64 {
@@ -78,9 +60,6 @@ func BinomialTail(n int, p float64, k int) float64 {
 	}
 	return s
 }
-
-// BinomialMean returns E[X] = n*p.
-func BinomialMean(n int, p float64) float64 { return float64(n) * p }
 
 // ExpectedHeavyHitters returns the paper's Sec. 3.1 estimate
 // F * P(X > (1+delta)*mu) — the expected number of dataset samples a fixed

@@ -250,18 +250,35 @@ func TestBinomialPMFEdgeCases(t *testing.T) {
 	}
 }
 
+// binomialCDF is P(X <= k) for X ~ Binomial(n, p), summed from the lower
+// end: an independent route to BinomialTail's complement.
+func binomialCDF(n int, p float64, k int) float64 {
+	var s float64
+	for i := 0; i <= k && i <= n; i++ {
+		s += BinomialPMF(n, p, i)
+	}
+	return s
+}
+
 func TestBinomialCDFTailComplement(t *testing.T) {
 	n, p := 90, 1.0/16.0
 	for k := -1; k <= n; k++ {
-		c, tail := BinomialCDF(n, p, k), BinomialTail(n, p, k)
+		c, tail := binomialCDF(n, p, k), BinomialTail(n, p, k)
 		if !almostEqual(c+tail, 1, 1e-9) {
 			t.Errorf("CDF(%d)+Tail(%d) = %v, want 1", k, k, c+tail)
 		}
 	}
 }
 
+// TestBinomialMean: the PMF's first moment is E[X] = n·p (5.625 for the
+// paper's E=90, N=16).
 func TestBinomialMean(t *testing.T) {
-	if m := BinomialMean(90, 1.0/16.0); !almostEqual(m, 5.625, 1e-12) {
+	n, p := 90, 1.0/16.0
+	var m float64
+	for k := 0; k <= n; k++ {
+		m += float64(k) * BinomialPMF(n, p, k)
+	}
+	if !almostEqual(m, 5.625, 1e-9) {
 		t.Errorf("mean = %v, want 5.625", m)
 	}
 }

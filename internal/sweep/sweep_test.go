@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -285,69 +284,6 @@ func TestAggregateReplicas(t *testing.T) {
 	}
 	if len(seeds) != 3 {
 		t.Errorf("%d distinct seeds across 3 replicas", len(seeds))
-	}
-}
-
-// execByScenario runs a one-policy, one-replica grid and returns each row's
-// execution seconds keyed by scenario ID.
-func execByScenario(t *testing.T, g *Grid, parallel int) map[string]float64 {
-	t.Helper()
-	rep, err := (&Runner{Parallel: parallel}).Run(bg, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]float64{}
-	for _, c := range rep.Cells {
-		if c.Outcome.Failed {
-			t.Fatalf("cell %s failed: %s", c.Scenario, c.Outcome.FailReason)
-		}
-		out[c.Scenario] = c.Outcome.Values[MetricExec]
-	}
-	return out
-}
-
-// TestFig9SweepMonotonicity: more RAM at fixed SSD must never hurt, and vice
-// versa (Fig. 9's central observation).
-func TestFig9SweepMonotonicity(t *testing.T) {
-	exec := execByScenario(t, Fig9Grid(0.002, 11, 1), 0)
-	if len(exec) != 25 {
-		t.Fatalf("got %d sweep points, want 25", len(exec))
-	}
-	at := func(ram, ssd int) float64 { return exec[Fig9CellID(ram, ssd)] }
-	for _, ssd := range fig9SSDs {
-		for i := 1; i < len(fig9RAMs); i++ {
-			lo, hi := at(fig9RAMs[i-1], ssd), at(fig9RAMs[i], ssd)
-			if hi > lo*1.001 {
-				t.Errorf("ssd=%d: exec rose from %.2f to %.2f when RAM grew %d->%d GB",
-					ssd, lo, hi, fig9RAMs[i-1], fig9RAMs[i])
-			}
-		}
-	}
-	for _, ram := range fig9RAMs {
-		for i := 1; i < len(fig9SSDs); i++ {
-			lo, hi := at(ram, fig9SSDs[i-1]), at(ram, fig9SSDs[i])
-			if hi > lo*1.001 {
-				t.Errorf("ram=%d: exec rose from %.2f to %.2f when SSD grew %d->%d GB",
-					ram, lo, hi, fig9SSDs[i-1], fig9SSDs[i])
-			}
-		}
-	}
-	// SSD must matter when memory is small ("if memory is expensive, it can
-	// be compensated for with additional SSD storage").
-	if at(32, 1024) >= at(32, 0) {
-		t.Error("adding SSD at 32 GB RAM did not help")
-	}
-}
-
-// TestFig9StagingCheck: the staging-buffer preliminary's 1-5 GB staging
-// windows all produce the same runtime.
-func TestFig9StagingCheck(t *testing.T) {
-	exec := execByScenario(t, Fig9StagingGrid(0.002, 11), 0)
-	base := exec[Fig9StagingID(1)]
-	for _, gb := range fig9StagingGBs {
-		if v := exec[Fig9StagingID(gb)]; math.Abs(v-base) > 0.02*base {
-			t.Errorf("staging %d GB exec %.2f differs from 1 GB exec %.2f", gb, v, base)
-		}
 	}
 }
 

@@ -270,23 +270,6 @@ func TestSourceStringAndSampleFields(t *testing.T) {
 	}
 }
 
-func BenchmarkClusterEndToEnd(b *testing.B) {
-	ds := dataset.MustNew(dataset.Spec{
-		Name: "bench", F: 256, MeanSize: 4096, Classes: 10, Seed: 3,
-	})
-	opts := Options{
-		Seed: 9, Epochs: 2, BatchPerWorker: 8,
-		StagingBytes: 1 << 20, StagingThreads: 4,
-		Classes: []Class{{Name: "ram", CapacityBytes: 2 << 20, Threads: 2}},
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunCluster(bg, ds, 4, opts, DrainAll(nil)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestRunClusterReleasesItsPlan: a cluster builds its plan in a cache of its
 // own, so the process-wide plan cache does not see it and the plan leaves with
 // the cluster — fresh-seed repetitions in one process hold the heap flat
