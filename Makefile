@@ -22,8 +22,10 @@ test:
 # simulator's tag-stream cache and kernel gate (who builds a placement's
 # tags, and whether a late build is charged, is a race between cells), and
 # the fetch path's two decorators (who observes a breaker transition first
-# is scheduling-dependent), and the placement's two word widths with the tag
-# and first-touch builders over them (shared, read concurrently by cells),
+# is scheduling-dependent, and each peer's deadline window is shared by the
+# rank's staging threads and class prefetchers), and the placement's two
+# word widths with the tag and first-touch builders over them (shared, read
+# concurrently by cells),
 # and the sweep engine's dispatcher (which worker takes which admitted cell,
 # and when delivery admits the next, is scheduling-dependent shared state),
 # and the delivery contract (the staging free list is shared by the consumer
@@ -32,7 +34,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
-	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound|ResilientEndpoint|ThrottledBackend|AbortedProbe' ./nopfs/ ./internal/invariant/ ./internal/resilience/
+	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound|Resilient|Deadline|Caller|ThrottledBackend|AbortedProbe' ./nopfs/ ./internal/invariant/ ./internal/resilience/
 	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal|ThreadPool' ./internal/sim/ ./internal/plancache/
 	$(GO) test -race -count=5 -run 'Width|Tags|FirstTouch' ./internal/cachepolicy/
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/
@@ -114,7 +116,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 17154
+LOC_MAX ?= 17230
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

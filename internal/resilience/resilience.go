@@ -8,8 +8,9 @@
 // failure transient (retry it, with bounded backoff), is the peer down
 // (stop asking it, demote to the PFS, re-probe later), or did the caller
 // cancel (abort — never mask cancellation as a cache miss)? Classify
-// encodes that taxonomy; Do is the one retry loop the repo permits around
-// fabric calls (enforced by the `retrybound` analyzer in internal/analysis:
+// encodes that taxonomy; Caller.Do (prepared once per peer, or one-shot
+// through Do) is the one retry loop the repo permits around fabric calls
+// (enforced by the `retrybound` analyzer in internal/analysis:
 // ad-hoc unbounded `for { Call }` loops in library code are findings).
 //
 // Determinism contract: backoff delays are a pure function of
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/prng"
@@ -51,9 +53,11 @@ type Policy struct {
 	// JitterFrac adds a deterministic uniform draw in [0, JitterFrac) of
 	// the current delay on top of it, decorrelating retry storms.
 	JitterFrac float64
-	// CallTimeout is the per-attempt deadline (0 = none): each attempt
-	// runs under context.WithTimeout so an unresponsive peer fails the
-	// attempt instead of hanging the fetch pipeline.
+	// CallTimeout is the per-attempt deadline (0 = none): an attempt is
+	// cut off no sooner than CallTimeout after it starts and at most
+	// CallTimeout/8 later, so an unresponsive peer fails the attempt
+	// instead of hanging the fetch pipeline. The deadline comes from a
+	// Caller's deadline window, prepared once per peer.
 	CallTimeout time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// peer's circuit (0 = no circuit breaking).
@@ -235,8 +239,65 @@ func sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Do runs fn under the policy: each attempt gets a per-call deadline
-// (CallTimeout), failures are classified, transient ones are retried up to
+// windowSlices is how many deadline-window slices one CallTimeout spans.
+const windowSlices = 8
+
+// Caller is a policy prepared for one peer: the policy, the peer's breaker,
+// the hooks and a deadline window. A deadline window is one
+// context.WithDeadline(parent, sliceEnd+CallTimeout), shared by every
+// attempt that starts under the same parent before sliceEnd, where the
+// slice is CallTimeout/windowSlices. An attempt is therefore cut off no
+// sooner than CallTimeout after it starts and at most CallTimeout/8 later,
+// and a busy peer costs one timer context per slice instead of one per
+// attempt. It is still a stdlib context: parent cancellation propagates
+// natively and an expired attempt fails with context.DeadlineExceeded.
+//
+// A window may be in use until its deadline, so a Caller never cancels one:
+// it ends when its deadline fires or its parent ends, which bounds the live
+// windows to about windowSlices+1. A Caller is safe for concurrent use.
+type Caller[T any] struct {
+	policy  Policy
+	breaker *Breaker
+	hooks   Hooks
+	// window holds the current deadline window. It sits behind a pointer so
+	// that Do's throwaway Caller, which has none under a zero CallTimeout,
+	// can live on the stack.
+	window *atomic.Pointer[deadlineWindow]
+}
+
+// deadlineWindow is one shared attempt context.
+type deadlineWindow struct {
+	parent   context.Context
+	ctx      context.Context
+	cancel   context.CancelFunc
+	sliceEnd time.Time
+}
+
+// NewCaller prepares p for one peer. br is that peer's breaker (nil for
+// none, see NewBreaker); h observes every call made through the Caller.
+func NewCaller[T any](p Policy, br *Breaker, h Hooks) *Caller[T] {
+	return &Caller[T]{policy: p, breaker: br, hooks: h, window: new(atomic.Pointer[deadlineWindow])}
+}
+
+// attemptContext returns the context of an attempt that starts now under
+// parent: the current window if it was made under parent (compared by
+// identity) and its slice is still open, else a new window.
+func (c *Caller[T]) attemptContext(parent context.Context) context.Context {
+	if c.policy.CallTimeout <= 0 {
+		return parent
+	}
+	now := time.Now()
+	if w := c.window.Load(); w != nil && w.parent == parent && now.Before(w.sliceEnd) {
+		return w.ctx
+	}
+	w := &deadlineWindow{parent: parent, sliceEnd: now.Add(c.policy.CallTimeout / windowSlices)}
+	w.ctx, w.cancel = context.WithDeadline(parent, w.sliceEnd.Add(c.policy.CallTimeout))
+	c.window.Store(w)
+	return w.ctx
+}
+
+// Do runs fn under the policy: each attempt runs in the Caller's deadline
+// window, failures are classified, transient ones are retried up to
 // MaxAttempts with deterministic backoff (key, see Key/Backoff), and the
 // optional breaker gates the call and records its outcome. Peer-down and
 // aborted failures return immediately; an abort says nothing about the
@@ -245,25 +306,21 @@ func sleep(ctx context.Context, d time.Duration) error {
 // half-open and refuse that peer for the rest of the run. This is the
 // repo's single sanctioned retry loop around fabric calls (`retrybound`
 // analyzer).
-func Do[T any](ctx context.Context, p Policy, br *Breaker, key uint64, h Hooks, fn func(context.Context) (T, error)) (T, error) {
+func (c *Caller[T]) Do(ctx context.Context, key uint64, fn func(context.Context) (T, error)) (T, error) {
 	var zero T
+	br := c.breaker
 	ok, probe := br.Allow()
 	if !ok {
 		return zero, ErrCircuitOpen
 	}
-	doSleep := h.Sleep
+	doSleep := c.hooks.Sleep
 	if doSleep == nil {
 		doSleep = sleep
 	}
-	attempts := p.attempts()
+	attempts := c.policy.attempts()
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
-		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
-		if p.CallTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, p.CallTimeout)
-		}
-		v, err := fn(attemptCtx)
-		cancel()
+		v, err := fn(c.attemptContext(ctx))
 		if err == nil {
 			br.Success()
 			return v, nil
@@ -284,14 +341,30 @@ func Do[T any](ctx context.Context, p Policy, br *Breaker, key uint64, h Hooks, 
 		if attempt+1 >= attempts {
 			break
 		}
-		if h.OnRetry != nil {
-			h.OnRetry(attempt, lastErr)
+		if c.hooks.OnRetry != nil {
+			c.hooks.OnRetry(attempt, lastErr)
 		}
-		if err := doSleep(ctx, p.Backoff(attempt, key)); err != nil {
+		if err := doSleep(ctx, c.policy.Backoff(attempt, key)); err != nil {
 			return zero, err
 		}
 	}
 	return zero, lastErr
+}
+
+// Do runs fn under p on a throwaway Caller: the same loop, on deadline
+// windows of its own. The last is canceled when the call returns; one that
+// a slow attempt's retry outgrew ends at its deadline.
+func Do[T any](ctx context.Context, p Policy, br *Breaker, key uint64, h Hooks, fn func(context.Context) (T, error)) (T, error) {
+	c := Caller[T]{policy: p, breaker: br, hooks: h}
+	if p.CallTimeout > 0 {
+		c.window = new(atomic.Pointer[deadlineWindow])
+		defer func() {
+			if w := c.window.Load(); w != nil {
+				w.cancel()
+			}
+		}()
+	}
+	return c.Do(ctx, key, fn)
 }
 
 // ParsePolicy parses the -resilience flag grammar: "", "none" (disabled),
@@ -301,7 +374,8 @@ func Do[T any](ctx context.Context, p Policy, br *Breaker, key uint64, h Hooks, 
 //	retries:<n>            total attempts per call (first try included)
 //	backoff:<d>[..<max>]   base (and cap) of the exponential backoff
 //	jitter:<frac>          deterministic uniform jitter fraction in [0, 1)
-//	timeout:<d>            per-attempt call deadline
+//	timeout:<d>            per-attempt call deadline: no sooner than <d>,
+//	                       at most <d>/8 later (prepared once per peer)
 //	breaker:<n>[@<d>]      open after <n> consecutive failures, re-probe
 //	                       after <d> (default 50ms)
 //

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -296,6 +297,142 @@ func TestDoAppliesCallTimeout(t *testing.T) {
 		})
 	if !errors.Is(err, context.DeadlineExceeded) || calls != 2 {
 		t.Fatalf("Do = %v after %d calls, want DeadlineExceeded after 2 (timeout is transient)", err, calls)
+	}
+}
+
+// TestCallerDeadlineBounds: whichever window an attempt lands in, its
+// deadline is no sooner than CallTimeout after the attempt starts and at
+// most CallTimeout/8 later. Four goroutines share one Caller whose slice is
+// short enough that windows roll over many times; the bounds are read from
+// ctx.Deadline, never waited for.
+func TestCallerDeadlineBounds(t *testing.T) {
+	const timeout = 400 * time.Microsecond
+	p := Policy{MaxAttempts: 3, CallTimeout: timeout}
+	c := NewCaller[int](p, nil, Hooks{Sleep: func(context.Context, time.Duration) error { return nil }})
+	flaky := errors.New("flaky")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				lo := time.Now() // no attempt starts before this
+				attempt := 0
+				_, err := c.Do(context.Background(), 0, func(ctx context.Context) (int, error) {
+					hi := time.Now() // nor after this
+					dl, ok := ctx.Deadline()
+					if !ok || dl.Before(lo.Add(timeout)) || dl.After(hi.Add(timeout+timeout/8)) {
+						t.Errorf("attempt deadline %v (set %v) outside [%v, %v]",
+							dl, ok, lo.Add(timeout), hi.Add(timeout+timeout/8))
+					}
+					lo = time.Now()
+					if attempt++; attempt < 3 {
+						return 0, flaky
+					}
+					return 1, nil
+				})
+				if err != nil {
+					t.Errorf("Do = %v, want success on the third attempt", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCallerSharesDeadlineWindow: attempts that start under one parent
+// within one slice — retries of one call and consecutive calls alike —
+// receive the identical context.
+func TestCallerSharesDeadlineWindow(t *testing.T) {
+	c := NewCaller[int](Policy{MaxAttempts: 2, CallTimeout: time.Hour}, nil,
+		Hooks{Sleep: instantSleep(new([]time.Duration))})
+	var seen []context.Context
+	for i := 0; i < 3; i++ {
+		_, _ = c.Do(context.Background(), 0, func(ctx context.Context) (int, error) {
+			seen = append(seen, ctx)
+			return 0, errors.New("flaky")
+		})
+	}
+	if len(seen) != 6 {
+		t.Fatalf("%d attempts, want 6", len(seen))
+	}
+	for i, ctx := range seen {
+		if ctx != seen[0] {
+			t.Errorf("attempt %d got a new context inside the slice", i)
+		}
+	}
+	if err := seen[0].Err(); err != nil {
+		t.Errorf("a prepared Caller ended its window early: %v", err)
+	}
+}
+
+// TestCallerFreshWindowPerParent: an attempt under a different parent gets
+// a window derived from that parent — its values, its cancellation — never
+// the cached one.
+func TestCallerFreshWindowPerParent(t *testing.T) {
+	type key struct{}
+	c := NewCaller[int](Policy{CallTimeout: time.Hour}, nil, Hooks{})
+	attemptCtx := func(parent context.Context) context.Context {
+		var got context.Context
+		_, _ = c.Do(parent, 0, func(ctx context.Context) (int, error) { got = ctx; return 0, nil })
+		return got
+	}
+	a, cancelA := context.WithCancel(context.WithValue(context.Background(), key{}, "a"))
+	defer cancelA()
+	b := context.WithValue(context.Background(), key{}, "b")
+	ctxA, ctxB := attemptCtx(a), attemptCtx(b)
+	if ctxA == ctxB {
+		t.Fatal("an attempt under a second parent reused the first parent's window")
+	}
+	if ctxA.Value(key{}) != "a" || ctxB.Value(key{}) != "b" {
+		t.Errorf("window values = %v, %v; want each parent's own", ctxA.Value(key{}), ctxB.Value(key{}))
+	}
+	if again := attemptCtx(a); again == ctxB || again.Value(key{}) != "a" {
+		t.Error("returning to the first parent handed out the second parent's window")
+	}
+	cancelA()
+	if ctxA.Err() == nil || ctxB.Err() != nil {
+		t.Errorf("after canceling parent a: window a err %v, window b err %v; want canceled, alive",
+			ctxA.Err(), ctxB.Err())
+	}
+}
+
+// TestCallerCanceledParentAborts: a parent canceled mid-attempt aborts the
+// attempt through the shared window, as Aborted, without feeding the
+// breaker; the next call under a live parent runs in a live window.
+func TestCallerCanceledParentAborts(t *testing.T) {
+	p := Policy{MaxAttempts: 3, CallTimeout: time.Hour, BreakerThreshold: 1, BreakerCooldown: time.Hour}
+	b := NewBreaker(p, nil)
+	c := NewCaller[int](p, b, Hooks{})
+	parent, cancel := context.WithCancel(context.Background())
+	calls := 0
+	_, err := c.Do(parent, 0, func(ctx context.Context) (int, error) {
+		calls++
+		cancel() // the caller goes away mid-attempt
+		<-ctx.Done()
+		return 0, ctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) || calls != 1 || Classify(parent, err) != Aborted {
+		t.Fatalf("Do = %v after %d calls (class %v), want Canceled, Aborted, after 1",
+			err, calls, Classify(parent, err))
+	}
+	if b.State() != Closed {
+		t.Fatal("an aborted attempt fed the breaker")
+	}
+	v, err := c.Do(context.Background(), 0, func(ctx context.Context) (int, error) { return 7, ctx.Err() })
+	if err != nil || v != 7 {
+		t.Fatalf("call under a live parent = (%d, %v), want (7, nil)", v, err)
+	}
+}
+
+// TestDoCancelsItsDeadlineWindow: the one-shot Do leaves no timer context
+// behind once it returns.
+func TestDoCancelsItsDeadlineWindow(t *testing.T) {
+	var got context.Context
+	_, _ = Do(context.Background(), Policy{CallTimeout: time.Hour}, nil, 0, Hooks{},
+		func(ctx context.Context) (int, error) { got = ctx; return 0, nil })
+	if _, ok := got.Deadline(); !ok || !errors.Is(got.Err(), context.Canceled) {
+		t.Errorf("one-shot window after Do: deadline set %v, err %v; want set and canceled", ok, got.Err())
 	}
 }
 

@@ -206,6 +206,66 @@ func TestResilientEndpointPassesControlPlaneThrough(t *testing.T) {
 	}
 }
 
+// TestResilientEndpointOutOfRangePeer: a fetch to a rank the fabric does
+// not have returns the fabric's own error, with a policy as without one,
+// and never reaches a breaker.
+func TestResilientEndpointOutOfRangePeer(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		policy ResiliencePolicy
+	}{{"no policy", ResiliencePolicy{}}, {"default policy", DefaultResilience()}} {
+		t.Run(c.name, func(t *testing.T) {
+			eps := transport.NewChanNetwork(2, nil)
+			defer eps[0].Close()
+			defer eps[1].Close()
+			var transitions atomic.Int64
+			ep := withResilience(eps[0], c.policy, 42, resilience.Hooks{},
+				func(int, resilience.BreakerState, resilience.BreakerState) { transitions.Add(1) })
+			for _, to := range []int{-1, 2, 99} {
+				want := fmt.Sprintf("transport: rank %d out of range", to)
+				for i := 0; i < 4; i++ { // past the default breaker's threshold
+					if _, err := ep.Call(bg, to, fetch7); err == nil || err.Error() != want {
+						t.Fatalf("fetch to rank %d: err = %v, want %q", to, err, want)
+					}
+				}
+			}
+			if transitions.Load() != 0 {
+				t.Errorf("out-of-range fetches moved a breaker %d times", transitions.Load())
+			}
+		})
+	}
+}
+
+// TestResilientEndpointAllocsLikeBareEndpoint pins the prepared policy's
+// cost: a successful fetch through the default policy allocates exactly
+// what the same fetch on the bare chan endpoint does. A deadline context
+// built per attempt costs five more.
+func TestResilientEndpointAllocsLikeBareEndpoint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what the runtime allocates")
+	}
+	eps := transport.NewChanNetwork(2, nil)
+	defer eps[0].Close()
+	defer eps[1].Close()
+	eps[1].SetHandler(func(context.Context, int, transport.Request) transport.Response {
+		return transport.Response{OK: true}
+	})
+	resilient := withResilience(eps[0], DefaultResilience(), 42, resilience.Hooks{},
+		func(int, resilience.BreakerState, resilience.BreakerState) {})
+	allocs := func(ep Endpoint) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if resp, err := ep.Call(bg, 1, fetch7); err != nil || !resp.OK {
+				t.Fatalf("fetch = (%+v, %v)", resp, err)
+			}
+		})
+	}
+	bare, prepared := allocs(eps[0]), allocs(resilient)
+	if prepared != bare {
+		t.Errorf("a fetch allocates %.0f times under the default policy and %.0f on the bare endpoint; want equal",
+			prepared, bare)
+	}
+}
+
 func TestResilientEndpointReturnsCallerCancellationAsIs(t *testing.T) {
 	ctx, cancel := context.WithCancel(bg)
 	h := newResilientHarness(DefaultResilience(),
