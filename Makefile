@@ -20,7 +20,8 @@ test:
 # do the in-flight read table and the PFS read-bound law, whose regressions
 # are a matter of which prefetcher reaches the filesystem first, and the
 # simulator's tag-stream cache and kernel gate (who builds a placement's
-# tags, and whether a late build is charged, is a race between cells), and
+# tags, and whether a late build is charged, is a race between cells, and
+# one policy value serves every cell of its column), and
 # the fetch path's two decorators (who observes a breaker transition first
 # is scheduling-dependent, and each peer's deadline window is shared by the
 # rank's staging threads and class prefetchers), and the placement's two
@@ -35,7 +36,7 @@ test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
 	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound|Resilient|Deadline|Caller|ThrottledBackend|AbortedProbe' ./nopfs/ ./internal/invariant/ ./internal/resilience/
-	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal|ThreadPool' ./internal/sim/ ./internal/plancache/
+	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal|ThreadPool|SharedPolicy' ./internal/sim/ ./internal/plancache/
 	$(GO) test -race -count=5 -run 'Width|Tags|FirstTouch' ./internal/cachepolicy/
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/
 	$(GO) test -race -count=5 -run 'Release|Recycle|Batch|Delivery' ./nopfs/
@@ -116,7 +117,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 17230
+LOC_MAX ?= 17048
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

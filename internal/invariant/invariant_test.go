@@ -165,14 +165,7 @@ func TestFaultRemovalMonotonicity(t *testing.T) {
 			continue
 		}
 		for _, pol := range isim.AllPolicies() {
-			rc := run(t, clean, pol)
-			// Policies carry per-run placement state: rebuild a fresh
-			// instance for the faulted run.
-			fresh, err := isim.PolicyByName(rc.Policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rf := run(t, faulted, fresh)
+			rc, rf := run(t, clean, pol), run(t, faulted, pol)
 			if err := CheckNotSlower(rc, rf, "fault-removal monotonicity"); err != nil {
 				t.Errorf("trial %d (%s, chaos=%q): %v", trial, tc.name, faulted.Chaos.Spec(), err)
 			}

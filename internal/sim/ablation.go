@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"repro/internal/cachepolicy"
-	"repro/internal/plancache"
-)
+import "repro/internal/plancache"
 
 // NoPFSVariant configures ablations of the NoPFS policy, isolating the
 // contribution of each design choice (DESIGN.md Sec. 5).
@@ -33,36 +30,17 @@ func (v NoPFSVariant) Name() string {
 	return name
 }
 
-// nopfsAblated is NoPFS with parts switched off.
-type nopfsAblated struct {
-	v      NoPFSVariant
-	assign *cachepolicy.Assignment
-}
-
-// NewNoPFSVariant builds an ablated NoPFS policy.
-func NewNoPFSVariant(v NoPFSVariant) Policy { return &nopfsAblated{v: v} }
-
-func (n *nopfsAblated) Name() string { return n.v.Name() }
-
-func (n *nopfsAblated) Prepare(env *Env) (float64, error) {
-	n.assign = env.place(n.rule().family)
-	return 0, nil
-}
-
-func (n *nopfsAblated) rule() sourceRule {
-	family := plancache.FamilyNoPFS
-	if n.v.RandomPlacement {
-		family = plancache.FamilyRandom
+// NewNoPFSVariant builds an ablated NoPFS policy: the NoPFS row with the
+// variant's parts switched off.
+func NewNoPFSVariant(v NoPFSVariant) Policy {
+	p := NewNoPFS()
+	p.name = v.Name()
+	if v.RandomPlacement {
+		p.rule.family = plancache.FamilyRandom
 	}
-	return sourceRule{family: family, place: n.assign, argmin: true, noRemote: n.v.NoRemote}
-}
-func (n *nopfsAblated) Coverage(*Env) float64        { return 1 }
-func (n *nopfsAblated) Synchronous() bool            { return false }
-func (n *nopfsAblated) PrefetchThreads(env *Env) int { return nodeThreads(env) }
-
-func (n *nopfsAblated) StagingMB(env *Env) float64 {
-	if n.v.TinyStaging {
-		return float64(env.Cfg.Work.BatchPerWorker) * env.MeanMB
+	p.rule.noRemote = v.NoRemote
+	if v.TinyStaging {
+		p.window = oneBatch
 	}
-	return nodeStagingMB(env)
+	return p
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,9 +25,10 @@ import (
 // Assignment accessors where every single fetch comes from, re-derives every
 // stream, re-sums every byte total, checks every boundary per sample, and
 // never flushes the γ estimate, and hands every fetch to a prefetch thread by
-// its own least-loaded scan. It reads no tag and no sourceRule and shares no
-// pool code with the kernel, so a wrong nibble, a wrong rule flag or a
-// misordered pool shows up as a Result that differs from it.
+// its own least-loaded scan. It reads no tag, no sourceRule and no field of
+// the policy table — it knows each policy by name — and shares no pool code
+// with the kernel, so a wrong nibble, a wrong row or a misordered pool shows
+// up as a Result that differs from it.
 
 // naivePool is the reference's prefetch-thread pool: free times in thread
 // order, and a scan for the least-loaded thread on every fetch.
@@ -56,8 +58,8 @@ func (free naivePool) schedule(roomTime, readDur float64) float64 {
 }
 
 // referenceSource decides where stream entry f (sample k) is fetched from,
-// policy by policy.
-func referenceSource(env *Env, pol Policy, f int, k access.SampleID) perfmodel.Choice {
+// policy by policy, under the run's placement a.
+func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, f int, k access.SampleID) perfmodel.Choice {
 	sz, rate := env.SizesMB[k], env.Rate
 	local := func(c int) perfmodel.Choice {
 		return perfmodel.Choice{Loc: perfmodel.LocLocal, Class: c, Seconds: rate.FetchLocal(sz, c)}
@@ -68,9 +70,15 @@ func referenceSource(env *Env, pol Policy, f int, k access.SampleID) perfmodel.C
 	pfs := func(readers int) perfmodel.Choice {
 		return perfmodel.Choice{Loc: perfmodel.LocPFS, Class: -1, Seconds: rate.FetchPFS(sz, readers)}
 	}
-	// First copy found serves, availability gated on the holder's progress
-	// (DeepIO, LBANN).
-	gatedFirstHit := func(a *cachepolicy.Assignment) perfmodel.Choice {
+	name := pol.Name()
+	switch name {
+	case NameLowerBound:
+		return perfmodel.Choice{Loc: perfmodel.LocLocal, Class: -1}
+	case NameNaive, NameStagingBuffer:
+		return pfs(env.Plan.N)
+	case NameDeepIOOrdered, NameDeepIOOpp, NameLBANNDynamic, NameLBANNPreload:
+		// First copy found serves, availability gated on the holder's
+		// progress.
 		if c := a.LocalAvail(0, k, int32(f)); c >= 0 {
 			return local(c)
 		}
@@ -78,62 +86,75 @@ func referenceSource(env *Env, pol Policy, f int, k access.SampleID) perfmodel.C
 			return remote(c, w)
 		}
 		return pfs(env.Gamma())
-	}
-	// Sec. 5.2 argmin over PFS, remote and local (NoPFS and its ablations).
-	argmin := func(a *cachepolicy.Assignment, noRemote bool) perfmodel.Choice {
-		rc, holder := -1, -1
-		if !noRemote {
-			rc, holder = a.RemoteAvail(0, k, int32(f))
-		}
-		ch := rate.Best(sz, a.LocalAvail(0, k, int32(f)), rc, env.Gamma())
-		if ch.Loc == perfmodel.LocRemote {
-			ch.Holder = int32(holder)
-		}
-		return ch
-	}
-	switch p := pol.(type) {
-	case lowerBound:
-		return perfmodel.Choice{Loc: perfmodel.LocLocal, Class: -1}
-	case naive, stagingBuffer:
-		return pfs(env.Plan.N)
-	case *deepIO:
-		return gatedFirstHit(p.assign)
-	case *lbann:
-		return gatedFirstHit(p.assign)
-	case *parallelStaging:
-		if c := p.assign.Local(0, k); c >= 0 {
+	case NameParallelStaging:
+		if c := a.Local(0, k); c >= 0 {
 			return local(c)
 		}
 		return pfs(env.Gamma())
-	case *localityAware:
-		if c := p.assign.Local(0, k); c >= 0 {
+	case NameLocalityAware:
+		if c := a.Local(0, k); c >= 0 {
 			return local(c)
 		}
-		if c, w := p.assign.RemoteBest(0, k); c >= 0 {
+		if c, w := a.RemoteBest(0, k); c >= 0 {
 			return remote(c, w)
 		}
 		return pfs(env.Gamma())
-	case *nopfs:
-		return argmin(p.assign, false)
-	case *nopfsAblated:
-		return argmin(p.assign, p.v.NoRemote)
 	}
-	panic("referenceSource: unknown policy " + pol.Name())
+	if !strings.HasPrefix(name, NameNoPFS) {
+		panic("referenceSource: unknown policy " + name)
+	}
+	// Sec. 5.2 argmin over PFS, remote and local (NoPFS and its ablations).
+	rc, holder := -1, -1
+	if !strings.Contains(name, "-noremote") {
+		rc, holder = a.RemoteAvail(0, k, int32(f))
+	}
+	ch := rate.Best(sz, a.LocalAvail(0, k, int32(f)), rc, env.Gamma())
+	if ch.Loc == perfmodel.LocRemote {
+		ch.Holder = int32(holder)
+	}
+	return ch
 }
 
-// referenceStream is the stream the policy consumes, rebuilt from scratch.
-func referenceStream(env *Env, pol Policy) []access.SampleID {
-	switch p := pol.(type) {
-	case *deepIO:
-		if p.opportunistic {
-			return opportunisticStream(env, p.assign)
-		}
-	case *parallelStaging:
-		return shardCycleStream(env, p.assign)
-	case *localityAware:
-		return localityStream(env, p.assign)
+// referenceStream is the stream the policy consumes under the run's
+// placement a, rebuilt from scratch.
+func referenceStream(env *Env, pol Policy, a *cachepolicy.Assignment) []access.SampleID {
+	switch pol.Name() {
+	case NameDeepIOOpp:
+		return opportunisticStream(env, a)
+	case NameParallelStaging:
+		return shardCycleStream(env, a)
+	case NameLocalityAware:
+		return localityStream(env, a)
 	}
 	return env.Streams[0]
+}
+
+// referencePipeline is the policy's staging pipeline, by name: its lookahead
+// window, whether the trainer reads synchronously, its prefetch threads,
+// its prestaging seconds under placement a, and its coverage.
+func referencePipeline(env *Env, pol Policy, a *cachepolicy.Assignment) (bufMB float64, syncRead bool, p0 int, setup, coverage float64) {
+	name, node := pol.Name(), env.Cfg.Sys.Node.Staging
+	batchMB := float64(env.Cfg.Work.BatchPerWorker) * env.MeanMB
+	bufMB, p0, coverage = node.CapacityMB, 1, 1
+	switch name {
+	case NameNaive, NameStagingBuffer:
+		bufMB, syncRead = math.Min(2*batchMB, node.CapacityMB), name == NameNaive
+	case NameLowerBound:
+		p0 = node.Threads
+	case NameDeepIOOpp:
+		coverage = a.Coverage(env.Cfg.DS)
+	case NameParallelStaging:
+		setup, coverage = stagePrestageSeconds(env, a.CachedBytes[0]), a.Coverage(env.Cfg.DS)
+	case NameLBANNPreload, NameLocalityAware:
+		setup = stagePrestageSeconds(env, a.CachedBytes[0])
+	}
+	if strings.HasPrefix(name, NameNoPFS) {
+		p0 = node.Threads
+		if strings.Contains(name, "-tinybuf") {
+			bufMB = batchMB
+		}
+	}
+	return bufMB, syncRead, max(p0, 1), setup, coverage
 }
 
 // referenceRun is Run through the per-fetch loop.
@@ -147,32 +168,26 @@ func referenceRun(cfg Config, pol Policy) (*Result, error) {
 		LocSeconds: map[perfmodel.Location]float64{},
 		LocCount:   map[perfmodel.Location]int64{},
 	}
-	setup, err := pol.Prepare(env)
+	a, _, err := env.prepare(pol)
 	if err != nil {
 		res.Failed, res.FailReason = true, err.Error()
 		return res, nil
 	}
-	res.SetupSeconds = setup
-	res.Coverage = pol.Coverage(env)
-	stream, epochEnds := chaosStream(env, referenceStream(env, pol))
+	bufMB, syncRead, p0, setup, coverage := referencePipeline(env, pol, a)
+	res.SetupSeconds, res.Coverage = setup, coverage
+	stream, epochEnds := chaosStream(env, referenceStream(env, pol, a))
 	if epochEnds == nil && env.Plan.Elastic() &&
 		len(env.Art.EpochEnds) > 0 && len(stream) == len(env.Art.Streams[0]) {
 		epochEnds = env.Art.EpochEnds[0]
 	}
 
 	var (
-		n        = len(stream)
-		sched    = env.Chaos
-		workers  = env.Plan.N
-		batch    = cfg.Work.BatchPerWorker
-		c        = cfg.Work.ComputeMBps
-		bufMB    = pol.StagingMB(env)
-		syncRead = pol.Synchronous()
+		n       = len(stream)
+		sched   = env.Chaos
+		workers = env.Plan.N
+		batch   = cfg.Work.BatchPerWorker
+		c       = cfg.Work.ComputeMBps
 	)
-	p0 := pol.PrefetchThreads(env)
-	if p0 < 1 {
-		p0 = 1
-	}
 	threads := newNaivePool(p0, setup)
 
 	// The staging window, never elided: window[head:] are the staged samples,
@@ -215,7 +230,7 @@ func referenceRun(cfg Config, pol Policy) (*Result, error) {
 			batchJitter = env.pfsJitter()
 		}
 		sz := env.SizesMB[k]
-		choice := referenceSource(env, pol, f, k)
+		choice := referenceSource(env, pol, a, f, k)
 		hit := 0.0
 		if choice.Loc == perfmodel.LocPFS {
 			hit = 1
@@ -295,8 +310,8 @@ func referenceRun(cfg Config, pol Policy) (*Result, error) {
 	return res, nil
 }
 
-// kernelPolicies returns fresh instances of every policy the kernel serves:
-// the Fig. 8 panel plus the three NoPFS ablations.
+// kernelPolicies returns every policy the kernel serves: the Fig. 8 panel
+// plus the three NoPFS ablations.
 func kernelPolicies() []Policy {
 	return append(AllPolicies(),
 		NewNoPFSVariant(NoPFSVariant{RandomPlacement: true}),
@@ -354,15 +369,14 @@ func TestPatternKernelsMatchGeneric(t *testing.T) {
 						if cfg.Validate() != nil {
 							continue // elastic × crash: rejected, see TestElasticRejectsStructuralChaos
 						}
-						fast, slow := kernelPolicies(), kernelPolicies()
-						for i := range fast {
-							got, err := Run(cfg, fast[i])
+						for _, pol := range kernelPolicies() {
+							got, err := Run(cfg, pol)
 							if err != nil {
-								t.Fatalf("%s: %v", fast[i].Name(), err)
+								t.Fatalf("%s: %v", pol.Name(), err)
 							}
-							want, err := referenceRun(cfg, slow[i])
+							want, err := referenceRun(cfg, pol)
 							if err != nil {
-								t.Fatalf("%s reference: %v", slow[i].Name(), err)
+								t.Fatalf("%s reference: %v", pol.Name(), err)
 							}
 							if !reflect.DeepEqual(got, want) {
 								t.Errorf("%s on %s under %q, chaos %q, p0 %d: kernel differs from the per-fetch reference:\n got %+v\nwant %+v",
@@ -602,10 +616,13 @@ func TestTagStreamTotalSummedOncePerDataset(t *testing.T) {
 					return nil
 				})
 			}
-			if _, err := pol.Prepare(env); err != nil {
+			place, _, err := env.prepare(pol)
+			if err != nil {
 				continue // LBANN (Preloading) cannot run every configuration
 			}
-			in := env.kernelInput(pol.rule())
+			rule := pol.rule
+			rule.place = place
+			in := env.kernelInput(rule)
 			var want float64
 			for _, k := range in.Stream {
 				want += env.SizesMB[k]

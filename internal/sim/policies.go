@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/access"
 	"repro/internal/cachepolicy"
@@ -22,48 +23,196 @@ const (
 	NameNoPFS           = "NoPFS"
 )
 
-// AllPolicies returns every policy of the paper's comparison, in the order
-// of the Fig. 8 bars.
-func AllPolicies() []Policy {
-	return []Policy{
-		NewNaive(),
-		NewStagingBuffer(),
-		NewDeepIO(false),
-		NewDeepIO(true),
-		NewParallelStaging(),
-		NewLBANN(false),
-		NewLBANN(true),
-		NewLocalityAware(),
-		NewNoPFS(),
-		NewLowerBound(),
-	}
+// Policy is one I/O strategy under comparison, stated as data. It is an
+// immutable value: the placement a policy fetches by belongs to the run
+// (Env.prepare computes it, Env.run hands it to the kernel on a local copy of
+// the rule), so one value serves any number of runs, concurrent ones
+// included.
+type Policy struct {
+	name string
+	// rule says which placement family the policy places, which stream it
+	// consumes and where its fetches may come from; rule.place is always nil
+	// here.
+	rule sourceRule
+	// sync: reads block the trainer — no prefetch pipeline (Naive).
+	sync bool
+	// nodeThreads: the staging prefetch pipeline is the node's p₀ threads.
+	// Otherwise it is one background I/O pipeline (classic double
+	// buffering), which is what makes the baseline loaders PFS-bound at the
+	// paper's operating points.
+	nodeThreads bool
+	// window is the lookahead the policy prefetches into.
+	window lookahead
+	// prestage: the placement is copied from the PFS before training, and
+	// the copy is charged as setup time.
+	prestage bool
+	// ramOnly: the policy cannot run when the dataset exceeds the cluster's
+	// aggregate RAM (the LBANN data store).
+	ramOnly bool
+	// partial: the policy reads only what its placement covers, so its
+	// coverage is the placement's; otherwise it reads the whole dataset.
+	partial bool
 }
 
-// PolicyByName builds a policy from its Fig. 8 label.
-func PolicyByName(name string) (Policy, error) {
-	switch name {
-	case NameLowerBound:
-		return NewLowerBound(), nil
-	case NameNaive:
-		return NewNaive(), nil
-	case NameStagingBuffer:
-		return NewStagingBuffer(), nil
-	case NameDeepIOOrdered:
-		return NewDeepIO(false), nil
-	case NameDeepIOOpp:
-		return NewDeepIO(true), nil
-	case NameParallelStaging:
-		return NewParallelStaging(), nil
-	case NameLBANNDynamic:
-		return NewLBANN(false), nil
-	case NameLBANNPreload:
-		return NewLBANN(true), nil
-	case NameLocalityAware:
-		return NewLocalityAware(), nil
-	case NameNoPFS:
-		return NewNoPFS(), nil
+// Name is the report label (matches the paper's Fig. 8 legend).
+func (p Policy) Name() string { return p.name }
+
+// lookahead is a policy's prefetch window.
+type lookahead uint8
+
+const (
+	// nodeBuffer is the node's full staging buffer (NoPFS and the caching
+	// middlewares).
+	nodeBuffer lookahead = iota
+	// twoBatches is PyTorch-style double buffering: two mini-batches, never
+	// more than the node's buffer. The short window is what exposes slow PFS
+	// reads directly as batch-time tail events instead of smoothing them away.
+	twoBatches
+	// oneBatch is a single mini-batch (the TinyStaging ablation).
+	oneBatch
+)
+
+// mb returns the window's size in MB.
+func (w lookahead) mb(env *Env) float64 {
+	buf := env.Cfg.Sys.Node.Staging.CapacityMB
+	switch w {
+	case twoBatches:
+		return min(2*float64(env.Cfg.Work.BatchPerWorker)*env.MeanMB, buf)
+	case oneBatch:
+		return float64(env.Cfg.Work.BatchPerWorker) * env.MeanMB
 	}
-	return nil, fmt.Errorf("sim: unknown policy %q", name)
+	return buf
+}
+
+// fig8 is the paper's comparison, one row per policy, in the order of the
+// Fig. 8 bars.
+var fig8 = []Policy{
+	// Naive: synchronous reads from the PFS, no prefetching, no caching. Every
+	// worker hammers the PFS all the time (γ = N: with nothing cached anywhere
+	// every fetch is a PFS hit and the γ estimate never leaves 1).
+	{name: NameNaive, sync: true, window: twoBatches},
+	// StagingBuffer: the double-buffering/tf.data model — prefetch in access
+	// order into the staging buffer, always from the PFS, drop after use.
+	{name: NameStagingBuffer, window: twoBatches},
+	// DeepIO (Zhu et al.): workers cache samples in RAM first-touch during
+	// epoch 0 and serve each other over RDMA. Ordered mode preserves the
+	// global access order, reading uncached samples from the PFS forever.
+	{name: NameDeepIOOrdered, rule: sourceRule{family: plancache.FamilyFirstTouch}},
+	// Opportunistic mode relaxes the order after epoch 0 to consume only
+	// cached samples — faster, but it no longer accesses the entire dataset
+	// when it exceeds aggregate RAM. Epoch 0 touches everything; coverage is
+	// the steady state's, matching the paper's "does not access entire
+	// dataset" flag.
+	{name: NameDeepIOOpp, rule: sourceRule{family: plancache.FamilyFirstTouch, stream: streamOpportunistic}, partial: true},
+	// ParallelStaging: classic data sharding. Before training, every worker
+	// copies its shard (capped by local capacity) from the PFS; afterwards it
+	// reads exclusively from local storage — the PFS only when it has none.
+	// Fast, but the access order is no longer a global shuffle and, when
+	// S > N*D, part of the dataset is never read.
+	{name: NameParallelStaging, rule: sourceRule{family: plancache.FamilyShard, stream: streamShardCycle, noRemote: true}, prestage: true, partial: true},
+	// LBANN data store (Jacobs et al.): an in-memory distributed cache.
+	// Dynamic mode caches first-touch during epoch 0; preloading mode stages
+	// shards into RAM before training. Both serve later epochs from local or
+	// remote RAM — and both fail outright when the dataset exceeds aggregate
+	// RAM.
+	{name: NameLBANNDynamic, rule: sourceRule{family: plancache.FamilyFirstTouch}, ramOnly: true},
+	{name: NameLBANNPreload, rule: sourceRule{family: plancache.FamilyPreload}, prestage: true, ramOnly: true},
+	// LocalityAware (Yang & Cong): the dataset is sharded across node-local
+	// storage once, and every epoch's batches are reordered so that each
+	// worker consumes mostly samples it already holds; the shortfall is
+	// fetched from peers, and samples that fit nowhere come from the PFS.
+	// Full-dataset randomization is preserved globally.
+	{name: NameLocalityAware, rule: sourceRule{family: plancache.FamilyShard, stream: streamLocality}, prestage: true},
+	// NoPFS: frequency-based hierarchical placement (Sec. 5.1) + clairvoyant
+	// prefetching with the argmin fetch rule and the symmetric-progress
+	// remote-availability heuristic (Sec. 5.2.2).
+	{name: NameNoPFS, rule: sourceRule{family: plancache.FamilyNoPFS, argmin: true}, nodeThreads: true},
+	// LowerBound ("Perfect"): no fetch cost at all; only compute and the
+	// staging write remain, which never stall the trainer. Matches the
+	// paper's unreachable lower bound.
+	{name: NameLowerBound, rule: sourceRule{free: true}, nodeThreads: true},
+}
+
+// AllPolicies returns every policy of the paper's comparison, in the order
+// of the Fig. 8 bars.
+func AllPolicies() []Policy { return slices.Clone(fig8) }
+
+// PolicyByName returns the policy with a Fig. 8 label.
+func PolicyByName(name string) (Policy, error) {
+	for _, p := range fig8 {
+		if p.name == name {
+			return p, nil
+		}
+	}
+	return Policy{}, fmt.Errorf("sim: unknown policy %q", name)
+}
+
+// fig8Policy returns the row of a compiled-in label.
+func fig8Policy(name string) Policy {
+	p, err := PolicyByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// NewLowerBound returns the Perfect policy.
+func NewLowerBound() Policy { return fig8Policy(NameLowerBound) }
+
+// NewNaive returns the Naive policy.
+func NewNaive() Policy { return fig8Policy(NameNaive) }
+
+// NewStagingBuffer returns the StagingBuffer policy.
+func NewStagingBuffer() Policy { return fig8Policy(NameStagingBuffer) }
+
+// NewDeepIO returns the DeepIO policy in ordered or opportunistic mode.
+func NewDeepIO(opportunistic bool) Policy {
+	if opportunistic {
+		return fig8Policy(NameDeepIOOpp)
+	}
+	return fig8Policy(NameDeepIOOrdered)
+}
+
+// NewParallelStaging returns the data-sharding policy.
+func NewParallelStaging() Policy { return fig8Policy(NameParallelStaging) }
+
+// NewLBANN returns the LBANN data-store policy in dynamic or preloading mode.
+func NewLBANN(preloading bool) Policy {
+	if preloading {
+		return fig8Policy(NameLBANNPreload)
+	}
+	return fig8Policy(NameLBANNDynamic)
+}
+
+// NewLocalityAware returns the locality-aware loading policy.
+func NewLocalityAware() Policy { return fig8Policy(NameLocalityAware) }
+
+// NewNoPFS returns the NoPFS policy.
+func NewNoPFS() Policy { return fig8Policy(NameNoPFS) }
+
+// prepare returns the placement pol fetches by in this environment (nil when
+// its rule declares none) and its prestaging seconds, or the reason pol
+// cannot run the scenario at all.
+func (e *Env) prepare(pol Policy) (*cachepolicy.Assignment, float64, error) {
+	if pol.ramOnly {
+		node := e.Cfg.Sys.Node
+		if len(node.Classes) == 0 {
+			return nil, 0, fmt.Errorf("lbann: no RAM storage class available")
+		}
+		aggregate := int64(node.Classes[0].CapacityMB*(1<<20)) * int64(e.Plan.N)
+		if e.Cfg.DS.TotalSize() > aggregate {
+			return nil, 0, fmt.Errorf("lbann: dataset (%d bytes) exceeds aggregate RAM (%d bytes)",
+				e.Cfg.DS.TotalSize(), aggregate)
+		}
+	}
+	if pol.rule.family == "" {
+		return nil, 0, nil
+	}
+	a := e.place(pol.rule.family)
+	if !pol.prestage {
+		return a, 0, nil
+	}
+	return a, stagePrestageSeconds(e, a.CachedBytes[0]), nil
 }
 
 // stagePrestageSeconds models copying `bytes` of shard data from the PFS to
@@ -108,7 +257,7 @@ func cycleStream(list []access.SampleID, n int) []access.SampleID {
 }
 
 // Stream kinds of the policies that reorder the plan's stream, and their
-// builders: each is a pure function of the plan's artifacts and the policy's
+// builders: each is a pure function of the plan's artifacts and the run's
 // placement, so Env.kernelInput caches the result on the placement.
 const (
 	streamOpportunistic = "opportunistic"
@@ -120,95 +269,6 @@ var streamBuilders = map[string]func(*Env, *cachepolicy.Assignment) []access.Sam
 	streamOpportunistic: opportunisticStream,
 	streamShardCycle:    shardCycleStream,
 	streamLocality:      localityStream,
-}
-
-// ---------------------------------------------------------------------------
-// LowerBound ("Perfect"): no fetch cost at all; only compute and the staging
-// write remain, which never stall the trainer. Matches the paper's
-// unreachable lower bound.
-
-type lowerBound struct{}
-
-// NewLowerBound returns the Perfect policy.
-func NewLowerBound() Policy { return lowerBound{} }
-
-func (lowerBound) Name() string                  { return NameLowerBound }
-func (lowerBound) Prepare(*Env) (float64, error) { return 0, nil }
-func (lowerBound) rule() sourceRule              { return sourceRule{free: true} }
-func (lowerBound) Coverage(*Env) float64         { return 1 }
-func (lowerBound) Synchronous() bool             { return false }
-func (lowerBound) PrefetchThreads(env *Env) int  { return nodeThreads(env) }
-func (lowerBound) StagingMB(env *Env) float64    { return nodeStagingMB(env) }
-
-// ---------------------------------------------------------------------------
-// Naive: synchronous reads from the PFS, no prefetching, no caching. Every
-// worker hammers the PFS all the time (γ = N: with nothing cached anywhere
-// every fetch is a PFS hit and the γ estimate never leaves 1).
-
-type naive struct{}
-
-// NewNaive returns the Naive policy.
-func NewNaive() Policy { return naive{} }
-
-func (naive) Name() string                  { return NameNaive }
-func (naive) Prepare(*Env) (float64, error) { return 0, nil }
-func (naive) rule() sourceRule              { return sourceRule{} }
-func (naive) Coverage(*Env) float64         { return 1 }
-func (naive) Synchronous() bool             { return true }
-func (naive) PrefetchThreads(*Env) int      { return 1 }
-func (naive) StagingMB(env *Env) float64    { return doubleBufferMB(env) }
-
-// ---------------------------------------------------------------------------
-// StagingBuffer: the double-buffering/tf.data model — prefetch in access
-// order into the staging buffer, always from the PFS, drop after use.
-
-type stagingBuffer struct{}
-
-// NewStagingBuffer returns the StagingBuffer policy.
-func NewStagingBuffer() Policy { return stagingBuffer{} }
-
-func (stagingBuffer) Name() string                  { return NameStagingBuffer }
-func (stagingBuffer) Prepare(*Env) (float64, error) { return 0, nil }
-func (stagingBuffer) rule() sourceRule              { return sourceRule{} }
-func (stagingBuffer) Coverage(*Env) float64         { return 1 }
-func (stagingBuffer) Synchronous() bool             { return false }
-func (stagingBuffer) PrefetchThreads(*Env) int      { return 1 }
-func (stagingBuffer) StagingMB(env *Env) float64    { return doubleBufferMB(env) }
-
-// ---------------------------------------------------------------------------
-// DeepIO (Zhu et al.): workers cache samples in RAM first-touch during
-// epoch 0 and serve each other over RDMA. Ordered mode preserves the global
-// access order, reading uncached samples from the PFS forever. Opportunistic
-// mode relaxes the order after epoch 0 to consume only cached samples —
-// faster, but it no longer accesses the entire dataset when it exceeds
-// aggregate RAM.
-
-type deepIO struct {
-	opportunistic bool
-	assign        *cachepolicy.Assignment
-}
-
-// NewDeepIO returns the DeepIO policy in ordered or opportunistic mode.
-func NewDeepIO(opportunistic bool) Policy { return &deepIO{opportunistic: opportunistic} }
-
-func (d *deepIO) Name() string {
-	if d.opportunistic {
-		return NameDeepIOOpp
-	}
-	return NameDeepIOOrdered
-}
-
-func (d *deepIO) Prepare(env *Env) (float64, error) {
-	d.assign = env.place(d.rule().family)
-	return 0, nil
-}
-
-func (d *deepIO) rule() sourceRule {
-	r := sourceRule{family: plancache.FamilyFirstTouch, place: d.assign}
-	if d.opportunistic {
-		r.stream = streamOpportunistic
-	}
-	return r
 }
 
 // opportunisticStream is DeepIO's relaxed order: epoch 0 fills the caches in
@@ -228,52 +288,6 @@ func opportunisticStream(env *Env, a *cachepolicy.Assignment) []access.SampleID 
 	return out
 }
 
-func (d *deepIO) Coverage(env *Env) float64 {
-	if !d.opportunistic {
-		return 1
-	}
-	// After epoch 0 only cached samples are read; but epoch 0 itself
-	// touches everything, so first-run coverage is full while steady-state
-	// coverage is the cached fraction. Report the steady-state fraction,
-	// matching the paper's "does not access entire dataset" flag.
-	cov := d.assign.Coverage(env.Cfg.DS)
-	if cov > 1 {
-		cov = 1
-	}
-	return cov
-}
-
-func (d *deepIO) Synchronous() bool          { return false }
-func (d *deepIO) PrefetchThreads(*Env) int   { return 1 }
-func (d *deepIO) StagingMB(env *Env) float64 { return nodeStagingMB(env) }
-
-// ---------------------------------------------------------------------------
-// ParallelStaging: classic data sharding. Before training, every worker
-// copies its shard (capped by local capacity) from the PFS; afterwards it
-// reads exclusively from local storage. Fast, but the access order is no
-// longer a global shuffle and, when S > N*D, part of the dataset is never
-// read.
-
-type parallelStaging struct {
-	assign *cachepolicy.Assignment
-}
-
-// NewParallelStaging returns the data-sharding policy.
-func NewParallelStaging() Policy { return &parallelStaging{} }
-
-func (p *parallelStaging) Name() string { return NameParallelStaging }
-
-func (p *parallelStaging) Prepare(env *Env) (float64, error) {
-	p.assign = env.place(p.rule().family)
-	return stagePrestageSeconds(env, p.assign.CachedBytes[0]), nil
-}
-
-// rule: local shard only; the PFS is only reachable when the worker has no
-// local storage at all.
-func (p *parallelStaging) rule() sourceRule {
-	return sourceRule{family: plancache.FamilyShard, place: p.assign, stream: streamShardCycle, noRemote: true}
-}
-
 // shardCycleStream is ParallelStaging's order: the worker's own shard, over
 // and over.
 func shardCycleStream(env *Env, a *cachepolicy.Assignment) []access.SampleID {
@@ -282,91 +296,6 @@ func shardCycleStream(env *Env, a *cachepolicy.Assignment) []access.SampleID {
 		return env.Streams[0]
 	}
 	return out
-}
-
-func (p *parallelStaging) Coverage(env *Env) float64 {
-	return p.assign.Coverage(env.Cfg.DS)
-}
-
-func (p *parallelStaging) Synchronous() bool          { return false }
-func (p *parallelStaging) PrefetchThreads(*Env) int   { return 1 }
-func (p *parallelStaging) StagingMB(env *Env) float64 { return nodeStagingMB(env) }
-
-// ---------------------------------------------------------------------------
-// LBANN data store (Jacobs et al.): an in-memory distributed cache. Dynamic
-// mode caches first-touch during epoch 0; preloading mode stages shards into
-// RAM before training. Both serve later epochs from local or remote RAM —
-// and both fail outright when the dataset exceeds aggregate RAM.
-
-type lbann struct {
-	preloading bool
-	assign     *cachepolicy.Assignment
-}
-
-// NewLBANN returns the LBANN data-store policy in dynamic or preloading mode.
-func NewLBANN(preloading bool) Policy { return &lbann{preloading: preloading} }
-
-func (l *lbann) Name() string {
-	if l.preloading {
-		return NameLBANNPreload
-	}
-	return NameLBANNDynamic
-}
-
-func (l *lbann) Prepare(env *Env) (float64, error) {
-	node := env.Cfg.Sys.Node
-	if len(node.Classes) == 0 {
-		return 0, fmt.Errorf("lbann: no RAM storage class available")
-	}
-	ramBytes := int64(node.Classes[0].CapacityMB * (1 << 20))
-	aggregate := ramBytes * int64(env.Plan.N)
-	if env.Cfg.DS.TotalSize() > aggregate {
-		return 0, fmt.Errorf("lbann: dataset (%d bytes) exceeds aggregate RAM (%d bytes)",
-			env.Cfg.DS.TotalSize(), aggregate)
-	}
-	l.assign = env.place(l.rule().family)
-	if l.preloading {
-		return stagePrestageSeconds(env, l.assign.CachedBytes[0]), nil
-	}
-	return 0, nil
-}
-
-func (l *lbann) rule() sourceRule {
-	family := plancache.FamilyFirstTouch
-	if l.preloading {
-		family = plancache.FamilyPreload
-	}
-	return sourceRule{family: family, place: l.assign}
-}
-
-func (l *lbann) Coverage(*Env) float64      { return 1 }
-func (l *lbann) Synchronous() bool          { return false }
-func (l *lbann) PrefetchThreads(*Env) int   { return 1 }
-func (l *lbann) StagingMB(env *Env) float64 { return nodeStagingMB(env) }
-
-// ---------------------------------------------------------------------------
-// LocalityAware (Yang & Cong): the dataset is sharded across node-local
-// storage once, and every epoch's batches are reordered so that each worker
-// consumes mostly samples it already holds; the shortfall is fetched from
-// peers, and samples that fit nowhere come from the PFS. Full-dataset
-// randomization is preserved globally.
-
-type localityAware struct {
-	assign *cachepolicy.Assignment
-}
-
-// NewLocalityAware returns the locality-aware loading policy.
-func NewLocalityAware() Policy { return &localityAware{} }
-
-func (l *localityAware) Name() string { return NameLocalityAware }
-
-func (l *localityAware) Prepare(env *Env) (float64, error) {
-	l.assign = env.place(l.rule().family)
-	return stagePrestageSeconds(env, l.assign.CachedBytes[0]), nil
-}
-
-func (l *localityAware) rule() sourceRule {
-	return sourceRule{family: plancache.FamilyShard, place: l.assign, stream: streamLocality}
 }
 
 // localityStream reorders each global batch so worker 0 preferentially
@@ -407,59 +336,4 @@ func localityStream(env *Env, a *cachepolicy.Assignment) []access.SampleID {
 		}
 	}
 	return out
-}
-
-func (l *localityAware) Coverage(*Env) float64      { return 1 }
-func (l *localityAware) Synchronous() bool          { return false }
-func (l *localityAware) PrefetchThreads(*Env) int   { return 1 }
-func (l *localityAware) StagingMB(env *Env) float64 { return nodeStagingMB(env) }
-
-// ---------------------------------------------------------------------------
-// NoPFS: frequency-based hierarchical placement (Sec. 5.1) + clairvoyant
-// prefetching with the argmin fetch rule and the symmetric-progress
-// remote-availability heuristic (Sec. 5.2.2).
-
-type nopfs struct {
-	assign *cachepolicy.Assignment
-}
-
-// NewNoPFS returns the NoPFS policy.
-func NewNoPFS() Policy { return &nopfs{} }
-
-func (n *nopfs) Name() string { return NameNoPFS }
-
-func (n *nopfs) Prepare(env *Env) (float64, error) {
-	n.assign = env.place(n.rule().family)
-	return 0, nil
-}
-
-func (n *nopfs) rule() sourceRule {
-	return sourceRule{family: plancache.FamilyNoPFS, place: n.assign, argmin: true}
-}
-func (n *nopfs) Coverage(*Env) float64        { return 1 }
-func (n *nopfs) Synchronous() bool            { return false }
-func (n *nopfs) PrefetchThreads(env *Env) int { return nodeThreads(env) }
-func (n *nopfs) StagingMB(env *Env) float64   { return nodeStagingMB(env) }
-
-// nodeThreads returns the node's configured staging thread count p0.
-func nodeThreads(env *Env) int { return env.Cfg.Sys.Node.Staging.Threads }
-
-// nodeStagingMB returns the node's full staging-buffer capacity.
-func nodeStagingMB(env *Env) float64 { return env.Cfg.Sys.Node.Staging.CapacityMB }
-
-// doubleBufferMB returns a two-mini-batch lookahead window (classic
-// double-buffered loader), never larger than the node's staging buffer.
-func doubleBufferMB(env *Env) float64 {
-	mb := 2 * float64(env.Cfg.Work.BatchPerWorker) * env.MeanMB
-	if limit := nodeStagingMB(env); mb > limit {
-		mb = limit
-	}
-	return mb
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -21,6 +21,10 @@
 // One loop (simulate) runs every policy, access pattern, elastic membership
 // schedule and chaos profile; there is no second kernel.
 //
+// A Policy is an immutable value — one row of a table (policies.go) — and
+// carries no run state: the placement it fetches by belongs to the run that
+// computed it, so one value may serve any number of runs, concurrently.
+//
 // The simulator is not meant to predict absolute runtimes of a particular
 // machine; like the paper's, it captures the relative behaviour of I/O
 // policies across dataset/storage-hierarchy regimes.
@@ -300,38 +304,6 @@ func (e *Env) pfsJitter() float64 {
 	return math.Exp(sigma*e.rng.NormFloat64() - sigma*sigma/2)
 }
 
-// Policy is one I/O strategy under comparison.
-type Policy interface {
-	// Name is the report label (matches the paper's Fig. 8 legend).
-	Name() string
-	// Prepare precomputes placement state; it returns the prestaging time
-	// (0 when the policy needs none) or an error when the policy cannot
-	// run the scenario at all.
-	Prepare(env *Env) (setupSeconds float64, err error)
-	// rule states which placement family the policy places, which stream it
-	// consumes and where its fetches may come from. All of it but the
-	// placement itself is fixed at construction — Prepare and ColdCost read
-	// the family and the stream kind from it; place is set once Prepare ran.
-	rule() sourceRule
-	// Coverage is the fraction of dataset bytes the policy ever accesses.
-	Coverage(env *Env) float64
-	// Synchronous reports whether reads block the trainer (no prefetch
-	// pipeline) — true only for the Naive policy.
-	Synchronous() bool
-	// PrefetchThreads is the width of the staging prefetch pipeline this
-	// policy drives. NoPFS uses the node's configured p₀; the baseline
-	// loaders model a single background I/O pipeline (classic
-	// double-buffering), which is what makes them PFS-bound at the
-	// paper's operating points.
-	PrefetchThreads(env *Env) int
-	// StagingMB is the lookahead window the policy prefetches into.
-	// NoPFS and the caching middlewares use the node's staging buffer;
-	// PyTorch-style double buffering looks ahead about two mini-batches,
-	// which is what exposes slow PFS reads directly as batch-time tail
-	// events instead of smoothing them away.
-	StagingMB(env *Env) float64
-}
-
 // ColdCost estimates the work of running pol under cfg with nothing cached,
 // in stream positions walked: the simulated worker's E·F/N positions times
 // the passes the policy's rule declares — one for the kernel; with a
@@ -339,13 +311,13 @@ type Policy interface {
 // placement (nopfs, random) ranks and fills over all N workers' streams; one
 // more for a stream the policy builds itself. It orders cells for dispatch
 // (longest first) and is no prediction of seconds: shared artifacts and
-// policies that fail in Prepare are not modelled. A config Run would reject
-// costs 0.
+// policies that cannot run the scenario are not modelled. A config Run would
+// reject costs 0.
 func ColdCost(cfg *Config, pol Policy) int64 {
 	if cfg.Validate() != nil {
 		return 0
 	}
-	plan, rule := cfg.Plan(), pol.rule()
+	plan, rule := cfg.Plan(), pol.rule
 	passes := 1
 	switch rule.family {
 	case "":
@@ -376,16 +348,21 @@ func (env *Env) run(pol Policy) *Result {
 		LocSeconds: map[perfmodel.Location]float64{},
 		LocCount:   map[perfmodel.Location]int64{},
 	}
-	setup, err := pol.Prepare(env)
+	place, setup, err := env.prepare(pol)
 	if err != nil {
 		res.Failed = true
 		res.FailReason = err.Error()
 		return res
 	}
 	res.SetupSeconds = setup
-	res.Coverage = pol.Coverage(env)
-	rule := pol.rule()
-	in := env.kernelInput(rule)
+	res.Coverage = 1
+	if pol.partial {
+		res.Coverage = place.Coverage(env.Cfg.DS)
+	}
+	// The placement is this run's: it goes on pol's copy, never on the value
+	// the caller holds.
+	pol.rule.place = place
+	in := env.kernelInput(pol.rule)
 	// Node crashes redistribute the crashed workers' plan across the
 	// survivors: the simulated worker's stream grows and epoch boundaries
 	// shift (nil epochEnds means the fault-free uniform boundaries). The
@@ -393,7 +370,7 @@ func (env *Env) run(pol Policy) *Result {
 	// and not cached.
 	stream, epochEnds := chaosStream(env, in.Stream)
 	if epochEnds != nil {
-		in = &plancache.TagStream{Stream: stream, Tags: rule.tags(stream), TotalMB: env.sumMB(stream)}
+		in = &plancache.TagStream{Stream: stream, Tags: pol.rule.tags(stream), TotalMB: env.sumMB(stream)}
 	}
 	// An elastic membership schedule makes epochs unequal too: use the
 	// plan's per-worker cumulative ends when the policy kept the stream's
@@ -403,7 +380,7 @@ func (env *Env) run(pol Policy) *Result {
 		len(env.Art.EpochEnds) > 0 && len(stream) == len(env.Art.Streams[0]) {
 		epochEnds = env.Art.EpochEnds[0]
 	}
-	simulate(env, pol, rule, in, setup, res, epochEnds)
+	simulate(env, pol, in, setup, res, epochEnds)
 	return res
 }
 
@@ -490,7 +467,8 @@ func (t *threadPool) schedule(roomTime, readDur float64) float64 {
 // ever reads the PFS keeps the γ estimate at exactly 1, i.e. γ = N.
 type sourceRule struct {
 	// family keys the placement consulted in the plan cache ("": none);
-	// place is that placement, nil until Prepare has run.
+	// place is that placement, set by Env.run on the run's own copy of the
+	// rule.
 	family string
 	place  *cachepolicy.Assignment
 	// stream names the stream the policy consumes: one of the reorderings
@@ -568,7 +546,7 @@ var policyStreamBuilds atomic.Int64
 // epochEnds, when non-nil, carries the cumulative stream position at which
 // each epoch ends (crash redistribution and elastic membership make epochs
 // unequal); nil means the plan's uniform per-epoch boundaries.
-func simulate(env *Env, pol Policy, rule sourceRule, in *plancache.TagStream, setup float64, res *Result, epochEnds []int) {
+func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res *Result, epochEnds []int) {
 	simulateCount.Add(1)
 	var (
 		stream, sizes = in.Stream, env.SizesMB
@@ -579,12 +557,13 @@ func simulate(env *Env, pol Policy, rule sourceRule, in *plancache.TagStream, se
 		nWorkers      = float64(env.Plan.N)
 		c             = env.Cfg.Work.ComputeMBps
 		wr            = rate.WriteRate()
-		bufMB         = pol.StagingMB(env)
-		syncRead      = pol.Synchronous() // Naive: the trainer issues its own reads
+		rule          = pol.rule
+		bufMB         = pol.window.mb(env)
+		syncRead      = pol.sync // Naive: the trainer issues its own reads
+		p0            = 1
 	)
-	p0 := pol.PrefetchThreads(env)
-	if p0 < 1 {
-		p0 = 1
+	if pol.nodeThreads {
+		p0 = max(env.Cfg.Sys.Node.Staging.Threads, 1)
 	}
 	p0f := float64(p0)
 	threads := newThreadPool(p0, setup)

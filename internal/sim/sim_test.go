@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cachepolicy"
@@ -205,6 +207,41 @@ func TestPolicyByNameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSharedPolicyValueServesConcurrentRuns: a Policy carries no run state,
+// so one value run by four goroutines at once — on a cold plan, racing to
+// build its placement — gives every run the Result a serial run gives.
+func TestSharedPolicyValueServesConcurrentRuns(t *testing.T) {
+	s, err := ScenarioByID("fig8b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.Config(testScale, 2900+coldSeeds.Add(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range AllPolicies() {
+		got := make([]*Result, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], _ = Run(cfg, pol)
+			}()
+		}
+		wg.Wait()
+		want, err := Run(cfg, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range got {
+			if !reflect.DeepEqual(r, want) {
+				t.Errorf("%s: concurrent run %d differs from the serial run:\n got %+v\nwant %+v", pol.Name(), i, r, want)
+			}
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := (&Config{}).Validate(); err == nil {
 		t.Error("empty config accepted")
@@ -302,7 +339,7 @@ func BenchmarkSimAllPoliciesMNIST(b *testing.B) {
 
 // BenchmarkSimulateHotLoop isolates the consumption-recurrence inner loop:
 // plan artifacts and the NoPFS assignment are prewarmed in the shared plan
-// cache, so each iteration measures only Prepare-lookup + the simulate()
+// cache, so each iteration measures only the placement lookup + the simulate()
 // pass over the stream. Allocations here are the per-run Result series, not
 // per-sample accounting.
 func BenchmarkSimulateHotLoop(b *testing.B) {
@@ -326,9 +363,9 @@ func BenchmarkSimulateHotLoop(b *testing.B) {
 // TestColdCostAndDeclaredFamily is the dispatch estimate's table: on a Fig. 8
 // row ColdCost puts NoPFS first and the policies without a placement last,
 // each pass a rule declares (a placement, a stream of its own) costs more
-// than its absence, and what a rule declares before Prepare is what Prepare
-// does — the placement the policy fetches by is the declared family's entry
-// in the plan cache, and a policy declaring none places nothing.
+// than its absence, and what a rule declares is what Env.prepare does — the
+// placement the policy fetches by is the declared family's entry in the plan
+// cache, and a policy declaring none places nothing.
 func TestColdCostAndDeclaredFamily(t *testing.T) {
 	s, err := ScenarioByID("fig8b") // every policy runs on fig8b
 	if err != nil {
@@ -358,29 +395,26 @@ func TestColdCostAndDeclaredFamily(t *testing.T) {
 		if got, want := ColdCost(&cfg, pol), positions*wantPasses[name]; got != want || want == 0 {
 			t.Errorf("%s: ColdCost = %d, want %d positions x %d passes", name, got, positions, wantPasses[name])
 		}
-		declared := pol.rule()
+		declared := pol.rule
 		if declared.family != wantFamily[name] || declared.place != nil {
-			t.Errorf("%s: declares family %q (placement %v) before Prepare, want %q and none",
+			t.Errorf("%s: declares family %q (placement %v), want %q and none",
 				name, declared.family, declared.place, wantFamily[name])
 		}
 		env, err := newEnv(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pol.Prepare(env); err != nil {
+		place, _, err := env.prepare(pol)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		prepared := pol.rule()
-		if prepared.family != declared.family || prepared.stream != declared.stream {
-			t.Errorf("%s: rule changed over Prepare: %+v -> %+v", name, declared, prepared)
 		}
 		switch {
 		case declared.family == "":
-			if prepared.place != nil {
-				t.Errorf("%s: declares no placement but Prepare placed one", name)
+			if place != nil {
+				t.Errorf("%s: declares no placement but prepare placed one", name)
 			}
-		case prepared.place != env.place(declared.family):
-			t.Errorf("%s: Prepare's placement is not the %q entry of the plan cache", name, declared.family)
+		case place != env.place(declared.family):
+			t.Errorf("%s: prepare's placement is not the %q entry of the plan cache", name, declared.family)
 		}
 	}
 	bad := cfg

@@ -294,9 +294,6 @@ func TestSimCellCost(t *testing.T) {
 	if got := simCellCost(bad, p, 5); got != 0 {
 		t.Errorf("estimate of a failing Config = %d, want 0", got)
 	}
-	if got := simCellCost(s, PolicySpec{Name: "nil", New: func() isim.Policy { return nil }}, 5); got != 0 {
-		t.Errorf("estimate of a nil policy = %d, want 0", got)
-	}
 	g.Scenarios[1] = bad
 	err = (&Runner{Parallel: 4}).RunStream(bg, g, &funcAggregator{})
 	if !errors.Is(err, broken) || !strings.Contains(err.Error(), "bad/"+g.Policies[0].Name) {

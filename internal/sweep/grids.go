@@ -65,7 +65,7 @@ func SimOutcome(r *isim.Result) *Outcome {
 
 // simCellFunc is the default cell binding: materialise the scenario's
 // simulator configuration for the seed, stamp the cell's fault profile and
-// access pattern onto it, build a fresh policy, and simulate. The implicit
+// access pattern onto it, and simulate the column's policy. The implicit
 // fault-free profile and uniform pattern are zero values, leaving the
 // configuration untouched.
 func simCellFunc(s ScenarioSpec, p PolicySpec, prof ProfileSpec, pat AccessSpec) CellFunc {
@@ -81,11 +81,7 @@ func simCellFunc(s ScenarioSpec, p PolicySpec, prof ProfileSpec, pat AccessSpec)
 		if pat.Spec != "" {
 			cfg.Access = pat.Spec
 		}
-		pol := p.New()
-		if pol == nil {
-			return nil, fmt.Errorf("policy %q constructor returned nil", p.Name)
-		}
-		r, err := isim.Run(cfg, pol)
+		r, err := isim.Run(cfg, p.New())
 		if err != nil {
 			return nil, err
 		}
@@ -96,18 +92,14 @@ func simCellFunc(s ScenarioSpec, p PolicySpec, prof ProfileSpec, pat AccessSpec)
 // simCellCost is the default binding's dispatch estimate: the cold cost the
 // scenario's configuration and the policy's rule declare (isim.ColdCost).
 // Fault profiles and access patterns are left out — they scale a row's cells
-// alike. A configuration or policy that cannot be built costs 0: the cell
-// reports the error at its own index.
+// alike. A configuration that cannot be built costs 0: the cell reports the
+// error at its own index.
 func simCellCost(s ScenarioSpec, p PolicySpec, seed uint64) int64 {
 	cfg, err := s.Config(seed)
 	if err != nil {
 		return 0
 	}
-	pol := p.New()
-	if pol == nil {
-		return 0
-	}
-	return isim.ColdCost(&cfg, pol)
+	return isim.ColdCost(&cfg, p.New())
 }
 
 // scenarioSpec adapts one Fig. 8 scenario preset into a grid row.
@@ -203,7 +195,6 @@ func Fig9Grid(scale float64, baseSeed uint64, replicas int) *Grid {
 	var rows []ScenarioSpec
 	for _, ram := range fig9RAMs {
 		for _, ssd := range fig9SSDs {
-			ram, ssd := ram, ssd
 			rows = append(rows, ScenarioSpec{
 				ID:    Fig9CellID(ram, ssd),
 				Label: fmt.Sprintf("ImageNet-22k, NoPFS 5x compute, RAM %d GB, SSD %d GB", ram, ssd),
@@ -224,7 +215,6 @@ func Fig9Grid(scale float64, baseSeed uint64, replicas int) *Grid {
 func Fig9StagingGrid(scale float64, baseSeed uint64) *Grid {
 	var rows []ScenarioSpec
 	for _, gb := range fig9StagingGBs {
-		gb := gb
 		rows = append(rows, ScenarioSpec{
 			ID:    Fig9StagingID(gb),
 			Label: fmt.Sprintf("staging buffer %d GB, RAM 32 GB, no SSD", gb),
@@ -280,7 +270,6 @@ func AblationGrid(scale float64, baseSeed uint64, replicas int) *Grid {
 		{NoRemote: true},
 		{TinyStaging: true},
 	} {
-		v := v
 		cols = append(cols, PolicySpec{Name: v.Name(), New: func() isim.Policy {
 			return isim.NewNoPFSVariant(v)
 		}})

@@ -90,9 +90,9 @@ type ScenarioSpec struct {
 	Config func(seed uint64) (isim.Config, error)
 }
 
-// PolicySpec is one column of a Grid. For simulator grids, New must return a
-// fresh policy instance per call (policies carry per-run placement state);
-// grids with a custom Cell binding use the spec purely as a report label.
+// PolicySpec is one column of a Grid. For simulator grids, New returns the
+// column's policy; grids with a custom Cell binding use the spec purely as a
+// report label.
 type PolicySpec struct {
 	Name string
 	New  func() isim.Policy
@@ -103,14 +103,7 @@ type PolicySpec struct {
 func AllPolicySpecs() []PolicySpec {
 	var specs []PolicySpec
 	for _, p := range isim.AllPolicies() {
-		name := p.Name()
-		specs = append(specs, PolicySpec{Name: name, New: func() isim.Policy {
-			pol, err := isim.PolicyByName(name)
-			if err != nil {
-				return nil
-			}
-			return pol
-		}})
+		specs = append(specs, PolicySpec{Name: p.Name(), New: func() isim.Policy { return p }})
 	}
 	return specs
 }

@@ -72,7 +72,7 @@ func (l Loader) Policy() (sim.Policy, error) {
 	case LoaderNoIO:
 		return sim.NewLowerBound(), nil
 	}
-	return nil, fmt.Errorf("trainer: unknown loader %d", int(l))
+	return sim.Policy{}, fmt.Errorf("trainer: unknown loader %d", int(l))
 }
 
 // AdjustWorkload applies loader-specific workload changes: DALI offloads

@@ -685,8 +685,13 @@ func (j *Job) GetBatch(ctx context.Context, n int) ([]Sample, error) {
 // StreamLen returns the total number of samples this worker will consume.
 func (j *Job) StreamLen() int { return len(j.stream) }
 
-// IterationsPerEpoch returns the worker's batches per epoch.
-func (j *Job) IterationsPerEpoch() int { return j.perEpoch / j.opts.BatchPerWorker }
+// IterationsPerEpoch returns the worker's batches per epoch of the plan, a
+// kept partial last batch included: the highest Sample.Iteration of an epoch
+// plus one. Epochs of an elastic membership schedule or of a crash
+// redistribution are unequal; for those it is the uniform plan's count.
+func (j *Job) IterationsPerEpoch() int {
+	return (j.perEpoch + j.opts.BatchPerWorker - 1) / j.opts.BatchPerWorker
+}
 
 // Rank returns this worker's rank in the cluster.
 func (j *Job) Rank() int { return j.rank }

@@ -177,6 +177,31 @@ func TestClusterEpochIterationBookkeeping(t *testing.T) {
 	}
 }
 
+// TestIterationsPerEpochCountsPartialBatch: with a kept partial last batch
+// (100 samples over 2 ranks, 16 per batch: 50 per rank, three full batches
+// and one of 2), IterationsPerEpoch is the highest delivered Iteration + 1.
+func TestIterationsPerEpochCountsPartialBatch(t *testing.T) {
+	ds := testDataset(t, 100)
+	opts := baseOptions()
+	opts.Epochs, opts.BatchPerWorker, opts.DropLast = 1, 16, false
+	_, err := RunCluster(bg, ds, 2, opts, func(ctx context.Context, j *Job) error {
+		last := -1
+		for s, err := range j.Samples(ctx) {
+			if err != nil {
+				return err
+			}
+			last = max(last, s.Iteration)
+		}
+		if got := j.IterationsPerEpoch(); got != last+1 {
+			return fmt.Errorf("IterationsPerEpoch = %d, delivered iterations 0..%d", got, last)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestClusterSeedMismatchCaught(t *testing.T) {
 	// Workers with diverging plans must fail the startup allgather. Build
 	// jobs by hand through RunCluster's machinery: simulate divergence by
