@@ -31,7 +31,8 @@ test:
 # and when delivery admits the next, is scheduling-dependent shared state),
 # and the delivery contract (the staging free list is shared by the consumer
 # and the staging threads, so a consumer that reads a released buffer races
-# the thread refilling it).
+# the thread refilling it), and job teardown (whether a returned cluster's
+# jobs are garbage at the next GC depends on which goroutines have run).
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
@@ -39,7 +40,7 @@ test-race:
 	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal|ThreadPool|SharedPolicy' ./internal/sim/ ./internal/plancache/
 	$(GO) test -race -count=5 -run 'Width|Tags|FirstTouch' ./internal/cachepolicy/
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/
-	$(GO) test -race -count=5 -run 'Release|Recycle|Batch|Delivery' ./nopfs/
+	$(GO) test -race -count=5 -run 'Release|Recycle|Batch|Delivery|Collectable' ./nopfs/
 
 vet:
 	$(GO) vet ./...
@@ -117,7 +118,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 17048
+LOC_MAX ?= 17015
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

@@ -10,7 +10,7 @@ import (
 type CallObserver func(req Request, ok bool, seconds float64)
 
 // instrumented decorates a Network, timing outbound Calls. Serving-side
-// traffic is untouched: the handler still sees the raw endpoint's context.
+// traffic is untouched: the handler still sees the fabric's context.
 type instrumented struct {
 	Network
 	obs CallObserver

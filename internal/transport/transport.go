@@ -2,20 +2,23 @@
 // standing in for the paper's MPI layer. It provides the two operations
 // NoPFS needs — a setup allgather (exchanging plan digests) and
 // point-to-point sample fetches — over two interchangeable fabrics: an
-// in-process channel network (used by the cluster harness and tests) and a
-// TCP loopback network (real sockets, same protocol).
+// in-process network (used by the cluster harness and tests) and a TCP
+// loopback network (real sockets, same protocol).
+//
+// The in-process fabric has no goroutines: a Call runs the peer's handler
+// on the calling goroutine, under the caller's context. A TCP endpoint
+// serves each connection on a goroutine of its own, under a lifetime
+// context that Close cancels.
 //
 // Every blocking operation is context-first: Call returns the context's
-// error when the caller cancels mid-flight, and each endpoint carries a
-// lifetime context (canceled by Close) under which it serves requests, so
-// a canceled cluster tears its fabric down in bounded time.
+// error when the caller cancels mid-flight, so a canceled cluster tears its
+// fabric down in bounded time.
 package transport
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/storage"
@@ -45,10 +48,11 @@ type Response struct {
 	Data  []byte
 }
 
-// Handler serves requests arriving at an endpoint. The context is the
-// endpoint's lifetime: it is canceled when the endpoint closes, so a
-// handler blocked on rate-limited storage unwinds instead of outliving its
-// fabric.
+// Handler serves requests arriving at an endpoint, and must honour ctx so a
+// handler blocked on rate-limited storage unwinds. What ctx is depends on
+// the fabric. On TCP it is the serving endpoint's lifetime, canceled when
+// that endpoint closes. On the in-process fabric it is the caller's context:
+// it ends when the caller gives up, not when the serving endpoint closes.
 type Handler func(ctx context.Context, from int, req Request) Response
 
 // Network is one worker's view of the fabric.
@@ -58,12 +62,14 @@ type Network interface {
 	// Size is the worker count.
 	Size() int
 	// SetHandler installs the request handler; it must be called before
-	// any peer Calls this endpoint.
+	// any peer Calls this endpoint. The handler's context is the fabric's
+	// (see Handler).
 	SetHandler(Handler)
 	// Call sends a request to a peer and waits for its response. Canceling
 	// ctx unblocks the call with ctx's error.
 	Call(ctx context.Context, to int, req Request) (Response, error)
-	// Close releases the endpoint and cancels its lifetime context.
+	// Close releases the endpoint: later Calls through it fail with
+	// ErrClosed, and Calls to it with ErrUnreachable.
 	Close() error
 }
 
@@ -95,53 +101,28 @@ var ErrClosed = errors.New("transport: endpoint closed")
 // distinct from ErrClosed (our own endpoint is closed).
 var ErrUnreachable = errors.New("transport: peer unreachable")
 
-// chanCall is one in-flight request on the channel fabric.
-type chanCall struct {
-	from  int
-	req   Request
-	reply chan Response
-}
-
-// ChanEndpoint is an in-process Network. All endpoints of one fabric share
-// an optional bandwidth limiter modelling the interconnect b_c, and see
-// each other's shutdown state so a Call to a closed peer fails instead of
-// hanging.
+// ChanEndpoint is an in-process Network with no goroutines of its own: a
+// Call runs the peer's handler on the calling goroutine, under the caller's
+// context, and pays the interconnect limiter there too. All endpoints of one
+// fabric share an optional bandwidth limiter modelling the interconnect b_c,
+// and see each other's shutdown state so a Call to a closed peer fails
+// instead of being served.
 type ChanEndpoint struct {
 	rank    int
-	inboxes []chan chanCall
-	dones   []chan struct{}
+	peers   []*ChanEndpoint
 	limiter *storage.Limiter
+	closed  atomic.Bool
 
-	// life is the endpoint's lifetime context, canceled by Close; the serve
-	// loop runs handlers and limiter waits under it.
-	life     context.Context
-	lifeStop context.CancelFunc
-
-	// handler is the installed request handler (latest SetHandler wins);
-	// serveOnce ensures a single serve loop regardless of how often the
-	// handler is replaced.
-	handler   atomic.Pointer[Handler]
-	serveOnce sync.Once
-	closeOnce sync.Once
+	// handler is the installed request handler (latest SetHandler wins).
+	handler atomic.Pointer[Handler]
 }
 
 // NewChanNetwork builds an n-worker in-process fabric. limiter (optional)
 // throttles response payload bytes at the configured aggregate rate.
 func NewChanNetwork(n int, limiter *storage.Limiter) []*ChanEndpoint {
-	inboxes := make([]chan chanCall, n)
-	dones := make([]chan struct{}, n)
-	for i := range inboxes {
-		inboxes[i] = make(chan chanCall, 64)
-		dones[i] = make(chan struct{})
-	}
 	eps := make([]*ChanEndpoint, n)
-	for i := 0; i < n; i++ {
-		//lint:ignore ctxfirst endpoint-lifetime root created at construction; Close calls lifeStop to sever it
-		life, stop := context.WithCancel(context.Background())
-		eps[i] = &ChanEndpoint{
-			rank: i, inboxes: inboxes, dones: dones, limiter: limiter,
-			life: life, lifeStop: stop,
-		}
+	for i := range eps {
+		eps[i] = &ChanEndpoint{rank: i, peers: eps, limiter: limiter}
 	}
 	return eps
 }
@@ -150,77 +131,53 @@ func NewChanNetwork(n int, limiter *storage.Limiter) []*ChanEndpoint {
 func (e *ChanEndpoint) Rank() int { return e.rank }
 
 // Size implements Network.
-func (e *ChanEndpoint) Size() int { return len(e.inboxes) }
+func (e *ChanEndpoint) Size() int { return len(e.peers) }
 
-// SetHandler implements Network and starts the serve loop on first call.
-// The handler is stored atomically — replacing it is race-free and the
-// single loop always serves the latest one, matching TCPEndpoint.
-func (e *ChanEndpoint) SetHandler(h Handler) {
-	e.handler.Store(&h)
-	e.serveOnce.Do(func() { go e.serveLoop() })
-}
+// SetHandler implements Network. The handler is stored atomically, so
+// replacing it is race-free and the next Call runs the latest one. It runs
+// on the caller's goroutine under the caller's context (see Handler).
+func (e *ChanEndpoint) SetHandler(h Handler) { e.handler.Store(&h) }
 
-// serveLoop answers this endpoint's inbox until Close.
-func (e *ChanEndpoint) serveLoop() {
-	for {
-		select {
-		case call := <-e.inboxes[e.rank]:
-			// Serve concurrently: a slow (bandwidth-limited) response
-			// must not convoy unrelated requests; the limiters already
-			// enforce aggregate rates.
-			go func(call chanCall) {
-				resp := (*e.handler.Load())(e.life, call.from, call.req)
-				if len(resp.Data) > 0 {
-					if err := e.limiter.Wait(e.life, int64(len(resp.Data))); err != nil {
-						resp = Response{} // endpoint closed mid-response
-					}
-				}
-				call.reply <- resp
-			}(call)
-		case <-e.dones[e.rank]:
-			return
-		}
-	}
-}
-
-// Call implements Network.
+// Call implements Network by running the peer's handler in place. The
+// handler honours ctx, so canceling ctx ends the call with ctx's error. A
+// peer that is closed before the handler runs or by the time it returns is
+// unreachable: a crash mid-response loses the response.
 func (e *ChanEndpoint) Call(ctx context.Context, to int, req Request) (Response, error) {
-	if to < 0 || to >= len(e.inboxes) {
+	if to < 0 || to >= len(e.peers) {
 		return Response{}, fmt.Errorf("transport: rank %d out of range", to)
 	}
-	// Fast-fail a pre-canceled context without dispatching to the peer,
-	// matching TCPEndpoint.Call (the select below would race the send
-	// against ctx.Done()).
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	reply := make(chan Response, 1)
-	select {
-	case e.inboxes[to] <- chanCall{from: e.rank, req: req, reply: reply}:
-	case <-ctx.Done():
-		return Response{}, ctx.Err()
-	case <-e.dones[e.rank]:
+	if e.closed.Load() {
 		return Response{}, ErrClosed
-	case <-e.dones[to]:
+	}
+	peer := e.peers[to]
+	if peer.closed.Load() {
 		return Response{}, fmt.Errorf("transport: rank %d: %w", to, ErrUnreachable)
 	}
-	select {
-	case resp := <-reply:
-		return resp, nil
-	case <-ctx.Done():
-		return Response{}, ctx.Err()
-	case <-e.dones[e.rank]:
-		return Response{}, ErrClosed
-	case <-e.dones[to]:
+	h := peer.handler.Load()
+	if h == nil {
+		return Response{}, fmt.Errorf("transport: rank %d has no handler", to)
+	}
+	resp := (*h)(ctx, e.rank, req)
+	if len(resp.Data) > 0 {
+		if err := e.limiter.Wait(ctx, int64(len(resp.Data))); err != nil {
+			return Response{}, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return Response{}, err
+	}
+	if peer.closed.Load() {
 		return Response{}, fmt.Errorf("transport: rank %d: %w", to, ErrUnreachable)
 	}
+	return resp, nil
 }
 
-// Close implements Network.
+// Close implements Network. It is idempotent; a Call already running this
+// endpoint's handler finishes under its caller's context.
 func (e *ChanEndpoint) Close() error {
-	e.closeOnce.Do(func() {
-		e.lifeStop()
-		close(e.dones[e.rank])
-	})
+	e.closed.Store(true)
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/storage"
 )
 
 // bg is the default context for tests that exercise the data paths rather
@@ -213,8 +215,11 @@ func TestCallCancellation(t *testing.T) {
 			release := make(chan struct{})
 			defer close(release)
 			f.nets[0].SetHandler(echoHandler(0))
-			f.nets[1].SetHandler(func(_ context.Context, from int, req Request) Response {
-				<-release // serve only after the test is done
+			f.nets[1].SetHandler(func(ctx context.Context, from int, req Request) Response {
+				select { // serve only after the test is done, or give up with ctx
+				case <-release:
+				case <-ctx.Done():
+				}
 				return Response{OK: true}
 			})
 			defer func() {
@@ -248,6 +253,77 @@ func TestCallCancellation(t *testing.T) {
 				t.Errorf("pre-canceled call returned %v", err)
 			}
 		})
+	}
+}
+
+// TestChanHandlerRunsUnderCallerContext pins the chan fabric's handler
+// contract: the handler runs under the caller's context, its values and its
+// cancellation; a peer that closes mid-handler is unreachable; and a call to
+// a peer with no handler yet is an error.
+func TestChanHandlerRunsUnderCallerContext(t *testing.T) {
+	type key struct{}
+	eps := NewChanNetwork(3, nil)
+	defer func() {
+		for _, e := range eps {
+			e.Close()
+		}
+	}()
+	seen := make(chan string, 1)
+	eps[1].SetHandler(func(ctx context.Context, _ int, req Request) Response {
+		v, _ := ctx.Value(key{}).(string)
+		seen <- v
+		<-ctx.Done()
+		return Response{OK: true}
+	})
+	eps[2].SetHandler(func(context.Context, int, Request) Response {
+		eps[2].Close() // the peer crashes mid-handler
+		return Response{OK: true}
+	})
+
+	ctx, cancel := context.WithCancel(context.WithValue(bg, key{}, "caller"))
+	done := make(chan error, 1)
+	go func() {
+		_, err := eps[0].Call(ctx, 1, Request{Kind: KindFetch, Sample: 2})
+		done <- err
+	}()
+	if v := <-seen; v != "caller" {
+		t.Errorf("handler's context carries %q, want the caller's value", v)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled call returned %v, want context.Canceled", err)
+	}
+
+	if _, err := eps[0].Call(bg, 2, Request{Kind: KindFetch, Sample: 2}); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("call to a peer that closed mid-handler returned %v, want ErrUnreachable", err)
+	}
+
+	fresh := NewChanNetwork(2, nil)
+	wait, stop := context.WithTimeout(bg, time.Second)
+	defer stop()
+	if _, err := fresh[0].Call(wait, 1, Request{Kind: KindValue}); err == nil || wait.Err() != nil {
+		t.Errorf("call to a peer with no handler returned %v, want an error at once", err)
+	}
+}
+
+// TestChanCallAllocs pins the chan fabric's per-call cost: a successful
+// fetch of a cached payload, through the interconnect limiter the cluster
+// builds, allocates nothing.
+func TestChanCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what the runtime allocates")
+	}
+	eps := NewChanNetwork(2, storage.NewLimiter(0))
+	defer eps[0].Close()
+	defer eps[1].Close()
+	eps[1].SetHandler(payloadHandler(8 << 10))
+	allocs := testing.AllocsPerRun(200, func() {
+		if resp, err := eps[0].Call(bg, 1, Request{Kind: KindFetch, Sample: 2}); err != nil || len(resp.Data) != 8<<10 {
+			t.Fatalf("fetch = (%d bytes, %v)", len(resp.Data), err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a chan fetch allocates %.0f times, want 0", allocs)
 	}
 }
 

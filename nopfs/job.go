@@ -66,6 +66,10 @@ type Job struct {
 	// of either kind unwinds every blocking layer.
 	ctx    context.Context
 	cancel context.CancelFunc
+	// unwatch deregisters Start's context.AfterFunc. Close calls it before
+	// cancel: a cancel that fires the func starts a goroutine holding the
+	// job, and with it every cache, past the end of RunCluster.
+	unwatch func() bool
 
 	progress atomic.Int64 // staging prefetch position (heuristic input)
 	pos      atomic.Int64 // next stream position to claim
@@ -97,7 +101,8 @@ type Job struct {
 	// buffer's own mutex orders the two.
 	sources []uint8
 
-	held [][]byte // recycled buffers the consumer's last step delivered
+	held  [][]byte // recycled buffers the consumer's last step delivered
+	batch []Sample // GetBatch's slice, overwritten by the next call
 
 	wg        sync.WaitGroup
 	closed    chan struct{}
@@ -222,7 +227,7 @@ func (j *Job) Start(ctx context.Context) error {
 	// Tie context cancellation to the legacy shutdown signal so every
 	// pre-context wait (the class prefetchers' pacing loop, the staging
 	// buffer's drain semantics) observes it too.
-	context.AfterFunc(j.ctx, j.shutdown)
+	j.unwatch = context.AfterFunc(j.ctx, j.shutdown)
 
 	digests, err := transport.AllgatherValue(j.ctx, j.net, j.digest)
 	if err != nil {
@@ -308,7 +313,9 @@ func (j *Job) fatalErr() error {
 }
 
 // handle serves peer requests: sample fetches from local caches and plan
-// digest exchanges. ctx is the fabric endpoint's lifetime.
+// digest exchanges. ctx is the fabric's (transport.Handler): on the chan
+// fabric it is the caller's, so the throttled class reads and limiter waits
+// below end when the calling rank gives up.
 func (j *Job) handle(ctx context.Context, from int, req transport.Request) transport.Response {
 	switch req.Kind {
 	case transport.KindValue:
@@ -659,27 +666,29 @@ func (j *Job) Samples(ctx context.Context) iter.Seq2[Sample, error] {
 // BatchPerWorker) — the per-worker minibatch shape of the paper's training
 // loop. The final batch of a run may be short; a nil, nil return means the
 // schedule is exhausted. On error the samples delivered before the failure
-// are returned alongside it. It releases the last step's samples.
+// are returned alongside it. It releases the last step's samples. The slice,
+// like each Sample.Data, is valid until the next step: the next call
+// overwrites it.
 func (j *Job) GetBatch(ctx context.Context, n int) ([]Sample, error) {
 	if n <= 0 {
 		n = j.opts.BatchPerWorker // at least 1 (Options.withDefaults)
 	}
 	j.release()
-	batch := make([]Sample, 0, n)
-	for len(batch) < n {
+	j.batch = j.batch[:0]
+	for len(j.batch) < n {
 		s, ok, err := j.next(ctx)
 		if err != nil {
-			return batch, err
+			return j.batch, err
 		}
 		if !ok {
 			break
 		}
-		batch = append(batch, s)
+		j.batch = append(j.batch, s)
 	}
-	if len(batch) == 0 {
+	if len(j.batch) == 0 {
 		return nil, nil
 	}
-	return batch, nil
+	return j.batch, nil
 }
 
 // StreamLen returns the total number of samples this worker will consume.
@@ -728,6 +737,7 @@ func (j *Job) Stats() Stats {
 func (j *Job) Close() error {
 	j.shutdown()
 	if j.cancel != nil {
+		j.unwatch()
 		j.cancel()
 	}
 	j.wg.Wait()

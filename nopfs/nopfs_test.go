@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/access"
 	"repro/internal/dataset"
@@ -341,4 +343,39 @@ func TestRunClusterReleasesItsPlan(t *testing.T) {
 			at2>>10, at14>>10, grew>>10, planBytes>>11)
 	}
 	runtime.KeepAlive(ds) // live at both readings
+}
+
+// TestRunClusterJobsCollectable requires the Jobs of a returned cluster to
+// be garbage at the next GC. When Close canceled the job's context with
+// Start's context.AfterFunc still registered, the goroutine that started
+// held the job, and with it every cache, through that GC.
+func TestRunClusterJobsCollectable(t *testing.T) {
+	ds := testDataset(t, 64)
+	opts := baseOptions()
+	opts.Epochs, opts.VerifySamples = 1, false
+	reachable := 0
+	for i := 0; i < 40; i++ {
+		var (
+			mu   sync.Mutex
+			jobs []weak.Pointer[Job]
+		)
+		_, err := RunCluster(bg, ds, 2, opts, func(ctx context.Context, j *Job) error {
+			mu.Lock()
+			jobs = append(jobs, weak.Make(j))
+			mu.Unlock()
+			return DrainAll(nil)(ctx, j)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		for _, j := range jobs {
+			if j.Value() != nil {
+				reachable++
+			}
+		}
+	}
+	if reachable > 0 {
+		t.Errorf("%d of 80 jobs still reachable at the first GC after their cluster returned", reachable)
+	}
 }
