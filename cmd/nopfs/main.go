@@ -8,9 +8,9 @@
 //
 //	nopfs sim -all                     # the Fig. 8 policy comparison
 //	nopfs sim -sweep -replicas 5       # Fig. 9, 5 seeds per cell
-//	nopfs sim -all -dry-run            # plan analysis, no simulation
+//	nopfs sim -all -dry-run            # plan analysis + simulated NoPFS run
 //	nopfs train -fig 12                # NoPFS cache stats (Fig. 12)
-//	nopfs train -fig 10 -dry-run       # placement + predicted stall
+//	nopfs train -fig 10 -dry-run       # placement + simulated stall
 //	nopfs access -f 1281167            # paper-scale Fig. 3 analysis
 //	nopfs run -workers 4 -metrics-out - # live cluster + Prometheus dump
 //	nopfs help                         # the full subcommand list

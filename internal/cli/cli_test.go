@@ -2,9 +2,12 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -212,28 +215,33 @@ func TestConfigFile(t *testing.T) {
 	})
 }
 
-// TestDryRunExecutesNoCells is the tentpole's acceptance check: --dry-run
-// prints the full plan analysis without running a single simulation cell.
-func TestDryRunExecutesNoCells(t *testing.T) {
+// TestDryRunRunsOneKernelPerScenario: --dry-run prints the plan analysis
+// and runs the simulator's NoPFS kernel once per explained scenario, and no
+// sweep cell.
+func TestDryRunRunsOneKernelPerScenario(t *testing.T) {
 	cases := []struct {
-		name string
-		args []string
-		want []string
+		name    string
+		args    []string
+		kernels int64
+		want    []string
 	}{
 		{
-			name: "sim scenario",
-			args: []string{"sim", "-scenario", "fig8a", "-dry-run"},
-			want: []string{"dry run: grid \"fig8a\"", "placement (NoPFS policy, worker 0):", "predicted fetch mix"},
+			name:    "sim scenario",
+			args:    []string{"sim", "-scenario", "fig8a", "-dry-run"},
+			kernels: 1,
+			want:    []string{"dry run: grid \"fig8a\"", "placement (NoPFS policy, worker 0):", "simulated NoPFS run (worker 0):"},
 		},
 		{
-			name: "sim sweep",
-			args: []string{"sim", "-sweep", "-scale", "0.005", "-dry-run"},
-			want: []string{"dry run: grid", "predicted time:"},
+			name:    "sim sweep",
+			args:    []string{"sim", "-sweep", "-scale", "0.005", "-dry-run"},
+			kernels: 29,
+			want:    []string{"dry run: grid", ", stall "},
 		},
 		{
-			name: "train",
-			args: []string{"train", "-fig", "10", "-scale", "0.02", "-gpus", "32", "-dry-run"},
-			want: []string{"dry run: grid \"fig10-pizdaint\"", "dry run: grid \"fig10-lassen\"", "placement (NoPFS policy, worker 0):"},
+			name:    "train",
+			args:    []string{"train", "-fig", "10", "-scale", "0.02", "-gpus", "32", "-dry-run"},
+			kernels: 2,
+			want:    []string{"dry run: grid \"fig10-pizdaint\"", "dry run: grid \"fig10-lassen\"", "placement (NoPFS policy, worker 0):"},
 		},
 	}
 	for _, tc := range cases {
@@ -243,12 +251,121 @@ func TestDryRunExecutesNoCells(t *testing.T) {
 			if code != ExitOK {
 				t.Fatalf("exit %d, want 0 (stderr: %s)", code, stderr)
 			}
-			if got := isim.SimulateCount() - before; got != 0 {
-				t.Fatalf("dry run executed %d simulation cells, want 0", got)
+			got := isim.SimulateCount() - before
+			if scenarios := int64(strings.Count(out, "\n== ")); got != tc.kernels || got != scenarios {
+				t.Fatalf("dry run executed %d kernels for %d explained scenarios, want %d", got, scenarios, tc.kernels)
 			}
 			for _, want := range tc.want {
 				if !strings.Contains(out, want) {
 					t.Errorf("dry-run output missing %q:\n%s", want, out)
+				}
+			}
+		})
+	}
+}
+
+// dryRunLocation and dryRunTimes match the dry-run's per-location line and
+// its time line; explainedScenario matches a scenario header.
+var (
+	dryRunLocation    = regexp.MustCompile(`^\s+(pfs|remote|local)\s+([0-9.]+)%\s+([0-9]+) fetches\s+([0-9.]+)s$`)
+	dryRunTimes       = regexp.MustCompile(`^\s+setup ([0-9.]+)s, stall ([0-9.]+)s, exec ([0-9.]+)s$`)
+	explainedScenario = regexp.MustCompile(`^== ([^: ]+)`)
+)
+
+// dryRunNumbers parses a dry-run transcript into each explained scenario's
+// printed NoPFS figures, keyed "exec", "stall", "setup", "<loc>_s" (seconds)
+// and "<loc>_pct" (share of fetches), exactly as printed.
+func dryRunNumbers(t *testing.T, out string) map[string]map[string]string {
+	t.Helper()
+	got := map[string]map[string]string{}
+	var cur map[string]string
+	for _, line := range strings.Split(out, "\n") {
+		if m := explainedScenario.FindStringSubmatch(line); m != nil {
+			cur = map[string]string{}
+			got[m[1]] = cur
+		} else if m := dryRunLocation.FindStringSubmatch(line); m != nil && cur != nil {
+			cur[m[1]+"_pct"], cur[m[1]+"_s"] = m[2], m[4]
+		} else if m := dryRunTimes.FindStringSubmatch(line); m != nil && cur != nil {
+			cur["setup"], cur["stall"], cur["exec"] = m[1], m[2], m[3]
+		}
+	}
+	return got
+}
+
+// nopfsRows decodes the JSON report(s) of a run and returns the NoPFS cell
+// of every scenario.
+func nopfsRows(t *testing.T, out string) map[string]map[string]float64 {
+	t.Helper()
+	rows := map[string]map[string]float64{}
+	dec := json.NewDecoder(strings.NewReader(out))
+	for dec.More() {
+		var rep struct {
+			Cells []struct {
+				Scenario, Policy string
+				Outcome          struct{ Values map[string]float64 }
+			}
+		}
+		if err := dec.Decode(&rep); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range rep.Cells {
+			if c.Policy == "NoPFS" {
+				rows[c.Scenario] = c.Outcome.Values
+			}
+		}
+	}
+	return rows
+}
+
+// TestDryRunMatchesRun: the dry-run's NoPFS figures are the NoPFS row of the
+// same command run for real, to the last printed digit — exec, stall and
+// per-location seconds on every Fig. 8 panel; exec, stall and the fetch mix
+// on Fig. 10, whose report carries shares instead of seconds.
+func TestDryRunMatchesRun(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		args      []string
+		scenarios int
+		// fields maps a dry-run key to the report metric it prints: seconds
+		// to three decimals, a "_pct" share as a percentage to one.
+		fields map[string]string
+	}{
+		{"fig8", []string{"sim", "-all"}, 6, map[string]string{
+			"exec": "exec_s", "stall": "stall_s", "setup": "setup_s",
+			"pfs_s": "pfs_s", "remote_s": "remote_s", "local_s": "local_s",
+		}},
+		{"fig10", []string{"train", "-fig", "10"}, 10, map[string]string{
+			"exec": "exec_s", "stall": "stall_s",
+			"pfs_pct": "pfs_frac", "remote_pct": "remote_frac", "local_pct": "local_frac",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, dry, stderr := runMain(append(tc.args, "-dry-run")...)
+			if code != ExitOK {
+				t.Fatalf("dry run: exit %d (stderr: %s)", code, stderr)
+			}
+			code, run, stderr := runMain(append(tc.args, "-format", "json")...)
+			if code != ExitOK {
+				t.Fatalf("run: exit %d (stderr: %s)", code, stderr)
+			}
+			explained, rows := dryRunNumbers(t, dry), nopfsRows(t, run)
+			if len(explained) != tc.scenarios || len(rows) != tc.scenarios {
+				t.Fatalf("dry run explained %d scenarios, the run reported NoPFS on %d, want %d", len(explained), len(rows), tc.scenarios)
+			}
+			for id, printed := range explained {
+				row, ok := rows[id]
+				if !ok {
+					t.Errorf("%s: explained but not in the run's report", id)
+					continue
+				}
+				for key, metric := range tc.fields {
+					want := fmt.Sprintf("%.3f", row[metric])
+					if strings.HasSuffix(key, "_pct") {
+						want = fmt.Sprintf("%.1f", 100*row[metric])
+					}
+					if printed[key] != want {
+						t.Errorf("%s: dry run prints %s %q, the run's NoPFS row has %q", id, key, printed[key], want)
+					}
 				}
 			}
 		})

@@ -3,7 +3,6 @@ package cli
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/perfmodel"
 	"repro/internal/plancache"
@@ -11,12 +10,13 @@ import (
 	"repro/internal/sweep"
 )
 
-// This file is the --dry-run explain path: it prints everything a grid run
-// is *about to* do — shape, clairvoyant placement, predicted fetch mix and
-// stall from the performance model — without executing a single simulation
-// cell (sim.SimulateCount is the proof in the test suite). The plan
-// artifacts it consults come from the same shared plancache the real run
-// would use, so a dry run also warms the cache for a run that follows.
+// This file is the --dry-run explain path: it prints what a grid run is
+// about to do — shape, clairvoyant placement — and, per scenario, the
+// simulator's own NoPFS run on worker 0, without running the grid: one
+// kernel per scenario and no sweep cell (sim.SimulateCount is the proof in
+// the test suite). The plan artifacts it consults come from the same shared
+// plancache the real run would use, so a dry run also warms the cache for a
+// run that follows.
 
 // explainGridShape prints the grid's axes, cell count, and metric columns.
 func explainGridShape(w io.Writer, grid *sweep.Grid) {
@@ -70,8 +70,9 @@ func explainGrid(w io.Writer, grid *sweep.Grid) error {
 }
 
 // explainConfig prints one configuration's plan analysis: access-plan shape,
-// per-tier clairvoyant placement, and the performance model's predicted
-// fetch mix and stall for worker 0's stream.
+// per-tier clairvoyant placement, and the simulated NoPFS run's fetch mix,
+// setup, stall and exec time for worker 0's stream — the numbers the NoPFS
+// row of the real run prints.
 func explainConfig(w io.Writer, id, label string, cfg isim.Config) error {
 	if label != "" {
 		fmt.Fprintf(w, "\n== %s: %s ==\n", id, label)
@@ -114,75 +115,25 @@ func explainConfig(w io.Writer, id, label string, cfg isim.Config) error {
 	}
 	fmt.Fprintf(w, "      %-8s %8d samples\n", "uncached", plan.F-cachedSamples)
 
-	// Predicted fetch mix over worker 0's stream: local if this worker
-	// caches the sample, else remote if any peer's placement holds it, else
-	// the PFS. Two passes: the first counts PFS clients so the shared-PFS
-	// curve is evaluated at the contention the mix itself predicts.
-	model, err := perfmodel.New(cfg.Sys, cfg.Work)
+	// The simulator's NoPFS run of the same config: one kernel over worker
+	// 0's stream, through the plan and placement just printed.
+	res, err := isim.Run(cfg, isim.NewNoPFS())
 	if err != nil {
 		return err
 	}
-	srcOf := func(k int32) (source int, class int) {
-		if c := assign.Local(0, k); c >= 0 {
-			return 2, c // local
-		}
-		if c, _ := assign.RemoteBest(0, k); c >= 0 {
-			return 1, c // remote
-		}
-		return 0, -1 // pfs
+	fmt.Fprintln(w, "simulated NoPFS run (worker 0):")
+	if res.Failed {
+		fmt.Fprintf(w, "      failed: %s\n", res.FailReason)
+		return nil
 	}
-	var nPFS, nRemote, nLocal int
-	for _, k := range stream {
-		switch src, _ := srcOf(k); src {
-		case 0:
-			nPFS++
-		case 1:
-			nRemote++
-		case 2:
-			nLocal++
-		}
+	var fetches int64
+	for _, n := range res.LocCount {
+		fetches += n
 	}
-	pfsFrac := float64(nPFS) / float64(len(stream))
-	clients := int(math.Round(float64(plan.N) * pfsFrac))
-	if clients < 1 {
-		clients = 1
+	for _, loc := range []perfmodel.Location{perfmodel.LocPFS, perfmodel.LocRemote, perfmodel.LocLocal} {
+		n := res.LocCount[loc]
+		fmt.Fprintf(w, "      %-8s %6.1f%%  %8d fetches  %12.3fs\n", loc, 100*float64(n)/float64(fetches), n, res.LocSeconds[loc])
 	}
-	var secPFS, secRemote, secLocal float64
-	sizesMB := make([]float64, 0, len(stream))
-	for _, k := range stream {
-		szMB := float64(cfg.DS.Size(int(k))) / (1 << 20)
-		sizesMB = append(sizesMB, szMB)
-		switch src, class := srcOf(k); src {
-		case 0:
-			secPFS += model.FetchPFS(szMB, clients)
-		case 1:
-			secRemote += model.FetchRemote(szMB, class)
-		case 2:
-			secLocal += model.FetchLocal(szMB, class)
-		}
-	}
-	total := float64(len(stream))
-	fmt.Fprintf(w, "predicted fetch mix (worker 0, %d clients on the PFS):\n", clients)
-	fmt.Fprintf(w, "      %-8s %6.1f%%  %8d fetches  %10.1fs fetch time\n", "pfs", 100*float64(nPFS)/total, nPFS, secPFS)
-	fmt.Fprintf(w, "      %-8s %6.1f%%  %8d fetches  %10.1fs fetch time\n", "remote", 100*float64(nRemote)/total, nRemote, secRemote)
-	fmt.Fprintf(w, "      %-8s %6.1f%%  %8d fetches  %10.1fs fetch time\n", "local", 100*float64(nLocal)/total, nLocal, secLocal)
-
-	// Predicted stall: fetch work spread over the p0 staging prefetcher
-	// threads, against the compute lower bound. An explanatory estimate —
-	// the simulator models per-thread scheduling, availability positions,
-	// and jitter exactly; this predicts the same quantities from closed
-	// forms without running it.
-	compute := model.LowerBound(sizesMB)
-	p0 := node.Staging.Threads
-	if p0 < 1 {
-		p0 = 1
-	}
-	fetchTotal := secPFS + secRemote + secLocal
-	stall := fetchTotal/float64(p0) - compute
-	if stall < 0 {
-		stall = 0
-	}
-	fmt.Fprintf(w, "predicted time: compute lower bound %.1fs; fetch %.1fs over p0=%d threads -> stall ~%.1fs, exec >= %.1fs\n",
-		compute, fetchTotal, p0, stall, compute+stall)
+	fmt.Fprintf(w, "      setup %.3fs, stall %.3fs, exec %.3fs\n", res.SetupSeconds, res.StallSeconds, res.ExecSeconds)
 	return nil
 }

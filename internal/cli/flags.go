@@ -47,7 +47,7 @@ const (
 	parallelHelp = "sweep-engine goroutine pool width (0 = GOMAXPROCS)"
 	replicasHelp = "replica seeds per grid cell"
 	configHelp   = "read flag defaults from FILE (name=value lines, # comments; command-line flags win)"
-	dryRunHelp   = "print the plan analysis (grid shape, per-tier placement, predicted fetch mix and stall) without running any simulation"
+	dryRunHelp   = "print the plan analysis (grid shape, per-tier placement) and each scenario's simulated NoPFS fetch mix and stall without running the grid"
 )
 
 // ScaleFlags is the scale/seed group shared by the experiment commands.

@@ -1,6 +1,7 @@
 // Package perfmodel implements the training-I/O performance model of
 // paper Sec. 4. Every quantity is expressed in the paper's units (MB,
-// MB/s, seconds). The model supplies:
+// MB/s, seconds). A Model couples a system with a workload; Compile turns
+// it into Rates, the model's evaluator, which supplies:
 //
 //   - write_i(k): time to preprocess a sample and place it in the staging
 //     buffer, max(s/β, s/(w₀(p₀)/p₀)), with preprocessing and writing
@@ -8,12 +9,11 @@
 //   - fetch times for the three data locations (PFS under γ-client
 //     contention, a remote worker's storage class over the interconnect,
 //     and a local storage class);
-//   - read_i(k) = fetch + write;
 //   - source ranking: which available location minimises fetch time.
 //
-// The discrete-event simulator (internal/sim) and the live middleware's
-// fetch planner both consume this package, so the two engines share one
-// definition of cost.
+// The discrete-event simulator (internal/sim) is the package's one
+// consumer: every simulated time, and the CLI's dry-run, which prints a
+// simulator run, comes from these rates.
 package perfmodel
 
 import (
@@ -49,7 +49,7 @@ func (l Location) String() string {
 	}
 }
 
-// Model evaluates the Sec. 4 equations for one system and workload.
+// Model is one system coupled with one workload; Compile evaluates it.
 type Model struct {
 	Sys  hwspec.System
 	Work hwspec.Workload
@@ -66,51 +66,6 @@ func New(sys hwspec.System, work hwspec.Workload) (*Model, error) {
 	return &Model{Sys: sys, Work: work}, nil
 }
 
-// ComputeTime returns s/c, the time the trainer needs to consume sizeMB.
-func (m *Model) ComputeTime(sizeMB float64) float64 {
-	return sizeMB / m.Work.ComputeMBps
-}
-
-// WriteTime returns write_i(k) = max(s/β, s/(w₀(p₀)/p₀)): preprocessing and
-// the staging-buffer store are pipelined, so the slower of the two binds.
-func (m *Model) WriteTime(sizeMB float64) float64 {
-	prep := sizeMB / m.Work.PreprocMBps
-	store := sizeMB / m.Sys.Node.Staging.WritePerThread()
-	if prep > store {
-		return prep
-	}
-	return store
-}
-
-// FetchPFS returns fetch_{i,0,0}(k) = s/(t(γ)/γ): the time to pull sizeMB
-// from the PFS while γ−1 other clients are also reading. The per-client
-// share is derated by the system's random-read fraction (hwspec.PFS).
-func (m *Model) FetchPFS(sizeMB float64, clients int) float64 {
-	return sizeMB / m.Sys.PFS.EffectivePerClient(clients)
-}
-
-// FetchRemote returns fetch_{i,1,j}(k) = s/min(b_c, r_j(p_j)/p_j): a remote
-// read is bounded by the slower of the interconnect and the remote class's
-// per-thread read rate. class indexes Node.Classes.
-func (m *Model) FetchRemote(sizeMB float64, class int) float64 {
-	rate := m.Sys.Node.Classes[class].ReadPerThread()
-	if bc := m.Sys.Node.InterconnectMBps; bc < rate {
-		rate = bc
-	}
-	return sizeMB / rate
-}
-
-// FetchLocal returns fetch_{i,2,j}(k) = s/(r_j(p_j)/p_j).
-func (m *Model) FetchLocal(sizeMB float64, class int) float64 {
-	return sizeMB / m.Sys.Node.Classes[class].ReadPerThread()
-}
-
-// ReadTime returns read_i(k) = fetch + write for a fetch that takes
-// fetchSeconds.
-func (m *Model) ReadTime(fetchSeconds, sizeMB float64) float64 {
-	return fetchSeconds + m.WriteTime(sizeMB)
-}
-
 // Choice is the outcome of source selection for one sample.
 type Choice struct {
 	Loc Location
@@ -122,45 +77,4 @@ type Choice struct {
 	// for other locations). Fault injection uses it to reroute fetches whose
 	// holder has crashed.
 	Holder int32
-}
-
-// Best returns the fastest applicable fetch source for a sample of sizeMB,
-// implementing the paper's argmin fetch rule (Fig. 5): localClass and
-// remoteClass give the fastest storage class holding the sample locally and
-// on some remote worker (−1 when not cached there); clients is the current
-// PFS reader count γ. The PFS is always applicable.
-func (m *Model) Best(sizeMB float64, localClass, remoteClass, clients int) Choice {
-	best := Choice{Loc: LocPFS, Class: -1, Seconds: m.FetchPFS(sizeMB, clients)}
-	if remoteClass >= 0 {
-		if t := m.FetchRemote(sizeMB, remoteClass); t < best.Seconds {
-			best = Choice{Loc: LocRemote, Class: remoteClass, Seconds: t}
-		}
-	}
-	if localClass >= 0 {
-		if t := m.FetchLocal(sizeMB, localClass); t < best.Seconds {
-			best = Choice{Loc: LocLocal, Class: localClass, Seconds: t}
-		}
-	}
-	return best
-}
-
-// WorstCaseTotal returns the paper's worst-case bound on training time,
-// t_{i,|R|} = Σ read_i(R_k) / p₀, for a stream of per-sample read times.
-func (m *Model) WorstCaseTotal(readSeconds []float64) float64 {
-	var sum float64
-	for _, r := range readSeconds {
-		sum += r
-	}
-	return sum / float64(m.Sys.Node.Staging.Threads)
-}
-
-// LowerBound returns the no-stall execution time for a worker consuming the
-// given sample sizes: pure compute, Σ s/c. This is the paper's "Perfect"
-// policy and the "No I/O" baseline.
-func (m *Model) LowerBound(sizesMB []float64) float64 {
-	var total float64
-	for _, s := range sizesMB {
-		total += s
-	}
-	return total / m.Work.ComputeMBps
 }

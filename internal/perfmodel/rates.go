@@ -1,15 +1,9 @@
 package perfmodel
 
-// Rates is a Model compiled to constant per-source rates, so the simulator's
-// hot loop performs one table load and one division per fetch instead of
-// re-interpolating throughput curves for every sample.
-//
-// Every rate is the exact divisor the corresponding Model method would
-// compute — FetchPFS divides by EffectivePerClient(γ), FetchLocal/FetchRemote
-// by the class's per-thread rates, WriteTime by min(β, w₀(p₀)/p₀) — so every
-// quotient is bit-identical to the uncompiled path. The WriteTime collapse
-// relies on correctly-rounded division being monotone in the divisor:
-// max(s/a, s/b) == s/min(a, b) holds bitwise for s ≥ 0 and a, b > 0.
+// Rates evaluates the Sec. 4 equations for one Model. Every fetch time is
+// sizeMB divided by a constant per-source rate compiled once, so the
+// simulator's hot loop performs one table load and one division per fetch
+// instead of re-interpolating throughput curves for every sample.
 type Rates struct {
 	m *Model
 	// pfs[γ] is RandomFraction·t(γ)/γ for γ in [1, len-1]; index 0 unused.
@@ -48,9 +42,6 @@ func (m *Model) Compile(maxClients int) *Rates {
 	return r
 }
 
-// Model returns the model the rates were compiled from.
-func (r *Rates) Model() *Model { return r.m }
-
 // PFSRate returns the effective per-client PFS rate at `clients` readers.
 func (r *Rates) PFSRate(clients int) float64 {
 	if clients >= 1 && clients < len(r.pfs) {
@@ -68,28 +59,40 @@ func (r *Rates) RemoteRate(j int) float64 { return r.remote[j] }
 // WriteRate returns min(β, w₀(p₀)/p₀), WriteTime's binding divisor.
 func (r *Rates) WriteRate() float64 { return r.write }
 
-// FetchPFS is Model.FetchPFS through the compiled table.
+// FetchPFS returns fetch_{i,0,0}(k) = s/(t(γ)/γ): the time to pull sizeMB
+// from the PFS while γ−1 other clients are also reading. The per-client
+// share is derated by the system's random-read fraction (hwspec.PFS).
 func (r *Rates) FetchPFS(sizeMB float64, clients int) float64 {
 	return sizeMB / r.PFSRate(clients)
 }
 
-// FetchRemote is Model.FetchRemote through the compiled table.
+// FetchRemote returns fetch_{i,1,j}(k) = s/min(b_c, r_j(p_j)/p_j): a remote
+// read is bounded by the slower of the interconnect and the remote class's
+// per-thread read rate. class indexes Node.Classes.
 func (r *Rates) FetchRemote(sizeMB float64, class int) float64 {
 	return sizeMB / r.remote[class]
 }
 
-// FetchLocal is Model.FetchLocal through the compiled table.
+// FetchLocal returns fetch_{i,2,j}(k) = s/(r_j(p_j)/p_j).
 func (r *Rates) FetchLocal(sizeMB float64, class int) float64 {
 	return sizeMB / r.local[class]
 }
 
-// WriteTime is Model.WriteTime as a single division (see type comment).
+// WriteTime returns write_i(k) = max(s/β, s/(w₀(p₀)/p₀)): preprocessing and
+// the staging-buffer store are pipelined, so the slower of the two binds.
+// It is one division by the smaller rate: correctly-rounded division is
+// monotone in the divisor, so max(s/a, s/b) == s/min(a, b) bit for bit for
+// s ≥ 0 and a, b > 0.
 func (r *Rates) WriteTime(sizeMB float64) float64 {
 	return sizeMB / r.write
 }
 
-// Best is Model.Best through the compiled tables: identical divisions in
-// identical comparison order, so ties break the same way bit for bit.
+// Best returns the fastest applicable fetch source for a sample of sizeMB,
+// implementing the paper's argmin fetch rule (Fig. 5): localClass and
+// remoteClass give the fastest storage class holding the sample locally and
+// on some remote worker (−1 when not cached there); clients is the current
+// PFS reader count γ. The PFS is always applicable; ties go to the earlier
+// of PFS, remote, local.
 func (r *Rates) Best(sizeMB float64, localClass, remoteClass, clients int) Choice {
 	best := Choice{Loc: LocPFS, Class: -1, Seconds: sizeMB / r.PFSRate(clients)}
 	if remoteClass >= 0 {

@@ -157,8 +157,11 @@ func referencePipeline(env *Env, pol Policy, a *cachepolicy.Assignment) (bufMB f
 	return bufMB, syncRead, max(p0, 1), setup, coverage
 }
 
-// referenceRun is Run through the per-fetch loop.
-func referenceRun(cfg Config, pol Policy) (*Result, error) {
+// referenceRun is Run through the per-fetch loop. threadSplit applies the
+// per-thread PFS split (a PFS read's seconds times ewma·p₀ when that exceeds
+// 1), as simulate always does; without it every PFS read gets the node's
+// whole share.
+func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 	env, err := newEnv(&cfg)
 	if err != nil {
 		return nil, err
@@ -237,7 +240,7 @@ func referenceRun(cfg Config, pol Policy) (*Result, error) {
 		}
 		env.ewma += ewmaAlpha * (hit - env.ewma) // never flushed
 		if choice.Loc == perfmodel.LocPFS {
-			if conc := env.ewma * float64(p0); conc > 1 {
+			if conc := env.ewma * float64(p0); threadSplit && conc > 1 {
 				choice.Seconds *= conc
 			}
 			choice.Seconds *= batchJitter
@@ -374,7 +377,7 @@ func TestPatternKernelsMatchGeneric(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", pol.Name(), err)
 							}
-							want, err := referenceRun(cfg, pol)
+							want, err := referenceRun(cfg, pol, true)
 							if err != nil {
 								t.Fatalf("%s reference: %v", pol.Name(), err)
 							}
@@ -388,6 +391,70 @@ func TestPatternKernelsMatchGeneric(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFig8fStallIsThreadSplit names the term behind Fig. 8f's NoPFS stall,
+// which exceeds StagingBuffer's although both read the same samples from the
+// PFS: the per-thread PFS split (simulate's sec *= ewma·p₀). In one epoch a
+// copy made during training never exists before its first read, so NoPFS
+// reads only the PFS, its γ estimate stays at 1, and every read costs exactly
+// p₀ times StagingBuffer's. The split assumes p₀ reads in flight sharing the
+// node's PFS bandwidth, but the staging window holds fewer samples than p₀,
+// so fewer reads are ever in flight. The per-fetch reference without the
+// split stalls less than StagingBuffer.
+func TestFig8fStallIsThreadSplit(t *testing.T) {
+	s, err := ScenarioByID("fig8f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.Config(0.02, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nopfs, err := Run(cfg, NewNoPFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	staging, err := Run(cfg, NewStagingBuffer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0 := cfg.Sys.Node.Staging.Threads
+	var fetches int64
+	for _, n := range nopfs.LocCount {
+		fetches += n
+	}
+	if n := nopfs.LocCount[perfmodel.LocPFS]; n != fetches || n == 0 {
+		t.Fatalf("NoPFS read %d of %d samples from the PFS, want all (the test lost its subject)", n, fetches)
+	}
+	if got, want := nopfs.LocSeconds[perfmodel.LocPFS], float64(p0)*staging.LocSeconds[perfmodel.LocPFS]; got != want {
+		t.Errorf("NoPFS PFS seconds %v, want exactly p0 = %d times StagingBuffer's: %v", got, p0, want)
+	}
+	if nopfs.StallSeconds <= staging.StallSeconds {
+		t.Errorf("NoPFS stalls %.3fs, StagingBuffer %.3fs: the inversion is gone", nopfs.StallSeconds, staging.StallSeconds)
+	}
+	mean := float64(cfg.DS.TotalSize()) / (1 << 20) / float64(cfg.DS.Len())
+	window := int(cfg.Sys.Node.Staging.CapacityMB / mean)
+	if window >= p0 {
+		t.Errorf("the staging buffer holds %d samples, not fewer than p0 = %d", window, p0)
+	}
+
+	split, err := referenceRun(cfg, NewNoPFS(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(nopfs, split) {
+		t.Errorf("kernel differs from the per-fetch reference:\n got %+v\nwant %+v", nopfs, split)
+	}
+	unsplit, err := referenceRun(cfg, NewNoPFS(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsplit.StallSeconds >= staging.StallSeconds {
+		t.Errorf("without the split NoPFS stalls %.3fs, want less than StagingBuffer's %.3fs", unsplit.StallSeconds, staging.StallSeconds)
+	}
+	t.Logf("window %d samples < p0 %d; exec / stall: NoPFS %.1f / %.1f s, without the split %.1f / %.1f s, StagingBuffer %.1f / %.1f s",
+		window, p0, nopfs.ExecSeconds, nopfs.StallSeconds, unsplit.ExecSeconds, unsplit.StallSeconds, staging.ExecSeconds, staging.StallSeconds)
 }
 
 // TestThreadPoolMatchesNaiveScan is the law behind the ordered pool: over

@@ -223,9 +223,9 @@ func stagePrestageSeconds(env *Env, bytes int64) float64 {
 	if bytes <= 0 {
 		return 0
 	}
-	rate := env.Model.Sys.PFS.PerClient(env.Plan.N)
-	if len(env.Model.Sys.Node.Classes) > 0 {
-		cls := env.Model.Sys.Node.Classes[0]
+	rate := env.Cfg.Sys.PFS.PerClient(env.Plan.N)
+	if len(env.Cfg.Sys.Node.Classes) > 0 {
+		cls := env.Cfg.Sys.Node.Classes[0]
 		if w := cls.Write.At(float64(cls.Threads)); w < rate {
 			rate = w
 		}

@@ -147,11 +147,9 @@ type Result struct {
 
 // Env is the shared state policies consult during a run.
 type Env struct {
-	Cfg   *Config
-	Model *perfmodel.Model
-	// Rate is the model compiled to constant per-source rates — the hot
-	// loop's and the policies' fetch-time oracle. Bit-identical to Model's
-	// methods (see perfmodel.Rates).
+	Cfg *Config
+	// Rate is the config's performance model compiled to constant
+	// per-source rates: the hot loop's and the policies' fetch-time oracle.
 	Rate    *perfmodel.Rates
 	Plan    *access.Plan
 	SizesMB []float64
@@ -187,7 +185,7 @@ func newEnv(cfg *Config) (*Env, error) {
 	sizes, mean := sizeTable(cfg.DS)
 	art := plancache.Shared().Artifacts(*plan)
 	return &Env{
-		Cfg: cfg, Model: model, Rate: model.Compile(plan.N), Plan: plan,
+		Cfg: cfg, Rate: model.Compile(plan.N), Plan: plan,
 		SizesMB: sizes, MeanMB: mean, Streams: art.Streams,
 		Art:   art,
 		Chaos: cfg.Chaos.Compile(cfg.Seed),
@@ -415,7 +413,7 @@ var windowPool = sync.Pool{
 
 // simulateCount counts simulate() executions process-wide. It mirrors
 // access.ShuffleCount: the dry-run test asserts that explaining a grid
-// simulates no cell by probing it.
+// simulates one NoPFS run per scenario and no sweep cell by probing it.
 var simulateCount atomic.Int64
 
 // SimulateCount returns the number of simulate() executions so far.

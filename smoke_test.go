@@ -98,16 +98,16 @@ func TestSmokeBuildAllMainPackages(t *testing.T) {
 }
 
 // TestSmokeNopfsDryRun runs both --dry-run paths end to end: fast, exit 0,
-// and carrying the plan-analysis sections.
+// and carrying the plan analysis and the simulated NoPFS run.
 func TestSmokeNopfsDryRun(t *testing.T) {
 	sim := runBinary(t, "nopfs", "sim", "-scenario", "fig8a", "-scale", "0.005", "-dry-run")
-	for _, want := range []string{"dry run: grid", "placement (NoPFS policy, worker 0):", "predicted fetch mix"} {
+	for _, want := range []string{"dry run: grid", "placement (NoPFS policy, worker 0):", "simulated NoPFS run (worker 0):"} {
 		if !strings.Contains(sim, want) {
 			t.Errorf("nopfs sim -dry-run output missing %q:\n%s", want, sim)
 		}
 	}
 	train := runBinary(t, "nopfs", "train", "-fig", "10", "-scale", "0.02", "-gpus", "32", "-dry-run")
-	for _, want := range []string{"dry run: grid \"fig10-pizdaint\"", "predicted time:"} {
+	for _, want := range []string{"dry run: grid \"fig10-pizdaint\"", ", stall "} {
 		if !strings.Contains(train, want) {
 			t.Errorf("nopfs train -dry-run output missing %q:\n%s", want, train)
 		}
