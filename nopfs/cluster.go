@@ -127,9 +127,10 @@ func RunCluster(ctx context.Context, ds Dataset, workers int, opts Options, fn R
 	}
 	wg.Wait()
 
-	// Close joins the rank's prefetchers, so the snapshot that follows it
-	// is final: a class prefetcher still mid-read when the trainer finished
-	// is counted in Stats exactly as it is in the metric series.
+	// Close joins the rank's prefetchers and then folds its record into the
+	// metric series, so the Stats that follow are final and the series equal
+	// them: a class prefetcher still mid-read when the trainer finished is
+	// in both.
 	stats := make([]Stats, workers)
 	for rank, j := range jobs {
 		j.Close()

@@ -57,10 +57,6 @@ type Job struct {
 	redistributed int64
 	crashOnce     sync.Once
 
-	// retries counts the remote-fetch attempts the resilience policy
-	// retried (see withResilience).
-	retries atomic.Int64
-
 	// ctx is the job's lifetime context: derived in Start from the caller's
 	// context, canceled by Close. Prefetchers block under it, so cancellation
 	// of either kind unwinds every blocking layer.
@@ -74,21 +70,16 @@ type Job struct {
 	progress atomic.Int64 // staging prefetch position (heuristic input)
 	pos      atomic.Int64 // next stream position to claim
 
-	fetches    [3]atomic.Int64 // staged fetches, indexed by Source
-	falsePos   atomic.Int64
-	delivered  atomic.Int64
-	stallNanos atomic.Int64
-
+	rec record // the rank's own events, counted once; Stats and met read it
 	// inflight coalesces this rank's concurrent PFS reads of one sample
-	// (see readPFS); pfsReads counts every read issued, staged or class
-	// fill, and pfsCoalesced the fetches another prefetcher's read served.
-	inflight     flights
-	pfsReads     atomic.Int64
-	pfsCoalesced atomic.Int64
+	// (see readPFS).
+	inflight flights
 
 	// met is the rank's resolved metric series (nil when observability is
-	// off; every method is nil-safe).
-	met *jobMetrics
+	// off; every method is nil-safe). epoch is the consumer's current
+	// epoch: entering a new one folds rec into met.
+	met   *jobMetrics
+	epoch int
 
 	// fatalMu guards fatal: fail() can run on any prefetcher goroutine
 	// concurrently with the consumer reading the error in Get.
@@ -169,6 +160,7 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 		crashEpoch:    crashEpoch,
 		redistributed: int64(chaos.RedistributedRounds(art.Streams[rank], stream, ends)),
 		staging:       storage.NewStaging(opts.StagingBytes),
+		rec:           newRecord(len(opts.Classes)),
 		pfs:           pfs,
 		chaosSched:    sched,
 		//lint:ignore ctxfirst placeholder lifetime before Start(ctx) installs the caller's context; never waited on
@@ -176,15 +168,11 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 		closed: make(chan struct{}),
 		met:    newJobMetrics(opts.Metrics, rank, opts.Classes, opts.TraceFetches),
 	}
-	j.met.redistributedRounds(int(j.redistributed))
 	// The policies that act on one call decorate the seam it crosses and
 	// are absent when unset: resilience on the endpoint, a degraded class's
 	// throttle on its backend. The fetch path below knows neither.
 	j.net = withResilience(net, opts.Resilience, opts.Seed, resilience.Hooks{
-		OnRetry: func(int, error) {
-			j.retries.Add(1)
-			j.met.retry()
-		},
+		OnRetry: func(int, error) { j.rec.retries.Add(1) },
 	}, j.met.circuitTransition)
 	progressEpoch := func() int { return j.epochOf(int(j.progress.Load())) }
 	for ci, c := range opts.Classes {
@@ -374,7 +362,7 @@ func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.In
 			// the sample itself or will re-fetch on the next epoch.
 			continue
 		}
-		data, src, err := j.fetchFrom(k, int(j.progress.Load()), false)
+		data, src, err := j.fetchFrom(k, int(j.progress.Load()), classRow)
 		if err == nil && src == SourceRemote {
 			// A peer's bytes are the only ones not in the class yet: a PFS
 			// read was stored by its flight (readPFS), a local hit was here.
@@ -403,12 +391,11 @@ func (j *Job) stagingPrefetcher() {
 		if j.met != nil {
 			fetchStart = time.Now()
 		}
-		data, src, err := j.fetchFrom(k, pos, true)
+		data, src, err := j.fetchFrom(k, pos, stagingRow)
 		if err != nil {
 			j.fail(err)
 			return
 		}
-		j.fetches[src].Add(1)
 		if j.met != nil {
 			j.met.stagedFetch(pos, k, j.epochOf(pos), src, len(data), time.Since(fetchStart).Seconds())
 		}
@@ -417,7 +404,6 @@ func (j *Job) stagingPrefetcher() {
 			j.fail(err)
 			return
 		}
-		j.met.stagingBytes(j.staging)
 		storeMax(&j.progress, int64(pos)) // threads finish out of order
 	}
 }
@@ -488,13 +474,13 @@ func (j *Job) chaosSleep(d time.Duration) {
 // applying the straggler fault pacing: on a straggler rank, every fetch is
 // stretched to Factor× its measured duration, slowing the whole prefetch
 // pipeline the way a slow node's I/O path would.
-func (j *Job) fetchFrom(k access.SampleID, pos int, staged bool) ([]byte, Source, error) {
+func (j *Job) fetchFrom(k access.SampleID, pos int, issuer int) ([]byte, Source, error) {
 	if j.chaosSched == nil {
-		return j.fetchSource(k, pos, staged)
+		return j.fetchSource(k, pos, issuer)
 	}
 	epoch := j.epochOf(pos)
 	start := time.Now()
-	data, src, err := j.fetchSource(k, pos, staged)
+	data, src, err := j.fetchSource(k, pos, issuer)
 	if err == nil {
 		if factor := j.chaosSched.Slowdown(j.rank, epoch, j.plan.N); factor > 1 {
 			j.chaosSleep(time.Duration(float64(time.Since(start)) * (factor - 1)))
@@ -506,9 +492,9 @@ func (j *Job) fetchFrom(k access.SampleID, pos int, staged bool) ([]byte, Source
 // fetchSource retrieves sample k for stream position pos by the paper's
 // source rule (Sec. 5.2): a local class if cached, else the best peer
 // estimated to hold it (symmetric-progress heuristic), else the PFS
-// (readPFS) — which also takes every remote miss (Sec. 5.2.2). staged tells
-// the staging path's fetches from the class prefetchers' in the read counts.
-func (j *Job) fetchSource(k access.SampleID, pos int, staged bool) ([]byte, Source, error) {
+// (readPFS) — which also takes every remote miss (Sec. 5.2.2). The source
+// that serves it counts the fetch in the issuer's row of the record.
+func (j *Job) fetchSource(k access.SampleID, pos int, issuer int) ([]byte, Source, error) {
 	if j.isClosed() {
 		return nil, SourcePFS, errJobClosed
 	}
@@ -517,10 +503,9 @@ func (j *Job) fetchSource(k access.SampleID, pos int, staged bool) ([]byte, Sour
 		if data, ok, err := b.Get(j.ctx, k); err != nil {
 			return nil, SourceLocal, err
 		} else if ok {
-			j.met.tierLookup(ci, true)
+			j.rec.served[issuer][ci].Add(1)
 			return data, SourceLocal, nil
 		}
-		j.met.tierLookup(ci, false)
 	}
 	// Best remote holder per the clairvoyant placement + progress
 	// heuristic. A holder the schedule says has crashed by this epoch is
@@ -531,6 +516,7 @@ func (j *Job) fetchSource(k access.SampleID, pos int, staged bool) ([]byte, Sour
 		resp, err := j.net.Call(j.ctx, holder, transport.Request{Kind: transport.KindFetch, Sample: k})
 		switch {
 		case err == nil && resp.OK:
+			j.rec.served[issuer][len(j.backends)+slotRemote].Add(1)
 			return resp.Data, SourceRemote, nil
 		case err != nil && j.ctx.Err() != nil:
 			// Our own context ended: abort the fetch, never mask the
@@ -542,14 +528,13 @@ func (j *Job) fetchSource(k access.SampleID, pos int, staged bool) ([]byte, Sour
 			// the call to it failed (peer gone, injected drop, expired
 			// deadline, retries spent). An open circuit never reached the
 			// fabric, so it demotes to the PFS uncounted.
-			j.falsePos.Add(1)
-			j.met.falsePositive()
+			j.rec.falsePos.Add(1)
 		}
 	}
 	if j.isClosed() {
 		return nil, SourcePFS, errJobClosed
 	}
-	return j.readPFS(k, staged)
+	return j.readPFS(k, issuer)
 }
 
 // crashNow enacts this rank's scheduled node crash: the job flips into
@@ -590,9 +575,7 @@ func (j *Job) next(ctx context.Context) (Sample, bool, error) {
 	if !ok { // only a Pop that blocks reads the clock
 		start := time.Now()
 		e, err = j.staging.Pop(ctx)
-		stalled := time.Since(start)
-		j.stallNanos.Add(int64(stalled))
-		j.met.stall(stalled.Seconds())
+		j.rec.stallNanos.Add(int64(time.Since(start)))
 	}
 	if err != nil {
 		if fatal := j.fatalErr(); fatal != nil {
@@ -603,9 +586,7 @@ func (j *Job) next(ctx context.Context) (Sample, bool, error) {
 		}
 		return Sample{}, false, nil // clean end of stream (or Close)
 	}
-	j.delivered.Add(1)
-	j.met.deliver()
-	j.met.stagingBytes(j.staging)
+	j.rec.delivered.Add(1)
 	src := Source(j.sources[e.Pos])
 	if src == SourcePFS && j.recycles(e.ID) {
 		j.held = append(j.held, e.Data)
@@ -616,6 +597,10 @@ func (j *Job) next(ctx context.Context) (Sample, bool, error) {
 		}
 	}
 	epoch, iter := j.epochIter(e.Pos)
+	if epoch != j.epoch {
+		j.epoch = epoch
+		j.met.fold(j)
+	}
 	s := Sample{
 		ID:        int(e.ID),
 		Label:     j.ds.Label(int(e.ID)),
@@ -705,33 +690,35 @@ func (j *Job) IterationsPerEpoch() int {
 // Rank returns this worker's rank in the cluster.
 func (j *Job) Rank() int { return j.rank }
 
-// Stats snapshots the worker's counters.
+// Stats projects the worker's record.
 func (j *Job) Stats() Stats {
 	var cached int64
 	for _, b := range j.backends {
 		cached += b.Used()
 	}
+	c := len(j.backends)
+	staged := func(slot int) int64 { return j.rec.sum(slot, slot+1, stagingRow) }
 	return Stats{
 		Rank: j.rank,
 		Fetches: map[Source]int64{
-			SourcePFS:    j.fetches[SourcePFS].Load(),
-			SourceRemote: j.fetches[SourceRemote].Load(),
-			SourceLocal:  j.fetches[SourceLocal].Load(),
+			SourcePFS:    staged(c + slotPFS),
+			SourceRemote: staged(c + slotRemote),
+			SourceLocal:  j.rec.sum(0, c, stagingRow) + staged(c+slotCoalesced),
 		},
-		RemoteFalsePositives: j.falsePos.Load(),
-		StallSeconds:         float64(j.stallNanos.Load()) / 1e9,
-		Delivered:            j.delivered.Load(),
+		RemoteFalsePositives: j.rec.falsePos.Load(),
+		StallSeconds:         float64(j.rec.stallNanos.Load()) / 1e9,
+		Delivered:            j.rec.delivered.Load(),
 		CachedBytes:          cached,
-		PFSReads:             j.pfsReads.Load(),
-		PFSCoalesced:         j.pfsCoalesced.Load(),
-		Retries:              j.retries.Load(),
+		PFSReads:             j.rec.sum(c+slotPFS, c+slotPFS+1, stagingRow, classRow),
+		PFSCoalesced:         j.rec.sum(c+slotCoalesced, c+slotCoalesced+1, stagingRow, classRow),
+		Retries:              j.rec.retries.Load(),
 		RedistributedRounds:  j.redistributed,
 	}
 }
 
-// Close stops the prefetchers, cancels the job's lifetime context, and
-// releases the fabric endpoint. Safe to call after the stream is exhausted
-// or mid-run; it returns only after every prefetcher goroutine has exited.
+// Close stops the prefetchers, cancels the job's lifetime context, folds the
+// record, and releases the fabric endpoint. Safe to call after the stream is
+// exhausted or mid-run; it returns only after every prefetcher has exited.
 //
 //lint:ignore ctxfirst idiomatic io.Closer: shutdown()+cancel above the Wait stop every prefetcher, so the join is bounded
 func (j *Job) Close() error {
@@ -741,5 +728,6 @@ func (j *Job) Close() error {
 		j.cancel()
 	}
 	j.wg.Wait()
+	j.met.fold(j)
 	return j.net.Close()
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/resilience"
@@ -15,11 +16,14 @@ import (
 // This file threads the optional observability layer (internal/metrics)
 // through the live path. Outbound fabric calls are counted by an Endpoint
 // decorator (instrumentFabric) that a nil Options.Metrics never installs.
-// The rank's own counters are inline calls on jobMetrics — a counting
-// backend decorator would also count the reads served to peers — and cost
-// a nil check when metrics are off: newJobMetrics returns nil, every
-// jobMetrics method is nil-safe, and the hot paths guard their time.Now
-// calls behind the same check.
+// The rank counts its own events once, into its record: Job.Stats and the
+// rank's counter series are both projections of it. jobMetrics folds the
+// record into the series when the consumer enters a new epoch and in
+// Job.Close, so the registry is exact after Close and lags a running job by
+// at most one epoch. Only what needs the event itself stays per event: the
+// staged-fetch latency histogram and trace line, circuit transitions, limiter
+// waits and the fabric decorator. With metrics off newJobMetrics returns nil
+// and every jobMetrics method is a no-op.
 //
 // Exported series (all prefixed nopfs_):
 //
@@ -28,11 +32,11 @@ import (
 //	nopfs_tier_hits_total{rank,tier}            local-class lookup hits
 //	nopfs_tier_misses_total{rank,tier}          local-class lookup misses
 //	nopfs_remote_false_positives_total{rank}    predicted remote hits that missed
-//	nopfs_pfs_reads_total{rank,issuer}          filesystem reads issued (issuer = staging | class)
+//	nopfs_pfs_reads_total{rank,issuer}          filesystem reads completed (issuer = staging | class)
 //	nopfs_pfs_coalesced_total{rank}             fetches served by another prefetcher's read
 //	nopfs_stall_seconds_total{rank}             time Get waited on staging
 //	nopfs_delivered_total{rank}                 samples handed to the trainer
-//	nopfs_staging_bytes{rank}                   staging-buffer occupancy gauge
+//	nopfs_staging_bytes{rank}                   staging-buffer occupancy gauge (at each fold)
 //	nopfs_limiter_wait_seconds_total{limiter}   bandwidth-limiter blocked time
 //	nopfs_fabric_calls_total{rank,kind,ok}      outbound fabric calls
 //	nopfs_fabric_call_seconds{rank}             outbound fabric call latency
@@ -49,31 +53,74 @@ import (
 type MetricsRegistry = metrics.Registry
 
 // NewMetricsRegistry returns an empty registry to pass to WithMetrics and
-// render with WritePrometheus after (or during) a run.
+// render with WritePrometheus. It is exact once RunCluster (or every Job's
+// Close) has returned; during a run it lags each rank by at most one epoch.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
+
+// Issuer rows of a record.
+const (
+	stagingRow = iota // the staging path
+	classRow          // the class prefetchers
+)
+
+// Record slots past the local classes: a row holds one slot per local class
+// (class c at slot c), then these, offset by the class count.
+const (
+	slotRemote = iota
+	slotPFS
+	slotCoalesced // served by another prefetcher's filesystem read
+	slotsPastClasses
+)
+
+// record is the rank's one count of its own events: the fetch path and the
+// consumer write it, Job.Stats and jobMetrics.fold read it.
+type record struct {
+	// served counts fetches by issuer row and by the slot that served them.
+	// Each row is padded to whole 64-byte lines, so the staging threads and
+	// the class prefetchers never write to one line.
+	served                                   [2][]atomic.Int64
+	falsePos, delivered, stallNanos, retries atomic.Int64
+}
+
+// newRecord sizes a record's rows for the given local class count.
+func newRecord(classes int) record {
+	n := classes + slotsPastClasses
+	row := func() []atomic.Int64 { return make([]atomic.Int64, (n+7)&^7)[:n] }
+	return record{served: [2][]atomic.Int64{row(), row()}}
+}
+
+// sum adds up the fetches the given issuer rows served at slots [from, to).
+func (r *record) sum(from, to int, rows ...int) (n int64) {
+	for _, row := range rows {
+		for i := from; i < to; i++ {
+			n += r.served[row][i].Load()
+		}
+	}
+	return n
+}
 
 // jobMetrics holds one rank's pre-resolved series. A nil *jobMetrics (the
 // metrics-off case) accepts every call as a no-op.
 type jobMetrics struct {
-	fetches    [3]*metrics.Counter // indexed by Source
-	fetchSec   [3]*metrics.Histogram
-	tierHits   []*metrics.Counter // indexed by class
-	tierMiss   []*metrics.Counter
-	falsePos   *metrics.Counter
-	readsStage *metrics.Counter // PFS reads by issuer: staging path,
-	readsClass *metrics.Counter // class prefetchers
-	coalescedC *metrics.Counter
-	stallSec   *metrics.Counter
-	delivered  *metrics.Counter
+	fetchSec   [3]*metrics.Histogram // indexed by Source
 	staging    *metrics.Gauge
-	retriesC   *metrics.Counter
 	peersDownG *metrics.Gauge
-	redistC    *metrics.Counter
+	// mu serialises folds: Close may fold while the consumer does.
+	mu       sync.Mutex
+	counters []projection
 	// reg is kept for the cold-path circuit-transition series, whose
 	// from/to labels are resolved lazily (the registry memoises).
 	reg   *metrics.Registry
 	trace *traceWriter
 	rank  int
+}
+
+// projection is a counter series, what it reads from the rank's Stats and
+// record, and what it read at the last fold.
+type projection struct {
+	c    *metrics.Counter
+	of   func(*Stats, *record) float64
+	last float64
 }
 
 // newJobMetrics resolves rank's series, or returns nil when reg is nil.
@@ -89,61 +136,70 @@ func newJobMetrics(reg *metrics.Registry, rank int, classes []Class, trace io.Wr
 	if reg == nil {
 		return m
 	}
+	add := func(c *metrics.Counter, of func(*Stats, *record) float64) {
+		m.counters = append(m.counters, projection{c: c, of: of})
+	}
 	r := metrics.L("rank", strconv.Itoa(rank))
 	for _, src := range []Source{SourcePFS, SourceRemote, SourceLocal} {
-		s := metrics.L("source", src.String())
-		m.fetches[src] = reg.Counter("nopfs_fetches_total",
-			"Staged sample fetches by source.", r, s)
+		source := metrics.L("source", src.String())
+		add(reg.Counter("nopfs_fetches_total", "Staged sample fetches by source.", r, source),
+			func(s *Stats, _ *record) float64 { return float64(s.Fetches[src]) })
 		m.fetchSec[src] = reg.Histogram("nopfs_fetch_seconds",
-			"Staged sample fetch latency in seconds.", nil, r, s)
+			"Staged sample fetch latency in seconds.", nil, r, source)
 	}
-	for _, c := range classes {
-		tier := metrics.L("tier", c.Name)
-		m.tierHits = append(m.tierHits, reg.Counter("nopfs_tier_hits_total",
-			"Local storage-class lookups that hit.", r, tier))
-		m.tierMiss = append(m.tierMiss, reg.Counter("nopfs_tier_misses_total",
-			"Local storage-class lookups that missed.", r, tier))
+	// A fetch served at slot c hit class c; one served past it missed c.
+	end := len(classes) + slotsPastClasses
+	for c, class := range classes {
+		tier := metrics.L("tier", class.Name)
+		add(reg.Counter("nopfs_tier_hits_total", "Local storage-class lookups that hit.", r, tier),
+			func(_ *Stats, rec *record) float64 { return float64(rec.sum(c, c+1, stagingRow, classRow)) })
+		add(reg.Counter("nopfs_tier_misses_total", "Local storage-class lookups that missed.", r, tier),
+			func(_ *Stats, rec *record) float64 { return float64(rec.sum(c+1, end, stagingRow, classRow)) })
 	}
-	m.falsePos = reg.Counter("nopfs_remote_false_positives_total",
-		"Remote fetches the progress heuristic predicted would hit but missed.", r)
-	pfsReads := func(issuer string) *metrics.Counter {
-		return reg.Counter("nopfs_pfs_reads_total",
-			"Filesystem reads issued, by the prefetcher that issued them.", r, metrics.L("issuer", issuer))
+	add(reg.Counter("nopfs_remote_false_positives_total",
+		"Remote fetches the progress heuristic predicted would hit but missed.", r),
+		func(s *Stats, _ *record) float64 { return float64(s.RemoteFalsePositives) })
+	pfs := len(classes) + slotPFS
+	for row, issuer := range []string{stagingRow: "staging", classRow: "class"} {
+		add(reg.Counter("nopfs_pfs_reads_total",
+			"Filesystem reads issued, by the prefetcher that issued them.", r, metrics.L("issuer", issuer)),
+			func(_ *Stats, rec *record) float64 { return float64(rec.sum(pfs, pfs+1, row)) })
 	}
-	m.readsStage, m.readsClass = pfsReads("staging"), pfsReads("class")
-	m.coalescedC = reg.Counter("nopfs_pfs_coalesced_total",
-		"Fetches served by another prefetcher's in-flight filesystem read.", r)
-	m.stallSec = reg.Counter("nopfs_stall_seconds_total",
-		"Total time Get waited on the staging buffer.", r)
-	m.delivered = reg.Counter("nopfs_delivered_total",
-		"Samples handed to the trainer.", r)
-	m.staging = reg.Gauge("nopfs_staging_bytes",
-		"Staging-buffer occupancy in bytes.", r)
-	m.retriesC = reg.Counter("nopfs_retries_total",
-		"Remote fetches retried under the resilience policy.", r)
+	add(reg.Counter("nopfs_pfs_coalesced_total",
+		"Fetches served by another prefetcher's in-flight filesystem read.", r),
+		func(s *Stats, _ *record) float64 { return float64(s.PFSCoalesced) })
+	add(reg.Counter("nopfs_stall_seconds_total", "Total time Get waited on the staging buffer.", r),
+		func(s *Stats, _ *record) float64 { return s.StallSeconds })
+	add(reg.Counter("nopfs_delivered_total", "Samples handed to the trainer.", r),
+		func(s *Stats, _ *record) float64 { return float64(s.Delivered) })
+	add(reg.Counter("nopfs_retries_total", "Remote fetches retried under the resilience policy.", r),
+		func(s *Stats, _ *record) float64 { return float64(s.Retries) })
+	add(reg.Counter("nopfs_redistributed_rounds_total",
+		"Plan rounds absorbed from crashed peers into this rank's stream.", r),
+		func(s *Stats, _ *record) float64 { return float64(s.RedistributedRounds) })
+	m.staging = reg.Gauge("nopfs_staging_bytes", "Staging-buffer occupancy in bytes.", r)
 	m.peersDownG = reg.Gauge("nopfs_peers_down_count",
 		"Peers this rank currently holds circuit-open (marked down).", r)
-	m.redistC = reg.Counter("nopfs_redistributed_rounds_total",
-		"Plan rounds absorbed from crashed peers into this rank's stream.", r)
 	m.reg = reg
 	return m
 }
 
-// retry counts one remote-fetch retry.
-func (m *jobMetrics) retry() {
-	if m == nil || m.retriesC == nil {
+// fold adds to each counter what j's record gained since the last fold, and
+// samples the staging gauge.
+func (m *jobMetrics) fold(j *Job) {
+	if m == nil || m.reg == nil {
 		return
 	}
-	m.retriesC.Inc()
-}
-
-// redistributedRounds records the plan rounds grafted onto this rank's
-// stream at setup.
-func (m *jobMetrics) redistributedRounds(n int) {
-	if m == nil || m.redistC == nil || n <= 0 {
-		return
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := j.Stats()
+	for i := range m.counters {
+		p := &m.counters[i]
+		v := p.of(&s, &j.rec)
+		p.c.Add(v - p.last)
+		p.last = v
 	}
-	m.redistC.Add(float64(n))
+	m.staging.Set(float64(j.staging.Used()))
 }
 
 // circuitTransition records one per-peer breaker state change and keeps
@@ -167,79 +223,13 @@ func (m *jobMetrics) circuitTransition(peer int, from, to resilience.BreakerStat
 	}
 }
 
-// stagedFetch records one staged fetch: counter, latency, and trace line.
+// stagedFetch records one staged fetch's latency and trace line.
 func (m *jobMetrics) stagedFetch(pos int, id int32, epoch int, src Source, bytes int, seconds float64) {
 	if m == nil {
 		return
 	}
-	m.fetches[src].Inc()
 	m.fetchSec[src].Observe(seconds)
 	m.trace.line(m.rank, pos, id, epoch, src, bytes, seconds)
-}
-
-// tierLookup records one local-class probe (hit or miss).
-func (m *jobMetrics) tierLookup(class int, hit bool) {
-	if m == nil || class >= len(m.tierHits) {
-		return
-	}
-	if hit {
-		m.tierHits[class].Inc()
-	} else {
-		m.tierMiss[class].Inc()
-	}
-}
-
-// falsePositive records one remote-fetch miss.
-func (m *jobMetrics) falsePositive() {
-	if m == nil {
-		return
-	}
-	m.falsePos.Inc()
-}
-
-// pfsRead counts one filesystem read issued by the staging path (staged)
-// or a class prefetcher.
-func (m *jobMetrics) pfsRead(staged bool) {
-	if m == nil {
-		return
-	}
-	if staged {
-		m.readsStage.Inc()
-	} else {
-		m.readsClass.Inc()
-	}
-}
-
-// coalesced counts one fetch served by another prefetcher's read.
-func (m *jobMetrics) coalesced() {
-	if m == nil {
-		return
-	}
-	m.coalescedC.Inc()
-}
-
-// stall accumulates consumer wait time.
-func (m *jobMetrics) stall(seconds float64) {
-	if m == nil {
-		return
-	}
-	m.stallSec.Add(seconds)
-}
-
-// deliver counts one sample handed to the trainer.
-func (m *jobMetrics) deliver() {
-	if m == nil {
-		return
-	}
-	m.delivered.Inc()
-}
-
-// stagingBytes updates the occupancy gauge from s.
-func (m *jobMetrics) stagingBytes(s *storage.Staging) {
-	if m == nil || m.staging == nil {
-		return
-	}
-	m.staging.Set(float64(s.Used()))
 }
 
 // syncWriter makes an arbitrary io.Writer safe for the cluster's concurrent

@@ -8,8 +8,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/cachepolicy"
 	"repro/internal/chaos"
 	"repro/internal/dataset"
 )
@@ -83,10 +86,28 @@ func sumPrefix(vals map[string]float64, name string) float64 {
 	return sum
 }
 
+// seriesKeys lists the rendered series keys with rank 1 spelled as rank 0
+// and the histograms' bucket lines left out: one rank's series shape.
+func seriesKeys(vals map[string]float64) []string {
+	seen := map[string]bool{}
+	for k := range vals {
+		if !strings.Contains(k, "_bucket{") {
+			seen[strings.Replace(k, `rank="1"`, `rank="0"`, 1)] = true
+		}
+	}
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // TestMetricsConsistentWithStats runs an instrumented chan-fabric cluster
-// and checks the exported series against the Stats the run returns: fetch
-// and delivery counters exactly, stall within float tolerance, and the
-// paper-relevant signals (per-tier hits, stall, limiter waits) non-zero.
+// over a two-class hierarchy and checks that the exported series are
+// projections of the record Stats reads: every counter equals its Stats
+// projection exactly (stall to 1e-9 s), a class's misses are the next
+// class's hits and misses, and the rendered series set is the pinned one.
 func TestMetricsConsistentWithStats(t *testing.T) {
 	ds := metricsDataset(t)
 	reg := NewMetricsRegistry()
@@ -96,7 +117,10 @@ func TestMetricsConsistentWithStats(t *testing.T) {
 		WithEpochs(2),
 		WithBatchPerWorker(8),
 		WithStagingBuffer(1<<20),
-		WithClasses(Class{Name: "ram", CapacityBytes: 1 << 20, Threads: 2}),
+		WithClasses(
+			Class{Name: "ram", CapacityBytes: 256 << 10, Threads: 2},
+			Class{Name: "ssd", CapacityBytes: 512 << 10, Threads: 1},
+		),
 		WithPFSBandwidth(2), // I/O-bound epoch 0: guarantees stalls and limiter waits
 		WithMetrics(reg),
 		WithFetchTrace(&trace),
@@ -122,26 +146,30 @@ func TestMetricsConsistentWithStats(t *testing.T) {
 				t.Errorf("%s = %v, want %v (Stats)", key, got, want)
 			}
 			totalFetches += s.Fetches[src]
-			// The latency histogram's count must agree with the counter.
+			// The latency histogram is per event; its count must agree.
 			hkey := series("nopfs_fetch_seconds_count", "rank", rank, "source", src.String())
 			if got := vals[hkey]; got != float64(s.Fetches[src]) {
 				t.Errorf("%s = %v, want %v", hkey, got, s.Fetches[src])
 			}
 		}
-		dkey := series("nopfs_delivered_total", "rank", rank)
-		if got, want := vals[dkey], float64(s.Delivered); got != want {
-			t.Errorf("%s = %v, want %v", dkey, got, want)
+		for name, want := range map[string]int64{
+			"nopfs_delivered_total":              s.Delivered,
+			"nopfs_remote_false_positives_total": s.RemoteFalsePositives,
+			"nopfs_pfs_coalesced_total":          s.PFSCoalesced,
+			"nopfs_retries_total":                s.Retries,
+			"nopfs_redistributed_rounds_total":   s.RedistributedRounds,
+		} {
+			if got := vals[series(name, "rank", rank)]; got != float64(want) {
+				t.Errorf("%s{rank=%s} = %v, want %d (Stats)", name, rank, got, want)
+			}
 		}
 		skey := series("nopfs_stall_seconds_total", "rank", rank)
-		if got := vals[skey]; math.Abs(got-s.StallSeconds) > 1e-3+0.01*s.StallSeconds {
+		if got := vals[skey]; math.Abs(got-s.StallSeconds) > 1e-9 {
 			t.Errorf("%s = %v, Stats.StallSeconds = %v", skey, got, s.StallSeconds)
 		}
-		fkey := series("nopfs_remote_false_positives_total", "rank", rank)
-		if got, want := vals[fkey], float64(s.RemoteFalsePositives); got != want {
-			t.Errorf("%s = %v, want %v", fkey, got, want)
-		}
 		// Filesystem reads: the two issuers add up to Stats.PFSReads, and
-		// the staging issuer's share is what Fetches[SourcePFS] counts.
+		// the staging issuer's reads are the fetches Fetches[SourcePFS]
+		// counts, one completed read each.
 		staging := vals[series("nopfs_pfs_reads_total", "rank", rank, "issuer", "staging")]
 		class := vals[series("nopfs_pfs_reads_total", "rank", rank, "issuer", "class")]
 		if staging+class != float64(s.PFSReads) || s.PFSReads == 0 {
@@ -152,16 +180,23 @@ func TestMetricsConsistentWithStats(t *testing.T) {
 			t.Errorf("nopfs_pfs_reads_total{rank=%s,issuer=staging} = %v, want Fetches[SourcePFS] = %d",
 				rank, staging, s.Fetches[SourcePFS])
 		}
-		ckey := series("nopfs_pfs_coalesced_total", "rank", rank)
-		if got, want := vals[ckey], float64(s.PFSCoalesced); got != want {
-			t.Errorf("%s = %v, want %v (Stats)", ckey, got, want)
+		// The tier chain: a lookup that missed ram went on to ssd.
+		hits := func(tier string) float64 { return vals[series("nopfs_tier_hits_total", "rank", rank, "tier", tier)] }
+		misses := func(tier string) float64 { return vals[series("nopfs_tier_misses_total", "rank", rank, "tier", tier)] }
+		if misses("ram") != hits("ssd")+misses("ssd") {
+			t.Errorf("rank %s: ram misses %v != ssd hits %v + ssd misses %v", rank, misses("ram"), hits("ssd"), misses("ssd"))
+		}
+		// Every fetch past the last class was remote, a PFS read or
+		// coalesced; the class prefetchers' remote fetches are not in Stats.
+		if past := float64(s.Fetches[SourceRemote] + s.PFSReads + s.PFSCoalesced); misses("ssd") < past {
+			t.Errorf("rank %s: ssd misses %v < %v remote + pfs + coalesced fetches", rank, misses("ssd"), past)
 		}
 	}
 
 	// The acceptance signals: a live limited-PFS run must export non-zero
 	// per-tier hits, stall, and limiter-wait series.
 	if got := sumPrefix(vals, "nopfs_tier_hits_total"); got == 0 {
-		t.Error("nopfs_tier_hits_total: all series zero, want ram hits after epoch 0")
+		t.Error("nopfs_tier_hits_total: all series zero, want class hits after epoch 0")
 	}
 	if got := sumPrefix(vals, "nopfs_stall_seconds_total"); got == 0 {
 		t.Error("nopfs_stall_seconds_total: all series zero, want stalls on a 2 MB/s PFS")
@@ -171,6 +206,42 @@ func TestMetricsConsistentWithStats(t *testing.T) {
 	}
 	if got := sumPrefix(vals, "nopfs_fabric_calls_total"); got == 0 {
 		t.Error("nopfs_fabric_calls_total: all series zero, want at least the startup allgather")
+	}
+
+	want := []string{
+		`nopfs_delivered_total{rank="0"}`,
+		`nopfs_fabric_call_seconds_count{rank="0"}`,
+		`nopfs_fabric_call_seconds_sum{rank="0"}`,
+		`nopfs_fabric_calls_total{kind="fetch",ok="false",rank="0"}`,
+		`nopfs_fabric_calls_total{kind="fetch",ok="true",rank="0"}`,
+		`nopfs_fabric_calls_total{kind="value",ok="false",rank="0"}`,
+		`nopfs_fabric_calls_total{kind="value",ok="true",rank="0"}`,
+		`nopfs_fetch_seconds_count{rank="0",source="local"}`,
+		`nopfs_fetch_seconds_count{rank="0",source="pfs"}`,
+		`nopfs_fetch_seconds_count{rank="0",source="remote"}`,
+		`nopfs_fetch_seconds_sum{rank="0",source="local"}`,
+		`nopfs_fetch_seconds_sum{rank="0",source="pfs"}`,
+		`nopfs_fetch_seconds_sum{rank="0",source="remote"}`,
+		`nopfs_fetches_total{rank="0",source="local"}`,
+		`nopfs_fetches_total{rank="0",source="pfs"}`,
+		`nopfs_fetches_total{rank="0",source="remote"}`,
+		`nopfs_limiter_wait_seconds_total{limiter="pfs"}`,
+		`nopfs_peers_down_count{rank="0"}`,
+		`nopfs_pfs_coalesced_total{rank="0"}`,
+		`nopfs_pfs_reads_total{issuer="class",rank="0"}`,
+		`nopfs_pfs_reads_total{issuer="staging",rank="0"}`,
+		`nopfs_redistributed_rounds_total{rank="0"}`,
+		`nopfs_remote_false_positives_total{rank="0"}`,
+		`nopfs_retries_total{rank="0"}`,
+		`nopfs_staging_bytes{rank="0"}`,
+		`nopfs_stall_seconds_total{rank="0"}`,
+		`nopfs_tier_hits_total{rank="0",tier="ram"}`,
+		`nopfs_tier_hits_total{rank="0",tier="ssd"}`,
+		`nopfs_tier_misses_total{rank="0",tier="ram"}`,
+		`nopfs_tier_misses_total{rank="0",tier="ssd"}`,
+	}
+	if got := seriesKeys(vals); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("rendered series:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 
 	// The per-fetch decision trace: one line per staged fetch, parseable,
@@ -189,6 +260,159 @@ func TestMetricsConsistentWithStats(t *testing.T) {
 		}
 		if rank < 0 || rank >= workers || bytesN <= 0 {
 			t.Fatalf("implausible trace line %q", line)
+		}
+	}
+}
+
+// TestMetricsLagAtMostOneEpoch renders the registry from inside the
+// training loop, at the first sample of every epoch e >= 1: the rank's
+// delivered counter must already hold every sample of epochs before e.
+func TestMetricsLagAtMostOneEpoch(t *testing.T) {
+	reg := NewMetricsRegistry()
+	opts := NewOptions(
+		WithSeed(7),
+		WithEpochs(4),
+		WithBatchPerWorker(8),
+		WithClasses(Class{Name: "ram", CapacityBytes: 512 << 10, Threads: 2}),
+		WithMetrics(reg),
+	)
+	var checks atomic.Int64
+	_, err := RunCluster(context.Background(), metricsDataset(t), 2, opts, func(ctx context.Context, j *Job) error {
+		prefix := fmt.Sprintf("nopfs_delivered_total{rank=%q} ", strconv.Itoa(j.Rank()))
+		epoch, before := 0, 0
+		for s, err := range j.Samples(ctx) {
+			if err != nil {
+				return err
+			}
+			if s.Epoch != epoch {
+				epoch = s.Epoch
+				var buf bytes.Buffer
+				if err := reg.WritePrometheus(&buf); err != nil {
+					return err
+				}
+				var got float64
+				for _, line := range strings.Split(buf.String(), "\n") {
+					if v, ok := strings.CutPrefix(line, prefix); ok {
+						got, _ = strconv.ParseFloat(v, 64)
+					}
+				}
+				if got < float64(before) {
+					return fmt.Errorf("epoch %d: %s%v, want >= %d delivered through epoch %d", epoch, prefix, got, before, epoch-1)
+				}
+				checks.Add(1)
+			}
+			before++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := checks.Load(); got != 2*3 {
+		t.Errorf("%d epoch-boundary checks, want 6 (2 ranks x 3 epochs past the first)", got)
+	}
+}
+
+// TestMetricsFoldWhileClosing closes each job from a second goroutine at
+// its first epoch boundary, so Close's fold can overlap the consumer's. Once
+// RunCluster has returned, the series must still equal Stats.
+func TestMetricsFoldWhileClosing(t *testing.T) {
+	reg := NewMetricsRegistry()
+	opts := NewOptions(
+		WithSeed(9),
+		WithEpochs(6),
+		WithBatchPerWorker(8),
+		WithClasses(Class{Name: "ram", CapacityBytes: 512 << 10, Threads: 2}),
+		WithMetrics(reg),
+	)
+	stats, err := RunCluster(context.Background(), metricsDataset(t), 2, opts, func(ctx context.Context, j *Job) error {
+		var closing sync.WaitGroup
+		defer closing.Wait()
+		closed := false
+		for s, err := range j.Samples(ctx) {
+			if err != nil {
+				return err
+			}
+			if s.Epoch == 1 && !closed {
+				closed = true
+				closing.Add(1)
+				go func() {
+					defer closing.Done()
+					j.Close()
+				}()
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	vals := parseProm(t, buf.String())
+	for _, s := range stats {
+		key := series("nopfs_delivered_total", "rank", strconv.Itoa(s.Rank))
+		if got := vals[key]; got != float64(s.Delivered) {
+			t.Errorf("%s = %v, want Stats.Delivered = %d", key, got, s.Delivered)
+		}
+	}
+}
+
+// TestMetricsHierarchyDeeperThanTagClasses runs a live cluster over one
+// class more than the simulator's tags can describe: the live job has no
+// such limit, since the record's rows are sized by the class count. Every
+// (epoch, sample) pair is delivered once, and the tier chain holds on all
+// fifteen tiers.
+func TestMetricsHierarchyDeeperThanTagClasses(t *testing.T) {
+	classes := make([]Class, cachepolicy.MaxTagClasses+1)
+	for c := range classes {
+		classes[c] = Class{Name: fmt.Sprintf("c%02d", c), CapacityBytes: 16 << 10}
+	}
+	reg := NewMetricsRegistry()
+	opts := NewOptions(
+		WithSeed(3),
+		WithEpochs(2),
+		WithBatchPerWorker(8),
+		WithClasses(classes...),
+		WithMetrics(reg),
+		WithVerifySamples(true),
+	)
+	var mu sync.Mutex
+	seen := map[[2]int]bool{}
+	stats, err := RunCluster(context.Background(), testDataset(t, 128), 2, opts, DrainAll(func(s Sample) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[[2]int{s.Epoch, s.ID}] {
+			return fmt.Errorf("epoch %d sample %d delivered twice", s.Epoch, s.ID)
+		}
+		seen[[2]int{s.Epoch, s.ID}] = true
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2*128 {
+		t.Errorf("%d distinct (epoch, sample) pairs delivered, want 256", len(seen))
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	vals := parseProm(t, buf.String())
+	for _, s := range stats {
+		rank := strconv.Itoa(s.Rank)
+		tier := func(name string, c int) float64 { return vals[series(name, "rank", rank, "tier", classes[c].Name)] }
+		var hits float64
+		for c := range classes {
+			hits += tier("nopfs_tier_hits_total", c)
+			if c > 0 && tier("nopfs_tier_misses_total", c-1) != tier("nopfs_tier_hits_total", c)+tier("nopfs_tier_misses_total", c) {
+				t.Errorf("rank %s: tier chain broken at %s", rank, classes[c].Name)
+			}
+		}
+		if hits == 0 {
+			t.Errorf("rank %s: no tier hits across %d classes", rank, len(classes))
 		}
 	}
 }

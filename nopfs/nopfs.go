@@ -298,8 +298,9 @@ type Stats struct {
 	// is not the rank's filesystem load: class-fill reads are not staged
 	// fetches (see PFSReads).
 	Fetches map[Source]int64
-	// PFSReads counts every filesystem read this rank issued: staged
-	// fetches and class-prefetcher fills alike.
+	// PFSReads counts the filesystem reads this rank completed: staged
+	// fetches and class-prefetcher fills alike. The staging path's share is
+	// Fetches[SourcePFS]; a read that teardown cancels is not counted.
 	PFSReads int64
 	// PFSCoalesced counts fetches that reached the filesystem leg but were
 	// served by another prefetcher's read of the same sample (delivered as

@@ -23,8 +23,9 @@ type readerInto interface {
 // lookup; with that, a rank reads an assigned sample from the filesystem
 // once, and the class keeps the buffer it was read into. Every other sample
 // has the staging path as its only reader and never touches the table; its
-// read goes into a recycled buffer (see recycles).
-func (j *Job) readPFS(k access.SampleID, staged bool) ([]byte, Source, error) {
+// read goes into a recycled buffer (see recycles). The record counts a
+// completed read at the pfs slot and a leader's bytes at the coalesced one.
+func (j *Job) readPFS(k access.SampleID, issuer int) ([]byte, Source, error) {
 	var (
 		data   []byte
 		err    error
@@ -35,13 +36,13 @@ func (j *Job) readPFS(k access.SampleID, staged bool) ([]byte, Source, error) {
 		if j.recycles(k) {
 			buf = j.staging.Buffer(int(j.ds.Size(int(k))))
 		}
-		data, err = j.issueRead(k, staged, buf)
+		data, err = j.issueRead(k, buf)
 	} else if f, leader := j.inflight.join(k); !leader {
 		served = true
 		data, err = f.wait(j.ctx)
 	} else {
 		if data, served, err = j.backends[c].Get(j.ctx, k); err == nil && !served {
-			if data, err = j.issueRead(k, staged, nil); err == nil {
+			if data, err = j.issueRead(k, nil); err == nil {
 				_, err = j.backends[c].Put(j.ctx, k, data)
 			}
 		}
@@ -53,10 +54,10 @@ func (j *Job) readPFS(k access.SampleID, staged bool) ([]byte, Source, error) {
 	case err != nil:
 		return nil, SourcePFS, err
 	case served:
-		j.pfsCoalesced.Add(1)
-		j.met.coalesced()
+		j.rec.served[issuer][len(j.backends)+slotCoalesced].Add(1)
 		return data, SourceLocal, nil
 	}
+	j.rec.served[issuer][len(j.backends)+slotPFS].Add(1)
 	return data, SourcePFS, nil
 }
 
@@ -68,12 +69,9 @@ func (j *Job) recycles(k access.SampleID) bool {
 	return into && j.assign.Local(j.rank, k) < 0
 }
 
-// issueRead performs and counts one filesystem read under the shared
-// bandwidth model, for the staging path (staged) or a class prefetcher, into
-// buf (which may be nil) when the dataset is a readerInto.
-func (j *Job) issueRead(k access.SampleID, staged bool, buf []byte) (data []byte, err error) {
-	j.pfsReads.Add(1)
-	j.met.pfsRead(staged)
+// issueRead performs one filesystem read under the shared bandwidth model,
+// into buf (which may be nil) when the dataset is a readerInto.
+func (j *Job) issueRead(k access.SampleID, buf []byte) (data []byte, err error) {
 	if r, ok := j.ds.(readerInto); ok {
 		data, err = r.ReadSampleInto(int(k), buf)
 	} else {
