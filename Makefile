@@ -31,7 +31,9 @@ test:
 # and when delivery admits the next, is scheduling-dependent shared state),
 # and the delivery contract (the staging free list is shared by the consumer
 # and the staging threads, so a consumer that reads a released buffer races
-# the thread refilling it), and job teardown (whether a returned cluster's
+# the thread refilling it; the TCP fabric reads staged remote payloads into
+# the same free list's buffers, and the ownership test pins that the chan
+# fabric's shared payloads never enter it), and job teardown (whether a returned cluster's
 # jobs are garbage at the next GC depends on which goroutines have run), and
 # the rank's record (every prefetcher writes it, and the consumer and Close
 # fold it into the metric series).
@@ -42,7 +44,7 @@ test-race:
 	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal|ThreadPool|SharedPolicy' ./internal/sim/ ./internal/plancache/
 	$(GO) test -race -count=5 -run 'Width|Tags|FirstTouch' ./internal/cachepolicy/
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/
-	$(GO) test -race -count=5 -run 'Release|Recycle|Batch|Delivery|Collectable|Metrics|Stats' ./nopfs/
+	$(GO) test -race -count=5 -run 'Release|Recycle|Batch|Delivery|Ownership|Collectable|Metrics|Stats' ./nopfs/
 
 vet:
 	$(GO) vet ./...
@@ -120,7 +122,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 16859
+LOC_MAX ?= 16898
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

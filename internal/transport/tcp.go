@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -304,7 +305,7 @@ func (e *TCPEndpoint) callOnce(ctx context.Context, to int, req Request, conn ne
 		return Response{}, fmt.Errorf("transport: response from rank %d: %w", to, err), false
 	}
 	if n > 0 {
-		resp.Data = make([]byte, n)
+		resp.Data = slices.Grow(req.Buf[:0], int(n))[:n] // see Request.Buf
 		if _, err := io.ReadFull(conn, resp.Data); err != nil {
 			return sever("read from", err)
 		}

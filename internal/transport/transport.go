@@ -10,6 +10,10 @@
 // serves each connection on a goroutine of its own, under a lifetime
 // context that Close cancels.
 //
+// The in-process fabric copies nothing: a fetch returns the handler's own
+// bytes. TCP copies each payload off the socket, into the caller's
+// Request.Buf when it has the capacity and into a fresh slice otherwise.
+//
 // Every blocking operation is context-first: Call returns the context's
 // error when the caller cancels mid-flight, so a canceled cluster tears its
 // fabric down in bounded time.
@@ -37,6 +41,13 @@ type Request struct {
 	Kind   uint8
 	Sample int32
 	Value  uint64
+	// Buf is where the caller wants a fetch's payload; it never crosses
+	// the wire. A fabric that copies the payload (TCP) reads it into Buf
+	// when cap(Buf) suffices, so Response.Data aliases Buf, and allocates
+	// otherwise, leaving Buf untouched. A fabric that returns shared bytes
+	// (the in-process one) ignores it. The caller owns Buf again once Call
+	// returns.
+	Buf []byte
 }
 
 // Response is a peer's reply.

@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -306,6 +308,84 @@ func TestChanHandlerRunsUnderCallerContext(t *testing.T) {
 	}
 }
 
+// TestFetchIntoBuf pins what each fabric does with Request.Buf. TCP reads a
+// payload that fits into Buf, so Data aliases it and the call allocates
+// nothing payload-sized; a payload that does not fit gets a fresh slice and
+// leaves Buf untouched, and so does a miss. The chan fabric returns the
+// handler's own bytes and never touches Buf.
+func TestFetchIntoBuf(t *testing.T) {
+	const n = 8 << 10
+	payload := bytes.Repeat([]byte{0xa5}, n)
+	handler := func(_ context.Context, _ int, req Request) Response {
+		if req.Sample == 3 {
+			return Response{OK: false}
+		}
+		return Response{OK: true, Data: payload}
+	}
+	same := func(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+	for _, f := range buildFabrics(t, 2) {
+		t.Run(f.name, func(t *testing.T) {
+			for _, ep := range f.nets {
+				ep.SetHandler(handler)
+				defer ep.Close()
+			}
+			copies := f.name == "tcp"
+			fetch := func(sample int32, buf []byte) Response {
+				t.Helper()
+				resp, err := f.nets[0].Call(bg, 1, Request{Kind: KindFetch, Sample: sample, Buf: buf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp
+			}
+			sentinel := func(size int) []byte { return bytes.Repeat([]byte{0x5a}, size) }
+			untouched := func(what string, buf []byte) {
+				t.Helper()
+				if !bytes.Equal(buf, sentinel(len(buf))) {
+					t.Errorf("%s: Buf was written", what)
+				}
+			}
+
+			buf := make([]byte, 0, n)
+			resp := fetch(2, buf)
+			if !bytes.Equal(resp.Data, payload) {
+				t.Fatalf("fetch into Buf returned %d bytes, want the %d-byte payload", len(resp.Data), n)
+			}
+			if got := same(resp.Data, buf[:1]); got != copies {
+				t.Errorf("Data aliases Buf = %v, want %v", got, copies)
+			}
+			if !copies && !same(resp.Data, payload) {
+				t.Error("chan fetch did not return the handler's own bytes")
+			}
+
+			short := sentinel(n - 1)
+			if resp := fetch(2, short); !bytes.Equal(resp.Data, payload) || same(resp.Data, short) {
+				t.Errorf("fetch with a short Buf returned %d bytes in Buf = %v", len(resp.Data), same(resp.Data, short))
+			}
+			untouched("short Buf", short)
+
+			missBuf := sentinel(n)
+			if resp := fetch(3, missBuf); resp.OK || len(resp.Data) != 0 {
+				t.Errorf("miss returned %+v", resp)
+			}
+			untouched("miss", missBuf)
+
+			if copies && !raceEnabled {
+				const calls = 100
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range calls {
+					fetch(2, buf)
+				}
+				runtime.ReadMemStats(&after)
+				if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 1024 {
+					t.Errorf("a TCP fetch into Buf allocates %d bytes, want < 1024", per)
+				}
+			}
+		})
+	}
+}
+
 // TestChanCallAllocs pins the chan fabric's per-call cost: a successful
 // fetch of a cached payload, through the interconnect limiter the cluster
 // builds, allocates nothing.
@@ -368,8 +448,10 @@ func payloadHandler(n int) Handler {
 }
 
 // benchTCPFetch8K times fetches of an 8 KiB sample — the repo benchmark's
-// sample size — over loopback TCP; run drives the calls.
-func benchTCPFetch8K(b *testing.B, run func(call func() error)) {
+// sample size — over loopback TCP; run drives the calls. Each caller passes
+// a Buf of its own, as a rank's staging threads do, so B/op is the
+// exchange's own overhead rather than the payload.
+func benchTCPFetch8K(b *testing.B, run func(call func(buf []byte) error)) {
 	eps, err := NewTCPNetwork(2, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -381,8 +463,8 @@ func benchTCPFetch8K(b *testing.B, run func(call func() error)) {
 	b.SetBytes(8 << 10)
 	b.ReportAllocs()
 	b.ResetTimer()
-	run(func() error {
-		resp, err := eps[0].Call(bg, 1, Request{Kind: KindFetch, Sample: 2})
+	run(func(buf []byte) error {
+		resp, err := eps[0].Call(bg, 1, Request{Kind: KindFetch, Sample: 2, Buf: buf})
 		if err == nil && len(resp.Data) != 8<<10 {
 			err = fmt.Errorf("fetched %d bytes, want %d", len(resp.Data), 8<<10)
 		}
@@ -391,9 +473,10 @@ func benchTCPFetch8K(b *testing.B, run func(call func() error)) {
 }
 
 func BenchmarkTCPFetch8K(b *testing.B) {
-	benchTCPFetch8K(b, func(call func() error) {
+	benchTCPFetch8K(b, func(call func(buf []byte) error) {
+		buf := make([]byte, 8<<10)
 		for i := 0; i < b.N; i++ {
-			if err := call(); err != nil {
+			if err := call(buf); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -404,10 +487,11 @@ func BenchmarkTCPFetch8K(b *testing.B) {
 // once, each on its own pooled connection: staging and class threads of one
 // rank share an endpoint exactly like this.
 func BenchmarkTCPFetch8KParallel(b *testing.B) {
-	benchTCPFetch8K(b, func(call func() error) {
+	benchTCPFetch8K(b, func(call func(buf []byte) error) {
 		b.RunParallel(func(pb *testing.PB) {
+			buf := make([]byte, 8<<10)
 			for pb.Next() {
-				if err := call(); err != nil {
+				if err := call(buf); err != nil {
 					b.Error(err)
 					return
 				}

@@ -13,10 +13,11 @@ import (
 
 // The delivery contract: Sample.Data is read-only and valid until the
 // consumer's next Get, GetBatch or Samples step. Staged PFS reads of samples
-// no local class holds go into buffers from the staging free list, and that
-// next step releases them for later reads. A consumer that touches a
-// released buffer races the staging thread refilling it, which `make
-// test-race` runs these tests to catch (-run 'Release|Recycle|Batch|Delivery').
+// no local class holds, and staged remote payloads on a fabric that copies
+// them (TCP), go into buffers from the staging free list, and that next step
+// releases them for later reads. A consumer that touches a released buffer
+// races the staging thread refilling it, which `make test-race` runs these
+// tests to catch (-run 'Release|Recycle|Batch|Delivery|Ownership').
 
 // recycleOptions is a cluster whose caches hold a fraction of the dataset,
 // so most staged reads are of samples no local class holds, with a staging
@@ -120,7 +121,7 @@ func TestStagedReadsRecycleBuffers(t *testing.T) {
 			_, err := RunCluster(bg, ds, 2, recycleOptions(), func(ctx context.Context, j *Job) error {
 				seen := map[*byte]bool{}
 				return consume(ctx, j, func(s Sample) error {
-					if s.Source == SourcePFS && j.recycles(int32(s.ID)) {
+					if s.Source == SourcePFS && j.assign.Local(j.rank, int32(s.ID)) < 0 {
 						p := &s.Data[0]
 						if seen[p] {
 							reused[j.Rank()]++
@@ -142,11 +143,65 @@ func TestStagedReadsRecycleBuffers(t *testing.T) {
 	}
 }
 
+// TestRemotePayloadOwnership pins who owns a staged remote payload. On TCP
+// the fabric reads it into the staging buffer the job passed, so the
+// consumer's next step releases it and its memory comes back holding other
+// samples. On the chan fabric it is the peer's cached copy: releasing it
+// would let a later staged read overwrite the peer's cache, so its memory
+// never holds another sample. Payloads are kept reachable, so no address is
+// reused by the allocator instead.
+func TestRemotePayloadOwnership(t *testing.T) {
+	ds := testDataset(t, 384)
+	for _, tc := range []struct {
+		fabric string
+		reuse  bool
+	}{{FabricChan, false}, {FabricTCP, true}} {
+		t.Run(tc.fabric, func(t *testing.T) {
+			opts := recycleOptions()
+			// Three epochs of this shape fetch nothing remotely; six give
+			// each rank about forty remote payloads.
+			opts.Fabric, opts.VerifySamples, opts.Epochs = tc.fabric, true, 6
+			reused := make([]int, 2)
+			_, err := RunCluster(bg, ds, 2, opts, func(ctx context.Context, j *Job) error {
+				type held struct {
+					id     int
+					remote bool
+				}
+				seen := map[*byte]held{}
+				for s, err := range j.Samples(ctx) {
+					if err != nil {
+						return err
+					}
+					p, remote := &s.Data[0], s.Source == SourceRemote
+					if h, ok := seen[p]; ok && h.id != s.ID && (remote || h.remote) {
+						reused[j.Rank()]++
+					}
+					seen[p] = held{s.ID, remote}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank, n := range reused {
+				if tc.reuse && n == 0 {
+					t.Errorf("rank %d: no remote payload shares memory with another sample", rank)
+				}
+				if !tc.reuse && n > 0 {
+					t.Errorf("rank %d: %d remote payloads share memory with another sample", rank, n)
+				}
+			}
+		})
+	}
+}
+
 // TestDeliveryAllocBytes bounds the bytes allocated per delivered sample on
-// an unthrottled two-rank chan cluster whose caches hold 3/4 of the dataset
-// (the live_chan shape, smaller). Without the free list every staged PFS
-// read allocates its payload — about a quarter of the samples, 8 KiB each,
-// ≈ 3 KB per sample in all — and the bound fails.
+// an unthrottled two-rank cluster whose caches hold 3/4 of the dataset (the
+// live_chan shape, smaller), on both fabrics. Without the free list every
+// staged PFS read allocates its payload — about a quarter of the samples,
+// 8 KiB each, ≈ 3 KB per sample in all — and the bound fails; on TCP so does
+// every staged remote payload unless the fabric reads it into the staging
+// buffer the job passes.
 func TestDeliveryAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what the runtime allocates")
@@ -154,44 +209,57 @@ func TestDeliveryAllocBytes(t *testing.T) {
 	ds := dataset.MustNew(dataset.Spec{
 		Name: "alloc", F: 2048, MeanSize: 8 << 10, StddevSize: 2 << 10, Classes: 16, Seed: 5,
 	})
-	opts := NewOptions(
-		WithSeed(77),
-		WithEpochs(24),
-		WithBatchPerWorker(16),
-		WithStagingBuffer(512<<10),
-		WithStagingThreads(2),
-		WithClasses(Class{Name: "ram", CapacityBytes: 6 << 20, Threads: 1}),
-	)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	stats, err := RunCluster(bg, ds, 2, opts, func(ctx context.Context, j *Job) error {
-		for {
-			batch, err := j.GetBatch(ctx, 0)
-			if err != nil || batch == nil {
-				return err
+	for _, tc := range []struct {
+		fabric string
+		// maxAllocs bounds allocations per delivered sample. A remote
+		// fetch on the chan fabric and a GetBatch call allocate nothing,
+		// so what is left is per-run set-up and the class fills; a TCP
+		// exchange allocates a few small objects of its own.
+		maxAllocs float64
+	}{
+		{FabricChan, 0.5},
+		{FabricTCP, 2},
+	} {
+		t.Run(tc.fabric, func(t *testing.T) {
+			opts := NewOptions(
+				WithSeed(77),
+				WithEpochs(24),
+				WithBatchPerWorker(16),
+				WithStagingBuffer(512<<10),
+				WithStagingThreads(2),
+				WithClasses(Class{Name: "ram", CapacityBytes: 6 << 20, Threads: 1}),
+				WithFabric(tc.fabric),
+			)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			stats, err := RunCluster(bg, ds, 2, opts, func(ctx context.Context, j *Job) error {
+				for {
+					batch, err := j.GetBatch(ctx, 0)
+					if err != nil || batch == nil {
+						return err
+					}
+				}
+			})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var delivered int64
-	for _, s := range stats {
-		delivered += s.Delivered
-	}
-	perSample := float64(after.TotalAlloc-before.TotalAlloc) / float64(delivered)
-	allocs := float64(after.Mallocs-before.Mallocs) / float64(delivered)
-	t.Logf("%.0f B and %.2f allocations per delivered sample, %d GC cycles, %d samples",
-		perSample, allocs, after.NumGC-before.NumGC, delivered)
-	if perSample > 1024 {
-		t.Errorf("%.0f bytes allocated per delivered sample, want <= 1024", perSample)
-	}
-	// A remote fetch on the chan fabric and a GetBatch call allocate
-	// nothing, so what is left is per-run set-up and the class fills.
-	if allocs > 0.5 {
-		t.Errorf("%.2f allocations per delivered sample, want <= 0.5", allocs)
+			var delivered int64
+			for _, s := range stats {
+				delivered += s.Delivered
+			}
+			perSample := float64(after.TotalAlloc-before.TotalAlloc) / float64(delivered)
+			allocs := float64(after.Mallocs-before.Mallocs) / float64(delivered)
+			t.Logf("%.0f B and %.2f allocations per delivered sample, %d GC cycles, %d samples",
+				perSample, allocs, after.NumGC-before.NumGC, delivered)
+			if perSample > 1024 {
+				t.Errorf("%.0f bytes allocated per delivered sample, want <= 1024", perSample)
+			}
+			if allocs > tc.maxAllocs {
+				t.Errorf("%.2f allocations per delivered sample, want <= %g", allocs, tc.maxAllocs)
+			}
+		})
 	}
 }
 

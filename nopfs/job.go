@@ -87,9 +87,10 @@ type Job struct {
 	fatal   error
 
 	// sources records the fetch source per stream position so Get can
-	// report it alongside the sample. No lock: position p is written before
-	// staging.Push(p) and read after staging.Pop returns p, and the staging
-	// buffer's own mutex orders the two.
+	// report it alongside the sample, with the recycled bit set when the
+	// payload is in a staging free-list buffer. No lock: position p is
+	// written before staging.Push(p) and read after staging.Pop returns p,
+	// and the staging buffer's own mutex orders the two.
 	sources []uint8
 
 	held  [][]byte // recycled buffers the consumer's last step delivered
@@ -362,7 +363,7 @@ func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.In
 			// the sample itself or will re-fetch on the next epoch.
 			continue
 		}
-		data, src, err := j.fetchFrom(k, int(j.progress.Load()), classRow)
+		data, src, _, err := j.fetchFrom(k, int(j.progress.Load()), classRow)
 		if err == nil && src == SourceRemote {
 			// A peer's bytes are the only ones not in the class yet: a PFS
 			// read was stored by its flight (readPFS), a local hit was here.
@@ -391,7 +392,7 @@ func (j *Job) stagingPrefetcher() {
 		if j.met != nil {
 			fetchStart = time.Now()
 		}
-		data, src, err := j.fetchFrom(k, pos, stagingRow)
+		data, src, recycled, err := j.fetchFrom(k, pos, stagingRow)
 		if err != nil {
 			j.fail(err)
 			return
@@ -400,6 +401,9 @@ func (j *Job) stagingPrefetcher() {
 			j.met.stagedFetch(pos, k, j.epochOf(pos), src, len(data), time.Since(fetchStart).Seconds())
 		}
 		j.sources[pos] = uint8(src)
+		if recycled {
+			j.sources[pos] |= recycledBit
+		}
 		if err := j.staging.Push(j.ctx, pos, k, data); err != nil {
 			j.fail(err)
 			return
@@ -474,19 +478,19 @@ func (j *Job) chaosSleep(d time.Duration) {
 // applying the straggler fault pacing: on a straggler rank, every fetch is
 // stretched to Factor× its measured duration, slowing the whole prefetch
 // pipeline the way a slow node's I/O path would.
-func (j *Job) fetchFrom(k access.SampleID, pos int, issuer int) ([]byte, Source, error) {
+func (j *Job) fetchFrom(k access.SampleID, pos int, issuer int) ([]byte, Source, bool, error) {
 	if j.chaosSched == nil {
 		return j.fetchSource(k, pos, issuer)
 	}
 	epoch := j.epochOf(pos)
 	start := time.Now()
-	data, src, err := j.fetchSource(k, pos, issuer)
+	data, src, recycled, err := j.fetchSource(k, pos, issuer)
 	if err == nil {
 		if factor := j.chaosSched.Slowdown(j.rank, epoch, j.plan.N); factor > 1 {
 			j.chaosSleep(time.Duration(float64(time.Since(start)) * (factor - 1)))
 		}
 	}
-	return data, src, err
+	return data, src, recycled, err
 }
 
 // fetchSource retrieves sample k for stream position pos by the paper's
@@ -494,17 +498,22 @@ func (j *Job) fetchFrom(k access.SampleID, pos int, issuer int) ([]byte, Source,
 // estimated to hold it (symmetric-progress heuristic), else the PFS
 // (readPFS) — which also takes every remote miss (Sec. 5.2.2). The source
 // that serves it counts the fetch in the issuer's row of the record.
-func (j *Job) fetchSource(k access.SampleID, pos int, issuer int) ([]byte, Source, error) {
+//
+// recycled reports that the payload was read into a staging free-list
+// buffer, which the consumer's next step releases: a staged PFS read of an
+// unassigned sample, or a remote payload the fabric read into the buffer
+// the staging path passed. Class fills pass none, because Put keeps theirs.
+func (j *Job) fetchSource(k access.SampleID, pos int, issuer int) ([]byte, Source, bool, error) {
 	if j.isClosed() {
-		return nil, SourcePFS, errJobClosed
+		return nil, SourcePFS, false, errJobClosed
 	}
 	// Local storage classes, fastest first.
 	for ci, b := range j.backends {
 		if data, ok, err := b.Get(j.ctx, k); err != nil {
-			return nil, SourceLocal, err
+			return nil, SourceLocal, false, err
 		} else if ok {
 			j.rec.served[issuer][ci].Add(1)
-			return data, SourceLocal, nil
+			return data, SourceLocal, false, nil
 		}
 	}
 	// Best remote holder per the clairvoyant placement + progress
@@ -513,16 +522,21 @@ func (j *Job) fetchSource(k access.SampleID, pos int, issuer int) ([]byte, Sourc
 	// reroute (sim.chaosAdjust), which never counts a false positive.
 	if _, holder := j.assign.RemoteAvail(j.rank, k, int32(pos)); holder >= 0 &&
 		!j.chaosSched.CrashedAt(holder, j.epochOf(pos), j.plan.N) {
-		resp, err := j.net.Call(j.ctx, holder, transport.Request{Kind: transport.KindFetch, Sample: k})
+		req := transport.Request{Kind: transport.KindFetch, Sample: k}
+		if issuer == stagingRow {
+			req.Buf = j.staging.Buffer(int(j.ds.Size(int(k))))
+		}
+		resp, err := j.net.Call(j.ctx, holder, req)
+		recycled := j.landed(resp.Data, req.Buf)
 		switch {
 		case err == nil && resp.OK:
 			j.rec.served[issuer][len(j.backends)+slotRemote].Add(1)
-			return resp.Data, SourceRemote, nil
+			return resp.Data, SourceRemote, recycled, nil
 		case err != nil && j.ctx.Err() != nil:
 			// Our own context ended: abort the fetch, never mask the
 			// cancellation as a miss (it would double-count a PFS fallback
 			// and stall against a tearing-down run).
-			return nil, SourceRemote, errJobClosed
+			return nil, SourceRemote, false, errJobClosed
 		case !errors.Is(err, resilience.ErrCircuitOpen):
 			// Heuristic false positive: the holder has not cached it yet, or
 			// the call to it failed (peer gone, injected drop, expired
@@ -532,9 +546,25 @@ func (j *Job) fetchSource(k access.SampleID, pos int, issuer int) ([]byte, Sourc
 		}
 	}
 	if j.isClosed() {
-		return nil, SourcePFS, errJobClosed
+		return nil, SourcePFS, false, errJobClosed
 	}
 	return j.readPFS(k, issuer)
+}
+
+// recycledBit marks a sources entry whose payload is in a staging
+// free-list buffer (see fetchSource).
+const recycledBit = 0x80
+
+// landed reports whether data was read into buf, the staging buffer a fetch
+// passed down, and otherwise returns buf straight to the free list.
+func (j *Job) landed(data, buf []byte) bool {
+	if len(data) > 0 && cap(buf) > 0 && &data[0] == &buf[:1][0] {
+		return true
+	}
+	if buf != nil {
+		j.staging.Release(buf)
+	}
+	return false
 }
 
 // crashNow enacts this rank's scheduled node crash: the job flips into
@@ -587,8 +617,8 @@ func (j *Job) next(ctx context.Context) (Sample, bool, error) {
 		return Sample{}, false, nil // clean end of stream (or Close)
 	}
 	j.rec.delivered.Add(1)
-	src := Source(j.sources[e.Pos])
-	if src == SourcePFS && j.recycles(e.ID) {
+	src := Source(j.sources[e.Pos] &^ recycledBit)
+	if j.sources[e.Pos]&recycledBit != 0 {
 		j.held = append(j.held, e.Data)
 	}
 	if j.opts.VerifySamples {

@@ -7,7 +7,8 @@ import (
 )
 
 // readerInto is a Dataset that reads into a caller's buffer. Only its reads
-// are recycled: any other ReadSample may return memory the dataset keeps.
+// can be recycled: any other ReadSample may return memory the dataset keeps,
+// so its staged reads take no staging buffer.
 type readerInto interface {
 	ReadSampleInto(id int, buf []byte) ([]byte, error)
 }
@@ -22,21 +23,25 @@ type readerInto interface {
 // flight may have retired between this caller's backend miss and its table
 // lookup; with that, a rank reads an assigned sample from the filesystem
 // once, and the class keeps the buffer it was read into. Every other sample
-// has the staging path as its only reader and never touches the table; its
-// read goes into a recycled buffer (see recycles). The record counts a
-// completed read at the pfs slot and a leader's bytes at the coalesced one.
-func (j *Job) readPFS(k access.SampleID, issuer int) ([]byte, Source, error) {
+// has the staging path as its only reader and never touches the table; a
+// readerInto reads it into a staging free-list buffer, which passes through
+// staging to the consumer alone, whose next step releases it (recycled, see
+// fetchSource). The record counts a completed read at the pfs slot and a
+// leader's bytes at the coalesced one.
+func (j *Job) readPFS(k access.SampleID, issuer int) ([]byte, Source, bool, error) {
 	var (
-		data   []byte
-		err    error
-		served bool // by another prefetcher's read
+		data     []byte
+		err      error
+		served   bool // by another prefetcher's read
+		recycled bool
 	)
 	if c := j.assign.Local(j.rank, k); c < 0 {
 		var buf []byte
-		if j.recycles(k) {
+		if _, into := j.ds.(readerInto); into {
 			buf = j.staging.Buffer(int(j.ds.Size(int(k))))
 		}
 		data, err = j.issueRead(k, buf)
+		recycled = j.landed(data, buf)
 	} else if f, leader := j.inflight.join(k); !leader {
 		served = true
 		data, err = f.wait(j.ctx)
@@ -50,23 +55,15 @@ func (j *Job) readPFS(k access.SampleID, issuer int) ([]byte, Source, error) {
 	}
 	switch {
 	case err != nil && j.ctx.Err() != nil:
-		return nil, SourcePFS, errJobClosed
+		return nil, SourcePFS, false, errJobClosed
 	case err != nil:
-		return nil, SourcePFS, err
+		return nil, SourcePFS, false, err
 	case served:
 		j.rec.served[issuer][len(j.backends)+slotCoalesced].Add(1)
-		return data, SourceLocal, nil
+		return data, SourceLocal, false, nil
 	}
 	j.rec.served[issuer][len(j.backends)+slotPFS].Add(1)
-	return data, SourcePFS, nil
-}
-
-// recycles reports whether k's PFS reads go into the staging free list's
-// buffers: k has one reader, the staging path, so its buffer passes from the
-// read through staging to the consumer alone, whose next step releases it.
-func (j *Job) recycles(k access.SampleID) bool {
-	_, into := j.ds.(readerInto)
-	return into && j.assign.Local(j.rank, k) < 0
+	return data, SourcePFS, recycled, nil
 }
 
 // issueRead performs one filesystem read under the shared bandwidth model,
