@@ -89,11 +89,6 @@ func (p *Plan) Pattern() Pattern {
 	return pat
 }
 
-// Elastic reports whether the plan carries an elastic membership schedule
-// (per-epoch worker counts differ; consumers must use per-worker epoch ends
-// instead of the uniform SamplesPerEpoch arithmetic).
-func (p *Plan) Elastic() bool { return p.Pattern().Elastic() }
-
 // ActiveRanks returns epoch e's active rank set in ascending order. For
 // non-elastic plans every rank is always active.
 func (p *Plan) ActiveRanks(e int) []int {
@@ -147,8 +142,8 @@ func (p *Plan) epochLimit() int {
 // SamplesPerEpoch returns how many samples worker i consumes per epoch
 // under the static partition: workers are assigned positions p of the epoch
 // order with p mod N == i, so counts differ by at most one when a partial
-// batch is kept. For elastic plans the partition varies per epoch; use the
-// per-worker epoch ends from AllStreamsFromOrders instead.
+// batch is kept. For elastic plans the partition varies per epoch; the
+// per-worker epoch ends from AllStreamsFromOrders hold for every plan.
 func (p *Plan) SamplesPerEpoch(worker int) int {
 	limit := p.epochLimit()
 	if worker >= limit%p.N {
@@ -246,7 +241,7 @@ func (p *Plan) AllWorkerStreams() [][]SampleID {
 	for e := 0; e < p.E; e++ {
 		order := p.EpochOrder(e)
 		limit := p.epochLimit()
-		active := epochOwners(p, pat, e)
+		active := pat.activeRanks(e, p.N)
 		for pos := 0; pos < limit; pos++ {
 			w := active[pos%len(active)]
 			streams[w] = append(streams[w], order[pos])
@@ -257,58 +252,29 @@ func (p *Plan) AllWorkerStreams() [][]SampleID {
 
 // AllStreamsFromOrders partitions precomputed epoch orders into per-worker
 // streams, honouring the plan's pattern, building workers' streams
-// concurrently on a bounded pool (workers < 1 means GOMAXPROCS). For
-// elastic plans it also returns every worker's cumulative per-epoch end
-// offsets (ends[w][e] = stream positions consumed through epoch e); for
-// static partitions ends is nil — epochs are uniform and SamplesPerEpoch
-// applies.
+// concurrently on a bounded pool (workers < 1 means GOMAXPROCS). It also
+// returns every worker's cumulative per-epoch end offsets (ends[w][e] =
+// stream positions consumed through epoch e): the multiples of
+// SamplesPerEpoch(w) for a static partition, the membership schedule's
+// unequal counts for an elastic one.
 func (p *Plan) AllStreamsFromOrders(orders [][]SampleID, workers int) (streams [][]SampleID, ends [][]int) {
 	pat := p.Pattern()
-	streams = make([][]SampleID, p.N)
-	if !pat.Elastic() {
-		prng.ParallelFor(p.N, workers, func(w int) {
-			s := make([]SampleID, 0, p.StreamLen(w))
-			for _, order := range orders {
-				limit := p.epochLimit()
-				for pos := w; pos < limit; pos += p.N {
-					s = append(s, order[pos])
-				}
-			}
-			streams[w] = s
-		})
-		return streams, nil
-	}
-	ends = make([][]int, p.N)
+	limit := p.epochLimit()
+	streams, ends = make([][]SampleID, p.N), make([][]int, p.N)
 	prng.ParallelFor(p.N, workers, func(w int) {
 		s := make([]SampleID, 0, p.StreamLen(w))
-		we := make([]int, p.E)
+		we := make([]int, len(orders))
 		for e, order := range orders {
-			ord, count := p.activeFor(pat, w, e)
-			if ord >= 0 {
-				limit := p.epochLimit()
+			if ord, count := p.activeFor(pat, w, e); ord >= 0 {
 				for pos := ord; pos < limit; pos += count {
 					s = append(s, order[pos])
 				}
 			}
 			we[e] = len(s)
 		}
-		streams[w] = s
-		ends[w] = we
+		streams[w], ends[w] = s, we
 	})
 	return streams, ends
-}
-
-// epochOwners returns the worker owning each position ordinal of epoch e:
-// owners[i] serves positions pos with pos mod len(owners) == i.
-func epochOwners(p *Plan, pat Pattern, e int) []int {
-	if !pat.Elastic() {
-		owners := make([]int, p.N)
-		for i := range owners {
-			owners[i] = i
-		}
-		return owners
-	}
-	return pat.activeRanks(e, p.N)
 }
 
 // Frequencies returns, for every worker, the number of times that worker
@@ -326,7 +292,7 @@ func (p *Plan) Frequencies() [][]int32 {
 	for e := 0; e < p.E; e++ {
 		order := p.EpochOrder(e)
 		limit := p.epochLimit()
-		active := epochOwners(p, pat, e)
+		active := pat.activeRanks(e, p.N)
 		for pos := 0; pos < limit; pos++ {
 			freqs[active[pos%len(active)]][order[pos]]++
 		}

@@ -302,15 +302,23 @@ func TestElasticPartitionExactlyOnce(t *testing.T) {
 }
 
 // TestStaticStreamsFromOrdersMatchLegacy: for non-elastic plans the
-// concurrent builder must replicate the pos-mod-N partition exactly and
-// return nil ends.
+// concurrent builder must replicate the pos-mod-N partition exactly, and
+// every worker's epoch ends are the multiples of SamplesPerEpoch.
 func TestStaticStreamsFromOrdersMatchLegacy(t *testing.T) {
 	for _, spec := range []string{"", "zipf:s=1.1", "mix:w=1/1"} {
 		p := patternPlan(spec)
 		orders := p.EpochOrders(0)
 		streams, ends := p.AllStreamsFromOrders(orders, 0)
-		if ends != nil {
-			t.Fatalf("%q: static plan returned epoch ends", spec)
+		for w := range ends {
+			pe := p.SamplesPerEpoch(w)
+			for e, end := range ends[w] {
+				if end != (e+1)*pe {
+					t.Fatalf("%q: worker %d epoch %d ends at %d, want %d", spec, w, e, end, (e+1)*pe)
+				}
+			}
+			if len(ends[w]) != p.E {
+				t.Fatalf("%q: worker %d has %d epoch ends, want %d", spec, w, len(ends[w]), p.E)
+			}
 		}
 		if want := p.AllWorkerStreams(); !reflect.DeepEqual(streams, want) {
 			t.Fatalf("%q: AllStreamsFromOrders disagrees with AllWorkerStreams", spec)

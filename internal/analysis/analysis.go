@@ -89,7 +89,8 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	root string
+	root       string
+	typeErrors []error
 }
 
 // EffectivePath is the module-relative path scope decisions use. Fixture
@@ -144,28 +145,36 @@ func (p *Package) diag(pos token.Pos, check, format string, args ...any) Diagnos
 // surviving findings sorted by position. The returned error is a
 // *PatternError for bad patterns (a usage error at the CLI).
 func Lint(cwd string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
+	diags, _, err := lint(cwd, patterns, analyzers)
+	return diags, err
+}
+
+// lint is Lint that also returns the type errors of the loaded packages.
+func lint(cwd string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, []error, error) {
 	cwd, err := filepath.Abs(cwd)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	root, err := FindModuleRoot(cwd)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dirs, err := Match(cwd, patterns)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
 	var out []Diagnostic
+	var typeErrs []error
 	for _, dir := range dirs {
 		pkg, err := Load(root, dir)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		typeErrs = append(typeErrs, pkg.typeErrors...)
 		var diags []Diagnostic
 		for _, a := range analyzers {
 			diags = append(diags, a.Run(pkg)...)
@@ -185,5 +194,5 @@ func Lint(cwd string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, e
 		}
 		return a.Check < b.Check
 	})
-	return out, nil
+	return out, typeErrs, nil
 }

@@ -97,20 +97,25 @@ func TestFixturesFireEveryAnalyzer(t *testing.T) {
 	}
 }
 
-// TestRepoLintClean is the tentpole's acceptance criterion in executable
-// form: the full suite over the real tree reports nothing — every
-// pre-existing finding was fixed or carries a written suppression reason.
+// TestRepoLintClean is the suite's acceptance criterion in executable form:
+// the full suite over the real tree reports nothing — every pre-existing
+// finding was fixed or carries a written suppression reason — and every
+// package type-checks, so no analyzer ran on partial type information (a
+// missing import's export data would otherwise weaken them all silently).
 func TestRepoLintClean(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Lint(root, []string{"./..."}, Analyzers())
+	diags, typeErrs, err := lint(root, []string{"./..."}, Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
 		t.Errorf("unsuppressed finding: %s", d)
+	}
+	for _, e := range typeErrs {
+		t.Errorf("type error: %v", e)
 	}
 }
 

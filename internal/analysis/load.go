@@ -7,10 +7,13 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -26,15 +29,75 @@ func patternErrf(format string, a ...any) error {
 	return &PatternError{msg: fmt.Sprintf(format, a...)}
 }
 
-// One process-wide file set and source importer, shared by every Load call:
-// the source importer type-checks each dependency (including the standard
-// library) from source exactly once and caches it, so linting many packages
-// — or many lint invocations in one test binary — pays the cold cost once.
+// One process-wide file set and one importer per module root, shared by
+// every Load call. A module's importer reads the compiler export data `go
+// list -export -deps` reports, so no dependency — the standard library
+// included — is type-checked from source. When go list fails, the module
+// falls back to the source importer, which type-checks each dependency from
+// source once and caches it.
 var (
 	loadMu     sync.Mutex
 	sharedFset = token.NewFileSet()
-	sharedImp  = importer.ForCompiler(sharedFset, "source", nil)
+	sourceImp  = importer.ForCompiler(sharedFset, "source", nil)
+	modules    = map[string]*module{}
 )
+
+// module is one Go module's import state: the export data file of every
+// import path listed so far ("" when go list found none).
+type module struct {
+	root    string
+	exports map[string]string
+	imp     types.Importer
+}
+
+// moduleFor returns the import state of the module holding dir.
+func moduleFor(dir string) (*module, error) {
+	root, err := FindModuleRoot(dir)
+	if m := modules[root]; err != nil || m != nil {
+		return m, err
+	}
+	m := &module{root: root, exports: map[string]string{}}
+	m.imp = importer.ForCompiler(sharedFset, "gc", func(path string) (io.ReadCloser, error) {
+		if f := m.exports[path]; f != "" {
+			return os.Open(f)
+		}
+		return nil, fmt.Errorf("analysis: no export data for %q", path)
+	})
+	modules[root] = m
+	return m, nil
+}
+
+// need lists export data for the paths in imports not listed yet. The
+// module's first listing covers all of "./..." too, so linting a whole
+// module runs go list once.
+func (m *module) need(imports []string) {
+	var missing []string
+	for _, path := range imports {
+		if _, ok := m.exports[path]; !ok && path != "unsafe" {
+			missing = append(missing, path)
+			m.exports[path] = ""
+		}
+	}
+	if len(missing) == 0 || m.imp == sourceImp {
+		return
+	}
+	if len(m.exports) == len(missing) {
+		missing = append(missing, "./...")
+	}
+	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-deps",
+		"-f", "{{.ImportPath}}\t{{.Export}}"}, missing...)...)
+	cmd.Dir = m.root
+	out, err := cmd.Output()
+	if err != nil {
+		m.imp = sourceImp
+		return
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok {
+			m.exports[path] = file
+		}
+	}
+}
 
 // FindModuleRoot walks up from dir to the directory containing go.mod.
 func FindModuleRoot(dir string) (string, error) {
@@ -144,7 +207,8 @@ func isSourceFile(name string) bool {
 // root is the module root (used to compute module-relative paths for
 // diagnostics and scope decisions). Parse errors fail the load; type errors
 // do not — the analyzers work from whatever type information resolved, so a
-// package mid-refactor still gets linted.
+// package mid-refactor still gets linted — but they are kept on the package,
+// so a clean tree can require none.
 func Load(root, dir string) (*Package, error) {
 	loadMu.Lock()
 	defer loadMu.Unlock()
@@ -154,49 +218,53 @@ func Load(root, dir string) (*Package, error) {
 		return nil, err
 	}
 	var files []*ast.File
-	var names []string
+	var imports []string
 	for _, e := range ents {
 		if e.IsDir() || !isSourceFile(e.Name()) {
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(sharedFset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(sharedFset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
-		names = append(names, path)
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value)
+			imports = append(imports, path)
+		}
 	}
 	if len(files) == 0 {
 		return nil, patternErrf("no Go package in %s", dir)
 	}
-
 	rel, err := filepath.Rel(root, dir)
 	if err != nil {
 		return nil, err
 	}
 	rel = filepath.ToSlash(rel)
-
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	m, err := moduleFor(dir)
+	if err != nil {
+		return nil, err
 	}
-	conf := types.Config{
-		Importer: sharedImp,
-		Error:    func(error) {}, // collect nothing: partial info is enough
-	}
-	tpkg, _ := conf.Check(rel, sharedFset, files, info)
+	m.need(imports)
 
-	return &Package{
+	pkg := &Package{
 		Fset:  sharedFset,
 		Dir:   dir,
 		Rel:   rel,
 		Name:  files[0].Name.Name,
 		Files: files,
-		Types: tpkg,
-		Info:  info,
-		root:  root,
-	}, nil
+		Info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		root: root,
+	}
+	conf := types.Config{
+		Importer: m.imp,
+		Error:    func(err error) { pkg.typeErrors = append(pkg.typeErrors, err) },
+	}
+	pkg.Types, _ = conf.Check(rel, sharedFset, files, pkg.Info)
+	return pkg, nil
 }

@@ -309,25 +309,20 @@ func classCaps(node hwspec.Node) []int64 {
 	return caps
 }
 
-// BuildNoPFS computes the NoPFS frequency-based assignment for every worker
-// of the plan. Samples a worker never accesses are not cached by it: with
-// full-dataset randomization every sample has freq ≥ 1 somewhere, so global
-// coverage is unaffected, and local capacity is reserved for samples the
-// worker will actually consume. The recorded availability position of each
-// placement is the holder's first access (the copy exists once the holder
-// has pulled the sample for its own consumption).
+// BuildNoPFSFromStreams computes the NoPFS frequency-based assignment for
+// every worker of the plan from its materialised worker streams. Samples a
+// worker never accesses are not cached by it: with full-dataset
+// randomization every sample has freq ≥ 1 somewhere, so global coverage is
+// unaffected, and local capacity is reserved for samples the worker will
+// actually consume. The recorded availability position of each placement is
+// the holder's first access (the copy exists once the holder has pulled the
+// sample for its own consumption). The random-placement ablation is the
+// same machinery with candidates in first-access order instead of by access
+// frequency: RankStreams(plan, streams, false).Fill.
 //
-// This builder and the four *FromStreams / *Lean ones below each rank and
-// then fill (see RankStreams and Rank.Fill); callers evaluating several node
-// specs on one plan rank once and fill per spec instead, as
-// plancache.Artifacts.Placement does.
-func BuildNoPFS(plan *access.Plan, ds Sizer, node hwspec.Node) *Assignment {
-	streams := plan.AllWorkerStreams()
-	return BuildNoPFSFromStreams(plan, streams, ds, node)
-}
-
-// BuildNoPFSFromStreams is BuildNoPFS for callers that already materialised
-// the worker streams.
+// This builder and BuildNoPFSLean rank and then fill (see RankStreams and
+// Rank.Fill); callers evaluating several node specs on one plan rank once
+// and fill per spec instead, as plancache.Artifacts.Placement does.
 func BuildNoPFSFromStreams(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node) *Assignment {
 	return RankStreams(plan, streams, true).Fill(ds, node, false)
 }
@@ -338,19 +333,6 @@ func BuildNoPFSFromStreams(plan *access.Plan, streams [][]access.SampleID, ds Si
 // to the full build while memory stays O(F) at any N.
 func BuildNoPFSLean(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node) *Assignment {
 	return RankStreams(plan, streams, true).Fill(ds, node, true)
-}
-
-// BuildRandomFromStreams is the placement ablation: identical machinery to
-// the NoPFS assignment, but candidates fill the hierarchy in arbitrary
-// (first-access) order instead of by access frequency. Comparing it against
-// BuildNoPFS isolates the contribution of the Sec. 3.1 frequency analysis.
-func BuildRandomFromStreams(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node) *Assignment {
-	return RankStreams(plan, streams, false).Fill(ds, node, false)
-}
-
-// BuildRandomLean is BuildRandomFromStreams tracking worker 0 only.
-func BuildRandomLean(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node) *Assignment {
-	return RankStreams(plan, streams, false).Fill(ds, node, true)
 }
 
 // BuildFirstTouch computes the first-touch placement used by the LBANN data

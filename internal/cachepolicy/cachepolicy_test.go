@@ -50,7 +50,7 @@ func TestBuildNoPFSCachesEverythingWhenItFits(t *testing.T) {
 	// worker can cache every sample it ever touches.
 	ds := fixedSizer{n: 256, size: 1 << 20}
 	plan := testPlan(256, 4, 4)
-	a := BuildNoPFS(plan, ds, nodeWithMB(512, 0))
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(512, 0), false)
 
 	freqs := plan.Frequencies()
 	for w := 0; w < plan.N; w++ {
@@ -74,7 +74,7 @@ func TestBuildNoPFSRespectsCapacity(t *testing.T) {
 	ds := fixedSizer{n: 100, size: 1 << 20} // 100 MB total
 	plan := testPlan(100, 2, 4)
 	// 10 MB RAM + 20 MB SSD per worker: at most 30 samples cached each.
-	a := BuildNoPFS(plan, ds, nodeWithMB(10, 20))
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(10, 20), false)
 	for w := 0; w < 2; w++ {
 		var ram, ssd int
 		for k := int32(0); k < 100; k++ {
@@ -104,7 +104,7 @@ func TestBuildNoPFSFrequencyOrdering(t *testing.T) {
 	// frequency rank.
 	ds := fixedSizer{n: 400, size: 1 << 20}
 	plan := testPlan(400, 2, 8)
-	a := BuildNoPFS(plan, ds, nodeWithMB(40, 60))
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(40, 60), false)
 	freqs := plan.Frequencies()
 	for w := 0; w < 2; w++ {
 		minRAM, maxSSD, maxNone := int32(1<<30), int32(-1), int32(-1)
@@ -137,7 +137,7 @@ func TestBuildNoPFSFrequencyOrdering(t *testing.T) {
 func TestFillOrderIsFirstAccessOrder(t *testing.T) {
 	ds := fixedSizer{n: 128, size: 1 << 20}
 	plan := testPlan(128, 2, 3)
-	a := BuildNoPFS(plan, ds, nodeWithMB(1000, 0))
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(1000, 0), false)
 	for w := 0; w < 2; w++ {
 		first := map[access.SampleID]int{}
 		for pos, id := range plan.WorkerStream(w) {
@@ -158,7 +158,7 @@ func TestFillOrderIsFirstAccessOrder(t *testing.T) {
 func TestRemoteBestExcludesSelf(t *testing.T) {
 	ds := fixedSizer{n: 64, size: 1 << 20}
 	plan := testPlan(64, 4, 6)
-	a := BuildNoPFS(plan, ds, nodeWithMB(1000, 0))
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(1000, 0), false)
 	for w := 0; w < 4; w++ {
 		for k := int32(0); k < 64; k++ {
 			class, holder := a.RemoteBest(w, k)
@@ -178,7 +178,7 @@ func TestRemoteBestFindsSecondHolder(t *testing.T) {
 	// someone else for samples cached by >= 2 workers.
 	ds := fixedSizer{n: 32, size: 1 << 20}
 	plan := testPlan(32, 4, 8)
-	a := BuildNoPFS(plan, ds, nodeWithMB(1000, 0))
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(1000, 0), false)
 	for k := int32(0); k < 32; k++ {
 		holders := 0
 		for w := 0; w < 4; w++ {
@@ -201,7 +201,7 @@ func TestLargeSampleFallsThroughToNextClass(t *testing.T) {
 	// Samples of 3 MB with a 2 MB RAM class: everything must land on SSD.
 	ds := fixedSizer{n: 10, size: 3 << 20}
 	plan := testPlan(10, 2, 2)
-	a := BuildNoPFS(plan, ds, nodeWithMB(2, 100))
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(2, 100), false)
 	for w := 0; w < 2; w++ {
 		for k := int32(0); k < 10; k++ {
 			if a.Local(w, k) == 0 {
@@ -315,7 +315,7 @@ func TestBuildNoPFSWithRealDataset(t *testing.T) {
 	})
 	plan := testPlan(300, 4, 3)
 	node := nodeWithMB(30, 50)
-	a := BuildNoPFS(plan, d, node)
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(d, node, false)
 	for w := 0; w < 4; w++ {
 		var ramBytes, ssdBytes int64
 		for k := int32(0); k < 300; k++ {
@@ -341,7 +341,7 @@ func BenchmarkBuildNoPFS(b *testing.B) {
 	node := nodeWithMB(4000, 4000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		BuildNoPFS(plan, ds, node)
+		RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, node, false)
 	}
 }
 

@@ -20,7 +20,7 @@ func TestLeanMatchesFullBuilders(t *testing.T) {
 		full, lean *Assignment
 	}{
 		{"nopfs", BuildNoPFSFromStreams(plan, streams, ds, node), BuildNoPFSLean(plan, streams, ds, node)},
-		{"random", BuildRandomFromStreams(plan, streams, ds, node), BuildRandomLean(plan, streams, ds, node)},
+		{"random", RankStreams(plan, streams, false).Fill(ds, node, false), RankStreams(plan, streams, false).Fill(ds, node, true)},
 		{"firsttouch", BuildFirstTouchFromOrder(plan, order, ds, node), BuildFirstTouchLean(plan, order, ds, node)},
 		{"shard", BuildShard(300, 4, ds, node), BuildShardLean(300, 4, ds, node)},
 		{"preload", BuildPreload(300, 4, ds, node), BuildPreloadLean(300, 4, ds, node)},

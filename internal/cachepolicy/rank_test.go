@@ -229,8 +229,6 @@ func TestBuildWrappersRankThenFill(t *testing.T) {
 	}{
 		{"BuildNoPFSFromStreams", BuildNoPFSFromStreams, true, false},
 		{"BuildNoPFSLean", BuildNoPFSLean, true, true},
-		{"BuildRandomFromStreams", BuildRandomFromStreams, false, false},
-		{"BuildRandomLean", BuildRandomLean, false, true},
 	}
 	for _, b := range builders {
 		before := RankCount()

@@ -7,11 +7,11 @@ import (
 // This file is the shared half of the crash-recovery contract: the
 // round-robin redistribution of a crashed worker's plan entries across the
 // survivors. Both engines consult the same pure function of the schedule —
-// the simulator reshapes worker 0's stream before its hot loop
-// (sim.chaosStream) and the live Job reshapes each rank's delivery stream
-// at setup — so sim-vs-live stall under the same crash profile converges
-// and exactly-once delivery is checkable against the union of the
-// redistributed streams (internal/invariant).
+// the simulator reshapes worker 0's stream before its hot loop and the live
+// Job reshapes each rank's delivery stream at setup — so sim-vs-live stall
+// under the same crash profile converges and exactly-once delivery is
+// checkable against the union of the redistributed streams
+// (internal/invariant).
 
 // CrashEpoch returns the first epoch at which worker is gone on a cluster
 // of n ranks, or -1 when it never crashes.
@@ -44,15 +44,15 @@ func survivorOrdinal(self int, crashed []int) int {
 }
 
 // RedistributeStream applies crash re-planning to one worker's delivery
-// stream. From each crash epoch onwards the crashed workers' plan entries
-// — sliced at the plan's per-epoch boundaries from peerStream — are split
-// round-robin across the survivors in rank order, and self appends its
-// share after its own entries for the epoch. Self's own stream is sliced
-// into epochs near-equal chunks (size len/epochs, remainder spread over
-// the early epochs), so policies that reorder or cycle their stream keep
-// their own epoch structure while still absorbing orphaned entries; for
-// plan-shaped streams (length = epochs x samplesPerEpoch) the chunks
-// coincide with the plan boundaries.
+// stream and its cumulative epoch ends. From each crash epoch onwards the
+// crashed workers' plan entries — sliced at their plan epoch ends from peer
+// — are split round-robin across the survivors in rank order, and self
+// appends its share after its own entries for the epoch. Self's own stream
+// is sliced into epochs near-equal chunks (size len/epochs, remainder
+// spread over the early epochs), so policies that reorder or cycle their
+// stream keep their own epoch structure while still absorbing orphaned
+// entries; for plan-shaped streams (length = epochs x SamplesPerEpoch) the
+// chunks coincide with the plan ends.
 //
 // If self itself crashes, its stream ends at its crash epoch: the returned
 // stream holds only the pre-crash prefix (own chunks plus any shares of
@@ -60,8 +60,7 @@ func survivorOrdinal(self int, crashed []int) int {
 //
 // The second return carries the cumulative end-of-epoch boundaries of the
 // reshaped stream (one entry per epoch self survives the start of). A
-// fault-free schedule returns the stream untouched with nil boundaries —
-// the uniform legacy rule.
+// schedule without crashes returns the stream and ends untouched.
 //
 // The function is a stateless pure function of (schedule, arguments): both
 // engines compute identical redistributions from a shared profile, which
@@ -69,18 +68,17 @@ func survivorOrdinal(self int, crashed []int) int {
 // orphaned plan rounds without any runtime ownership negotiation.
 func (s *Schedule) RedistributeStream(
 	self, n, epochs int,
-	stream []access.SampleID,
-	samplesPerEpoch func(worker int) int,
-	peerStream func(worker int) []access.SampleID,
+	stream []access.SampleID, ends []int,
+	peer func(worker int) (stream []access.SampleID, ends []int),
 ) ([]access.SampleID, []int) {
 	if s == nil || !s.HasCrashes(n) || len(stream) == 0 || epochs <= 0 {
-		return stream, nil
+		return stream, ends
 	}
 	selfCrash := s.CrashEpoch(self, n)
 	e0 := len(stream) / epochs
 	rem := len(stream) % epochs
 	out := make([]access.SampleID, 0, len(stream)+len(stream)/n+1)
-	ends := make([]int, 0, epochs)
+	outEnds := make([]int, 0, epochs)
 	off := 0
 	for e := 0; e < epochs; e++ {
 		if selfCrash >= 0 && e >= selfCrash {
@@ -100,29 +98,25 @@ func (s *Schedule) RedistributeStream(
 				// plan streams; survivors split them round-robin in rank
 				// order, so survivor ordinal k takes positions lo+k,
 				// lo+k+S, lo+k+2S, ...
-				pe := samplesPerEpoch(w)
-				ws := peerStream(w)
-				lo, hi := e*pe, (e+1)*pe
-				if hi > len(ws) {
-					hi = len(ws)
+				ws, we := peer(w)
+				lo := 0
+				if e > 0 {
+					lo = we[e-1]
 				}
-				for i := lo + ord; i < hi; i += survivors {
+				for i := lo + ord; i < we[e]; i += survivors {
 					out = append(out, ws[i])
 				}
 			}
 		}
-		ends = append(ends, len(out))
+		outEnds = append(outEnds, len(out))
 	}
-	return out, ends
+	return out, outEnds
 }
 
 // RedistributedRounds returns how many plan entries RedistributeStream
 // grafted onto self's stream beyond its own chunks — the live engine's
 // nopfs_redistributed_rounds_total accounting.
-func RedistributedRounds(stream, reshaped []access.SampleID, ends []int) int {
-	if ends == nil {
-		return 0
-	}
+func RedistributedRounds(stream, reshaped []access.SampleID) int {
 	own := len(stream)
 	if len(reshaped) < own {
 		own = len(reshaped) // crashed self: only the delivered prefix is own
@@ -136,13 +130,13 @@ func RedistributedRounds(stream, reshaped []access.SampleID, ends []int) int {
 // truncated prefix. The union of the returned streams is exactly the set
 // of samples a live cluster must deliver — the exactly-once oracle.
 func (s *Schedule) SurvivorStreams(n, epochs int,
-	samplesPerEpoch func(worker int) int,
-	peerStream func(worker int) []access.SampleID,
+	peer func(worker int) (stream []access.SampleID, ends []int),
 ) (streams [][]access.SampleID, bounds [][]int) {
 	streams = make([][]access.SampleID, n)
 	bounds = make([][]int, n)
 	for r := 0; r < n; r++ {
-		streams[r], bounds[r] = s.RedistributeStream(r, n, epochs, peerStream(r), samplesPerEpoch, peerStream)
+		stream, ends := peer(r)
+		streams[r], bounds[r] = s.RedistributeStream(r, n, epochs, stream, ends, peer)
 	}
 	return streams, bounds
 }

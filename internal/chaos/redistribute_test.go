@@ -9,8 +9,10 @@ import (
 
 // planStreams builds n synthetic plan streams of epochs x pe entries each;
 // worker w's entries are w*100+i so every ID is globally unique and its
-// origin is readable in failures.
-func planStreams(n, epochs, pe int) [][]access.SampleID {
+// origin is readable in failures. The second return is every worker's
+// epoch ends (the multiples of pe), and the third serves both as the peer
+// lookup RedistributeStream takes.
+func planStreams(n, epochs, pe int) ([][]access.SampleID, []int, func(int) ([]access.SampleID, []int)) {
 	out := make([][]access.SampleID, n)
 	for w := 0; w < n; w++ {
 		s := make([]access.SampleID, epochs*pe)
@@ -19,7 +21,11 @@ func planStreams(n, epochs, pe int) [][]access.SampleID {
 		}
 		out[w] = s
 	}
-	return out
+	ends := make([]int, epochs)
+	for e := range ends {
+		ends[e] = (e + 1) * pe
+	}
+	return out, ends, func(w int) ([]access.SampleID, []int) { return out[w], ends }
 }
 
 func compileSpec(t *testing.T, spec string) *Schedule {
@@ -32,19 +38,17 @@ func compileSpec(t *testing.T, spec string) *Schedule {
 }
 
 func TestRedistributeStreamFaultFree(t *testing.T) {
-	streams := planStreams(2, 2, 3)
+	streams, planEnds, peer := planStreams(2, 2, 3)
 	var nilSched *Schedule
-	out, ends := nilSched.RedistributeStream(0, 2, 2, streams[0], func(int) int { return 3 },
-		func(w int) []access.SampleID { return streams[w] })
-	if &out[0] != &streams[0][0] || ends != nil {
-		t.Fatal("nil schedule must return the stream untouched with nil bounds")
+	out, ends := nilSched.RedistributeStream(0, 2, 2, streams[0], planEnds, peer)
+	if &out[0] != &streams[0][0] || &ends[0] != &planEnds[0] {
+		t.Fatal("nil schedule must return the stream and its ends untouched")
 	}
 	// A schedule without crashes is equally neutral.
 	s := compileSpec(t, "lat:1ms")
-	out, ends = s.RedistributeStream(0, 2, 2, streams[0], func(int) int { return 3 },
-		func(w int) []access.SampleID { return streams[w] })
-	if &out[0] != &streams[0][0] || ends != nil {
-		t.Fatal("crash-free schedule must return the stream untouched")
+	out, ends = s.RedistributeStream(0, 2, 2, streams[0], planEnds, peer)
+	if &out[0] != &streams[0][0] || &ends[0] != &planEnds[0] {
+		t.Fatal("crash-free schedule must return the stream and its ends untouched")
 	}
 }
 
@@ -69,13 +73,11 @@ func TestCrashEpoch(t *testing.T) {
 
 func TestRedistributeStreamRoundRobinShares(t *testing.T) {
 	const n, epochs, pe = 4, 3, 4
-	streams := planStreams(n, epochs, pe)
+	streams, planEnds, peer := planStreams(n, epochs, pe)
 	s := compileSpec(t, "crash:2@1")
-	speFn := func(int) int { return pe }
-	psFn := func(w int) []access.SampleID { return streams[w] }
 
 	// Survivor rank 0 (ordinal 0) takes positions lo, lo+3, ...
-	got0, ends0 := s.RedistributeStream(0, n, epochs, streams[0], speFn, psFn)
+	got0, ends0 := s.RedistributeStream(0, n, epochs, streams[0], planEnds, peer)
 	want0 := append([]access.SampleID(nil), streams[0][0:4]...)
 	want0 = append(want0, streams[0][4:8]...)
 	want0 = append(want0, streams[2][4], streams[2][7])
@@ -89,7 +91,7 @@ func TestRedistributeStreamRoundRobinShares(t *testing.T) {
 	}
 
 	// Survivor rank 3 has ordinal 2 (rank 2 crashed below it).
-	got3, _ := s.RedistributeStream(3, n, epochs, streams[3], speFn, psFn)
+	got3, _ := s.RedistributeStream(3, n, epochs, streams[3], planEnds, peer)
 	want3 := append([]access.SampleID(nil), streams[3][0:4]...)
 	want3 = append(want3, streams[3][4:8]...)
 	want3 = append(want3, streams[2][6])
@@ -100,17 +102,17 @@ func TestRedistributeStreamRoundRobinShares(t *testing.T) {
 	}
 
 	// The crashed rank delivers only its pre-crash prefix.
-	got2, ends2 := s.RedistributeStream(2, n, epochs, streams[2], speFn, psFn)
+	got2, ends2 := s.RedistributeStream(2, n, epochs, streams[2], planEnds, peer)
 	if !reflect.DeepEqual(got2, streams[2][0:4]) {
 		t.Errorf("crashed rank stream = %v, want its epoch-0 prefix", got2)
 	}
 	if want := []int{4}; !reflect.DeepEqual(ends2, want) {
 		t.Errorf("crashed rank bounds = %v, want %v", ends2, want)
 	}
-	if rr := RedistributedRounds(streams[2], got2, ends2); rr != 0 {
+	if rr := RedistributedRounds(streams[2], got2); rr != 0 {
 		t.Errorf("crashed rank RedistributedRounds = %d, want 0", rr)
 	}
-	if rr := RedistributedRounds(streams[0], got0, ends0); rr != 4 {
+	if rr := RedistributedRounds(streams[0], got0); rr != 4 {
 		t.Errorf("rank 0 RedistributedRounds = %d, want 4", rr)
 	}
 }
@@ -123,11 +125,9 @@ func TestRedistributeStreamRoundRobinShares(t *testing.T) {
 func TestSurvivorStreamsExactlyOnce(t *testing.T) {
 	for _, spec := range []string{"crash:2@1", "crash:1@1,crash:3@2", "crash:0@2"} {
 		const n, epochs, pe = 4, 3, 4
-		streams := planStreams(n, epochs, pe)
+		streams, _, peer := planStreams(n, epochs, pe)
 		s := compileSpec(t, spec)
-		got, _ := s.SurvivorStreams(n, epochs,
-			func(int) int { return pe },
-			func(w int) []access.SampleID { return streams[w] })
+		got, _ := s.SurvivorStreams(n, epochs, peer)
 		counts := map[access.SampleID]int{}
 		for _, rs := range got {
 			for _, id := range rs {
@@ -162,13 +162,12 @@ func TestSurvivorStreamsExactlyOnce(t *testing.T) {
 // policy streams whose length is not a multiple of the epoch count.
 func TestRedistributeUnevenPolicyStream(t *testing.T) {
 	const n, epochs, pe = 2, 3, 4
-	streams := planStreams(n, epochs, pe)
+	streams, _, peer := planStreams(n, epochs, pe)
 	s := compileSpec(t, "crash:1@2")
 	// A reordered/shortened policy stream: 10 entries over 3 epochs chunks
-	// as 4, 3, 3.
+	// as 4, 3, 3, whatever ends it came with.
 	policy := streams[0][:10]
-	got, ends := s.RedistributeStream(0, n, epochs, policy, func(int) int { return pe },
-		func(w int) []access.SampleID { return streams[w] })
+	got, ends := s.RedistributeStream(0, n, epochs, policy, []int{4, 8}, peer)
 	want := append([]access.SampleID(nil), policy[0:4]...)
 	want = append(want, policy[4:7]...)
 	want = append(want, policy[7:10]...)

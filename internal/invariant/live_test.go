@@ -85,13 +85,10 @@ func livePlan(t *testing.T, f, workers int, opts nopfs.Options) *access.Plan {
 func expectedStreams(t *testing.T, f, workers int, opts nopfs.Options) [][]access.SampleID {
 	t.Helper()
 	plan := livePlan(t, f, workers, opts)
-	streams := make([][]access.SampleID, workers)
-	for w := range streams {
-		streams[w] = plan.WorkerStream(w)
-	}
+	streams, ends := plan.AllStreamsFromOrders(plan.EpochOrders(0), 0)
 	sched := opts.Chaos.Compile(opts.Seed)
-	reshaped, _ := sched.SurvivorStreams(workers, opts.Epochs, plan.SamplesPerEpoch,
-		func(w int) []access.SampleID { return streams[w] })
+	reshaped, _ := sched.SurvivorStreams(workers, opts.Epochs,
+		func(w int) ([]access.SampleID, []int) { return streams[w], ends[w] })
 	return reshaped
 }
 
@@ -350,4 +347,92 @@ func TestLivePatternAgreement(t *testing.T) {
 		})
 	}
 	goroutinesSettle(t, before+2)
+}
+
+// TestLiveEpochEndsOneRepresentation pins the one stream representation
+// both engines share: a rank's delivery stream and its cumulative epoch
+// ends, as chaos.RedistributeStream returns them from the plan's. Across
+// uniform, zipf and elastic plans, fault-free and under node-crash, on 3
+// chan ranks: every rank's ends are non-nil, non-decreasing and end at its
+// stream's length; every delivered Sample.Epoch and Sample.Iteration is
+// what the ends give for its position; and the union of deliveries is the
+// plan, exactly once. Elastic × crash is rejected and skipped.
+func TestLiveEpochEndsOneRepresentation(t *testing.T) {
+	const workers, f = 3, 60
+	ds := dataset.MustNew(dataset.Spec{
+		Name: "invariant-live", F: f, MeanSize: 2048, StddevSize: 512, Classes: 10, Seed: 5,
+	})
+	for _, pattern := range []string{"uniform", "zipf", "elastic"} {
+		for _, preset := range []string{"fault-free", "node-crash"} {
+			t.Run(pattern+"/"+preset, func(t *testing.T) {
+				opts := liveOptions(41)
+				opts.Access = pattern
+				if preset != "fault-free" {
+					prof, err := chaos.PresetByName(preset)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Chaos = prof
+				}
+				if pattern == "elastic" && preset != "fault-free" {
+					if opts.Validate(ds, workers) == nil {
+						t.Fatal("elastic × crash: want a validation error")
+					}
+					t.Skip("elastic × crash is rejected")
+				}
+				plan := livePlan(t, f, workers, opts)
+				planStreams, planEnds := plan.AllStreamsFromOrders(plan.EpochOrders(0), 0)
+				streams, ends := opts.Chaos.Compile(opts.Seed).SurvivorStreams(workers, plan.E,
+					func(w int) ([]access.SampleID, []int) { return planStreams[w], planEnds[w] })
+
+				got := make([][]nopfs.Sample, workers)
+				if _, err := nopfs.RunCluster(context.Background(), ds, workers, opts,
+					func(ctx context.Context, j *nopfs.Job) error {
+						var out []nopfs.Sample
+						for s, err := range j.Samples(ctx) {
+							if err != nil {
+								return err
+							}
+							s.Data = nil
+							out = append(out, s)
+						}
+						got[j.Rank()] = out
+						return nil
+					}); err != nil {
+					t.Fatal(err)
+				}
+
+				delivered := make([][]int, workers)
+				for w := 0; w < workers; w++ {
+					we := ends[w]
+					if we == nil || we[len(we)-1] != len(streams[w]) {
+						t.Fatalf("rank %d: ends %v do not end at stream length %d", w, we, len(streams[w]))
+					}
+					for e := 1; e < len(we); e++ {
+						if we[e] < we[e-1] {
+							t.Fatalf("rank %d: ends %v decrease at epoch %d", w, we, e)
+						}
+					}
+					if len(got[w]) != len(streams[w]) {
+						t.Fatalf("rank %d delivered %d samples, want %d", w, len(got[w]), len(streams[w]))
+					}
+					epoch, start := 0, 0
+					for pos, s := range got[w] {
+						for pos >= we[epoch] {
+							start = we[epoch]
+							epoch++
+						}
+						if s.ID != int(streams[w][pos]) || s.Epoch != epoch || s.Iteration != (pos-start)/opts.BatchPerWorker {
+							t.Fatalf("rank %d position %d: got sample %d at (epoch %d, iteration %d), want %d at (%d, %d)",
+								w, pos, s.ID, s.Epoch, s.Iteration, streams[w][pos], epoch, (pos-start)/opts.BatchPerWorker)
+						}
+						delivered[w] = append(delivered[w], s.ID)
+					}
+				}
+				if err := CheckExactlyOnce(delivered, planStreams); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
 }

@@ -193,9 +193,8 @@ type Artifacts struct {
 	// Streams[w] is worker w's materialised access stream across all epochs.
 	Streams [][]access.SampleID
 	// EpochEnds[w][e] is worker w's cumulative stream length through epoch
-	// e, for plans whose partition varies per epoch (an elastic membership
-	// schedule); nil for static partitions, where epochs are uniform and
-	// Plan.SamplesPerEpoch applies.
+	// e: the multiples of Plan.SamplesPerEpoch(w) for a static partition,
+	// unequal under an elastic membership schedule.
 	EpochEnds [][]int
 
 	// ranks[0] is the first-access ranking, ranks[1] the by-frequency one.

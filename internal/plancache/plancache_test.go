@@ -86,7 +86,7 @@ func patternPlans(t *testing.T) []access.Plan {
 }
 
 // TestArtifactsMatchNaivePlanPath asserts byte-identical epoch orders,
-// streams and elastic epoch ends between the cached/parallel path and the
+// streams and epoch ends between the cached/parallel path and the
 // naive serial access.Plan derivations, under the uniform shuffle and every
 // access pattern.
 func TestArtifactsMatchNaivePlanPath(t *testing.T) {
@@ -107,8 +107,8 @@ func TestArtifactsMatchNaivePlanPath(t *testing.T) {
 			}
 			eqStreams(t, "Streams", art.Streams, wantStreams)
 
-			if (art.EpochEnds != nil) != p.Elastic() {
-				t.Fatalf("EpochEnds present = %v on a plan with Elastic() = %v", art.EpochEnds != nil, p.Elastic())
+			if len(art.EpochEnds) != p.N {
+				t.Fatalf("EpochEnds has %d workers, want %d", len(art.EpochEnds), p.N)
 			}
 			for w, ends := range art.EpochEnds {
 				want := 0
@@ -134,7 +134,7 @@ func TestAssignmentEquivalence(t *testing.T) {
 
 	direct := map[string]*cachepolicy.Assignment{
 		FamilyNoPFS:      cachepolicy.BuildNoPFSFromStreams(&p, art.Streams, ds, node),
-		FamilyRandom:     cachepolicy.BuildRandomFromStreams(&p, art.Streams, ds, node),
+		FamilyRandom:     cachepolicy.RankStreams(&p, art.Streams, false).Fill(ds, node, false),
 		FamilyFirstTouch: cachepolicy.BuildFirstTouch(&p, ds, node),
 		FamilyShard:      cachepolicy.BuildShard(p.F, p.N, ds, node),
 		FamilyPreload:    cachepolicy.BuildPreload(p.F, p.N, ds, node),
@@ -144,7 +144,7 @@ func TestAssignmentEquivalence(t *testing.T) {
 			return cachepolicy.BuildNoPFSFromStreams(&p, art.Streams, ds, node)
 		},
 		FamilyRandom: func() *cachepolicy.Assignment {
-			return cachepolicy.BuildRandomFromStreams(&p, art.Streams, ds, node)
+			return cachepolicy.RankStreams(&p, art.Streams, false).Fill(ds, node, false)
 		},
 		FamilyFirstTouch: func() *cachepolicy.Assignment {
 			return cachepolicy.BuildFirstTouchFromOrder(&p, art.EpochOrders[0], ds, node)
@@ -214,15 +214,12 @@ func TestPlacementRanksOncePerFamily(t *testing.T) {
 	p := access.Plan{Seed: 9, F: 300, N: 4, E: 4, BatchPerWorker: 8, DropLast: true}
 	ds := testDataset(t, p.F)
 	art := New(0, 0).Artifacts(p)
-	direct := map[string]func(*access.Plan, [][]access.SampleID, cachepolicy.Sizer, hwspec.Node) *cachepolicy.Assignment{
-		FamilyNoPFS:  cachepolicy.BuildNoPFSFromStreams,
-		FamilyRandom: cachepolicy.BuildRandomFromStreams,
-	}
+	direct := map[string]bool{FamilyNoPFS: true, FamilyRandom: false} // family → by frequency
 	nodes := []hwspec.Node{testNode(0.3, 0.5), testNode(0.1, 0), testNode(0.2, 0.2)}
 	want := map[string][]*cachepolicy.Assignment{}
-	for family, build := range direct {
+	for family, byFreq := range direct {
 		for _, node := range nodes {
-			want[family] = append(want[family], build(&p, art.Streams, ds, node))
+			want[family] = append(want[family], cachepolicy.RankStreams(&p, art.Streams, byFreq).Fill(ds, node, false))
 		}
 	}
 	before := cachepolicy.RankCount()

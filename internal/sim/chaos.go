@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"repro/internal/access"
 	"repro/internal/chaos"
 	"repro/internal/perfmodel"
 )
@@ -50,22 +49,4 @@ func chaosAdjust(env *Env, sched *chaos.Schedule, epoch, f int, sz float64, choi
 			res.RemoteFalsePositives++
 		}
 	}
-}
-
-// chaosStream applies crash re-planning to the simulated worker's stream:
-// from each crash epoch onwards, the crashed workers' plan entries are
-// redistributed round-robin across the survivors, and worker 0 — the
-// simulated survivor, by construction never the crashed rank — picks up its
-// share. The returned epochEnds carries the now-unequal cumulative epoch
-// boundaries; a fault-free schedule returns the stream untouched with nil
-// boundaries (the uniform legacy rule).
-//
-// The redistribution rule itself lives in chaos.RedistributeStream, shared
-// verbatim with the live engine (nopfs) so sim-vs-live stall under the same
-// crash profile converges; the simulator evaluates it for worker 0, which
-// crashRank guarantees is always a survivor.
-func chaosStream(env *Env, stream []access.SampleID) ([]access.SampleID, []int) {
-	return env.Chaos.RedistributeStream(0, env.Plan.N, env.Plan.E, stream,
-		env.Plan.SamplesPerEpoch,
-		func(w int) []access.SampleID { return env.Art.Streams[w] })
 }

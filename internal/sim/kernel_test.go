@@ -178,9 +178,14 @@ func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 	}
 	bufMB, syncRead, p0, setup, coverage := referencePipeline(env, pol, a)
 	res.SetupSeconds, res.Coverage = setup, coverage
-	stream, epochEnds := chaosStream(env, referenceStream(env, pol, a))
-	if epochEnds == nil && env.Plan.Elastic() &&
-		len(env.Art.EpochEnds) > 0 && len(stream) == len(env.Art.Streams[0]) {
+	// Epoch boundaries by the reference's own rule: a crash's
+	// redistribution; else the elastic plan's ends for a stream of the
+	// plan's length; else every SamplesPerEpoch(0) samples (nil epochEnds).
+	stream, epochEnds := referenceStream(env, pol, a), []int(nil)
+	if env.Chaos.HasCrashes(env.Plan.N) {
+		stream, epochEnds = env.Chaos.RedistributeStream(0, env.Plan.N, env.Plan.E,
+			stream, nil, env.planStream)
+	} else if env.Plan.Pattern().Elastic() && len(stream) == len(env.Art.Streams[0]) {
 		epochEnds = env.Art.EpochEnds[0]
 	}
 

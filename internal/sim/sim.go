@@ -362,21 +362,15 @@ func (env *Env) run(pol Policy) *Result {
 	pol.rule.place = place
 	in := env.kernelInput(pol.rule)
 	// Node crashes redistribute the crashed workers' plan across the
-	// survivors: the simulated worker's stream grows and epoch boundaries
-	// shift (nil epochEnds means the fault-free uniform boundaries). The
+	// survivors: the simulated worker's stream grows and its epoch ends
+	// shift. chaos.RedistributeStream is the rule the live job applies too,
+	// evaluated for worker 0, which crashRank guarantees is a survivor. The
 	// reshaped stream belongs to this schedule alone, so it is tagged here
 	// and not cached.
-	stream, epochEnds := chaosStream(env, in.Stream)
-	if epochEnds != nil {
+	stream, epochEnds := env.Chaos.RedistributeStream(0, env.Plan.N, env.Plan.E,
+		in.Stream, env.epochEnds(in.Stream), env.planStream)
+	if env.Chaos.HasCrashes(env.Plan.N) {
 		in = &plancache.TagStream{Stream: stream, Tags: pol.rule.tags(stream), TotalMB: env.sumMB(stream)}
-	}
-	// An elastic membership schedule makes epochs unequal too: use the
-	// plan's per-worker cumulative ends when the policy kept the stream's
-	// length (policies that rebuild a different-length stream fall back to
-	// uniform binning, same as under chaos).
-	if epochEnds == nil && env.Plan.Elastic() &&
-		len(env.Art.EpochEnds) > 0 && len(stream) == len(env.Art.Streams[0]) {
-		epochEnds = env.Art.EpochEnds[0]
 	}
 	simulate(env, pol, in, setup, res, epochEnds)
 	return res
@@ -516,6 +510,27 @@ func (r sourceRule) tags(stream []access.SampleID) []byte {
 	return nil
 }
 
+// epochEnds returns the cumulative epoch ends of the simulated worker's
+// stream: the plan's own for a stream of the plan's length, and the
+// multiples of SamplesPerEpoch(0) that fit a stream a policy built to
+// another length.
+func (e *Env) epochEnds(stream []access.SampleID) []int {
+	if len(stream) == len(e.Art.Streams[0]) {
+		return e.Art.EpochEnds[0]
+	}
+	pe := e.Plan.SamplesPerEpoch(0)
+	ends := make([]int, len(stream)/pe)
+	for i := range ends {
+		ends[i] = (i + 1) * pe
+	}
+	return ends
+}
+
+// planStream returns worker w's plan stream and its epoch ends.
+func (e *Env) planStream(w int) ([]access.SampleID, []int) {
+	return e.Art.Streams[w], e.Art.EpochEnds[w]
+}
+
 // sumMB returns stream's byte total, summed in stream order.
 func (e *Env) sumMB(stream []access.SampleID) (mb float64) {
 	for _, k := range stream {
@@ -541,9 +556,8 @@ var policyStreamBuilds atomic.Int64
 // kernel_test.go, which asks the Assignment accessors about every fetch: the
 // same float operations run in the same order.
 //
-// epochEnds, when non-nil, carries the cumulative stream position at which
-// each epoch ends (crash redistribution and elastic membership make epochs
-// unequal); nil means the plan's uniform per-epoch boundaries.
+// epochEnds carries the cumulative stream position at which each epoch ends
+// (crash redistribution and elastic membership make epochs unequal).
 func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res *Result, epochEnds []int) {
 	simulateCount.Add(1)
 	var (
@@ -601,24 +615,10 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res 
 		winSize, winConsume = wa.size[:0], wa.consume[:0]
 	}
 
-	perEpoch := env.Plan.SamplesPerEpoch(0)
 	if n > 0 {
 		res.BatchSeconds = make([]float64, 0, (n+batch-1)/batch+1)
-		// Size the epoch series from the actual boundary list when there is
-		// one (unequal epochs make the uniform estimate under-allocate); +1
-		// covers the trailing fold.
-		epochCap := n/perEpoch + 1
-		if len(epochEnds) > 0 {
-			epochCap = len(epochEnds) + 1
-		}
-		res.EpochSeconds = make([]float64, 0, epochCap)
-	}
-
-	// Epoch tracking: boundaries come from epochEnds when the stream was
-	// reshaped, otherwise every perEpoch samples.
-	epoch, nextEpochEnd := 0, perEpoch
-	if len(epochEnds) > 0 {
-		nextEpochEnd = epochEnds[0]
+		// +1 covers the trailing fold.
+		res.EpochSeconds = make([]float64, 0, len(epochEnds)+1)
 	}
 
 	// Chaos multipliers are epoch-constant: resolve them at boundaries, not
@@ -637,18 +637,21 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res 
 	// at every batch edge — segment starts aligned to one.
 	batchJitter := env.pfsJitter()
 
-	// Elastic membership can leave the worker inactive in leading epochs
-	// (cumulative ends still at position 0): fire those boundaries before
-	// any samples run so epoch accounting and chaos factors stay aligned.
-	for len(epochEnds) > 0 && epoch < len(epochEnds) && epochEnds[epoch] == 0 {
+	// Epoch tracking: nextEpochEnd is the current epoch's end, -1 past the
+	// last one (it never fires again). Elastic membership can leave the
+	// worker inactive in leading epochs (cumulative ends still at position
+	// 0): fire those boundaries before any samples run so epoch accounting
+	// and chaos factors stay aligned.
+	epoch, nextEpochEnd := 0, -1
+	for epoch < len(epochEnds) && epochEnds[epoch] == 0 {
 		res.EpochSeconds = append(res.EpochSeconds, 0)
 		epoch++
-		if epoch < len(epochEnds) {
-			nextEpochEnd = epochEnds[epoch]
-		}
 		if sched != nil {
 			barrier, self = sched.BarrierFactor(epoch, env.Plan.N), sched.Slowdown(0, epoch, env.Plan.N)
 		}
+	}
+	if epoch < len(epochEnds) {
+		nextEpochEnd = epochEnds[epoch]
 	}
 
 	// Accumulators folded into res after the loop; scalar accumulation
@@ -809,18 +812,13 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res 
 		// A loop rather than a single check: elastic membership can leave
 		// the worker with zero samples in an epoch (consecutive equal
 		// ends), so several boundaries may fire at one stream position.
-		// With uniform boundaries the advance is always strictly past f,
-		// so the loop body runs at most once.
-		for f == nextEpochEnd && (len(epochEnds) == 0 || epoch < len(epochEnds)) {
+		for f == nextEpochEnd {
 			res.EpochSeconds = append(res.EpochSeconds, prevComputeDone-lastEpochEnd)
 			lastEpochEnd = prevComputeDone
 			epoch++
-			if len(epochEnds) > 0 {
-				if epoch < len(epochEnds) {
-					nextEpochEnd = epochEnds[epoch]
-				}
-			} else {
-				nextEpochEnd += perEpoch
+			nextEpochEnd = -1
+			if epoch < len(epochEnds) {
+				nextEpochEnd = epochEnds[epoch]
 			}
 			if sched != nil {
 				barrier, self = sched.BarrierFactor(epoch, env.Plan.N), sched.Slowdown(0, epoch, env.Plan.N)

@@ -35,9 +35,11 @@ type Job struct {
 	// KindValue request.
 	digest uint64
 
-	assign   *cachepolicy.Assignment
-	stream   []access.SampleID
-	perEpoch int
+	assign *cachepolicy.Assignment
+	// stream is the rank's delivery stream and epochEnds its cumulative
+	// epoch ends: the plan's own, or a crash redistribution's unequal ones.
+	stream    []access.SampleID
+	epochEnds []int
 
 	backends []StorageBackend
 	staging  *storage.Staging
@@ -47,12 +49,9 @@ type Job struct {
 	// chaosSched is the compiled fault schedule (nil for fault-free runs).
 	chaosSched *chaos.Schedule
 
-	// Crash recovery (all zero/nil without a crash profile): epochEnds
-	// carries the redistributed stream's unequal cumulative epoch
-	// boundaries (nil = the uniform legacy rule); crashEpoch is this
-	// rank's own scheduled crash epoch (-1 = survivor); redistributed is
-	// the plan-round count grafted from crashed peers.
-	epochEnds     []int
+	// Crash recovery: crashEpoch is this rank's own scheduled crash epoch
+	// (-1 = survivor); redistributed is the plan-round count grafted from
+	// crashed peers.
 	crashEpoch    int
 	redistributed int64
 	crashOnce     sync.Once
@@ -128,38 +127,24 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 	// are immutable; the job only reads them.
 	art := plans.Artifacts(*plan)
 	assign := art.Placement(plancache.FamilyNoPFS, ds, node, false)
-	// Crash re-planning happens before the struct is wired: under a crash
-	// profile every rank reshapes its delivery stream with the shared
+	// The delivery stream is the plan's, reshaped by the shared crash
 	// redistribution rule (chaos.RedistributeStream — the same pure
 	// function the simulator evaluates), so survivors absorb the crashed
 	// ranks' orphaned plan rounds clairvoyantly and a crashed rank keeps
-	// only its pre-crash prefix. Fault-free runs take art.Streams[rank]
-	// untouched.
+	// only its pre-crash prefix. Without a crash it is the plan's stream
+	// and ends, untouched.
 	sched := opts.Chaos.Compile(opts.Seed)
-	stream := art.Streams[rank]
-	var ends []int
-	crashEpoch := sched.CrashEpoch(rank, workers)
-	if sched.HasCrashes(workers) {
-		stream, ends = sched.RedistributeStream(rank, workers, plan.E, stream,
-			plan.SamplesPerEpoch,
-			func(w int) []access.SampleID { return art.Streams[w] })
-	} else if len(art.EpochEnds) > 0 {
-		// Elastic plan: the per-epoch partition varies with the membership
-		// schedule, so epoch/iteration accounting follows the precomputed
-		// cumulative boundaries exactly as a crash-redistributed stream's
-		// do. (Options.Validate rejects elastic × crash, so the branches
-		// are exclusive.)
-		ends = art.EpochEnds[rank]
-	}
+	stream, ends := sched.RedistributeStream(rank, workers, plan.E,
+		art.Streams[rank], art.EpochEnds[rank],
+		func(w int) ([]access.SampleID, []int) { return art.Streams[w], art.EpochEnds[w] })
 	j := &Job{
 		rank: rank, opts: opts, ds: ds, plan: plan, digest: plan.Hash(),
 		assign:        assign,
 		stream:        stream,
-		sources:       make([]uint8, len(stream)),
-		perEpoch:      plan.SamplesPerEpoch(rank),
 		epochEnds:     ends,
-		crashEpoch:    crashEpoch,
-		redistributed: int64(chaos.RedistributedRounds(art.Streams[rank], stream, ends)),
+		sources:       make([]uint8, len(stream)),
+		crashEpoch:    sched.CrashEpoch(rank, workers),
+		redistributed: int64(chaos.RedistributedRounds(art.Streams[rank], stream)),
 		staging:       storage.NewStaging(opts.StagingBytes),
 		rec:           newRecord(len(opts.Classes)),
 		pfs:           pfs,
@@ -421,36 +406,20 @@ func storeMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// epochOf maps a stream position to its training epoch (clamped to the
-// plan's final epoch for the tail of uneven streams). A redistributed
-// stream carries unequal epoch boundaries (epochEnds), so the epoch is the
-// first boundary past pos; fault-free streams keep the uniform division.
+// epochOf maps a stream position to its training epoch: the first epoch
+// whose end is past pos (clamped to the last epoch the stream has).
 func (j *Job) epochOf(pos int) int {
-	if j.epochEnds != nil {
-		e := sort.SearchInts(j.epochEnds, pos+1)
-		if e >= len(j.epochEnds) {
-			e = len(j.epochEnds) - 1
-		}
-		return e
-	}
-	if j.perEpoch <= 0 {
-		return 0
-	}
-	e := pos / j.perEpoch
-	if e >= j.plan.E {
-		e = j.plan.E - 1
+	e := sort.SearchInts(j.epochEnds, pos+1)
+	if e >= len(j.epochEnds) {
+		e = len(j.epochEnds) - 1
 	}
 	return e
 }
 
 // epochIter maps a stream position to the (epoch, iteration) pair Get
-// reports. The fault-free branch is the exact legacy arithmetic; a
-// redistributed stream derives the iteration from the offset into its
-// unequal epoch chunk.
+// reports: the iteration is the offset into the epoch's chunk of the stream
+// over the batch size.
 func (j *Job) epochIter(pos int) (int, int) {
-	if j.epochEnds == nil {
-		return pos / j.perEpoch, (pos % j.perEpoch) / j.opts.BatchPerWorker
-	}
 	e := j.epochOf(pos)
 	start := 0
 	if e > 0 {
@@ -714,7 +683,7 @@ func (j *Job) StreamLen() int { return len(j.stream) }
 // plus one. Epochs of an elastic membership schedule or of a crash
 // redistribution are unequal; for those it is the uniform plan's count.
 func (j *Job) IterationsPerEpoch() int {
-	return (j.perEpoch + j.opts.BatchPerWorker - 1) / j.opts.BatchPerWorker
+	return (j.plan.SamplesPerEpoch(j.rank) + j.opts.BatchPerWorker - 1) / j.opts.BatchPerWorker
 }
 
 // Rank returns this worker's rank in the cluster.

@@ -35,13 +35,10 @@ func soakStreams(f, workers int, opts Options) [][]access.SampleID {
 		Seed: opts.Seed, F: f, N: workers, E: opts.Epochs,
 		BatchPerWorker: opts.BatchPerWorker, DropLast: opts.DropLast,
 	}
-	streams := make([][]access.SampleID, workers)
-	for w := range streams {
-		streams[w] = plan.WorkerStream(w)
-	}
+	streams, ends := plan.AllStreamsFromOrders(plan.EpochOrders(0), 0)
 	sched := opts.Chaos.Compile(opts.Seed)
-	reshaped, _ := sched.SurvivorStreams(workers, opts.Epochs, plan.SamplesPerEpoch,
-		func(w int) []access.SampleID { return streams[w] })
+	reshaped, _ := sched.SurvivorStreams(workers, opts.Epochs,
+		func(w int) ([]access.SampleID, []int) { return streams[w], ends[w] })
 	return reshaped
 }
 
