@@ -21,7 +21,9 @@ test:
 # are a matter of which prefetcher reaches the filesystem first, and the
 # simulator's tag-stream cache and kernel gate (who builds a placement's
 # tags, and whether a late build is charged, is a race between cells, and
-# one policy value serves every cell of its column), and
+# one policy value serves every cell of its column), and the plan cache's
+# singleflight builds (sixteen requesters race one ranking and one tag
+# stream, each built and counted once), and
 # the fetch path's two decorators (who observes a breaker transition first
 # is scheduling-dependent, and each peer's deadline window is shared by the
 # rank's staging threads and class prefetchers), and the placement's two
@@ -41,7 +43,7 @@ test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
 	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound|Resilient|Deadline|Caller|ThrottledBackend|AbortedProbe' ./nopfs/ ./internal/invariant/ ./internal/resilience/
-	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal|ThreadPool|SharedPolicy' ./internal/sim/ ./internal/plancache/
+	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal|ThreadPool|SharedPolicy|Singleflight|CacheRace|Rank' ./internal/sim/ ./internal/plancache/
 	$(GO) test -race -count=5 -run 'Width|Tags|FirstTouch' ./internal/cachepolicy/
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/
 	$(GO) test -race -count=5 -run 'Release|Recycle|Batch|Delivery|Ownership|Collectable|Metrics|Stats' ./nopfs/
@@ -122,7 +124,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 16864
+LOC_MAX ?= 16860
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

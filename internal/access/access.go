@@ -28,7 +28,9 @@ import (
 // executed by this package since process start. It is a test probe: the
 // plan-artifact cache's contract is that warm grid cells perform *zero*
 // shuffle work, and asserting this counter is flat across a warm run is how
-// the tests verify it.
+// the tests verify it — it also catches a shuffle that bypasses the cache.
+// Outside the tests, benchmark/simtrace.go is its last reader
+// (access.shuffle_count).
 var shuffleCount atomic.Int64
 
 // ShuffleCount returns the number of epoch shuffles generated so far.

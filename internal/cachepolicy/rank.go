@@ -3,19 +3,10 @@ package cachepolicy
 import (
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/access"
 	"repro/internal/hwspec"
 )
-
-// rankCount counts RankStreams calls since process start. It is a test
-// probe, like access.ShuffleCount: the plan cache's contract is that N node
-// specs on one plan rank once per family and a warm grid ranks zero times.
-var rankCount atomic.Int64
-
-// RankCount returns the number of rankings computed so far.
-func RankCount() int64 { return rankCount.Load() }
 
 // Rank is the plan-only half of the Sec. 5.1 placement: for every worker,
 // the distinct samples it accesses in the order the greedy fill considers
@@ -43,7 +34,6 @@ type Rank struct {
 // frequency gives exactly (freq desc, firstPos asc) in O(stream): the order
 // is total, so this is the list any comparison sort would produce.
 func RankStreams(plan *access.Plan, streams [][]access.SampleID, byFreq bool) *Rank {
-	rankCount.Add(1)
 	r := &Rank{f: plan.F, streams: streams[:plan.N], rows: make([][]int32, plan.N)}
 	// Scratch shared by all workers. freq is all-zero between workers: only
 	// the entries a worker touched are reset.

@@ -1,10 +1,6 @@
 package cachepolicy
 
-import (
-	"sync/atomic"
-
-	"repro/internal/access"
-)
+import "repro/internal/access"
 
 // Source tags. Which copies of a sample exist when a worker reaches stream
 // position f is a pure function of (placement, stream), so the simulator
@@ -21,20 +17,11 @@ const (
 	MaxTagClasses = 14
 )
 
-// tagBuildCount counts Tags calls since process start. It is a test probe,
-// like RankCount: cells sharing a placement and stream share one tag stream,
-// and a warm grid builds none.
-var tagBuildCount atomic.Int64
-
-// TagBuildCount returns the number of tag streams built so far.
-func TagBuildCount() int64 { return tagBuildCount.Load() }
-
 // Tags returns the source tag of every position of stream as worker w
 // consumes it: LocalAvail in the low nibble and RemoteAvail's class in the
 // high one, both at the position's own index. Prestaged placements are
 // available at every position, so static shards need no rule of their own.
 func (a *Assignment) Tags(w int, stream []access.SampleID) []byte {
-	tagBuildCount.Add(1)
 	return a.words.tags(w, stream)
 }
 

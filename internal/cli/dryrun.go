@@ -14,9 +14,8 @@ import (
 // about to do — shape, clairvoyant placement — and, per scenario, the
 // simulator's own NoPFS run on worker 0, without running the grid: one
 // kernel per scenario and no sweep cell (sim.SimulateCount is the proof in
-// the test suite). The plan artifacts it consults come from the same shared
-// plancache the real run would use, so a dry run also warms the cache for a
-// run that follows.
+// the test suite). Each scenario reads a plan cache of its own, so the
+// printed placement and the simulated run come from one artifact set.
 
 // explainGridShape prints the grid's axes, cell count, and metric columns.
 func explainGridShape(w io.Writer, grid *sweep.Grid) {
@@ -72,7 +71,7 @@ func explainGrid(w io.Writer, grid *sweep.Grid) error {
 // explainConfig prints one configuration's plan analysis: access-plan shape,
 // per-tier clairvoyant placement, and the simulated NoPFS run's fetch mix,
 // setup, stall and exec time for worker 0's stream — the numbers the NoPFS
-// row of the real run prints.
+// row of the real run prints. Both read their artifacts from one cache.
 func explainConfig(w io.Writer, id, label string, cfg isim.Config) error {
 	if label != "" {
 		fmt.Fprintf(w, "\n== %s: %s ==\n", id, label)
@@ -83,7 +82,8 @@ func explainConfig(w io.Writer, id, label string, cfg isim.Config) error {
 	if err := plan.Validate(); err != nil {
 		return err
 	}
-	art := plancache.Shared().Artifacts(*plan)
+	cfg.Plans = plancache.New(0, 0)
+	art := cfg.Plans.Artifacts(*plan)
 	stream := art.Streams[0]
 	perEpoch := plan.SamplesPerEpoch(0)
 	totalMB := float64(cfg.DS.TotalSize()) / (1 << 20)
@@ -92,8 +92,8 @@ func explainConfig(w io.Writer, id, label string, cfg isim.Config) error {
 	fmt.Fprintf(w, "      worker-0 stream: %d accesses (%d per epoch); dataset %.1f MB total, %.3f MB/sample mean\n",
 		len(stream), perEpoch, totalMB, totalMB/float64(plan.F))
 
-	// Clairvoyant NoPFS placement, via the shared plan cache (the identical
-	// artifacts a real run would consume).
+	// Clairvoyant NoPFS placement: the identical artifacts the simulated run
+	// below consumes.
 	node := cfg.Sys.Node
 	assign := art.Placement(plancache.FamilyNoPFS, cfg.DS, node, true)
 	fmt.Fprintln(w, "placement (NoPFS policy, worker 0):")

@@ -1,8 +1,9 @@
 // Package plancache memoises the clairvoyant plan artifacts that every
 // layer of the system re-derives from an access.Plan: per-epoch orders
-// (uniform shuffles or any access.Pattern), per-worker access streams,
-// elastic epoch-end offsets, candidate rankings,
-// and the cachepolicy.Assignment placements computed from them.
+// (uniform shuffles or any access.Pattern), per-worker access streams and
+// their cumulative epoch ends, candidate rankings, the
+// cachepolicy.Assignment placements computed from them, and the simulator's
+// tag streams over those placements.
 // The plan's canonical access spec is part of the cache key, so two plans
 // differing only in pattern never share artifacts.
 //
@@ -57,7 +58,8 @@ type Cache struct {
 	tick     int64 // LRU clock
 	curBytes int64
 
-	hits, misses atomic.Int64
+	hits, misses      atomic.Int64
+	ranks, tagStreams atomic.Int64 // builds, counted in their once.Do
 }
 
 // entry is one memoised plan. The zero entry is inserted under Cache.mu;
@@ -89,14 +91,13 @@ func New(maxBytes int64, workers int) *Cache {
 	}
 }
 
-// shared is the process-wide cache the simulator routes through: sim.Run
-// environments, cachepolicy builds and the dry-run explainer share one
-// artifact set, so every policy cell of one (scenario, replica seed) shares
-// a single shuffle pass (a P×R grid does R passes, not P×R). A live cluster
-// builds its plan in a cache of its own (nopfs.RunCluster).
+// shared is the process-wide cache behind every simulator config that names
+// none: every policy cell of one (scenario, replica seed) shares a single
+// shuffle pass (a P×R grid does R passes, not P×R), and a repeated grid in
+// one process finds its plans warm.
 var shared = New(0, 0)
 
-// Shared returns the process-wide cache.
+// Shared returns the process-wide cache: the default of sim.Config.Plans.
 func Shared() *Cache { return shared }
 
 // Stats is a point-in-time snapshot of cache effectiveness.
@@ -105,6 +106,11 @@ type Stats struct {
 	Entries      int
 	Bytes        int64
 	MaxBytes     int64
+	// Ranks and TagStreams count the Artifacts.Rank and Artifacts.TagStream
+	// entries this cache has built; TagStreams includes entries that hold
+	// no tags, such as the simulator's plan-stream byte total. They count
+	// builds, not residency: a build on an evicted entry still counts.
+	Ranks, TagStreams int64
 }
 
 // Stats snapshots the cache counters.
@@ -114,6 +120,7 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits: c.hits.Load(), Misses: c.misses.Load(),
 		Entries: len(c.entries), Bytes: c.curBytes, MaxBytes: c.maxBytes,
+		Ranks: c.ranks.Load(), TagStreams: c.tagStreams.Load(),
 	}
 }
 
@@ -251,6 +258,7 @@ func (a *Artifacts) Rank(byFreq bool) *cachepolicy.Rank {
 	}
 	r.once.Do(func() {
 		r.rank = cachepolicy.RankStreams(&a.Plan, a.Streams, byFreq)
+		a.cache.ranks.Add(1)
 		a.cache.addBytes(a.self, r.rank.ApproxBytes())
 	})
 	return r.rank
@@ -386,6 +394,7 @@ func (a *Artifacts) TagStream(family string, ds cachepolicy.Sizer, node hwspec.N
 	a.amu.Unlock()
 	t.once.Do(func() {
 		t.ts = build()
+		a.cache.tagStreams.Add(1)
 		a.cache.addBytes(a.self, t.ts.approxBytes())
 	})
 	return t.ts

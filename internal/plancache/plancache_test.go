@@ -213,7 +213,8 @@ func samePlacement(f int, streams [][]access.SampleID, got, want *cachepolicy.As
 func TestPlacementRanksOncePerFamily(t *testing.T) {
 	p := access.Plan{Seed: 9, F: 300, N: 4, E: 4, BatchPerWorker: 8, DropLast: true}
 	ds := testDataset(t, p.F)
-	art := New(0, 0).Artifacts(p)
+	c := New(0, 0)
+	art := c.Artifacts(p)
 	direct := map[string]bool{FamilyNoPFS: true, FamilyRandom: false} // family → by frequency
 	nodes := []hwspec.Node{testNode(0.3, 0.5), testNode(0.1, 0), testNode(0.2, 0.2)}
 	want := map[string][]*cachepolicy.Assignment{}
@@ -222,7 +223,6 @@ func TestPlacementRanksOncePerFamily(t *testing.T) {
 			want[family] = append(want[family], cachepolicy.RankStreams(&p, art.Streams, byFreq).Fill(ds, node, false))
 		}
 	}
-	before := cachepolicy.RankCount()
 	for family := range direct {
 		for i, node := range nodes {
 			got := art.Placement(family, ds, node, false)
@@ -240,14 +240,15 @@ func TestPlacementRanksOncePerFamily(t *testing.T) {
 			}
 		}
 	}
-	if n := cachepolicy.RankCount() - before; n != int64(len(direct)) {
+	if n := c.Stats().Ranks; n != int64(len(direct)) {
 		t.Fatalf("%d placements ranked %d times, want once per family (%d)", 2*len(direct)*len(nodes), n, len(direct))
 	}
 }
 
 // TestRankAccounting: a ranking's bytes are charged to its entry when it is
 // built (once), leave the cache with the entry, and are not charged when a
-// live holder of an evicted entry builds one.
+// live holder of an evicted entry builds one. Stats.Ranks counts builds, not
+// bytes: that late build still counts.
 func TestRankAccounting(t *testing.T) {
 	p1 := access.Plan{Seed: 1, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
 	p2 := access.Plan{Seed: 2, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
@@ -263,8 +264,8 @@ func TestRankAccounting(t *testing.T) {
 	if got := c.Stats().Bytes - base; got != rank.ApproxBytes() {
 		t.Fatalf("ranking charged %d bytes, want %d", got, rank.ApproxBytes())
 	}
-	if a1.Rank(true) != rank || c.Stats().Bytes != base+rank.ApproxBytes() {
-		t.Fatal("second request re-ranked or re-charged")
+	if a1.Rank(true) != rank || c.Stats().Bytes != base+rank.ApproxBytes() || c.Stats().Ranks != 1 {
+		t.Fatalf("second request re-ranked or re-charged: %+v", c.Stats())
 	}
 
 	a2 := c.Artifacts(p2) // evicts p1 together with its ranking
@@ -275,37 +276,60 @@ func TestRankAccounting(t *testing.T) {
 	if got := c.Stats().Bytes; got != a2.baseBytes() {
 		t.Fatalf("evicted entry's ranking charged the cache: %d -> %d bytes", a2.baseBytes(), got)
 	}
+	if n := c.Stats().Ranks; n != 2 {
+		t.Fatalf("cache counts %d rankings after a build on an evicted entry, want 2", n)
+	}
 }
 
 // TestSingleflight asserts concurrent requesters of one plan share a single
-// computation and a single artifact object.
+// computation and a single artifact object, and so do concurrent requesters
+// of one ranking and one tag stream: each is built, and counted, once. A
+// second cache on the same plan builds and counts its own from zero.
 func TestSingleflight(t *testing.T) {
 	p := testPlans()[3]
+	ds, node := testDataset(t, p.F), testNode(0.2, 0.3)
 	c := New(0, 2)
 	const goroutines = 16
 	arts := make([]*Artifacts, goroutines)
+	ranks := make([]*cachepolicy.Rank, goroutines)
+	tags := make([]*TagStream, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			arts[i] = c.Artifacts(p)
+			ranks[i] = arts[i].Rank(true)
+			tags[i] = arts[i].TagStream(FamilyNoPFS, ds, node, "", func() *TagStream {
+				return &TagStream{Stream: arts[i].Streams[0]}
+			})
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < goroutines; i++ {
-		if arts[i] != arts[0] {
+		if arts[i] != arts[0] || ranks[i] != ranks[0] || tags[i] != tags[0] {
 			t.Fatal("concurrent requesters got distinct artifact objects")
 		}
 	}
 	st := c.Stats()
-	if st.Misses != 1 || st.Hits != goroutines-1 {
-		t.Fatalf("stats: %+v, want 1 miss / %d hits", st, goroutines-1)
+	if st.Misses != 1 || st.Hits != goroutines-1 || st.Ranks != 1 || st.TagStreams != 1 {
+		t.Fatalf("stats: %+v, want 1 miss / %d hits, 1 ranking, 1 tag stream", st, goroutines-1)
 	}
 	before := access.ShuffleCount()
 	c.Artifacts(p)
 	if access.ShuffleCount() != before {
 		t.Fatal("warm lookup performed shuffle work")
+	}
+
+	other := New(0, 2)
+	if other.Artifacts(p).Rank(true) == ranks[0] {
+		t.Fatal("two caches share one ranking")
+	}
+	if st := other.Stats(); st.Ranks != 1 || st.TagStreams != 0 {
+		t.Fatalf("second cache: %+v, want 1 ranking and no tag stream", st)
+	}
+	if st := c.Stats(); st.Ranks != 1 || st.TagStreams != 1 {
+		t.Fatalf("first cache after the second built: %+v, want its counts unchanged", st)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/plancache"
 )
 
 // equivalencePanels are the Fig. 8 panels covered by the cold-vs-warm
@@ -14,8 +15,9 @@ import (
 var equivalencePanels = []string{"fig8a", "fig8b", "fig8e"}
 
 // runAllPolicies simulates every policy on the panel, in Fig. 8 bar order or
-// reversed, and returns the results keyed by policy name.
-func runAllPolicies(t *testing.T, id string, seed uint64, reversed bool) map[string]*Result {
+// reversed, with plan artifacts from plans, and returns the results keyed by
+// policy name.
+func runAllPolicies(t *testing.T, id string, seed uint64, reversed bool, plans *plancache.Cache) map[string]*Result {
 	t.Helper()
 	s, err := ScenarioByID(id)
 	if err != nil {
@@ -25,6 +27,7 @@ func runAllPolicies(t *testing.T, id string, seed uint64, reversed bool) map[str
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Plans = plans
 	pols := AllPolicies()
 	if reversed {
 		slices.Reverse(pols)
@@ -53,9 +56,9 @@ func TestCachedMatchesNaiveArtifactPath(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			for i, reversed := range []bool{false, true} {
-				seed := uint64(4200 + i) // fresh to this test: the first pass is cold
-				cold := runAllPolicies(t, id, seed, reversed)
-				warm := runAllPolicies(t, id, seed, !reversed)
+				seed, plans := uint64(4200+i), plancache.New(0, 0) // the first pass is cold
+				cold := runAllPolicies(t, id, seed, reversed, plans)
+				warm := runAllPolicies(t, id, seed, !reversed, plans)
 				for name, want := range cold {
 					if got := warm[name]; !reflect.DeepEqual(got, want) {
 						t.Errorf("%s (reversed=%v): warm result differs from cold:\n got %+v\nwant %+v",
@@ -71,11 +74,15 @@ func TestCachedMatchesNaiveArtifactPath(t *testing.T) {
 // plan artifacts are cached, re-running the full policy panel — the shape of
 // a warm sweep-grid cell — performs zero epoch shuffles.
 func TestWarmCellsDoZeroShuffleWork(t *testing.T) {
-	runAllPolicies(t, "fig8a", 17, false) // prime the cache for this seed
+	plans := plancache.New(0, 0)
+	runAllPolicies(t, "fig8a", 17, false, plans) // prime the cache for this seed
 	before := access.ShuffleCount()
-	runAllPolicies(t, "fig8a", 17, false)
+	runAllPolicies(t, "fig8a", 17, false, plans)
 	if n := access.ShuffleCount() - before; n != 0 {
 		t.Fatalf("warm policy panel performed %d shuffles, want 0", n)
+	}
+	if st := plans.Stats(); st.Misses != 1 {
+		t.Fatalf("two policy panels on one plan: %+v, want 1 miss", st)
 	}
 }
 
@@ -86,12 +93,11 @@ func TestPolicyPanelSharesOneShufflePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A fresh seed on every execution: the shared plan cache outlives the
-	// test (-count > 1), and a seed it has seen is not cold.
-	cfg, err := s.Config(testScale, 1800+coldSeeds.Add(1))
+	cfg, err := s.Config(testScale, 1800)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Plans = plancache.New(0, 0)
 	before := access.ShuffleCount()
 	for _, pol := range AllPolicies() {
 		if _, err := Run(cfg, pol); err != nil {

@@ -5,10 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/access"
@@ -579,17 +579,6 @@ func TestSubnormalNeverReached(t *testing.T) {
 	}
 }
 
-// coldSeeds numbers the configs the cold-path tests of this package have
-// used in this process.
-var coldSeeds atomic.Uint64
-
-// tagProbe reports how many tag streams and reordered policy streams f built.
-func tagProbe(f func()) (tags, streams int64) {
-	tags, streams = cachepolicy.TagBuildCount(), policyStreamBuilds.Load()
-	f()
-	return cachepolicy.TagBuildCount() - tags, policyStreamBuilds.Load() - streams
-}
-
 // TestTagStreamsBuiltOncePerPlacement pins the cache contract of the
 // kernel's input: tag streams and reordered streams are built once per
 // (placement, stream kind) however many cells consume them.
@@ -598,65 +587,126 @@ func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fresh seeds on every execution: the shared plan cache outlives the test
-	// (-count > 1), and a seed it has seen is not cold.
+	// Every config reads a cache of its own, cold whatever ran before.
 	config := func() Config {
-		cfg, err := s.Config(testScale, 1800+coldSeeds.Add(1))
+		cfg, err := s.Config(testScale, 1800)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cfg.Plans = plancache.New(0, 0)
 		return cfg
 	}
-	run := func(cfg Config, pols ...Policy) {
+	run := func(cfg Config, pols ...Policy) int64 {
+		before := cfg.Plans.Stats().TagStreams
 		for _, pol := range pols {
 			if _, err := Run(cfg, pol); err != nil {
 				t.Error(err)
 			}
 		}
+		return cfg.Plans.Stats().TagStreams - before
 	}
 
 	// A cold panel builds one tag stream per (placement, stream kind) — first
-	// touch × {plan, opportunistic}, shard × {cycle, locality}, preload, NoPFS
-	// — and the three reordered streams; a second pass builds nothing.
+	// touch × {plan, opportunistic}, shard × {cycle, locality}, preload,
+	// NoPFS, and the placement-free plan stream that Naive, StagingBuffer and
+	// LowerBound share — plus the plan stream's byte total, which the first
+	// plan-stream build sums and every later one finds: 8. A second pass
+	// builds nothing.
 	cfg := config()
-	if tags, streams := tagProbe(func() { run(cfg, AllPolicies()...) }); tags != 6 || streams != 3 {
-		t.Errorf("cold panel built %d tag streams and %d policy streams, want 6 and 3", tags, streams)
+	if n := run(cfg, AllPolicies()...); n != 8 {
+		t.Errorf("cold panel built %d tag streams, want 8", n)
 	}
-	if tags, streams := tagProbe(func() { run(cfg, AllPolicies()...) }); tags != 0 || streams != 0 {
-		t.Errorf("warm panel built %d tag streams and %d policy streams, want none", tags, streams)
+	if n := run(cfg, AllPolicies()...); n != 0 {
+		t.Errorf("warm panel built %d tag streams, want none", n)
+	}
+	// inputs returns, per panel policy, the cached kernel input of cfg's
+	// placement and the input runInput hands simulate.
+	inputs := func(cfg Config) (cached, ran []*plancache.TagStream) {
+		for _, pol := range AllPolicies() {
+			env, err := newEnv(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			place, _, err := env.prepare(pol)
+			if err != nil {
+				t.Fatalf("%s: %v", pol.Name(), err)
+			}
+			rule := pol.rule
+			rule.place = place
+			in, _ := env.runInput(rule)
+			cached, ran = append(cached, env.kernelInput(rule)), append(ran, in)
+		}
+		return cached, ran
+	}
+	// A fault-free cell runs on the cached input itself. Of the panel's
+	// inputs, exactly the three reorderings (DeepIO opportunistic,
+	// ParallelStaging's cycle, LocalityAware) are streams of their own.
+	cached, ran := inputs(cfg)
+	own := map[*plancache.TagStream]bool{}
+	for i, in := range cached {
+		if ran[i] != in {
+			t.Errorf("%s: fault-free cell re-tagged its stream", AllPolicies()[i].Name())
+		}
+		if in.OwnStream {
+			own[in] = true
+		}
+	}
+	if len(own) != 3 {
+		t.Errorf("panel consumes %d reordered streams, want 3", len(own))
 	}
 	// A jitter or non-structural chaos profile changes neither placement nor
-	// stream, so it finds the tags of the fault-free cells.
+	// stream, so it runs on the tags of the fault-free cells.
 	slow := cfg
 	slow.PFSJitter = 0.5
 	slow.Chaos, err = chaos.PresetByName("flaky-fabric")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tags, _ := tagProbe(func() { run(slow, NewNoPFS(), NewDeepIO(false)) }); tags != 0 {
-		t.Errorf("chaos cells on a tagged placement built %d tag streams, want 0", tags)
+	if n := run(slow, NewNoPFS(), NewDeepIO(false)); n != 0 {
+		t.Errorf("chaos cells on a tagged placement built %d tag streams, want 0", n)
 	}
-
-	// Two policies with one placement and one stream share one tag stream.
-	cfg = config()
-	if tags, _ := tagProbe(func() { run(cfg, NewDeepIO(false), NewLBANN(false)) }); tags != 1 {
-		t.Errorf("DeepIO (Ord.) + LBANN (Dynamic) built %d tag streams, want 1", tags)
+	if _, ran := inputs(slow); !slices.Equal(ran, cached) {
+		t.Error("flaky-fabric cells did not run on the fault-free cells' tag streams")
 	}
-
-	// Two goroutines racing on one placement build it once.
-	cfg = config()
-	if tags, _ := tagProbe(func() {
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run(cfg, NewNoPFS())
-			}()
+	// A node crash reshapes the stream, so its cells run on inputs of their
+	// own, outside the cache.
+	crash := cfg
+	crash.Chaos, err = chaos.PresetByName("node-crash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := cfg.Plans.Stats().TagStreams
+	_, crashed := inputs(crash)
+	for i, in := range crashed {
+		if in == cached[i] {
+			t.Errorf("%s: node-crash cell ran on the cached fault-free stream", AllPolicies()[i].Name())
 		}
-		wg.Wait()
-	}); tags != 1 {
-		t.Errorf("two racing NoPFS cells built %d tag streams, want 1", tags)
+	}
+	if n := cfg.Plans.Stats().TagStreams - before; n != 0 {
+		t.Errorf("node-crash cells cached %d tag streams, want 0", n)
+	}
+
+	// Two policies with one placement and one stream share one tag stream;
+	// the other build is the plan stream's total.
+	if n := run(config(), NewDeepIO(false), NewLBANN(false)); n != 2 {
+		t.Errorf("DeepIO (Ord.) + LBANN (Dynamic) built %d tag streams, want 2", n)
+	}
+
+	// Two goroutines racing on one placement build it (and the total) once.
+	cfg = config()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := Run(cfg, NewNoPFS()); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := cfg.Plans.Stats().TagStreams; n != 2 {
+		t.Errorf("two racing NoPFS cells built %d tag streams, want 2", n)
 	}
 }
 
@@ -669,10 +719,11 @@ func TestTagStreamTotalSummedOncePerDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := s.Config(testScale, 1800+coldSeeds.Add(1))
+	cfg, err := s.Config(testScale, 1800)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Plans = plancache.New(0, 0)
 	smaller := cfg
 	smaller.Sys.Node.Classes = append([]hwspec.StorageClass(nil), cfg.Sys.Node.Classes...)
 	smaller.Sys.Node.Classes[0].CapacityMB /= 2

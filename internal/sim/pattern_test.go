@@ -51,6 +51,7 @@ func patternConfigOn(t *testing.T, panel, spec string, seed uint64) Config {
 // inactive epochs recorded as zero-duration entries.
 func TestElasticEpochAccounting(t *testing.T) {
 	cfg := patternConfig(t, "elastic:join=1@1,leave=2@2", 33)
+	cfg.Plans = plancache.New(0, 0)
 	res, err := Run(cfg, NewNoPFS())
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func TestElasticEpochAccounting(t *testing.T) {
 	if got, want := len(res.EpochSeconds), cfg.Work.Epochs; got != want {
 		t.Fatalf("EpochSeconds has %d entries, want %d", got, want)
 	}
-	art := plancache.Shared().Artifacts(*cfg.Plan())
+	art := cfg.Plans.Artifacts(*cfg.Plan())
 	if len(art.EpochEnds) == 0 {
 		t.Fatal("elastic plan has no EpochEnds artifacts")
 	}
@@ -83,8 +84,8 @@ func TestElasticEpochAccounting(t *testing.T) {
 }
 
 // TestElasticRejectsStructuralChaos pins the validation rule: crash
-// redistribution slices peer streams assuming uniform per-epoch counts,
-// which an elastic membership schedule violates.
+// redistribution chunks the worker's own stream into near-equal epochs,
+// which an elastic membership schedule's unequal epochs violate.
 func TestElasticRejectsStructuralChaos(t *testing.T) {
 	cfg := patternConfig(t, "elastic:join=1@1", 7)
 	prof, err := chaos.ParseProfile("crash:1@1")

@@ -32,6 +32,7 @@ package sim
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"sync"
@@ -70,6 +71,9 @@ type Config struct {
 	// canonicalize with access.CanonicalSpec before stamping it so equal
 	// patterns share plan-cache entries and memoised sweep results.
 	Access string
+	// Plans is the cache the run reads its plan artifacts from; nil means
+	// the process-wide plancache.Shared().
+	Plans *plancache.Cache
 }
 
 // Plan derives the access plan implied by the config.
@@ -101,11 +105,11 @@ func (c *Config) Validate() error {
 	if n := len(c.Sys.Node.Classes); n > cachepolicy.MaxTagClasses {
 		return fmt.Errorf("sim: node has %d storage classes, at most %d are supported", n, cachepolicy.MaxTagClasses)
 	}
-	// Crash redistribution (chaos.RedistributeStream) slices peer streams
-	// assuming every epoch contributes the same uniform per-worker count —
-	// true for all content patterns, false once an elastic membership
-	// schedule varies the partition itself. Reject the combination rather
-	// than silently violate exactly-once.
+	// Crash redistribution (chaos.RedistributeStream) slices peers at their
+	// plan epoch ends but chunks the worker's own stream into near-equal
+	// epochs — its plan ends only while every epoch has the same count,
+	// which an elastic membership schedule varies. Reject the combination
+	// rather than silently violate exactly-once.
 	if c.Access != "" && c.Chaos.Structural() {
 		if pat, err := access.ParseAccessSpec(c.Access); err == nil && pat.Elastic() {
 			return fmt.Errorf("sim: elastic access pattern %q cannot combine with a structural (crash) chaos profile", c.Access)
@@ -170,9 +174,10 @@ type Env struct {
 }
 
 // newEnv builds the environment shared by all policies for one config. Plan
-// artifacts come from the shared plan cache: all P policy cells sharing one
-// (scenario, replica seed) perform one shuffle pass instead of P (replicas
-// carry distinct derived seeds, so a P×R grid does R passes, not P×R).
+// artifacts come from the config's plan cache: all P policy cells sharing
+// one (scenario, replica seed) and cache perform one shuffle pass instead of
+// P (replicas carry distinct derived seeds, so a P×R grid does R passes, not
+// P×R).
 func newEnv(cfg *Config) (*Env, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -183,7 +188,7 @@ func newEnv(cfg *Config) (*Env, error) {
 	}
 	plan := cfg.Plan()
 	sizes, mean := sizeTable(cfg.DS)
-	art := plancache.Shared().Artifacts(*plan)
+	art := cmp.Or(cfg.Plans, plancache.Shared()).Artifacts(*plan)
 	return &Env{
 		Cfg: cfg, Rate: model.Compile(plan.N), Plan: plan,
 		SizesMB: sizes, MeanMB: mean, Streams: art.Streams,
@@ -360,20 +365,26 @@ func (env *Env) run(pol Policy) *Result {
 	// The placement is this run's: it goes on pol's copy, never on the value
 	// the caller holds.
 	pol.rule.place = place
-	in := env.kernelInput(pol.rule)
-	// Node crashes redistribute the crashed workers' plan across the
-	// survivors: the simulated worker's stream grows and its epoch ends
-	// shift. chaos.RedistributeStream is the rule the live job applies too,
-	// evaluated for worker 0, which crashRank guarantees is a survivor. The
-	// reshaped stream belongs to this schedule alone, so it is tagged here
-	// and not cached.
+	in, epochEnds := env.runInput(pol.rule)
+	simulate(env, pol, in, setup, res, epochEnds)
+	return res
+}
+
+// runInput returns the tagged stream the kernel runs under rule and its
+// epoch ends: the cached kernelInput, unless node crashes redistribute the
+// crashed workers' plan across the survivors, growing the simulated worker's
+// stream and shifting its epoch ends. chaos.RedistributeStream is the rule
+// the live job applies too, evaluated for worker 0, which crashRank
+// guarantees is a survivor. The reshaped stream belongs to this schedule
+// alone, so it is tagged here and not cached.
+func (env *Env) runInput(rule sourceRule) (*plancache.TagStream, []int) {
+	in := env.kernelInput(rule)
 	stream, epochEnds := env.Chaos.RedistributeStream(0, env.Plan.N, env.Plan.E,
 		in.Stream, env.epochEnds(in.Stream), env.planStream)
 	if env.Chaos.HasCrashes(env.Plan.N) {
-		in = &plancache.TagStream{Stream: stream, Tags: pol.rule.tags(stream), TotalMB: env.sumMB(stream)}
+		in = &plancache.TagStream{Stream: stream, Tags: rule.tags(stream), TotalMB: env.sumMB(stream)}
 	}
-	simulate(env, pol, in, setup, res, epochEnds)
-	return res
+	return in, epochEnds
 }
 
 // stagingCompactMin is the staging-window compaction threshold: once at
@@ -405,9 +416,10 @@ var windowPool = sync.Pool{
 	},
 }
 
-// simulateCount counts simulate() executions process-wide. It mirrors
-// access.ShuffleCount: the dry-run test asserts that explaining a grid
-// simulates one NoPFS run per scenario and no sweep cell by probing it.
+// simulateCount counts simulate() executions process-wide. The dry-run test
+// asserts with it that explaining a grid simulates one NoPFS run per
+// scenario and no sweep cell; outside the tests, benchmark/simtrace.go is
+// its last reader (sim.simulate_count).
 var simulateCount atomic.Int64
 
 // SimulateCount returns the number of simulate() executions so far.
@@ -482,7 +494,6 @@ func (e *Env) kernelInput(rule sourceRule) *plancache.TagStream {
 	return e.Art.TagStream(rule.family, e.Cfg.DS, e.Cfg.Sys.Node, rule.stream, func() *plancache.TagStream {
 		ts := &plancache.TagStream{Stream: e.Streams[0]}
 		if build := streamBuilders[rule.stream]; build != nil {
-			policyStreamBuilds.Add(1)
 			ts.Stream, ts.OwnStream = build(e, rule.place), true
 			ts.TotalMB = e.sumMB(ts.Stream)
 		} else {
@@ -538,10 +549,6 @@ func (e *Env) sumMB(stream []access.SampleID) (mb float64) {
 	}
 	return mb
 }
-
-// policyStreamBuilds counts reordered streams built by kernelInput — a test
-// probe like cachepolicy.TagBuildCount.
-var policyStreamBuilds atomic.Int64
 
 // simulate runs the staging-pipeline model over the tagged stream. It is the
 // simulator's only fetch loop: every policy, elastic plan and chaos schedule

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/hwspec"
 	"repro/internal/perfmodel"
+	"repro/internal/plancache"
 )
 
 // testScale shrinks Fig. 8 scenarios enough for fast tests while preserving
@@ -215,10 +216,11 @@ func TestSharedPolicyValueServesConcurrentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := s.Config(testScale, 2900+coldSeeds.Add(1))
+	cfg, err := s.Config(testScale, 2900)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Plans = plancache.New(0, 0)
 	for _, pol := range AllPolicies() {
 		got := make([]*Result, 4)
 		var wg sync.WaitGroup

@@ -415,8 +415,9 @@ func (g *Grid) Validate() error {
 			return fmt.Errorf("sweep: grid %q pattern %q: %w", g.Name, pat.Name, err)
 		}
 		// Reject elastic × crash up front (sim.Config.Validate would fail
-		// every such cell anyway): crash redistribution assumes the uniform
-		// per-epoch partition an elastic membership schedule removes.
+		// every such cell anyway): crash redistribution chunks a worker's own
+		// stream into near-equal epochs, which an elastic membership
+		// schedule's unequal epochs break.
 		if p.Elastic() {
 			for _, prof := range g.Profiles {
 				if prof.Profile.Structural() {

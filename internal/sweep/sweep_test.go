@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/access"
-	"repro/internal/cachepolicy"
+	"repro/internal/plancache"
 	"repro/internal/prng"
 	isim "repro/internal/sim"
 )
@@ -41,6 +41,18 @@ func testGrid(t *testing.T) *Grid {
 		Policies:  AllPolicySpecs(),
 		Replicas:  2, BaseSeed: 42,
 	}
+}
+
+// withPlans points every scenario config of the grid at plans.
+func withPlans(g *Grid, plans *plancache.Cache) *Grid {
+	for i, spec := range g.Scenarios {
+		g.Scenarios[i].Config = func(seed uint64) (isim.Config, error) {
+			cfg, err := spec.Config(seed)
+			cfg.Plans = plans
+			return cfg, err
+		}
+	}
+	return g
 }
 
 func TestReplicaSeedDerivation(t *testing.T) {
@@ -457,15 +469,20 @@ func TestWriteTextShape(t *testing.T) {
 }
 
 // TestWarmGridCellsDoZeroShuffleWork drives the acceptance probe at the
-// engine level: many concurrent cells hammer the shared plan cache, and a
-// warm re-run of the same grid — every cell in parallel — performs zero
-// epoch shuffles while producing a bit-identical report.
+// engine level: many concurrent cells hammer one plan cache, and a warm
+// re-run of the same grid — every cell in parallel — performs zero epoch
+// shuffles and ranks nothing while producing a bit-identical report. The
+// cold grid ranks each of its four plans (two panels × two replicas) once.
 func TestWarmGridCellsDoZeroShuffleWork(t *testing.T) {
-	grid := testGrid(t)
+	plans := plancache.New(0, 0)
+	grid := withPlans(testGrid(t), plans)
 	wide := &Runner{Parallel: 4 * runtime.GOMAXPROCS(0)}
 	cold, err := wide.Run(bg, grid)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := plans.Stats().Ranks; n != 4 {
+		t.Fatalf("cold grid ranked %d times, want 4", n)
 	}
 	before := access.ShuffleCount()
 	warm, err := wide.Run(bg, grid)
@@ -474,6 +491,9 @@ func TestWarmGridCellsDoZeroShuffleWork(t *testing.T) {
 	}
 	if n := access.ShuffleCount() - before; n != 0 {
 		t.Fatalf("warm grid performed %d shuffles, want 0", n)
+	}
+	if n := plans.Stats().Ranks - 4; n != 0 {
+		t.Fatalf("warm grid ranked %d times, want 0", n)
 	}
 	var coldBuf, warmBuf bytes.Buffer
 	if err := WriteJSON(&coldBuf, cold); err != nil {
@@ -487,40 +507,34 @@ func TestWarmGridCellsDoZeroShuffleWork(t *testing.T) {
 	}
 }
 
-// TestGridRanksOncePerPlanAndFamily drives the cachepolicy.RankCount probe
-// at the engine level. The Fig. 9 study evaluates 29 storage hierarchies on
-// one plan: the candidate ranking depends on the seed alone, so the whole
-// grid ranks once, however many node specs fill from it. The ablation grid
-// adds the random-placement family on its one plan: two rankings. A warm
-// re-run finds every placement in the plan cache and ranks nothing.
-// rankTestSeeds numbers the grids TestGridRanksOncePerPlanAndFamily has run
-// in this process: the shared plan cache outlives the test (-count > 1), and
-// a seed it has seen is not cold.
-var rankTestSeeds atomic.Uint64
-
+// TestGridRanksOncePerPlanAndFamily drives the cache's ranking count at the
+// engine level. The Fig. 9 study evaluates 29 storage hierarchies on one
+// plan: the candidate ranking depends on the seed alone, so the whole grid
+// ranks once, however many node specs fill from it. The ablation grid adds
+// the random-placement family on its one plan: two rankings. A warm re-run
+// finds every placement in the plan cache and ranks nothing.
 func TestGridRanksOncePerPlanAndFamily(t *testing.T) {
-	n := rankTestSeeds.Add(1) << 8
 	for _, tc := range []struct {
 		grid *Grid
 		want int64
 	}{
-		{Fig9FullGrid(0.001, 0xf199+n, 1), 1},
-		{AblationGrid(0.002, 0xab1a+n, 1), 2},
+		{Fig9FullGrid(0.001, 0xf199, 1), 1},
+		{AblationGrid(0.002, 0xab1a, 1), 2},
 	} {
+		plans := plancache.New(0, 0)
+		grid := withPlans(tc.grid, plans)
 		runner := &Runner{Parallel: 4}
-		before := cachepolicy.RankCount()
-		if _, err := runner.Run(bg, tc.grid); err != nil {
+		if _, err := runner.Run(bg, grid); err != nil {
 			t.Fatal(err)
 		}
-		if n := cachepolicy.RankCount() - before; n != tc.want {
-			t.Errorf("%s: cold grid of %d cells ranked %d times, want %d", tc.grid.Name, len(tc.grid.Scenarios)*len(tc.grid.Policies), n, tc.want)
+		if n := plans.Stats().Ranks; n != tc.want {
+			t.Errorf("%s: cold grid of %d cells ranked %d times, want %d", grid.Name, len(grid.Scenarios)*len(grid.Policies), n, tc.want)
 		}
-		before = cachepolicy.RankCount()
-		if _, err := runner.Run(bg, tc.grid); err != nil {
+		if _, err := runner.Run(bg, grid); err != nil {
 			t.Fatal(err)
 		}
-		if n := cachepolicy.RankCount() - before; n != 0 {
-			t.Errorf("%s: warm grid ranked %d times, want 0", tc.grid.Name, n)
+		if n := plans.Stats().Ranks - tc.want; n != 0 {
+			t.Errorf("%s: warm grid ranked %d times, want 0", grid.Name, n)
 		}
 	}
 }

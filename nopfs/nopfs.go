@@ -233,8 +233,8 @@ func (o Options) Validate(ds Dataset, workers int) error {
 	if err != nil {
 		return fmt.Errorf("nopfs: %w", err)
 	}
-	// Crash redistribution assumes every epoch contributes the same uniform
-	// per-worker count, which an elastic membership schedule removes.
+	// Crash redistribution chunks a rank's own stream into near-equal
+	// epochs, which an elastic membership schedule's unequal epochs break.
 	if pat.Elastic() && o.Chaos.Structural() {
 		return errors.New("nopfs: elastic access pattern cannot combine with a crash chaos profile")
 	}

@@ -648,6 +648,7 @@ func renderLedger(o *outcomes) string {
 }
 
 func TestPaperClaims(t *testing.T) {
+	t.Parallel()
 	o, err := paperRuns()
 	if err != nil {
 		t.Fatal(err)

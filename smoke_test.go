@@ -89,6 +89,7 @@ func runBinary(t *testing.T, name string, args ...string) string {
 // TestSmokeBuildAllMainPackages asserts every cmd/ and examples/ main
 // builds and yields an executable.
 func TestSmokeBuildAllMainPackages(t *testing.T) {
+	t.Parallel()
 	for _, name := range []string{
 		"nopfs",
 		"chaos", "cosmoflow", "imagenet", "quickstart", "sysdesign",
@@ -100,6 +101,7 @@ func TestSmokeBuildAllMainPackages(t *testing.T) {
 // TestSmokeNopfsDryRun runs both --dry-run paths end to end: fast, exit 0,
 // and carrying the plan analysis and the simulated NoPFS run.
 func TestSmokeNopfsDryRun(t *testing.T) {
+	t.Parallel()
 	sim := runBinary(t, "nopfs", "sim", "-scenario", "fig8a", "-scale", "0.005", "-dry-run")
 	for _, want := range []string{"dry run: grid", "placement (NoPFS policy, worker 0):", "simulated NoPFS run (worker 0):"} {
 		if !strings.Contains(sim, want) {
@@ -118,6 +120,7 @@ func TestSmokeNopfsDryRun(t *testing.T) {
 // Prometheus dump on stdout: the observability acceptance check through a
 // real process.
 func TestSmokeNopfsRunMetrics(t *testing.T) {
+	t.Parallel()
 	out := runBinary(t, "nopfs", "run",
 		"-workers", "2", "-epochs", "2", "-samples", "128", "-sample-kb", "8",
 		"-pfs-mbps", "4", "-ram-mb", "1", "-metrics-out", "-")
@@ -136,6 +139,7 @@ func TestSmokeNopfsRunMetrics(t *testing.T) {
 
 // TestSmokeAccessCLI runs the access-pattern analysis at tiny scale.
 func TestSmokeAccessCLI(t *testing.T) {
+	t.Parallel()
 	out := runBinary(t, "nopfs", "access", "-f", "2000", "-n", "4", "-e", "6")
 	if len(out) == 0 {
 		t.Fatal("nopfs access produced no output")
@@ -149,6 +153,7 @@ func TestSmokeAccessCLI(t *testing.T) {
 
 // TestSmokeSimCLI runs one Fig. 8 panel at tiny scale in every format.
 func TestSmokeSimCLI(t *testing.T) {
+	t.Parallel()
 	text := runBinary(t, "nopfs", "sim", "-scenario", "fig8a", "-scale", "0.005")
 	if !strings.Contains(text, "NoPFS") || !strings.Contains(text, "fig8a") {
 		t.Errorf("nopfs sim text output unexpected:\n%s", text)
@@ -168,6 +173,7 @@ func TestSmokeSimCLI(t *testing.T) {
 // faulted reports must stay bit-identical across parallelism, and the
 // profile column must appear in the encoding.
 func TestSmokeSimCLIChaosDeterministic(t *testing.T) {
+	t.Parallel()
 	args := []string{"sim", "-scenario", "fig8a", "-scale", "0.005", "-chaos", "meltdown", "-replicas", "2", "-format", "json"}
 	serial := runBinary(t, "nopfs", append(args, "-parallel", "1")...)
 	wide := runBinary(t, "nopfs", append(args, "-parallel", "8")...)
@@ -185,6 +191,7 @@ func TestSmokeSimCLIChaosDeterministic(t *testing.T) {
 // through the real CLI at pool widths 1 and 8 and requires byte-identical
 // output — the engine's determinism contract, observed end to end.
 func TestSmokeTrainCLIDeterministicAcrossParallelism(t *testing.T) {
+	t.Parallel()
 	args := []string{"train", "-fig", "10", "-scale", "0.05", "-gpus", "32,64"}
 	serial := runBinary(t, "nopfs", append(args, "-parallel", "1")...)
 	wide := runBinary(t, "nopfs", append(args, "-parallel", "8")...)
