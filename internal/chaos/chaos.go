@@ -166,12 +166,6 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// Structural reports whether the profile changes the access schedule itself
-// (node crashes redistribute streams). Non-structural faults only stretch
-// durations, which is what makes the fault-removal monotonicity law hold:
-// removing a non-structural fault never slows a run.
-func (p Profile) Structural() bool { return len(p.Crashes) > 0 }
-
 // Label returns the profile's report label: Name when set, else the
 // canonical Spec string.
 func (p Profile) Label() string {

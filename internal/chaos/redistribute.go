@@ -44,18 +44,16 @@ func survivorOrdinal(self int, crashed []int) int {
 }
 
 // RedistributeStream applies crash re-planning to one worker's delivery
-// stream and its cumulative epoch ends. From each crash epoch onwards the
-// crashed workers' plan entries — sliced at their plan epoch ends from peer
-// — are split round-robin across the survivors in rank order, and self
-// appends its share after its own entries for the epoch. Self's own stream
-// is sliced into epochs near-equal chunks (size len/epochs, remainder
-// spread over the early epochs), so policies that reorder or cycle their
-// stream keep their own epoch structure while still absorbing orphaned
-// entries; for plan-shaped streams (length = epochs x SamplesPerEpoch) the
-// chunks coincide with the plan ends.
+// stream and its cumulative epoch ends. The stream is sliced at its own
+// ends, whatever rule built it: the plan's partition, an elastic
+// membership schedule's unequal one, or a policy's reordering. From each
+// crash epoch onwards the crashed workers' plan entries — sliced at their
+// plan epoch ends from peer — are split round-robin across the survivors in
+// rank order, and self appends its share after its own entries for the
+// epoch.
 //
 // If self itself crashes, its stream ends at its crash epoch: the returned
-// stream holds only the pre-crash prefix (own chunks plus any shares of
+// stream holds only the pre-crash prefix (own entries plus any shares of
 // earlier crashes).
 //
 // The second return carries the cumulative end-of-epoch boundaries of the
@@ -67,29 +65,23 @@ func survivorOrdinal(self int, crashed []int) int {
 // is what lets the live path recover clairvoyantly — survivors know the
 // orphaned plan rounds without any runtime ownership negotiation.
 func (s *Schedule) RedistributeStream(
-	self, n, epochs int,
+	self, n int,
 	stream []access.SampleID, ends []int,
 	peer func(worker int) (stream []access.SampleID, ends []int),
 ) ([]access.SampleID, []int) {
-	if s == nil || !s.HasCrashes(n) || len(stream) == 0 || epochs <= 0 {
+	if s == nil || !s.HasCrashes(n) {
 		return stream, ends
 	}
 	selfCrash := s.CrashEpoch(self, n)
-	e0 := len(stream) / epochs
-	rem := len(stream) % epochs
 	out := make([]access.SampleID, 0, len(stream)+len(stream)/n+1)
-	outEnds := make([]int, 0, epochs)
+	outEnds := make([]int, 0, len(ends))
 	off := 0
-	for e := 0; e < epochs; e++ {
+	for e, end := range ends {
 		if selfCrash >= 0 && e >= selfCrash {
 			break // self is gone: deliver only the pre-crash prefix
 		}
-		size := e0
-		if e < rem {
-			size++
-		}
-		out = append(out, stream[off:off+size]...)
-		off += size
+		out = append(out, stream[off:end]...)
+		off = end
 		if crashed := s.CrashedWorkers(e, n); len(crashed) > 0 {
 			survivors := n - len(crashed)
 			ord := survivorOrdinal(self, crashed)
@@ -114,7 +106,7 @@ func (s *Schedule) RedistributeStream(
 }
 
 // RedistributedRounds returns how many plan entries RedistributeStream
-// grafted onto self's stream beyond its own chunks — the live engine's
+// grafted onto self's stream beyond its own entries — the live engine's
 // nopfs_redistributed_rounds_total accounting.
 func RedistributedRounds(stream, reshaped []access.SampleID) int {
 	own := len(stream)
@@ -129,14 +121,14 @@ func RedistributedRounds(stream, reshaped []access.SampleID) int {
 // streams and boundaries, keyed by rank. Ranks that crash get their
 // truncated prefix. The union of the returned streams is exactly the set
 // of samples a live cluster must deliver — the exactly-once oracle.
-func (s *Schedule) SurvivorStreams(n, epochs int,
+func (s *Schedule) SurvivorStreams(n int,
 	peer func(worker int) (stream []access.SampleID, ends []int),
 ) (streams [][]access.SampleID, bounds [][]int) {
 	streams = make([][]access.SampleID, n)
 	bounds = make([][]int, n)
 	for r := 0; r < n; r++ {
 		stream, ends := peer(r)
-		streams[r], bounds[r] = s.RedistributeStream(r, n, epochs, stream, ends, peer)
+		streams[r], bounds[r] = s.RedistributeStream(r, n, stream, ends, peer)
 	}
 	return streams, bounds
 }

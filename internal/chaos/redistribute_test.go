@@ -40,13 +40,13 @@ func compileSpec(t *testing.T, spec string) *Schedule {
 func TestRedistributeStreamFaultFree(t *testing.T) {
 	streams, planEnds, peer := planStreams(2, 2, 3)
 	var nilSched *Schedule
-	out, ends := nilSched.RedistributeStream(0, 2, 2, streams[0], planEnds, peer)
+	out, ends := nilSched.RedistributeStream(0, 2, streams[0], planEnds, peer)
 	if &out[0] != &streams[0][0] || &ends[0] != &planEnds[0] {
 		t.Fatal("nil schedule must return the stream and its ends untouched")
 	}
 	// A schedule without crashes is equally neutral.
 	s := compileSpec(t, "lat:1ms")
-	out, ends = s.RedistributeStream(0, 2, 2, streams[0], planEnds, peer)
+	out, ends = s.RedistributeStream(0, 2, streams[0], planEnds, peer)
 	if &out[0] != &streams[0][0] || &ends[0] != &planEnds[0] {
 		t.Fatal("crash-free schedule must return the stream and its ends untouched")
 	}
@@ -77,7 +77,7 @@ func TestRedistributeStreamRoundRobinShares(t *testing.T) {
 	s := compileSpec(t, "crash:2@1")
 
 	// Survivor rank 0 (ordinal 0) takes positions lo, lo+3, ...
-	got0, ends0 := s.RedistributeStream(0, n, epochs, streams[0], planEnds, peer)
+	got0, ends0 := s.RedistributeStream(0, n, streams[0], planEnds, peer)
 	want0 := append([]access.SampleID(nil), streams[0][0:4]...)
 	want0 = append(want0, streams[0][4:8]...)
 	want0 = append(want0, streams[2][4], streams[2][7])
@@ -91,7 +91,7 @@ func TestRedistributeStreamRoundRobinShares(t *testing.T) {
 	}
 
 	// Survivor rank 3 has ordinal 2 (rank 2 crashed below it).
-	got3, _ := s.RedistributeStream(3, n, epochs, streams[3], planEnds, peer)
+	got3, _ := s.RedistributeStream(3, n, streams[3], planEnds, peer)
 	want3 := append([]access.SampleID(nil), streams[3][0:4]...)
 	want3 = append(want3, streams[3][4:8]...)
 	want3 = append(want3, streams[2][6])
@@ -102,7 +102,7 @@ func TestRedistributeStreamRoundRobinShares(t *testing.T) {
 	}
 
 	// The crashed rank delivers only its pre-crash prefix.
-	got2, ends2 := s.RedistributeStream(2, n, epochs, streams[2], planEnds, peer)
+	got2, ends2 := s.RedistributeStream(2, n, streams[2], planEnds, peer)
 	if !reflect.DeepEqual(got2, streams[2][0:4]) {
 		t.Errorf("crashed rank stream = %v, want its epoch-0 prefix", got2)
 	}
@@ -127,7 +127,7 @@ func TestSurvivorStreamsExactlyOnce(t *testing.T) {
 		const n, epochs, pe = 4, 3, 4
 		streams, _, peer := planStreams(n, epochs, pe)
 		s := compileSpec(t, spec)
-		got, _ := s.SurvivorStreams(n, epochs, peer)
+		got, _ := s.SurvivorStreams(n, peer)
 		counts := map[access.SampleID]int{}
 		for _, rs := range got {
 			for _, id := range rs {
@@ -158,24 +158,30 @@ func TestSurvivorStreamsExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestRedistributeUnevenPolicyStream pins the e0/rem chunking rule for
-// policy streams whose length is not a multiple of the epoch count.
+// TestRedistributeUnevenPolicyStream pins that a stream is sliced at its own
+// ends, however uneven: a policy stream of 10 entries whose epochs hold 4, 1
+// and 5 keeps that structure, and the orphaned entries land after the epoch
+// they belong to.
 func TestRedistributeUnevenPolicyStream(t *testing.T) {
 	const n, epochs, pe = 2, 3, 4
 	streams, _, peer := planStreams(n, epochs, pe)
 	s := compileSpec(t, "crash:1@2")
-	// A reordered/shortened policy stream: 10 entries over 3 epochs chunks
-	// as 4, 3, 3, whatever ends it came with.
 	policy := streams[0][:10]
-	got, ends := s.RedistributeStream(0, n, epochs, policy, []int{4, 8}, peer)
+	got, ends := s.RedistributeStream(0, n, policy, []int{4, 5, 10}, peer)
 	want := append([]access.SampleID(nil), policy[0:4]...)
-	want = append(want, policy[4:7]...)
-	want = append(want, policy[7:10]...)
+	want = append(want, policy[4:5]...)
+	want = append(want, policy[5:10]...)
 	want = append(want, streams[1][8:12]...) // sole survivor takes all of epoch 2
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("stream = %v, want %v", got, want)
 	}
-	if wantEnds := []int{4, 7, 14}; !reflect.DeepEqual(ends, wantEnds) {
+	if wantEnds := []int{4, 5, 14}; !reflect.DeepEqual(ends, wantEnds) {
 		t.Errorf("bounds = %v, want %v", ends, wantEnds)
+	}
+	// A rank with nothing of its own (an elastic rank before it joins)
+	// still takes its share of a crash.
+	got, ends = s.RedistributeStream(0, n, nil, []int{0, 0, 0}, peer)
+	if want := streams[1][8:12]; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(ends, []int{0, 0, 4}) {
+		t.Errorf("empty stream: got %v at %v, want %v at [0 0 4]", got, ends, want)
 	}
 }

@@ -2,7 +2,9 @@ package invariant
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -87,7 +89,7 @@ func expectedStreams(t *testing.T, f, workers int, opts nopfs.Options) [][]acces
 	plan := livePlan(t, f, workers, opts)
 	streams, ends := plan.AllStreamsFromOrders(plan.EpochOrders(0), 0)
 	sched := opts.Chaos.Compile(opts.Seed)
-	reshaped, _ := sched.SurvivorStreams(workers, opts.Epochs,
+	reshaped, _ := sched.SurvivorStreams(workers,
 		func(w int) ([]access.SampleID, []int) { return streams[w], ends[w] })
 	return reshaped
 }
@@ -356,7 +358,7 @@ func TestLivePatternAgreement(t *testing.T) {
 // chan ranks: every rank's ends are non-nil, non-decreasing and end at its
 // stream's length; every delivered Sample.Epoch and Sample.Iteration is
 // what the ends give for its position; and the union of deliveries is the
-// plan, exactly once. Elastic × crash is rejected and skipped.
+// plan, exactly once.
 func TestLiveEpochEndsOneRepresentation(t *testing.T) {
 	const workers, f = 3, 60
 	ds := dataset.MustNew(dataset.Spec{
@@ -374,15 +376,9 @@ func TestLiveEpochEndsOneRepresentation(t *testing.T) {
 					}
 					opts.Chaos = prof
 				}
-				if pattern == "elastic" && preset != "fault-free" {
-					if opts.Validate(ds, workers) == nil {
-						t.Fatal("elastic × crash: want a validation error")
-					}
-					t.Skip("elastic × crash is rejected")
-				}
 				plan := livePlan(t, f, workers, opts)
 				planStreams, planEnds := plan.AllStreamsFromOrders(plan.EpochOrders(0), 0)
-				streams, ends := opts.Chaos.Compile(opts.Seed).SurvivorStreams(workers, plan.E,
+				streams, ends := opts.Chaos.Compile(opts.Seed).SurvivorStreams(workers,
 					func(w int) ([]access.SampleID, []int) { return planStreams[w], planEnds[w] })
 
 				got := make([][]nopfs.Sample, workers)
@@ -433,6 +429,62 @@ func TestLiveEpochEndsOneRepresentation(t *testing.T) {
 					t.Error(err)
 				}
 			})
+		}
+	}
+}
+
+// TestCrashRedistributionExactlyOnce is the crash-redistribution law over
+// randomized {access preset × crash} trials: every preset, the uniform
+// shuffle included, on a random batch size, with one or two crashes at
+// random ranks and epochs ≥ 1. The plan conserves its access volume
+// (CheckFrequencyConservation), and the union of the ranks' redistributed
+// streams (chaos.SurvivorStreams, a pure function) delivers every plan round
+// exactly once (CheckExactlyOnce). The first trials also run on a live chan
+// cluster, which must deliver that oracle rank by rank.
+func TestCrashRedistributionExactlyOnce(t *testing.T) {
+	const workers, f, trials, liveTrials = 3, 60, 300, 6
+	specs := append([]string{""}, access.PresetNames()...)
+	g := prng.New(0xC4A5)
+	for trial := 0; trial < trials; trial++ {
+		opts := liveOptions(g.Uint64())
+		opts.BatchPerWorker = 1 + g.Intn(6)
+		opts.Access = specs[g.Intn(len(specs))]
+		crash := func() string { return fmt.Sprintf("crash:%d@%d", 1+g.Intn(workers-1), 1+g.Intn(opts.Epochs-1)) }
+		spec := crash()
+		if g.Intn(2) == 0 {
+			spec += "," + crash()
+		}
+		prof, err := chaos.ParseProfile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Chaos = prof
+		name := fmt.Sprintf("trial %d (access %q, %s, batch %d)", trial, opts.Access, spec, opts.BatchPerWorker)
+
+		plan := livePlan(t, f, workers, opts)
+		if err := CheckFrequencyConservation(plan); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		planStreams, planEnds := plan.AllStreamsFromOrders(plan.EpochOrders(0), 0)
+		want, _ := prof.Compile(opts.Seed).SurvivorStreams(workers,
+			func(w int) ([]access.SampleID, []int) { return planStreams[w], planEnds[w] })
+		oracle := make([][]int, workers)
+		for w, s := range want {
+			for _, id := range s {
+				oracle[w] = append(oracle[w], int(id))
+			}
+		}
+		if err := CheckExactlyOnce(oracle, planStreams); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if trial >= liveTrials {
+			continue
+		}
+		delivered, _ := runLive(t, workers, f, opts)
+		for w := range oracle {
+			if !slices.Equal(delivered[w], oracle[w]) {
+				t.Errorf("%s: live rank %d delivered %v, want %v", name, w, delivered[w], oracle[w])
+			}
 		}
 	}
 }

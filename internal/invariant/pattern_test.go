@@ -36,9 +36,7 @@ func patternPlan(cfg isim.Config) *access.Plan {
 //   - elastic partitions deliver every scheduled round exactly once across
 //     the per-epoch active sets (CheckExactlyOnce).
 //
-// Structural chaos (crashes) is drawn only for non-elastic patterns — the
-// combination is rejected by config validation, and the sweep asserts that
-// rejection once below.
+// Crashes are drawn for every pattern, elastic membership included.
 func TestPatternChaosSweep(t *testing.T) {
 	g := prng.New(0xACCE55)
 	for trial := 0; trial < 25; trial++ {
@@ -56,7 +54,7 @@ func TestPatternChaosSweep(t *testing.T) {
 		}
 		if trial%2 == 1 {
 			cfg.Chaos = RandomProfile(g.Derive(uint64(100+trial)), cfg.Work.Workers, cfg.Work.Epochs,
-				len(cfg.Sys.Node.Classes), !pat.Elastic())
+				len(cfg.Sys.Node.Classes), true)
 		}
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("trial %d (pattern %q): config invalid: %v", trial, spec, err)
@@ -107,10 +105,11 @@ func TestPatternChaosSweep(t *testing.T) {
 	}
 }
 
-// TestElasticRejectsStructuralChaos pins the guard the sweep above relies
-// on: an elastic membership schedule cannot combine with a crash profile —
-// both rewrite the partition, and composing them would break exactly-once.
-func TestElasticRejectsStructuralChaos(t *testing.T) {
+// TestElasticComposesWithCrashChaos: an elastic membership schedule
+// combines with a crash profile — both reshape the partition, and crash
+// redistribution slices each rank's stream at its own epoch ends — so the
+// config validates and every policy's run satisfies the result laws.
+func TestElasticComposesWithCrashChaos(t *testing.T) {
 	g := prng.New(0xE1A5)
 	tc := randomCase(t, g, false)
 	cfg := tc.cfg
@@ -118,10 +117,16 @@ func TestElasticRejectsStructuralChaos(t *testing.T) {
 	cfg.Work.Workers = 3
 	cfg.Access = "elastic:leave=1@1"
 	cfg.Chaos = RandomProfile(g, cfg.Work.Workers, cfg.Work.Epochs, len(cfg.Sys.Node.Classes), true)
-	for cfg.Chaos.Empty() || !cfg.Chaos.Structural() {
+	for len(cfg.Chaos.Crashes) == 0 {
 		cfg.Chaos = RandomProfile(g, cfg.Work.Workers, cfg.Work.Epochs, len(cfg.Sys.Node.Classes), true)
 	}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("elastic pattern + crash profile validated; want rejection")
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("elastic pattern + crash profile %q rejected: %v", cfg.Chaos.Label(), err)
+	}
+	for _, pol := range isim.AllPolicies() {
+		r := run(t, cfg, pol)
+		if err := CheckResult(r); err != nil {
+			t.Errorf("%s under %q: %v", r.Policy, cfg.Chaos.Label(), err)
+		}
 	}
 }

@@ -299,6 +299,9 @@ type TagStream struct {
 	// the placement.
 	Stream    []access.SampleID
 	OwnStream bool
+	// Ends are Stream's cumulative epoch ends, one per epoch, the last at
+	// len(Stream).
+	Ends []int
 	// Tags[f] is the source tag of Stream[f] (see cachepolicy.Tags); nil
 	// when no placement backs the stream.
 	Tags []byte

@@ -116,8 +116,8 @@ func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, f int, k a
 }
 
 // referenceStream is the stream the policy consumes under the run's
-// placement a, rebuilt from scratch.
-func referenceStream(env *Env, pol Policy, a *cachepolicy.Assignment) []access.SampleID {
+// placement a, rebuilt from scratch, with its epoch ends.
+func referenceStream(env *Env, pol Policy, a *cachepolicy.Assignment) ([]access.SampleID, []int) {
 	switch pol.Name() {
 	case NameDeepIOOpp:
 		return opportunisticStream(env, a)
@@ -126,7 +126,7 @@ func referenceStream(env *Env, pol Policy, a *cachepolicy.Assignment) []access.S
 	case NameLocalityAware:
 		return localityStream(env, a)
 	}
-	return env.Streams[0]
+	return env.Streams[0], env.Art.EpochEnds[0]
 }
 
 // referencePipeline is the policy's staging pipeline, by name: its lookahead
@@ -178,16 +178,8 @@ func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 	}
 	bufMB, syncRead, p0, setup, coverage := referencePipeline(env, pol, a)
 	res.SetupSeconds, res.Coverage = setup, coverage
-	// Epoch boundaries by the reference's own rule: a crash's
-	// redistribution; else the elastic plan's ends for a stream of the
-	// plan's length; else every SamplesPerEpoch(0) samples (nil epochEnds).
-	stream, epochEnds := referenceStream(env, pol, a), []int(nil)
-	if env.Chaos.HasCrashes(env.Plan.N) {
-		stream, epochEnds = env.Chaos.RedistributeStream(0, env.Plan.N, env.Plan.E,
-			stream, nil, env.planStream)
-	} else if env.Plan.Pattern().Elastic() && len(stream) == len(env.Art.Streams[0]) {
-		epochEnds = env.Art.EpochEnds[0]
-	}
+	stream, epochEnds := referenceStream(env, pol, a)
+	stream, epochEnds = env.Chaos.RedistributeStream(0, env.Plan.N, stream, epochEnds, env.planStream)
 
 	var (
 		n       = len(stream)
@@ -204,15 +196,11 @@ func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 	var window []staged
 	head, inBufMB := 0, 0.0
 
-	perEpoch := env.Plan.SamplesPerEpoch(0)
 	if n > 0 {
 		res.BatchSeconds = []float64{}
 		res.EpochSeconds = []float64{}
 	}
-	epoch, nextEpochEnd := 0, perEpoch
-	if len(epochEnds) > 0 {
-		nextEpochEnd = epochEnds[0]
-	}
+	epoch, nextEpochEnd := 0, epochEnds[0]
 	factors := func() (barrier, self float64) {
 		if sched == nil {
 			return 1, 1
@@ -221,7 +209,7 @@ func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 	}
 	barrier, self := factors()
 	batchJitter := env.pfsJitter()
-	for len(epochEnds) > 0 && epoch < len(epochEnds) && epochEnds[epoch] == 0 {
+	for epoch < len(epochEnds) && epochEnds[epoch] == 0 {
 		res.EpochSeconds = append(res.EpochSeconds, 0)
 		epoch++
 		if epoch < len(epochEnds) {
@@ -291,16 +279,12 @@ func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 			res.BatchSeconds = append(res.BatchSeconds, prevComputeDone-lastBatchEnd)
 			lastBatchEnd = prevComputeDone
 		}
-		for f+1 == nextEpochEnd && (len(epochEnds) == 0 || epoch < len(epochEnds)) {
+		for f+1 == nextEpochEnd && epoch < len(epochEnds) {
 			res.EpochSeconds = append(res.EpochSeconds, prevComputeDone-lastEpochEnd)
 			lastEpochEnd = prevComputeDone
 			epoch++
-			if len(epochEnds) > 0 {
-				if epoch < len(epochEnds) {
-					nextEpochEnd = epochEnds[epoch]
-				}
-			} else {
-				nextEpochEnd += perEpoch
+			if epoch < len(epochEnds) {
+				nextEpochEnd = epochEnds[epoch]
 			}
 			barrier, self = factors()
 		}
@@ -312,9 +296,6 @@ func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 		}
 	}
 	res.ExecSeconds = prevComputeDone
-	if len(res.EpochSeconds) < env.Plan.E && n > 0 && prevComputeDone > lastEpochEnd {
-		res.EpochSeconds = append(res.EpochSeconds, prevComputeDone-lastEpochEnd)
-	}
 	return res, nil
 }
 
@@ -373,9 +354,6 @@ func TestPatternKernelsMatchGeneric(t *testing.T) {
 						cfg.Chaos = prof
 						if p0 > 0 {
 							cfg.Sys.Node.Staging.Threads = p0
-						}
-						if cfg.Validate() != nil {
-							continue // elastic × crash: rejected, see TestElasticRejectsStructuralChaos
 						}
 						for _, pol := range kernelPolicies() {
 							got, err := Run(cfg, pol)
@@ -633,8 +611,7 @@ func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 			}
 			rule := pol.rule
 			rule.place = place
-			in, _ := env.runInput(rule)
-			cached, ran = append(cached, env.kernelInput(rule)), append(ran, in)
+			cached, ran = append(cached, env.kernelInput(rule)), append(ran, env.runInput(rule))
 		}
 		return cached, ran
 	}

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/access"
@@ -83,38 +83,79 @@ func TestElasticEpochAccounting(t *testing.T) {
 	}
 }
 
-// TestElasticRejectsStructuralChaos pins the validation rule: crash
-// redistribution chunks the worker's own stream into near-equal epochs,
-// which an elastic membership schedule's unequal epochs violate.
-func TestElasticRejectsStructuralChaos(t *testing.T) {
+// TestElasticComposesWithCrashChaos: an elastic membership schedule and a
+// node crash compose. Rank 1 joins at epoch 1 and crashes there, so worker 0
+// absorbs its share of rank 1's plan rounds from epoch 1 on: the config
+// validates, and every policy runs with one epoch-series entry per epoch
+// summing to its training time.
+func TestElasticComposesWithCrashChaos(t *testing.T) {
 	cfg := patternConfig(t, "elastic:join=1@1", 7)
 	prof, err := chaos.ParseProfile("crash:1@1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Chaos = prof
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("elastic pattern + crash profile validated, want error")
-	} else if !strings.Contains(err.Error(), "elastic") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	// Non-structural chaos (a straggler) composes fine with elastic plans.
-	prof, err = chaos.ParseProfile("straggler:1x2@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Chaos = prof
 	if err := cfg.Validate(); err != nil {
-		t.Fatalf("elastic + non-structural chaos rejected: %v", err)
+		t.Fatalf("elastic pattern + crash profile rejected: %v", err)
 	}
-	// Content patterns keep uniform partitions, so crashes stay legal.
-	cfg = patternConfig(t, "zipf:s=1.1", 7)
-	prof, err = chaos.ParseProfile("crash:1@1")
-	if err != nil {
-		t.Fatal(err)
+	for _, pol := range AllPolicies() {
+		res, err := Run(cfg, pol)
+		if err != nil {
+			t.Fatalf("%s: %v", pol.Name(), err)
+		}
+		if res.Failed {
+			t.Fatalf("%s failed: %s", pol.Name(), res.FailReason)
+		}
+		if got, want := len(res.EpochSeconds), cfg.Work.Epochs; got != want {
+			t.Fatalf("%s: EpochSeconds has %d entries, want %d", pol.Name(), got, want)
+		}
+		total := res.SetupSeconds
+		for _, sec := range res.EpochSeconds {
+			total += sec
+		}
+		if diff := total - res.ExecSeconds; diff > 1e-9 || diff < -1e-9 {
+			t.Errorf("%s: setup plus epoch series is %g, exec time %g", pol.Name(), total, res.ExecSeconds)
+		}
 	}
-	cfg.Chaos = prof
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("zipf + crash rejected: %v", err)
+}
+
+// TestKernelInputEnds: every policy's kernel input, fault-free and under
+// node-crash, on every pattern, carries one epoch end per epoch,
+// non-decreasing, the last at the stream's length — whatever rule built the
+// stream. The kept partial batch of the run without DropLast is where
+// LocalityAware's reordering outgrows the plan's epochs.
+func TestKernelInputEnds(t *testing.T) {
+	for _, spec := range patternSpecs {
+		for _, preset := range []string{"fault-free", "node-crash"} {
+			for _, dropLast := range []bool{true, false} {
+				cfg := patternConfigOn(t, "fig8c", spec, 91)
+				cfg.DropLast = dropLast
+				if preset != "fault-free" {
+					prof, err := chaos.PresetByName(preset)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Chaos = prof
+				}
+				env, err := newEnv(&cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, pol := range kernelPolicies() {
+					place, _, err := env.prepare(pol)
+					if err != nil {
+						continue // the scenario is beyond the policy
+					}
+					rule := pol.rule
+					rule.place = place
+					in := env.runInput(rule)
+					ends := in.Ends
+					if len(ends) != cfg.Work.Epochs || ends[len(ends)-1] != len(in.Stream) || !slices.IsSorted(ends) {
+						t.Errorf("%s under %q, %s, DropLast %v: ends %v for a stream of %d over %d epochs",
+							pol.Name(), spec, preset, dropLast, ends, len(in.Stream), cfg.Work.Epochs)
+					}
+				}
+			}
+		}
 	}
 }

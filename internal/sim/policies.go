@@ -258,14 +258,16 @@ func cycleStream(list []access.SampleID, n int) []access.SampleID {
 
 // Stream kinds of the policies that reorder the plan's stream, and their
 // builders: each is a pure function of the plan's artifacts and the run's
-// placement, so Env.kernelInput caches the result on the placement.
+// placement, so Env.kernelInput caches the result on the placement. A
+// builder returns the stream with its cumulative epoch ends, one per epoch,
+// the last at the stream's length.
 const (
 	streamOpportunistic = "opportunistic"
 	streamShardCycle    = "shard-cycle"
 	streamLocality      = "locality"
 )
 
-var streamBuilders = map[string]func(*Env, *cachepolicy.Assignment) []access.SampleID{
+var streamBuilders = map[string]func(*Env, *cachepolicy.Assignment) ([]access.SampleID, []int){
 	streamOpportunistic: opportunisticStream,
 	streamShardCycle:    shardCycleStream,
 	streamLocality:      localityStream,
@@ -273,39 +275,42 @@ var streamBuilders = map[string]func(*Env, *cachepolicy.Assignment) []access.Sam
 
 // opportunisticStream is DeepIO's relaxed order: epoch 0 fills the caches in
 // true order; later epochs cycle local content only.
-func opportunisticStream(env *Env, a *cachepolicy.Assignment) []access.SampleID {
+func opportunisticStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID, []int) {
 	base := env.Streams[0]
 	perEpoch := env.Plan.SamplesPerEpoch(0)
 	cached := cachedList(a)
 	if len(cached) == 0 {
-		return base
+		return base, env.Art.EpochEnds[0]
 	}
 	out := make([]access.SampleID, 0, len(base))
 	out = append(out, base[:min(perEpoch, len(base))]...)
+	ends := []int{len(out)}
 	for e := 1; e < env.Plan.E; e++ {
 		out = append(out, cycleStream(cached, perEpoch)...)
+		ends = append(ends, len(out))
 	}
-	return out
+	return out, ends
 }
 
 // shardCycleStream is ParallelStaging's order: the worker's own shard, over
-// and over.
-func shardCycleStream(env *Env, a *cachepolicy.Assignment) []access.SampleID {
+// and over, at the plan's length and so at the plan's epoch ends.
+func shardCycleStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID, []int) {
 	out := cycleStream(cachedList(a), len(env.Streams[0]))
 	if out == nil {
-		return env.Streams[0]
+		out = env.Streams[0]
 	}
-	return out
+	return out, env.Art.EpochEnds[0]
 }
 
 // localityStream reorders each global batch so worker 0 preferentially
 // receives the samples it stores locally; the remainder of its per-batch
 // quota is filled from the batch's leftover samples.
-func localityStream(env *Env, a *cachepolicy.Assignment) []access.SampleID {
+func localityStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID, []int) {
 	plan := env.Plan
 	b := plan.BatchPerWorker
 	B := plan.GlobalBatch()
 	out := make([]access.SampleID, 0, len(env.Streams[0]))
+	ends := make([]int, 0, plan.E)
 	// Per-batch scratch, reused across all batches of the run.
 	mine := make([]access.SampleID, 0, b)
 	other := make([]access.SampleID, 0, B)
@@ -334,6 +339,7 @@ func localityStream(env *Env, a *cachepolicy.Assignment) []access.SampleID {
 				out = append(out, other[i])
 			}
 		}
+		ends = append(ends, len(out))
 	}
-	return out
+	return out, ends
 }

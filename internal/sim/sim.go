@@ -105,16 +105,6 @@ func (c *Config) Validate() error {
 	if n := len(c.Sys.Node.Classes); n > cachepolicy.MaxTagClasses {
 		return fmt.Errorf("sim: node has %d storage classes, at most %d are supported", n, cachepolicy.MaxTagClasses)
 	}
-	// Crash redistribution (chaos.RedistributeStream) slices peers at their
-	// plan epoch ends but chunks the worker's own stream into near-equal
-	// epochs — its plan ends only while every epoch has the same count,
-	// which an elastic membership schedule varies. Reject the combination
-	// rather than silently violate exactly-once.
-	if c.Access != "" && c.Chaos.Structural() {
-		if pat, err := access.ParseAccessSpec(c.Access); err == nil && pat.Elastic() {
-			return fmt.Errorf("sim: elastic access pattern %q cannot combine with a structural (crash) chaos profile", c.Access)
-		}
-	}
 	return nil
 }
 
@@ -365,26 +355,24 @@ func (env *Env) run(pol Policy) *Result {
 	// The placement is this run's: it goes on pol's copy, never on the value
 	// the caller holds.
 	pol.rule.place = place
-	in, epochEnds := env.runInput(pol.rule)
-	simulate(env, pol, in, setup, res, epochEnds)
+	simulate(env, pol, env.runInput(pol.rule), setup, res)
 	return res
 }
 
-// runInput returns the tagged stream the kernel runs under rule and its
+// runInput returns the tagged stream the kernel runs under rule, with its
 // epoch ends: the cached kernelInput, unless node crashes redistribute the
 // crashed workers' plan across the survivors, growing the simulated worker's
 // stream and shifting its epoch ends. chaos.RedistributeStream is the rule
 // the live job applies too, evaluated for worker 0, which crashRank
 // guarantees is a survivor. The reshaped stream belongs to this schedule
 // alone, so it is tagged here and not cached.
-func (env *Env) runInput(rule sourceRule) (*plancache.TagStream, []int) {
+func (env *Env) runInput(rule sourceRule) *plancache.TagStream {
 	in := env.kernelInput(rule)
-	stream, epochEnds := env.Chaos.RedistributeStream(0, env.Plan.N, env.Plan.E,
-		in.Stream, env.epochEnds(in.Stream), env.planStream)
-	if env.Chaos.HasCrashes(env.Plan.N) {
-		in = &plancache.TagStream{Stream: stream, Tags: rule.tags(stream), TotalMB: env.sumMB(stream)}
+	if !env.Chaos.HasCrashes(env.Plan.N) {
+		return in
 	}
-	return in, epochEnds
+	stream, ends := env.Chaos.RedistributeStream(0, env.Plan.N, in.Stream, in.Ends, env.planStream)
+	return &plancache.TagStream{Stream: stream, Ends: ends, Tags: rule.tags(stream), TotalMB: env.sumMB(stream)}
 }
 
 // stagingCompactMin is the staging-window compaction threshold: once at
@@ -492,9 +480,10 @@ type sourceRule struct {
 // cell decodes no availability word and rebuilds no stream.
 func (e *Env) kernelInput(rule sourceRule) *plancache.TagStream {
 	return e.Art.TagStream(rule.family, e.Cfg.DS, e.Cfg.Sys.Node, rule.stream, func() *plancache.TagStream {
-		ts := &plancache.TagStream{Stream: e.Streams[0]}
+		ts := &plancache.TagStream{Stream: e.Streams[0], Ends: e.Art.EpochEnds[0]}
 		if build := streamBuilders[rule.stream]; build != nil {
-			ts.Stream, ts.OwnStream = build(e, rule.place), true
+			ts.Stream, ts.Ends = build(e, rule.place)
+			ts.OwnStream = true
 			ts.TotalMB = e.sumMB(ts.Stream)
 		} else {
 			// The plan's own stream has one total under every placement and
@@ -519,22 +508,6 @@ func (r sourceRule) tags(stream []access.SampleID) []byte {
 		return r.place.Tags(0, stream)
 	}
 	return nil
-}
-
-// epochEnds returns the cumulative epoch ends of the simulated worker's
-// stream: the plan's own for a stream of the plan's length, and the
-// multiples of SamplesPerEpoch(0) that fit a stream a policy built to
-// another length.
-func (e *Env) epochEnds(stream []access.SampleID) []int {
-	if len(stream) == len(e.Art.Streams[0]) {
-		return e.Art.EpochEnds[0]
-	}
-	pe := e.Plan.SamplesPerEpoch(0)
-	ends := make([]int, len(stream)/pe)
-	for i := range ends {
-		ends[i] = (i + 1) * pe
-	}
-	return ends
 }
 
 // planStream returns worker w's plan stream and its epoch ends.
@@ -563,12 +536,14 @@ func (e *Env) sumMB(stream []access.SampleID) (mb float64) {
 // kernel_test.go, which asks the Assignment accessors about every fetch: the
 // same float operations run in the same order.
 //
-// epochEnds carries the cumulative stream position at which each epoch ends
-// (crash redistribution and elastic membership make epochs unequal).
-func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res *Result, epochEnds []int) {
+// in.Ends carries the cumulative stream position at which each epoch ends
+// (crash redistribution, elastic membership and reordering policies make
+// epochs unequal).
+func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res *Result) {
 	simulateCount.Add(1)
 	var (
 		stream, sizes = in.Stream, env.SizesMB
+		epochEnds     = in.Ends
 		n             = len(stream)
 		batch         = env.Cfg.Work.BatchPerWorker
 		rate          = env.Rate
@@ -624,8 +599,7 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res 
 
 	if n > 0 {
 		res.BatchSeconds = make([]float64, 0, (n+batch-1)/batch+1)
-		// +1 covers the trailing fold.
-		res.EpochSeconds = make([]float64, 0, len(epochEnds)+1)
+		res.EpochSeconds = make([]float64, 0, len(epochEnds))
 	}
 
 	// Chaos multipliers are epoch-constant: resolve them at boundaries, not
@@ -849,7 +823,4 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res 
 		}
 	}
 	res.ExecSeconds = prevComputeDone
-	if len(res.EpochSeconds) < env.Plan.E && n > 0 && prevComputeDone > lastEpochEnd {
-		res.EpochSeconds = append(res.EpochSeconds, prevComputeDone-lastEpochEnd)
-	}
 }

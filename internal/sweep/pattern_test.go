@@ -111,8 +111,8 @@ func TestAccessAxis(t *testing.T) {
 }
 
 // TestGridValidatePatterns: the grid validator rejects unnamed and duplicate
-// pattern columns, unparseable specs, and elastic × structural-chaos crossings
-// before any cell runs.
+// pattern columns and unparseable specs before any cell runs, and accepts
+// an elastic pattern crossed with a crash profile, whose cells all run.
 func TestGridValidatePatterns(t *testing.T) {
 	base := func() *Grid {
 		g := funcGrid(1)
@@ -151,8 +151,22 @@ func TestGridValidatePatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Profiles = crash
-	if err := g.Validate(); err == nil {
-		t.Error("elastic pattern × crash profile accepted")
+	if err := g.Validate(); err != nil {
+		t.Fatalf("elastic pattern × crash profile rejected: %v", err)
+	}
+	sim := smallSimGrid(t)
+	sim.Patterns, sim.Profiles = g.Patterns, crash
+	rep, err := (&Runner{Parallel: 2}).Run(bg, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Cells) != 24 {
+		t.Fatalf("elastic × crash grid ran %d cells, want 24", len(rep.Cells))
+	}
+	for _, c := range rep.Cells {
+		if c.Outcome.Failed {
+			t.Errorf("%s %s @%s @%s failed: %s", c.Scenario, c.Policy, c.Profile, c.Pattern, c.Outcome.FailReason)
+		}
 	}
 }
 

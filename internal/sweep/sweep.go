@@ -410,21 +410,8 @@ func (g *Grid) Validate() error {
 		if pat.Name == "" {
 			return fmt.Errorf("sweep: grid %q has an access-pattern column without a name", g.Name)
 		}
-		p, err := access.ParseAccessSpec(pat.Spec)
-		if err != nil {
+		if _, err := access.ParseAccessSpec(pat.Spec); err != nil {
 			return fmt.Errorf("sweep: grid %q pattern %q: %w", g.Name, pat.Name, err)
-		}
-		// Reject elastic × crash up front (sim.Config.Validate would fail
-		// every such cell anyway): crash redistribution chunks a worker's own
-		// stream into near-equal epochs, which an elastic membership
-		// schedule's unequal epochs break.
-		if p.Elastic() {
-			for _, prof := range g.Profiles {
-				if prof.Profile.Structural() {
-					return fmt.Errorf("sweep: grid %q: elastic pattern %q cannot cross structural (crash) profile %q",
-						g.Name, pat.Name, prof.Name)
-				}
-			}
 		}
 	}
 	if g.Cell != nil {

@@ -178,9 +178,13 @@ func TestWithMembershipSpec(t *testing.T) {
 	}
 }
 
-// TestElasticRejectsCrashChaos: the elastic × crash crossing is rejected at
-// options validation, before any endpoint is built.
-func TestElasticRejectsCrashChaos(t *testing.T) {
+// TestElasticComposesWithCrashChaos: an elastic schedule composes with a
+// node crash. Rank 1 joins at epoch 1 and crashes there, so its pre-crash
+// stream is empty: it launches no prefetcher and reads nothing from the PFS,
+// the survivors deliver its plan rounds as chaos.SurvivorStreams slices
+// them, and every sample is delivered exactly once per epoch.
+func TestElasticComposesWithCrashChaos(t *testing.T) {
+	const workers, f = 3, 48
 	opts := baseOptions()
 	opts.Access = "elastic:join=1@1"
 	crash, err := chaos.ParseProfile("crash:1@1")
@@ -188,8 +192,60 @@ func TestElasticRejectsCrashChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Chaos = crash
-	ds := testDataset(t, 48)
-	if _, err := RunCluster(bg, ds, 3, opts, DrainAll(nil)); err == nil {
-		t.Fatal("elastic access pattern × crash chaos accepted")
+	ds := testDataset(t, f)
+	if err := opts.Validate(ds, workers); err != nil {
+		t.Fatalf("elastic access pattern × crash chaos rejected: %v", err)
+	}
+	delivered := make([][]int, workers)
+	var survivorsDone sync.WaitGroup
+	survivorsDone.Add(workers - 1)
+	stats, err := RunCluster(bg, ds, workers, opts, func(ctx context.Context, j *Job) error {
+		if j.Rank() == 1 {
+			// Consume only once the survivors are done: a prefetcher the
+			// crashed rank launched would have had the whole run to read.
+			survivorsDone.Wait()
+		} else {
+			defer survivorsDone.Done()
+		}
+		for s, err := range j.Samples(ctx) {
+			if err != nil {
+				return err
+			}
+			delivered[j.Rank()] = append(delivered[j.Rank()], s.ID)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, plan := elasticStreams(t, f, workers, opts)
+	streams, ends := plan.AllStreamsFromOrders(plan.EpochOrders(0), 0)
+	want, _ := crash.Compile(opts.Seed).SurvivorStreams(workers,
+		func(w int) ([]access.SampleID, []int) { return streams[w], ends[w] })
+	for w := range want {
+		if len(delivered[w]) != len(want[w]) {
+			t.Fatalf("rank %d delivered %d samples, want %d", w, len(delivered[w]), len(want[w]))
+		}
+		for i, id := range want[w] {
+			if delivered[w][i] != int(id) {
+				t.Fatalf("rank %d position %d: got %d, want %d", w, i, delivered[w][i], id)
+			}
+		}
+	}
+	if s := stats[1]; s.Delivered != 0 || s.PFSReads != 0 || s.CachedBytes != 0 {
+		t.Errorf("rank 1 crashed before its first sample but delivered %d, read %d from the PFS and cached %d bytes",
+			s.Delivered, s.PFSReads, s.CachedBytes)
+	}
+	counts := make(map[int]int)
+	for _, ids := range delivered {
+		for _, id := range ids {
+			counts[id]++
+		}
+	}
+	for id := 0; id < f; id++ {
+		if counts[id] != opts.Epochs {
+			t.Errorf("sample %d delivered %d times, want %d (once per epoch)", id, counts[id], opts.Epochs)
+		}
 	}
 }

@@ -134,7 +134,7 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 	// only its pre-crash prefix. Without a crash it is the plan's stream
 	// and ends, untouched.
 	sched := opts.Chaos.Compile(opts.Seed)
-	stream, ends := sched.RedistributeStream(rank, workers, plan.E,
+	stream, ends := sched.RedistributeStream(rank, workers,
 		art.Streams[rank], art.EpochEnds[rank],
 		func(w int) ([]access.SampleID, []int) { return art.Streams[w], art.EpochEnds[w] })
 	j := &Job{
@@ -212,6 +212,15 @@ func (j *Job) Start(ctx context.Context) error {
 			return fmt.Errorf("nopfs: rank %d derived a different access plan (digest %#x != %#x): seeds or parameters diverge",
 				rank, d, j.digest)
 		}
+	}
+	if len(j.stream) == 0 && j.crashEpoch >= 0 {
+		// The schedule crashes this rank before its first sample (say, an
+		// elastic rank that would join at its crash epoch): it launches no
+		// prefetcher, so it reads and caches nothing. Its endpoint closes
+		// at the consumer's first Get (next), after the cluster's start
+		// barrier, not here, where a peer may still be mid-allgather.
+		j.shutdown()
+		return nil
 	}
 	// Storage-class prefetchers: fill each class with its assigned
 	// samples in first-access order (Rule 1).
@@ -582,6 +591,9 @@ func (j *Job) next(ctx context.Context) (Sample, bool, error) {
 		}
 		if err != storage.ErrClosed {
 			return Sample{}, false, err // ctx cancellation
+		}
+		if j.crashEpoch >= 0 {
+			j.crashNow() // already enacted at the last sample, unless none (see Start)
 		}
 		return Sample{}, false, nil // clean end of stream (or Close)
 	}

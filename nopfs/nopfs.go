@@ -166,8 +166,9 @@ type Options struct {
 	// ("elastic:join=1@1,leave=2@2") re-partitions the plan at epoch
 	// boundaries — a rank delivers nothing outside its membership window,
 	// but its endpoint stays open and its cached bytes stay servable
-	// (unlike a crash). Elastic schedules cannot combine with crash chaos
-	// profiles.
+	// (unlike a crash). Elastic schedules combine with crash chaos profiles:
+	// survivors absorb a crashed rank's plan rounds epoch by epoch, however
+	// unequal the epochs.
 	Access string
 
 	// Resilience bounds the fetch path's handling of fabric failures:
@@ -229,14 +230,8 @@ func (o Options) Validate(ds Dataset, workers int) error {
 	if err := o.Chaos.Validate(); err != nil {
 		return err
 	}
-	pat, err := access.ParseAccessSpec(o.Access)
-	if err != nil {
+	if _, err := access.ParseAccessSpec(o.Access); err != nil {
 		return fmt.Errorf("nopfs: %w", err)
-	}
-	// Crash redistribution chunks a rank's own stream into near-equal
-	// epochs, which an elastic membership schedule's unequal epochs break.
-	if pat.Elastic() && o.Chaos.Structural() {
-		return errors.New("nopfs: elastic access pattern cannot combine with a crash chaos profile")
 	}
 	if err := o.Resilience.Validate(); err != nil {
 		return err

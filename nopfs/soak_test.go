@@ -37,7 +37,7 @@ func soakStreams(f, workers int, opts Options) [][]access.SampleID {
 	}
 	streams, ends := plan.AllStreamsFromOrders(plan.EpochOrders(0), 0)
 	sched := opts.Chaos.Compile(opts.Seed)
-	reshaped, _ := sched.SurvivorStreams(workers, opts.Epochs,
+	reshaped, _ := sched.SurvivorStreams(workers,
 		func(w int) ([]access.SampleID, []int) { return streams[w], ends[w] })
 	return reshaped
 }
