@@ -335,17 +335,11 @@ func BuildNoPFSLean(plan *access.Plan, streams [][]access.SampleID, ds Sizer, no
 	return RankStreams(plan, streams, true).Fill(ds, node, true)
 }
 
-// BuildFirstTouch computes the first-touch placement used by the LBANN data
-// store's dynamic mode and by DeepIO: during epoch 0, the first worker to
-// read a sample caches it in RAM (class 0) if it still has room. The
-// availability position is the owner's epoch-0 stream position of that first
-// touch.
-func BuildFirstTouch(plan *access.Plan, ds Sizer, node hwspec.Node) *Assignment {
-	return BuildFirstTouchFromOrder(plan, plan.EpochOrder(0), ds, node)
-}
-
-// BuildFirstTouchFromOrder is BuildFirstTouch for callers that already
-// materialised epoch 0's shuffle (the plan-artifact cache shares it).
+// BuildFirstTouchFromOrder computes the first-touch placement used by the
+// LBANN data store's dynamic mode and by DeepIO from epoch 0's shuffle order:
+// during epoch 0, the first worker to read a sample caches it in RAM (class
+// 0) if it still has room. The availability position is the owner's epoch-0
+// stream position of that first touch.
 func BuildFirstTouchFromOrder(plan *access.Plan, order []access.SampleID, ds Sizer, node hwspec.Node) *Assignment {
 	return buildFirstTouch(plan, order, ds, node, false, false)
 }

@@ -230,7 +230,7 @@ func TestFirstTouchPlacesStreamPositions(t *testing.T) {
 		}
 		ds := fixedSizer{n: plan.F, size: 1 << 20}
 		streams := plan.AllWorkerStreams()
-		a := BuildFirstTouch(plan, ds, nodeWithMB(1000, 0))
+		a := BuildFirstTouchFromOrder(plan, plan.EpochOrder(0), ds, nodeWithMB(1000, 0))
 		placed := 0
 		for w, stream := range streams {
 			for k := int32(0); int(k) < plan.F; k++ {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/cachepolicy"
 )
 
 // The eviction tier for concurrent, mixed-size workloads: PR 4's tests
@@ -128,11 +129,12 @@ func TestEvictionIsLRUUnderMixedSizes(t *testing.T) {
 	}
 }
 
-// TestTagStreamAccounting: a placement's tag stream is built once however
-// many goroutines ask, its bytes are part of Stats().Bytes (what the cache
-// reports must account for what the process holds), they leave with the plan
-// entry, and a build that finishes after the entry was evicted is not
-// charged.
+// TestTagStreamAccounting: a lean placement's input is built once however
+// many goroutines ask, on one placement build that the cache counts but does
+// not keep: the input's bytes, and only they, are part of Stats().Bytes (what
+// the cache reports must account for what the process holds). They leave
+// with the plan entry, and a build that finishes after the entry was evicted
+// is not charged.
 func TestTagStreamAccounting(t *testing.T) {
 	p1 := access.Plan{Seed: 1, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
 	p2 := access.Plan{Seed: 2, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
@@ -142,61 +144,66 @@ func TestTagStreamAccounting(t *testing.T) {
 	ds, node := testDataset(t, p1.F), testNode(1, 0)
 	a1 := c.Artifacts(p1)
 	var builds atomic.Int64
-	build := func(a *Artifacts, own bool) func() *TagStream {
-		return func() *TagStream {
+	place := func() *cachepolicy.Assignment { return cachepolicy.BuildShardLean(p1.F, p1.N, ds, node) }
+	derive := func(a *Artifacts, kinds ...string) func(*cachepolicy.Assignment) *LeanInput {
+		return func(p *cachepolicy.Assignment) *LeanInput {
 			builds.Add(1)
-			ts := &TagStream{Stream: a.Streams[0], Tags: make([]byte, len(a.Streams[0]))}
-			if own {
-				ts.Stream, ts.OwnStream = append([]access.SampleID(nil), ts.Stream...), true
+			in := &LeanInput{Streams: map[string]*TagStream{}}
+			for _, kind := range kinds {
+				ts := &TagStream{Stream: a.Streams[0], Tags: p.Tags(0, a.Streams[0])}
+				if kind == "reordered" {
+					ts.Stream, ts.OwnStream = append([]access.SampleID(nil), ts.Stream...), true
+				}
+				in.Streams[kind] = ts
 			}
-			return ts
+			return in
 		}
 	}
 
 	base := c.Stats().Bytes
 	var wg sync.WaitGroup
-	got := make([]*TagStream, 8)
+	got := make([]*LeanInput, 8)
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = a1.TagStream(FamilyNoPFS, ds, node, "plan", build(a1, false))
+			got[i] = a1.LeanInput(FamilyShard, ds, node, place, derive(a1, "plan"))
 		}(i)
 	}
 	wg.Wait()
-	for _, ts := range got {
-		if ts != got[0] {
-			t.Fatal("racing requests got different tag streams")
+	for _, in := range got {
+		if in != got[0] {
+			t.Fatal("racing requests got different inputs")
 		}
 	}
-	if builds.Load() != 1 {
-		t.Fatalf("%d racing requests built %d tag streams, want 1", len(got), builds.Load())
+	if st := c.Stats(); builds.Load() != 1 || st.Placements != 1 || st.TagStreams != 1 {
+		t.Fatalf("%d racing requests built %d inputs, %d placements, %d tag streams, want 1 each", len(got), builds.Load(), st.Placements, st.TagStreams)
 	}
 	shared := got[0].approxBytes()
 	if want := int64(len(a1.Streams[0])); shared < want || shared > want+64 {
-		t.Fatalf("a tag stream over the plan's own stream reports %d bytes, want about one per position (%d)", shared, want)
+		t.Fatalf("an input over the plan's own stream reports %d bytes, want about one per position (%d)", shared, want)
 	}
 	if charged := c.Stats().Bytes - base; charged != shared {
-		t.Fatalf("tag stream charged %d bytes, want %d", charged, shared)
+		t.Fatalf("input charged %d bytes, want %d: the placement stays out", charged, shared)
 	}
-	// A reordered stream is the tag stream's own memory; another kind, family
-	// or node is another entry.
-	own := a1.TagStream(FamilyNoPFS, ds, node, "reordered", build(a1, true))
-	if charged := c.Stats().Bytes - base - shared; charged != own.approxBytes() || charged < 5*int64(len(own.Stream)) {
-		t.Fatalf("tag stream with its own stream charged %d bytes, reports %d, want at least 5 per position", charged, own.approxBytes())
+	// A reordered stream is the input's own memory; another family or node
+	// is another entry.
+	two := a1.LeanInput(FamilyFirstTouch, ds, node, place, derive(a1, "plan", "reordered"))
+	if own := two.Streams["reordered"]; c.Stats().Bytes-base-shared != two.approxBytes() || own.approxBytes() < 5*int64(len(own.Stream)) {
+		t.Fatalf("input with a stream of its own charged %d bytes, reports %d, want at least 5 per position of that stream", c.Stats().Bytes-base-shared, two.approxBytes())
 	}
-	a1.TagStream(FamilyShard, ds, node, "plan", build(a1, false))
-	a1.TagStream(FamilyNoPFS, ds, testNode(2, 0), "plan", build(a1, false))
-	if builds.Load() != 4 {
-		t.Fatalf("distinct (family, node, kind) keys built %d tag streams, want 4", builds.Load())
+	a1.LeanInput(FamilyShard, ds, testNode(2, 0), place, derive(a1, "plan"))
+	a1.LeanInput("", ds, node, nil, derive(a1))
+	if st := c.Stats(); builds.Load() != 4 || st.Placements != 3 || st.TagStreams != 4 {
+		t.Fatalf("distinct (family, node) keys built %d inputs, %d placements, %d tag streams, want 4, 3 and 4", builds.Load(), st.Placements, st.TagStreams)
 	}
 
-	a2 := c.Artifacts(p2) // evicts p1 together with its tag streams
+	a2 := c.Artifacts(p2) // evicts p1 together with its inputs
 	if st := c.Stats(); st.Entries != 1 || st.Bytes != a2.baseBytes() {
 		t.Fatalf("after eviction: %+v, want 1 entry of %d bytes", st, a2.baseBytes())
 	}
-	a1.TagStream(FamilyFirstTouch, ds, node, "plan", build(a1, true)) // late build on the evicted entry
+	a1.LeanInput(FamilyNoPFS, ds, node, place, derive(a1, "reordered")) // late build on the evicted entry
 	if got := c.Stats().Bytes; got != a2.baseBytes() {
-		t.Fatalf("evicted entry's tag stream charged the cache: %d -> %d bytes", a2.baseBytes(), got)
+		t.Fatalf("evicted entry's input charged the cache: %d -> %d bytes", a2.baseBytes(), got)
 	}
 }

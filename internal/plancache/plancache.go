@@ -1,9 +1,10 @@
 // Package plancache memoises the clairvoyant plan artifacts that every
 // layer of the system re-derives from an access.Plan: per-epoch orders
 // (uniform shuffles or any access.Pattern), per-worker access streams and
-// their cumulative epoch ends, candidate rankings, the
-// cachepolicy.Assignment placements computed from them, and the simulator's
-// tag streams over those placements.
+// their cumulative epoch ends, candidate rankings, the live middleware's
+// cachepolicy.Assignment placements, and the simulator's kernel input per
+// lean placement (LeanInput: tag streams, derived from a placement that is
+// then dropped).
 // The plan's canonical access spec is part of the cache key, so two plans
 // differing only in pattern never share artifacts.
 //
@@ -17,7 +18,8 @@
 // (singleflight), and every consumer shares the immutable result.
 //
 // Memory bound and eviction rule: the cache tracks an approximate byte size
-// per entry (orders + streams + lazily-computed rankings and assignments)
+// per entry (orders + streams + lazily-computed rankings, placements and
+// lean inputs)
 // and evicts least-recently-used entries whenever the total
 // exceeds MaxBytes. Eviction only drops the cache's reference — artifacts
 // already handed out remain valid (they are immutable), so a concurrent
@@ -43,7 +45,9 @@ import (
 // DefaultMaxBytes is the shared cache's default memory bound. Artifacts for
 // the benchmark- and test-scale grids are a few MB per plan; paper-scale
 // ImageNet-22k plans (E=5, F=14.2M) are ~570 MB of orders+streams, so the
-// default admits one paper-scale plan or hundreds of scaled ones.
+// default admits one paper-scale plan or hundreds of scaled ones. A
+// simulated node spec adds a byte per stream position and kind (LeanInput),
+// not its 12 B-per-sample placement (≈ 170 MB at that scale).
 const DefaultMaxBytes = 768 << 20
 
 // Cache is a concurrency-safe, size-bounded memo of plan artifacts, keyed by
@@ -58,8 +62,8 @@ type Cache struct {
 	tick     int64 // LRU clock
 	curBytes int64
 
-	hits, misses      atomic.Int64
-	ranks, tagStreams atomic.Int64 // builds, counted in their once.Do
+	hits, misses                  atomic.Int64
+	ranks, placements, tagStreams atomic.Int64 // builds, counted in their once.Do
 }
 
 // entry is one memoised plan. The zero entry is inserted under Cache.mu;
@@ -106,11 +110,10 @@ type Stats struct {
 	Entries      int
 	Bytes        int64
 	MaxBytes     int64
-	// Ranks and TagStreams count the Artifacts.Rank and Artifacts.TagStream
-	// entries this cache has built; TagStreams includes entries that hold
-	// no tags, such as the simulator's plan-stream byte total. They count
-	// builds, not residency: a build on an evicted entry still counts.
-	Ranks, TagStreams int64
+	// Ranks, Placements and TagStreams count this cache's builds, not its
+	// residents: rankings, placements (LeanInput's dropped ones too) and
+	// LeanInput streams, the simulator's plan-stream byte total among them.
+	Ranks, Placements, TagStreams int64
 }
 
 // Stats snapshots the cache counters.
@@ -120,7 +123,7 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits: c.hits.Load(), Misses: c.misses.Load(),
 		Entries: len(c.entries), Bytes: c.curBytes, MaxBytes: c.maxBytes,
-		Ranks: c.ranks.Load(), TagStreams: c.tagStreams.Load(),
+		Ranks: c.ranks.Load(), Placements: c.placements.Load(), TagStreams: c.tagStreams.Load(),
 	}
 }
 
@@ -205,17 +208,15 @@ type Artifacts struct {
 	EpochEnds [][]int
 
 	// ranks[0] is the first-access ranking, ranks[1] the by-frequency one.
-	ranks [2]struct {
-		once sync.Once
-		rank *cachepolicy.Rank
-	}
+	ranks [2]lazy[*cachepolicy.Rank]
 
 	// cache/self back-link for byte accounting of lazily added artifacts.
 	cache *Cache
 	self  *entry
 
 	amu     sync.Mutex
-	assigns map[assignKey]*assignEntry
+	assigns map[assignKey]*lazy[*cachepolicy.Assignment]
+	inputs  map[assignKey]*lazy[*LeanInput]
 }
 
 // buildArtifacts derives the full artifact set: epoch shuffles generated in
@@ -228,7 +229,8 @@ func buildArtifacts(p access.Plan, workers int, c *Cache, e *entry) *Artifacts {
 	return &Artifacts{
 		Plan: p, EpochOrders: orders, Streams: streams, EpochEnds: ends,
 		cache: c, self: e,
-		assigns: map[assignKey]*assignEntry{},
+		assigns: map[assignKey]*lazy[*cachepolicy.Assignment]{},
+		inputs:  map[assignKey]*lazy[*LeanInput]{},
 	}
 }
 
@@ -257,19 +259,17 @@ func (a *Artifacts) Rank(byFreq bool) *cachepolicy.Rank {
 		r = &a.ranks[1]
 	}
 	r.once.Do(func() {
-		r.rank = cachepolicy.RankStreams(&a.Plan, a.Streams, byFreq)
+		r.v = cachepolicy.RankStreams(&a.Plan, a.Streams, byFreq)
 		a.cache.ranks.Add(1)
-		a.cache.addBytes(a.self, r.rank.ApproxBytes())
+		a.cache.addBytes(a.self, r.v.ApproxBytes())
 	})
-	return r.rank
+	return r.v
 }
 
-// assignKey identifies one derived placement: the policy family plus
-// digests of the inputs the build consumes beyond the plan itself (sample
-// sizes and node storage-class capacities), and whether the build is lean
-// (worker-0 local tables only — the simulator's layout) or full (per-rank
-// tables, required by the live middleware). The two layouts must not share
-// an entry: a lean build cannot serve Local/FillOrder queries for rank > 0.
+// assignKey identifies one derived placement or lean input: the policy
+// family, digests of the sample sizes and node storage-class capacities the
+// build consumes, and whether it is lean (worker-0 local tables only, which
+// cannot serve rank > 0) or full (per-rank tables, the live middleware's).
 type assignKey struct {
 	family  string
 	dataset uint64
@@ -277,17 +277,45 @@ type assignKey struct {
 	lean    bool
 }
 
-type assignEntry struct {
-	once   sync.Once
-	assign *cachepolicy.Assignment
-	// tagged holds the placement's tag streams by stream kind (under
-	// Artifacts.amu); see TagStream.
-	tagged map[string]*tagEntry
+// lazy is one compute-once artifact; map entries are inserted under
+// Artifacts.amu and built outside it.
+type lazy[T any] struct {
+	once sync.Once
+	v    T
 }
 
-type tagEntry struct {
-	once sync.Once
-	ts   *TagStream
+// lazyEntry returns m's (possibly still empty) entry for key.
+func lazyEntry[T any](a *Artifacts, m map[assignKey]*lazy[T], key assignKey) *lazy[T] {
+	a.amu.Lock()
+	defer a.amu.Unlock()
+	e, ok := m[key]
+	if !ok {
+		e = &lazy[T]{}
+		m[key] = e
+	}
+	return e
+}
+
+// LeanInput is what the simulator keeps of one lean placement: the kernel's
+// input for every stream kind the placement family's policies consume, and
+// the two placement scalars a run reads. Immutable once built.
+type LeanInput struct {
+	// Streams maps a stream kind to its tag stream.
+	Streams map[string]*TagStream
+	// CachedBytes is worker 0's cached bytes, what prestaging copies.
+	CachedBytes int64
+	// Coverage is the fraction of dataset bytes the placement caches
+	// anywhere; 0 unless a policy of the family reads only what it covers.
+	Coverage float64
+}
+
+// approxBytes is the memory the input holds beyond the plan's streams.
+func (in *LeanInput) approxBytes() int64 {
+	n := int64(16)
+	for _, ts := range in.Streams {
+		n += ts.approxBytes()
+	}
+	return n
 }
 
 // TagStream is the simulator kernel's per-position input for one access
@@ -327,19 +355,11 @@ const (
 	FamilyPreload    = "preload"
 )
 
-// Assignment returns the compute-once placement for (plan, dataset, node,
+// AssignmentLean returns the compute-once lean placement (worker-0 local
+// tables only; see the cachepolicy Lean* builders) for (plan, dataset, node,
 // family), building it with build on first use. The returned Assignment is
-// shared and must be treated as immutable (all its methods are read-only).
-//
-// The build's tracking layout (full vs. lean, see AssignmentLean) is part of
-// the key; builds passed here must be full.
-func (a *Artifacts) Assignment(family string, ds cachepolicy.Sizer, node hwspec.Node, build func() *cachepolicy.Assignment) *cachepolicy.Assignment {
-	return a.assignment(family, ds, node, false, build)
-}
-
-// AssignmentLean is Assignment for lean builds (worker-0 local tables only;
-// see the cachepolicy Lean* builders). Lean and full placements of the same
-// family are cached independently.
+// shared and must be treated as immutable. Lean and full placements of the
+// same family are cached independently.
 func (a *Artifacts) AssignmentLean(family string, ds cachepolicy.Sizer, node hwspec.Node, build func() *cachepolicy.Assignment) *cachepolicy.Assignment {
 	return a.assignment(family, ds, node, true, build)
 }
@@ -354,53 +374,34 @@ func (a *Artifacts) Placement(family string, ds cachepolicy.Sizer, node hwspec.N
 }
 
 func (a *Artifacts) assignment(family string, ds cachepolicy.Sizer, node hwspec.Node, lean bool, build func() *cachepolicy.Assignment) *cachepolicy.Assignment {
-	a.amu.Lock()
-	e := a.placementEntry(family, ds, node, lean)
-	a.amu.Unlock()
+	e := lazyEntry(a, a.assigns, assignKey{family, SizerDigest(ds), NodeDigest(node), lean})
 	e.once.Do(func() {
-		e.assign = build()
-		a.cache.addBytes(a.self, e.assign.ApproxBytes())
+		e.v = build()
+		a.cache.placements.Add(1)
+		a.cache.addBytes(a.self, e.v.ApproxBytes())
 	})
-	return e.assign
+	return e.v
 }
 
-// placementEntry returns the (possibly still empty) entry of one placement.
-// Callers hold a.amu.
-func (a *Artifacts) placementEntry(family string, ds cachepolicy.Sizer, node hwspec.Node, lean bool) *assignEntry {
-	key := assignKey{family: family, dataset: SizerDigest(ds), node: NodeDigest(node), lean: lean}
-	e, ok := a.assigns[key]
-	if !ok {
-		e = &assignEntry{}
-		a.assigns[key] = e
-	}
-	return e
-}
-
-// TagStream returns the compute-once tag stream of one stream kind under the
-// lean placement (family, ds, node), building it with build on first use. It
-// lives on the placement's entry — cells that share a placement and consume
-// the same stream share it, whatever else differs between them — is charged
-// to the plan's cache entry like the placement itself, and leaves the cache
-// with it. The empty family keys the streams of policies that consult no
-// placement, the empty kind the plan's own stream.
-func (a *Artifacts) TagStream(family string, ds cachepolicy.Sizer, node hwspec.Node, kind string, build func() *TagStream) *TagStream {
-	a.amu.Lock()
-	e := a.placementEntry(family, ds, node, true)
-	t, ok := e.tagged[kind]
-	if !ok {
-		if e.tagged == nil {
-			e.tagged = map[string]*tagEntry{}
+// LeanInput returns the compute-once kernel input of the lean placement
+// (family, ds, node). On first use place builds the placement (nil places
+// nothing) and derive turns it into the input; only derive's result stays,
+// charged to the plan's cache entry and leaving the cache with it. Cells that
+// share a placement share its input whatever else differs between them. The
+// empty family keys the input of policies that consult no placement.
+func (a *Artifacts) LeanInput(family string, ds cachepolicy.Sizer, node hwspec.Node, place func() *cachepolicy.Assignment, derive func(*cachepolicy.Assignment) *LeanInput) *LeanInput {
+	e := lazyEntry(a, a.inputs, assignKey{family, SizerDigest(ds), NodeDigest(node), true})
+	e.once.Do(func() {
+		var p *cachepolicy.Assignment
+		if place != nil {
+			p = place()
+			a.cache.placements.Add(1)
 		}
-		t = &tagEntry{}
-		e.tagged[kind] = t
-	}
-	a.amu.Unlock()
-	t.once.Do(func() {
-		t.ts = build()
-		a.cache.tagStreams.Add(1)
-		a.cache.addBytes(a.self, t.ts.approxBytes())
+		e.v = derive(p)
+		a.cache.tagStreams.Add(int64(len(e.v.Streams)))
+		a.cache.addBytes(a.self, e.v.approxBytes())
 	})
-	return t.ts
+	return e.v
 }
 
 // SizeDigester is implemented by datasets that precompute their size

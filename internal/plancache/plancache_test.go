@@ -135,7 +135,7 @@ func TestAssignmentEquivalence(t *testing.T) {
 	direct := map[string]*cachepolicy.Assignment{
 		FamilyNoPFS:      cachepolicy.BuildNoPFSFromStreams(&p, art.Streams, ds, node),
 		FamilyRandom:     cachepolicy.RankStreams(&p, art.Streams, false).Fill(ds, node, false),
-		FamilyFirstTouch: cachepolicy.BuildFirstTouch(&p, ds, node),
+		FamilyFirstTouch: cachepolicy.BuildFirstTouchFromOrder(&p, p.EpochOrder(0), ds, node),
 		FamilyShard:      cachepolicy.BuildShard(p.F, p.N, ds, node),
 		FamilyPreload:    cachepolicy.BuildPreload(p.F, p.N, ds, node),
 	}
@@ -157,7 +157,7 @@ func TestAssignmentEquivalence(t *testing.T) {
 		},
 	}
 	for family, build := range builds {
-		got := art.Assignment(family, ds, node, build)
+		got := art.assignment(family, ds, node, false, build)
 		want := direct[family]
 		for w := 0; w < p.N; w++ {
 			for k := int32(0); int(k) < p.F; k++ {
@@ -170,12 +170,12 @@ func TestAssignmentEquivalence(t *testing.T) {
 			}
 		}
 		// Second lookup returns the same shared object (memoised).
-		if again := art.Assignment(family, ds, node, build); again != got {
+		if again := art.assignment(family, ds, node, false, build); again != got {
 			t.Fatalf("%s: assignment not memoised", family)
 		}
 		// A different node capacity is a different key.
 		other := testNode(0.1, 0)
-		if art.Assignment(family, ds, other, func() *cachepolicy.Assignment {
+		if art.assignment(family, ds, other, false, func() *cachepolicy.Assignment {
 			return cachepolicy.BuildShard(p.F, p.N, ds, other)
 		}) == got {
 			t.Fatalf("%s: distinct node shared an assignment", family)
@@ -229,8 +229,8 @@ func TestPlacementRanksOncePerFamily(t *testing.T) {
 			if art.Placement(family, ds, node, true) == got {
 				t.Fatalf("%s: lean and full layouts share an entry", family)
 			}
-			if again := art.Assignment(family, ds, node, func() *cachepolicy.Assignment {
-				t.Fatalf("%s: Placement and Assignment keys differ", family)
+			if again := art.assignment(family, ds, node, false, func() *cachepolicy.Assignment {
+				t.Fatalf("%s: Placement and assignment keys differ", family)
 				return nil
 			}); again != got {
 				t.Fatalf("%s: placement not memoised", family)
@@ -283,7 +283,7 @@ func TestRankAccounting(t *testing.T) {
 
 // TestSingleflight asserts concurrent requesters of one plan share a single
 // computation and a single artifact object, and so do concurrent requesters
-// of one ranking and one tag stream: each is built, and counted, once. A
+// of one ranking and one lean input: each is built, and counted, once. A
 // second cache on the same plan builds and counts its own from zero.
 func TestSingleflight(t *testing.T) {
 	p := testPlans()[3]
@@ -292,7 +292,7 @@ func TestSingleflight(t *testing.T) {
 	const goroutines = 16
 	arts := make([]*Artifacts, goroutines)
 	ranks := make([]*cachepolicy.Rank, goroutines)
-	tags := make([]*TagStream, goroutines)
+	inputs := make([]*LeanInput, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
@@ -300,20 +300,22 @@ func TestSingleflight(t *testing.T) {
 			defer wg.Done()
 			arts[i] = c.Artifacts(p)
 			ranks[i] = arts[i].Rank(true)
-			tags[i] = arts[i].TagStream(FamilyNoPFS, ds, node, "", func() *TagStream {
-				return &TagStream{Stream: arts[i].Streams[0]}
+			inputs[i] = arts[i].LeanInput(FamilyNoPFS, ds, node, func() *cachepolicy.Assignment {
+				return arts[i].Rank(true).Fill(ds, node, true)
+			}, func(a *cachepolicy.Assignment) *LeanInput {
+				return &LeanInput{Streams: map[string]*TagStream{"": {Stream: arts[i].Streams[0], Tags: a.Tags(0, arts[i].Streams[0])}}}
 			})
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < goroutines; i++ {
-		if arts[i] != arts[0] || ranks[i] != ranks[0] || tags[i] != tags[0] {
+		if arts[i] != arts[0] || ranks[i] != ranks[0] || inputs[i] != inputs[0] {
 			t.Fatal("concurrent requesters got distinct artifact objects")
 		}
 	}
 	st := c.Stats()
-	if st.Misses != 1 || st.Hits != goroutines-1 || st.Ranks != 1 || st.TagStreams != 1 {
-		t.Fatalf("stats: %+v, want 1 miss / %d hits, 1 ranking, 1 tag stream", st, goroutines-1)
+	if st.Misses != 1 || st.Hits != goroutines-1 || st.Ranks != 1 || st.Placements != 1 || st.TagStreams != 1 {
+		t.Fatalf("stats: %+v, want 1 miss / %d hits, 1 ranking, 1 placement, 1 tag stream", st, goroutines-1)
 	}
 	before := access.ShuffleCount()
 	c.Artifacts(p)
@@ -325,10 +327,10 @@ func TestSingleflight(t *testing.T) {
 	if other.Artifacts(p).Rank(true) == ranks[0] {
 		t.Fatal("two caches share one ranking")
 	}
-	if st := other.Stats(); st.Ranks != 1 || st.TagStreams != 0 {
-		t.Fatalf("second cache: %+v, want 1 ranking and no tag stream", st)
+	if st := other.Stats(); st.Ranks != 1 || st.Placements != 0 || st.TagStreams != 0 {
+		t.Fatalf("second cache: %+v, want 1 ranking and no placement or tag stream", st)
 	}
-	if st := c.Stats(); st.Ranks != 1 || st.TagStreams != 1 {
+	if st := c.Stats(); st.Ranks != 1 || st.Placements != 1 || st.TagStreams != 1 {
 		t.Fatalf("first cache after the second built: %+v, want its counts unchanged", st)
 	}
 }
@@ -351,7 +353,7 @@ func TestCacheRace(t *testing.T) {
 				art := c.Artifacts(p)
 				_ = art.Rank(true)
 				if p.F <= ds.Len() {
-					art.Assignment(FamilyShard, ds, node, func() *cachepolicy.Assignment {
+					art.assignment(FamilyShard, ds, node, false, func() *cachepolicy.Assignment {
 						return cachepolicy.BuildShard(p.F, p.N, ds, node)
 					})
 				}
@@ -424,7 +426,7 @@ func TestEvictedEntryDoesNotInflateBytes(t *testing.T) {
 		t.Fatalf("setup: want 1 entry, got %+v", before)
 	}
 	ds, node := testDataset(t, p1.F), testNode(1, 0)
-	a1.Assignment(FamilyShard, ds, node, func() *cachepolicy.Assignment { // lazy artifact on the evicted entry
+	a1.assignment(FamilyShard, ds, node, false, func() *cachepolicy.Assignment { // lazy artifact on the evicted entry
 		return cachepolicy.BuildShard(p1.F, p1.N, ds, node)
 	})
 	after := c.Stats()

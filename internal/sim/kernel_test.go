@@ -126,7 +126,7 @@ func referenceStream(env *Env, pol Policy, a *cachepolicy.Assignment) ([]access.
 	case NameLocalityAware:
 		return localityStream(env, a)
 	}
-	return env.Streams[0], env.Art.EpochEnds[0]
+	return env.Art.Streams[0], env.Art.EpochEnds[0]
 }
 
 // referencePipeline is the policy's staging pipeline, by name: its lookahead
@@ -157,10 +157,21 @@ func referencePipeline(env *Env, pol Policy, a *cachepolicy.Assignment) (bufMB f
 	return bufMB, syncRead, max(p0, 1), setup, coverage
 }
 
-// referenceRun is Run through the per-fetch loop. threadSplit applies the
-// per-thread PFS split (a PFS read's seconds times ewma·p₀ when that exceeds
-// 1), as simulate always does; without it every PFS read gets the node's
-// whole share.
+// policyFamily is the placement family each policy fetches by, by name; a
+// policy missing here places nothing.
+var policyFamily = map[string]string{
+	NameDeepIOOrdered: plancache.FamilyFirstTouch, NameDeepIOOpp: plancache.FamilyFirstTouch,
+	NameLBANNDynamic: plancache.FamilyFirstTouch, NameLBANNPreload: plancache.FamilyPreload,
+	NameParallelStaging: plancache.FamilyShard, NameLocalityAware: plancache.FamilyShard,
+	NameNoPFS: plancache.FamilyNoPFS, "NoPFS-randplace": plancache.FamilyRandom,
+	"NoPFS-noremote": plancache.FamilyNoPFS, "NoPFS-tinybuf": plancache.FamilyNoPFS,
+}
+
+// referenceRun is Run through the per-fetch loop, on a placement of its own
+// from the builder the plan cache's inputs derive from. threadSplit applies
+// the per-thread PFS split (a PFS read's seconds times ewma·p₀ when that
+// exceeds 1), as simulate always does; without it every PFS read gets the
+// node's whole share.
 func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 	env, err := newEnv(&cfg)
 	if err != nil {
@@ -171,11 +182,11 @@ func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 		LocSeconds: map[perfmodel.Location]float64{},
 		LocCount:   map[perfmodel.Location]int64{},
 	}
-	a, _, err := env.prepare(pol)
-	if err != nil {
+	if _, _, err := env.prepare(pol); err != nil {
 		res.Failed, res.FailReason = true, err.Error()
 		return res, nil
 	}
+	a := env.placement(policyFamily[pol.Name()])
 	bufMB, syncRead, p0, setup, coverage := referencePipeline(env, pol, a)
 	res.SetupSeconds, res.Coverage = setup, coverage
 	stream, epochEnds := referenceStream(env, pol, a)
@@ -558,8 +569,9 @@ func TestSubnormalNeverReached(t *testing.T) {
 }
 
 // TestTagStreamsBuiltOncePerPlacement pins the cache contract of the
-// kernel's input: tag streams and reordered streams are built once per
-// (placement, stream kind) however many cells consume them.
+// kernel's input: each lean placement is built once, every stream kind its
+// family's policies consume is tagged from that one build, however many
+// cells consume them, and the placement does not stay.
 func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 	s, err := ScenarioByID("fig8b")
 	if err != nil {
@@ -574,44 +586,67 @@ func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 		cfg.Plans = plancache.New(0, 0)
 		return cfg
 	}
-	run := func(cfg Config, pols ...Policy) int64 {
-		before := cfg.Plans.Stats().TagStreams
+	// run returns the tag streams and placements the cells built.
+	run := func(cfg Config, pols ...Policy) (tags, placements int64) {
+		before := cfg.Plans.Stats()
 		for _, pol := range pols {
 			if _, err := Run(cfg, pol); err != nil {
 				t.Error(err)
 			}
 		}
-		return cfg.Plans.Stats().TagStreams - before
+		after := cfg.Plans.Stats()
+		return after.TagStreams - before.TagStreams, after.Placements - before.Placements
 	}
 
 	// A cold panel builds one tag stream per (placement, stream kind) — first
 	// touch × {plan, opportunistic}, shard × {cycle, locality}, preload,
 	// NoPFS, and the placement-free plan stream that Naive, StagingBuffer and
 	// LowerBound share — plus the plan stream's byte total, which the first
-	// plan-stream build sums and every later one finds: 8. A second pass
-	// builds nothing.
+	// plan-stream build sums and every later one finds: 8. It builds each of
+	// its four placements (first touch, shard, preload, NoPFS) exactly once,
+	// and keeps none: the cache holds the plan and the inputs, nothing else.
+	// A second pass builds nothing.
 	cfg := config()
-	if n := run(cfg, AllPolicies()...); n != 8 {
-		t.Errorf("cold panel built %d tag streams, want 8", n)
+	if n, p := run(cfg, AllPolicies()...); n != 8 || p != 4 {
+		t.Errorf("cold panel built %d tag streams and %d placements, want 8 and 4", n, p)
 	}
-	if n := run(cfg, AllPolicies()...); n != 0 {
-		t.Errorf("warm panel built %d tag streams, want none", n)
+	art := cfg.Plans.Artifacts(*cfg.Plan())
+	var inputBytes int64
+	for _, family := range []string{"", streamTotal, plancache.FamilyFirstTouch, plancache.FamilyShard, plancache.FamilyPreload, plancache.FamilyNoPFS} {
+		node := cfg.Sys.Node
+		if family == streamTotal {
+			node = hwspec.Node{}
+		}
+		for _, ts := range art.LeanInput(family, cfg.DS, node, nil, func(*cachepolicy.Assignment) *plancache.LeanInput {
+			t.Fatalf("family %q: no input cached", family)
+			return nil
+		}).Streams {
+			inputBytes += int64(len(ts.Tags)) + 8
+			if ts.OwnStream {
+				inputBytes += 4 * int64(len(ts.Stream))
+			}
+		}
 	}
-	// inputs returns, per panel policy, the cached kernel input of cfg's
-	// placement and the input runInput hands simulate.
+	if got, want := cfg.Plans.Stats().Bytes, planBytes(art)+art.Rank(true).ApproxBytes()+6*16+inputBytes; got != want {
+		t.Errorf("cold panel leaves %d bytes cached, want %d: plan, NoPFS ranking and six inputs", got, want)
+	}
+	if n, p := run(cfg, AllPolicies()...); n != 0 || p != 0 {
+		t.Errorf("warm panel built %d tag streams and %d placements, want none", n, p)
+	}
+	// inputs returns, per panel policy, the cached kernel input of its
+	// stream kind and the input runInput hands simulate.
 	inputs := func(cfg Config) (cached, ran []*plancache.TagStream) {
 		for _, pol := range AllPolicies() {
 			env, err := newEnv(&cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			place, _, err := env.prepare(pol)
+			in, _, err := env.prepare(pol)
 			if err != nil {
 				t.Fatalf("%s: %v", pol.Name(), err)
 			}
-			rule := pol.rule
-			rule.place = place
-			cached, ran = append(cached, env.kernelInput(rule)), append(ran, env.runInput(rule))
+			_, ts := env.runInput(pol.rule, in)
+			cached, ran = append(cached, in.Streams[pol.rule.stream]), append(ran, ts)
 		}
 		return cached, ran
 	}
@@ -632,41 +667,46 @@ func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 		t.Errorf("panel consumes %d reordered streams, want 3", len(own))
 	}
 	// A jitter or non-structural chaos profile changes neither placement nor
-	// stream, so it runs on the tags of the fault-free cells.
+	// stream, so it runs on the tags of the fault-free cells, and it looks no
+	// holder up, so it builds no placement.
 	slow := cfg
 	slow.PFSJitter = 0.5
 	slow.Chaos, err = chaos.PresetByName("flaky-fabric")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := run(slow, NewNoPFS(), NewDeepIO(false)); n != 0 {
-		t.Errorf("chaos cells on a tagged placement built %d tag streams, want 0", n)
+	if n, p := run(slow, NewNoPFS(), fig8Policy(NameDeepIOOrdered)); n != 0 || p != 0 {
+		t.Errorf("chaos cells on a tagged placement built %d tag streams and %d placements, want 0", n, p)
 	}
 	if _, ran := inputs(slow); !slices.Equal(ran, cached) {
 		t.Error("flaky-fabric cells did not run on the fault-free cells' tag streams")
 	}
 	// A node crash reshapes the stream, so its cells run on inputs of their
-	// own, outside the cache.
+	// own, outside the cache, tagged under a placement they look holders up
+	// in: one per family, cached and shared by the crash cells.
 	crash := cfg
 	crash.Chaos, err = chaos.PresetByName("node-crash")
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := cfg.Plans.Stats().TagStreams
+	before := cfg.Plans.Stats()
 	_, crashed := inputs(crash)
+	inputs(crash)
 	for i, in := range crashed {
 		if in == cached[i] {
 			t.Errorf("%s: node-crash cell ran on the cached fault-free stream", AllPolicies()[i].Name())
 		}
 	}
-	if n := cfg.Plans.Stats().TagStreams - before; n != 0 {
-		t.Errorf("node-crash cells cached %d tag streams, want 0", n)
+	if after := cfg.Plans.Stats(); after.TagStreams != before.TagStreams || after.Placements-before.Placements != 4 {
+		t.Errorf("two passes of node-crash cells cached %d tag streams and built %d placements, want 0 and 4",
+			after.TagStreams-before.TagStreams, after.Placements-before.Placements)
 	}
 
-	// Two policies with one placement and one stream share one tag stream;
-	// the other build is the plan stream's total.
-	if n := run(config(), NewDeepIO(false), NewLBANN(false)); n != 2 {
-		t.Errorf("DeepIO (Ord.) + LBANN (Dynamic) built %d tag streams, want 2", n)
+	// Two policies with one placement build it once, and with it both kinds
+	// its family consumes (the plan's stream and DeepIO's opportunistic
+	// one); the third build is the plan stream's total.
+	if n, p := run(config(), fig8Policy(NameDeepIOOrdered), NewLBANN(false)); n != 3 || p != 1 {
+		t.Errorf("DeepIO (Ord.) + LBANN (Dynamic) built %d tag streams and %d placements, want 3 and 1", n, p)
 	}
 
 	// Two goroutines racing on one placement build it (and the total) once.
@@ -682,9 +722,22 @@ func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := cfg.Plans.Stats().TagStreams; n != 2 {
-		t.Errorf("two racing NoPFS cells built %d tag streams, want 2", n)
+	if st := cfg.Plans.Stats(); st.TagStreams != 2 || st.Placements != 1 {
+		t.Errorf("two racing NoPFS cells built %d tag streams and %d placements, want 2 and 1", st.TagStreams, st.Placements)
 	}
+}
+
+// planBytes is the byte charge of a plan's eager artifacts: orders, streams
+// and their epoch ends.
+func planBytes(art *plancache.Artifacts) int64 {
+	var n int64
+	for _, o := range art.EpochOrders {
+		n += 4 * int64(len(o))
+	}
+	for w, st := range art.Streams {
+		n += 4*int64(len(st)) + 8*int64(len(art.EpochEnds[w]))
+	}
+	return n
 }
 
 // TestTagStreamTotalSummedOncePerDataset: every cell's TotalMB is, bit for
@@ -711,24 +764,22 @@ func TestTagStreamTotalSummedOncePerDataset(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i == 1 {
-				env.Art.TagStream("", cfg.DS, hwspec.Node{}, streamTotal, func() *plancache.TagStream {
+				env.Art.LeanInput(streamTotal, cfg.DS, hwspec.Node{}, nil, func(*cachepolicy.Assignment) *plancache.LeanInput {
 					t.Fatalf("%s on a second node: plan stream total not shared", pol.Name())
 					return nil
 				})
 			}
-			place, _, err := env.prepare(pol)
+			in, _, err := env.prepare(pol)
 			if err != nil {
 				continue // LBANN (Preloading) cannot run every configuration
 			}
-			rule := pol.rule
-			rule.place = place
-			in := env.kernelInput(rule)
+			ts := in.Streams[pol.rule.stream]
 			var want float64
-			for _, k := range in.Stream {
+			for _, k := range ts.Stream {
 				want += env.SizesMB[k]
 			}
-			if in.TotalMB != want {
-				t.Errorf("%s: TotalMB %v, per-entry sum %v", pol.Name(), in.TotalMB, want)
+			if ts.TotalMB != want {
+				t.Errorf("%s: TotalMB %v, per-entry sum %v", pol.Name(), ts.TotalMB, want)
 			}
 		}
 	}

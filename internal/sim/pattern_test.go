@@ -142,13 +142,11 @@ func TestKernelInputEnds(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, pol := range kernelPolicies() {
-					place, _, err := env.prepare(pol)
+					lean, _, err := env.prepare(pol)
 					if err != nil {
 						continue // the scenario is beyond the policy
 					}
-					rule := pol.rule
-					rule.place = place
-					in := env.runInput(rule)
+					_, in := env.runInput(pol.rule, lean)
 					ends := in.Ends
 					if len(ends) != cfg.Work.Epochs || ends[len(ends)-1] != len(in.Stream) || !slices.IsSorted(ends) {
 						t.Errorf("%s under %q, %s, DropLast %v: ends %v for a stream of %d over %d epochs",

@@ -24,15 +24,13 @@ const (
 )
 
 // Policy is one I/O strategy under comparison, stated as data. It is an
-// immutable value: the placement a policy fetches by belongs to the run
-// (Env.prepare computes it, Env.run hands it to the kernel on a local copy of
-// the rule), so one value serves any number of runs, concurrent ones
-// included.
+// immutable value and carries no run state (what a run reads of its
+// placement comes from the plan cache, Env.prepare), so one value serves any
+// number of runs, concurrent ones included.
 type Policy struct {
 	name string
 	// rule says which placement family the policy places, which stream it
-	// consumes and where its fetches may come from; rule.place is always nil
-	// here.
+	// consumes and where its fetches may come from.
 	rule sourceRule
 	// sync: reads block the trainer — no prefetch pipeline (Naive).
 	sync bool
@@ -165,17 +163,6 @@ func NewNaive() Policy { return fig8Policy(NameNaive) }
 // NewStagingBuffer returns the StagingBuffer policy.
 func NewStagingBuffer() Policy { return fig8Policy(NameStagingBuffer) }
 
-// NewDeepIO returns the DeepIO policy in ordered or opportunistic mode.
-func NewDeepIO(opportunistic bool) Policy {
-	if opportunistic {
-		return fig8Policy(NameDeepIOOpp)
-	}
-	return fig8Policy(NameDeepIOOrdered)
-}
-
-// NewParallelStaging returns the data-sharding policy.
-func NewParallelStaging() Policy { return fig8Policy(NameParallelStaging) }
-
 // NewLBANN returns the LBANN data-store policy in dynamic or preloading mode.
 func NewLBANN(preloading bool) Policy {
 	if preloading {
@@ -184,16 +171,14 @@ func NewLBANN(preloading bool) Policy {
 	return fig8Policy(NameLBANNDynamic)
 }
 
-// NewLocalityAware returns the locality-aware loading policy.
-func NewLocalityAware() Policy { return fig8Policy(NameLocalityAware) }
-
 // NewNoPFS returns the NoPFS policy.
 func NewNoPFS() Policy { return fig8Policy(NameNoPFS) }
 
-// prepare returns the placement pol fetches by in this environment (nil when
-// its rule declares none) and its prestaging seconds, or the reason pol
-// cannot run the scenario at all.
-func (e *Env) prepare(pol Policy) (*cachepolicy.Assignment, float64, error) {
+// prepare returns the kernel input of pol's placement family in this
+// environment (see leanInput; the placement-free input when its rule declares
+// no family) and its prestaging seconds, read from the input's cached bytes,
+// or the reason pol cannot run the scenario at all.
+func (e *Env) prepare(pol Policy) (*plancache.LeanInput, float64, error) {
 	if pol.ramOnly {
 		node := e.Cfg.Sys.Node
 		if len(node.Classes) == 0 {
@@ -205,14 +190,25 @@ func (e *Env) prepare(pol Policy) (*cachepolicy.Assignment, float64, error) {
 				e.Cfg.DS.TotalSize(), aggregate)
 		}
 	}
-	if pol.rule.family == "" {
-		return nil, 0, nil
-	}
-	a := e.place(pol.rule.family)
+	in := e.leanInput(pol.rule.family)
 	if !pol.prestage {
-		return a, 0, nil
+		return in, 0, nil
 	}
-	return a, stagePrestageSeconds(e, a.CachedBytes[0]), nil
+	return in, stagePrestageSeconds(e, in.CachedBytes), nil
+}
+
+// familyUse returns what the policies placing family read of its input: the
+// stream kinds they consume, in table order, and whether one of them reads
+// only what the placement covers (the ablation places "random" in the NoPFS
+// row).
+func familyUse(family string) (kinds []string, partial bool) {
+	for _, p := range append(AllPolicies(), NewNoPFSVariant(NoPFSVariant{RandomPlacement: true})) {
+		if p.rule.family == family && !slices.Contains(kinds, p.rule.stream) {
+			kinds = append(kinds, p.rule.stream)
+		}
+		partial = partial || p.rule.family == family && p.partial
+	}
+	return kinds, partial
 }
 
 // stagePrestageSeconds models copying `bytes` of shard data from the PFS to
@@ -257,8 +253,8 @@ func cycleStream(list []access.SampleID, n int) []access.SampleID {
 }
 
 // Stream kinds of the policies that reorder the plan's stream, and their
-// builders: each is a pure function of the plan's artifacts and the run's
-// placement, so Env.kernelInput caches the result on the placement. A
+// builders: each is a pure function of the plan's artifacts and a placement,
+// so Env.leanInput derives it once per placement. A
 // builder returns the stream with its cumulative epoch ends, one per epoch,
 // the last at the stream's length.
 const (
@@ -276,7 +272,7 @@ var streamBuilders = map[string]func(*Env, *cachepolicy.Assignment) ([]access.Sa
 // opportunisticStream is DeepIO's relaxed order: epoch 0 fills the caches in
 // true order; later epochs cycle local content only.
 func opportunisticStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID, []int) {
-	base := env.Streams[0]
+	base := env.Art.Streams[0]
 	perEpoch := env.Plan.SamplesPerEpoch(0)
 	cached := cachedList(a)
 	if len(cached) == 0 {
@@ -295,9 +291,9 @@ func opportunisticStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID
 // shardCycleStream is ParallelStaging's order: the worker's own shard, over
 // and over, at the plan's length and so at the plan's epoch ends.
 func shardCycleStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID, []int) {
-	out := cycleStream(cachedList(a), len(env.Streams[0]))
+	out := cycleStream(cachedList(a), len(env.Art.Streams[0]))
 	if out == nil {
-		out = env.Streams[0]
+		out = env.Art.Streams[0]
 	}
 	return out, env.Art.EpochEnds[0]
 }
@@ -309,13 +305,13 @@ func localityStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID, []i
 	plan := env.Plan
 	b := plan.BatchPerWorker
 	B := plan.GlobalBatch()
-	out := make([]access.SampleID, 0, len(env.Streams[0]))
+	out := make([]access.SampleID, 0, len(env.Art.Streams[0]))
 	ends := make([]int, 0, plan.E)
 	// Per-batch scratch, reused across all batches of the run.
 	mine := make([]access.SampleID, 0, b)
 	other := make([]access.SampleID, 0, B)
 	for e := 0; e < plan.E; e++ {
-		order := env.EpochOrder(e)
+		order := env.Art.EpochOrders[e]
 		limit := plan.EpochLimit()
 		for start := 0; start < limit; start += B {
 			end := start + B

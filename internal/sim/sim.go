@@ -22,8 +22,7 @@
 // schedule and chaos profile; there is no second kernel.
 //
 // A Policy is an immutable value — one row of a table (policies.go) — and
-// carries no run state: the placement it fetches by belongs to the run that
-// computed it, so one value may serve any number of runs, concurrently.
+// carries no run state, so one value may serve any number of runs at once.
 //
 // The simulator is not meant to predict absolute runtimes of a particular
 // machine; like the paper's, it captures the relative behaviour of I/O
@@ -149,12 +148,9 @@ type Env struct {
 	SizesMB []float64
 	// MeanMB is the mean of SizesMB (0 for an empty table).
 	MeanMB float64
-	// Streams are the materialised per-worker access streams, shared through
-	// the plan-artifact cache. They are immutable: policies that reorder
-	// build fresh slices.
-	Streams [][]access.SampleID
-	// Art is the cached artifact set backing Streams; policies use it for
-	// epoch orders and shared placement assignments.
+	// Art is the plan's cached artifact set: its streams, epoch orders and
+	// the kernel inputs of its placements. It is immutable: policies that
+	// reorder build fresh slices.
 	Art *plancache.Artifacts
 	// Chaos is the compiled fault schedule (nil for the fault-free run).
 	Chaos *chaos.Schedule
@@ -181,8 +177,7 @@ func newEnv(cfg *Config) (*Env, error) {
 	art := cmp.Or(cfg.Plans, plancache.Shared()).Artifacts(*plan)
 	return &Env{
 		Cfg: cfg, Rate: model.Compile(plan.N), Plan: plan,
-		SizesMB: sizes, MeanMB: mean, Streams: art.Streams,
-		Art:   art,
+		SizesMB: sizes, MeanMB: mean, Art: art,
 		Chaos: cfg.Chaos.Compile(cfg.Seed),
 		rng:   prng.New(cfg.Seed).Derive(0x51),
 		ewma:  1, // epoch 0 starts all-PFS
@@ -212,41 +207,28 @@ func sizeTable(ds dataset.Dataset) (sizes []float64, mean float64) {
 	return sizes, mean
 }
 
-// EpochOrder returns epoch e's cached global shuffle order (immutable).
-func (e *Env) EpochOrder(epoch int) []access.SampleID {
-	return e.Art.EpochOrders[epoch]
-}
-
-// place returns the family's shared, immutable placement from the
-// plan-artifact cache, computed once per (plan, dataset, node, family):
-// DeepIO and the dynamic LBANN data store share the first-touch placement,
-// ParallelStaging and LocalityAware share the static shard, and NoPFS
-// variants share the frequency-based assignment (or its first-access-order
-// ablation) — whose candidate ranking is a plan artifact of its own, so the
-// node specs of an environment study on one plan rank once and only fill
-// per spec.
-//
-// All simulator placements are lean builds — local tables for worker 0 only
-// (the simulated symmetric observer), global best-holder state for all
-// workers — so placement memory is O(F) regardless of the cluster size. The
-// live middleware (package nopfs) builds full per-rank assignments through
-// its own plancache entries; the two layouts are keyed separately.
-func (e *Env) place(family string) *cachepolicy.Assignment {
+// placement builds the family's lean placement in this environment, nil for
+// the empty family: first touch for DeepIO and the dynamic LBANN data store,
+// the static shard for ParallelStaging and LocalityAware, and the
+// frequency-based assignment (or its first-access-order ablation) for the
+// NoPFS variants, whose candidate ranking is a plan artifact of its own, so
+// the node specs of an environment study on one plan rank once. A lean build
+// tracks local tables for worker 0 only (the simulated symmetric observer):
+// O(F) at any cluster size, but 12 B per sample, so only crash cells keep
+// one (runInput; leanInput drops it).
+func (e *Env) placement(family string) *cachepolicy.Assignment {
 	ds, node := e.Cfg.DS, e.Cfg.Sys.Node
-	var build func() *cachepolicy.Assignment
 	switch family {
 	case plancache.FamilyNoPFS, plancache.FamilyRandom:
-		return e.Art.Placement(family, ds, node, true)
+		return e.Art.Rank(family == plancache.FamilyNoPFS).Fill(ds, node, true)
 	case plancache.FamilyFirstTouch:
-		build = func() *cachepolicy.Assignment {
-			return cachepolicy.BuildFirstTouchLean(e.Plan, e.Art.EpochOrders[0], ds, node)
-		}
+		return cachepolicy.BuildFirstTouchLean(e.Plan, e.Art.EpochOrders[0], ds, node)
 	case plancache.FamilyShard:
-		build = func() *cachepolicy.Assignment { return cachepolicy.BuildShardLean(e.Plan.F, e.Plan.N, ds, node) }
+		return cachepolicy.BuildShardLean(e.Plan.F, e.Plan.N, ds, node)
 	case plancache.FamilyPreload:
-		build = func() *cachepolicy.Assignment { return cachepolicy.BuildPreloadLean(e.Plan.F, e.Plan.N, ds, node) }
+		return cachepolicy.BuildPreloadLean(e.Plan.F, e.Plan.N, ds, node)
 	}
-	return e.Art.AssignmentLean(family, ds, node, build)
+	return nil
 }
 
 // Gamma estimates γ, the number of workers concurrently reading from the
@@ -341,7 +323,7 @@ func (env *Env) run(pol Policy) *Result {
 		LocSeconds: map[perfmodel.Location]float64{},
 		LocCount:   map[perfmodel.Location]int64{},
 	}
-	place, setup, err := env.prepare(pol)
+	in, setup, err := env.prepare(pol)
 	if err != nil {
 		res.Failed = true
 		res.FailReason = err.Error()
@@ -350,29 +332,30 @@ func (env *Env) run(pol Policy) *Result {
 	res.SetupSeconds = setup
 	res.Coverage = 1
 	if pol.partial {
-		res.Coverage = place.Coverage(env.Cfg.DS)
+		res.Coverage = in.Coverage
 	}
-	// The placement is this run's: it goes on pol's copy, never on the value
-	// the caller holds.
-	pol.rule.place = place
-	simulate(env, pol, env.runInput(pol.rule), setup, res)
+	place, ts := env.runInput(pol.rule, in)
+	simulate(env, pol, ts, place, setup, res)
 	return res
 }
 
-// runInput returns the tagged stream the kernel runs under rule, with its
-// epoch ends: the cached kernelInput, unless node crashes redistribute the
-// crashed workers' plan across the survivors, growing the simulated worker's
-// stream and shifting its epoch ends. chaos.RedistributeStream is the rule
-// the live job applies too, evaluated for worker 0, which crashRank
-// guarantees is a survivor. The reshaped stream belongs to this schedule
-// alone, so it is tagged here and not cached.
-func (env *Env) runInput(rule sourceRule) *plancache.TagStream {
-	in := env.kernelInput(rule)
+// runInput returns the tagged stream the kernel runs under rule, as cached,
+// and the placement a node crash looks holders up in (nil without crashes).
+// A crash also redistributes the crashed workers' plan (as the live job
+// does, for worker 0, which crashRank keeps alive) into a stream tagged here,
+// uncached. Its placement is cached, one per family for all crash cells: a
+// build per cell made `sim -all -scale 0.05 -chaos node-crash` 8–16 % slower.
+func (env *Env) runInput(rule sourceRule, in *plancache.LeanInput) (*cachepolicy.Assignment, *plancache.TagStream) {
+	ts := in.Streams[rule.stream]
 	if !env.Chaos.HasCrashes(env.Plan.N) {
-		return in
+		return nil, ts
 	}
-	stream, ends := env.Chaos.RedistributeStream(0, env.Plan.N, in.Stream, in.Ends, env.planStream)
-	return &plancache.TagStream{Stream: stream, Ends: ends, Tags: rule.tags(stream), TotalMB: env.sumMB(stream)}
+	var place *cachepolicy.Assignment
+	if rule.family != "" {
+		place = env.Art.AssignmentLean(rule.family, env.Cfg.DS, env.Cfg.Sys.Node, func() *cachepolicy.Assignment { return env.placement(rule.family) })
+	}
+	stream, ends := env.Chaos.RedistributeStream(0, env.Plan.N, ts.Stream, ts.Ends, env.planStream)
+	return place, &plancache.TagStream{Stream: stream, Ends: ends, Tags: sourceTags(place, stream), TotalMB: env.sumMB(stream)}
 }
 
 // stagingCompactMin is the staging-window compaction threshold: once at
@@ -458,11 +441,9 @@ func (t *threadPool) schedule(roomTime, readDur float64) float64 {
 // nothing cached anywhere. Nor does the PFS reader count: a policy that only
 // ever reads the PFS keeps the γ estimate at exactly 1, i.e. γ = N.
 type sourceRule struct {
-	// family keys the placement consulted in the plan cache ("": none);
-	// place is that placement, set by Env.run on the run's own copy of the
-	// rule.
+	// family names the placement whose kernel input the policy reads from
+	// the plan cache ("": none).
 	family string
-	place  *cachepolicy.Assignment
 	// stream names the stream the policy consumes: one of the reorderings
 	// in streamBuilders, or "" for the plan's own.
 	stream string
@@ -475,39 +456,63 @@ type sourceRule struct {
 	free bool
 }
 
-// kernelInput returns the stream the policy consumes with its source tags
-// and byte total, shared through the placement's plan-cache entry: a warm
-// cell decodes no availability word and rebuilds no stream.
-func (e *Env) kernelInput(rule sourceRule) *plancache.TagStream {
-	return e.Art.TagStream(rule.family, e.Cfg.DS, e.Cfg.Sys.Node, rule.stream, func() *plancache.TagStream {
-		ts := &plancache.TagStream{Stream: e.Streams[0], Ends: e.Art.EpochEnds[0]}
-		if build := streamBuilders[rule.stream]; build != nil {
-			ts.Stream, ts.Ends = build(e, rule.place)
-			ts.OwnStream = true
-			ts.TotalMB = e.sumMB(ts.Stream)
-		} else {
-			// The plan's own stream has one total under every placement and
-			// node: summed once per dataset, in an entry under the zero node.
-			ts.TotalMB = e.Art.TagStream("", e.Cfg.DS, hwspec.Node{}, streamTotal, func() *plancache.TagStream {
-				return &plancache.TagStream{Stream: ts.Stream, TotalMB: e.sumMB(ts.Stream)}
-			}).TotalMB
+// leanInput returns the family's kernel input from the plan cache (the empty
+// family's: the plan's own stream, untagged). A cold entry builds the
+// placement once, derives every stream kind the family's policies consume
+// and the scalars they read from it, and drops it.
+func (e *Env) leanInput(family string) *plancache.LeanInput {
+	var place func() *cachepolicy.Assignment
+	if family != "" {
+		place = func() *cachepolicy.Assignment { return e.placement(family) }
+	}
+	return e.Art.LeanInput(family, e.Cfg.DS, e.Cfg.Sys.Node, place, func(a *cachepolicy.Assignment) *plancache.LeanInput {
+		kinds, partial := familyUse(family)
+		in := &plancache.LeanInput{Streams: make(map[string]*plancache.TagStream, len(kinds))}
+		for _, kind := range kinds {
+			in.Streams[kind] = e.tagStream(a, kind)
 		}
-		ts.Tags = rule.tags(ts.Stream)
-		return ts
+		if a != nil {
+			in.CachedBytes = a.CachedBytes[0]
+			if partial {
+				in.Coverage = a.Coverage(e.Cfg.DS)
+			}
+		}
+		return in
 	})
 }
 
-// streamTotal is the stream kind kernelInput keeps the plan's own byte total
-// under; no policy consumes it.
+// tagStream derives the stream of one kind under placement a (nil: none)
+// with its tags and byte total.
+func (e *Env) tagStream(a *cachepolicy.Assignment, kind string) *plancache.TagStream {
+	ts := &plancache.TagStream{Stream: e.Art.Streams[0], Ends: e.Art.EpochEnds[0]}
+	if build := streamBuilders[kind]; build != nil {
+		ts.Stream, ts.Ends = build(e, a)
+		ts.OwnStream, ts.TotalMB = true, e.sumMB(ts.Stream)
+	} else {
+		// The plan's own stream has one total under every placement and
+		// node: summed once per dataset, in an entry under the zero node.
+		ts.TotalMB = e.Art.LeanInput(streamTotal, e.Cfg.DS, hwspec.Node{}, nil, func(*cachepolicy.Assignment) *plancache.LeanInput {
+			return &plancache.LeanInput{Streams: map[string]*plancache.TagStream{
+				streamTotal: {Stream: ts.Stream, TotalMB: e.sumMB(ts.Stream)},
+			}}
+		}).Streams[streamTotal].TotalMB
+	}
+	ts.Tags = sourceTags(a, ts.Stream)
+	return ts
+}
+
+// streamTotal keys the plan's own byte total: the pseudo-family of the entry
+// tagStream keeps it in, and that entry's one stream kind. No policy places
+// or consumes it.
 const streamTotal = "total"
 
-// tags returns the source tags of stream under the rule's placement, nil
-// when it has none.
-func (r sourceRule) tags(stream []access.SampleID) []byte {
-	if r.place != nil {
-		return r.place.Tags(0, stream)
+// sourceTags returns the source tags of stream under placement a, nil
+// without one.
+func sourceTags(a *cachepolicy.Assignment, stream []access.SampleID) []byte {
+	if a == nil {
+		return nil
 	}
-	return nil
+	return a.Tags(0, stream)
 }
 
 // planStream returns worker w's plan stream and its epoch ends.
@@ -538,8 +543,9 @@ func (e *Env) sumMB(stream []access.SampleID) (mb float64) {
 //
 // in.Ends carries the cumulative stream position at which each epoch ends
 // (crash redistribution, elastic membership and reordering policies make
-// epochs unequal).
-func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res *Result) {
+// epochs unequal); place is the placement a node crash looks remote holders
+// up in.
+func simulate(env *Env, pol Policy, in *plancache.TagStream, place *cachepolicy.Assignment, setup float64, res *Result) {
 	simulateCount.Add(1)
 	var (
 		stream, sizes = in.Stream, env.SizesMB
@@ -724,9 +730,9 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res 
 			}
 			if sched != nil {
 				choice := perfmodel.Choice{Loc: loc, Class: cls, Seconds: sec}
-				if loc == perfmodel.LocRemote {
-					// Only a fault schedule asks who the holder is.
-					_, w := rule.place.RemoteAvail(0, ks[i], int32(f+i))
+				if loc == perfmodel.LocRemote && place != nil {
+					// Only a crash schedule asks who the holder is.
+					_, w := place.RemoteAvail(0, ks[i], int32(f+i))
 					choice.Holder = int32(w)
 				}
 				env.ewma = ewma

@@ -366,8 +366,8 @@ func BenchmarkSimulateHotLoop(b *testing.B) {
 // row ColdCost puts NoPFS first and the policies without a placement last,
 // each pass a rule declares (a placement, a stream of its own) costs more
 // than its absence, and what a rule declares is what Env.prepare does — the
-// placement the policy fetches by is the declared family's entry in the plan
-// cache, and a policy declaring none places nothing.
+// input the policy runs on is the declared family's entry in the plan cache,
+// tagged by a placement, and a policy declaring none reads untagged streams.
 func TestColdCostAndDeclaredFamily(t *testing.T) {
 	s, err := ScenarioByID("fig8b") // every policy runs on fig8b
 	if err != nil {
@@ -387,36 +387,28 @@ func TestColdCostAndDeclaredFamily(t *testing.T) {
 		NameDeepIOOpp: 4, NameParallelStaging: 4, NameLocalityAware: 4,
 		NameNoPFS: 2 + 2*n, "NoPFS-randplace": 2 + 2*n, "NoPFS-noremote": 2 + 2*n,
 	}
-	wantFamily := map[string]string{
-		NameDeepIOOrdered: "firsttouch", NameDeepIOOpp: "firsttouch", NameLBANNDynamic: "firsttouch",
-		NameLBANNPreload: "preload", NameParallelStaging: "shard", NameLocalityAware: "shard",
-		NameNoPFS: "nopfs", "NoPFS-randplace": "random", "NoPFS-noremote": "nopfs",
-	}
 	for _, pol := range pols {
 		name := pol.Name()
 		if got, want := ColdCost(&cfg, pol), positions*wantPasses[name]; got != want || want == 0 {
 			t.Errorf("%s: ColdCost = %d, want %d positions x %d passes", name, got, positions, wantPasses[name])
 		}
 		declared := pol.rule
-		if declared.family != wantFamily[name] || declared.place != nil {
-			t.Errorf("%s: declares family %q (placement %v), want %q and none",
-				name, declared.family, declared.place, wantFamily[name])
+		if declared.family != policyFamily[name] {
+			t.Errorf("%s: declares family %q, want %q", name, declared.family, policyFamily[name])
 		}
 		env, err := newEnv(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		place, _, err := env.prepare(pol)
+		in, _, err := env.prepare(pol)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		switch {
-		case declared.family == "":
-			if place != nil {
-				t.Errorf("%s: declares no placement but prepare placed one", name)
-			}
-		case place != env.place(declared.family):
-			t.Errorf("%s: prepare's placement is not the %q entry of the plan cache", name, declared.family)
+		if in != env.leanInput(declared.family) {
+			t.Errorf("%s: prepare's input is not the %q entry of the plan cache", name, declared.family)
+		}
+		if tagged := in.Streams[declared.stream].Tags != nil; tagged != (declared.family != "") {
+			t.Errorf("%s: declares family %q but its stream is tagged: %v", name, declared.family, tagged)
 		}
 	}
 	bad := cfg

@@ -538,3 +538,23 @@ func TestGridRanksOncePerPlanAndFamily(t *testing.T) {
 		}
 	}
 }
+
+// TestFig9GridKeepsNoPlacement bounds what the Fig. 9 study leaves in a plan
+// cache: its 29 NoPFS cells evaluate 25 node specs on one plan, and the cache
+// keeps each spec's tag stream (one byte per worker-0 stream position), not
+// its lean placement (12 B per sample), so a cold grid builds each of the 25
+// placements once, leaves at most 12 MiB, and tags 26 streams (25 specs and
+// the plan stream's byte total). Keeping the placements would leave
+// ≈ 56 MiB.
+func TestFig9GridKeepsNoPlacement(t *testing.T) {
+	plans := plancache.New(0, 0)
+	grid := withPlans(Fig9FullGrid(0.01, 11, 1), plans)
+	if _, err := (&Runner{Parallel: 2}).Run(bg, grid); err != nil {
+		t.Fatal(err)
+	}
+	st := plans.Stats()
+	if st.Bytes > 12<<20 || st.TagStreams != 26 || st.Placements != 25 {
+		t.Errorf("cold Fig. 9 grid left %.1f MiB in %d tag streams over %d placements, want at most 12 MiB in 26 over 25",
+			float64(st.Bytes)/(1<<20), st.TagStreams, st.Placements)
+	}
+}
