@@ -48,15 +48,10 @@ func explainGridShape(w io.Writer, grid *sweep.Grid) {
 	fmt.Fprintln(w)
 }
 
-// explainGrid prints the grid's shape and, for every scenario that can
-// materialise a simulator config, the per-scenario plan analysis.
+// explainGrid prints the grid's shape and every scenario's plan analysis.
 func explainGrid(w io.Writer, grid *sweep.Grid) error {
 	explainGridShape(w, grid)
 	for _, spec := range grid.Scenarios {
-		if spec.Config == nil {
-			fmt.Fprintf(w, "\n== %s ==\n  (no simulator config; labels a custom cell binding)\n", spec.ID)
-			continue
-		}
 		cfg, err := spec.Config(grid.BaseSeed)
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", spec.ID, err)

@@ -179,38 +179,17 @@ func (c trainRun) trim(exps []trainer.Experiment) ([]trainer.Experiment, error) 
 	return out, nil
 }
 
-// emit attaches the -chaos clean-vs-faulted profile axis and the -access
-// uniform-vs-pattern axis (no-ops without the flags) and runs the grid
-// through the engine to stdout; text is the figure's bespoke text table, nil
-// for the generic one.
-func (c trainRun) emit(grid *sweep.Grid, text func(*sweep.Report)) error {
+// run attaches the -chaos clean-vs-faulted profile axis and the -access
+// uniform-vs-pattern axis (no-ops without the flags), then explains the grid
+// under -dry-run or runs it through the engine to stdout; text is the
+// figure's bespoke text table, nil for the generic one.
+func (c trainRun) run(grid *sweep.Grid, text func(*sweep.Report)) error {
 	grid.Profiles = c.profiles
 	grid.Patterns = c.patterns
-	return c.engine.Emit(c.ctx, c.out, grid, text)
-}
-
-// explain is the --dry-run path: print the grid's shape and the plan
-// analysis of every (experiment, GPU count) scenario under the NoPFS loader
-// (the placement-bearing policy — the other loaders share the same access
-// plan).
-func (c trainRun) explain(grid *sweep.Grid, exps []trainer.Experiment) error {
-	grid.Profiles = c.profiles
-	grid.Patterns = c.patterns
-	explainGridShape(c.out, grid)
-	for _, exp := range exps {
-		for _, gpus := range exp.GPUCounts {
-			cfg, err := exp.Config(gpus, trainer.LoaderNoPFS, exp.Seed)
-			if err != nil {
-				return err
-			}
-			id := fmt.Sprintf("%s-g%d", exp.Name, gpus)
-			label := fmt.Sprintf("%s, %d GPUs", exp.Name, gpus)
-			if err := explainConfig(c.out, id, label, cfg); err != nil {
-				return err
-			}
-		}
+	if c.dryRun {
+		return explainGrid(c.out, grid)
 	}
-	return nil
+	return c.engine.Emit(c.ctx, c.out, grid, text)
 }
 
 // rowLabel is sweep's shared profile-qualified labelling rule, aliased for
@@ -224,13 +203,10 @@ func (c trainRun) emitExperiment(title string, exp trainer.Experiment) error {
 	if err != nil {
 		return err
 	}
-	if c.dryRun {
-		return c.explain(exp.Grid(c.engine.Replicas), []trainer.Experiment{exp})
-	}
-	if c.engine.Format == "text" {
+	if c.engine.Format == "text" && !c.dryRun {
 		fmt.Fprintln(c.out, title)
 	}
-	return c.emit(exp.Grid(c.engine.Replicas), nil)
+	return c.run(exp.Grid(c.engine.Replicas), nil)
 }
 
 // emitFig11 renders the epoch-0 batch-time table (cold caches) from the
@@ -240,10 +216,7 @@ func (c trainRun) emitFig11(exp trainer.Experiment) error {
 	if err != nil {
 		return err
 	}
-	if c.dryRun {
-		return c.explain(exp.Grid(c.engine.Replicas), []trainer.Experiment{exp})
-	}
-	return c.emit(exp.Grid(c.engine.Replicas), func(rep *sweep.Report) {
+	return c.run(exp.Grid(c.engine.Replicas), func(rep *sweep.Report) {
 		fmt.Fprintln(c.out, "Fig. 11: epoch-0 batch times on Piz Daint")
 		fmt.Fprintf(c.out, "%-24s %-14s %12s %12s %12s\n", "scenario", "loader", "median", "p95", "max")
 		for _, s := range rep.Aggregate() {
@@ -266,10 +239,7 @@ func (c trainRun) emitFig12(exp trainer.Experiment) error {
 	if err != nil {
 		return err
 	}
-	if c.dryRun {
-		return c.explain(exp.Grid(c.engine.Replicas), []trainer.Experiment{exp})
-	}
-	return c.emit(exp.Grid(c.engine.Replicas), func(rep *sweep.Report) {
+	return c.run(exp.Grid(c.engine.Replicas), func(rep *sweep.Report) {
 		fmt.Fprintln(c.out, "Fig. 12: NoPFS cache stats on Piz Daint (ImageNet-1k)")
 		fmt.Fprintf(c.out, "%-24s %12s %8s %8s %8s\n", "scenario", "stall", "pfs%", "remote%", "local%")
 		for _, s := range rep.Aggregate() {
@@ -298,10 +268,7 @@ func (c trainRun) emitFig13(scale float64) error {
 	if err != nil {
 		return err
 	}
-	if c.dryRun {
-		return c.explain(grid, exps)
-	}
-	return c.emit(grid, func(rep *sweep.Report) {
+	return c.run(grid, func(rep *sweep.Report) {
 		fmt.Fprintln(c.out, "Fig. 13: batch-size sweep, ImageNet-1k, 128 Lassen GPUs")
 		fmt.Fprintf(c.out, "%-20s %-14s %12s %12s %12s\n", "scenario", "loader", "median", "p95", "max")
 		for _, s := range rep.Aggregate() {
@@ -329,11 +296,7 @@ func (c trainRun) emitFig16(scale float64) error {
 	if err != nil {
 		return err
 	}
-	grid := trainer.Fig16GridFrom(exp, c.engine.Replicas)
-	if c.dryRun {
-		return c.explain(grid, []trainer.Experiment{exp})
-	}
-	return c.emit(grid, func(rep *sweep.Report) {
+	return c.run(trainer.Fig16GridFrom(exp, c.engine.Replicas), func(rep *sweep.Report) {
 		fmt.Fprintln(c.out, "Fig. 16: end-to-end ResNet-50/ImageNet-1k, 256 Lassen GPUs, 90 epochs")
 		for _, cell := range rep.Cells {
 			if cell.Replica != 0 {

@@ -8,10 +8,19 @@ import "sync"
 // construction per Spec so concurrent cells share one dataset object, the
 // same compute-once discipline the plan-artifact cache applies to shuffles.
 
+// cacheEntry is one spec's compute-once slot: the first caller builds under
+// once, concurrent first callers block on it, and later callers read the
+// result.
+type cacheEntry struct {
+	once sync.Once
+	d    *Synthetic
+	err  error
+}
+
 var (
 	cacheMu    sync.Mutex
-	cache      = map[Spec]*Synthetic{}
-	cacheBytes int64
+	cache      = map[Spec]*cacheEntry{}
+	cacheBytes int64 // table bytes of the built entries in cache
 )
 
 // cacheByteLimit bounds the memo by retained table bytes (each entry holds
@@ -28,33 +37,32 @@ var cacheByteLimit int64 = 1 << 30
 // table plus the float64 MB view.
 func entryBytes(d *Synthetic) int64 { return int64(d.Len()) * 16 }
 
-// Cached returns the shared immutable dataset for spec, building it once.
-// Callers must treat the dataset as read-only, which every consumer
-// already does.
+// Cached returns the shared immutable dataset for spec, building it once:
+// concurrent first callers share one build. Callers must treat the dataset
+// as read-only, which every consumer already does.
 func Cached(spec Spec) (*Synthetic, error) {
 	cacheMu.Lock()
-	d, ok := cache[spec]
-	cacheMu.Unlock()
-	if ok {
-		return d, nil
-	}
-	d, err := New(spec)
-	if err != nil {
-		return nil, err
-	}
-	cacheMu.Lock()
-	if cacheBytes+entryBytes(d) > cacheByteLimit {
-		cache = map[Spec]*Synthetic{}
-		cacheBytes = 0
-	}
-	// A racing builder may have inserted first; keep the existing object so
-	// every consumer shares one identity.
-	if prev, ok := cache[spec]; ok {
-		d = prev
-	} else {
-		cache[spec] = d
-		cacheBytes += entryBytes(d)
+	e, ok := cache[spec]
+	if !ok {
+		e = &cacheEntry{}
+		cache[spec] = e
 	}
 	cacheMu.Unlock()
-	return d, nil
+	e.once.Do(func() {
+		if e.d, e.err = New(spec); e.err != nil {
+			return
+		}
+		n := entryBytes(e.d)
+		cacheMu.Lock()
+		defer cacheMu.Unlock()
+		if cache[spec] != e {
+			return // cleared while building: only this entry's callers share it
+		}
+		if cacheBytes+n > cacheByteLimit {
+			cache = map[Spec]*cacheEntry{spec: e}
+			cacheBytes = 0
+		}
+		cacheBytes += n
+	})
+	return e.d, e.err
 }

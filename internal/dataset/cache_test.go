@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -10,14 +11,14 @@ import (
 // (including -shuffle=on) cannot leak state across tests.
 func resetCache(limit int64) func() {
 	cacheMu.Lock()
-	cache = map[Spec]*Synthetic{}
+	cache = map[Spec]*cacheEntry{}
 	cacheBytes = 0
 	old := cacheByteLimit
 	cacheByteLimit = limit
 	cacheMu.Unlock()
 	return func() {
 		cacheMu.Lock()
-		cache = map[Spec]*Synthetic{}
+		cache = map[Spec]*cacheEntry{}
 		cacheBytes = 0
 		cacheByteLimit = old
 		cacheMu.Unlock()
@@ -155,5 +156,46 @@ func TestCachedRejectsBadSpec(t *testing.T) {
 	}
 	if _, err := Cached(cachedSpec("good", 64, 1)); err != nil {
 		t.Fatalf("valid spec failed after a bad one: %v", err)
+	}
+}
+
+// TestCachedBuildsOnceUnderConcurrency: sixteen concurrent first callers of
+// one spec share a single build, so together they allocate about what one
+// New does — not one size table each.
+func TestCachedBuildsOnceUnderConcurrency(t *testing.T) {
+	defer resetCache(1 << 30)()
+	spec := cachedSpec("once", 1<<18, 5)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one := allocated(func() {
+		if _, err := New(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const callers = 16
+	all := allocated(func() {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := Cached(spec); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	})
+	if ratio := float64(all) / float64(one); ratio > 1.5 {
+		t.Errorf("%d concurrent first callers allocated %.2f× one New (%d B vs %d B), want ≤ 1.5×",
+			callers, ratio, all, one)
 	}
 }

@@ -3,7 +3,7 @@ package sim
 import "repro/internal/plancache"
 
 // NoPFSVariant configures ablations of the NoPFS policy, isolating the
-// contribution of each design choice (DESIGN.md Sec. 5).
+// contribution of each design choice (the paper's Sec. 5).
 type NoPFSVariant struct {
 	// RandomPlacement fills storage classes in first-access order instead
 	// of by access frequency — ablates the Sec. 3.1 analysis.

@@ -63,25 +63,18 @@ func SimOutcome(r *isim.Result) *Outcome {
 	return o
 }
 
-// simCellFunc is the default cell binding: materialise the scenario's
-// simulator configuration for the seed, stamp the cell's fault profile and
-// access pattern onto it, and simulate the column's policy. The implicit
-// fault-free profile and uniform pattern are zero values, leaving the
-// configuration untouched.
-func simCellFunc(s ScenarioSpec, p PolicySpec, prof ProfileSpec, pat AccessSpec) CellFunc {
+// simCellFunc is the default cell binding: materialise the cell's
+// configuration (Grid.Config) and simulate the column's policy.
+func simCellFunc(g *Grid, si, pi, fi, ai int) CellFunc {
 	return func(ctx context.Context, seed uint64) (*Outcome, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cfg, err := s.Config(seed)
+		cfg, err := g.Config(si, fi, ai, seed)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Chaos = prof.Profile
-		if pat.Spec != "" {
-			cfg.Access = pat.Spec
-		}
-		r, err := isim.Run(cfg, p.New())
+		r, err := isim.Run(cfg, g.Policies[pi].New())
 		if err != nil {
 			return nil, err
 		}

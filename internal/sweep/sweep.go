@@ -77,8 +77,9 @@ type Outcome struct {
 type CellFunc func(ctx context.Context, seed uint64) (*Outcome, error)
 
 // ScenarioSpec is one row of a Grid. For simulator grids, Config
-// materialises the cell's simulator configuration (the default binding);
-// grids with a custom Cell binding use the spec purely as a report label.
+// materialises the row's simulator configuration, onto which Grid.Config
+// stamps each cell's axes; a custom Cell binding that simulates nothing uses
+// the spec purely as a report label.
 type ScenarioSpec struct {
 	// ID labels the row in reports ("fig8b", "ram64-ssd256", ...).
 	ID string
@@ -223,8 +224,7 @@ type Grid struct {
 	Metrics []Metric
 	// Cell binds the (scenario, policy, profile, pattern) tuple at the given
 	// indices to an executable cell. Nil means the simulator binding:
-	// Scenarios[si].Config × Policies[pi].New × Profiles[fi] × Patterns[ai]
-	// × isim.Run.
+	// Config(si, fi, ai, seed) × Policies[pi].New × isim.Run.
 	Cell func(scenario, policy, profile, pattern int) CellFunc
 
 	// cost, when set, replaces cellCost's estimate (tests only).
@@ -346,7 +346,24 @@ func (g *Grid) cellFunc(si, pi, fi, ai int) (CellFunc, error) {
 		}
 		return fn, nil
 	}
-	return simCellFunc(g.Scenarios[si], g.Policies[pi], g.profiles()[fi], g.patterns()[ai]), nil
+	return simCellFunc(g, si, pi, fi, ai), nil
+}
+
+// Config materialises one cell's simulator configuration: row si's config
+// for the seed, with the cell's fault profile and access pattern stamped on.
+// It is the one axis rule of every simulator binding: the profile column sets
+// the fault profile outright (the implicit and the empty column are
+// fault-free), and a non-empty pattern spec replaces the row's access spec.
+func (g *Grid) Config(si, fi, ai int, seed uint64) (isim.Config, error) {
+	cfg, err := g.Scenarios[si].Config(seed)
+	if err != nil {
+		return isim.Config{}, err
+	}
+	cfg.Chaos = g.profiles()[fi].Profile
+	if pat := g.patterns()[ai].Spec; pat != "" {
+		cfg.Access = pat
+	}
+	return cfg, nil
 }
 
 // cellCost estimates a cell's running time, in units only comparable within

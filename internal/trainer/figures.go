@@ -1,7 +1,6 @@
 package trainer
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/dataset"
@@ -144,91 +143,36 @@ func Fig16Experiment(scale float64) Experiment {
 	}
 }
 
-// fig16Cell simulates one loader's 90-epoch run and folds the per-epoch
-// times into the accuracy-vs-time curve (the Goyal et al. schedule).
-func fig16Cell(exp Experiment, ds *dataset.Synthetic, sys hwspec.System, loader Loader, seed uint64) (EndToEndResult, error) {
-	work := loader.AdjustWorkload(exp.Workload(exp.GPUCounts[0]))
-	cfg := sim.Config{Sys: sys, Work: work, DS: ds, Seed: seed, PFSJitter: exp.Jitter, DropLast: true, Chaos: exp.Chaos, Access: exp.Access}
-	pol, err := loader.Policy()
-	if err != nil {
-		return EndToEndResult{}, err
-	}
-	r, err := sim.Run(cfg, pol)
-	if err != nil {
-		return EndToEndResult{}, err
-	}
+// fig16Outcome folds one loader's per-epoch times into the accuracy-vs-time
+// curve (the Goyal et al. schedule); a loader that cannot run the scenario
+// yields a failed cell with an empty curve.
+func fig16Outcome(_ sim.Config, loader Loader, r *sim.Result) *sweep.Outcome {
 	res := EndToEndResult{Loader: loader.String()}
-	if r.Failed {
-		return res, nil
+	if r.Failed || len(r.EpochSeconds) == 0 {
+		return &sweep.Outcome{Payload: res, Failed: true, FailReason: fmt.Sprintf("%s cannot run fig16", res.Loader)}
 	}
-	elapsed := 0.0
 	for e, d := range r.EpochSeconds {
-		elapsed += d
+		res.TotalSeconds += d
 		res.Curve = append(res.Curve, EndToEndPoint{
 			Epoch:       e + 1,
-			Seconds:     elapsed,
+			Seconds:     res.TotalSeconds,
 			Top1Percent: ResNet50Top1(float64(e + 1)),
 		})
 	}
-	res.TotalSeconds = elapsed
-	if n := len(res.Curve); n > 0 {
-		res.FinalTop1 = res.Curve[n-1].Top1Percent
-	}
-	return res, nil
+	res.FinalTop1 = res.Curve[len(res.Curve)-1].Top1Percent
+	return &sweep.Outcome{Payload: res, Values: map[string]float64{
+		MetricTotalS:    res.TotalSeconds,
+		MetricFinalTop1: res.FinalTop1,
+	}}
 }
 
 // Fig16GridFrom plans the end-to-end comparison as a sweep grid over a
-// caller-prepared Fig16Experiment (seed overrides, trimmed axes, chaos
-// profiles): one row (256 GPUs), one column per loader, cells carrying
-// EndToEndResult payloads. NoPFS preserves full-dataset randomization, so
-// accuracy-vs-epoch is loader-independent; the loaders differ only in how
-// fast epochs complete — exactly the paper's framing.
+// caller-prepared Fig16Experiment (seed overrides, trimmed axes): one row
+// (256 GPUs), one column per loader, cells carrying EndToEndResult payloads.
+// NoPFS preserves full-dataset randomization, so accuracy-vs-epoch is
+// loader-independent; the loaders differ only in how fast epochs complete —
+// exactly the paper's framing.
 func Fig16GridFrom(exp Experiment, replicas int) *sweep.Grid {
-	cols := make([]sweep.PolicySpec, len(exp.Loaders))
-	for i, l := range exp.Loaders {
-		cols[i] = sweep.PolicySpec{Name: l.String()}
-	}
-	loaders := exp.Loaders
-	env := sharedEnv(exp)
-	grid := &sweep.Grid{
-		Name: exp.Name,
-		Scenarios: []sweep.ScenarioSpec{{
-			ID:    fmt.Sprintf("%s-g%d", exp.Name, exp.GPUCounts[0]),
-			Label: "ResNet-50/ImageNet-1k, 256 Lassen GPUs, 90 epochs",
-		}},
-		Policies: cols,
-		Replicas: replicas, BaseSeed: exp.Seed,
-		Metrics: Fig16Metrics(),
-	}
-	grid.Cell = func(si, pi, fi, ai int) sweep.CellFunc {
-		l := loaders[pi]
-		cell := exp
-		cell.Chaos = effectiveChaos(exp, grid, fi)
-		cell.Access = effectiveAccess(exp, grid, ai)
-		return func(ctx context.Context, seed uint64) (*sweep.Outcome, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			ds, sys, err := env()
-			if err != nil {
-				return nil, err
-			}
-			res, err := fig16Cell(cell, ds, sys, l, seed)
-			if err != nil {
-				return nil, err
-			}
-			o := &sweep.Outcome{Payload: res}
-			if len(res.Curve) == 0 {
-				o.Failed = true
-				o.FailReason = fmt.Sprintf("%s cannot run fig16", res.Loader)
-				return o, nil
-			}
-			o.Values = map[string]float64{
-				MetricTotalS:    res.TotalSeconds,
-				MetricFinalTop1: res.FinalTop1,
-			}
-			return o, nil
-		}
-	}
-	return grid
+	row := exp.row(exp.GPUCounts[0], "ResNet-50/ImageNet-1k, 256 Lassen GPUs, 90 epochs")
+	return loaderGrid(exp.Name, []sweep.ScenarioSpec{row}, exp, replicas, Fig16Metrics(), fig16Outcome)
 }

@@ -3,12 +3,10 @@ package trainer
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 
-	"repro/internal/chaos"
-	"repro/internal/dataset"
-	"repro/internal/hwspec"
 	"repro/internal/perfmodel"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -83,104 +81,62 @@ func PointOutcome(p ScalePoint) *sweep.Outcome {
 	return o
 }
 
-// sharedEnv lazily builds the experiment's scaled dataset and system
-// exactly once: materialising the O(F) size table per cell would dominate
-// large grids, and Synthetic datasets are immutable after construction, so
-// every cell of the experiment can read the same instance concurrently.
-func sharedEnv(e Experiment) func() (*dataset.Synthetic, hwspec.System, error) {
-	type env struct {
-		ds  *dataset.Synthetic
-		sys hwspec.System
-	}
-	build := sync.OnceValues(func() (env, error) {
-		spec, sys := e.scaled()
-		ds, err := dataset.Cached(spec)
-		return env{ds, sys}, err
-	})
-	return func() (*dataset.Synthetic, hwspec.System, error) {
-		v, err := build()
-		return v.ds, v.sys, err
-	}
+// scaleOutcome is the scaling grids' projection of one simulated cell: its
+// ScalePoint, with epoch 0's batches split off from the steady state.
+func scaleOutcome(cfg sim.Config, loader Loader, r *sim.Result) *sweep.Outcome {
+	batchesPerEpoch := cfg.Plan().SamplesPerEpoch(0) / cfg.Work.BatchPerWorker
+	return PointOutcome(pointFromResult(loader.String(), cfg.Work.Workers, batchesPerEpoch, r))
 }
 
-// sharedCells returns a cell executor over one shared environment, running
-// under the cell's resolved fault profile (see effectiveChaos) — the grids'
-// fault-profile axis reuses one shared dataset across its clean and faulted
-// columns.
-func sharedCells(e Experiment) func(gpus int, loader Loader, seed uint64, prof chaos.Profile, access string) (ScalePoint, error) {
-	env := sharedEnv(e)
-	return func(gpus int, loader Loader, seed uint64, prof chaos.Profile, access string) (ScalePoint, error) {
-		ds, sys, err := env()
-		if err != nil {
-			return ScalePoint{}, err
-		}
-		cell := e
-		cell.Chaos = prof
-		cell.Access = access
-		return cell.cell(ds, sys, gpus, loader, seed)
-	}
-}
-
-// effectiveChaos resolves one cell's fault profile: a declared profile axis
-// fully determines it — an empty column there is a genuinely clean baseline,
-// matching the sweep engine's default binding — while grids without the
-// axis fall back to the experiment's own Chaos field.
-func effectiveChaos(e Experiment, g *sweep.Grid, fi int) chaos.Profile {
-	if len(g.Profiles) > 0 {
-		return g.Profiles[fi].Profile
-	}
-	return e.Chaos
-}
-
-// effectiveAccess resolves one cell's access-pattern spec by the same rule:
-// a declared pattern axis fully determines it (the empty column is the
-// explicit uniform baseline); without the axis the experiment's own Access
-// field applies.
-func effectiveAccess(e Experiment, g *sweep.Grid, ai int) string {
-	if len(g.Patterns) > 0 {
-		return g.Patterns[ai].Spec
-	}
-	return e.Access
-}
-
-// Grid plans the experiment as a sweep grid: one row per GPU count, one
-// column per loader, BaseSeed = the experiment's seed (so replica 0
-// reproduces the legacy serial loop bit for bit).
-func (e Experiment) Grid(replicas int) *sweep.Grid {
-	rows := make([]sweep.ScenarioSpec, len(e.GPUCounts))
-	for i, gpus := range e.GPUCounts {
-		rows[i] = sweep.ScenarioSpec{
-			ID:    fmt.Sprintf("%s-g%d", e.Name, gpus),
-			Label: fmt.Sprintf("%s, %d GPUs", e.Name, gpus),
-		}
-	}
-	cols := make([]sweep.PolicySpec, len(e.Loaders))
-	for i, l := range e.Loaders {
+// loaderGrid is every trainer grid's binding: one column per loader of exp,
+// and a cell that materialises its row's configuration with the cell's fault
+// profile and access pattern (sweep.Grid.Config), applies the loader's
+// workload change, simulates the loader's policy, and projects the result
+// through outcome. The binding is custom because a loader is a policy plus a
+// workload change (DALI's preprocessing offload) and each grid projects its
+// own outcome.
+func loaderGrid(name string, rows []sweep.ScenarioSpec, exp Experiment, replicas int,
+	metrics []sweep.Metric, outcome func(sim.Config, Loader, *sim.Result) *sweep.Outcome) *sweep.Grid {
+	cols := make([]sweep.PolicySpec, len(exp.Loaders))
+	for i, l := range exp.Loaders {
 		cols[i] = sweep.PolicySpec{Name: l.String()}
 	}
-	gpus, loaders := e.GPUCounts, e.Loaders
-	run := sharedCells(e)
 	grid := &sweep.Grid{
-		Name: e.Name, Scenarios: rows, Policies: cols,
-		Replicas: replicas, BaseSeed: e.Seed,
-		Metrics: GridMetrics(),
+		Name: name, Scenarios: rows, Policies: cols,
+		Replicas: replicas, BaseSeed: exp.Seed,
+		Metrics: metrics,
 	}
-	// The binding closes over the grid so Profiles and Patterns axes
-	// assigned by the caller (nopfs train -chaos / -access) reach the cells.
+	// The binding reads the grid's axes when a cell runs, so Profiles and
+	// Patterns assigned by the caller (nopfs train -chaos / -access) apply.
 	grid.Cell = func(si, pi, fi, ai int) sweep.CellFunc {
-		g, l, prof := gpus[si], loaders[pi], effectiveChaos(e, grid, fi)
-		accessSpec := effectiveAccess(e, grid, ai)
+		loader := exp.Loaders[pi]
 		return func(ctx context.Context, seed uint64) (*sweep.Outcome, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			p, err := run(g, l, seed, prof, accessSpec)
+			cfg, err := grid.Config(si, fi, ai, seed)
 			if err != nil {
 				return nil, err
 			}
-			return PointOutcome(p), nil
+			cfg.Work = loader.AdjustWorkload(cfg.Work)
+			pol, err := loader.Policy()
+			if err != nil {
+				return nil, err
+			}
+			r, err := sim.Run(cfg, pol)
+			if err != nil {
+				return nil, err
+			}
+			return outcome(cfg, loader, r), nil
 		}
 	}
+	return grid
+}
+
+// Grid plans the experiment as a sweep grid: one row per GPU count, one
+// column per loader, BaseSeed = the experiment's seed.
+func (e Experiment) Grid(replicas int) *sweep.Grid {
+	grid, _ := MultiGrid(e.Name, []Experiment{e}, replicas) // one experiment mixes nothing
 	return grid
 }
 
@@ -192,63 +148,19 @@ func MultiGrid(name string, exps []Experiment, replicas int) (*sweep.Grid, error
 	if len(exps) == 0 {
 		return nil, fmt.Errorf("trainer: grid %q has no experiments", name)
 	}
+	var rows []sweep.ScenarioSpec
 	for _, e := range exps {
-		if len(e.Loaders) != len(exps[0].Loaders) {
+		if !slices.Equal(e.Loaders, exps[0].Loaders) {
 			return nil, fmt.Errorf("trainer: grid %q mixes loader sets (%s)", name, e.Name)
-		}
-		for i, l := range e.Loaders {
-			if l != exps[0].Loaders[i] {
-				return nil, fmt.Errorf("trainer: grid %q mixes loader sets (%s)", name, e.Name)
-			}
 		}
 		if e.Seed != exps[0].Seed {
 			return nil, fmt.Errorf("trainer: grid %q mixes base seeds (%s)", name, e.Name)
 		}
-	}
-	type rowKey struct {
-		exp  int
-		gpus int
-	}
-	var rows []sweep.ScenarioSpec
-	var keys []rowKey
-	for ei, e := range exps {
 		for _, gpus := range e.GPUCounts {
-			rows = append(rows, sweep.ScenarioSpec{
-				ID:    fmt.Sprintf("%s-g%d", e.Name, gpus),
-				Label: fmt.Sprintf("%s, %d GPUs", e.Name, gpus),
-			})
-			keys = append(keys, rowKey{ei, gpus})
+			rows = append(rows, e.row(gpus, fmt.Sprintf("%s, %d GPUs", e.Name, gpus)))
 		}
 	}
-	cols := make([]sweep.PolicySpec, len(exps[0].Loaders))
-	for i, l := range exps[0].Loaders {
-		cols[i] = sweep.PolicySpec{Name: l.String()}
-	}
-	loaders := exps[0].Loaders
-	runs := make([]func(int, Loader, uint64, chaos.Profile, string) (ScalePoint, error), len(exps))
-	for i, e := range exps {
-		runs[i] = sharedCells(e)
-	}
-	grid := &sweep.Grid{
-		Name: name, Scenarios: rows, Policies: cols,
-		Replicas: replicas, BaseSeed: exps[0].Seed,
-		Metrics: GridMetrics(),
-	}
-	grid.Cell = func(si, pi, fi, ai int) sweep.CellFunc {
-		k, l, prof := keys[si], loaders[pi], effectiveChaos(exps[keys[si].exp], grid, fi)
-		accessSpec := effectiveAccess(exps[keys[si].exp], grid, ai)
-		return func(ctx context.Context, seed uint64) (*sweep.Outcome, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			p, err := runs[k.exp](k.gpus, l, seed, prof, accessSpec)
-			if err != nil {
-				return nil, err
-			}
-			return PointOutcome(p), nil
-		}
-	}
-	return grid, nil
+	return loaderGrid(name, rows, exps[0], replicas, GridMetrics(), scaleOutcome), nil
 }
 
 // PointsFromReport recovers the per-cell ScalePoints of a trainer grid

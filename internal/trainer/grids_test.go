@@ -3,8 +3,10 @@ package trainer
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -15,37 +17,102 @@ func smallFig10() Experiment {
 	return exp
 }
 
-// TestGridMatchesSerialCells pins the engine path to the cell primitive: the
-// grid-run experiment must reproduce a hand-rolled serial loop exactly, in
-// the same (GPU count, loader) order.
-func TestGridMatchesSerialCells(t *testing.T) {
-	exp := smallFig10()
-	got, err := exp.RunParallel(context.Background(), 4)
+// runPoints runs a trainer grid and recovers its points in cell order.
+func runPoints(t *testing.T, grid *sweep.Grid, parallel int) ([]sweep.Cell, []ScalePoint) {
+	t.Helper()
+	rep, err := (&sweep.Runner{Parallel: parallel}).Run(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
+	points, err := PointsFromReport(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make([]sweep.Cell, len(rep.Cells))
+	for i, c := range rep.Cells {
+		cells[i] = c.Cell
+	}
+	return cells, points
+}
+
+// TestGridMatchesSerialCells pins the engine path to the simulator: every
+// grid cell must equal sim.Run of its row's configuration under the cell's
+// loader, in (GPU count, loader) order.
+func TestGridMatchesSerialCells(t *testing.T) {
+	exp := smallFig10()
+	grid := exp.Grid(1)
+	_, got := runPoints(t, grid, 4)
 	var want []ScalePoint
-	for _, gpus := range exp.GPUCounts {
+	for i, row := range grid.Scenarios {
+		gpus := exp.GPUCounts[i]
 		for _, loader := range exp.Loaders {
-			p, err := exp.Cell(gpus, loader, exp.Seed)
+			cfg, err := row.Config(exp.Seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, p)
+			cfg.Work = loader.AdjustWorkload(cfg.Work)
+			pol, err := loader.Policy()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := sim.Run(cfg, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches := cfg.Plan().SamplesPerEpoch(0) / cfg.Work.BatchPerWorker
+			want = append(want, pointFromResult(loader.String(), gpus, batches, r))
 		}
 	}
 	if len(got) != len(want) {
 		t.Fatalf("engine produced %d points, want %d", len(got), len(want))
 	}
 	for i := range want {
-		g, w := got[i], want[i]
-		if g.Loader != w.Loader || g.GPUs != w.GPUs {
-			t.Errorf("point %d is %s@%d, want %s@%d", i, g.Loader, g.GPUs, w.Loader, w.GPUs)
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("point %d: engine %+v\n != serial %+v", i, got[i], want[i])
 		}
-		if g.MedianEpoch != w.MedianEpoch || g.StallSeconds != w.StallSeconds {
-			t.Errorf("%s@%d: engine %.6f/%.6f != serial %.6f/%.6f",
-				w.Loader, w.GPUs, g.MedianEpoch, g.StallSeconds, w.MedianEpoch, w.StallSeconds)
+	}
+}
+
+// TestGridStampsAxes: a trainer grid's fault-profile and access-pattern axes
+// reach its cells. The clean/uniform cells equal the axis-free grid's, and
+// every faulted or patterned NoPFS cell differs from its clean/uniform one.
+func TestGridStampsAxes(t *testing.T) {
+	_, base := runPoints(t, smallFig10().Grid(1), 0)
+	grid := smallFig10().Grid(1)
+	var err error
+	if grid.Profiles, err = sweep.ChaosAxis("node-crash"); err != nil {
+		t.Fatal(err)
+	}
+	if grid.Patterns, err = sweep.AccessAxis("zipf"); err != nil {
+		t.Fatal(err)
+	}
+	cells, points := runPoints(t, grid, 0)
+	if len(points) != 4*len(base) {
+		t.Fatalf("%d points, want %d", len(points), 4*len(base))
+	}
+	clean := map[[2]int]ScalePoint{}
+	for i, c := range cells {
+		if c.ProfileIdx == 0 && c.PatternIdx == 0 {
+			clean[[2]int{c.ScenarioIdx, c.PolicyIdx}] = points[i]
 		}
+	}
+	stamped := 0
+	for i, c := range cells {
+		p, ref := points[i], clean[[2]int{c.ScenarioIdx, c.PolicyIdx}]
+		switch {
+		case c.ProfileIdx == 0 && c.PatternIdx == 0:
+			if want := base[c.ScenarioIdx*len(grid.Policies)+c.PolicyIdx]; !reflect.DeepEqual(p, want) {
+				t.Errorf("%s/%s clean uniform: %+v\n != axis-free %+v", c.Scenario, c.Policy, p, want)
+			}
+		case c.Policy == LoaderNoPFS.String():
+			stamped++
+			if reflect.DeepEqual(p, ref) {
+				t.Errorf("%s/%s under %s/%s equals its clean uniform cell", c.Scenario, c.Policy, c.Profile, c.Pattern)
+			}
+		}
+	}
+	if stamped != 3*len(smallFig10().GPUCounts) {
+		t.Errorf("checked %d stamped NoPFS cells, want %d", stamped, 3*len(smallFig10().GPUCounts))
 	}
 }
 

@@ -4,7 +4,7 @@
 // The paper measures PyTorch's DataLoader, DALI, the LBANN data store, and
 // NoPFS on the Piz Daint and Lassen supercomputers. Neither machine nor the
 // frameworks are available here, so each loader is modelled as the I/O
-// policy it implements (see DESIGN.md's substitution table):
+// policy it implements:
 //
 //   - PyTorch DataLoader  → sim.StagingBuffer (double-buffered PFS reads)
 //   - DALI                → StagingBuffer with preprocessing offloaded to
@@ -18,10 +18,8 @@
 package trainer
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/chaos"
 	"repro/internal/dataset"
 	"repro/internal/hwspec"
 	"repro/internal/perfmodel"
@@ -112,7 +110,7 @@ type ScalePoint struct {
 }
 
 // pointFromResult converts a simulator result into a ScalePoint.
-func pointFromResult(loader string, gpus, epochs, batchesPerEpoch int, r *sim.Result) ScalePoint {
+func pointFromResult(loader string, gpus, batchesPerEpoch int, r *sim.Result) ScalePoint {
 	p := ScalePoint{Loader: loader, GPUs: gpus, ExecSeconds: r.ExecSeconds}
 	if r.Failed {
 		p.Failed = true
@@ -167,99 +165,32 @@ type Experiment struct {
 	Scale  float64
 	Seed   uint64
 	Jitter float64
-	// Chaos injects a fault/degradation scenario into every cell (zero =
-	// fault-free, identical to the paper's healthy clusters).
-	Chaos chaos.Profile
-	// Access is the workload access-pattern spec stamped onto every cell
-	// ("" = the classic uniform shuffle; see access.ParseAccessSpec).
-	Access string
 }
 
-// scaled returns the experiment's dataset spec and system at its Scale.
-func (e Experiment) scaled() (dataset.Spec, hwspec.System) {
-	spec := e.Spec
-	sys := e.Sys
-	if e.Scale != 1 {
-		spec = spec.Scale(e.Scale)
-		sys = sim.ScaleSystem(sys, e.Scale)
+// row is the experiment's sweep row at one GPU count. Its Config scales the
+// dataset and system, builds the workload for gpus ranks, and validates the
+// loader-free configuration; loaderGrid adjusts the workload per column.
+func (e Experiment) row(gpus int, label string) sweep.ScenarioSpec {
+	return sweep.ScenarioSpec{
+		ID:    fmt.Sprintf("%s-g%d", e.Name, gpus),
+		Label: label,
+		Config: func(seed uint64) (sim.Config, error) {
+			spec, sys := e.Spec, e.Sys
+			if e.Scale != 1 {
+				spec, sys = spec.Scale(e.Scale), sim.ScaleSystem(sys, e.Scale)
+			}
+			ds, err := dataset.Cached(spec)
+			if err != nil {
+				return sim.Config{}, err
+			}
+			cfg := sim.Config{
+				Sys: sys, Work: e.Workload(gpus), DS: ds,
+				Seed: seed, PFSJitter: e.Jitter, DropLast: true,
+			}
+			if err := cfg.Validate(); err != nil {
+				return sim.Config{}, fmt.Errorf("%s @%d GPUs: %w", e.Name, gpus, err)
+			}
+			return cfg, nil
+		},
 	}
-	return spec, sys
-}
-
-// Cell simulates one (GPU count, loader) point of the experiment with the
-// given shuffle seed. It is a pure function of its arguments — no shared
-// mutable state — so the sweep engine may execute cells concurrently.
-func (e Experiment) Cell(gpus int, loader Loader, seed uint64) (ScalePoint, error) {
-	spec, sys := e.scaled()
-	ds, err := dataset.Cached(spec)
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	return e.cell(ds, sys, gpus, loader, seed)
-}
-
-// Config builds (and validates) the simulator configuration for one
-// (GPU count, loader) cell without running it — the dry-run explain path's
-// view of the experiment.
-func (e Experiment) Config(gpus int, loader Loader, seed uint64) (sim.Config, error) {
-	spec, sys := e.scaled()
-	ds, err := dataset.Cached(spec)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	return e.config(ds, sys, gpus, loader, seed)
-}
-
-// config assembles the cell's sim.Config against a pre-built dataset.
-func (e Experiment) config(ds *dataset.Synthetic, sys hwspec.System, gpus int, loader Loader, seed uint64) (sim.Config, error) {
-	work := loader.AdjustWorkload(e.Workload(gpus))
-	cfg := sim.Config{
-		Sys: sys, Work: work, DS: ds,
-		Seed: seed, PFSJitter: e.Jitter, DropLast: true,
-		Chaos: e.Chaos, Access: e.Access,
-	}
-	if err := cfg.Validate(); err != nil {
-		return sim.Config{}, fmt.Errorf("%s @%d GPUs (%s): %w", e.Name, gpus, loader, err)
-	}
-	return cfg, nil
-}
-
-// cell is Cell against a pre-built dataset: grid closures build the O(F)
-// dataset once per experiment and share it across cells (datasets are
-// read-only after construction and safe for concurrent readers).
-func (e Experiment) cell(ds *dataset.Synthetic, sys hwspec.System, gpus int, loader Loader, seed uint64) (ScalePoint, error) {
-	cfg, err := e.config(ds, sys, gpus, loader, seed)
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	work := cfg.Work
-	pol, err := loader.Policy()
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	r, err := sim.Run(cfg, pol)
-	if err != nil {
-		return ScalePoint{}, fmt.Errorf("%s @%d GPUs (%s): %w", e.Name, gpus, loader, err)
-	}
-	plan := cfg.Plan()
-	batchesPerEpoch := plan.SamplesPerEpoch(0) / work.BatchPerWorker
-	return pointFromResult(loader.String(), gpus, work.Epochs, batchesPerEpoch, r), nil
-}
-
-// Run executes the experiment — every loader at every GPU count — through
-// the sweep engine on a GOMAXPROCS-wide pool. Results are in (GPU count,
-// loader) order, exactly as the former serial loop produced them, and are
-// bit-identical at any pool width.
-func (e Experiment) Run(ctx context.Context) ([]ScalePoint, error) {
-	return e.RunParallel(ctx, 0)
-}
-
-// RunParallel is Run with an explicit engine pool width (0 = GOMAXPROCS,
-// 1 = serial).
-func (e Experiment) RunParallel(ctx context.Context, parallel int) ([]ScalePoint, error) {
-	rep, err := (&sweep.Runner{Parallel: parallel}).Run(ctx, e.Grid(1))
-	if err != nil {
-		return nil, err
-	}
-	return PointsFromReport(rep)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // scaleLA is the Lassen benchmark's dataset scale: ImageNet-1k at 0.1 is
@@ -66,7 +68,7 @@ func BenchmarkFig10LassenOnePoint(b *testing.B) {
 	exp.Loaders = []Loader{LoaderNoPFS}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(context.Background()); err != nil {
+		if _, err := (&sweep.Runner{}).Run(context.Background(), exp.Grid(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
