@@ -7,15 +7,11 @@ import "repro/internal/access"
 // decodes the packed availability words once per (placement, stream) into one
 // byte per position instead of once per fetch in every cell: the local class
 // + 1 in the low nibble and the best remote holder's class + 1 in the high
-// nibble, 0 meaning "no copy there yet".
-const (
-	// TagFree is the reserved tag of a fetch that costs nothing (the
-	// simulator's lower-bound policy). No placement produces it: that would
-	// take class index 14 on both sides, one past MaxTagClasses.
-	TagFree = 0xff
-	// MaxTagClasses is the deepest storage hierarchy a tag can describe.
-	MaxTagClasses = 14
-)
+// nibble, 0 meaning "no copy there yet". The live job reads the same tags
+// for its rank's delivery stream.
+//
+// MaxTagClasses is the deepest storage hierarchy a tag can describe.
+const MaxTagClasses = 15
 
 // Tags returns the source tag of every position of stream as worker w
 // consumes it: LocalAvail in the low nibble and RemoteAvail's class in the

@@ -5,7 +5,7 @@ import "testing"
 // TestTagsMatchAvailability: a tag is LocalAvail and RemoteAvail at the
 // position's own index, packed into two nibbles — for copies made during
 // training (gated on progress) and for prestaged shards (always there), for
-// every worker of a full build and none of them TagFree.
+// every worker of a full build.
 func TestTagsMatchAvailability(t *testing.T) {
 	plan := testPlan(600, 3, 4)
 	ds := fixedSizer{n: plan.F, size: 1 << 20}
@@ -24,7 +24,7 @@ func TestTagsMatchAvailability(t *testing.T) {
 			for f, k := range stream {
 				lc := a.LocalAvail(w, k, int32(f))
 				rc, _ := a.RemoteAvail(w, k, int32(f))
-				if want := byte(lc+1) | byte(rc+1)<<4; tags[f] != want || tags[f] == TagFree {
+				if want := byte(lc+1) | byte(rc+1)<<4; tags[f] != want {
 					t.Fatalf("%s: worker %d position %d: tag %#02x, want %#02x (local %d, remote %d)", name, w, f, tags[f], want, lc, rc)
 				}
 				seen[tags[f]] = true

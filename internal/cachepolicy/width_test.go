@@ -169,8 +169,8 @@ func TestWidthBoundaries(t *testing.T) {
 		}
 	}
 
-	// A 15-class node is one class deeper than tags describe (MaxTagClasses);
-	// the placement itself is exact down to the last class.
+	// A 15-class node is the deepest that tags describe (MaxTagClasses); the
+	// placement is exact down to its last class.
 	ds := fixedSizer{n: 30, size: 1 << 20}
 	a := BuildShard(30, 1, ds, nodeWithClasses(15, 2))
 	if isWide(a) || a.Local(0, 29) != 14 || a.Local(0, 0) != 0 || !slices.Equal(a.FillOrder[0][14], []int32{28, 29}) {

@@ -48,6 +48,11 @@
 //     it is assigned to cache from the shared filesystem at most once in
 //     the run, and any other sample only to stage it; the ranks' read
 //     counts account for every read the dataset served.
+//   - Source agreement (CheckSourceAgreement): a live rank serves every
+//     stream position from where the placement's source tag, the
+//     simulator's input, says — local, else remote, else PFS — but for
+//     three counted timing outcomes: a remote false positive, a late local
+//     (at most once per sample) and an early local.
 package invariant
 
 import (
@@ -56,6 +61,7 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/chaos"
+	"repro/internal/perfmodel"
 	"repro/internal/prng"
 	isim "repro/internal/sim"
 )
@@ -251,6 +257,63 @@ func CheckPFSReadBound(reads []int64, datasetReads int64, staged [][]access.Samp
 		return fmt.Errorf("invariant: ranks account for %d PFS reads, the dataset served %d", total, datasetReads)
 	}
 	return nil
+}
+
+// SourceMismatches counts the timing outcomes CheckSourceAgreement allows
+// where what served a position differs from its source tag.
+type SourceMismatches struct {
+	// FalsePositives: the tag promised a remote copy, the PFS served it.
+	FalsePositives int
+	// LateLocals: the tag promised a local copy, a peer or the PFS served
+	// it, because no fetch had stored it yet.
+	LateLocals int
+	// EarlyLocals: the tag promised no local copy, the rank's class served
+	// it, because a class fill or another fetch stored it first.
+	EarlyLocals int
+}
+
+// CheckSourceAgreement verifies the source law: a live rank serves each
+// position of its stream from where the placement's source tag for it says
+// (cachepolicy.Tags, the simulator's input: the local class in the low
+// nibble, else the remote holder in the high one, else the PFS), except
+// for the three timing outcomes SourceMismatches counts. A mismatch of any
+// other kind is an error. Early and late locals need assigned(k), that the
+// rank caches sample k. A rank stores an assigned sample the first time it
+// fetches it from anywhere else, so a late local is its sample's only
+// non-local fetch: every earlier position of the sample is served locally,
+// because it coalesced onto, or found, what the late one stored.
+func CheckSourceAgreement(tags []byte, observed []perfmodel.Location, stream []access.SampleID,
+	assigned func(access.SampleID) bool) (SourceMismatches, error) {
+	var n SourceMismatches
+	if len(tags) != len(stream) || len(observed) != len(stream) {
+		return n, fmt.Errorf("invariant: %d tags and %d observed sources for %d positions", len(tags), len(observed), len(stream))
+	}
+	fetched := make(map[access.SampleID]bool) // served from outside the rank's classes
+	for f, k := range stream {
+		want, got := perfmodel.LocPFS, observed[f]
+		switch {
+		case tags[f]&0x0f != 0:
+			want = perfmodel.LocLocal
+		case tags[f]>>4 != 0:
+			want = perfmodel.LocRemote
+		}
+		switch {
+		case got == want:
+		case want == perfmodel.LocRemote && got == perfmodel.LocPFS:
+			n.FalsePositives++
+		case want == perfmodel.LocLocal && assigned(k) && !fetched[k]:
+			n.LateLocals++
+		case got == perfmodel.LocLocal && want != perfmodel.LocLocal && assigned(k):
+			n.EarlyLocals++
+		default:
+			return n, fmt.Errorf("invariant: position %d (sample %d, assigned %v): tag %#02x says %s, %s served it",
+				f, k, assigned(k), tags[f], want, got)
+		}
+		if got != perfmodel.LocLocal {
+			fetched[k] = true
+		}
+	}
+	return n, nil
 }
 
 // CheckFrequencyConservation verifies the frequency accounting laws of a

@@ -9,6 +9,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/dataset"
 	"repro/internal/hwspec"
+	"repro/internal/perfmodel"
 	"repro/internal/prng"
 	isim "repro/internal/sim"
 	"repro/internal/sweep"
@@ -279,5 +280,52 @@ func TestCheckPFSReadBound(t *testing.T) {
 	}
 	if err := CheckPFSReadBound([]int64{5}, 5, staged, 6, assigned); err == nil {
 		t.Error("mismatched rank counts accepted")
+	}
+}
+
+// TestCheckSourceAgreement pins the source law on hand-built streams:
+// matches and the three counted timing outcomes pass, any other mismatch
+// fails, and so does a second non-local fetch of an assigned sample tagged
+// local — the mark of a fetch that served an assigned sample without
+// storing it. (nopfs.TestSourceAgreement drives it against live clusters.)
+func TestCheckSourceAgreement(t *testing.T) {
+	const (
+		pfs, remote, local = perfmodel.LocPFS, perfmodel.LocRemote, perfmodel.LocLocal
+		tagPFS, tagRemote  = 0x00, 0x10
+		tagLocal, tagBoth  = 0x01, 0x11
+	)
+	assigned := func(k int32) bool { return k < 2 } // the rank caches 0 and 1
+	for _, tc := range []struct {
+		name     string
+		stream   []int32
+		tags     []byte
+		observed []perfmodel.Location
+		want     SourceMismatches
+		ok       bool
+	}{
+		{"every tag followed", []int32{0, 2, 3, 0}, []byte{tagRemote, tagPFS, tagRemote, tagLocal},
+			[]perfmodel.Location{remote, pfs, remote, local}, SourceMismatches{}, true},
+		{"false positive", []int32{2, 0}, []byte{tagRemote, tagBoth},
+			[]perfmodel.Location{pfs, local}, SourceMismatches{FalsePositives: 1}, true},
+		{"early then late local", []int32{0, 1, 0, 1}, []byte{tagPFS, tagRemote, tagLocal, tagBoth},
+			[]perfmodel.Location{local, local, pfs, remote}, SourceMismatches{LateLocals: 2, EarlyLocals: 2}, true},
+		{"second late local", []int32{0, 0, 0}, []byte{tagRemote, tagBoth, tagBoth},
+			[]perfmodel.Location{remote, local, remote}, SourceMismatches{}, false},
+		{"remote first touch not stored", []int32{1, 1}, []byte{tagRemote, tagBoth},
+			[]perfmodel.Location{remote, remote}, SourceMismatches{}, false},
+		{"unassigned served locally", []int32{3}, []byte{tagRemote}, []perfmodel.Location{local}, SourceMismatches{}, false},
+		{"untagged remote", []int32{2}, []byte{tagPFS}, []perfmodel.Location{remote}, SourceMismatches{}, false},
+		{"local tag, not assigned", []int32{2}, []byte{tagLocal}, []perfmodel.Location{pfs}, SourceMismatches{}, false},
+		{"length mismatch", []int32{0, 1}, []byte{tagPFS}, []perfmodel.Location{pfs, pfs}, SourceMismatches{}, false},
+	} {
+		got, err := CheckSourceAgreement(tc.tags, tc.observed, tc.stream, assigned)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.ok && got != tc.want:
+			t.Errorf("%s: counted %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }

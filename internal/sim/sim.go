@@ -30,7 +30,6 @@
 package sim
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -568,8 +567,9 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, place *cachepolicy.
 	p0f := float64(p0)
 	threads := newThreadPool(p0, setup)
 
-	// Tags: a policy without a placement has the same tag at every position,
-	// so one batch-long run of it stands in for the stream's.
+	// Tags: a policy without a placement has the same tag at every position
+	// (0, no copy anywhere), so one batch-long run of it stands in for the
+	// stream's.
 	tags, mask := in.Tags, byte(0xff)
 	if rule.noRemote {
 		mask = 0x0f
@@ -577,11 +577,7 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, place *cachepolicy.
 	segSizes := make([]float64, batch)
 	var constTags []byte
 	if tags == nil {
-		tag := byte(0)
-		if rule.free {
-			tag = cachepolicy.TagFree
-		}
-		constTags = bytes.Repeat([]byte{tag}, batch)
+		constTags = make([]byte, batch)
 	}
 
 	// Staging window (SoA, pooled), elided when the whole stream fits the
@@ -688,7 +684,7 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, place *cachepolicy.
 			lc, rc := int(tag&0x0f), int(tag>>4) // class + 1; 0: no copy
 			loc, cls, sec := perfmodel.LocPFS, -1, 0.0
 			switch {
-			case tag == cachepolicy.TagFree:
+			case rule.free:
 				loc = perfmodel.LocLocal
 			case rule.argmin:
 				sec = sz / rate.PFSRate(gammaFor(ewma, nWorkers))

@@ -7,21 +7,21 @@ import (
 	"repro/internal/access"
 )
 
-// flights is one rank's in-flight read table, a singleflight keyed by sample
-// id: a rank's class prefetcher and staging prefetchers can all miss one
-// locally-assigned sample while the first read still queues in the PFS
-// limiter, and the table turns those misses into one read. It is per rank
-// on purpose (ranks model separate nodes) and caches nothing: once a read
-// is retired, failed or not, the next caller reads again.
+// flights is one rank's in-flight fetch table, a singleflight keyed by
+// sample id: a rank's class prefetcher and staging prefetchers can all miss
+// one locally-assigned sample while the first fetch still waits on a peer or
+// queues in the PFS limiter, and the table turns those misses into one
+// fetch. It is per rank on purpose (ranks model separate nodes) and caches
+// nothing: once a fetch is retired, failed or not, the next caller fetches.
 type flights struct {
 	mu sync.Mutex
-	// m holds the samples being read. An entry stays nil until a second
-	// caller needs something to wait on, so a read nobody joins — nearly
+	// m holds the samples being fetched. An entry stays nil until a second
+	// caller needs something to wait on, so a fetch nobody joins — nearly
 	// all of them on an unthrottled PFS — allocates nothing.
 	m map[access.SampleID]*flight
 }
 
-// flight is what callers who joined a read wait on; data and err are
+// flight is what callers who joined a fetch wait on; data and err are
 // written before done is closed and read only after it.
 type flight struct {
 	done chan struct{}
@@ -29,9 +29,9 @@ type flight struct {
 	err  error
 }
 
-// join makes the caller sample k's reader (leader: it reads, publishes what
-// later callers should find, then calls retire) or, when k is already being
-// read, returns the flight to wait on.
+// join makes the caller sample k's fetcher (leader: it fetches, publishes
+// what later callers should find, then calls retire) or, when k is already
+// being fetched, returns the flight to wait on.
 func (t *flights) join(k access.SampleID) (f *flight, leader bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -50,8 +50,8 @@ func (t *flights) join(k access.SampleID) (f *flight, leader bool) {
 	return f, false
 }
 
-// retire ends the leader's read of k and hands its result to every caller
-// that joined meanwhile; whoever arrives later leads a read of its own.
+// retire ends the leader's fetch of k and hands its result to every caller
+// that joined meanwhile; whoever arrives later leads a fetch of its own.
 func (t *flights) retire(k access.SampleID, data []byte, err error) {
 	t.mu.Lock()
 	f := t.m[k]

@@ -14,8 +14,9 @@ import (
 // join has handed it the flight, so a context whose Done reports the call
 // tells the test the follower is attached before the gate opens.
 
-// do runs read for sample k through the table the way Job.readPFS does:
-// lead, read and retire — or wait for whoever is already reading.
+// do runs read for sample k through the table the way Job.fetchSource
+// fetches an assigned sample: lead, fetch and retire — or wait for whoever
+// is already fetching.
 func (t *flights) do(ctx context.Context, k int32, read func() ([]byte, error)) (data []byte, shared bool, err error) {
 	f, leader := t.join(k)
 	if !leader {

@@ -38,8 +38,11 @@ type Job struct {
 	assign *cachepolicy.Assignment
 	// stream is the rank's delivery stream and epochEnds its cumulative
 	// epoch ends: the plan's own, or a crash redistribution's unequal ones.
+	// tags is the placement's source tag of every stream position
+	// (cachepolicy.Tags): the fetch path follows it, as the simulator does.
 	stream    []access.SampleID
 	epochEnds []int
+	tags      []byte
 
 	backends []StorageBackend
 	staging  *storage.Staging
@@ -70,8 +73,8 @@ type Job struct {
 	pos      atomic.Int64 // next stream position to claim
 
 	rec record // the rank's own events, counted once; Stats and met read it
-	// inflight coalesces this rank's concurrent PFS reads of one sample
-	// (see readPFS).
+	// inflight coalesces this rank's concurrent fetches of one assigned
+	// sample (see fetchSource).
 	inflight flights
 
 	// met is the rank's resolved metric series (nil when observability is
@@ -142,6 +145,7 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 		assign:        assign,
 		stream:        stream,
 		epochEnds:     ends,
+		tags:          assign.Tags(rank, stream),
 		sources:       make([]uint8, len(stream)),
 		crashEpoch:    sched.CrashEpoch(rank, workers),
 		redistributed: int64(chaos.RedistributedRounds(art.Streams[rank], stream)),
@@ -304,9 +308,12 @@ func (j *Job) handle(ctx context.Context, from int, req transport.Request) trans
 	case transport.KindValue:
 		return transport.Response{OK: true, Value: j.digest}
 	case transport.KindFetch:
-		for _, b := range j.backends {
-			if data, ok, err := b.Get(ctx, req.Sample); err == nil && ok {
-				return transport.Response{OK: true, Data: data}
+		// Only the class the placement assigns a sample to ever holds it.
+		if k := req.Sample; k >= 0 && int(k) < j.plan.F {
+			if c := j.assign.Local(j.rank, k); c >= 0 {
+				if data, ok, err := j.backends[c].Get(ctx, k); err == nil && ok {
+					return transport.Response{OK: true, Data: data}
+				}
 			}
 		}
 		return transport.Response{OK: false}
@@ -315,13 +322,10 @@ func (j *Job) handle(ctx context.Context, from int, req transport.Request) trans
 }
 
 // prefetchLookahead is how far (in stream positions) a class prefetcher may
-// run ahead of the staging position. Pacing keeps the class fill just ahead
-// of the trainer, so the staging path usually finds the sample locally; it
-// only narrows the window in which both miss the backend, it does not close
-// it — under a throttled PFS the first read sits in the limiter for
-// milliseconds and the other prefetcher arrives meanwhile (one read in ten
-// on a 64 MB/s filesystem was such a duplicate). What makes "one PFS read
-// per assigned sample per rank" true is the in-flight table in readPFS.
+// run ahead of the staging position, so the staging path usually finds an
+// assigned sample in its class. Pacing only narrows the window in which both
+// miss it (under a throttled PFS the first read sits in the limiter for
+// milliseconds); the in-flight table in fetchSource makes them fetch it once.
 const prefetchLookahead = 512
 
 // classPrefetcher fills one storage class with its assigned samples, in
@@ -353,17 +357,9 @@ func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.In
 			continue // the staging path self-healed it already
 		}
 		if int64(fp) < j.progress.Load() {
-			// Staging already passed the first access; it either cached
-			// the sample itself or will re-fetch on the next epoch.
-			continue
+			continue // staging passed the first access, and its fetch stores it
 		}
-		data, src, _, err := j.fetchFrom(k, int(j.progress.Load()), classRow)
-		if err == nil && src == SourceRemote {
-			// A peer's bytes are the only ones not in the class yet: a PFS
-			// read was stored by its flight (readPFS), a local hit was here.
-			_, err = backend.Put(j.ctx, k, data)
-		}
-		if err != nil {
+		if _, _, _, err := j.fetchFrom(k, int(j.progress.Load()), fillTag, classRow); err != nil {
 			j.fail(err)
 			return
 		}
@@ -386,7 +382,7 @@ func (j *Job) stagingPrefetcher() {
 		if j.met != nil {
 			fetchStart = time.Now()
 		}
-		data, src, recycled, err := j.fetchFrom(k, pos, stagingRow)
+		data, src, recycled, err := j.fetchFrom(k, pos, j.tags[pos], stagingRow)
 		if err != nil {
 			j.fail(err)
 			return
@@ -456,13 +452,13 @@ func (j *Job) chaosSleep(d time.Duration) {
 // applying the straggler fault pacing: on a straggler rank, every fetch is
 // stretched to Factor× its measured duration, slowing the whole prefetch
 // pipeline the way a slow node's I/O path would.
-func (j *Job) fetchFrom(k access.SampleID, pos int, issuer int) ([]byte, Source, bool, error) {
+func (j *Job) fetchFrom(k access.SampleID, pos int, tag byte, issuer int) ([]byte, Source, bool, error) {
 	if j.chaosSched == nil {
-		return j.fetchSource(k, pos, issuer)
+		return j.fetchSource(k, pos, tag, issuer)
 	}
 	epoch := j.epochOf(pos)
 	start := time.Now()
-	data, src, recycled, err := j.fetchSource(k, pos, issuer)
+	data, src, recycled, err := j.fetchSource(k, pos, tag, issuer)
 	if err == nil {
 		if factor := j.chaosSched.Slowdown(j.rank, epoch, j.plan.N); factor > 1 {
 			j.chaosSleep(time.Duration(float64(time.Since(start)) * (factor - 1)))
@@ -472,65 +468,79 @@ func (j *Job) fetchFrom(k access.SampleID, pos int, issuer int) ([]byte, Source,
 }
 
 // fetchSource retrieves sample k for stream position pos by the paper's
-// source rule (Sec. 5.2): a local class if cached, else the best peer
-// estimated to hold it (symmetric-progress heuristic), else the PFS
-// (readPFS) — which also takes every remote miss (Sec. 5.2.2). The source
-// that serves it counts the fetch in the issuer's row of the record.
+// source rule (Sec. 5.2), as the placement's tag for pos states it
+// (cachepolicy.Tags; the simulator reads the same tags): the local class the
+// low nibble names, else the holder the high nibble promises, else the PFS,
+// which also takes every remote miss (Sec. 5.2.2). A class fill passes
+// fillTag. The slot that serves a fetch counts it in the issuer's row.
 //
-// recycled reports that the payload was read into a staging free-list
-// buffer, which the consumer's next step releases: a staged PFS read of an
-// unassigned sample, or a remote payload the fabric read into the buffer
-// the staging path passed. Class fills pass none, because Put keeps theirs.
-func (j *Job) fetchSource(k access.SampleID, pos int, issuer int) ([]byte, Source, bool, error) {
+// A sample this rank is assigned to cache has two would-be fetchers, its
+// class prefetcher and the staging path, so its miss is one flight in the
+// in-flight table: the leader re-checks the class (a fill that ran ahead of
+// a first touch, or a flight that retired since the caller's probe, left it
+// there), else fetches from the holder or the PFS and stores what it got
+// before it retires the flight. The re-check's hit and the callers who
+// joined meanwhile count as coalesced locals. For recycled, see fetch.
+func (j *Job) fetchSource(k access.SampleID, pos int, tag byte, issuer int) ([]byte, Source, bool, error) {
 	if j.isClosed() {
 		return nil, SourcePFS, false, errJobClosed
 	}
-	// Local storage classes, fastest first.
-	for ci, b := range j.backends {
-		if data, ok, err := b.Get(j.ctx, k); err != nil {
-			return nil, SourceLocal, false, err
-		} else if ok {
-			j.rec.served[issuer][ci].Add(1)
-			return data, SourceLocal, false, nil
+	slot, data, recycled, err := j.locate(k, pos, tag, issuer)
+	if err != nil {
+		return nil, SourcePFS, false, err // fail ignores it if our own context ended
+	}
+	j.rec.served[issuer][slot].Add(1)
+	switch slot - len(j.backends) {
+	case slotRemote:
+		return data, SourceRemote, recycled, nil
+	case slotPFS:
+		return data, SourcePFS, recycled, nil
+	}
+	return data, SourceLocal, false, nil
+}
+
+// fillTag is a class fill's source tag: its class has missed already, and a
+// peer that holds a copy by the staging position may serve it.
+const fillTag = 0xf0
+
+// locate is fetchSource's rule; it returns the record slot that served k.
+func (j *Job) locate(k access.SampleID, pos int, tag byte, issuer int) (int, []byte, bool, error) {
+	if c := int(tag&0x0f) - 1; c >= 0 {
+		if data, ok, err := j.backends[c].Get(j.ctx, k); err != nil || ok {
+			return c, data, false, err
 		}
 	}
-	// Best remote holder per the clairvoyant placement + progress
-	// heuristic. A holder the schedule says has crashed by this epoch is
-	// demoted to the PFS without a call — the simulator's crashed-holder
-	// reroute (sim.chaosAdjust), which never counts a false positive.
-	if _, holder := j.assign.RemoteAvail(j.rank, k, int32(pos)); holder >= 0 &&
-		!j.chaosSched.CrashedAt(holder, j.epochOf(pos), j.plan.N) {
-		req := transport.Request{Kind: transport.KindFetch, Sample: k}
-		if issuer == stagingRow {
-			req.Buf = j.staging.Buffer(int(j.ds.Size(int(k))))
-		}
-		resp, err := j.net.Call(j.ctx, holder, req)
-		recycled := j.landed(resp.Data, req.Buf)
-		switch {
-		case err == nil && resp.OK:
-			j.rec.served[issuer][len(j.backends)+slotRemote].Add(1)
-			return resp.Data, SourceRemote, recycled, nil
-		case err != nil && j.ctx.Err() != nil:
-			// Our own context ended: abort the fetch, never mask the
-			// cancellation as a miss (it would double-count a PFS fallback
-			// and stall against a tearing-down run).
-			return nil, SourceRemote, false, errJobClosed
-		case !errors.Is(err, resilience.ErrCircuitOpen):
-			// Heuristic false positive: the holder has not cached it yet, or
-			// the call to it failed (peer gone, injected drop, expired
-			// deadline, retries spent). An open circuit never reached the
-			// fabric, so it demotes to the PFS uncounted.
-			j.rec.falsePos.Add(1)
+	// A holder the schedule says has crashed by this epoch is demoted to the
+	// PFS without a call: the simulator's crashed-holder reroute
+	// (sim.chaosAdjust), which never counts a false positive.
+	holder := -1
+	if tag>>4 != 0 {
+		if _, h := j.assign.RemoteAvail(j.rank, k, int32(pos)); h >= 0 && !j.chaosSched.CrashedAt(h, j.epochOf(pos), j.plan.N) {
+			holder = h
 		}
 	}
-	if j.isClosed() {
-		return nil, SourcePFS, false, errJobClosed
+	c := j.assign.Local(j.rank, k)
+	if c < 0 {
+		return j.fetch(k, holder, issuer == stagingRow)
 	}
-	return j.readPFS(k, issuer)
+	slot := len(j.backends) + slotCoalesced
+	f, leader := j.inflight.join(k)
+	if !leader {
+		data, err := f.wait(j.ctx)
+		return slot, data, false, err
+	}
+	data, ok, err := j.backends[c].Get(j.ctx, k)
+	if err == nil && !ok {
+		if slot, data, _, err = j.fetch(k, holder, false); err == nil {
+			_, err = j.backends[c].Put(j.ctx, k, data)
+		}
+	}
+	j.inflight.retire(k, data, err)
+	return slot, data, false, err
 }
 
 // recycledBit marks a sources entry whose payload is in a staging
-// free-list buffer (see fetchSource).
+// free-list buffer (see fetch).
 const recycledBit = 0x80
 
 // landed reports whether data was read into buf, the staging buffer a fetch

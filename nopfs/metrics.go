@@ -33,7 +33,7 @@ import (
 //	nopfs_tier_misses_total{rank,tier}          local-class lookup misses
 //	nopfs_remote_false_positives_total{rank}    predicted remote hits that missed
 //	nopfs_pfs_reads_total{rank,issuer}          filesystem reads completed (issuer = staging | class)
-//	nopfs_pfs_coalesced_total{rank}             fetches served by another prefetcher's read
+//	nopfs_pfs_coalesced_total{rank}             fetches served by another prefetcher's fetch
 //	nopfs_stall_seconds_total{rank}             time Get waited on staging
 //	nopfs_delivered_total{rank}                 samples handed to the trainer
 //	nopfs_staging_bytes{rank}                   staging-buffer occupancy gauge (at each fold)
@@ -68,7 +68,7 @@ const (
 const (
 	slotRemote = iota
 	slotPFS
-	slotCoalesced // served by another prefetcher's filesystem read
+	slotCoalesced // served by another prefetcher's fetch, or the class's re-check
 	slotsPastClasses
 )
 
@@ -166,7 +166,7 @@ func newJobMetrics(reg *metrics.Registry, rank int, classes []Class, trace io.Wr
 			func(_ *Stats, rec *record) float64 { return float64(rec.sum(pfs, pfs+1, row)) })
 	}
 	add(reg.Counter("nopfs_pfs_coalesced_total",
-		"Fetches served by another prefetcher's in-flight filesystem read.", r),
+		"Fetches served by another prefetcher's in-flight fetch of the same sample.", r),
 		func(s *Stats, _ *record) float64 { return float64(s.PFSCoalesced) })
 	add(reg.Counter("nopfs_stall_seconds_total", "Total time Get waited on the staging buffer.", r),
 		func(s *Stats, _ *record) float64 { return s.StallSeconds })

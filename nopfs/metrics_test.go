@@ -360,16 +360,21 @@ func TestMetricsFoldWhileClosing(t *testing.T) {
 	}
 }
 
-// TestMetricsHierarchyDeeperThanTagClasses runs a live cluster over one
-// class more than the simulator's tags can describe: the live job has no
-// such limit, since the record's rows are sized by the class count. Every
+// TestMetricsHierarchyAtTagClassLimit runs a live cluster over the deepest
+// hierarchy a source tag describes (cachepolicy.MaxTagClasses): every
 // (epoch, sample) pair is delivered once, and the tier chain holds on all
-// fifteen tiers.
-func TestMetricsHierarchyDeeperThanTagClasses(t *testing.T) {
+// fifteen tiers. One class more is rejected, with the simulator's wording,
+// rather than mis-tagged.
+func TestMetricsHierarchyAtTagClassLimit(t *testing.T) {
 	classes := make([]Class, cachepolicy.MaxTagClasses+1)
 	for c := range classes {
 		classes[c] = Class{Name: fmt.Sprintf("c%02d", c), CapacityBytes: 16 << 10}
 	}
+	ds := testDataset(t, 128)
+	if err := NewOptions(WithClasses(classes...)).Validate(ds, 2); err == nil || !strings.Contains(err.Error(), "16 storage classes, at most 15") {
+		t.Errorf("16 classes: got %v, want a storage-class error", err)
+	}
+	classes = classes[:cachepolicy.MaxTagClasses]
 	reg := NewMetricsRegistry()
 	opts := NewOptions(
 		WithSeed(3),
@@ -381,7 +386,7 @@ func TestMetricsHierarchyDeeperThanTagClasses(t *testing.T) {
 	)
 	var mu sync.Mutex
 	seen := map[[2]int]bool{}
-	stats, err := RunCluster(context.Background(), testDataset(t, 128), 2, opts, DrainAll(func(s Sample) error {
+	stats, err := RunCluster(context.Background(), ds, 2, opts, DrainAll(func(s Sample) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if seen[[2]int{s.Epoch, s.ID}] {

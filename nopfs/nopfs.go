@@ -40,6 +40,7 @@ import (
 	"io"
 
 	"repro/internal/access"
+	"repro/internal/cachepolicy"
 	"repro/internal/chaos"
 	"repro/internal/resilience"
 )
@@ -218,6 +219,9 @@ func (o Options) Validate(ds Dataset, workers int) error {
 	case workers*o.BatchPerWorker > ds.Len():
 		return fmt.Errorf("nopfs: global batch %d exceeds dataset size %d",
 			workers*o.BatchPerWorker, ds.Len())
+	case len(o.Classes) > cachepolicy.MaxTagClasses:
+		// The fetch path reads the placement's source tags, one nibble per side.
+		return fmt.Errorf("nopfs: node has %d storage classes, at most %d are supported", len(o.Classes), cachepolicy.MaxTagClasses)
 	}
 	for _, c := range o.Classes {
 		if c.CapacityBytes <= 0 {
@@ -297,9 +301,9 @@ type Stats struct {
 	// fetches and class-prefetcher fills alike. The staging path's share is
 	// Fetches[SourcePFS]; a read that teardown cancels is not counted.
 	PFSReads int64
-	// PFSCoalesced counts fetches that reached the filesystem leg but were
-	// served by another prefetcher's read of the same sample (delivered as
-	// SourceLocal).
+	// PFSCoalesced counts fetches of an assigned sample that missed its
+	// class but were served by another prefetcher's in-flight fetch of it,
+	// or by the class on the flight's re-check (delivered as SourceLocal).
 	PFSCoalesced int64
 	// RemoteFalsePositives counts remote fetches the progress heuristic
 	// predicted would hit but missed (each fell back to the PFS).

@@ -1,9 +1,12 @@
 package nopfs
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/access"
+	"repro/internal/resilience"
+	"repro/internal/transport"
 )
 
 // readerInto is a Dataset that reads into a caller's buffer. Only its reads
@@ -13,57 +16,43 @@ type readerInto interface {
 	ReadSampleInto(id int, buf []byte) ([]byte, error)
 }
 
-// readPFS is the filesystem leg of fetchSource. A sample this rank is
-// assigned to cache has two would-be readers on the rank — its class
-// prefetcher and the staging path — so its read goes through the in-flight
-// table: the leader reads once and stores the bytes in the assigned class
-// before it retires the flight (each path repairs the other's lag, paper
-// Sec. 5.2.2), and whoever arrives meanwhile takes the leader's bytes as a
-// local fetch. A leader re-checks the class first, because an earlier
-// flight may have retired between this caller's backend miss and its table
-// lookup; with that, a rank reads an assigned sample from the filesystem
-// once, and the class keeps the buffer it was read into. Every other sample
-// has the staging path as its only reader and never touches the table; a
-// readerInto reads it into a staging free-list buffer, which passes through
-// staging to the consumer alone, whose next step releases it (recycled, see
-// fetchSource). The record counts a completed read at the pfs slot and a
-// leader's bytes at the coalesced one.
-func (j *Job) readPFS(k access.SampleID, issuer int) ([]byte, Source, bool, error) {
-	var (
-		data     []byte
-		err      error
-		served   bool // by another prefetcher's read
-		recycled bool
-	)
-	if c := j.assign.Local(j.rank, k); c < 0 {
-		var buf []byte
-		if _, into := j.ds.(readerInto); into {
-			buf = j.staging.Buffer(int(j.ds.Size(int(k))))
+// fetch is fetchSource's leg past the local classes: holder (-1: none)
+// serves k if it has a copy, else the PFS does; it returns the record slot
+// that served. A holder's miss or failed call is a heuristic false positive
+// (Sec. 5.2.2); an open circuit never reached the fabric, so it demotes to
+// the PFS uncounted. recycle asks for the payload in a staging free-list
+// buffer, which passes through staging to the consumer alone, whose next
+// step releases it (recycled): the staging path's fetches of unassigned
+// samples, as a flight's bytes stay in the class. A remote payload lands
+// there if the fabric reads into Request.Buf, a PFS read if the dataset is
+// a readerInto.
+func (j *Job) fetch(k access.SampleID, holder int, recycle bool) (int, []byte, bool, error) {
+	size := func() int { return int(j.ds.Size(int(k))) }
+	if holder >= 0 {
+		req := transport.Request{Kind: transport.KindFetch, Sample: k}
+		if recycle {
+			req.Buf = j.staging.Buffer(size())
 		}
-		data, err = j.issueRead(k, buf)
-		recycled = j.landed(data, buf)
-	} else if f, leader := j.inflight.join(k); !leader {
-		served = true
-		data, err = f.wait(j.ctx)
-	} else {
-		if data, served, err = j.backends[c].Get(j.ctx, k); err == nil && !served {
-			if data, err = j.issueRead(k, nil); err == nil {
-				_, err = j.backends[c].Put(j.ctx, k, data)
-			}
+		resp, err := j.net.Call(j.ctx, holder, req)
+		recycled := j.landed(resp.Data, req.Buf)
+		switch {
+		case err == nil && resp.OK:
+			return len(j.backends) + slotRemote, resp.Data, recycled, nil
+		case err != nil && j.ctx.Err() != nil:
+			return 0, nil, false, errJobClosed // our own context ended: not a miss
+		case !errors.Is(err, resilience.ErrCircuitOpen):
+			j.rec.falsePos.Add(1)
 		}
-		j.inflight.retire(k, data, err)
+		if j.isClosed() {
+			return 0, nil, false, errJobClosed
+		}
 	}
-	switch {
-	case err != nil && j.ctx.Err() != nil:
-		return nil, SourcePFS, false, errJobClosed
-	case err != nil:
-		return nil, SourcePFS, false, err
-	case served:
-		j.rec.served[issuer][len(j.backends)+slotCoalesced].Add(1)
-		return data, SourceLocal, false, nil
+	var buf []byte
+	if _, into := j.ds.(readerInto); into && recycle {
+		buf = j.staging.Buffer(size())
 	}
-	j.rec.served[issuer][len(j.backends)+slotPFS].Add(1)
-	return data, SourcePFS, recycled, nil
+	data, err := j.issueRead(k, buf)
+	return len(j.backends) + slotPFS, data, j.landed(data, buf), err
 }
 
 // issueRead performs one filesystem read under the shared bandwidth model,

@@ -1,0 +1,245 @@
+package nopfs
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/access"
+	"repro/internal/cachepolicy"
+	"repro/internal/chaos"
+	"repro/internal/dataset"
+	"repro/internal/invariant"
+	"repro/internal/perfmodel"
+	"repro/internal/storage"
+	"repro/internal/transport"
+)
+
+// sourceLocation maps a delivered sample's source to the law's vocabulary.
+var sourceLocation = map[Source]perfmodel.Location{
+	SourcePFS: perfmodel.LocPFS, SourceRemote: perfmodel.LocRemote, SourceLocal: perfmodel.LocLocal,
+}
+
+// sourceOptions is the source-law shape: 3 epochs over 96 samples of about
+// 2 KiB, and per rank 48 KiB of cache split over the given class count, so
+// the placement leaves every rank local, remote and PFS positions.
+func sourceOptions(seed uint64, fabric, pattern string, classes int) Options {
+	opts := baseOptions()
+	opts.Seed, opts.Fabric, opts.Access = seed, fabric, pattern
+	opts.Classes = nil
+	for c := 0; c < classes; c++ {
+		opts.Classes = append(opts.Classes, Class{Name: fmt.Sprintf("c%d", c), CapacityBytes: 48 << 10 / int64(classes), Threads: 2})
+	}
+	return opts
+}
+
+// sourceTable counts stream positions by the source their tag names (row)
+// and the source that served them (column), indexed by perfmodel.Location.
+type sourceTable [3][3]int
+
+// String renders the table one tagged source per line.
+func (tb sourceTable) String() string {
+	var b strings.Builder
+	for want := perfmodel.LocLocal; want >= perfmodel.LocPFS; want-- {
+		fmt.Fprintf(&b, "\n  tag %-6s → local %5d  remote %5d  pfs %5d", want,
+			tb[want][perfmodel.LocLocal], tb[want][perfmodel.LocRemote], tb[want][perfmodel.LocPFS])
+	}
+	return b.String()
+}
+
+// checkSources runs a 3-rank cluster and checks each rank's delivered
+// sources against the tags it followed (invariant.CheckSourceAgreement).
+// Without crashes it also checks that every false positive the law counts
+// on the staging path is one the rank counted, and that each rank's classes
+// end holding exactly the placement's bytes: a fetch that serves an
+// assigned sample from outside its class stores it there. It returns the
+// ranks' tag → source table.
+func checkSources(t *testing.T, opts Options, crashes bool) sourceTable {
+	t.Helper()
+	const workers, f = 3, 96
+	type rankRun struct {
+		tags     []byte
+		stream   []access.SampleID
+		observed []perfmodel.Location
+	}
+	var (
+		mu     sync.Mutex
+		assign *cachepolicy.Assignment
+		runs   = make([]rankRun, workers)
+	)
+	stats, err := RunCluster(bg, testDataset(t, f), workers, opts, func(ctx context.Context, j *Job) error {
+		var observed []perfmodel.Location
+		for s, err := range j.Samples(ctx) {
+			if err != nil {
+				return err
+			}
+			observed = append(observed, sourceLocation[s.Source])
+		}
+		mu.Lock()
+		assign, runs[j.rank] = j.assign, rankRun{j.tags, j.stream, observed}
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table sourceTable
+	for r, run := range runs {
+		n, err := invariant.CheckSourceAgreement(run.tags, run.observed, run.stream,
+			func(k access.SampleID) bool { return assign.Local(r, k) >= 0 })
+		if err != nil {
+			t.Errorf("rank %d: %v", r, err)
+		}
+		for f, tag := range run.tags {
+			want := perfmodel.LocPFS
+			if tag&0x0f != 0 {
+				want = perfmodel.LocLocal
+			} else if tag>>4 != 0 {
+				want = perfmodel.LocRemote
+			}
+			table[want][run.observed[f]]++
+		}
+		if crashes {
+			continue // a crashed holder's demotion to the PFS is uncounted by design
+		}
+		if s := stats[r]; int64(n.FalsePositives) > s.RemoteFalsePositives {
+			t.Errorf("rank %d: %d staged false positives, Stats counts %d", r, n.FalsePositives, s.RemoteFalsePositives)
+		}
+		if got, want := stats[r].CachedBytes, assign.CachedBytes[r]; got != want {
+			t.Errorf("rank %d: classes hold %d bytes, the placement %d", r, got, want)
+		}
+	}
+	return table
+}
+
+// TestSourceAgreement runs the source law over uniform plans, every access
+// preset and an elastic schedule, on one and two classes, over the chan and
+// TCP fabrics. Late locals are allowed: a repeat can be fetched before its
+// first touch's flight starts.
+func TestSourceAgreement(t *testing.T) {
+	patterns := append([]string{"", "elastic:join=2@1,leave=0@2"}, access.PresetNames()...)
+	for _, fabric := range []string{FabricChan, FabricTCP} {
+		for classes := 1; classes <= 2; classes++ {
+			for _, pattern := range patterns {
+				t.Run(fmt.Sprintf("%s/%d/%s", fabric, classes, pattern), func(t *testing.T) {
+					for seed := uint64(1); seed <= 3; seed++ {
+						checkSources(t, sourceOptions(seed, fabric, pattern, classes), false)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSourceAgreementUnderCrash checks the law's categories on survivors
+// that absorb a crashed rank's plan rounds, uniform and zipf.
+func TestSourceAgreementUnderCrash(t *testing.T) {
+	crash, err := chaos.ParseProfile("crash:1@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pattern := range []string{"", "zipf"} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			opts := sourceOptions(seed, FabricChan, pattern, 2)
+			opts.Chaos = crash
+			checkSources(t, opts, true)
+		}
+	}
+}
+
+// getCounter counts a backend's Get calls: the fetch path's class probes and
+// the lookups it serves peers.
+type getCounter struct {
+	StorageBackend
+	gets *atomic.Int64
+}
+
+func (b getCounter) Get(ctx context.Context, id int32) ([]byte, bool, error) {
+	b.gets.Add(1)
+	return b.StorageBackend.Get(ctx, id)
+}
+
+// The "test-get-counting" kind is registered once per process, like
+// "test-counting" (see TestCustomBackendKind).
+var (
+	getCountingOnce sync.Once
+	getCountingGets atomic.Int64
+)
+
+// TestFetchPathProbe measures what following the tags saves: backend Get
+// calls per delivered sample on small versions of the benchmark's
+// live_chan and live_pfs_bound shapes (below one: a fetch probes at most
+// its tagged class, a peer serve only the assigned one), and, per access
+// pattern, the ranks' tag → source table on the source-law shape. Run it
+// with -v to read both.
+func TestFetchPathProbe(t *testing.T) {
+	getCountingOnce.Do(func() {
+		RegisterBackend("test-get-counting", func(_ context.Context, _ int, c Class) (StorageBackend, error) {
+			return getCounter{StorageBackend: storage.NewMemory(c.Name, c.CapacityBytes, nil, nil), gets: &getCountingGets}, nil
+		})
+	})
+	for _, shape := range []struct {
+		name  string
+		ranks int
+		spec  dataset.Spec
+		opts  Options
+	}{
+		{"live_chan", 2, dataset.Spec{Name: "probe-chan", F: 1024, MeanSize: 8 << 10, StddevSize: 2 << 10, Classes: 16, Seed: 7},
+			NewOptions(WithEpochs(6), WithClasses(Class{Name: "ram", CapacityBytes: 3 << 20, Threads: 1, Backend: "test-get-counting"}))},
+		{"live_pfs_bound", 4, dataset.Spec{Name: "probe-pfs", F: 512, MeanSize: 16 << 10, StddevSize: 4 << 10, Classes: 16, Seed: 7},
+			NewOptions(WithEpochs(3), WithPFSBandwidth(64), WithClasses(Class{Name: "ram", CapacityBytes: 1 << 20, Threads: 1, Backend: "test-get-counting"}))},
+	} {
+		opts := shape.opts
+		opts.BatchPerWorker, opts.StagingBytes, opts.StagingThreads = 16, 4<<20, 2
+		before := getCountingGets.Load()
+		stats, err := RunCluster(bg, dataset.MustNew(shape.spec), shape.ranks, opts, DrainAll(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var delivered int64
+		for _, s := range stats {
+			delivered += s.Delivered
+		}
+		per := float64(getCountingGets.Load()-before) / float64(delivered)
+		t.Logf("%s shape: %.2f backend Gets per delivered sample", shape.name, per)
+		if per >= 1 {
+			t.Errorf("%s shape: %.2f backend Gets per delivered sample, want below 1", shape.name, per)
+		}
+	}
+	for _, pattern := range append([]string{""}, access.PresetNames()...) {
+		t.Logf("pattern %q:%v", pattern, checkSources(t, sourceOptions(1, FabricChan, pattern, 2), false))
+	}
+}
+
+// TestHandleServesTheAssignedClass pins a peer serve after a full run: a
+// sample is served exactly when the placement assigns it to the rank (its
+// class holds every assigned sample, and nothing else), and an id outside
+// the dataset, which a TCP peer can send, is a miss rather than a panic.
+func TestHandleServesTheAssignedClass(t *testing.T) {
+	const f = 96
+	_, err := RunCluster(bg, testDataset(t, f), 3, sourceOptions(1, FabricChan, "", 2), func(ctx context.Context, j *Job) error {
+		for _, err := range j.Samples(ctx) {
+			if err != nil {
+				return err
+			}
+		}
+		for _, k := range []access.SampleID{-1, f, 1 << 30} {
+			if j.handle(ctx, 0, transport.Request{Kind: transport.KindFetch, Sample: k}).OK {
+				return fmt.Errorf("rank %d served sample %d, outside the dataset", j.rank, k)
+			}
+		}
+		for k := range access.SampleID(f) {
+			ok := j.handle(ctx, 0, transport.Request{Kind: transport.KindFetch, Sample: k}).OK
+			if want := j.assign.Local(j.rank, k) >= 0; ok != want {
+				return fmt.Errorf("rank %d: sample %d served %v, assigned %v", j.rank, k, ok, want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
