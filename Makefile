@@ -19,7 +19,9 @@ test:
 # who pops, who closes), so the transport package gets five more passes; so
 # do the in-flight fetch table, the PFS read-bound law and the source law,
 # whose regressions are a matter of which prefetcher leads an assigned
-# sample's fetch (and whether a repeat comes before its first touch), and the
+# sample's fetch (and whether a repeat comes before its first touch), and a
+# class's chunks (its prefetchers and the staging threads carve from them at
+# once, and only the newest carve can be retracted), and the
 # simulator's tag-stream cache and kernel gate (who builds a placement's
 # tags, and whether a late build is charged, is a race between cells, and
 # one policy value serves every cell of its column), and the plan cache's
@@ -43,7 +45,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
-	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound|SourceAgreement|Resilient|Deadline|Caller|ThrottledBackend|AbortedProbe' ./nopfs/ ./internal/invariant/ ./internal/resilience/
+	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound|SourceAgreement|Chunk|Resilient|Deadline|Caller|ThrottledBackend|AbortedProbe' ./nopfs/ ./internal/invariant/ ./internal/resilience/
 	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal|ThreadPool|SharedPolicy|Singleflight|CacheRace|Rank' ./internal/sim/ ./internal/plancache/
 	$(GO) test -race -count=5 -run 'Width|Tags|FirstTouch' ./internal/cachepolicy/
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/
@@ -125,7 +127,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 16640
+LOC_MAX ?= 16697
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

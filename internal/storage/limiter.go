@@ -12,6 +12,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -27,10 +28,12 @@ import (
 // rate changes through a broadcast channel, which is what keeps a waiter
 // priced at a near-zero rate from sleeping forever after the rate recovers.
 type Limiter struct {
-	mu sync.Mutex
+	// limited mirrors bytesPerSec > 0, so an unlimited Wait skips mu.
+	limited atomic.Bool
+	mu      sync.Mutex
 	// bytesPerSec is the configured rate; <= 0 means unlimited.
 	bytesPerSec float64
-	// reserved is the cumulative bytes ever granted.
+	// reserved is the cumulative bytes granted while limited.
 	reserved float64
 	// baseTime/baseBytes anchor the virtual clock: bytes up to baseBytes
 	// were (or are deemed) complete at baseTime, so byte b releases at
@@ -52,6 +55,7 @@ func NewLimiter(mbps float64) *Limiter {
 	l := &Limiter{}
 	if mbps > 0 {
 		l.bytesPerSec = mbps * (1 << 20)
+		l.limited.Store(true)
 	}
 	return l
 }
@@ -110,7 +114,7 @@ func (l *Limiter) SetRate(mbps float64) {
 	if l.bytesPerSec > 0 {
 		l.advanceLocked(now)
 	} else {
-		// Unlimited until now: everything already reserved passed freely.
+		// Unlimited until now: nothing reserved meanwhile is billed.
 		l.baseTime, l.baseBytes = now, l.reserved
 	}
 	if mbps > 0 {
@@ -118,6 +122,7 @@ func (l *Limiter) SetRate(mbps float64) {
 	} else {
 		l.bytesPerSec = 0
 	}
+	l.limited.Store(l.bytesPerSec > 0)
 	if l.changed != nil {
 		close(l.changed)
 	}
@@ -154,12 +159,11 @@ func (l *Limiter) Wait(ctx context.Context, n int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if l == nil || n <= 0 {
+	if l == nil || n <= 0 || !l.limited.Load() {
 		return nil
 	}
 	l.mu.Lock()
-	if l.bytesPerSec <= 0 {
-		l.reserved += float64(n)
+	if l.bytesPerSec <= 0 { // SetRate made it unlimited since the load
 		l.mu.Unlock()
 		return nil
 	}

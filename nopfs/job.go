@@ -45,6 +45,7 @@ type Job struct {
 	tags      []byte
 
 	backends []StorageBackend
+	chunks   []chunks // per class: where a flight's payload is carved
 	staging  *storage.Staging
 	net      Endpoint
 	pfs      *storage.Limiter // the shared filesystem's bandwidth
@@ -143,6 +144,7 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 	j := &Job{
 		rank: rank, opts: opts, ds: ds, plan: plan, digest: plan.Hash(),
 		assign:        assign,
+		chunks:        make([]chunks, len(opts.Classes)),
 		stream:        stream,
 		epochEnds:     ends,
 		tags:          assign.Tags(rank, stream),
@@ -478,14 +480,15 @@ func (j *Job) fetchFrom(k access.SampleID, pos int, tag byte, issuer int) ([]byt
 // class prefetcher and the staging path, so its miss is one flight in the
 // in-flight table: the leader re-checks the class (a fill that ran ahead of
 // a first touch, or a flight that retired since the caller's probe, left it
-// there), else fetches from the holder or the PFS and stores what it got
-// before it retires the flight. The re-check's hit and the callers who
-// joined meanwhile count as coalesced locals. For recycled, see fetch.
+// there), else fetches from the holder or the PFS into a slice carved from
+// the class's chunks and stores what it got before it retires the flight.
+// The re-check's hit and the callers who joined meanwhile count as
+// coalesced locals. For recycled, see landed.
 func (j *Job) fetchSource(k access.SampleID, pos int, tag byte, issuer int) ([]byte, Source, bool, error) {
 	if j.isClosed() {
 		return nil, SourcePFS, false, errJobClosed
 	}
-	slot, data, recycled, err := j.locate(k, pos, tag, issuer)
+	slot, data, recycled, err := j.locate(k, pos, tag)
 	if err != nil {
 		return nil, SourcePFS, false, err // fail ignores it if our own context ended
 	}
@@ -504,7 +507,7 @@ func (j *Job) fetchSource(k access.SampleID, pos int, tag byte, issuer int) ([]b
 const fillTag = 0xf0
 
 // locate is fetchSource's rule; it returns the record slot that served k.
-func (j *Job) locate(k access.SampleID, pos int, tag byte, issuer int) (int, []byte, bool, error) {
+func (j *Job) locate(k access.SampleID, pos int, tag byte) (int, []byte, bool, error) {
 	if c := int(tag&0x0f) - 1; c >= 0 {
 		if data, ok, err := j.backends[c].Get(j.ctx, k); err != nil || ok {
 			return c, data, false, err
@@ -520,8 +523,11 @@ func (j *Job) locate(k access.SampleID, pos int, tag byte, issuer int) (int, []b
 		}
 	}
 	c := j.assign.Local(j.rank, k)
-	if c < 0 {
-		return j.fetch(k, holder, issuer == stagingRow)
+	size := int(j.ds.Size(int(k)))
+	if c < 0 { // only the staging path fetches an unassigned sample
+		buf := j.staging.Buffer(size)
+		slot, data, err := j.fetch(k, holder, buf)
+		return slot, data, j.landed(data, buf, nil), err
 	}
 	slot := len(j.backends) + slotCoalesced
 	f, leader := j.inflight.join(k)
@@ -531,8 +537,12 @@ func (j *Job) locate(k access.SampleID, pos int, tag byte, issuer int) (int, []b
 	}
 	data, ok, err := j.backends[c].Get(j.ctx, k)
 	if err == nil && !ok {
-		if slot, data, _, err = j.fetch(k, holder, false); err == nil {
-			_, err = j.backends[c].Put(j.ctx, k, data)
+		b := j.backends[c]
+		buf := j.chunks[c].carve(size, b.Capacity()-b.Used())
+		slot, data, err = j.fetch(k, holder, buf)
+		j.landed(data, buf, &j.chunks[c])
+		if err == nil {
+			_, err = b.Put(j.ctx, k, data)
 		}
 	}
 	j.inflight.retire(k, data, err)
@@ -540,16 +550,19 @@ func (j *Job) locate(k access.SampleID, pos int, tag byte, issuer int) (int, []b
 }
 
 // recycledBit marks a sources entry whose payload is in a staging
-// free-list buffer (see fetch).
+// free-list buffer (see landed).
 const recycledBit = 0x80
 
-// landed reports whether data was read into buf, the staging buffer a fetch
-// passed down, and otherwise returns buf straight to the free list.
-func (j *Job) landed(data, buf []byte) bool {
+// landed reports whether data was read into buf, the destination a fetch
+// was given, and otherwise hands buf back: a carve to its class's chunks a,
+// which retract it, or a staging buffer (a == nil) to the free list.
+func (j *Job) landed(data, buf []byte, a *chunks) bool {
 	if len(data) > 0 && cap(buf) > 0 && &data[0] == &buf[:1][0] {
 		return true
 	}
-	if buf != nil {
+	if a != nil {
+		a.retract(buf)
+	} else {
 		j.staging.Release(buf)
 	}
 	return false

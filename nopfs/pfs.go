@@ -10,8 +10,8 @@ import (
 )
 
 // readerInto is a Dataset that reads into a caller's buffer. Only its reads
-// can be recycled: any other ReadSample may return memory the dataset keeps,
-// so its staged reads take no staging buffer.
+// land in a fetch's buf: any other ReadSample may return memory the dataset
+// keeps, which fetch's caller then stages or stores as it is.
 type readerInto interface {
 	ReadSampleInto(id int, buf []byte) ([]byte, error)
 }
@@ -20,39 +20,29 @@ type readerInto interface {
 // serves k if it has a copy, else the PFS does; it returns the record slot
 // that served. A holder's miss or failed call is a heuristic false positive
 // (Sec. 5.2.2); an open circuit never reached the fabric, so it demotes to
-// the PFS uncounted. recycle asks for the payload in a staging free-list
-// buffer, which passes through staging to the consumer alone, whose next
-// step releases it (recycled): the staging path's fetches of unassigned
-// samples, as a flight's bytes stay in the class. A remote payload lands
-// there if the fabric reads into Request.Buf, a PFS read if the dataset is
-// a readerInto.
-func (j *Job) fetch(k access.SampleID, holder int, recycle bool) (int, []byte, bool, error) {
-	size := func() int { return int(j.ds.Size(int(k))) }
+// the PFS uncounted. buf is the payload's destination: a staging free-list
+// buffer for the staging path's fetch of an unassigned sample, which passes
+// through staging to the consumer alone, or a slice carved from the class a
+// flight stores into. A remote payload lands in it if the fabric reads into
+// Request.Buf, a PFS read if the dataset is a readerInto; the caller's
+// landed tells, and hands back a buf that stayed unused.
+func (j *Job) fetch(k access.SampleID, holder int, buf []byte) (int, []byte, error) {
 	if holder >= 0 {
-		req := transport.Request{Kind: transport.KindFetch, Sample: k}
-		if recycle {
-			req.Buf = j.staging.Buffer(size())
-		}
-		resp, err := j.net.Call(j.ctx, holder, req)
-		recycled := j.landed(resp.Data, req.Buf)
+		resp, err := j.net.Call(j.ctx, holder, transport.Request{Kind: transport.KindFetch, Sample: k, Buf: buf})
 		switch {
 		case err == nil && resp.OK:
-			return len(j.backends) + slotRemote, resp.Data, recycled, nil
+			return len(j.backends) + slotRemote, resp.Data, nil
 		case err != nil && j.ctx.Err() != nil:
-			return 0, nil, false, errJobClosed // our own context ended: not a miss
+			return 0, nil, errJobClosed // our own context ended: not a miss
 		case !errors.Is(err, resilience.ErrCircuitOpen):
 			j.rec.falsePos.Add(1)
 		}
 		if j.isClosed() {
-			return 0, nil, false, errJobClosed
+			return 0, nil, errJobClosed
 		}
 	}
-	var buf []byte
-	if _, into := j.ds.(readerInto); into && recycle {
-		buf = j.staging.Buffer(size())
-	}
 	data, err := j.issueRead(k, buf)
-	return len(j.backends) + slotPFS, data, j.landed(data, buf), err
+	return len(j.backends) + slotPFS, data, err
 }
 
 // issueRead performs one filesystem read under the shared bandwidth model,
