@@ -41,7 +41,8 @@ test:
 # fabric's shared payloads never enter it), and job teardown (whether a returned cluster's
 # jobs are garbage at the next GC depends on which goroutines have run), and
 # the rank's record (every prefetcher writes it, and the consumer and Close
-# fold it into the metric series).
+# fold it into the metric series), and the clock and the limiter and breaker
+# tests that run on a manual clock (an advance races the waiter it wakes).
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
@@ -50,6 +51,8 @@ test-race:
 	$(GO) test -race -count=5 -run 'Width|Tags|FirstTouch' ./internal/cachepolicy/
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/
 	$(GO) test -race -count=5 -run 'Release|Recycle|Batch|Delivery|Ownership|Collectable|Metrics|Stats' ./nopfs/
+	$(GO) test -race -count=5 ./internal/clock/
+	$(GO) test -race -count=5 -run 'Limiter|Breaker' ./internal/storage/ ./internal/resilience/
 
 vet:
 	$(GO) vet ./...

@@ -35,6 +35,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -103,25 +104,17 @@ func (p *Package) EffectivePath() string {
 	return p.Rel
 }
 
-// underPath reports whether path is prefix or below it.
-func underPath(path, prefix string) bool {
-	return path == prefix || strings.HasPrefix(path, prefix+"/")
+// under reports whether p's effective path is one of prefixes or below one.
+func (p *Package) under(prefixes ...string) bool {
+	ep := p.EffectivePath()
+	return slices.ContainsFunc(prefixes, func(s string) bool { return ep == s || strings.HasPrefix(ep, s+"/") })
 }
 
 // mainAdjacent reports whether p is command (not library) code: package main
 // anywhere, the cmd/ and examples/ trees, and the CLI implementation. The
 // context, goroutine, and exit-code contracts bind library code only.
 func (p *Package) mainAdjacent() bool {
-	if p.Name == "main" {
-		return true
-	}
-	ep := p.EffectivePath()
-	for _, prefix := range []string{"cmd", "examples", "internal/cli"} {
-		if underPath(ep, prefix) {
-			return true
-		}
-	}
-	return false
+	return p.Name == "main" || p.under("cmd", "examples", "internal/cli")
 }
 
 // diag builds a Diagnostic at pos with a module-relative file path.

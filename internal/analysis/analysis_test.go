@@ -19,6 +19,7 @@ var fixtureDirs = []struct{ dir, golden string }{
 	{"internal/access", "determinism-access"},
 	{"internal/ctxlib", "ctxfirst"},
 	{"internal/golib", "goroutine"},
+	{"internal/storage", "goroutine-clock"},
 	{"internal/metlib", "metricnames"},
 	{"internal/exitlib", "exitcodes"},
 	{"internal/retrylib", "retrybound"},
@@ -71,6 +72,7 @@ func TestFixturesFireEveryAnalyzer(t *testing.T) {
 		"./testdata/src/internal/access",
 		"./testdata/src/internal/ctxlib",
 		"./testdata/src/internal/golib",
+		"./testdata/src/internal/storage",
 		"./testdata/src/internal/metlib",
 		"./testdata/src/internal/exitlib",
 		"./testdata/src/internal/retrylib",

@@ -30,15 +30,7 @@ func determinismAnalyzer() *Analyzer {
 }
 
 func runDeterminism(p *Package) []Diagnostic {
-	ep := p.EffectivePath()
-	inScope := false
-	for _, s := range determinismScope {
-		if underPath(ep, s) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+	if !p.under(determinismScope...) {
 		return nil
 	}
 

@@ -19,8 +19,7 @@ func runExitcodes(p *Package) []Diagnostic {
 	if p.Name == "main" {
 		return nil
 	}
-	ep := p.EffectivePath()
-	if underPath(ep, "cmd") || underPath(ep, "internal/cli") {
+	if p.under("cmd", "internal/cli") {
 		return nil
 	}
 	var diags []Diagnostic

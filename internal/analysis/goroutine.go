@@ -5,11 +5,16 @@ import (
 	"go/types"
 )
 
+// clockScope lists the live packages that read and wait on time only
+// through internal/clock, so their tests can run on a manual clock.
+var clockScope = []string{"internal/storage", "internal/resilience", "internal/transport"}
+
 func goroutineAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "goroutine",
 		Doc: "every goroutine in library code is tied to a teardown path (context, channel, or " +
-			"WaitGroup), and library code never busy-waits on a bare time.Sleep",
+			"WaitGroup), library code never busy-waits on a bare time.Sleep, and the clockScope " +
+			"packages call no time function that reads or waits on the clock",
 		Run: runGoroutine,
 	}
 }
@@ -20,14 +25,18 @@ func runGoroutine(p *Package) []Diagnostic {
 	}
 	var diags []Diagnostic
 	decls := funcDeclIndex(p)
+	timeFuncs, why := []string{"Sleep"}, "bare time.%s in library code: wait on a context or timer channel so "+
+		"cancellation can interrupt it (PR 3 contract: teardown in bounded time)"
+	if p.under(clockScope...) {
+		timeFuncs = []string{"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "NewTimer", "Tick", "NewTicker"}
+		why = "call to time.%s outside internal/clock: read and wait on a clock.Clock, so tests can run this package on a manual clock"
+	}
 
 	inspectFiles(p, func(_ *ast.File, n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			if _, ok := pkgFuncCall(p.Info, x, "time", "Sleep"); ok {
-				diags = append(diags, p.diag(x.Pos(), "goroutine",
-					"bare time.Sleep in library code: wait on a context or timer channel so "+
-						"cancellation can interrupt it (PR 3 contract: teardown in bounded time)"))
+			if name, ok := pkgFuncCall(p.Info, x, "time", timeFuncs...); ok {
+				diags = append(diags, p.diag(x.Pos(), "goroutine", why, name))
 			}
 		case *ast.GoStmt:
 			if !teardownEvidence(p, decls, x) {

@@ -23,7 +23,7 @@ func retryboundAnalyzer() *Analyzer {
 // `for { Call }` silently spins on a dead peer forever; that is exactly the
 // hang class the resilience layer exists to remove.
 func runRetrybound(p *Package) []Diagnostic {
-	if p.mainAdjacent() || underPath(p.EffectivePath(), "internal/resilience") {
+	if p.mainAdjacent() || p.under("internal/resilience") {
 		return nil
 	}
 	var diags []Diagnostic

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // BreakerState is the circuit position: Closed (calls flow), Open (calls
@@ -44,8 +46,8 @@ type Breaker struct {
 	cooldown  time.Duration
 	openedAt  time.Time
 
-	// now is the clock (injectable in tests).
-	now func() time.Time
+	// clock is clock.Real; tests set a manual one.
+	clock clock.Clock
 	// onTransition observes every state change (may be nil); called
 	// without the lock held.
 	onTransition func(from, to BreakerState)
@@ -65,7 +67,7 @@ func NewBreaker(p Policy, onTransition func(from, to BreakerState)) *Breaker {
 	return &Breaker{
 		threshold:    p.BreakerThreshold,
 		cooldown:     cd,
-		now:          time.Now,
+		clock:        clock.Real,
 		onTransition: onTransition,
 	}
 }
@@ -87,7 +89,7 @@ func (b *Breaker) Allow() (ok, probe bool) {
 		b.mu.Unlock()
 		return false, false
 	default: // Open
-		if b.now().Sub(b.openedAt) < b.cooldown {
+		if b.clock.Now().Sub(b.openedAt) < b.cooldown {
 			b.mu.Unlock()
 			return false, false
 		}
@@ -149,7 +151,7 @@ func (b *Breaker) transitionLocked(to BreakerState) {
 	from := b.state
 	b.state = to
 	if to == Open {
-		b.openedAt = b.now()
+		b.openedAt = b.clock.Now()
 	}
 	if to == Closed {
 		b.failures = 0

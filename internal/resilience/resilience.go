@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/prng"
 	"repro/internal/transport"
 )
@@ -220,23 +221,9 @@ type Hooks struct {
 	// OnRetry runs before each backoff sleep with the just-failed attempt
 	// number (0-based) and its error.
 	OnRetry func(attempt int, err error)
-	// Sleep overrides the ctx-interruptible backoff sleep (tests).
-	Sleep func(ctx context.Context, d time.Duration) error
-}
-
-// sleep waits d or until ctx ends, whichever comes first.
-func sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	// Clock times the backoff sleeps; nil means clock.Real (tests set a
+	// manual one).
+	Clock clock.Clock
 }
 
 // windowSlices is how many deadline-window slices one CallTimeout spans.
@@ -286,6 +273,7 @@ func (c *Caller[T]) attemptContext(parent context.Context) context.Context {
 	if c.policy.CallTimeout <= 0 {
 		return parent
 	}
+	//lint:ignore goroutine deadline windows feed context.WithDeadline, which only the wall clock drives
 	now := time.Now()
 	if w := c.window.Load(); w != nil && w.parent == parent && now.Before(w.sliceEnd) {
 		return w.ctx
@@ -313,9 +301,9 @@ func (c *Caller[T]) Do(ctx context.Context, key uint64, fn func(context.Context)
 	if !ok {
 		return zero, ErrCircuitOpen
 	}
-	doSleep := c.hooks.Sleep
-	if doSleep == nil {
-		doSleep = sleep
+	clk := c.hooks.Clock
+	if clk == nil {
+		clk = clock.Real
 	}
 	attempts := c.policy.attempts()
 	var lastErr error
@@ -344,7 +332,7 @@ func (c *Caller[T]) Do(ctx context.Context, key uint64, fn func(context.Context)
 		if c.hooks.OnRetry != nil {
 			c.hooks.OnRetry(attempt, lastErr)
 		}
-		if err := doSleep(ctx, c.policy.Backoff(attempt, key)); err != nil {
+		if err := clock.Sleep(ctx, clk, c.policy.Backoff(attempt, key)); err != nil {
 			return zero, err
 		}
 	}

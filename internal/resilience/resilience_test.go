@@ -127,17 +127,31 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-// fakeClock is an injectable breaker clock.
-type fakeClock struct{ t time.Time }
+// fakeClock is a manual clock for one goroutine: Now reads t, and a wait
+// logs its duration and, unless ctx has ended, moves t to its instant at
+// once.
+type fakeClock struct {
+	t     time.Time
+	waits []time.Duration
+}
 
-func (c *fakeClock) now() time.Time { return c.t }
+func (c *fakeClock) Now() time.Time { return c.t }
+
+func (c *fakeClock) WaitUntil(ctx context.Context, t time.Time, _ <-chan struct{}) error {
+	c.waits = append(c.waits, t.Sub(c.t))
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	c.t = t
+	return nil
+}
 
 func TestBreakerStateMachine(t *testing.T) {
 	var transitions []string
 	clock := &fakeClock{t: time.Unix(0, 0)}
 	b := NewBreaker(Policy{BreakerThreshold: 2, BreakerCooldown: 100 * time.Millisecond},
 		func(from, to BreakerState) { transitions = append(transitions, from.String()+">"+to.String()) })
-	b.now = clock.now
+	b.clock = clock
 
 	if ok, _ := b.Allow(); !ok {
 		t.Fatal("closed breaker should allow")
@@ -211,22 +225,14 @@ func join(s []string) string {
 	return out
 }
 
-// instantSleep makes Do's backoff sleeps free while recording them.
-func instantSleep(log *[]time.Duration) func(context.Context, time.Duration) error {
-	return func(ctx context.Context, d time.Duration) error {
-		*log = append(*log, d)
-		return ctx.Err()
-	}
-}
-
 func TestDoRetriesTransientThenSucceeds(t *testing.T) {
 	p := Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Multiplier: 2}
-	var sleeps []time.Duration
+	clock := &fakeClock{}
 	var retries int
 	calls := 0
 	v, err := Do(context.Background(), p, nil, Key(1), Hooks{
 		OnRetry: func(int, error) { retries++ },
-		Sleep:   instantSleep(&sleeps),
+		Clock:   clock,
 	}, func(ctx context.Context) (int, error) {
 		calls++
 		if calls < 3 {
@@ -237,11 +243,11 @@ func TestDoRetriesTransientThenSucceeds(t *testing.T) {
 	if err != nil || v != 99 {
 		t.Fatalf("Do = (%d, %v), want (99, nil)", v, err)
 	}
-	if calls != 3 || retries != 2 || len(sleeps) != 2 {
-		t.Fatalf("calls=%d retries=%d sleeps=%d, want 3/2/2", calls, retries, len(sleeps))
+	if calls != 3 || retries != 2 || len(clock.waits) != 2 {
+		t.Fatalf("calls=%d retries=%d sleeps=%d, want 3/2/2", calls, retries, len(clock.waits))
 	}
-	if sleeps[0] != time.Millisecond || sleeps[1] != 2*time.Millisecond {
-		t.Errorf("sleeps = %v, want [1ms 2ms]", sleeps)
+	if clock.waits[0] != time.Millisecond || clock.waits[1] != 2*time.Millisecond {
+		t.Errorf("sleeps = %v, want [1ms 2ms]", clock.waits)
 	}
 }
 
@@ -249,7 +255,7 @@ func TestDoExhaustsAttempts(t *testing.T) {
 	p := Policy{MaxAttempts: 2}
 	flaky := errors.New("flaky")
 	calls := 0
-	_, err := Do(context.Background(), p, nil, 0, Hooks{Sleep: instantSleep(new([]time.Duration))},
+	_, err := Do(context.Background(), p, nil, 0, Hooks{Clock: &fakeClock{}},
 		func(ctx context.Context) (int, error) { calls++; return 0, flaky })
 	if !errors.Is(err, flaky) || calls != 2 {
 		t.Fatalf("Do = %v after %d calls, want flaky after 2", err, calls)
@@ -288,8 +294,7 @@ func TestDoFailsFastOnPeerDownAndAbort(t *testing.T) {
 func TestDoAppliesCallTimeout(t *testing.T) {
 	p := Policy{MaxAttempts: 2, CallTimeout: 5 * time.Millisecond}
 	calls := 0
-	var sleeps []time.Duration
-	_, err := Do(context.Background(), p, nil, 0, Hooks{Sleep: instantSleep(&sleeps)},
+	_, err := Do(context.Background(), p, nil, 0, Hooks{Clock: &fakeClock{}},
 		func(ctx context.Context) (int, error) {
 			calls++
 			<-ctx.Done() // attempt deadline fires; parent stays alive
@@ -308,7 +313,7 @@ func TestDoAppliesCallTimeout(t *testing.T) {
 func TestCallerDeadlineBounds(t *testing.T) {
 	const timeout = 400 * time.Microsecond
 	p := Policy{MaxAttempts: 3, CallTimeout: timeout}
-	c := NewCaller[int](p, nil, Hooks{Sleep: func(context.Context, time.Duration) error { return nil }})
+	c := NewCaller[int](p, nil, Hooks{}) // zero backoff: retries wait for nothing
 	flaky := errors.New("flaky")
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -345,7 +350,7 @@ func TestCallerDeadlineBounds(t *testing.T) {
 // receive the identical context.
 func TestCallerSharesDeadlineWindow(t *testing.T) {
 	c := NewCaller[int](Policy{MaxAttempts: 2, CallTimeout: time.Hour}, nil,
-		Hooks{Sleep: instantSleep(new([]time.Duration))})
+		Hooks{Clock: &fakeClock{}})
 	var seen []context.Context
 	for i := 0; i < 3; i++ {
 		_, _ = c.Do(context.Background(), 0, func(ctx context.Context) (int, error) {
@@ -462,7 +467,7 @@ func TestDoBreakerRecoversViaProbe(t *testing.T) {
 	p := Policy{MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: time.Millisecond}
 	clock := &fakeClock{t: time.Unix(0, 0)}
 	b := NewBreaker(p, nil)
-	b.now = clock.now
+	b.clock = clock
 	_, _ = Do(context.Background(), p, b, 0, Hooks{},
 		func(context.Context) (int, error) { return 0, transport.ErrUnreachable })
 	clock.t = clock.t.Add(time.Minute)
@@ -485,7 +490,7 @@ func TestDoResolvesAbortedProbe(t *testing.T) {
 	p := Policy{MaxAttempts: 3, BreakerThreshold: 1, BreakerCooldown: time.Millisecond}
 	clock := &fakeClock{t: time.Unix(0, 0)}
 	b := NewBreaker(p, nil)
-	b.now = clock.now
+	b.clock = clock
 	_, _ = Do(context.Background(), p, b, 0, Hooks{},
 		func(context.Context) (int, error) { return 0, transport.ErrUnreachable })
 	if b.State() != Open {
@@ -517,22 +522,27 @@ func TestDoResolvesAbortedProbe(t *testing.T) {
 	}
 }
 
+// TestDoSleepInterruptedByCancel: a canceled caller unwinds from an hour's
+// backoff on the real clock. The test cancels once the first retry is
+// announced, so the cancel lands just before or during the sleep.
 func TestDoSleepInterruptedByCancel(t *testing.T) {
 	p := Policy{MaxAttempts: 3, BaseBackoff: time.Hour}
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
+	retrying := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := Do(ctx, p, nil, 0, Hooks{}, func(context.Context) (int, error) {
-			calls++
-			return 0, errors.New("flaky")
-		})
+		_, err := Do(ctx, p, nil, 0, Hooks{OnRetry: func(int, error) { close(retrying) }},
+			func(context.Context) (int, error) {
+				calls++
+				return 0, errors.New("flaky")
+			})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("Do = %v, want Canceled", err)
 		}
 	}()
-	time.Sleep(10 * time.Millisecond)
+	<-retrying
 	cancel()
 	select {
 	case <-done:

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Limiter emulates a storage class's aggregate bandwidth: concurrent
@@ -41,18 +43,21 @@ type Limiter struct {
 	baseTime  time.Time
 	baseBytes float64
 	// changed is closed and replaced on every SetRate so in-flight waiters
-	// recompute their release times; lazily created (zero-value safety).
+	// recompute their release times.
 	changed chan struct{}
 	// observer, when set, receives each Wait's actual blocked duration in
 	// seconds (see SetObserver).
 	observer func(seconds float64)
+	// clock is clock.Real; tests set a manual one. It and changed are nil
+	// only in a zero-value limiter before its first SetRate.
+	clock clock.Clock
 }
 
 // NewLimiter returns a limiter enforcing the given aggregate rate in MB/s
 // (MB = 2^20 bytes). Rates <= 0 return an unlimited (but non-nil) limiter,
 // so a caller may later enable a rate with SetRate.
 func NewLimiter(mbps float64) *Limiter {
-	l := &Limiter{}
+	l := &Limiter{changed: make(chan struct{}), clock: clock.Real}
 	if mbps > 0 {
 		l.bytesPerSec = mbps * (1 << 20)
 		l.limited.Store(true)
@@ -60,23 +65,11 @@ func NewLimiter(mbps float64) *Limiter {
 	return l
 }
 
-// changedLocked returns the broadcast channel, creating it on first use.
-// Callers must hold mu.
-func (l *Limiter) changedLocked() chan struct{} {
-	if l.changed == nil {
-		l.changed = make(chan struct{})
-	}
-	return l.changed
-}
-
-// advanceLocked folds wall-clock progress into the clock anchor: bytes that
-// have drained by now are marked complete so idle periods are not charged to
-// future reservations. Callers must hold mu, and rate must be positive.
+// advanceLocked folds clock progress into the anchor: bytes that have
+// drained by now are marked complete so idle periods are not charged to
+// future reservations (a zero anchor has drained everything). Callers must
+// hold mu, and rate must be positive.
 func (l *Limiter) advanceLocked(now time.Time) {
-	if l.baseTime.IsZero() {
-		l.baseTime, l.baseBytes = now, l.reserved
-		return
-	}
 	if elapsed := now.Sub(l.baseTime).Seconds(); elapsed > 0 {
 		done := l.baseBytes + elapsed*l.bytesPerSec
 		if done > l.reserved {
@@ -110,7 +103,10 @@ func (l *Limiter) SetRate(mbps float64) {
 		return
 	}
 	l.mu.Lock()
-	now := time.Now()
+	if l.clock == nil { // a zero-value limiter
+		l.changed, l.clock = make(chan struct{}), clock.Real
+	}
+	now := l.clock.Now()
 	if l.bytesPerSec > 0 {
 		l.advanceLocked(now)
 	} else {
@@ -123,16 +119,14 @@ func (l *Limiter) SetRate(mbps float64) {
 		l.bytesPerSec = 0
 	}
 	l.limited.Store(l.bytesPerSec > 0)
-	if l.changed != nil {
-		close(l.changed)
-	}
+	close(l.changed)
 	l.changed = make(chan struct{})
 	l.mu.Unlock()
 }
 
 // SetObserver installs a callback receiving each Wait's blocked duration in
-// seconds (only calls that actually slept report). Instrumentation hook for
-// the metrics layer; pass nil to remove.
+// seconds (only calls that actually slept report, a canceled one included).
+// Instrumentation hook for the metrics layer; pass nil to remove.
 func (l *Limiter) SetObserver(fn func(seconds float64)) {
 	if l == nil {
 		return
@@ -167,45 +161,34 @@ func (l *Limiter) Wait(ctx context.Context, n int64) error {
 		l.mu.Unlock()
 		return nil
 	}
-	now := time.Now()
-	l.advanceLocked(now)
+	c := l.clock
+	start := c.Now()
+	l.advanceLocked(start)
 	l.reserved += float64(n)
 	myEnd := l.reserved
 	release := l.releaseLocked(myEnd)
-	changed := l.changedLocked()
+	changed := l.changed
 	observer := l.observer
 	l.mu.Unlock()
 
-	start := now
+	// Sleep to the release instant. A rate change wakes the waiter to
+	// re-price it; a rate switched off releases it.
+	var err error
 	slept := false
-	for {
-		wait := time.Until(release)
-		if wait <= sleepQuantum {
-			if slept && observer != nil {
-				observer(time.Since(start).Seconds())
-			}
-			return nil
-		}
+	for now := start; release.Sub(now) > sleepQuantum; now = c.Now() {
 		slept = true
-		timer := time.NewTimer(wait)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return ctx.Err()
-		case <-changed:
-			timer.Stop()
-			l.mu.Lock()
-			if l.bytesPerSec <= 0 {
-				l.mu.Unlock()
-				if observer != nil {
-					observer(time.Since(start).Seconds())
-				}
-				return nil
-			}
-			release = l.releaseLocked(myEnd)
-			changed = l.changedLocked()
-			l.mu.Unlock()
+		if err = c.WaitUntil(ctx, release, changed); err != nil {
+			break
 		}
+		l.mu.Lock()
+		release, changed = time.Time{}, l.changed // released unless still limited
+		if l.bytesPerSec > 0 {
+			release = l.releaseLocked(myEnd)
+		}
+		l.mu.Unlock()
 	}
+	if slept && observer != nil {
+		observer(c.Now().Sub(start).Seconds())
+	}
+	return err
 }

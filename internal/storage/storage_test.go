@@ -3,6 +3,8 @@ package storage
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -195,23 +197,150 @@ func TestFSConcurrentPuts(t *testing.T) {
 	}
 }
 
+// manualClock is a clock.Clock that moves only when the test advances it.
+// A WaitUntil that has to wait parks: it reports its release instant, as an
+// offset from the clock's start, on parked (unbuffered, so the test accounts
+// for every park) and returns once the clock reaches that instant, its wake
+// channel fires, or its context ends.
+type manualClock struct {
+	mu      sync.Mutex
+	start   time.Time
+	now     time.Time
+	waiters map[chan struct{}]time.Time
+	parked  chan time.Duration
+}
+
+func newManualClock() *manualClock {
+	t0 := time.Unix(1_000_000, 0)
+	return &manualClock{start: t0, now: t0, waiters: map[chan struct{}]time.Time{}, parked: make(chan time.Duration)}
+}
+
+func (c *manualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *manualClock) WaitUntil(ctx context.Context, t time.Time, wake <-chan struct{}) error {
+	c.mu.Lock()
+	if !t.After(c.now) {
+		c.mu.Unlock()
+		return nil
+	}
+	done := make(chan struct{})
+	c.waiters[done] = t
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.waiters, done)
+		c.mu.Unlock()
+	}()
+	c.parked <- t.Sub(c.start)
+	select {
+	case <-done:
+		return nil
+	case <-wake:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// advance moves the clock by d and releases every waiter it reaches.
+func (c *manualClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+	for done, t := range c.waiters {
+		if !t.After(c.now) {
+			close(done)
+			delete(c.waiters, done)
+		}
+	}
+}
+
+// elapsed is the clock's progress since its start.
+func (c *manualClock) elapsed() time.Duration { return c.Now().Sub(c.start) }
+
+// park returns the release offset of the next waiter to park.
+func (c *manualClock) park(t *testing.T) time.Duration {
+	t.Helper()
+	select {
+	case d := <-c.parked:
+		return d
+	case <-time.After(5 * time.Second):
+		t.Fatal("no waiter parked on the manual clock")
+		return 0
+	}
+}
+
+// manualLimiter is NewLimiter(mbps) on a fresh manual clock.
+func manualLimiter(mbps float64) (*Limiter, *manualClock) {
+	c := newManualClock()
+	l := NewLimiter(mbps)
+	l.clock = c
+	return l, c
+}
+
+// waitAll runs Wait(n) on l from each of waiters goroutines and returns a
+// channel that yields each one's error.
+func waitAll(ctx context.Context, l *Limiter, waiters int, n int64) chan error {
+	done := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() { done <- l.Wait(ctx, n) }()
+	}
+	return done
+}
+
+// returned receives count results from done and fails on any error.
+func returned(t *testing.T, done chan error, count int) {
+	t.Helper()
+	for i := 0; i < count; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Wait returned %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d waiters did not return", count-i, count)
+		}
+	}
+}
+
+// parkedAt collects count parks and returns their release offsets in order.
+func parkedAt(t *testing.T, c *manualClock, count int) []time.Duration {
+	t.Helper()
+	got := make([]time.Duration, count)
+	for i := range got {
+		got[i] = c.park(t)
+	}
+	slices.Sort(got)
+	return got
+}
+
+// quarters are the release offsets of four 1 MiB waiters at 8 MB/s.
+var quarters = []time.Duration{125 * time.Millisecond, 250 * time.Millisecond, 375 * time.Millisecond, 500 * time.Millisecond}
+
+// TestLimiterRate: concurrent waiters share the rate. Four 1 MiB waits on
+// an 8 MB/s limiter are granted consecutive eighths of a second, so they
+// release at exactly +125, +250, +375 and +500 ms.
 func TestLimiterRate(t *testing.T) {
-	// 8 MB/s limiter, 4 x 1 MB ops => ~0.5 s regardless of concurrency.
-	l := NewLimiter(8)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l.Wait(bg, 1<<20)
-		}()
+	l, c := manualLimiter(8)
+	done := waitAll(bg, l, 4, 1<<20)
+	if got := parkedAt(t, c, 4); !slices.Equal(got, quarters) {
+		t.Fatalf("release offsets %v, want %v", got, quarters)
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if elapsed < 350*time.Millisecond || elapsed > 1500*time.Millisecond {
-		t.Errorf("4 MB through 8 MB/s limiter took %v, want ~500ms", elapsed)
+	c.advance(quarters[3])
+	returned(t, done, 4)
+	// An idle second drains the backlog but banks no credit: a new 4 MiB
+	// wait releases 0.5 s from now.
+	c.advance(time.Second)
+	done = waitAll(bg, l, 1, 4<<20)
+	if got := c.park(t); got != 2*time.Second {
+		t.Fatalf("4 MiB after an idle second releases at +%v, want +2s", got)
 	}
+	c.advance(500 * time.Millisecond)
+	returned(t, done, 1)
 }
 
 // TestLimiterUnlimitedForms pins the "rate <= 0 means unlimited" contract
@@ -255,92 +384,108 @@ func TestLimiterUnlimitedForms(t *testing.T) {
 
 // TestLimiterSetRateTransitions pins SetRate's edge cases: enabling a rate
 // on an unlimited limiter starts pacing, disabling mid-run releases every
-// in-flight waiter, and raising a near-zero rate re-prices a waiter whose
-// original grant lay in the far future (no stranded sleeps).
+// in-flight waiter, and changing the rate re-prices a waiter whose original
+// grant lay in the far future (no stranded sleeps).
 func TestLimiterSetRateTransitions(t *testing.T) {
 	t.Run("enable-on-unlimited", func(t *testing.T) {
-		l := NewLimiter(0)
+		l, c := manualLimiter(0)
 		if err := l.Wait(bg, 1<<30); err != nil { // free while unlimited
 			t.Fatal(err)
 		}
 		l.SetRate(8)
-		start := time.Now()
-		var wg sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				l.Wait(bg, 1<<20)
-			}()
+		// Pre-SetRate reservations are not billed.
+		done := waitAll(bg, l, 4, 1<<20)
+		if got := parkedAt(t, c, 4); !slices.Equal(got, quarters) {
+			t.Fatalf("release offsets %v, want %v", got, quarters)
 		}
-		wg.Wait()
-		// Pre-SetRate reservations must not be billed: ~4MB/8MBps = ~0.5s.
-		if elapsed := time.Since(start); elapsed < 350*time.Millisecond || elapsed > 1500*time.Millisecond {
-			t.Errorf("4 MB through freshly enabled 8 MB/s limiter took %v, want ~500ms", elapsed)
-		}
+		c.advance(quarters[3])
+		returned(t, done, 4)
 	})
 	t.Run("disable-releases-waiter", func(t *testing.T) {
-		l := NewLimiter(1) // 64 MB at 1 MB/s would sleep ~64s
-		done := make(chan error, 1)
-		go func() { done <- l.Wait(bg, 64<<20) }()
-		time.Sleep(20 * time.Millisecond)
+		l, c := manualLimiter(1)
+		done := waitAll(bg, l, 1, 64<<20)
+		if got := c.park(t); got != 64*time.Second {
+			t.Fatalf("64 MiB at 1 MB/s releases at +%v, want +64s", got)
+		}
 		l.SetRate(0)
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("released waiter returned %v", err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("SetRate(0) stranded an in-flight waiter")
+		returned(t, done, 1)
+		if e := c.elapsed(); e != 0 {
+			t.Errorf("released after %v of clock time, want 0", e)
 		}
 	})
 	t.Run("raise-reprices-waiter", func(t *testing.T) {
-		l := NewLimiter(0.001) // 1 MB at ~1 KB/s: released ~17 minutes out
-		done := make(chan error, 1)
-		go func() { done <- l.Wait(bg, 1<<20) }()
-		time.Sleep(20 * time.Millisecond)
-		l.SetRate(10_000) // backlog re-priced: drains almost immediately
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("re-priced waiter returned %v", err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("raised rate stranded the in-flight waiter at the old price")
+		l, c := manualLimiter(1.0 / 1024) // 1 KiB/s
+		done := waitAll(bg, l, 1, 1<<20)
+		if got := c.park(t); got != 1024*time.Second {
+			t.Fatalf("1 MiB at 1 KiB/s releases at +%v, want +1024s", got)
 		}
+		l.SetRate(1)
+		if got := c.park(t); got != time.Second {
+			t.Fatalf("re-priced at 1 MB/s, the waiter releases at +%v, want +1s", got)
+		}
+		c.advance(time.Second)
+		returned(t, done, 1)
 	})
 	t.Run("lower-slows-later-waiters", func(t *testing.T) {
-		l := NewLimiter(10_000)
+		l, c := manualLimiter(10_000)
 		l.SetRate(8)
-		start := time.Now()
-		if err := l.Wait(bg, 4<<20); err != nil {
-			t.Fatal(err)
+		done := waitAll(bg, l, 1, 4<<20)
+		if got := c.park(t); got != 500*time.Millisecond {
+			t.Fatalf("4 MiB at lowered 8 MB/s releases at +%v, want +500ms", got)
 		}
-		if elapsed := time.Since(start); elapsed < 350*time.Millisecond || elapsed > 1500*time.Millisecond {
-			t.Errorf("4 MB at lowered 8 MB/s took %v, want ~500ms", elapsed)
-		}
+		c.advance(500 * time.Millisecond)
+		returned(t, done, 1)
 	})
 }
 
-// TestLimiterObserver checks the instrumentation hook: blocked waits report
-// their duration, free passes stay silent.
+// TestLimiterObserver checks the instrumentation hook: every wait that
+// slept reports its blocked clock time, a canceled one included, and free
+// passes stay silent.
 func TestLimiterObserver(t *testing.T) {
-	l := NewLimiter(8)
-	var mu sync.Mutex
-	var total float64
-	l.SetObserver(func(s float64) {
-		mu.Lock()
-		total += s
-		mu.Unlock()
-	})
-	if err := l.Wait(bg, 4<<20); err != nil { // ~0.5s blocked
+	// The observer runs inside Wait, so once a waiter has returned its
+	// report, if any, is already buffered.
+	seen := make(chan float64, 1)
+	report := func() string {
+		select {
+		case s := <-seen:
+			return fmt.Sprintf("%gs", s)
+		default:
+			return "none"
+		}
+	}
+	l, c := manualLimiter(8)
+	l.SetObserver(func(s float64) { seen <- s })
+	done := waitAll(bg, l, 1, 4<<20)
+	if got := c.park(t); got != 500*time.Millisecond {
+		t.Fatalf("4 MiB at 8 MB/s releases at +%v, want +500ms", got)
+	}
+	c.advance(500 * time.Millisecond)
+	returned(t, done, 1)
+	if got := report(); got != "0.5s" {
+		t.Errorf("observer saw %s of wait, want 0.5s", got)
+	}
+	if err := l.Wait(bg, 1024); err != nil { // under the sleep quantum: free
 		t.Fatal(err)
 	}
-	mu.Lock()
-	got := total
-	mu.Unlock()
-	if got < 0.35 || got > 1.5 {
-		t.Errorf("observer saw %.3fs of wait, want ~0.5s", got)
+	if got := report(); got != "none" {
+		t.Errorf("a free pass reported %s", got)
+	}
+	// Canceled three seconds into a 64 s wait, a wait reports the three
+	// seconds.
+	l, c = manualLimiter(1)
+	l.SetObserver(func(s float64) { seen <- s })
+	ctx, cancel := context.WithCancel(bg)
+	done = waitAll(ctx, l, 1, 64<<20)
+	if got := c.park(t); got != 64*time.Second {
+		t.Fatalf("64 MiB at 1 MB/s releases at +%v, want +64s", got)
+	}
+	c.advance(3 * time.Second)
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled wait returned %v", err)
+	}
+	if got := report(); got != "3s" {
+		t.Errorf("canceled wait reported %s, want 3s", got)
 	}
 	unlimited := NewLimiter(0)
 	unlimited.SetObserver(func(s float64) { t.Errorf("unlimited wait observed %.3fs", s) })
@@ -349,21 +494,20 @@ func TestLimiterObserver(t *testing.T) {
 	}
 }
 
+// TestLimiterWaitCancel: a 1 MB/s limiter asked for 64 MB would sleep 64 s;
+// cancellation interrupts the sleep with no clock time passing.
 func TestLimiterWaitCancel(t *testing.T) {
-	// A 1 MB/s limiter asked for 64 MB would sleep ~64 s; cancellation must
-	// interrupt the sleep within milliseconds.
-	l := NewLimiter(1)
+	l, c := manualLimiter(1)
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- l.Wait(ctx, 64<<20) }()
-	time.Sleep(20 * time.Millisecond)
+	done := waitAll(ctx, l, 1, 64<<20)
+	c.park(t)
 	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("got %v, want context.Canceled", err)
 		}
-	case <-time.After(2 * time.Second):
+	case <-time.After(5 * time.Second):
 		t.Fatal("canceled limiter wait did not return")
 	}
 	// A canceled context short-circuits even the nil limiter.

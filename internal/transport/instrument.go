@@ -2,7 +2,8 @@ package transport
 
 import (
 	"context"
-	"time"
+
+	"repro/internal/clock"
 )
 
 // CallObserver receives one completed outbound Call: the request sent,
@@ -13,7 +14,8 @@ type CallObserver func(req Request, ok bool, seconds float64)
 // traffic is untouched: the handler still sees the fabric's context.
 type instrumented struct {
 	Network
-	obs CallObserver
+	obs   CallObserver
+	clock clock.Clock
 }
 
 // Instrument wraps n so every outbound Call is reported to obs. A nil
@@ -23,12 +25,12 @@ func Instrument(n Network, obs CallObserver) Network {
 	if obs == nil {
 		return n
 	}
-	return &instrumented{Network: n, obs: obs}
+	return &instrumented{Network: n, obs: obs, clock: clock.Real}
 }
 
 func (i *instrumented) Call(ctx context.Context, to int, req Request) (Response, error) {
-	start := time.Now()
+	start := i.clock.Now()
 	resp, err := i.Network.Call(ctx, to, req)
-	i.obs(req, err == nil, time.Since(start).Seconds())
+	i.obs(req, err == nil, i.clock.Now().Sub(start).Seconds())
 	return resp, err
 }

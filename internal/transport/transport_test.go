@@ -407,6 +407,42 @@ func TestChanCallAllocs(t *testing.T) {
 	}
 }
 
+// stepClock moves one step at every read.
+type stepClock struct {
+	t    time.Time
+	step time.Duration
+}
+
+func (c *stepClock) Now() time.Time {
+	c.t = c.t.Add(c.step)
+	return c.t
+}
+
+func (c *stepClock) WaitUntil(context.Context, time.Time, <-chan struct{}) error { return nil }
+
+// TestInstrumentTimesCalls: the decorator reports each outbound Call's
+// outcome and its duration on the decorator's clock, which is read once
+// before and once after the call.
+func TestInstrumentTimesCalls(t *testing.T) {
+	eps := NewChanNetwork(2, nil)
+	eps[1].SetHandler(echoHandler(1))
+	var got []string
+	n := Instrument(eps[0], func(req Request, ok bool, seconds float64) {
+		got = append(got, fmt.Sprintf("%d:%v:%g", req.Sample, ok, seconds))
+	})
+	n.(*instrumented).clock = &stepClock{step: 1500 * time.Microsecond}
+	if _, err := n.Call(bg, 1, Request{Kind: KindFetch, Sample: 2}); err != nil {
+		t.Fatal(err)
+	}
+	eps[1].Close()
+	if _, err := n.Call(bg, 1, Request{Kind: KindFetch, Sample: 4}); err == nil {
+		t.Fatal("call to a closed peer succeeded")
+	}
+	if want := "[2:true:0.0015 4:false:0.0015]"; fmt.Sprint(got) != want {
+		t.Errorf("observed %v, want %s", got, want)
+	}
+}
+
 func BenchmarkChanFetch(b *testing.B) {
 	eps := NewChanNetwork(2, nil)
 	eps[0].SetHandler(echoHandler(0))

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
@@ -75,14 +76,8 @@ type chaosEndpoint struct {
 
 func (e *chaosEndpoint) Call(ctx context.Context, to int, req transport.Request) (transport.Response, error) {
 	delay, fail := e.sched.FabricCall(e.Rank(), e.calls.Add(1)-1)
-	if delay > 0 {
-		timer := time.NewTimer(time.Duration(delay * float64(time.Second)))
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return transport.Response{}, ctx.Err()
-		}
+	if err := clock.Sleep(ctx, clock.Real, time.Duration(delay*float64(time.Second))); err != nil {
+		return transport.Response{}, err
 	}
 	// Only sample fetches fail transiently: the setup allgather is control
 	// plane (real launchers retry it to death), and failing it would turn a

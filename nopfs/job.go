@@ -13,6 +13,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/cachepolicy"
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/dataset"
 	"repro/internal/hwspec"
 	"repro/internal/plancache"
@@ -435,25 +436,11 @@ func (j *Job) epochIter(pos int) (int, int) {
 	return e, (pos - start) / j.opts.BatchPerWorker
 }
 
-// chaosSleep pauses the fetch path for the straggler pacing delay,
-// interruptible by shutdown.
-func (j *Job) chaosSleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-j.closed:
-	case <-j.ctx.Done():
-	}
-}
-
 // fetchFrom retrieves sample k for stream position pos (see fetchSource),
 // applying the straggler fault pacing: on a straggler rank, every fetch is
 // stretched to Factor× its measured duration, slowing the whole prefetch
-// pipeline the way a slow node's I/O path would.
+// pipeline the way a slow node's I/O path would. The stretch waits on j.ctx,
+// which every teardown that stops a running prefetcher cancels.
 func (j *Job) fetchFrom(k access.SampleID, pos int, tag byte, issuer int) ([]byte, Source, bool, error) {
 	if j.chaosSched == nil {
 		return j.fetchSource(k, pos, tag, issuer)
@@ -463,7 +450,7 @@ func (j *Job) fetchFrom(k access.SampleID, pos int, tag byte, issuer int) ([]byt
 	data, src, recycled, err := j.fetchSource(k, pos, tag, issuer)
 	if err == nil {
 		if factor := j.chaosSched.Slowdown(j.rank, epoch, j.plan.N); factor > 1 {
-			j.chaosSleep(time.Duration(float64(time.Since(start)) * (factor - 1)))
+			_ = clock.Sleep(j.ctx, clock.Real, time.Duration(float64(time.Since(start))*(factor-1)))
 		}
 	}
 	return data, src, recycled, err

@@ -50,18 +50,26 @@ func newResilientHarness(p ResiliencePolicy, reply func(context.Context, int, tr
 			defer h.mu.Unlock()
 			h.retries = append(h.retries, attempt)
 		},
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			h.mu.Lock()
-			defer h.mu.Unlock()
-			h.sleeps = append(h.sleeps, d)
-			return ctx.Err()
-		},
+		Clock: sleepLog{h},
 	}, func(peer int, from, to resilience.BreakerState) {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		h.transitions = append(h.transitions, fmt.Sprintf("%d:%s>%s", peer, from, to))
 	})
 	return h
+}
+
+// sleepLog is the harness's backoff clock: it stands still, and each wait
+// returns at once, logging its duration.
+type sleepLog struct{ h *resilientHarness }
+
+func (sleepLog) Now() time.Time { return time.Unix(0, 0) }
+
+func (c sleepLog) WaitUntil(ctx context.Context, t time.Time, _ <-chan struct{}) error {
+	c.h.mu.Lock()
+	defer c.h.mu.Unlock()
+	c.h.sleeps = append(c.h.sleeps, t.Sub(time.Unix(0, 0)))
+	return ctx.Err()
 }
 
 var fetch7 = transport.Request{Kind: transport.KindFetch, Sample: 7}
