@@ -42,7 +42,9 @@ test:
 # jobs are garbage at the next GC depends on which goroutines have run), and
 # the rank's record (every prefetcher writes it, and the consumer and Close
 # fold it into the metric series), and the clock and the limiter and breaker
-# tests that run on a manual clock (an advance races the waiter it wakes).
+# tests that run on a manual clock (an advance races the waiter it wakes), and
+# the staging ring (which out-of-order push lands in a ring slot, and when the
+# ring grows, depends on scheduling).
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
@@ -52,7 +54,7 @@ test-race:
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/
 	$(GO) test -race -count=5 -run 'Release|Recycle|Batch|Delivery|Ownership|Collectable|Metrics|Stats' ./nopfs/
 	$(GO) test -race -count=5 ./internal/clock/
-	$(GO) test -race -count=5 -run 'Limiter|Breaker' ./internal/storage/ ./internal/resilience/
+	$(GO) test -race -count=5 -run 'Limiter|Breaker|Staging' ./internal/storage/ ./internal/resilience/
 
 vet:
 	$(GO) vet ./...
@@ -130,7 +132,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 16697
+LOC_MAX ?= 16737
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

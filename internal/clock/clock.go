@@ -6,6 +6,7 @@ package clock
 
 import (
 	"context"
+	"sync"
 	"time"
 )
 
@@ -24,13 +25,17 @@ type wall struct{}
 
 func (wall) Now() time.Time { return time.Now() }
 
+// timers recycles Real's timers: a stopped one delivers no stale tick.
+var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
+
 func (wall) WaitUntil(ctx context.Context, t time.Time, wake <-chan struct{}) error {
 	d := time.Until(t)
 	if d <= 0 {
 		return nil
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	timer := timers.Get().(*time.Timer)
+	timer.Reset(d)
+	defer func() { timer.Stop(); timers.Put(timer) }()
 	select {
 	case <-timer.C:
 		return nil
@@ -38,6 +43,17 @@ func (wall) WaitUntil(ctx context.Context, t time.Time, wake <-chan struct{}) er
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
+	}
+}
+
+// Err is ctx.Err() for per-sample checks: a live ctx costs a receive on
+// Done, not Err's mutex, and cancel sets the error before it closes Done.
+func Err(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
 	}
 }
 

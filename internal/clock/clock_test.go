@@ -78,3 +78,37 @@ func TestSleep(t *testing.T) {
 		t.Errorf("canceled Sleep: %v, want context.Canceled", err)
 	}
 }
+
+// TestRealWaitUntilAllocs: a wall-clock wait that blocks reuses a pooled
+// timer instead of allocating one.
+func TestRealWaitUntilAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := Real.WaitUntil(ctx, Real.Now().Add(50*time.Microsecond), nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a short WaitUntil allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestErr: Err agrees with ctx.Err for live, canceled, expired and
+// uncancellable contexts.
+func TestErr(t *testing.T) {
+	live, cancelLive := context.WithCancel(context.Background())
+	defer cancelLive()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancelExpired()
+	for _, ctx := range []context.Context{context.Background(), live, canceled, expired} {
+		if got, want := Err(ctx), ctx.Err(); got != want {
+			t.Errorf("Err = %v, ctx.Err = %v", got, want)
+		}
+	}
+}

@@ -1,0 +1,6 @@
+//go:build race
+
+package clock
+
+// raceEnabled reports a -race build.
+const raceEnabled = true

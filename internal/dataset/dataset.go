@@ -201,24 +201,10 @@ func (d *Synthetic) ReadSampleInto(id int, buf []byte) ([]byte, error) {
 	binary.LittleEndian.PutUint32(buf[0:4], payloadMagic)
 	binary.LittleEndian.PutUint64(buf[4:12], uint64(id))
 	binary.LittleEndian.PutUint64(buf[12:20], uint64(size))
-	fillBody(buf[headerSize:size-trailerSize], d.spec.Seed, uint64(id))
+	prng.NewSplitMix64(d.spec.Seed ^ (uint64(id) * 0x9e3779b97f4a7c15) ^ 0xC0FFEE).Fill(buf[headerSize : size-trailerSize])
 	crc := crc32.ChecksumIEEE(buf[:size-trailerSize])
 	binary.LittleEndian.PutUint32(buf[size-trailerSize:], crc)
 	return buf, nil
-}
-
-// fillBody writes the deterministic keystream for (seed, id) into body.
-func fillBody(body []byte, seed, id uint64) {
-	sm := prng.NewSplitMix64(seed ^ (id * 0x9e3779b97f4a7c15) ^ 0xC0FFEE)
-	i := 0
-	for ; i+8 <= len(body); i += 8 {
-		binary.LittleEndian.PutUint64(body[i:], sm.Next())
-	}
-	if i < len(body) {
-		var tail [8]byte
-		binary.LittleEndian.PutUint64(tail[:], sm.Next())
-		copy(body[i:], tail[:len(body)-i])
-	}
 }
 
 // VerifySample checks that data is the authentic payload of sample id:

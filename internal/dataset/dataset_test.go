@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
@@ -264,6 +266,42 @@ func TestFSReadSampleOutOfRange(t *testing.T) {
 	}
 	if _, err := fsd.ReadSample(99); err == nil {
 		t.Error("out-of-range fs read succeeded")
+	}
+}
+
+func TestPayloadGolden(t *testing.T) {
+	// The payload bytes of a fixed spec, pinned by digest. Its body lengths
+	// cover every residue mod 8 and most mod 64, so the keystream's block,
+	// word and partial-word paths are all in the digest.
+	d := MustNew(Spec{Name: "golden", F: 64, MeanSize: 300, StddevSize: 120, Classes: 3, Seed: 44})
+	h := sha256.New()
+	tails := map[int64]bool{}
+	for id := 0; id < d.Len(); id++ {
+		b, err := d.ReadSample(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+		tails[(d.Size(id)-MinSampleSize)%64] = true
+	}
+	if len(tails) < 32 {
+		t.Fatalf("body lengths cover %d residues mod 64, want ≥ 32", len(tails))
+	}
+	const want = "af32a905452fbe502ccf9322961f11bdeafd1a43ea3a057b59c1e798a0e86e9c"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("payload digest %s, want %s", got, want)
+	}
+}
+
+func BenchmarkReadSample8KB(b *testing.B) {
+	d := MustNew(Spec{Name: "bench", F: 16, MeanSize: 8 << 10, Classes: 1, Seed: 1})
+	buf := make([]byte, 8<<10)
+	b.SetBytes(8 << 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.ReadSampleInto(i%16, buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

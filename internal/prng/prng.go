@@ -12,6 +12,11 @@
 // identical output on any platform.
 package prng
 
+import (
+	"encoding/binary"
+	"math"
+)
+
 // SplitMix64 is a tiny, high-quality 64-bit generator used to expand a
 // single user seed into the larger state required by xoshiro256**. It is
 // the seeding procedure recommended by the xoshiro authors.
@@ -24,13 +29,42 @@ func NewSplitMix64(seed uint64) *SplitMix64 {
 	return &SplitMix64{state: seed}
 }
 
-// Next returns the next 64-bit value in the sequence.
-func (s *SplitMix64) Next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
+const gamma = 0x9e3779b97f4a7c15 // SplitMix64's increment
+
+// mix is SplitMix64's output function of a state.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Next returns the next 64-bit value in the sequence.
+func (s *SplitMix64) Next() uint64 {
+	s.state += gamma
+	return mix(s.state)
+}
+
+// Fill writes the next ⌈len(p)/8⌉ outputs into p as little-endian words,
+// the last truncated, as that many Next calls would. Output k is
+// mix(state + k·gamma): a 64-byte block is eight independent lanes.
+func (s *SplitMix64) Fill(p []byte) {
+	x, g := s.state, uint64(gamma) // a variable, so k·g wraps mod 2⁶⁴
+	for ; len(p) >= 64; p = p[64:] {
+		binary.LittleEndian.PutUint64(p[0:], mix(x+g))
+		binary.LittleEndian.PutUint64(p[8:], mix(x+2*g))
+		binary.LittleEndian.PutUint64(p[16:], mix(x+3*g))
+		binary.LittleEndian.PutUint64(p[24:], mix(x+4*g))
+		binary.LittleEndian.PutUint64(p[32:], mix(x+5*g))
+		binary.LittleEndian.PutUint64(p[40:], mix(x+6*g))
+		binary.LittleEndian.PutUint64(p[48:], mix(x+7*g))
+		binary.LittleEndian.PutUint64(p[56:], mix(x+8*g))
+		x += 8 * g
+	}
+	s.state = x
+	for ; len(p) > 0; p = p[min(8, len(p)):] {
+		var w [8]byte
+		copy(p, binary.LittleEndian.AppendUint64(w[:0], s.Next()))
+	}
 }
 
 // Generator is a xoshiro256** PRNG. It is small, fast, and passes stringent
@@ -161,6 +195,6 @@ func (g *Generator) NormFloat64() float64 {
 		}
 		// math.Sqrt and math.Log are correctly rounded per IEEE-754 on
 		// all Go platforms, so this remains cross-platform deterministic.
-		return u * sqrt(-2*log(s)/s)
+		return u * math.Sqrt(-2*math.Log(s)/s)
 	}
 }

@@ -1,6 +1,8 @@
 package prng
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -19,6 +21,27 @@ func TestSplitMix64KnownValues(t *testing.T) {
 	for i, w := range want {
 		if got := sm.Next(); got != w {
 			t.Fatalf("SplitMix64(0) output %d = %#x, want %#x", i, got, w)
+		}
+	}
+}
+
+func TestSplitMix64FillMatchesNext(t *testing.T) {
+	// Every length 0–200: whole 64-byte blocks, whole words and a partial
+	// last word, each the little-endian Next sequence, and the state left
+	// where that many Next calls leave it.
+	for n := 0; n <= 200; n++ {
+		fill, next := NewSplitMix64(uint64(n)*977), NewSplitMix64(uint64(n)*977)
+		got := make([]byte, n)
+		fill.Fill(got)
+		want := make([]byte, 0, n+8)
+		for len(want) < n {
+			want = binary.LittleEndian.AppendUint64(want, next.Next())
+		}
+		if !bytes.Equal(got, want[:n]) {
+			t.Fatalf("Fill of %d bytes differs from the Next sequence", n)
+		}
+		if a, b := fill.Next(), next.Next(); a != b {
+			t.Fatalf("after Fill of %d bytes the state is off: next %#x, want %#x", n, a, b)
 		}
 	}
 }

@@ -150,7 +150,7 @@ const sleepQuantum = 2 * time.Millisecond
 // not refunded, which keeps the accounting monotonic. A rate change during
 // the wait re-prices the remaining sleep at the new rate.
 func (l *Limiter) Wait(ctx context.Context, n int64) error {
-	if err := ctx.Err(); err != nil {
+	if err := clock.Err(ctx); err != nil {
 		return err
 	}
 	if l == nil || n <= 0 || !l.limited.Load() {

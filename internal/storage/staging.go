@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/bits"
 	"sync"
+
+	"repro/internal/clock"
 )
 
 // Entry is one staged sample.
@@ -12,6 +14,12 @@ type Entry struct {
 	Pos  int
 	ID   int32
 	Data []byte
+}
+
+// slot is one ring cell; full marks an entry, whose Data may be empty.
+type slot struct {
+	Entry
+	full bool
 }
 
 // Staging is the staging buffer of paper Sec. 5.2.2: a byte-budget circular
@@ -26,10 +34,12 @@ type Staging struct {
 	mu       sync.Mutex
 	notFull  *sync.Cond
 	notEmpty *sync.Cond
-	pending  map[int]Entry
-	used     int64
-	nextPop  int
-	closed   bool
+	// ring holds position p in slot p % len(ring), a power of two.
+	ring    []slot
+	used    int64
+	nextPop int
+	closed  bool
+	watched map[<-chan struct{}]func() bool
 
 	// free holds released buffers by capacity; freeBytes <= capBytes.
 	free      map[int][][]byte
@@ -41,30 +51,25 @@ var ErrClosed = errors.New("storage: staging buffer closed")
 
 // NewStaging returns a staging buffer with the given byte budget.
 func NewStaging(capBytes int64) *Staging {
-	s := &Staging{capBytes: capBytes, pending: make(map[int]Entry), free: make(map[int][][]byte)}
+	s := &Staging{capBytes: capBytes, ring: make([]slot, 16), watched: map[<-chan struct{}]func() bool{}, free: map[int][][]byte{}}
 	s.notFull = sync.NewCond(&s.mu)
 	s.notEmpty = sync.NewCond(&s.mu)
 	return s
 }
 
-// noopStop is watch's return for contexts that can never be canceled.
-var noopStop = func() bool { return false }
-
-// watch wakes every waiter when ctx is canceled, so a Push/Pop blocked on a
-// condition variable observes the cancellation. Callers register it lazily,
-// under s.mu, only when actually about to Cond.Wait — the common non-blocking
-// path stays free of AfterFunc bookkeeping. Registration under the mutex is
-// what closes the lost-wakeup window: the callback also takes s.mu before
-// broadcasting, so it cannot fire between the caller's ctx check and its
-// Wait. Uncancellable contexts (context.Background and friends) skip the
-// registration entirely.
-func (s *Staging) watch(ctx context.Context) (stop func() bool) {
-	if ctx.Done() == nil {
-		return noopStop
+// watch makes ctx's cancellation wake every waiter, once per Done channel
+// until it fires or Close stops it. Waiters call it under s.mu just before
+// Cond.Wait; the callback takes s.mu too, so it cannot fire between the
+// waiter's ctx check and its Wait.
+func (s *Staging) watch(ctx context.Context) {
+	done := ctx.Done()
+	if done == nil || s.watched[done] != nil {
+		return
 	}
-	return context.AfterFunc(ctx, func() {
+	s.watched[done] = context.AfterFunc(ctx, func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
+		delete(s.watched, done)
 		s.notFull.Broadcast()
 		s.notEmpty.Broadcast()
 	})
@@ -74,29 +79,33 @@ func (s *Staging) watch(ctx context.Context) (stop func() bool) {
 // the byte budget is exhausted. The producer owning the next position to be
 // consumed is always admitted, so a sample larger than the whole budget
 // cannot deadlock the pipeline. Canceling ctx unblocks the call with ctx's
-// error.
+// error. A position already staged or delivered is rejected.
 func (s *Staging) Push(ctx context.Context, pos int, id int32, data []byte) error {
 	size := int64(len(data))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var stop func() bool
-	for !s.closed && ctx.Err() == nil && s.used+size > s.capBytes && pos != s.nextPop {
-		if stop == nil {
-			stop = s.watch(ctx)
-			defer stop()
-		}
+	for !s.closed && clock.Err(ctx) == nil && s.used+size > s.capBytes && pos != s.nextPop {
+		s.watch(ctx)
 		s.notFull.Wait()
 	}
 	if s.closed {
 		return ErrClosed
 	}
-	if err := ctx.Err(); err != nil {
+	if err := clock.Err(ctx); err != nil {
 		return err
 	}
-	if _, dup := s.pending[pos]; dup {
+	for pos-s.nextPop >= len(s.ring) { // double the ring; pending positions re-slot
+		ring := make([]slot, 2*len(s.ring))
+		for p := s.nextPop; p < s.nextPop+len(s.ring); p++ {
+			ring[p&(len(ring)-1)] = s.ring[p&(len(s.ring)-1)]
+		}
+		s.ring = ring
+	}
+	sl := &s.ring[pos&(len(s.ring)-1)]
+	if pos < s.nextPop || sl.full {
 		return errors.New("storage: duplicate staging position")
 	}
-	s.pending[pos] = Entry{Pos: pos, ID: id, Data: data}
+	*sl = slot{Entry{Pos: pos, ID: id, Data: data}, true}
 	s.used += size
 	s.notEmpty.Broadcast()
 	return nil
@@ -119,13 +128,13 @@ func (s *Staging) TryPop(ctx context.Context) (Entry, bool) {
 func (s *Staging) pop(ctx context.Context, wait bool) (Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var stop func() bool
 	for {
-		if err := ctx.Err(); err != nil {
+		if err := clock.Err(ctx); err != nil {
 			return Entry{}, err
 		}
-		if e, ok := s.pending[s.nextPop]; ok {
-			delete(s.pending, s.nextPop)
+		if sl := &s.ring[s.nextPop&(len(s.ring)-1)]; sl.full {
+			e := sl.Entry
+			*sl = slot{} // no payload stays reachable from the ring
 			s.nextPop++
 			s.used -= int64(len(e.Data))
 			s.notFull.Broadcast()
@@ -134,10 +143,7 @@ func (s *Staging) pop(ctx context.Context, wait bool) (Entry, error) {
 		if s.closed || !wait {
 			return Entry{}, ErrClosed
 		}
-		if stop == nil {
-			stop = s.watch(ctx)
-			defer stop()
-		}
+		s.watch(ctx)
 		s.notEmpty.Wait()
 	}
 }
@@ -188,6 +194,10 @@ func (s *Staging) Used() int64 {
 func (s *Staging) Close() {
 	s.mu.Lock()
 	s.closed = true
+	for _, stop := range s.watched {
+		stop()
+	}
+	clear(s.watched)
 	s.mu.Unlock()
 	s.notFull.Broadcast()
 	s.notEmpty.Broadcast()

@@ -657,6 +657,140 @@ func TestStagingDuplicatePosition(t *testing.T) {
 	}
 }
 
+func TestStagingRingGrowsAcrossWrap(t *testing.T) {
+	// Move nextPop off zero so the first pushes wrap the initial ring, then
+	// push a shuffled window eight times its length: every growth re-slots
+	// wrapped entries, and delivery stays in position order.
+	s := NewStaging(1 << 20)
+	const start, n = 10, 128
+	for pos := 0; pos < start; pos++ {
+		s.Push(bg, pos, int32(pos), []byte{byte(pos)})
+		s.Pop(bg)
+	}
+	initial := len(s.ring)
+	for _, k := range prng.New(3).Perm(n) {
+		if err := s.Push(bg, start+k, int32(start+k), []byte{byte(start + k)}); err != nil {
+			t.Fatalf("push %d: %v", start+k, err)
+		}
+	}
+	if len(s.ring) < n || initial >= n {
+		t.Fatalf("ring %d → %d slots for a %d-position window", initial, len(s.ring), n)
+	}
+	for pos := start; pos < start+n; pos++ {
+		if e, err := s.Pop(bg); err != nil || e.Pos != pos || e.ID != int32(pos) || e.Data[0] != byte(pos) {
+			t.Fatalf("pop %d: %+v %v", pos, e, err)
+		}
+	}
+}
+
+func TestStagingRejectsDeliveredPositions(t *testing.T) {
+	// A position is staged at most once: while pending, after its pop, and
+	// for any position below the next one to pop.
+	s := NewStaging(100)
+	for pos := 0; pos < 5; pos++ {
+		s.Push(bg, pos, int32(pos), []byte("a"))
+	}
+	if err := s.Push(bg, 3, 9, []byte("b")); err == nil {
+		t.Error("pending position accepted twice")
+	}
+	for i := 0; i < 4; i++ {
+		s.Pop(bg)
+	}
+	for _, pos := range []int{3, 0, -1} {
+		if err := s.Push(bg, pos, 9, []byte("b")); err == nil {
+			t.Errorf("position %d below the next pop (4) accepted", pos)
+		}
+	}
+	if e, err := s.Pop(bg); err != nil || e.Pos != 4 || e.ID != 4 || s.Used() != 0 {
+		t.Fatalf("pop 4: %+v %v, used %d", e, err, s.Used())
+	}
+}
+
+func TestStagingEmptyPayload(t *testing.T) {
+	// A zero-length payload is an entry: staged, delivered in order, and
+	// its slot is free again afterwards.
+	s := NewStaging(100)
+	s.Push(bg, 1, 1, []byte("x"))
+	s.Push(bg, 0, 0, nil)
+	for pos := 0; pos < 2; pos++ {
+		if e, ok := s.TryPop(bg); !ok || e.Pos != pos {
+			t.Fatalf("pop %d: %+v %v", pos, e, ok)
+		}
+	}
+	if _, ok := s.TryPop(bg); ok {
+		t.Error("a popped empty entry was delivered twice")
+	}
+}
+
+func TestStagingPopDropsPayload(t *testing.T) {
+	// After delivery the ring references no payload, so a consumed sample
+	// is the consumer's (and the GC's) alone.
+	s := NewStaging(1 << 20)
+	for pos := 0; pos < 40; pos++ {
+		s.Push(bg, pos, 0, make([]byte, 8))
+	}
+	for pos := 0; pos < 40; pos++ {
+		s.Pop(bg)
+	}
+	for i, sl := range s.ring {
+		if sl.full || sl.Data != nil {
+			t.Fatalf("slot %d still holds %+v after its pop", i, sl)
+		}
+	}
+}
+
+func TestStagingCloseDrainsPrefix(t *testing.T) {
+	// Close delivers the in-order prefix and nothing past a gap.
+	s := NewStaging(100)
+	for _, pos := range []int{3, 1, 0} {
+		s.Push(bg, pos, int32(pos), []byte("x"))
+	}
+	s.Close()
+	for pos := 0; pos < 2; pos++ {
+		if e, err := s.Pop(bg); err != nil || e.Pos != pos {
+			t.Fatalf("pop %d after close: %+v %v", pos, e, err)
+		}
+	}
+	if e, err := s.Pop(bg); err != ErrClosed {
+		t.Fatalf("pop past the gap: %+v %v, want ErrClosed", e, err)
+	}
+}
+
+func TestStagingWatchesOncePerContext(t *testing.T) {
+	// Waits under one context, or under a value-only child sharing its
+	// Done, register one cancellation wake-up (a second AfterFunc would
+	// allocate); a fired wake-up removes itself, and Close stops the rest.
+	s := NewStaging(100)
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	other, cancelOther := context.WithCancel(bg)
+	watched := func(ctxs ...context.Context) int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, c := range ctxs {
+			s.watch(c)
+		}
+		return len(s.watched)
+	}
+	type key struct{}
+	if n := watched(ctx, ctx, context.WithValue(ctx, key{}, 1), bg, other); n != 2 {
+		t.Fatalf("%d wake-ups registered for two cancellable contexts", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { watched(ctx) }); n != 0 {
+		t.Errorf("watching a watched context allocates %.0f objects: a second AfterFunc", n)
+	}
+	cancelOther()
+	for deadline := time.Now().Add(5 * time.Second); watched() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a fired wake-up stayed registered")
+		}
+	}
+	s.Close()
+	if n := watched(); n != 0 {
+		t.Errorf("%d wake-ups registered after Close", n)
+	}
+}
+
 func BenchmarkStagingThroughput(b *testing.B) {
 	s := NewStaging(1 << 24)
 	data := make([]byte, 4096)
@@ -682,6 +816,27 @@ func BenchmarkMemoryBackend(b *testing.B) {
 		m.Put(bg, id, data)
 		if _, ok, _ := m.Get(bg, id); !ok {
 			b.Fatal("miss")
+		}
+	}
+}
+
+// BenchmarkStagingTwoProducers stages as the job does: two producers push
+// interleaved positions (one the even, one the odd), which arrive out of
+// order as the two race, and one consumer pops in order.
+func BenchmarkStagingTwoProducers(b *testing.B) {
+	s := NewStaging(1 << 24)
+	data := make([]byte, 4096)
+	for p := 0; p < 2; p++ {
+		go func() {
+			for pos := p; pos < b.N; pos += 2 {
+				s.Push(bg, pos, 0, data)
+			}
+		}()
+	}
+	b.SetBytes(4096)
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Pop(bg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

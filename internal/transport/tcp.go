@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/clock"
 	"repro/internal/storage"
 )
 
@@ -82,7 +83,7 @@ func (e *TCPEndpoint) discard(conns ...net.Conn) {
 // then a pre-canceled context — and pops an idle connection to peer to. A
 // nil connection with a nil error means the caller has to dial.
 func (e *TCPEndpoint) acquire(ctx context.Context, to int) (net.Conn, error) {
-	canceled := ctx.Err() // the caller's code: not under e.mu
+	canceled := clock.Err(ctx) // the caller's code: not under e.mu
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/clock"
 	"repro/internal/storage"
 )
 
@@ -157,7 +158,7 @@ func (e *ChanEndpoint) Call(ctx context.Context, to int, req Request) (Response,
 	if to < 0 || to >= len(e.peers) {
 		return Response{}, fmt.Errorf("transport: rank %d out of range", to)
 	}
-	if err := ctx.Err(); err != nil {
+	if err := clock.Err(ctx); err != nil {
 		return Response{}, err
 	}
 	if e.closed.Load() {
@@ -177,7 +178,7 @@ func (e *ChanEndpoint) Call(ctx context.Context, to int, req Request) (Response,
 			return Response{}, err
 		}
 	}
-	if err := ctx.Err(); err != nil {
+	if err := clock.Err(ctx); err != nil {
 		return Response{}, err
 	}
 	if peer.closed.Load() {
