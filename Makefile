@@ -44,7 +44,9 @@ test:
 # fold it into the metric series), and the clock and the limiter and breaker
 # tests that run on a manual clock (an advance races the waiter it wakes), and
 # the staging ring (which out-of-order push lands in a ring slot, and when the
-# ring grows, depends on scheduling).
+# ring grows, depends on scheduling), and cancellation (j.ctx is the job's one
+# lifetime signal, and whether a prefetcher sees it before or after its fetch
+# depends on scheduling).
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
@@ -52,7 +54,7 @@ test-race:
 	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal|ThreadPool|SharedPolicy|Singleflight|CacheRace|Rank' ./internal/sim/ ./internal/plancache/
 	$(GO) test -race -count=5 -run 'Width|Tags|FirstTouch' ./internal/cachepolicy/
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/
-	$(GO) test -race -count=5 -run 'Release|Recycle|Batch|Delivery|Ownership|Collectable|Metrics|Stats' ./nopfs/
+	$(GO) test -race -count=5 -run 'Release|Recycle|Batch|Delivery|Ownership|Collectable|Metrics|Stats|Cancel' ./nopfs/
 	$(GO) test -race -count=5 ./internal/clock/
 	$(GO) test -race -count=5 -run 'Limiter|Breaker|Staging' ./internal/storage/ ./internal/resilience/
 
@@ -132,7 +134,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 16737
+LOC_MAX ?= 16694
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

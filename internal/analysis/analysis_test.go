@@ -20,6 +20,7 @@ var fixtureDirs = []struct{ dir, golden string }{
 	{"internal/ctxlib", "ctxfirst"},
 	{"internal/golib", "goroutine"},
 	{"internal/storage", "goroutine-clock"},
+	{"nopfs", "goroutine-clock-nopfs"},
 	{"internal/metlib", "metricnames"},
 	{"internal/exitlib", "exitcodes"},
 	{"internal/retrylib", "retrybound"},

@@ -7,7 +7,7 @@ import (
 
 // clockScope lists the live packages that read and wait on time only
 // through internal/clock, so their tests can run on a manual clock.
-var clockScope = []string{"internal/storage", "internal/resilience", "internal/transport"}
+var clockScope = []string{"internal/storage", "internal/resilience", "internal/transport", "nopfs"}
 
 func goroutineAnalyzer() *Analyzer {
 	return &Analyzer{

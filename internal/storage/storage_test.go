@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -548,20 +549,43 @@ func TestStagingInOrderDelivery(t *testing.T) {
 	}
 }
 
+// parked returns once a call under ctx waits in s's Cond.Wait: a waiter with
+// a cancellable ctx registers its Done channel in watched, under s.mu, just
+// before it waits, and Wait releases s.mu only once the waiter is parked.
+func parked(t *testing.T, s *Staging, ctx context.Context) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		in := s.watched[ctx.Done()] != nil
+		s.mu.Unlock()
+		if in {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the call never parked on the staging buffer")
+		}
+		runtime.Gosched()
+	}
+}
+
 func TestStagingBudgetBlocks(t *testing.T) {
 	s := NewStaging(10)
 	if err := s.Push(bg, 0, 0, make([]byte, 8)); err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
 	pushed := make(chan struct{})
 	go func() {
-		s.Push(bg, 1, 1, make([]byte, 8)) // must block: 16 > 10
+		s.Push(ctx, 1, 1, make([]byte, 8)) // must block: 16 > 10
 		close(pushed)
 	}()
+	parked(t, s, ctx)
 	select {
 	case <-pushed:
 		t.Fatal("push succeeded beyond byte budget")
-	case <-time.After(50 * time.Millisecond):
+	default:
 	}
 	if _, err := s.Pop(bg); err != nil {
 		t.Fatal(err)
@@ -613,9 +637,12 @@ func TestStagingClose(t *testing.T) {
 func TestStagingCancelUnblocks(t *testing.T) {
 	// A Pop blocked on an empty buffer and a Push blocked on a full budget
 	// must both return the context error promptly on cancel, leaving the
-	// buffer usable for other contexts.
+	// buffer usable for other contexts. The push waits under a child of the
+	// pop's context, so each parks under a Done channel of its own.
 	s := NewStaging(10)
 	ctx, cancel := context.WithCancel(context.Background())
+	pushCtx, cancelPush := context.WithCancel(ctx)
+	defer cancelPush()
 	popDone := make(chan error, 1)
 	go func() {
 		_, err := s.Pop(ctx)
@@ -626,9 +653,10 @@ func TestStagingCancelUnblocks(t *testing.T) {
 	}
 	pushDone := make(chan error, 1)
 	go func() {
-		pushDone <- s.Push(ctx, 2, 2, make([]byte, 8)) // blocks: budget full, not next pop
+		pushDone <- s.Push(pushCtx, 2, 2, make([]byte, 8)) // blocks: budget full, not next pop
 	}()
-	time.Sleep(20 * time.Millisecond)
+	parked(t, s, ctx)
+	parked(t, s, pushCtx)
 	cancel()
 	for name, ch := range map[string]chan error{"pop": popDone, "push": pushDone} {
 		select {

@@ -61,20 +61,23 @@ type Job struct {
 	redistributed int64
 	crashOnce     sync.Once
 
-	// ctx is the job's lifetime context: derived in Start from the caller's
-	// context, canceled by Close. Prefetchers block under it, so cancellation
-	// of either kind unwinds every blocking layer.
+	// ctx is the job's one lifetime signal: derived in Start from the
+	// caller's context, canceled by shutdown. Prefetchers check it and block
+	// under it, so cancellation of either kind unwinds every blocking layer.
 	ctx    context.Context
 	cancel context.CancelFunc
 	// unwatch deregisters Start's context.AfterFunc. Close calls it before
-	// cancel: a cancel that fires the func starts a goroutine holding the
-	// job, and with it every cache, past the end of RunCluster.
+	// shutdown cancels: a cancel that fires the func starts a goroutine
+	// holding the job, and with it every cache, past the end of RunCluster.
 	unwatch func() bool
 
 	progress atomic.Int64 // staging prefetch position (heuristic input)
 	pos      atomic.Int64 // next stream position to claim
 
 	rec record // the rank's own events, counted once; Stats and met read it
+	// clock times the consumer's stalls, staged fetches and the straggler
+	// stretch: clock.Real, unless an in-package test swaps it.
+	clock clock.Clock
 	// inflight coalesces this rank's concurrent fetches of one assigned
 	// sample (see fetchSource).
 	inflight flights
@@ -100,9 +103,7 @@ type Job struct {
 	held  [][]byte // recycled buffers the consumer's last step delivered
 	batch []Sample // GetBatch's slice, overwritten by the next call
 
-	wg        sync.WaitGroup
-	closed    chan struct{}
-	closeOnce sync.Once
+	wg sync.WaitGroup
 }
 
 // newJob wires one worker. The caller provides the fabric endpoint, the
@@ -157,9 +158,9 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 		pfs:           pfs,
 		chaosSched:    sched,
 		//lint:ignore ctxfirst placeholder lifetime before Start(ctx) installs the caller's context; never waited on
-		ctx:    context.Background(),
-		closed: make(chan struct{}),
-		met:    newJobMetrics(opts.Metrics, rank, opts.Classes, opts.TraceFetches),
+		ctx:   context.Background(),
+		clock: clock.Real,
+		met:   newJobMetrics(opts.Metrics, rank, opts.Classes, opts.TraceFetches),
 	}
 	// The policies that act on one call decorate the seam it crosses and
 	// are absent when unset: resilience on the endpoint, a degraded class's
@@ -205,10 +206,9 @@ func nodeFromClasses(classes []Class) hwspec.Node {
 // bounded time.
 func (j *Job) Start(ctx context.Context) error {
 	j.ctx, j.cancel = context.WithCancel(ctx)
-	// Tie context cancellation to the legacy shutdown signal so every
-	// pre-context wait (the class prefetchers' pacing loop, the staging
-	// buffer's drain semantics) observes it too.
-	j.unwatch = context.AfterFunc(j.ctx, j.shutdown)
+	// The prefetchers wait under j.ctx; a consumer may wait under another
+	// context, so the end of the job's lifetime closes staging for it too.
+	j.unwatch = context.AfterFunc(j.ctx, j.staging.Close)
 
 	digests, err := transport.AllgatherValue(j.ctx, j.net, j.digest)
 	if err != nil {
@@ -259,22 +259,15 @@ func (j *Job) Start(ctx context.Context) error {
 // errJobClosed aborts in-flight prefetch work during shutdown.
 var errJobClosed = errors.New("nopfs: job closed")
 
-// isClosed reports whether shutdown has begun (Close or context cancel).
-func (j *Job) isClosed() bool {
-	select {
-	case <-j.closed:
-		return true
-	default:
-		return false
-	}
-}
-
-// shutdown flips the job into teardown: wake every waiter, stop stream
-// claimers. Idempotent; runs on Close and on context cancellation.
+// shutdown ends the job's lifetime: wake every staging waiter, stop stream
+// claimers and cancel j.ctx, which every prefetcher checks and waits under.
+// Idempotent; runs on Close, on a crash and before any prefetcher starts.
 func (j *Job) shutdown() {
-	j.closeOnce.Do(func() { close(j.closed) })
 	j.staging.Close()
 	j.pos.Store(int64(len(j.stream))) // stop claimers
+	if j.cancel != nil {
+		j.cancel()
+	}
 }
 
 // fail handles the error that stopped a prefetcher: unless it is part of
@@ -324,37 +317,24 @@ func (j *Job) handle(ctx context.Context, from int, req transport.Request) trans
 	return transport.Response{}
 }
 
-// prefetchLookahead is how far (in stream positions) a class prefetcher may
-// run ahead of the staging position, so the staging path usually finds an
-// assigned sample in its class. Pacing only narrows the window in which both
-// miss it (under a throttled PFS the first read sits in the limiter for
-// milliseconds); the in-flight table in fetchSource makes them fetch it once.
-const prefetchLookahead = 512
-
-// classPrefetcher fills one storage class with its assigned samples, in
-// first-access order, pacing itself to stay a bounded window ahead of the
-// trainer's stream position.
+// classPrefetcher fills one storage class with its assigned samples back to
+// back, in first-access order (Rule 1). It skips a sample whose first access
+// lies past the rank's stream (a crash cut it off, so it is never
+// delivered), one the class holds already, and one whose first access the
+// staging path has passed. When it and the staging path miss one sample at
+// once, the in-flight table in fetchSource makes them fetch it once.
 func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.Int64) {
 	defer j.wg.Done()
 	backend := j.backends[class]
-	for {
+	for clock.Err(j.ctx) == nil {
 		i := next.Add(1) - 1
 		if int(i) >= len(fill) {
 			return
 		}
 		k := fill[i]
 		fp := j.assign.LocalPos(j.rank, k)
-		// Pace: wait until the trainer is within the lookahead window of
-		// this sample's first access.
-		for int64(fp) > j.progress.Load()+prefetchLookahead {
-			if j.isClosed() {
-				return
-			}
-			//lint:ignore goroutine 1ms pacing poll bounded by the isClosed check above; Close stops it within one tick
-			time.Sleep(time.Millisecond)
-		}
-		if j.isClosed() {
-			return
+		if int(fp) >= len(j.stream) {
+			continue // past a crash: the rank never delivers it
 		}
 		if backend.Has(k) {
 			continue // the staging path self-healed it already
@@ -372,10 +352,7 @@ func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.In
 // stagingPrefetcher claims stream positions and stages samples in order.
 func (j *Job) stagingPrefetcher() {
 	defer j.wg.Done()
-	for {
-		if j.isClosed() {
-			return
-		}
+	for clock.Err(j.ctx) == nil {
 		pos := int(j.pos.Add(1) - 1)
 		if pos >= len(j.stream) {
 			return
@@ -383,7 +360,7 @@ func (j *Job) stagingPrefetcher() {
 		k := j.stream[pos]
 		var fetchStart time.Time
 		if j.met != nil {
-			fetchStart = time.Now()
+			fetchStart = j.clock.Now()
 		}
 		data, src, recycled, err := j.fetchFrom(k, pos, j.tags[pos], stagingRow)
 		if err != nil {
@@ -391,7 +368,7 @@ func (j *Job) stagingPrefetcher() {
 			return
 		}
 		if j.met != nil {
-			j.met.stagedFetch(pos, k, j.epochOf(pos), src, len(data), time.Since(fetchStart).Seconds())
+			j.met.stagedFetch(pos, k, j.epochOf(pos), src, len(data), j.clock.Now().Sub(fetchStart).Seconds())
 		}
 		j.sources[pos] = uint8(src)
 		if recycled {
@@ -446,11 +423,11 @@ func (j *Job) fetchFrom(k access.SampleID, pos int, tag byte, issuer int) ([]byt
 		return j.fetchSource(k, pos, tag, issuer)
 	}
 	epoch := j.epochOf(pos)
-	start := time.Now()
+	start := j.clock.Now()
 	data, src, recycled, err := j.fetchSource(k, pos, tag, issuer)
 	if err == nil {
 		if factor := j.chaosSched.Slowdown(j.rank, epoch, j.plan.N); factor > 1 {
-			_ = clock.Sleep(j.ctx, clock.Real, time.Duration(float64(time.Since(start))*(factor-1)))
+			_ = clock.Sleep(j.ctx, j.clock, time.Duration(float64(j.clock.Now().Sub(start))*(factor-1)))
 		}
 	}
 	return data, src, recycled, err
@@ -472,7 +449,7 @@ func (j *Job) fetchFrom(k access.SampleID, pos int, tag byte, issuer int) ([]byt
 // The re-check's hit and the callers who joined meanwhile count as
 // coalesced locals. For recycled, see landed.
 func (j *Job) fetchSource(k access.SampleID, pos int, tag byte, issuer int) ([]byte, Source, bool, error) {
-	if j.isClosed() {
+	if clock.Err(j.ctx) != nil {
 		return nil, SourcePFS, false, errJobClosed
 	}
 	slot, data, recycled, err := j.locate(k, pos, tag)
@@ -564,9 +541,6 @@ func (j *Job) landed(data, buf []byte, a *chunks) bool {
 func (j *Job) crashNow() {
 	j.crashOnce.Do(func() {
 		j.shutdown()
-		if j.cancel != nil {
-			j.cancel()
-		}
 		j.net.Close()
 	})
 }
@@ -591,9 +565,9 @@ func (j *Job) next(ctx context.Context) (Sample, bool, error) {
 	e, ok := j.staging.TryPop(ctx)
 	var err error
 	if !ok { // only a Pop that blocks reads the clock
-		start := time.Now()
+		start := j.clock.Now()
 		e, err = j.staging.Pop(ctx)
-		j.rec.stallNanos.Add(int64(time.Since(start)))
+		j.rec.stallNanos.Add(int64(j.clock.Now().Sub(start)))
 	}
 	if err != nil {
 		if fatal := j.fatalErr(); fatal != nil {
@@ -741,13 +715,12 @@ func (j *Job) Stats() Stats {
 // record, and releases the fabric endpoint. Safe to call after the stream is
 // exhausted or mid-run; it returns only after every prefetcher has exited.
 //
-//lint:ignore ctxfirst idiomatic io.Closer: shutdown()+cancel above the Wait stop every prefetcher, so the join is bounded
+//lint:ignore ctxfirst idiomatic io.Closer: shutdown() above the Wait cancels every prefetcher, so the join is bounded
 func (j *Job) Close() error {
-	j.shutdown()
-	if j.cancel != nil {
+	if j.unwatch != nil {
 		j.unwatch()
-		j.cancel()
 	}
+	j.shutdown()
 	j.wg.Wait()
 	j.met.fold(j)
 	return j.net.Close()

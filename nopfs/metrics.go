@@ -110,8 +110,9 @@ type jobMetrics struct {
 	counters []projection
 	// reg is kept for the cold-path circuit-transition series, whose
 	// from/to labels are resolved lazily (the registry memoises).
-	reg   *metrics.Registry
-	trace *traceWriter
+	reg *metrics.Registry
+	// trace is Options.TraceFetches, which RunCluster serialises (syncWriter).
+	trace io.Writer
 	rank  int
 }
 
@@ -129,10 +130,7 @@ func newJobMetrics(reg *metrics.Registry, rank int, classes []Class, trace io.Wr
 	if reg == nil && trace == nil {
 		return nil
 	}
-	m := &jobMetrics{rank: rank}
-	if trace != nil {
-		m.trace = &traceWriter{w: trace}
-	}
+	m := &jobMetrics{rank: rank, trace: trace}
 	if reg == nil {
 		return m
 	}
@@ -223,18 +221,25 @@ func (m *jobMetrics) circuitTransition(peer int, from, to resilience.BreakerStat
 	}
 }
 
-// stagedFetch records one staged fetch's latency and trace line.
+// stagedFetch records one staged fetch's latency and its trace line:
+//
+//	rank=R pos=P sample=S epoch=E source=SRC bytes=B seconds=D
+//
+// Fprintf writes the line in one Write, so lines never interleave.
 func (m *jobMetrics) stagedFetch(pos int, id int32, epoch int, src Source, bytes int, seconds float64) {
 	if m == nil {
 		return
 	}
 	m.fetchSec[src].Observe(seconds)
-	m.trace.line(m.rank, pos, id, epoch, src, bytes, seconds)
+	if m.trace != nil {
+		fmt.Fprintf(m.trace, "rank=%d pos=%d sample=%d epoch=%d source=%s bytes=%d seconds=%.6f\n",
+			m.rank, pos, id, epoch, src, bytes, seconds)
+	}
 }
 
 // syncWriter makes an arbitrary io.Writer safe for the cluster's concurrent
-// rank traces: RunCluster wraps Options.TraceFetches in one shared syncWriter
-// so callers may pass a plain file or buffer.
+// rank traces: RunCluster wraps Options.TraceFetches in one syncWriter that
+// every rank shares, so callers may pass a plain file or buffer.
 type syncWriter struct {
 	mu sync.Mutex
 	w  io.Writer
@@ -244,28 +249,6 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
-}
-
-// traceWriter serialises per-fetch decision lines onto one shared writer.
-// Each line is built in full and written in a single locked Write so lines
-// from concurrent ranks and prefetcher threads never interleave.
-type traceWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// line appends one fetch decision record:
-//
-//	rank=R pos=P sample=S epoch=E source=SRC bytes=B seconds=D
-func (t *traceWriter) line(rank, pos int, id int32, epoch int, src Source, bytes int, seconds float64) {
-	if t == nil {
-		return
-	}
-	line := fmt.Sprintf("rank=%d pos=%d sample=%d epoch=%d source=%s bytes=%d seconds=%.6f\n",
-		rank, pos, id, epoch, src, bytes, seconds)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	io.WriteString(t.w, line)
 }
 
 // kindName labels a fabric request kind for the call counter.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/access"
+	"repro/internal/clock"
 	"repro/internal/resilience"
 	"repro/internal/transport"
 )
@@ -37,7 +38,7 @@ func (j *Job) fetch(k access.SampleID, holder int, buf []byte) (int, []byte, err
 		case !errors.Is(err, resilience.ErrCircuitOpen):
 			j.rec.falsePos.Add(1)
 		}
-		if j.isClosed() {
+		if clock.Err(j.ctx) != nil {
 			return 0, nil, errJobClosed
 		}
 	}
