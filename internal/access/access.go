@@ -19,6 +19,7 @@ package access
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/prng"
@@ -130,11 +131,7 @@ func (p *Plan) IterationsPerEpoch() int {
 
 // EpochLimit returns how many entries of the epoch-wide shuffled order are
 // consumed in one epoch (F, or T*B when the partial batch is dropped).
-func (p *Plan) EpochLimit() int { return p.epochLimit() }
-
-// epochLimit returns how many entries of the epoch-wide shuffled order are
-// consumed in one epoch (F, or T*B when the partial batch is dropped).
-func (p *Plan) epochLimit() int {
+func (p *Plan) EpochLimit() int {
 	if p.DropLast {
 		return (p.F / p.GlobalBatch()) * p.GlobalBatch()
 	}
@@ -147,7 +144,7 @@ func (p *Plan) epochLimit() int {
 // batch is kept. For elastic plans the partition varies per epoch; the
 // per-worker epoch ends from AllStreamsFromOrders hold for every plan.
 func (p *Plan) SamplesPerEpoch(worker int) int {
-	limit := p.epochLimit()
+	limit := p.EpochLimit()
 	if worker >= limit%p.N {
 		return limit / p.N
 	}
@@ -185,9 +182,6 @@ func (p *Plan) EpochOrder(e int) []SampleID {
 func (p *Plan) EpochOrders(workers int) [][]SampleID {
 	pat := p.Pattern()
 	shuffleCount.Add(int64(p.E))
-	if pat.uniformOrder() {
-		return prng.ParallelPerms32(p.E, p.F, workers, p.epochGen)
-	}
 	out := make([][]SampleID, p.E)
 	prng.ParallelFor(p.E, workers, func(e int) {
 		out[e] = make([]SampleID, p.F)
@@ -196,27 +190,23 @@ func (p *Plan) EpochOrders(workers int) [][]SampleID {
 	return out
 }
 
-// WorkerEpochFromOrderAt extracts worker i's sequence for epoch e from a
-// precomputed order, honouring the plan's pattern: under an elastic
-// membership schedule the epoch's positions are partitioned among the
-// active ranks only (an inactive worker gets nil).
-func (p *Plan) WorkerEpochFromOrderAt(order []SampleID, worker, e int) []SampleID {
+// WorkerEpoch returns worker i's access sequence for epoch e, honouring the
+// plan's pattern: under an elastic membership schedule the epoch's
+// positions are partitioned among the active ranks only (an inactive worker
+// gets nil).
+func (p *Plan) WorkerEpoch(worker, e int) []SampleID {
 	pat := p.Pattern()
 	ord, count := p.activeFor(pat, worker, e)
 	if ord < 0 {
 		return nil
 	}
-	limit := p.epochLimit()
+	limit := p.EpochLimit()
+	order := p.EpochOrder(e)
 	out := make([]SampleID, 0, limit/count+1)
 	for pos := ord; pos < limit; pos += count {
 		out = append(out, order[pos])
 	}
 	return out
-}
-
-// WorkerEpoch returns worker i's access sequence for epoch e.
-func (p *Plan) WorkerEpoch(worker, e int) []SampleID {
-	return p.WorkerEpochFromOrderAt(p.EpochOrder(e), worker, e)
 }
 
 // WorkerStream returns worker i's full access stream R across all epochs.
@@ -242,7 +232,7 @@ func (p *Plan) AllWorkerStreams() [][]SampleID {
 	}
 	for e := 0; e < p.E; e++ {
 		order := p.EpochOrder(e)
-		limit := p.epochLimit()
+		limit := p.EpochLimit()
 		active := pat.activeRanks(e, p.N)
 		for pos := 0; pos < limit; pos++ {
 			w := active[pos%len(active)]
@@ -252,32 +242,84 @@ func (p *Plan) AllWorkerStreams() [][]SampleID {
 	return streams
 }
 
-// AllStreamsFromOrders partitions precomputed epoch orders into per-worker
-// streams, honouring the plan's pattern, building workers' streams
-// concurrently on a bounded pool (workers < 1 means GOMAXPROCS). It also
-// returns every worker's cumulative per-epoch end offsets (ends[w][e] =
-// stream positions consumed through epoch e): the multiples of
-// SamplesPerEpoch(w) for a static partition, the membership schedule's
-// unequal counts for an elastic one.
+// AllStreamsFromOrders scatters precomputed epoch orders into per-worker
+// streams on a bounded pool (workers < 1 means GOMAXPROCS) and returns their
+// cumulative epoch ends (ends[w][e] = stream positions through epoch e).
 func (p *Plan) AllStreamsFromOrders(orders [][]SampleID, workers int) (streams [][]SampleID, ends [][]int) {
-	pat := p.Pattern()
-	limit := p.epochLimit()
-	streams, ends = make([][]SampleID, p.N), make([][]int, p.N)
-	prng.ParallelFor(p.N, workers, func(w int) {
-		s := make([]SampleID, 0, p.StreamLen(w))
-		we := make([]int, len(orders))
-		for e, order := range orders {
-			if ord, count := p.activeFor(pat, w, e); ord >= 0 {
-				for pos := ord; pos < limit; pos += count {
-					s = append(s, order[pos])
-				}
-			}
-			we[e] = len(s)
-		}
-		streams[w], ends[w] = s, we
-	})
+	_, streams, ends = p.scatter(orders, workers)
 	return streams, ends
 }
+
+// BuildStreams is AllStreamsFromOrders(EpochOrders(workers), workers) that
+// generates each epoch into pooled scratch and keeps only epoch 0's order,
+// first; OrderFromStreams rebuilds any epoch's order from the streams.
+func (p *Plan) BuildStreams(workers int) (first []SampleID, streams [][]SampleID, ends [][]int) {
+	shuffleCount.Add(int64(p.E))
+	return p.scatter(nil, workers)
+}
+
+// scatter sizes every stream exactly, then writes each epoch's positions
+// into the workers' disjoint segments; nil orders are generated, epoch 0
+// into first, the rest into a lazily made scratch order per pool worker.
+func (p *Plan) scatter(orders [][]SampleID, workers int) (first []SampleID, streams [][]SampleID, ends [][]int) {
+	pat := p.Pattern()
+	limit := p.EpochLimit()
+	streams, ends = make([][]SampleID, p.N), make([][]int, p.N)
+	for w := range streams {
+		ends[w] = make([]int, p.E)
+		n := 0
+		for e := range ends[w] {
+			if ord, count := p.activeFor(pat, w, e); ord >= 0 {
+				n += share(limit, ord, count)
+			}
+			ends[w][e] = n
+		}
+		streams[w] = make([]SampleID, n)
+	}
+	if orders == nil {
+		first = make([]SampleID, p.F)
+	}
+	prng.ParallelWith(p.E, workers, func() *[]SampleID { return new([]SampleID) }, func(e int, scratch *[]SampleID) {
+		order := first
+		if orders != nil {
+			order = orders[e]
+		} else {
+			if e > 0 {
+				if *scratch == nil {
+					*scratch = make([]SampleID, p.F)
+				}
+				order = *scratch
+			}
+			pat.orderInto(p, e, order)
+		}
+		active := pat.activeRanks(e, p.N)
+		for i, w := range active {
+			seg := streams[w][ends[w][e]-share(limit, i, len(active)) : ends[w][e]]
+			for j := range seg {
+				seg[j] = order[i+j*len(active)]
+			}
+		}
+	})
+	return first, streams, ends
+}
+
+// OrderFromStreams rebuilds epoch e's order up to EpochLimit into out from
+// BuildStreams' streams and ends: active rank i holds positions i +
+// j*|active|, so the rebuild is exact for every pattern and shuffles nothing.
+func (p *Plan) OrderFromStreams(streams [][]SampleID, ends [][]int, e int, out []SampleID) []SampleID {
+	active, limit := p.ActiveRanks(e), p.EpochLimit()
+	out = slices.Grow(out[:0], limit)[:limit]
+	for i, w := range active {
+		for j, k := range streams[w][ends[w][e]-share(limit, i, len(active)) : ends[w][e]] {
+			out[i+j*len(active)] = k
+		}
+	}
+	return out
+}
+
+// share is how many of an epoch's first limit positions the active rank of
+// ordinal ord takes when count ranks take them round-robin.
+func share(limit, ord, count int) int { return (limit - ord + count - 1) / count }
 
 // Frequencies returns, for every worker, the number of times that worker
 // accesses each sample across all E epochs: freqs[worker][sample].
@@ -293,7 +335,7 @@ func (p *Plan) Frequencies() [][]int32 {
 	}
 	for e := 0; e < p.E; e++ {
 		order := p.EpochOrder(e)
-		limit := p.epochLimit()
+		limit := p.EpochLimit()
 		active := pat.activeRanks(e, p.N)
 		for pos := 0; pos < limit; pos++ {
 			freqs[active[pos%len(active)]][order[pos]]++
@@ -312,7 +354,7 @@ func (p *Plan) WorkerFrequencies(worker int) []int32 {
 			continue
 		}
 		order := p.EpochOrder(e)
-		limit := p.epochLimit()
+		limit := p.EpochLimit()
 		for pos := ord; pos < limit; pos += count {
 			freq[order[pos]]++
 		}

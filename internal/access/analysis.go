@@ -95,11 +95,11 @@ func Lemma1Violations(freqs [][]int32, E int, delta float64) int {
 // Lemma 1 and the clairvoyant schedule). It returns the first offending
 // sample ID and its total, or (-1, 0) when the invariant holds.
 //
-// When the plan drops partial batches, F - epochLimit samples per epoch are
+// When the plan drops partial batches, F - EpochLimit samples per epoch are
 // legitimately skipped, so totals may fall below E; in that case the
 // invariant checked is total <= E.
 func TotalAccessInvariant(p *Plan, freqs [][]int32) (sample int, total int32) {
-	exact := p.epochLimit() == p.F
+	exact := p.EpochLimit() == p.F
 	for k := 0; k < p.F; k++ {
 		var t int32
 		for w := range freqs {

@@ -529,10 +529,6 @@ rank:
 	return out
 }
 
-// uniformOrder reports whether the pattern keeps the uniform per-epoch
-// permutation (elastic changes the partition, not the order).
-func (pat Pattern) uniformOrder() bool { return pat.Empty() || pat.Kind == KindElastic }
-
 // orderInto fills out (length F) with epoch e's global access order. Every
 // draw comes from the plan's derived epoch generator, so the order is a pure
 // function of (Seed, spec, e) and parallel per-epoch generation stays

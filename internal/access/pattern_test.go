@@ -380,3 +380,75 @@ func TestWorkerFrequenciesMatchStreamsUnderPatterns(t *testing.T) {
 		}
 	}
 }
+
+// presetPlans is one plan per access preset, the uniform shuffle included,
+// with and without the trailing partial batch (F is not a multiple of B).
+func presetPlans(t *testing.T) []Plan {
+	t.Helper()
+	specs := []string{""}
+	for _, pat := range Presets() {
+		specs = append(specs, pat.Spec())
+	}
+	var plans []Plan
+	for _, spec := range specs {
+		for _, drop := range []bool{true, false} {
+			p := Plan{Seed: 17, F: 127, N: 4, E: 4, BatchPerWorker: 5, DropLast: drop, Access: spec}
+			if err := p.Validate(); err != nil {
+				t.Fatalf("%q: %v", spec, err)
+			}
+			plans = append(plans, p)
+		}
+	}
+	return plans
+}
+
+// TestBuildStreamsMatchesReferences: the stream-first builder equals the
+// serial AllWorkerStreams and the orders-based AllStreamsFromOrders for
+// every preset at every pool width, its ends are the cumulative per-epoch
+// lengths, it keeps epoch 0's order, and it counts exactly E shuffles.
+func TestBuildStreamsMatchesReferences(t *testing.T) {
+	for _, p := range presetPlans(t) {
+		want := p.AllWorkerStreams()
+		wantEnds := make([][]int, p.N)
+		for w := range wantEnds {
+			n := 0
+			for e := 0; e < p.E; e++ {
+				n += len(p.WorkerEpoch(w, e))
+				wantEnds[w] = append(wantEnds[w], n)
+			}
+		}
+		for _, workers := range []int{1, 2, 8} {
+			fromOrders, ordersEnds := p.AllStreamsFromOrders(p.EpochOrders(workers), workers)
+			before := ShuffleCount()
+			first, streams, ends := p.BuildStreams(workers)
+			if n := ShuffleCount() - before; n != int64(p.E) {
+				t.Errorf("%q drop=%v workers=%d: BuildStreams counted %d shuffles, want %d", p.Access, p.DropLast, workers, n, p.E)
+			}
+			if !reflect.DeepEqual(streams, want) || !reflect.DeepEqual(fromOrders, want) {
+				t.Errorf("%q drop=%v workers=%d: streams differ from AllWorkerStreams", p.Access, p.DropLast, workers)
+			}
+			if !reflect.DeepEqual(ends, wantEnds) || !reflect.DeepEqual(ordersEnds, wantEnds) {
+				t.Errorf("%q drop=%v workers=%d: ends %v, want %v", p.Access, p.DropLast, workers, ends, wantEnds)
+			}
+			if !reflect.DeepEqual(first, p.EpochOrder(0)) {
+				t.Errorf("%q drop=%v workers=%d: first is not epoch 0's order", p.Access, p.DropLast, workers)
+			}
+		}
+	}
+}
+
+// TestOrderFromStreamsRebuildsEveryEpoch: interleaving the streams gives
+// back every epoch's order up to the epoch limit, for every preset, into
+// one reused buffer.
+func TestOrderFromStreamsRebuildsEveryEpoch(t *testing.T) {
+	for _, p := range presetPlans(t) {
+		_, streams, ends := p.BuildStreams(2)
+		var buf []SampleID
+		for e := 0; e < p.E; e++ {
+			buf = p.OrderFromStreams(streams, ends, e, buf)
+			if want := p.EpochOrder(e)[:p.EpochLimit()]; !reflect.DeepEqual(buf, want) {
+				t.Errorf("%q drop=%v epoch %d: rebuilt order differs from EpochOrder", p.Access, p.DropLast, e)
+			}
+		}
+	}
+}

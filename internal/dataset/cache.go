@@ -24,8 +24,8 @@ var (
 )
 
 // cacheByteLimit bounds the memo by retained table bytes (each entry holds
-// F × 16 bytes of sizes+sizesMB: a paper-scale ImageNet-22k dataset is
-// ~230 MB). Real processes use a handful of (preset, scale) specs; the
+// F × 8 bytes of its one size table: a paper-scale ImageNet-22k dataset is
+// ~115 MB). Real processes use a handful of (preset, scale) specs; the
 // bound only guards pathological spec churn — e.g. a sweep materialising
 // many distinct paper-scale specs. On overflow the memo is cleared
 // wholesale: entries are cheap to rebuild and LRU bookkeeping is not worth
@@ -33,9 +33,9 @@ var (
 // can drive the overflow path without materialising a gigabyte.
 var cacheByteLimit int64 = 1 << 30
 
-// entryBytes approximates a dataset's retained memory: the int64 size
-// table plus the float64 MB view.
-func entryBytes(d *Synthetic) int64 { return int64(d.Len()) * 16 }
+// entryBytes approximates a dataset's retained memory: its float64 size
+// table in MB.
+func entryBytes(d *Synthetic) int64 { return int64(d.Len()) * 8 }
 
 // Cached returns the shared immutable dataset for spec, building it once:
 // concurrent first callers share one build. Callers must treat the dataset

@@ -109,14 +109,17 @@ func TestCachedCrossSpecIsolation(t *testing.T) {
 // TestCachedOverflowClearsAndRebuilds: pushing the memo past its byte limit
 // clears it wholesale; subsequent requests rebuild working datasets.
 func TestCachedOverflowClears(t *testing.T) {
-	// Each 512-sample entry retains 8 KB; a 20 KB limit holds two.
-	defer resetCache(20 << 10)()
+	// Each 512-sample entry retains 4 KB; a 10 KB limit holds two.
+	defer resetCache(10 << 10)()
 	a, err := Cached(cachedSpec("ov-a", 512, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Cached(cachedSpec("ov-b", 512, 2)); err != nil {
 		t.Fatal(err)
+	}
+	if again, _ := Cached(cachedSpec("ov-a", 512, 1)); again != a {
+		t.Fatal("a second entry cleared the memo: entries are charged more than their size table")
 	}
 	// Third entry overflows: the memo clears, then admits it.
 	c1, err := Cached(cachedSpec("ov-c", 512, 3))

@@ -99,29 +99,27 @@ type Dataset interface {
 // storage is needed and any cached copy can be verified.
 type Synthetic struct {
 	spec    Spec
-	sizes   []int64
-	sizesMB []float64
+	sizesMB []float64 // the one size table; Size recovers the bytes exactly
 	meanMB  float64
 	total   int64
 	digest  uint64
 }
 
 // New builds a Synthetic dataset from spec, materialising the per-sample
-// size table, its MB-unit view and mean (shared by every simulator run over
-// this dataset), and the size digest consumers use as a cache key.
+// size table in MB and its mean (shared by every simulator run over this
+// dataset), and the size digest consumers use as a cache key.
 func New(spec Spec) (*Synthetic, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	g := prng.New(spec.Seed).Derive(0xDA7A)
-	sizes := make([]int64, spec.F)
 	sizesMB := make([]float64, spec.F)
 	var total int64
 	var sumMB float64
 	digest := uint64(1469598103934665603) // FNV offset basis
 	digest ^= uint64(spec.F)
 	digest *= 1099511628211
-	for i := range sizes {
+	for i := range sizesMB {
 		sz := spec.MeanSize
 		if spec.StddevSize > 0 {
 			sz = spec.MeanSize + int64(g.NormFloat64()*float64(spec.StddevSize))
@@ -129,7 +127,6 @@ func New(spec Spec) (*Synthetic, error) {
 		if sz < MinSampleSize {
 			sz = MinSampleSize
 		}
-		sizes[i] = sz
 		sizesMB[i] = float64(sz) / MB
 		sumMB += sizesMB[i]
 		total += sz
@@ -137,7 +134,7 @@ func New(spec Spec) (*Synthetic, error) {
 		digest *= 1099511628211
 	}
 	return &Synthetic{
-		spec: spec, sizes: sizes, sizesMB: sizesMB, meanMB: sumMB / float64(spec.F), // Validate: F ≥ 1
+		spec: spec, sizesMB: sizesMB, meanMB: sumMB / float64(spec.F), // Validate: F ≥ 1
 		total: total, digest: digest,
 	}, nil
 }
@@ -172,8 +169,9 @@ func (d *Synthetic) Spec() Spec { return d.spec }
 // Len implements Dataset.
 func (d *Synthetic) Len() int { return d.spec.F }
 
-// Size implements Dataset.
-func (d *Synthetic) Size(id int) int64 { return d.sizes[id] }
+// Size implements Dataset. MB is a power of two, so float64(size)/MB and
+// back is exact for any size below 2⁵³.
+func (d *Synthetic) Size(id int) int64 { return int64(d.sizesMB[id] * MB) }
 
 // TotalSize implements Dataset.
 func (d *Synthetic) TotalSize() int64 { return d.total }
@@ -196,7 +194,7 @@ func (d *Synthetic) ReadSampleInto(id int, buf []byte) ([]byte, error) {
 	if id < 0 || id >= d.spec.F {
 		return nil, fmt.Errorf("dataset %s: sample %d out of range [0,%d)", d.spec.Name, id, d.spec.F)
 	}
-	size := d.sizes[id]
+	size := d.Size(id)
 	buf = slices.Grow(buf[:0], int(size))[:size]
 	binary.LittleEndian.PutUint32(buf[0:4], payloadMagic)
 	binary.LittleEndian.PutUint64(buf[4:12], uint64(id))

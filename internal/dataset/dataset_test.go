@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/prng"
 )
 
 func smallSpec() Spec {
@@ -323,6 +325,31 @@ func BenchmarkVerifySample128KB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := VerifySample(0, data); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSizeRoundTrips: the dataset keeps its sizes in MB only, and Size
+// gives back every drawn byte count exactly, sizes far past any MB multiple
+// and far past the paper's samples included.
+func TestSizeRoundTrips(t *testing.T) {
+	for _, spec := range []Spec{
+		smallSpec(),
+		ImageNet1kSpec().Scale(0.01),
+		{Name: "huge", F: 4096, MeanSize: 1 << 40, StddevSize: 1 << 38, Classes: 1, Seed: 4},
+	} {
+		d := MustNew(spec)
+		g := prng.New(spec.Seed).Derive(0xDA7A)
+		var total int64
+		for id := 0; id < spec.F; id++ {
+			want := max(spec.MeanSize+int64(g.NormFloat64()*float64(spec.StddevSize)), MinSampleSize)
+			if got := d.Size(id); got != want {
+				t.Fatalf("%s: Size(%d) = %d, drawn %d", spec.Name, id, got, want)
+			}
+			total += want
+		}
+		if d.TotalSize() != total {
+			t.Fatalf("%s: TotalSize %d, sizes sum to %d", spec.Name, d.TotalSize(), total)
 		}
 	}
 }

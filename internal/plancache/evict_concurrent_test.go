@@ -1,6 +1,7 @@
 package plancache
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,9 +51,9 @@ func TestConcurrentMixedSizeEviction(t *testing.T) {
 				// Shape checks are cheap enough for the hot loop: the
 				// artifacts must always describe their own plan, evicted or
 				// not.
-				if len(art.EpochOrders) != p.E || len(art.Streams) != p.N {
-					t.Errorf("artifact shape wrong for %+v: %d orders, %d streams",
-						p, len(art.EpochOrders), len(art.Streams))
+				if len(art.EpochOrders) != 1 || len(art.Streams) != p.N || len(art.EpochEnds) != p.N {
+					t.Errorf("artifact shape wrong for %+v: %d orders, %d streams, %d ends",
+						p, len(art.EpochOrders), len(art.Streams), len(art.EpochEnds))
 					return
 				}
 				if len(art.EpochOrders[0]) != p.F {
@@ -83,12 +84,12 @@ func TestConcurrentMixedSizeEviction(t *testing.T) {
 	// bit-identical to a fresh naive derivation.
 	p := plans[7]
 	art := c.Artifacts(p)
-	for e := 0; e < p.E; e++ {
-		want := p.EpochOrder(e)
-		for i, k := range art.EpochOrders[e] {
-			if k != want[i] {
-				t.Fatalf("epoch %d order diverges at %d after eviction churn", e, i)
-			}
+	if !slices.Equal(art.EpochOrders[0], p.EpochOrder(0)) {
+		t.Fatal("epoch 0 order diverges after eviction churn")
+	}
+	for w, s := range art.Streams {
+		if !slices.Equal(s, p.WorkerStream(w)) {
+			t.Fatalf("worker %d stream diverges after eviction churn", w)
 		}
 	}
 }
@@ -97,11 +98,11 @@ func TestConcurrentMixedSizeEviction(t *testing.T) {
 // entries: touching an old entry saves it, and the cold one goes first even
 // when evicting it alone is not enough for the incoming large entry.
 func TestEvictionIsLRUUnderMixedSizes(t *testing.T) {
-	small1 := access.Plan{Seed: 1, F: 2000, N: 2, E: 2, BatchPerWorker: 4} // ~32 KB
+	small1 := access.Plan{Seed: 1, F: 2000, N: 2, E: 2, BatchPerWorker: 4} // ~24 KB
 	small2 := access.Plan{Seed: 2, F: 2000, N: 2, E: 2, BatchPerWorker: 4}
-	large := access.Plan{Seed: 3, F: 8000, N: 2, E: 3, BatchPerWorker: 4} // ~192 KB
+	large := access.Plan{Seed: 3, F: 8000, N: 2, E: 3, BatchPerWorker: 4} // ~125 KB
 
-	c := New(240<<10, 0)
+	c := New(160<<10, 0)
 	c.Artifacts(small1)
 	c.Artifacts(small2)
 	c.Artifacts(small1) // refresh small1: small2 becomes LRU
@@ -138,8 +139,8 @@ func TestEvictionIsLRUUnderMixedSizes(t *testing.T) {
 func TestTagStreamAccounting(t *testing.T) {
 	p1 := access.Plan{Seed: 1, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
 	p2 := access.Plan{Seed: 2, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
-	// Base artifacts are ~128 KB per plan: the bound admits one plan with its
-	// tag streams, not two plans.
+	// Base artifacts are ~78 KB per plan and its tag streams below ~150 KB:
+	// the bound admits one plan with its tag streams, not a second plan.
 	c := New(200<<10, 0)
 	ds, node := testDataset(t, p1.F), testNode(1, 0)
 	a1 := c.Artifacts(p1)

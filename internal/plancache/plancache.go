@@ -1,7 +1,7 @@
 // Package plancache memoises the clairvoyant plan artifacts that every
-// layer of the system re-derives from an access.Plan: per-epoch orders
-// (uniform shuffles or any access.Pattern), per-worker access streams and
-// their cumulative epoch ends, candidate rankings, the live middleware's
+// layer of the system re-derives from an access.Plan: per-worker access
+// streams (uniform shuffles or any access.Pattern) and their cumulative
+// epoch ends, epoch 0's order, candidate rankings, the live middleware's
 // cachepolicy.Assignment placements, and the simulator's kernel input per
 // lean placement (LeanInput: tag streams, derived from a placement that is
 // then dropped).
@@ -18,8 +18,8 @@
 // (singleflight), and every consumer shares the immutable result.
 //
 // Memory bound and eviction rule: the cache tracks an approximate byte size
-// per entry (orders + streams + lazily-computed rankings, placements and
-// lean inputs)
+// per entry (streams + epoch 0's order + lazily-computed rankings,
+// placements and lean inputs)
 // and evicts least-recently-used entries whenever the total
 // exceeds MaxBytes. Eviction only drops the cache's reference — artifacts
 // already handed out remain valid (they are immutable), so a concurrent
@@ -33,7 +33,6 @@ package plancache
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -44,10 +43,10 @@ import (
 
 // DefaultMaxBytes is the shared cache's default memory bound. Artifacts for
 // the benchmark- and test-scale grids are a few MB per plan; paper-scale
-// ImageNet-22k plans (E=5, F=14.2M) are ~570 MB of orders+streams, so the
-// default admits one paper-scale plan or hundreds of scaled ones. A
-// simulated node spec adds a byte per stream position and kind (LeanInput),
-// not its 12 B-per-sample placement (≈ 170 MB at that scale).
+// ImageNet-22k plans (E=5, F=14.2M) are ~340 MB of streams and epoch 0's
+// order, so the default admits one paper-scale plan or hundreds of scaled
+// ones. A simulated node spec adds a byte per stream position and kind
+// (LeanInput), not its 12 B-per-sample placement (≈ 170 MB at that scale).
 const DefaultMaxBytes = 768 << 20
 
 // Cache is a concurrency-safe, size-bounded memo of plan artifacts, keyed by
@@ -127,17 +126,11 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// effectiveWorkers resolves the shuffle pool width.
-func (c *Cache) effectiveWorkers() int {
-	if c.workers < 1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.workers
-}
-
 // Artifacts returns the compute-once artifact set for the plan. Concurrent
 // calls for the same plan share one computation; calls for different plans
-// proceed independently.
+// proceed independently. The build generates epochs on the pool and
+// scatters them straight into the worker streams, keeping epoch 0's order
+// only; the output is bit-identical to the serial access.Plan methods.
 func (c *Cache) Artifacts(p access.Plan) *Artifacts {
 	c.mu.Lock()
 	e, ok := c.entries[p]
@@ -155,7 +148,13 @@ func (c *Cache) Artifacts(p access.Plan) *Artifacts {
 		c.misses.Add(1)
 	}
 	e.once.Do(func() {
-		e.art = buildArtifacts(p, c.effectiveWorkers(), c, e)
+		first, streams, ends := p.BuildStreams(c.workers)
+		e.art = &Artifacts{
+			Plan: p, EpochOrders: [][]access.SampleID{first}, Streams: streams, EpochEnds: ends,
+			cache: c, self: e,
+			assigns: map[assignKey]*lazy[*cachepolicy.Assignment]{},
+			inputs:  map[assignKey]*lazy[*LeanInput]{},
+		}
 		c.addBytes(e, e.art.baseBytes())
 		e.ready.Store(true)
 	})
@@ -198,7 +197,10 @@ func (c *Cache) addBytes(e *entry, delta int64) {
 type Artifacts struct {
 	// Plan is the generating plan, by value.
 	Plan access.Plan
-	// EpochOrders[e] is epoch e's global shuffled sample order.
+	// EpochOrders holds epoch 0's global order only, the first-touch
+	// placement's input (benchmark/simtrace.go reads [0] too); later epochs
+	// are not kept, and Plan.OrderFromStreams rebuilds any epoch's order
+	// from Streams and EpochEnds.
 	EpochOrders [][]access.SampleID
 	// Streams[w] is worker w's materialised access stream across all epochs.
 	Streams [][]access.SampleID
@@ -219,27 +221,10 @@ type Artifacts struct {
 	inputs  map[assignKey]*lazy[*LeanInput]
 }
 
-// buildArtifacts derives the full artifact set: epoch shuffles generated in
-// parallel across the pool and streams extracted per worker in parallel.
-// Output is bit-identical to the serial access.Plan methods at any pool
-// width.
-func buildArtifacts(p access.Plan, workers int, c *Cache, e *entry) *Artifacts {
-	orders := p.EpochOrders(workers)
-	streams, ends := p.AllStreamsFromOrders(orders, workers)
-	return &Artifacts{
-		Plan: p, EpochOrders: orders, Streams: streams, EpochEnds: ends,
-		cache: c, self: e,
-		assigns: map[assignKey]*lazy[*cachepolicy.Assignment]{},
-		inputs:  map[assignKey]*lazy[*LeanInput]{},
-	}
-}
-
-// baseBytes approximates the memory held by the eagerly built artifacts.
+// baseBytes approximates the memory held by the eagerly built artifacts:
+// epoch 0's order, the streams and their ends.
 func (a *Artifacts) baseBytes() int64 {
-	var n int64
-	for _, o := range a.EpochOrders {
-		n += int64(len(o)) * 4
-	}
+	n := int64(len(a.EpochOrders[0])) * 4
 	for _, s := range a.Streams {
 		n += int64(len(s)) * 4
 	}

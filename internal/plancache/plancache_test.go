@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -96,11 +97,15 @@ func TestArtifactsMatchNaivePlanPath(t *testing.T) {
 			c := New(0, 4)
 			art := c.Artifacts(p)
 
-			wantOrders := make([][]access.SampleID, p.E)
+			// Epoch 0's order is kept; every epoch's order is rebuilt from
+			// the streams up to the epoch limit.
+			eqStreams(t, "EpochOrders", art.EpochOrders, [][]access.SampleID{p.EpochOrder(0)})
+			rebuilt, wantOrders := make([][]access.SampleID, p.E), make([][]access.SampleID, p.E)
 			for e := 0; e < p.E; e++ {
-				wantOrders[e] = p.EpochOrder(e)
+				rebuilt[e] = p.OrderFromStreams(art.Streams, art.EpochEnds, e, nil)
+				wantOrders[e] = p.EpochOrder(e)[:p.EpochLimit()]
 			}
-			eqStreams(t, "EpochOrders", art.EpochOrders, wantOrders)
+			eqStreams(t, "rebuilt EpochOrders", rebuilt, wantOrders)
 			wantStreams := make([][]access.SampleID, p.N)
 			for w := range wantStreams {
 				wantStreams[w] = p.WorkerStream(w)
@@ -252,9 +257,9 @@ func TestPlacementRanksOncePerFamily(t *testing.T) {
 func TestRankAccounting(t *testing.T) {
 	p1 := access.Plan{Seed: 1, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
 	p2 := access.Plan{Seed: 2, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
-	// Base artifacts are ~128 KB per plan and a ranking ~30 KB: the bound
+	// Base artifacts are ~78 KB per plan and a ranking ~30 KB: the bound
 	// admits one plan with its ranking, not two plans.
-	c := New(200<<10, 0)
+	c := New(120<<10, 0)
 	a1 := c.Artifacts(p1)
 	base := c.Stats().Bytes
 	rank := a1.Rank(true)
@@ -368,8 +373,9 @@ func TestCacheRace(t *testing.T) {
 func TestEviction(t *testing.T) {
 	p1 := access.Plan{Seed: 1, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
 	p2 := access.Plan{Seed: 2, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
-	// Each entry is ~2*E*F*4 = 128 KB; bound admits one, not two.
-	c := New(200<<10, 0)
+	// Each entry is ~(E+1)*F*4 = 78 KB (streams and epoch 0's order);
+	// bound admits one, not two.
+	c := New(120<<10, 0)
 	a1 := c.Artifacts(p1)
 	a2 := c.Artifacts(p2)
 	st := c.Stats()
@@ -418,7 +424,7 @@ func TestSizerAndNodeDigests(t *testing.T) {
 func TestEvictedEntryDoesNotInflateBytes(t *testing.T) {
 	p1 := access.Plan{Seed: 1, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
 	p2 := access.Plan{Seed: 2, F: 4000, N: 2, E: 4, BatchPerWorker: 4}
-	c := New(200<<10, 0)
+	c := New(120<<10, 0)
 	a1 := c.Artifacts(p1)
 	c.Artifacts(p2) // evicts p1
 	before := c.Stats()
@@ -445,10 +451,40 @@ func (p plainSizer) Size(id int) int64 { return p.ds.Size(id) }
 // TestSizeDigestFastPathMatchesGeneric guards the duplicated FNV-1a
 // formula: Synthetic's precomputed digest and the generic full-table hash
 // must agree, or datasets with identical sizes would silently stop sharing
-// cached assignments depending on which path computed their key.
+// cached assignments depending on which path computed their key. The paper
+// presets at full scale check that Size gives back every drawn size from
+// the dataset's one (MB) size table.
 func TestSizeDigestFastPathMatchesGeneric(t *testing.T) {
-	ds := testDataset(t, 257)
-	if SizerDigest(ds) != SizerDigest(plainSizer{ds}) {
-		t.Fatal("Synthetic.SizeDigest diverges from the generic SizerDigest loop")
+	check := func(ds dataset.Dataset) {
+		if SizerDigest(ds) != SizerDigest(plainSizer{ds}) {
+			t.Errorf("%s: Synthetic.SizeDigest diverges from the generic SizerDigest loop", ds.Name())
+		}
+	}
+	check(testDataset(t, 257))
+	for _, spec := range []dataset.Spec{ // one full-scale table live at a time
+		dataset.MNISTSpec(), dataset.ImageNet1kSpec(), dataset.OpenImagesSpec(),
+		dataset.ImageNet22kSpec(), dataset.CosmoFlowSpec(), dataset.CosmoFlow512Spec(),
+	} {
+		check(dataset.MustNew(spec))
+	}
+}
+
+// TestArtifactsAllocateStreamsNotOrders guards the stream-first build: an
+// F = 100k, E = 10 plan allocates its streams, epoch 0's order and one
+// scratch order per pool worker that runs a later epoch, never an order per
+// epoch; a pool as wide as E holds no more orders than E.
+func TestArtifactsAllocateStreamsNotOrders(t *testing.T) {
+	p := access.Plan{Seed: 3, F: 100_000, N: 4, E: 10, BatchPerWorker: 32}
+	for _, workers := range []int{2, p.E} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		New(0, workers).Artifacts(p)
+		runtime.ReadMemStats(&after)
+		limit := uint64(4*p.E*p.F + 4*(1+min(workers, p.E-1))*p.F + 128<<10)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("pool of %d: building the artifacts allocated %d bytes (bound %d)", workers, got, limit)
+		if got > limit {
+			t.Fatalf("pool of %d: building the artifacts allocated %d bytes, want at most %d", workers, got, limit)
+		}
 	}
 }

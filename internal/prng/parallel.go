@@ -25,9 +25,15 @@ func (g *Generator) Perm32Into(out []int32) {
 // (workers < 1 means GOMAXPROCS; workers == 1 runs inline). Iterations must
 // be independent: each fn(i) may only write state owned by index i, which
 // is what makes the result order-independent and race-free.
+func ParallelFor(n, workers int, fn func(i int)) {
+	ParallelWith(n, workers, func() struct{} { return struct{}{} }, func(i int, _ struct{}) { fn(i) })
+}
+
+// ParallelWith is ParallelFor whose pool workers each make one scratch value
+// and pass it to every fn they run: a per-worker buffer, never shared.
 //
 //lint:ignore ctxfirst structurally bounded: the same call closes jobs and Waits, and fn is pure compute with no cancellation point
-func ParallelFor(n, workers int, fn func(i int)) {
+func ParallelWith[S any](n, workers int, scratch func() S, fn func(i int, s S)) {
 	if n <= 0 {
 		return
 	}
@@ -38,8 +44,9 @@ func ParallelFor(n, workers int, fn func(i int)) {
 		workers = n
 	}
 	if workers == 1 {
+		s := scratch()
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(i, s)
 		}
 		return
 	}
@@ -49,8 +56,9 @@ func ParallelFor(n, workers int, fn func(i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := scratch()
 			for i := range jobs {
-				fn(i)
+				fn(i, s)
 			}
 		}()
 	}

@@ -611,6 +611,16 @@ func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 		t.Errorf("cold panel built %d tag streams and %d placements, want 8 and 4", n, p)
 	}
 	art := cfg.Plans.Artifacts(*cfg.Plan())
+	// The plan keeps its streams and epoch 0's order, no other.
+	if plan := cfg.Plan(); len(art.EpochOrders) != 1 || !slices.Equal(art.EpochOrders[0], plan.EpochOrder(0)) {
+		t.Errorf("the plan keeps %d orders, want epoch 0's alone", len(art.EpochOrders))
+	} else {
+		for w, st := range art.Streams {
+			if !slices.Equal(st, plan.WorkerStream(w)) {
+				t.Errorf("worker %d's stream differs from the serial WorkerStream", w)
+			}
+		}
+	}
 	var inputBytes int64
 	for _, family := range []string{"", streamTotal, plancache.FamilyFirstTouch, plancache.FamilyShard, plancache.FamilyPreload, plancache.FamilyNoPFS} {
 		node := cfg.Sys.Node
@@ -727,13 +737,10 @@ func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 	}
 }
 
-// planBytes is the byte charge of a plan's eager artifacts: orders, streams
-// and their epoch ends.
+// planBytes is the byte charge of a plan's eager artifacts: epoch 0's order
+// (the only one kept), streams and their epoch ends.
 func planBytes(art *plancache.Artifacts) int64 {
-	var n int64
-	for _, o := range art.EpochOrders {
-		n += 4 * int64(len(o))
-	}
+	n := 4 * int64(len(art.EpochOrders[0]))
 	for w, st := range art.Streams {
 		n += 4*int64(len(st)) + 8*int64(len(art.EpochEnds[w]))
 	}

@@ -157,3 +157,33 @@ func TestKernelInputEnds(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalityStreamDrawsEachEpochFromItsOrder: LocalityAware reorders
+// within each global batch, so every epoch of its stream is a sub-multiset
+// of that epoch's consumed order, here regenerated by EpochOrder rather
+// than rebuilt from the plan's streams as the policy does.
+func TestLocalityStreamDrawsEachEpochFromItsOrder(t *testing.T) {
+	for _, spec := range patternSpecs {
+		cfg := patternConfigOn(t, "fig8c", spec, 92)
+		cfg.DropLast = true
+		env, err := newEnv(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, ends := localityStream(env, env.placement(plancache.FamilyShard))
+		start := 0
+		for e, end := range ends {
+			left := map[access.SampleID]int{}
+			for _, k := range env.Plan.EpochOrder(e)[:env.Plan.EpochLimit()] {
+				left[k]++
+			}
+			for _, k := range stream[start:end] {
+				if left[k]--; left[k] < 0 {
+					t.Errorf("%q epoch %d: sample %d is not left in the epoch's order", spec, e, k)
+					break
+				}
+			}
+			start = end
+		}
+	}
+}

@@ -310,8 +310,9 @@ func localityStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID, []i
 	// Per-batch scratch, reused across all batches of the run.
 	mine := make([]access.SampleID, 0, b)
 	other := make([]access.SampleID, 0, B)
+	var order []access.SampleID // epoch e's order, rebuilt from the streams
 	for e := 0; e < plan.E; e++ {
-		order := env.Art.EpochOrders[e]
+		order = plan.OrderFromStreams(env.Art.Streams, env.Art.EpochEnds, e, order)
 		limit := plan.EpochLimit()
 		for start := 0; start < limit; start += B {
 			end := start + B
