@@ -34,11 +34,12 @@ type HeavyHitterReport struct {
 	Measured  int     // actual count from the plan's shuffles
 }
 
-// HeavyHitters evaluates the report for one worker of the given plan.
-func HeavyHitters(p *Plan, worker int, delta float64) HeavyHitterReport {
+// HeavyHitters evaluates the report for one worker of the given plan from
+// the worker's access counts (its WorkerFrequencies, or its row of
+// Frequencies).
+func HeavyHitters(p *Plan, freq []int32, delta float64) HeavyHitterReport {
 	mu := float64(p.E) / float64(p.N)
 	threshold := int(math.Ceil((1+delta)*mu)) - 1
-	freq := p.WorkerFrequencies(worker)
 	measured := 0
 	for _, f := range freq {
 		if int(f) > threshold {

@@ -48,17 +48,18 @@ func RunAccess(prog string, args []string, stdout, stderr io.Writer) int {
 			return usageError{err: err}
 		}
 
+		// One pass over the E shuffles feeds every stage: worker 0's row is
+		// Fig. 3's histogram and the heavy-hitter count, all rows Lemma 1.
+		freqs := plan.Frequencies()
 		fmt.Fprintf(stdout, "Fig. 3: access frequency for worker 0 of %d, %d epochs, F=%d\n\n", o.N, o.E, o.F)
-		freq := plan.WorkerFrequencies(0)
-		hist := access.FrequencyHistogram(freq)
-		fmt.Fprint(stdout, hist.String())
+		fmt.Fprint(stdout, access.FrequencyHistogram(freqs[0]).String())
 
 		// The analysis stages are pure compute; cancellation is honoured
 		// between them (execute maps the context error to exit 130).
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		r := access.HeavyHitters(plan, 0, o.Delta)
+		r := access.HeavyHitters(plan, freqs[0], o.Delta)
 		fmt.Fprintf(stdout, "\nmean accesses per worker        mu = E/N = %.3f\n", r.Mu)
 		fmt.Fprintf(stdout, "heavy hitters: accessed more than %d times ((1+%.1f)*mu)\n", r.Threshold, o.Delta)
 		fmt.Fprintf(stdout, "  analytic  F*P(X > %d), X~Binomial(%d, 1/%d): %.0f\n", r.Threshold, o.E, o.N, r.Analytic)
@@ -69,7 +70,6 @@ func RunAccess(prog string, args []string, stdout, stderr io.Writer) int {
 			return err
 		}
 		fmt.Fprintf(stdout, "\nLemma 1 verification over all %d samples:\n", o.F)
-		freqs := plan.Frequencies()
 		for _, d := range []float64{0.25, 0.5, 1.0} {
 			v := access.Lemma1Violations(freqs, o.E, d)
 			fmt.Fprintf(stdout, "  delta=%.2f: %d violations\n", d, v)

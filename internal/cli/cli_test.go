@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/chaos"
 	isim "repro/internal/sim"
 	"repro/nopfs"
@@ -393,5 +394,18 @@ func TestRunInstallsMetricsOnlyOnRequest(t *testing.T) {
 		if got := opts.Metrics != nil; got != tc.want {
 			t.Errorf("run %v: metrics registry installed = %v, want %v", tc.args, got, tc.want)
 		}
+	}
+}
+
+// TestAccessShufflesOncePerEpoch: one `nopfs access` report generates each
+// epoch's shuffle once — its histogram, heavy-hitter count and Lemma 1 check
+// all read one Frequencies pass.
+func TestAccessShufflesOncePerEpoch(t *testing.T) {
+	before := access.ShuffleCount()
+	if code, _, stderr := runMain("access", "-f", "2000", "-n", "16", "-e", "90"); code != ExitOK {
+		t.Fatalf("access exited %d: %s", code, stderr)
+	}
+	if n := access.ShuffleCount() - before; n != 90 {
+		t.Errorf("a 90-epoch access report generated %d shuffles, want 90", n)
 	}
 }

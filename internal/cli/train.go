@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	isim "repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/trainer"
 )
@@ -285,8 +286,8 @@ func (c trainRun) emitFig13(scale float64) error {
 }
 
 // emitFig16 renders the end-to-end accuracy-vs-time comparison. Text mode
-// prints replica-0 curves from the cell payloads; structured modes emit the
-// grid report.
+// prints replica-0 curves, rebuilt from the cells' simulator results;
+// structured modes emit the grid report.
 func (c trainRun) emitFig16(scale float64) error {
 	// Fig. 16 is a single-point figure; honour -gpus the same way every
 	// other figure does (prep errors on a non-matching filter) rather than
@@ -302,8 +303,11 @@ func (c trainRun) emitFig16(scale float64) error {
 			if cell.Replica != 0 {
 				continue
 			}
-			r, ok := cell.Outcome.Payload.(trainer.EndToEndResult)
-			if !ok || len(r.Curve) == 0 {
+			var r trainer.EndToEndResult
+			if res, ok := cell.Outcome.Payload.(*isim.Result); ok {
+				r = trainer.EndToEnd(cell.Policy, res)
+			}
+			if len(r.Curve) == 0 {
 				fmt.Fprintf(c.out, "%-14s failed\n", rowLabel(cell.Policy, cell.Profile, cell.Pattern))
 				continue
 			}

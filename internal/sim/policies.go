@@ -50,6 +50,9 @@ type Policy struct {
 	// partial: the policy reads only what its placement covers, so its
 	// coverage is the placement's; otherwise it reads the whole dataset.
 	partial bool
+	// preproc, when set, multiplies the workload's preprocessing rate: the
+	// loader offloads decoding and augmentation (DALI, on the GPU).
+	preproc float64
 }
 
 // Name is the report label (matches the paper's Fig. 8 legend).
@@ -162,6 +165,15 @@ func NewNaive() Policy { return fig8Policy(NameNaive) }
 
 // NewStagingBuffer returns the StagingBuffer policy.
 func NewStagingBuffer() Policy { return fig8Policy(NameStagingBuffer) }
+
+// NewDALI returns PyTorch+DALI: the StagingBuffer loader with decoding and
+// augmentation offloaded to the GPU, modelled as a 5x faster preprocessing
+// stage. It is no Fig. 8 bar; the Sec. 7 trainer figures compare it.
+func NewDALI() Policy {
+	p := NewStagingBuffer()
+	p.name, p.preproc = "DALI", 5
+	return p
+}
 
 // NewLBANN returns the LBANN data-store policy in dynamic or preloading mode.
 func NewLBANN(preloading bool) Policy {

@@ -306,8 +306,12 @@ func ColdCost(cfg *Config, pol Policy) int64 {
 	return int64(plan.StreamLen(0)) * int64(passes)
 }
 
-// Run simulates one policy under the config.
+// Run simulates one policy under the config, with the policy's
+// preprocessing factor applied to the workload.
 func Run(cfg Config, pol Policy) (*Result, error) {
+	if pol.preproc > 0 {
+		cfg.Work.PreprocMBps *= pol.preproc
+	}
 	env, err := newEnv(&cfg)
 	if err != nil {
 		return nil, err

@@ -208,6 +208,45 @@ func TestPolicyByNameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDALIIsStagingBufferWithFasterPreprocessing: the DALI row is the
+// StagingBuffer row run on a workload whose preprocessing is 5x faster, down
+// to the last bit of every result, apart from the name; and the factor shows
+// (the run differs from plain StagingBuffer's).
+func TestDALIIsStagingBufferWithFasterPreprocessing(t *testing.T) {
+	s, err := ScenarioByID("fig8b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.Config(testScale, 4848)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dali, err := Run(cfg, NewDALI())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Run(cfg, NewStagingBuffer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := cfg
+	fast.Work.PreprocMBps *= 5
+	want, err := Run(fast, NewStagingBuffer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dali.Policy == want.Policy {
+		t.Errorf("DALI reports the StagingBuffer name %q", dali.Policy)
+	}
+	dali.Policy = want.Policy
+	if !reflect.DeepEqual(dali, want) {
+		t.Errorf("DALI run differs from StagingBuffer at 5x preprocessing:\n got %+v\nwant %+v", dali, want)
+	}
+	if dali.ExecSeconds == plain.ExecSeconds {
+		t.Errorf("DALI exec %.6fs equals StagingBuffer's: the preprocessing factor does not show", dali.ExecSeconds)
+	}
+}
+
 // TestSharedPolicyValueServesConcurrentRuns: a Policy carries no run state,
 // so one value run by four goroutines at once — on a cold plan, racing to
 // build its placement — gives every run the Result a serial run gives.

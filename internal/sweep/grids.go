@@ -64,7 +64,8 @@ func SimOutcome(r *isim.Result) *Outcome {
 }
 
 // simCellFunc is the default cell binding: materialise the cell's
-// configuration (Grid.Config) and simulate the column's policy.
+// configuration (Grid.Config), simulate the column's policy and project the
+// result through the grid's Outcome (SimOutcome when nil).
 func simCellFunc(g *Grid, si, pi, fi, ai int) CellFunc {
 	return func(ctx context.Context, seed uint64) (*Outcome, error) {
 		if err := ctx.Err(); err != nil {
@@ -77,6 +78,9 @@ func simCellFunc(g *Grid, si, pi, fi, ai int) CellFunc {
 		r, err := isim.Run(cfg, g.Policies[pi].New())
 		if err != nil {
 			return nil, err
+		}
+		if g.Outcome != nil {
+			return g.Outcome(cfg, r), nil
 		}
 		return SimOutcome(r), nil
 	}

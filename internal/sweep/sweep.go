@@ -8,8 +8,9 @@
 //
 //   - simulator runs (the Fig. 8 panels, the Fig. 9 environment study, and
 //     the ablation — the default binding, see grids.go), and
-//   - trainer experiment points (internal/trainer builds grids whose cells
-//     simulate one (machine, loader, GPU count) measurement).
+//   - trainer experiment points (internal/trainer's grids run the same
+//     binding, with the paper's loaders as policy columns and their own
+//     outcome projection, Grid.Outcome).
 //
 // Determinism is a hard invariant: each cell's PRNG seed is a pure function
 // of the grid's base seed and the cell's replica index, never of execution
@@ -63,10 +64,10 @@ type Outcome struct {
 	Note string `json:"note,omitempty"`
 	// Values holds the cell's scalar metrics, keyed by Metric.Name.
 	Values map[string]float64 `json:"values,omitempty"`
-	// Payload is the cell's domain-specific result (*isim.Result for
-	// simulator cells, trainer.ScalePoint for trainer cells). It is never
-	// encoded; presenters that need more than the scalar metrics read it
-	// back out of the report cells.
+	// Payload is the cell's domain-specific result (*isim.Result for every
+	// simulator cell, trainer grids' included). It is never encoded;
+	// presenters that need more than the scalar metrics read it back out of
+	// the report cells.
 	Payload any `json:"-"`
 }
 
@@ -78,8 +79,8 @@ type CellFunc func(ctx context.Context, seed uint64) (*Outcome, error)
 
 // ScenarioSpec is one row of a Grid. For simulator grids, Config
 // materialises the row's simulator configuration, onto which Grid.Config
-// stamps each cell's axes; a custom Cell binding that simulates nothing uses
-// the spec purely as a report label.
+// stamps each cell's axes; a custom Cell binding may use the spec purely as a
+// report label.
 type ScenarioSpec struct {
 	// ID labels the row in reports ("fig8b", "ram64-ssd256", ...).
 	ID string
@@ -92,8 +93,8 @@ type ScenarioSpec struct {
 }
 
 // PolicySpec is one column of a Grid. For simulator grids, New returns the
-// column's policy; grids with a custom Cell binding use the spec purely as a
-// report label.
+// column's policy; a custom Cell binding may use the spec purely as a report
+// label.
 type PolicySpec struct {
 	Name string
 	New  func() isim.Policy
@@ -222,9 +223,12 @@ type Grid struct {
 	// Metrics is the result schema shared by every cell. Nil means the
 	// simulator schema (SimMetrics).
 	Metrics []Metric
+	// Outcome projects one simulated cell — its materialised configuration
+	// and result — onto Metrics. Nil means SimOutcome.
+	Outcome func(isim.Config, *isim.Result) *Outcome
 	// Cell binds the (scenario, policy, profile, pattern) tuple at the given
 	// indices to an executable cell. Nil means the simulator binding:
-	// Config(si, fi, ai, seed) × Policies[pi].New × isim.Run.
+	// Config(si, fi, ai, seed) × Policies[pi].New × isim.Run × Outcome.
 	Cell func(scenario, policy, profile, pattern int) CellFunc
 
 	// cost, when set, replaces cellCost's estimate (tests only).
@@ -431,13 +435,13 @@ func (g *Grid) Validate() error {
 			return fmt.Errorf("sweep: grid %q pattern %q: %w", g.Name, pat.Name, err)
 		}
 	}
+	// A custom binding or projection must declare its own schema: falling
+	// back to the simulator metric names would aggregate nothing and emit
+	// zero-filled reports.
+	if (g.Cell != nil || g.Outcome != nil) && len(g.Metrics) == 0 {
+		return fmt.Errorf("sweep: grid %q has a custom cell binding or outcome but no metric schema", g.Name)
+	}
 	if g.Cell != nil {
-		// Custom binding: specs are labels only, but the grid must declare
-		// its own schema — falling back to the simulator metric names would
-		// aggregate nothing and emit zero-filled reports.
-		if len(g.Metrics) == 0 {
-			return fmt.Errorf("sweep: grid %q has a custom cell binding but no metric schema", g.Name)
-		}
 		return nil
 	}
 	for _, s := range g.Scenarios {

@@ -114,6 +114,12 @@ func TestGridValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("policy without constructor accepted")
 	}
+	// An Outcome projection reports its own metrics, so it needs a schema.
+	bad = *g
+	bad.Outcome = func(_ isim.Config, r *isim.Result) *Outcome { return SimOutcome(r) }
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "no metric schema") {
+		t.Errorf("outcome hook without a metric schema: got %v", err)
+	}
 	// A repeated label on any axis is rejected by name: summaries, text
 	// blocks and by-ID presenters all assume one contiguous group per label.
 	clean, err := ChaosAxis("straggler:0x2@1")

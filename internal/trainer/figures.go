@@ -24,7 +24,7 @@ func Fig10PizDaint(scale float64) Experiment {
 			return hwspec.ResNet50PizDaint(workers, 10, 64)
 		},
 		GPUCounts: []int{32, 64, 128, 256},
-		Loaders:   []Loader{LoaderPyTorch, LoaderDALI, LoaderNoPFS, LoaderNoIO},
+		Loaders:   []sweep.PolicySpec{PyTorch, DALI, NoPFS, NoIO},
 		Scale:     scale, Seed: 0xF10, Jitter: 0.6,
 	}
 }
@@ -40,7 +40,7 @@ func Fig10Lassen(scale float64) Experiment {
 			return hwspec.ResNet50Lassen(workers, 10, 120)
 		},
 		GPUCounts: []int{32, 64, 128, 256, 512, 1024},
-		Loaders:   []Loader{LoaderPyTorch, LoaderLBANN, LoaderNoPFS, LoaderNoIO},
+		Loaders:   []sweep.PolicySpec{PyTorch, LBANN, NoPFS, NoIO},
 		Scale:     scale, Seed: 0xF10, Jitter: 0.6,
 	}
 }
@@ -59,7 +59,7 @@ func Fig13BatchSweep(scale float64) []Experiment {
 				return hwspec.ResNet50Lassen(workers, 10, b)
 			},
 			GPUCounts: []int{128},
-			Loaders:   []Loader{LoaderPyTorch, LoaderNoPFS, LoaderNoIO},
+			Loaders:   []sweep.PolicySpec{PyTorch, NoPFS, NoIO},
 			Scale:     scale, Seed: 0xF13, Jitter: 0.6,
 		})
 	}
@@ -76,7 +76,7 @@ func Fig14Lassen(scale float64) Experiment {
 			return hwspec.ResNet50Lassen(workers, 3, 120)
 		},
 		GPUCounts: []int{32, 64, 128, 256, 512, 1024},
-		Loaders:   []Loader{LoaderPyTorch, LoaderNoPFS, LoaderNoIO},
+		Loaders:   []sweep.PolicySpec{PyTorch, NoPFS, NoIO},
 		Scale:     scale, Seed: 0xF14, Jitter: 0.6,
 	}
 }
@@ -91,7 +91,7 @@ func Fig15Lassen(scale float64) Experiment {
 			return hwspec.CosmoFlowLassen(workers, 10, 16)
 		},
 		GPUCounts: []int{32, 64, 128, 256, 512, 1024},
-		Loaders:   []Loader{LoaderPyTorch, LoaderNoPFS, LoaderNoIO},
+		Loaders:   []sweep.PolicySpec{PyTorch, NoPFS, NoIO},
 		Scale:     scale, Seed: 0xF15, Jitter: 0.6,
 	}
 }
@@ -112,7 +112,8 @@ type EndToEndResult struct {
 }
 
 // Fig16 metric names and schema: the end-to-end grid reports total training
-// time and the final top-1 accuracy; the full curve rides in the payload.
+// time and the final top-1 accuracy; EndToEnd rebuilds the full curve from
+// the payload.
 const (
 	MetricTotalS    = "total_s"
 	MetricFinalTop1 = "final_top1"
@@ -138,18 +139,19 @@ func Fig16Experiment(scale float64) Experiment {
 			return hwspec.ResNet50Lassen(workers, epochs, 32)
 		},
 		GPUCounts: []int{256},
-		Loaders:   []Loader{LoaderPyTorch, LoaderNoPFS, LoaderNoIO},
+		Loaders:   []sweep.PolicySpec{PyTorch, NoPFS, NoIO},
 		Scale:     scale, Seed: 0xF16, Jitter: 0.4,
 	}
 }
 
-// fig16Outcome folds one loader's per-epoch times into the accuracy-vs-time
-// curve (the Goyal et al. schedule); a loader that cannot run the scenario
-// yields a failed cell with an empty curve.
-func fig16Outcome(_ sim.Config, loader Loader, r *sim.Result) *sweep.Outcome {
-	res := EndToEndResult{Loader: loader.String()}
-	if r.Failed || len(r.EpochSeconds) == 0 {
-		return &sweep.Outcome{Payload: res, Failed: true, FailReason: fmt.Sprintf("%s cannot run fig16", res.Loader)}
+// EndToEnd folds one loader's per-epoch times into its accuracy-vs-time
+// curve (the Goyal et al. schedule): the Fig. 16 result of a simulated
+// 90-epoch run, labelled with the loader's name. A failed run has an empty
+// curve.
+func EndToEnd(loader string, r *sim.Result) EndToEndResult {
+	res := EndToEndResult{Loader: loader}
+	if r.Failed {
+		return res
 	}
 	for e, d := range r.EpochSeconds {
 		res.TotalSeconds += d
@@ -159,8 +161,20 @@ func fig16Outcome(_ sim.Config, loader Loader, r *sim.Result) *sweep.Outcome {
 			Top1Percent: ResNet50Top1(float64(e + 1)),
 		})
 	}
-	res.FinalTop1 = res.Curve[len(res.Curve)-1].Top1Percent
-	return &sweep.Outcome{Payload: res, Values: map[string]float64{
+	if len(res.Curve) > 0 {
+		res.FinalTop1 = res.Curve[len(res.Curve)-1].Top1Percent
+	}
+	return res
+}
+
+// fig16Outcome projects one loader's run onto Fig16Metrics; presenters
+// rebuild the curve from the payload with EndToEnd.
+func fig16Outcome(_ sim.Config, r *sim.Result) *sweep.Outcome {
+	if r.Failed {
+		return sweep.SimOutcome(r)
+	}
+	res := EndToEnd(r.Policy, r)
+	return &sweep.Outcome{Payload: r, Values: map[string]float64{
 		MetricTotalS:    res.TotalSeconds,
 		MetricFinalTop1: res.FinalTop1,
 	}}
@@ -168,11 +182,11 @@ func fig16Outcome(_ sim.Config, loader Loader, r *sim.Result) *sweep.Outcome {
 
 // Fig16GridFrom plans the end-to-end comparison as a sweep grid over a
 // caller-prepared Fig16Experiment (seed overrides, trimmed axes): one row
-// (256 GPUs), one column per loader, cells carrying EndToEndResult payloads.
+// (256 GPUs), one column per loader, cells carrying the loaders' runs.
 // NoPFS preserves full-dataset randomization, so accuracy-vs-epoch is
 // loader-independent; the loaders differ only in how fast epochs complete —
 // exactly the paper's framing.
 func Fig16GridFrom(exp Experiment, replicas int) *sweep.Grid {
 	row := exp.row(exp.GPUCounts[0], "ResNet-50/ImageNet-1k, 256 Lassen GPUs, 90 epochs")
-	return loaderGrid(exp.Name, []sweep.ScenarioSpec{row}, exp, replicas, Fig16Metrics(), fig16Outcome)
+	return exp.grid(exp.Name, []sweep.ScenarioSpec{row}, replicas, Fig16Metrics(), fig16Outcome)
 }

@@ -1,20 +1,20 @@
 package trainer
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
 // This file plans the real-system experiment grids — (machine × loader ×
-// GPU count × replica seed) — as sweep-engine grids, so the trainer's
-// scaling studies run through the same concurrent orchestration layer as
-// the simulator's Fig. 8/9 grids: rows are GPU counts (or experiments),
-// columns are loaders, and each cell simulates one measurement.
+// GPU count × replica seed) — as sweep-engine grids on the simulator's own
+// cell binding, like the Fig. 8/9 grids: rows are GPU counts (or
+// experiments), columns are loaders (policies), and each cell simulates one
+// measurement.
 
 // Trainer metric names (the trainer grids' Outcome.Values keys).
 const (
@@ -54,83 +54,65 @@ func GridMetrics() []sweep.Metric {
 	}
 }
 
-// PointOutcome converts one scaling measurement into an engine cell
-// outcome, keeping the full ScalePoint as the payload.
-func PointOutcome(p ScalePoint) *sweep.Outcome {
-	o := &sweep.Outcome{Payload: p}
-	if p.Failed {
-		o.Failed = true
-		o.FailReason = p.Reason
-		return o
+// scaleOutcome projects one simulated cell onto GridMetrics: the median
+// epoch after epoch 0 (the paper's headline metric, Figs. 10, 14, 15), the
+// per-batch statistics with epoch 0's batches split off from the steady
+// state (the violin plots; Fig. 11 reads epoch 0's), and the Fig. 12 stall
+// time and fetch-location mix.
+func scaleOutcome(cfg sim.Config, r *sim.Result) *sweep.Outcome {
+	if r.Failed {
+		return sweep.SimOutcome(r)
 	}
-	o.Values = map[string]float64{
-		MetricMedianEpoch: p.MedianEpoch,
-		MetricEpoch0:      p.Epoch0Seconds,
-		MetricBatchMedian: p.Batch.Median,
-		MetricBatchP95:    p.Batch.P95,
-		MetricBatchMax:    p.Batch.Max,
-		MetricBatch0Med:   p.Batch0.Median,
-		MetricBatch0P95:   p.Batch0.P95,
-		MetricBatch0Max:   p.Batch0.Max,
-		MetricStallS:      p.StallSeconds,
-		MetricExecS:       p.ExecSeconds,
-		MetricPFSFrac:     p.LocFraction[perfmodel.LocPFS],
-		MetricRemoteFrac:  p.LocFraction[perfmodel.LocRemote],
-		MetricLocalFrac:   p.LocFraction[perfmodel.LocLocal],
+	var epoch0, medianEpoch float64
+	if n := len(r.EpochSeconds); n > 0 {
+		epoch0, medianEpoch = r.EpochSeconds[0], stats.Median(r.EpochSeconds[min(1, n-1):])
 	}
-	return o
-}
-
-// scaleOutcome is the scaling grids' projection of one simulated cell: its
-// ScalePoint, with epoch 0's batches split off from the steady state.
-func scaleOutcome(cfg sim.Config, loader Loader, r *sim.Result) *sweep.Outcome {
-	batchesPerEpoch := cfg.Plan().SamplesPerEpoch(0) / cfg.Work.BatchPerWorker
-	return PointOutcome(pointFromResult(loader.String(), cfg.Work.Workers, batchesPerEpoch, r))
-}
-
-// loaderGrid is every trainer grid's binding: one column per loader of exp,
-// and a cell that materialises its row's configuration with the cell's fault
-// profile and access pattern (sweep.Grid.Config), applies the loader's
-// workload change, simulates the loader's policy, and projects the result
-// through outcome. The binding is custom because a loader is a policy plus a
-// workload change (DALI's preprocessing offload) and each grid projects its
-// own outcome.
-func loaderGrid(name string, rows []sweep.ScenarioSpec, exp Experiment, replicas int,
-	metrics []sweep.Metric, outcome func(sim.Config, Loader, *sim.Result) *sweep.Outcome) *sweep.Grid {
-	cols := make([]sweep.PolicySpec, len(exp.Loaders))
-	for i, l := range exp.Loaders {
-		cols[i] = sweep.PolicySpec{Name: l.String()}
+	var batch0, batch stats.Summary
+	if n := cfg.Plan().SamplesPerEpoch(0) / cfg.Work.BatchPerWorker; n > 0 && len(r.BatchSeconds) > n {
+		batch0, batch = stats.Summarize(r.BatchSeconds[:n]), stats.Summarize(r.BatchSeconds[n:])
+	} else {
+		batch = stats.Summarize(r.BatchSeconds)
+		batch0 = batch
 	}
-	grid := &sweep.Grid{
-		Name: name, Scenarios: rows, Policies: cols,
-		Replicas: replicas, BaseSeed: exp.Seed,
-		Metrics: metrics,
+	var total int64
+	for _, c := range r.LocCount {
+		total += c
 	}
-	// The binding reads the grid's axes when a cell runs, so Profiles and
-	// Patterns assigned by the caller (nopfs train -chaos / -access) apply.
-	grid.Cell = func(si, pi, fi, ai int) sweep.CellFunc {
-		loader := exp.Loaders[pi]
-		return func(ctx context.Context, seed uint64) (*sweep.Outcome, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cfg, err := grid.Config(si, fi, ai, seed)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Work = loader.AdjustWorkload(cfg.Work)
-			pol, err := loader.Policy()
-			if err != nil {
-				return nil, err
-			}
-			r, err := sim.Run(cfg, pol)
-			if err != nil {
-				return nil, err
-			}
-			return outcome(cfg, loader, r), nil
+	frac := func(loc perfmodel.Location) float64 {
+		if total == 0 {
+			return 0
 		}
+		return float64(r.LocCount[loc]) / float64(total)
 	}
-	return grid
+	return &sweep.Outcome{Payload: r, Values: map[string]float64{
+		MetricMedianEpoch: medianEpoch,
+		MetricEpoch0:      epoch0,
+		MetricBatchMedian: batch.Median,
+		MetricBatchP95:    batch.P95,
+		MetricBatchMax:    batch.Max,
+		MetricBatch0Med:   batch0.Median,
+		MetricBatch0P95:   batch0.P95,
+		MetricBatch0Max:   batch0.Max,
+		MetricStallS:      r.StallSeconds,
+		MetricExecS:       r.ExecSeconds,
+		MetricPFSFrac:     frac(perfmodel.LocPFS),
+		MetricRemoteFrac:  frac(perfmodel.LocRemote),
+		MetricLocalFrac:   frac(perfmodel.LocLocal),
+	}}
+}
+
+// grid is every trainer grid: rows over the experiment's loader columns on
+// the simulator's cell binding, each cell's result projected through
+// outcome. Grid.Config stamps the cell's fault profile and access pattern
+// on, so Profiles and Patterns assigned by the caller (nopfs train -chaos /
+// -access) apply.
+func (e Experiment) grid(name string, rows []sweep.ScenarioSpec, replicas int,
+	metrics []sweep.Metric, outcome func(sim.Config, *sim.Result) *sweep.Outcome) *sweep.Grid {
+	return &sweep.Grid{
+		Name: name, Scenarios: rows, Policies: e.Loaders,
+		Replicas: replicas, BaseSeed: e.Seed,
+		Metrics: metrics, Outcome: outcome,
+	}
 }
 
 // Grid plans the experiment as a sweep grid: one row per GPU count, one
@@ -149,8 +131,9 @@ func MultiGrid(name string, exps []Experiment, replicas int) (*sweep.Grid, error
 		return nil, fmt.Errorf("trainer: grid %q has no experiments", name)
 	}
 	var rows []sweep.ScenarioSpec
+	sameName := func(a, b sweep.PolicySpec) bool { return a.Name == b.Name }
 	for _, e := range exps {
-		if !slices.Equal(e.Loaders, exps[0].Loaders) {
+		if !slices.EqualFunc(e.Loaders, exps[0].Loaders, sameName) {
 			return nil, fmt.Errorf("trainer: grid %q mixes loader sets (%s)", name, e.Name)
 		}
 		if e.Seed != exps[0].Seed {
@@ -160,19 +143,5 @@ func MultiGrid(name string, exps []Experiment, replicas int) (*sweep.Grid, error
 			rows = append(rows, e.row(gpus, fmt.Sprintf("%s, %d GPUs", e.Name, gpus)))
 		}
 	}
-	return loaderGrid(name, rows, exps[0], replicas, GridMetrics(), scaleOutcome), nil
-}
-
-// PointsFromReport recovers the per-cell ScalePoints of a trainer grid
-// report, in deterministic cell order.
-func PointsFromReport(rep *sweep.Report) ([]ScalePoint, error) {
-	points := make([]ScalePoint, len(rep.Cells))
-	for i, c := range rep.Cells {
-		p, ok := c.Outcome.Payload.(ScalePoint)
-		if !ok {
-			return nil, fmt.Errorf("trainer: report %q cell %d carries no scale point", rep.Grid, i)
-		}
-		points[i] = p
-	}
-	return points, nil
+	return exps[0].grid(name, rows, replicas, GridMetrics(), scaleOutcome), nil
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -17,58 +20,67 @@ func smallFig10() Experiment {
 	return exp
 }
 
-// runPoints runs a trainer grid and recovers its points in cell order.
-func runPoints(t *testing.T, grid *sweep.Grid, parallel int) ([]sweep.Cell, []ScalePoint) {
+// runCells runs a trainer grid and returns its cells in enumeration order.
+func runCells(t *testing.T, grid *sweep.Grid, parallel int) []sweep.CellResult {
 	t.Helper()
 	rep, err := (&sweep.Runner{Parallel: parallel}).Run(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := PointsFromReport(rep)
-	if err != nil {
-		t.Fatal(err)
+	return rep.Cells
+}
+
+// result is a cell's simulator result.
+func result(t *testing.T, c sweep.CellResult) *sim.Result {
+	t.Helper()
+	r, ok := c.Outcome.Payload.(*sim.Result)
+	if !ok {
+		t.Fatalf("cell %s/%s carries %T, not a simulator result", c.Scenario, c.Policy, c.Outcome.Payload)
 	}
-	cells := make([]sweep.Cell, len(rep.Cells))
-	for i, c := range rep.Cells {
-		cells[i] = c.Cell
-	}
-	return cells, points
+	return r
 }
 
 // TestGridMatchesSerialCells pins the engine path to the simulator: every
-// grid cell must equal sim.Run of its row's configuration under the cell's
-// loader, in (GPU count, loader) order.
+// grid cell, in (GPU count, loader) order, carries sim.Run of its row's
+// configuration under the loader's policy, and its metrics split epoch 0's
+// batches off from the steady state's.
 func TestGridMatchesSerialCells(t *testing.T) {
 	exp := smallFig10()
 	grid := exp.Grid(1)
-	_, got := runPoints(t, grid, 4)
-	var want []ScalePoint
-	for i, row := range grid.Scenarios {
-		gpus := exp.GPUCounts[i]
-		for _, loader := range exp.Loaders {
-			cfg, err := row.Config(exp.Seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Work = loader.AdjustWorkload(cfg.Work)
-			pol, err := loader.Policy()
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := sim.Run(cfg, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batches := cfg.Plan().SamplesPerEpoch(0) / cfg.Work.BatchPerWorker
-			want = append(want, pointFromResult(loader.String(), gpus, batches, r))
+	got := runCells(t, grid, 4)
+	if want := len(exp.GPUCounts) * len(exp.Loaders); len(got) != want {
+		t.Fatalf("engine produced %d cells, want %d", len(got), want)
+	}
+	for i, c := range got {
+		cfg, err := grid.Scenarios[c.ScenarioIdx].Config(exp.Seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("engine produced %d points, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("point %d: engine %+v\n != serial %+v", i, got[i], want[i])
+		want, err := sim.Run(cfg, exp.Loaders[c.PolicyIdx].New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := result(t, c)
+		if !reflect.DeepEqual(r, want) {
+			t.Errorf("cell %d (%s/%s): engine %+v\n != serial %+v", i, c.Scenario, c.Policy, r, want)
+		}
+		n := cfg.Plan().SamplesPerEpoch(0) / cfg.Work.BatchPerWorker
+		v := c.Outcome.Values
+		for _, m := range []struct {
+			name string
+			want float64
+		}{
+			{MetricEpoch0, r.EpochSeconds[0]},
+			{MetricMedianEpoch, stats.Median(r.EpochSeconds[1:])},
+			{MetricBatch0Max, slices.Max(r.BatchSeconds[:n])},
+			{MetricBatch0Med, stats.Median(r.BatchSeconds[:n])},
+			{MetricBatchMax, slices.Max(r.BatchSeconds[n:])},
+			{MetricBatchMedian, stats.Median(r.BatchSeconds[n:])},
+			{MetricExecS, r.ExecSeconds},
+		} {
+			if v[m.name] != m.want {
+				t.Errorf("cell %d (%s/%s): %s = %v, want %v", i, c.Scenario, c.Policy, m.name, v[m.name], m.want)
+			}
 		}
 	}
 }
@@ -77,7 +89,7 @@ func TestGridMatchesSerialCells(t *testing.T) {
 // reach its cells. The clean/uniform cells equal the axis-free grid's, and
 // every faulted or patterned NoPFS cell differs from its clean/uniform one.
 func TestGridStampsAxes(t *testing.T) {
-	_, base := runPoints(t, smallFig10().Grid(1), 0)
+	base := runCells(t, smallFig10().Grid(1), 0)
 	grid := smallFig10().Grid(1)
 	var err error
 	if grid.Profiles, err = sweep.ChaosAxis("node-crash"); err != nil {
@@ -86,27 +98,27 @@ func TestGridStampsAxes(t *testing.T) {
 	if grid.Patterns, err = sweep.AccessAxis("zipf"); err != nil {
 		t.Fatal(err)
 	}
-	cells, points := runPoints(t, grid, 0)
-	if len(points) != 4*len(base) {
-		t.Fatalf("%d points, want %d", len(points), 4*len(base))
+	cells := runCells(t, grid, 0)
+	if len(cells) != 4*len(base) {
+		t.Fatalf("%d cells, want %d", len(cells), 4*len(base))
 	}
-	clean := map[[2]int]ScalePoint{}
-	for i, c := range cells {
+	clean := map[[2]int]*sim.Result{}
+	for _, c := range cells {
 		if c.ProfileIdx == 0 && c.PatternIdx == 0 {
-			clean[[2]int{c.ScenarioIdx, c.PolicyIdx}] = points[i]
+			clean[[2]int{c.ScenarioIdx, c.PolicyIdx}] = result(t, c)
 		}
 	}
 	stamped := 0
-	for i, c := range cells {
-		p, ref := points[i], clean[[2]int{c.ScenarioIdx, c.PolicyIdx}]
+	for _, c := range cells {
+		r, ref := result(t, c), clean[[2]int{c.ScenarioIdx, c.PolicyIdx}]
 		switch {
 		case c.ProfileIdx == 0 && c.PatternIdx == 0:
-			if want := base[c.ScenarioIdx*len(grid.Policies)+c.PolicyIdx]; !reflect.DeepEqual(p, want) {
-				t.Errorf("%s/%s clean uniform: %+v\n != axis-free %+v", c.Scenario, c.Policy, p, want)
+			if want := result(t, base[c.ScenarioIdx*len(grid.Policies)+c.PolicyIdx]); !reflect.DeepEqual(r, want) {
+				t.Errorf("%s/%s clean uniform: %+v\n != axis-free %+v", c.Scenario, c.Policy, r, want)
 			}
-		case c.Policy == LoaderNoPFS.String():
+		case c.Policy == NoPFS.Name:
 			stamped++
-			if reflect.DeepEqual(p, ref) {
+			if reflect.DeepEqual(r, ref) {
 				t.Errorf("%s/%s under %s/%s equals its clean uniform cell", c.Scenario, c.Policy, c.Profile, c.Pattern)
 			}
 		}
@@ -152,7 +164,7 @@ func TestTrainerGridDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestMultiGridFig13 runs the batch-size sweep as one engine grid and
-// checks rows, columns, and payload recovery.
+// checks rows, columns, and payloads.
 func TestMultiGridFig13(t *testing.T) {
 	exps := Fig13BatchSweep(0.05)
 	grid, err := MultiGrid("fig13", exps, 1)
@@ -162,20 +174,16 @@ func TestMultiGridFig13(t *testing.T) {
 	if len(grid.Scenarios) != 4 || len(grid.Policies) != 3 {
 		t.Fatalf("fig13 grid is %d×%d, want 4×3", len(grid.Scenarios), len(grid.Policies))
 	}
-	rep, err := (&sweep.Runner{}).Run(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
+	cells := runCells(t, grid, 0)
+	if len(cells) != 12 {
+		t.Fatalf("%d cells, want 12", len(cells))
 	}
-	points, err := PointsFromReport(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 12 {
-		t.Fatalf("%d points, want 12", len(points))
-	}
-	for _, p := range points {
-		if p.GPUs != 128 {
-			t.Errorf("point at %d GPUs, want 128", p.GPUs)
+	for _, c := range cells {
+		if r := result(t, c); len(r.EpochSeconds) != 10 {
+			t.Errorf("%s/%s: %d epochs, want 10", c.Scenario, c.Policy, len(r.EpochSeconds))
+		}
+		if !strings.HasSuffix(c.Scenario, "-g128") {
+			t.Errorf("row %s is not at 128 GPUs", c.Scenario)
 		}
 	}
 
@@ -186,29 +194,23 @@ func TestMultiGridFig13(t *testing.T) {
 	}
 }
 
-// TestFig16GridShape checks the end-to-end grid carries curves in payloads
-// and totals in metrics.
+// TestFig16GridShape checks the end-to-end grid: every cell's run folds into
+// a 90-epoch curve whose total is the cell's total_s metric.
 func TestFig16GridShape(t *testing.T) {
-	rep, err := (&sweep.Runner{}).Run(context.Background(), Fig16GridFrom(Fig16Experiment(0.05), 1))
-	if err != nil {
-		t.Fatal(err)
+	cells := runCells(t, Fig16GridFrom(Fig16Experiment(0.05), 1), 0)
+	if len(cells) != 3 {
+		t.Fatalf("%d cells, want 3 loaders", len(cells))
 	}
-	if len(rep.Cells) != 3 {
-		t.Fatalf("%d cells, want 3 loaders", len(rep.Cells))
-	}
-	for _, c := range rep.Cells {
-		res, ok := c.Outcome.Payload.(EndToEndResult)
-		if !ok {
-			t.Fatalf("cell %s carries no EndToEndResult", c.Policy)
-		}
+	for _, c := range cells {
+		res := EndToEnd(c.Policy, result(t, c))
 		if c.Outcome.Failed {
 			continue
 		}
-		if len(res.Curve) != 90 {
-			t.Errorf("%s: %d-epoch curve, want 90", c.Policy, len(res.Curve))
+		if res.Loader != c.Policy || len(res.Curve) != 90 {
+			t.Errorf("%s: %q with a %d-epoch curve, want the loader's 90", c.Policy, res.Loader, len(res.Curve))
 		}
 		if got := c.Outcome.Values[MetricTotalS]; got != res.TotalSeconds {
-			t.Errorf("%s: total_s metric %.3f != payload %.3f", c.Policy, got, res.TotalSeconds)
+			t.Errorf("%s: total_s metric %.3f != curve total %.3f", c.Policy, got, res.TotalSeconds)
 		}
 	}
 }

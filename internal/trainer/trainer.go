@@ -3,18 +3,19 @@
 //
 // The paper measures PyTorch's DataLoader, DALI, the LBANN data store, and
 // NoPFS on the Piz Daint and Lassen supercomputers. Neither machine nor the
-// frameworks are available here, so each loader is modelled as the I/O
-// policy it implements:
+// frameworks are available here, so each loader is a simulator policy
+// column, the I/O policy it implements:
 //
 //   - PyTorch DataLoader  → sim.StagingBuffer (double-buffered PFS reads)
-//   - DALI                → StagingBuffer with preprocessing offloaded to
-//     GPU (5x the baseline preprocessing rate)
+//   - DALI                → sim.NewDALI: StagingBuffer with preprocessing
+//     offloaded to GPU (5x the baseline preprocessing rate)
 //   - LBANN data store    → sim.LBANN dynamic (first-touch RAM cache)
 //   - NoPFS               → sim.NoPFS
 //   - "No I/O"            → sim.LowerBound (synthetic-data baseline)
 //
-// Epoch times, per-batch distributions, stall breakdowns, and cache
-// statistics all come from the simulator under the paper's machine presets.
+// Every figure is a sweep grid on the simulator's own cell binding, so epoch
+// times, per-batch distributions, stall breakdowns, and cache statistics all
+// come from *sim.Result under the paper's machine presets.
 package trainer
 
 import (
@@ -22,131 +23,19 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/hwspec"
-	"repro/internal/perfmodel"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
-// Loader identifies one of the compared data-loading frameworks.
-type Loader int
-
-// The frameworks of the paper's Sec. 7 comparison.
-const (
-	LoaderPyTorch Loader = iota
-	LoaderDALI
-	LoaderLBANN
-	LoaderNoPFS
-	LoaderNoIO
+// The loaders of the paper's Sec. 7 comparison, as grid columns labelled
+// as in its plots.
+var (
+	PyTorch = sweep.PolicySpec{Name: "PyTorch", New: sim.NewStagingBuffer}
+	DALI    = sweep.PolicySpec{Name: "PyTorch+DALI", New: sim.NewDALI}
+	LBANN   = sweep.PolicySpec{Name: "LBANN", New: func() sim.Policy { return sim.NewLBANN(false) }}
+	NoPFS   = sweep.PolicySpec{Name: "NoPFS", New: sim.NewNoPFS}
+	NoIO    = sweep.PolicySpec{Name: "No I/O", New: sim.NewLowerBound}
 )
-
-// String returns the plot label.
-func (l Loader) String() string {
-	switch l {
-	case LoaderPyTorch:
-		return "PyTorch"
-	case LoaderDALI:
-		return "PyTorch+DALI"
-	case LoaderLBANN:
-		return "LBANN"
-	case LoaderNoPFS:
-		return "NoPFS"
-	case LoaderNoIO:
-		return "No I/O"
-	default:
-		return fmt.Sprintf("loader(%d)", int(l))
-	}
-}
-
-// Policy returns the simulator policy implementing the loader.
-func (l Loader) Policy() (sim.Policy, error) {
-	switch l {
-	case LoaderPyTorch, LoaderDALI:
-		return sim.NewStagingBuffer(), nil
-	case LoaderLBANN:
-		return sim.NewLBANN(false), nil
-	case LoaderNoPFS:
-		return sim.NewNoPFS(), nil
-	case LoaderNoIO:
-		return sim.NewLowerBound(), nil
-	}
-	return sim.Policy{}, fmt.Errorf("trainer: unknown loader %d", int(l))
-}
-
-// AdjustWorkload applies loader-specific workload changes: DALI offloads
-// decoding and augmentation to the GPU, which we model as a 5x faster
-// preprocessing stage.
-func (l Loader) AdjustWorkload(w hwspec.Workload) hwspec.Workload {
-	if l == LoaderDALI {
-		w.PreprocMBps *= 5
-	}
-	return w
-}
-
-// ScalePoint is one (loader, GPU count) measurement of a scaling experiment.
-type ScalePoint struct {
-	Loader string
-	GPUs   int
-	Failed bool
-	Reason string
-
-	// Median per-epoch time excluding epoch 0, with a 95% CI — the
-	// paper's headline metric (Figs. 10, 14, 15).
-	MedianEpoch   float64
-	EpochCILow    float64
-	EpochCIHigh   float64
-	Epoch0Seconds float64
-
-	// Batch summarises per-batch times excluding epoch 0 (the violin
-	// plots); Batch0 covers epoch 0 only (Fig. 11).
-	Batch  stats.Summary
-	Batch0 stats.Summary
-
-	// StallSeconds and the fetch-location mix reproduce Fig. 12.
-	StallSeconds float64
-	LocFraction  map[perfmodel.Location]float64
-
-	ExecSeconds float64
-}
-
-// pointFromResult converts a simulator result into a ScalePoint.
-func pointFromResult(loader string, gpus, batchesPerEpoch int, r *sim.Result) ScalePoint {
-	p := ScalePoint{Loader: loader, GPUs: gpus, ExecSeconds: r.ExecSeconds}
-	if r.Failed {
-		p.Failed = true
-		p.Reason = r.FailReason
-		return p
-	}
-	if len(r.EpochSeconds) > 0 {
-		p.Epoch0Seconds = r.EpochSeconds[0]
-	}
-	if len(r.EpochSeconds) > 1 {
-		rest := append([]float64(nil), r.EpochSeconds[1:]...)
-		s := stats.Summarize(rest)
-		p.MedianEpoch, p.EpochCILow, p.EpochCIHigh = s.Median, s.CILow, s.CIHigh
-	} else if len(r.EpochSeconds) == 1 {
-		p.MedianEpoch = r.EpochSeconds[0]
-	}
-	if batchesPerEpoch > 0 && len(r.BatchSeconds) > batchesPerEpoch {
-		p.Batch0 = stats.Summarize(r.BatchSeconds[:batchesPerEpoch])
-		p.Batch = stats.Summarize(r.BatchSeconds[batchesPerEpoch:])
-	} else {
-		p.Batch = stats.Summarize(r.BatchSeconds)
-		p.Batch0 = p.Batch
-	}
-	p.StallSeconds = r.StallSeconds
-	var total int64
-	for _, c := range r.LocCount {
-		total += c
-	}
-	p.LocFraction = map[perfmodel.Location]float64{}
-	if total > 0 {
-		for loc, c := range r.LocCount {
-			p.LocFraction[loc] = float64(c) / float64(total)
-		}
-	}
-	return p
-}
 
 // Experiment is a scaling study: one dataset and machine, several loaders,
 // several GPU counts.
@@ -159,7 +48,8 @@ type Experiment struct {
 	Workload func(workers int) hwspec.Workload
 	// GPUCounts are the x-axis points (one rank per GPU, as on Lassen).
 	GPUCounts []int
-	Loaders   []Loader
+	// Loaders are the grid's columns.
+	Loaders []sweep.PolicySpec
 	// Scale shrinks the dataset and cache capacities together (1 = paper
 	// scale).
 	Scale  float64
@@ -169,7 +59,8 @@ type Experiment struct {
 
 // row is the experiment's sweep row at one GPU count. Its Config scales the
 // dataset and system, builds the workload for gpus ranks, and validates the
-// loader-free configuration; loaderGrid adjusts the workload per column.
+// configuration; a loader's own workload change (DALI's preprocessing
+// offload) is its policy's, applied by sim.Run.
 func (e Experiment) row(gpus int, label string) sweep.ScenarioSpec {
 	return sweep.ScenarioSpec{
 		ID:    fmt.Sprintf("%s-g%d", e.Name, gpus),

@@ -12,31 +12,6 @@ import (
 // F=128,116, enough for 64 ranks to run full batches.
 const scaleLA = 0.1
 
-func TestLoaderStringsAndPolicies(t *testing.T) {
-	for _, l := range []Loader{LoaderPyTorch, LoaderDALI, LoaderLBANN, LoaderNoPFS, LoaderNoIO} {
-		if l.String() == "" {
-			t.Errorf("loader %d has empty label", int(l))
-		}
-		if _, err := l.Policy(); err != nil {
-			t.Errorf("loader %s: %v", l, err)
-		}
-	}
-	if _, err := Loader(99).Policy(); err == nil {
-		t.Error("unknown loader accepted")
-	}
-}
-
-func TestDALIBoostsPreprocessing(t *testing.T) {
-	base := Fig10PizDaint(1).Workload(32)
-	dali := LoaderDALI.AdjustWorkload(base)
-	if dali.PreprocMBps != 5*base.PreprocMBps {
-		t.Errorf("DALI preprocessing = %v, want 5x %v", dali.PreprocMBps, base.PreprocMBps)
-	}
-	if got := LoaderPyTorch.AdjustWorkload(base); got.PreprocMBps != base.PreprocMBps {
-		t.Error("PyTorch adjusted the workload")
-	}
-}
-
 func TestResNet50Top1Curve(t *testing.T) {
 	if ResNet50Top1(0) != 0 {
 		t.Error("accuracy at epoch 0 should be 0")
@@ -65,7 +40,7 @@ func TestResNet50Top1Curve(t *testing.T) {
 func BenchmarkFig10LassenOnePoint(b *testing.B) {
 	exp := Fig10Lassen(scaleLA)
 	exp.GPUCounts = []int{64}
-	exp.Loaders = []Loader{LoaderNoPFS}
+	exp.Loaders = []sweep.PolicySpec{NoPFS}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := (&sweep.Runner{}).Run(context.Background(), exp.Grid(1)); err != nil {

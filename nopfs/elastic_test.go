@@ -152,32 +152,6 @@ func TestElasticSoak(t *testing.T) {
 	goroutinesSettle(t, before+2)
 }
 
-// TestWithMembershipSpec pins the option's spec construction: explicit
-// join/leave maps become the canonical elastic spec regardless of map
-// iteration order, and empty maps reset to uniform.
-func TestWithMembershipSpec(t *testing.T) {
-	opts := NewOptions(WithMembership(
-		map[int]int{3: 1, 2: 2},
-		map[int]int{1: 2},
-	))
-	want := "elastic:join=2@2,join=3@1,leave=1@2"
-	canon, err := access.CanonicalSpec(opts.Access)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCanon, err := access.CanonicalSpec(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canon != wantCanon {
-		t.Errorf("WithMembership spec = %q (canonical %q), want canonical %q", opts.Access, canon, wantCanon)
-	}
-	opts = NewOptions(WithAccessPattern("zipf"), WithMembership(nil, nil))
-	if opts.Access != "" {
-		t.Errorf("empty membership left Access = %q, want uniform", opts.Access)
-	}
-}
-
 // TestElasticComposesWithCrashChaos: an elastic schedule composes with a
 // node crash. Rank 1 joins at epoch 1 and crashes there, so its pre-crash
 // stream is empty: it launches no prefetcher and reads nothing from the PFS,

@@ -12,12 +12,7 @@ package nopfs
 //	)
 //	stats, err := nopfs.RunCluster(ctx, ds, workers, opts, fn)
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"strings"
-)
+import "io"
 
 // Option mutates an Options value; see NewOptions.
 type Option func(*Options)
@@ -30,13 +25,6 @@ func NewOptions(opts ...Option) Options {
 		apply(&o)
 	}
 	return o
-}
-
-// WithOptions replaces the whole Options value — the bridge from
-// struct-literal configuration into the functional style (later options
-// still apply on top).
-func WithOptions(base Options) Option {
-	return func(o *Options) { *o = base }
 }
 
 // WithSeed sets the shuffle seed — the clairvoyance input.
@@ -54,11 +42,6 @@ func WithBatchPerWorker(n int) Option {
 	return func(o *Options) { o.BatchPerWorker = n }
 }
 
-// WithDropLast drops the trailing partial global batch each epoch.
-func WithDropLast(drop bool) Option {
-	return func(o *Options) { o.DropLast = drop }
-}
-
 // WithStagingBuffer sets the staging-buffer byte budget.
 func WithStagingBuffer(bytes int64) Option {
 	return func(o *Options) { o.StagingBytes = bytes }
@@ -72,11 +55,6 @@ func WithStagingThreads(n int) Option {
 // WithClasses replaces the storage-class hierarchy, fastest first.
 func WithClasses(classes ...Class) Option {
 	return func(o *Options) { o.Classes = append([]Class(nil), classes...) }
-}
-
-// WithClass appends one storage class to the hierarchy.
-func WithClass(c Class) Option {
-	return func(o *Options) { o.Classes = append(o.Classes, c) }
 }
 
 // WithPFSBandwidth emulates the shared filesystem's aggregate random-read
@@ -114,40 +92,6 @@ func WithChaos(p ChaosProfile) Option {
 // per-epoch shuffle.
 func WithAccessPattern(spec string) Option {
 	return func(o *Options) { o.Access = spec }
-}
-
-// WithMembership declares an elastic membership schedule from explicit
-// events: joins[rank] is the epoch the rank joins at (it delivers nothing
-// earlier), leaves[rank] the epoch it leaves at (it delivers nothing from
-// then on, but keeps serving its cached bytes to peers). Epochs count from
-// 1 — every run needs one full-membership epoch. It overwrites any previous
-// access pattern; empty maps reset to the uniform pattern.
-func WithMembership(joins, leaves map[int]int) Option {
-	return func(o *Options) {
-		var parts []string
-		for _, r := range sortedRanks(joins) {
-			parts = append(parts, fmt.Sprintf("join=%d@%d", r, joins[r]))
-		}
-		for _, r := range sortedRanks(leaves) {
-			parts = append(parts, fmt.Sprintf("leave=%d@%d", r, leaves[r]))
-		}
-		if len(parts) == 0 {
-			o.Access = ""
-			return
-		}
-		o.Access = "elastic:" + strings.Join(parts, ",")
-	}
-}
-
-// sortedRanks returns the map's keys in ascending order, so the constructed
-// spec is deterministic regardless of map iteration order.
-func sortedRanks(events map[int]int) []int {
-	ranks := make([]int, 0, len(events))
-	for r := range events {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	return ranks
 }
 
 // WithResilience bounds the fetch path's fault handling — retry/backoff,

@@ -15,23 +15,21 @@ func TestFunctionalOptionsCompose(t *testing.T) {
 		WithSeed(7),
 		WithEpochs(5),
 		WithBatchPerWorker(8),
-		WithDropLast(true),
 		WithStagingBuffer(1<<20),
 		WithStagingThreads(3),
 		WithClasses(Class{Name: "ram", CapacityBytes: 1 << 20}),
-		WithClass(Class{Name: "ssd", CapacityBytes: 2 << 20, Dir: t.TempDir()}),
 		WithPFSBandwidth(64),
 		WithInterconnectBandwidth(128),
 		WithVerifySamples(true),
 		WithFabric(FabricTCP),
 	)
-	if opts.Seed != 7 || opts.Epochs != 5 || opts.BatchPerWorker != 8 || !opts.DropLast {
+	if opts.Seed != 7 || opts.Epochs != 5 || opts.BatchPerWorker != 8 {
 		t.Errorf("schedule options not applied: %+v", opts)
 	}
 	if opts.StagingBytes != 1<<20 || opts.StagingThreads != 3 {
 		t.Errorf("staging options not applied: %+v", opts)
 	}
-	if len(opts.Classes) != 2 || opts.Classes[0].Name != "ram" || opts.Classes[1].Name != "ssd" {
+	if len(opts.Classes) != 1 || opts.Classes[0].Name != "ram" {
 		t.Errorf("class options not applied: %+v", opts.Classes)
 	}
 	if opts.PFSAggregateMBps != 64 || opts.InterconnectMBps != 128 || !opts.VerifySamples {
@@ -39,13 +37,6 @@ func TestFunctionalOptionsCompose(t *testing.T) {
 	}
 	if opts.Fabric != FabricTCP {
 		t.Errorf("fabric option not applied: %q", opts.Fabric)
-	}
-	// WithOptions bridges struct literals into the functional style; later
-	// options still win.
-	base := baseOptions()
-	layered := NewOptions(WithOptions(base), WithSeed(99))
-	if layered.Epochs != base.Epochs || layered.Seed != 99 {
-		t.Errorf("WithOptions layering wrong: %+v", layered)
 	}
 }
 

@@ -149,11 +149,11 @@ var paperRuns = sync.OnceValues(runPaperExperiments)
 func runPaperExperiments() (*outcomes, error) {
 	// Columns no row reads are left out; a cell's seed depends only on its
 	// grid's base seed, so the rest are the figures' own cells.
-	pytorchNoPFS := []trainer.Loader{trainer.LoaderPyTorch, trainer.LoaderNoPFS}
+	pytorchNoPFS := []sweep.PolicySpec{trainer.PyTorch, trainer.NoPFS}
 	pd, la := trainer.Fig10PizDaint(trainerScale), trainer.Fig10Lassen(trainerScale)
 	pd.GPUCounts = []int{32, 128, 256}
 	la.GPUCounts = pd.GPUCounts
-	la.Loaders = []trainer.Loader{trainer.LoaderPyTorch, trainer.LoaderLBANN, trainer.LoaderNoPFS}
+	la.Loaders = []sweep.PolicySpec{trainer.PyTorch, trainer.LBANN, trainer.NoPFS}
 	f14, f15 := trainer.Fig14Lassen(trainerScale), trainer.Fig15Lassen(trainerScale)
 	f14.GPUCounts, f14.Loaders = []int{64, 256}, pytorchNoPFS
 	f15.GPUCounts, f15.Loaders = f14.GPUCounts, pytorchNoPFS
@@ -204,7 +204,8 @@ func runPaperExperiments() (*outcomes, error) {
 		o.regime[s.ID] = r
 	}
 	// Fig. 3, scaled down: N=16, E=90 and the paper's δ = 0.8.
-	o.fig3 = access.HeavyHitters(&access.Plan{Seed: 1234, F: 100000, N: 16, E: 90, BatchPerWorker: 4, DropLast: true}, 0, 0.8)
+	fig3 := &access.Plan{Seed: 1234, F: 100000, N: 16, E: 90, BatchPerWorker: 4, DropLast: true}
+	o.fig3 = access.HeavyHitters(fig3, fig3.WorkerFrequencies(0), 0.8)
 	for _, seed := range lemma1Seeds {
 		p := &access.Plan{Seed: seed, F: 512, N: 4, E: 16, BatchPerWorker: 4}
 		freqs := p.Frequencies()
@@ -255,24 +256,31 @@ func (o *outcomes) exec(row, pol string) float64 {
 	return math.NaN()
 }
 
-// point is a trainer cell's measurement; zero (so every ratio over it is
-// NaN) when the cell failed or is missing.
-func (o *outcomes) point(row, loader string) trainer.ScalePoint {
-	if c := o.cells[cellKey{row, loader}]; c != nil {
-		if p, ok := c.Payload.(trainer.ScalePoint); ok && !p.Failed {
-			return p
-		}
+// metric is one of a trainer cell's metrics (trainer.Metric*); NaN (so
+// every ratio over it is NaN) when the cell failed or is missing.
+func (o *outcomes) metric(row, loader, name string) float64 {
+	if c := o.cells[cellKey{row, loader}]; c != nil && !c.Failed {
+		return c.Values[name]
 	}
-	return trainer.ScalePoint{}
+	return math.NaN()
+}
+
+// batches summarises a trainer cell's batch times: epoch 0's and the steady
+// state's. Every epoch of the ledger's uniform drop-last plans runs the same
+// number of batches. Both are zero (so every ratio over them is NaN) when
+// the cell failed or is missing.
+func (o *outcomes) batches(row, loader string) (epoch0, steady stats.Summary) {
+	r := o.sim(row, loader)
+	if r.Failed || len(r.EpochSeconds) == 0 {
+		return
+	}
+	n := len(r.BatchSeconds) / len(r.EpochSeconds)
+	return stats.Summarize(r.BatchSeconds[:n]), stats.Summarize(r.BatchSeconds[n:])
 }
 
 // e2e is one loader's Fig. 16 run.
 func (o *outcomes) e2e(loader string) trainer.EndToEndResult {
-	if c := o.cells[cellKey{"fig16-g256", loader}]; c != nil {
-		r, _ := c.Payload.(trainer.EndToEndResult)
-		return r
-	}
-	return trainer.EndToEndResult{}
+	return trainer.EndToEnd(loader, o.sim("fig16-g256", loader))
 }
 
 // ran lists the simulator policies that ran on a grid row, except those
@@ -311,11 +319,11 @@ func extreme[T any](xs []T, pick func(a, b float64) float64, f func(T) float64) 
 
 // Loader names, as the trainer grids label their columns.
 var (
-	pytorch = trainer.LoaderPyTorch.String()
-	dali    = trainer.LoaderDALI.String()
-	lbann   = trainer.LoaderLBANN.String()
-	nopfsL  = trainer.LoaderNoPFS.String()
-	noIO    = trainer.LoaderNoIO.String()
+	pytorch = trainer.PyTorch.Name
+	dali    = trainer.DALI.Name
+	lbann   = trainer.LBANN.Name
+	nopfsL  = trainer.NoPFS.Name
+	noIO    = trainer.NoIO.Name
 )
 
 // fig8Rows are the rows every panel has: its regime, NoPFS against the
@@ -371,22 +379,23 @@ func failures(panel string, pols ...string) func(*outcomes) float64 {
 
 // epochRatio is loader a's median epoch over loader b's on one trainer row.
 func epochRatio(row, a, b string) func(*outcomes) float64 {
-	return func(o *outcomes) float64 { return ratio(o.point(row, a).MedianEpoch, o.point(row, b).MedianEpoch) }
+	return func(o *outcomes) float64 {
+		return ratio(o.metric(row, a, trainer.MetricMedianEpoch), o.metric(row, b, trainer.MetricMedianEpoch))
+	}
 }
 
-// relTail is a point's slowest batch over its median batch (after epoch 0).
-func relTail(p trainer.ScalePoint) float64 { return ratio(p.Batch.Max, p.Batch.Median) }
+// relTail is a trainer cell's slowest batch over its median batch (after
+// epoch 0).
+func relTail(o *outcomes, row, loader string) float64 {
+	return ratio(o.metric(row, loader, trainer.MetricBatchMax), o.metric(row, loader, trainer.MetricBatchMedian))
+}
 
 // share is the fraction of NoPFS's fetches on one trainer row served from
-// locs.
-func share(o *outcomes, row string, locs ...perfmodel.Location) float64 {
-	p := o.point(row, nopfsL)
-	if p.LocFraction == nil {
-		return math.NaN()
-	}
+// the locations whose fraction metrics (trainer.Metric*Frac) are named.
+func share(o *outcomes, row string, fracs ...string) float64 {
 	var f float64
-	for _, l := range locs {
-		f += p.LocFraction[l]
+	for _, m := range fracs {
+		f += o.metric(row, nopfsL, m)
 	}
 	return f
 }
@@ -425,7 +434,7 @@ func fig9Steepest(alongRAM bool) func(*outcomes) float64 {
 func fig13Medians(o *outcomes, loader string) []float64 {
 	var out []float64
 	for _, exp := range trainer.Fig13BatchSweep(trainerScale) {
-		out = append(out, o.point(exp.Name+"-g128", loader).Batch.Median)
+		out = append(out, o.metric(exp.Name+"-g128", loader, trainer.MetricBatchMedian))
 	}
 	return out
 }
@@ -534,26 +543,26 @@ var claims = func() []claim {
 		claim{"fig10-lassen-nopfs-lbann-256", "Fig. 10", epochRatio(la256, nopfsL, lbann), atMost(1.001), reproduced},
 		claim{"fig10-lassen-lbann-pytorch-256", "Fig. 10", epochRatio(la256, lbann, pytorch), atMost(1.001), reproduced},
 		claim{"fig11-tail-pytorch-over-nopfs-128", "Fig. 11", func(o *outcomes) float64 {
-			return ratio(relTail(o.point(pd128, pytorch)), relTail(o.point(pd128, nopfsL)))
+			return ratio(relTail(o, pd128, pytorch), relTail(o, pd128, nopfsL))
 		}, atLeast(2), reproduced},
 		claim{"fig11-nopfs-p99-median-128", "Fig. 11", func(o *outcomes) float64 {
-			p := o.point(pd128, nopfsL)
-			return ratio(p.Batch.P99, p.Batch.Median)
+			_, steady := o.batches(pd128, nopfsL)
+			return ratio(steady.P99, steady.Median)
 		}, atMost(3), reproduced},
 		claim{"fig11-nopfs-epoch0-steady-128", "Fig. 11", func(o *outcomes) float64 {
-			p := o.point(pd128, nopfsL)
-			return ratio(p.Batch0.Mean, p.Batch.Mean)
+			epoch0, steady := o.batches(pd128, nopfsL)
+			return ratio(epoch0.Mean, steady.Mean)
 		}, atLeast(1), reproduced},
 		claim{"fig12-pizdaint-remote-growth", "Fig. 12", func(o *outcomes) float64 {
-			return share(o, pd256, perfmodel.LocRemote) - share(o, pd32, perfmodel.LocRemote)
+			return share(o, pd256, trainer.MetricRemoteFrac) - share(o, pd32, trainer.MetricRemoteFrac)
 		}, above(0), reproduced},
 		claim{"fig12-pizdaint-min-cached", "Fig. 12", func(o *outcomes) float64 {
-			cached := []perfmodel.Location{perfmodel.LocLocal, perfmodel.LocRemote}
+			cached := []string{trainer.MetricLocalFrac, trainer.MetricRemoteFrac}
 			return math.Min(share(o, pd32, cached...), share(o, pd256, cached...))
 		}, atLeast(0.5), reproduced},
-		claim{"fig12-lassen-local-256", "Fig. 12", func(o *outcomes) float64 { return share(o, la256, perfmodel.LocLocal) }, above(0), unsourced},
-		claim{"fig12-lassen-remote-256", "Fig. 12", func(o *outcomes) float64 { return share(o, la256, perfmodel.LocRemote) }, above(0), unsourced},
-		claim{"fig12-lassen-pfs-256", "Fig. 12", func(o *outcomes) float64 { return share(o, la256, perfmodel.LocPFS) }, below(1), unsourced})
+		claim{"fig12-lassen-local-256", "Fig. 12", func(o *outcomes) float64 { return share(o, la256, trainer.MetricLocalFrac) }, above(0), unsourced},
+		claim{"fig12-lassen-remote-256", "Fig. 12", func(o *outcomes) float64 { return share(o, la256, trainer.MetricRemoteFrac) }, above(0), unsourced},
+		claim{"fig12-lassen-pfs-256", "Fig. 12", func(o *outcomes) float64 { return share(o, la256, trainer.MetricPFSFrac) }, below(1), unsourced})
 
 	// Fig. 13: per-GPU batch sizes 32-120 on 128 Lassen GPUs.
 	add(claim{"fig13-nopfs-over-pytorch-max", "Fig. 13", func(o *outcomes) float64 {
@@ -676,8 +685,8 @@ func TestPaperClaims(t *testing.T) {
 func TestPaperClaimsReportViolations(t *testing.T) {
 	full, noRemote := isim.NoPFSVariant{}.Name(), isim.NoPFSVariant{NoRemote: true}.Name()
 	o := &outcomes{cells: map[cellKey]*sweep.Outcome{
-		{"fig16-g256", pytorch}: {Payload: trainer.EndToEndResult{TotalSeconds: 105}},
-		{"fig16-g256", nopfsL}:  {Payload: trainer.EndToEndResult{TotalSeconds: 100}},
+		{"fig16-g256", pytorch}: {Payload: &isim.Result{EpochSeconds: []float64{105}}},
+		{"fig16-g256", nopfsL}:  {Payload: &isim.Result{EpochSeconds: []float64{100}}},
 		{"fig8d-5x", full}:      {Payload: &isim.Result{ExecSeconds: 10}},
 		{"fig8d-5x", noRemote}:  {Payload: &isim.Result{ExecSeconds: 9}},
 	}}
