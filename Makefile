@@ -47,7 +47,9 @@ test:
 # ring grows, depends on scheduling), and cancellation (j.ctx is the job's one
 # lifetime signal, and whether a prefetcher sees it before or after its fetch
 # depends on scheduling), and the plan builder and its rebuild:
-# epochs scatter concurrently into disjoint segments from pooled scratch.
+# epochs scatter concurrently into disjoint segments from pooled scratch,
+# and the RAM backend's slot table:
+# readers race the one writer that publishes a slot or grows the table.
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
@@ -57,7 +59,7 @@ test-race:
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/
 	$(GO) test -race -count=5 -run 'Release|Recycle|Batch|Delivery|Ownership|Collectable|Metrics|Stats|Cancel' ./nopfs/
 	$(GO) test -race -count=5 ./internal/clock/
-	$(GO) test -race -count=5 -run 'Limiter|Breaker|Staging' ./internal/storage/ ./internal/resilience/
+	$(GO) test -race -count=5 -run 'Limiter|Breaker|Staging|Memory' ./internal/storage/ ./internal/resilience/
 
 vet:
 	$(GO) vet ./...
@@ -135,7 +137,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 16571
+LOC_MAX ?= 16636
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -221,6 +222,15 @@ func Load(root, dir string) (*Package, error) {
 	var imports []string
 	for _, e := range ents {
 		if e.IsDir() || !isSourceFile(e.Name()) {
+			continue
+		}
+		// Only the files the host's build compiles: a package may split a
+		// function across GOARCH-suffixed or build-constrained files.
+		match, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			return nil, err
+		}
+		if !match {
 			continue
 		}
 		f, err := parser.ParseFile(sharedFset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -17,33 +17,23 @@ import (
 // the test suite). Each scenario reads a plan cache of its own, so the
 // printed placement and the simulated run come from one artifact set.
 
-// explainGridShape prints the grid's axes, cell count, and metric columns.
+// explainGridShape prints the grid's axes, cell count, and metric columns,
+// as the grid resolves them.
 func explainGridShape(w io.Writer, grid *sweep.Grid) {
-	metrics := grid.Metrics
-	if len(metrics) == 0 {
-		metrics = sweep.SimMetrics()
-	}
-	fmt.Fprintf(w, "dry run: grid %q\n", grid.Name)
-	replicas := grid.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	profiles := len(grid.Profiles)
-	if profiles == 0 {
-		profiles = 1
-	}
+	m := grid.Meta()
+	fmt.Fprintf(w, "dry run: grid %q\n", m.Grid)
 	// The patterns term appears only when the axis does, so pattern-less
 	// dry runs stay byte-identical to the pre-pattern output.
 	patterns := ""
-	if len(grid.Patterns) > 0 {
-		patterns = fmt.Sprintf(" x %d patterns", len(grid.Patterns))
+	if len(m.Patterns) > 0 {
+		patterns = fmt.Sprintf(" x %d patterns", len(m.Patterns))
 	}
 	fmt.Fprintf(w, "  axes: %d scenarios x %d policies x %d profiles%s x %d replicas = %d cells\n",
-		len(grid.Scenarios), len(grid.Policies), profiles, patterns, replicas, grid.Size())
-	fmt.Fprintf(w, "  base seed: %d\n", grid.BaseSeed)
+		len(grid.Scenarios), len(grid.Policies), grid.ProfileCount(), patterns, m.Replicas, m.Size)
+	fmt.Fprintf(w, "  base seed: %d\n", m.BaseSeed)
 	fmt.Fprint(w, "  metrics:")
-	for _, m := range metrics {
-		fmt.Fprintf(w, " %s", m.Name)
+	for _, metric := range m.Metrics {
+		fmt.Fprintf(w, " %s", metric.Name)
 	}
 	fmt.Fprintln(w)
 }

@@ -44,11 +44,19 @@ func (s *SplitMix64) Next() uint64 {
 	return mix(s.state)
 }
 
+// vectorFill routes Fill's whole blocks through the AVX-512 kernel; set
+// once at init from the CPU, and by tests to run both paths.
+var vectorFill = hasAVX512()
+
 // Fill writes the next ⌈len(p)/8⌉ outputs into p as little-endian words,
 // the last truncated, as that many Next calls would. Output k is
-// mix(state + k·gamma): a 64-byte block is eight independent lanes.
+// mix(state + k·gamma): a 64-byte block is eight independent lanes, which
+// the vector kernel computes in one register where the CPU has AVX-512.
 func (s *SplitMix64) Fill(p []byte) {
 	x, g := s.state, uint64(gamma) // a variable, so k·g wraps mod 2⁶⁴
+	if n := len(p) / 64; vectorFill && n > 0 {
+		x, p = fillBlocks(&p[0], n, x), p[64*n:]
+	}
 	for ; len(p) >= 64; p = p[64:] {
 		binary.LittleEndian.PutUint64(p[0:], mix(x+g))
 		binary.LittleEndian.PutUint64(p[8:], mix(x+2*g))

@@ -26,23 +26,60 @@ func TestSplitMix64KnownValues(t *testing.T) {
 }
 
 func TestSplitMix64FillMatchesNext(t *testing.T) {
-	// Every length 0–200: whole 64-byte blocks, whole words and a partial
-	// last word, each the little-endian Next sequence, and the state left
-	// where that many Next calls leave it.
-	for n := 0; n <= 200; n++ {
-		fill, next := NewSplitMix64(uint64(n)*977), NewSplitMix64(uint64(n)*977)
-		got := make([]byte, n)
-		fill.Fill(got)
-		want := make([]byte, 0, n+8)
-		for len(want) < n {
-			want = binary.LittleEndian.AppendUint64(want, next.Next())
-		}
-		if !bytes.Equal(got, want[:n]) {
-			t.Fatalf("Fill of %d bytes differs from the Next sequence", n)
-		}
-		if a, b := fill.Next(), next.Next(); a != b {
-			t.Fatalf("after Fill of %d bytes the state is off: next %#x, want %#x", n, a, b)
-		}
+	// Both paths, the AVX-512 kernel's and the Go loop's, for every length
+	// 0–1,100 and 8,192: whole 64-byte blocks (the kernel runs four at a
+	// time, then one), whole words and a partial last word, each the
+	// little-endian Next sequence, written at an unaligned destination with
+	// no byte around it touched, and the state left where that many Next
+	// calls leave it. States within 8·γ of 2⁶⁴ wrap inside the first block.
+	for _, path := range []struct {
+		name   string
+		vector bool
+	}{{"go", false}, {"vector", true}} {
+		t.Run(path.name, func(t *testing.T) {
+			if path.vector && !hasAVX512() {
+				t.Skip("host lacks AVX512F/AVX512DQ: the vector kernel cannot run")
+			}
+			defer func(v bool) { vectorFill = v }(vectorFill)
+			vectorFill = path.vector
+			lengths := append(make([]int, 0, 1102), 8192)
+			for n := 0; n <= 1100; n++ {
+				lengths = append(lengths, n)
+			}
+			for _, n := range lengths {
+				states := []uint64{uint64(n) * 977, math.MaxUint64}
+				for k := uint64(1); k <= 8; k++ {
+					states = append(states, -k*gamma)
+				}
+				for _, state := range states {
+					for _, off := range []int{1, 3} {
+						fillMatchesNext(t, n, off, state)
+					}
+				}
+			}
+		})
+	}
+}
+
+// fillMatchesNext fills n bytes at buf[off:] from state and compares bytes,
+// the guard bytes around them and the state left with the Next sequence.
+func fillMatchesNext(t *testing.T, n, off int, state uint64) {
+	t.Helper()
+	fill, next := NewSplitMix64(state), NewSplitMix64(state)
+	buf := bytes.Repeat([]byte{0xa5}, n+off+8)
+	fill.Fill(buf[off : off+n])
+	want := make([]byte, 0, n+8)
+	for len(want) < n {
+		want = binary.LittleEndian.AppendUint64(want, next.Next())
+	}
+	if !bytes.Equal(buf[off:off+n], want[:n]) {
+		t.Fatalf("Fill of %d bytes at offset %d from %#x differs from the Next sequence", n, off, state)
+	}
+	if g := bytes.Repeat([]byte{0xa5}, 8); !bytes.Equal(buf[:off], g[:off]) || !bytes.Equal(buf[off+n:], g) {
+		t.Fatalf("Fill of %d bytes at offset %d wrote outside its destination", n, off)
+	}
+	if a, b := fill.Next(), next.Next(); a != b {
+		t.Fatalf("after Fill of %d bytes from %#x the state is off: next %#x, want %#x", n, state, a, b)
 	}
 }
 

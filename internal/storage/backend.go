@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // Backend is one storage class's byte store. Implementations are safe for
@@ -32,51 +33,85 @@ type Backend interface {
 }
 
 // Memory is a RAM-backed Backend with optional read/write rate limiting.
+//
+// Samples live in a slot table indexed by id, which Get and Has read with
+// atomic loads and no lock: sample ids are dense in [0, F), so the table
+// costs 8 bytes per id up to the highest stored id (at most twice that
+// after a growth step) plus a 24-byte box per stored sample, where a
+// map[int32][]byte costs about 40 bytes per cached entry and a lookup.
+// Put and its rollback are the one writer, serialised by mu. A table that
+// must grow is copied whole before the new one is published, so a Get that
+// starts after a Put returned sees the sample; only a Get racing a Put may
+// miss it.
 type Memory struct {
 	name       string
 	capacity   int64
 	readLimit  *Limiter
 	writeLimit *Limiter
 
-	mu   sync.RWMutex
-	data map[int32][]byte
-	used int64
+	mu    sync.Mutex // serialises writers: the capacity claim and publication
+	slots atomic.Pointer[[]atomic.Pointer[[]byte]]
+	used  atomic.Int64
 }
 
 // NewMemory returns a memory backend with the given capacity in bytes and
 // read/write limiters (nil = unlimited).
 func NewMemory(name string, capacity int64, read, write *Limiter) *Memory {
-	return &Memory{
+	m := &Memory{
 		name: name, capacity: capacity,
 		readLimit: read, writeLimit: write,
-		data: make(map[int32][]byte),
 	}
+	m.slots.Store(new([]atomic.Pointer[[]byte]))
+	return m
 }
 
 // Name implements Backend.
 func (m *Memory) Name() string { return m.name }
 
+// slot returns id's slot in the published table, nil beyond its end.
+func (m *Memory) slot(id int32) *atomic.Pointer[[]byte] {
+	if t := *m.slots.Load(); uint32(id) < uint32(len(t)) {
+		return &t[id]
+	}
+	return nil
+}
+
 // Put implements Backend, storing data itself. Capacity is claimed (and the
 // sample published) before the bandwidth cost is paid, so rejected puts
 // never charge the shared limiter; a canceled Put rolls the sample back out.
 func (m *Memory) Put(ctx context.Context, id int32, data []byte) (bool, error) {
+	if id < 0 {
+		return false, fmt.Errorf("storage: %s put: negative sample id %d", m.name, id)
+	}
 	size := int64(len(data))
 	m.mu.Lock()
-	if _, exists := m.data[id]; exists {
+	sl := m.slot(id)
+	if sl != nil && sl.Load() != nil {
 		m.mu.Unlock()
 		return true, nil
 	}
-	if m.used+size > m.capacity {
+	if m.used.Load()+size > m.capacity {
 		m.mu.Unlock()
 		return false, nil
 	}
-	m.data[id] = data
-	m.used += size
+	if sl == nil {
+		old := *m.slots.Load()
+		t := make([]atomic.Pointer[[]byte], max(int(id)+1, 2*len(old)))
+		for i := range old {
+			t[i].Store(old[i].Load())
+		}
+		m.slots.Store(&t)
+		sl = &t[id]
+	}
+	box := new([]byte)
+	*box = data
+	m.used.Add(size)
+	sl.Store(box)
 	m.mu.Unlock()
 	if err := m.writeLimit.Wait(ctx, size); err != nil {
 		m.mu.Lock()
-		delete(m.data, id)
-		m.used -= size
+		m.slot(id).Store(nil)
+		m.used.Add(-size)
 		m.mu.Unlock()
 		return false, err
 	}
@@ -85,32 +120,28 @@ func (m *Memory) Put(ctx context.Context, id int32, data []byte) (bool, error) {
 
 // Get implements Backend.
 func (m *Memory) Get(ctx context.Context, id int32) ([]byte, bool, error) {
-	m.mu.RLock()
-	data, ok := m.data[id]
-	m.mu.RUnlock()
-	if !ok {
+	sl := m.slot(id)
+	if sl == nil {
 		return nil, false, nil
 	}
-	if err := m.readLimit.Wait(ctx, int64(len(data))); err != nil {
+	box := sl.Load()
+	if box == nil {
+		return nil, false, nil
+	}
+	if err := m.readLimit.Wait(ctx, int64(len(*box))); err != nil {
 		return nil, false, err
 	}
-	return data, true, nil
+	return *box, true, nil
 }
 
 // Has implements Backend.
 func (m *Memory) Has(id int32) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.data[id]
-	return ok
+	sl := m.slot(id)
+	return sl != nil && sl.Load() != nil
 }
 
 // Used implements Backend.
-func (m *Memory) Used() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.used
-}
+func (m *Memory) Used() int64 { return m.used.Load() }
 
 // Capacity implements Backend.
 func (m *Memory) Capacity() int64 { return m.capacity }

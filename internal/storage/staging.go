@@ -41,8 +41,10 @@ type Staging struct {
 	closed  bool
 	watched map[<-chan struct{}]func() bool
 
-	// free holds released buffers by capacity; freeBytes <= capBytes.
-	free      map[int][][]byte
+	// free holds released buffers by size-class ordinal: the 224 classes
+	// of 1 B up to 1 GiB, the wire cap of a fetched payload (sixteen up
+	// to 16 B, then eight per power of two); freeBytes <= capBytes.
+	free      [224][][]byte
 	freeBytes int64
 }
 
@@ -51,7 +53,7 @@ var ErrClosed = errors.New("storage: staging buffer closed")
 
 // NewStaging returns a staging buffer with the given byte budget.
 func NewStaging(capBytes int64) *Staging {
-	s := &Staging{capBytes: capBytes, ring: make([]slot, 16), watched: map[<-chan struct{}]func() bool{}, free: map[int][][]byte{}}
+	s := &Staging{capBytes: capBytes, ring: make([]slot, 16), watched: map[<-chan struct{}]func() bool{}}
 	s.notFull = sync.NewCond(&s.mu)
 	s.notEmpty = sync.NewCond(&s.mu)
 	return s
@@ -151,14 +153,14 @@ func (s *Staging) pop(ctx context.Context, wait bool) (Entry, error) {
 // Buffer returns an n-byte buffer to read a payload into: a released one of
 // n's size class, or a new one of that capacity.
 func (s *Staging) Buffer(n int) []byte {
-	c := sizeClass(n)
+	c, ord := sizeClass(n)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := s.free[c]
-	if len(l) == 0 {
+	if ord >= len(s.free) || len(s.free[ord]) == 0 {
 		return make([]byte, n, c)
 	}
-	s.free[c], s.freeBytes = l[:len(l)-1], s.freeBytes-int64(c)
+	l := s.free[ord]
+	s.free[ord], s.freeBytes = l[:len(l)-1], s.freeBytes-int64(c)
 	return l[len(l)-1][:n]
 }
 
@@ -168,18 +170,21 @@ func (s *Staging) Release(bufs ...[]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, b := range bufs {
-		if c := cap(b); c == sizeClass(c) && s.freeBytes+int64(c) <= s.capBytes {
-			s.free[c] = append(s.free[c], b)
+		if c, ord := sizeClass(cap(b)); c == cap(b) && ord < len(s.free) && s.freeBytes+int64(c) <= s.capBytes {
+			s.free[ord] = append(s.free[ord], b)
 			s.freeBytes += int64(c)
 		}
 	}
 }
 
-// sizeClass rounds n up to a buffer capacity: eight classes per power of
-// two, so a buffer is at most an eighth larger than its payload.
-func sizeClass(n int) int {
+// sizeClass rounds n up to a buffer capacity c: eight classes per power of
+// two, so a buffer is at most an eighth larger than its payload. ord numbers
+// the classes densely from 0 for 1 byte; a capacity of 0 gets an ordinal
+// past every free list.
+func sizeClass(n int) (c, ord int) {
 	shift := max(bits.Len(uint(n-1))-4, 0)
-	return ((n-1)>>shift + 1) << shift
+	m := (n-1)>>shift + 1
+	return m << shift, 8*shift + m - 1
 }
 
 // Used returns the bytes currently staged.

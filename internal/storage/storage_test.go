@@ -1,12 +1,15 @@
 package storage
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,13 +78,142 @@ func TestMemoryTakesOwnership(t *testing.T) {
 	}
 }
 
+// payloadFor is id's payload in the concurrent Memory tests: 8 to 31 bytes,
+// the id little-endian then tag, so a reader can tell whose bytes it got and
+// whether a duplicate Put's replacement (another tag) was stored.
+func payloadFor(id int32, tag byte) []byte {
+	b := make([]byte, 8+id%24)
+	binary.LittleEndian.PutUint32(b, uint32(id))
+	for i := 4; i < len(b); i++ {
+		b[i] = tag
+	}
+	return b
+}
+
+func TestMemoryConcurrentPutGet(t *testing.T) {
+	// Two writers store a shuffled [0, n) (so the slot table grows in
+	// jumps while readers run) and re-put published ids with a different
+	// payload; two readers race them. A Put that returned before a read began is
+	// visible to its Get and Has, a Get returns only its own id's original
+	// payload, and Used is the originals' bytes.
+	const n = 4096
+	m := NewMemory("ram", 1<<30, nil, nil)
+	var published [n]atomic.Bool
+	var want atomic.Int64
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	order := prng.New(5).Perm(n)
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := w; i < n; i += 2 {
+				id := int32(order[i])
+				data := payloadFor(id, 0xa0)
+				if ok, err := m.Put(bg, id, data); !ok || err != nil {
+					t.Errorf("Put(%d): ok=%v err=%v", id, ok, err)
+					return
+				}
+				want.Add(int64(len(data)))
+				published[id].Store(true)
+				if dup := int32(order[i/2]); published[dup].Load() {
+					if ok, err := m.Put(bg, dup, payloadFor(dup, 0xd0)); !ok || err != nil {
+						t.Errorf("duplicate Put(%d): ok=%v err=%v", dup, ok, err)
+					}
+				}
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			g := prng.New(uint64(r))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := int32(g.Intn(n + 64))
+				seen := id < n && published[id].Load()
+				has := m.Has(id)
+				data, ok, err := m.Get(bg, id)
+				if err != nil || seen && (!has || !ok) {
+					t.Errorf("id %d published before the read: Has %v, Get ok=%v err=%v", id, has, ok, err)
+					return
+				}
+				if ok && !bytes.Equal(data, payloadFor(id, 0xa0)) {
+					t.Errorf("Get(%d) returned % x", id, data)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if m.Used() != want.Load() {
+		t.Errorf("Used = %d, want %d", m.Used(), want.Load())
+	}
+	for id := int32(0); id < n; id++ {
+		if data, ok, _ := m.Get(bg, id); !ok || !m.Has(id) || !bytes.Equal(data, payloadFor(id, 0xa0)) {
+			t.Fatalf("after the writers, Get(%d) = % x, %v; Has %v", id, data, ok, m.Has(id))
+		}
+	}
+}
+
+func TestMemoryCanceledPutLeavesNoTrace(t *testing.T) {
+	// A Put publishes before it pays the write limiter; canceled while it
+	// waits, it takes the sample back out, also after another Put grew the
+	// table underneath it, and the id can be stored again.
+	lim, clk := manualLimiter(1)
+	m := NewMemory("ram", 1<<30, nil, lim)
+	put := func(ctx context.Context, id int32, data []byte) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := m.Put(ctx, id, data)
+			done <- err
+		}()
+		clk.park(t)
+		return done
+	}
+	ctx5, cancel5 := context.WithCancel(bg)
+	ctx9, cancel9 := context.WithCancel(bg)
+	defer cancel9()
+	done5 := put(ctx5, 5, make([]byte, 1<<20))
+	if !m.Has(5) || m.Used() != 1<<20 {
+		t.Fatalf("a waiting Put is not published: Has %v, Used %d", m.Has(5), m.Used())
+	}
+	done9 := put(ctx9, 9000, make([]byte, 1<<19)) // grows the table
+	cancel5()
+	if err := <-done5; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Put returned %v", err)
+	}
+	if _, ok, _ := m.Get(bg, 5); ok || m.Has(5) || m.Used() != 1<<19 {
+		t.Fatalf("canceled Put left a trace: Get ok=%v, Has %v, Used %d", ok, m.Has(5), m.Used())
+	}
+	cancel9()
+	if err := <-done9; !errors.Is(err, context.Canceled) || m.Has(9000) || m.Used() != 0 {
+		t.Fatalf("second canceled Put: err %v, Has %v, Used %d", err, m.Has(9000), m.Used())
+	}
+	again := put(bg, 5, []byte("again"))
+	clk.advance(time.Hour)
+	if err := <-again; err != nil {
+		t.Fatal(err)
+	}
+	if data, ok, _ := m.Get(bg, 5); !ok || string(data) != "again" || m.Used() != 5 {
+		t.Errorf("re-put after a rollback: %q ok=%v, Used %d", data, ok, m.Used())
+	}
+}
+
 func TestSizeClass(t *testing.T) {
-	if c := sizeClass(0); c != 0 {
+	if c, _ := sizeClass(0); c != 0 {
 		t.Errorf("sizeClass(0) = %d", c)
 	}
 	for n := 1; n <= 1<<20; n++ {
-		c := sizeClass(n)
-		if c < n || c-n > (n-1)/8 || sizeClass(c) != c {
+		c, _ := sizeClass(n)
+		if cc, _ := sizeClass(c); c < n || c-n > (n-1)/8 || cc != c {
 			t.Fatalf("sizeClass(%d) = %d: short, over an eighth larger, or not a class", n, c)
 		}
 	}
@@ -90,7 +222,7 @@ func TestSizeClass(t *testing.T) {
 func TestStagingReleaseRecyclesBuffers(t *testing.T) {
 	s := NewStaging(3 << 10)
 	a := s.Buffer(1000)
-	if len(a) != 1000 || cap(a) != sizeClass(1000) {
+	if c, _ := sizeClass(1000); len(a) != 1000 || cap(a) != c {
 		t.Fatalf("Buffer(1000): len %d cap %d", len(a), cap(a))
 	}
 	s.Release(a)
@@ -99,15 +231,56 @@ func TestStagingReleaseRecyclesBuffers(t *testing.T) {
 	if b := s.Buffer(cap(a)); &b[0] != &a[0] || len(b) != cap(a) {
 		t.Error("a released buffer was not reused for its size class")
 	}
-	if c := s.Buffer(2000); cap(c) != sizeClass(2000) {
-		t.Errorf("Buffer(2000): cap %d", cap(c))
+	if c, want := s.Buffer(2000), 2048; cap(c) != want {
+		t.Errorf("Buffer(2000): cap %d, want %d", cap(c), want)
 	}
 	// The free list holds at most the staging budget, and only buffers whose
 	// capacity is a size class.
 	bufs := [][]byte{s.Buffer(1024), s.Buffer(1024), s.Buffer(1024), s.Buffer(1024), make([]byte, 10, 100)}
 	s.Release(bufs...)
-	if s.freeBytes != 3<<10 || len(s.free[100]) != 0 {
-		t.Errorf("free list holds %d bytes (budget %d), %d odd-sized buffers", s.freeBytes, 3<<10, len(s.free[100]))
+	odd := 0
+	for _, l := range s.free {
+		for _, b := range l {
+			if cap(b) == 100 {
+				odd++
+			}
+		}
+	}
+	if s.freeBytes != 3<<10 || odd != 0 {
+		t.Errorf("free list holds %d bytes (budget %d), %d odd-sized buffers", s.freeBytes, 3<<10, odd)
+	}
+}
+
+func TestStagingSizeClassOrdinals(t *testing.T) {
+	// Every size class from 1 B up to the 1 GiB wire cap of a fetched
+	// payload has its own free-list ordinal, in order, the cap's being the
+	// free list's last. Buffer and Release round-trip a buffer of each class
+	// up to 8 MiB through its own list (larger ones are not allocated here).
+	const wireCap = 1 << 30
+	s := NewStaging(16 << 20)
+	ord := 0
+	for n := 1; n <= wireCap; ord++ {
+		c, o := sizeClass(n)
+		if cc, oc := sizeClass(c); o != ord || cc != c || oc != ord {
+			t.Fatalf("sizeClass(%d) = %d, ordinal %d (%d for the class itself), want ordinal %d", n, c, o, oc, ord)
+		}
+		if c <= 8<<20 {
+			b := s.Buffer(n)
+			s.Release(b)
+			if len(b) != n || cap(b) != c || s.freeBytes != int64(c) {
+				t.Fatalf("Buffer(%d): len %d cap %d, free list %d bytes", n, len(b), cap(b), s.freeBytes)
+			}
+			if got := s.Buffer(c); &got[0] != &b[0] || len(got) != c || s.freeBytes != 0 {
+				t.Fatalf("the class-%d buffer did not come back from its own list", c)
+			}
+		}
+		n = c + 1
+	}
+	if ord != len(s.free) {
+		t.Errorf("%d size classes up to the wire cap, %d free lists", ord, len(s.free))
+	}
+	if _, o := sizeClass(wireCap + 1); o < len(s.free) {
+		t.Errorf("a buffer past the wire cap maps to free list %d", o)
 	}
 }
 

@@ -45,8 +45,8 @@ type Aggregator interface {
 	End() error
 }
 
-// meta builds the stream metadata for the grid.
-func (g *Grid) meta() Meta {
+// Meta returns the grid's stream metadata, every default resolved.
+func (g *Grid) Meta() Meta {
 	labels := map[string]string{}
 	for _, s := range g.Scenarios {
 		if s.Label != "" {
@@ -122,7 +122,7 @@ func (r *Runner) RunStream(ctx context.Context, g *Grid, aggs ...Aggregator) err
 		return err
 	}
 	cells := g.Cells()
-	meta := g.meta()
+	meta := g.Meta()
 	for _, a := range aggs {
 		if err := a.Begin(meta); err != nil {
 			return err

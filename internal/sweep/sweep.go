@@ -295,6 +295,10 @@ func (g *Grid) patterns() []AccessSpec {
 	return []AccessSpec{{}}
 }
 
+// ProfileCount returns the length of the effective fault-profile axis: a
+// grid without one runs one implicit fault-free profile.
+func (g *Grid) ProfileCount() int { return len(g.profiles()) }
+
 // metrics returns the effective result schema.
 func (g *Grid) metrics() []Metric {
 	if len(g.Metrics) > 0 {
