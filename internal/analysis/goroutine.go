@@ -14,7 +14,7 @@ func goroutineAnalyzer() *Analyzer {
 		Name: "goroutine",
 		Doc: "every goroutine in library code is tied to a teardown path (context, channel, or " +
 			"WaitGroup), library code never busy-waits on a bare time.Sleep, and the clockScope " +
-			"packages call no time function that reads or waits on the clock",
+			"packages call no time function that reads or waits on the clock and make no sync.Cond",
 		Run: runGoroutine,
 	}
 }
@@ -27,7 +27,8 @@ func runGoroutine(p *Package) []Diagnostic {
 	decls := funcDeclIndex(p)
 	timeFuncs, why := []string{"Sleep"}, "bare time.%s in library code: wait on a context or timer channel so "+
 		"cancellation can interrupt it (PR 3 contract: teardown in bounded time)"
-	if p.under(clockScope...) {
+	inClock := p.under(clockScope...)
+	if inClock {
 		timeFuncs = []string{"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "NewTimer", "Tick", "NewTicker"}
 		why = "call to time.%s outside internal/clock: read and wait on a clock.Clock, so tests can run this package on a manual clock"
 	}
@@ -37,6 +38,10 @@ func runGoroutine(p *Package) []Diagnostic {
 		case *ast.CallExpr:
 			if name, ok := pkgFuncCall(p.Info, x, "time", timeFuncs...); ok {
 				diags = append(diags, p.diag(x.Pos(), "goroutine", why, name))
+			}
+			if _, ok := pkgFuncCall(p.Info, x, "sync", "NewCond"); ok && inClock {
+				diags = append(diags, p.diag(x.Pos(), "goroutine", "sync.NewCond in a clock-scope package: "+
+					"a Cond wait wakes for neither a context nor the clock; park in Clock.WaitUntil on a wake channel"))
 			}
 		case *ast.GoStmt:
 			if !teardownEvidence(p, decls, x) {

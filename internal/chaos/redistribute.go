@@ -105,17 +105,6 @@ func (s *Schedule) RedistributeStream(
 	return out, outEnds
 }
 
-// RedistributedRounds returns how many plan entries RedistributeStream
-// grafted onto self's stream beyond its own entries — the live engine's
-// nopfs_redistributed_rounds_total accounting.
-func RedistributedRounds(stream, reshaped []access.SampleID) int {
-	own := len(stream)
-	if len(reshaped) < own {
-		own = len(reshaped) // crashed self: only the delivered prefix is own
-	}
-	return len(reshaped) - own
-}
-
 // SurvivorStreams is a test/verification helper: it redistributes every
 // rank's plan stream under the schedule and returns the per-rank reshaped
 // streams and boundaries, keyed by rank. Ranks that crash get their

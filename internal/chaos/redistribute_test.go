@@ -109,12 +109,6 @@ func TestRedistributeStreamRoundRobinShares(t *testing.T) {
 	if want := []int{4}; !reflect.DeepEqual(ends2, want) {
 		t.Errorf("crashed rank bounds = %v, want %v", ends2, want)
 	}
-	if rr := RedistributedRounds(streams[2], got2); rr != 0 {
-		t.Errorf("crashed rank RedistributedRounds = %d, want 0", rr)
-	}
-	if rr := RedistributedRounds(streams[0], got0); rr != 4 {
-		t.Errorf("rank 0 RedistributedRounds = %d, want 4", rr)
-	}
 }
 
 // TestSurvivorStreamsExactlyOnce is the conservation law the live engine is

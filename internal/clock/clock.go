@@ -13,10 +13,13 @@ import (
 // Clock reads the time and waits on it.
 type Clock interface {
 	Now() time.Time
-	// WaitUntil blocks until the clock reaches t, wake is closed (a nil
-	// wake never is) or ctx ends, and returns ctx's error in the last case.
+	// WaitUntil blocks until the clock reaches t, a receive from wake
+	// succeeds (nil never does) or ctx ends; it returns ctx's error then.
 	WaitUntil(ctx context.Context, t time.Time, wake <-chan struct{}) error
 }
+
+// Never is an instant no clock reaches: a wait for it ends at wake or ctx.
+var Never = time.Unix(1<<62, 0)
 
 // Real is the wall clock.
 var Real Clock = wall{}
@@ -29,15 +32,19 @@ func (wall) Now() time.Time { return time.Now() }
 var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
 func (wall) WaitUntil(ctx context.Context, t time.Time, wake <-chan struct{}) error {
-	d := time.Until(t)
-	if d <= 0 {
-		return nil
+	var tick <-chan time.Time // nil for Never, which takes no timer
+	if !t.Equal(Never) {
+		d := time.Until(t)
+		if d <= 0 {
+			return nil
+		}
+		timer := timers.Get().(*time.Timer)
+		timer.Reset(d)
+		defer func() { timer.Stop(); timers.Put(timer) }()
+		tick = timer.C
 	}
-	timer := timers.Get().(*time.Timer)
-	timer.Reset(d)
-	defer func() { timer.Stop(); timers.Put(timer) }()
 	select {
-	case <-timer.C:
+	case <-tick:
 		return nil
 	case <-wake:
 		return nil

@@ -8,7 +8,8 @@ import (
 )
 
 // TestRealWaitUntil: the wall clock's wait returns at its instant, at a
-// wake, or with ctx's error, and at once for an instant already reached.
+// wake, or with ctx's error, and at once for an instant already reached; a
+// wait for Never returns only at a wake or with ctx's error.
 func TestRealWaitUntil(t *testing.T) {
 	bg := context.Background()
 	canceled, cancel := context.WithCancel(bg)
@@ -27,6 +28,12 @@ func TestRealWaitUntil(t *testing.T) {
 	}
 	if err := Real.WaitUntil(canceled, Real.Now().Add(time.Hour), nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled wait: %v, want context.Canceled", err)
+	}
+	if err := Real.WaitUntil(bg, Never, wake); err != nil {
+		t.Errorf("woken wait for Never: %v, want nil", err)
+	}
+	if err := Real.WaitUntil(canceled, Never, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled wait for Never: %v, want context.Canceled", err)
 	}
 }
 

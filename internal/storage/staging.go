@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/bits"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/clock"
 )
@@ -30,16 +32,21 @@ type slot struct {
 // candidate). Payload memory circulates too (Buffer, Release).
 type Staging struct {
 	capBytes int64
+	clock    clock.Clock  // clock.Real; tests set a manual one
+	stalled  atomic.Int64 // nanoseconds Pop has parked, read without mu
 
-	mu       sync.Mutex
-	notFull  *sync.Cond
-	notEmpty *sync.Cond
+	mu sync.Mutex
 	// ring holds position p in slot p % len(ring), a power of two.
 	ring    []slot
 	used    int64
 	nextPop int
 	closed  bool
-	watched map[<-chan struct{}]func() bool
+	// A Push rings popWake while Pop is parked (popParked), and Close
+	// closes it; the first producer to park on the byte budget makes
+	// pushWake, closed by the next Pop or Close.
+	popWake   chan struct{}
+	popParked bool
+	pushWake  chan struct{}
 
 	// free holds released buffers by size-class ordinal: the 224 classes
 	// of 1 B up to 1 GiB, the wire cap of a fetched payload (sixteen up
@@ -53,28 +60,7 @@ var ErrClosed = errors.New("storage: staging buffer closed")
 
 // NewStaging returns a staging buffer with the given byte budget.
 func NewStaging(capBytes int64) *Staging {
-	s := &Staging{capBytes: capBytes, ring: make([]slot, 16), watched: map[<-chan struct{}]func() bool{}}
-	s.notFull = sync.NewCond(&s.mu)
-	s.notEmpty = sync.NewCond(&s.mu)
-	return s
-}
-
-// watch makes ctx's cancellation wake every waiter, once per Done channel
-// until it fires or Close stops it. Waiters call it under s.mu just before
-// Cond.Wait; the callback takes s.mu too, so it cannot fire between the
-// waiter's ctx check and its Wait.
-func (s *Staging) watch(ctx context.Context) {
-	done := ctx.Done()
-	if done == nil || s.watched[done] != nil {
-		return
-	}
-	s.watched[done] = context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		delete(s.watched, done)
-		s.notFull.Broadcast()
-		s.notEmpty.Broadcast()
-	})
+	return &Staging{capBytes: capBytes, clock: clock.Real, ring: make([]slot, 16), popWake: make(chan struct{}, 1)}
 }
 
 // Push inserts the sample fetched for stream position pos, blocking while
@@ -87,8 +73,13 @@ func (s *Staging) Push(ctx context.Context, pos int, id int32, data []byte) erro
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for !s.closed && clock.Err(ctx) == nil && s.used+size > s.capBytes && pos != s.nextPop {
-		s.watch(ctx)
-		s.notFull.Wait()
+		if s.pushWake == nil {
+			s.pushWake = make(chan struct{})
+		}
+		wake := s.pushWake
+		s.mu.Unlock()
+		_ = s.clock.WaitUntil(ctx, clock.Never, wake) // the loop reads ctx
+		s.mu.Lock()
 	}
 	if s.closed {
 		return ErrClosed
@@ -109,25 +100,21 @@ func (s *Staging) Push(ctx context.Context, pos int, id int32, data []byte) erro
 	}
 	*sl = slot{Entry{Pos: pos, ID: id, Data: data}, true}
 	s.used += size
-	s.notEmpty.Broadcast()
+	if pos == s.nextPop && s.popParked {
+		s.popParked = false
+		select {
+		case s.popWake <- struct{}{}:
+		default: // a ring that a canceled Pop left is pending
+		}
+	}
 	return nil
 }
 
 // Pop removes and returns the entry for the next stream position, blocking
-// until it has been staged. It returns ErrClosed after Close once the
-// in-order prefix has drained, and ctx's error if the context is canceled
-// while waiting.
-func (s *Staging) Pop(ctx context.Context) (Entry, error) { return s.pop(ctx, true) }
-
-// TryPop is Pop that never waits: false, removing nothing, when Pop would
-// block or fail.
-func (s *Staging) TryPop(ctx context.Context) (Entry, bool) {
-	e, err := s.pop(ctx, false)
-	return e, err == nil
-}
-
-// pop is Pop; without wait, it fails where Pop would block.
-func (s *Staging) pop(ctx context.Context, wait bool) (Entry, error) {
+// until it has been staged; the time it blocks, on the buffer's clock, adds
+// to Stalled. It returns ErrClosed after Close once the in-order prefix has
+// drained, and ctx's error if ctx ends first. Pop has one caller at a time.
+func (s *Staging) Pop(ctx context.Context) (Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -139,14 +126,21 @@ func (s *Staging) pop(ctx context.Context, wait bool) (Entry, error) {
 			*sl = slot{} // no payload stays reachable from the ring
 			s.nextPop++
 			s.used -= int64(len(e.Data))
-			s.notFull.Broadcast()
+			if s.pushWake != nil {
+				close(s.pushWake)
+				s.pushWake = nil
+			}
 			return e, nil
 		}
-		if s.closed || !wait {
+		if s.closed {
 			return Entry{}, ErrClosed
 		}
-		s.watch(ctx)
-		s.notEmpty.Wait()
+		start := s.clock.Now()
+		s.popParked = true
+		s.mu.Unlock()
+		_ = s.clock.WaitUntil(ctx, clock.Never, s.popWake) // the loop reads ctx
+		s.mu.Lock()
+		s.stalled.Add(int64(s.clock.Now().Sub(start)))
 	}
 }
 
@@ -194,16 +188,20 @@ func (s *Staging) Used() int64 {
 	return s.used
 }
 
+// Stalled returns the total time Pop has blocked, on the buffer's clock.
+func (s *Staging) Stalled() time.Duration { return time.Duration(s.stalled.Load()) }
+
 // Close wakes all waiters; Pop drains staged in-order entries then reports
 // ErrClosed, Push fails immediately.
 func (s *Staging) Close() {
 	s.mu.Lock()
-	s.closed = true
-	for _, stop := range s.watched {
-		stop()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed = true
+		close(s.popWake)
+		if s.pushWake != nil {
+			close(s.pushWake)
+			s.pushWake = nil
+		}
 	}
-	clear(s.watched)
-	s.mu.Unlock()
-	s.notFull.Broadcast()
-	s.notEmpty.Broadcast()
 }

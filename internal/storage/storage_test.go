@@ -284,22 +284,6 @@ func TestStagingSizeClassOrdinals(t *testing.T) {
 	}
 }
 
-func TestStagingTryPop(t *testing.T) {
-	s := NewStaging(100)
-	if _, ok := s.TryPop(bg); ok {
-		t.Fatal("TryPop of an empty buffer succeeded")
-	}
-	s.Push(bg, 0, 7, []byte("x"))
-	canceled, cancel := context.WithCancel(bg)
-	cancel()
-	if _, ok := s.TryPop(canceled); ok {
-		t.Fatal("TryPop under a canceled context succeeded")
-	}
-	if e, ok := s.TryPop(bg); !ok || e.ID != 7 || s.Used() != 0 {
-		t.Fatalf("TryPop: %+v %v, used %d", e, ok, s.Used())
-	}
-}
-
 func TestBackendCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -722,39 +706,26 @@ func TestStagingInOrderDelivery(t *testing.T) {
 	}
 }
 
-// parked returns once a call under ctx waits in s's Cond.Wait: a waiter with
-// a cancellable ctx registers its Done channel in watched, under s.mu, just
-// before it waits, and Wait releases s.mu only once the waiter is parked.
-func parked(t *testing.T, s *Staging, ctx context.Context) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		in := s.watched[ctx.Done()] != nil
-		s.mu.Unlock()
-		if in {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the call never parked on the staging buffer")
-		}
-		runtime.Gosched()
-	}
+// manualStaging is NewStaging(capBytes) on a fresh manual clock: each Push
+// or Pop that parks reports on the clock's parked channel.
+func manualStaging(capBytes int64) (*Staging, *manualClock) {
+	c := newManualClock()
+	s := NewStaging(capBytes)
+	s.clock = c
+	return s, c
 }
 
 func TestStagingBudgetBlocks(t *testing.T) {
-	s := NewStaging(10)
+	s, c := manualStaging(10)
 	if err := s.Push(bg, 0, 0, make([]byte, 8)); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(bg)
-	defer cancel()
 	pushed := make(chan struct{})
 	go func() {
-		s.Push(ctx, 1, 1, make([]byte, 8)) // must block: 16 > 10
+		s.Push(bg, 1, 1, make([]byte, 8)) // must block: 16 > 10
 		close(pushed)
 	}()
-	parked(t, s, ctx)
+	c.park(t)
 	select {
 	case <-pushed:
 		t.Fatal("push succeeded beyond byte budget")
@@ -765,8 +736,76 @@ func TestStagingBudgetBlocks(t *testing.T) {
 	}
 	select {
 	case <-pushed:
-	case <-time.After(time.Second):
+	case <-time.After(5 * time.Second):
 		t.Fatal("push did not unblock after pop freed budget")
+	}
+}
+
+// TestStagingStalledOnItsClock: a Pop parked while the buffer's clock
+// advances 3 s reports exactly 3 s of stall, and a Pop that finds its entry
+// staged adds none.
+func TestStagingStalledOnItsClock(t *testing.T) {
+	s, c := manualStaging(100)
+	got := make(chan error, 1)
+	go func() {
+		_, err := s.Pop(bg) // nothing is staged: the consumer stalls
+		got <- err
+	}()
+	c.park(t)
+	c.advance(3 * time.Second)
+	if err := s.Push(bg, 0, 0, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked Pop was not woken by the Push of its position")
+	}
+	s.Push(bg, 1, 1, []byte{1})
+	c.advance(time.Second)
+	if _, err := s.Pop(bg); err != nil {
+		t.Fatal(err)
+	}
+	if d := s.Stalled(); d != 3*time.Second {
+		t.Errorf("Stalled = %v, want exactly 3s", d)
+	}
+}
+
+// TestStagingParkedPopAllocatesNothing: a Pop that parks on the wall clock
+// and is woken by the Push of its position allocates nothing: the consumer's
+// wake channel is made once, and a wait for clock.Never takes no timer.
+func TestStagingParkedPopAllocatesNothing(t *testing.T) {
+	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+	defer cancel()
+	s := NewStaging(100)
+	parked := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.popParked
+	}
+	next := make(chan int)
+	defer close(next)
+	go func() {
+		for pos := range next {
+			for !parked() && ctx.Err() == nil {
+				runtime.Gosched()
+			}
+			s.Push(ctx, pos, 0, nil)
+		}
+	}()
+	pos := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		next <- pos
+		if e, err := s.Pop(ctx); err != nil || e.Pos != pos {
+			t.Fatalf("pop %d: %+v %v", pos, e, err)
+		}
+		pos++
+	})
+	if allocs != 0 {
+		t.Errorf("a parked Pop woken by a Push allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -792,17 +831,29 @@ func TestStagingOversizedSampleNoDeadlock(t *testing.T) {
 }
 
 func TestStagingClose(t *testing.T) {
-	s := NewStaging(100)
+	// Close fails a producer parked on the byte budget, and the consumer
+	// still drains the staged prefix.
+	s, c := manualStaging(1)
 	s.Push(bg, 0, 5, []byte("x"))
+	parked := make(chan error, 1)
+	go func() { parked <- s.Push(bg, 1, 6, []byte("y")) }()
+	c.park(t)
 	s.Close()
-	// Drains staged prefix first.
+	select {
+	case err := <-parked:
+		if err != ErrClosed {
+			t.Fatalf("parked push after close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not wake the parked push")
+	}
 	if e, err := s.Pop(bg); err != nil || e.ID != 5 {
 		t.Fatalf("pop after close: %v", err)
 	}
 	if _, err := s.Pop(bg); err != ErrClosed {
 		t.Fatalf("expected ErrClosed, got %v", err)
 	}
-	if err := s.Push(bg, 1, 6, []byte("y")); err != ErrClosed {
+	if err := s.Push(bg, 2, 7, []byte("z")); err != ErrClosed {
 		t.Fatalf("push after close: %v", err)
 	}
 }
@@ -811,8 +862,8 @@ func TestStagingCancelUnblocks(t *testing.T) {
 	// A Pop blocked on an empty buffer and a Push blocked on a full budget
 	// must both return the context error promptly on cancel, leaving the
 	// buffer usable for other contexts. The push waits under a child of the
-	// pop's context, so each parks under a Done channel of its own.
-	s := NewStaging(10)
+	// pop's context, so one cancel ends both.
+	s, c := manualStaging(10)
 	ctx, cancel := context.WithCancel(context.Background())
 	pushCtx, cancelPush := context.WithCancel(ctx)
 	defer cancelPush()
@@ -828,8 +879,8 @@ func TestStagingCancelUnblocks(t *testing.T) {
 	go func() {
 		pushDone <- s.Push(pushCtx, 2, 2, make([]byte, 8)) // blocks: budget full, not next pop
 	}()
-	parked(t, s, ctx)
-	parked(t, s, pushCtx)
+	c.park(t)
+	c.park(t)
 	cancel()
 	for name, ch := range map[string]chan error{"pop": popDone, "push": pushDone} {
 		select {
@@ -841,9 +892,13 @@ func TestStagingCancelUnblocks(t *testing.T) {
 			t.Fatalf("canceled %s did not return", name)
 		}
 	}
-	// The buffer itself is still healthy under a live context.
+	// The buffer itself is still healthy under a live context, and a Pop
+	// under the canceled one takes nothing, even with its entry staged.
 	if err := s.Push(bg, 0, 0, []byte("z")); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := s.Pop(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled pop of a staged entry: %v, want context.Canceled", err)
 	}
 	if e, err := s.Pop(bg); err != nil || e.Pos != 0 {
 		t.Fatalf("pop after cancel: %+v %v", e, err)
@@ -914,12 +969,13 @@ func TestStagingEmptyPayload(t *testing.T) {
 	s.Push(bg, 1, 1, []byte("x"))
 	s.Push(bg, 0, 0, nil)
 	for pos := 0; pos < 2; pos++ {
-		if e, ok := s.TryPop(bg); !ok || e.Pos != pos {
-			t.Fatalf("pop %d: %+v %v", pos, e, ok)
+		if e, err := s.Pop(bg); err != nil || e.Pos != pos {
+			t.Fatalf("pop %d: %+v %v", pos, e, err)
 		}
 	}
-	if _, ok := s.TryPop(bg); ok {
-		t.Error("a popped empty entry was delivered twice")
+	s.Close()
+	if _, err := s.Pop(bg); err != ErrClosed {
+		t.Errorf("a popped empty entry was delivered twice: %v, want ErrClosed", err)
 	}
 }
 
@@ -954,41 +1010,6 @@ func TestStagingCloseDrainsPrefix(t *testing.T) {
 	}
 	if e, err := s.Pop(bg); err != ErrClosed {
 		t.Fatalf("pop past the gap: %+v %v, want ErrClosed", e, err)
-	}
-}
-
-func TestStagingWatchesOncePerContext(t *testing.T) {
-	// Waits under one context, or under a value-only child sharing its
-	// Done, register one cancellation wake-up (a second AfterFunc would
-	// allocate); a fired wake-up removes itself, and Close stops the rest.
-	s := NewStaging(100)
-	ctx, cancel := context.WithCancel(bg)
-	defer cancel()
-	other, cancelOther := context.WithCancel(bg)
-	watched := func(ctxs ...context.Context) int {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, c := range ctxs {
-			s.watch(c)
-		}
-		return len(s.watched)
-	}
-	type key struct{}
-	if n := watched(ctx, ctx, context.WithValue(ctx, key{}, 1), bg, other); n != 2 {
-		t.Fatalf("%d wake-ups registered for two cancellable contexts", n)
-	}
-	if n := testing.AllocsPerRun(10, func() { watched(ctx) }); n != 0 {
-		t.Errorf("watching a watched context allocates %.0f objects: a second AfterFunc", n)
-	}
-	cancelOther()
-	for deadline := time.Now().Add(5 * time.Second); watched() != 1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("a fired wake-up stayed registered")
-		}
-	}
-	s.Close()
-	if n := watched(); n != 0 {
-		t.Errorf("%d wake-ups registered after Close", n)
 	}
 }
 
@@ -1030,6 +1051,28 @@ func BenchmarkStagingTwoProducers(b *testing.B) {
 	for p := 0; p < 2; p++ {
 		go func() {
 			for pos := p; pos < b.N; pos += 2 {
+				s.Push(bg, pos, 0, data)
+			}
+		}()
+	}
+	b.SetBytes(4096)
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Pop(bg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStagingClaimers stages as the job's staging threads do: two
+// producers claim positions from one shared counter, so neither runs more
+// than a position ahead of the other, and one consumer pops in order.
+func BenchmarkStagingClaimers(b *testing.B) {
+	s := NewStaging(1 << 24)
+	data := make([]byte, 4096)
+	var next atomic.Int64
+	for p := 0; p < 2; p++ {
+		go func() {
+			for pos := int(next.Add(1) - 1); pos < b.N; pos = int(next.Add(1) - 1) {
 				s.Push(bg, pos, 0, data)
 			}
 		}()

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/access"
+	"repro/internal/clock"
 )
 
 // flights is one rank's in-flight fetch table, a singleflight keyed by
@@ -64,11 +65,9 @@ func (t *flights) retire(k access.SampleID, data []byte, err error) {
 }
 
 // wait returns the leader's result, or ctx's error if that comes first.
-func (f *flight) wait(ctx context.Context) ([]byte, error) {
-	select {
-	case <-f.done:
-		return f.data, f.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+func (f *flight) wait(ctx context.Context, c clock.Clock) ([]byte, error) {
+	if err := c.WaitUntil(ctx, clock.Never, f.done); err != nil {
+		return nil, err
 	}
+	return f.data, f.err
 }

@@ -6,13 +6,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/clock"
 )
 
 // The flight-table tests use no sleeps. The leader's read blocks on a gate
 // the test owns, and a follower announces itself through its context:
 // flight.wait evaluates ctx.Done() only in the select it blocks in, after
 // join has handed it the flight, so a context whose Done reports the call
-// tells the test the follower is attached before the gate opens.
+// tells the test the follower is attached before the gate opens (the wait is
+// clock.Real's, whose select is the first to read Done).
 
 // do runs read for sample k through the table the way Job.fetchSource
 // fetches an assigned sample: lead, fetch and retire — or wait for whoever
@@ -20,7 +24,7 @@ import (
 func (t *flights) do(ctx context.Context, k int32, read func() ([]byte, error)) (data []byte, shared bool, err error) {
 	f, leader := t.join(k)
 	if !leader {
-		data, err = f.wait(ctx)
+		data, err = f.wait(ctx, clock.Real)
 		return data, true, err
 	}
 	data, err = read()
@@ -82,8 +86,8 @@ func lead(t *flights, k int32, g *gatedRead) <-chan flightResult {
 }
 
 // follow starts n followers of key k and returns once every one of them is
-// waiting on the flight.
-func follow(t *flights, k int32, n int, g *gatedRead, parent context.Context) <-chan flightResult {
+// waiting on the flight; it fails tb if they are not within 5 s.
+func follow(tb testing.TB, t *flights, k int32, n int, g *gatedRead, parent context.Context) <-chan flightResult {
 	out := make(chan flightResult, n)
 	var arrived sync.WaitGroup
 	arrived.Add(n)
@@ -94,7 +98,13 @@ func follow(t *flights, k int32, n int, g *gatedRead, parent context.Context) <-
 			out <- flightResult{data, shared, err}
 		}()
 	}
-	arrived.Wait()
+	waited := make(chan struct{})
+	go func() { arrived.Wait(); close(waited) }()
+	select {
+	case <-waited:
+	case <-time.After(5 * time.Second):
+		tb.Fatal("a follower never waited under its context")
+	}
 	return out
 }
 
@@ -103,7 +113,7 @@ func TestCoalesceOneReadManyCallers(t *testing.T) {
 	g := newGatedRead([]byte("payload"), nil)
 	leader := lead(&table, 7, g)
 	const followers = 8
-	rest := follow(&table, 7, followers, g, bg)
+	rest := follow(t, &table, 7, followers, g, bg)
 	close(g.gate)
 
 	if r := <-leader; r.err != nil || r.shared || string(r.data) != "payload" {
@@ -131,8 +141,8 @@ func TestCoalesceFollowerCancelLeavesLeader(t *testing.T) {
 	g := newGatedRead([]byte("payload"), nil)
 	leader := lead(&table, 7, g)
 	ctx, cancel := context.WithCancel(bg)
-	gone := follow(&table, 7, 1, g, ctx)
-	stays := follow(&table, 7, 1, g, bg)
+	gone := follow(t, &table, 7, 1, g, ctx)
+	stays := follow(t, &table, 7, 1, g, bg)
 	cancel()
 	if r := <-gone; !errors.Is(r.err, context.Canceled) || r.data != nil {
 		t.Fatalf("cancelled follower got (%q, %v), want context.Canceled and no bytes", r.data, r.err)
@@ -159,7 +169,7 @@ func TestCoalesceLeaderErrorSharedNotCached(t *testing.T) {
 	g := newGatedRead(nil, boom)
 	leader := lead(&table, 7, g)
 	const followers = 4
-	rest := follow(&table, 7, followers, g, bg)
+	rest := follow(t, &table, 7, followers, g, bg)
 	close(g.gate)
 	if r := <-leader; r.err != boom {
 		t.Fatalf("leader error = %v, want boom", r.err)

@@ -75,8 +75,8 @@ type Job struct {
 	pos      atomic.Int64 // next stream position to claim
 
 	rec record // the rank's own events, counted once; Stats and met read it
-	// clock times the consumer's stalls, staged fetches and the straggler
-	// stretch: clock.Real, unless an in-package test swaps it.
+	// clock times staged fetches and the straggler stretch, and a joined
+	// flight waits on it: clock.Real, unless an in-package test swaps it.
 	clock clock.Clock
 	// inflight coalesces this rank's concurrent fetches of one assigned
 	// sample (see fetchSource).
@@ -143,6 +143,15 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 	stream, ends := sched.RedistributeStream(rank, workers,
 		art.Streams[rank], art.EpochEnds[rank],
 		func(w int) ([]access.SampleID, []int) { return art.Streams[w], art.EpochEnds[w] })
+	// kept is the rank's own plan prefix that it delivers: its whole plan
+	// stream, or the epochs before its crash. The reshaped stream past it
+	// is the rounds it absorbed from earlier crashes.
+	crash, kept := sched.CrashEpoch(rank, workers), len(art.Streams[rank])
+	if crash == 0 {
+		kept = 0
+	} else if crash > 0 && crash < len(art.EpochEnds[rank]) {
+		kept = art.EpochEnds[rank][crash-1]
+	}
 	j := &Job{
 		rank: rank, opts: opts, ds: ds, plan: plan, digest: plan.Hash(),
 		assign:        assign,
@@ -151,8 +160,8 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 		epochEnds:     ends,
 		tags:          assign.Tags(rank, stream),
 		sources:       make([]uint8, len(stream)),
-		crashEpoch:    sched.CrashEpoch(rank, workers),
-		redistributed: int64(chaos.RedistributedRounds(art.Streams[rank], stream)),
+		crashEpoch:    crash,
+		redistributed: int64(len(stream) - kept),
 		staging:       storage.NewStaging(opts.StagingBytes),
 		rec:           newRecord(len(opts.Classes)),
 		pfs:           pfs,
@@ -319,10 +328,11 @@ func (j *Job) handle(ctx context.Context, from int, req transport.Request) trans
 
 // classPrefetcher fills one storage class with its assigned samples back to
 // back, in first-access order (Rule 1). It skips a sample whose first access
-// lies past the rank's stream (a crash cut it off, so it is never
-// delivered), one the class holds already, and one whose first access the
-// staging path has passed. When it and the staging path miss one sample at
-// once, the in-flight table in fetchSource makes them fetch it once.
+// lies past the plan prefix the rank delivers (a crash cut it off, and the
+// rounds absorbed from earlier crashes do not count), one the class holds
+// already, and one whose first access the staging path has passed. When it
+// and the staging path miss one sample at once, the in-flight table in
+// fetchSource makes them fetch it once.
 func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.Int64) {
 	defer j.wg.Done()
 	backend := j.backends[class]
@@ -333,8 +343,8 @@ func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.In
 		}
 		k := fill[i]
 		fp := j.assign.LocalPos(j.rank, k)
-		if int(fp) >= len(j.stream) {
-			continue // past a crash: the rank never delivers it
+		if int(fp) >= len(j.stream)-int(j.redistributed) {
+			continue // past the plan prefix a crash leaves: never delivered
 		}
 		if backend.Has(k) {
 			continue // the staging path self-healed it already
@@ -496,7 +506,7 @@ func (j *Job) locate(k access.SampleID, pos int, tag byte) (int, []byte, bool, e
 	slot := len(j.backends) + slotCoalesced
 	f, leader := j.inflight.join(k)
 	if !leader {
-		data, err := f.wait(j.ctx)
+		data, err := f.wait(j.ctx, j.clock)
 		return slot, data, false, err
 	}
 	data, ok, err := j.backends[c].Get(j.ctx, k)
@@ -562,13 +572,7 @@ func (j *Job) release() {
 
 // next is the one delivery body behind Get, GetBatch and Samples.
 func (j *Job) next(ctx context.Context) (Sample, bool, error) {
-	e, ok := j.staging.TryPop(ctx)
-	var err error
-	if !ok { // only a Pop that blocks reads the clock
-		start := j.clock.Now()
-		e, err = j.staging.Pop(ctx)
-		j.rec.stallNanos.Add(int64(j.clock.Now().Sub(start)))
-	}
+	e, err := j.staging.Pop(ctx)
 	if err != nil {
 		if fatal := j.fatalErr(); fatal != nil {
 			return Sample{}, false, fatal
@@ -701,7 +705,7 @@ func (j *Job) Stats() Stats {
 			SourceLocal:  j.rec.sum(0, c, stagingRow) + staged(c+slotCoalesced),
 		},
 		RemoteFalsePositives: j.rec.falsePos.Load(),
-		StallSeconds:         float64(j.rec.stallNanos.Load()) / 1e9,
+		StallSeconds:         j.staging.Stalled().Seconds(),
 		Delivered:            j.rec.delivered.Load(),
 		CachedBytes:          cached,
 		PFSReads:             j.rec.sum(c+slotPFS, c+slotPFS+1, stagingRow, classRow),

@@ -78,8 +78,8 @@ type record struct {
 	// served counts fetches by issuer row and by the slot that served them.
 	// Each row is padded to whole 64-byte lines, so the staging threads and
 	// the class prefetchers never write to one line.
-	served                                   [2][]atomic.Int64
-	falsePos, delivered, stallNanos, retries atomic.Int64
+	served                       [2][]atomic.Int64
+	falsePos, delivered, retries atomic.Int64
 }
 
 // newRecord sizes a record's rows for the given local class count.

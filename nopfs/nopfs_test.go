@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 	"weak"
 
 	"repro/internal/access"
@@ -276,116 +276,71 @@ func TestStatsStallAccounting(t *testing.T) {
 	}
 }
 
-// readClock is a clock.Clock that moves only when the test advances it and
-// reports every Now on read, so a test knows a timer has started.
-type readClock struct {
-	mu   sync.Mutex
-	now  time.Time
-	read chan struct{}
-}
-
-func (c *readClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	select {
-	case c.read <- struct{}{}:
-	default:
-	}
-	return c.now
-}
-
-// WaitUntil never waits: the consumer's stall clock only reads the time.
-func (*readClock) WaitUntil(ctx context.Context, _ time.Time, _ <-chan struct{}) error {
-	return ctx.Err()
-}
-
-func (c *readClock) advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
-
-// TestStallSecondsOnJobClock: a consumer blocked in Pop while the job's clock
-// advances 3 s reports exactly 3 s of stall.
-func TestStallSecondsOnJobClock(t *testing.T) {
-	ds := testDataset(t, 32)
-	opts := baseOptions()
-	opts.VerifySamples = false
-	j, err := newJob(bg, ds, 0, 1, opts.withDefaults(), &nullEndpoint{}, nil, plancache.New(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	c := &readClock{now: time.Unix(1_000_000, 0), read: make(chan struct{}, 1)}
-	j.clock = c
-	got := make(chan error, 1)
-	go func() {
-		_, _, err := j.Get(bg) // nothing is staged: the consumer stalls
-		got <- err
-	}()
-	select {
-	case <-c.read: // the stall clock started
-	case <-time.After(5 * time.Second):
-		t.Fatal("the consumer never read the job's clock")
-	}
-	c.advance(3 * time.Second)
-	if err := j.staging.Push(bg, 0, int32(j.stream[0]), []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the consumer never received the staged sample")
-	}
-	if s := j.Stats().StallSeconds; s != 3 {
-		t.Errorf("StallSeconds = %v, want exactly 3", s)
-	}
-}
-
-// TestCrashedRankFillsOnlyItsStream: a rank that crashes after epoch 0 is
-// assigned samples whose first access lies far past its stream's end (more
-// than 512 positions past it); its class fill, left to run to completion
-// before the rank consumes anything, stores none of them. Every fetch the
-// rank makes of a sample it is assigned stores it (fetchSource's flight
-// leader), and only the fill could fetch one outside its stream, so none was
-// read either.
+// TestCrashedRankFillsOnlyItsStream: the class fill of a rank that crashes,
+// run to completion before the staging path claims a position, stores no
+// sample the rank's reshaped stream does not deliver. Rank 1 of "crash:1@1"
+// is assigned samples first accessed far past its stream's end (more than
+// 512 positions past it). Rank 1 of "crash:2@1,crash:1@2" absorbs rank 2's
+// epoch-1 rounds and then crashes, so its reshaped stream is longer than
+// the plan prefix it keeps: some samples it never delivers are first
+// accessed, in its plan, before the reshaped stream's end. Its
+// RedistributedRounds counts the absorbed rounds, the reshaped stream past
+// that prefix.
 func TestCrashedRankFillsOnlyItsStream(t *testing.T) {
-	ds := dataset.MustNew(dataset.Spec{Name: "crash-fill", F: 4096, MeanSize: 64, Classes: 2, Seed: 7})
-	opts := baseOptions()
-	opts.VerifySamples = false
-	opts.StagingBytes = 4 << 20 // the crashed rank stages its whole stream
-	opts.Classes = []Class{{Name: "ram", CapacityBytes: 4 << 20, Threads: 2}}
-	crash, err := chaos.ParseProfile("crash:1@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Chaos = crash
-	_, err = RunCluster(bg, ds, 2, opts, func(ctx context.Context, j *Job) error {
-		if j.Rank() == 1 {
-			j.wg.Wait() // every prefetcher has run out of work
-			past, farthest := 0, int32(0)
+	for _, tc := range []struct {
+		profile string
+		ranks   int
+		absorbs bool // rank 1 absorbs an earlier crash's rounds
+	}{{"crash:1@1", 2, false}, {"crash:2@1,crash:1@2", 3, true}} {
+		t.Run(tc.profile, func(t *testing.T) {
+			ds := dataset.MustNew(dataset.Spec{Name: "crash-fill", F: 4096, MeanSize: 64, Classes: 2, Seed: 7})
+			opts := baseOptions()
+			opts.Epochs, opts.VerifySamples = 3, false
+			opts.Classes = []Class{{Name: "ram", CapacityBytes: 4 << 20, Threads: 1}}
+			crash, err := chaos.ParseProfile(tc.profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Chaos = crash
+			plans := plancache.New(0, 0)
+			j, err := newJob(bg, ds, 1, tc.ranks, opts.withDefaults(), &nullEndpoint{}, nil, plans)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			var next atomic.Int64
+			j.wg.Add(1)
+			j.classPrefetcher(0, j.assign.FillOrder[1][0], &next)
+			delivered := map[access.SampleID]bool{}
+			for _, k := range j.stream {
+				delivered[k] = true
+			}
+			past, before, farthest := 0, 0, int32(0)
 			for _, k := range j.assign.FillOrder[1][0] {
-				fp := j.assign.LocalPos(1, k)
-				if int(fp) < len(j.stream) {
+				if delivered[k] {
 					continue
 				}
+				fp := j.assign.LocalPos(1, k)
 				past, farthest = past+1, max(farthest, fp)
+				if int(fp) < len(j.stream) {
+					before++
+				}
 				if j.backends[0].Has(k) {
-					t.Errorf("sample %d, first accessed at %d, stored by a rank whose stream ends at %d", k, fp, len(j.stream))
+					t.Errorf("sample %d, first accessed at plan position %d, stored by a rank that never delivers it", k, fp)
 				}
 			}
 			if int(farthest) < len(j.stream)+512 {
-				t.Errorf("%d assigned samples past the stream's end %d, the farthest at %d: want one 512 positions past it",
-					past, len(j.stream), farthest)
+				t.Errorf("%d assigned samples never delivered, the farthest at %d: want one 512 positions past the stream's end %d",
+					past, farthest, len(j.stream))
 			}
-		}
-		return DrainAll(nil)(ctx, j)
-	})
-	if err != nil {
-		t.Fatal(err)
+			if tc.absorbs && before == 0 {
+				t.Errorf("no undelivered sample is first accessed before the reshaped stream's end %d", len(j.stream))
+			}
+			ends := plans.Artifacts(*j.plan).EpochEnds[1]
+			if got, want := j.Stats().RedistributedRounds, int64(len(j.stream)-ends[j.crashEpoch-1]); got != want {
+				t.Errorf("RedistributedRounds = %d, want %d", got, want)
+			}
+		})
 	}
 }
 
