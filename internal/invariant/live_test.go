@@ -433,6 +433,55 @@ func TestLiveEpochEndsOneRepresentation(t *testing.T) {
 	}
 }
 
+// TestCrashShortRunsExactlyOnce: the job stages its stream in runs of
+// BatchPerWorker positions, so a crash-reshaped stream whose length is not a
+// multiple of the batch ends in a short run. On live chan clusters, with a
+// staging budget above a run and one below a single sample, every rank
+// delivers its reshaped stream and the union is the plan, exactly once.
+func TestCrashShortRunsExactlyOnce(t *testing.T) {
+	const workers, f = 3, 62
+	for _, spec := range []string{"crash:1@1", "crash:2@1,crash:1@2"} {
+		for _, batch := range []int{4, 5} {
+			for _, budget := range []int64{64 << 10, 1 << 10} {
+				name := fmt.Sprintf("%s/batch %d/budget %d", spec, batch, budget)
+				opts := liveOptions(17)
+				opts.BatchPerWorker, opts.StagingBytes = batch, budget
+				prof, err := chaos.ParseProfile(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Chaos = prof
+				plan := livePlan(t, f, workers, opts)
+				planStreams, planEnds := plan.AllStreamsFromOrders(plan.EpochOrders(0), 0)
+				want, _ := prof.Compile(opts.Seed).SurvivorStreams(workers,
+					func(w int) ([]access.SampleID, []int) { return planStreams[w], planEnds[w] })
+				short := 0
+				for _, s := range want {
+					if len(s)%batch != 0 {
+						short++
+					}
+				}
+				if short == 0 {
+					t.Fatalf("%s: every reshaped stream is a multiple of the batch", name)
+				}
+				delivered, _ := runLive(t, workers, f, opts)
+				for w, s := range want {
+					oracle := make([]int, len(s))
+					for i, id := range s {
+						oracle[i] = int(id)
+					}
+					if !slices.Equal(delivered[w], oracle) {
+						t.Errorf("%s: live rank %d delivered %v, want %v", name, w, delivered[w], oracle)
+					}
+				}
+				if err := CheckExactlyOnce(delivered, planStreams); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}
+		}
+	}
+}
+
 // TestCrashRedistributionExactlyOnce is the crash-redistribution law over
 // randomized {access preset × crash} trials: every preset, the uniform
 // shuffle included, on a random batch size, with one or two crashes at

@@ -39,10 +39,11 @@ type Backend interface {
 // costs 8 bytes per id up to the highest stored id (at most twice that
 // after a growth step) plus a 24-byte box per stored sample, where a
 // map[int32][]byte costs about 40 bytes per cached entry and a lookup.
-// Put and its rollback are the one writer, serialised by mu. A table that
-// must grow is copied whole before the new one is published, so a Get that
-// starts after a Put returned sees the sample; only a Get racing a Put may
-// miss it.
+// Boxes come from a slab and are never rewritten: a Get may still read a
+// rolled-back Put's box, which is abandoned. Put and its rollback are the one
+// writer, serialised by mu. A table that must grow is copied whole before
+// the new one is published, so a Get that starts after a Put returned sees
+// the sample; only a Get racing a Put may miss it.
 type Memory struct {
 	name       string
 	capacity   int64
@@ -51,6 +52,8 @@ type Memory struct {
 
 	mu    sync.Mutex // serialises writers: the capacity claim and publication
 	slots atomic.Pointer[[]atomic.Pointer[[]byte]]
+	slab  [][]byte // boxes; slab[next:] are not carved yet
+	next  int
 	used  atomic.Int64
 }
 
@@ -103,7 +106,11 @@ func (m *Memory) Put(ctx context.Context, id int32, data []byte) (bool, error) {
 		m.slots.Store(&t)
 		sl = &t[id]
 	}
-	box := new([]byte)
+	if m.next == len(m.slab) {
+		m.slab, m.next = make([][]byte, 256), 0
+	}
+	box := &m.slab[m.next]
+	m.next++
 	*box = data
 	m.used.Add(size)
 	sl.Store(box)

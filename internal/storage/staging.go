@@ -26,24 +26,25 @@ type slot struct {
 
 // Staging is the staging buffer of paper Sec. 5.2.2: a byte-budget circular
 // buffer filled by concurrent prefetcher goroutines and drained in exact
-// access order by the trainer. Producers may complete out of order; Pop
-// always delivers position 0, 1, 2, ... Samples are dropped on Pop (the
+// access order by the trainer. Producers may complete out of order; PopRun
+// always delivers position 0, 1, 2, ... Samples are dropped on pop (the
 // paper's Rule 2-4 approximation: a consumed sample is the best eviction
 // candidate). Payload memory circulates too (Buffer, Release).
 type Staging struct {
 	capBytes int64
 	clock    clock.Clock  // clock.Real; tests set a manual one
-	stalled  atomic.Int64 // nanoseconds Pop has parked, read without mu
+	stalled  atomic.Int64 // nanoseconds PopRun has parked, read without mu
 
 	mu sync.Mutex
 	// ring holds position p in slot p % len(ring), a power of two.
 	ring    []slot
 	used    int64
 	nextPop int
+	top     int // one past the highest position staged
 	closed  bool
-	// A Push rings popWake while Pop is parked (popParked), and Close
+	// A PushRun rings popWake while PopRun is parked (popParked), and Close
 	// closes it; the first producer to park on the byte budget makes
-	// pushWake, closed by the next Pop or Close.
+	// pushWake, closed by the next PopRun or Close.
 	popWake   chan struct{}
 	popParked bool
 	pushWake  chan struct{}
@@ -63,16 +64,27 @@ func NewStaging(capBytes int64) *Staging {
 	return &Staging{capBytes: capBytes, clock: clock.Real, ring: make([]slot, 16), popWake: make(chan struct{}, 1)}
 }
 
-// Push inserts the sample fetched for stream position pos, blocking while
-// the byte budget is exhausted. The producer owning the next position to be
-// consumed is always admitted, so a sample larger than the whole budget
-// cannot deadlock the pipeline. Canceling ctx unblocks the call with ctx's
-// error. A position already staged or delivered is rejected.
+// Push is PushRun of the one entry for stream position pos.
 func (s *Staging) Push(ctx context.Context, pos int, id int32, data []byte) error {
-	size := int64(len(data))
+	return s.PushRun(ctx, []Entry{{Pos: pos, ID: id, Data: data}})
+}
+
+// PushRun stages run, entries of one or more consecutive stream positions,
+// with one budget check. It blocks while the run does not fit the budget,
+// unless it starts at the next position to pop or fills a gap below the
+// highest staged one, which the consumer waits for: a run over the budget
+// cannot deadlock, and T producers claiming runs within the budget from one
+// counter (the job's staging threads) stage at most the budget plus T-1 runs.
+// Canceling ctx unblocks the call with ctx's error. A run that is not
+// consecutive or holds a staged or delivered position is rejected whole.
+func (s *Staging) PushRun(ctx context.Context, run []Entry) error {
+	first, size := run[0].Pos, int64(0)
+	for i := range run {
+		size += int64(len(run[i].Data))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for !s.closed && clock.Err(ctx) == nil && s.used+size > s.capBytes && pos != s.nextPop {
+	for !s.closed && s.used+size > s.capBytes && first != s.nextPop && first >= s.top && clock.Err(ctx) == nil {
 		if s.pushWake == nil {
 			s.pushWake = make(chan struct{})
 		}
@@ -87,53 +99,75 @@ func (s *Staging) Push(ctx context.Context, pos int, id int32, data []byte) erro
 	if err := clock.Err(ctx); err != nil {
 		return err
 	}
-	for pos-s.nextPop >= len(s.ring) { // double the ring; pending positions re-slot
+	last := first + len(run) - 1
+	for last-s.nextPop >= len(s.ring) { // double the ring; pending positions re-slot
 		ring := make([]slot, 2*len(s.ring))
 		for p := s.nextPop; p < s.nextPop+len(s.ring); p++ {
 			ring[p&(len(ring)-1)] = s.ring[p&(len(s.ring)-1)]
 		}
 		s.ring = ring
 	}
-	sl := &s.ring[pos&(len(s.ring)-1)]
-	if pos < s.nextPop || sl.full {
-		return errors.New("storage: duplicate staging position")
+	mask := len(s.ring) - 1
+	for i := range run {
+		if pos := run[i].Pos; pos != first+i || pos < s.nextPop || s.ring[pos&mask].full {
+			return errors.New("storage: staging run not consecutive, or a position staged or delivered")
+		}
 	}
-	*sl = slot{Entry{Pos: pos, ID: id, Data: data}, true}
+	for i := range run {
+		s.ring[(first+i)&mask] = slot{run[i], true}
+	}
 	s.used += size
-	if pos == s.nextPop && s.popParked {
+	s.top = max(s.top, last+1)
+	if first == s.nextPop && s.popParked {
 		s.popParked = false
 		select {
 		case s.popWake <- struct{}{}:
-		default: // a ring that a canceled Pop left is pending
+		default: // a ring that a canceled PopRun left is pending
 		}
 	}
 	return nil
 }
 
-// Pop removes and returns the entry for the next stream position, blocking
-// until it has been staged; the time it blocks, on the buffer's clock, adds
-// to Stalled. It returns ErrClosed after Close once the in-order prefix has
-// drained, and ctx's error if ctx ends first. Pop has one caller at a time.
+// Pop is PopRun into one entry.
 func (s *Staging) Pop(ctx context.Context) (Entry, error) {
+	var e [1]Entry
+	_, err := s.PopRun(ctx, e[:])
+	return e[0], err
+}
+
+// PopRun moves into dst the entries of the consecutive staged positions from
+// the next one, up to len(dst) >= 1, and returns how many. It blocks until
+// the next position is staged; the time it blocks, on the buffer's clock,
+// adds to Stalled. After Close it returns ErrClosed once the in-order prefix
+// has drained, and ctx's error if ctx ends first; an error moves nothing.
+// PopRun has one caller at a time.
+func (s *Staging) PopRun(ctx context.Context, dst []Entry) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if err := clock.Err(ctx); err != nil {
-			return Entry{}, err
+			return 0, err
 		}
-		if sl := &s.ring[s.nextPop&(len(s.ring)-1)]; sl.full {
-			e := sl.Entry
+		n := 0
+		for ; n < len(dst); n++ {
+			sl := &s.ring[(s.nextPop+n)&(len(s.ring)-1)]
+			if !sl.full {
+				break
+			}
+			dst[n] = sl.Entry
+			s.used -= int64(len(sl.Data))
 			*sl = slot{} // no payload stays reachable from the ring
-			s.nextPop++
-			s.used -= int64(len(e.Data))
+		}
+		if n > 0 {
+			s.nextPop += n
 			if s.pushWake != nil {
 				close(s.pushWake)
 				s.pushWake = nil
 			}
-			return e, nil
+			return n, nil
 		}
 		if s.closed {
-			return Entry{}, ErrClosed
+			return 0, ErrClosed
 		}
 		start := s.clock.Now()
 		s.popParked = true
@@ -188,11 +222,11 @@ func (s *Staging) Used() int64 {
 	return s.used
 }
 
-// Stalled returns the total time Pop has blocked, on the buffer's clock.
+// Stalled returns the total time PopRun has blocked, on the buffer's clock.
 func (s *Staging) Stalled() time.Duration { return time.Duration(s.stalled.Load()) }
 
-// Close wakes all waiters; Pop drains staged in-order entries then reports
-// ErrClosed, Push fails immediately.
+// Close wakes all waiters; PopRun drains staged in-order entries then
+// reports ErrClosed, PushRun fails immediately.
 func (s *Staging) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -207,6 +207,49 @@ func TestMemoryCanceledPutLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// TestMemoryRolledBackBoxNotReused: a Get that loaded a sample's box before
+// its Put rolled back returns that sample's bytes, even after the next Put
+// carves its own box: a published box is never carved again.
+func TestMemoryRolledBackBoxNotReused(t *testing.T) {
+	read, rclk := manualLimiter(1)
+	write, wclk := manualLimiter(1)
+	m := NewMemory("ram", 1<<30, read, write)
+	put := func(ctx context.Context, id int32, data []byte) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := m.Put(ctx, id, data)
+			done <- err
+		}()
+		wclk.park(t)
+		return done
+	}
+	ctx, cancel := context.WithCancel(bg)
+	first := put(ctx, 1, bytes.Repeat([]byte{1}, 1<<20))
+	type result struct {
+		data []byte
+		ok   bool
+	}
+	got := make(chan result, 1)
+	go func() {
+		data, ok, _ := m.Get(bg, 1)
+		got <- result{data, ok}
+	}()
+	rclk.park(t) // the Get holds sample 1's box
+	cancel()
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Put returned %v", err)
+	}
+	second := put(bg, 2, bytes.Repeat([]byte{2}, 1<<20))
+	rclk.advance(time.Hour)
+	if r := <-got; r.ok && !bytes.Equal(r.data, bytes.Repeat([]byte{1}, 1<<20)) {
+		t.Errorf("a Get of rolled-back sample 1 returned other bytes (first byte %d)", r.data[0])
+	}
+	wclk.advance(time.Hour)
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSizeClass(t *testing.T) {
 	if c, _ := sizeClass(0); c != 0 {
 		t.Errorf("sizeClass(0) = %d", c)
@@ -1013,6 +1056,254 @@ func TestStagingCloseDrainsPrefix(t *testing.T) {
 	}
 }
 
+// run returns the entries of positions first..first+n-1, each of size
+// bytes; an entry's ID is its position.
+func run(first, n, size int) []Entry {
+	out := make([]Entry, n)
+	for i := range out {
+		out[i] = Entry{Pos: first + i, ID: int32(first + i), Data: make([]byte, size)}
+	}
+	return out
+}
+
+// popRun is PopRun into an n-entry slice; it returns the positions taken.
+func popRun(t *testing.T, s *Staging, n int) []int {
+	t.Helper()
+	dst := make([]Entry, n)
+	got, err := s.PopRun(bg, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pos []int
+	for _, e := range dst[:got] {
+		if e.ID != int32(e.Pos) {
+			t.Fatalf("position %d delivered sample %d", e.Pos, e.ID)
+		}
+		pos = append(pos, e.Pos)
+	}
+	return pos
+}
+
+// pushReturns runs PushRun(r) and fails unless it returns nil without
+// parking on c.
+func pushReturns(t *testing.T, s *Staging, c *manualClock, r []Entry) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- s.PushRun(bg, r) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("push of run at %d: %v", r[0].Pos, err)
+		}
+	case <-c.parked:
+		t.Fatalf("the run at %d parked on the byte budget", r[0].Pos)
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the run at %d neither returned nor parked", r[0].Pos)
+	}
+}
+
+// TestStagingPopRunTakesConsecutivePrefix: a PopRun takes exactly the
+// consecutive staged positions from the next one, up to len(dst); it stops
+// at a gap, and parks only when the next position itself is missing.
+func TestStagingPopRunTakesConsecutivePrefix(t *testing.T) {
+	s, c := manualStaging(1 << 20)
+	for _, r := range [][]Entry{run(0, 3, 1), run(4, 2, 1), run(7, 1, 1)} {
+		if err := s.PushRun(bg, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := popRun(t, s, 8); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("pop across the gap at 3 took %v, want [0 1 2]", got)
+	}
+	s.Push(bg, 3, 3, []byte{3})
+	if got := popRun(t, s, 2); !slices.Equal(got, []int{3, 4}) {
+		t.Fatalf("a two-entry pop took %v, want [3 4]", got)
+	}
+	if got := popRun(t, s, 8); !slices.Equal(got, []int{5}) {
+		t.Fatalf("pop up to the gap at 6 took %v, want [5]", got)
+	}
+	dst := make([]Entry, 8)
+	got := make(chan int, 1)
+	go func() {
+		n, _ := s.PopRun(bg, dst)
+		got <- n
+	}()
+	c.park(t)
+	s.Push(bg, 6, 6, []byte{6})
+	select {
+	case n := <-got:
+		if n != 2 || dst[0].Pos != 6 || dst[1].Pos != 7 {
+			t.Fatalf("the pop woken by 6 took %+v, want 6 and 7", dst[:n])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked pop was not woken by the push of its position")
+	}
+	if s.Used() != 0 {
+		t.Errorf("Used = %d after draining", s.Used())
+	}
+}
+
+// TestStagingOversizedRunAtNextPop: a run larger than the whole budget is
+// admitted when it starts at the next position to pop, at the start of the
+// stream and after a pop, while a run past it waits for the budget.
+func TestStagingOversizedRunAtNextPop(t *testing.T) {
+	s, c := manualStaging(4)
+	pushReturns(t, s, c, run(0, 4, 8))
+	if got := popRun(t, s, 4); !slices.Equal(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("pop took %v", got)
+	}
+	later := make(chan error, 1)
+	go func() { later <- s.PushRun(bg, run(6, 2, 8)) }()
+	c.park(t) // 16 bytes over a 4-byte budget, past the next position
+	pushReturns(t, s, c, run(4, 2, 8))
+	if got := popRun(t, s, 4); !slices.Equal(got, []int{4, 5}) {
+		t.Fatalf("pop took %v", got)
+	}
+	select {
+	case err := <-later:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the run at the next position after a pop was not admitted")
+	}
+	if got := popRun(t, s, 4); !slices.Equal(got, []int{6, 7}) {
+		t.Fatalf("pop took %v", got)
+	}
+}
+
+// TestStagingRunRejectedWhole: a run that is not consecutive, or holds a
+// position already staged or delivered, is rejected and stages none of its
+// entries.
+func TestStagingRunRejectedWhole(t *testing.T) {
+	s := NewStaging(100)
+	if err := s.PushRun(bg, run(4, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	bad := [][]Entry{
+		run(3, 3, 1), // 4 is staged
+		{{Pos: 5, ID: 5}, {Pos: 5, ID: 5}},
+		{{Pos: 5, ID: 5}, {Pos: 7, ID: 7}},
+	}
+	for _, r := range bad {
+		if err := s.PushRun(bg, r); err == nil {
+			t.Errorf("run %+v accepted", r)
+		}
+	}
+	if s.Used() != 1 || s.ring[3].full || s.ring[5].full || s.ring[7].full {
+		t.Fatalf("a rejected run staged entries: Used %d", s.Used())
+	}
+	if err := s.PushRun(bg, run(0, 3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := popRun(t, s, 2); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("pop took %v", got)
+	}
+	for _, r := range [][]Entry{run(1, 3, 1), run(2, 2, 1)} { // 1 delivered; 2 staged
+		if err := s.PushRun(bg, r); err == nil {
+			t.Errorf("run at %d accepted", r[0].Pos)
+		}
+	}
+	if s.Used() != 2 || s.ring[3].full {
+		t.Fatalf("a rejected run staged entries: Used %d", s.Used())
+	}
+	s.Push(bg, 3, 3, make([]byte, 1))
+	if got := popRun(t, s, 8); !slices.Equal(got, []int{2, 3, 4}) || s.Used() != 0 {
+		t.Fatalf("pop took %v, Used %d", got, s.Used())
+	}
+}
+
+// TestStagingAdmitsGapRuns: three claimers stage two-entry runs of one byte
+// per entry on a 4-byte budget. The claimer of the third and fourth runs
+// fills the budget and parks on its fifth; the runs below the highest
+// staged position are admitted at once, past the budget, which then holds
+// its bound: the budget plus two (claimers - 1) runs.
+func TestStagingAdmitsGapRuns(t *testing.T) {
+	const budget, runBytes, claimers = 4, 2, 3
+	s, c := manualStaging(budget)
+	pushReturns(t, s, c, run(4, 2, 1))
+	pushReturns(t, s, c, run(6, 2, 1))
+	ahead := make(chan error, 1)
+	go func() { ahead <- s.PushRun(bg, run(8, 2, 1)) }()
+	c.park(t)
+	pushReturns(t, s, c, run(2, 2, 1)) // fills a gap below 8: admitted
+	pushReturns(t, s, c, run(0, 2, 1)) // the next position to pop
+	if got, bound := s.Used(), int64(budget+(claimers-1)*runBytes); got != bound {
+		t.Fatalf("Used = %d, want the bound %d", got, bound)
+	}
+	if got := popRun(t, s, 2); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("pop took %v", got)
+	}
+	c.park(t) // woken by the pop, still 8 > 4 bytes: parks again
+	if got := popRun(t, s, 8); !slices.Equal(got, []int{2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("pop took %v", got)
+	}
+	select {
+	case err := <-ahead:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the run past the budget was not admitted after the pops")
+	}
+}
+
+// TestStagingClaimersOvershootBound: claimers that take runs from one
+// counter, as the job's staging threads do, and finish them out of order
+// never stage more than the budget plus claimers-1 runs, and the consumer
+// gets every position once, in order, the stream's short last run included.
+func TestStagingClaimersOvershootBound(t *testing.T) {
+	const claimers, n, stream, budget = 3, 4, 3001, 64
+	size := func(pos int) int { return 1 + pos%8 }
+	const maxRun = n * 8
+	s := NewStaging(budget)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < claimers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := prng.New(uint64(p))
+			for first := int(next.Add(n)) - n; first < stream; first = int(next.Add(n)) - n {
+				r := run(first, min(n, stream-first), 0)
+				for i := range r {
+					r[i].Data = make([]byte, size(r[i].Pos))
+				}
+				for i := g.Intn(20); i > 0; i-- {
+					runtime.Gosched()
+				}
+				if err := s.PushRun(bg, r); err != nil {
+					t.Error(err)
+					return
+				}
+				if used := s.Used(); used > budget+(claimers-1)*maxRun {
+					t.Errorf("Used = %d after the run at %d, over the bound %d", used, first, budget+(claimers-1)*maxRun)
+				}
+			}
+		}()
+	}
+	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+	defer cancel()
+	g := prng.New(99)
+	dst := make([]Entry, 2*n)
+	for pos := 0; pos < stream; {
+		got, err := s.PopRun(ctx, dst[:1+g.Intn(len(dst))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range dst[:got] {
+			if e.Pos != pos || len(e.Data) != size(pos) {
+				t.Fatalf("pop delivered position %d (%d bytes), want %d", e.Pos, len(e.Data), pos)
+			}
+			pos++
+		}
+	}
+	wg.Wait()
+	if s.Used() != 0 {
+		t.Errorf("Used = %d after draining", s.Used())
+	}
+}
+
 func BenchmarkStagingThroughput(b *testing.B) {
 	s := NewStaging(1 << 24)
 	data := make([]byte, 4096)
@@ -1060,6 +1351,38 @@ func BenchmarkStagingTwoProducers(b *testing.B) {
 		if _, err := s.Pop(bg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStagingRuns stages as the job's staging threads do: two
+// producers claim 16-entry runs from one shared counter and push each with
+// one PushRun, and one consumer pops up to 16 entries per PopRun. An op is
+// one sample.
+func BenchmarkStagingRuns(b *testing.B) {
+	const n = 16
+	s := NewStaging(1 << 24)
+	data := make([]byte, 4096)
+	var next atomic.Int64
+	for p := 0; p < 2; p++ {
+		go func() {
+			r := make([]Entry, n)
+			for first := int(next.Add(n)) - n; first < b.N; first = int(next.Add(n)) - n {
+				r = r[:min(n, b.N-first)]
+				for i := range r {
+					r[i] = Entry{Pos: first + i, Data: data}
+				}
+				s.PushRun(bg, r)
+			}
+		}()
+	}
+	b.SetBytes(4096)
+	dst := make([]Entry, n)
+	for i := 0; i < b.N; {
+		got, err := s.PopRun(bg, dst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		i += got
 	}
 }
 

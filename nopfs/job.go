@@ -96,10 +96,13 @@ type Job struct {
 	// sources records the fetch source per stream position so Get can
 	// report it alongside the sample, with the recycled bit set when the
 	// payload is in a staging free-list buffer. No lock: position p is
-	// written before staging.Push(p) and read after staging.Pop returns p,
-	// and the staging buffer's own mutex orders the two.
+	// written before the PushRun that stages p and read after the PopRun
+	// that takes it, and the staging buffer's own mutex orders the two.
 	sources []uint8
 
+	// queue[qi:] are the entries of the last PopRun not yet delivered.
+	queue []storage.Entry
+	qi    int
 	held  [][]byte // recycled buffers the consumer's last step delivered
 	batch []Sample // GetBatch's slice, overwritten by the next call
 
@@ -160,6 +163,7 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 		epochEnds:     ends,
 		tags:          assign.Tags(rank, stream),
 		sources:       make([]uint8, len(stream)),
+		queue:         make([]storage.Entry, 0, opts.BatchPerWorker),
 		crashEpoch:    crash,
 		redistributed: int64(len(stream) - kept),
 		staging:       storage.NewStaging(opts.StagingBytes),
@@ -359,36 +363,43 @@ func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.In
 	}
 }
 
-// stagingPrefetcher claims stream positions and stages samples in order.
+// stagingPrefetcher claims runs of BatchPerWorker stream positions (the
+// last may be short), fetches each run in order and stages it with PushRun.
 func (j *Job) stagingPrefetcher() {
 	defer j.wg.Done()
+	n := j.opts.BatchPerWorker
+	run := make([]storage.Entry, 0, n)
 	for clock.Err(j.ctx) == nil {
-		pos := int(j.pos.Add(1) - 1)
-		if pos >= len(j.stream) {
+		first := int(j.pos.Add(int64(n))) - n
+		if first >= len(j.stream) {
 			return
 		}
-		k := j.stream[pos]
-		var fetchStart time.Time
-		if j.met != nil {
-			fetchStart = j.clock.Now()
+		run = run[:0]
+		for pos := first; pos < min(first+n, len(j.stream)); pos++ {
+			k := j.stream[pos]
+			var fetchStart time.Time
+			if j.met != nil {
+				fetchStart = j.clock.Now()
+			}
+			data, src, recycled, err := j.fetchFrom(k, pos, j.tags[pos], stagingRow)
+			if err != nil {
+				j.fail(err)
+				return
+			}
+			if j.met != nil {
+				j.met.stagedFetch(pos, k, j.epochOf(pos), src, len(data), j.clock.Now().Sub(fetchStart).Seconds())
+			}
+			j.sources[pos] = uint8(src)
+			if recycled {
+				j.sources[pos] |= recycledBit
+			}
+			run = append(run, storage.Entry{Pos: pos, ID: k, Data: data})
+			storeMax(&j.progress, int64(pos)) // threads finish out of order
 		}
-		data, src, recycled, err := j.fetchFrom(k, pos, j.tags[pos], stagingRow)
-		if err != nil {
+		if err := j.staging.PushRun(j.ctx, run); err != nil {
 			j.fail(err)
 			return
 		}
-		if j.met != nil {
-			j.met.stagedFetch(pos, k, j.epochOf(pos), src, len(data), j.clock.Now().Sub(fetchStart).Seconds())
-		}
-		j.sources[pos] = uint8(src)
-		if recycled {
-			j.sources[pos] |= recycledBit
-		}
-		if err := j.staging.Push(j.ctx, pos, k, data); err != nil {
-			j.fail(err)
-			return
-		}
-		storeMax(&j.progress, int64(pos)) // threads finish out of order
 	}
 }
 
@@ -570,9 +581,17 @@ func (j *Job) release() {
 	j.held = j.held[:0]
 }
 
-// next is the one delivery body behind Get, GetBatch and Samples.
+// next is the one delivery body behind Get, GetBatch and Samples. It
+// refills the queue with one PopRun; under a canceled ctx it delivers none.
 func (j *Job) next(ctx context.Context) (Sample, bool, error) {
-	e, err := j.staging.Pop(ctx)
+	var err error
+	if j.qi < len(j.queue) {
+		err = clock.Err(ctx)
+	} else {
+		var n int
+		n, err = j.staging.PopRun(ctx, j.queue[:cap(j.queue)])
+		j.queue, j.qi = j.queue[:n], 0
+	}
 	if err != nil {
 		if fatal := j.fatalErr(); fatal != nil {
 			return Sample{}, false, fatal
@@ -585,6 +604,8 @@ func (j *Job) next(ctx context.Context) (Sample, bool, error) {
 		}
 		return Sample{}, false, nil // clean end of stream (or Close)
 	}
+	e := j.queue[j.qi]
+	j.qi++
 	j.rec.delivered.Add(1)
 	src := Source(j.sources[e.Pos] &^ recycledBit)
 	if j.sources[e.Pos]&recycledBit != 0 {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"weak"
 
 	"repro/internal/access"
@@ -418,12 +419,15 @@ func TestRunClusterReleasesItsPlan(t *testing.T) {
 // TestRunClusterJobsCollectable requires the Jobs of a returned cluster to
 // be garbage at the next GC. When Close canceled the job's context with
 // Start's context.AfterFunc still registered, the goroutine that started
-// held the job, and with it every cache, through that GC.
+// held the job, and with it every cache, through that GC. The GC waits
+// until the cluster's goroutines have exited: Close returns once each
+// prefetcher has called wg.Done, and one between that and its exit still
+// has its job on its stack.
 func TestRunClusterJobsCollectable(t *testing.T) {
 	ds := testDataset(t, 64)
 	opts := baseOptions()
 	opts.Epochs, opts.VerifySamples = 1, false
-	reachable := 0
+	reachable, base := 0, runtime.NumGoroutine()
 	for i := 0; i < 40; i++ {
 		var (
 			mu   sync.Mutex
@@ -437,6 +441,11 @@ func TestRunClusterJobsCollectable(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines run 5 s after the cluster returned, %d before it started", runtime.NumGoroutine(), base)
+			}
 		}
 		runtime.GC()
 		for _, j := range jobs {
