@@ -17,9 +17,10 @@ test:
 
 # The TCP fabric's connection pool races are scheduling-dependent (who parks,
 # who pops, who closes), so the transport package gets five more passes; so
-# do the in-flight fetch table, the PFS read-bound law and the source law,
-# whose regressions are a matter of which prefetcher leads an assigned
-# sample's fetch (and whether a repeat comes before its first touch), and a
+# do the in-flight fetch table, the PFS read-bound law, the source law and
+# the crash rule's laws, whose regressions are a matter of which prefetcher
+# leads an assigned sample's fetch (and whether a repeat comes before its
+# first touch, or a class fill before the staging path), and a
 # class's chunks (its prefetchers and the staging threads carve from them at
 # once, and only the newest carve can be retracted), and the
 # simulator's tag-stream cache and kernel gate (who builds a placement's
@@ -53,7 +54,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
-	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound|SourceAgreement|Chunk|Resilient|Deadline|Caller|ThrottledBackend|AbortedProbe' ./nopfs/ ./internal/invariant/ ./internal/resilience/
+	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound|SourceAgreement|CrashTags|CrashedHolder|Chunk|Resilient|Deadline|Caller|ThrottledBackend|AbortedProbe' ./nopfs/ ./internal/invariant/ ./internal/resilience/
 	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal|ThreadPool|SharedPolicy|Singleflight|CacheRace|Rank|BuildStreams|OrderFromStreams|ArtifactsMatch' ./internal/sim/ ./internal/plancache/ ./internal/access/
 	$(GO) test -race -count=5 -run 'Width|Tags|FirstTouch' ./internal/cachepolicy/
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/
@@ -137,7 +138,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 16700
+LOC_MAX ?= 16655
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

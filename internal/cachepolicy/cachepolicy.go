@@ -83,7 +83,7 @@ type words interface {
 	remoteAvail(w int, k int32, pos int32) (class, worker int)
 	cachedAnywhere(k int32) bool
 	coverage(ds Sizer) float64
-	tags(w int, stream []access.SampleID) []byte
+	tags(w int, stream []access.SampleID, gone func(h, pos int) bool) []byte
 	tableBytes() int64
 
 	place(w int, k int32, c int8, size int64, pos int32)

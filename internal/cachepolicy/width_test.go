@@ -97,7 +97,7 @@ func sameAnswers(plan *access.Plan, streams [][]access.SampleID, ds Sizer, a, b 
 				}
 			}
 		}
-		if a.FillOrder[w] != nil && !bytes.Equal(a.Tags(w, stream), b.Tags(w, stream)) {
+		if a.FillOrder[w] != nil && !bytes.Equal(a.Tags(w, stream, nil), b.Tags(w, stream, nil)) {
 			return fmt.Errorf("Tags of worker %d differ", w)
 		}
 	}

@@ -53,7 +53,7 @@ func TestOutputDigests(t *testing.T) {
 		// numbers; Lassen's 256-GPU global batch exceeds the scaled
 		// dataset, so the run exits 1 behind a truncated report.
 		{"train -fig 10 -gpus 128,256 " + train, ExitError, "96080cd87a2a99254bc6dd7f2d77c89009539d7e5ba7bddaefe2da567efc76b7"},
-		{"train -fig 10 -gpus 32,64 -format json -chaos node-crash " + train, ExitOK, "b7038ff30f0e06396424bf4b649cdac9625a2062ec4b12f621c0e4f368a351cd"},
+		{"train -fig 10 -gpus 32,64 -format json -chaos node-crash " + train, ExitOK, "7db2c27467f2750100847f225dd7fa54f000bca89ca83511ad5a7fc2746df9d2"},
 		{"train -fig 13 -access elastic -format json " + train, ExitOK, "107b5795c6dc6de42b356e981faceecf694472110fbfad7794316eed586294bc"},
 		{"train -fig 12 -gpus 32,64 -chaos meltdown -access zipf " + train, ExitOK, "81f822d5ce37c036186dc7cd5716e3bfde1f8643121a8cf1ef1dfd60e9e6316f"},
 		{"train -fig 16 -chaos straggler -format json " + train, ExitOK, "7e9fde3028f2917eeaef04965a7b29887fe294971bfcc4aab7e8dcdc80510b26"},
@@ -61,6 +61,7 @@ func TestOutputDigests(t *testing.T) {
 		{"train -fig 10 -gpus 32,64 -dry-run " + train, ExitOK, "4e8a841b835ea3e7220c074030218c9b72dc904cacc4d754844bee5be578385d"},
 		{"train -fig 13 -dry-run -chaos node-crash " + train, ExitOK, "9907907d504747a99e9a4b0888f966d6cbfc525ee540b1164a0017e2bb8a5c67"},
 		{"sim -all -format json -scale 0.005", ExitOK, "a1f21d30b68ebe9129a521e7edc1aaf032f5422dff528852b371837e80b36990"},
+		{"sim -all -format json -scale 0.005 -chaos node-crash", ExitOK, "6966d58022cbddac805a9824d3b9dfc2ccd7c0685cd86d7a3f3295e62ea1d3d9"},
 		{"sim -sweep -scale 0.005", ExitOK, "6e7242a3f11b55cf8f7864eb62983e94b8e25e282209115beac469d9f37d8b5f"},
 		{"sim -ablation -scale 0.005", ExitOK, "47250b7b0e4ab90ecd67343b5cf225eb23131aea05a3d5c922df7384db10b0fc"},
 		{"sim -table1 -scale 0.005", ExitOK, "a8802a2778d0cde070777fcfe84ba2f9d0f544708f04e1ba99a165dbcdfdb93c"},

@@ -53,16 +53,20 @@
 //     simulator's input, says — local, else remote, else PFS — but for
 //     three counted timing outcomes: a remote false positive, a late local
 //     (at most once per sample) and an early local.
+//   - Crash rule (CheckCrashTags, CheckCrashedHolderCalls): a crash is a
+//     plan-time fact. A source tag never promises a remote copy on a
+//     holder that has crashed by its position's epoch, and every promise
+//     the schedule clears is exactly such a position; a live rank never
+//     calls such a holder.
 package invariant
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/access"
-	"repro/internal/chaos"
 	"repro/internal/perfmodel"
-	"repro/internal/prng"
 	isim "repro/internal/sim"
 )
 
@@ -316,6 +320,55 @@ func CheckSourceAgreement(tags []byte, observed []perfmodel.Location, stream []a
 	return n, nil
 }
 
+// CheckCrashTags verifies the crash rule of the source tags against the
+// fault-free tags of the same stream: where the holder RemoteAvail names
+// (holder(f)) is gone by position f (gone(h, f)), the tag keeps its local
+// nibble and promises no remote copy; everywhere else it is the fault-free
+// tag. So no tag names a crashed holder, and each cleared promise did.
+func CheckCrashTags(plain, tags []byte, holder func(f int) int, gone func(h, f int) bool) error {
+	if len(tags) != len(plain) {
+		return fmt.Errorf("invariant: %d crash tags for %d positions", len(tags), len(plain))
+	}
+	for f, want := range plain {
+		if want>>4 != 0 && gone(holder(f), f) {
+			want &= 0x0f
+		}
+		if tags[f] != want {
+			return fmt.Errorf("invariant: position %d (holder %d): crash tag %#02x, want %#02x", f, holder(f), tags[f], want)
+		}
+	}
+	return nil
+}
+
+// CheckCrashedHolderCalls verifies the live half of the crash rule on one
+// rank's fetch calls, the i-th to holder to[i] for samples[i]: none reaches
+// a holder gone (crashEpoch(h) >= 0) by the epoch of the position it
+// fetches for, under the rank's delivery stream and its cumulative epoch
+// ends. A call carries no position, so the law places it at the earliest
+// one it can serve: a sample the rank is assigned to cache may be fetched
+// by its class fill from the first position on, any other only by the
+// staging path, at one of its own positions.
+func CheckCrashedHolderCalls(to []int, samples, stream []access.SampleID, ends []int,
+	assigned func(access.SampleID) bool, crashEpoch func(h int) int) error {
+	first := make(map[access.SampleID]int, len(stream))
+	for f := len(stream) - 1; f >= 0; f-- {
+		first[stream[f]] = f
+	}
+	for i, k := range samples {
+		f, ok := first[k]
+		if assigned(k) {
+			f, ok = 0, true
+		}
+		if !ok {
+			return fmt.Errorf("invariant: call %d fetched sample %d, which the rank neither caches nor delivers", i, k)
+		}
+		if epoch, c := sort.SearchInts(ends, f+1), crashEpoch(to[i]); c >= 0 && epoch >= c {
+			return fmt.Errorf("invariant: call %d fetched sample %d from holder %d, gone at epoch %d, for epoch %d or later", i, k, to[i], c, epoch)
+		}
+	}
+	return nil
+}
+
 // CheckFrequencyConservation verifies the frequency accounting laws of a
 // plan's access pattern: the per-worker frequency tables agree entry for
 // entry with the all-worker pass, and the total access count is exactly
@@ -367,99 +420,4 @@ func CheckMixConservation(order []access.SampleID, f, parts int) error {
 		}
 	}
 	return nil
-}
-
-// RandomPattern draws a random access-pattern spec for property tests,
-// covering every generator kind. Elastic schedules are valid by
-// construction (events target existing ranks at epochs 1..E-1, never
-// emptying an epoch's active set); they require workers >= 2 and epochs >= 2
-// and fall back to a non-structural kind otherwise. Deterministic in the
-// generator's state.
-func RandomPattern(g *prng.Generator, workers, epochs int) string {
-	kind := g.Intn(6)
-	if kind == 5 && (workers < 2 || epochs < 2) {
-		kind = g.Intn(5)
-	}
-	switch kind {
-	case 0:
-		return ""
-	case 1:
-		spec := fmt.Sprintf("zipf:s=%.2f", 0.8+0.8*g.Float64())
-		if g.Float64() < 0.5 {
-			spec += fmt.Sprintf(",drift=%.2f", 0.05+0.2*g.Float64())
-		}
-		return spec
-	case 2:
-		return fmt.Sprintf("boost:frac=%.2f,factor=%d", 0.05+0.3*g.Float64(), 2+g.Intn(8))
-	case 3:
-		spec := fmt.Sprintf("curriculum:buckets=%d", 2+g.Intn(5))
-		if g.Float64() < 0.3 {
-			spec += ",shuffle=off"
-		}
-		return spec
-	case 4:
-		parts := make([]string, 2+g.Intn(3))
-		for i := range parts {
-			parts[i] = fmt.Sprintf("%.2f", 0.1+g.Float64())
-		}
-		return "mix:w=" + joinSlash(parts)
-	default:
-		// One membership event keeps every epoch's active set non-empty
-		// for workers >= 2; add a second on a distinct rank when room.
-		epoch := func() int { return 1 + g.Intn(epochs-1) }
-		if g.Float64() < 0.5 {
-			spec := fmt.Sprintf("elastic:join=%d@%d", workers-1, epoch())
-			if workers >= 3 && g.Float64() < 0.5 {
-				spec += fmt.Sprintf(",leave=%d@%d", g.Intn(workers-1), epoch())
-			}
-			return spec
-		}
-		return fmt.Sprintf("elastic:leave=%d@%d", g.Intn(workers), epoch())
-	}
-}
-
-// joinSlash joins mixture weights with the spec grammar's '/' separator.
-func joinSlash(parts []string) string {
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out += "/" + p
-	}
-	return out
-}
-
-// RandomProfile draws a random fault profile for property tests: a mix of
-// stragglers, tier degradations (including the PFS), and fabric faults,
-// plus — when structural is true — node crashes. Deterministic in the
-// generator's state.
-func RandomProfile(g *prng.Generator, workers, epochs, classes int, structural bool) chaos.Profile {
-	p := chaos.Profile{Name: "random"}
-	factor := func() float64 { return 1 + 3*g.Float64() }
-	epoch := func() int { return g.Intn(epochs) }
-	if g.Float64() < 0.7 {
-		p.Stragglers = append(p.Stragglers, chaos.Straggler{
-			Worker: g.Intn(workers), Factor: factor(), FromEpoch: epoch(),
-		})
-	}
-	if g.Float64() < 0.7 {
-		class := chaos.PFSTier
-		if classes > 0 && g.Float64() < 0.7 {
-			class = g.Intn(classes)
-		}
-		p.Tiers = append(p.Tiers, chaos.TierDegradation{
-			Class: class, Factor: factor(), FromEpoch: epoch(),
-		})
-	}
-	if g.Float64() < 0.7 {
-		p.Fabric = chaos.FabricFault{
-			LatencySeconds: 0.002 * g.Float64(),
-			JitterSeconds:  0.002 * g.Float64(),
-			FailRate:       0.3 * g.Float64(),
-		}
-	}
-	if structural && epochs > 1 && workers > 1 && g.Float64() < 0.6 {
-		p.Crashes = append(p.Crashes, chaos.Crash{
-			Worker: g.Intn(workers), AtEpoch: 1 + g.Intn(epochs-1),
-		})
-	}
-	return p
 }

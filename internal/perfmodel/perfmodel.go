@@ -73,8 +73,4 @@ type Choice struct {
 	Class int
 	// Seconds is the fetch time (excluding the staging write).
 	Seconds float64
-	// Holder is the serving worker's rank for LocRemote fetches (meaningless
-	// for other locations). Fault injection uses it to reroute fetches whose
-	// holder has crashed.
-	Holder int32
 }

@@ -151,7 +151,7 @@ func TestTagStreamAccounting(t *testing.T) {
 			builds.Add(1)
 			in := &LeanInput{Streams: map[string]*TagStream{}}
 			for _, kind := range kinds {
-				ts := &TagStream{Stream: a.Streams[0], Tags: p.Tags(0, a.Streams[0])}
+				ts := &TagStream{Stream: a.Streams[0], Tags: p.Tags(0, a.Streams[0], nil)}
 				if kind == "reordered" {
 					ts.Stream, ts.OwnStream = append([]access.SampleID(nil), ts.Stream...), true
 				}

@@ -308,7 +308,7 @@ func TestSingleflight(t *testing.T) {
 			inputs[i] = arts[i].LeanInput(FamilyNoPFS, ds, node, func() *cachepolicy.Assignment {
 				return arts[i].Rank(true).Fill(ds, node, true)
 			}, func(a *cachepolicy.Assignment) *LeanInput {
-				return &LeanInput{Streams: map[string]*TagStream{"": {Stream: arts[i].Streams[0], Tags: a.Tags(0, arts[i].Streams[0])}}}
+				return &LeanInput{Streams: map[string]*TagStream{"": {Stream: arts[i].Streams[0], Tags: a.Tags(0, arts[i].Streams[0], nil)}}}
 			})
 		}(i)
 	}

@@ -22,7 +22,8 @@ import (
 
 // This file holds the simulator's per-fetch reference: the loop the tagged
 // kernel replaced, kept where only tests can reach it. It asks the
-// Assignment accessors where every single fetch comes from, re-derives every
+// Assignment accessors where every single fetch comes from and the crash
+// schedule whether a remote holder is still there, re-derives every
 // stream, re-sums every byte total, checks every boundary per sample, and
 // never flushes the γ estimate, and hands every fetch to a prefetch thread by
 // its own least-loaded scan. It reads no tag, no sourceRule and no field of
@@ -57,15 +58,23 @@ func (free naivePool) schedule(roomTime, readDur float64) float64 {
 	return free[ti]
 }
 
-// referenceSource decides where stream entry f (sample k) is fetched from,
-// policy by policy, under the run's placement a.
-func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, f int, k access.SampleID) perfmodel.Choice {
+// referenceSource decides where stream entry f (sample k), in the given
+// epoch, is fetched from, policy by policy, under the run's placement a. A
+// remote holder the schedule has crashed by the epoch holds nothing, and the
+// next-best holder does not stand in for it.
+func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, epoch, f int, k access.SampleID) perfmodel.Choice {
 	sz, rate := env.SizesMB[k], env.Rate
+	alive := func(c, w int) int {
+		if c >= 0 && env.Chaos.CrashedAt(w, epoch, env.Plan.N) {
+			return -1
+		}
+		return c
+	}
 	local := func(c int) perfmodel.Choice {
 		return perfmodel.Choice{Loc: perfmodel.LocLocal, Class: c, Seconds: rate.FetchLocal(sz, c)}
 	}
-	remote := func(c, w int) perfmodel.Choice {
-		return perfmodel.Choice{Loc: perfmodel.LocRemote, Class: c, Seconds: rate.FetchRemote(sz, c), Holder: int32(w)}
+	remote := func(c int) perfmodel.Choice {
+		return perfmodel.Choice{Loc: perfmodel.LocRemote, Class: c, Seconds: rate.FetchRemote(sz, c)}
 	}
 	pfs := func(readers int) perfmodel.Choice {
 		return perfmodel.Choice{Loc: perfmodel.LocPFS, Class: -1, Seconds: rate.FetchPFS(sz, readers)}
@@ -82,8 +91,8 @@ func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, f int, k a
 		if c := a.LocalAvail(0, k, int32(f)); c >= 0 {
 			return local(c)
 		}
-		if c, w := a.RemoteAvail(0, k, int32(f)); c >= 0 {
-			return remote(c, w)
+		if c := alive(a.RemoteAvail(0, k, int32(f))); c >= 0 {
+			return remote(c)
 		}
 		return pfs(env.Gamma())
 	case NameParallelStaging:
@@ -95,8 +104,8 @@ func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, f int, k a
 		if c := a.Local(0, k); c >= 0 {
 			return local(c)
 		}
-		if c, w := a.RemoteBest(0, k); c >= 0 {
-			return remote(c, w)
+		if c := alive(a.RemoteBest(0, k)); c >= 0 {
+			return remote(c)
 		}
 		return pfs(env.Gamma())
 	}
@@ -104,15 +113,11 @@ func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, f int, k a
 		panic("referenceSource: unknown policy " + name)
 	}
 	// Sec. 5.2 argmin over PFS, remote and local (NoPFS and its ablations).
-	rc, holder := -1, -1
+	rc := -1
 	if !strings.Contains(name, "-noremote") {
-		rc, holder = a.RemoteAvail(0, k, int32(f))
+		rc = alive(a.RemoteAvail(0, k, int32(f)))
 	}
-	ch := rate.Best(sz, a.LocalAvail(0, k, int32(f)), rc, env.Gamma())
-	if ch.Loc == perfmodel.LocRemote {
-		ch.Holder = int32(holder)
-	}
-	return ch
+	return rate.Best(sz, a.LocalAvail(0, k, int32(f)), rc, env.Gamma())
 }
 
 // referenceStream is the stream the policy consumes under the run's
@@ -237,7 +242,7 @@ func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 			batchJitter = env.pfsJitter()
 		}
 		sz := env.SizesMB[k]
-		choice := referenceSource(env, pol, a, f, k)
+		choice := referenceSource(env, pol, a, epoch, f, k)
 		hit := 0.0
 		if choice.Loc == perfmodel.LocPFS {
 			hit = 1
@@ -250,7 +255,7 @@ func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 			choice.Seconds *= batchJitter
 		}
 		if sched != nil {
-			chaosAdjust(env, sched, epoch, f, sz, &choice, res)
+			choice.Seconds = chaosAdjust(env, sched, epoch, f, sz, choice, res)
 		}
 		write := env.Rate.WriteTime(sz)
 		locSec[choice.Loc] += choice.Seconds
@@ -655,7 +660,7 @@ func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", pol.Name(), err)
 			}
-			_, ts := env.runInput(pol.rule, in)
+			ts := env.runInput(pol.rule, in)
 			cached, ran = append(cached, in.Streams[pol.rule.stream]), append(ran, ts)
 		}
 		return cached, ran
@@ -676,9 +681,9 @@ func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 	if len(own) != 3 {
 		t.Errorf("panel consumes %d reordered streams, want 3", len(own))
 	}
-	// A jitter or non-structural chaos profile changes neither placement nor
-	// stream, so it runs on the tags of the fault-free cells, and it looks no
-	// holder up, so it builds no placement.
+	// A jitter or non-structural chaos profile changes neither placement,
+	// stream nor tags, so it runs on the tags of the fault-free cells and
+	// builds no placement.
 	slow := cfg
 	slow.PFSJitter = 0.5
 	slow.Chaos, err = chaos.PresetByName("flaky-fabric")
@@ -691,9 +696,10 @@ func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 	if _, ran := inputs(slow); !slices.Equal(ran, cached) {
 		t.Error("flaky-fabric cells did not run on the fault-free cells' tag streams")
 	}
-	// A node crash reshapes the stream, so its cells run on inputs of their
-	// own, outside the cache, tagged under a placement they look holders up
-	// in: one per family, cached and shared by the crash cells.
+	// A node crash reshapes the stream and takes the crashed holders' copies
+	// out of its tags, so its cells run on inputs of their own, outside the
+	// cache, tagged under one placement per family, cached and shared by the
+	// crash cells.
 	crash := cfg
 	crash.Chaos, err = chaos.PresetByName("node-crash")
 	if err != nil {

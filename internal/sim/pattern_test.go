@@ -146,7 +146,7 @@ func TestKernelInputEnds(t *testing.T) {
 					if err != nil {
 						continue // the scenario is beyond the policy
 					}
-					_, in := env.runInput(pol.rule, lean)
+					in := env.runInput(pol.rule, lean)
 					ends := in.Ends
 					if len(ends) != cfg.Work.Epochs || ends[len(ends)-1] != len(in.Stream) || !slices.IsSorted(ends) {
 						t.Errorf("%s under %q, %s, DropLast %v: ends %v for a stream of %d over %d epochs",

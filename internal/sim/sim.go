@@ -33,6 +33,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -337,28 +338,29 @@ func (env *Env) run(pol Policy) *Result {
 	if pol.partial {
 		res.Coverage = in.Coverage
 	}
-	place, ts := env.runInput(pol.rule, in)
-	simulate(env, pol, ts, place, setup, res)
+	simulate(env, pol, env.runInput(pol.rule, in), setup, res)
 	return res
 }
 
-// runInput returns the tagged stream the kernel runs under rule, as cached,
-// and the placement a node crash looks holders up in (nil without crashes).
-// A crash also redistributes the crashed workers' plan (as the live job
-// does, for worker 0, which crashRank keeps alive) into a stream tagged here,
-// uncached. Its placement is cached, one per family for all crash cells: a
-// build per cell made `sim -all -scale 0.05 -chaos node-crash` 8–16 % slower.
-func (env *Env) runInput(rule sourceRule, in *plancache.LeanInput) (*cachepolicy.Assignment, *plancache.TagStream) {
-	ts := in.Streams[rule.stream]
-	if !env.Chaos.HasCrashes(env.Plan.N) {
-		return nil, ts
+// runInput returns the tagged stream the kernel runs under rule, as cached.
+// A crash redistributes the crashed workers' plan (as the live job does, for
+// worker 0, which crashRank keeps alive) into a stream tagged here, uncached,
+// without a holder's copies from its crash epoch on. Its placement is cached,
+// one per family for all crash cells: a build per cell made `sim -all -scale
+// 0.05 -chaos node-crash` 8–16 % slower.
+func (env *Env) runInput(rule sourceRule, in *plancache.LeanInput) *plancache.TagStream {
+	ts, n := in.Streams[rule.stream], env.Plan.N
+	if !env.Chaos.HasCrashes(n) {
+		return ts
 	}
-	var place *cachepolicy.Assignment
+	stream, ends := env.Chaos.RedistributeStream(0, n, ts.Stream, ts.Ends, env.planStream)
+	out := &plancache.TagStream{Stream: stream, Ends: ends, TotalMB: env.sumMB(stream)}
 	if rule.family != "" {
-		place = env.Art.AssignmentLean(rule.family, env.Cfg.DS, env.Cfg.Sys.Node, func() *cachepolicy.Assignment { return env.placement(rule.family) })
+		place := env.Art.AssignmentLean(rule.family, env.Cfg.DS, env.Cfg.Sys.Node, func() *cachepolicy.Assignment { return env.placement(rule.family) })
+		gone := func(h, pos int) bool { return env.Chaos.CrashedAt(h, sort.SearchInts(ends, pos+1), n) }
+		out.Tags = place.Tags(0, stream, gone)
 	}
-	stream, ends := env.Chaos.RedistributeStream(0, env.Plan.N, ts.Stream, ts.Ends, env.planStream)
-	return place, &plancache.TagStream{Stream: stream, Ends: ends, Tags: sourceTags(place, stream), TotalMB: env.sumMB(stream)}
+	return out
 }
 
 // stagingCompactMin is the staging-window compaction threshold: once at
@@ -500,7 +502,9 @@ func (e *Env) tagStream(a *cachepolicy.Assignment, kind string) *plancache.TagSt
 			}}
 		}).Streams[streamTotal].TotalMB
 	}
-	ts.Tags = sourceTags(a, ts.Stream)
+	if a != nil {
+		ts.Tags = a.Tags(0, ts.Stream, nil)
+	}
 	return ts
 }
 
@@ -508,15 +512,6 @@ func (e *Env) tagStream(a *cachepolicy.Assignment, kind string) *plancache.TagSt
 // tagStream keeps it in, and that entry's one stream kind. No policy places
 // or consumes it.
 const streamTotal = "total"
-
-// sourceTags returns the source tags of stream under placement a, nil
-// without one.
-func sourceTags(a *cachepolicy.Assignment, stream []access.SampleID) []byte {
-	if a == nil {
-		return nil
-	}
-	return a.Tags(0, stream)
-}
 
 // planStream returns worker w's plan stream and its epoch ends.
 func (e *Env) planStream(w int) ([]access.SampleID, []int) {
@@ -546,9 +541,8 @@ func (e *Env) sumMB(stream []access.SampleID) (mb float64) {
 //
 // in.Ends carries the cumulative stream position at which each epoch ends
 // (crash redistribution, elastic membership and reordering policies make
-// epochs unequal); place is the placement a node crash looks remote holders
-// up in.
-func simulate(env *Env, pol Policy, in *plancache.TagStream, place *cachepolicy.Assignment, setup float64, res *Result) {
+// epochs unequal).
+func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res *Result) {
 	simulateCount.Add(1)
 	var (
 		stream, sizes = in.Stream, env.SizesMB
@@ -729,15 +723,8 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, place *cachepolicy.
 				ewma = gammaMiss(ewma)
 			}
 			if sched != nil {
-				choice := perfmodel.Choice{Loc: loc, Class: cls, Seconds: sec}
-				if loc == perfmodel.LocRemote && place != nil {
-					// Only a crash schedule asks who the holder is.
-					_, w := place.RemoteAvail(0, ks[i], int32(f+i))
-					choice.Holder = int32(w)
-				}
 				env.ewma = ewma
-				chaosAdjust(env, sched, epoch, f+i, sz, &choice, res)
-				loc, sec = choice.Loc, choice.Seconds
+				sec = chaosAdjust(env, sched, epoch, f+i, sz, perfmodel.Choice{Loc: loc, Class: cls, Seconds: sec}, res)
 			}
 			write := sz / wr
 			locSec[loc] += sec

@@ -29,10 +29,17 @@ import (
 // duration, and it enacts node crashes — the crashed rank delivers only
 // its pre-crash prefix and then closes its fabric endpoint, while survivors
 // absorb its orphaned plan rounds via the shared chaos.RedistributeStream
-// rule (see Job's crash handling in job.go).
+// rule (see Job's crash handling in job.go), and its copies leave their
+// source tags at its crash epoch (holderGone), as in the simulator.
 //
 // The empty profile installs none of this: no schedule is compiled and no
 // decorator is built (TestChaosEmptyProfileInstallsNothing).
+
+// holderGone reports whether holder h has crashed by the epoch of stream
+// position pos: the rule newJob tags the stream by and fillTag applies.
+func (j *Job) holderGone(h, pos int) bool {
+	return j.chaosSched != nil && j.chaosSched.CrashedAt(h, j.epochOf(pos), j.plan.N)
+}
 
 // errChaosDrop is the injected transient fabric failure. Jobs classify it
 // as transient: with a resilience policy it is retried with backoff, and

@@ -39,8 +39,9 @@ type Job struct {
 	assign *cachepolicy.Assignment
 	// stream is the rank's delivery stream and epochEnds its cumulative
 	// epoch ends: the plan's own, or a crash redistribution's unequal ones.
-	// tags is the placement's source tag of every stream position
-	// (cachepolicy.Tags): the fetch path follows it, as the simulator does.
+	// tags is the placement's source tag of every stream position, without
+	// crashed holders (cachepolicy.Tags): the fetch path follows it, as the
+	// simulator does, so it has no crash rule of its own.
 	stream    []access.SampleID
 	epochEnds []int
 	tags      []byte
@@ -161,7 +162,6 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 		chunks:        make([]chunks, len(opts.Classes)),
 		stream:        stream,
 		epochEnds:     ends,
-		tags:          assign.Tags(rank, stream),
 		sources:       make([]uint8, len(stream)),
 		queue:         make([]storage.Entry, 0, opts.BatchPerWorker),
 		crashEpoch:    crash,
@@ -175,6 +175,11 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 		clock: clock.Real,
 		met:   newJobMetrics(opts.Metrics, rank, opts.Classes, opts.TraceFetches),
 	}
+	var gone func(h, pos int) bool
+	if sched.HasCrashes(workers) {
+		gone = j.holderGone
+	}
+	j.tags = assign.Tags(rank, stream, gone)
 	// The policies that act on one call decorate the seam it crosses and
 	// are absent when unset: resilience on the endpoint, a degraded class's
 	// throttle on its backend. The fetch path below knows neither.
@@ -356,7 +361,8 @@ func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.In
 		if int64(fp) < j.progress.Load() {
 			continue // staging passed the first access, and its fetch stores it
 		}
-		if _, _, _, err := j.fetchFrom(k, int(j.progress.Load()), fillTag, classRow); err != nil {
+		pos := int(j.progress.Load())
+		if _, _, _, err := j.fetchFrom(k, pos, j.fillTag(k, pos), classRow); err != nil {
 			j.fail(err)
 			return
 		}
@@ -458,8 +464,9 @@ func (j *Job) fetchFrom(k access.SampleID, pos int, tag byte, issuer int) ([]byt
 // source rule (Sec. 5.2), as the placement's tag for pos states it
 // (cachepolicy.Tags; the simulator reads the same tags): the local class the
 // low nibble names, else the holder the high nibble promises, else the PFS,
-// which also takes every remote miss (Sec. 5.2.2). A class fill passes
-// fillTag. The slot that serves a fetch counts it in the issuer's row.
+// which also takes every remote miss (Sec. 5.2.2). A class fill passes the
+// tag fillTag gives it. The slot that serves a fetch counts it in the
+// issuer's row.
 //
 // A sample this rank is assigned to cache has two would-be fetchers, its
 // class prefetcher and the staging path, so its miss is one flight in the
@@ -487,9 +494,15 @@ func (j *Job) fetchSource(k access.SampleID, pos int, tag byte, issuer int) ([]b
 	return data, SourceLocal, false, nil
 }
 
-// fillTag is a class fill's source tag: its class has missed already, and a
-// peer that holds a copy by the staging position may serve it.
-const fillTag = 0xf0
+// fillTag is a class fill's source tag at staging position pos, by the
+// tags' own rule (cachepolicy.Tags): its class has missed already, and the
+// peer RemoteAvail names may serve it unless it has crashed by pos.
+func (j *Job) fillTag(k access.SampleID, pos int) byte {
+	if c, h := j.assign.RemoteAvail(j.rank, k, int32(pos)); c >= 0 && !j.holderGone(h, pos) {
+		return byte(c+1) << 4
+	}
+	return 0
+}
 
 // locate is fetchSource's rule; it returns the record slot that served k.
 func (j *Job) locate(k access.SampleID, pos int, tag byte) (int, []byte, bool, error) {
@@ -498,14 +511,9 @@ func (j *Job) locate(k access.SampleID, pos int, tag byte) (int, []byte, bool, e
 			return c, data, false, err
 		}
 	}
-	// A holder the schedule says has crashed by this epoch is demoted to the
-	// PFS without a call: the simulator's crashed-holder reroute
-	// (sim.chaosAdjust), which never counts a false positive.
 	holder := -1
 	if tag>>4 != 0 {
-		if _, h := j.assign.RemoteAvail(j.rank, k, int32(pos)); h >= 0 && !j.chaosSched.CrashedAt(h, j.epochOf(pos), j.plan.N) {
-			holder = h
-		}
+		_, holder = j.assign.RemoteAvail(j.rank, k, int32(pos))
 	}
 	c := j.assign.Local(j.rank, k)
 	size := int(j.ds.Size(int(k)))

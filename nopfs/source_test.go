@@ -14,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/invariant"
 	"repro/internal/perfmodel"
+	"repro/internal/plancache"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
@@ -52,9 +53,10 @@ func (tb sourceTable) String() string {
 
 // checkSources runs a 3-rank cluster and checks each rank's delivered
 // sources against the tags it followed (invariant.CheckSourceAgreement).
-// Without crashes it also checks that every false positive the law counts
-// on the staging path is one the rank counted, and that each rank's classes
-// end holding exactly the placement's bytes: a fetch that serves an
+// It also checks that every false positive the law counts on the staging
+// path is one the rank counted (a crashed holder's promise is gone from the
+// tags, not demoted uncounted), and, without crashes, that each rank's
+// classes end holding exactly the placement's bytes: a fetch that serves an
 // assigned sample from outside its class stores it there. It returns the
 // ranks' tag → source table.
 func checkSources(t *testing.T, opts Options, crashes bool) sourceTable {
@@ -102,11 +104,11 @@ func checkSources(t *testing.T, opts Options, crashes bool) sourceTable {
 			}
 			table[want][run.observed[f]]++
 		}
-		if crashes {
-			continue // a crashed holder's demotion to the PFS is uncounted by design
-		}
 		if s := stats[r]; int64(n.FalsePositives) > s.RemoteFalsePositives {
 			t.Errorf("rank %d: %d staged false positives, Stats counts %d", r, n.FalsePositives, s.RemoteFalsePositives)
+		}
+		if crashes {
+			continue // a crashed rank caches only what its pre-crash prefix reached
 		}
 		if got, want := stats[r].CachedBytes, assign.CachedBytes[r]; got != want {
 			t.Errorf("rank %d: classes hold %d bytes, the placement %d", r, got, want)
@@ -241,5 +243,147 @@ func TestHandleServesTheAssignedClass(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fetchRecorder keeps one rank's KindFetch calls: the callee and the sample
+// of each.
+type fetchRecorder struct {
+	mu      sync.Mutex
+	to      []int
+	samples []access.SampleID
+}
+
+// recordingEndpoint records its rank's fetch calls before it makes them.
+type recordingEndpoint struct {
+	transport.Network
+	rec *fetchRecorder
+}
+
+func (e recordingEndpoint) Call(ctx context.Context, to int, req transport.Request) (transport.Response, error) {
+	if req.Kind == transport.KindFetch {
+		e.rec.mu.Lock()
+		e.rec.to, e.rec.samples = append(e.rec.to, to), append(e.rec.samples, req.Sample)
+		e.rec.mu.Unlock()
+	}
+	return e.Network.Call(ctx, to, req)
+}
+
+// recordingFabric is the chan fabric with every endpoint recording, for the
+// last cluster it built. It is registered once per process.
+type recordingFabric struct{ recs []*fetchRecorder }
+
+func (*recordingFabric) Name() string { return "test-recording" }
+
+func (f *recordingFabric) Build(ctx context.Context, workers int, interconnectMBps float64) ([]Endpoint, error) {
+	eps, err := chanFabric{}.Build(ctx, workers, interconnectMBps)
+	if err != nil {
+		return nil, err
+	}
+	f.recs = make([]*fetchRecorder, workers)
+	for i, ep := range eps {
+		f.recs[i] = &fetchRecorder{}
+		eps[i] = recordingEndpoint{Network: ep, rec: f.recs[i]}
+	}
+	return eps, nil
+}
+
+var (
+	recordingOnce sync.Once
+	recording     = &recordingFabric{}
+)
+
+// checkCrashedHolderCalls checks one job's recorded fetch calls and its
+// tags against the crash rule, and returns how many promises of a crashed
+// holder its tags lost. The tags' law makes every staged fetch name the
+// holder the per-fetch check in locate named before the rule moved there.
+func checkCrashedHolderCalls(t *testing.T, j *Job, rec *fetchRecorder) (cleared int) {
+	t.Helper()
+	err := invariant.CheckCrashedHolderCalls(rec.to, rec.samples, j.stream, j.epochEnds,
+		func(k access.SampleID) bool { return j.assign.Local(j.rank, k) >= 0 },
+		func(h int) int { return j.chaosSched.CrashEpoch(h, j.plan.N) })
+	if err != nil {
+		t.Errorf("rank %d: %v", j.rank, err)
+	}
+	plain := j.assign.Tags(j.rank, j.stream, nil)
+	holder := func(f int) int {
+		_, h := j.assign.RemoteAvail(j.rank, j.stream[f], int32(f))
+		return h
+	}
+	if err := invariant.CheckCrashTags(plain, j.tags, holder, j.holderGone); err != nil {
+		t.Errorf("rank %d: %v", j.rank, err)
+	}
+	for p := range plain {
+		if plain[p] != j.tags[p] {
+			cleared++
+		}
+	}
+	return cleared
+}
+
+// TestCrashedHolderNeverCalled is the live half of the crash rule
+// (invariant.CheckCrashedHolderCalls): a 3-rank chan cluster under crash:1@1
+// never calls rank 1 for a position in epoch 1 or later, on the staging path
+// or in a class fill, uniform, zipf, and with rank 2 joining at epoch 1, when
+// each of its positions lies in epoch 1 or later. A cluster's class fills
+// run before the staging progress names many peers, so the last case also
+// runs rank 2's fills alone, from a staging position well into its stream.
+// Each cluster's tags must have lost some promise of rank 1.
+func TestCrashedHolderNeverCalled(t *testing.T) {
+	recordingOnce.Do(func() { RegisterFabric(recording) })
+	crash, err := chaos.ParseProfile("crash:1@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, f, joins = 3, 96, "elastic:join=2@1"
+	for _, pattern := range []string{"", "zipf", joins} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			opts := sourceOptions(seed, recording.Name(), pattern, 2)
+			opts.Chaos = crash
+			var mu sync.Mutex
+			jobs := make([]*Job, workers)
+			if _, err := RunCluster(bg, testDataset(t, f), workers, opts, func(ctx context.Context, j *Job) error {
+				mu.Lock()
+				jobs[j.rank] = j
+				mu.Unlock()
+				return DrainAll(nil)(ctx, j)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			cleared := 0
+			for r, j := range jobs {
+				cleared += checkCrashedHolderCalls(t, j, recording.recs[r])
+			}
+			if cleared == 0 {
+				t.Errorf("pattern %q, seed %d: the crash cleared no promise of rank 1 (the test lost its subject)", pattern, seed)
+			}
+		}
+	}
+	// Rank 2's class fills alone, from a quarter into its stream, on a
+	// cache that overlaps rank 1's: some fill would find rank 1 holding its
+	// sample by then.
+	for seed := uint64(1); seed <= 3; seed++ {
+		opts := sourceOptions(seed, FabricChan, joins, 1)
+		opts.Classes[0].CapacityBytes, opts.Chaos = 96<<10, crash
+		rec := &fetchRecorder{}
+		j, err := newJob(bg, testDataset(t, f), 2, workers, opts.withDefaults(), recordingEndpoint{Network: &nullEndpoint{}, rec: rec}, nil, plancache.New(0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos, fill, promised := len(j.stream)/4, j.assign.FillOrder[2][0], 0
+		for _, k := range fill {
+			if _, h := j.assign.RemoteAvail(2, k, int32(pos)); h == 1 && int(j.assign.LocalPos(2, k)) >= pos {
+				promised++
+			}
+		}
+		if promised == 0 {
+			t.Errorf("fill, seed %d: no fill finds rank 1 holding its sample (the test lost its subject)", seed)
+		}
+		j.progress.Store(int64(pos))
+		var next atomic.Int64
+		j.wg.Add(1)
+		j.classPrefetcher(0, fill, &next)
+		checkCrashedHolderCalls(t, j, rec)
+		j.Close()
 	}
 }
