@@ -27,9 +27,9 @@
 // longest stream and N need, in uint32 words when that is at most 32 (every
 // Fig. 8–10 configuration), uint64 otherwise (see newAssignment). Nothing
 // reads them per simulated fetch; the simulator decodes them once per
-// (placement, stream) into Tags. The Lean* builders additionally record
-// local tables for worker 0 only: O(F) placement memory instead of O(N·F)
-// for the simulator's symmetric observer at planetary worker counts.
+// (placement, stream) into Tags. A build may keep the local tables of one
+// tracked rank only: O(F) placement memory instead of O(N·F) for a caller
+// that evaluates one rank at planetary worker counts.
 //
 // Throughout, 1 MB = 2^20 bytes.
 package cachepolicy
@@ -64,7 +64,7 @@ type Assignment struct {
 	N int
 	// FillOrder[w][c] lists the samples assigned to worker w's class c in
 	// first-access order — the prefetchers' fill schedule (Rule 1). Nil for
-	// untracked workers of lean assignments.
+	// untracked workers.
 	FillOrder [][][]int32
 	// CachedBytes[w] is the total bytes worker w caches.
 	CachedBytes []int64
@@ -101,8 +101,8 @@ type words interface {
 // position (≥ 2).
 type packed[W uint32 | uint64] struct {
 	a *Assignment
-	// rows[w][k] is the packed placement of sample k on worker w. Lean
-	// assignments allocate the row for worker 0 only; untracked rows are nil.
+	// rows[w][k] is the packed placement of sample k on worker w; untracked
+	// workers' rows are nil.
 	rows [][]W
 	// best1/best2 are the packed best-two holder words per sample, so
 	// RemoteAvail can exclude the asking worker in O(1).
@@ -116,42 +116,40 @@ type packed[W uint32 | uint64] struct {
 // with nClasses storage classes each, whose recorded availability positions
 // will not exceed maxPos. The word width follows from those bounds: 32 bits
 // when class+1, maxPos+2 and the highest rank fit together, 64 otherwise;
-// wide forces 64 (tests only). Lean assignments track local tables for
-// worker 0 only; the best-holder pair still covers every worker.
-func newAssignment(n, f, nClasses, maxPos int, lean, wide bool) *Assignment {
+// wide forces 64 (tests only). A track >= 0 keeps local tables for that rank
+// only, a negative one for every rank; the best-holder pair always covers
+// every worker.
+func newAssignment(n, f, nClasses, maxPos, track int, wide bool) *Assignment {
 	a := &Assignment{N: n, FillOrder: make([][][]int32, n), CachedBytes: make([]int64, n)}
-	tracked := n
-	if lean {
-		tracked = 1
-	}
-	for w := 0; w < tracked; w++ {
-		a.FillOrder[w] = make([][]int32, nClasses)
+	for w := range a.FillOrder {
+		if track < 0 || w == track {
+			a.FillOrder[w] = make([][]int32, nClasses)
+		}
 	}
 	posBits := uint(bits.Len(uint(maxPos + 2)))
 	workShift := posBits + uint(bits.Len(uint(nClasses)))
 	if wide || workShift+uint(bits.Len(uint(n-1))) > 32 {
-		a.words = newPacked[uint64](a, f, tracked, posBits, workShift)
+		a.words = newPacked[uint64](a, f, posBits, workShift)
 	} else {
-		a.words = newPacked[uint32](a, f, tracked, posBits, workShift)
+		a.words = newPacked[uint32](a, f, posBits, workShift)
 	}
 	return a
 }
 
-func newPacked[W uint32 | uint64](a *Assignment, f, tracked int, posBits, workShift uint) *packed[W] {
+// newPacked allocates a local row for every worker a tracks.
+func newPacked[W uint32 | uint64](a *Assignment, f int, posBits, workShift uint) *packed[W] {
 	t := &packed[W]{
 		a: a, rows: make([][]W, a.N), best1: make([]W, f), best2: make([]W, f),
 		posBits: posBits, workShift: workShift,
 		posMask: W(1)<<posBits - 1, rankMask: W(1)<<workShift - 1,
 	}
-	for w := 0; w < tracked; w++ {
-		t.rows[w] = make([]W, f)
+	for w, fill := range a.FillOrder {
+		if fill != nil {
+			t.rows[w] = make([]W, f)
+		}
 	}
 	return t
 }
-
-// Lean reports whether the assignment records local tables for worker 0
-// only (see the Lean* builders).
-func (a *Assignment) Lean() bool { return a.N > 1 && a.FillOrder[1] == nil }
 
 // ApproxBytes approximates the assignment's resident memory: packed local
 // rows, holder words, fill orders, and byte counters.
@@ -174,7 +172,7 @@ func (t *packed[W]) tableBytes() int64 {
 }
 
 // pack encodes a (class, worker, availability position) triple; local words
-// pack worker 0.
+// leave the worker field 0.
 func (t *packed[W]) pack(c int8, w int, pos int32) W {
 	return W(pos+2) | W(c+1)<<t.posBits | W(w)<<t.workShift
 }
@@ -194,8 +192,8 @@ func (t *packed[W]) existsBy(v W, pos int32) bool { return t.pos(v) == AlwaysAva
 // Holders are ranked by (class speed, availability position): among
 // same-class holders the one whose copy exists earliest wins, so the
 // remote-availability heuristic consults the peer most likely to already
-// have the sample (typically its epoch-0 toucher). For untracked workers of
-// lean assignments only the holder pair and byte count are updated.
+// have the sample (typically its epoch-0 toucher). For untracked workers
+// only the holder pair and byte count are updated.
 func (t *packed[W]) place(w int, k int32, c int8, size int64, pos int32) {
 	if row := t.rows[w]; row != nil {
 		row[k] = t.pack(c, 0, pos)
@@ -264,7 +262,7 @@ func (t *packed[W]) coverage(ds Sizer) float64 {
 }
 
 // Local returns the class caching sample k on worker w, or -1. Worker w's
-// local table must be tracked (always true for non-lean assignments).
+// local table must be tracked.
 func (a *Assignment) Local(w int, k int32) int { return a.words.local(w, k) }
 
 // LocalPos returns the stream position at which worker w's copy of sample k
@@ -324,36 +322,37 @@ func classCaps(node hwspec.Node) []int64 {
 // Rank.Fill); callers evaluating several node specs on one plan rank once
 // and fill per spec instead, as plancache.Artifacts.Placement does.
 func BuildNoPFSFromStreams(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node) *Assignment {
-	return RankStreams(plan, streams, true).Fill(ds, node, false)
+	return RankStreams(plan, streams, true).Fill(ds, node, -1)
 }
 
-// BuildNoPFSLean is BuildNoPFSFromStreams recording local tables for worker
-// 0 only — the simulator's symmetric observer. The global best-holder pair
-// still reflects every worker's placement, so Source decisions are identical
-// to the full build while memory stays O(F) at any N.
+// BuildNoPFSLean is BuildNoPFSFromStreams keeping rank 0's local tables
+// only. The best-holder pair still reflects every worker's placement, so
+// rank 0's source decisions are identical to the full build's while memory
+// stays O(F) at any N.
 func BuildNoPFSLean(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node) *Assignment {
-	return RankStreams(plan, streams, true).Fill(ds, node, true)
+	return RankStreams(plan, streams, true).Fill(ds, node, 0)
 }
 
 // BuildFirstTouchFromOrder computes the first-touch placement used by the
 // LBANN data store's dynamic mode and by DeepIO from epoch 0's shuffle order:
 // during epoch 0, the first worker to read a sample caches it in RAM (class
 // 0) if it still has room. The availability position is the owner's epoch-0
-// stream position of that first touch.
-func BuildFirstTouchFromOrder(plan *access.Plan, order []access.SampleID, ds Sizer, node hwspec.Node) *Assignment {
-	return buildFirstTouch(plan, order, ds, node, false, false)
+// stream position of that first touch. Like every builder here, it keeps the
+// local tables of rank track only, or of every rank when track < 0.
+func BuildFirstTouchFromOrder(plan *access.Plan, order []access.SampleID, ds Sizer, node hwspec.Node, track int) *Assignment {
+	return buildFirstTouch(plan, order, ds, node, track, false)
 }
 
-// BuildFirstTouchLean is BuildFirstTouchFromOrder tracking worker 0 only.
+// BuildFirstTouchLean is BuildFirstTouchFromOrder tracking rank 0 only.
 func BuildFirstTouchLean(plan *access.Plan, order []access.SampleID, ds Sizer, node hwspec.Node) *Assignment {
-	return buildFirstTouch(plan, order, ds, node, true, false)
+	return buildFirstTouch(plan, order, ds, node, 0, false)
 }
 
-func buildFirstTouch(plan *access.Plan, order []access.SampleID, ds Sizer, node hwspec.Node, lean, wide bool) *Assignment {
+func buildFirstTouch(plan *access.Plan, order []access.SampleID, ds Sizer, node hwspec.Node, track int, wide bool) *Assignment {
 	// Epoch 0's positions go round-robin to the ranks active in it (all,
 	// unless an elastic schedule has some join later), as the streams are cut.
 	active, limit := plan.ActiveRanks(0), plan.EpochLimit()
-	a := newAssignment(plan.N, plan.F, max(len(node.Classes), 1), (limit-1)/len(active), lean, wide)
+	a := newAssignment(plan.N, plan.F, max(len(node.Classes), 1), (limit-1)/len(active), track, wide)
 	if len(node.Classes) > 0 {
 		a.words.firstTouch(active, order[:limit], ds, classCaps(node)[0])
 	}
@@ -380,17 +379,17 @@ func (t *packed[W]) firstTouch(active []int, order []access.SampleID, ds Sizer, 
 // k mod N, packed into classes fastest-first until capacity is exhausted.
 // With S > N*D part of the dataset is nowhere cached (coverage < 1).
 // Placements are prestaged (AlwaysAvail).
-func BuildShard(f, n int, ds Sizer, node hwspec.Node) *Assignment {
-	return buildShard(f, n, ds, node, false, false)
+func BuildShard(f, n int, ds Sizer, node hwspec.Node, track int) *Assignment {
+	return buildShard(f, n, ds, node, track, false)
 }
 
-// BuildShardLean is BuildShard tracking worker 0 only.
+// BuildShardLean is BuildShard tracking rank 0 only.
 func BuildShardLean(f, n int, ds Sizer, node hwspec.Node) *Assignment {
-	return buildShard(f, n, ds, node, true, false)
+	return buildShard(f, n, ds, node, 0, false)
 }
 
-func buildShard(f, n int, ds Sizer, node hwspec.Node, lean, wide bool) *Assignment {
-	a := newAssignment(n, f, len(node.Classes), int(AlwaysAvail), lean, wide)
+func buildShard(f, n int, ds Sizer, node hwspec.Node, track int, wide bool) *Assignment {
+	a := newAssignment(n, f, len(node.Classes), int(AlwaysAvail), track, wide)
 	a.words.shard(ds, classCaps(node))
 	return a
 }
@@ -419,17 +418,17 @@ func (t *packed[W]) shard(ds Sizer, caps []int64) {
 // BuildPreload computes the LBANN-preloading placement: each worker loads
 // its shard into RAM (class 0) only; samples that do not fit are not cached.
 // Placements are prestaged (AlwaysAvail).
-func BuildPreload(f, n int, ds Sizer, node hwspec.Node) *Assignment {
-	return buildPreload(f, n, ds, node, false, false)
+func BuildPreload(f, n int, ds Sizer, node hwspec.Node, track int) *Assignment {
+	return buildPreload(f, n, ds, node, track, false)
 }
 
-// BuildPreloadLean is BuildPreload tracking worker 0 only.
+// BuildPreloadLean is BuildPreload tracking rank 0 only.
 func BuildPreloadLean(f, n int, ds Sizer, node hwspec.Node) *Assignment {
-	return buildPreload(f, n, ds, node, true, false)
+	return buildPreload(f, n, ds, node, 0, false)
 }
 
-func buildPreload(f, n int, ds Sizer, node hwspec.Node, lean, wide bool) *Assignment {
-	a := newAssignment(n, f, max(len(node.Classes), 1), int(AlwaysAvail), lean, wide)
+func buildPreload(f, n int, ds Sizer, node hwspec.Node, track int, wide bool) *Assignment {
+	a := newAssignment(n, f, max(len(node.Classes), 1), int(AlwaysAvail), track, wide)
 	a.words.shard(ds, classCaps(node)[:min(len(node.Classes), 1)])
 	return a
 }

@@ -50,7 +50,7 @@ func TestBuildNoPFSCachesEverythingWhenItFits(t *testing.T) {
 	// worker can cache every sample it ever touches.
 	ds := fixedSizer{n: 256, size: 1 << 20}
 	plan := testPlan(256, 4, 4)
-	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(512, 0), false)
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(512, 0), -1)
 
 	freqs := plan.Frequencies()
 	for w := 0; w < plan.N; w++ {
@@ -74,7 +74,7 @@ func TestBuildNoPFSRespectsCapacity(t *testing.T) {
 	ds := fixedSizer{n: 100, size: 1 << 20} // 100 MB total
 	plan := testPlan(100, 2, 4)
 	// 10 MB RAM + 20 MB SSD per worker: at most 30 samples cached each.
-	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(10, 20), false)
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(10, 20), -1)
 	for w := 0; w < 2; w++ {
 		var ram, ssd int
 		for k := int32(0); k < 100; k++ {
@@ -104,7 +104,7 @@ func TestBuildNoPFSFrequencyOrdering(t *testing.T) {
 	// frequency rank.
 	ds := fixedSizer{n: 400, size: 1 << 20}
 	plan := testPlan(400, 2, 8)
-	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(40, 60), false)
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(40, 60), -1)
 	freqs := plan.Frequencies()
 	for w := 0; w < 2; w++ {
 		minRAM, maxSSD, maxNone := int32(1<<30), int32(-1), int32(-1)
@@ -137,7 +137,7 @@ func TestBuildNoPFSFrequencyOrdering(t *testing.T) {
 func TestFillOrderIsFirstAccessOrder(t *testing.T) {
 	ds := fixedSizer{n: 128, size: 1 << 20}
 	plan := testPlan(128, 2, 3)
-	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(1000, 0), false)
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(1000, 0), -1)
 	for w := 0; w < 2; w++ {
 		first := map[access.SampleID]int{}
 		for pos, id := range plan.WorkerStream(w) {
@@ -158,7 +158,7 @@ func TestFillOrderIsFirstAccessOrder(t *testing.T) {
 func TestRemoteBestExcludesSelf(t *testing.T) {
 	ds := fixedSizer{n: 64, size: 1 << 20}
 	plan := testPlan(64, 4, 6)
-	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(1000, 0), false)
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(1000, 0), -1)
 	for w := 0; w < 4; w++ {
 		for k := int32(0); k < 64; k++ {
 			class, holder := a.RemoteBest(w, k)
@@ -178,7 +178,7 @@ func TestRemoteBestFindsSecondHolder(t *testing.T) {
 	// someone else for samples cached by >= 2 workers.
 	ds := fixedSizer{n: 32, size: 1 << 20}
 	plan := testPlan(32, 4, 8)
-	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(1000, 0), false)
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(1000, 0), -1)
 	for k := int32(0); k < 32; k++ {
 		holders := 0
 		for w := 0; w < 4; w++ {
@@ -201,7 +201,7 @@ func TestLargeSampleFallsThroughToNextClass(t *testing.T) {
 	// Samples of 3 MB with a 2 MB RAM class: everything must land on SSD.
 	ds := fixedSizer{n: 10, size: 3 << 20}
 	plan := testPlan(10, 2, 2)
-	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(2, 100), false)
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, nodeWithMB(2, 100), -1)
 	for w := 0; w < 2; w++ {
 		for k := int32(0); k < 10; k++ {
 			if a.Local(w, k) == 0 {
@@ -230,7 +230,7 @@ func TestFirstTouchPlacesStreamPositions(t *testing.T) {
 		}
 		ds := fixedSizer{n: plan.F, size: 1 << 20}
 		streams := plan.AllWorkerStreams()
-		a := BuildFirstTouchFromOrder(plan, plan.EpochOrder(0), ds, nodeWithMB(1000, 0))
+		a := BuildFirstTouchFromOrder(plan, plan.EpochOrder(0), ds, nodeWithMB(1000, 0), -1)
 		placed := 0
 		for w, stream := range streams {
 			for k := int32(0); int(k) < plan.F; k++ {
@@ -256,7 +256,7 @@ func TestFirstTouchPlacesStreamPositions(t *testing.T) {
 
 func TestBuildShard(t *testing.T) {
 	ds := fixedSizer{n: 100, size: 1 << 20}
-	a := BuildShard(100, 4, ds, nodeWithMB(1000, 0))
+	a := BuildShard(100, 4, ds, nodeWithMB(1000, 0), -1)
 	for k := int32(0); k < 100; k++ {
 		owner := int(k) % 4
 		if a.Local(owner, k) != 0 {
@@ -276,7 +276,7 @@ func TestBuildShard(t *testing.T) {
 func TestBuildShardCoverageCapped(t *testing.T) {
 	// 100 x 1 MB samples, 4 workers x 10 MB: at most 40 MB cached.
 	ds := fixedSizer{n: 100, size: 1 << 20}
-	a := BuildShard(100, 4, ds, nodeWithMB(10, 0))
+	a := BuildShard(100, 4, ds, nodeWithMB(10, 0), -1)
 	cov := a.Coverage(ds)
 	if cov > 0.41 || cov < 0.39 {
 		t.Errorf("capped shard coverage = %v, want ~0.40", cov)
@@ -285,7 +285,7 @@ func TestBuildShardCoverageCapped(t *testing.T) {
 
 func TestBuildPreloadRAMOnly(t *testing.T) {
 	ds := fixedSizer{n: 40, size: 1 << 20}
-	a := BuildPreload(40, 4, ds, nodeWithMB(5, 100))
+	a := BuildPreload(40, 4, ds, nodeWithMB(5, 100), -1)
 	for k := int32(0); k < 40; k++ {
 		for w := 0; w < 4; w++ {
 			if c := a.Local(w, k); c > 0 {
@@ -301,7 +301,7 @@ func TestBuildPreloadRAMOnly(t *testing.T) {
 
 func TestCoverageEmptyAssignment(t *testing.T) {
 	ds := fixedSizer{n: 10, size: 1}
-	a := newAssignment(2, 10, 1, 0, false, false)
+	a := newAssignment(2, 10, 1, 0, -1, false)
 	if cov := a.Coverage(ds); cov != 0 {
 		t.Errorf("empty assignment coverage = %v", cov)
 	}
@@ -315,7 +315,7 @@ func TestBuildNoPFSWithRealDataset(t *testing.T) {
 	})
 	plan := testPlan(300, 4, 3)
 	node := nodeWithMB(30, 50)
-	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(d, node, false)
+	a := RankStreams(plan, plan.AllWorkerStreams(), true).Fill(d, node, -1)
 	for w := 0; w < 4; w++ {
 		var ramBytes, ssdBytes int64
 		for k := int32(0); k < 300; k++ {
@@ -341,7 +341,7 @@ func BenchmarkBuildNoPFS(b *testing.B) {
 	node := nodeWithMB(4000, 4000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, node, false)
+		RankStreams(plan, plan.AllWorkerStreams(), true).Fill(ds, node, -1)
 	}
 }
 

@@ -2,12 +2,14 @@ package cachepolicy
 
 import "testing"
 
-// TestLeanMatchesFullBuilders: every Lean builder must produce exactly the
-// tracked subset of its full counterpart — identical worker-0 local
-// placements and fill orders, identical global best-holder pairs, identical
-// per-worker cached-byte totals — across every builder family. The simulator
-// observes worker 0 through these views, so this equality is what makes lean
-// assignments a pure memory optimisation.
+// TestLeanMatchesFullBuilders: a build that tracks one rank must produce
+// exactly the tracked subset of its full counterpart — identical local
+// placements and fill orders for that rank, identical global best-holder
+// pairs, identical per-worker cached-byte totals — across every builder
+// family and for every rank tracked. A caller that evaluates one rank reads
+// it through these views, so this equality is what makes tracking one rank
+// a pure memory optimisation. The exported Lean wrappers are the rank-0
+// builds.
 func TestLeanMatchesFullBuilders(t *testing.T) {
 	ds := fixedSizer{n: 300, size: 1 << 20}
 	node := nodeWithMB(30, 50)
@@ -15,34 +17,42 @@ func TestLeanMatchesFullBuilders(t *testing.T) {
 	streams := plan.AllWorkerStreams()
 	order := plan.EpochOrder(0)
 
-	pairs := []struct {
-		name       string
-		full, lean *Assignment
+	families := []struct {
+		name  string
+		build func(track int) *Assignment
+		lean  *Assignment
 	}{
-		{"nopfs", BuildNoPFSFromStreams(plan, streams, ds, node), BuildNoPFSLean(plan, streams, ds, node)},
-		{"random", RankStreams(plan, streams, false).Fill(ds, node, false), RankStreams(plan, streams, false).Fill(ds, node, true)},
-		{"firsttouch", BuildFirstTouchFromOrder(plan, order, ds, node), BuildFirstTouchLean(plan, order, ds, node)},
-		{"shard", BuildShard(300, 4, ds, node), BuildShardLean(300, 4, ds, node)},
-		{"preload", BuildPreload(300, 4, ds, node), BuildPreloadLean(300, 4, ds, node)},
+		{"nopfs", func(track int) *Assignment { return RankStreams(plan, streams, true).Fill(ds, node, track) }, BuildNoPFSLean(plan, streams, ds, node)},
+		{"random", func(track int) *Assignment { return RankStreams(plan, streams, false).Fill(ds, node, track) }, nil},
+		{"firsttouch", func(track int) *Assignment { return BuildFirstTouchFromOrder(plan, order, ds, node, track) }, BuildFirstTouchLean(plan, order, ds, node)},
+		{"shard", func(track int) *Assignment { return BuildShard(300, 4, ds, node, track) }, BuildShardLean(300, 4, ds, node)},
+		{"preload", func(track int) *Assignment { return BuildPreload(300, 4, ds, node, track) }, BuildPreloadLean(300, 4, ds, node)},
 	}
-	for _, p := range pairs {
+	for _, p := range families {
 		t.Run(p.name, func(t *testing.T) {
-			if p.lean.Lean() == p.full.Lean() {
-				t.Fatalf("Lean() = %v for both builds", p.full.Lean())
+			full := p.build(-1)
+			if p.lean != nil {
+				if err := equalAssignments(int32(plan.F), p.lean, p.build(0)); err != nil {
+					t.Errorf("Lean wrapper is not the rank-0 build: %v", err)
+				}
 			}
-			// The lean build is the full one with rows 1..N-1 dropped.
-			tracked := *p.full
-			tracked.FillOrder = append([][][]int32{p.full.FillOrder[0]}, make([][][]int32, p.full.N-1)...)
-			if err := equalAssignments(int32(plan.F), p.lean, &tracked); err != nil {
-				t.Error(err)
-			}
-			// Untracked rows really are untracked: that is the memory saving.
-			// One local row and the holder pair, four bytes a word here.
-			if got, want := p.lean.words.tableBytes(), int64(3*4*plan.F); got != want {
-				t.Errorf("lean build holds %d bytes of words, want %d", got, want)
-			}
-			if p.lean.ApproxBytes() >= p.full.ApproxBytes() {
-				t.Errorf("lean build not smaller: %d vs %d bytes", p.lean.ApproxBytes(), p.full.ApproxBytes())
+			for w := 0; w < plan.N; w++ {
+				lean := p.build(w)
+				// The tracked build is the full one with every other row dropped.
+				tracked := *full
+				tracked.FillOrder = make([][][]int32, full.N)
+				tracked.FillOrder[w] = full.FillOrder[w]
+				if err := equalAssignments(int32(plan.F), lean, &tracked); err != nil {
+					t.Errorf("rank %d: %v", w, err)
+				}
+				// Untracked rows really are untracked: that is the memory saving.
+				// One local row and the holder pair, four bytes a word here.
+				if got, want := lean.words.tableBytes(), int64(3*4*plan.F); got != want {
+					t.Errorf("rank %d: tracked build holds %d bytes of words, want %d", w, got, want)
+				}
+				if lean.ApproxBytes() >= full.ApproxBytes() {
+					t.Errorf("rank %d: tracked build not smaller: %d vs %d bytes", w, lean.ApproxBytes(), full.ApproxBytes())
+				}
 			}
 		})
 	}

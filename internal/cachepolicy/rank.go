@@ -87,13 +87,14 @@ func (r *Rank) ApproxBytes() int64 { return r.bytes }
 // Fill is the node-specific half of the placement: each worker's ranked
 // candidates go to its classes fastest-first until capacity runs out; a
 // sample too large for the remaining space of one class falls through to the
-// next. Lean fills record local tables for worker 0 only.
-func (r *Rank) Fill(ds Sizer, node hwspec.Node, lean bool) *Assignment {
-	return r.fill(ds, node, lean, false)
+// next. It keeps the local tables of rank track only, or of every rank when
+// track < 0.
+func (r *Rank) Fill(ds Sizer, node hwspec.Node, track int) *Assignment {
+	return r.fill(ds, node, track, false)
 }
 
-func (r *Rank) fill(ds Sizer, node hwspec.Node, lean, wide bool) *Assignment {
-	a := newAssignment(len(r.rows), r.f, len(node.Classes), r.longest-1, lean, wide)
+func (r *Rank) fill(ds Sizer, node hwspec.Node, track int, wide bool) *Assignment {
+	a := newAssignment(len(r.rows), r.f, len(node.Classes), r.longest-1, track, wide)
 	a.words.fill(r, ds, classCaps(node))
 	return a
 }

@@ -17,8 +17,8 @@ import (
 // replaced, kept as the property test's oracle: candidates sorted by
 // (freq desc, firstPos asc) — or firstPos alone when ignoreFreq — filled
 // greedily, then every fill list sorted by first access.
-func referenceBuild(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node, ignoreFreq, lean bool) *Assignment {
-	a := newAssignment(plan.N, plan.F, len(node.Classes), plan.E*plan.F, lean, false)
+func referenceBuild(plan *access.Plan, streams [][]access.SampleID, ds Sizer, node hwspec.Node, ignoreFreq bool, track int) *Assignment {
+	a := newAssignment(plan.N, plan.F, len(node.Classes), plan.E*plan.F, track, false)
 	for w := 0; w < plan.N; w++ {
 		freq := map[int32]int{}
 		firstPos := map[int32]int32{}
@@ -87,10 +87,13 @@ func holderPair(a *Assignment, k int32) (pair [2]holder) {
 // are tracked, the local placements and holder slots of samples [0, f), fill
 // orders and cached bytes.
 func equalAssignments(f int32, got, want *Assignment) error {
-	if got.N != want.N || got.Lean() != want.Lean() {
-		return fmt.Errorf("N, Lean: %d %v vs %d %v", got.N, got.Lean(), want.N, want.Lean())
+	if got.N != want.N {
+		return fmt.Errorf("N: %d vs %d", got.N, want.N)
 	}
 	for w := 0; w < want.N; w++ {
+		if (got.FillOrder[w] == nil) != (want.FillOrder[w] == nil) {
+			return fmt.Errorf("worker %d tracked: %v vs %v", w, got.FillOrder[w] != nil, want.FillOrder[w] != nil)
+		}
 		if len(got.FillOrder[w]) != len(want.FillOrder[w]) {
 			return fmt.Errorf("FillOrder[%d]: %d classes vs %d", w, len(got.FillOrder[w]), len(want.FillOrder[w]))
 		}
@@ -158,10 +161,10 @@ func TestRankThenFillMatchesReferenceSort(t *testing.T) {
 			for _, byFreq := range []bool{true, false} {
 				rank := RankStreams(&plan, streams, byFreq)
 				for ni, node := range nodes {
-					for _, lean := range []bool{true, false} {
-						want := referenceBuild(&plan, streams, ds, node, !byFreq, lean)
-						if err := equalAssignments(int32(f), rank.Fill(ds, node, lean), want); err != nil {
-							t.Fatalf("trial %d plan %+v node %d byFreq=%v lean=%v: %v", trial, plan, ni, byFreq, lean, err)
+					for _, track := range []int{0, plan.N - 1, -1} {
+						want := referenceBuild(&plan, streams, ds, node, !byFreq, track)
+						if err := equalAssignments(int32(f), rank.Fill(ds, node, track), want); err != nil {
+							t.Fatalf("trial %d plan %+v node %d byFreq=%v track=%d: %v", trial, plan, ni, byFreq, track, err)
 						}
 					}
 				}
@@ -201,8 +204,8 @@ func TestFillStopsWhenFullIsExact(t *testing.T) {
 		node := nodeWithMB(capOf(), capOf())
 		streams := plan.AllWorkerStreams()
 		for _, byFreq := range []bool{true, false} {
-			got := RankStreams(&plan, streams, byFreq).Fill(sizes, node, false)
-			if err := equalAssignments(int32(f), got, referenceBuild(&plan, streams, sizes, node, !byFreq, false)); err != nil {
+			got := RankStreams(&plan, streams, byFreq).Fill(sizes, node, -1)
+			if err := equalAssignments(int32(f), got, referenceBuild(&plan, streams, sizes, node, !byFreq, -1)); err != nil {
 				t.Fatalf("trial %d plan %+v node %+v byFreq=%v: %v", trial, plan, node.Classes, byFreq, err)
 			}
 		}
@@ -223,16 +226,17 @@ func TestBuildWrappersRankThenFill(t *testing.T) {
 	node := nodeWithMB(30, 50)
 	streams := plan.AllWorkerStreams()
 	builders := []struct {
-		name         string
-		build        func(*access.Plan, [][]access.SampleID, Sizer, hwspec.Node) *Assignment
-		byFreq, lean bool
+		name   string
+		build  func(*access.Plan, [][]access.SampleID, Sizer, hwspec.Node) *Assignment
+		byFreq bool
+		track  int
 	}{
-		{"BuildNoPFSFromStreams", BuildNoPFSFromStreams, true, false},
-		{"BuildNoPFSLean", BuildNoPFSLean, true, true},
+		{"BuildNoPFSFromStreams", BuildNoPFSFromStreams, true, -1},
+		{"BuildNoPFSLean", BuildNoPFSLean, true, 0},
 	}
 	for _, b := range builders {
 		got := b.build(plan, streams, ds, node)
-		if err := equalAssignments(int32(plan.F), got, referenceBuild(plan, streams, ds, node, !b.byFreq, b.lean)); err != nil {
+		if err := equalAssignments(int32(plan.F), got, referenceBuild(plan, streams, ds, node, !b.byFreq, b.track)); err != nil {
 			t.Errorf("%s: %v", b.name, err)
 		}
 	}

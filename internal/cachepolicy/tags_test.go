@@ -15,7 +15,7 @@ func TestTagsMatchAvailability(t *testing.T) {
 	streams := plan.AllWorkerStreams()
 	for name, a := range map[string]*Assignment{
 		"nopfs": BuildNoPFSFromStreams(plan, streams, ds, node),
-		"shard": BuildShard(plan.F, plan.N, ds, node),
+		"shard": BuildShard(plan.F, plan.N, ds, node, -1),
 	} {
 		seen, cleared := map[byte]bool{}, 0
 		for w, stream := range streams {

@@ -51,13 +51,13 @@ func TestWidthsAgree(t *testing.T) {
 		node := nodeWithMB(float64(f)*[]float64{0, 0.05, 0.2, 1.5}[g.Intn(4)], float64(f)*[]float64{0, 0.1, 0.5}[g.Intn(3)])
 		streams := plan.AllWorkerStreams()
 		order := plan.EpochOrder(0)
-		for _, lean := range []bool{false, true} {
+		for _, track := range []int{-1, plan.N - 1} {
 			builders := map[string]func(wide bool) *Assignment{
-				"nopfs":      func(wide bool) *Assignment { return RankStreams(plan, streams, true).fill(ds, node, lean, wide) },
-				"random":     func(wide bool) *Assignment { return RankStreams(plan, streams, false).fill(ds, node, lean, wide) },
-				"firsttouch": func(wide bool) *Assignment { return buildFirstTouch(plan, order, ds, node, lean, wide) },
-				"shard":      func(wide bool) *Assignment { return buildShard(f, plan.N, ds, node, lean, wide) },
-				"preload":    func(wide bool) *Assignment { return buildPreload(f, plan.N, ds, node, lean, wide) },
+				"nopfs":      func(wide bool) *Assignment { return RankStreams(plan, streams, true).fill(ds, node, track, wide) },
+				"random":     func(wide bool) *Assignment { return RankStreams(plan, streams, false).fill(ds, node, track, wide) },
+				"firsttouch": func(wide bool) *Assignment { return buildFirstTouch(plan, order, ds, node, track, wide) },
+				"shard":      func(wide bool) *Assignment { return buildShard(f, plan.N, ds, node, track, wide) },
+				"preload":    func(wide bool) *Assignment { return buildPreload(f, plan.N, ds, node, track, wide) },
 			}
 			for name, build := range builders {
 				narrow, wide := build(false), build(true)
@@ -65,7 +65,7 @@ func TestWidthsAgree(t *testing.T) {
 					t.Fatalf("trial %d %s: widths %v/%v, want narrow/wide", trial, name, isWide(narrow), isWide(wide))
 				}
 				if err := sameAnswers(plan, streams, ds, narrow, wide); err != nil {
-					t.Fatalf("trial %d %s lean=%v plan %+v: %v", trial, name, lean, *plan, err)
+					t.Fatalf("trial %d %s track=%d plan %+v: %v", trial, name, track, *plan, err)
 				}
 			}
 		}
@@ -124,7 +124,7 @@ func TestWidthBoundaries(t *testing.T) {
 		{1, 15, 1<<28 - 2, true},
 		{1 << 16, 1, int(AlwaysAvail), false}, // a one-class shard: 1 + 1 + 16
 	} {
-		a := newAssignment(tc.n, 4, tc.classes, tc.maxPos, true, false)
+		a := newAssignment(tc.n, 4, tc.classes, tc.maxPos, 0, false)
 		if isWide(a) != tc.wide {
 			t.Errorf("N=%d classes=%d maxPos=%d: wide=%v, want %v", tc.n, tc.classes, tc.maxPos, isWide(a), tc.wide)
 		}
@@ -151,7 +151,7 @@ func TestWidthBoundaries(t *testing.T) {
 
 	// AlwaysAvail sorts before position 0, and a faster class before both.
 	for _, wide := range []bool{false, true} {
-		a := newAssignment(4, 1, 2, 5, false, wide)
+		a := newAssignment(4, 1, 2, 5, -1, wide)
 		a.words.place(1, 0, 1, 1, 0)
 		a.words.place(2, 0, 1, 1, AlwaysAvail)
 		if got := holderPair(a, 0); got != [2]holder{{1, 2, AlwaysAvail}, {1, 1, 0}} {
@@ -172,7 +172,7 @@ func TestWidthBoundaries(t *testing.T) {
 	// A 15-class node is the deepest that tags describe (MaxTagClasses); the
 	// placement is exact down to its last class.
 	ds := fixedSizer{n: 30, size: 1 << 20}
-	a := BuildShard(30, 1, ds, nodeWithClasses(15, 2))
+	a := BuildShard(30, 1, ds, nodeWithClasses(15, 2), -1)
 	if isWide(a) || a.Local(0, 29) != 14 || a.Local(0, 0) != 0 || !slices.Equal(a.FillOrder[0][14], []int32{28, 29}) {
 		t.Errorf("15-class shard: wide=%v Local(29)=%d FillOrder[14]=%v", isWide(a), a.Local(0, 29), a.FillOrder[0][14])
 	}
@@ -192,7 +192,7 @@ func TestPlacementBytesPerSample(t *testing.T) {
 		wide     bool
 		min, max float64
 	}{{false, 12, 13}, {true, 24, 25}} {
-		a := rank.fill(ds, nodeWithMB(f/10, f/10), true, tc.wide)
+		a := rank.fill(ds, nodeWithMB(f/10, f/10), 0, tc.wide)
 		per := float64(a.ApproxBytes()) / f
 		if isWide(a) != tc.wide || per < tc.min || per > tc.max {
 			t.Errorf("wide=%v: %.2f bytes per sample (wide=%v), want %v–%v", tc.wide, per, isWide(a), tc.min, tc.max)

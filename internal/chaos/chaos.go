@@ -77,10 +77,10 @@ type TierDegradation struct {
 // Crash removes one worker at the start of an epoch. Its clairvoyant plan —
 // the stream positions it would have consumed — is redistributed round-robin
 // across the survivors, and remote fetches that would have been served from
-// its caches fall back to the PFS. Simulator-only (see the package comment).
+// its caches fall back to the PFS. Both engines enact it (see the package
+// comment); a schedule that crashes every rank is rejected (ErrNoSurvivor).
 type Crash struct {
-	// Worker is the crashing rank; mapped modulo the worker count, and
-	// never onto rank 0 (the simulator's surviving observer).
+	// Worker is the crashing rank, mapped modulo the worker count.
 	Worker int
 	// AtEpoch is the epoch at whose start the worker disappears (>= 1, so
 	// at least one healthy epoch establishes the plan).

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -26,8 +27,11 @@ func TestNilScheduleIsNeutral(t *testing.T) {
 	if f := s.Slowdown(1, 2, 4); f != 1 {
 		t.Errorf("nil Slowdown = %g", f)
 	}
-	if f := s.BarrierFactor(0, 4); f != 1 {
+	if f := s.BarrierFactor(0, 0, 4); f != 1 {
 		t.Errorf("nil BarrierFactor = %g", f)
+	}
+	if r, err := s.Survivor(4); r != 0 || err != nil {
+		t.Errorf("nil Survivor = %d, %v", r, err)
 	}
 	if f := s.TierFactor(0, 3); f != 1 {
 		t.Errorf("nil TierFactor = %g", f)
@@ -81,8 +85,11 @@ func TestScheduleQueries(t *testing.T) {
 	if f := s.Slowdown(0, 1, n); f != 1 {
 		t.Errorf("non-straggler slowed: %g", f)
 	}
-	if f := s.BarrierFactor(1, n); f != 2 {
+	if f := s.BarrierFactor(0, 1, n); f != 2 {
 		t.Errorf("barrier = %g, want 2 (worker 1 straggles)", f)
+	}
+	if f := s.BarrierFactor(1, 1, n); f != 1 {
+		t.Errorf("barrier worker 1 observes = %g, want 1 (it does not wait on itself)", f)
 	}
 	if f := s.TierFactor(0, 1); f != 1 {
 		t.Errorf("tier degraded before FromEpoch: %g", f)
@@ -116,23 +123,38 @@ func TestScheduleQueries(t *testing.T) {
 		Stragglers: []Straggler{{Worker: 2, Factor: 3, FromEpoch: 0}},
 		Crashes:    []Crash{{Worker: 2, AtEpoch: 1}},
 	}.Compile(7)
-	if f := s2.BarrierFactor(0, n); f != 3 {
+	if f := s2.BarrierFactor(0, 0, n); f != 3 {
 		t.Errorf("pre-crash barrier = %g, want 3", f)
 	}
-	if f := s2.BarrierFactor(1, n); f != 1 {
+	if f := s2.BarrierFactor(0, 1, n); f != 1 {
 		t.Errorf("post-crash barrier = %g, want 1", f)
 	}
 }
 
-func TestCrashNeverLandsOnRankZero(t *testing.T) {
+// TestCrashLandsOnNamedRank: a crash lands on the rank it names, modulo the
+// cluster size, rank 0 included; the lowest rank that never crashes is the
+// survivor, and a schedule that crashes every rank has none.
+func TestCrashLandsOnNamedRank(t *testing.T) {
 	s := Profile{Crashes: []Crash{{Worker: 4, AtEpoch: 1}}}.Compile(1)
-	// Worker 4 maps to rank 0 on a 4-rank cluster; the crash must be
-	// remapped to rank 1 (rank 0 is the simulator's surviving observer).
-	if s.CrashedAt(0, 1, 4) {
-		t.Error("crash landed on rank 0")
+	// Worker 4 maps to rank 0 on a 4-rank cluster.
+	if !s.CrashedAt(0, 1, 4) || s.CrashedAt(0, 0, 4) {
+		t.Error("crash:4@1 does not crash rank 0 at epoch 1 of 4 ranks")
 	}
-	if !s.CrashedAt(1, 1, 4) {
-		t.Error("crash not remapped to rank 1")
+	if s.CrashedAt(1, 1, 4) || s.CrashEpoch(1, 4) != -1 {
+		t.Error("crash:4@1 moved onto rank 1")
+	}
+	if r, err := s.Survivor(4); r != 1 || err != nil {
+		t.Errorf("Survivor(4) = %d, %v; want 1", r, err)
+	}
+	all, err := ParseProfile("crash:0@1,crash:1@2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := all.Compile(1).Survivor(2); !errors.Is(err, ErrNoSurvivor) {
+		t.Errorf("crashing both of 2 ranks: Survivor error %v, want ErrNoSurvivor", err)
+	}
+	if r, err := all.Compile(1).Survivor(3); r != 2 || err != nil {
+		t.Errorf("Survivor(3) = %d, %v; want 2", r, err)
 	}
 	// Single-worker clusters cannot crash.
 	if s.HasCrashes(1) || s.CrashedAt(0, 9, 1) {

@@ -7,9 +7,9 @@ import (
 // This file is the shared half of the crash-recovery contract: the
 // round-robin redistribution of a crashed worker's plan entries across the
 // survivors. Both engines consult the same pure function of the schedule —
-// the simulator reshapes worker 0's stream before its hot loop and the live
-// Job reshapes each rank's delivery stream at setup — so sim-vs-live stall
-// under the same crash profile converges and exactly-once delivery is
+// the simulator reshapes its observed rank's stream before its hot loop and
+// the live Job reshapes each rank's delivery stream at setup — so sim-vs-live
+// stall under the same crash profile converges and exactly-once delivery is
 // checkable against the union of the redistributed streams
 // (internal/invariant).
 

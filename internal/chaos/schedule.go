@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"repro/internal/prng"
@@ -29,14 +31,6 @@ func (p Profile) Compile(seed uint64) *Schedule {
 	return &Schedule{p: p, seed: seed}
 }
 
-// Profile returns the generating profile (zero for the nil schedule).
-func (s *Schedule) Profile() Profile {
-	if s == nil {
-		return Profile{}
-	}
-	return s.p
-}
-
 // mapWorker folds a profile worker index onto a cluster of n ranks.
 func mapWorker(w, n int) int {
 	if n <= 0 {
@@ -45,18 +39,28 @@ func mapWorker(w, n int) int {
 	return w % n
 }
 
-// crashRank maps a crash onto a cluster of n ranks, never onto rank 0: the
-// simulator models rank 0 as the surviving observer, so a crash aimed at it
-// lands on rank 1 instead. Clusters of one worker cannot crash.
+// crashRank maps a crash onto a cluster of n ranks. Clusters of one worker
+// cannot crash.
 func crashRank(w, n int) (int, bool) {
 	if n <= 1 {
 		return 0, false
 	}
-	r := mapWorker(w, n)
-	if r == 0 {
-		r = 1
+	return mapWorker(w, n), true
+}
+
+// ErrNoSurvivor rejects a crash schedule that crashes every rank of a
+// cluster: no rank would be left to absorb the crashed ranks' plan rounds.
+var ErrNoSurvivor = errors.New("chaos: the crash schedule leaves no rank alive")
+
+// Survivor returns the lowest rank of an n-rank cluster that never crashes,
+// or ErrNoSurvivor when every rank does.
+func (s *Schedule) Survivor(n int) (int, error) {
+	for r := 0; r < n; r++ {
+		if s.CrashEpoch(r, n) < 0 {
+			return r, nil
+		}
 	}
-	return r, true
+	return 0, fmt.Errorf("%w (%d ranks)", ErrNoSurvivor, n)
 }
 
 // Slowdown returns the straggler multiplier (>= 1) for one worker at one
@@ -77,17 +81,17 @@ func (s *Schedule) Slowdown(worker, epoch, n int) float64 {
 	return factor
 }
 
-// BarrierFactor returns the allreduce pacing multiplier rank 0 observes at
-// one epoch: training advances at the slowest surviving peer's rate, so the
-// max straggler factor among peers (rank != 0) gates every iteration.
-func (s *Schedule) BarrierFactor(epoch, n int) float64 {
+// BarrierFactor returns the allreduce pacing multiplier rank self observes
+// at one epoch: training advances at the slowest surviving peer's rate, so
+// the max straggler factor among self's peers gates every iteration.
+func (s *Schedule) BarrierFactor(self, epoch, n int) float64 {
 	if s == nil {
 		return 1
 	}
 	factor := 1.0
 	for _, st := range s.p.Stragglers {
 		w := mapWorker(st.Worker, n)
-		if w == 0 || epoch < st.FromEpoch || st.Factor <= factor {
+		if w == self || epoch < st.FromEpoch || st.Factor <= factor {
 			continue
 		}
 		if s.CrashedAt(w, epoch, n) {
@@ -148,47 +152,24 @@ func (s *Schedule) DegradedClasses() []int {
 
 // CrashedAt reports whether the given rank is gone at the given epoch.
 func (s *Schedule) CrashedAt(worker, epoch, n int) bool {
-	if s == nil {
-		return false
-	}
-	for _, c := range s.p.Crashes {
-		if r, ok := crashRank(c.Worker, n); ok && r == worker && epoch >= c.AtEpoch {
-			return true
-		}
-	}
-	return false
+	c := s.CrashEpoch(worker, n)
+	return c >= 0 && epoch >= c
 }
 
-// CrashedWorkers returns the ranks gone at the given epoch, ascending and
-// deduplicated.
+// CrashedWorkers returns the ranks gone at the given epoch, ascending.
 func (s *Schedule) CrashedWorkers(epoch, n int) []int {
-	if s == nil {
-		return nil
-	}
-	seen := map[int]bool{}
 	var out []int
-	for _, c := range s.p.Crashes {
-		if r, ok := crashRank(c.Worker, n); ok && epoch >= c.AtEpoch && !seen[r] {
-			seen[r] = true
+	for r := 0; r < n; r++ {
+		if s.CrashedAt(r, epoch, n) {
 			out = append(out, r)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
-// HasCrashes reports whether any crash applies on a cluster of n ranks.
-func (s *Schedule) HasCrashes(n int) bool {
-	if s == nil {
-		return false
-	}
-	for _, c := range s.p.Crashes {
-		if _, ok := crashRank(c.Worker, n); ok {
-			return true
-		}
-	}
-	return false
-}
+// HasCrashes reports whether any crash applies on a cluster of n ranks: a
+// crash lands on any cluster of two or more (crashRank).
+func (s *Schedule) HasCrashes(n int) bool { return s != nil && n > 1 && len(s.p.Crashes) > 0 }
 
 // fabricStream salts the fabric-fault PRNG derivation so it cannot collide
 // with the training shuffle streams derived from the same seed.

@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/access"
 	"repro/internal/chaos"
@@ -77,6 +78,36 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("Main(%q): usage exit without usage text on stderr:\n%s", tc.args, stderr)
 			}
 		})
+	}
+}
+
+// TestNoSurvivorExitsOne: a crash schedule that leaves no rank alive is a
+// runtime error of both engines' commands, reported with the chaos
+// package's error text, in bounded time (redistributing over no survivors
+// never ends).
+func TestNoSurvivorExitsOne(t *testing.T) {
+	want := chaos.ErrNoSurvivor.Error()
+	for _, args := range [][]string{
+		{"sim", "-scenario", "fig8a", "-scale", "0.005", "-chaos", "crash:0@1,crash:1@1,crash:2@1,crash:3@1"},
+		{"run", "-workers", "2", "-epochs", "3", "-samples", "64", "-chaos", "crash:0@1,crash:1@2"},
+	} {
+		type result struct {
+			code   int
+			stderr string
+		}
+		done := make(chan result, 1)
+		go func() {
+			code, _, stderr := runMain(args...)
+			done <- result{code, stderr}
+		}()
+		select {
+		case r := <-done:
+			if r.code != ExitError || !strings.Contains(r.stderr, want) {
+				t.Errorf("Main(%q) = %d with stderr %q, want %d naming %q", args, r.code, r.stderr, ExitError, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Main(%q) did not return within 5 s", args)
+		}
 	}
 }
 

@@ -82,7 +82,7 @@ func explainConfig(w io.Writer, id, label string, cfg isim.Config) error {
 	// Rank.Fill per scenario (`sim -all -dry-run` at the default scale:
 	// ≈ 182 → ≈ 230 ms on a 2-core Xeon).
 	node := cfg.Sys.Node
-	assign := art.Placement(plancache.FamilyNoPFS, cfg.DS, node, true)
+	assign := art.Placement(plancache.FamilyNoPFS, cfg.DS, node, 0, nil)
 	fmt.Fprintln(w, "placement (NoPFS policy, worker 0):")
 	cachedSamples := 0
 	for c, class := range node.Classes {

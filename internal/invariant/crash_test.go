@@ -95,28 +95,32 @@ func TestCrashTagsClearOnlyCrashedHolders(t *testing.T) {
 	for ci, cfg := range crashTagCases(t) {
 		cfg.Plans = plancache.New(0, 0)
 		n, sched := cfg.Work.Workers, cfg.Chaos.Compile(cfg.Seed)
+		obs, err := sched.Survivor(n) // the rank the simulator observes
+		if err != nil {
+			t.Fatal(err)
+		}
 		art := cfg.Plans.Artifacts(*cfg.Plan())
 		for _, cell := range cells {
 			r := run(t, cfg, cell.pol)
 			if r.Failed {
 				continue
 			}
-			a := art.AssignmentLean(cell.family, cfg.DS, cfg.Sys.Node, func() *cachepolicy.Assignment {
+			a := art.Placement(cell.family, cfg.DS, cfg.Sys.Node, obs, func() *cachepolicy.Assignment {
 				t.Fatalf("case %d, %s: the crash cell cached no placement", ci, r.Policy)
 				return nil
 			})
-			in := art.LeanInput(cell.family, cfg.DS, cfg.Sys.Node, nil, func(*cachepolicy.Assignment) *plancache.LeanInput {
+			in := art.LeanInput(cell.family, cfg.DS, cfg.Sys.Node, obs, nil, func(*cachepolicy.Assignment) *plancache.LeanInput {
 				t.Fatalf("case %d, %s: the crash cell cached no input", ci, r.Policy)
 				return nil
 			}).Streams[""]
-			stream, ends := sched.RedistributeStream(0, n, in.Stream, in.Ends,
+			stream, ends := sched.RedistributeStream(obs, n, in.Stream, in.Ends,
 				func(w int) ([]access.SampleID, []int) { return art.Streams[w], art.EpochEnds[w] })
 			gone := func(h, f int) bool { return sched.CrashedAt(h, sort.SearchInts(ends, f+1), n) }
 			holder := func(f int) int {
-				_, h := a.RemoteAvail(0, stream[f], int32(f))
+				_, h := a.RemoteAvail(obs, stream[f], int32(f))
 				return h
 			}
-			plain, tags := a.Tags(0, stream, nil), a.Tags(0, stream, gone)
+			plain, tags := a.Tags(obs, stream, nil), a.Tags(obs, stream, gone)
 			if err := CheckCrashTags(plain, tags, holder, gone); err != nil {
 				t.Errorf("case %d (chaos %q), %s: %v", ci, cfg.Chaos.Label(), r.Policy, err)
 			}

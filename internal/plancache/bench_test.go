@@ -58,7 +58,7 @@ func BenchmarkBuildNoPFSEnvSweep(b *testing.B) {
 		art := New(0, 0).Artifacts(plan)
 		b.StartTimer()
 		for _, node := range nodes {
-			if art.Placement(FamilyNoPFS, ds, node, true) == nil {
+			if art.Placement(FamilyNoPFS, ds, node, 0, nil) == nil {
 				b.Fatal("no placement")
 			}
 		}

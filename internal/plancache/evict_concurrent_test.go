@@ -168,7 +168,7 @@ func TestTagStreamAccounting(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = a1.LeanInput(FamilyShard, ds, node, place, derive(a1, "plan"))
+			got[i] = a1.LeanInput(FamilyShard, ds, node, 0, place, derive(a1, "plan"))
 		}(i)
 	}
 	wg.Wait()
@@ -189,12 +189,12 @@ func TestTagStreamAccounting(t *testing.T) {
 	}
 	// A reordered stream is the input's own memory; another family or node
 	// is another entry.
-	two := a1.LeanInput(FamilyFirstTouch, ds, node, place, derive(a1, "plan", "reordered"))
+	two := a1.LeanInput(FamilyFirstTouch, ds, node, 0, place, derive(a1, "plan", "reordered"))
 	if own := two.Streams["reordered"]; c.Stats().Bytes-base-shared != two.approxBytes() || own.approxBytes() < 5*int64(len(own.Stream)) {
 		t.Fatalf("input with a stream of its own charged %d bytes, reports %d, want at least 5 per position of that stream", c.Stats().Bytes-base-shared, two.approxBytes())
 	}
-	a1.LeanInput(FamilyShard, ds, testNode(2, 0), place, derive(a1, "plan"))
-	a1.LeanInput("", ds, node, nil, derive(a1))
+	a1.LeanInput(FamilyShard, ds, testNode(2, 0), 0, place, derive(a1, "plan"))
+	a1.LeanInput("", ds, node, 0, nil, derive(a1))
 	if st := c.Stats(); builds.Load() != 4 || st.Placements != 3 || st.TagStreams != 4 {
 		t.Fatalf("distinct (family, node) keys built %d inputs, %d placements, %d tag streams, want 4, 3 and 4", builds.Load(), st.Placements, st.TagStreams)
 	}
@@ -203,7 +203,7 @@ func TestTagStreamAccounting(t *testing.T) {
 	if st := c.Stats(); st.Entries != 1 || st.Bytes != a2.baseBytes() {
 		t.Fatalf("after eviction: %+v, want 1 entry of %d bytes", st, a2.baseBytes())
 	}
-	a1.LeanInput(FamilyNoPFS, ds, node, place, derive(a1, "reordered")) // late build on the evicted entry
+	a1.LeanInput(FamilyNoPFS, ds, node, 0, place, derive(a1, "reordered")) // late build on the evicted entry
 	if got := c.Stats().Bytes; got != a2.baseBytes() {
 		t.Fatalf("evicted entry's input charged the cache: %d -> %d bytes", a2.baseBytes(), got)
 	}

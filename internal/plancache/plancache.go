@@ -253,13 +253,13 @@ func (a *Artifacts) Rank(byFreq bool) *cachepolicy.Rank {
 
 // assignKey identifies one derived placement or lean input: the policy
 // family, digests of the sample sizes and node storage-class capacities the
-// build consumes, and whether it is lean (worker-0 local tables only, which
-// cannot serve rank > 0) or full (per-rank tables, the live middleware's).
+// build consumes, and the rank whose local tables it keeps (-1: every
+// rank's, the live middleware's; a rank's tables serve no other rank).
 type assignKey struct {
 	family  string
 	dataset uint64
 	node    uint64
-	lean    bool
+	track   int
 }
 
 // lazy is one compute-once artifact; map entries are inserted under
@@ -287,7 +287,7 @@ func lazyEntry[T any](a *Artifacts, m map[assignKey]*lazy[T], key assignKey) *la
 type LeanInput struct {
 	// Streams maps a stream kind to its tag stream.
 	Streams map[string]*TagStream
-	// CachedBytes is worker 0's cached bytes, what prestaging copies.
+	// CachedBytes is the tracked rank's cached bytes, what prestaging copies.
 	CachedBytes int64
 	// Coverage is the fraction of dataset bytes the placement caches
 	// anywhere; 0 unless a policy of the family reads only what it covers.
@@ -307,9 +307,9 @@ func (in *LeanInput) approxBytes() int64 {
 // stream consumed under one placement: what can serve each fetch, decoded
 // once instead of once per fetch per cell. Immutable once built.
 type TagStream struct {
-	// Stream is the simulated worker's access stream: the plan's own
-	// (Artifacts.Streams[0]) or, with OwnStream, one a policy derived from
-	// the placement.
+	// Stream is the tracked rank's access stream: the plan's own
+	// (Artifacts.Streams[rank]) or, with OwnStream, one a policy derived
+	// from the placement.
 	Stream    []access.SampleID
 	OwnStream bool
 	// Ends are Stream's cumulative epoch ends, one per epoch, the last at
@@ -340,27 +340,23 @@ const (
 	FamilyPreload    = "preload"
 )
 
-// AssignmentLean returns the compute-once lean placement (worker-0 local
-// tables only; see the cachepolicy Lean* builders) for (plan, dataset, node,
-// family), building it with build on first use. The returned Assignment is
-// shared and must be treated as immutable. Lean and full placements of the
-// same family are cached independently.
+// AssignmentLean is Placement keeping rank 0's local tables only.
 func (a *Artifacts) AssignmentLean(family string, ds cachepolicy.Sizer, node hwspec.Node, build func() *cachepolicy.Assignment) *cachepolicy.Assignment {
-	return a.assignment(family, ds, node, true, build)
+	return a.Placement(family, ds, node, 0, build)
 }
 
-// Placement returns the compute-once clairvoyant placement of family
-// FamilyNoPFS or FamilyRandom: the plan is ranked once (see Rank) and each
-// (dataset, node, layout) fills from that shared ranking.
-func (a *Artifacts) Placement(family string, ds cachepolicy.Sizer, node hwspec.Node, lean bool) *cachepolicy.Assignment {
-	return a.assignment(family, ds, node, lean, func() *cachepolicy.Assignment {
-		return a.Rank(family == FamilyNoPFS).Fill(ds, node, lean)
-	})
-}
-
-func (a *Artifacts) assignment(family string, ds cachepolicy.Sizer, node hwspec.Node, lean bool, build func() *cachepolicy.Assignment) *cachepolicy.Assignment {
-	e := lazyEntry(a, a.assigns, assignKey{family, SizerDigest(ds), NodeDigest(node), lean})
+// Placement returns the compute-once placement of family for (plan,
+// dataset, node) that keeps the local tables of rank track, or of every rank
+// when track < 0, building it with build on first use. A nil build fills
+// FamilyNoPFS or FamilyRandom from the plan's shared ranking (see Rank), so
+// the node specs placed on one plan rank it once. The returned Assignment is
+// shared and must be treated as immutable.
+func (a *Artifacts) Placement(family string, ds cachepolicy.Sizer, node hwspec.Node, track int, build func() *cachepolicy.Assignment) *cachepolicy.Assignment {
+	e := lazyEntry(a, a.assigns, assignKey{family, SizerDigest(ds), NodeDigest(node), track})
 	e.once.Do(func() {
+		if build == nil {
+			build = func() *cachepolicy.Assignment { return a.Rank(family == FamilyNoPFS).Fill(ds, node, track) }
+		}
 		e.v = build()
 		a.cache.placements.Add(1)
 		a.cache.addBytes(a.self, e.v.ApproxBytes())
@@ -368,14 +364,15 @@ func (a *Artifacts) assignment(family string, ds cachepolicy.Sizer, node hwspec.
 	return e.v
 }
 
-// LeanInput returns the compute-once kernel input of the lean placement
-// (family, ds, node). On first use place builds the placement (nil places
-// nothing) and derive turns it into the input; only derive's result stays,
-// charged to the plan's cache entry and leaving the cache with it. Cells that
-// share a placement share its input whatever else differs between them. The
-// empty family keys the input of policies that consult no placement.
-func (a *Artifacts) LeanInput(family string, ds cachepolicy.Sizer, node hwspec.Node, place func() *cachepolicy.Assignment, derive func(*cachepolicy.Assignment) *LeanInput) *LeanInput {
-	e := lazyEntry(a, a.inputs, assignKey{family, SizerDigest(ds), NodeDigest(node), true})
+// LeanInput returns the compute-once kernel input of the placement (family,
+// ds, node) that keeps rank track's local tables. On first use place builds
+// the placement (nil places nothing) and derive turns it into the input; only
+// derive's result stays, charged to the plan's cache entry and leaving the
+// cache with it. Cells that share a placement share its input whatever else
+// differs between them. The empty family keys the input of policies that
+// consult no placement.
+func (a *Artifacts) LeanInput(family string, ds cachepolicy.Sizer, node hwspec.Node, track int, place func() *cachepolicy.Assignment, derive func(*cachepolicy.Assignment) *LeanInput) *LeanInput {
+	e := lazyEntry(a, a.inputs, assignKey{family, SizerDigest(ds), NodeDigest(node), track})
 	e.once.Do(func() {
 		var p *cachepolicy.Assignment
 		if place != nil {

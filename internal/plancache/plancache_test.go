@@ -139,30 +139,30 @@ func TestAssignmentEquivalence(t *testing.T) {
 
 	direct := map[string]*cachepolicy.Assignment{
 		FamilyNoPFS:      cachepolicy.BuildNoPFSFromStreams(&p, art.Streams, ds, node),
-		FamilyRandom:     cachepolicy.RankStreams(&p, art.Streams, false).Fill(ds, node, false),
-		FamilyFirstTouch: cachepolicy.BuildFirstTouchFromOrder(&p, p.EpochOrder(0), ds, node),
-		FamilyShard:      cachepolicy.BuildShard(p.F, p.N, ds, node),
-		FamilyPreload:    cachepolicy.BuildPreload(p.F, p.N, ds, node),
+		FamilyRandom:     cachepolicy.RankStreams(&p, art.Streams, false).Fill(ds, node, -1),
+		FamilyFirstTouch: cachepolicy.BuildFirstTouchFromOrder(&p, p.EpochOrder(0), ds, node, -1),
+		FamilyShard:      cachepolicy.BuildShard(p.F, p.N, ds, node, -1),
+		FamilyPreload:    cachepolicy.BuildPreload(p.F, p.N, ds, node, -1),
 	}
 	builds := map[string]func() *cachepolicy.Assignment{
 		FamilyNoPFS: func() *cachepolicy.Assignment {
 			return cachepolicy.BuildNoPFSFromStreams(&p, art.Streams, ds, node)
 		},
 		FamilyRandom: func() *cachepolicy.Assignment {
-			return cachepolicy.RankStreams(&p, art.Streams, false).Fill(ds, node, false)
+			return cachepolicy.RankStreams(&p, art.Streams, false).Fill(ds, node, -1)
 		},
 		FamilyFirstTouch: func() *cachepolicy.Assignment {
-			return cachepolicy.BuildFirstTouchFromOrder(&p, art.EpochOrders[0], ds, node)
+			return cachepolicy.BuildFirstTouchFromOrder(&p, art.EpochOrders[0], ds, node, -1)
 		},
 		FamilyShard: func() *cachepolicy.Assignment {
-			return cachepolicy.BuildShard(p.F, p.N, ds, node)
+			return cachepolicy.BuildShard(p.F, p.N, ds, node, -1)
 		},
 		FamilyPreload: func() *cachepolicy.Assignment {
-			return cachepolicy.BuildPreload(p.F, p.N, ds, node)
+			return cachepolicy.BuildPreload(p.F, p.N, ds, node, -1)
 		},
 	}
 	for family, build := range builds {
-		got := art.assignment(family, ds, node, false, build)
+		got := art.Placement(family, ds, node, -1, build)
 		want := direct[family]
 		for w := 0; w < p.N; w++ {
 			for k := int32(0); int(k) < p.F; k++ {
@@ -175,13 +175,13 @@ func TestAssignmentEquivalence(t *testing.T) {
 			}
 		}
 		// Second lookup returns the same shared object (memoised).
-		if again := art.assignment(family, ds, node, false, build); again != got {
+		if again := art.Placement(family, ds, node, -1, build); again != got {
 			t.Fatalf("%s: assignment not memoised", family)
 		}
 		// A different node capacity is a different key.
 		other := testNode(0.1, 0)
-		if art.assignment(family, ds, other, false, func() *cachepolicy.Assignment {
-			return cachepolicy.BuildShard(p.F, p.N, ds, other)
+		if art.Placement(family, ds, other, -1, func() *cachepolicy.Assignment {
+			return cachepolicy.BuildShard(p.F, p.N, ds, other, -1)
 		}) == got {
 			t.Fatalf("%s: distinct node shared an assignment", family)
 		}
@@ -225,17 +225,17 @@ func TestPlacementRanksOncePerFamily(t *testing.T) {
 	want := map[string][]*cachepolicy.Assignment{}
 	for family, byFreq := range direct {
 		for _, node := range nodes {
-			want[family] = append(want[family], cachepolicy.RankStreams(&p, art.Streams, byFreq).Fill(ds, node, false))
+			want[family] = append(want[family], cachepolicy.RankStreams(&p, art.Streams, byFreq).Fill(ds, node, -1))
 		}
 	}
 	for family := range direct {
 		for i, node := range nodes {
-			got := art.Placement(family, ds, node, false)
-			if art.Placement(family, ds, node, true) == got {
-				t.Fatalf("%s: lean and full layouts share an entry", family)
+			got := art.Placement(family, ds, node, -1, nil)
+			if art.Placement(family, ds, node, 0, nil) == got || art.Placement(family, ds, node, 1, nil) == art.AssignmentLean(family, ds, node, nil) {
+				t.Fatalf("%s: layouts tracking different ranks share an entry", family)
 			}
-			if again := art.assignment(family, ds, node, false, func() *cachepolicy.Assignment {
-				t.Fatalf("%s: Placement and assignment keys differ", family)
+			if again := art.Placement(family, ds, node, -1, func() *cachepolicy.Assignment {
+				t.Fatalf("%s: a nil build and a given one key apart", family)
 				return nil
 			}); again != got {
 				t.Fatalf("%s: placement not memoised", family)
@@ -305,8 +305,8 @@ func TestSingleflight(t *testing.T) {
 			defer wg.Done()
 			arts[i] = c.Artifacts(p)
 			ranks[i] = arts[i].Rank(true)
-			inputs[i] = arts[i].LeanInput(FamilyNoPFS, ds, node, func() *cachepolicy.Assignment {
-				return arts[i].Rank(true).Fill(ds, node, true)
+			inputs[i] = arts[i].LeanInput(FamilyNoPFS, ds, node, 0, func() *cachepolicy.Assignment {
+				return arts[i].Rank(true).Fill(ds, node, 0)
 			}, func(a *cachepolicy.Assignment) *LeanInput {
 				return &LeanInput{Streams: map[string]*TagStream{"": {Stream: arts[i].Streams[0], Tags: a.Tags(0, arts[i].Streams[0], nil)}}}
 			})
@@ -358,8 +358,8 @@ func TestCacheRace(t *testing.T) {
 				art := c.Artifacts(p)
 				_ = art.Rank(true)
 				if p.F <= ds.Len() {
-					art.assignment(FamilyShard, ds, node, false, func() *cachepolicy.Assignment {
-						return cachepolicy.BuildShard(p.F, p.N, ds, node)
+					art.Placement(FamilyShard, ds, node, -1, func() *cachepolicy.Assignment {
+						return cachepolicy.BuildShard(p.F, p.N, ds, node, -1)
 					})
 				}
 			}
@@ -432,8 +432,8 @@ func TestEvictedEntryDoesNotInflateBytes(t *testing.T) {
 		t.Fatalf("setup: want 1 entry, got %+v", before)
 	}
 	ds, node := testDataset(t, p1.F), testNode(1, 0)
-	a1.assignment(FamilyShard, ds, node, false, func() *cachepolicy.Assignment { // lazy artifact on the evicted entry
-		return cachepolicy.BuildShard(p1.F, p1.N, ds, node)
+	a1.Placement(FamilyShard, ds, node, -1, func() *cachepolicy.Assignment { // lazy artifact on the evicted entry
+		return cachepolicy.BuildShard(p1.F, p1.N, ds, node, -1)
 	})
 	after := c.Stats()
 	if after.Bytes != before.Bytes {

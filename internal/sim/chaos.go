@@ -34,7 +34,7 @@ func chaosAdjust(env *Env, sched *chaos.Schedule, epoch, f int, sz float64, choi
 	// fallback (never cheaper than succeeding, so fault removal is monotone
 	// even when a policy's remote pick was slower than the PFS).
 	if choice.Loc == perfmodel.LocRemote {
-		delay, fail := sched.FabricCall(0, uint64(f))
+		delay, fail := sched.FabricCall(env.obs, uint64(f))
 		sec += delay
 		if fail {
 			sec += env.Rate.FetchPFS(sz, env.Gamma()) * sched.TierFactor(chaos.PFSTier, epoch)

@@ -88,23 +88,23 @@ func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, epoch, f i
 	case NameDeepIOOrdered, NameDeepIOOpp, NameLBANNDynamic, NameLBANNPreload:
 		// First copy found serves, availability gated on the holder's
 		// progress.
-		if c := a.LocalAvail(0, k, int32(f)); c >= 0 {
+		if c := a.LocalAvail(env.obs, k, int32(f)); c >= 0 {
 			return local(c)
 		}
-		if c := alive(a.RemoteAvail(0, k, int32(f))); c >= 0 {
+		if c := alive(a.RemoteAvail(env.obs, k, int32(f))); c >= 0 {
 			return remote(c)
 		}
 		return pfs(env.Gamma())
 	case NameParallelStaging:
-		if c := a.Local(0, k); c >= 0 {
+		if c := a.Local(env.obs, k); c >= 0 {
 			return local(c)
 		}
 		return pfs(env.Gamma())
 	case NameLocalityAware:
-		if c := a.Local(0, k); c >= 0 {
+		if c := a.Local(env.obs, k); c >= 0 {
 			return local(c)
 		}
-		if c := alive(a.RemoteBest(0, k)); c >= 0 {
+		if c := alive(a.RemoteBest(env.obs, k)); c >= 0 {
 			return remote(c)
 		}
 		return pfs(env.Gamma())
@@ -115,9 +115,9 @@ func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, epoch, f i
 	// Sec. 5.2 argmin over PFS, remote and local (NoPFS and its ablations).
 	rc := -1
 	if !strings.Contains(name, "-noremote") {
-		rc = alive(a.RemoteAvail(0, k, int32(f)))
+		rc = alive(a.RemoteAvail(env.obs, k, int32(f)))
 	}
-	return rate.Best(sz, a.LocalAvail(0, k, int32(f)), rc, env.Gamma())
+	return rate.Best(sz, a.LocalAvail(env.obs, k, int32(f)), rc, env.Gamma())
 }
 
 // referenceStream is the stream the policy consumes under the run's
@@ -131,7 +131,7 @@ func referenceStream(env *Env, pol Policy, a *cachepolicy.Assignment) ([]access.
 	case NameLocalityAware:
 		return localityStream(env, a)
 	}
-	return env.Art.Streams[0], env.Art.EpochEnds[0]
+	return env.Art.Streams[env.obs], env.Art.EpochEnds[env.obs]
 }
 
 // referencePipeline is the policy's staging pipeline, by name: its lookahead
@@ -149,9 +149,9 @@ func referencePipeline(env *Env, pol Policy, a *cachepolicy.Assignment) (bufMB f
 	case NameDeepIOOpp:
 		coverage = a.Coverage(env.Cfg.DS)
 	case NameParallelStaging:
-		setup, coverage = stagePrestageSeconds(env, a.CachedBytes[0]), a.Coverage(env.Cfg.DS)
+		setup, coverage = stagePrestageSeconds(env, a.CachedBytes[env.obs]), a.Coverage(env.Cfg.DS)
 	case NameLBANNPreload, NameLocalityAware:
-		setup = stagePrestageSeconds(env, a.CachedBytes[0])
+		setup = stagePrestageSeconds(env, a.CachedBytes[env.obs])
 	}
 	if strings.HasPrefix(name, NameNoPFS) {
 		p0 = node.Threads
@@ -195,7 +195,7 @@ func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 	bufMB, syncRead, p0, setup, coverage := referencePipeline(env, pol, a)
 	res.SetupSeconds, res.Coverage = setup, coverage
 	stream, epochEnds := referenceStream(env, pol, a)
-	stream, epochEnds = env.Chaos.RedistributeStream(0, env.Plan.N, stream, epochEnds, env.planStream)
+	stream, epochEnds = env.Chaos.RedistributeStream(env.obs, env.Plan.N, stream, epochEnds, env.planStream)
 
 	var (
 		n       = len(stream)
@@ -221,7 +221,7 @@ func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 		if sched == nil {
 			return 1, 1
 		}
-		return sched.BarrierFactor(epoch, workers), sched.Slowdown(0, epoch, workers)
+		return sched.BarrierFactor(env.obs, epoch, workers), sched.Slowdown(env.obs, epoch, workers)
 	}
 	barrier, self := factors()
 	batchJitter := env.pfsJitter()
@@ -632,7 +632,7 @@ func TestTagStreamsBuiltOncePerPlacement(t *testing.T) {
 		if family == streamTotal {
 			node = hwspec.Node{}
 		}
-		for _, ts := range art.LeanInput(family, cfg.DS, node, nil, func(*cachepolicy.Assignment) *plancache.LeanInput {
+		for _, ts := range art.LeanInput(family, cfg.DS, node, 0, nil, func(*cachepolicy.Assignment) *plancache.LeanInput {
 			t.Fatalf("family %q: no input cached", family)
 			return nil
 		}).Streams {
@@ -777,7 +777,7 @@ func TestTagStreamTotalSummedOncePerDataset(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i == 1 {
-				env.Art.LeanInput(streamTotal, cfg.DS, hwspec.Node{}, nil, func(*cachepolicy.Assignment) *plancache.LeanInput {
+				env.Art.LeanInput(streamTotal, cfg.DS, hwspec.Node{}, env.obs, nil, func(*cachepolicy.Assignment) *plancache.LeanInput {
 					t.Fatalf("%s on a second node: plan stream total not shared", pol.Name())
 					return nil
 				})

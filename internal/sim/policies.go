@@ -241,11 +241,11 @@ func stagePrestageSeconds(env *Env, bytes int64) float64 {
 	return float64(bytes) / (1 << 20) / rate
 }
 
-// cachedList returns worker 0's cached samples in fill order, flattened
-// across classes.
-func cachedList(a *cachepolicy.Assignment) []access.SampleID {
+// cachedList returns the observed rank's cached samples in fill order,
+// flattened across classes.
+func cachedList(env *Env, a *cachepolicy.Assignment) []access.SampleID {
 	var out []access.SampleID
-	for _, class := range a.FillOrder[0] {
+	for _, class := range a.FillOrder[env.obs] {
 		out = append(out, class...)
 	}
 	return out
@@ -284,11 +284,11 @@ var streamBuilders = map[string]func(*Env, *cachepolicy.Assignment) ([]access.Sa
 // opportunisticStream is DeepIO's relaxed order: epoch 0 fills the caches in
 // true order; later epochs cycle local content only.
 func opportunisticStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID, []int) {
-	base := env.Art.Streams[0]
-	perEpoch := env.Plan.SamplesPerEpoch(0)
-	cached := cachedList(a)
+	base := env.Art.Streams[env.obs]
+	perEpoch := env.Plan.SamplesPerEpoch(env.obs)
+	cached := cachedList(env, a)
 	if len(cached) == 0 {
-		return base, env.Art.EpochEnds[0]
+		return base, env.Art.EpochEnds[env.obs]
 	}
 	out := make([]access.SampleID, 0, len(base))
 	out = append(out, base[:min(perEpoch, len(base))]...)
@@ -303,21 +303,23 @@ func opportunisticStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID
 // shardCycleStream is ParallelStaging's order: the worker's own shard, over
 // and over, at the plan's length and so at the plan's epoch ends.
 func shardCycleStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID, []int) {
-	out := cycleStream(cachedList(a), len(env.Art.Streams[0]))
+	own := env.Art.Streams[env.obs]
+	out := cycleStream(cachedList(env, a), len(own))
 	if out == nil {
-		out = env.Art.Streams[0]
+		out = own
 	}
-	return out, env.Art.EpochEnds[0]
+	return out, env.Art.EpochEnds[env.obs]
 }
 
-// localityStream reorders each global batch so worker 0 preferentially
-// receives the samples it stores locally; the remainder of its per-batch
-// quota is filled from the batch's leftover samples.
+// localityStream reorders each global batch so the observed rank
+// preferentially receives the samples it stores locally; the remainder of
+// its per-batch quota, its plan share of the batch, is filled from the
+// batch's leftover samples.
 func localityStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID, []int) {
-	plan := env.Plan
+	plan, obs := env.Plan, env.obs
 	b := plan.BatchPerWorker
 	B := plan.GlobalBatch()
-	out := make([]access.SampleID, 0, len(env.Art.Streams[0]))
+	out := make([]access.SampleID, 0, len(env.Art.Streams[obs]))
 	ends := make([]int, 0, plan.E)
 	// Per-batch scratch, reused across all batches of the run.
 	mine := make([]access.SampleID, 0, b)
@@ -333,13 +335,13 @@ func localityStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID, []i
 			}
 			mine, other = mine[:0], other[:0]
 			for _, k := range order[start:end] {
-				if a.Local(0, k) >= 0 && len(mine) < b {
+				if a.Local(obs, k) >= 0 && len(mine) < b {
 					mine = append(mine, k)
 				} else {
 					other = append(other, k)
 				}
 			}
-			quota := (end - start + plan.N - 1) / plan.N
+			quota := (end - start - obs + plan.N - 1) / plan.N
 			if quota > b {
 				quota = b
 			}
@@ -348,7 +350,7 @@ func localityStream(env *Env, a *cachepolicy.Assignment) ([]access.SampleID, []i
 				out = append(out, other[i])
 			}
 		}
-		ends = append(ends, len(out))
+		ends = append(ends, len(out)) // mine may overrun a partial batch's quota
 	}
 	return out, ends
 }

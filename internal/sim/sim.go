@@ -98,6 +98,9 @@ func (c *Config) Validate() error {
 	if err := c.Chaos.Validate(); err != nil {
 		return err
 	}
+	if _, err := c.Chaos.Compile(c.Seed).Survivor(c.Work.Workers); err != nil {
+		return err
+	}
 	if err := c.Plan().Validate(); err != nil {
 		return err
 	}
@@ -155,6 +158,10 @@ type Env struct {
 	// Chaos is the compiled fault schedule (nil for the fault-free run).
 	Chaos *chaos.Schedule
 
+	// obs is the rank the run observes: its stream, its placement tables and
+	// its chaos factors are the simulated worker's. It is the lowest rank the
+	// crash schedule never crashes, so 0 on a fault-free cell.
+	obs  int
 	rng  *prng.Generator
 	ewma float64 // recent fraction of staging fetches served by the PFS
 }
@@ -175,12 +182,14 @@ func newEnv(cfg *Config) (*Env, error) {
 	plan := cfg.Plan()
 	sizes, mean := sizeTable(cfg.DS)
 	art := cmp.Or(cfg.Plans, plancache.Shared()).Artifacts(*plan)
+	sched := cfg.Chaos.Compile(cfg.Seed)
+	obs, _ := sched.Survivor(plan.N) // Validate rejected a schedule without one
 	return &Env{
 		Cfg: cfg, Rate: model.Compile(plan.N), Plan: plan,
 		SizesMB: sizes, MeanMB: mean, Art: art,
-		Chaos: cfg.Chaos.Compile(cfg.Seed),
-		rng:   prng.New(cfg.Seed).Derive(0x51),
-		ewma:  1, // epoch 0 starts all-PFS
+		Chaos: sched, obs: obs,
+		rng:  prng.New(cfg.Seed).Derive(0x51),
+		ewma: 1, // epoch 0 starts all-PFS
 	}, nil
 }
 
@@ -207,26 +216,26 @@ func sizeTable(ds dataset.Dataset) (sizes []float64, mean float64) {
 	return sizes, mean
 }
 
-// placement builds the family's lean placement in this environment, nil for
-// the empty family: first touch for DeepIO and the dynamic LBANN data store,
-// the static shard for ParallelStaging and LocalityAware, and the
+// placement builds the family's placement in this environment, nil for the
+// empty family: first touch for DeepIO and the dynamic LBANN data store, the
+// static shard for ParallelStaging and LocalityAware, and the
 // frequency-based assignment (or its first-access-order ablation) for the
 // NoPFS variants, whose candidate ranking is a plan artifact of its own, so
-// the node specs of an environment study on one plan rank once. A lean build
-// tracks local tables for worker 0 only (the simulated symmetric observer):
-// O(F) at any cluster size, but 12 B per sample, so only crash cells keep
-// one (runInput; leanInput drops it).
+// the node specs of an environment study on one plan rank once. The build
+// tracks local tables for the observed rank only: O(F) at any cluster size,
+// but 12 B per sample, so only crash cells keep one (runInput; leanInput
+// drops it).
 func (e *Env) placement(family string) *cachepolicy.Assignment {
 	ds, node := e.Cfg.DS, e.Cfg.Sys.Node
 	switch family {
 	case plancache.FamilyNoPFS, plancache.FamilyRandom:
-		return e.Art.Rank(family == plancache.FamilyNoPFS).Fill(ds, node, true)
+		return e.Art.Rank(family == plancache.FamilyNoPFS).Fill(ds, node, e.obs)
 	case plancache.FamilyFirstTouch:
-		return cachepolicy.BuildFirstTouchLean(e.Plan, e.Art.EpochOrders[0], ds, node)
+		return cachepolicy.BuildFirstTouchFromOrder(e.Plan, e.Art.EpochOrders[0], ds, node, e.obs)
 	case plancache.FamilyShard:
-		return cachepolicy.BuildShardLean(e.Plan.F, e.Plan.N, ds, node)
+		return cachepolicy.BuildShard(e.Plan.F, e.Plan.N, ds, node, e.obs)
 	case plancache.FamilyPreload:
-		return cachepolicy.BuildPreloadLean(e.Plan.F, e.Plan.N, ds, node)
+		return cachepolicy.BuildPreload(e.Plan.F, e.Plan.N, ds, node, e.obs)
 	}
 	return nil
 }
@@ -344,21 +353,21 @@ func (env *Env) run(pol Policy) *Result {
 
 // runInput returns the tagged stream the kernel runs under rule, as cached.
 // A crash redistributes the crashed workers' plan (as the live job does, for
-// worker 0, which crashRank keeps alive) into a stream tagged here, uncached,
-// without a holder's copies from its crash epoch on. Its placement is cached,
-// one per family for all crash cells: a build per cell made `sim -all -scale
-// 0.05 -chaos node-crash` 8–16 % slower.
+// the observed rank, which never crashes) into a stream tagged here,
+// uncached, without a holder's copies from its crash epoch on. Its placement
+// is cached, one per family and observed rank for all crash cells: a build
+// per cell made `sim -all -scale 0.05 -chaos node-crash` 8–16 % slower.
 func (env *Env) runInput(rule sourceRule, in *plancache.LeanInput) *plancache.TagStream {
 	ts, n := in.Streams[rule.stream], env.Plan.N
 	if !env.Chaos.HasCrashes(n) {
 		return ts
 	}
-	stream, ends := env.Chaos.RedistributeStream(0, n, ts.Stream, ts.Ends, env.planStream)
+	stream, ends := env.Chaos.RedistributeStream(env.obs, n, ts.Stream, ts.Ends, env.planStream)
 	out := &plancache.TagStream{Stream: stream, Ends: ends, TotalMB: env.sumMB(stream)}
 	if rule.family != "" {
-		place := env.Art.AssignmentLean(rule.family, env.Cfg.DS, env.Cfg.Sys.Node, func() *cachepolicy.Assignment { return env.placement(rule.family) })
+		place := env.Art.Placement(rule.family, env.Cfg.DS, env.Cfg.Sys.Node, env.obs, func() *cachepolicy.Assignment { return env.placement(rule.family) })
 		gone := func(h, pos int) bool { return env.Chaos.CrashedAt(h, sort.SearchInts(ends, pos+1), n) }
-		out.Tags = place.Tags(0, stream, gone)
+		out.Tags = place.Tags(env.obs, stream, gone)
 	}
 	return out
 }
@@ -470,14 +479,14 @@ func (e *Env) leanInput(family string) *plancache.LeanInput {
 	if family != "" {
 		place = func() *cachepolicy.Assignment { return e.placement(family) }
 	}
-	return e.Art.LeanInput(family, e.Cfg.DS, e.Cfg.Sys.Node, place, func(a *cachepolicy.Assignment) *plancache.LeanInput {
+	return e.Art.LeanInput(family, e.Cfg.DS, e.Cfg.Sys.Node, e.obs, place, func(a *cachepolicy.Assignment) *plancache.LeanInput {
 		kinds, partial := familyUse(family)
 		in := &plancache.LeanInput{Streams: make(map[string]*plancache.TagStream, len(kinds))}
 		for _, kind := range kinds {
 			in.Streams[kind] = e.tagStream(a, kind)
 		}
 		if a != nil {
-			in.CachedBytes = a.CachedBytes[0]
+			in.CachedBytes = a.CachedBytes[e.obs]
 			if partial {
 				in.Coverage = a.Coverage(e.Cfg.DS)
 			}
@@ -489,21 +498,22 @@ func (e *Env) leanInput(family string) *plancache.LeanInput {
 // tagStream derives the stream of one kind under placement a (nil: none)
 // with its tags and byte total.
 func (e *Env) tagStream(a *cachepolicy.Assignment, kind string) *plancache.TagStream {
-	ts := &plancache.TagStream{Stream: e.Art.Streams[0], Ends: e.Art.EpochEnds[0]}
+	ts := &plancache.TagStream{Stream: e.Art.Streams[e.obs], Ends: e.Art.EpochEnds[e.obs]}
 	if build := streamBuilders[kind]; build != nil {
 		ts.Stream, ts.Ends = build(e, a)
 		ts.OwnStream, ts.TotalMB = true, e.sumMB(ts.Stream)
 	} else {
 		// The plan's own stream has one total under every placement and
-		// node: summed once per dataset, in an entry under the zero node.
-		ts.TotalMB = e.Art.LeanInput(streamTotal, e.Cfg.DS, hwspec.Node{}, nil, func(*cachepolicy.Assignment) *plancache.LeanInput {
+		// node: summed once per dataset and rank, in an entry under the
+		// zero node.
+		ts.TotalMB = e.Art.LeanInput(streamTotal, e.Cfg.DS, hwspec.Node{}, e.obs, nil, func(*cachepolicy.Assignment) *plancache.LeanInput {
 			return &plancache.LeanInput{Streams: map[string]*plancache.TagStream{
 				streamTotal: {Stream: ts.Stream, TotalMB: e.sumMB(ts.Stream)},
 			}}
 		}).Streams[streamTotal].TotalMB
 	}
 	if a != nil {
-		ts.Tags = a.Tags(0, ts.Stream, nil)
+		ts.Tags = a.Tags(e.obs, ts.Stream, nil)
 	}
 	return ts
 }
@@ -607,7 +617,7 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res 
 	// slows this worker's own prefetch threads.
 	barrier, self := 1.0, 1.0
 	if sched != nil {
-		barrier, self = sched.BarrierFactor(0, env.Plan.N), sched.Slowdown(0, 0, env.Plan.N)
+		barrier, self = sched.BarrierFactor(env.obs, 0, env.Plan.N), sched.Slowdown(env.obs, 0, env.Plan.N)
 	}
 
 	// PFS slowness is bursty system noise, not i.i.d. per sample: one slow
@@ -628,7 +638,7 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res 
 		res.EpochSeconds = append(res.EpochSeconds, 0)
 		epoch++
 		if sched != nil {
-			barrier, self = sched.BarrierFactor(epoch, env.Plan.N), sched.Slowdown(0, epoch, env.Plan.N)
+			barrier, self = sched.BarrierFactor(env.obs, epoch, env.Plan.N), sched.Slowdown(env.obs, epoch, env.Plan.N)
 		}
 	}
 	if epoch < len(epochEnds) {
@@ -795,7 +805,7 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res 
 				nextEpochEnd = epochEnds[epoch]
 			}
 			if sched != nil {
-				barrier, self = sched.BarrierFactor(epoch, env.Plan.N), sched.Slowdown(0, epoch, env.Plan.N)
+				barrier, self = sched.BarrierFactor(env.obs, epoch, env.Plan.N), sched.Slowdown(env.obs, epoch, env.Plan.N)
 			}
 		}
 	}

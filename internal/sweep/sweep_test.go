@@ -8,8 +8,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/access"
+	"repro/internal/chaos"
 	"repro/internal/plancache"
 	"repro/internal/prng"
 	isim "repro/internal/sim"
@@ -214,6 +216,32 @@ func TestEngineMatchesDirectRun(t *testing.T) {
 			t.Errorf("%s: engine exec/stall %.6f/%.6f != direct %.6f/%.6f",
 				want.Policy, exec, stall, want.ExecSeconds, want.StallSeconds)
 		}
+	}
+}
+
+// TestNoSurvivorCellFails: a grid whose chaos axis crashes every rank of a
+// scenario fails its first cell with chaos.ErrNoSurvivor, in bounded time.
+func TestNoSurvivorCellFails(t *testing.T) {
+	s, err := isim.ScenarioByID("fig8a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ScenarioGrid(s, testScale, 42, 1)
+	if g.Profiles, err = ChaosAxis("crash:0@1,crash:1@1,crash:2@1,crash:3@1"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := (&Runner{Parallel: 2}).Run(bg, g)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, chaos.ErrNoSurvivor) {
+			t.Fatalf("grid run: %v, want chaos.ErrNoSurvivor", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("grid run did not return within 5 s")
 	}
 }
 

@@ -136,7 +136,7 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 	// rank, and it leaves with the cluster. The shared stream and assignment
 	// are immutable; the job only reads them.
 	art := plans.Artifacts(*plan)
-	assign := art.Placement(plancache.FamilyNoPFS, ds, node, false)
+	assign := art.Placement(plancache.FamilyNoPFS, ds, node, -1, nil)
 	// The delivery stream is the plan's, reshaped by the shared crash
 	// redistribution rule (chaos.RedistributeStream — the same pure
 	// function the simulator evaluates), so survivors absorb the crashed

@@ -234,6 +234,9 @@ func (o Options) Validate(ds Dataset, workers int) error {
 	if err := o.Chaos.Validate(); err != nil {
 		return err
 	}
+	if _, err := o.Chaos.Compile(o.Seed).Survivor(workers); err != nil {
+		return err
+	}
 	if _, err := access.ParseAccessSpec(o.Access); err != nil {
 		return fmt.Errorf("nopfs: %w", err)
 	}

@@ -2,6 +2,7 @@ package nopfs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -280,19 +281,23 @@ func TestStatsStallAccounting(t *testing.T) {
 // TestCrashedRankFillsOnlyItsStream: the class fill of a rank that crashes,
 // run to completion before the staging path claims a position, stores no
 // sample the rank's reshaped stream does not deliver. Rank 1 of "crash:1@1"
-// is assigned samples first accessed far past its stream's end (more than
-// 512 positions past it). Rank 1 of "crash:2@1,crash:1@2" absorbs rank 2's
-// epoch-1 rounds and then crashes, so its reshaped stream is longer than
-// the plan prefix it keeps: some samples it never delivers are first
-// accessed, in its plan, before the reshaped stream's end. Its
+// (rank 0 of "crash:0@1") is assigned samples first accessed far past its
+// stream's end (more than 512 positions past it). Rank 1 of
+// "crash:2@1,crash:1@2" absorbs rank 2's epoch-1 rounds and then crashes
+// (rank 2 of "crash:0@1,crash:2@2" absorbs rank 0's), so its reshaped stream
+// is longer than the plan prefix it keeps: some samples it never delivers
+// are first accessed, in its plan, before the reshaped stream's end. Its
 // RedistributedRounds counts the absorbed rounds, the reshaped stream past
 // that prefix.
 func TestCrashedRankFillsOnlyItsStream(t *testing.T) {
 	for _, tc := range []struct {
-		profile string
-		ranks   int
-		absorbs bool // rank 1 absorbs an earlier crash's rounds
-	}{{"crash:1@1", 2, false}, {"crash:2@1,crash:1@2", 3, true}} {
+		profile     string
+		rank, ranks int
+		absorbs     bool // the rank absorbs an earlier crash's rounds
+	}{
+		{"crash:1@1", 1, 2, false}, {"crash:2@1,crash:1@2", 1, 3, true},
+		{"crash:0@1", 0, 2, false}, {"crash:0@1,crash:2@2", 2, 3, true},
+	} {
 		t.Run(tc.profile, func(t *testing.T) {
 			ds := dataset.MustNew(dataset.Spec{Name: "crash-fill", F: 4096, MeanSize: 64, Classes: 2, Seed: 7})
 			opts := baseOptions()
@@ -304,24 +309,24 @@ func TestCrashedRankFillsOnlyItsStream(t *testing.T) {
 			}
 			opts.Chaos = crash
 			plans := plancache.New(0, 0)
-			j, err := newJob(bg, ds, 1, tc.ranks, opts.withDefaults(), &nullEndpoint{}, nil, plans)
+			j, err := newJob(bg, ds, tc.rank, tc.ranks, opts.withDefaults(), &nullEndpoint{}, nil, plans)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer j.Close()
 			var next atomic.Int64
 			j.wg.Add(1)
-			j.classPrefetcher(0, j.assign.FillOrder[1][0], &next)
+			j.classPrefetcher(0, j.assign.FillOrder[tc.rank][0], &next)
 			delivered := map[access.SampleID]bool{}
 			for _, k := range j.stream {
 				delivered[k] = true
 			}
 			past, before, farthest := 0, 0, int32(0)
-			for _, k := range j.assign.FillOrder[1][0] {
+			for _, k := range j.assign.FillOrder[tc.rank][0] {
 				if delivered[k] {
 					continue
 				}
-				fp := j.assign.LocalPos(1, k)
+				fp := j.assign.LocalPos(tc.rank, k)
 				past, farthest = past+1, max(farthest, fp)
 				if int(fp) < len(j.stream) {
 					before++
@@ -337,11 +342,45 @@ func TestCrashedRankFillsOnlyItsStream(t *testing.T) {
 			if tc.absorbs && before == 0 {
 				t.Errorf("no undelivered sample is first accessed before the reshaped stream's end %d", len(j.stream))
 			}
-			ends := plans.Artifacts(*j.plan).EpochEnds[1]
+			ends := plans.Artifacts(*j.plan).EpochEnds[tc.rank]
 			if got, want := j.Stats().RedistributedRounds, int64(len(j.stream)-ends[j.crashEpoch-1]); got != want {
 				t.Errorf("RedistributedRounds = %d, want %d", got, want)
 			}
 		})
+	}
+}
+
+// TestNoSurvivorRejected: a crash schedule that crashes every rank leaves
+// nobody to absorb the crashed plan rounds. Options.Validate rejects it with
+// chaos.ErrNoSurvivor, and RunCluster returns that error before it starts a
+// rank, in bounded time (redistributing over no survivors never ends).
+func TestNoSurvivorRejected(t *testing.T) {
+	ds := testDataset(t, 64)
+	opts := baseOptions()
+	opts.Epochs = 3
+	crash, err := chaos.ParseProfile("crash:0@1,crash:1@2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Chaos = crash
+	if err := opts.Validate(ds, 2); !errors.Is(err, chaos.ErrNoSurvivor) {
+		t.Fatalf("Validate: %v, want chaos.ErrNoSurvivor", err)
+	}
+	if err := opts.Validate(ds, 3); err != nil {
+		t.Fatalf("rank 2 survives on 3 ranks, Validate: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunCluster(bg, ds, 2, opts, DrainAll(nil))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, chaos.ErrNoSurvivor) {
+			t.Fatalf("RunCluster: %v, want chaos.ErrNoSurvivor", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunCluster did not return within 5 s")
 	}
 }
 

@@ -23,10 +23,10 @@ import (
 // CI runs this file with -race (`make chaos-soak`), where the concurrent
 // retry/breaker/crash machinery gets its memory-model audit.
 
-// soakPresets are the chaos presets the soak crosses with each fabric:
-// a pure node crash, a pure fabric fault, and the combined meltdown
-// (straggler + degraded tiers + crash + flaky fabric).
-var soakPresets = []string{"node-crash", "flaky-fabric", "meltdown"}
+// soakPresets are the chaos profiles the soak crosses with each fabric:
+// a pure node crash, a pure fabric fault, the combined meltdown (straggler +
+// degraded tiers + crash + flaky fabric), and a crash of rank 0.
+var soakPresets = []string{"node-crash", "flaky-fabric", "meltdown", "crash:0@1"}
 
 // soakStreams computes the delivery oracle for one soak run: each rank's
 // plan stream reshaped by the profile's crash schedule.
