@@ -50,7 +50,9 @@ test:
 # depends on scheduling), and the plan builder and its rebuild:
 # epochs scatter concurrently into disjoint segments from pooled scratch,
 # and the RAM backend's slot table:
-# readers race the one writer that publishes a slot or grows the table.
+# readers race the one writer that publishes a slot or grows the table,
+# and the metrics layer: staging threads flush their latency batches into
+# a histogram while WritePrometheus renders it.
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
@@ -60,6 +62,7 @@ test-race:
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/
 	$(GO) test -race -count=5 -run 'Release|Recycle|Batch|Delivery|Ownership|Collectable|Metrics|Stats|Cancel' ./nopfs/
 	$(GO) test -race -count=5 ./internal/clock/
+	$(GO) test -race -count=5 ./internal/metrics/
 	$(GO) test -race -count=5 -run 'Limiter|Breaker|Staging|Memory' ./internal/storage/ ./internal/resilience/
 
 vet:
@@ -138,7 +141,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 16648
+LOC_MAX ?= 16708
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

@@ -64,6 +64,14 @@ func Err(ctx context.Context) error {
 	}
 }
 
+// Since is c.Now().Sub(t): on Real, time.Since, a monotonic-only read.
+func Since(c Clock, t time.Time) time.Duration {
+	if _, ok := c.(wall); ok {
+		return time.Since(t)
+	}
+	return c.Now().Sub(t)
+}
+
 // Sleep waits d on c, or until ctx ends; a non-positive d returns at once.
 func Sleep(ctx context.Context, c Clock, d time.Duration) error {
 	if d <= 0 {

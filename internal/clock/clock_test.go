@@ -119,3 +119,26 @@ func TestErr(t *testing.T) {
 		}
 	}
 }
+
+// TestSince: on a manual clock Since is Now().Sub(t) with one read; on Real
+// it is time.Since, non-negative and ordered between two wall readings.
+func TestSince(t *testing.T) {
+	c := &frozen{t: time.Unix(100, 0)}
+	if got := Since(c, time.Unix(97, 0)); got != 3*time.Second {
+		t.Errorf("manual Since = %v, want 3s", got)
+	}
+	if got := Since(c, time.Unix(101, 0)); got != -time.Second {
+		t.Errorf("manual Since of a later instant = %v, want -1s", got)
+	}
+	start := Real.Now()
+	time.Sleep(time.Millisecond)
+	lo := Real.Now().Sub(start)
+	d := Since(Real, start)
+	hi := Real.Now().Sub(start)
+	if d < lo || d > hi || d < time.Millisecond {
+		t.Errorf("Real Since = %v, want within [%v, %v] and >= 1ms", d, lo, hi)
+	}
+	if got := Since(Real, start.Add(time.Hour)); got >= 0 {
+		t.Errorf("Real Since of an instant an hour ahead = %v, want negative", got)
+	}
+}

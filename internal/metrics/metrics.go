@@ -123,6 +123,47 @@ func (h *Histogram) Observe(v float64) {
 	addBits(&h.sumBits, v)
 }
 
+// Batch holds one goroutine's observations of a histogram until Flush adds
+// them to it, so Observe takes no atomic. The zero Batch ignores every call.
+type Batch struct {
+	h       *Histogram
+	buckets []uint64 // one more than h's: the last is +Inf
+	count   uint64
+	sum     float64
+}
+
+// Batch returns an empty batch of h's observations (the zero Batch for nil).
+func (h *Histogram) Batch() Batch {
+	if h == nil {
+		return Batch{}
+	}
+	return Batch{h: h, buckets: make([]uint64, len(h.buckets)+1)}
+}
+
+// Observe records one observation in the batch.
+func (b *Batch) Observe(v float64) {
+	if b.h != nil {
+		b.buckets[sort.SearchFloat64s(b.h.bounds, v)]++
+		b.count, b.sum = b.count+1, b.sum+v
+	}
+}
+
+// Flush adds the batch's observations to its histogram and empties it.
+func (b *Batch) Flush() {
+	if b.count == 0 {
+		return
+	}
+	for i := range b.h.buckets {
+		if n := b.buckets[i]; n > 0 {
+			b.h.buckets[i].Add(n)
+		}
+	}
+	b.h.count.Add(b.count)
+	addBits(&b.h.sumBits, b.sum)
+	clear(b.buckets)
+	b.count, b.sum = 0, 0
+}
+
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
@@ -252,61 +293,45 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// Counter returns the counter series for (name, labels), registering the
-// family on first use. Returns nil (a no-op counter) on a nil registry.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
+// lookup returns the family's series for labels, made by mk and registered
+// on first use, or the zero M (a nil, no-op metric) on a nil registry.
+func lookup[M metric](r *Registry, name, help, typ string, labels []Label, mk func() M) (m M) {
 	if r == nil {
-		return nil
+		return m
 	}
-	f := r.family(name, help, "counter")
+	f := r.family(name, help, typ)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	sig := renderLabels(labels)
-	if m, ok := f.series[sig]; ok {
-		return m.(*Counter)
+	if old, ok := f.series[sig]; ok {
+		return old.(M)
 	}
-	c := &Counter{}
-	f.series[sig] = c
-	return c
+	m = mk()
+	f.series[sig] = m
+	return m
+}
+
+// Counter returns the counter series for (name, labels), registering the
+// family on first use. Returns nil (a no-op counter) on a nil registry.
+func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
+	return lookup(r, name, help, "counter", labels, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the gauge series for (name, labels).
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	f := r.family(name, help, "gauge")
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	sig := renderLabels(labels)
-	if m, ok := f.series[sig]; ok {
-		return m.(*Gauge)
-	}
-	g := &Gauge{}
-	f.series[sig] = g
-	return g
+	return lookup(r, name, help, "gauge", labels, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the histogram series for (name, labels) with the given
 // bucket upper bounds (nil means DefBuckets). Bounds must match across calls
 // for one name; the first registration wins.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
 	if len(buckets) == 0 {
 		buckets = DefBuckets
 	}
-	f := r.family(name, help, "histogram")
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	sig := renderLabels(labels)
-	if m, ok := f.series[sig]; ok {
-		return m.(*Histogram)
-	}
-	h := &Histogram{bounds: append([]float64(nil), buckets...), buckets: make([]atomic.Uint64, len(buckets))}
-	f.series[sig] = h
-	return h
+	return lookup(r, name, help, "histogram", labels, func() *Histogram {
+		return &Histogram{bounds: append([]float64(nil), buckets...), buckets: make([]atomic.Uint64, len(buckets))}
+	})
 }
 
 // WritePrometheus renders every family in the text exposition format,

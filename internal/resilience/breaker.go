@@ -3,6 +3,7 @@ package resilience
 import (
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -41,6 +42,9 @@ type Breaker struct {
 	mu       sync.Mutex
 	state    BreakerState
 	failures int // consecutive, while closed
+	// clean is state == Closed && failures == 0, written only under mu:
+	// while it holds, Allow and Success have nothing to do and take no lock.
+	clean atomic.Bool
 
 	threshold int
 	cooldown  time.Duration
@@ -64,19 +68,21 @@ func NewBreaker(p Policy, onTransition func(from, to BreakerState)) *Breaker {
 	if cd <= 0 {
 		cd = DefaultCooldown
 	}
-	return &Breaker{
+	b := &Breaker{
 		threshold:    p.BreakerThreshold,
 		cooldown:     cd,
 		clock:        clock.Real,
 		onTransition: onTransition,
 	}
+	b.clean.Store(true)
+	return b
 }
 
 // Allow reports whether a call may proceed. From Open it lets a single
 // probe through once the cooldown has elapsed (moving to HalfOpen); the
 // second return is true when this call is that probe.
 func (b *Breaker) Allow() (ok, probe bool) {
-	if b == nil {
+	if b == nil || b.clean.Load() {
 		return true, false
 	}
 	b.mu.Lock()
@@ -100,7 +106,7 @@ func (b *Breaker) Allow() (ok, probe bool) {
 
 // Success records a successful call, closing the circuit.
 func (b *Breaker) Success() {
-	if b == nil {
+	if b == nil || b.clean.Load() {
 		return
 	}
 	b.mu.Lock()
@@ -109,6 +115,7 @@ func (b *Breaker) Success() {
 		b.transitionLocked(Closed)
 		return
 	}
+	b.clean.Store(true)
 	b.mu.Unlock()
 }
 
@@ -120,6 +127,7 @@ func (b *Breaker) Failure() {
 		return
 	}
 	b.mu.Lock()
+	b.clean.Store(false)
 	switch b.state {
 	case HalfOpen:
 		b.transitionLocked(Open)
@@ -156,6 +164,7 @@ func (b *Breaker) transitionLocked(to BreakerState) {
 	if to == Closed {
 		b.failures = 0
 	}
+	b.clean.Store(to == Closed)
 	cb := b.onTransition
 	b.mu.Unlock()
 	if cb != nil && from != to {

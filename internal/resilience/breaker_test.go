@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,5 +167,64 @@ func TestBreakerMatchesModel(t *testing.T) {
 		atCooldown, shortOfCooldown, probeRefused, abortedProbe)
 	if atCooldown == 0 || shortOfCooldown == 0 || probeRefused == 0 || abortedProbe == 0 {
 		t.Error("the sequences left a breaker rule unexercised")
+	}
+}
+
+// TestBreakerConcurrentOutcomes reports outcomes to one breaker from many
+// goroutines at once, in phases whose result does not depend on the
+// interleaving: threshold-1 failures leave the circuit closed, a burst of
+// successes resets the count (so threshold-1 more still leave it closed,
+// while other goroutines' Allow calls all pass), one more failure opens it,
+// and threshold failures at once open a fresh circuit exactly once. Under
+// -race it checks that the closed circuit's lock-free Allow and Success
+// race cleanly with the failures that take the lock.
+func TestBreakerConcurrentOutcomes(t *testing.T) {
+	const threshold, workers = 4, 8
+	for round := 0; round < 50; round++ {
+		var opened atomic.Int32
+		br := NewBreaker(Policy{BreakerThreshold: threshold, BreakerCooldown: time.Hour}, func(from, to BreakerState) {
+			if to == Open {
+				opened.Add(1)
+			}
+		})
+		var refused atomic.Int32
+		together := func(n int, outcome func()) {
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(2)
+				go func() { defer wg.Done(); outcome() }()
+				go func() {
+					defer wg.Done()
+					if ok, _ := br.Allow(); !ok {
+						refused.Add(1)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+		together(workers, br.Success)
+		together(threshold-1, br.Failure)
+		together(workers, br.Success)
+		together(threshold-1, br.Failure)
+		if got := br.State(); got != Closed || opened.Load() != 0 || refused.Load() != 0 {
+			t.Fatalf("round %d: after %d failures, a reset and %d more: %v, %d opens, %d refused; want closed, 0, 0",
+				round, threshold-1, threshold-1, got, opened.Load(), refused.Load())
+		}
+		br.Failure()
+		if ok, _ := br.Allow(); br.State() != Open || opened.Load() != 1 || ok {
+			t.Fatalf("round %d: failure %d after the reset left %v (%d opens, allow %v), want open once, refusing",
+				round, threshold, br.State(), opened.Load(), ok)
+		}
+
+		opened.Store(0)
+		br = NewBreaker(Policy{BreakerThreshold: threshold, BreakerCooldown: time.Hour}, func(from, to BreakerState) {
+			if to == Open {
+				opened.Add(1)
+			}
+		})
+		together(threshold, br.Failure)
+		if br.State() != Open || opened.Load() != 1 {
+			t.Fatalf("round %d: %d concurrent failures: %v, %d opens; want open once", round, threshold, br.State(), opened.Load())
+		}
 	}
 }

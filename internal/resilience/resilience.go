@@ -273,11 +273,11 @@ func (c *Caller[T]) attemptContext(parent context.Context) context.Context {
 	if c.policy.CallTimeout <= 0 {
 		return parent
 	}
+	if w := c.window.Load(); w != nil && w.parent == parent && clock.Since(clock.Real, w.sliceEnd) < 0 {
+		return w.ctx // a monotonic read: the window's slice is still open
+	}
 	//lint:ignore goroutine deadline windows feed context.WithDeadline, which only the wall clock drives
 	now := time.Now()
-	if w := c.window.Load(); w != nil && w.parent == parent && now.Before(w.sliceEnd) {
-		return w.ctx
-	}
 	w := &deadlineWindow{parent: parent, sliceEnd: now.Add(c.policy.CallTimeout / windowSlices)}
 	w.ctx, w.cancel = context.WithDeadline(parent, w.sliceEnd.Add(c.policy.CallTimeout))
 	c.window.Store(w)

@@ -31,6 +31,6 @@ func Instrument(n Network, obs CallObserver) Network {
 func (i *instrumented) Call(ctx context.Context, to int, req Request) (Response, error) {
 	start := i.clock.Now()
 	resp, err := i.Network.Call(ctx, to, req)
-	i.obs(req, err == nil, i.clock.Now().Sub(start).Seconds())
+	i.obs(req, err == nil, clock.Since(i.clock, start).Seconds())
 	return resp, err
 }

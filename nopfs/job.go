@@ -371,8 +371,11 @@ func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.In
 
 // stagingPrefetcher claims runs of BatchPerWorker stream positions (the
 // last may be short), fetches each run in order and stages it with PushRun.
+// With metrics on it reads the clock at the claim and after each fetch.
 func (j *Job) stagingPrefetcher() {
 	defer j.wg.Done()
+	lat := j.met.latency()
+	defer lat.flush()
 	n := j.opts.BatchPerWorker
 	run := make([]storage.Entry, 0, n)
 	for clock.Err(j.ctx) == nil {
@@ -381,19 +384,19 @@ func (j *Job) stagingPrefetcher() {
 			return
 		}
 		run = run[:0]
+		var t time.Time // the start of the next fetch's interval
+		if j.met != nil {
+			t = j.clock.Now()
+		}
 		for pos := first; pos < min(first+n, len(j.stream)); pos++ {
 			k := j.stream[pos]
-			var fetchStart time.Time
-			if j.met != nil {
-				fetchStart = j.clock.Now()
-			}
 			data, src, recycled, err := j.fetchFrom(k, pos, j.tags[pos], stagingRow)
 			if err != nil {
 				j.fail(err)
 				return
 			}
 			if j.met != nil {
-				j.met.stagedFetch(pos, k, j.epochOf(pos), src, len(data), j.clock.Now().Sub(fetchStart).Seconds())
+				t = j.met.stagedFetch(j, &lat, t, pos, src, len(data))
 			}
 			j.sources[pos] = uint8(src)
 			if recycled {
@@ -402,6 +405,7 @@ func (j *Job) stagingPrefetcher() {
 			run = append(run, storage.Entry{Pos: pos, ID: k, Data: data})
 			storeMax(&j.progress, int64(pos)) // threads finish out of order
 		}
+		lat.flush()
 		if err := j.staging.PushRun(j.ctx, run); err != nil {
 			j.fail(err)
 			return
@@ -454,7 +458,7 @@ func (j *Job) fetchFrom(k access.SampleID, pos int, tag byte, issuer int) ([]byt
 	data, src, recycled, err := j.fetchSource(k, pos, tag, issuer)
 	if err == nil {
 		if factor := j.chaosSched.Slowdown(j.rank, epoch, j.plan.N); factor > 1 {
-			_ = clock.Sleep(j.ctx, j.clock, time.Duration(float64(j.clock.Now().Sub(start))*(factor-1)))
+			_ = clock.Sleep(j.ctx, j.clock, time.Duration(float64(clock.Since(j.clock, start))*(factor-1)))
 		}
 	}
 	return data, src, recycled, err

@@ -6,7 +6,9 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/resilience"
 	"repro/internal/storage"
@@ -20,10 +22,11 @@ import (
 // rank's counter series are both projections of it. jobMetrics folds the
 // record into the series when the consumer enters a new epoch and in
 // Job.Close, so the registry is exact after Close and lags a running job by
-// at most one epoch. Only what needs the event itself stays per event: the
-// staged-fetch latency histogram and trace line, circuit transitions, limiter
-// waits and the fabric decorator. With metrics off newJobMetrics returns nil
-// and every jobMetrics method is a no-op.
+// at most one epoch. A staging thread flushes its fetch latencies into the
+// histograms once per run and as it exits, so they lag it by at most one run.
+// Only the trace line, circuit transitions, limiter waits and the fabric
+// decorator stay per event. With metrics off newJobMetrics returns nil and
+// every jobMetrics method is a no-op.
 //
 // Exported series (all prefixed nopfs_):
 //
@@ -221,20 +224,43 @@ func (m *jobMetrics) circuitTransition(peer int, from, to resilience.BreakerStat
 	}
 }
 
-// stagedFetch records one staged fetch's latency and its trace line:
+// fetchLatency is one staging thread's unflushed fetch latencies, by Source.
+type fetchLatency [3]metrics.Batch
+
+// latency returns an empty fetchLatency (inert when metrics are off).
+func (m *jobMetrics) latency() (l fetchLatency) {
+	if m != nil {
+		for src, h := range m.fetchSec {
+			l[src] = h.Batch()
+		}
+	}
+	return l
+}
+
+func (l *fetchLatency) flush() {
+	for src := range l {
+		l[src].Flush()
+	}
+}
+
+// stagedFetch records the staged fetch of position pos that began at t, in
+// lat and its trace line, and returns the instant it ended, which begins the
+// next fetch. A trace line's write is not charged to the next fetch; Fprintf
+// writes it in one Write, so lines never interleave:
 //
 //	rank=R pos=P sample=S epoch=E source=SRC bytes=B seconds=D
-//
-// Fprintf writes the line in one Write, so lines never interleave.
-func (m *jobMetrics) stagedFetch(pos int, id int32, epoch int, src Source, bytes int, seconds float64) {
+func (m *jobMetrics) stagedFetch(j *Job, lat *fetchLatency, t time.Time, pos int, src Source, bytes int) time.Time {
 	if m == nil {
-		return
+		return t
 	}
-	m.fetchSec[src].Observe(seconds)
+	d := clock.Since(j.clock, t)
+	lat[src].Observe(d.Seconds())
 	if m.trace != nil {
 		fmt.Fprintf(m.trace, "rank=%d pos=%d sample=%d epoch=%d source=%s bytes=%d seconds=%.6f\n",
-			m.rank, pos, id, epoch, src, bytes, seconds)
+			m.rank, pos, j.stream[pos], j.epochOf(pos), src, bytes, d.Seconds())
+		d = clock.Since(j.clock, t)
 	}
+	return t.Add(d)
 }
 
 // syncWriter makes an arbitrary io.Writer safe for the cluster's concurrent
@@ -251,17 +277,8 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// kindName labels a fabric request kind for the call counter.
-func kindName(kind uint8) string {
-	switch kind {
-	case transport.KindFetch:
-		return "fetch"
-	case transport.KindValue:
-		return "value"
-	default:
-		return "other"
-	}
-}
+// kindNames labels the fabric request kinds the call counters count.
+var kindNames = map[uint8]string{transport.KindFetch: "fetch", transport.KindValue: "value"}
 
 // instrumentFabric wraps each endpoint so outbound calls feed the fabric
 // counters; with a nil registry the endpoints are returned untouched.
@@ -273,26 +290,23 @@ func instrumentFabric(reg *metrics.Registry, nets []Endpoint) []Endpoint {
 		r := metrics.L("rank", strconv.Itoa(rank))
 		hist := reg.Histogram("nopfs_fabric_call_seconds",
 			"Outbound fabric call latency in seconds.", nil, r)
-		// Pre-resolve the four (kind, ok) counter cells the hot path can hit.
-		calls := map[uint8][2]*metrics.Counter{}
-		for _, kind := range []uint8{transport.KindFetch, transport.KindValue} {
-			var cell [2]*metrics.Counter
+		// The four counter cells the hot path can hit, by (kind, ok).
+		var calls [transport.KindValue + 1][2]*metrics.Counter
+		for kind, name := range kindNames {
 			for i, ok := range []string{"false", "true"} {
-				cell[i] = reg.Counter("nopfs_fabric_calls_total",
+				calls[kind][i] = reg.Counter("nopfs_fabric_calls_total",
 					"Outbound fabric calls by request kind and outcome.",
-					r, metrics.L("kind", kindName(kind)), metrics.L("ok", ok))
+					r, metrics.L("kind", name), metrics.L("ok", ok))
 			}
-			calls[kind] = cell
 		}
 		nets[rank] = transport.Instrument(nets[rank], func(req transport.Request, ok bool, seconds float64) {
-			cell, known := calls[req.Kind]
-			if !known {
+			if int(req.Kind) >= len(calls) || calls[req.Kind][0] == nil {
 				return
 			}
 			if ok {
-				cell[1].Inc()
+				calls[req.Kind][1].Inc()
 			} else {
-				cell[0].Inc()
+				calls[req.Kind][0].Inc()
 			}
 			hist.Observe(seconds)
 		})

@@ -11,10 +11,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cachepolicy"
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/dataset"
+	"repro/internal/plancache"
+	"repro/internal/storage"
 )
 
 // metricsDataset builds a small dataset for the instrumented-run tests.
@@ -527,5 +531,135 @@ func TestMetricsTraceOnly(t *testing.T) {
 	got := int64(strings.Count(trace.String(), "\n"))
 	if got != want {
 		t.Errorf("trace-only run wrote %d lines, want %d", got, want)
+	}
+}
+
+// TestMetricsLatencyFlushedOnExit ends ranks mid-run with metrics on: rank
+// 0's trainer closes its job at its first sample, while its staging threads
+// are mid-run, and rank 1 crashes at epoch 1 (crash:1@1). Each staging
+// thread holds its latencies until a run is staged, so one that a Close
+// stops mid-run must flush them as it exits: after the run every rank's
+// nopfs_fetch_seconds_count equals Stats.Fetches, source by source.
+func TestMetricsLatencyFlushedOnExit(t *testing.T) {
+	crash, err := chaos.ParseProfile("crash:1@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewMetricsRegistry()
+	opts := NewOptions(
+		WithSeed(5),
+		WithEpochs(3),
+		WithBatchPerWorker(32),
+		WithStagingBuffer(1<<20),
+		WithStagingThreads(2),
+		WithClasses(Class{Name: "ram", CapacityBytes: 256 << 10, Threads: 1}),
+		WithPFSBandwidth(2), // slow reads: rank 0's second run is mid-flight at its first sample
+		WithChaos(crash),
+		WithMetrics(reg),
+	)
+	stats, err := RunCluster(context.Background(), metricsDataset(t), 2, opts, func(ctx context.Context, j *Job) error {
+		if j.Rank() != 0 {
+			return DrainAll(nil)(ctx, j)
+		}
+		if _, _, err := j.Get(ctx); err != nil {
+			return err
+		}
+		return j.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	vals := parseProm(t, buf.String())
+	for _, s := range stats {
+		rank := strconv.Itoa(s.Rank)
+		for _, src := range []Source{SourcePFS, SourceRemote, SourceLocal} {
+			key := series("nopfs_fetch_seconds_count", "rank", rank, "source", src.String())
+			if got := vals[key]; got != float64(s.Fetches[src]) {
+				t.Errorf("%s = %v, want Stats.Fetches[%s] = %d", key, got, src, s.Fetches[src])
+			}
+		}
+	}
+	if stats[0].Delivered == 0 || stats[0].Delivered >= int64(stats[0].Fetches[SourcePFS]+stats[0].Fetches[SourceRemote]+stats[0].Fetches[SourceLocal]) {
+		t.Errorf("rank 0 delivered %d of %+v fetches, want a run ended mid-stream", stats[0].Delivered, stats[0].Fetches)
+	}
+}
+
+// countingClock is the wall clock, counting its Now calls.
+type countingClock struct{ reads atomic.Int64 }
+
+func (c *countingClock) Now() time.Time {
+	c.reads.Add(1)
+	return clock.Real.Now()
+}
+
+func (c *countingClock) WaitUntil(ctx context.Context, t time.Time, wake <-chan struct{}) error {
+	return clock.Real.WaitUntil(ctx, t, wake)
+}
+
+// TestMetricsClockReadsPerRun pins the instrumented staging path's clock
+// cost on a 2-rank chan cluster with metrics on: a staging thread reads
+// Job.clock once when it claims a run and once after each fetch, which ends
+// that fetch's interval and starts the next. So a rank's reads are at least
+// its staged fetches and at most those plus its runs.
+func TestMetricsClockReadsPerRun(t *testing.T) {
+	const workers = 2
+	ds := metricsDataset(t)
+	opts := NewOptions(
+		WithSeed(5),
+		WithEpochs(3),
+		WithBatchPerWorker(8),
+		WithClasses(Class{Name: "ram", CapacityBytes: 512 << 10, Threads: 2}),
+		WithMetrics(NewMetricsRegistry()),
+	).withDefaults()
+	bg := context.Background()
+	eps, err := chanFabric{}.Build(bg, workers, opts.InterconnectMBps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps = instrumentFabric(opts.Metrics, eps)
+	pfs, plans := storage.NewLimiter(opts.PFSAggregateMBps), plancache.New(0, 0)
+	jobs := make([]*Job, workers)
+	clocks := make([]countingClock, workers)
+	for rank := range jobs {
+		j, err := newJob(bg, ds, rank, workers, perRankOptions(opts, rank), eps[rank], pfs, plans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.clock = &clocks[rank]
+		jobs[rank] = j
+	}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for rank, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[rank] = j.Start(bg); errs[rank] == nil {
+				errs[rank] = DrainAll(nil)(bg, j)
+			}
+		}()
+	}
+	wg.Wait()
+	for rank, j := range jobs {
+		j.Close()
+		if errs[rank] != nil {
+			t.Fatalf("rank %d: %v", rank, errs[rank])
+		}
+		var fetches int64
+		for _, n := range j.Stats().Fetches {
+			fetches += n
+		}
+		b := opts.BatchPerWorker
+		runs := int64((j.StreamLen() + b - 1) / b)
+		reads := clocks[rank].reads.Load()
+		if reads < fetches || reads > fetches+runs {
+			t.Errorf("rank %d: %d clock reads for %d staged fetches in %d runs, want between %d and %d",
+				rank, reads, fetches, runs, fetches, fetches+runs)
+		}
+		t.Logf("rank %d: %d clock reads, %d staged fetches, %d runs", rank, reads, fetches, runs)
 	}
 }

@@ -26,7 +26,7 @@ func (e *scriptedEndpoint) Size() int { return 3 }
 
 func (e *scriptedEndpoint) Call(ctx context.Context, to int, req transport.Request) (transport.Response, error) {
 	e.mu.Lock()
-	e.calls = append(e.calls, fmt.Sprintf("%s→%d", kindName(req.Kind), to))
+	e.calls = append(e.calls, fmt.Sprintf("%s→%d", kindNames[req.Kind], to))
 	e.mu.Unlock()
 	return e.reply(ctx, to, req)
 }
