@@ -22,7 +22,10 @@ func TestOutputDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests are pinned on amd64; %s may fuse multiply-adds and print other digits", runtime.GOARCH)
 	}
-	const train = "-scale 0.02"
+	const (
+		train = "-scale 0.02"
+		empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855" // SHA-256 of no bytes
+	)
 	cases := []struct {
 		args string
 		code int
@@ -65,6 +68,20 @@ func TestOutputDigests(t *testing.T) {
 		{"sim -sweep -scale 0.005", ExitOK, "6e7242a3f11b55cf8f7864eb62983e94b8e25e282209115beac469d9f37d8b5f"},
 		{"sim -ablation -scale 0.005", ExitOK, "47250b7b0e4ab90ecd67343b5cf225eb23131aea05a3d5c922df7384db10b0fc"},
 		{"sim -table1 -scale 0.005", ExitOK, "a8802a2778d0cde070777fcfe84ba2f9d0f544708f04e1ba99a165dbcdfdb93c"},
+		// The -seed preset override, the Fig. 9 fallback to the generic
+		// table under a profile or pattern axis, a scenario panel in CSV,
+		// the static Table 1 under -dry-run, and the usage exits of the
+		// figure lookup (no stdout).
+		{"train -fig 13 -seed 7 " + train, ExitOK, "93458d549c326ae575ab7bb0b576ddd83812fbc58690290224be9a32db297858"},
+		{"sim -sweep -chaos straggler -scale 0.005", ExitOK, "ef3dba40713cacc74d27a815c8b556b57acc8c1b0c5fa320a155168402971f22"},
+		{"sim -sweep -access zipf -replicas 2 -scale 0.005", ExitOK, "646c9a5bf1efe3b0444b4560b54018dbc1283b0e0ead654772d093a038de3d05"},
+		{"train -fig 11 -gpus 32 -chaos straggler " + train, ExitOK, "97047809cb37ef783891bbc1bc2cdec56883badd43d00c341f72d4f62c63b998"},
+		{"sim -scenario fig8b -format csv -scale 0.005", ExitOK, "051aec03cd3122359d19f6a7c159e0003046ace920b0eaaa161c9a2f6412b6d4"},
+		{"sim -table1 -dry-run", ExitOK, "a8802a2778d0cde070777fcfe84ba2f9d0f544708f04e1ba99a165dbcdfdb93c"},
+		{"train -fig 16 -gpus 256 -dry-run " + train, ExitOK, "c493065687d78f262a9ad5c0f834d61498e2d1ff71cfeebb0bbc981e2314b967"},
+		{"train -fig 9", ExitUsage, empty},
+		{"train -fig 10 -gpus 4096", ExitUsage, empty},
+		{"sim -scenario nope", ExitUsage, empty},
 		{"access -f 20000 -n 16 -e 90", ExitOK, "56d4e57e80724c4556a13df49a502320f20ea23f7d43b9d2f59390ffd54b0418"},
 	}
 	for _, tc := range cases {
