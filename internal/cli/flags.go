@@ -8,7 +8,6 @@ import (
 	"repro/internal/access"
 	"repro/internal/chaos"
 	"repro/internal/profiling"
-	"repro/internal/sweep"
 )
 
 // This file defines the shared flag groups: every command registers the same
@@ -80,36 +79,6 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Format, "format", "text", formatHelp)
 	fs.StringVar(&f.Chaos, "chaos", "", chaosHelp())
 	fs.StringVar(&f.Access, "access", "", accessFlagHelp())
-}
-
-// CheckFormat validates -format.
-func (f *EngineFlags) CheckFormat() error {
-	switch f.Format {
-	case "text", "json", "csv":
-		return nil
-	default:
-		return usagef("unknown -format %q (want text, json, or csv)", f.Format)
-	}
-}
-
-// ChaosProfiles resolves -chaos into the clean-vs-faulted profile axis
-// (nil without the flag). A malformed spec is a usage error.
-func (f *EngineFlags) ChaosProfiles() ([]sweep.ProfileSpec, error) {
-	profiles, err := sweep.ChaosAxis(f.Chaos)
-	if err != nil {
-		return nil, usageError{err: err}
-	}
-	return profiles, nil
-}
-
-// AccessPatterns resolves -access into the uniform-vs-pattern axis (nil
-// without the flag). A malformed spec is a usage error.
-func (f *EngineFlags) AccessPatterns() ([]sweep.AccessSpec, error) {
-	patterns, err := sweep.AccessAxis(f.Access)
-	if err != nil {
-		return nil, usageError{err: err}
-	}
-	return patterns, nil
 }
 
 // CommonFlags is the group every experiment command carries: config-file

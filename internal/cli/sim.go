@@ -13,27 +13,22 @@ import (
 // simOptions holds the sim command's parsed flags.
 type simOptions struct {
 	Scenario string
-	All      bool
-	Sweep    bool
-	Ablation bool
-	Table1   bool
-	ScaleFlags
-	EngineFlags
-	CommonFlags
+	// selected holds the selector flags (-all, -sweep, ...) by artifact id.
+	selected map[string]*bool
+	paperFlags
 }
 
 // simFlags builds the sim command's flag set.
 func simFlags(prog string) (*flag.FlagSet, *simOptions) {
 	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
-	o := &simOptions{}
+	o := &simOptions{selected: map[string]*bool{}}
 	fs.StringVar(&o.Scenario, "scenario", "", "Fig. 8 panel id (fig8a..fig8f) or dataset name")
-	fs.BoolVar(&o.All, "all", false, "run every Fig. 8 panel")
-	fs.BoolVar(&o.Sweep, "sweep", false, "run the Fig. 9 environment sweep")
-	fs.BoolVar(&o.Ablation, "ablation", false, "run the NoPFS design ablation")
-	fs.BoolVar(&o.Table1, "table1", false, "print the Table 1 framework comparison")
-	o.ScaleFlags.Register(fs, 0.02, 42, seedHelp)
-	o.EngineFlags.Register(fs)
-	o.CommonFlags.Register(fs, true)
+	for _, a := range artifacts {
+		if a.flag != "" {
+			o.selected[a.id] = fs.Bool(a.flag, false, a.help)
+		}
+	}
+	o.register(fs, 0.02, 42, seedHelp)
 	return fs, o
 }
 
@@ -44,83 +39,37 @@ func simFlags(prog string) (*flag.FlagSet, *simOptions) {
 func RunSim(prog string, args []string, stdout, stderr io.Writer) int {
 	fs, o := simFlags(prog)
 	return execute(prog, fs, args, stderr, &o.Config, func(ctx context.Context) error {
-		if err := o.CheckFormat(); err != nil {
-			return err
-		}
-		profiles, err := o.ChaosProfiles()
-		if err != nil {
-			return err
-		}
-		patterns, err := o.AccessPatterns()
-		if err != nil {
-			return err
-		}
-		grid, err := simGrid(o, profiles, patterns)
-		if err != nil {
-			return err
-		}
-		if o.Table1 && !o.DryRun {
-			printTable1(stdout)
-			return nil
-		}
-		if o.DryRun {
-			if grid == nil { // -table1: nothing to simulate, print the table
-				printTable1(stdout)
-				return nil
-			}
-			return explainGrid(stdout, grid)
-		}
-		// Profile collectors run for the whole invocation; error paths leave
-		// truncated profiles — fine for a diagnostics flag.
-		stopProf, err := o.Prof.Start()
-		if err != nil {
-			return err
-		}
-		// The Fig. 9 study's text mode is the RAM × SSD matrix; with a
-		// fault-profile or access-pattern axis it is the generic table (the
-		// matrix has one cell per scenario).
-		var text func(*sweep.Report)
-		if o.Sweep && len(profiles) == 0 && len(patterns) == 0 {
-			text = func(rep *sweep.Report) { printFig9(stdout, rep) }
-		}
-		if err := o.Emit(ctx, stdout, grid, text); err != nil {
-			return err
-		}
-		return stopProf()
+		return emitPanels(ctx, stdout, &o.paperFlags, "", o.panels)
 	})
 }
 
-// simGrid selects the mode's grid (nil for -table1). Unknown scenarios and a
-// missing mode are usage errors — exit 2 with usage.
-func simGrid(o *simOptions, profiles []sweep.ProfileSpec, patterns []sweep.AccessSpec) (*sweep.Grid, error) {
-	var grid *sweep.Grid
-	switch {
-	case o.Table1:
-		return nil, nil
-	case o.Sweep:
-		grid = sweep.Fig9FullGrid(o.Scale, o.Seed, o.Replicas)
-	case o.Ablation:
-		grid = sweep.AblationGrid(o.Scale, o.Seed, o.Replicas)
-	case o.All:
-		grid = sweep.Fig8Grid(o.Scale, o.Seed, o.Replicas)
-	case o.Scenario != "":
-		s, err := isim.ScenarioByID(o.Scenario)
-		if err != nil {
-			return nil, usageError{err: err}
+// panels looks up the artifact of the first selector set, or else the
+// -scenario panel.
+func (o *simOptions) panels(q *query) ([]panel, error) {
+	for _, a := range artifacts {
+		if a.flag != "" && *o.selected[a.id] {
+			return a.panels(q), nil
 		}
-		grid = sweep.ScenarioGrid(s, o.Scale, o.Seed, o.Replicas)
-	default:
+	}
+	if o.Scenario == "" {
 		return nil, usagef("no mode selected: use -scenario, -all, -sweep, -ablation, or -table1")
 	}
-	grid.Profiles = profiles
-	grid.Patterns = patterns
-	return grid, nil
+	s, err := isim.ScenarioByID(o.Scenario)
+	if err != nil {
+		return nil, usageError{err: err}
+	}
+	return []panel{{grid: sweep.ScenarioGrid(s, q.scale, q.seed, q.replicas)}}, nil
 }
 
 // printFig9 renders the Fig. 9 study — environment grid plus staging
 // preliminary, one engine run — as the RAM × SSD matrix, with means when the
-// grid ran multiple seeds per cell.
+// grid ran multiple seeds per cell. With a fault-profile or access-pattern
+// axis it is the generic table: the matrix has one cell per scenario.
 func printFig9(w io.Writer, rep *sweep.Report) {
+	if len(rep.Profiles) > 0 || len(rep.Patterns) > 0 {
+		_ = sweep.WriteText(w, rep) // a failed stdout write is not the run's error, as for every table's Fprintf
+		return
+	}
 	title := "Fig. 9: ImageNet-22k, NoPFS, 5x compute, 5 GB staging buffer"
 	if rep.Replicas > 1 {
 		title += fmt.Sprintf(" (mean of %d seeds)", rep.Replicas)
@@ -139,7 +88,7 @@ func printFig9(w io.Writer, rep *sweep.Report) {
 
 // printTable1 reproduces Table 1: the qualitative capabilities of each
 // approach.
-func printTable1(w io.Writer) {
+func printTable1(w io.Writer, _ *sweep.Report) {
 	type row struct {
 		name                                         string
 		sysScale, dataScale, fullRand, hwIndep, easy bool

@@ -207,12 +207,14 @@ func Fig9Grid(scale float64, baseSeed uint64, replicas int) *Grid {
 	}
 }
 
-// Fig9StagingGrid is the staging-buffer preliminary: 1-5 GB staging windows
-// on the smallest Fig. 9 configuration perform identically.
-func Fig9StagingGrid(scale float64, baseSeed uint64) *Grid {
-	var rows []ScenarioSpec
+// Fig9FullGrid is the environment study plus the staging-buffer
+// preliminary (1-5 GB staging windows on the smallest Fig. 9 configuration
+// perform identically) as one grid, so presenters emit a single report (one
+// JSON document, one CSV table) for the whole Fig. 9 study.
+func Fig9FullGrid(scale float64, baseSeed uint64, replicas int) *Grid {
+	grid := Fig9Grid(scale, baseSeed, replicas)
 	for _, gb := range fig9StagingGBs {
-		rows = append(rows, ScenarioSpec{
+		grid.Scenarios = append(grid.Scenarios, ScenarioSpec{
 			ID:    Fig9StagingID(gb),
 			Label: fmt.Sprintf("staging buffer %d GB, RAM 32 GB, no SSD", gb),
 			Config: func(seed uint64) (isim.Config, error) {
@@ -220,24 +222,7 @@ func Fig9StagingGrid(scale float64, baseSeed uint64) *Grid {
 			},
 		})
 	}
-	return &Grid{
-		Name: "fig9-staging", Scenarios: rows, Policies: nopfsOnly(),
-		Replicas: 1, BaseSeed: baseSeed,
-	}
-}
-
-// Fig9FullGrid is the environment study plus the staging preliminary as one
-// grid, so presenters emit a single report (one JSON document, one CSV
-// table) for the whole Fig. 9 study.
-func Fig9FullGrid(scale float64, baseSeed uint64, replicas int) *Grid {
-	env := Fig9Grid(scale, baseSeed, replicas)
-	stag := Fig9StagingGrid(scale, baseSeed)
-	return &Grid{
-		Name:      "fig9",
-		Scenarios: append(env.Scenarios, stag.Scenarios...),
-		Policies:  env.Policies,
-		Replicas:  replicas, BaseSeed: baseSeed,
-	}
+	return grid
 }
 
 // AblationGrid isolates each NoPFS design choice on the Fig. 8d regime

@@ -188,5 +188,9 @@ func fig16Outcome(_ sim.Config, r *sim.Result) *sweep.Outcome {
 // exactly the paper's framing.
 func Fig16GridFrom(exp Experiment, replicas int) *sweep.Grid {
 	row := exp.row(exp.GPUCounts[0], "ResNet-50/ImageNet-1k, 256 Lassen GPUs, 90 epochs")
-	return exp.grid(exp.Name, []sweep.ScenarioSpec{row}, replicas, Fig16Metrics(), fig16Outcome)
+	return &sweep.Grid{
+		Name: exp.Name, Scenarios: []sweep.ScenarioSpec{row}, Policies: exp.Loaders,
+		Replicas: replicas, BaseSeed: exp.Seed,
+		Metrics: Fig16Metrics(), Outcome: fig16Outcome,
+	}
 }

@@ -101,31 +101,13 @@ func scaleOutcome(cfg sim.Config, r *sim.Result) *sweep.Outcome {
 	}}
 }
 
-// grid is every trainer grid: rows over the experiment's loader columns on
-// the simulator's cell binding, each cell's result projected through
-// outcome. Grid.Config stamps the cell's fault profile and access pattern
-// on, so Profiles and Patterns assigned by the caller (nopfs train -chaos /
-// -access) apply.
-func (e Experiment) grid(name string, rows []sweep.ScenarioSpec, replicas int,
-	metrics []sweep.Metric, outcome func(sim.Config, *sim.Result) *sweep.Outcome) *sweep.Grid {
-	return &sweep.Grid{
-		Name: name, Scenarios: rows, Policies: e.Loaders,
-		Replicas: replicas, BaseSeed: e.Seed,
-		Metrics: metrics, Outcome: outcome,
-	}
-}
-
-// Grid plans the experiment as a sweep grid: one row per GPU count, one
-// column per loader, BaseSeed = the experiment's seed.
-func (e Experiment) Grid(replicas int) *sweep.Grid {
-	grid, _ := MultiGrid(e.Name, []Experiment{e}, replicas) // one experiment mixes nothing
-	return grid
-}
-
-// MultiGrid plans several experiments as one grid — one row per
-// (experiment, GPU count), shared loader columns — so studies like the
-// Fig. 13 batch-size sweep emit a single report. Every experiment must use
-// the same loaders and base seed (the presets do).
+// MultiGrid plans experiments as one sweep grid on the simulator's cell
+// binding: one row per (experiment, GPU count), one column per shared
+// loader, BaseSeed = the experiments' seed, so studies like the Fig. 13
+// batch-size sweep emit a single report. Every experiment must use the same
+// loaders and base seed (the presets do). Grid.Config stamps the cell's
+// fault profile and access pattern on, so Profiles and Patterns assigned by
+// the caller (nopfs train -chaos / -access) apply.
 func MultiGrid(name string, exps []Experiment, replicas int) (*sweep.Grid, error) {
 	if len(exps) == 0 {
 		return nil, fmt.Errorf("trainer: grid %q has no experiments", name)
@@ -143,5 +125,9 @@ func MultiGrid(name string, exps []Experiment, replicas int) (*sweep.Grid, error
 			rows = append(rows, e.row(gpus, fmt.Sprintf("%s, %d GPUs", e.Name, gpus)))
 		}
 	}
-	return exps[0].grid(name, rows, replicas, GridMetrics(), scaleOutcome), nil
+	return &sweep.Grid{
+		Name: name, Scenarios: rows, Policies: exps[0].Loaders,
+		Replicas: replicas, BaseSeed: exps[0].Seed,
+		Metrics: GridMetrics(), Outcome: scaleOutcome,
+	}, nil
 }

@@ -20,6 +20,17 @@ func smallFig10() Experiment {
 	return exp
 }
 
+// oneGrid plans one experiment as its own grid, the way nopfs train plans
+// Figs. 10-12, 14 and 15.
+func oneGrid(tb testing.TB, e Experiment, replicas int) *sweep.Grid {
+	tb.Helper()
+	grid, err := MultiGrid(e.Name, []Experiment{e}, replicas)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return grid
+}
+
 // runCells runs a trainer grid and returns its cells in enumeration order.
 func runCells(t *testing.T, grid *sweep.Grid, parallel int) []sweep.CellResult {
 	t.Helper()
@@ -46,7 +57,7 @@ func result(t *testing.T, c sweep.CellResult) *sim.Result {
 // batches off from the steady state's.
 func TestGridMatchesSerialCells(t *testing.T) {
 	exp := smallFig10()
-	grid := exp.Grid(1)
+	grid := oneGrid(t, exp, 1)
 	got := runCells(t, grid, 4)
 	if want := len(exp.GPUCounts) * len(exp.Loaders); len(got) != want {
 		t.Fatalf("engine produced %d cells, want %d", len(got), want)
@@ -89,8 +100,8 @@ func TestGridMatchesSerialCells(t *testing.T) {
 // reach its cells. The clean/uniform cells equal the axis-free grid's, and
 // every faulted or patterned NoPFS cell differs from its clean/uniform one.
 func TestGridStampsAxes(t *testing.T) {
-	base := runCells(t, smallFig10().Grid(1), 0)
-	grid := smallFig10().Grid(1)
+	base := runCells(t, oneGrid(t, smallFig10(), 1), 0)
+	grid := oneGrid(t, smallFig10(), 1)
 	var err error
 	if grid.Profiles, err = sweep.ChaosAxis("node-crash"); err != nil {
 		t.Fatal(err)
@@ -134,7 +145,7 @@ func TestGridStampsAxes(t *testing.T) {
 func TestTrainerGridDeterministicAcrossParallelism(t *testing.T) {
 	encode := func(parallel int) (jsonB, csvB, textB []byte) {
 		t.Helper()
-		rep, err := (&sweep.Runner{Parallel: parallel}).Run(context.Background(), smallFig10().Grid(2))
+		rep, err := (&sweep.Runner{Parallel: parallel}).Run(context.Background(), oneGrid(t, smallFig10(), 2))
 		if err != nil {
 			t.Fatal(err)
 		}

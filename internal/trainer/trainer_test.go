@@ -43,7 +43,7 @@ func BenchmarkFig10LassenOnePoint(b *testing.B) {
 	exp.Loaders = []sweep.PolicySpec{NoPFS}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := (&sweep.Runner{}).Run(context.Background(), exp.Grid(1)); err != nil {
+		if _, err := (&sweep.Runner{}).Run(context.Background(), oneGrid(b, exp, 1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -171,8 +171,14 @@ func runPaperExperiments() (*outcomes, error) {
 		sweep.Fig8Grid(simScale, 42, 1),
 		sweep.Fig9FullGrid(fig9Scale, 11, 1),
 		sweep.AblationGrid(simScale, 42, 1),
-		pd.Grid(1), la.Grid(1), fig13, f14.Grid(1), f15.Grid(1),
-		trainer.Fig16GridFrom(f16, 1),
+		fig13, trainer.Fig16GridFrom(f16, 1),
+	}
+	for _, e := range []trainer.Experiment{pd, la, f14, f15} {
+		grid, err := trainer.MultiGrid(e.Name, []trainer.Experiment{e}, 1)
+		if err != nil {
+			return nil, err
+		}
+		grids = append(grids, grid)
 	}
 	// The grids run side by side, so one grid's serial stretches (a shared
 	// dataset table, a last long cell) overlap another's cells.
