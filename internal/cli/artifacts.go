@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"repro/internal/sweep"
-	"repro/internal/trainer"
 )
 
 // This file is the table of the paper's evaluation artifacts — Table 1,
@@ -18,8 +17,8 @@ import (
 
 // panel is one printed unit of an artifact: a grid, and the text table it
 // prints under -format text (nil means the generic report, under title when
-// title is set). A panel without a grid is a static table: text prints it in
-// every format and under -dry-run.
+// title is set). A panel without a grid is a static table: text prints it,
+// also under -dry-run, and only -format text takes it.
 type panel struct {
 	title string
 	grid  *sweep.Grid
@@ -48,37 +47,30 @@ var artifacts = []artifact{
 	{id: "fig8", flag: "all", help: "run every Fig. 8 panel",
 		panels: func(q *query) []panel { return []panel{{grid: sweep.Fig8Grid(q.scale, q.seed, q.replicas)}} }},
 	{id: "fig10", fig: 10, panels: func(q *query) []panel {
-		pd, la := trainer.Fig10PizDaint(q.scale), trainer.Fig10Lassen(q.scale)
 		return []panel{
-			{title: "Fig. 10 (left): ResNet-50/ImageNet-1k on Piz Daint", grid: q.grid(pd.Name, pd)},
-			{title: "Fig. 10 (right): ResNet-50/ImageNet-1k on Lassen", grid: q.grid(la.Name, la)},
+			{title: "Fig. 10 (left): ResNet-50/ImageNet-1k on Piz Daint", grid: q.grid(sweep.Fig10PizDaint())},
+			{title: "Fig. 10 (right): ResNet-50/ImageNet-1k on Lassen", grid: q.grid(sweep.Fig10Lassen())},
 		}
 	}},
 	{id: "fig11", fig: 11, panels: func(q *query) []panel {
-		pd := trainer.Fig10PizDaint(q.scale)
-		return []panel{{grid: q.grid(pd.Name, pd), text: batchTable("Fig. 11: epoch-0 batch times on Piz Daint",
-			24, trainer.MetricBatch0Med, trainer.MetricBatch0P95, trainer.MetricBatch0Max)}}
+		return []panel{{grid: q.grid(sweep.Fig10PizDaint()), text: batchTable("Fig. 11: epoch-0 batch times on Piz Daint",
+			24, sweep.MetricBatch0Med, sweep.MetricBatch0P95, sweep.MetricBatch0Max)}}
 	}},
 	{id: "fig12", fig: 12, panels: func(q *query) []panel {
-		pd := trainer.Fig10PizDaint(q.scale)
-		return []panel{{grid: q.grid(pd.Name, pd), text: printFig12}}
+		return []panel{{grid: q.grid(sweep.Fig10PizDaint()), text: printFig12}}
 	}},
 	{id: "fig13", fig: 13, panels: func(q *query) []panel {
-		grid := q.grid("fig13", trainer.Fig13BatchSweep(q.scale)...)
-		return []panel{{grid: grid, text: batchTable("Fig. 13: batch-size sweep, ImageNet-1k, 128 Lassen GPUs",
-			20, trainer.MetricBatchMedian, trainer.MetricBatchP95, trainer.MetricBatchMax)}}
+		return []panel{{grid: q.grid(sweep.Fig13BatchSweep()), text: batchTable("Fig. 13: batch-size sweep, ImageNet-1k, 128 Lassen GPUs",
+			20, sweep.MetricBatchMedian, sweep.MetricBatchP95, sweep.MetricBatchMax)}}
 	}},
 	{id: "fig14", fig: 14, panels: func(q *query) []panel {
-		e := trainer.Fig14Lassen(q.scale)
-		return []panel{{title: "Fig. 14: ResNet-50/ImageNet-22k on Lassen", grid: q.grid(e.Name, e)}}
+		return []panel{{title: "Fig. 14: ResNet-50/ImageNet-22k on Lassen", grid: q.grid(sweep.Fig14Lassen())}}
 	}},
 	{id: "fig15", fig: 15, panels: func(q *query) []panel {
-		e := trainer.Fig15Lassen(q.scale)
-		return []panel{{title: "Fig. 15: CosmoFlow on Lassen", grid: q.grid(e.Name, e)}}
+		return []panel{{title: "Fig. 15: CosmoFlow on Lassen", grid: q.grid(sweep.Fig15Lassen())}}
 	}},
 	{id: "fig16", fig: 16, panels: func(q *query) []panel {
-		e := q.prep(trainer.Fig16Experiment(q.scale))
-		return []panel{{grid: trainer.Fig16GridFrom(e[0], q.replicas), text: printFig16}}
+		return []panel{{grid: q.grid(sweep.Fig16EndToEnd()), text: printFig16}}
 	}},
 }
 
@@ -93,34 +85,23 @@ type query struct {
 	err      error
 }
 
-// prep applies train's -seed preset override and -gpus filter to exps. A
-// filter that matches none of an experiment's GPU counts is a usage error,
-// not a silent full-axis run; that experiment keeps its axis, so the row
-// still plans.
-func (q *query) prep(exps ...trainer.Experiment) []trainer.Experiment {
-	for i := range exps {
-		e := &exps[i]
-		if q.seed != 0 {
-			e.Seed = q.seed
-		}
-		if len(q.gpus) == 0 {
-			continue
-		}
-		counts := slices.DeleteFunc(slices.Clone(e.GPUCounts), func(g int) bool { return !slices.Contains(q.gpus, g) })
-		if len(counts) == 0 {
-			q.fail(usagef("-gpus %v matches none of %s's GPU counts %v", q.gpus, e.Name, e.GPUCounts))
-			continue
-		}
-		e.GPUCounts = counts
+// grid plans study as one grid at the command's scale, after train's -seed
+// preset override and -gpus filter. A filter that matches none of the
+// study's GPU counts is a usage error, not a silent full-axis run; the study
+// keeps its axis, so the row still plans.
+func (q *query) grid(s sweep.Study) *sweep.Grid {
+	if q.seed != 0 {
+		s.Seed = q.seed
 	}
-	return exps
-}
-
-// grid plans the prepared exps as one trainer grid named name.
-func (q *query) grid(name string, exps ...trainer.Experiment) *sweep.Grid {
-	grid, err := trainer.MultiGrid(name, q.prep(exps...), q.replicas)
-	q.fail(err)
-	return grid
+	if len(q.gpus) > 0 {
+		counts := slices.DeleteFunc(slices.Clone(s.GPUCounts), func(g int) bool { return !slices.Contains(q.gpus, g) })
+		if len(counts) == 0 {
+			q.fail(usagef("-gpus %v matches none of %s's GPU counts %v", q.gpus, s.Name, s.GPUCounts))
+		} else {
+			s.GPUCounts = counts
+		}
+	}
+	return s.Grid(q.scale, q.replicas)
 }
 
 // fail records err unless an earlier error is recorded.
@@ -145,10 +126,11 @@ func (f *paperFlags) register(fs *flag.FlagSet, scale float64, seed uint64, seed
 }
 
 // emitPanels is the body of sim and train. It validates -format, -gpus,
-// -chaos and -access in that order, lets choose look the panels up, and
-// prints them: the plan analysis under -dry-run, otherwise each grid run
-// through the engine in -format, with the fault-profile and access-pattern
-// axes attached.
+// -chaos and -access in that order, lets choose look the panels up, rejects
+// the flags a static panel would ignore (a non-text -format, a -chaos or
+// -access axis, -replicas other than 1), and prints the panels: the plan
+// analysis under -dry-run, otherwise each grid run through the engine in
+// -format, with the fault-profile and access-pattern axes attached.
 func emitPanels(ctx context.Context, w io.Writer, f *paperFlags, gpus string,
 	choose func(q *query) ([]panel, error)) error {
 	if f.Format != "text" && f.Format != "json" && f.Format != "csv" {
@@ -173,6 +155,15 @@ func emitPanels(ctx context.Context, w io.Writer, f *paperFlags, gpus string,
 	q.fail(err)
 	if q.err != nil {
 		return q.err
+	}
+	for _, p := range panels {
+		switch {
+		case p.grid != nil: // a grid takes every engine flag
+		case f.Format != "text":
+			return usagef("-format %s: a static table prints text only", f.Format)
+		case len(profiles) > 0 || len(patterns) > 0 || f.Replicas != 1:
+			return usagef("-chaos, -access and -replicas apply to grids, not to a static table")
+		}
 	}
 	// Profile collectors run for the whole invocation; error paths leave
 	// truncated profiles — fine for a diagnostics flag.

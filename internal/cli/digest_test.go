@@ -11,8 +11,8 @@ import (
 
 // TestOutputDigests pins the SHA-256 of the stdout (and the exit code) of
 // every figure path of the train, sim and access commands at small scales, so
-// a refactor of the trainer, the sweep engine, the encoders or the simulator
-// that changes one printed byte fails here. A digest that moves on purpose
+// a refactor of the Sec. 7 studies, the sweep engine, the encoders or the
+// simulator that changes one printed byte fails here. A digest that moves on purpose
 // (a new column, a recalibrated model) is updated in the same change, where
 // the diff shows it.
 //
@@ -82,6 +82,15 @@ func TestOutputDigests(t *testing.T) {
 		{"train -fig 9", ExitUsage, empty},
 		{"train -fig 10 -gpus 4096", ExitUsage, empty},
 		{"sim -scenario nope", ExitUsage, empty},
+		// Table 1 is static: the flags it would ignore are usage errors.
+		{"sim -table1 -format json", ExitUsage, empty},
+		{"sim -table1 -format csv", ExitUsage, empty},
+		{"sim -table1 -chaos node-crash", ExitUsage, empty},
+		{"sim -table1 -access zipf", ExitUsage, empty},
+		{"sim -table1 -chaos node-crash -access zipf", ExitUsage, empty},
+		{"sim -table1 -replicas 2", ExitUsage, empty},
+		// The fault-free simulator at its default scale (0.02).
+		{"sim -all -format json", ExitOK, "8a568f50f6c999d5d27ca2cc6c6939b3291b3980969b1d308672596999eddbf2"},
 		{"access -f 20000 -n 16 -e 90", ExitOK, "56d4e57e80724c4556a13df49a502320f20ea23f7d43b9d2f59390ffd54b0418"},
 	}
 	for _, tc := range cases {

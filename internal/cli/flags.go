@@ -16,7 +16,7 @@ import (
 // parameters below:
 //
 //   - -scale defaults: sim 0.02 vs train 0.1 (intentional, see
-//     EXPERIMENTS.md — the trainer figures stay faithful at a coarser
+//     EXPERIMENTS.md — the Sec. 7 figures stay faithful at a coarser
 //     scale than the simulator panels);
 //   - -seed on train overrides the figure's preset seed (default 0),
 //     everywhere else it is the training PRNG seed (default 42).

@@ -10,7 +10,6 @@ import (
 
 	isim "repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/trainer"
 )
 
 // trainOptions holds the train command's parsed flags.
@@ -100,10 +99,10 @@ func printFig12(w io.Writer, rep *sweep.Report) {
 		}
 		fmt.Fprintf(w, "%-24s %11.2fs %7.1f%% %7.1f%% %7.1f%%\n",
 			sweep.RowLabel(s.Scenario, s.Profile, s.Pattern),
-			s.Metric(trainer.MetricStallS).Mean,
-			100*s.Metric(trainer.MetricPFSFrac).Mean,
-			100*s.Metric(trainer.MetricRemoteFrac).Mean,
-			100*s.Metric(trainer.MetricLocalFrac).Mean)
+			s.Metric(sweep.MetricStall).Mean,
+			100*s.Metric(sweep.MetricPFSFrac).Mean,
+			100*s.Metric(sweep.MetricRemoteFrac).Mean,
+			100*s.Metric(sweep.MetricLocalFrac).Mean)
 	}
 }
 
@@ -115,9 +114,9 @@ func printFig16(w io.Writer, rep *sweep.Report) {
 		if cell.Replica != 0 {
 			continue
 		}
-		var r trainer.EndToEndResult
+		var r sweep.EndToEndResult
 		if res, ok := cell.Outcome.Payload.(*isim.Result); ok {
-			r = trainer.EndToEnd(cell.Policy, res)
+			r = sweep.EndToEnd(cell.Policy, res)
 		}
 		if len(r.Curve) == 0 {
 			fmt.Fprintf(w, "%-14s failed\n", sweep.RowLabel(cell.Policy, cell.Profile, cell.Pattern))

@@ -168,7 +168,7 @@ func NewStagingBuffer() Policy { return fig8Policy(NameStagingBuffer) }
 
 // NewDALI returns PyTorch+DALI: the StagingBuffer loader with decoding and
 // augmentation offloaded to the GPU, modelled as a 5x faster preprocessing
-// stage. It is no Fig. 8 bar; the Sec. 7 trainer figures compare it.
+// stage. It is no Fig. 8 bar; the Sec. 7 figures compare it.
 func NewDALI() Policy {
 	p := NewStagingBuffer()
 	p.name, p.preproc = "DALI", 5

@@ -24,6 +24,9 @@ type Scenario struct {
 	// (the paper does not state its simulated epoch counts; see
 	// EXPERIMENTS.md).
 	Workload hwspec.Workload
+	// Jitter is the per-batch PFS jitter (Config.PFSJitter) of the Sec. 7
+	// real-system runs; the Fig. 8 panels have none.
+	Jitter float64
 }
 
 // Fig8Scenarios returns the six panels of Fig. 8.
@@ -75,6 +78,8 @@ func ScaleSystem(sys hwspec.System, factor float64) hwspec.System {
 
 // Config materialises the scenario at the given dataset scale (1 = paper
 // size). Scales below 1 shrink both the dataset and every storage capacity.
+// Its errors name neither the scenario nor the scale: the grid row that
+// materialises it does.
 func (s Scenario) Config(scale float64, seed uint64) (Config, error) {
 	spec := s.Spec
 	sys := s.System
@@ -86,9 +91,9 @@ func (s Scenario) Config(scale float64, seed uint64) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	cfg := Config{Sys: sys, Work: s.Workload, DS: ds, Seed: seed, DropLast: true}
+	cfg := Config{Sys: sys, Work: s.Workload, DS: ds, Seed: seed, PFSJitter: s.Jitter, DropLast: true}
 	if err := cfg.Validate(); err != nil {
-		return Config{}, fmt.Errorf("scenario %s at scale %g: %w", s.ID, scale, err)
+		return Config{}, err
 	}
 	return cfg, nil
 }
@@ -113,30 +118,16 @@ func Fig9Config(scale float64, seed uint64, stagingGB, ramGB, ssdGB int) (Config
 		classes = append(classes, ssd)
 	}
 	sys.Node.Classes = classes
-
-	spec := dataset.ImageNet22kSpec()
-	if scale != 1 {
-		spec = spec.Scale(scale)
-		sys = ScaleSystem(sys, scale)
-	}
-	// The staging buffer is deliberately NOT scaled down with the dataset:
-	// the paper's preliminary sweep shows 1-5 GB staging buffers perform
-	// identically (lookahead is never the limiting factor at these sizes),
-	// and scaling it would reintroduce a lookahead limit the paper's
-	// configuration does not have.
+	// The staging buffer is deliberately NOT scaled down with the dataset
+	// (Config scales cache capacities only): the paper's preliminary sweep
+	// shows 1-5 GB staging buffers perform identically (lookahead is never
+	// the limiting factor at these sizes), and scaling it would reintroduce
+	// a lookahead limit the paper's configuration does not have.
 	sys.Node.Staging.CapacityMB = float64(stagingGB) * 1000
-	ds, err := dataset.Cached(spec)
-	if err != nil {
-		return Config{}, err
-	}
 	work := hwspec.Workload{
 		Name:        "fig9-5x",
 		ComputeMBps: 5 * 64, PreprocMBps: 5 * 200,
 		BatchPerWorker: 32, Epochs: 5, Workers: 4,
 	}
-	cfg := Config{Sys: sys, Work: work, DS: ds, Seed: seed, DropLast: true}
-	if err := cfg.Validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
+	return Scenario{Spec: dataset.ImageNet22kSpec(), System: sys, Workload: work}.Config(scale, seed)
 }

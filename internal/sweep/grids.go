@@ -101,9 +101,21 @@ func simCellCost(s ScenarioSpec, p PolicySpec, seed uint64) int64 {
 
 // scenarioSpec adapts one Fig. 8 scenario preset into a grid row.
 func scenarioSpec(s isim.Scenario, scale float64) ScenarioSpec {
+	return scenarioRow(s, scale, fmt.Sprintf("scenario %s at scale %g", s.ID, scale))
+}
+
+// scenarioRow adapts a scenario at scale into a grid row; where names the
+// row in its configuration errors.
+func scenarioRow(s isim.Scenario, scale float64, where string) ScenarioSpec {
 	return ScenarioSpec{
 		ID: s.ID, Label: s.Label,
-		Config: func(seed uint64) (isim.Config, error) { return s.Config(scale, seed) },
+		Config: func(seed uint64) (isim.Config, error) {
+			cfg, err := s.Config(scale, seed)
+			if err != nil {
+				return isim.Config{}, fmt.Errorf("%s: %w", where, err)
+			}
+			return cfg, nil
+		},
 	}
 }
 
@@ -181,11 +193,6 @@ func PrintFig9Matrix(w io.Writer, rep *Report) {
 	}
 }
 
-// nopfsOnly is the single-policy column set of the Fig. 9 study.
-func nopfsOnly() []PolicySpec {
-	return []PolicySpec{{Name: "NoPFS", New: func() isim.Policy { return isim.NewNoPFS() }}}
-}
-
 // Fig9Grid is the 25-point RAM × SSD environment study: ImageNet-22k, NoPFS
 // under 5× compute, 5 GB staging buffer.
 func Fig9Grid(scale float64, baseSeed uint64, replicas int) *Grid {
@@ -202,7 +209,7 @@ func Fig9Grid(scale float64, baseSeed uint64, replicas int) *Grid {
 		}
 	}
 	return &Grid{
-		Name: "fig9", Scenarios: rows, Policies: nopfsOnly(),
+		Name: "fig9", Scenarios: rows, Policies: []PolicySpec{NoPFS},
 		Replicas: replicas, BaseSeed: baseSeed,
 	}
 }
@@ -233,10 +240,11 @@ func AblationGrid(scale float64, baseSeed uint64, replicas int) *Grid {
 	if err != nil {
 		panic(err) // fig8d is a compiled-in preset
 	}
+	base := scenarioSpec(s, scale)
 	row := ScenarioSpec{
 		ID: "fig8d-5x", Label: s.Label + ", 5x compute",
 		Config: func(seed uint64) (isim.Config, error) {
-			cfg, err := s.Config(scale, seed)
+			cfg, err := base.Config(seed)
 			if err != nil {
 				return isim.Config{}, err
 			}

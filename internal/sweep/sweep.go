@@ -4,13 +4,13 @@
 //
 // The engine is generic over what a cell *is*. A cell is any function of a
 // derived seed that returns an Outcome — a named bag of scalar metrics plus
-// an optional domain payload. Two cell families flow through it today:
+// an optional domain payload. Every grid of the paper runs the default
+// binding, the simulator (grids.go):
 //
-//   - simulator runs (the Fig. 8 panels, the Fig. 9 environment study, and
-//     the ablation — the default binding, see grids.go), and
-//   - trainer experiment points (internal/trainer's grids run the same
-//     binding, with the paper's loaders as policy columns and their own
-//     outcome projection, Grid.Outcome).
+//   - the Fig. 8 panels, the Fig. 9 environment study, and the ablation,
+//     under the simulator schema, and
+//   - the Sec. 7 studies (sec7.go), with the paper's loaders as policy
+//     columns and their own outcome projection, Grid.Outcome.
 //
 // Determinism is a hard invariant: each cell's PRNG seed is a pure function
 // of the grid's base seed and the cell's replica index, never of execution
@@ -65,7 +65,7 @@ type Outcome struct {
 	// Values holds the cell's scalar metrics, keyed by Metric.Name.
 	Values map[string]float64 `json:"values,omitempty"`
 	// Payload is the cell's domain-specific result (*isim.Result for every
-	// simulator cell, trainer grids' included). It is never encoded;
+	// simulator cell, the Sec. 7 studies' included). It is never encoded;
 	// presenters that need more than the scalar metrics read it back out of
 	// the report cells.
 	Payload any `json:"-"`

@@ -82,6 +82,9 @@ type Job struct {
 	// inflight coalesces this rank's concurrent fetches of one assigned
 	// sample (see fetchSource).
 	inflight flights
+	// filled is closed when a prestaged rank's class fills have finished;
+	// nil unless Options.prestage.
+	filled chan struct{}
 
 	// met is the rank's resolved metric series (nil when observability is
 	// off; every method is nil-safe). epoch is the consumer's current
@@ -175,6 +178,9 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 		clock: clock.Real,
 		met:   newJobMetrics(opts.Metrics, rank, opts.Classes, opts.TraceFetches),
 	}
+	if opts.prestage {
+		j.filled = make(chan struct{})
+	}
 	var gone func(h, pos int) bool
 	if sched.HasCrashes(workers) {
 		gone = j.holderGone
@@ -222,12 +228,28 @@ func nodeFromClasses(classes []Class) hwspec.Node {
 // samples. The job's lifetime is bound to ctx, which must be non-nil:
 // canceling it stops the prefetchers and unblocks any waiting consumer in
 // bounded time.
+//
+// A prestaged job (Options.prestage) runs its class fills to the end before
+// the allgather, and answers a peer's allgather call only once they are
+// done (handle): the allgather is then a barrier that every rank passes,
+// one with an empty stream included, before any staging prefetcher starts.
 func (j *Job) Start(ctx context.Context) error {
 	j.ctx, j.cancel = context.WithCancel(ctx)
 	// The prefetchers wait under j.ctx; a consumer may wait under another
 	// context, so the end of the job's lifetime closes staging for it too.
 	j.unwatch = context.AfterFunc(j.ctx, j.staging.Close)
 
+	// The schedule may crash this rank before its first sample (say, an
+	// elastic rank that would join at its crash epoch): it launches no
+	// prefetcher, so it reads and caches nothing.
+	crashed := len(j.stream) == 0 && j.crashEpoch >= 0
+	if j.filled != nil {
+		if !crashed {
+			j.fill()
+			j.wg.Wait() // no staging prefetcher has started: j.wg counts the fills
+		}
+		close(j.filled)
+	}
 	digests, err := transport.AllgatherValue(j.ctx, j.net, j.digest)
 	if err != nil {
 		return fmt.Errorf("nopfs: plan allgather: %w", err)
@@ -238,25 +260,15 @@ func (j *Job) Start(ctx context.Context) error {
 				rank, d, j.digest)
 		}
 	}
-	if len(j.stream) == 0 && j.crashEpoch >= 0 {
-		// The schedule crashes this rank before its first sample (say, an
-		// elastic rank that would join at its crash epoch): it launches no
-		// prefetcher, so it reads and caches nothing. Its endpoint closes
-		// at the consumer's first Get (next), after the cluster's start
-		// barrier, not here, where a peer may still be mid-allgather.
+	if crashed {
+		// Its endpoint closes at the consumer's first Get (next), after the
+		// cluster's start barrier, not here, where a peer may still be
+		// mid-allgather.
 		j.shutdown()
 		return nil
 	}
-	// Storage-class prefetchers: fill each class with its assigned
-	// samples in first-access order (Rule 1).
-	for c := range j.backends {
-		fill := j.assign.FillOrder[j.rank][c]
-		var next atomic.Int64
-		threads := j.opts.Classes[c].Threads
-		for t := 0; t < threads; t++ {
-			j.wg.Add(1)
-			go j.classPrefetcher(c, fill, &next)
-		}
+	if j.filled == nil {
+		j.fill()
 	}
 	// Staging prefetchers: walk the access stream R in order.
 	for t := 0; t < j.opts.StagingThreads; t++ {
@@ -272,6 +284,19 @@ func (j *Job) Start(ctx context.Context) error {
 		j.staging.Close()
 	}
 	return nil
+}
+
+// fill launches the storage-class prefetchers: they fill each class with
+// its assigned samples in first-access order (Rule 1).
+func (j *Job) fill() {
+	for c := range j.backends {
+		fill := j.assign.FillOrder[j.rank][c]
+		var next atomic.Int64
+		for range j.opts.Classes[c].Threads {
+			j.wg.Add(1)
+			go j.classPrefetcher(c, fill, &next)
+		}
+	}
 }
 
 // errJobClosed aborts in-flight prefetch work during shutdown.
@@ -320,6 +345,13 @@ func (j *Job) fatalErr() error {
 func (j *Job) handle(ctx context.Context, from int, req transport.Request) transport.Response {
 	switch req.Kind {
 	case transport.KindValue:
+		if j.filled != nil { // prestaged: the allgather is a barrier (Start)
+			select {
+			case <-j.filled:
+			case <-ctx.Done():
+				return transport.Response{}
+			}
+		}
 		return transport.Response{OK: true, Value: j.digest}
 	case transport.KindFetch:
 		// Only the class the placement assigns a sample to ever holds it.

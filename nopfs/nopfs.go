@@ -182,6 +182,11 @@ type Options struct {
 	// Fabric selects the cluster fabric by registry name (FabricChan,
 	// FabricTCP, or a custom RegisterFabric name). Empty means FabricChan.
 	Fabric string
+
+	// prestage, set only by in-package tests, makes Start run the rank's
+	// class fills to the end and then pass a barrier before any staging
+	// prefetcher starts (see Job.Start), so no fetch races a fill.
+	prestage bool
 }
 
 // withDefaults fills unset options.

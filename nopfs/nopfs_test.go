@@ -131,23 +131,74 @@ func TestClusterPayloadIntegrity(t *testing.T) {
 	}
 }
 
+// TestClusterOverTCP runs a prestaged 3-rank cluster over TCP: every class
+// holds its placement before staging starts, so each rank fetches from each
+// source exactly as often as its tags and placement say (prestagedFetches),
+// and some of those fetches cross the fabric.
 func TestClusterOverTCP(t *testing.T) {
+	const workers = 3
 	ds := testDataset(t, 48)
 	opts := baseOptions()
 	opts.Fabric = FabricTCP
 	opts.Epochs = 2
-	delivered, stats := runAndCollect(t, ds, 3, opts)
-	for w, ids := range delivered {
-		if len(ids) == 0 {
-			t.Fatalf("worker %d delivered nothing over TCP", w)
+	opts.prestage = true
+	// A 32 KiB class holds about a third of the 96 KiB dataset, so the
+	// placement leaves each rank local, remote and PFS positions.
+	opts.Classes[0].CapacityBytes = 32 << 10
+	want := make([]map[Source]int64, workers)
+	stats, err := RunCluster(bg, ds, workers, opts, func(ctx context.Context, j *Job) error {
+		n := 0
+		for _, err := range j.Samples(ctx) {
+			if err != nil {
+				return err
+			}
+			n++
 		}
+		if n == 0 {
+			return fmt.Errorf("delivered nothing over TCP")
+		}
+		want[j.Rank()] = prestagedFetches(j)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var remote int64
-	for _, s := range stats {
+	for r, s := range stats {
+		for _, src := range []Source{SourceLocal, SourceRemote, SourcePFS} {
+			if s.Fetches[src] != want[r][src] {
+				t.Errorf("rank %d: %d %s fetches, its tags and placement name %d", r, s.Fetches[src], src, want[r][src])
+			}
+		}
 		remote += s.Fetches[SourceRemote]
 	}
 	if remote == 0 {
 		t.Error("no remote fetches crossed the TCP fabric")
+	}
+}
+
+// TestPrestageBarrierPassesEmptyStreams: a prestaged cluster starts and
+// drains when a rank's stream is empty, whether the schedule crashes it
+// before its first sample or its elastic window is empty. Every rank
+// reaches the barrier, so it cannot deadlock.
+func TestPrestageBarrierPassesEmptyStreams(t *testing.T) {
+	for _, tc := range []struct{ name, access, chaos string }{
+		{"crashed-before-first-sample", "elastic:join=1@1", "crash:1@1"},
+		{"never-joins", "elastic:join=2@3", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := baseOptions()
+			opts.Access, opts.prestage = tc.access, true
+			var err error
+			if opts.Chaos, err = chaos.ParseProfile(tc.chaos); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(bg, time.Minute)
+			defer cancel()
+			if _, err := RunCluster(ctx, testDataset(t, 48), 3, opts, DrainAll(nil)); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -85,3 +85,23 @@ func goroutinesSettle(t *testing.T, want int) {
 	n := runtime.Stack(buf, true)
 	t.Fatalf("goroutines leaked: %d live, want <= %d\n%s", runtime.NumGoroutine(), want, buf[:n])
 }
+
+// prestagedFetches is a prestaged rank's staged fetch count per source, from
+// the job's own tags and placement. A sample the rank's classes are assigned
+// is local: its class holds it, and the flight's re-check in locate serves
+// it whatever its tag says. Any other sample is remote when its tag names a
+// holder, whose class holds it too, and from the PFS otherwise.
+func prestagedFetches(j *Job) map[Source]int64 {
+	want := map[Source]int64{}
+	for pos, k := range j.stream {
+		switch {
+		case j.assign.Local(j.rank, k) >= 0:
+			want[SourceLocal]++
+		case j.tags[pos]>>4 != 0:
+			want[SourceRemote]++
+		default:
+			want[SourcePFS]++
+		}
+	}
+	return want
+}

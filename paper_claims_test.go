@@ -20,7 +20,6 @@ import (
 	isim "repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
-	"repro/internal/trainer"
 )
 
 // The paper-claims ledger. Every ratio this reproduction asserts about the
@@ -131,11 +130,11 @@ type outcomes struct {
 
 // Scales and seeds of the experiments, as the figures' former shape tests
 // ran them: simulator panels at 0.005, the Fig. 9 study at 0.002, the
-// trainer figures at 0.1.
+// Sec. 7 figures at 0.1.
 const (
-	simScale     = 0.005
-	fig9Scale    = 0.002
-	trainerScale = 0.1
+	simScale  = 0.005
+	fig9Scale = 0.002
+	sec7Scale = 0.1
 )
 
 var (
@@ -149,36 +148,23 @@ var paperRuns = sync.OnceValues(runPaperExperiments)
 func runPaperExperiments() (*outcomes, error) {
 	// Columns no row reads are left out; a cell's seed depends only on its
 	// grid's base seed, so the rest are the figures' own cells.
-	pytorchNoPFS := []sweep.PolicySpec{trainer.PyTorch, trainer.NoPFS}
-	pd, la := trainer.Fig10PizDaint(trainerScale), trainer.Fig10Lassen(trainerScale)
+	pytorchNoPFS := []sweep.PolicySpec{sweep.PyTorch, sweep.NoPFS}
+	pd, la := sweep.Fig10PizDaint(), sweep.Fig10Lassen()
 	pd.GPUCounts = []int{32, 128, 256}
 	la.GPUCounts = pd.GPUCounts
-	la.Loaders = []sweep.PolicySpec{trainer.PyTorch, trainer.LBANN, trainer.NoPFS}
-	f14, f15 := trainer.Fig14Lassen(trainerScale), trainer.Fig15Lassen(trainerScale)
+	la.Loaders = []sweep.PolicySpec{sweep.PyTorch, sweep.LBANN, sweep.NoPFS}
+	f14, f15 := sweep.Fig14Lassen(), sweep.Fig15Lassen()
 	f14.GPUCounts, f14.Loaders = []int{64, 256}, pytorchNoPFS
 	f15.GPUCounts, f15.Loaders = f14.GPUCounts, pytorchNoPFS
-	f13 := trainer.Fig13BatchSweep(trainerScale)
-	for i := range f13 {
-		f13[i].Loaders = pytorchNoPFS
-	}
-	fig13, err := trainer.MultiGrid("fig13", f13, 1)
-	if err != nil {
-		return nil, err
-	}
-	f16 := trainer.Fig16Experiment(trainerScale)
-	f16.Loaders = pytorchNoPFS
+	f13, f16 := sweep.Fig13BatchSweep(), sweep.Fig16EndToEnd()
+	f13.Loaders, f16.Loaders = pytorchNoPFS, pytorchNoPFS
 	grids := []*sweep.Grid{
 		sweep.Fig8Grid(simScale, 42, 1),
 		sweep.Fig9FullGrid(fig9Scale, 11, 1),
 		sweep.AblationGrid(simScale, 42, 1),
-		fig13, trainer.Fig16GridFrom(f16, 1),
 	}
-	for _, e := range []trainer.Experiment{pd, la, f14, f15} {
-		grid, err := trainer.MultiGrid(e.Name, []trainer.Experiment{e}, 1)
-		if err != nil {
-			return nil, err
-		}
-		grids = append(grids, grid)
+	for _, s := range []sweep.Study{f13, f16, pd, la, f14, f15} {
+		grids = append(grids, s.Grid(sec7Scale, 1))
 	}
 	// The grids run side by side, so one grid's serial stretches (a shared
 	// dataset table, a last long cell) overlap another's cells.
@@ -262,7 +248,7 @@ func (o *outcomes) exec(row, pol string) float64 {
 	return math.NaN()
 }
 
-// metric is one of a trainer cell's metrics (trainer.Metric*); NaN (so
+// metric is one of a Sec. 7 cell's metrics (sweep.Metric*); NaN (so
 // every ratio over it is NaN) when the cell failed or is missing.
 func (o *outcomes) metric(row, loader, name string) float64 {
 	if c := o.cells[cellKey{row, loader}]; c != nil && !c.Failed {
@@ -271,7 +257,7 @@ func (o *outcomes) metric(row, loader, name string) float64 {
 	return math.NaN()
 }
 
-// batches summarises a trainer cell's batch times: epoch 0's and the steady
+// batches summarises a Sec. 7 cell's batch times: epoch 0's and the steady
 // state's. Every epoch of the ledger's uniform drop-last plans runs the same
 // number of batches. Both are zero (so every ratio over them is NaN) when
 // the cell failed or is missing.
@@ -285,8 +271,8 @@ func (o *outcomes) batches(row, loader string) (epoch0, steady stats.Summary) {
 }
 
 // e2e is one loader's Fig. 16 run.
-func (o *outcomes) e2e(loader string) trainer.EndToEndResult {
-	return trainer.EndToEnd(loader, o.sim("fig16-g256", loader))
+func (o *outcomes) e2e(loader string) sweep.EndToEndResult {
+	return sweep.EndToEnd(loader, o.sim("fig16-g256", loader))
 }
 
 // ran lists the simulator policies that ran on a grid row, except those
@@ -323,13 +309,13 @@ func extreme[T any](xs []T, pick func(a, b float64) float64, f func(T) float64) 
 	return v
 }
 
-// Loader names, as the trainer grids label their columns.
+// Loader names, as the Sec. 7 grids label their columns.
 var (
-	pytorch = trainer.PyTorch.Name
-	dali    = trainer.DALI.Name
-	lbann   = trainer.LBANN.Name
-	nopfsL  = trainer.NoPFS.Name
-	noIO    = trainer.NoIO.Name
+	pytorch = sweep.PyTorch.Name
+	dali    = sweep.DALI.Name
+	lbann   = sweep.LBANN.Name
+	nopfsL  = sweep.NoPFS.Name
+	noIO    = sweep.NoIO.Name
 )
 
 // fig8Rows are the rows every panel has: its regime, NoPFS against the
@@ -383,21 +369,21 @@ func failures(panel string, pols ...string) func(*outcomes) float64 {
 	}
 }
 
-// epochRatio is loader a's median epoch over loader b's on one trainer row.
+// epochRatio is loader a's median epoch over loader b's on one Sec. 7 row.
 func epochRatio(row, a, b string) func(*outcomes) float64 {
 	return func(o *outcomes) float64 {
-		return ratio(o.metric(row, a, trainer.MetricMedianEpoch), o.metric(row, b, trainer.MetricMedianEpoch))
+		return ratio(o.metric(row, a, sweep.MetricMedianEpoch), o.metric(row, b, sweep.MetricMedianEpoch))
 	}
 }
 
-// relTail is a trainer cell's slowest batch over its median batch (after
+// relTail is a Sec. 7 cell's slowest batch over its median batch (after
 // epoch 0).
 func relTail(o *outcomes, row, loader string) float64 {
-	return ratio(o.metric(row, loader, trainer.MetricBatchMax), o.metric(row, loader, trainer.MetricBatchMedian))
+	return ratio(o.metric(row, loader, sweep.MetricBatchMax), o.metric(row, loader, sweep.MetricBatchMedian))
 }
 
-// share is the fraction of NoPFS's fetches on one trainer row served from
-// the locations whose fraction metrics (trainer.Metric*Frac) are named.
+// share is the fraction of NoPFS's fetches on one Sec. 7 row served from
+// the locations whose fraction metrics (sweep.Metric*Frac) are named.
 func share(o *outcomes, row string, fracs ...string) float64 {
 	var f float64
 	for _, m := range fracs {
@@ -439,8 +425,8 @@ func fig9Steepest(alongRAM bool) func(*outcomes) float64 {
 // sizes, in sweep order.
 func fig13Medians(o *outcomes, loader string) []float64 {
 	var out []float64
-	for _, exp := range trainer.Fig13BatchSweep(trainerScale) {
-		out = append(out, o.metric(exp.Name+"-g128", loader, trainer.MetricBatchMedian))
+	for _, sc := range sweep.Fig13BatchSweep().Scenarios {
+		out = append(out, o.metric(sc.ID+"-g128", loader, sweep.MetricBatchMedian))
 	}
 	return out
 }
@@ -560,15 +546,15 @@ var claims = func() []claim {
 			return ratio(epoch0.Mean, steady.Mean)
 		}, atLeast(1), reproduced},
 		claim{"fig12-pizdaint-remote-growth", "Fig. 12", func(o *outcomes) float64 {
-			return share(o, pd256, trainer.MetricRemoteFrac) - share(o, pd32, trainer.MetricRemoteFrac)
+			return share(o, pd256, sweep.MetricRemoteFrac) - share(o, pd32, sweep.MetricRemoteFrac)
 		}, above(0), reproduced},
 		claim{"fig12-pizdaint-min-cached", "Fig. 12", func(o *outcomes) float64 {
-			cached := []string{trainer.MetricLocalFrac, trainer.MetricRemoteFrac}
+			cached := []string{sweep.MetricLocalFrac, sweep.MetricRemoteFrac}
 			return math.Min(share(o, pd32, cached...), share(o, pd256, cached...))
 		}, atLeast(0.5), reproduced},
-		claim{"fig12-lassen-local-256", "Fig. 12", func(o *outcomes) float64 { return share(o, la256, trainer.MetricLocalFrac) }, above(0), unsourced},
-		claim{"fig12-lassen-remote-256", "Fig. 12", func(o *outcomes) float64 { return share(o, la256, trainer.MetricRemoteFrac) }, above(0), unsourced},
-		claim{"fig12-lassen-pfs-256", "Fig. 12", func(o *outcomes) float64 { return share(o, la256, trainer.MetricPFSFrac) }, below(1), unsourced})
+		claim{"fig12-lassen-local-256", "Fig. 12", func(o *outcomes) float64 { return share(o, la256, sweep.MetricLocalFrac) }, above(0), unsourced},
+		claim{"fig12-lassen-remote-256", "Fig. 12", func(o *outcomes) float64 { return share(o, la256, sweep.MetricRemoteFrac) }, above(0), unsourced},
+		claim{"fig12-lassen-pfs-256", "Fig. 12", func(o *outcomes) float64 { return share(o, la256, sweep.MetricPFSFrac) }, below(1), unsourced})
 
 	// Fig. 13: per-GPU batch sizes 32-120 on 128 Lassen GPUs.
 	add(claim{"fig13-nopfs-over-pytorch-max", "Fig. 13", func(o *outcomes) float64 {
