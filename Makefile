@@ -52,11 +52,13 @@ test:
 # and the RAM backend's slot table:
 # readers race the one writer that publishes a slot or grows the table,
 # and the metrics layer: staging threads flush their latency batches into
-# a histogram while WritePrometheus renders it.
+# a histogram while WritePrometheus renders it, and the prestaged
+# fabric-fault law (which thread fetches a faulted position, and when a
+# retry reaches a peer's breaker, is scheduling-dependent).
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/transport/
-	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound|SourceAgreement|CrashTags|CrashedHolder|Chunk|Resilient|Deadline|Caller|ThrottledBackend|AbortedProbe' ./nopfs/ ./internal/invariant/ ./internal/resilience/
+	$(GO) test -race -count=5 -run 'Coalesc|PFSReadBound|SourceAgreement|PrestagedFabricFaults|CrashTags|CrashedHolder|Chunk|Resilient|Deadline|Caller|ThrottledBackend|AbortedProbe' ./nopfs/ ./internal/invariant/ ./internal/resilience/
 	$(GO) test -race -count=5 -run 'Tag|Kernel|Subnormal|ThreadPool|SharedPolicy|Singleflight|CacheRace|Rank|BuildStreams|OrderFromStreams|ArtifactsMatch' ./internal/sim/ ./internal/plancache/ ./internal/access/
 	$(GO) test -race -count=5 -run 'Width|Tags|FirstTouch' ./internal/cachepolicy/
 	$(GO) test -race -count=5 -run 'RunStream|Dispatch|Determinism' ./internal/sweep/

@@ -11,19 +11,11 @@
 // chaos-injected sweeps bit-identical at any engine pool width: no draw
 // depends on execution order.
 //
-// Both execution engines honour the same Profile so sim-vs-live comparisons
-// stay meaningful:
-//
-//   - the simulator (internal/sim) slows the simulated worker's prefetch
-//     threads, rescales tier bandwidths, redistributes a crashed node's plan
-//     across the survivors, and charges fabric latency/fallbacks;
-//   - the live middleware (package nopfs) wraps the fabric in a
-//     fault-injecting decorator, throttles degraded tiers with
-//     storage.Limiter clocks, paces straggler ranks, and enacts node
-//     crashes: the crashed rank delivers its pre-crash prefix and closes
-//     its fabric endpoint, while the survivors absorb its orphaned plan
-//     rounds through the same RedistributeStream rule the simulator uses —
-//     so sim-vs-live stall under one profile converges.
+// Both execution engines honour the same Profile through the same
+// queries — the simulator (internal/sim, chaos.go) and the live middleware
+// (package nopfs, chaos.go) reshape a crashed rank's plan by one
+// RedistributeStream rule and fail the same remote fetches by one
+// FabricCall draw — so sim-vs-live comparisons stay meaningful.
 //
 // The empty Profile compiles to a nil Schedule and both engines skip every
 // chaos hook, so fault-free runs are byte-identical to a build without this

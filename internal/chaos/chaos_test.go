@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/prng"
 )
 
 func TestEmptyProfile(t *testing.T) {
@@ -39,7 +41,7 @@ func TestNilScheduleIsNeutral(t *testing.T) {
 	if s.CrashedAt(1, 5, 4) || s.HasCrashes(4) || len(s.CrashedWorkers(5, 4)) != 0 {
 		t.Error("nil schedule reports crashes")
 	}
-	if d, fail := s.FabricCall(0, 7); d != 0 || fail {
+	if d, fail := s.FabricCall(0, 7, 1); d != 0 || fail {
 		t.Error("nil FabricCall injects faults")
 	}
 	if len(s.DegradedClasses()) != 0 || s.MaxTierFactor(0) != 1 {
@@ -162,33 +164,60 @@ func TestCrashLandsOnNamedRank(t *testing.T) {
 	}
 }
 
+// callIndexDraw is FabricCall before it took an attempt: the draw of
+// (seed, caller, call), written out here so attempt 0 stays pinned to it.
+func callIndexDraw(f FabricFault, seed uint64, caller int, call uint64) (float64, bool) {
+	sm := prng.NewSplitMix64((seed ^ fabricStream) +
+		(uint64(caller)+1)*0x9e3779b97f4a7c15 + (call+1)*0xd1b54a32d192ed03)
+	delay := f.LatencySeconds + f.JitterSeconds*unitFloat(sm.Next())
+	return delay, unitFloat(sm.Next()) < f.FailRate
+}
+
 func TestFabricCallDeterministicAndRateBounded(t *testing.T) {
 	p := Profile{Fabric: FabricFault{LatencySeconds: 0.001, JitterSeconds: 0.002, FailRate: 0.2}}
 	s := p.Compile(99)
-	fails := 0
 	const calls = 4000
+	var fails [3]int
+	both := 0 // positions whose attempts 0 and 1 both fail
 	for i := uint64(0); i < calls; i++ {
-		d1, f1 := s.FabricCall(3, i)
-		d2, f2 := s.FabricCall(3, i)
-		if d1 != d2 || f1 != f2 {
-			t.Fatalf("FabricCall not stateless at call %d", i)
+		// Attempt 0 is the draw the simulator's cells were recorded with.
+		d, f := s.FabricCall(3, i, 0)
+		if wd, wf := callIndexDraw(p.Fabric, 99, 3, i); d != wd || f != wf {
+			t.Fatalf("position %d attempt 0: draw (%g, %v), the call-index draw (%g, %v)", i, d, f, wd, wf)
 		}
-		if d1 < 0.001 || d1 > 0.003 {
-			t.Fatalf("delay %g outside [latency, latency+jitter]", d1)
+		var failed [3]bool
+		for a := range failed {
+			d1, f1 := s.FabricCall(3, i, uint64(a))
+			d2, f2 := s.FabricCall(3, i, uint64(a))
+			if d1 != d2 || f1 != f2 {
+				t.Fatalf("FabricCall not stateless at position %d attempt %d", i, a)
+			}
+			if d1 < 0.001 || d1 > 0.003 {
+				t.Fatalf("delay %g outside [latency, latency+jitter]", d1)
+			}
+			if failed[a] = f1; f1 {
+				fails[a]++
+			}
 		}
-		if f1 {
-			fails++
+		if failed[0] && failed[1] {
+			both++
 		}
 	}
-	rate := float64(fails) / calls
-	if rate < 0.15 || rate > 0.25 {
-		t.Errorf("fail rate %.3f far from configured 0.2", rate)
+	for a, n := range fails {
+		if rate := float64(n) / calls; rate < 0.15 || rate > 0.25 {
+			t.Errorf("attempt %d: fail rate %.3f far from configured 0.2", a, rate)
+		}
+	}
+	// Independent attempts fail together at the product of their rates
+	// (0.04); a retry that redrew attempt 0 would fail together at 0.2.
+	if rate := float64(both) / calls; rate < 0.025 || rate > 0.06 {
+		t.Errorf("attempts 0 and 1 both fail at %.3f of positions, want ≈ 0.04 (independent)", rate)
 	}
 	// Distinct callers draw distinct streams.
 	same := 0
 	for i := uint64(0); i < 100; i++ {
-		a, _ := s.FabricCall(0, i)
-		b, _ := s.FabricCall(1, i)
+		a, _ := s.FabricCall(0, i, 0)
+		b, _ := s.FabricCall(1, i, 0)
 		if a == b {
 			same++
 		}

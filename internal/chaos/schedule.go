@@ -175,13 +175,15 @@ func (s *Schedule) HasCrashes(n int) bool { return s != nil && n > 1 && len(s.p.
 // with the training shuffle streams derived from the same seed.
 const fabricStream = 0xfab51c
 
-// FabricCall draws the fault outcome for one remote call: the injected
-// delay in seconds (latency + uniform jitter) and whether the call fails
-// transiently. The draw is a pure function of (seed, caller, call), never
-// of execution order. It runs once per remote fetch inside the simulator's
-// allocation-lean hot loop, so the draw is two SplitMix64 finalizer rounds
-// over a mixed counter state — no generator construction per call.
-func (s *Schedule) FabricCall(caller int, call uint64) (delaySeconds float64, fail bool) {
+// FabricCall draws the fault outcome of attempt number attempt at the
+// remote fetch for stream position pos: the injected delay in seconds
+// (latency + uniform jitter) and whether it fails transiently. The draw is
+// a pure function of (seed, caller, pos, attempt), never of execution
+// order, so both engines fail the same fetches. It runs once per remote
+// fetch inside the simulator's allocation-lean hot loop, so the draw is two
+// SplitMix64 finalizer rounds over a mixed counter state — no generator
+// construction per call.
+func (s *Schedule) FabricCall(caller int, pos, attempt uint64) (delaySeconds float64, fail bool) {
 	if s == nil || s.p.Fabric.zero() {
 		return 0, false
 	}
@@ -190,10 +192,11 @@ func (s *Schedule) FabricCall(caller int, call uint64) (delaySeconds float64, fa
 	if f.JitterSeconds == 0 && f.FailRate == 0 {
 		return delaySeconds, false
 	}
-	// Distinct odd multipliers keep (caller, call) pairs on distinct
-	// states; SplitMix64's bijective finalizer decorrelates the draws.
+	// Distinct odd multipliers keep (caller, pos, attempt) on distinct
+	// states (attempt 0 adds nothing); SplitMix64's bijective finalizer
+	// decorrelates the draws.
 	sm := prng.NewSplitMix64((s.seed ^ fabricStream) +
-		(uint64(caller)+1)*0x9e3779b97f4a7c15 + (call+1)*0xd1b54a32d192ed03)
+		(uint64(caller)+1)*0x9e3779b97f4a7c15 + (pos+1)*0xd1b54a32d192ed03 + attempt*0xa0761d6478bd642f)
 	delaySeconds += f.JitterSeconds * unitFloat(sm.Next())
 	fail = unitFloat(sm.Next()) < f.FailRate
 	return delaySeconds, fail

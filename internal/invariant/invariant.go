@@ -344,10 +344,10 @@ func CheckCrashTags(plain, tags []byte, holder func(f int) int, gone func(h, f i
 // rank's fetch calls, the i-th to holder to[i] for samples[i]: none reaches
 // a holder gone (crashEpoch(h) >= 0) by the epoch of the position it
 // fetches for, under the rank's delivery stream and its cumulative epoch
-// ends. A call carries no position, so the law places it at the earliest
-// one it can serve: a sample the rank is assigned to cache may be fetched
-// by its class fill from the first position on, any other only by the
-// staging path, at one of its own positions.
+// ends. The law reads no position off a call and places it at the
+// earliest one it can serve: a sample the rank is assigned to cache may be
+// fetched by its class fill from the first position on, any other only by
+// the staging path, at one of its own positions.
 func CheckCrashedHolderCalls(to []int, samples, stream []access.SampleID, ends []int,
 	assigned func(access.SampleID) bool, crashEpoch func(h int) int) error {
 	first := make(map[access.SampleID]int, len(stream))

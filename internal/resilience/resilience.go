@@ -15,12 +15,12 @@
 //
 // Determinism contract: backoff delays are a pure function of
 // (key, attempt) — Backoff derives the jitter with SplitMix64 from the key
-// the caller mixes (typically seed, rank, peer, and a local retry sequence
-// number via Key). Like the chaos fabric draws, the delay *distribution* is
-// therefore reproducible from the seed while the exact interleaving of
-// retries remains a property of wall-clock scheduling; live runs measure
-// effects, not schedules. The zero Policy disables everything: Empty
-// reports true and the live engine installs no resilience decorator at all.
+// the caller mixes (the live fetch path: seed, rank, peer and the stream
+// position the fetch serves, via Key), so like the chaos fabric's draws a
+// fetch's backoff is reproducible from the seed; only the interleaving of
+// different fetches' retries follows wall-clock scheduling. The zero Policy
+// disables everything: Empty reports true and the live engine installs no
+// resilience decorator at all.
 package resilience
 
 import (
@@ -121,8 +121,8 @@ func (p Policy) attempts() int {
 // the shuffle or chaos streams derived from the same seed.
 const backoffStream = 0xbac0ff
 
-// Key mixes the caller's identifying parts (seed, rank, peer, sequence
-// number, ...) into one backoff-derivation key. Distinct odd multipliers
+// Key mixes the caller's identifying parts (seed, rank, peer, stream
+// position, ...) into one backoff-derivation key. Distinct odd multipliers
 // keep distinct part tuples on distinct states.
 func Key(parts ...uint64) uint64 {
 	k := uint64(backoffStream)

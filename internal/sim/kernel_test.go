@@ -61,11 +61,12 @@ func (free naivePool) schedule(roomTime, readDur float64) float64 {
 // referenceSource decides where stream entry f (sample k), in the given
 // epoch, is fetched from, policy by policy, under the run's placement a. A
 // remote holder the schedule has crashed by the epoch holds nothing, and the
-// next-best holder does not stand in for it.
-func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, epoch, f int, k access.SampleID) perfmodel.Choice {
-	sz, rate := env.SizesMB[k], env.Rate
+// next-best holder does not stand in for it; without holder set, no remote
+// holder does (the decision after a failed remote fetch).
+func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, epoch, f int, k access.SampleID, holder bool) perfmodel.Choice {
+	sz, rate, gamma := env.SizesMB[k], env.Rate, gammaFor(env.ewma, float64(env.Plan.N))
 	alive := func(c, w int) int {
-		if c >= 0 && env.Chaos.CrashedAt(w, epoch, env.Plan.N) {
+		if c >= 0 && (!holder || env.Chaos.CrashedAt(w, epoch, env.Plan.N)) {
 			return -1
 		}
 		return c
@@ -94,12 +95,12 @@ func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, epoch, f i
 		if c := alive(a.RemoteAvail(env.obs, k, int32(f))); c >= 0 {
 			return remote(c)
 		}
-		return pfs(env.Gamma())
+		return pfs(gamma)
 	case NameParallelStaging:
 		if c := a.Local(env.obs, k); c >= 0 {
 			return local(c)
 		}
-		return pfs(env.Gamma())
+		return pfs(gamma)
 	case NameLocalityAware:
 		if c := a.Local(env.obs, k); c >= 0 {
 			return local(c)
@@ -107,7 +108,7 @@ func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, epoch, f i
 		if c := alive(a.RemoteBest(env.obs, k)); c >= 0 {
 			return remote(c)
 		}
-		return pfs(env.Gamma())
+		return pfs(gamma)
 	}
 	if !strings.HasPrefix(name, NameNoPFS) {
 		panic("referenceSource: unknown policy " + name)
@@ -117,7 +118,7 @@ func referenceSource(env *Env, pol Policy, a *cachepolicy.Assignment, epoch, f i
 	if !strings.Contains(name, "-noremote") {
 		rc = alive(a.RemoteAvail(env.obs, k, int32(f)))
 	}
-	return rate.Best(sz, a.LocalAvail(env.obs, k, int32(f)), rc, env.Gamma())
+	return rate.Best(sz, a.LocalAvail(env.obs, k, int32(f)), rc, gamma)
 }
 
 // referenceStream is the stream the policy consumes under the run's
@@ -242,20 +243,43 @@ func referenceRun(cfg Config, pol Policy, threadSplit bool) (*Result, error) {
 			batchJitter = env.pfsJitter()
 		}
 		sz := env.SizesMB[k]
-		choice := referenceSource(env, pol, a, epoch, f, k)
+		choice := referenceSource(env, pol, a, epoch, f, k, true)
 		hit := 0.0
 		if choice.Loc == perfmodel.LocPFS {
 			hit = 1
 		}
 		env.ewma += ewmaAlpha * (hit - env.ewma) // never flushed
-		if choice.Loc == perfmodel.LocPFS {
-			if conc := env.ewma * float64(p0); threadSplit && conc > 1 {
-				choice.Seconds *= conc
+		// seconds prices a decision: a PFS read takes its thread's split of
+		// the node's share and the batch's jitter, and a degraded tier its
+		// factor.
+		seconds := func(c perfmodel.Choice) float64 {
+			if c.Loc == perfmodel.LocPFS {
+				if conc := env.ewma * float64(p0); threadSplit && conc > 1 {
+					c.Seconds *= conc
+				}
+				c.Seconds *= batchJitter
 			}
-			choice.Seconds *= batchJitter
+			if sched == nil {
+				return c.Seconds
+			}
+			tier := c.Class
+			if c.Loc == perfmodel.LocPFS {
+				tier = chaos.PFSTier
+			} else if tier < 0 {
+				return c.Seconds
+			}
+			return c.Seconds * sched.TierFactor(tier, epoch)
 		}
-		if sched != nil {
-			choice.Seconds = chaosAdjust(env, sched, epoch, f, sz, choice, res)
+		choice.Seconds = seconds(choice)
+		if sched != nil && choice.Loc == perfmodel.LocRemote {
+			// A failed draw pays the attempt, then the policy decides again
+			// without the holder, after γ folded the first decision.
+			delay, fail := sched.FabricCall(env.obs, uint64(f), 0)
+			choice.Seconds += delay
+			if fail {
+				choice.Seconds += seconds(referenceSource(env, pol, a, epoch, f, k, false))
+				res.RemoteFalsePositives++
+			}
 		}
 		write := env.Rate.WriteTime(sz)
 		locSec[choice.Loc] += choice.Seconds
@@ -340,7 +364,10 @@ var kernelThreads = []int{0, 1, 3, 16, 64}
 // kernel: for every policy and ablation × every access pattern (uniform,
 // one spec per pattern kind, every preset, elastic membership) × no chaos
 // at every pool width in kernelThreads and every chaos preset, Run must
-// equal the generic per-fetch reference loop above, field for field.
+// equal the generic per-fetch reference loop above, field for field. The
+// chaos cells run with PFS jitter on the panels' own pools (p₀ > 1), where
+// a failed remote fetch's second decision pays the per-thread split and
+// the batch's jitter.
 func TestPatternKernelsMatchGeneric(t *testing.T) {
 	profiles := append([]chaos.Profile{{}}, chaos.Presets()...)
 	specs := append(append([]string{}, patternSpecs...), access.PresetNames()...)
@@ -361,13 +388,13 @@ func TestPatternKernelsMatchGeneric(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, panel := range kernelPanels {
 				for pi, prof := range profiles {
-					threads := kernelThreads
+					threads, jitter := kernelThreads, 0.0
 					if pi > 0 {
-						threads = threads[:1]
+						threads, jitter = threads[:1], 0.5
 					}
 					for _, p0 := range threads {
 						cfg := patternConfigOn(t, panel, spec, 91)
-						cfg.Chaos = prof
+						cfg.Chaos, cfg.PFSJitter = prof, jitter
 						if p0 > 0 {
 							cfg.Sys.Node.Staging.Threads = p0
 						}

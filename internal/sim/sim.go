@@ -136,8 +136,8 @@ type Result struct {
 	// Coverage is the fraction of dataset bytes the policy ever reads
 	// (< 1 flags the paper's "does not access entire dataset").
 	Coverage float64
-	// RemoteFalsePositives counts remote fetches that would have missed
-	// (heuristic said cached, holder had not reached it yet).
+	// RemoteFalsePositives counts remote fetches whose fabric draw failed
+	// (the live path's false positive: the holder did not serve).
 	RemoteFalsePositives int64
 }
 
@@ -240,11 +240,9 @@ func (e *Env) placement(family string) *cachepolicy.Assignment {
 	return nil
 }
 
-// Gamma estimates γ, the number of workers concurrently reading from the
-// PFS, from the recent PFS hit fraction: workers are symmetric, so the
-// cluster-wide reader count is N times the local fraction.
-func (e *Env) Gamma() int { return gammaFor(e.ewma, float64(e.Plan.N)) }
-
+// gammaFor estimates γ, the number of workers concurrently reading from
+// the PFS, from the recent PFS hit fraction ewma: workers are symmetric, so
+// the cluster-wide reader count is N times the local fraction.
 func gammaFor(ewma, workers float64) int {
 	g := int(math.Round(ewma * workers))
 	if g < 1 {
@@ -444,6 +442,16 @@ func (t *threadPool) schedule(roomTime, readDur float64) float64 {
 	return avail
 }
 
+// pfsShare is a PFS read's seconds in a batch of the given jitter, on one of
+// conc threads (the recent PFS fraction times p₀) that divide the node's
+// share t(γ)/γ rather than multiply it.
+func pfsShare(sec, conc, jitter float64) float64 {
+	if conc > 1 {
+		sec *= conc
+	}
+	return sec * jitter
+}
+
 // sourceRule is a policy's answer to "where may a fetch come from", stated
 // once as data. Together with a placement and a stream it determines one
 // source tag per stream position (see cachepolicy.Tags); the kernel turns a
@@ -613,12 +621,9 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res 
 	}
 
 	// Chaos multipliers are epoch-constant: resolve them at boundaries, not
-	// per sample. barrier paces the allreduce when a peer straggles; self
-	// slows this worker's own prefetch threads.
-	barrier, self := 1.0, 1.0
-	if sched != nil {
-		barrier, self = sched.BarrierFactor(env.obs, 0, env.Plan.N), sched.Slowdown(env.obs, 0, env.Plan.N)
-	}
+	// per sample (a nil schedule's are 1). barrier paces the allreduce when
+	// a peer straggles; self slows this worker's own prefetch threads.
+	barrier, self := sched.BarrierFactor(env.obs, 0, env.Plan.N), sched.Slowdown(env.obs, 0, env.Plan.N)
 
 	// PFS slowness is bursty system noise, not i.i.d. per sample: one slow
 	// OST or contention spike delays every read issued in that window. We
@@ -637,9 +642,7 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res 
 	for epoch < len(epochEnds) && epochEnds[epoch] == 0 {
 		res.EpochSeconds = append(res.EpochSeconds, 0)
 		epoch++
-		if sched != nil {
-			barrier, self = sched.BarrierFactor(env.obs, epoch, env.Plan.N), sched.Slowdown(env.obs, epoch, env.Plan.N)
-		}
+		barrier, self = sched.BarrierFactor(env.obs, epoch, env.Plan.N), sched.Slowdown(env.obs, epoch, env.Plan.N)
 	}
 	if epoch < len(epochEnds) {
 		nextEpochEnd = epochEnds[epoch]
@@ -721,20 +724,26 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res 
 			// (see internal/invariant).
 			if loc == perfmodel.LocPFS {
 				ewma = gammaHit(ewma)
-				// t(γ)/γ is the node's total PFS share: concurrent prefetch
-				// threads divide it rather than multiplying it. The expected
-				// number of this worker's threads at the PFS is the recent PFS
-				// fraction times p0.
-				if conc := ewma * p0f; conc > 1 {
-					sec *= conc
-				}
-				sec *= batchJitter
+				sec = pfsShare(sec, ewma*p0f, batchJitter)
 			} else {
 				ewma = gammaMiss(ewma)
 			}
-			if sched != nil {
-				env.ewma = ewma
-				sec = chaosAdjust(env, sched, epoch, f+i, sz, perfmodel.Choice{Loc: loc, Class: cls, Seconds: sec}, res)
+			if sched != nil { // per-fetch faults (chaos.go)
+				sec *= tierFactor(sched, epoch, loc, cls)
+				if loc == perfmodel.LocRemote {
+					delay, fail := sched.FabricCall(env.obs, uint64(f+i), 0)
+					sec += delay
+					if fail {
+						// The failed attempt stays paid; the rule picks again
+						// without the holder (first-available: the PFS).
+						c := rate.Best(sz, lc-1, -1, gammaFor(ewma, nWorkers))
+						if c.Loc == perfmodel.LocPFS {
+							c.Seconds = pfsShare(c.Seconds, ewma*p0f, batchJitter)
+						}
+						sec += c.Seconds * tierFactor(sched, epoch, c.Loc, c.Class)
+						res.RemoteFalsePositives++
+					}
+				}
 			}
 			write := sz / wr
 			locSec[loc] += sec
@@ -804,9 +813,7 @@ func simulate(env *Env, pol Policy, in *plancache.TagStream, setup float64, res 
 			if epoch < len(epochEnds) {
 				nextEpochEnd = epochEnds[epoch]
 			}
-			if sched != nil {
-				barrier, self = sched.BarrierFactor(env.obs, epoch, env.Plan.N), sched.Slowdown(env.obs, epoch, env.Plan.N)
-			}
+			barrier, self = sched.BarrierFactor(env.obs, epoch, env.Plan.N), sched.Slowdown(env.obs, epoch, env.Plan.N)
 		}
 	}
 	env.ewma = ewma

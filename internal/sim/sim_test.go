@@ -175,20 +175,21 @@ func TestGammaAdapts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Gamma() != 4 {
-		t.Errorf("initial gamma = %d, want N=4 (all-PFS start)", env.Gamma())
+	gamma := func() int { return gammaFor(env.ewma, float64(env.Plan.N)) }
+	if gamma() != 4 {
+		t.Errorf("initial gamma = %d, want N=4 (all-PFS start)", gamma())
 	}
 	for i := 0; i < 500; i++ {
 		env.ewma = gammaMiss(env.ewma)
 	}
-	if env.Gamma() != 1 {
-		t.Errorf("gamma after all-cache phase = %d, want 1", env.Gamma())
+	if gamma() != 1 {
+		t.Errorf("gamma after all-cache phase = %d, want 1", gamma())
 	}
 	for i := 0; i < 500; i++ {
 		env.ewma = gammaHit(env.ewma)
 	}
-	if env.Gamma() != 4 {
-		t.Errorf("gamma after all-PFS phase = %d, want 4", env.Gamma())
+	if gamma() != 4 {
+		t.Errorf("gamma after all-PFS phase = %d, want 4", gamma())
 	}
 }
 

@@ -1,11 +1,11 @@
 package nopfs
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
@@ -18,8 +18,9 @@ import (
 // (internal/chaos). Each fault that acts on one call is a decorator on the
 // seam that call already crosses; the Job's fetch path knows none of them:
 //
-//   - chaosFabric decorates the run's Fabric, adding deterministic-rate
-//     latency/jitter and transient fetch failures to every remote call;
+//   - chaosFabric decorates the run's Fabric, adding latency/jitter and
+//     transient fetch failures to every remote call, drawn as the
+//     simulator draws them (chaosEndpoint);
 //   - throttledBackend decorates a degraded class's StorageBackend, pacing
 //     its reads through a storage.Limiter whose rate follows the schedule
 //     epoch by epoch.
@@ -48,10 +49,12 @@ func (j *Job) holderGone(h, pos int) bool {
 // the run.
 var errChaosDrop = errors.New("nopfs: chaos: injected transient fabric failure")
 
-// chaosFabric wraps a fabric so every built endpoint injects faults.
+// chaosFabric wraps a fabric so every built endpoint injects faults and
+// waits out their delay on clock (nil: clock.Real).
 type chaosFabric struct {
 	inner Fabric
 	sched *chaos.Schedule
+	clock clock.Clock
 }
 
 // Name reports the inner fabric's registry name: fault injection is a
@@ -65,25 +68,25 @@ func (f chaosFabric) Build(ctx context.Context, workers int, interconnectMBps fl
 	}
 	out := make([]Endpoint, len(eps))
 	for i, ep := range eps {
-		out[i] = &chaosEndpoint{Network: ep, sched: f.sched}
+		out[i] = &chaosEndpoint{Network: ep, sched: f.sched, clock: cmp.Or(f.clock, clock.Real)}
 	}
 	return out, nil
 }
 
-// chaosEndpoint injects per-call latency/jitter and transient failures. The
-// fault draw is the schedule's stateless function of (rank, call index); the
-// call index is a local counter, so the live failure *rate* matches the
-// profile while the exact failing calls vary with scheduling — live runs
-// measure wall-clock effects, not schedules.
+// chaosEndpoint injects per-call latency/jitter and transient failures by
+// the schedule's stateless draw of (rank, stream position, attempt), read
+// off the request's Value, where fetch puts the position and
+// resilientEndpoint the attempt: every run, and the simulator, fails the
+// same fetches. The allgather's Value, the plan digest, keys its delay.
 type chaosEndpoint struct {
 	transport.Network
 	sched *chaos.Schedule
-	calls atomic.Uint64
+	clock clock.Clock
 }
 
 func (e *chaosEndpoint) Call(ctx context.Context, to int, req transport.Request) (transport.Response, error) {
-	delay, fail := e.sched.FabricCall(e.Rank(), e.calls.Add(1)-1)
-	if err := clock.Sleep(ctx, clock.Real, time.Duration(delay*float64(time.Second))); err != nil {
+	delay, fail := e.sched.FabricCall(e.Rank(), req.Value&(1<<attemptShift-1), req.Value>>attemptShift)
+	if err := clock.Sleep(ctx, e.clock, time.Duration(delay*float64(time.Second))); err != nil {
 		return transport.Response{}, err
 	}
 	// Only sample fetches fail transiently: the setup allgather is control

@@ -302,3 +302,108 @@ func TestThrottledBackend(t *testing.T) {
 		t.Fatalf("a hit at factor 4 waited %gs, want about %gs (base/4), not %gs (base)", w, 4*atBase, atBase)
 	}
 }
+
+// manualClock is a clock.Clock that moves only when the test advances it.
+// A wait that has to wait parks: it reports its release instant, as an
+// offset from the clock's start, on parked and returns once the clock
+// reaches that instant or its context ends.
+type manualClock struct {
+	mu      sync.Mutex
+	start   time.Time
+	now     time.Time
+	waiters map[chan struct{}]time.Time
+	parked  chan time.Duration
+}
+
+func newManualClock() *manualClock {
+	t0 := time.Unix(1_000_000, 0)
+	return &manualClock{start: t0, now: t0, waiters: map[chan struct{}]time.Time{}, parked: make(chan time.Duration, 1)}
+}
+
+func (c *manualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *manualClock) WaitUntil(ctx context.Context, t time.Time, wake <-chan struct{}) error {
+	c.mu.Lock()
+	if !t.After(c.now) {
+		c.mu.Unlock()
+		return nil
+	}
+	done := make(chan struct{})
+	c.waiters[done] = t
+	c.mu.Unlock()
+	c.parked <- t.Sub(c.start)
+	select {
+	case <-done:
+		return nil
+	case <-wake:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// advance moves the clock by d and releases every waiter it reaches.
+func (c *manualClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+	for done, t := range c.waiters {
+		if !t.After(c.now) {
+			close(done)
+			delete(c.waiters, done)
+		}
+	}
+}
+
+// TestChaosDelayWaitsOnTheFabricClock: a chaos endpoint waits out its
+// injected delay on the clock its fabric was built with. A fetch parks at
+// the delay the schedule draws for its position and attempt, is still
+// parked 1 ns short of it, and goes through once the clock reaches it.
+func TestChaosDelayWaitsOnTheFabricClock(t *testing.T) {
+	sched := ChaosProfile{Fabric: chaos.FabricFault{LatencySeconds: 0.004, JitterSeconds: 0.003}}.Compile(5)
+	clk := newManualClock()
+	eps, err := chaosFabric{inner: chanFabric{}, sched: sched, clock: clk}.Build(bg, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eps[0].Close()
+	defer eps[1].Close()
+	eps[1].SetHandler(func(context.Context, int, transport.Request) transport.Response {
+		return transport.Response{OK: true}
+	})
+	const pos, attempt = 17, 2
+	delay, _ := sched.FabricCall(0, pos, attempt)
+	want := time.Duration(delay * float64(time.Second))
+	done := make(chan error, 1)
+	go func() {
+		_, err := eps[0].Call(bg, 1, transport.Request{Kind: transport.KindFetch, Sample: 3, Value: pos | attempt<<attemptShift})
+		done <- err
+	}()
+	select {
+	case d := <-clk.parked:
+		if d != want {
+			t.Fatalf("the fetch parked for %v, its drawn delay is %v", d, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the fetch never parked on the fabric's clock")
+	}
+	clk.advance(want - 1)
+	select {
+	case err := <-done:
+		t.Fatalf("the fetch returned (%v) 1 ns before its delay", err)
+	default:
+	}
+	clk.advance(1)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("the fetch failed: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the fetch stayed parked past its delay")
+	}
+}

@@ -516,7 +516,7 @@ func (j *Job) fetchSource(k access.SampleID, pos int, tag byte, issuer int) ([]b
 	if clock.Err(j.ctx) != nil {
 		return nil, SourcePFS, false, errJobClosed
 	}
-	slot, data, recycled, err := j.locate(k, pos, tag)
+	slot, data, recycled, err := j.locate(k, pos, tag, issuer)
 	if err != nil {
 		return nil, SourcePFS, false, err // fail ignores it if our own context ended
 	}
@@ -541,7 +541,7 @@ func (j *Job) fillTag(k access.SampleID, pos int) byte {
 }
 
 // locate is fetchSource's rule; it returns the record slot that served k.
-func (j *Job) locate(k access.SampleID, pos int, tag byte) (int, []byte, bool, error) {
+func (j *Job) locate(k access.SampleID, pos int, tag byte, issuer int) (int, []byte, bool, error) {
 	if c := int(tag&0x0f) - 1; c >= 0 {
 		if data, ok, err := j.backends[c].Get(j.ctx, k); err != nil || ok {
 			return c, data, false, err
@@ -555,7 +555,7 @@ func (j *Job) locate(k access.SampleID, pos int, tag byte) (int, []byte, bool, e
 	size := int(j.ds.Size(int(k)))
 	if c < 0 { // only the staging path fetches an unassigned sample
 		buf := j.staging.Buffer(size)
-		slot, data, err := j.fetch(k, holder, buf)
+		slot, data, err := j.fetch(k, pos, holder, buf)
 		return slot, data, j.landed(data, buf, nil), err
 	}
 	slot := len(j.backends) + slotCoalesced
@@ -568,7 +568,11 @@ func (j *Job) locate(k access.SampleID, pos int, tag byte) (int, []byte, bool, e
 	if err == nil && !ok {
 		b := j.backends[c]
 		buf := j.chunks[c].carve(size, b.Capacity()-b.Used())
-		slot, data, err = j.fetch(k, holder, buf)
+		at := pos // a fill draws at its sample's first access, as its staging fetch
+		if issuer == classRow {
+			at = int(j.assign.LocalPos(j.rank, k))
+		}
+		slot, data, err = j.fetch(k, at, holder, buf)
 		j.landed(data, buf, &j.chunks[c])
 		if err == nil {
 			_, err = b.Put(j.ctx, k, data)

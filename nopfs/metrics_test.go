@@ -441,9 +441,11 @@ func TestMetricsCountAttemptsUnderRetries(t *testing.T) {
 	}
 	reg := NewMetricsRegistry()
 	opts := NewOptions(
-		// The drop draw is a pure function of (seed, rank, call index): this
-		// seed drops rank 0's call 1 and rank 1's call 6, and each rank makes
-		// dozens (half the dataset is cached on the other rank).
+		// The drop draw is a pure function of (seed, rank, stream position,
+		// attempt): this seed fails the first attempt at rank 1's positions
+		// 97 and 172, two of the 29 it fetches from its peer for samples it
+		// does not cache, so its staging path retries at least twice; class
+		// fills, drawn at their samples' first access, may add more.
 		WithSeed(13),
 		WithEpochs(3),
 		WithBatchPerWorker(8),

@@ -133,7 +133,7 @@ func TestClusterPayloadIntegrity(t *testing.T) {
 
 // TestClusterOverTCP runs a prestaged 3-rank cluster over TCP: every class
 // holds its placement before staging starts, so each rank fetches from each
-// source exactly as often as its tags and placement say (prestagedFetches),
+// source exactly as often as its tags and placement say (prestagedTags),
 // and some of those fetches cross the fabric.
 func TestClusterOverTCP(t *testing.T) {
 	const workers = 3
@@ -157,7 +157,11 @@ func TestClusterOverTCP(t *testing.T) {
 		if n == 0 {
 			return fmt.Errorf("delivered nothing over TCP")
 		}
-		want[j.Rank()] = prestagedFetches(j)
+		counts := map[Source]int64{}
+		for _, tag := range prestagedTags(j) {
+			counts[tagSource(tag)]++
+		}
+		want[j.Rank()] = counts
 		return nil
 	})
 	if err != nil {

@@ -19,7 +19,8 @@ type readerInto interface {
 
 // fetch is fetchSource's leg past the local classes: holder (-1: none)
 // serves k if it has a copy, else the PFS does; it returns the record slot
-// that served. A holder's miss or failed call is a heuristic false positive
+// that served. Its request's Value is pos, the stream position it serves,
+// which keys the fault draw and the backoff (chaosEndpoint, resilientEndpoint). A holder's miss or failed call is a heuristic false positive
 // (Sec. 5.2.2); an open circuit never reached the fabric, so it demotes to
 // the PFS uncounted. buf is the payload's destination: a staging free-list
 // buffer for the staging path's fetch of an unassigned sample, which passes
@@ -27,9 +28,9 @@ type readerInto interface {
 // flight stores into. A remote payload lands in it if the fabric reads into
 // Request.Buf, a PFS read if the dataset is a readerInto; the caller's
 // landed tells, and hands back a buf that stayed unused.
-func (j *Job) fetch(k access.SampleID, holder int, buf []byte) (int, []byte, error) {
+func (j *Job) fetch(k access.SampleID, pos, holder int, buf []byte) (int, []byte, error) {
 	if holder >= 0 {
-		resp, err := j.net.Call(j.ctx, holder, transport.Request{Kind: transport.KindFetch, Sample: k, Buf: buf})
+		resp, err := j.net.Call(j.ctx, holder, transport.Request{Kind: transport.KindFetch, Sample: k, Value: uint64(pos), Buf: buf})
 		switch {
 		case err == nil && resp.OK:
 			return len(j.backends) + slotRemote, resp.Data, nil

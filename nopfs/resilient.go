@@ -2,7 +2,6 @@ package nopfs
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/resilience"
 	"repro/internal/transport"
@@ -13,12 +12,13 @@ import (
 // prepared once per peer — a per-attempt deadline (no sooner than the
 // policy's timeout, at most timeout/8 later, from a deadline window the
 // peer's attempts share), bounded retries with deterministic backoff (keyed
-// on seed, rank, peer and a local sequence number, see resilience.Key) and
-// the peer's circuit breaker, which fails the call fast with
+// on seed, rank, peer and the stream position the fetch serves, see
+// resilience.Key; each attempt goes out with its number stamped above the
+// position) and the peer's circuit breaker, which fails the call fast with
 // resilience.ErrCircuitOpen while the peer is marked down. The repo's one
 // sanctioned retry loop around fabric calls lives inside the Caller
-// (`retrybound` analyzer). A response with OK=false is a heuristic miss, not
-// a fault, and is never retried.
+// (`retrybound` analyzer). A response with OK=false is a heuristic miss,
+// not a fault, and is never retried.
 //
 // Only sample fetches pay the policy. The setup allgather is control plane
 // and passes through, the rule chaosEndpoint applies to injected drops; so
@@ -27,8 +27,10 @@ type resilientEndpoint struct {
 	transport.Network
 	seed  uint64
 	peers []*resilience.Caller[transport.Response] // by rank; self has no breaker
-	seq   atomic.Uint64                            // feeds each call's backoff key
 }
+
+// attemptShift puts a fetch's attempt in the top byte of its Request.Value.
+const attemptShift = 56
 
 // withResilience wraps ep in the policy; the zero policy returns ep itself,
 // so a run without resilience has no decorator on its fetch path. It is the
@@ -59,8 +61,10 @@ func (e *resilientEndpoint) Call(ctx context.Context, to int, req transport.Requ
 	if req.Kind != transport.KindFetch || to < 0 || to >= len(e.peers) {
 		return e.Network.Call(ctx, to, req)
 	}
-	key := resilience.Key(e.seed, uint64(e.Rank()), uint64(to), e.seq.Add(1))
+	key := resilience.Key(e.seed, uint64(e.Rank()), uint64(to), req.Value)
 	return e.peers[to].Do(ctx, key, func(ctx context.Context) (transport.Response, error) {
-		return e.Network.Call(ctx, to, req)
+		resp, err := e.Network.Call(ctx, to, req)
+		req.Value += 1 << attemptShift // the next attempt's number
+		return resp, err
 	})
 }

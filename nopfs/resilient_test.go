@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -241,6 +242,41 @@ func TestResilientEndpointOutOfRangePeer(t *testing.T) {
 				t.Errorf("out-of-range fetches moved a breaker %d times", transitions.Load())
 			}
 		})
+	}
+}
+
+// TestResilientEndpointKeysRetriesByPosition: each attempt at a fetch goes
+// out with its number stamped above the stream position the request
+// carries, and the backoff between attempts is a function of that
+// position: a fetch backs off alike whatever the endpoint called before it,
+// and a fetch for another position backs off otherwise.
+func TestResilientEndpointKeysRetriesByPosition(t *testing.T) {
+	flaky := errors.New("flaky")
+	var values []uint64
+	h := newResilientHarness(ResiliencePolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Multiplier: 2, JitterFrac: 0.5},
+		func(_ context.Context, _ int, req transport.Request) (transport.Response, error) {
+			values = append(values, req.Value)
+			return transport.Response{}, flaky
+		})
+	fetch := func(pos uint64) []time.Duration {
+		h.sleeps, values = nil, nil
+		req := fetch7
+		req.Value = pos
+		if _, err := h.ep.Call(bg, 1, req); !errors.Is(err, flaky) {
+			t.Fatalf("err = %v, want the third attempt's", err)
+		}
+		if want := []uint64{pos, pos | 1<<attemptShift, pos | 2<<attemptShift}; !slices.Equal(values, want) {
+			t.Fatalf("attempts carried %#x, want %#x", values, want)
+		}
+		return h.sleeps
+	}
+	first := fetch(40)
+	other := fetch(41)
+	if again := fetch(40); !slices.Equal(again, first) {
+		t.Errorf("position 40 backed off %v, then %v after another fetch", first, again)
+	}
+	if slices.Equal(other, first) {
+		t.Errorf("positions 40 and 41 back off alike (%v): the key ignores the position", first)
 	}
 }
 

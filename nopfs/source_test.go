@@ -2,11 +2,14 @@ package nopfs
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/access"
 	"repro/internal/cachepolicy"
@@ -152,6 +155,158 @@ func TestSourceAgreementUnderCrash(t *testing.T) {
 	}
 }
 
+// prestagedRun is one rank of a prestaged cluster: its stream, the source
+// each position is expected from (prestagedTags) and the one that served it.
+type prestagedRun struct {
+	stream   []access.SampleID
+	want     []byte
+	observed []perfmodel.Location
+	assigned func(access.SampleID) bool
+}
+
+// runPrestaged runs a prestaged 3-rank cluster of the source-law shape and
+// returns its ranks' runs. A rank the schedule crashes drains only once
+// every survivor has: a live crash lands when the crashed rank reaches its
+// epoch, which nothing aligns with its peers', and a survivor still fetching
+// an earlier epoch from it would find its endpoint closed. So every holder a
+// tag names is there to serve.
+func runPrestaged(t *testing.T, opts Options) []prestagedRun {
+	t.Helper()
+	const workers, f = 3, 96
+	opts.prestage = true
+	sched := opts.Chaos.Compile(opts.Seed)
+	var survivors sync.WaitGroup
+	for r := 0; r < workers; r++ {
+		if sched.CrashEpoch(r, workers) < 0 {
+			survivors.Add(1)
+		}
+	}
+	drained := make(chan struct{})
+	go func() { survivors.Wait(); close(drained) }()
+	runs := make([]prestagedRun, workers)
+	_, err := RunCluster(bg, testDataset(t, f), workers, opts, func(ctx context.Context, j *Job) error {
+		if j.crashEpoch < 0 {
+			defer survivors.Done()
+		} else {
+			select {
+			case <-drained:
+			case <-time.After(10 * time.Second):
+				return errors.New("the survivors never drained")
+			}
+		}
+		var observed []perfmodel.Location
+		for s, err := range j.Samples(ctx) {
+			if err != nil {
+				return err
+			}
+			observed = append(observed, sourceLocation[s.Source])
+		}
+		runs[j.rank] = prestagedRun{j.stream, prestagedTags(j), observed,
+			func(k access.SampleID) bool { return j.assign.Local(j.rank, k) >= 0 }}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs
+}
+
+// TestPrestagedSourceAgreement is the exact source law: on a prestaged run
+// no class fill races the staging path, so every position is served from
+// its expected source and the law counts no timing outcome at all — for
+// every access preset over the chan and TCP fabrics, and on survivors that
+// absorb a crashed rank's rounds. The elastic preset runs without the
+// crash: node-crash takes rank 1 down at the epoch it joins, so it never
+// fills, while the tags still promise its copies at epoch-0 positions.
+func TestPrestagedSourceAgreement(t *testing.T) {
+	crash, err := chaos.ParseProfile("node-crash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fabric := range []string{FabricChan, FabricTCP} {
+		for _, pattern := range append([]string{""}, access.PresetNames()...) {
+			for _, prof := range []chaos.Profile{{}, crash} {
+				if pattern == "elastic" && !prof.Empty() {
+					continue
+				}
+				opts := sourceOptions(1, fabric, pattern, 2)
+				opts.Chaos = prof
+				for r, run := range runPrestaged(t, opts) {
+					n, err := invariant.CheckSourceAgreement(run.want, run.observed, run.stream, run.assigned)
+					if err != nil || n != (invariant.SourceMismatches{}) {
+						t.Errorf("%s/%q/%s rank %d: mismatches %+v, %v", fabric, pattern, prof.Label(), r, n, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPrestagedFabricFaults is the fabric-fault law on prestaged runs under
+// flaky-fabric, meltdown and drop:0.3, over the chan and TCP fabrics. A
+// fetch is drawn by the stream position it serves and its attempt
+// (chaos.Schedule.FabricCall), so the positions a fault sends from an
+// expected holder to the PFS are a function of the seed: under the zero
+// policy exactly those whose attempt 0 fails, and two runs serve every
+// position alike; under the default policy, on flaky-fabric and meltdown,
+// exactly those whose three attempts all fail. Every other position is
+// served from its expected source. A position an open circuit refused is
+// named in the failure.
+func TestPrestagedFabricFaults(t *testing.T) {
+	const seed = 2
+	for _, fabric := range []string{FabricChan, FabricTCP} {
+		for _, name := range []string{"flaky-fabric", "meltdown", "drop:0.3"} {
+			prof, err := chaos.ParseProfile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched := prof.Compile(seed)
+			policies := []ResiliencePolicy{{}}
+			if prof.Fabric.FailRate < 0.1 {
+				policies = append(policies, DefaultResilience())
+			}
+			for _, pol := range policies {
+				attempts := max(pol.MaxAttempts, 1)
+				opts := sourceOptions(seed, fabric, "", 2)
+				opts.Chaos, opts.Resilience = prof, pol
+				runs := runPrestaged(t, opts)
+				faulted := 0
+				for r, run := range runs {
+					for p, tag := range run.want {
+						want, got := sourceLocation[tagSource(tag)], run.observed[p]
+						if want == perfmodel.LocRemote {
+							failed := true // every attempt's draw fails
+							for a := 0; a < attempts && failed; a++ {
+								_, failed = sched.FabricCall(r, uint64(p), uint64(a))
+							}
+							if failed {
+								want = perfmodel.LocPFS
+								faulted++
+							}
+						}
+						if got != want {
+							t.Errorf("%s/%s, %d attempts: rank %d position %d (tag %#02x): %s served it, the draws say %s (a refusal by an open circuit?)",
+								fabric, name, attempts, r, p, tag, got, want)
+						}
+					}
+				}
+				t.Logf("%s/%s, %d attempts: %d positions faulted to the PFS", fabric, name, attempts, faulted)
+				if faulted == 0 && attempts == 1 {
+					t.Errorf("%s/%s: no remote fetch failed (the test lost its subject)", fabric, name)
+				}
+				if attempts > 1 {
+					continue
+				}
+				for r, again := range runPrestaged(t, opts) {
+					if !slices.Equal(again.observed, runs[r].observed) {
+						t.Errorf("%s/%s: rank %d served its positions differently in a second run", fabric, name, r)
+					}
+				}
+			}
+		}
+	}
+}
+
 // getCounter counts a backend's Get calls: the fetch path's class probes and
 // the lookups it serves peers.
 type getCounter struct {
@@ -246,12 +401,13 @@ func TestHandleServesTheAssignedClass(t *testing.T) {
 	}
 }
 
-// fetchRecorder keeps one rank's KindFetch calls: the callee and the sample
-// of each.
+// fetchRecorder keeps one rank's KindFetch calls: the callee, the sample
+// and the stream position (Request.Value) of each.
 type fetchRecorder struct {
 	mu      sync.Mutex
 	to      []int
 	samples []access.SampleID
+	pos     []uint64
 }
 
 // recordingEndpoint records its rank's fetch calls before it makes them.
@@ -264,6 +420,7 @@ func (e recordingEndpoint) Call(ctx context.Context, to int, req transport.Reque
 	if req.Kind == transport.KindFetch {
 		e.rec.mu.Lock()
 		e.rec.to, e.rec.samples = append(e.rec.to, to), append(e.rec.samples, req.Sample)
+		e.rec.pos = append(e.rec.pos, req.Value)
 		e.rec.mu.Unlock()
 	}
 	return e.Network.Call(ctx, to, req)
@@ -327,8 +484,10 @@ func checkCrashedHolderCalls(t *testing.T, j *Job, rec *fetchRecorder) (cleared 
 // or in a class fill, uniform, zipf, and with rank 2 joining at epoch 1, when
 // each of its positions lies in epoch 1 or later. A cluster's class fills
 // run before the staging progress names many peers, so the last case also
-// runs rank 2's fills alone, from a staging position well into its stream.
-// Each cluster's tags must have lost some promise of rank 1.
+// runs rank 2's fills alone, from a staging position well into its stream;
+// each of their calls carries its sample's first access, the position the
+// fabric draws a fill at. Each cluster's tags must have lost some promise
+// of rank 1.
 func TestCrashedHolderNeverCalled(t *testing.T) {
 	recordingOnce.Do(func() { RegisterFabric(recording) })
 	crash, err := chaos.ParseProfile("crash:1@1")
@@ -384,6 +543,11 @@ func TestCrashedHolderNeverCalled(t *testing.T) {
 		j.wg.Add(1)
 		j.classPrefetcher(0, fill, &next)
 		checkCrashedHolderCalls(t, j, rec)
+		for i, k := range rec.samples {
+			if want := uint64(j.assign.LocalPos(2, k)); rec.pos[i] != want {
+				t.Errorf("fill, seed %d: sample %d's fill sent position %d, its first access is %d", seed, k, rec.pos[i], want)
+			}
+		}
 		j.Close()
 	}
 }

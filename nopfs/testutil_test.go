@@ -86,22 +86,33 @@ func goroutinesSettle(t *testing.T, want int) {
 	t.Fatalf("goroutines leaked: %d live, want <= %d\n%s", runtime.NumGoroutine(), want, buf[:n])
 }
 
-// prestagedFetches is a prestaged rank's staged fetch count per source, from
-// the job's own tags and placement. A sample the rank's classes are assigned
-// is local: its class holds it, and the flight's re-check in locate serves
-// it whatever its tag says. Any other sample is remote when its tag names a
-// holder, whose class holds it too, and from the PFS otherwise.
-func prestagedFetches(j *Job) map[Source]int64 {
-	want := map[Source]int64{}
+// prestagedTags is a prestaged rank's expected source per stream position,
+// from the job's own tags and placement, written as the source tags the law
+// reads (invariant.CheckSourceAgreement). A sample the rank's classes are
+// assigned is local: its class holds it, and the flight's re-check in
+// locate serves it whatever its tag says. Any other sample is remote when
+// its tag names a holder, whose class holds it too, and from the PFS
+// otherwise.
+func prestagedTags(j *Job) []byte {
+	want := make([]byte, len(j.stream))
 	for pos, k := range j.stream {
-		switch {
-		case j.assign.Local(j.rank, k) >= 0:
-			want[SourceLocal]++
-		case j.tags[pos]>>4 != 0:
-			want[SourceRemote]++
-		default:
-			want[SourcePFS]++
+		if c := j.assign.Local(j.rank, k); c >= 0 {
+			want[pos] = byte(c + 1)
+		} else {
+			want[pos] = j.tags[pos] & 0xf0
 		}
 	}
 	return want
+}
+
+// tagSource is the source a tag names: its local class, else its holder,
+// else the PFS.
+func tagSource(tag byte) Source {
+	switch {
+	case tag&0x0f != 0:
+		return SourceLocal
+	case tag>>4 != 0:
+		return SourceRemote
+	}
+	return SourcePFS
 }
