@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // clockScope lists the live packages that read and wait on time only
@@ -14,7 +15,8 @@ func goroutineAnalyzer() *Analyzer {
 		Name: "goroutine",
 		Doc: "every goroutine in library code is tied to a teardown path (context, channel, or " +
 			"WaitGroup), library code never busy-waits on a bare time.Sleep, and the clockScope " +
-			"packages call no time function that reads or waits on the clock and make no sync.Cond",
+			"packages call no time function that reads or waits on the clock, make no sync.Cond, and read or wait on " +
+			"clock.Real only through a stored default",
 		Run: runGoroutine,
 	}
 }
@@ -43,6 +45,10 @@ func runGoroutine(p *Package) []Diagnostic {
 				diags = append(diags, p.diag(x.Pos(), "goroutine", "sync.NewCond in a clock-scope package: "+
 					"a Cond wait wakes for neither a context nor the clock; park in Clock.WaitUntil on a wake channel"))
 			}
+			if ref := realClockUse(p.Info, x); inClock && ref != nil {
+				diags = append(diags, p.diag(ref.Pos(), "goroutine", "clock.Real read or waited on at the call: "+
+					"store it as a default (a field, an assignment, cmp.Or) and read the stored clock, so tests can swap it"))
+			}
 		case *ast.GoStmt:
 			if !teardownEvidence(p, decls, x) {
 				diags = append(diags, p.diag(x.Pos(), "goroutine",
@@ -53,6 +59,43 @@ func runGoroutine(p *Package) []Diagnostic {
 		return true
 	})
 	return diags
+}
+
+// realClockUse returns the clock.Real that call reads or waits on: its
+// receiver (clock.Real.Now()) or an argument of a clock function
+// (clock.Sleep(ctx, clock.Real, d)); nil if there is none.
+func realClockUse(info *types.Info, call *ast.CallExpr) ast.Expr {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if isClockReal(info, sel.X) {
+		return sel.X
+	}
+	if fn, ok := info.Uses[sel.Sel].(*types.Func); !ok || !isClockPkg(fn.Pkg()) {
+		return nil
+	}
+	for _, arg := range call.Args {
+		if isClockReal(info, arg) {
+			return arg
+		}
+	}
+	return nil
+}
+
+// isClockReal reports whether e names the variable internal/clock.Real.
+func isClockReal(info *types.Info, e ast.Expr) bool {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	v, ok := info.Uses[sel.Sel].(*types.Var)
+	return ok && v.Name() == "Real" && isClockPkg(v.Pkg())
+}
+
+// isClockPkg reports whether pkg is internal/clock.
+func isClockPkg(pkg *types.Package) bool {
+	return pkg != nil && (pkg.Path() == "internal/clock" || strings.HasSuffix(pkg.Path(), "/internal/clock"))
 }
 
 // teardownEvidence reports whether the spawned function is visibly tied to a

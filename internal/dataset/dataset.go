@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"slices"
 
 	"repro/internal/prng"
@@ -200,7 +199,7 @@ func (d *Synthetic) ReadSampleInto(id int, buf []byte) ([]byte, error) {
 	binary.LittleEndian.PutUint64(buf[4:12], uint64(id))
 	binary.LittleEndian.PutUint64(buf[12:20], uint64(size))
 	prng.NewSplitMix64(d.spec.Seed ^ (uint64(id) * 0x9e3779b97f4a7c15) ^ 0xC0FFEE).Fill(buf[headerSize : size-trailerSize])
-	crc := crc32.ChecksumIEEE(buf[:size-trailerSize])
+	crc := checksum(buf[:size-trailerSize])
 	binary.LittleEndian.PutUint32(buf[size-trailerSize:], crc)
 	return buf, nil
 }
@@ -222,7 +221,7 @@ func VerifySample(id int, data []byte) error {
 		return fmt.Errorf("dataset: sample %d length field %d != payload length %d", id, got, len(data))
 	}
 	want := binary.LittleEndian.Uint32(data[len(data)-trailerSize:])
-	if crc := crc32.ChecksumIEEE(data[:len(data)-trailerSize]); crc != want {
+	if crc := checksum(data[:len(data)-trailerSize]); crc != want {
 		return fmt.Errorf("dataset: sample %d CRC mismatch (got %#x want %#x)", id, crc, want)
 	}
 	return nil

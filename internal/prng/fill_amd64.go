@@ -5,6 +5,3 @@ package prng
 //
 //go:noescape
 func fillBlocks(p *byte, blocks int, x uint64) uint64
-
-// hasAVX512 reports whether the CPU and the OS support AVX512F and AVX512DQ.
-func hasAVX512() bool

@@ -79,35 +79,3 @@ one:
 done:
 	VZEROUPPER
 	RET
-
-// func hasAVX512() bool
-TEXT ·hasAVX512(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	XORL CX, CX
-	CPUID
-	CMPL AX, $7
-	JB   no // no leaf 7
-
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	BTL  $27, CX // OSXSAVE: XGETBV is usable
-	JCC  no
-
-	XORL   CX, CX
-	XGETBV
-	ANDL   $0xe6, AX // the OS saves SSE, AVX, opmask and both ZMM halves
-	CMPL   AX, $0xe6
-	JNE    no
-
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x30000, BX // AVX512F (bit 16) and AVX512DQ (bit 17)
-	CMPL BX, $0x30000
-	JNE  no
-	MOVB $1, ret+0(FP)
-
-no:
-	RET

@@ -3,5 +3,3 @@
 package prng
 
 func fillBlocks(p *byte, blocks int, x uint64) uint64 { panic("prng: no vector kernel") }
-
-func hasAVX512() bool { return false }

@@ -15,6 +15,8 @@ package prng
 import (
 	"encoding/binary"
 	"math"
+
+	"repro/internal/cpu"
 )
 
 // SplitMix64 is a tiny, high-quality 64-bit generator used to expand a
@@ -46,7 +48,7 @@ func (s *SplitMix64) Next() uint64 {
 
 // vectorFill routes Fill's whole blocks through the AVX-512 kernel; set
 // once at init from the CPU, and by tests to run both paths.
-var vectorFill = hasAVX512()
+var vectorFill = cpu.AVX512
 
 // Fill writes the next ⌈len(p)/8⌉ outputs into p as little-endian words,
 // the last truncated, as that many Next calls would. Output k is

@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/cpu"
 )
 
 func TestSplitMix64KnownValues(t *testing.T) {
@@ -37,7 +39,7 @@ func TestSplitMix64FillMatchesNext(t *testing.T) {
 		vector bool
 	}{{"go", false}, {"vector", true}} {
 		t.Run(path.name, func(t *testing.T) {
-			if path.vector && !hasAVX512() {
+			if path.vector && !cpu.AVX512 {
 				t.Skip("host lacks AVX512F/AVX512DQ: the vector kernel cannot run")
 			}
 			defer func(v bool) { vectorFill = v }(vectorFill)

@@ -273,6 +273,7 @@ func (c *Caller[T]) attemptContext(parent context.Context) context.Context {
 	if c.policy.CallTimeout <= 0 {
 		return parent
 	}
+	//lint:ignore goroutine the window's slice ends on the wall clock that its context.WithDeadline runs on
 	if w := c.window.Load(); w != nil && w.parent == parent && clock.Since(clock.Real, w.sliceEnd) < 0 {
 		return w.ctx // a monotonic read: the window's slice is still open
 	}
