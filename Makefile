@@ -121,6 +121,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzHeader$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzRunMessage$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/access -run '^$$' -fuzz '^FuzzParseAccessSpec$$' -fuzztime $(FUZZTIME)
 
 # Coverage gate for the core packages: fails when total statement coverage
@@ -143,7 +144,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 16706
+LOC_MAX ?= 16968
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -39,42 +40,84 @@ type TCPEndpoint struct {
 	// conns tracks every open connection — accepted, dialled, in flight or
 	// idle — so Close can sever them: an in-flight Call returns a clean
 	// error instead of hanging on a peer that will never respond.
-	conns map[net.Conn]struct{}
+	conns map[*tcpConn]struct{}
 	// idle holds, per peer, the dialled connections whose last exchange
 	// ended with a complete, well-formed response; Call reuses them instead
 	// of dialling. One connection carries one exchange at a time, so the
 	// lists are bounded by the number of concurrent callers.
-	idle [][]net.Conn
+	idle [][]*tcpConn
 	// closeOnce makes Close idempotent: a crash handler may close the
 	// endpoint early and Job.Close will close it again on teardown.
 	closeOnce sync.Once
 	closeErr  error
 }
 
+// tcpConn is a connection and what its exchanges reuse, which the idle pool
+// parks with it: the frame buffer, and on a dialled connection the watch
+// that severs it when the context of its exchange is canceled. The watch is
+// registered once per Done channel, so exchanges under one context share
+// it; state is gen<<2 | 0 (idle), 1 (busy) or 2 (severed), and a stale
+// watch, of an older gen, does nothing.
+type tcpConn struct {
+	net.Conn
+	frame []byte
+	done  <-chan struct{}
+	stop  func() bool
+	gen   uint64
+	state atomic.Uint64
+}
+
+// begin marks an exchange under ctx as started, watching ctx.
+func (c *tcpConn) begin(ctx context.Context) error {
+	if d := ctx.Done(); d != c.done {
+		if c.stop != nil {
+			c.stop()
+		}
+		c.gen++
+		c.done, c.stop = d, nil
+		if busy := c.gen<<2 | 1; d != nil {
+			c.stop = context.AfterFunc(ctx, func() {
+				if c.state.CompareAndSwap(busy, busy+1) {
+					c.Conn.Close()
+				}
+			})
+		}
+	}
+	c.state.Store(c.gen<<2 | 1)
+	return ctx.Err()
+}
+
+// end marks the exchange as over; false means the watch severed it.
+func (c *tcpConn) end() bool { return c.state.CompareAndSwap(c.gen<<2|1, c.gen<<2) }
+
 // track registers an open connection; it reports false (and closes the
 // connection) when the endpoint is already closed.
-func (e *TCPEndpoint) track(conn net.Conn) bool {
+func (e *TCPEndpoint) track(c *tcpConn) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		conn.Close()
+		c.Close()
 		return false
 	}
 	if e.conns == nil {
-		e.conns = make(map[net.Conn]struct{})
+		e.conns = make(map[*tcpConn]struct{})
 	}
-	e.conns[conn] = struct{}{}
+	e.conns[c] = struct{}{}
 	return true
 }
 
-// discard closes and forgets connections that must not carry another exchange.
-func (e *TCPEndpoint) discard(conns ...net.Conn) {
+// discard closes and forgets connections that must not carry another
+// exchange, and drops their watches.
+func (e *TCPEndpoint) discard(conns ...*tcpConn) {
 	e.mu.Lock()
 	for _, c := range conns {
 		delete(e.conns, c)
 	}
 	e.mu.Unlock()
 	for _, c := range conns {
+		if c.stop != nil {
+			c.stop()
+		}
 		c.Close()
 	}
 }
@@ -82,7 +125,7 @@ func (e *TCPEndpoint) discard(conns ...net.Conn) {
 // acquire runs Call's fail-fast checks — ErrClosed after our own Close,
 // then a pre-canceled context — and pops an idle connection to peer to. A
 // nil connection with a nil error means the caller has to dial.
-func (e *TCPEndpoint) acquire(ctx context.Context, to int) (net.Conn, error) {
+func (e *TCPEndpoint) acquire(ctx context.Context, to int) (*tcpConn, error) {
 	canceled := clock.Err(ctx) // the caller's code: not under e.mu
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -125,7 +168,7 @@ func NewTCPNetwork(n int, limiter *storage.Limiter) ([]*TCPEndpoint, error) {
 		}
 		//lint:ignore ctxfirst endpoint-lifetime root created at construction; Close calls lifeStop to sever it
 		life, stop := context.WithCancel(context.Background())
-		eps[i] = &TCPEndpoint{rank: i, listener: l, limiter: limiter, life: life, lifeStop: stop, idle: make([][]net.Conn, n)}
+		eps[i] = &TCPEndpoint{rank: i, listener: l, limiter: limiter, life: life, lifeStop: stop, idle: make([][]*tcpConn, n)}
 		addrs[i] = l.Addr().String()
 	}
 	for _, e := range eps {
@@ -153,165 +196,207 @@ func (e *TCPEndpoint) SetHandler(h Handler) {
 				if err != nil {
 					return // listener closed
 				}
-				go e.serve(conn)
+				go e.serve(&tcpConn{Conn: conn})
 			}
 		}()
 	})
 }
 
 // serve answers one peer connection, request after request, until either
-// side closes it or a frame cannot be trusted.
-func (e *TCPEndpoint) serve(conn net.Conn) {
-	if !e.track(conn) {
+// side closes it or a frame cannot be trusted. A run's items go to the
+// handler in order, pay the limiter once and leave in one writev.
+func (e *TCPEndpoint) serve(c *tcpConn) {
+	if !e.track(c) {
 		return
 	}
-	defer e.discard(conn)
+	defer e.discard(c)
 	// The frame buffers live as long as the connection, not per request.
 	var (
-		buf   [reqSize]byte
-		head  [respHeadSize]byte
-		parts [2][]byte
-		frame net.Buffers
+		head         [reqSize]byte
+		reqs         []Request
+		resps        []Response
+		parts, frame net.Buffers
 	)
 	for {
-		if _, err := io.ReadFull(conn, buf[:]); err != nil {
+		if _, err := io.ReadFull(c, head[:]); err != nil {
 			return
 		}
-		from, req, err := decodeRequest(buf[:])
+		from, req, err := decodeRequest(head[:])
 		if err != nil || from < 0 || from >= len(e.addrs) {
 			// Malformed, or a sender rank this fabric does not have: the
 			// field is the wire's word, so never hand it to the handler.
 			return
 		}
-		resp := Response{}
-		if h := e.handler.Load(); h != nil {
-			resp = (*h)(e.life, from, req)
+		reqs = append(reqs[:0], req)
+		if req.Kind == kindRun {
+			n, err := runLen(req)
+			if err != nil {
+				return
+			}
+			c.frame = slices.Grow(c.frame[:0], n*runItemSize)[:n*runItemSize]
+			if _, err := io.ReadFull(c, c.frame); err != nil {
+				return
+			}
+			reqs = decodeRunItems(c.frame, reqs[:0])
 		}
-		if len(resp.Data) > 0 {
-			if err := e.limiter.Wait(e.life, int64(len(resp.Data))); err != nil {
+		h, total := e.handler.Load(), 0
+		resps = resps[:0]
+		for _, r := range reqs {
+			resp := Response{}
+			if h != nil {
+				resp = (*h)(e.life, from, r)
+			}
+			resps, total = append(resps, resp), total+len(resp.Data)
+		}
+		if total > 0 {
+			if err := e.limiter.Wait(e.life, int64(total)); err != nil {
 				return // endpoint closed mid-response
 			}
 		}
-		if err := encodeResponseHeader(&head, resp); err != nil {
+		if c.frame, err = appendHeads(c.frame[:0], resps); err != nil {
 			return // over-cap payload: sever rather than desync the stream
 		}
-		// Header and payload leave in one writev. WriteTo consumes the
+		// Heads and payloads leave in one writev. WriteTo consumes the
 		// vector it is given, so it is rebuilt over parts for every frame.
-		parts[0], parts[1] = head[:], resp.Data
-		frame = parts[:]
-		if _, err := frame.WriteTo(conn); err != nil {
+		parts = append(parts[:0], c.frame)
+		for _, r := range resps {
+			parts = append(parts, r.Data)
+		}
+		frame = parts
+		if _, err := frame.WriteTo(c.Conn); err != nil {
 			return
 		}
 	}
 }
 
-// Call implements Network over persistent connections: it takes an idle
-// connection to the peer, or dials when every one is busy, performs one
-// request/response exchange on it and parks it for the next Call. Canceling
-// ctx severs the connection, unblocking any in-flight read or write with
-// ctx's error. A severed or half-closed connection fails fast with an
-// ErrUnreachable-classified error after one re-dial: requests are
+// Call implements Network as a run of one request (see CallRun).
+func (e *TCPEndpoint) Call(ctx context.Context, to int, req Request) (Response, error) {
+	var resp [1]Response
+	err := e.CallRun(ctx, to, []Request{req}, resp[:])
+	return resp[0], err
+}
+
+// CallRun implements RunCaller over persistent connections: it takes an
+// idle connection to the peer, or dials when every one is busy, performs
+// one exchange on it per maxRunLen requests and parks it for the next
+// call. Canceling ctx severs the connection, unblocking any in-flight read
+// or write with ctx's error. A severed or half-closed connection fails fast
+// with an ErrUnreachable-classified error after one re-dial: requests are
 // idempotent reads, so retrying a broken exchange on a fresh connection is
 // safe — a reused connection may simply have been closed by the peer while
 // idle — and a break on the fresh one means the peer is genuinely gone.
-func (e *TCPEndpoint) Call(ctx context.Context, to int, req Request) (Response, error) {
+func (e *TCPEndpoint) CallRun(ctx context.Context, to int, reqs []Request, resps []Response) error {
 	if to < 0 || to >= len(e.addrs) {
-		return Response{}, fmt.Errorf("transport: rank %d out of range", to)
+		return fmt.Errorf("transport: rank %d out of range", to)
 	}
-	conn, err := e.acquire(ctx, to)
+	if len(reqs) == 0 {
+		return nil // a count-0 run frame is malformed: send none
+	}
+	if len(reqs) > 1 && slices.ContainsFunc(reqs, func(r Request) bool { return r.Kind != KindFetch }) {
+		return errors.New("transport: a run carries fetches only") // its items have no kind field
+	}
+	if len(reqs) > maxRunLen {
+		if err := e.CallRun(ctx, to, reqs[:maxRunLen], resps); err != nil {
+			return err
+		}
+		return e.CallRun(ctx, to, reqs[maxRunLen:], resps[maxRunLen:])
+	}
+	c, err := e.acquire(ctx, to)
 	if err != nil {
-		return Response{}, err
+		return err
 	}
-	resp, err, retryable := e.callOnce(ctx, to, req, conn)
+	err, retryable := e.exchange(ctx, to, reqs, resps, c)
 	if retryable && ctx.Err() == nil {
-		if conn != nil {
+		if c != nil {
 			e.dropIdle(to)
 		}
-		resp, err, _ = e.callOnce(ctx, to, req, nil)
+		err, _ = e.exchange(ctx, to, reqs, resps, nil)
 	}
-	return resp, err
+	return err
 }
 
-// callOnce performs one exchange on conn, dialing first when conn is nil.
-// The connection is parked for reuse only after a complete, well-formed
+// exchange performs one exchange on c, dialing first when c is nil. The
+// connection is parked for reuse only after a complete, well-formed
 // response; an exchange cut short in any way — cancellation, a per-attempt
 // deadline, a broken socket, a malformed header — closes it, because the
-// next caller would otherwise read this caller's response. The third return
-// reports whether the failure was a connection-level break worth one
+// next caller would otherwise read this caller's response. The second
+// return reports whether the failure was a connection-level break worth one
 // re-dial (as opposed to cancellation, a closed endpoint, or a protocol
 // error).
-func (e *TCPEndpoint) callOnce(ctx context.Context, to int, req Request, conn net.Conn) (resp Response, err error, retryable bool) {
-	if conn == nil {
-		if conn, err = (&net.Dialer{}).DialContext(ctx, "tcp", e.addrs[to]); err != nil {
+func (e *TCPEndpoint) exchange(ctx context.Context, to int, reqs []Request, resps []Response, c *tcpConn) (err error, retryable bool) {
+	if c == nil {
+		conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", e.addrs[to])
+		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
-				return Response{}, cerr, false
+				return cerr, false
 			}
 			// A refused or failed dial is peer-down evidence: the peer's
 			// listener is gone (its Close ran) or the host is unreachable.
-			return Response{}, fmt.Errorf("transport: dial rank %d: %w: %w", to, ErrUnreachable, err), true
+			return fmt.Errorf("transport: dial rank %d: %w: %w", to, ErrUnreachable, err), true
 		}
 		// Register the outgoing connection so closing this endpoint severs
 		// it, in flight or idle; Close may have raced the dial, in which
 		// case track already closed the connection.
-		if !e.track(conn) {
-			return Response{}, ErrClosed, false
+		if c = (&tcpConn{Conn: conn}); !e.track(c) {
+			return ErrClosed, false
 		}
 	}
-	// Cancellation severs the connection the same way. A false stop means
-	// it already has, even if the response got through first.
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer func() {
-		if !stop() || err != nil {
-			e.discard(conn)
+		if !c.end() || err != nil {
+			e.discard(c)
 			return
 		}
 		e.mu.Lock()
 		if !e.closed { // else Close severed it with the rest of conns
-			e.idle[to] = append(e.idle[to], conn)
+			e.idle[to] = append(e.idle[to], c)
 		}
 		e.mu.Unlock()
 	}()
+	if err := c.begin(ctx); err != nil {
+		return err, false
+	}
 	// sever maps an I/O failure on the established connection: to the
 	// context's error when cancellation severed it, to ErrClosed when our
 	// own Close did, and otherwise to an ErrUnreachable-classified broken
 	// connection (the peer closed, crashed, or reset mid-exchange) that
 	// the caller may retry on a fresh dial.
-	sever := func(op string, err error) (Response, error, bool) {
+	sever := func(op string, err error) (error, bool) {
 		if cerr := ctx.Err(); cerr != nil {
-			return Response{}, cerr, false
+			return cerr, false
 		}
 		e.mu.Lock()
 		closed := e.closed
 		e.mu.Unlock()
 		if closed {
-			return Response{}, ErrClosed, false
+			return ErrClosed, false
 		}
-		return Response{}, fmt.Errorf("transport: %s rank %d: %w: %w", op, to, ErrUnreachable, err), true
+		return fmt.Errorf("transport: %s rank %d: %w: %w", op, to, ErrUnreachable, err), true
 	}
 
-	// One buffer carries the request out and the (shorter) header back.
-	var buf [reqSize]byte
-	encodeRequest(&buf, e.rank, req)
-	if _, err := conn.Write(buf[:]); err != nil {
+	c.frame = appendFrame(c.frame[:0], e.rank, reqs)
+	if _, err := c.Write(c.frame); err != nil {
 		return sever("write to", err)
 	}
-	head := buf[:respHeadSize]
-	if _, err := io.ReadFull(conn, head); err != nil {
+	c.frame = slices.Grow(c.frame[:0], len(reqs)*respHeadSize)[:len(reqs)*respHeadSize]
+	if _, err := io.ReadFull(c, c.frame); err != nil {
 		return sever("read from", err)
 	}
-	resp, n, err := decodeResponseHeader(head)
-	if err != nil {
-		// A malformed header is a protocol error, not a broken peer; do
-		// not classify it as unreachable or retry it.
-		return Response{}, fmt.Errorf("transport: response from rank %d: %w", to, err), false
-	}
-	if n > 0 {
-		resp.Data = slices.Grow(req.Buf[:0], int(n))[:n] // see Request.Buf
-		if _, err := io.ReadFull(conn, resp.Data); err != nil {
-			return sever("read from", err)
+	for i, req := range reqs {
+		resp, n, err := decodeResponseHeader(c.frame[i*respHeadSize:])
+		if err != nil {
+			// A malformed header is a protocol error, not a broken peer; do
+			// not classify it as unreachable or retry it.
+			return fmt.Errorf("transport: response from rank %d: %w", to, err), false
 		}
+		if n > 0 {
+			resp.Data = slices.Grow(req.Buf[:0], int(n))[:n] // see Request.Buf
+			if _, err := io.ReadFull(c, resp.Data); err != nil {
+				return sever("read from", err)
+			}
+		}
+		resps[i] = resp
 	}
-	return resp, nil, false
+	return nil, false
 }
 
 // Close implements Network: it stops accepting, cancels the lifetime
@@ -323,17 +408,19 @@ func (e *TCPEndpoint) Close() error {
 	e.closeOnce.Do(func() {
 		e.mu.Lock()
 		e.closed = true
-		conns := make([]net.Conn, 0, len(e.conns))
+		conns := make([]*tcpConn, 0, len(e.conns))
 		for c := range e.conns {
 			conns = append(conns, c)
 		}
 		e.conns = nil
+		idle := slices.Concat(e.idle...) // nobody else can take them now
 		clear(e.idle)
 		e.mu.Unlock()
 		e.lifeStop()
 		for _, c := range conns {
 			c.Close()
 		}
+		e.discard(idle...) // their watches
 		e.closeErr = e.listener.Close()
 	})
 	return e.closeErr

@@ -85,6 +85,17 @@ type Network interface {
 	Close() error
 }
 
+// RunCaller is a Network that carries a run of fetches to one peer in one
+// exchange. The TCP fabric is one; the chan fabric, whose Call is already
+// a function call, is not, and a decorator that does not forward CallRun
+// hides it.
+type RunCaller interface {
+	// CallRun sends reqs, all fetches, to peer to and writes the reply to
+	// reqs[i] into resps[i]. An error fails the whole run, and resps then
+	// holds nothing to trust.
+	CallRun(ctx context.Context, to int, reqs []Request, resps []Response) error
+}
+
 // AllgatherValue exchanges a uint64 with every peer: the returned slice
 // holds each rank's value (own value included). NoPFS uses this at setup to
 // verify that every worker derived the identical access plan.

@@ -209,53 +209,125 @@ func TestTCPCallAfterClose(t *testing.T) {
 }
 
 // TestCallCancellation pins the context-first contract on both fabrics: a
-// Call blocked on a slow peer must return the context's error promptly when
-// the caller cancels, leaving the fabric healthy for later calls.
+// Call, or on the TCP fabric a run, blocked on a slow peer must return the context's error
+// promptly when the caller cancels, once the peer's handler has been
+// entered, leaving the fabric healthy for later calls.
 func TestCallCancellation(t *testing.T) {
-	for _, f := range buildFabrics(t, 2) {
-		t.Run(f.name, func(t *testing.T) {
-			release := make(chan struct{})
-			defer close(release)
-			f.nets[0].SetHandler(echoHandler(0))
-			f.nets[1].SetHandler(func(ctx context.Context, from int, req Request) Response {
-				select { // serve only after the test is done, or give up with ctx
-				case <-release:
-				case <-ctx.Done():
+	run := func(n Network, ctx context.Context) error {
+		reqs := []Request{{Kind: KindFetch, Sample: 2}, {Kind: KindFetch, Sample: 6}}
+		return n.(RunCaller).CallRun(ctx, 1, reqs, make([]Response, len(reqs)))
+	}
+	call := func(n Network, ctx context.Context) error {
+		_, err := n.Call(ctx, 1, Request{Kind: KindFetch, Sample: 2})
+		return err
+	}
+	exchanges := []struct {
+		name string
+		do   func(Network, context.Context) error
+	}{{"call", call}, {"run", run}}
+	// A fresh pair of fabrics per exchange: each subtest closes its own.
+	fabrics := [][]fabric{buildFabrics(t, 2), buildFabrics(t, 2)}
+	for fi, fab := range fabrics[0] {
+		t.Run(fab.name, func(t *testing.T) {
+			for ei, exchange := range exchanges {
+				f := fabrics[ei][fi]
+				if _, runs := f.nets[0].(RunCaller); exchange.name == "run" && !runs {
+					continue // the chan fabric has no run exchange
 				}
-				return Response{OK: true}
-			})
-			defer func() {
-				for _, n := range f.nets {
-					n.Close()
-				}
-			}()
-			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan error, 1)
-			go func() {
-				_, err := f.nets[0].Call(ctx, 1, Request{Kind: KindFetch, Sample: 2})
-				done <- err
-			}()
-			time.Sleep(20 * time.Millisecond)
-			cancel()
-			select {
-			case err := <-done:
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("canceled call returned %v, want context.Canceled", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("canceled call did not return")
-			}
-			// The endpoint still serves calls under a live context.
-			resp, err := f.nets[1].Call(bg, 0, Request{Kind: KindFetch, Sample: 4})
-			if err != nil || !resp.OK {
-				t.Fatalf("call after cancellation: resp=%+v err=%v", resp, err)
-			}
-			// A pre-canceled context fails fast without touching the fabric.
-			if _, err := f.nets[0].Call(ctx, 1, Request{Kind: KindValue}); !errors.Is(err, context.Canceled) {
-				t.Errorf("pre-canceled call returned %v", err)
+				t.Run(exchange.name, func(t *testing.T) {
+					release, entered := make(chan struct{}), make(chan struct{})
+					defer close(release)
+					var once sync.Once
+					f.nets[0].SetHandler(echoHandler(0))
+					f.nets[1].SetHandler(func(ctx context.Context, from int, req Request) Response {
+						once.Do(func() { close(entered) })
+						select { // serve only after the test is done, or give up with ctx
+						case <-release:
+						case <-ctx.Done():
+						}
+						return Response{OK: true}
+					})
+					defer func() {
+						for _, n := range f.nets {
+							n.Close()
+						}
+					}()
+					ctx, cancel := context.WithCancel(context.Background())
+					done := make(chan error, 1)
+					go func() { done <- exchange.do(f.nets[0], ctx) }()
+					<-entered
+					cancel()
+					select {
+					case err := <-done:
+						if !errors.Is(err, context.Canceled) {
+							t.Fatalf("canceled exchange returned %v, want context.Canceled", err)
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatal("canceled exchange did not return")
+					}
+					// The endpoint still serves calls under a live context.
+					resp, err := f.nets[1].Call(bg, 0, Request{Kind: KindFetch, Sample: 4})
+					if err != nil || !resp.OK {
+						t.Fatalf("call after cancellation: resp=%+v err=%v", resp, err)
+					}
+					// A pre-canceled context fails fast without touching the fabric.
+					if _, err := f.nets[0].Call(ctx, 1, Request{Kind: KindValue}); !errors.Is(err, context.Canceled) {
+						t.Errorf("pre-canceled call returned %v", err)
+					}
+				})
 			}
 		})
 	}
+}
+
+// TestCallRun pins the TCP fabric's run exchange: each reply lands at its
+// request's index, a miss is a reply with OK false, and a run longer than
+// the cap still arrives whole. An empty run sends nothing and leaves the
+// connection healthy, a run of more than one non-fetch is refused before
+// it is sent, and a closed peer fails the whole run as unreachable.
+func TestCallRun(t *testing.T) {
+	eps, err := NewTCPNetwork(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ep := range eps {
+		ep.SetHandler(echoHandler(i))
+	}
+	for _, size := range []int{1, 5, maxRunLen + 3} {
+		reqs := make([]Request, size)
+		for i := range reqs {
+			reqs[i] = Request{Kind: KindFetch, Sample: int32(size + i), Value: uint64(i)}
+		}
+		resps := make([]Response, size)
+		if err := eps[0].CallRun(bg, 1, reqs, resps); err != nil {
+			t.Fatalf("run of %d: %v", size, err)
+		}
+		for i, resp := range resps {
+			want := fmt.Sprintf("r1-s%d", size+i)
+			if miss := (size+i)%2 == 1; resp.OK == miss || !miss && string(resp.Data) != want {
+				t.Fatalf("run of %d, item %d: %+v; want %q", size, i, resp, want)
+			}
+		}
+	}
+	if err := eps[0].CallRun(bg, 1, nil, nil); err != nil {
+		t.Errorf("empty run: %v", err)
+	}
+	mixed := []Request{{Kind: KindFetch, Sample: 2}, {Kind: KindValue, Value: 7}}
+	if err := eps[0].CallRun(bg, 1, mixed, make([]Response, 2)); err == nil {
+		t.Error("a run with a non-fetch item was sent")
+	}
+	// Neither left a connection the next exchange cannot use.
+	for range 2 {
+		if resp, err := eps[0].Call(bg, 1, Request{Kind: KindFetch, Sample: 4}); err != nil || string(resp.Data) != "r1-s4" {
+			t.Fatalf("call after an empty or refused run: %+v, %v", resp, err)
+		}
+	}
+	eps[1].Close()
+	reqs := []Request{{Kind: KindFetch, Sample: 2}, {Kind: KindFetch, Sample: 4}}
+	if err := eps[0].CallRun(bg, 1, reqs, make([]Response, 2)); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("run to a closed peer: %v, want ErrUnreachable", err)
+	}
+	eps[0].Close()
 }
 
 // TestChanHandlerRunsUnderCallerContext pins the chan fabric's handler

@@ -7,10 +7,13 @@ import (
 
 // The TCP fabric's wire format, little endian:
 //
-//	request:  from(4) kind(1) sample(4) value(8)
-//	response: ok(1) value(8) len(4) data(len)
+//	request:      from(4) kind(1) sample(4) value(8)
+//	response:     ok(1) value(8) len(4) data(len)
+//	run request:  from(4) kindRun(1) count(4) 0(8), count × [sample(4) value(8)]
+//	run response: count response headers, then their payloads back to back
 //
-// The codec lives here, separate from the socket plumbing, so the fuzz tier
+// A run carries count > 1 fetches in one exchange; the replies come back in
+// request order. The codec lives here, separate from the socket plumbing, so the fuzz tier
 // (wire_fuzz_test.go) can hammer the exact bytes-to-struct functions the
 // serve and Call loops use.
 
@@ -26,6 +29,62 @@ const respHeadSize = 1 + 8 + 4
 // payload byte arrives. Samples are tens of MB at the largest (CosmoFlow
 // 512³ is ~0.5 GiB full-paper scale — still under this bound).
 const maxDataLen = 1 << 30
+
+// kindRun is the wire-only kind of a run header, whose sample field is the
+// item count. maxRunLen caps the count, which, like a payload length, is the
+// wire's word: a count over it is rejected before its items are read.
+const (
+	kindRun     = 0x80
+	runItemSize = 4 + 8
+	maxRunLen   = 1 << 10
+)
+
+// appendFrame appends the request frame carrying reqs to dst: one request,
+// or a run of more than one fetch.
+func appendFrame(dst []byte, from int, reqs []Request) []byte {
+	var head [reqSize]byte
+	if len(reqs) == 1 {
+		encodeRequest(&head, from, reqs[0])
+		return append(dst, head[:]...)
+	}
+	encodeRequest(&head, from, Request{Kind: kindRun, Sample: int32(len(reqs))})
+	dst = append(dst, head[:]...)
+	for _, r := range reqs {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Sample))
+		dst = binary.LittleEndian.AppendUint64(dst, r.Value)
+	}
+	return dst
+}
+
+// runLen returns the item count of a decoded run header.
+func runLen(head Request) (int, error) {
+	if n := uint32(head.Sample); n == 0 || n > maxRunLen {
+		return 0, fmt.Errorf("transport: run declares %d items, cap is %d", n, maxRunLen)
+	}
+	return int(head.Sample), nil
+}
+
+// decodeRunItems appends the fetches of a run's item block b to reqs.
+func decodeRunItems(b []byte, reqs []Request) []Request {
+	for ; len(b) >= runItemSize; b = b[runItemSize:] {
+		reqs = append(reqs, Request{Kind: KindFetch, Sample: int32(binary.LittleEndian.Uint32(b)),
+			Value: binary.LittleEndian.Uint64(b[4:])})
+	}
+	return reqs
+}
+
+// appendHeads appends the response headers of resps to dst, the head block
+// that precedes their payloads in one reply.
+func appendHeads(dst []byte, resps []Response) ([]byte, error) {
+	var head [respHeadSize]byte
+	for _, r := range resps {
+		if err := encodeResponseHeader(&head, r); err != nil {
+			return dst, err
+		}
+		dst = append(dst, head[:]...)
+	}
+	return dst, nil
+}
 
 // encodeRequest marshals one request message.
 func encodeRequest(buf *[reqSize]byte, from int, req Request) {

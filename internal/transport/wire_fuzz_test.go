@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -107,6 +108,72 @@ func FuzzHeader(f *testing.F) {
 		}
 		if (data[0] == 1) != resp.OK {
 			t.Fatalf("OK flag mangled: byte %#x decoded as %v", data[0], resp.OK)
+		}
+	})
+}
+
+// FuzzRunMessage hammers the run codec with a request frame and a response
+// head block. A frame that decodes as a run header must declare between 1
+// and maxRunLen items (the count is rejected before any item is read), and
+// a whole run must re-encode to the exact bytes it came from. A head block
+// decodes head by head, each with its payload length capped, and what it
+// decodes re-encodes to the same block.
+func FuzzRunMessage(f *testing.F) {
+	reqs := []Request{{Kind: KindFetch, Sample: 7, Value: 70}, {Kind: KindFetch, Sample: -1, Value: ^uint64(0)}}
+	heads, err := appendHeads(nil, []Response{{OK: true, Value: 3, Data: make([]byte, 5)}, {}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	run := appendFrame(nil, 2, reqs)
+	f.Add(run, heads)
+	f.Add(run[:reqSize+runItemSize], heads[:respHeadSize+4])
+	over := slices.Clone(run)
+	binary.LittleEndian.PutUint32(over[5:9], maxRunLen+1)
+	f.Add(over, []byte{})
+
+	f.Fuzz(func(t *testing.T, frame, block []byte) {
+		if _, head, err := decodeRequest(frame); err == nil && head.Kind == kindRun {
+			n, err := runLen(head)
+			if count := binary.LittleEndian.Uint32(frame[5:9]); (err == nil) != (count >= 1 && count <= maxRunLen) {
+				t.Fatalf("run header declaring %d items: count %d, err %v", count, n, err)
+			}
+			if err == nil && n > 1 && len(frame) >= reqSize+n*runItemSize {
+				items := decodeRunItems(frame[reqSize:reqSize+n*runItemSize], nil)
+				if len(items) != n {
+					t.Fatalf("run of %d decoded %d items", n, len(items))
+				}
+				// A run of one goes out as a single request, so only longer
+				// runs round-trip; the header's value field is not read.
+				back := appendFrame(nil, int(int32(binary.LittleEndian.Uint32(frame))), items)
+				if !bytes.Equal(back[:9], frame[:9]) || !bytes.Equal(back[reqSize:], frame[reqSize:len(back)]) {
+					t.Fatalf("run round trip diverged:\n in  %x\n out %x", frame[:len(back)], back)
+				}
+			}
+		}
+		var resps []Response
+		for b := block; len(b) >= respHeadSize; b = b[respHeadSize:] {
+			resp, n, err := decodeResponseHeader(b)
+			if err != nil {
+				if binary.LittleEndian.Uint32(b[9:13]) <= maxDataLen {
+					t.Fatalf("in-cap head rejected: %v", err)
+				}
+				return
+			}
+			if n > 1<<16 {
+				return // materialising the payload would turn the loop into an allocation benchmark
+			}
+			resp.Data = make([]byte, n)
+			resps = append(resps, resp)
+		}
+		back, err := appendHeads(nil, resps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range resps {
+			in, out := block[i*respHeadSize:(i+1)*respHeadSize], back[i*respHeadSize:]
+			if !bytes.Equal(in[1:], out[1:respHeadSize]) || (in[0] == 1) != (out[0] == 1) {
+				t.Fatalf("head %d round trip diverged:\n in  %x\n out %x", i, in, out[:respHeadSize])
+			}
 		}
 	})
 }

@@ -50,7 +50,8 @@ type Job struct {
 	chunks   []chunks // per class: where a flight's payload is carved
 	staging  *storage.Staging
 	net      Endpoint
-	pfs      *storage.Limiter // the shared filesystem's bandwidth
+	runs     transport.RunCaller // net's run method; nil on a decorated endpoint
+	pfs      *storage.Limiter    // the shared filesystem's bandwidth
 
 	// chaosSched is the compiled fault schedule (nil for fault-free runs).
 	chaosSched *chaos.Schedule
@@ -192,6 +193,7 @@ func newJob(ctx context.Context, ds Dataset, rank, workers int, opts Options, ne
 	j.net = withResilience(net, opts.Resilience, opts.Seed, resilience.Hooks{
 		OnRetry: func(int, error) { j.rec.retries.Add(1) },
 	}, j.met.circuitTransition)
+	j.runs, _ = j.net.(transport.RunCaller)
 	progressEpoch := func() int { return j.epochOf(int(j.progress.Load())) }
 	for ci, c := range opts.Classes {
 		b, err := newClassBackend(ctx, rank, c)
@@ -394,7 +396,7 @@ func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.In
 			continue // staging passed the first access, and its fetch stores it
 		}
 		pos := int(j.progress.Load())
-		if _, _, _, err := j.fetchFrom(k, pos, j.fillTag(k, pos), classRow); err != nil {
+		if _, _, _, err := j.fetchFrom(k, pos, j.fillTag(k, pos), classRow, nil); err != nil {
 			j.fail(err)
 			return
 		}
@@ -403,26 +405,37 @@ func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.In
 
 // stagingPrefetcher claims runs of BatchPerWorker stream positions (the
 // last may be short), fetches each run in order and stages it with PushRun.
-// With metrics on it reads the clock at the claim and after each fetch.
+// On a fabric that carries runs, it groups the run's remote-tagged,
+// unassigned positions by holder before the loop, so each group is fetched
+// in one exchange (fetchRemote). With metrics on it reads the clock at the
+// claim and after each fetch.
 func (j *Job) stagingPrefetcher() {
 	defer j.wg.Done()
 	lat := j.met.latency()
 	defer lat.flush()
 	n := j.opts.BatchPerWorker
 	run := make([]storage.Entry, 0, n)
+	var ahead *remoteRun // nil: every position is fetched on its own
+	if j.runs != nil {
+		ahead = new(remoteRun)
+	}
 	for clock.Err(j.ctx) == nil {
 		first := int(j.pos.Add(int64(n))) - n
 		if first >= len(j.stream) {
 			return
 		}
+		end := min(first+n, len(j.stream))
 		run = run[:0]
 		var t time.Time // the start of the next fetch's interval
 		if j.met != nil {
 			t = j.clock.Now()
 		}
-		for pos := first; pos < min(first+n, len(j.stream)); pos++ {
+		if ahead != nil {
+			j.fetchRemote(ahead, first, end)
+		}
+		for pos := first; pos < end; pos++ {
 			k := j.stream[pos]
-			data, src, recycled, err := j.fetchFrom(k, pos, j.tags[pos], stagingRow)
+			data, src, recycled, err := j.fetchFrom(k, pos, j.tags[pos], stagingRow, ahead)
 			if err != nil {
 				j.fail(err)
 				return
@@ -481,13 +494,13 @@ func (j *Job) epochIter(pos int) (int, int) {
 // stretched to Factor× its measured duration, slowing the whole prefetch
 // pipeline the way a slow node's I/O path would. The stretch waits on j.ctx,
 // which every teardown that stops a running prefetcher cancels.
-func (j *Job) fetchFrom(k access.SampleID, pos int, tag byte, issuer int) ([]byte, Source, bool, error) {
+func (j *Job) fetchFrom(k access.SampleID, pos int, tag byte, issuer int, ahead *remoteRun) ([]byte, Source, bool, error) {
 	if j.chaosSched == nil {
-		return j.fetchSource(k, pos, tag, issuer)
+		return j.fetchSource(k, pos, tag, issuer, ahead)
 	}
 	epoch := j.epochOf(pos)
 	start := j.clock.Now()
-	data, src, recycled, err := j.fetchSource(k, pos, tag, issuer)
+	data, src, recycled, err := j.fetchSource(k, pos, tag, issuer, ahead)
 	if err == nil {
 		if factor := j.chaosSched.Slowdown(j.rank, epoch, j.plan.N); factor > 1 {
 			_ = clock.Sleep(j.ctx, j.clock, time.Duration(float64(clock.Since(j.clock, start))*(factor-1)))
@@ -512,11 +525,11 @@ func (j *Job) fetchFrom(k access.SampleID, pos int, tag byte, issuer int) ([]byt
 // the class's chunks and stores what it got before it retires the flight.
 // The re-check's hit and the callers who joined meanwhile count as
 // coalesced locals. For recycled, see landed.
-func (j *Job) fetchSource(k access.SampleID, pos int, tag byte, issuer int) ([]byte, Source, bool, error) {
+func (j *Job) fetchSource(k access.SampleID, pos int, tag byte, issuer int, ahead *remoteRun) ([]byte, Source, bool, error) {
 	if clock.Err(j.ctx) != nil {
 		return nil, SourcePFS, false, errJobClosed
 	}
-	slot, data, recycled, err := j.locate(k, pos, tag, issuer)
+	slot, data, recycled, err := j.locate(k, pos, tag, issuer, ahead)
 	if err != nil {
 		return nil, SourcePFS, false, err // fail ignores it if our own context ended
 	}
@@ -541,7 +554,11 @@ func (j *Job) fillTag(k access.SampleID, pos int) byte {
 }
 
 // locate is fetchSource's rule; it returns the record slot that served k.
-func (j *Job) locate(k access.SampleID, pos int, tag byte, issuer int) (int, []byte, bool, error) {
+// A position the staging run ahead holds an item of is that item's (settle).
+func (j *Job) locate(k access.SampleID, pos int, tag byte, issuer int, ahead *remoteRun) (int, []byte, bool, error) {
+	if i := ahead.item(pos); i >= 0 {
+		return j.settle(k, ahead, i)
+	}
 	if c := int(tag&0x0f) - 1; c >= 0 {
 		if data, ok, err := j.backends[c].Get(j.ctx, k); err != nil || ok {
 			return c, data, false, err

@@ -246,7 +246,10 @@ func (l *fetchLatency) flush() {
 // stagedFetch records the staged fetch of position pos that began at t, in
 // lat and its trace line, and returns the instant it ended, which begins the
 // next fetch. A trace line's write is not charged to the next fetch; Fprintf
-// writes it in one Write, so lines never interleave:
+// writes it in one Write, so lines never interleave. Where the endpoint
+// carries runs, which only an uninstrumented one can (Metrics off, a trace
+// alone), a holder's one exchange of a staging run is timed at the holder's
+// first position of the run, and its later positions take about 0 (settle):
 //
 //	rank=R pos=P sample=S epoch=E source=SRC bytes=B seconds=D
 func (m *jobMetrics) stagedFetch(j *Job, lat *fetchLatency, t time.Time, pos int, src Source, bytes int) time.Time {

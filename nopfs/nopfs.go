@@ -148,6 +148,8 @@ type Options struct {
 	// TraceFetches, when non-nil, receives one line per staged fetch (rank,
 	// stream position, sample, epoch, source, bytes, duration). Writes are
 	// serialised across ranks; the writer itself need not be thread-safe.
+	// Without Metrics, on the TCP fabric, the duration of a staging run's
+	// one exchange with a holder is on the holder's first position's line.
 	TraceFetches io.Writer
 
 	// Chaos is the fault/degradation scenario injected into the run: a
