@@ -144,7 +144,7 @@ loc:
 # Line-count ratchet, run by CI's lint job: fails when `make loc` exceeds
 # LOC_MAX. A PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it; a PR that deletes lowers it.
-LOC_MAX ?= 16968
+LOC_MAX ?= 16995
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); \

@@ -37,8 +37,8 @@ func liveOptions(seed uint64) nopfs.Options {
 	)
 }
 
-// runLive executes a chan-fabric cluster and returns per-rank delivered ids
-// and stats.
+// runLive executes a cluster on opts' fabric (chan unless set) and returns
+// per-rank delivered ids and stats.
 func runLive(t *testing.T, workers, f int, opts nopfs.Options) ([][]int, []nopfs.Stats) {
 	t.Helper()
 	ds := dataset.MustNew(dataset.Spec{
@@ -436,16 +436,21 @@ func TestLiveEpochEndsOneRepresentation(t *testing.T) {
 // TestCrashShortRunsExactlyOnce: the job stages its stream in runs of
 // BatchPerWorker positions, so a crash-reshaped stream whose length is not a
 // multiple of the batch ends in a short run. On live chan clusters, with a
-// staging budget above a run and one below a single sample, every rank
-// delivers its reshaped stream and the union is the plan, exactly once.
+// staging budget above a run and one below a single sample, and on a TCP
+// cluster whose budget makes a staging thread claim windows of several runs
+// (the last clipped to the stream's end), every rank delivers its reshaped
+// stream and the union is the plan, exactly once.
 func TestCrashShortRunsExactlyOnce(t *testing.T) {
 	const workers, f = 3, 62
 	for _, spec := range []string{"crash:1@1", "crash:2@1,crash:1@2"} {
 		for _, batch := range []int{4, 5} {
-			for _, budget := range []int64{64 << 10, 1 << 10} {
-				name := fmt.Sprintf("%s/batch %d/budget %d", spec, batch, budget)
+			for _, tc := range []struct {
+				fabric string
+				budget int64
+			}{{nopfs.FabricChan, 64 << 10}, {nopfs.FabricChan, 1 << 10}, {nopfs.FabricTCP, 256 << 10}} {
+				name := fmt.Sprintf("%s/batch %d/%s budget %d", spec, batch, tc.fabric, tc.budget)
 				opts := liveOptions(17)
-				opts.BatchPerWorker, opts.StagingBytes = batch, budget
+				opts.BatchPerWorker, opts.StagingBytes, opts.Fabric = batch, tc.budget, tc.fabric
 				prof, err := chaos.ParseProfile(spec)
 				if err != nil {
 					t.Fatal(err)

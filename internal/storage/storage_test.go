@@ -1248,59 +1248,69 @@ func TestStagingAdmitsGapRuns(t *testing.T) {
 	}
 }
 
-// TestStagingClaimersOvershootBound: claimers that take runs from one
-// counter, as the job's staging threads do, and finish them out of order
-// never stage more than the budget plus claimers-1 runs, and the consumer
-// gets every position once, in order, the stream's short last run included.
+// TestStagingClaimersOvershootBound: claimers that take windows of k runs
+// from one counter, as the job's staging threads do, push them run by run
+// and finish them out of order never stage more than the budget plus
+// claimers-1 windows, and the consumer gets every position once, in order,
+// the stream's short last run included. A window's later runs sit below the
+// highest staged position once another claimer stages past them, so they
+// are admitted over the budget: with k = 1 the bound is claimers-1 runs.
 func TestStagingClaimersOvershootBound(t *testing.T) {
-	const claimers, n, stream, budget = 3, 4, 3001, 64
-	size := func(pos int) int { return 1 + pos%8 }
-	const maxRun = n * 8
-	s := NewStaging(budget)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for p := 0; p < claimers; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g := prng.New(uint64(p))
-			for first := int(next.Add(n)) - n; first < stream; first = int(next.Add(n)) - n {
-				r := run(first, min(n, stream-first), 0)
-				for i := range r {
-					r[i].Data = make([]byte, size(r[i].Pos))
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("window %d", k), func(t *testing.T) {
+			const claimers, n, stream, budget = 3, 4, 3001, 64
+			size := func(pos int) int { return 1 + pos%8 }
+			w, bound := k*n, budget+(claimers-1)*k*n*8
+			s := NewStaging(budget)
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for p := 0; p < claimers; p++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					g := prng.New(uint64(p))
+					for first := int(next.Add(int64(w))) - w; first < stream; first = int(next.Add(int64(w))) - w {
+						last := min(first+w, stream)
+						for start := first; start < last; start += n {
+							r := run(start, min(n, last-start), 0)
+							for i := range r {
+								r[i].Data = make([]byte, size(r[i].Pos))
+							}
+							for i := g.Intn(20); i > 0; i-- {
+								runtime.Gosched()
+							}
+							if err := s.PushRun(bg, r); err != nil {
+								t.Error(err)
+								return
+							}
+							if used := s.Used(); used > int64(bound) {
+								t.Errorf("Used = %d after the run at %d, over the bound %d", used, start, bound)
+							}
+						}
+					}
+				}()
+			}
+			ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+			defer cancel()
+			g := prng.New(99)
+			dst := make([]Entry, 2*n)
+			for pos := 0; pos < stream; {
+				got, err := s.PopRun(ctx, dst[:1+g.Intn(len(dst))])
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := g.Intn(20); i > 0; i-- {
-					runtime.Gosched()
-				}
-				if err := s.PushRun(bg, r); err != nil {
-					t.Error(err)
-					return
-				}
-				if used := s.Used(); used > budget+(claimers-1)*maxRun {
-					t.Errorf("Used = %d after the run at %d, over the bound %d", used, first, budget+(claimers-1)*maxRun)
+				for _, e := range dst[:got] {
+					if e.Pos != pos || len(e.Data) != size(pos) {
+						t.Fatalf("pop delivered position %d (%d bytes), want %d", e.Pos, len(e.Data), pos)
+					}
+					pos++
 				}
 			}
-		}()
-	}
-	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
-	defer cancel()
-	g := prng.New(99)
-	dst := make([]Entry, 2*n)
-	for pos := 0; pos < stream; {
-		got, err := s.PopRun(ctx, dst[:1+g.Intn(len(dst))])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range dst[:got] {
-			if e.Pos != pos || len(e.Data) != size(pos) {
-				t.Fatalf("pop delivered position %d (%d bytes), want %d", e.Pos, len(e.Data), pos)
+			wg.Wait()
+			if s.Used() != 0 {
+				t.Errorf("Used = %d after draining", s.Used())
 			}
-			pos++
-		}
-	}
-	wg.Wait()
-	if s.Used() != 0 {
-		t.Errorf("Used = %d after draining", s.Used())
+		})
 	}
 }
 

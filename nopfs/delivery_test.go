@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chaos"
@@ -197,20 +198,28 @@ func TestRemotePayloadOwnership(t *testing.T) {
 
 // TestDeliveryAllocBytes bounds the bytes allocated per delivered sample on
 // an unthrottled two-rank cluster whose caches hold 3/4 of the dataset (the
-// live_chan shape, smaller), on both fabrics. Without the free list every
-// staged PFS read allocates its payload — about a quarter of the samples,
-// 8 KiB each, ≈ 3 KB per sample in all — and the bound fails; on TCP so does
-// every staged remote payload unless the fabric reads it into the staging
-// buffer the job passes.
+// live_chan shape, smaller), on both fabrics, and on TCP at live_tcp's
+// shape too, where a staging window spans several runs. Without the free
+// list every staged PFS read allocates its payload — about a quarter of the
+// samples, 8 KiB each, ≈ 3 KB per sample in all — and the bound fails; on
+// TCP so does every staged remote payload unless the fabric reads it into
+// the staging buffer the job passes.
 func TestDeliveryAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what the runtime allocates")
 	}
-	ds := dataset.MustNew(dataset.Spec{
-		Name: "alloc", F: 2048, MeanSize: 8 << 10, StddevSize: 2 << 10, Classes: 16, Seed: 5,
-	})
+	spec := dataset.Spec{Name: "alloc", F: 2048, MeanSize: 8 << 10, StddevSize: 2 << 10, Classes: 16, Seed: 5}
+	small := dataset.MustNew(spec)
+	spec.F = 8192
+	large := dataset.MustNew(spec)
 	for _, tc := range []struct {
-		fabric string
+		name, fabric string
+		ds           *dataset.Synthetic
+		// epochs, the staging budget and the class capacity; a window
+		// is one 16-position run at 512 KiB and seven at 4 MiB (by this
+		// dataset's mean sample size).
+		epochs       int
+		staging, ram int64
 		// maxAllocs bounds allocations per delivered sample. A remote
 		// fetch on the chan fabric, a GetBatch call and a class fill
 		// (carved from its class's chunks) allocate nothing, so what is
@@ -218,26 +227,29 @@ func TestDeliveryAllocBytes(t *testing.T) {
 		// with a heap object per stored payload). A TCP exchange
 		// allocates nothing either once its connection is pooled: the
 		// frame buffer and the cancellation watch live on the connection
-		// (0.04–0.06).
+		// (0.04–0.06; ≈ 0.01 at live_tcp's shape).
 		maxAllocs float64
 	}{
-		{FabricChan, 0.18},
-		{FabricTCP, 0.07},
+		{"chan", FabricChan, small, 24, 512 << 10, 6 << 20, 0.18},
+		{"tcp", FabricTCP, small, 24, 512 << 10, 6 << 20, 0.07},
+		{"tcp-windows", FabricTCP, large, 24, 4 << 20, 24 << 20, 0.07},
 	} {
-		t.Run(tc.fabric, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			opts := NewOptions(
 				WithSeed(77),
-				WithEpochs(24),
+				WithEpochs(tc.epochs),
 				WithBatchPerWorker(16),
-				WithStagingBuffer(512<<10),
+				WithStagingBuffer(tc.staging),
 				WithStagingThreads(2),
-				WithClasses(Class{Name: "ram", CapacityBytes: 6 << 20, Threads: 1}),
+				WithClasses(Class{Name: "ram", CapacityBytes: tc.ram, Threads: 1}),
 				WithFabric(tc.fabric),
 			)
+			var window atomic.Int64
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			stats, err := RunCluster(bg, ds, 2, opts, func(ctx context.Context, j *Job) error {
+			stats, err := RunCluster(bg, tc.ds, 2, opts, func(ctx context.Context, j *Job) error {
+				window.Store(int64(j.window() / j.opts.BatchPerWorker))
 				for {
 					batch, err := j.GetBatch(ctx, 0)
 					if err != nil || batch == nil {
@@ -255,8 +267,8 @@ func TestDeliveryAllocBytes(t *testing.T) {
 			}
 			perSample := float64(after.TotalAlloc-before.TotalAlloc) / float64(delivered)
 			allocs := float64(after.Mallocs-before.Mallocs) / float64(delivered)
-			t.Logf("%.0f B and %.2f allocations per delivered sample, %d GC cycles, %d samples",
-				perSample, allocs, after.NumGC-before.NumGC, delivered)
+			t.Logf("%.0f B and %.3f allocations per delivered sample, %d-run windows, %d GC cycles, %d samples",
+				perSample, allocs, window.Load(), after.NumGC-before.NumGC, delivered)
 			if perSample > 1024 {
 				t.Errorf("%.0f bytes allocated per delivered sample, want <= 1024", perSample)
 			}

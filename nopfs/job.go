@@ -273,9 +273,10 @@ func (j *Job) Start(ctx context.Context) error {
 		j.fill()
 	}
 	// Staging prefetchers: walk the access stream R in order.
+	w := j.window()
 	for t := 0; t < j.opts.StagingThreads; t++ {
 		j.wg.Add(1)
-		go j.stagingPrefetcher()
+		go j.stagingPrefetcher(w)
 	}
 	if len(j.stream) == 0 {
 		// A rank outside its elastic membership window for the whole run
@@ -403,13 +404,35 @@ func (j *Job) classPrefetcher(class int, fill []access.SampleID, next *atomic.In
 	}
 }
 
-// stagingPrefetcher claims runs of BatchPerWorker stream positions (the
-// last may be short), fetches each run in order and stages it with PushRun.
-// On a fabric that carries runs, it groups the run's remote-tagged,
-// unassigned positions by holder before the loop, so each group is fetched
-// in one exchange (fetchRemote). With metrics on it reads the clock at the
-// claim and after each fetch.
-func (j *Job) stagingPrefetcher() {
+// window is the number of stream positions a staging thread claims at
+// once: whole runs of BatchPerWorker. On an endpoint that carries runs it
+// is the most runs whose mean payload fits the thread's share of half the
+// staging budget, and at least one, so a holder's items of the whole
+// window go in one exchange; elsewhere it is one run.
+func (j *Job) window() int {
+	n := j.opts.BatchPerWorker
+	if j.runs == nil {
+		return n
+	}
+	var total int64
+	for id := range j.ds.Len() {
+		total += j.ds.Size(id)
+	}
+	run := float64(total) / float64(j.ds.Len()) * float64(n)
+	return n * max(1, int(float64(j.opts.StagingBytes)/(2*float64(j.opts.StagingThreads)*run)))
+}
+
+// stagingPrefetcher claims windows of w stream positions (the last may be
+// short) and fetches each in runs of BatchPerWorker, in order, staging each
+// run with one PushRun. On a fabric that carries runs, it groups the
+// window's remote-tagged, unassigned positions by holder before the loop,
+// so each group is fetched in one exchange (fetchRemote). A window's later
+// runs sit below the highest staged position once another thread stages
+// past them, and are admitted over the budget (Staging.PushRun), so the
+// buffer holds at most StagingBytes plus StagingThreads-1 windows: less
+// than 1.5 × StagingBytes of mean payload when w is more than one run. With
+// metrics on it reads the clock at each run's start and after each fetch.
+func (j *Job) stagingPrefetcher(w int) {
 	defer j.wg.Done()
 	lat := j.met.latency()
 	defer lat.flush()
@@ -420,40 +443,42 @@ func (j *Job) stagingPrefetcher() {
 		ahead = new(remoteRun)
 	}
 	for clock.Err(j.ctx) == nil {
-		first := int(j.pos.Add(int64(n))) - n
+		first := int(j.pos.Add(int64(w))) - w
 		if first >= len(j.stream) {
 			return
 		}
-		end := min(first+n, len(j.stream))
-		run = run[:0]
-		var t time.Time // the start of the next fetch's interval
-		if j.met != nil {
-			t = j.clock.Now()
-		}
+		last := min(first+w, len(j.stream))
 		if ahead != nil {
-			j.fetchRemote(ahead, first, end)
+			j.fetchRemote(ahead, first, last)
 		}
-		for pos := first; pos < end; pos++ {
-			k := j.stream[pos]
-			data, src, recycled, err := j.fetchFrom(k, pos, j.tags[pos], stagingRow, ahead)
-			if err != nil {
+		for start := first; start < last; start += n {
+			run = run[:0]
+			var t time.Time // the start of the next fetch's interval
+			if j.met != nil {
+				t = j.clock.Now()
+			}
+			for pos := start; pos < min(start+n, last); pos++ {
+				k := j.stream[pos]
+				data, src, recycled, err := j.fetchFrom(k, pos, j.tags[pos], stagingRow, ahead)
+				if err != nil {
+					j.fail(err)
+					return
+				}
+				if j.met != nil {
+					t = j.met.stagedFetch(j, &lat, t, pos, src, len(data))
+				}
+				j.sources[pos] = uint8(src)
+				if recycled {
+					j.sources[pos] |= recycledBit
+				}
+				run = append(run, storage.Entry{Pos: pos, ID: k, Data: data})
+				storeMax(&j.progress, int64(pos)) // threads finish out of order
+			}
+			lat.flush()
+			if err := j.staging.PushRun(j.ctx, run); err != nil {
 				j.fail(err)
 				return
 			}
-			if j.met != nil {
-				t = j.met.stagedFetch(j, &lat, t, pos, src, len(data))
-			}
-			j.sources[pos] = uint8(src)
-			if recycled {
-				j.sources[pos] |= recycledBit
-			}
-			run = append(run, storage.Entry{Pos: pos, ID: k, Data: data})
-			storeMax(&j.progress, int64(pos)) // threads finish out of order
-		}
-		lat.flush()
-		if err := j.staging.PushRun(j.ctx, run); err != nil {
-			j.fail(err)
-			return
 		}
 	}
 }
@@ -554,7 +579,7 @@ func (j *Job) fillTag(k access.SampleID, pos int) byte {
 }
 
 // locate is fetchSource's rule; it returns the record slot that served k.
-// A position the staging run ahead holds an item of is that item's (settle).
+// A position the staging window ahead holds an item of is that item's (settle).
 func (j *Job) locate(k access.SampleID, pos int, tag byte, issuer int, ahead *remoteRun) (int, []byte, bool, error) {
 	if i := ahead.item(pos); i >= 0 {
 		return j.settle(k, ahead, i)

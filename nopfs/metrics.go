@@ -248,8 +248,9 @@ func (l *fetchLatency) flush() {
 // next fetch. A trace line's write is not charged to the next fetch; Fprintf
 // writes it in one Write, so lines never interleave. Where the endpoint
 // carries runs, which only an uninstrumented one can (Metrics off, a trace
-// alone), a holder's one exchange of a staging run is timed at the holder's
-// first position of the run, and its later positions take about 0 (settle):
+// alone), a holder's one exchange of a staging window is timed at the
+// holder's first position of the window, and its later positions take
+// about 0 (settle):
 //
 //	rank=R pos=P sample=S epoch=E source=SRC bytes=B seconds=D
 func (m *jobMetrics) stagedFetch(j *Job, lat *fetchLatency, t time.Time, pos int, src Source, bytes int) time.Time {

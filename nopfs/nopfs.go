@@ -148,8 +148,9 @@ type Options struct {
 	// TraceFetches, when non-nil, receives one line per staged fetch (rank,
 	// stream position, sample, epoch, source, bytes, duration). Writes are
 	// serialised across ranks; the writer itself need not be thread-safe.
-	// Without Metrics, on the TCP fabric, the duration of a staging run's
-	// one exchange with a holder is on the holder's first position's line.
+	// Without Metrics, on the TCP fabric, the duration of a staging
+	// window's one exchange with a holder is on the holder's first
+	// position's line, and its later positions in the window read ≈ 0.
 	TraceFetches io.Writer
 
 	// Chaos is the fault/degradation scenario injected into the run: a

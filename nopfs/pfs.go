@@ -59,9 +59,9 @@ func (j *Job) remote(k access.SampleID, resp transport.Response, err error, buf 
 }
 
 // remoteRun is a staging prefetcher's scratch for fetchRemote: the items of
-// its run, sorted by holder, with their requests and replies, and at, which
-// maps a position of the run to its item. An entry left from an earlier run
-// is told apart by the position of the item it names.
+// its window, sorted by holder, with their requests and replies, and at,
+// which maps a position of the window to its item. An entry left from an
+// earlier window is told apart by the position of the item it names.
 type remoteRun struct {
 	first int
 	at    []int
@@ -84,11 +84,11 @@ func (r *remoteRun) item(pos int) int {
 	return -1
 }
 
-// fetchRemote collects the run [first, end)'s positions that are tagged
+// fetchRemote collects the window [first, end)'s positions that are tagged
 // remote and unassigned, which land in staging buffers, as items for settle
 // to fetch with one CallRun per holder.
 func (j *Job) fetchRemote(r *remoteRun, first, end int) {
-	if n := j.opts.BatchPerWorker; len(r.at) < n {
+	if n := end - first; len(r.at) < n {
 		*r = remoteRun{at: make([]int, n), items: make([]holderPos, 0, n), reqs: make([]transport.Request, n),
 			resps: make([]transport.Response, n)}
 	}
@@ -108,11 +108,11 @@ func (j *Job) fetchRemote(r *remoteRun, first, end int) {
 }
 
 // settle is locate for item i of r. The first item of a holder, at the
-// holder's first position, fetches every item of the holder in one
-// exchange, each into a staging buffer taken then; the exchange's time is
-// that position's fetch, and the holder's later positions take none. A
-// failed exchange is the first item's failed call and a miss of the rest,
-// each a false positive (fetch's rule).
+// holder's first position in the window, fetches every item of the holder
+// in one exchange, each into a staging buffer taken then; the exchange's
+// time is that position's fetch, and the holder's later positions take
+// none. A failed exchange is the first item's failed call and a miss of
+// the rest, each a false positive (fetch's rule).
 func (j *Job) settle(k access.SampleID, r *remoteRun, i int) (int, []byte, bool, error) {
 	var err error
 	if h := r.items[i].holder; i == 0 || r.items[i-1].holder != h {

@@ -104,14 +104,15 @@ type loggedRun struct {
 }
 
 // runLogged runs a prestaged two-rank cluster of the source-law shape, with
-// 16-position staging runs, over loggedTCPFabric; closeOn is the fetch
-// whose request closes its holder (closeKey; -1: none).
-func runLogged(t *testing.T, closeOn int64) ([]loggedRun, []Stats) {
+// 16-position staging runs and the given staging budget, over
+// loggedTCPFabric; closeOn is the fetch whose request closes its holder
+// (closeKey; -1: none).
+func runLogged(t *testing.T, stagingBytes, closeOn int64) ([]loggedRun, []Stats) {
 	t.Helper()
 	loggedTCPOnce.Do(func() { RegisterFabric(loggedTCPFab) })
 	loggedTCPFab.closeOn.Store(closeOn)
 	opts := sourceOptions(3, loggedTCPFab.Name(), "", 2)
-	opts.BatchPerWorker, opts.prestage = 16, true
+	opts.BatchPerWorker, opts.StagingBytes, opts.prestage = 16, stagingBytes, true
 	runs := make([]loggedRun, 2)
 	stats, err := RunCluster(bg, testDataset(t, 96), 2, opts, func(ctx context.Context, j *Job) error {
 		run := loggedRun{j: j}
@@ -153,39 +154,60 @@ func staged(run loggedRun, log *exchangeLog) (pos [][]uint64, errs []error) {
 }
 
 // TestRemoteRunsOneExchangePerHolder: on a prestaged two-rank TCP run, a
-// rank fetches a staging run's remote positions in at most one exchange per
-// holder, and every position is still served from the source its tags and
-// placement name.
+// rank fetches a staging window's remote positions in at most one exchange
+// per holder, and every position is still served from the source its tags
+// and placement name. Under the 64 KiB budget a window is one run; under
+// 1 MiB it is at least four, and a holder's items of a window's runs share
+// exchanges, so there are fewer than the (run, holder) pairs.
 func TestRemoteRunsOneExchangePerHolder(t *testing.T) {
-	runs, stats := runLogged(t, -1)
-	for r, run := range runs {
-		j := run.j
-		pairs := map[[2]int]bool{}
-		want := map[Source]int64{}
-		for p, tag := range prestagedTags(j) {
-			want[tagSource(tag)]++
-			if tagSource(tag) == SourceRemote {
-				_, h := j.assign.RemoteAvail(r, j.stream[p], int32(p))
-				pairs[[2]int{p / j.opts.BatchPerWorker, h}] = true
+	for _, tc := range []struct {
+		name         string
+		stagingBytes int64
+		minRuns      int // runs per window
+	}{
+		{"one-run", 64 << 10, 1},
+		{"multi-run", 1 << 20, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runs, stats := runLogged(t, tc.stagingBytes, -1)
+			for r, run := range runs {
+				j := run.j
+				n, w := j.opts.BatchPerWorker, j.window()
+				if w < tc.minRuns*n {
+					t.Fatalf("rank %d: a window of %d positions, want at least %d runs of %d", r, w, tc.minRuns, n)
+				}
+				windowPairs, runPairs := map[[2]int]bool{}, map[[2]int]bool{}
+				want := map[Source]int64{}
+				for p, tag := range prestagedTags(j) {
+					want[tagSource(tag)]++
+					if tagSource(tag) == SourceRemote {
+						_, h := j.assign.RemoteAvail(r, j.stream[p], int32(p))
+						windowPairs[[2]int{p / w, h}] = true
+						runPairs[[2]int{p / n, h}] = true
+					}
+					if run.observed[p] != tagSource(tag) {
+						t.Errorf("rank %d position %d: served from %s, expected %s", r, p, run.observed[p], tagSource(tag))
+					}
+				}
+				for _, src := range []Source{SourceLocal, SourceRemote, SourcePFS} {
+					if stats[r].Fetches[src] != want[src] {
+						t.Errorf("rank %d: %d %s fetches, its tags and placement name %d", r, stats[r].Fetches[src], src, want[src])
+					}
+				}
+				exchanges, _ := staged(run, loggedTCPFab.logs[r])
+				t.Logf("rank %d: %d-run windows, %d remote positions in %d staged exchanges, %d (window, holder) and %d (run, holder) pairs",
+					r, w/n, want[SourceRemote], len(exchanges), len(windowPairs), len(runPairs))
+				if len(exchanges) > len(windowPairs) {
+					t.Errorf("rank %d: %d staged exchanges, more than its %d (window, holder) pairs", r, len(exchanges), len(windowPairs))
+				}
+				if w > n && len(exchanges) >= len(runPairs) {
+					t.Errorf("rank %d: %d staged exchanges, not fewer than its %d (run, holder) pairs", r, len(exchanges), len(runPairs))
+				}
+				if len(runPairs) == 0 {
+					t.Errorf("rank %d fetched nothing remotely (the test lost its subject)", r)
+				}
 			}
-			if run.observed[p] != tagSource(tag) {
-				t.Errorf("rank %d position %d: served from %s, expected %s", r, p, run.observed[p], tagSource(tag))
-			}
-		}
-		for _, src := range []Source{SourceLocal, SourceRemote, SourcePFS} {
-			if stats[r].Fetches[src] != want[src] {
-				t.Errorf("rank %d: %d %s fetches, its tags and placement name %d", r, stats[r].Fetches[src], src, want[src])
-			}
-		}
-		exchanges, _ := staged(run, loggedTCPFab.logs[r])
-		t.Logf("rank %d: %d remote positions in %d staged exchanges, %d (run, holder) pairs",
-			r, want[SourceRemote], len(exchanges), len(pairs))
-		if len(exchanges) > len(pairs) {
-			t.Errorf("rank %d: %d staged exchanges, more than its %d (run, holder) pairs", r, len(exchanges), len(pairs))
-		}
-		if len(pairs) == 0 {
-			t.Errorf("rank %d fetched nothing remotely (the test lost its subject)", r)
-		}
+		})
 	}
 }
 
@@ -197,7 +219,7 @@ func TestRemoteRunsOneExchangePerHolder(t *testing.T) {
 func TestRemoteRunHolderClosedMidExchange(t *testing.T) {
 	// The run to cut short is a real one of the fault-free run: its
 	// holder closes at its last sample.
-	clean, _ := runLogged(t, -1)
+	clean, _ := runLogged(t, 64<<10, -1)
 	var cut []uint64
 	exchanges, _ := staged(clean[0], loggedTCPFab.logs[0])
 	for _, pos := range exchanges {
@@ -210,7 +232,7 @@ func TestRemoteRunHolderClosedMidExchange(t *testing.T) {
 		t.Fatal("rank 0 made no run of two or more fetches (the test lost its subject)")
 	}
 	last := cut[len(cut)-1]
-	runs, stats := runLogged(t, closeKey(clean[0].j.stream[last], last))
+	runs, stats := runLogged(t, 64<<10, closeKey(clean[0].j.stream[last], last))
 	for r, run := range runs {
 		var lost int64
 		for p, tag := range prestagedTags(run.j) {
